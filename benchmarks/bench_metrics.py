@@ -4,14 +4,14 @@ The telemetry layer (``repro.metrics``) rides the serving hot path, so
 its cost budget is explicit:
 
 1. **Off is free.**  A session built without ``metrics=`` and run
-   without ``span=`` takes the untouched fast path — one attribute
-   check per request.  Measured against a direct compile+execute
-   baseline that bypasses the guard entirely, the slowdown must be
-   <= 1.02x on the bench_hotpath mixed trace.
-2. **On is bounded.**  With a live registry *and* a per-request span,
-   the instrumented twin (two extra ``perf_counter`` reads plus one
-   counter bump and one histogram observation per run) must stay
-   <= 1.10x.
+   without ``span=`` pays three ``perf_counter`` reads and two
+   ``is None`` probes per request.  Measured against a direct
+   compile+execute baseline that bypasses ``run_prepared`` entirely,
+   the slowdown must be <= 1.02x on the ``helpers.build_trace`` mixed
+   trace.
+2. **On is bounded.**  With a live registry *and* a per-request span
+   (one counter bump, one histogram observation and the span's legs
+   per run) it must stay <= 1.10x.
 3. **Observation-only.**  ``ExecutionReport``s from all three modes are
    bit-identical: telemetry never perturbs results, cycles, or energy.
 4. **The regression loop closes.**  The snapshot taken from the
@@ -40,9 +40,7 @@ from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from helpers import print_table  # noqa: E402
-
-from bench_hotpath import build_trace  # noqa: E402
+from helpers import build_trace, print_table  # noqa: E402
 
 from repro import ReasonSession  # noqa: E402
 from repro.api.adapters import RunOptions  # noqa: E402
@@ -64,7 +62,7 @@ _COMPARED_FIELDS = ("result", "cycles", "seconds", "energy_j", "power_w",
 
 def _run_baseline(session: ReasonSession, kernel, options: RunOptions):
     """The pre-instrumentation path: compile + execute with no guard,
-    no timestamps, no spans — what ``run_prepared`` fast-paths to."""
+    no timestamps, no spans — ``run_prepared`` minus its telemetry."""
     artifact, cache_hit = session._compile(kernel, options)
     report = session._backend("reason").run(
         artifact, config=session.config, queries=1, options=options

@@ -13,8 +13,8 @@ API entry goes through, and registering a new kernel family is one
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.api.cache import content_key
 from repro.api.types import CompiledArtifact
@@ -93,6 +93,35 @@ class RunOptions:
             else:
                 canonical.append(tuple(item))
         return tuple(canonical)
+
+
+def per_kernel_inputs(
+    count: int,
+    neural_s: Union[float, Sequence[float]],
+    calibrations: Optional[Sequence],
+    options: RunOptions,
+) -> List[Tuple[float, RunOptions]]:
+    """One ``(neural_s, options)`` pair per kernel of a batch.
+
+    ``neural_s`` is a scalar broadcast or one value per kernel;
+    ``calibrations`` optionally overrides the shared ``calibration``
+    per kernel.  The shared options were parsed once by the caller;
+    per-kernel ones derive from them instead of re-validating every
+    keyword.
+    """
+    if isinstance(neural_s, (int, float)):
+        neural_s = [neural_s] * count
+    neural_times = [float(t) for t in neural_s]
+    if len(neural_times) != count:
+        raise ValueError("need one neural_s per kernel")
+    if calibrations is None:
+        return [(neural_time, options) for neural_time in neural_times]
+    if len(calibrations) != count:
+        raise ValueError("need one calibration entry per kernel")
+    return [
+        (neural_time, replace(options, calibration=calibration))
+        for neural_time, calibration in zip(neural_times, calibrations)
+    ]
 
 
 class KernelAdapter:

@@ -358,6 +358,41 @@ class ResilientStore(ArtifactStore):
     def clear(self) -> None:
         self._guarded(lambda: self.inner.clear(), None)
 
+    def attach_metrics(self, registry) -> None:
+        """Mirror this store into a live-metrics registry
+        (:mod:`repro.metrics`) through snapshot-time callbacks — the
+        store's own paths pay nothing."""
+        registry.register_callback(
+            "reason_store_artifacts",
+            lambda: len(self),
+            kind="gauge",
+            help="Artifacts resident in the shared store.",
+        )
+        registry.register_callback(
+            "reason_store_errors_total",
+            lambda: self.errors,
+            kind="counter",
+            help="Shared-store operations that raised (degraded to "
+            "miss/no-op by the resilient wrapper).",
+        )
+        registry.register_callback(
+            "reason_store_degraded_total",
+            lambda: self.degraded,
+            kind="counter",
+            help="Store operations skipped while its breaker was open "
+            "(local-only caching).",
+        )
+        # DiskStore corrupt-entry misses, proxied through the
+        # wrappers; in-memory stores have no such counter.
+        if getattr(self, "corrupt_misses", None) is not None:
+            registry.register_callback(
+                "reason_store_corrupt_misses_total",
+                lambda: self.corrupt_misses,
+                kind="counter",
+                help="Corrupt/incompatible store entries degraded to "
+                "misses (silent until counted here).",
+            )
+
     def __getattr__(self, name):
         # Only reached for attributes this wrapper doesn't define:
         # proxy diagnostics (corrupt_misses, path, ...) to the inner

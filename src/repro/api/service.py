@@ -53,15 +53,14 @@ exercisable deterministically through ``faults=``
 from __future__ import annotations
 
 import asyncio
-import queue
 import threading
 import time
 from collections import deque
 from concurrent.futures import InvalidStateError
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
-from repro.api.adapters import RunOptions, adapter_for
+from repro.api.adapters import RunOptions, adapter_for, per_kernel_inputs
 from repro.api.backends import get_backend
 from repro.api.cache import CacheStats
 from repro.api.futures import ReasonFuture
@@ -84,8 +83,52 @@ from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition, compose_shard_makespans
 from repro.costmodel import CostEstimator
-from repro.metrics.registry import RATIO_BUCKETS, MetricsRegistry, ensure_registry
+from repro.metrics.registry import (
+    LATENCY_BUCKETS,
+    RATIO_BUCKETS,
+    MetricsRegistry,
+    ensure_registry,
+)
 from repro.metrics.spans import RequestSpan, SpanLog
+
+#: Completed spans :meth:`ReasonService.spans` retains (a bounded ring,
+#: like ``stats_window``).
+SPAN_LOG_SIZE = 4096
+
+#: Per-backend histograms a successful request's span feeds:
+#: (RequestSpan attribute, metric name, help, buckets).
+_SPAN_HISTOGRAMS = (
+    (
+        "queue_wait_s",
+        "reason_request_queue_wait_seconds",
+        "Admission to worker pickup.",
+        LATENCY_BUCKETS,
+    ),
+    (
+        "execute_s",
+        "reason_request_execute_seconds",
+        "Backend execution wall seconds.",
+        LATENCY_BUCKETS,
+    ),
+    (
+        "e2e_s",
+        "reason_request_e2e_seconds",
+        "Admission to completion — caller-visible latency.",
+        LATENCY_BUCKETS,
+    ),
+    (
+        "latency_residual",
+        "reason_request_latency_residual",
+        "Actual/predicted modeled seconds (1.0 = exact).",
+        RATIO_BUCKETS,
+    ),
+    (
+        "energy_residual",
+        "reason_request_energy_residual",
+        "Actual/predicted energy (1.0 = exact).",
+        RATIO_BUCKETS,
+    ),
+)
 
 
 class ServiceClosed(RuntimeError):
@@ -121,229 +164,164 @@ class ServiceOverloaded(RuntimeError):
         self.reason = reason
 
 
-_SENTINEL = object()  # shutdown marker on the admission queues
+# Request lifecycle: QUEUED -> RUNNING -> SETTLED, with a retry the only
+# back-edge (a RUNNING item re-enters a queue and stays RUNNING — its
+# future entered RUNNING on the first attempt and cannot do so twice).
+# SETTLED is entered exactly once, in ReasonService._settle.
+_QUEUED, _RUNNING, _SETTLED = "queued", "running", "settled"
+
+#: Terminal outcome -> the shard counters it moves: the one place the
+#: identity ``submitted == completed + failed + cancelled + pending`` is
+#: kept.  A ``rejected`` request never reached its queue, so it takes
+#: its admission back instead of counting as served.
+_OUTCOME_COUNTERS = {
+    "ok": {"completed": 1},
+    "error": {"failed": 1},
+    "deadline": {"failed": 1, "expired": 1},
+    "cancelled": {"cancelled": 1},
+    "rejected": {"submitted": -1},
+}
 
 
 @dataclass
 class _WorkItem:
-    kernel: object
-    options: RunOptions
+    # What admission routed on: kernel, queries, neural_s, deadline_s and
+    # the fingerprint (reused for the shard's cache lookup).
+    request: Request
+    options: RunOptions  # the request's, plus the span when metrics are on
     backend: str  # resolved substrate (forced by caller or shard default)
-    queries: int
-    neural_s: float
-    fingerprint: str  # computed at admission; reused for the cache lookup
     future: ReasonFuture
+    shard: "_Shard"  # current owner; a rerouted retry updates it
     predicted_s: float = 0.0  # busy-time charged at admission, repaid on exit
     span: Optional[RequestSpan] = None  # live-telemetry record (metrics on)
-    # --- fault-tolerance state -------------------------------------------
-    deadline_s: Optional[float] = None  # admitted budget (relative seconds)
     deadline_at: Optional[float] = None  # absolute monotonic expiry
     attempts: int = 1  # executions dispatched (1 = the original)
-    started: bool = False  # the future entered RUNNING at least once
-    finished: bool = False  # terminal bookkeeping done (exactly once)
-    shard: Optional["_Shard"] = None  # current owner; reroute updates it
+    state: str = _QUEUED
     timer: Optional[threading.Timer] = None  # armed deadline watchdog
-    # Serializes the terminal transition: worker success/failure, the
-    # deadline timer, retry dispatch, and cancellation bookkeeping all
-    # race on one item — whoever flips `finished` under this lock does
-    # the shard accounting; everyone else backs off.  Lock order is
-    # item.lock -> shard.lock, never the reverse.
+    # Guards `state`, `shard` and `timer`: worker success/failure, the
+    # deadline timer, retry dispatch and cancellation all race on one
+    # item, and whoever flips it SETTLED under this lock does the
+    # bookkeeping; everyone else backs off.  Lock order is item.lock ->
+    # shard.lock, never the reverse.
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-class _Shard:
-    """One accelerator instance: session + bounded queue + worker thread.
+def _counter(help_text: str):
+    return field(default=0, metadata={"help": help_text})
 
-    The worker is *supervised*: any exception that escapes per-request
-    handling (a :class:`~repro.api.resilience.WorkerCrash` from a fault
-    plan, or a genuine bug) is treated as the thread dying — the dying
-    worker's last act is to call the service supervisor, which respawns
-    the worker and retries or fails the stranded request, so an
-    admitted future resolves even when its worker does not survive.
+
+@dataclass
+class _ShardCounters:
+    """One shard's accounting, mutated only under the shard's lock.
+
+    This is the only list of the counters: :class:`ShardStats` receives
+    them by name and the metrics registry exports each field that
+    carries a help text as ``reason_shard_<name>_total``.
     """
 
-    def __init__(
-        self,
-        index: int,
-        session: ReasonSession,
-        max_queue: int,
-        stats_window: Optional[int],
-        backend: str = "reason",
-        service: "ReasonService" = None,
-        breaker: Optional[CircuitBreaker] = None,
-        sink=None,
-    ):
-        self.index = index
-        self.session = session
-        self.backend = backend
-        self.service = service
-        self.breaker = breaker  # trips on consecutive transient faults
-        self.sink = sink  # callback(span) on every span close (metrics on)
-        self.queue: "queue.Queue[object]" = queue.Queue(maxsize=max_queue)
-        self.lock = threading.Lock()
-        # Serializes enqueues against close()'s sentinel, so an admitted
-        # item can never land behind the shutdown marker and be orphaned.
-        self.submit_lock = threading.Lock()
-        # Flipped (under self.lock) just before close() queues its
-        # sentinel.  Retry dispatch — which must never block on the
-        # submit lock — checks this under the same lock, so a retry
-        # either lands ahead of the sentinel or fails fast.
-        self.accepting = True
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.retries = 0  # replays dispatched after failures here
-        self.restarts = 0  # worker threads respawned by the supervisor
-        self.crashes = 0  # worker deaths observed on this shard
-        self.expired = 0  # requests failed by their deadline (⊆ failed)
-        # Sum of admitted-but-unfinished predicted seconds (cost model's
-        # view of this shard's backlog; what ShardView.busy_s reports).
-        self.busy_s = 0.0
-        # (neural_s, symbolic_s) per success; bounded so a long-lived
-        # service doesn't grow without limit and stats() stays cheap.
-        self.stage_times: "deque" = deque(maxlen=stats_window)
-        self.thread = threading.Thread(
-            target=self._work, name=f"reason-shard-{index}", daemon=True
-        )
-        self.thread.start()
+    submitted: int = _counter("Requests admitted to this shard.")
+    completed: int = _counter("Requests this shard executed successfully.")
+    failed: int = _counter("Requests that raised on this shard.")
+    cancelled: int = _counter("Requests cancelled while queued.")
+    retries: int = _counter("Replays dispatched after transient failures.")
+    restarts: int = _counter("Worker threads respawned by the supervisor.")
+    crashes: int = _counter("Worker deaths observed on this shard.")
+    expired: int = _counter("Requests failed by their deadline.")
+    # Sum of admitted-but-unfinished predicted seconds (the cost model's
+    # view of this shard's backlog; what ShardView.busy_s reports).
+    busy_s: float = 0.0
 
     @property
     def pending(self) -> int:
         """Admitted but not yet terminal (queued or executing).
 
-        Derived from the counters under the lock — never from queue
-        internals — so ``submitted == completed + failed + cancelled +
-        pending`` holds at every observable instant.
+        Derived from the counters — never from queue internals — so
+        ``submitted == completed + failed + cancelled + pending`` holds
+        at every observable instant.
         """
+        return self.submitted - self.completed - self.failed - self.cancelled
+
+    def repay(self, predicted_s: float) -> None:
+        # Float error must never leave a phantom backlog behind: clamp
+        # at zero, and a shard with nothing pending owes exactly nothing.
+        self.busy_s = max(self.busy_s - predicted_s, 0.0) if self.pending else 0.0
+
+
+@dataclass(eq=False)  # identity semantics: a shard is not its field values
+class _Shard:
+    """One accelerator instance: a session, a bounded admission queue
+    and the worker thread :class:`ReasonService` runs over them."""
+
+    index: int
+    backend: str
+    session: ReasonSession
+    breaker: Optional[CircuitBreaker]  # trips on consecutive transient faults
+    capacity: int  # queued (not yet dequeued) items the shard holds
+    # (neural_s, symbolic_s) per success; bounded so a long-lived
+    # service doesn't grow without limit and stats() stays cheap.
+    stage_times: Deque
+    counters: _ShardCounters = field(default_factory=_ShardCounters)
+    # The admission queue.  `lock` guards it, `accepting` and the
+    # counters; producers wait on `space` for a free slot and the
+    # worker waits on `work` for an item (both conditions share `lock`).
+    items: Deque[_WorkItem] = field(default_factory=deque)
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    # Cleared by close().  Admission and retry dispatch append only
+    # while it is set, and the worker exits once it is clear and the
+    # queue is empty — so nothing admitted is ever orphaned, and
+    # shutdown needs no queue slot of its own.
+    accepting: bool = True
+    thread: Optional[threading.Thread] = None
+
+    def __post_init__(self) -> None:
+        self.space = threading.Condition(self.lock)
+        self.work = threading.Condition(self.lock)
+
+    def offer(self, item: _WorkItem, timeout: Optional[float] = 0.0) -> str:
+        """Queue ``item`` if a slot frees within ``timeout`` seconds (0
+        does not wait, None waits forever).  Returns ``""`` once it is
+        queued, else why it is not: ``"closed"`` or ``"queue-full"``.
+
+        The append happens under the lock close() clears ``accepting``
+        under: either the item lands first and the worker serves it
+        before exiting, or close() wins and the item is refused — what
+        is queued is always served.  close() also wakes every producer
+        parked here, so none waits out a queue that will never admit
+        it."""
         with self.lock:
-            return self.submitted - self.completed - self.failed - self.cancelled
-
-    def _work(self) -> None:
-        while True:
-            item = self.queue.get()
-            try:
-                if item is _SENTINEL:
-                    return
-                try:
-                    self._execute(item)
-                except BaseException as crash:
-                    # The worker is dying (injected WorkerCrash, or a
-                    # real bug escaping per-request handling).  Hand
-                    # everything to the supervisor and exit.
-                    self._die(item, crash)
-                    return
-            finally:
-                self.queue.task_done()
-
-    def _die(self, item: _WorkItem, crash: BaseException) -> None:
-        """The dying worker's trampoline into the service supervisor."""
-        with self.lock:
-            self.crashes += 1
-        try:
-            self.service._supervise_crash(self, item, crash)
-        except BaseException:
-            # Supervision must never strand the future: fail it
-            # directly as a last resort.
-            try:
-                self.service._finish_failure(
-                    item,
-                    ShardCrashed(
-                        f"shard {self.index} worker crashed", self.index
-                    ),
-                )
-            except BaseException:
-                pass
-
-    def _restart_worker(self) -> None:
-        with self.lock:
-            self.restarts += 1
-            generation = self.restarts
-        self.thread = threading.Thread(
-            target=self._work,
-            name=f"reason-shard-{self.index}-r{generation}",
-            daemon=True,
-        )
-        self.thread.start()
-
-    def _repay_busy(self, item: _WorkItem) -> None:
-        # Caller holds self.lock.  Clamp: float error must never leave
-        # a phantom negative backlog behind.
-        self.busy_s = max(self.busy_s - item.predicted_s, 0.0)
-
-    def _close_span(self, span: Optional[RequestSpan]) -> None:
-        # Shielded like observe: telemetry must never kill the worker.
-        if span is not None and self.sink is not None:
-            try:
-                self.sink(span)
-            except Exception:
-                pass
-
-    def _claim(self, item: _WorkItem) -> bool:
-        """Transition the future toward RUNNING; False = nothing to do.
-
-        A retried item already made that transition on its first
-        attempt; a queued item may have been cancelled by the caller or
-        already resolved by its deadline timer.
-        """
-        if item.started:
-            return not item.future.done()
-        try:
-            running = item.future.set_running_or_notify_cancel()
-        except InvalidStateError:
-            # A deadline timer resolved the future while it was queued;
-            # the timer did the bookkeeping.
-            return False
-        if not running:
-            self.service._finish_cancel(item)  # cancelled while queued
-            return False
-        item.started = True
-        return True
-
-    def _execute(self, item: _WorkItem) -> None:
-        service = self.service
-        if item.deadline_at is not None and time.monotonic() >= item.deadline_at:
-            # Expired while queued: shed before spending execution on a
-            # request whose caller has already timed out.
-            service._finish_failure(
-                item,
-                DeadlineExceeded(
-                    f"request {item.fingerprint[:12]} expired in shard "
-                    f"{self.index}'s queue ({item.deadline_s}s deadline)",
-                    deadline_s=item.deadline_s or 0.0,
-                ),
-                expired=True,
+            self.space.wait_for(
+                lambda: len(self.items) < self.capacity or not self.accepting, timeout
             )
-            return
-        if not self._claim(item):
-            return
-        if service._faults is not None:
-            service._faults.crash_fault(self.index)  # may raise WorkerCrash
-        if item.span is not None and item.span.started_at == 0.0:
-            item.span.mark_started()  # first pickup only; retries keep it
-        try:
-            report = self.session.run_prepared(
-                item.kernel,
-                item.options,
-                backend=item.backend,
-                queries=item.queries,
-                fingerprint=item.fingerprint,
+            if not self.accepting:
+                return "closed"
+            if len(self.items) >= self.capacity:
+                return "queue-full"
+            self.items.append(item)
+            self.work.notify()
+            return ""
+
+    def view(self) -> ShardView:
+        """This shard's load at one consistent instant — what policies
+        route on and what a rejection reports."""
+        with self.lock:
+            counters = self.counters
+            return ShardView(
+                self.index,
+                counters.pending,
+                counters.completed,
+                self.backend,
+                counters.busy_s,
             )
-        except WorkerCrash:
-            raise  # worker death, not request failure — see _work
-        except BaseException as exc:
-            if self.breaker is not None and isinstance(
-                exc, (TransientError, ShardCrashed)
-            ):
-                # Only infrastructure faults feed the breaker: a storm
-                # of user errors (bad kernels, unknown backends) must
-                # not take a healthy shard out of rotation.
-                self.breaker.record_failure()
-            service._retry_or_fail(item, exc)
-        else:
-            if self.breaker is not None:
-                self.breaker.record_success()
-            service._finish_success(item, report)
+
+
+#: Decoders for :meth:`ShardStats.from_dict`, by field annotation.
+_STATS_DECODERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "CacheStats": CacheStats.from_dict,
+    "PipelineResult": PipelineResult.from_dict,
+}
 
 
 @dataclass
@@ -377,48 +355,23 @@ class ShardStats:
         """JSON-safe dict; :meth:`from_dict` round-trips it exactly
         (dashboards and the metrics CLI persist these next to
         snapshots)."""
-        return {
-            "index": self.index,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "pending": self.pending,
-            "retained": self.retained,
-            "prepare_calls": self.prepare_calls,
-            "cache": self.cache.to_dict(),
-            "makespan": self.makespan.to_dict(),
-            "backend": self.backend,
-            "busy_s": self.busy_s,
-            "retries": self.retries,
-            "restarts": self.restarts,
-            "crashes": self.crashes,
-            "expired": self.expired,
-            "breaker": self.breaker,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(cache=self.cache.to_dict(), makespan=self.makespan.to_dict())
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardStats":
+        # Defaulted fields may be absent (snapshots persisted before
+        # the cost model or fault tolerance existed still load); a
+        # missing required field is a KeyError.
         return cls(
-            index=int(data["index"]),
-            submitted=int(data["submitted"]),
-            completed=int(data["completed"]),
-            failed=int(data["failed"]),
-            cancelled=int(data["cancelled"]),
-            pending=int(data["pending"]),
-            retained=int(data["retained"]),
-            prepare_calls=int(data["prepare_calls"]),
-            cache=CacheStats.from_dict(data["cache"]),
-            makespan=PipelineResult.from_dict(data["makespan"]),
-            backend=str(data.get("backend", "reason")),
-            busy_s=float(data.get("busy_s", 0.0)),
-            # PR 8 fields default so pre-fault-tolerance snapshots load.
-            retries=int(data.get("retries", 0)),
-            restarts=int(data.get("restarts", 0)),
-            crashes=int(data.get("crashes", 0)),
-            expired=int(data.get("expired", 0)),
-            breaker=str(data.get("breaker", "disabled")),
+            **{
+                f.name: _STATS_DECODERS[f.type](data[f.name])
+                for f in fields(cls)
+                if f.name in data or f.default is MISSING
+            }
         )
+
 
 
 @dataclass
@@ -514,6 +467,7 @@ class ServiceStats:
         )
 
 
+
 @dataclass
 class ServiceBatchResult:
     """Outcome of :meth:`ReasonService.run_batch`.
@@ -569,6 +523,7 @@ class ServiceBatchResult:
 
     def __len__(self) -> int:
         return len(self.reports)
+
 
 
 class ReasonService:
@@ -631,12 +586,9 @@ class ReasonService:
         predicted-vs-actual residuals), the shards' sessions register
         their cache and compile instruments labeled ``shard=<i>``, and
         the cost model's calibrator exports residual histograms.
-        :meth:`metrics` returns the registry, :meth:`spans` the recent
-        span records.  Off by default; when off, the serving path
-        touches no instrument at all.
-    span_log:
-        How many completed spans :meth:`spans` retains (a bounded ring,
-        like ``stats_window``).  Ignored unless metrics are on.
+        :meth:`metrics` returns the registry, :meth:`spans` the most
+        recent :data:`SPAN_LOG_SIZE` span records.  Off by default; when
+        off, the serving path touches no instrument at all.
     retry:
         :class:`~repro.api.resilience.RetryPolicy` for transient
         failures (injected faults, worker crashes): bounded replays
@@ -676,7 +628,6 @@ class ReasonService:
         store: Union[None, str, ArtifactStore] = None,
         trace_dir: Union[None, str, "os.PathLike"] = None,
         metrics: Union[None, bool, MetricsRegistry] = None,
-        span_log: int = 4096,
         retry: Optional[RetryPolicy] = RetryPolicy(),
         breaker: Union[None, bool, Callable[[], CircuitBreaker]] = True,
         faults: Optional["FaultPlan"] = None,  # noqa: F821
@@ -705,19 +656,12 @@ class ReasonService:
         self._cache_enabled = cache
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError(
-                f"retry must be a RetryPolicy or None, "
-                f"not {type(retry).__name__}"
+                f"retry must be a RetryPolicy or None, not {type(retry).__name__}"
             )
         self._retry = retry
         if breaker is True:
-            breaker_factory: Optional[Callable[[], CircuitBreaker]] = (
-                CircuitBreaker
-            )
-        elif breaker in (None, False):
-            breaker_factory = None
-        elif callable(breaker):
-            breaker_factory = breaker
-        else:
+            breaker = CircuitBreaker
+        if breaker and not callable(breaker):
             raise TypeError(
                 "breaker must be True/False/None or a zero-arg factory "
                 f"returning a CircuitBreaker, not {type(breaker).__name__}"
@@ -744,13 +688,15 @@ class ReasonService:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
         self._metrics = ensure_registry(metrics)
         self._span_log: Optional[SpanLog] = (
-            SpanLog(span_log) if self._metrics is not None else None
+            SpanLog(SPAN_LOG_SIZE) if self._metrics is not None else None
         )
-        # Per-backend span histograms, created lazily by _record_span.
-        self._span_instruments: Dict[str, Dict[str, object]] = {}
+        # Per-backend (span attribute, histogram) pairs, created lazily
+        # by _close_span.
+        self._span_instruments: Dict[str, list] = {}
         self._shards = [
             _Shard(
                 index,
+                backend,
                 ReasonSession(
                     config=config,
                     cache=cache,
@@ -760,12 +706,9 @@ class ReasonService:
                     metrics_labels={"shard": str(index)},
                     faults=faults,
                 ),
+                breaker() if breaker else None,
                 max_queue,
-                stats_window,
-                backend=backend,
-                service=self,
-                breaker=breaker_factory() if breaker_factory is not None else None,
-                sink=self._record_span if self._metrics is not None else None,
+                deque(maxlen=stats_window),
             )
             for index, backend in enumerate(backends)
         ]
@@ -792,6 +735,8 @@ class ReasonService:
         # under the GIL; a racy duplicate probe is harmless.)
         self._warm_fingerprints: Dict[str, None] = {}
         self._max_warm_tracked = 65536
+        for shard in self._shards:
+            self._start_worker(shard)
 
     # ------------------------------------------------------------ plumbing
 
@@ -834,7 +779,7 @@ class ReasonService:
 
     def spans(self, last: Optional[int] = None) -> List[RequestSpan]:
         """The most recent completed request spans, oldest first
-        (bounded by the ``span_log`` constructor argument)."""
+        (at most :data:`SPAN_LOG_SIZE`)."""
         if self._span_log is None:
             raise ValueError("service was built without metrics=")
         return self._span_log.snapshot(last)
@@ -852,33 +797,30 @@ class ReasonService:
             "reason_service_admitted_total",
             "Requests admitted past the scheduling policy.",
         )
+        # Keyed by _reject's reason; a full queue is labelled "overloaded".
         self._m_rejected = {
             reason: registry.counter(
                 "reason_service_rejected_total",
                 "Requests rejected at admission, by reason.",
-                reason=reason,
+                reason=label,
             )
-            for reason in ("closed", "overloaded", "deadline")
+            for reason, label in (
+                ("closed", "closed"),
+                ("queue-full", "overloaded"),
+                ("deadline", "deadline"),
+            )
         }
         for shard in self._shards:
             labels = {"shard": str(shard.index)}
-            for field_name, help_text in (
-                ("submitted", "Requests admitted to this shard."),
-                ("completed", "Requests this shard executed successfully."),
-                ("failed", "Requests that raised on this shard."),
-                ("cancelled", "Requests cancelled while queued."),
-                ("retries", "Replays dispatched after transient failures."),
-                ("restarts", "Worker threads respawned by the supervisor."),
-                ("crashes", "Worker deaths observed on this shard."),
-                ("expired", "Requests failed by their deadline."),
-            ):
-                registry.register_callback(
-                    f"reason_shard_{field_name}_total",
-                    lambda s=shard, f=field_name: getattr(s, f),
-                    kind="counter",
-                    help=help_text,
-                    **labels,
-                )
+            for counter in fields(_ShardCounters):
+                if "help" in counter.metadata:
+                    registry.register_callback(
+                        f"reason_shard_{counter.name}_total",
+                        lambda s=shard, n=counter.name: getattr(s.counters, n),
+                        kind="counter",
+                        help=counter.metadata["help"],
+                        **labels,
+                    )
             if shard.breaker is not None:
                 registry.register_callback(
                     "reason_shard_breaker_state",
@@ -896,49 +838,20 @@ class ReasonService:
                 )
             registry.register_callback(
                 "reason_shard_queue_depth",
-                lambda s=shard: s.pending,
+                lambda s=shard: s.view().pending,
                 kind="gauge",
                 help="Admitted but not yet terminal (queued or executing).",
                 **labels,
             )
             registry.register_callback(
                 "reason_shard_busy_seconds",
-                lambda s=shard: s.busy_s,
+                lambda s=shard: s.counters.busy_s,
                 kind="gauge",
                 help="Predicted seconds of admitted-but-unfinished work.",
                 **labels,
             )
         if self.store is not None:
-            registry.register_callback(
-                "reason_store_artifacts",
-                lambda: len(self.store),
-                kind="gauge",
-                help="Artifacts resident in the shared store.",
-            )
-            registry.register_callback(
-                "reason_store_errors_total",
-                lambda: self.store.errors,
-                kind="counter",
-                help="Shared-store operations that raised (degraded to "
-                "miss/no-op by the resilient wrapper).",
-            )
-            registry.register_callback(
-                "reason_store_degraded_total",
-                lambda: self.store.degraded,
-                kind="counter",
-                help="Store operations skipped while its breaker was open "
-                "(local-only caching).",
-            )
-            # DiskStore corrupt-entry misses, proxied through the
-            # wrappers; in-memory stores have no such counter.
-            if getattr(self.store, "corrupt_misses", None) is not None:
-                registry.register_callback(
-                    "reason_store_corrupt_misses_total",
-                    lambda: self.store.corrupt_misses,
-                    kind="counter",
-                    help="Corrupt/incompatible store entries degraded to "
-                    "misses (silent until counted here).",
-                )
+            self.store.attach_metrics(registry)
         if self._faults is not None and hasattr(self._faults, "counts"):
             for site in self._faults.counts():
                 registry.register_callback(
@@ -950,76 +863,38 @@ class ReasonService:
                 )
         self.cost_model.calibrator.attach_metrics(registry)
 
-    def _span_hists(self, backend: str) -> Dict[str, object]:
-        """Per-backend span histograms, get-or-create (racy-but-
-        idempotent: the registry dedupes by name + labels)."""
-        instruments = self._span_instruments.get(backend)
-        if instruments is None:
-            registry = self._metrics
-            instruments = {
-                "queue_wait": registry.histogram(
-                    "reason_request_queue_wait_seconds",
-                    "Admission to worker pickup.",
-                    backend=backend,
-                ),
-                "execute": registry.histogram(
-                    "reason_request_execute_seconds",
-                    "Backend execution wall seconds.",
-                    backend=backend,
-                ),
-                "e2e": registry.histogram(
-                    "reason_request_e2e_seconds",
-                    "Admission to completion — caller-visible latency.",
-                    backend=backend,
-                ),
-                "latency_residual": registry.histogram(
-                    "reason_request_latency_residual",
-                    "Actual/predicted modeled seconds (1.0 = exact).",
-                    buckets=RATIO_BUCKETS,
-                    backend=backend,
-                ),
-                "energy_residual": registry.histogram(
-                    "reason_request_energy_residual",
-                    "Actual/predicted energy (1.0 = exact).",
-                    buckets=RATIO_BUCKETS,
-                    backend=backend,
-                ),
-            }
-            self._span_instruments[backend] = instruments
-        return instruments
-
-    def _record_span(self, span: RequestSpan) -> None:
-        """Span sink, called by shard workers as each span closes:
-        log the record and fold its legs into the per-backend
-        histograms.  Failures and cancellations are logged but kept
-        out of the latency distributions."""
-        self._span_log.append(span)
-        if span.status != "ok":
-            return
-        instruments = self._span_hists(span.backend)
-        instruments["queue_wait"].observe(span.queue_wait_s)
-        instruments["execute"].observe(span.execute_s)
-        instruments["e2e"].observe(span.e2e_s)
-        latency_residual = span.latency_residual
-        if latency_residual is not None:
-            instruments["latency_residual"].observe(latency_residual)
-        energy_residual = span.energy_residual
-        if energy_residual is not None:
-            instruments["energy_residual"].observe(energy_residual)
-
-    def _observe(self, shard: _Shard, item: _WorkItem, report: ExecutionReport) -> None:
-        """Worker callback after every successful execution: feed the
-        cost model the observed report (and the compiled artifact from
-        the shard's cache, stats-neutrally) so predictions calibrate
-        online."""
-        artifact = shard.session.artifact_for(item.fingerprint)
-        self.cost_model.observe(
-            item.fingerprint,
-            kind=item.future.kind,
-            backend=item.backend,
-            report=report,
-            artifact=artifact,
-        )
+    def _close_span(self, item: _WorkItem, outcome: str, payload) -> None:
+        """Settle's telemetry leg: stamp the span with the outcome, log
+        it, and fold a success's legs into the per-backend histograms
+        (failures and cancellations are logged but kept out of the
+        latency distributions).  Shielded: telemetry must never kill
+        the thread that settles a request."""
+        span = item.span
+        span.attempts = item.attempts
+        if outcome == "ok":
+            span.complete(payload)
+        elif outcome == "cancelled":
+            span.cancel()
+        else:
+            span.fail(payload)
+        try:
+            self._span_log.append(span)
+            if outcome != "ok":
+                return
+            histograms = self._span_instruments.get(span.backend)
+            if histograms is None:
+                # Get-or-create, racy but idempotent: the registry
+                # dedupes by name + labels.
+                histograms = self._span_instruments[span.backend] = [
+                    (leg, self._metrics.histogram(name, help_text, buckets, backend=span.backend))
+                    for leg, name, help_text, buckets in _SPAN_HISTOGRAMS
+                ]
+            for leg, histogram in histograms:
+                value = getattr(span, leg)
+                if value is not None:  # a residual without a prediction
+                    histogram.observe(value)
+        except Exception:
+            pass
 
     def __enter__(self) -> "ReasonService":
         return self
@@ -1059,15 +934,10 @@ class ReasonService:
         that expires while queued or executing resolves with
         :class:`~repro.api.resilience.DeadlineExceeded`.
         """
-        return self._submit(
-            kernel,
-            RunOptions(**option_kwargs),
-            backend,
-            queries,
-            neural_s,
-            timeout,
-            deadline_s,
-        )
+        return self.submit_batch(
+            [kernel], backend, queries, float(neural_s), None, timeout, deadline_s,
+            **option_kwargs,
+        )[0]
 
     def submit_batch(
         self,
@@ -1090,28 +960,19 @@ class ReasonService:
         run to completion.
         """
         kernels = list(kernels)
-        if isinstance(neural_s, (int, float)):
-            neural_times = [float(neural_s)] * len(kernels)
-        else:
-            neural_times = [float(t) for t in neural_s]
-            if len(neural_times) != len(kernels):
-                raise ValueError("need one neural_s per kernel")
-        if calibrations is not None and len(calibrations) != len(kernels):
-            raise ValueError("need one calibration entry per kernel")
-        base_options = RunOptions(**option_kwargs)
+        inputs = per_kernel_inputs(
+            len(kernels), neural_s, calibrations, RunOptions(**option_kwargs)
+        )
         futures = []
         try:
-            for index, kernel in enumerate(kernels):
-                options = base_options
-                if calibrations is not None:
-                    options = replace(base_options, calibration=calibrations[index])
+            for kernel, (neural_time, options) in zip(kernels, inputs):
                 futures.append(
                     self._submit(
                         kernel,
                         options,
                         backend,
                         queries,
-                        neural_times[index],
+                        neural_time,
                         timeout,
                         deadline_s,
                     )
@@ -1130,11 +991,10 @@ class ReasonService:
         queries: int,
         neural_s: float,
         timeout: Optional[float],
-        deadline_s: Union[None, float, str] = None,
+        deadline_s: Union[None, float, str],
     ) -> ReasonFuture:
         if self._closed:
-            self._count_reject("closed")
-            raise ServiceClosed("cannot submit to a closed ReasonService")
+            self._reject("closed")
         if queries < 1:
             raise ValueError("queries must be >= 1")
         deadline_s = resolve_deadline(deadline_s)
@@ -1157,15 +1017,11 @@ class ReasonService:
         if warm:
             self._warm_fingerprints[fingerprint] = None
             if len(self._warm_fingerprints) > self._max_warm_tracked:
-                try:
-                    oldest = next(iter(self._warm_fingerprints))
-                except StopIteration:  # racing trims emptied the memo
-                    oldest = None
-                if oldest is not None:
-                    # pop with default: another thread may have
-                    # trimmed the same oldest key between our read
-                    # and this pop.
-                    self._warm_fingerprints.pop(oldest, None)
+                # Both defaults matter: racing trims may have emptied
+                # the memo, or popped the same oldest key between our
+                # read and this pop.
+                oldest = next(iter(self._warm_fingerprints), None)
+                self._warm_fingerprints.pop(oldest, None)
         # One prediction per substrate the request could land on: the
         # forced backend, or every distinct shard backend.
         eligible = {backend} if backend is not None else set(self.shard_backends)
@@ -1182,65 +1038,53 @@ class ReasonService:
             fingerprint=fingerprint,
             backend=backend,
             queries=queries,
-            neural_s=float(neural_s),
+            neural_s=neural_s,
             predicted=predicted,
             warm=warm,
             deadline_s=deadline_s,
         )
         with self._admission_lock:
-            views = [
-                ShardView(
-                    shard.index,
-                    shard.pending,
-                    shard.completed,
-                    shard.backend,
-                    shard.busy_s,
-                )
-                for shard in self._shards
-            ]
+            views = [shard.view() for shard in self._shards]
             index = self.policy.select(request, views)
             if not 0 <= index < len(self._shards):
                 raise IndexError(
                     f"policy {self.policy.name!r} chose shard {index} "
                     f"of {len(self._shards)}"
                 )
-            index = self._route_around_breakers(index, views)
             shard = self._shards[index]
+            if shard.breaker is not None and not shard.breaker.admits():
+                # Route around a tripped shard.  Fails open: when every
+                # shard is tripped the policy's choice stands — serving
+                # degraded beats rejecting all traffic.
+                shard = self._alternative_to(shard) or shard
+            view = views[shard.index]
             resolved = backend if backend is not None else shard.backend
-            prediction = predicted.get(resolved)
-            predicted_s = prediction.seconds if prediction is not None else 0.0
-            if deadline_s is not None:
-                # Deadline-aware admission (the SLO substrate): reject
-                # now — by predicted *seconds* of backlog, not queue
-                # length — rather than burn shard time on a request
-                # that cannot finish inside its budget.  Modeled
-                # seconds, the same currency busy_s is charged in.
-                backlog_s = views[index].busy_s
-                if backlog_s + predicted_s > deadline_s:
-                    self._count_reject("deadline")
-                    raise ServiceOverloaded(
-                        f"predicted completion on shard {index} is "
-                        f"{backlog_s + predicted_s:.6f}s "
-                        f"(backlog {backlog_s:.6f}s + request "
-                        f"{predicted_s:.6f}s), past the {deadline_s}s "
-                        f"deadline",
-                        shard_index=index,
-                        queue_depth=views[index].pending,
-                        backlog_s=backlog_s,
-                        reason="deadline",
-                    )
+            prediction = predicted[resolved]
+            predicted_s = prediction.seconds
+            # Deadline-aware admission (the SLO substrate): reject now —
+            # by predicted *seconds* of backlog, not queue length —
+            # rather than burn shard time on a request that cannot
+            # finish inside its budget.  Modeled seconds, the same
+            # currency busy_s is charged in.
+            if deadline_s is not None and view.busy_s + predicted_s > deadline_s:
+                self._reject(
+                    "deadline",
+                    view=view,
+                    detail=f"predicted completion on shard {shard.index} is "
+                    f"{view.busy_s + predicted_s:.6f}s (backlog "
+                    f"{view.busy_s:.6f}s + request {predicted_s:.6f}s), "
+                    f"past the {deadline_s}s deadline",
+                )
             span = None
             if self._metrics is not None:
                 span = RequestSpan(
                     fingerprint=fingerprint,
                     kind=adapter.kind,
                     backend=resolved,
-                    shard=index,
+                    shard=shard.index,
                     queries=queries,
                     predicted_s=predicted_s,
-                    predicted_energy_j=(
-                        prediction.energy_j if prediction is not None else 0.0
-                    ),
+                    predicted_energy_j=prediction.energy_j,
                     warm=warm,
                 )
                 # Observation-only, fingerprint-excluded — like trace=.
@@ -1248,216 +1092,299 @@ class ReasonService:
             future = ReasonFuture(
                 kind=adapter.kind,
                 fingerprint=fingerprint,
-                shard_index=index,
-                neural_s=float(neural_s),
+                shard_index=shard.index,
+                neural_s=neural_s,
             )
             item = _WorkItem(
-                kernel,
+                request,
                 options,
                 resolved,
-                queries,
-                float(neural_s),
-                fingerprint,
                 future,
+                shard,
                 predicted_s,
-                span=span,
-                deadline_s=deadline_s,
-                shard=shard,
+                span,
+                None if deadline_s is None else time.monotonic() + deadline_s,
             )
-            if deadline_s is not None:
-                item.deadline_at = time.monotonic() + deadline_s
             # Charge the placement while still holding the admission
             # lock: the next policy.select must see this request in the
             # shard's pending count and predicted busy time, or
             # concurrent producers would all pick the same "idle"
-            # shard.  Rolled back on every rejection path below.
+            # shard.  A rejection below takes the charge back.
             with shard.lock:
-                shard.submitted += 1
-                shard.busy_s += item.predicted_s
-        # From here the item is admitted for drain() purposes: exactly
-        # one terminal path — _finish_* for served requests, the
-        # rollback below for rejected ones — calls _note_done for it.
+                shard.counters.submitted += 1
+                shard.counters.busy_s += predicted_s
+        # From here the item counts for drain(); _settle is the only
+        # code that takes it off again, served or rejected.
         with self._drain_cond:
             self._outstanding += 1
-        # The shard's submit lock orders this enqueue against close()'s
-        # shutdown sentinel: either we win and the worker serves the
-        # item before exiting, or close() wins and the re-check rejects
-        # us — an admitted future always resolves.  The timeout covers
-        # the whole admission (lock wait + queue wait), so a bounded
-        # submit stays bounded even while another producer is parked on
-        # this shard's full queue.
-        deadline = None if timeout is None else time.monotonic() + timeout
-        if not shard.submit_lock.acquire(
-            timeout=-1 if timeout is None else timeout
-        ):
-            self._rollback_admission(shard, item)
-            self._count_reject("overloaded")
-            raise ServiceOverloaded(
-                f"shard {index} admission blocked behind a full queue "
-                f"({self.max_queue} requests) for {timeout}s",
-                shard_index=index,
-                queue_depth=shard.pending,
-                backlog_s=shard.busy_s,
-                reason="queue-full",
+        refused = shard.offer(item, timeout)  # backpressure: may block
+        if refused:
+            self._reject(
+                refused,
+                item,
+                shard.view(),
+                f"shard {shard.index} admission queue full "
+                f"({self.max_queue} requests) after {timeout}s",
             )
-        try:
-            if self._closed:
-                self._rollback_admission(shard, item)
-                self._count_reject("closed")
-                raise ServiceClosed("cannot submit to a closed ReasonService")
-            try:
-                remaining = (
-                    None if deadline is None else max(deadline - time.monotonic(), 0.0)
-                )
-                shard.queue.put(item, block=True, timeout=remaining)
-            except queue.Full:
-                self._rollback_admission(shard, item)
-                self._count_reject("overloaded")
-                raise ServiceOverloaded(
-                    f"shard {index} admission queue full "
-                    f"({self.max_queue} requests) after {timeout}s",
-                    shard_index=index,
-                    queue_depth=shard.pending,
-                    backlog_s=shard.busy_s,
-                    reason="queue-full",
-                ) from None
-        finally:
-            shard.submit_lock.release()
         if item.deadline_at is not None:
             # Armed only now that the item is committed to a queue; the
             # timer covers queue wait, execution, and retry backoff
-            # alike.  Races with completion are benign: whoever flips
-            # `finished` first wins, the loser backs off.
-            timer = threading.Timer(
-                max(item.deadline_at - time.monotonic(), 0.0),
-                self._deadline_fire,
-                args=(item,),
-            )
-            timer.daemon = True
-            item.timer = timer
-            timer.start()
-        if self._metrics is not None:
+            # alike.  The worker may already have settled the item, in
+            # which case there is nothing left to watch.
+            with item.lock:
+                if item.state is not _SETTLED:
+                    item.timer = threading.Timer(
+                        max(item.deadline_at - time.monotonic(), 0.0),
+                        self._expire,
+                        args=(item,),
+                    )
+                    item.timer.daemon = True
+                    item.timer.start()
+        if span is not None:
             self._m_admitted.inc()
         return future
 
-    def _rollback_admission(self, shard: _Shard, item: _WorkItem) -> None:
-        """Undo the placement charged at selection time for a request
-        that was rejected before reaching the shard's queue."""
-        with shard.lock:
-            shard.submitted -= 1
-            shard._repay_busy(item)
-        self._note_done()
-
-    def _count_reject(self, reason: str) -> None:
+    def _reject(
+        self,
+        reason: str,
+        item: Optional[_WorkItem] = None,
+        view: Optional[ShardView] = None,
+        detail: str = "",
+    ) -> None:
+        """The one rejection point.  ``reason`` is ``closed``,
+        ``queue-full`` or ``deadline``: take back the admission charge
+        of a request that got as far as having one, count the
+        rejection, and raise — :class:`ServiceClosed`, or
+        :class:`ServiceOverloaded` carrying the shard's load (``view``)
+        at rejection time."""
+        if item is not None:
+            self._settle(item, "rejected")
         if self._metrics is not None:
             self._m_rejected[reason].inc()
+        if reason == "closed":
+            raise ServiceClosed("cannot submit to a closed ReasonService")
+        raise ServiceOverloaded(
+            detail,
+            shard_index=view.index,
+            queue_depth=view.pending,
+            backlog_s=view.busy_s,
+            reason=reason,
+        )
 
-    # ------------------------------------------------- terminal bookkeeping
+    def _alternative_to(self, shard: _Shard) -> Optional[_Shard]:
+        """The least-loaded admitting shard other than ``shard`` (None
+        when there is none): where admission sends a request whose
+        chosen shard is tripped, and where a rerouted retry goes."""
+        views = [
+            other.view()
+            for other in self._shards
+            if other is not shard and (other.breaker is None or other.breaker.admits())
+        ]
+        best = min(views, key=lambda v: (v.busy_s, v.pending, v.index), default=None)
+        return None if best is None else self._shards[best.index]
+
+    # ------------------------------------------------------ request lifecycle
     #
-    # Exactly one of _finish_success / _finish_failure / _finish_cancel
-    # runs per served item: the `finished` flag under item.lock is the
-    # gate, and the worker's success/failure path, the deadline timer,
-    # retry dispatch, and cancellation all race through it.  Each path
-    # ends with _note_done, so when drain() returns every counter is
-    # final and `pending == 0`.
+    # QUEUED -> RUNNING -> SETTLED.  The worker claims a queued item
+    # (QUEUED -> RUNNING), a retry puts a RUNNING item back on a queue,
+    # and _settle — reached from the worker (success, failure, a
+    # cancelled claim), the deadline timer, retry dispatch, the crash
+    # supervisor and admission's rejections — is the only way out.
 
-    def _note_done(self) -> None:
+    def _settle(self, item: _WorkItem, outcome: str, payload=None) -> None:
+        """The single terminal transition of a request.
+
+        ``outcome`` is ``ok`` (``payload``: the report), ``error`` or
+        ``deadline`` (``payload``: the exception), ``cancelled`` (the
+        caller cancelled the future while the item was queued) or
+        ``rejected`` (admission gave up before the item reached a
+        queue; the caller gets the exception raised, not a future).
+        Whoever flips the item SETTLED under its lock cancels its
+        timer, moves the shard counters, repays the predicted busy
+        time, closes the span, resolves the future and takes the item
+        off the drain() count; every later caller finds it settled and
+        backs off.  The span closes before the future resolves, so a
+        caller woken by the result finds the span already logged, and
+        when drain() returns every counter is final.
+        """
+        with item.lock:
+            if item.state is _SETTLED:
+                return
+            item.state = _SETTLED
+            if item.timer is not None:
+                item.timer.cancel()
+            shard = item.shard
+            with shard.lock:
+                counters = shard.counters
+                for name, step in _OUTCOME_COUNTERS[outcome].items():
+                    setattr(counters, name, getattr(counters, name) + step)
+                counters.repay(item.predicted_s)
+                if outcome == "ok":
+                    shard.stage_times.append((item.request.neural_s, payload.seconds))
+            if outcome == "ok" and item.attempts > 1:
+                # Observable but outside the report's identity: a retried
+                # success must stay bit-identical to a first-try success.
+                payload.extras.setdefault("attempts", item.attempts)
+            if item.span is not None and outcome != "rejected":
+                self._close_span(item, outcome, payload)
+            try:
+                if outcome == "ok":
+                    item.future.set_result(payload)
+                elif outcome in ("error", "deadline"):
+                    item.future.set_exception(payload)
+            except InvalidStateError:
+                pass  # cancelled by the caller in the same instant; counters stand
+        if outcome == "ok":
+            # Feed the cost model the observed report (and the compiled
+            # artifact from the shard's cache, stats-neutrally) so
+            # predictions calibrate online.  After set_result, and
+            # shielded: a defective cost model (user-supplied estimator)
+            # must never hang a caller or kill the calling worker
+            # thread — it only loses calibration.
+            try:
+                self.cost_model.observe(
+                    item.request.fingerprint,
+                    kind=item.request.kind,
+                    backend=item.backend,
+                    report=payload,
+                    artifact=shard.session.artifact_for(item.request.fingerprint),
+                )
+            except Exception:
+                pass
         with self._drain_cond:
             self._outstanding -= 1
             if self._outstanding <= 0:
                 self._drain_cond.notify_all()
 
-    def _finish_success(self, item: _WorkItem, report: ExecutionReport) -> bool:
-        shard = item.shard
-        if item.attempts > 1:
-            # Observable but outside the report's identity: a retried
-            # success must stay bit-identical to a first-try success.
-            report.extras.setdefault("attempts", item.attempts)
-        with item.lock:
-            if item.finished:
-                return False
-            item.finished = True
-            if item.timer is not None:
-                item.timer.cancel()
-            with shard.lock:
-                shard.completed += 1
-                shard._repay_busy(item)
-                shard.stage_times.append((item.neural_s, report.seconds))
-            if item.span is not None:
-                item.span.attempts = item.attempts
-                shard._close_span(item.span.complete(report))
-            try:
-                item.future.set_result(report)
-            except InvalidStateError:
-                pass  # cancelled at the last instant; counters stand
-        # After set_result, and shielded: a defective cost model
-        # (user-supplied estimator) must never hang a caller or kill
-        # the calling worker thread — it only loses calibration.
-        try:
-            self._observe(shard, item, report)
-        except Exception:
-            pass
-        self._note_done()
-        return True
-
-    def _finish_failure(
-        self, item: _WorkItem, error: BaseException, expired: bool = False
-    ) -> bool:
-        shard = item.shard
-        with item.lock:
-            if item.finished:
-                return False
-            item.finished = True
-            if item.timer is not None:
-                item.timer.cancel()
-            with shard.lock:
-                shard.failed += 1
-                if expired:
-                    shard.expired += 1
-                shard._repay_busy(item)
-            if item.span is not None:
-                item.span.attempts = item.attempts
-                shard._close_span(item.span.fail(error))
-            try:
-                item.future.set_exception(error)
-            except InvalidStateError:
-                pass  # cancelled in the same instant; counters stand
-        self._note_done()
-        return True
-
-    def _finish_cancel(self, item: _WorkItem) -> bool:
-        """Bookkeeping for a request cancelled while queued (the future
-        itself already transitioned to CANCELLED under the caller)."""
-        shard = item.shard
-        with item.lock:
-            if item.finished:
-                return False
-            item.finished = True
-            if item.timer is not None:
-                item.timer.cancel()
-            with shard.lock:
-                shard.cancelled += 1
-                shard._repay_busy(item)
-            if item.span is not None:
-                item.span.attempts = item.attempts
-                shard._close_span(item.span.cancel())
-        self._note_done()
-        return True
-
-    def _deadline_fire(self, item: _WorkItem) -> None:
-        """The armed deadline watchdog: fail the request if it is still
-        unfinished when its budget expires — whether it is queued,
-        executing, or parked in retry backoff."""
-        self._finish_failure(
+    def _expire(self, item: _WorkItem) -> None:
+        """The request's budget ran out — while queued, executing, or
+        parked in retry backoff.  Called by its armed timer, and by a
+        worker that dequeues it late."""
+        self._settle(
             item,
+            "deadline",
             DeadlineExceeded(
-                f"request {item.fingerprint[:12]} missed its "
-                f"{item.deadline_s}s deadline on shard "
+                f"request {item.request.fingerprint[:12]} missed its "
+                f"{item.request.deadline_s}s deadline on shard "
                 f"{item.shard.index} (attempt {item.attempts})",
-                deadline_s=item.deadline_s or 0.0,
+                deadline_s=item.request.deadline_s or 0.0,
             ),
-            expired=True,
         )
+
+    # -------------------------------------------------------------- workers
+
+    def _start_worker(self, shard: _Shard) -> None:
+        restarts = shard.counters.restarts
+        shard.thread = threading.Thread(
+            target=self._work,
+            args=(shard,),
+            name=f"reason-shard-{shard.index}" + (f"-r{restarts}" if restarts else ""),
+            daemon=True,
+        )
+        shard.thread.start()
+
+    def _work(self, shard: _Shard) -> None:
+        """A shard's worker thread: serve the queue in order until
+        close() has cleared ``accepting`` and the queue is empty.
+
+        The worker is *supervised*: any exception that escapes
+        per-request handling (a
+        :class:`~repro.api.resilience.WorkerCrash` from a fault plan, or
+        a genuine bug) is treated as the thread dying — its last act is
+        :meth:`_worker_died`, which respawns the worker and retries or
+        fails the stranded request, so an admitted future resolves even
+        when its worker does not survive.
+        """
+        while True:
+            with shard.lock:
+                shard.work.wait_for(lambda: shard.items or not shard.accepting)
+                if not shard.items:
+                    return
+                item = shard.items.popleft()
+                shard.space.notify()
+            try:
+                self._execute(shard, item)
+            except BaseException as crash:
+                self._worker_died(shard, item, crash)
+                return
+
+    def _claim(self, item: _WorkItem) -> bool:
+        """Move a dequeued item QUEUED -> RUNNING; False = nothing left
+        to do.  A retried item made that transition on its first
+        attempt; a queued one may have been cancelled by the caller or
+        settled by its deadline timer."""
+        with item.lock:
+            if item.state is _QUEUED and item.future.set_running_or_notify_cancel():
+                item.state = _RUNNING
+            state = item.state
+        if state is _QUEUED:
+            self._settle(item, "cancelled")
+        return state is _RUNNING
+
+    def _execute(self, shard: _Shard, item: _WorkItem) -> None:
+        if item.deadline_at is not None and time.monotonic() >= item.deadline_at:
+            # Expired while queued: shed before spending execution on a
+            # request whose caller has already timed out.
+            self._expire(item)
+            return
+        if not self._claim(item):
+            return
+        if self._faults is not None:
+            self._faults.crash_fault(shard.index)  # may raise WorkerCrash
+        if item.span is not None and item.span.started_at == 0.0:
+            item.span.mark_started()  # first pickup only; retries keep it
+        try:
+            report = shard.session.run_prepared(
+                item.request.kernel,
+                item.options,
+                backend=item.backend,
+                queries=item.request.queries,
+                fingerprint=item.request.fingerprint,
+            )
+        except WorkerCrash:
+            raise  # worker death, not request failure — see _work
+        except BaseException as exc:
+            if shard.breaker is not None and isinstance(
+                exc, (TransientError, ShardCrashed)
+            ):
+                # Only infrastructure faults feed the breaker: a storm
+                # of user errors (bad kernels, unknown backends) must
+                # not take a healthy shard out of rotation.
+                shard.breaker.record_failure()
+            self._retry_or_fail(item, exc)
+        else:
+            if shard.breaker is not None:
+                shard.breaker.record_success()
+            self._settle(item, "ok", report)
+
+    def _worker_died(
+        self, shard: _Shard, item: _WorkItem, crash: BaseException
+    ) -> None:
+        """A dying worker's last act: respawn the worker first (so a
+        same-shard requeue has someone to serve it), then retry or fail
+        the request it died holding.  Requests still queued behind it
+        are untouched — the replacement thread drains the same queue."""
+        error = ShardCrashed(
+            f"shard {shard.index} worker crashed while executing request "
+            f"{item.request.fingerprint[:12]} (attempt {item.attempts})",
+            shard_index=shard.index,
+        )
+        error.__cause__ = crash
+        try:
+            with shard.lock:
+                shard.counters.crashes += 1
+                shard.counters.restarts += 1
+            if shard.breaker is not None:
+                shard.breaker.record_failure()
+            self._start_worker(shard)
+            self._retry_or_fail(item, error)
+        except BaseException:
+            # Supervision must never strand the future: fail it
+            # directly as a last resort.
+            try:
+                self._settle(item, "error", error)
+            except BaseException:
+                pass
 
     # --------------------------------------------------------------- retry
 
@@ -1468,154 +1395,78 @@ class ReasonService:
         policy = self._retry
         retryable = policy is not None and policy.retryable(error)
         if retryable and item.attempts < policy.max_attempts and not self._closed:
-            self._schedule_retry(item, error)
+            with item.shard.lock:
+                item.shard.counters.retries += 1
+            item.attempts += 1
+            delay = policy.delay_s(item.attempts, item.request.fingerprint)
+            if delay > 0.0:
+                timer = threading.Timer(delay, self._dispatch_retry, args=(item, error))
+                timer.daemon = True
+                timer.start()
+            else:
+                self._dispatch_retry(item, error)
             return
         if retryable:
             # A transient error the policy could not (or can no longer)
             # replay: surface the budget, chain the real cause.
             wrapped = RetriesExhausted(
-                f"request {item.fingerprint[:12]} failed after "
+                f"request {item.request.fingerprint[:12]} failed after "
                 f"{item.attempts} attempt(s): "
                 f"{type(error).__name__}: {error}",
                 attempts=item.attempts,
             )
             wrapped.__cause__ = error
             error = wrapped
-        self._finish_failure(item, error)
-
-    def _schedule_retry(self, item: _WorkItem, cause: BaseException) -> None:
-        with item.shard.lock:
-            item.shard.retries += 1
-        item.attempts += 1
-        delay = self._retry.delay_s(item.attempts, item.fingerprint)
-        if delay > 0.0:
-            timer = threading.Timer(
-                delay, self._dispatch_retry, args=(item, cause)
-            )
-            timer.daemon = True
-            timer.start()
-        else:
-            self._dispatch_retry(item, cause)
+        self._settle(item, "error", error)
 
     def _dispatch_retry(self, item: _WorkItem, cause: BaseException) -> None:
         """Requeue a failed item for another attempt.
 
         Runs on the failing worker's own thread (zero backoff) or a
         backoff timer's — neither may ever block on admission: a worker
-        waiting on its own shard's full queue is a self-deadlock.  So
-        placement is `put_nowait` under the shard lock (fencing
-        close()'s `accepting` flip), and a retry that cannot land
-        immediately fails fast instead of hanging the future.
+        waiting on its own shard's full queue is a self-deadlock.  So a
+        retry that cannot land immediately — no free slot, or close()
+        already cleared ``accepting`` — fails fast (``offer`` without a
+        timeout) instead of hanging the future.
         """
-        failure: Optional[BaseException] = None
         with item.lock:
-            if item.finished:
-                return  # deadline fired (or close failed it) during backoff
+            if item.state is _SETTLED:
+                return  # the deadline fired during backoff
             source = item.shard
             target = source
             if self._retry.reroute:
-                target = self._pick_retry_target(source)
+                target = self._alternative_to(source) or source
             if target is not source:
                 # The admission accounting moves with the request, and
                 # so does the future's placement (the batch composer
                 # reads shard_index to attribute stage times).
                 with source.lock:
-                    source.submitted -= 1
-                    source._repay_busy(item)
+                    source.counters.submitted -= 1
+                    source.counters.repay(item.predicted_s)
                 with target.lock:
-                    target.submitted += 1
-                    target.busy_s += item.predicted_s
+                    target.counters.submitted += 1
+                    target.counters.busy_s += item.predicted_s
                 item.shard = target
                 item.future.shard_index = target.index
                 if item.span is not None:
                     item.span.shard = target.index
-            with target.lock:
-                if not target.accepting:
-                    failure = RetriesExhausted(
-                        f"service closed while retrying request "
-                        f"{item.fingerprint[:12]} (attempt {item.attempts})",
-                        attempts=item.attempts,
-                    )
-                    failure.__cause__ = cause
-                else:
-                    try:
-                        target.queue.put_nowait(item)
-                    except queue.Full:
-                        failure = RetriesExhausted(
-                            f"retry shed: shard {target.index} queue is "
-                            f"full (attempt {item.attempts})",
-                            attempts=item.attempts,
-                        )
-                        failure.__cause__ = cause
-        if failure is not None:
-            self._finish_failure(item, failure)
-
-    def _pick_retry_target(self, source: _Shard) -> _Shard:
-        """Least-loaded admitting shard other than the one that just
-        failed; the failing shard itself when there is no alternative."""
-        candidates = [
-            shard
-            for shard in self._shards
-            if shard is not source
-            and (shard.breaker is None or shard.breaker.admits())
-        ]
-        if not candidates:
-            return source
-        return min(candidates, key=lambda s: (s.busy_s, s.pending, s.index))
-
-    # ---------------------------------------------------------- supervision
-
-    def _supervise_crash(
-        self, shard: _Shard, item: _WorkItem, crash: BaseException
-    ) -> None:
-        """Called by a dying worker as its last act: respawn the worker
-        first (so a same-shard requeue has someone to serve it), then
-        retry or fail the request the worker died holding.  Requests
-        still queued behind it are untouched — the replacement thread
-        drains the same queue."""
-        if shard.breaker is not None:
-            shard.breaker.record_failure()
-        shard._restart_worker()
-        error = ShardCrashed(
-            f"shard {shard.index} worker crashed while executing request "
-            f"{item.fingerprint[:12]} (attempt {item.attempts})",
-            shard_index=shard.index,
-        )
-        error.__cause__ = crash
-        self._retry_or_fail(item, error)
-
-    def _route_around_breakers(self, index: int, views: List[ShardView]) -> int:
-        """Override the policy's placement when the chosen shard's
-        breaker is open.  Fails open: when every shard is tripped the
-        original choice stands — serving degraded beats rejecting all
-        traffic."""
-        chosen = self._shards[index]
-        if chosen.breaker is None or chosen.breaker.admits():
-            return index
-        allowed = [
-            view
-            for view in views
-            if view.index != index
-            and self._shards[view.index].breaker.admits()
-        ]
-        if not allowed:
-            return index
-        return min(allowed, key=lambda v: (v.busy_s, v.pending, v.index)).index
+            refused = target.offer(item)
+        if refused:
+            failure = RetriesExhausted(
+                f"retry of request {item.request.fingerprint[:12]} shed by "
+                f"shard {target.index} ({refused}, attempt {item.attempts})",
+                attempts=item.attempts,
+            )
+            failure.__cause__ = cause
+            self._settle(item, "error", failure)
 
     # ----------------------------------------------------------- execution
 
     async def run_batch(
-        self,
-        kernels: Sequence[object],
-        backend: Optional[str] = None,
-        queries: int = 1,
-        neural_s: Union[float, Sequence[float]] = 0.0,
-        calibrations: Optional[Sequence] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Union[None, float, str] = None,
-        **option_kwargs,
+        self, kernels: Sequence[object], **kwargs
     ) -> ServiceBatchResult:
-        """Admit a batch and await every report (asyncio coroutine).
+        """Admit a batch (:meth:`submit_batch`'s arguments) and await
+        every report (asyncio coroutine).
 
         The returned :class:`ServiceBatchResult` composes each shard's
         completed stage times through its own two-level pipeline and
@@ -1625,17 +1476,7 @@ class ReasonService:
         ``submit`` block on a full shard queue, the event loop keeps
         running other tasks instead of stalling.
         """
-        futures = await asyncio.to_thread(
-            self.submit_batch,
-            kernels,
-            backend=backend,
-            queries=queries,
-            neural_s=neural_s,
-            calibrations=calibrations,
-            timeout=timeout,
-            deadline_s=deadline_s,
-            **option_kwargs,
-        )
+        futures = await asyncio.to_thread(self.submit_batch, kernels, **kwargs)
         reports = list(
             await asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
         )
@@ -1651,12 +1492,10 @@ class ReasonService:
     def _compose_batch(
         self, futures: Sequence[ReasonFuture], reports: Sequence[ExecutionReport]
     ) -> ServiceBatchResult:
-        shard_tasks: Dict[int, List] = {shard.index: [] for shard in self._shards}
+        shard_tasks: List[List] = [[] for _ in self._shards]
         for future, report in zip(futures, reports):
             shard_tasks[future.shard_index].append((future.neural_s, report.seconds))
-        composition = compose_shard_makespans(
-            [shard_tasks[shard.index] for shard in self._shards]
-        )
+        composition = compose_shard_makespans(shard_tasks)
         cache_hits = sum(1 for report in reports if report.cache_hit)
         cache_misses = len(reports) - cache_hits if self._cache_enabled else 0
         return ServiceBatchResult(
@@ -1702,20 +1541,8 @@ class ReasonService:
         shard_tasks = []
         for shard in self._shards:
             with shard.lock:
-                counters = (
-                    shard.submitted,
-                    shard.completed,
-                    shard.failed,
-                    shard.cancelled,
-                    shard.busy_s,
-                    shard.retries,
-                    shard.restarts,
-                    shard.crashes,
-                    shard.expired,
-                )
-                times = list(shard.stage_times)
-            shard_tasks.append(times)
-            snapshots.append((shard, counters, len(times)))
+                snapshots.append(replace(shard.counters))
+                shard_tasks.append(list(shard.stage_times))
         # Zero completed requests compose explicitly to the zero
         # makespan (no division, no empty-sequence edge inside the
         # pipeline model) — stats() is safe to call on a fresh service.
@@ -1723,48 +1550,26 @@ class ReasonService:
             composition = compose_shard_makespans(shard_tasks)
         else:
             composition = ShardComposition.empty(len(shard_tasks))
-        stats = []
-        for (shard, counters, retained), makespan in zip(
-            snapshots, composition.per_shard
-        ):
-            (
-                submitted,
-                completed,
-                failed,
-                cancelled,
-                busy_s,
-                retries,
-                restarts,
-                crashes,
-                expired,
-            ) = counters
-            stats.append(
-                ShardStats(
-                    index=shard.index,
-                    submitted=submitted,
-                    completed=completed,
-                    failed=failed,
-                    cancelled=cancelled,
-                    # From the same snapshot as the other counters, so
-                    # the accounting identity holds within one report.
-                    pending=submitted - completed - failed - cancelled,
-                    retained=retained,
-                    prepare_calls=shard.session.prepare_calls,
-                    cache=shard.session.cache_stats,
-                    makespan=makespan,
-                    backend=shard.backend,
-                    busy_s=busy_s,
-                    retries=retries,
-                    restarts=restarts,
-                    crashes=crashes,
-                    expired=expired,
-                    breaker=(
-                        shard.breaker.state
-                        if shard.breaker is not None
-                        else "disabled"
-                    ),
-                )
+        stats = [
+            ShardStats(
+                index=shard.index,
+                # From the same snapshot as the other counters, so the
+                # accounting identity holds within one report.
+                pending=counters.pending,
+                retained=len(times),
+                prepare_calls=shard.session.prepare_calls,
+                cache=shard.session.cache_stats,
+                makespan=makespan,
+                backend=shard.backend,
+                breaker=(
+                    shard.breaker.state if shard.breaker is not None else "disabled"
+                ),
+                **asdict(counters),
             )
+            for shard, counters, times, makespan in zip(
+                self._shards, snapshots, shard_tasks, composition.per_shard
+            )
+        ]
         return ServiceStats(
             policy=self.policy.name, shards=stats, composition=composition
         )
@@ -1776,23 +1581,21 @@ class ReasonService:
                 return
             self._closed = True
         for shard in self._shards:
-            # Taking the submit lock waits out any in-progress enqueue,
-            # and flipping `accepting` under the shard lock fences retry
-            # dispatch — so nothing can land behind the sentinel and be
-            # orphaned.
-            with shard.submit_lock:
-                with shard.lock:
-                    shard.accepting = False
-                # Deliberate: the sentinel must land behind every
-                # admitted request, so it enqueues under the submit
-                # lock (unbounded queue — the put cannot block).
-                shard.queue.put(_SENTINEL)  # noqa: RPR003
+            # Clearing `accepting` under the shard lock fences admission
+            # and retry dispatch alike: what was appended before is
+            # served, nothing lands after.  The flag needs no queue
+            # slot, so shutdown never waits on a full queue; the wake-up
+            # lets an idle worker exit and parked producers see it.
+            with shard.lock:
+                shard.accepting = False
+                shard.work.notify_all()
+                shard.space.notify_all()
         if wait:
             for shard in self._shards:
                 # A crash racing shutdown may respawn the worker (the
-                # replacement drains the rest of the queue, sentinel
-                # included); join whichever thread currently serves the
-                # shard until no replacement appears.
+                # replacement drains the rest of the queue); join
+                # whichever thread currently serves the shard until no
+                # replacement appears.
                 while True:
                     thread = shard.thread
                     thread.join()

@@ -70,7 +70,8 @@ class ExecutionReport:
 
     def scaled(self, factor: float) -> "ExecutionReport":
         """Lift a miniature-instance measurement to full task size
-        (same calibration convention as ``ReasonTiming.scaled``)."""
+        (documented calibration: synthetic instances are miniatures of
+        the benchmark tasks)."""
         return replace(
             self,
             cycles=int(self.cycles * factor),

@@ -94,15 +94,6 @@ class EnergyModel:
         self.fifo_op = 0
         self.control_overhead = 0
 
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Non-zero event counts (compatibility view of the counters)."""
-        return {
-            event: count
-            for event in EVENT_NAMES
-            if (count := getattr(self, event))
-        }
-
     def record(self, event: str, count: int = 1) -> None:
         if event not in _EVENT_SET:
             raise KeyError(

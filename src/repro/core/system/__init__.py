@@ -8,8 +8,10 @@
   overlap plus intra-REASON pipelining, and the end-to-end latency
   model used by the evaluation benchmarks;
 * :mod:`sharding` — shard-level composition of per-instance pipelines
-  into service makespans (the model behind ``ReasonService`` stats);
-* :mod:`runner` — executing workload kernels on the accelerator model.
+  into service makespans (the model behind ``ReasonService`` stats).
+
+Executing a kernel on the accelerator model is
+:meth:`repro.api.ReasonSession.run`.
 """
 
 from repro.core.system.coprocessor import (
@@ -25,7 +27,6 @@ from repro.core.system.pipeline import (
     reason_end_to_end,
 )
 from repro.core.system.sharding import ShardComposition, compose_shard_makespans
-from repro.core.system.runner import time_kernel_on_reason, ReasonTiming
 
 __all__ = [
     "ReasonCoprocessor",
@@ -39,6 +40,4 @@ __all__ = [
     "reason_end_to_end",
     "ShardComposition",
     "compose_shard_makespans",
-    "time_kernel_on_reason",
-    "ReasonTiming",
 ]

@@ -20,10 +20,12 @@ The end-to-end helpers encode the evaluation's comparison structure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.baselines.device import DeviceModel, KernelProfile
-from repro.core.system.runner import ReasonTiming
+
+if TYPE_CHECKING:  # the api layer sits above this one
+    from repro.api.types import ExecutionReport
 
 
 @dataclass
@@ -120,7 +122,7 @@ def baseline_end_to_end(
 def reason_end_to_end(
     host_gpu: DeviceModel,
     neural_profiles: Sequence[KernelProfile],
-    reason_timing: ReasonTiming,
+    reason_report: ExecutionReport,
     symbolic_scale: float = 1.0,
     num_tasks: int = 8,
     llm_optimization_speedup: float = 1.0,
@@ -134,7 +136,7 @@ def reason_end_to_end(
     per-task figure by the caller when needed.
     """
     neural_s = host_gpu.run(neural_profiles) / llm_optimization_speedup
-    symbolic_s = reason_timing.seconds * symbolic_scale
+    symbolic_s = reason_report.seconds * symbolic_scale
     pipeline = TwoLevelPipeline()
     result = pipeline.run(
         [neural_s] * num_tasks, [symbolic_s] * num_tasks, pipelined=pipelined

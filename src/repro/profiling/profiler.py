@@ -31,9 +31,9 @@ def profile_hotpath(
 
     The flame view for perf work: returns ``(fn's result, report)``
     where the report is the top-``top`` rows sorted by ``sort``
-    (``"cumulative"`` or ``"tottime"``).  Used by
-    ``benchmarks/bench_hotpath.py --profile`` so every future perf PR
-    starts from the same one-command measurement.
+    (``"cumulative"`` or ``"tottime"``).  cProfile taxes every Python
+    call but not native code, so use the view to find candidates and
+    ``python3 -m bench run`` (profiling off) to measure them.
     """
     profiler = cProfile.Profile()
     profiler.enable()

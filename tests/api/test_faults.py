@@ -3,6 +3,7 @@ service — supervision, retries, deadlines, breakers, store degradation,
 and the accounting invariant under random fault plans."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -470,3 +471,51 @@ class TestAccountingInvariant:
                 shard.completed + shard.failed + shard.cancelled
             ), f"seed {seed} shard {shard.index} leaks accounting"
             assert shard.pending == 0
+
+    def test_terminal_race_settles_every_request_exactly_once(self):
+        """Caller cancel(), a deadline timer a few hundred microseconds
+        out, injected transient faults retried with reroute, and plain
+        completion all race for the same items: each future must end
+        exactly once, and the books must close."""
+        rng = random.Random(2024)
+        plan = FaultPlan(seed=11, execute_error_rate=0.3)
+        kernels = [random_ksat(8 + i % 4, 24 + 3 * (i % 4), seed=i) for i in range(8)]
+        fired = []  # list.append is atomic under the GIL
+        futures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ReasonService(
+                shards=3,
+                max_queue=8,
+                retry=RetryPolicy(max_attempts=3, reroute=True),
+                faults=plan,
+                metrics=True,
+            ) as service:
+                for index in range(300):
+                    deadline = rng.uniform(2e-4, 9e-4) if index % 2 else None
+                    try:
+                        future = service.submit(kernels[index % 8], deadline_s=deadline)
+                    except ServiceOverloaded:
+                        continue  # shed at admission: no future, no charge
+                    future.add_done_callback(lambda f: fired.append(id(f)))
+                    futures.append(future)
+                    if rng.random() < 0.3:
+                        future.cancel()  # may or may not win
+                service.drain(timeout=30)
+                stats = service.stats()
+                spans = service.spans()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(futures) >= 200
+        assert all(future.done() for future in futures)
+        assert sorted(fired) == sorted(id(future) for future in futures)
+        outcomes = {span.status for span in spans}
+        assert len(spans) == len(futures) and "open" not in outcomes
+        # The race really was a race: every way out was taken.
+        assert outcomes >= {"ok", "deadline", "cancelled"}
+        for shard in stats.shards:
+            assert shard.submitted == shard.completed + shard.failed + shard.cancelled
+            assert shard.pending == 0
+            assert shard.busy_s == 0.0
+        assert stats.submitted == len(futures)

@@ -202,6 +202,49 @@ class TestBackpressure:
         # The accounting identity every monitoring consumer relies on:
         assert stats.submitted == stats.completed + stats.failed + stats.cancelled
 
+    def test_close_without_wait_needs_no_queue_slot(self):
+        """Shutdown is independent of queue occupancy: with the one
+        queue slot taken and the worker parked, close(wait=False)
+        returns at once, the queued request is still served, and a
+        producer parked on the full queue learns the service closed —
+        not that it is overloaded."""
+        import time
+
+        GateBackend.gate.clear()
+        kernel = random_ksat(8, 24, seed=33)
+        service = ReasonService(shards=1, max_queue=1)
+        raised = []
+
+        def parked_submit():
+            try:
+                service.submit(kernel, backend="test-gate", timeout=8.0)
+            except Exception as exc:
+                raised.append(exc)
+
+        try:
+            running = service.submit(kernel, backend="test-gate")
+            wait_until_running(running)
+            queued = service.submit(kernel, backend="test-gate")  # fills the queue
+            racer = threading.Thread(target=parked_submit)
+            racer.start()
+            time.sleep(0.05)  # let it park on the full queue
+            start = time.monotonic()
+            service.close(wait=False)
+            elapsed = time.monotonic() - start
+            racer.join(timeout=5.0)  # the gate is still shut
+            assert not racer.is_alive()
+        finally:
+            GateBackend.gate.set()
+        assert elapsed < 1.0
+        assert [type(exc) for exc in raised] == [ServiceClosed]
+        assert running.result(timeout=30).result == 1.0
+        assert queued.result(timeout=30).result == 1.0
+        worker = service._shards[0].thread
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        stats = service.stats()
+        assert stats.submitted == stats.completed == 2
+
 
 class TestSharding:
     def test_shards_own_private_caches(self):

@@ -1,13 +1,10 @@
-"""ReasonSession facade: run/run_batch/cross_check semantics, public
-exports, and the deprecation shim over the legacy runner entry point."""
-
-import warnings
+"""ReasonSession facade: run/run_batch/cross_check semantics and public
+exports."""
 
 import pytest
 
 import repro
 from repro import BatchResult, ReasonSession
-from repro.core.system.runner import ReasonTiming, time_kernel_on_reason
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
@@ -190,47 +187,3 @@ class TestPublicSurface:
 
     def test_session_lists_backends(self):
         assert set(ReasonSession().backends()) >= {"reason", "software", "gpu", "cpu"}
-
-
-class TestDeprecationShim:
-    def test_shim_warns_and_matches_session(self):
-        kernel = random_ksat(12, 40, seed=13)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            timing = time_kernel_on_reason(kernel, queries=2)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert isinstance(timing, ReasonTiming)
-        report = ReasonSession().run(kernel, queries=2)
-        assert timing.cycles == report.cycles
-        assert timing.seconds == pytest.approx(report.seconds)
-
-    def test_shim_rejects_unknown_kernel(self):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                time_kernel_on_reason("nope")
-
-    def test_shim_forwards_optimization_flag(self):
-        """Parity must hold for non-default options too: disabling the
-        algorithm optimizations changes the trace, and the shim's
-        timing must track session.run(optimize=False) exactly."""
-        kernel = random_ksat(14, 48, seed=14)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            timing = time_kernel_on_reason(
-                kernel, apply_algorithm_optimizations=False
-            )
-        report = ReasonSession().run(kernel, optimize=False)
-        assert timing.cycles == report.cycles
-        assert timing.seconds == pytest.approx(report.seconds)
-        assert timing.energy_j == pytest.approx(report.energy_j)
-
-    def test_shim_forwards_hmm_observations(self):
-        kernel = HMM.random(3, 4, seed=15)
-        observations = [0, 1, 2, 1]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            timing = time_kernel_on_reason(kernel, hmm_observations=observations)
-        report = ReasonSession().run(kernel, hmm_observations=observations)
-        assert timing.cycles == report.cycles
-        assert timing.seconds == pytest.approx(report.seconds)

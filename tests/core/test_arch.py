@@ -21,7 +21,7 @@ from repro.core.arch import (
     traversal_latency,
 )
 from repro.core.arch.config import dse_grid
-from repro.core.arch.energy import scale_to_node
+from repro.core.arch.energy import EVENT_NAMES, scale_to_node
 from repro.core.arch.interconnect import area_breakdown, scalability_series
 from repro.core.arch.memory import DmaEngine, Scratchpad, SramBanks
 from repro.logic.cdcl import CDCLSolver
@@ -273,21 +273,19 @@ class TestEnergyModel:
         model = EnergyModel()
         with pytest.raises(KeyError):
             model.record_many([("alu_op", 5), ("not_an_event", 1)])
-        assert model.counts == {}
+        assert not any(getattr(model, name) for name in EVENT_NAMES)
 
     def test_counts_order_is_stable(self):
-        # counts() iterates EVENT_NAMES, not insertion order: two models
-        # fed the same events in different orders report identically
-        # (dict equality AND key order), so downstream serialization is
-        # deterministic.
-        from repro.core.arch.energy import EVENT_NAMES
-
+        # The counters are one attribute per EVENT_NAMES entry, not an
+        # insertion-ordered mapping: two models fed the same events in
+        # different orders read identically, event by event.
         a, b = EnergyModel(), EnergyModel()
         a.record_many([("alu_op", 1), ("network_hop", 2), ("sram_access", 3)])
         b.record_many([("sram_access", 3), ("alu_op", 1), ("network_hop", 2)])
-        assert a.counts == b.counts
-        assert list(a.counts) == list(b.counts)
-        assert list(a.counts) == [n for n in EVENT_NAMES if n in a.counts]
+        assert [getattr(a, name) for name in EVENT_NAMES] == [
+            getattr(b, name) for name in EVENT_NAMES
+        ]
+        assert (a.alu_op, a.network_hop, a.sram_access) == (1, 2, 3)
 
     def test_energy_accumulates(self):
         model = EnergyModel()
@@ -305,7 +303,7 @@ class TestEnergyModel:
         a.record("alu_op", 5)
         b.record("alu_op", 7)
         a.merge(b)
-        assert a.counts["alu_op"] == 12
+        assert a.alu_op == 12
 
 
 class TestSymbolicReplay:

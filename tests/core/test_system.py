@@ -1,8 +1,9 @@
 """Tests for the system layer: coprocessor API, partitioning, pipeline,
-and the REASON kernel runner."""
+and running kernels on the REASON accelerator model."""
 
 import pytest
 
+from repro import ReasonSession
 from repro.baselines.device import KernelClass, KernelProfile, ORIN_NX, RTX_A6000
 from repro.core.dag import circuit_to_dag
 from repro.core.system import (
@@ -12,7 +13,6 @@ from repro.core.system import (
     baseline_end_to_end,
     partition_kernels,
     reason_end_to_end,
-    time_kernel_on_reason,
 )
 from repro.core.system.coprocessor import ReasoningMode
 from repro.hmm.model import HMM
@@ -125,9 +125,9 @@ class TestEndToEndModels:
     def test_reason_system_faster_than_baseline(self):
         neural, symbolic = self._profiles()
         baseline = baseline_end_to_end(ORIN_NX, neural, symbolic, symbolic_scale=10.0)
-        timing = time_kernel_on_reason(random_ksat(20, 70, seed=6))
+        report = run_on_reason(random_ksat(20, 70, seed=6))
         system = reason_end_to_end(
-            ORIN_NX, neural, timing, symbolic_scale=10.0, llm_optimization_speedup=3.0
+            ORIN_NX, neural, report, symbolic_scale=10.0, llm_optimization_speedup=3.0
         )
         assert system.total_s < baseline.total_s
 
@@ -137,9 +137,14 @@ class TestEndToEndModels:
         assert 0.0 < result.symbolic_share < 1.0
 
 
+def run_on_reason(kernel, **options):
+    """One cold run on the accelerator model."""
+    return ReasonSession(cache=False).run(kernel, backend="reason", **options)
+
+
 class TestRunner:
     def test_cnf_kernel(self):
-        timing = time_kernel_on_reason(random_ksat(15, 50, seed=7))
+        timing = run_on_reason(random_ksat(15, 50, seed=7))
         assert timing.cycles > 0
         assert timing.seconds > 0
         assert timing.energy_j > 0
@@ -147,31 +152,31 @@ class TestRunner:
     def test_circuit_kernel(self):
         circuit = random_circuit(5, depth=2, seed=8)
         data = sample_dataset(circuit, 20, seed=9)
-        timing = time_kernel_on_reason(circuit, calibration=data)
+        timing = run_on_reason(circuit, calibration=data)
         assert timing.cycles > 0
 
     def test_hmm_kernel(self):
         hmm = HMM.random(3, 4, seed=10)
-        timing = time_kernel_on_reason(hmm, hmm_observations=[0, 1, 2, 3])
+        timing = run_on_reason(hmm, hmm_observations=[0, 1, 2, 3])
         assert timing.cycles > 0
 
     def test_queries_scale_cycles(self):
         formula = random_ksat(12, 40, seed=11)
-        one = time_kernel_on_reason(formula, queries=1)
-        many = time_kernel_on_reason(formula, queries=10)
+        one = run_on_reason(formula, queries=1)
+        many = run_on_reason(formula, queries=10)
         assert many.cycles == one.cycles * 10
 
     def test_algorithm_optimizations_toggle(self):
         formula = random_ksat(20, 60, k=2, seed=12)
-        optimized = time_kernel_on_reason(formula, apply_algorithm_optimizations=True)
-        raw = time_kernel_on_reason(formula, apply_algorithm_optimizations=False)
+        optimized = run_on_reason(formula, optimize=True)
+        raw = run_on_reason(formula, optimize=False)
         assert optimized.cycles > 0 and raw.cycles > 0
 
     def test_scaled_timing(self):
-        timing = time_kernel_on_reason(random_ksat(10, 30, seed=13))
+        timing = run_on_reason(random_ksat(10, 30, seed=13))
         scaled = timing.scaled(100.0)
         assert scaled.cycles == pytest.approx(timing.cycles * 100, rel=0.01)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(TypeError):
-            time_kernel_on_reason("nope")
+            run_on_reason("nope")

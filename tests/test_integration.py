@@ -6,12 +6,12 @@ import math
 
 import pytest
 
+from repro import ReasonSession
 from repro.core.arch import ReasonAccelerator
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.arch.tree_pe import PEMode
 from repro.core.compiler import compile_dag
 from repro.core.dag import circuit_to_dag, default_leaf_inputs, hmm_to_dag, optimize
-from repro.core.system.runner import time_kernel_on_reason
 from repro.hmm.inference import log_likelihood as hmm_ll
 from repro.hmm.model import HMM
 from repro.logic.cdcl import SolveResult, solve_cnf
@@ -33,9 +33,9 @@ class TestWorkloadKernelsOnAccelerator:
             calibration = sample_dataset(kernel, 15, seed=1)
         elif isinstance(kernel, HMM):
             calibration = workload.calibration_sequences(instance)
-        timing = time_kernel_on_reason(kernel, calibration=calibration)
-        assert timing.cycles > 0
-        assert timing.energy_j > 0
+        report = ReasonSession(cache=False).run(kernel, calibration=calibration)
+        assert report.cycles > 0
+        assert report.energy_j > 0
 
     @pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
     def test_optimized_kernel_not_larger(self, workload):
@@ -138,8 +138,9 @@ class TestEndToEndSpeedupStructure:
         from repro.logic.generators import redundant_sat
 
         formula, _ = redundant_sat(50, 200, redundancy=0.35, seed=8)
-        raw = time_kernel_on_reason(formula, apply_algorithm_optimizations=False)
-        optimized = time_kernel_on_reason(formula, apply_algorithm_optimizations=True)
+        session = ReasonSession(cache=False)
+        raw = session.run(formula, optimize=False)
+        optimized = session.run(formula, optimize=True)
         # Pruned formulas never cost more; usually they cost less.
         assert optimized.cycles <= raw.cycles * 1.2
 
