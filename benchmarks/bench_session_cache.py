@@ -3,9 +3,11 @@
 Serving workloads re-submit structurally identical kernels (the same
 guard circuit per prompt, the same constraint HMM per generation step).
 This bench measures what the content-hash compile cache buys on that
-pattern: a cold pass compiles every kernel, a warm pass replays from
-the cache, and the report shows per-pass wall time, the hit rate, and
-the cold/warm speedup.
+pattern: a cold pass compiles and executes every kernel, a warm pass is
+served from the cache (front end *and* accelerator run), and the report
+shows per-pass wall time, the hit rate, and the cold/warm speedup.  The
+gate is a count, not a ratio: the accelerator model ran exactly once
+per unique kernel.
 
 Run:  python benchmarks/bench_session_cache.py
 """
@@ -58,7 +60,7 @@ def main() -> None:
 
     rows = [
         ["cold (compile + run)", f"{cold_s * 1e3:9.1f}", "0%"],
-        ["warm (cache replay)", f"{warm_s * 1e3:9.1f}", "100%"],
+        ["warm (cache hit)", f"{warm_s * 1e3:9.1f}", "100%"],
         ["warm, 2nd", f"{warm2_s * 1e3:9.1f}", "100%"],
     ]
     print_table(
@@ -72,6 +74,12 @@ def main() -> None:
         f"for {3 * len(requests)} requests"
     )
     print(f"cold/warm speedup: {cold_s / warm_s:.1f}x")
+    print(
+        f"accelerator executions: {session.executions} "
+        f"(unique kernels: {len(requests)})"
+    )
+    if session.executions != len(requests):
+        sys.exit("FAIL: accelerator executions != unique kernels")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ API entry goes through, and registering a new kernel family is one
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
@@ -225,26 +226,29 @@ class CircuitAdapter(KernelAdapter):
 
     kind = "circuit"
 
-    def kernel_key(self, kernel: Circuit) -> object:
+    def kernel_key(self, kernel: Circuit) -> bytes:
+        """Canonical bytes, one self-delimiting record per node in
+        topological order: a tag, a count, then that many child indices
+        and/or packed doubles.  Hashed raw by ``content_key`` — no
+        nested tuple to build, no float to ``repr``."""
         order = kernel.topological_order()
         index = {id(node): i for i, node in enumerate(order)}
-        serial: List[object] = []
+        pack = struct.pack
+        parts: List[bytes] = []
         for node in order:
             if isinstance(node, LeafNode):
-                serial.append(("leaf", node.variable, tuple(node.probabilities)))
-            elif isinstance(node, SumNode):
-                serial.append(
-                    (
-                        "sum",
-                        tuple(index[id(c)] for c in node.children),
-                        tuple(node.weights),
-                    )
-                )
+                parts.append(pack("<cqq", b"L", node.variable, len(node.probabilities)))
+                parts.append(node.probabilities.tobytes())
+                continue
+            children = [index[id(child)] for child in node.children]
+            if isinstance(node, SumNode):
+                parts.append(pack(f"<cq{len(children)}q", b"S", len(children), *children))
+                parts.append(node.weights.tobytes())
             elif isinstance(node, ProductNode):
-                serial.append(("product", tuple(index[id(c)] for c in node.children)))
-            else:  # pragma: no cover - defensive
-                serial.append((type(node).__name__, node.scope))
-        return tuple(serial)
+                parts.append(pack(f"<cq{len(children)}q", b"P", len(children), *children))
+            else:
+                raise TypeError(f"unsupported circuit node type: {type(node).__name__}")
+        return b"".join(parts)
 
     def prepare(self, kernel: Circuit, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         if options.optimize and options.calibration:

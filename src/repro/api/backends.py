@@ -20,7 +20,7 @@ import abc
 from typing import Callable, Dict, List, Optional
 
 from repro.api.adapters import RunOptions, adapter_for
-from repro.api.types import CompiledArtifact, ExecutionReport
+from repro.api.types import CompiledArtifact, ExecutionReport, ExecutionSummary
 from repro.baselines.device import DeviceModel, RTX_A6000, XEON_CPU
 from repro.baselines.roofline import roofline_point
 from repro.core.arch.accelerator import ReasonAccelerator
@@ -83,65 +83,110 @@ def _finish_trace(report, writer, owned) -> None:
 
 class ReasonBackend(Backend):
     """The REASON accelerator model: functional execution with cycle,
-    energy and utilization accounting (a fresh chip instance per run so
-    energy counters never leak across requests)."""
+    energy and utilization accounting.
+
+    The model runs once per artifact.  A plain run is a pure function
+    of ``(artifact, config)``, so its :class:`ExecutionSummary` is kept
+    on the artifact and every later request for it is a *report* over
+    that summary, scaled by ``queries``.  Observed runs (``trace=`` or
+    ``record_events=True``) and a ``config`` other than the stored one
+    always execute, on a fresh chip instance so energy counters never
+    leak across runs.
+    """
 
     name = "reason"
 
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
         options = options or RunOptions()
-        accelerator = ReasonAccelerator(config)
         writer, owned = _trace_writer_for(options.trace)
+        summary, events = artifact.execution, None
+        executed = (
+            writer is not None
+            or options.record_events
+            or summary is None
+            or summary.config != config
+        )
+        if executed:
+            summary, events = self._execute(
+                artifact, config, writer, options.record_events
+            )
+            # Racing first runs store equal summaries: last writer wins.
+            artifact.execution = summary
+        report = self._report(summary, artifact.kind, queries, executed)
+        if events is not None:
+            report.extras["events"] = events
+        _finish_trace(report, writer, owned)
+        return report
+
+    def _execute(self, artifact, config, writer, record_events):
+        """Run the accelerator model once; returns the per-query
+        summary and, for a logic kernel under ``record_events``, the
+        Fig. 9-style timeline."""
+        accelerator = ReasonAccelerator(config)
         if writer is not None:
             accelerator.attach_trace(writer)
         if artifact.solver is not None:  # logic kernel: replay cached trace
             trace, _ = accelerator.run_symbolic_trace(
-                artifact.model, artifact.solver, record_events=options.record_events
+                artifact.model, artifact.solver, record_events=record_events
             )
-            cycles = max(trace.cycles, 1) * queries
-            energy = accelerator.energy.total_energy_j() * queries
+            energy = accelerator.energy
             verdict = artifact.extras.get("verdict")
-            report = ExecutionReport(
-                backend=self.name,
-                kernel=artifact.kind,
+            summary = ExecutionSummary(
+                config=config,
                 result=1.0 if verdict is SolveResult.SAT else 0.0,
-                cycles=cycles,
-                seconds=cycles * config.cycle_time_s,
-                energy_j=energy,
-                power_w=accelerator.energy.average_power_w(cycles),
-                queries=queries,
-                extras={
-                    "verdict": verdict.name if verdict is not None else None,
-                    "decisions": trace.decisions,
-                    "implications": trace.implications,
-                    "conflicts": trace.conflicts,
-                },
+                cycles=max(trace.cycles, 1),
+                energy_j=energy.total_energy_j(),
+                static_power_w=energy.static_power_w(),
+                power_w=None,
+                utilization=0.0,
+                extras=(
+                    ("verdict", verdict.name if verdict is not None else None),
+                    ("decisions", trace.decisions),
+                    ("implications", trace.implications),
+                    ("conflicts", trace.conflicts),
+                ),
             )
-            if options.record_events:
-                report.extras["events"] = trace.events
-            _finish_trace(report, writer, owned)
-            return report
+            return summary, trace.events if record_events else None
 
         hw = accelerator.run_program(
             artifact.program,
             default_leaf_inputs(artifact.program.dag),
             mode=PEMode.PROBABILISTIC,
         )
-        cycles = max(hw.cycles, 1) * queries
-        report = ExecutionReport(
-            backend=self.name,
-            kernel=artifact.kind,
+        summary = ExecutionSummary(
+            config=config,
             result=hw.result,
-            cycles=cycles,
-            seconds=cycles * config.cycle_time_s,
-            energy_j=hw.energy_j * queries,
+            cycles=max(hw.cycles, 1),
+            energy_j=hw.energy_j,
+            static_power_w=accelerator.energy.static_power_w(),
             power_w=hw.power_w,
             utilization=hw.utilization,
-            queries=queries,
-            extras={"instructions": hw.instructions, "stalls": hw.stalls},
+            extras=(("instructions", hw.instructions), ("stalls", hw.stalls)),
         )
-        _finish_trace(report, writer, owned)
-        return report
+        return summary, None
+
+    def _report(self, summary, kind, queries, executed):
+        """Scale one run's summary to ``queries``.  Every report goes
+        through these float operations in this order, so it is
+        bit-identical whether or not the model ran for it."""
+        cycles = summary.cycles * queries
+        seconds = cycles * summary.config.cycle_time_s
+        power_w = summary.power_w
+        if power_w is None:
+            power_w = summary.energy_j / seconds + summary.static_power_w
+        return ExecutionReport(
+            backend=self.name,
+            kernel=kind,
+            result=summary.result,
+            cycles=cycles,
+            seconds=seconds,
+            energy_j=summary.energy_j * queries,
+            power_w=power_w,
+            utilization=summary.utilization,
+            queries=queries,
+            executed=executed,
+            extras=dict(summary.extras),
+        )
 
 
 class SoftwareBackend(Backend):

@@ -13,7 +13,8 @@ Kernels dispatch through the adapter registry (CNF, Circuit, HMM, raw
 Dag out of the box), execute on any registered backend (``reason``,
 ``software``, ``gpu``, ``cpu``, ``roofline``), and compiled artifacts
 are cached by content hash: structurally identical requests pay the
-offline front end once and replay from the cache thereafter.
+offline front end — and the accelerator run itself — once and are
+reported from the cache thereafter.
 
 For concurrent, sharded serving on top of many sessions, see
 :class:`repro.api.service.ReasonService`.
@@ -102,7 +103,9 @@ class ReasonSession:
         )
         self._backends: Dict[str, Backend] = {}
         self._prepare_calls = 0
-        self._lock = threading.Lock()  # guards _backends and _prepare_calls
+        self._executions = 0
+        # Guards _backends, _prepare_calls and _executions.
+        self._lock = threading.Lock()
         self.metrics: Optional[MetricsRegistry] = ensure_registry(metrics)
         self._metrics_labels: Dict[str, str] = dict(metrics_labels or {})
         self._faults = faults
@@ -119,7 +122,7 @@ class ReasonSession:
         """Register this session's instruments and snapshot callbacks.
 
         Everything that already has a counter elsewhere (prepare calls,
-        cache stats, cache size) is exported via snapshot-time
+        executions, cache stats, cache size) is exported via snapshot-time
         callbacks — the hot path pays nothing for them.  Only the
         compile-seconds histogram is a live instrument, observed once
         per cold compile (which is front-end-dominated anyway).
@@ -135,6 +138,13 @@ class ReasonSession:
             lambda: self._prepare_calls,
             kind="counter",
             help="Times the offline front end actually ran.",
+            **labels,
+        )
+        registry.register_callback(
+            "reason_executions_total",
+            lambda: self._executions,
+            kind="counter",
+            help="Times the accelerator model actually ran.",
             **labels,
         )
         cache = self._cache
@@ -214,6 +224,12 @@ class ReasonSession:
     def prepare_calls(self) -> int:
         """How many times the offline front end actually ran."""
         return self._prepare_calls
+
+    @property
+    def executions(self) -> int:
+        """How many times the accelerator model actually ran (a warm
+        request reuses its artifact's first run instead)."""
+        return self._executions
 
     def backends(self) -> List[str]:
         """Names accepted by ``run(..., backend=...)``."""
@@ -360,9 +376,13 @@ class ReasonSession:
         execute_s = time.perf_counter() - execute_start
         report.cache_hit = cache_hit
         report.compile_s = 0.0 if cache_hit else artifact.compile_s
+        if report.executed:
+            with self._lock:
+                self._executions += 1
         span = options.span
         if span is not None:
             span.cache_hit = cache_hit
+            span.executed = report.executed
             span.backend = backend
             if not span.kind:
                 span.kind = artifact.kind

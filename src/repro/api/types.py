@@ -12,9 +12,10 @@ replay on any backend without repeating that work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.device import KernelProfile
+from repro.core.arch.config import ArchConfig
 from repro.core.compiler.driver import CompileStats
 from repro.core.compiler.program import Program
 from repro.core.dag.graph import Dag
@@ -31,6 +32,11 @@ class ExecutionReport:
     probabilistic ones, the root value for raw DAGs.  Cost fields may
     be zero where a backend cannot model them (e.g. the software
     reference reports wall time but no energy).
+
+    ``executed`` says whether the accelerator model actually ran to
+    produce this report: False when a warm request reused the run its
+    artifact already carries (:class:`ExecutionSummary`), and on the
+    backends that never run the model.
     """
 
     backend: str
@@ -43,6 +49,7 @@ class ExecutionReport:
     utilization: float = 0.0
     queries: int = 1
     cache_hit: bool = False
+    executed: bool = False
     compile_s: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
 
@@ -54,8 +61,9 @@ class ExecutionReport:
         """The deterministic content of this report — everything that
         must be bit-identical between a first-try success and a retried
         or differently-routed replay of the same request.  Excludes the
-        delivery circumstances (``cache_hit``, wall-clock ``compile_s``,
-        ``extras``), which legitimately differ across attempts."""
+        delivery circumstances (``cache_hit``, ``executed``, wall-clock
+        ``compile_s``, ``extras``), which legitimately differ across
+        attempts."""
         return (
             self.backend,
             self.kernel,
@@ -80,6 +88,34 @@ class ExecutionReport:
         )
 
 
+@dataclass(frozen=True)
+class ExecutionSummary:
+    """One accelerator run of one artifact under ``config``, as plain
+    numbers for a single query.
+
+    The run is a pure function of ``(artifact, config)``: leaf inputs
+    are the DAG's defaults and a recorded CDCL trace replays the same
+    way every time, so ``queries`` only multiplies.  The REASON backend
+    therefore executes an artifact once, keeps this on it, and builds
+    every later report from it.  Scalars only — holding the chip model
+    itself would keep its SRAM and PE state alive per artifact.
+
+    ``power_w`` is the run's own average power for program kernels and
+    None for logic kernels, whose reports spread one replay's
+    ``energy_j`` over every query's cycles on top of
+    ``static_power_w``.
+    """
+
+    config: ArchConfig
+    result: Optional[float]
+    cycles: int  # one query, >= 1
+    energy_j: float  # one run
+    static_power_w: float
+    power_w: Optional[float]
+    utilization: float
+    extras: Tuple[Tuple[str, object], ...]
+
+
 @dataclass
 class CompiledArtifact:
     """One kernel taken through the offline front end, cache-ready.
@@ -89,6 +125,12 @@ class CompiledArtifact:
     (solve once, replay many); DAG-based kernels carry the optimized
     DAG and its scheduled VLIW program.  ``profile`` summarizes the
     kernel's work for the analytic device/roofline backends.
+
+    ``execution`` is filled by the REASON backend's first run of this
+    artifact and shared wherever the object is (every shard's LRU, the
+    in-process store).  It is process-local: dropped from pickled
+    state, because a summary read back from disk would be served as
+    the answer with no run and no verify gate behind it.
     """
 
     kind: str
@@ -103,6 +145,17 @@ class CompiledArtifact:
     profile: Optional[KernelProfile] = None
     compile_s: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
+    execution: Optional[ExecutionSummary] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Removed, not set to None: an unpickled artifact reads the
+        # class default, and the summary costs a stored artifact no
+        # bytes at all.
+        state = dict(self.__dict__)
+        state.pop("execution", None)
+        return state
 
     def cost_features(self):
         """Condense this artifact into the flat

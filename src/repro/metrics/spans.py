@@ -35,7 +35,7 @@ class RequestSpan:
 
     Leg fields are filled progressively: admission sets the identity
     and prediction fields, the session fills ``compile_s`` /
-    ``execute_s`` / ``cache_hit`` while executing, and
+    ``execute_s`` / ``cache_hit`` / ``executed`` while executing, and
     :meth:`complete` (or :meth:`fail`) closes the record.  A span that
     was never completed reports ``status="open"``.
     """
@@ -54,6 +54,7 @@ class RequestSpan:
     error: str = ""
     attempts: int = 1  # executions dispatched (>1 = the request retried)
     cache_hit: bool = False
+    executed: bool = False  # the accelerator model ran (vs. reused a run)
     actual_s: float = 0.0  # modeled execution seconds (report.seconds)
     actual_energy_j: float = 0.0
     # Wall-clock legs (perf_counter timestamps; durations in seconds).
@@ -141,6 +142,7 @@ class RequestSpan:
             "error": self.error,
             "attempts": self.attempts,
             "cache_hit": self.cache_hit,
+            "executed": self.executed,
             "warm": self.warm,
             "queue_wait_s": self.queue_wait_s,
             "compile_s": self.compile_s,

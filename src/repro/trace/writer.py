@@ -10,12 +10,18 @@ counting footer readers validate against.
 Sinks: ``None`` buffers the whole stream in memory (``getvalue()``),
 a ``str``/``Path`` writes the file, and any object with ``write()``
 is used as-is (only owned files are closed on ``close()``).
+
+A path sink is written to a sibling temp file and moved into place by
+``close()``, so the path never holds a partial trace: a reader sees the
+previous complete trace or the new one, even while a second request of
+the same kernel (same content-addressed path) is being traced.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -64,8 +70,12 @@ class TraceWriter:
             if sink is None:
                 self._sink = None
             else:
-                Path(sink).parent.mkdir(parents=True, exist_ok=True)
-                self._sink = open(sink, "wb")
+                target = Path(sink)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                fd, self._tmp_path = tempfile.mkstemp(
+                    dir=target.parent, prefix=target.name + ".", suffix=".tmp"
+                )
+                self._sink = os.fdopen(fd, "wb")
             self._owns_sink = sink is not None
         else:
             self.path = getattr(sink, "name", None)
@@ -203,7 +213,8 @@ class TraceWriter:
 
     def close(self) -> TraceSummary:
         """Seal the stream: write the counting footer, flush, and (for
-        owned file sinks) close the file.  Idempotent; returns the
+        owned file sinks) close the file and move it into place at
+        ``path``.  Idempotent; returns the
         :class:`TraceSummary` for the whole trace."""
         if self._closed:
             return self._summary
@@ -215,6 +226,7 @@ class TraceWriter:
             self._flush()
             if self._owns_sink:
                 self._sink.close()
+                os.replace(self._tmp_path, self.path)
         self._summary = TraceSummary(
             events=self._events,
             bytes=total_bytes,

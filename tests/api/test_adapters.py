@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import adapter_for, register_adapter, registered_adapters
 from repro.api.adapters import (
+    CircuitAdapter,
     CnfAdapter,
     DagAdapter,
     HmmAdapter,
@@ -16,7 +17,7 @@ from repro.core.dag.graph import Dag
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.logic.generators import random_ksat
-from repro.pc.circuit import Circuit
+from repro.pc.circuit import Circuit, CircuitNode, LeafNode, ProductNode, SumNode
 from repro.pc.learn import random_circuit
 
 
@@ -97,6 +98,54 @@ class TestFingerprints:
         assert adapter.fingerprint(dag_a, options, DEFAULT_CONFIG) != adapter.fingerprint(
             dag_b, options, DEFAULT_CONFIG
         )
+
+
+def mixture(weight=0.3, probability=0.2, third_uses=0):
+    """Three products over two leaves per variable, mixed by one sum;
+    ``third_uses`` picks which X0 leaf the third product points at."""
+    x0 = [LeafNode(0, [probability, 1.0 - probability]), LeafNode(0, [0.6, 0.4])]
+    x1 = [LeafNode(1, [0.5, 0.5]), LeafNode(1, [0.9, 0.1])]
+    products = [
+        ProductNode([x0[0], x1[0]]),
+        ProductNode([x0[1], x1[1]]),
+        ProductNode([x0[third_uses], x1[1]]),
+    ]
+    return Circuit(SumNode(products, [weight, 0.5, 0.5 - weight]))
+
+
+class TestCircuitFingerprints:
+    """The circuit key is canonical bytes (child indices, variables,
+    packed doubles), not a ``repr`` — still content-determined."""
+
+    @staticmethod
+    def key(circuit):
+        return CircuitAdapter().fingerprint(circuit, RunOptions(), DEFAULT_CONFIG)
+
+    def test_separately_built_equal_circuits_share_a_key(self):
+        assert self.key(mixture()) == self.key(mixture())
+        big_a, big_b = random_circuit(8, depth=3, seed=5), random_circuit(8, depth=3, seed=5)
+        assert big_a is not big_b
+        assert self.key(big_a) == self.key(big_b)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"weight": 0.3 + 1e-12}, {"probability": 0.2 + 1e-12}, {"third_uses": 1}],
+        ids=["one-weight", "one-probability", "one-edge"],
+    )
+    def test_one_change_changes_the_key(self, change):
+        assert self.key(mixture(**change)) != self.key(mixture())
+
+    def test_kernel_key_is_bytes(self):
+        # Hashed raw by content_key: nothing left for repr to walk.
+        assert isinstance(CircuitAdapter().kernel_key(mixture()), bytes)
+
+    def test_unknown_node_type_rejected(self):
+        class Stray(CircuitNode):
+            def scope(self):
+                return frozenset([0])
+
+        with pytest.raises(TypeError, match="unsupported circuit node type: Stray"):
+            self.key(Circuit(Stray()))
 
 
 class TestPreparedArtifacts:

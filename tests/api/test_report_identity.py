@@ -6,7 +6,10 @@ stack against the frozen pre-optimization implementations
 (``benchmarks/golden_hotpath.py``, deleted with this test's arrival),
 so "equal to the digest" carries that gate forward: any drift in
 result, cycles, seconds, energy, power, utilization or the integer
-counters of a cold ``reason``-backend run fails, naming the kernel.
+counters of a cold ``reason``-backend run fails, naming the kernel —
+and so does any drift in the warm second run of a caching session,
+which is a report over the first run's stored summary rather than an
+execution, and must hash to the same digest.
 They do not depend on ``PYTHONHASHSEED`` (recorded identical under 0,
 1, 12345 and ``random``).  A deliberate change to the modeled clock
 re-records them with ``report_digest`` below and says why.
@@ -49,10 +52,16 @@ def report_digest(report) -> str:
 
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
 def test_cold_reports_match_recorded_digests(tiny):
-    session = ReasonSession(cache=False)
+    cold_session, caching = ReasonSession(cache=False), ReasonSession()
     drifted = []
     for name, kernel, options in build_trace(tiny=tiny):
-        report = session.run(kernel, backend="reason", **options)
-        if report_digest(report) != RECORDED[name]:
-            drifted.append(f"{name}: {report.identity()} {report_counters(report)}")
+        caching.run(kernel, backend="reason", **options)
+        warm = caching.run(kernel, backend="reason", **options)
+        assert warm.cache_hit and not warm.executed
+        cold = cold_session.run(kernel, backend="reason", **options)
+        for label, report in (("cold", cold), ("warm", warm)):
+            if report_digest(report) != RECORDED[name]:
+                drifted.append(
+                    f"{name} ({label}): {report.identity()} {report_counters(report)}"
+                )
     assert not drifted, "modeled clock drifted on: " + "; ".join(drifted)

@@ -1,6 +1,9 @@
 """Execution-layer tracing: bit-identity when off, exact counter
 reproduction when on, and the API/service plumbing."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.api.session import ReasonSession
@@ -194,6 +197,43 @@ class TestApiPlumbing:
         assert str(path) == report.extras["trace"]["path"]
         assert path.exists()
         cross_validate(path, report).raise_on_mismatch()
+
+    def test_same_kernel_traces_never_expose_a_partial_file(self, tmp_path):
+        # Every traced request of one kernel maps to one content-addressed
+        # path.  Once a future has resolved, a client may read that path at
+        # any time — also while the next request of the kernel is being
+        # traced — and must find a complete trace, never a truncated one.
+        kernel = pigeonhole(5)
+        with ReasonService(
+            shards=2, policy="round-robin", trace_dir=tmp_path / "traces"
+        ) as service:
+            future = service.submit(kernel, trace=True)
+            events = future.result().extras["trace"]["events"]
+            path = service.trace_path_for(future.fingerprint)
+            failures = []
+
+            def keep_tracing():
+                try:
+                    for _ in range(40):
+                        service.submit(kernel, trace=True).result()
+                except Exception as error:
+                    failures.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                tracer = threading.Thread(target=keep_tracing)
+                tracer.start()
+                observations = 0
+                while tracer.is_alive():
+                    assert TraceReader(path.read_bytes()).validate().events == events
+                    observations += 1
+                tracer.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not tracer.is_alive() and not failures
+        assert observations > 0
+        assert [entry.name for entry in path.parent.iterdir()] == [path.name]
 
     def test_service_without_trace_dir_keeps_memory_capture(self):
         kernel = random_ksat(20, 80, seed=7)
