@@ -34,6 +34,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
+    # Test modules import hypothesis at module top: collection needs it.
+    extras_require={"test": ["pytest", "hypothesis"]},
     classifiers=[
         "Development Status :: 4 - Beta",
         "Intended Audience :: Science/Research",

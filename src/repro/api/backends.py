@@ -107,9 +107,14 @@ class ReasonBackend(Backend):
             or summary.config != config
         )
         if executed:
-            summary, events = self._execute(
-                artifact, config, writer, options.record_events
-            )
+            try:
+                summary, events = self._execute(
+                    artifact, config, writer, options.record_events
+                )
+            except BaseException:
+                if owned:
+                    writer.discard()  # no half-written temp file left behind
+                raise
             # Racing first runs store equal summaries: last writer wins.
             artifact.execution = summary
         report = self._report(summary, artifact.kind, queries, executed)

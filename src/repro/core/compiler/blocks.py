@@ -48,8 +48,6 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
     the scheduling order — block ids are creation order, not dependency
     order.
     """
-    if dag.max_fan_in() > 2:
-        raise ValueError("block decomposition requires a two-input DAG")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
 
@@ -74,6 +72,8 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
     node_of = dag.node
     for node_id in order:
         node = node_of(node_id)
+        if len(node.children) > 2:
+            raise ValueError("block decomposition requires a two-input DAG")
         if node.op in _LEAF_OPS:
             materialized[node_id] = 1
             continue

@@ -11,7 +11,8 @@ matching the node microarchitecture's multiply-accumulate datapath.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.compiler.blocks import Block
 from repro.core.compiler.program import TreeNodeConfig
@@ -33,6 +34,13 @@ class TreePlacement:
     utilization: float = 0.0
 
 
+@lru_cache(maxsize=None)
+def _forward_configs(num_positions: int) -> Tuple[TreeNodeConfig, ...]:
+    """The one FORWARD config of each heap position, shared by every
+    placement on a tree of this size (configs are frozen)."""
+    return tuple(TreeNodeConfig(position, None) for position in range(num_positions))
+
+
 def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
     """Anchor the block's tree at the PE root; FORWARD fills the rest.
 
@@ -47,10 +55,15 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
     num_positions = 2 ** (tree_depth + 1) - 1
     first_leaf = 2 ** tree_depth - 1
 
-    configs = placement.configs
+    # Heap-indexed: a config is written straight into its position, so
+    # the list comes out sorted.  The walk reaches a position along one
+    # path only, so a second claim on a slot means the walk is broken.
+    by_position: List[Optional[TreeNodeConfig]] = [None] * num_positions
+    forward = _forward_configs(num_positions)
     leaf_operands = placement.leaf_operands
     node_of = dag.node
     sum_op = OpType.SUM
+    active = 0
 
     # Pre-order placement walk with an explicit stack (the recursion
     # paid a Python frame per operand spine).
@@ -66,7 +79,9 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
             leaf_operands[leaf] = value_id
             walker = leaf
             while True:
-                configs.append(TreeNodeConfig(walker, None))
+                if by_position[walker] is not None:
+                    raise AssertionError(f"conflicting configs at position {walker}")
+                by_position[walker] = forward[walker]
                 if walker == position:
                     break
                 walker = (walker - 1) // 2
@@ -75,8 +90,11 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
         node = node_of(value_id)
         child_weights: Tuple[float, ...] = ()
         if node.op is sum_op and node.weights is not None:
-            child_weights = tuple(float(w) for w in node.weights)
-        configs.append(TreeNodeConfig(position, node.op, child_weights))
+            child_weights = tuple(map(float, node.weights))
+        if by_position[position] is not None:
+            raise AssertionError(f"conflicting configs at position {position}")
+        by_position[position] = TreeNodeConfig(position, node.op, child_weights)
+        active += 1
         children = node.children
         if children:
             if position >= first_leaf:
@@ -85,15 +103,7 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
                 stack.append((children[1], 2 * position + 2))
             stack.append((children[0], 2 * position + 1))
 
-    # De-duplicate configs: a position may appear once.
-    seen: Dict[int, TreeNodeConfig] = {}
-    for config in placement.configs:
-        if config.position in seen and seen[config.position].op != config.op:
-            raise AssertionError(f"conflicting configs at position {config.position}")
-        seen[config.position] = config
-    placement.configs = sorted(seen.values(), key=lambda c: c.position)
-
-    active = sum(1 for c in placement.configs if not c.is_forward)
+    placement.configs = [config for config in by_position if config is not None]
     placement.utilization = active / num_positions
     return placement
 

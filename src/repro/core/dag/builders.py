@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
 
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
@@ -172,3 +173,49 @@ def hmm_to_dag(
     root = dag.add_op(OpType.SUM, previous, weights=[1.0] * len(previous), label="joint")
     dag.set_root(root)
     return dag
+
+
+# ``Dag.memory_footprint()`` of a builder's output, counted on the kernel
+# itself — one word per node, per edge and per SUM weight — so a caller
+# that only reports the baseline size builds no DAG to read it.
+
+
+def cnf_dag_footprint(formula: CNF) -> int:
+    """``cnf_to_dag(formula)[0].memory_footprint()`` without the DAG."""
+    literals = {lit for clause in formula.clauses for lit in clause.literals}
+    clause_words = sum(1 + len(clause.literals) for clause in formula.clauses)
+    return len(literals) + clause_words + 1 + len(formula.clauses)
+
+
+def circuit_dag_footprint(circuit: Circuit) -> int:
+    """``circuit_to_dag(circuit)[0].memory_footprint()`` without the DAG."""
+    words = 0
+    for node in circuit.topological_order():
+        fan_in = len(node.children)
+        words += 1 + (2 * fan_in if isinstance(node, SumNode) else fan_in)
+    return words
+
+
+def hmm_dag_footprint(hmm: HMM, num_steps: int) -> int:
+    """``hmm_to_dag(hmm, observations).memory_footprint()`` for any
+    ``num_steps`` observations, without the DAG.
+
+    Walks the unroll's layers from the root down, because only states
+    with a positive transition into a live state of the next layer are
+    reachable and counted.
+    """
+    if num_steps == 0:
+        raise ValueError("cannot unroll an empty observation sequence")
+    S = hmm.num_states
+    positive = hmm.transition > 0.0  # [s_prev, s]: the edges hmm_to_dag keeps
+    fan_in = positive.sum(axis=0)
+    # alpha[t, s] for t >= 1: a zero LEAF when nothing reaches s, else
+    # emission LEAF + PRODUCT (two edges) + SUM (fan_in edges and weights).
+    state_words = np.where(fan_in == 0, 1, 5 + 2 * fan_in)
+    words = 1 + 2 * S  # the root SUM over the last layer
+    live = np.ones(S, dtype=bool)
+    for _ in range(num_steps - 1):
+        words += int(state_words[live].sum())
+        live = positive[:, live].any(axis=1)
+    # Layer 0: emission LEAF under a one-child weighted SUM.
+    return words + 4 * int(live.sum())

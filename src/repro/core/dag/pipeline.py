@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.core.dag.builders import circuit_to_dag, cnf_to_dag, hmm_to_dag
+from repro.core.dag.builders import (
+    circuit_dag_footprint,
+    circuit_to_dag,
+    cnf_dag_footprint,
+    hmm_dag_footprint,
+    hmm_to_dag,
+)
 from repro.core.dag.graph import Dag
 from repro.core.dag.pruning import (
     prune_circuit_by_flow,
@@ -58,8 +64,7 @@ def optimize(
     exactly and need no calibration.
     """
     if isinstance(kernel, CNF):
-        baseline_dag, _ = cnf_to_dag(kernel)
-        memory_before = baseline_dag.memory_footprint()
+        memory_before = cnf_dag_footprint(kernel)
         pruned_dag, pruned_cnf, report = prune_logic_dag(kernel)
         final = regularize_two_input(pruned_dag) if regularize else pruned_dag
         return OptimizationResult(
@@ -69,8 +74,7 @@ def optimize(
     if isinstance(kernel, Circuit):
         if not calibration:
             raise ValueError("circuit pruning needs calibration evidence")
-        baseline_dag, _ = circuit_to_dag(kernel)
-        memory_before = baseline_dag.memory_footprint()
+        memory_before = circuit_dag_footprint(kernel)
         pruned_circuit, report = prune_circuit_by_flow(
             kernel, list(calibration), keep_fraction=keep_fraction
         )
@@ -84,8 +88,7 @@ def optimize(
         if not calibration:
             raise ValueError("HMM pruning needs calibration sequences")
         sequences = [list(s) for s in calibration]
-        baseline_dag = hmm_to_dag(kernel, sequences[0])
-        memory_before = baseline_dag.memory_footprint()
+        memory_before = hmm_dag_footprint(kernel, len(sequences[0]))
         pruned_hmm, report = prune_hmm_by_posterior(
             hmm=kernel,
             calibration_sequences=sequences,

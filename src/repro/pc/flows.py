@@ -11,15 +11,24 @@ by deleting an edge is bounded by its mean flow.
 
 Implementation: the circuit is flattened once into a dense plan (node
 order, child index arrays, edge slots) and every query evaluates the
-whole evidence batch as numpy rows — one bottom-up value pass and one
-top-down flow pass for an entire calibration dataset, instead of three
-interpreted traversals per input.  All element-wise operations apply the
-same IEEE-754 double operations in the same order as the reference
-scalar recurrences, so flows are bit-identical to per-input evaluation.
+whole evidence batch as numpy rows — one integer column per variable,
+one table gather per leaf, one bottom-up value pass and one top-down
+flow pass for an entire calibration dataset; nothing is paid per input
+except reading its evidence dict.  All element-wise operations apply
+the same IEEE-754 double operations in the same order as the scalar
+recurrences (``inference._evaluate_all``), so flows are bit-identical
+to per-input evaluation.
+
+Evidence contract: a variable's value is an integer (anything
+``operator.index`` accepts, within int64) or ``None``; ``None`` and an
+absent variable marginalise the variable, a value outside a leaf's
+table (negative or past its end) has probability 0.0, and a
+non-integer such as ``1.5`` raises ``TypeError``.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -31,11 +40,14 @@ EdgeKey = Tuple[int, int]  # (parent node_id, child node_id)
 
 _LEAF, _PRODUCT, _SUM = 0, 1, 2
 
+# Column code of a marginalised variable (``None`` or absent evidence).
+_MARGINAL = np.iinfo(np.int64).min
+
 
 class _FlowPlan:
     """Flattened traversal plan for one circuit root."""
 
-    __slots__ = ("root", "order", "entries", "edge_keys", "root_index")
+    __slots__ = ("root", "order", "entries", "edge_keys", "root_index", "variables")
 
     def __init__(self, circuit: Circuit):
         order = circuit.topological_order()
@@ -46,6 +58,7 @@ class _FlowPlan:
         # entries: (kind, dense index, node, child dense indices, edge slot)
         self.entries: List[Tuple[int, int, object, Tuple[int, ...], int]] = []
         self.edge_keys: List[EdgeKey] = []
+        self.variables = {n.variable for n in order if isinstance(n, LeafNode)}
         for node in order:
             dense = index[node.node_id]
             if isinstance(node, LeafNode):
@@ -71,21 +84,56 @@ def _plan_for(circuit: Circuit) -> _FlowPlan:
     return plan
 
 
-def _evaluate_batch(plan: _FlowPlan, dataset: Sequence[Evidence]) -> np.ndarray:
-    """Bottom-up values, one row per node and one column per evidence.
+def _evidence_columns(
+    plan: _FlowPlan, dataset: Sequence[Evidence]
+) -> Dict[int, np.ndarray]:
+    """One int64 column per circuit variable, one entry per evidence.
 
-    Element-wise accumulation order matches the scalar evaluator, so
-    each column is bit-identical to ``_evaluate_all`` on that evidence.
+    Evidence values are integers or ``None``; an absent variable and
+    ``None`` both become ``_MARGINAL``.  Anything ``operator.index``
+    rejects (a float such as ``1.5``) raises instead of being truncated.
     """
     m = len(dataset)
+    as_index = operator.index
+    columns: Dict[int, np.ndarray] = {}
+    for variable in plan.variables:
+        raw = [evidence.get(variable) for evidence in dataset]
+        columns[variable] = np.fromiter(
+            (_MARGINAL if value is None else as_index(value) for value in raw),
+            dtype=np.int64,
+            count=m,
+        )
+    return columns
+
+
+def _evaluate_batch(plan: _FlowPlan, columns: Dict[int, np.ndarray]) -> np.ndarray:
+    """Bottom-up values, one row per node and one column per evidence.
+
+    A leaf row is one gather from the leaf's table extended by two
+    slots — 0.0 for a value outside the table, the table's total mass
+    for a marginalised variable — the three cases of ``LeafNode.prob``.
+    Tables and weights are read now, never cached.  Element-wise
+    accumulation order matches the scalar evaluator, so each column is
+    bit-identical to ``_evaluate_all`` on that evidence.
+    """
+    m = len(next(iter(columns.values())))  # a circuit has a leaf, so a column
     values = np.empty((len(plan.order), m), dtype=float)
+    slots_of: Dict[Tuple[int, int], np.ndarray] = {}  # (variable, table size)
     for kind, dense, node, children, _ in plan.entries:
         if kind == _LEAF:
-            row = values[dense]
-            variable = node.variable
-            prob = node.prob
-            for j, evidence in enumerate(dataset):
-                row[j] = prob(evidence.get(variable))
+            probabilities = node.probabilities
+            size = len(probabilities)
+            slots = slots_of.get((node.variable, size))
+            if slots is None:
+                codes = columns[node.variable]
+                slots = np.where((codes >= 0) & (codes < size), codes, size)
+                slots[codes == _MARGINAL] = size + 1
+                slots_of[node.variable, size] = slots
+            table = np.empty(size + 2)
+            table[:size] = probabilities
+            table[size] = 0.0
+            table[size + 1] = probabilities.sum()
+            np.take(table, slots, out=values[dense])
         elif kind == _PRODUCT:
             row = values[children[0]].copy()
             for child in children[1:]:
@@ -142,10 +190,20 @@ def _flow_batch(
     return flows, edge_values
 
 
+def _totals_in_dataset_order(per_input: np.ndarray) -> np.ndarray:
+    """Row totals of a (rows, inputs) array, one input added at a time:
+    the same ordered float sum a per-input loop produces (``np.sum``
+    pairs terms up and rounds differently)."""
+    totals = np.zeros(per_input.shape[0])
+    for column in per_input.T:
+        totals += column
+    return totals
+
+
 def node_flows(circuit: Circuit, evidence: Evidence) -> Dict[int, float]:
     """Top-down flow F_n(x) reaching each node for one input."""
     plan = _plan_for(circuit)
-    values = _evaluate_batch(plan, [evidence])
+    values = _evaluate_batch(plan, _evidence_columns(plan, [evidence]))
     flows, _ = _flow_batch(plan, values, want_edges=False)
     return {
         node.node_id: float(flows[i, 0]) for i, node in enumerate(plan.order)
@@ -155,7 +213,7 @@ def node_flows(circuit: Circuit, evidence: Evidence) -> Dict[int, float]:
 def edge_flows(circuit: Circuit, evidence: Evidence) -> Dict[EdgeKey, float]:
     """Flow through every sum edge for one input."""
     plan = _plan_for(circuit)
-    values = _evaluate_batch(plan, [evidence])
+    values = _evaluate_batch(plan, _evidence_columns(plan, [evidence]))
     _, edge_values = _flow_batch(plan, values, want_edges=True)
     return {
         key: float(edge_values[k, 0]) for k, key in enumerate(plan.edge_keys)
@@ -173,13 +231,9 @@ def dataset_edge_flows(
     if not data:
         return {}, 0
     plan = _plan_for(circuit)
-    values = _evaluate_batch(plan, data)
+    values = _evaluate_batch(plan, _evidence_columns(plan, data))
     _, edge_values = _flow_batch(plan, values, want_edges=True)
-    # Accumulate one input at a time so each total is the same ordered
-    # float sum the per-input loop produced.
-    totals = np.zeros(len(plan.edge_keys))
-    for j in range(len(data)):
-        totals += edge_values[:, j]
+    totals = _totals_in_dataset_order(edge_values)
     return (
         {key: float(totals[k]) for k, key in enumerate(plan.edge_keys)},
         len(data),

@@ -8,6 +8,7 @@ learning and pruning share one machinery.
 
 from __future__ import annotations
 
+import math
 import random as _random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -16,13 +17,47 @@ import numpy as np
 from repro.pc.circuit import (
     Circuit,
     CircuitNode,
-    LeafNode,
     ProductNode,
     SumNode,
     bernoulli_leaf,
 )
-from repro.pc.flows import node_flows
-from repro.pc.inference import Evidence, _evaluate_all, log_likelihood
+from repro.pc.flows import (
+    _LEAF,
+    _MARGINAL,
+    _SUM,
+    _FlowPlan,
+    _evaluate_batch,
+    _evidence_columns,
+    _flow_batch,
+    _plan_for,
+    _totals_in_dataset_order,
+)
+from repro.pc.inference import Evidence
+
+
+def _em_update(
+    plan: _FlowPlan, columns: Dict[int, np.ndarray], values: np.ndarray, smoothing: float
+) -> None:
+    """The M-step from ``values``, the bottom-up pass over the dataset
+    under the current parameters; writes new weights and leaf tables.
+
+    Expected counts add up one input at a time in dataset order, so the
+    parameters are the ones a per-input loop learns, bit for bit.
+    """
+    flows, edge_flows = _flow_batch(plan, values, want_edges=True)
+    edge_counts = _totals_in_dataset_order(edge_flows)
+    for kind, dense, node, children, slot in plan.entries:
+        if kind == _SUM:
+            counts = edge_counts[slot : slot + len(children)] + smoothing
+            node.weights = counts / counts.sum()
+        elif kind == _LEAF:
+            counts = np.zeros(len(node.probabilities))
+            codes = columns[node.variable]
+            observed = codes != _MARGINAL
+            # Unbuffered: repeated values add in dataset order.
+            np.add.at(counts, codes[observed], flows[dense][observed])
+            counts += smoothing
+            node.probabilities = counts / counts.sum()
 
 
 def em_step(circuit: Circuit, dataset: Sequence[Evidence], smoothing: float = 0.1) -> Circuit:
@@ -32,39 +67,10 @@ def em_step(circuit: Circuit, dataset: Sequence[Evidence], smoothing: float = 0.
     Laplace-style pseudo-count that keeps probabilities strictly
     positive.
     """
-    sum_counts: Dict[int, np.ndarray] = {}
-    leaf_counts: Dict[int, np.ndarray] = {}
-    nodes = circuit.topological_order()
-    for node in nodes:
-        if isinstance(node, SumNode):
-            sum_counts[node.node_id] = np.zeros(len(node.children))
-        elif isinstance(node, LeafNode):
-            leaf_counts[node.node_id] = np.zeros(len(node.probabilities))
-
-    for evidence in dataset:
-        values = _evaluate_all(circuit, evidence)
-        flows = node_flows(circuit, evidence)
-        for node in nodes:
-            if isinstance(node, SumNode):
-                parent_value = values[node.node_id]
-                if parent_value <= 0:
-                    continue
-                flow = flows[node.node_id]
-                for idx, (child, weight) in enumerate(zip(node.children, node.weights)):
-                    share = weight * values[child.node_id] / parent_value
-                    sum_counts[node.node_id][idx] += share * flow
-            elif isinstance(node, LeafNode):
-                value = evidence.get(node.variable)
-                if value is not None:
-                    leaf_counts[node.node_id][value] += flows[node.node_id]
-
-    for node in nodes:
-        if isinstance(node, SumNode):
-            counts = sum_counts[node.node_id] + smoothing
-            node.weights = counts / counts.sum()
-        elif isinstance(node, LeafNode):
-            counts = leaf_counts[node.node_id] + smoothing
-            node.probabilities = counts / counts.sum()
+    plan = _plan_for(circuit)
+    columns = _evidence_columns(plan, dataset)
+    values = _evaluate_batch(plan, columns)
+    _em_update(plan, columns, values, smoothing)
     return circuit
 
 
@@ -75,11 +81,22 @@ def fit_em(
     smoothing: float = 0.1,
     tolerance: float = 1e-6,
 ) -> Tuple[Circuit, List[float]]:
-    """Run EM to convergence; returns the circuit and the LL trajectory."""
+    """Run EM to convergence; returns the circuit and the LL trajectory.
+
+    One bottom-up pass per iteration: the pass that scores an update's
+    log-likelihood is the E-step input of the next update.
+    """
     history: List[float] = []
+    plan = _plan_for(circuit)
+    columns = _evidence_columns(plan, dataset)
+    values = _evaluate_batch(plan, columns)
     for _ in range(iterations):
-        em_step(circuit, dataset, smoothing)
-        total = sum(log_likelihood(circuit, evidence) for evidence in dataset)
+        _em_update(plan, columns, values, smoothing)
+        values = _evaluate_batch(plan, columns)
+        total = sum(
+            math.log(value) if value > 0 else float("-inf")
+            for value in values[plan.root_index].tolist()
+        )
         history.append(total / max(len(dataset), 1))
         if len(history) >= 2 and abs(history[-1] - history[-2]) < tolerance:
             break

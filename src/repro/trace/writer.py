@@ -14,7 +14,9 @@ is used as-is (only owned files are closed on ``close()``).
 A path sink is written to a sibling temp file and moved into place by
 ``close()``, so the path never holds a partial trace: a reader sees the
 previous complete trace or the new one, even while a second request of
-the same kernel (same content-addressed path) is being traced.
+the same kernel (same content-addressed path) is being traced.  A run
+that raises before ``close()`` calls ``discard()``, which deletes the
+temp file.
 """
 
 from __future__ import annotations
@@ -235,6 +237,21 @@ class TraceWriter:
             path=self.path,
         )
         return self._summary
+
+    def discard(self) -> None:
+        """Abandon an unsealed trace to an owned path sink: close the
+        temp file and delete it, so ``path`` keeps whatever complete
+        trace it held.  For a run that raised before ``close()``.
+        Idempotent; does nothing after ``close()`` and on borrowed or
+        in-memory sinks."""
+        if self._closed or not self._owns_sink:
+            return
+        self._closed = True
+        self._sink.close()
+        try:
+            os.unlink(self._tmp_path)
+        except FileNotFoundError:
+            pass
 
     def getvalue(self) -> bytes:
         """The encoded stream of an in-memory (``sink=None``) writer."""

@@ -13,6 +13,12 @@ execution, and must hash to the same digest.
 They do not depend on ``PYTHONHASHSEED`` (recorded identical under 0,
 1, 12345 and ``random``).  A deliberate change to the modeled clock
 re-records them with ``report_digest`` below and says why.
+
+The compiled VLIW stream of every kernel that has one is pinned the
+same way (``RECORDED_PROGRAMS``, recorded at 26a2d5e before the
+probabilistic front end was vectorised): a front-end optimisation may
+change how fast a ``Program`` is produced, never one field of one
+instruction in it.
 """
 
 import hashlib
@@ -38,6 +44,15 @@ RECORDED = {
     "hmm/rand-6": "b0515ffd1c2b406f97635aa6ffb66c9218a1aa5d348dc58c9ec144174d0a9070",
 }
 
+RECORDED_PROGRAMS = {
+    "circuit/rand-10": "b450029b26ac88cac1dec82e89e639cb61707cfe98b3dc3ded827c60e1e4b74d",
+    "circuit/rand-12": "fbc96c898923f1a2a47f2199d82e8cf1fed116751ac0957133895be7f98c74c8",
+    "hmm/rand-10": "0aedf48c470b53478bc9b42c6fd98484d621319b55ab8eae31434f93eac6fd3e",
+    "hmm/rand-12": "e8fbd6b3f615c62b94fc8bc353f73f4bd6453b6e5e56e67f3827ffc26fbb0329",
+    "circuit/rand-6": "9dba77ccd2b90e7bcc4a088aae0689ec10b8b46320e0fe96b3f17cb1ee487b82",
+    "hmm/rand-6": "0069ab546470419ba9689f2d735b08eed61389785cde49e6f5a4c012ac81b684",
+}
+
 
 def report_counters(report):
     """The integer ``extras`` (decisions, conflicts, instructions,
@@ -48,6 +63,42 @@ def report_counters(report):
 def report_digest(report) -> str:
     payload = repr((report.identity(), report_counters(report)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def program_digest(program) -> str:
+    """Every instruction's kind, operand reads, write-back, issue cycle,
+    PE, tree configuration, leaf operands and moved value."""
+    rows = [
+        (
+            i.kind.value,
+            tuple(i.reads),
+            i.write,
+            i.issue_cycle,
+            i.pe,
+            tuple(
+                (c.position, c.op.value if c.op else None, c.child_weights)
+                for c in i.tree_config
+            ),
+            tuple(sorted(i.leaf_operands.items())),
+            i.value,
+        )
+        for i in program.instructions
+    ]
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
+def test_compiled_programs_match_recorded_digests(tiny):
+    session = ReasonSession(cache=False)
+    drifted = []
+    for name, kernel, options in build_trace(tiny=tiny):
+        program = session.compile(kernel, **options).program
+        if program is None:  # logic kernels replay a solver trace
+            assert name.startswith("cnf/")
+            continue
+        if program_digest(program) != RECORDED_PROGRAMS[name]:
+            drifted.append(f"{name}: {program.summary()}")
+    assert not drifted, "compiled program drifted on: " + "; ".join(drifted)
 
 
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])

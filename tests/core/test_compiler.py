@@ -3,6 +3,7 @@ scheduling — including functional equivalence against the reference
 DAG evaluator."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,13 @@ from repro.core.compiler import (
     map_block_to_tree,
     map_operands_to_banks,
 )
-from repro.core.compiler.blocks import block_dependencies, topological_block_order
+from repro.core.compiler.blocks import (
+    Block,
+    block_dependencies,
+    topological_block_order,
+)
 from repro.core.compiler.mapping import issue_conflicts
+from repro.core.compiler.program import TreeNodeConfig
 from repro.core.dag import (
     Dag,
     OpType,
@@ -40,6 +46,52 @@ def chain_dag(length: int) -> Dag:
         prev = dag.add_op(OpType.SUM, [prev, leaf], weights=[1.0, 1.0])
     dag.set_root(prev)
     return dag
+
+
+def reference_placement(dag: Dag, block, tree_depth: int):
+    """The placement walk written plainly — recurse from the PE root,
+    collect every config, then sort by position — as
+    ``(configs, leaf_operands, utilization)``."""
+    block_nodes = set(block.nodes)
+    first_leaf = 2 ** tree_depth - 1
+    configs, leaf_operands = [], {}
+
+    def place(value_id: int, position: int) -> None:
+        if value_id not in block_nodes:
+            leaf = position
+            while leaf < first_leaf:
+                leaf = 2 * leaf + 1
+            leaf_operands[leaf] = value_id
+            while True:
+                configs.append(TreeNodeConfig(leaf, None))
+                if leaf == position:
+                    return
+                leaf = (leaf - 1) // 2
+        node = dag.node(value_id)
+        weights = ()
+        if node.op is OpType.SUM and node.weights is not None:
+            weights = tuple(float(w) for w in node.weights)
+        configs.append(TreeNodeConfig(position, node.op, weights))
+        for side, child in enumerate(node.children, start=1):
+            place(child, 2 * position + side)
+
+    place(block.output, 0)
+    positions = [config.position for config in configs]
+    assert len(set(positions)) == len(positions)
+    configs.sort(key=lambda config: config.position)
+    active = sum(1 for config in configs if not config.is_forward)
+    return configs, leaf_operands, active / (2 ** (tree_depth + 1) - 1)
+
+
+def assert_placements_match_reference(dag: Dag, tree_depth: int) -> int:
+    blocks = decompose_blocks(dag, tree_depth)
+    for block in blocks:
+        placement = map_block_to_tree(dag, block, tree_depth)
+        configs, leaf_operands, utilization = reference_placement(dag, block, tree_depth)
+        assert placement.configs == configs
+        assert list(placement.leaf_operands.items()) == list(leaf_operands.items())
+        assert placement.utilization == utilization
+    return len(blocks)
 
 
 class TestBlockDecomposition:
@@ -131,6 +183,67 @@ class TestTreePlacement:
         deep = next(b for b in blocks if b.depth == 3)
         with pytest.raises(ValueError):
             map_block_to_tree(dag, deep, tree_depth=2)
+
+    def test_op_on_a_leaf_position_rejected(self):
+        # A block that understates its depth walks an op onto the PE's
+        # leaf row, where only operands may sit.
+        dag = chain_dag(4)
+        honest = decompose_blocks(dag, 4)[0]
+        assert honest.depth == 4
+        lying = Block(0, list(honest.nodes), list(honest.inputs), honest.output, depth=2)
+        with pytest.raises(ValueError, match="leaf position"):
+            map_block_to_tree(dag, lying, tree_depth=2)
+
+    def test_spill_kernel_placements_equal_reference_walk(
+        self, overflow_schedule, tiny_regfile
+    ):
+        program, _ = overflow_schedule
+        depth = tiny_regfile.tree_depth
+        assert assert_placements_match_reference(program.dag, depth) > 50
+        # ... and they are what the scheduler put in the program.
+        by_block = {b.block_id: b for b in decompose_blocks(program.dag, depth)}
+        for instruction in program.instructions:
+            if instruction.is_compute:
+                configs, leaf_operands, _ = reference_placement(
+                    program.dag, by_block[instruction.block_id], depth
+                )
+                assert instruction.tree_config == configs
+                assert instruction.leaf_operands == leaf_operands
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["circuit", "hmm", "cnf"]),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_property_placements_equal_reference_walk(self, seed, family, tree_depth):
+        if family == "circuit":
+            dag, _ = circuit_to_dag(random_circuit(5, depth=2, seed=seed))
+        elif family == "hmm":
+            dag = hmm_to_dag(HMM.random(3, 3, seed=seed), [seed % 3, 1, 2, 0])
+        else:
+            dag, _ = cnf_to_dag(random_ksat(6, 14, seed=seed))
+        assert_placements_match_reference(regularize_two_input(dag), tree_depth)
+
+    def test_forward_configs_are_shared_and_survive_pickling(self, overflow_schedule):
+        program, _ = overflow_schedule
+        restored = pickle.loads(pickle.dumps(program))
+        assert restored.instructions == program.instructions
+        assert restored.value_locations == program.value_locations
+        assert (restored.num_blocks, restored.root_value) == (
+            program.num_blocks,
+            program.root_value,
+        )
+        # One frozen FORWARD config per tree position, however many
+        # blocks forward through it — in memory and in the pickle.
+        for candidate in (program, restored):
+            forwards = {
+                id(config): config.position
+                for instruction in candidate.instructions
+                for config in instruction.tree_config
+                if config.is_forward
+            }
+            assert len(forwards) == len(set(forwards.values()))
 
     def test_placement_configs_cover_block_ops(self):
         dag = regularize_two_input(circuit_to_dag(random_circuit(6, depth=2, seed=8))[0])

@@ -24,6 +24,11 @@ from repro.core.dag import (
     prune_logic_dag,
     regularize_two_input,
 )
+from repro.core.dag.builders import (
+    circuit_dag_footprint,
+    cnf_dag_footprint,
+    hmm_dag_footprint,
+)
 from repro.hmm.inference import log_likelihood as hmm_log_likelihood
 from repro.hmm.model import HMM
 from repro.logic.cdcl import solve_cnf
@@ -362,3 +367,62 @@ class TestOptimizePipeline:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(TypeError):
             optimize("not a kernel")
+
+
+class TestBaselineFootprints:
+    """``optimize`` reports the unpruned DAG's size without building it:
+    the counts on the kernel equal the built DAG's footprint."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_circuit_footprint_equals_built_dag(self, seed):
+        circuit = random_circuit(2 + seed % 5, depth=1 + seed % 3, seed=seed)
+        dag, _ = circuit_to_dag(circuit)
+        assert circuit_dag_footprint(circuit) == dag.memory_footprint()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_cnf_footprint_equals_built_dag(self, seed):
+        formula = random_ksat(3 + seed % 8, seed % 25, seed=seed)
+        dag, _ = cnf_to_dag(formula)
+        assert cnf_dag_footprint(formula) == dag.memory_footprint()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=0.9),
+    )
+    def test_hmm_footprint_equals_built_dag(self, seed, steps, sparsity):
+        # Zeroed transitions drop SUM edges, leave states with nothing
+        # coming in (a lone zero LEAF) and states nothing reads (not
+        # reachable from the root, so not counted).
+        rng = random.Random(seed)
+        hmm = HMM.random(2 + seed % 4, 3, seed=seed)
+        for i, j in itertools.product(range(hmm.num_states), repeat=2):
+            if rng.random() < sparsity:
+                hmm.transition[i, j] = 0.0
+        observations = [rng.randrange(3) for _ in range(steps)]
+        dag = hmm_to_dag(hmm, observations)
+        assert hmm_dag_footprint(hmm, steps) == dag.memory_footprint()
+
+    def test_hmm_footprint_rejects_empty_sequence(self):
+        with pytest.raises(ValueError):
+            hmm_dag_footprint(HMM.random(3, 3, seed=1), 0)
+
+    def test_optimize_reports_the_built_baseline(self):
+        circuit = random_circuit(5, depth=2, seed=26)
+        data = sample_dataset(circuit, 30, seed=27)
+        baseline, _ = circuit_to_dag(circuit)
+        assert optimize(circuit, calibration=data).memory_before == (
+            baseline.memory_footprint()
+        )
+        hmm = HMM.random(4, 4, seed=28, concentration=0.3)
+        sequences = [hmm.sample(9, random.Random(29))[1] for _ in range(3)]
+        assert optimize(hmm, calibration=sequences).memory_before == (
+            hmm_to_dag(hmm, sequences[0]).memory_footprint()
+        )
+        formula = random_ksat(10, 30, k=2, seed=25)
+        assert optimize(formula).memory_before == (
+            cnf_to_dag(formula)[0].memory_footprint()
+        )

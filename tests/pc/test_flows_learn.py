@@ -1,6 +1,8 @@
 """Tests for circuit flows, EM learning and CNF compilation / WMC."""
 
+import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,15 +10,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import random_ksat
-from repro.pc.circuit import Circuit, SumNode, bernoulli_leaf
+from repro.pc.circuit import Circuit, LeafNode, SumNode, bernoulli_leaf
 from repro.pc.compile_logic import compile_cnf_to_circuit, model_count, weighted_model_count
 from repro.pc.flows import (
+    _evaluate_batch,
+    _evidence_columns,
+    _plan_for,
     dataset_edge_flows,
     edge_flows,
     flow_pruning_bound,
     node_flows,
 )
-from repro.pc.inference import likelihood, log_likelihood, partition_function
+from repro.pc.inference import (
+    _evaluate_all,
+    likelihood,
+    log_likelihood,
+    partition_function,
+)
 from repro.pc.learn import em_step, fit_em, random_circuit, sample_dataset
 
 
@@ -79,7 +89,142 @@ class TestFlows:
         assert all(v == 0.0 for v in per_edge.values())
 
 
+#: What an evidence dict may hold for a variable besides leaving it out:
+#: ``None``, values inside a binary or three-state table, values past
+#: the end of either, and negatives.
+EVIDENCE_VALUES = (None, 0, 1, 2, 3, 7, -1, -4)
+
+
+def mixed_circuit_and_data(seed: int, m: int):
+    """A random circuit whose odd variables carry three-state tables
+    (written after the flow plan was cached), and ``m`` evidence dicts
+    mixing present, absent, ``None``, out-of-range and negative values."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(2, 6)
+    circuit = random_circuit(
+        num_vars, depth=rng.randint(1, 3), sum_children=rng.randint(2, 3), seed=seed
+    )
+    _plan_for(circuit)
+    for node in circuit.topological_order():
+        if isinstance(node, LeafNode) and node.variable % 2:
+            node.probabilities = np.array([rng.random() for _ in range(3)])
+    data = []
+    for _ in range(m):
+        evidence = {}
+        for variable in range(num_vars):
+            if rng.random() < 0.75:
+                evidence[variable] = rng.choice(EVIDENCE_VALUES)
+        data.append(evidence)
+    return circuit, data
+
+
+class TestBatchEvaluation:
+    """The array path against the per-sample definitions, with ``==``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
+    def test_dataset_flows_are_the_ordered_sum_of_per_sample_flows(self, seed, m):
+        circuit, data = mixed_circuit_and_data(seed, m)
+        totals, count = dataset_edge_flows(circuit, data)
+        expected = dict.fromkeys(totals, 0.0)
+        for evidence in data:
+            for key, flow in edge_flows(circuit, evidence).items():
+                expected[key] += flow
+        assert count == m
+        assert totals == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
+    def test_rows_equal_the_scalar_evaluator(self, seed, m):
+        circuit, data = mixed_circuit_and_data(seed, m)
+        plan = _plan_for(circuit)
+        values = _evaluate_batch(plan, _evidence_columns(plan, data))
+        scalar = [_evaluate_all(circuit, evidence) for evidence in data]
+        for row, node in zip(values.tolist(), plan.order):
+            if isinstance(node, LeafNode):
+                assert row == [node.prob(e.get(node.variable)) for e in data]
+            assert row == [per_node[node.node_id] for per_node in scalar]
+
+    def test_non_integer_evidence_raises_instead_of_truncating(self):
+        circuit = random_circuit(3, depth=2, seed=5)
+        for call in (edge_flows, node_flows):
+            with pytest.raises(TypeError):
+                call(circuit, {0: 1.5})
+        with pytest.raises(TypeError):
+            dataset_edge_flows(circuit, [{0: 1}, {1: 1.5}])
+
+    def test_numpy_integers_are_evidence(self):
+        circuit = random_circuit(3, depth=2, seed=6)
+        plain = edge_flows(circuit, {0: 1, 2: 0})
+        assert edge_flows(circuit, {0: np.int64(1), 2: np.int32(0)}) == plain
+
+
+def reference_em_step(circuit, dataset, smoothing):
+    """EM written one input at a time (the loop ``em_step`` replaced):
+    scalar bottom-up values, that input's node flows, counts added in
+    dataset order."""
+    nodes = circuit.topological_order()
+    counts = {}
+    for node in nodes:
+        if isinstance(node, SumNode):
+            counts[node.node_id] = np.zeros(len(node.children))
+        elif isinstance(node, LeafNode):
+            counts[node.node_id] = np.zeros(len(node.probabilities))
+    for evidence in dataset:
+        values = _evaluate_all(circuit, evidence)
+        flows = node_flows(circuit, evidence)
+        for node in nodes:
+            if isinstance(node, SumNode):
+                parent_value = values[node.node_id]
+                if parent_value <= 0:
+                    continue
+                for k, (child, weight) in enumerate(zip(node.children, node.weights)):
+                    share = weight * values[child.node_id] / parent_value
+                    counts[node.node_id][k] += share * flows[node.node_id]
+            elif isinstance(node, LeafNode):
+                value = evidence.get(node.variable)
+                if value is not None:
+                    counts[node.node_id][value] += flows[node.node_id]
+    for node in nodes:
+        if isinstance(node, SumNode):
+            smoothed = counts[node.node_id] + smoothing
+            node.weights = smoothed / smoothed.sum()
+        elif isinstance(node, LeafNode):
+            smoothed = counts[node.node_id] + smoothing
+            node.probabilities = smoothed / smoothed.sum()
+
+
+def parameters(circuit):
+    return [
+        (node.weights if isinstance(node, SumNode) else node.probabilities).tolist()
+        for node in circuit.topological_order()
+        if isinstance(node, (SumNode, LeafNode))
+    ]
+
+
 class TestEM:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
+    def test_em_steps_equal_the_per_input_loop(self, seed, m):
+        rng = random.Random(seed)
+        num_vars = rng.randint(2, 5)
+        shape = dict(depth=rng.randint(1, 3), sum_children=rng.randint(2, 3))
+        data = []
+        for _ in range(m):  # in-range, absent or None: what EM counts
+            data.append(
+                {
+                    v: rng.choice((0, 1, None))
+                    for v in range(num_vars)
+                    if rng.random() < 0.8
+                }
+            )
+        batch = random_circuit(num_vars, seed=seed, **shape)
+        loop = random_circuit(num_vars, seed=seed, **shape)
+        for _ in range(3):
+            em_step(batch, data, smoothing=0.07)
+            reference_em_step(loop, data, smoothing=0.07)
+            assert parameters(batch) == parameters(loop)
+
     def test_em_increases_log_likelihood(self):
         teacher = random_circuit(5, depth=2, seed=10)
         data = sample_dataset(teacher, 200, seed=11)
@@ -101,6 +246,46 @@ class TestEM:
         data = sample_dataset(circuit, 50, seed=31)
         em_step(circuit, data)
         assert partition_function(circuit) == pytest.approx(1.0)
+
+    def test_fit_em_reproduces_recorded_parameters(self):
+        # Recorded at 26a2d5e, where em_step walked the samples one by
+        # one: every learned weight and leaf table (digest over their
+        # bytes in topological order) and the LL history, bit for bit.
+        teacher = random_circuit(6, depth=2, seed=10)
+        data = sample_dataset(teacher, 60, seed=11)
+        for j, evidence in enumerate(data):
+            if j % 5 == 0:
+                del evidence[j % 6]
+            elif j % 7 == 0:
+                evidence[j % 6] = None
+        student = random_circuit(6, depth=2, seed=12)
+        _, history = fit_em(student, data, iterations=5, smoothing=0.05)
+        digest = hashlib.sha256()
+        for node in student.topological_order():
+            if isinstance(node, SumNode):
+                digest.update(node.weights.tobytes())
+            elif isinstance(node, LeafNode):
+                digest.update(node.probabilities.tobytes())
+        assert history == [
+            -3.795960900270495,
+            -3.7242694205961824,
+            -3.680605478098573,
+            -3.654171542942619,
+            -3.6316943291499086,
+        ]
+        assert digest.hexdigest() == (
+            "298462ab9de944fc025df1ed485b51ebf2432dec4f6a53a603ce5d0bad37d3ae"
+        )
+
+    def test_em_step_is_one_iteration_of_fit_em(self):
+        data = sample_dataset(random_circuit(4, depth=2, seed=40), 30, seed=41)
+        stepped = random_circuit(4, depth=2, seed=42)
+        fitted = random_circuit(4, depth=2, seed=42)
+        em_step(stepped, data, smoothing=0.2)
+        _, history = fit_em(fitted, data, iterations=1, smoothing=0.2)
+        assert parameters(stepped) == parameters(fitted)
+        mean_ll = sum(log_likelihood(stepped, x) for x in data) / len(data)
+        assert history == [mean_ll]
 
     def test_em_recovers_biased_leaf(self):
         # Single Bernoulli: EM should match the empirical frequency.

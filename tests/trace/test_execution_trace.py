@@ -6,10 +6,12 @@ import threading
 
 import pytest
 
+from repro.api.resilience import RetryPolicy
 from repro.api.session import ReasonSession
 from repro.api.service import ReasonService
 from repro.core.arch.accelerator import ReasonAccelerator
 from repro.core.dag import default_leaf_inputs
+from repro.faults import FaultPlan
 from repro.logic.generators import pigeonhole, random_ksat
 from repro.pc.learn import random_circuit
 from repro.trace import (
@@ -234,6 +236,47 @@ class TestApiPlumbing:
         assert not tracer.is_alive() and not failures
         assert observations > 0
         assert [entry.name for entry in path.parent.iterdir()] == [path.name]
+
+    def test_a_run_that_raises_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # The accelerator dies mid-replay, after events were emitted: the
+        # backend owns the path writer and must take its temp file away.
+        path = tmp_path / "run.trace"
+        replay = ReasonAccelerator.run_symbolic_trace
+        calls = []
+
+        def dies_once(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 1:
+                self.trace.emit(EventKind.DECIDE, 1, 3)
+                raise RuntimeError("model fell over")
+            return replay(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReasonAccelerator, "run_symbolic_trace", dies_once)
+        session = ReasonSession()
+        kernel = random_ksat(20, 80, seed=8)
+        with pytest.raises(RuntimeError, match="fell over"):
+            session.run(kernel, trace=str(path))
+        assert list(tmp_path.iterdir()) == []
+        report = session.run(kernel, trace=str(path))
+        assert [entry.name for entry in tmp_path.iterdir()] == ["run.trace"]
+        cross_validate(path, report).raise_on_mismatch()
+
+    def test_retried_execute_fault_leaves_only_whole_traces(self, tmp_path):
+        # An injected execute fault fires before the backend opens its
+        # writer; after the retry the directory holds whole traces only.
+        plan = FaultPlan(seed=1, execute_error_rate=1.0, max_injections=1)
+        with ReasonService(
+            shards=1,
+            trace_dir=tmp_path / "traces",
+            faults=plan,
+            retry=RetryPolicy(max_attempts=3),
+        ) as service:
+            future = service.submit(random_ksat(20, 80, seed=9), trace=True)
+            report = future.result(timeout=30)
+            path = service.trace_path_for(future.fingerprint)
+        assert plan.injected("execute") == 1
+        assert [entry.name for entry in path.parent.iterdir()] == [path.name]
+        cross_validate(path, report).raise_on_mismatch()
 
     def test_service_without_trace_dir_keeps_memory_capture(self):
         kernel = random_ksat(20, 80, seed=7)

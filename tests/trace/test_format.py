@@ -134,6 +134,43 @@ class TestWriterErrors:
             writer.getvalue()
 
 
+class TestWriterDiscard:
+    def test_discard_removes_the_temp_file_and_keeps_the_old_trace(self, tmp_path):
+        path = tmp_path / "x.trace"
+        with TraceWriter(path) as first:
+            first.emit(EventKind.DECIDE, 1, 3)
+        sealed = path.read_bytes()
+        abandoned = TraceWriter(path)
+        abandoned.emit(EventKind.DECIDE, 1, 4)
+        assert len(list(tmp_path.iterdir())) == 2  # the trace and a temp file
+        abandoned.discard()
+        abandoned.discard()  # idempotent
+        assert [entry.name for entry in tmp_path.iterdir()] == ["x.trace"]
+        assert path.read_bytes() == sealed
+
+    def test_discard_after_close_keeps_the_trace(self, tmp_path):
+        path = tmp_path / "x.trace"
+        writer = TraceWriter(path)
+        writer.emit(EventKind.DECIDE, 1, 3)
+        summary = writer.close()
+        writer.discard()
+        assert TraceReader(path.read_bytes()).validate().events == summary.events
+
+    def test_discard_leaves_borrowed_and_memory_sinks_alone(self, tmp_path):
+        memory = TraceWriter()
+        memory.emit(EventKind.DECIDE, 1, 3)
+        memory.discard()
+        memory.close()
+        assert TraceReader(memory.getvalue()).validate().events == 1
+        with open(tmp_path / "borrowed.trace", "wb") as handle:
+            borrowed = TraceWriter(handle)
+            borrowed.emit(EventKind.DECIDE, 1, 3)
+            borrowed.discard()
+            assert not handle.closed
+            borrowed.close()
+        assert TraceReader((tmp_path / "borrowed.trace").read_bytes()).validate().events == 1
+
+
 class TestReaderErrors:
     def _stream(self, events=3):
         writer = TraceWriter()
