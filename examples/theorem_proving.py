@@ -10,8 +10,11 @@ timeline (broadcast / reduction / FIFO / DMA / control).
 Run:  python examples/theorem_proving.py
 """
 
+from itertools import islice
+
 from repro import ReasonSession
 from repro.logic.fol.chase import ForwardChainer
+from repro.trace import timeline
 from repro.workloads.alphageometry import AlphaGeometryWorkload
 
 
@@ -42,16 +45,16 @@ def main() -> None:
             print(f"  {fact!r}  by rule [{rule}]")
 
     # 3. Replay the SAT certificate on the accelerator (Fig. 9), with
-    # the cycle timeline requested through the session API.
+    # the run's event trace captured through the session API.
     formula = workload.reason_kernel(instance)
-    report = ReasonSession().run(formula, backend="reason", record_events=True)
+    report = ReasonSession().run(formula, backend="reason", trace=True)
     print(
         f"\nREASON symbolic replay: {report.cycles} cycles, "
         f"{report.extras['decisions']} decisions, {report.extras['conflicts']} conflicts"
     )
     print("cycle timeline (first 12 events):")
-    for event in report.extras["events"][:12]:
-        print(f"  T{event.cycle:<6} {event.unit:<10} {event.description}")
+    for cycle, unit, description in islice(timeline(report.extras["trace_data"]), 12):
+        print(f"  T{cycle:<6} {unit:<10} {description}")
 
 
 if __name__ == "__main__":

@@ -34,8 +34,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    # Test modules import hypothesis at module top: collection needs it.
-    extras_require={"test": ["pytest", "hypothesis"]},
+    # Test modules import hypothesis at module top: collection needs it;
+    # pytest-benchmark backs the `bench_*` table printers in benchmarks/.
+    extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
     classifiers=[
         "Development Status :: 4 - Beta",
         "Intended Audience :: Science/Research",

@@ -41,9 +41,10 @@ Package map:
   idiom linting: :func:`verify_program` abstractly interprets compiled
   VLIW streams against six invariant families (def-before-use
   residency, spill/reload pairing, bank capacity, issue order, cycle
-  monotonicity, stats consistency) without executing; opt-in hooks
-  (``ReasonSession(verify=True)``, ``CompileCache(verifier=...)``)
-  keep bad programs out of caches and stores; the ``python -m
+  monotonicity, stats consistency) without executing; the opt-in
+  gate (``ReasonSession(verify=True)`` or a per-request
+  ``verify=True``) runs inside the compile-once factory, so a rejected
+  program reaches no cache level or store; the ``python -m
   repro.analysis`` CLI verifies kernels and lints the source tree;
 * :mod:`repro.faults` — deterministic seeded fault injection
   (:class:`FaultPlan`: compile/execute errors, latency, worker

@@ -12,8 +12,9 @@ Two halves, one package:
   taxonomy).
 
 ``python -m repro.analysis verify|lint`` is the command-line face;
-:func:`artifact_verifier` is the publish-time hook for
-:class:`~repro.api.cache.CompileCache` / the artifact stores; and
+:func:`check_artifact` is the gate
+:class:`~repro.api.session.ReasonSession` runs on a cold compile under
+``verify=True``; and
 :mod:`repro.analysis.mutations` is the catalog of planted schedule
 bugs used to mutation-test the verifier itself.
 """
@@ -26,6 +27,7 @@ from repro.analysis.verifier import (
     ProgramVerificationError,
     VerifyReport,
     artifact_verifier,
+    check_artifact,
     expected_energy_events,
     verify_artifact,
     verify_execution,
@@ -40,6 +42,7 @@ __all__ = [
     "ProgramVerificationError",
     "VerifyReport",
     "artifact_verifier",
+    "check_artifact",
     "expected_energy_events",
     "verify_artifact",
     "verify_execution",

@@ -5,9 +5,9 @@ takes a *correct* compiled program and introduces one realistic
 compiler defect — including ``stale-reload``, a faithful reconstruction
 of the pre-PR 5 scheduler bug where a spilled intermediate was read
 through its stale register address with no RELOAD — and
-``benchmarks/bench_analysis.py`` requires :func:`verify_program` to
+``tests/analysis/test_verifier.py`` requires :func:`verify_program` to
 flag every single one.  If a future verifier refactor goes blind to a
-bug class, the bench fails, not a production compile.
+bug class, the suite fails, not a production compile.
 
 Mutations are deterministic (first eligible site in stream order),
 operate on a deep copy (the input program is never touched), and raise

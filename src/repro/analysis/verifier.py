@@ -57,11 +57,12 @@ pre-PR 5 class, where a RELOAD was owed and missing.
 
 Findings are structured :class:`Finding` records collected in a
 :class:`VerifyReport`; nothing raises unless a caller opts into
-:func:`artifact_verifier` / :class:`ProgramVerificationError`.
+:func:`check_artifact` / :class:`ProgramVerificationError`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -153,9 +154,9 @@ class VerifyReport:
 class ProgramVerificationError(RuntimeError):
     """A compiled program failed static verification.
 
-    Raised by the opt-in hooks (``ReasonSession(verify=True)``,
-    ``RunOptions(verify=True)``, ``CompileCache(verifier=...)``), never
-    by :func:`verify_program` itself.  Carries the full report.
+    Raised by the opt-in gate (``ReasonSession(verify=True)`` or a
+    per-request ``verify=True``), never by :func:`verify_program`
+    itself.  Carries the full report.
     """
 
     def __init__(self, report: VerifyReport, context: str = ""):
@@ -680,7 +681,7 @@ def expected_energy_events(program: Program) -> Dict[str, int]:
     PE events depend on tree configs and are charged inside the PE).
 
     The static verifier and the accelerator must stay in lockstep on
-    this accounting — ``benchmarks/bench_analysis.py`` executes the
+    this accounting — ``tests/analysis/test_verifier.py`` executes the
     corpus and asserts the prediction exactly matches the model.
     """
     register_access = 0
@@ -798,17 +799,18 @@ def verify_artifact(artifact, config: ArchConfig = DEFAULT_CONFIG) -> VerifyRepo
     return verify_program(program, config, stats=schedule_stats)
 
 
+def check_artifact(artifact, config: ArchConfig = DEFAULT_CONFIG) -> None:
+    """The verify gate: raise :class:`ProgramVerificationError` when a
+    freshly compiled artifact fails static verification.  The session
+    calls it inside the compile-once factory, so a rejected program is
+    never cached or published."""
+    result = verify_artifact(artifact, config)
+    if not result.ok:
+        key = getattr(artifact, "key", "") or "<uncached>"
+        raise ProgramVerificationError(result, context=f"artifact {key}")
+
+
 def artifact_verifier(config: ArchConfig = DEFAULT_CONFIG):
-    """A publish-time checker for :class:`~repro.api.cache.CompileCache`
-    / :class:`~repro.api.store.ArtifactStore`: returns a callable that
-    raises :class:`ProgramVerificationError` when a freshly compiled
-    artifact fails static verification, keeping bad programs out of the
-    shared store entirely."""
-
-    def check(artifact) -> None:
-        result = verify_artifact(artifact, config)
-        if not result.ok:
-            key = getattr(artifact, "key", "") or "<uncached>"
-            raise ProgramVerificationError(result, context=f"artifact {key}")
-
-    return check
+    """:func:`check_artifact` bound to ``config``, as a one-argument
+    callable."""
+    return functools.partial(check_artifact, config=config)

@@ -45,15 +45,16 @@ class RunOptions:
     ``calibration`` feeds the adaptive-pruning stage for probabilistic
     kernels (evidence dicts for circuits, observation sequences for
     HMMs); ``hmm_observations`` fixes the unroll sequence when no
-    calibration is given; ``record_events`` asks the REASON backend for
-    the Fig. 9-style cycle timeline in ``report.extras['events']``.
+    calibration is given.
 
     ``trace`` opts into the binary event trace (:mod:`repro.trace`):
     ``True`` captures in memory (bytes land in
     ``report.extras['trace_data']``), a path string captures to that
     file, and an existing :class:`~repro.trace.writer.TraceWriter` is
-    borrowed (the caller closes it).  Tracing is an observation knob,
-    not a compilation knob — it deliberately stays out of
+    borrowed (the caller closes it).  The trace is the one record of a
+    run's events: :func:`repro.trace.analyze.timeline` reads the
+    Fig. 9-style cycle timeline out of it.  Tracing is an observation
+    knob, not a compilation knob — it deliberately stays out of
     :meth:`KernelAdapter.fingerprint`, so traced and untraced runs of
     the same kernel share one cache entry.
 
@@ -65,21 +66,21 @@ class RunOptions:
     metrics must never split the compile cache.
 
     ``verify`` opts into post-compile static verification
-    (:mod:`repro.analysis`): ``True`` runs the program verifier on the
-    freshly compiled artifact and raises
-    :class:`~repro.analysis.verifier.ProgramVerificationError` on any
+    (:mod:`repro.analysis`): ``True`` checks the freshly compiled
+    artifact and raises
+    :class:`~repro.analysis.ProgramVerificationError` on any
     error finding; ``False`` forces it off even when the session was
     built with ``verify=True``; ``None`` defers to the session.  It
-    runs only on the cold compile path and — like ``trace``/``span`` —
-    is excluded from the fingerprint: a verified and an unverified
-    compile of the same kernel are the same artifact.
+    runs inside the compile-once factory: cold path only, and a
+    rejected artifact is never cached or published.  Like
+    ``trace``/``span`` it is excluded from the fingerprint: a verified
+    and an unverified compile of the same kernel are the same artifact.
     """
 
     optimize: bool = True
     keep_fraction: float = 0.8
     calibration: Optional[Sequence] = None
     hmm_observations: Optional[Sequence[int]] = None
-    record_events: bool = False
     trace: object = None
     span: object = None
     verify: Optional[bool] = None

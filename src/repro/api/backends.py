@@ -88,10 +88,9 @@ class ReasonBackend(Backend):
     The model runs once per artifact.  A plain run is a pure function
     of ``(artifact, config)``, so its :class:`ExecutionSummary` is kept
     on the artifact and every later request for it is a *report* over
-    that summary, scaled by ``queries``.  Observed runs (``trace=`` or
-    ``record_events=True``) and a ``config`` other than the stored one
-    always execute, on a fresh chip instance so energy counters never
-    leak across runs.
+    that summary, scaled by ``queries``.  Traced runs (``trace=``) and
+    a ``config`` other than the stored one always execute, on a fresh
+    chip instance so energy counters never leak across runs.
     """
 
     name = "reason"
@@ -99,18 +98,13 @@ class ReasonBackend(Backend):
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
         options = options or RunOptions()
         writer, owned = _trace_writer_for(options.trace)
-        summary, events = artifact.execution, None
+        summary = artifact.execution
         executed = (
-            writer is not None
-            or options.record_events
-            or summary is None
-            or summary.config != config
+            writer is not None or summary is None or summary.config != config
         )
         if executed:
             try:
-                summary, events = self._execute(
-                    artifact, config, writer, options.record_events
-                )
+                summary = self._execute(artifact, config, writer)
             except BaseException:
                 if owned:
                     writer.discard()  # no half-written temp file left behind
@@ -118,25 +112,20 @@ class ReasonBackend(Backend):
             # Racing first runs store equal summaries: last writer wins.
             artifact.execution = summary
         report = self._report(summary, artifact.kind, queries, executed)
-        if events is not None:
-            report.extras["events"] = events
         _finish_trace(report, writer, owned)
         return report
 
-    def _execute(self, artifact, config, writer, record_events):
+    def _execute(self, artifact, config, writer):
         """Run the accelerator model once; returns the per-query
-        summary and, for a logic kernel under ``record_events``, the
-        Fig. 9-style timeline."""
+        summary."""
         accelerator = ReasonAccelerator(config)
         if writer is not None:
             accelerator.attach_trace(writer)
         if artifact.solver is not None:  # logic kernel: replay cached trace
-            trace, _ = accelerator.run_symbolic_trace(
-                artifact.model, artifact.solver, record_events=record_events
-            )
+            trace, _ = accelerator.run_symbolic_trace(artifact.model, artifact.solver)
             energy = accelerator.energy
             verdict = artifact.extras.get("verdict")
-            summary = ExecutionSummary(
+            return ExecutionSummary(
                 config=config,
                 result=1.0 if verdict is SolveResult.SAT else 0.0,
                 cycles=max(trace.cycles, 1),
@@ -151,14 +140,13 @@ class ReasonBackend(Backend):
                     ("conflicts", trace.conflicts),
                 ),
             )
-            return summary, trace.events if record_events else None
 
         hw = accelerator.run_program(
             artifact.program,
             default_leaf_inputs(artifact.program.dag),
             mode=PEMode.PROBABILISTIC,
         )
-        summary = ExecutionSummary(
+        return ExecutionSummary(
             config=config,
             result=hw.result,
             cycles=max(hw.cycles, 1),
@@ -168,7 +156,6 @@ class ReasonBackend(Backend):
             utilization=hw.utilization,
             extras=(("instructions", hw.instructions), ("stalls", hw.stalls)),
         )
-        return summary, None
 
     def _report(self, summary, kind, queries, executed):
         """Scale one run's summary to ``queries``.  Every report goes

@@ -136,24 +136,21 @@ class CompileCache:
     (``"shared"`` / ``"disk:<path>"``).  Without a store the cache
     behaves exactly like the original single-level LRU.
 
-    ``verifier`` attaches an optional publish-time check (e.g.
-    :func:`repro.analysis.artifact_verifier`): a callable invoked with
-    every *freshly compiled* artifact before it enters either cache
-    level.  A raising verifier keeps the bad artifact out of the cache
-    and the store entirely — hits never re-verify.
+    :meth:`get_or_compile` is the one way in: an artifact enters either
+    level only as the return value of a compile factory, so a factory
+    that raises (a failed compile, or the session's verify gate
+    rejecting its result) leaves both levels untouched.
     """
 
     def __init__(
         self,
         capacity: Optional[int] = None,
         store: Union[None, str, ArtifactStore] = None,
-        verifier: Optional[Callable[[CompiledArtifact], None]] = None,
     ):
         if capacity is not None and capacity <= 0:
             raise ValueError("cache capacity must be positive (or None)")
         self.capacity = capacity
         self.store = make_store(store)
-        self.verifier = verifier
         self._lock = threading.RLock()
         self._stats = CacheStats()
         self._entries: "OrderedDict[str, CompiledArtifact]" = OrderedDict()
@@ -193,28 +190,6 @@ class CompileCache:
             self._stats.local_hits += 1
             return artifact
 
-    def get(self, key: str) -> Optional[CompiledArtifact]:
-        """Two-level lookup: local LRU, then the shared store.
-
-        A shared hit is promoted into the local level (and counted in
-        ``stats.promotions``); a miss at both levels counts once in
-        ``stats.misses``.
-        """
-        artifact = self._local_get(key)
-        if artifact is not None:
-            return artifact
-        if self.store is not None:
-            artifact = self.store.get(key)
-            if artifact is not None:
-                with self._lock:
-                    self._stats.shared_hits += 1
-                    self._stats.promotions += 1
-                    self._insert(key, artifact)
-                return artifact
-        with self._lock:
-            self._stats.misses += 1
-        return None
-
     def peek(self, key: str) -> Optional[CompiledArtifact]:
         """Stats-neutral lookup: no hit/miss accounting, no LRU bump,
         no promotion.  Introspection paths (cost-feature extraction,
@@ -224,13 +199,6 @@ class CompileCache:
         if artifact is None and self.store is not None:
             artifact = self.store.get(key)
         return artifact
-
-    def put(self, key: str, artifact: CompiledArtifact, publish: bool = True) -> None:
-        """Insert locally and (unless ``publish=False``) into the store."""
-        with self._lock:
-            self._insert(key, artifact)
-        if publish and self.store is not None:
-            self.store.put(key, artifact)
 
     def get_or_compile(
         self, key: str, factory: Callable[[], CompiledArtifact]
@@ -243,8 +211,6 @@ class CompileCache:
         — they paid a wait, not a front end.  The factory runs outside
         the cache lock, so unrelated keys keep compiling in parallel.
         """
-        if self.verifier is not None:
-            factory = self._verified(factory)
         artifact = self._local_get(key)
         if artifact is not None:
             return artifact, True
@@ -273,18 +239,6 @@ class CompileCache:
                 self._stats.local_hits += 1
                 self._insert(key, artifact)
         return artifact, not compiled
-
-    def _verified(
-        self, factory: Callable[[], CompiledArtifact]
-    ) -> Callable[[], CompiledArtifact]:
-        """Wrap a compile factory with the publish-time verifier."""
-
-        def compile_and_verify() -> CompiledArtifact:
-            artifact = factory()
-            self.verifier(artifact)
-            return artifact
-
-        return compile_and_verify
 
     def _peek_local(self, key: str) -> Optional[CompiledArtifact]:
         with self._lock:

@@ -72,13 +72,15 @@ class ReasonSession:
         how the serving layer's resilience is exercised.  Zero overhead
         when None (the default): one attribute check per request.
     verify:
-        Run the static program verifier (:mod:`repro.analysis`) on
-        every cold compile and raise
-        :class:`~repro.analysis.verifier.ProgramVerificationError` on
-        any error finding.  Off by default; per-request
-        ``RunOptions(verify=...)`` overrides the session setting either
-        way.  Cold-path only — cache hits and the execute path never
-        see it — and excluded from the compile fingerprint.
+        Statically verify (:mod:`repro.analysis`) every cold compile
+        and raise :class:`~repro.analysis.ProgramVerificationError` on
+        any error finding.  Off by default; a per-request
+        ``run(kernel, verify=...)`` overrides the session setting
+        either way.  This is the stack's one verify gate: it runs
+        inside the compile-once factory, so an artifact it rejects
+        reaches neither the local LRU nor any shared store.  Cold-path
+        only — cache hits and the execute path never see it — and
+        excluded from the compile fingerprint.
     """
 
     def __init__(
@@ -203,10 +205,6 @@ class ReasonSession:
     # ------------------------------------------------------------ plumbing
 
     @property
-    def cache_enabled(self) -> bool:
-        return self._cache is not None
-
-    @property
     def store(self) -> Optional[ArtifactStore]:
         """The shared store behind the local cache level, if any."""
         return self._cache.store if self._cache is not None else None
@@ -215,10 +213,6 @@ class ReasonSession:
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction counters (zeros when caching is disabled)."""
         return self._cache.stats if self._cache is not None else CacheStats()
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache) if self._cache is not None else 0
 
     @property
     def prepare_calls(self) -> int:
@@ -299,9 +293,9 @@ class ReasonSession:
                 # Cold path only: hits and the execute path never pay
                 # for this, and the lazy import keeps repro.analysis
                 # out of sessions that never ask for it.
-                from repro.analysis import artifact_verifier
+                from repro.analysis import check_artifact
 
-                artifact_verifier(self.config)(artifact)
+                check_artifact(artifact, self.config)
             with self._lock:
                 self._prepare_calls += 1
             if self._m_compile is not None:
@@ -331,12 +325,14 @@ class ReasonSession:
         ``kernel`` may be a CNF formula, probabilistic circuit, HMM, or
         raw unified Dag — anything with a registered adapter.  Keyword
         options (``optimize``, ``calibration``, ``keep_fraction``,
-        ``hmm_observations``, ``record_events``) feed the front end;
-        see :class:`repro.api.adapters.RunOptions`.  ``trace=`` opts
+        ``hmm_observations``) feed the front end and ``verify=``
+        overrides the session's verify gate for this request; see
+        :class:`repro.api.adapters.RunOptions`.  ``trace=`` opts
         into the binary event trace (:mod:`repro.trace`): pass a path
         to capture the run's event stream to that file (summary in
         ``report.extras['trace']``) or ``True`` to capture in memory
-        (``report.extras['trace_data']``).
+        (``report.extras['trace_data']``, which
+        :func:`repro.trace.analyze.timeline` turns into cycle rows).
         """
         return self.run_prepared(
             kernel, RunOptions(**option_kwargs), backend=backend, queries=queries

@@ -119,20 +119,10 @@ class ArtifactStore(abc.ABC):
     class layers the compile-once guard on top.  Stores keep no
     hit/miss statistics — accounting is the job of the
     :class:`~repro.api.cache.CompileCache` level that owns the lookup.
-
-    ``verifier`` attaches an optional publish-time check (e.g.
-    :func:`repro.analysis.artifact_verifier`) run on every artifact a
-    :meth:`fetch_or_compile` factory produces, *before* it is
-    published.  A raising verifier keeps the bad artifact out of the
-    store — and therefore away from every shard serving from it.
     """
 
-    def __init__(
-        self,
-        verifier: Optional[Callable[[CompiledArtifact], None]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._once = _OnceGuard()
-        self.verifier = verifier
 
     @abc.abstractmethod
     def get(self, key: str) -> Optional[CompiledArtifact]:
@@ -169,27 +159,17 @@ class ArtifactStore(abc.ABC):
         Returns ``(artifact, compiled_here)``: concurrent callers for
         the same missing key serialize behind one factory run — the
         losers get ``compiled_here=False`` and the winner's artifact,
-        exactly as if the store had already held it.
+        exactly as if the store had already held it.  A factory that
+        raises publishes nothing.
         """
-        if self.verifier is not None:
-            verifier, inner = self.verifier, factory
-
-            def factory() -> CompiledArtifact:
-                artifact = inner()
-                verifier(artifact)
-                return artifact
-
         return self._once.run(key, self.get, factory, self.put)
 
 
 class SharedStore(ArtifactStore):
     """In-memory store shared by every cache (shard) in one process."""
 
-    def __init__(
-        self,
-        verifier: Optional[Callable[[CompiledArtifact], None]] = None,
-    ) -> None:
-        super().__init__(verifier=verifier)
+    def __init__(self) -> None:
+        super().__init__()
         self._lock = threading.Lock()
         self._entries: Dict[str, CompiledArtifact] = {}
 
@@ -241,12 +221,8 @@ class DiskStore(ArtifactStore):
 
     _SUFFIX = ".artifact.pkl"
 
-    def __init__(
-        self,
-        path: Union[str, os.PathLike],
-        verifier: Optional[Callable[[CompiledArtifact], None]] = None,
-    ) -> None:
-        super().__init__(verifier=verifier)
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
+        super().__init__()
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         # Unreadable entries degrade to misses by design — this counter

@@ -16,7 +16,7 @@ Two execution paths mirror the paper's two kernel families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.arch.bcp_fifo import BcpFifo
@@ -48,25 +48,12 @@ class ExecutionReport:
     def runtime_s(self) -> float:
         return self.cycles / DEFAULT_CONFIG.frequency_hz
 
-    def runtime_at(self, config: ArchConfig) -> float:
-        return self.cycles * config.cycle_time_s
-
-
-@dataclass
-class PipelineEvent:
-    """One row of the Fig. 9 style cycle timeline."""
-
-    cycle: int
-    unit: str  # "broadcast" | "reduction" | "fifo" | "wl" | "dma" | "control"
-    description: str
-
 
 @dataclass
 class SymbolicExecutionTrace:
     """Cycle-accurate account of a symbolic (CDCL) replay."""
 
     cycles: int = 0
-    events: List[PipelineEvent] = field(default_factory=list)
     decisions: int = 0
     implications: int = 0
     conflicts: int = 0
@@ -232,8 +219,6 @@ class ReasonAccelerator:
         self,
         formula: CNF,
         solver: Optional[CDCLSolver] = None,
-        record_events: bool = False,
-        max_events: int = 2000,
     ) -> Tuple[SymbolicExecutionTrace, "CDCLSolver"]:
         """Solve ``formula`` and replay the BCP trace on the hardware.
 
@@ -248,14 +233,12 @@ class ReasonAccelerator:
         elif not solver.record_trace:
             solver.record_trace = True
         solver.solve(formula)
-        return self._replay(formula, solver, record_events, max_events)
+        return self._replay(formula, solver)
 
     def _replay(
         self,
         formula: CNF,
         solver: "CDCLSolver",
-        record_events: bool,
-        max_events: int,
     ) -> Tuple[SymbolicExecutionTrace, "CDCLSolver"]:
         """Charge hardware costs for an already-recorded CDCL trace."""
         for pe in self.pes:
@@ -265,10 +248,6 @@ class ReasonAccelerator:
         trace = SymbolicExecutionTrace()
         tree_hops = int(broadcast_cycles(Topology.TREE, self.config.leaves_per_pe))
         cycle = 0
-
-        def log(unit: str, text: str) -> None:
-            if len(trace.events) < max_events:
-                trace.events.append(PipelineEvent(cycle, unit, text))
 
         # Hot loop: replay charges each event from its literal's cached
         # watch summary and accumulates bookkeeping in local counters,
@@ -309,8 +288,8 @@ class ReasonAccelerator:
 
         # Opt-in binary event trace.  When detached (`emit is None`, the
         # default) each branch pays exactly one local None check; the
-        # traced path records absolute replay cycles so offline tools
-        # can reconstruct the Fig. 9 timeline without max_events limits.
+        # traced path records absolute replay cycles, which is what
+        # repro.trace.analyze.timeline reads the Fig. 9 rows from.
         tw = self.trace
         emit = None if tw is None else tw.emit
         if emit is not None:
@@ -351,8 +330,6 @@ class ReasonAccelerator:
                     max_occupancy = occupancy
                 fifo_ops += 1
                 network_hops += 1
-                if record_events:
-                    log("reduction", f"imply literal {event.literal}")
                 # The queue is non-empty here, so the pop always yields.
                 popped = queue.popleft()
                 pops += 1
@@ -374,8 +351,6 @@ class ReasonAccelerator:
                     cycle += max(1, access - hidden)
                     if emit is not None:
                         emit(ev_dma, cycle, num_clauses * 4 + 4)
-                    if record_events:
-                        log("dma", "watch-list miss, DMA fetch in flight")
                 else:
                     cycle += access if pipelined else access * 2
                 logic_ops += max(num_clauses, 1)
@@ -392,8 +367,6 @@ class ReasonAccelerator:
                 cycle += tree_hops  # broadcast decision to leaves
                 network_hops += leaves_per_pe
                 control_events += 1
-                if record_events:
-                    log("broadcast", f"decide literal {event.literal}")
                 literal = -event.literal
                 state = lit_state.get(literal)
                 if state is None:
@@ -413,8 +386,6 @@ class ReasonAccelerator:
                         banks = lit_banks[literal] = summary_for(literal).bank_reads
                     for bank, count in banks:
                         emit(ev_bank, cycle, bank, count)
-                if record_events:
-                    log("wl", f"{num_clauses} watched clauses inspected")
             elif kind == "conflict":
                 conflicts += 1
                 cycle += tree_hops  # conflict propagates to the root
@@ -430,20 +401,14 @@ class ReasonAccelerator:
                 control_events += 2
                 if emit is not None:
                     emit(ev_conflict, cycle, dropped)
-                if record_events:
-                    log("control", f"conflict: flushed {dropped} pending implications")
             elif kind == "backjump":
                 cycle += 2  # trail unwinding bookkeeping on the scalar PE
                 if emit is not None:
                     emit(ev_backjump, cycle, event.level)
-                if record_events:
-                    log("control", f"backjump to level {event.level}")
             elif kind == "restart":
                 cycle += config.pipeline_stages
                 if emit is not None:
                     emit(ev_restart, cycle)
-                if record_events:
-                    log("control", "restart")
             elif kind == "learn":
                 # Annotation-only: a learned clause costs no modeled
                 # cycles or energy here (the conflict that produced it
@@ -544,15 +509,13 @@ class ReasonAccelerator:
         self,
         formula: CNF,
         solver: "CDCLSolver",
-        record_events: bool = False,
-        max_events: int = 2000,
     ) -> Tuple[SymbolicExecutionTrace, "CDCLSolver"]:
         """Replay an already-solved CDCL run (trace must be recorded)."""
         if not solver.trace and (
             solver.stats.decisions or solver.stats.propagations
         ):
             raise ValueError("solver was run without record_trace=True")
-        return self._replay(formula, solver, record_events, max_events)
+        return self._replay(formula, solver)
 
     # ------------------------------------------------------------- reports
 

@@ -167,8 +167,3 @@ class BenesNetwork:
             self._route(upper_perm),
             self._route(lower_perm),
         )
-
-
-def routing_cycles(network: BenesNetwork) -> int:
-    """Pipeline latency in cycles to traverse the network (one per stage)."""
-    return network.num_stages

@@ -181,9 +181,6 @@ class EnergyModel:
         total28 = sram + pes + crossbar + control + registers
         return total28 * _SCALING[node]["area"]
 
-    def scaled_power_w(self, cycles: int, node: TechNode) -> float:
-        return self.average_power_w(cycles) * _SCALING[node]["energy"]
-
 
 @dataclass(frozen=True)
 class EngineComparison:

@@ -134,19 +134,6 @@ class TreePE:
             raise ValueError("block did not produce a root value")
         return values[0]
 
-    def issue_cost_cycles(self, num_blocks: int, dependent: bool = False) -> int:
-        """Cycle cost of issuing ``num_blocks`` consecutive blocks.
-
-        Independent blocks stream at one per cycle after the pipeline
-        fills; fully dependent chains pay the pipeline depth each.
-        """
-        stages = self.config.pipeline_stages
-        if num_blocks <= 0:
-            return 0
-        if dependent:
-            return num_blocks * stages
-        return stages + (num_blocks - 1)
-
 
 def _apply_op(config: TreeNodeConfig, operands: List[float]) -> float:
     op = config.op

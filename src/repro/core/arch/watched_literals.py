@@ -107,11 +107,6 @@ class WatchedLiteralsUnit:
             # Clause storage: literals + one next pointer per watch.
             self._next_address += len(clause.literals) + len(watched)
 
-    @property
-    def sram_words(self) -> int:
-        """Words of SRAM the layout occupies (head table + records)."""
-        return len(self._head) + self._next_address
-
     def summary_for(self, literal: int) -> WatchSummary:
         """The (cached) traversal outcome for ``literal`` becoming false.
 

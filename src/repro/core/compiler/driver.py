@@ -27,22 +27,6 @@ class CompileStats:
     def cycles(self) -> int:
         return self.schedule.cycles
 
-    def cost_features(self) -> dict:
-        """Flat feature dict for the cost-model subsystem
-        (:mod:`repro.costmodel`): everything the schedule knows that
-        correlates with replay latency on the accelerator."""
-        return {
-            "num_blocks": self.num_blocks,
-            "mean_block_ops": self.mean_block_ops,
-            "bank_conflicts_static": self.bank_conflicts_static,
-            "cycles": self.schedule.cycles,
-            "nops": self.schedule.nops,
-            "stalls_bank_conflict": self.schedule.stalls_bank_conflict,
-            "spills": self.schedule.spills,
-            "reloads": self.schedule.reloads,
-            "issue_efficiency": self.schedule.issue_efficiency,
-        }
-
 
 def compile_dag(
     dag: Dag,

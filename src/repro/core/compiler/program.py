@@ -69,9 +69,6 @@ class VLIWInstruction:
     def is_compute(self) -> bool:
         return self.kind is InstructionKind.COMPUTE
 
-    def read_banks(self) -> List[int]:
-        return [bank for bank, _ in self.reads]
-
 
 @dataclass
 class Program:

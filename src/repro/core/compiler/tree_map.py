@@ -106,8 +106,3 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
     placement.configs = [config for config in by_position if config is not None]
     placement.utilization = active / num_positions
     return placement
-
-
-def placement_weights(placement: TreePlacement) -> Dict[int, Tuple[float, ...]]:
-    """Position → SUM child-weight map (for the execution model)."""
-    return {c.position: c.child_weights for c in placement.configs}

@@ -34,14 +34,6 @@ class OpType(enum.Enum):
     # Generic named input (used by HMM unrolling for observations)
     INPUT = "input"
 
-    @property
-    def is_logic(self) -> bool:
-        return self in (OpType.LITERAL, OpType.OR, OpType.AND, OpType.NOT)
-
-    @property
-    def is_probabilistic(self) -> bool:
-        return self in (OpType.LEAF, OpType.SUM, OpType.PRODUCT)
-
 
 @dataclass
 class DagNode:
@@ -189,10 +181,6 @@ class Dag:
     @property
     def num_edges(self) -> int:
         return sum(len(n.children) for n in self._nodes.values())
-
-    def reachable_size(self) -> int:
-        """Nodes reachable from the root (live size after pruning)."""
-        return len(self.topological_order())
 
     def depth(self) -> int:
         """Longest path (in edges) from any leaf to the root."""

@@ -24,7 +24,7 @@ policies.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.baselines.device import DeviceModel, device_named
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
@@ -72,10 +72,6 @@ class CostEstimator:
     def features_for(self, fingerprint: str) -> Optional[CostFeatures]:
         with self._lock:
             return self._features.get(fingerprint)
-
-    def known_fingerprints(self) -> List[str]:
-        with self._lock:
-            return sorted(self._features)
 
     def _device_for(self, backend: str) -> Optional[DeviceModel]:
         """Resolve the device model behind an analytic backend name.

@@ -13,7 +13,7 @@ usable from the compiler side without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.baselines.device import KernelClass, KernelProfile
@@ -28,9 +28,7 @@ class CostFeatures:
     ``trace_ops`` is the recorded solver's clause-fetch count (0 for
     DAG kernels).  ``flops`` / ``bytes_accessed`` / ``launches`` come
     from the artifact's :class:`KernelProfile` and drive the analytic
-    device backends.  ``schedule_features`` is the compiler's full flat
-    feature dict (:meth:`CompileStats.cost_features`: NOPs, stalls,
-    spills, issue efficiency) kept for richer future models.
+    device backends.
     """
 
     kind: str
@@ -43,7 +41,6 @@ class CostFeatures:
     schedule_cycles: int
     trace_ops: int
     compile_s: float
-    schedule_features: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def operational_intensity(self) -> float:
@@ -70,13 +67,8 @@ class CostFeatures:
             profile.kernel_class if profile is not None else KernelClass.LOGIC
         )
         schedule_cycles = 0
-        schedule_features: Mapping[str, float] = {}
         if artifact.compile_stats is not None:
-            stats = artifact.compile_stats
-            extract = getattr(stats, "cost_features", None)
-            if callable(extract):  # duck-typed stats may omit the dict
-                schedule_features = extract()
-            schedule_cycles = int(stats.cycles)
+            schedule_cycles = int(artifact.compile_stats.cycles)
         trace_ops = 0
         if artifact.solver is not None:
             trace_ops = int(getattr(artifact.solver.stats, "clause_fetches", 0))
@@ -99,7 +91,6 @@ class CostFeatures:
             schedule_cycles=schedule_cycles,
             trace_ops=trace_ops,
             compile_s=float(artifact.compile_s),
-            schedule_features=schedule_features,
         )
 
 

@@ -154,15 +154,6 @@ class DPLLSolver:
             return float(formula.num_literals)
         return float(formula.num_literals - reduced.num_literals)
 
-    def lookahead_scores(self, formula: CNF) -> Dict[int, float]:
-        """Public lookahead ranking used by cube-and-conquer splitting."""
-        scores: Dict[int, float] = {}
-        for variable in sorted(formula.variables()):
-            pos = self._propagation_gain(formula, variable)
-            negv = self._propagation_gain(formula, -variable)
-            scores[variable] = pos * negv + pos + negv
-        return scores
-
 
 class BudgetExceeded(RuntimeError):
     """Raised when the solver exhausts its decision budget."""

@@ -8,43 +8,13 @@ symbolic kernels on a device cost model and reports the split
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import List, Optional
 
 import numpy as np
 
 from repro.baselines.device import DeviceModel
 from repro.workloads.base import NeuroSymbolicWorkload
-
-T = TypeVar("T")
-
-
-def profile_hotpath(
-    fn: Callable[[], T],
-    top: int = 25,
-    sort: str = "cumulative",
-) -> Tuple[T, str]:
-    """Run ``fn`` under cProfile and render the hottest functions.
-
-    The flame view for perf work: returns ``(fn's result, report)``
-    where the report is the top-``top`` rows sorted by ``sort``
-    (``"cumulative"`` or ``"tottime"``).  cProfile taxes every Python
-    call but not native code, so use the view to find candidates and
-    ``python3 -m bench run`` (profiling off) to measure them.
-    """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = fn()
-    finally:
-        profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats(sort).print_stats(top)
-    return result, buffer.getvalue()
 
 
 @dataclass

@@ -8,8 +8,9 @@ event streams the execution layer otherwise aggregates away.
 * :class:`TraceReader` — streaming decoder with kind/cycle-window/unit
   filtered queries that never materialize the stream;
 * :mod:`repro.trace.analyze` — per-phase cycle breakdowns, bank/PE
-  heatmaps, event-cycle histograms, and exact cross-validation of a
-  trace against its :class:`~repro.api.types.ExecutionReport`;
+  heatmaps, event-cycle histograms, the Fig. 9 cycle
+  :func:`~repro.trace.analyze.timeline`, and exact cross-validation of
+  a trace against its :class:`~repro.api.types.ExecutionReport`;
 * ``python -m repro.trace`` — the offline CLI over all of the above.
 
 Capture plumbs through the API layer: ``session.run(kernel,
@@ -39,6 +40,7 @@ from repro.trace.analyze import (
     cross_validate,
     cycle_histogram,
     phase_breakdown,
+    timeline,
     trace_artifact_path,
 )
 
@@ -58,6 +60,7 @@ __all__ = [
     "cross_validate",
     "cycle_histogram",
     "phase_breakdown",
+    "timeline",
     "trace_artifact_path",
     "EVENT_SCHEMA",
     "MAGIC",

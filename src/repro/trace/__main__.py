@@ -32,6 +32,7 @@ from repro.trace.analyze import (
     bank_heatmap,
     cross_validate,
     cycle_histogram,
+    describe_record,
     diff_traces,
     phase_breakdown,
 )
@@ -120,10 +121,7 @@ def _print_dump(args) -> int:
     reader = TraceReader(args.trace)
     printed = 0
     for record in reader.events(kinds=kinds, start_cycle=args.start, end_cycle=args.end):
-        print(
-            f"{record.cycle:>12}  {record.kind.name:<14} "
-            f"value={record.value} extra={record.extra}"
-        )
+        print(f"{record.cycle:>12}  {describe_record(record)}")
         printed += 1
         if args.limit is not None and printed >= args.limit:
             print(f"... stopped after {args.limit} records")

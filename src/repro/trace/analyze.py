@@ -17,14 +17,16 @@ billions of events.
   :class:`~repro.api.types.ExecutionReport`'s counters *exactly*;
 * :func:`diff_traces` — regression hunting: align two traces of the
   same kernel event-by-event and report per-kind count deltas,
-  per-phase cycle deltas and the first diverging event.
+  per-phase cycle deltas and the first diverging event;
+* :func:`timeline` — the Fig. 9 view: one ``(cycle, unit,
+  description)`` row per record, for logic and program kernels alike.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.trace.format import (
     INSTRUCTION_KINDS,
@@ -99,10 +101,6 @@ class BankHeatmap:
     ops_by_bank: Dict[int, int] = field(default_factory=dict)
     compute_by_pe: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def hottest_bank(self) -> Optional[int]:
-        return max(self.words_by_bank, key=self.words_by_bank.get) if self.words_by_bank else None
-
     def imbalance(self) -> float:
         """Max/mean words ratio across banks (1.0 = perfectly even)."""
         if not self.words_by_bank:
@@ -144,13 +142,6 @@ class CycleHistogram:
     counts: List[int]
     total: int
     last_cycle: int
-
-    def peak_bucket(self) -> Tuple[int, int]:
-        """(bucket index, count) of the densest bucket."""
-        if not self.counts:
-            return (0, 0)
-        index = max(range(len(self.counts)), key=self.counts.__getitem__)
-        return index, self.counts[index]
 
 
 def cycle_histogram(
@@ -357,11 +348,14 @@ class _DiffSide:
             )
 
 
-def _describe_record(record) -> str:
-    return (
-        f"cycle={record.cycle} {record.kind.name} "
-        f"value={record.value} extra={record.extra}"
-    )
+def describe_record(record) -> str:
+    """One record's kind and operands (their meaning per kind is
+    documented on :class:`~repro.trace.format.EventKind`)."""
+    return f"{record.kind.name} value={record.value} extra={record.extra}"
+
+
+def _at_cycle(record) -> str:
+    return f"cycle={record.cycle} {describe_record(record)}"
 
 
 def diff_traces(before, after) -> TraceDiff:
@@ -392,8 +386,8 @@ def diff_traces(before, after) -> TraceDiff:
             ):
                 divergence = TraceDivergence(
                     index=index,
-                    before=None if rec_a is None else _describe_record(rec_a),
-                    after=None if rec_b is None else _describe_record(rec_b),
+                    before=None if rec_a is None else _at_cycle(rec_a),
+                    after=None if rec_b is None else _at_cycle(rec_b),
                 )
     kind_deltas = [
         TraceDelta(name, side_a.counts.get(name, 0), side_b.counts.get(name, 0))
@@ -416,6 +410,33 @@ def diff_traces(before, after) -> TraceDiff:
         phase_deltas=phase_deltas,
         divergence=divergence,
     )
+
+
+# ------------------------------------------------------------- timeline
+
+#: The pipeline unit (Fig. 9's rows) an event kind occupies; kinds not
+#: listed — conflict, learn, backjump, restart, NOP, phase markers —
+#: belong to the scalar control path.
+_UNITS: Dict[EventKind, str] = {
+    EventKind.DECIDE: "broadcast",
+    EventKind.PROPAGATE: "reduction",
+    EventKind.WATCH_UPDATE: "wl",
+    EventKind.BANK_READ: "sram",
+    EventKind.DMA_FETCH: "dma",
+    EventKind.COMPUTE: "pe",
+    EventKind.PE_BLOCK: "pe",
+    **dict.fromkeys(_MEMORY_OP_KINDS, "regfile"),
+}
+
+
+def timeline(source) -> Iterator[Tuple[int, str, str]]:
+    """The run as Fig. 9 draws it: one ``(cycle, unit, description)``
+    row per record, streamed in trace order.  Works on any trace — a
+    CDCL replay shows decisions broadcasting, implications returning
+    through the reduction tree, watch-list walks, DMA fetches and
+    conflict flushes; a VLIW program shows its issue stream."""
+    for record in _reader(source):
+        yield record.cycle, _UNITS.get(record.kind, "control"), describe_record(record)
 
 
 def trace_artifact_path(

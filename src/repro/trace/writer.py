@@ -190,11 +190,6 @@ class TraceWriter:
         return self._events
 
     @property
-    def bytes_written(self) -> int:
-        """Stream bytes so far (header + records; footer only after close)."""
-        return self._flushed + len(self._buf)
-
-    @property
     def last_cycle(self) -> int:
         return self._last_cycle
 

@@ -7,7 +7,7 @@ symbolic/probabilistic stage executed on this repository's substrates:
 * :class:`AlphaGeometryWorkload` — math theorem proving: LLM proposal +
   forward-chaining deduction + SAT certificates (IMO / MiniF2F tasks);
 * :class:`R2GuardWorkload` — safety classification: LLM features + PC
-  rule circuit + HMM smoothing (TwinSafety / XSTest);
+  rule circuit (TwinSafety / XSTest);
 * :class:`GeLaToWorkload` — constrained generation: HMM × DFA product
   decoding (CommonGen / News);
 * :class:`CtrlGWorkload` — interactive text infilling under constraints

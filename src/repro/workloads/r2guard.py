@@ -3,9 +3,8 @@
 
 The neural stage scores unsafety categories; the probabilistic stage is
 a PC over category variables and the safety label, learned with EM from
-rule-generated data, queried as P(unsafe | categories).  An HMM smooths
-verdicts across dialogue turns.  Flow pruning of the PC is the Table IV
-experiment for this workload.
+rule-generated data, queried as P(unsafe | categories).  Flow pruning
+of the PC is the Table IV experiment for this workload.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.baselines.device import KernelClass, KernelProfile
-from repro.hmm.model import HMM
 from repro.pc.circuit import Circuit
 from repro.pc.inference import conditional, expected_flops
 from repro.pc.learn import fit_em, random_circuit
@@ -106,14 +104,6 @@ class R2GuardWorkload(NeuroSymbolicWorkload):
     def reason_kernel(self, instance: TaskInstance) -> Circuit:
         train, _ = instance.payload
         return self._build_circuit(instance.task, instance.seed % 3, train)
-
-    def smoothing_hmm(self, seed: int = 0) -> HMM:
-        """Dialogue-turn smoothing: 2 hidden states (safe/unsafe run)."""
-        return HMM(
-            initial=[0.8, 0.2],
-            transition=[[0.9, 0.1], [0.3, 0.7]],
-            emission=[[0.85, 0.15], [0.25, 0.75]],
-        )
 
     def symbolic_profiles(self, instance: TaskInstance) -> List[KernelProfile]:
         train, test = instance.payload

@@ -1,30 +1,35 @@
-"""The opt-in verification hooks: ``ReasonSession(verify=True)``,
-``RunOptions(verify=...)``, and the publish-time ``verifier=`` gates on
-:class:`CompileCache` / :class:`ArtifactStore`."""
+"""The opt-in verification gate: ``ReasonSession(verify=True)`` and the
+per-request ``verify=`` override.  It is the stack's only gate, so the
+rejection tests show it keeping a bad compile out of every cache level
+and from behind every front door (session and service)."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro import ReasonSession, SharedStore
-from repro.analysis import ProgramVerificationError, artifact_verifier
+from repro import DiskStore, ReasonService, ReasonSession, SharedStore
+from repro.analysis import ProgramVerificationError
 from repro.analysis.mutations import apply_mutation
+from repro.api import adapters
 from repro.api.adapters import RunOptions, adapter_for
-from repro.api.cache import CompileCache
 from repro.pc.learn import random_circuit
-
-from tests.conftest import TINY_REGFILE
 
 
 def _kernel(seed=13):
     return random_circuit(8, depth=3, sum_children=3, seed=seed)
 
 
-class _FakeArtifact:
-    """Just enough of a CompiledArtifact for the cache/store gates."""
+def _plant(monkeypatch, mutation):
+    """Make the adapters' compile step emit ``mutation``'s planted bug
+    (until ``monkeypatch`` is undone)."""
+    compile_dag = adapters.compile_dag
 
-    def __init__(self, program):
-        self.program = program
-        self.key = ""
-        self.compile_stats = None
+    def buggy_compile_dag(dag, config):
+        program, stats = compile_dag(dag, config)
+        mutant, schedule = apply_mutation(mutation, program, stats.schedule)
+        return mutant, replace(stats, schedule=schedule)
+
+    monkeypatch.setattr(adapters, "compile_dag", buggy_compile_dag)
 
 
 # ----------------------------------------------------------- session hook
@@ -68,31 +73,49 @@ def test_verify_runs_on_the_cold_path_only(tiny_regfile):
     assert session.prepare_calls == 1  # hit — the factory never ran
 
 
-# ----------------------------------------------------- cache/store gates
+# ------------------------------------------------------------- rejection
 
 
-def test_cache_verifier_keeps_bad_artifacts_out(
-    overflow_schedule, tiny_regfile
+@pytest.mark.parametrize("mutation", ["stale-reload", "drop-spill"])
+@pytest.mark.parametrize("level", ["local", "shared", "disk"])
+def test_session_gate_keeps_a_bad_compile_out_of_every_level(
+    mutation, level, monkeypatch, tmp_path, tiny_regfile
 ):
-    program, stats = overflow_schedule
-    mutant, _ = apply_mutation("stale-reload", program, stats.schedule)
-    cache = CompileCache(verifier=artifact_verifier(tiny_regfile))
-    with pytest.raises(ProgramVerificationError):
-        cache.get_or_compile("bad", lambda: _FakeArtifact(mutant))
-    assert "bad" not in cache
+    store = {"local": None, "shared": SharedStore(), "disk": DiskStore(tmp_path)}[level]
+    session = ReasonSession(config=tiny_regfile, store=store, verify=True)
+    kernel = _kernel()
+    key = adapter_for(kernel).fingerprint(kernel, RunOptions(), tiny_regfile)
+    with monkeypatch.context() as patch:
+        _plant(patch, mutation)
+        with pytest.raises(ProgramVerificationError):
+            session.run(kernel)
+    assert session.artifact_for(key) is None  # neither the LRU nor the store
+    assert store is None or len(store) == 0
+    assert session.executions == 0
     # The same key still accepts a good compile afterwards.
-    artifact, hit = cache.get_or_compile(
-        "bad", lambda: _FakeArtifact(program)
-    )
-    assert not hit and artifact.program is program
+    report = session.run(kernel)
+    assert not report.cache_hit
+    assert session.artifact_for(key) is not None
+    assert store is None or key in store
 
 
-def test_store_verifier_gates_publishes(overflow_schedule, tiny_regfile):
-    program, stats = overflow_schedule
-    mutant, _ = apply_mutation("drop-spill", program, stats.schedule)
-    store = SharedStore(verifier=artifact_verifier(tiny_regfile))
-    with pytest.raises(ProgramVerificationError):
-        store.fetch_or_compile("k", lambda: _FakeArtifact(mutant))
-    assert len(store) == 0
-    store.fetch_or_compile("k", lambda: _FakeArtifact(program))
-    assert "k" in store
+def test_service_gate_rejects_behind_the_resilient_store(monkeypatch, tiny_regfile):
+    """The service wraps its store in ``ResilientStore``, whose own
+    ``fetch_or_compile`` a store-level gate never saw; the session's
+    gate sits inside the compile factory, so it fires here too."""
+    kernel = _kernel()
+    _plant(monkeypatch, "stale-reload")
+    with ReasonService(shards=2, store="shared", config=tiny_regfile) as service:
+        future = service.submit(kernel, verify=True)
+        with pytest.raises(ProgramVerificationError):
+            future.result(timeout=60)
+        service.drain(timeout=60)
+        stats = service.stats()
+        assert stats.retries == 0  # a rejected program is not transient
+        assert len(service.store) == 0
+        assert stats.failed == 1
+        assert stats.submitted == stats.completed + stats.failed + stats.cancelled
+        # Unverified, the same mutant is served and published: the gate,
+        # not the compile, is what kept it out.
+        service.submit(kernel).result(timeout=60)
+        assert len(service.store) == 1

@@ -66,6 +66,68 @@ def test_hmm_kernel_verifies_clean_under_pressure():
     assert report.findings == []
 
 
+#: Mid-pressure point between "never spills" and "always spills".
+MID_REGFILE = dataclasses.replace(
+    DEFAULT_CONFIG, num_banks=4, regs_per_bank=6, num_pes=2
+)
+_PRESSURES = {
+    "default": DEFAULT_CONFIG,
+    "mid-regfile": MID_REGFILE,
+    "tiny-regfile": TINY_REGFILE,
+}
+
+
+def _circuit_dag(num_vars, depth, sum_children, seed):
+    circuit = random_circuit(num_vars, depth=depth, sum_children=sum_children, seed=seed)
+    return circuit_to_dag(circuit)[0]
+
+
+_KERNELS = {
+    "overflow": lambda: _circuit_dag(8, 3, 3, seed=13),
+    "hmm": lambda: hmm_to_dag(HMM.random(6, 4, seed=1), [0, 1, 2, 3]),
+    **{
+        f"circuit-s{seed}": (lambda seed=seed: _circuit_dag(6, 2, 2, seed=seed))
+        for seed in range(8)
+    },
+}
+#: Every kernel family the compiler emits today across spill-pressure
+#: settings: 28 (kernel, register file) pairs.
+CORPUS = [
+    ("overflow", "tiny-regfile"),
+    ("overflow", "default"),
+    ("hmm", "default"),
+    ("hmm", "tiny-regfile"),
+] + [(f"circuit-s{seed}", pressure) for seed in range(8) for pressure in _PRESSURES]
+
+
+def _execution_findings(program, config):
+    """Run ``program`` for real and compare it with the verifier's
+    static prediction of energy events, stalls and the cycle bound."""
+    accelerator = ReasonAccelerator(config)
+    before = {e: getattr(accelerator.energy, e) for e in EVENT_NAMES}
+    execution = accelerator.run_program(program, default_leaf_inputs(program.dag))
+    delta = {e: getattr(accelerator.energy, e) - before[e] for e in EVENT_NAMES}
+    report = verify_execution(
+        program,
+        execution,
+        config,
+        energy_delta={e: delta[e] for e in expected_energy_events(program)},
+    )
+    return [f.describe() for f in report.findings]
+
+
+@pytest.mark.parametrize("kernel, pressure", CORPUS)
+def test_corpus_verifies_clean_and_execution_agrees(kernel, pressure):
+    """Soundness: zero findings, schedule stats included, on everything
+    the compiler emits — and the static prediction equals a real
+    ``run_program`` exactly."""
+    config = _PRESSURES[pressure]
+    program, stats = compile_dag(_KERNELS[kernel](), config)
+    report = verify_program(program, config, stats=stats.schedule)
+    assert report.findings == [], [f.describe() for f in report.findings]
+    assert _execution_findings(program, config) == []
+
+
 def test_verify_without_stats_skips_stats_checks(overflow_schedule, tiny_regfile):
     program, _ = overflow_schedule
     report = verify_program(program, tiny_regfile)
@@ -205,18 +267,7 @@ def test_static_energy_prediction_matches_execution(
     overflow_schedule, tiny_regfile
 ):
     program, _ = overflow_schedule
-    accelerator = ReasonAccelerator(tiny_regfile)
-    before = {e: getattr(accelerator.energy, e) for e in EVENT_NAMES}
-    execution = accelerator.run_program(program, default_leaf_inputs(program.dag))
-    delta = {e: getattr(accelerator.energy, e) - before[e] for e in EVENT_NAMES}
-    expected = expected_energy_events(program)
-    report = verify_execution(
-        program,
-        execution,
-        tiny_regfile,
-        energy_delta={e: delta[e] for e in expected},
-    )
-    assert report.findings == [], [f.describe() for f in report.findings]
+    assert _execution_findings(program, tiny_regfile) == []
 
 
 def test_execution_mismatch_is_flagged(overflow_schedule, tiny_regfile):

@@ -15,21 +15,28 @@ def _artifact(key: str) -> CompiledArtifact:
     return CompiledArtifact(kind="cnf", key=key, kernel=None)
 
 
+def _serve(cache: CompileCache, key: str):
+    """One request through the cache's only entry point; a miss seeds
+    the entry.  Returns ``(artifact, cache_hit)``."""
+    return cache.get_or_compile(key, lambda: _artifact(key))
+
+
 class TestCompileCache:
     def test_miss_then_hit(self):
         cache = CompileCache()
-        assert cache.get("k") is None
-        cache.put("k", _artifact("k"))
-        assert cache.get("k") is not None
+        first, hit = _serve(cache, "k")
+        assert not hit
+        again, hit = _serve(cache, "k")
+        assert hit and again is first
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_lru_eviction(self):
         cache = CompileCache(capacity=2)
-        cache.put("a", _artifact("a"))
-        cache.put("b", _artifact("b"))
-        cache.get("a")  # refresh a; b becomes LRU
-        cache.put("c", _artifact("c"))
+        _serve(cache, "a")
+        _serve(cache, "b")
+        _serve(cache, "a")  # refresh a; b becomes LRU
+        _serve(cache, "c")
         assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.stats.evictions == 1
 
@@ -63,10 +70,9 @@ class TestCompileCache:
 
     def test_stats_snapshot_is_stable(self):
         cache = CompileCache()
-        cache.get("missing")
+        _serve(cache, "k")
         snapshot = cache.stats
-        cache.put("k", _artifact("k"))
-        cache.get("k")
+        _serve(cache, "k")
         assert snapshot.misses == 1 and snapshot.hits == 0  # unchanged copy
         assert cache.stats.hits == 1
 
@@ -84,8 +90,7 @@ class TestThreadSafety:
             try:
                 for step in range(lookups_per_thread):
                     key = keys[(seed * 7 + step) % len(keys)]
-                    if cache.get(key) is None:
-                        cache.put(key, _artifact(key))
+                    _serve(cache, key)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

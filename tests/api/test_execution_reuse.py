@@ -18,7 +18,7 @@ from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.metrics.spans import RequestSpan
 from repro.pc.learn import random_circuit, sample_dataset
-from repro.trace import TraceWriter, cross_validate, read_trace
+from repro.trace import TraceWriter, cross_validate, read_trace, timeline
 
 #: How a report was delivered, not what it says.
 DELIVERY = ("cache_hit", "executed", "compile_s")
@@ -71,7 +71,7 @@ def test_queries_only_scale_the_stored_run():
 
 
 class TestObservedRunsStillExecute:
-    """``trace=`` and ``record_events`` after a summarised run."""
+    """``trace=`` (and the timeline read from it) after a summarised run."""
 
     @pytest.fixture()
     def warmed(self):
@@ -112,15 +112,16 @@ class TestObservedRunsStillExecute:
 
     def test_record_events(self, warmed):
         session, kernel, plain = warmed
-        cold = ReasonSession(cache=False).run(kernel, record_events=True)
-        observed = session.run(kernel, record_events=True)
+        cold = ReasonSession(cache=False).run(kernel, trace=True)
+        observed = session.run(kernel, trace=True)
         assert observed.executed
         assert observed.identity() == plain.identity()
-        assert observed.extras["events"]
-        assert observed.extras["events"] == cold.extras["events"]
+        events = list(timeline(observed.extras["trace_data"]))
+        assert events
+        assert events == list(timeline(cold.extras["trace_data"]))
         # ... and the plain request after it is still a report only.
         after = session.run(kernel)
-        assert not after.executed and "events" not in after.extras
+        assert not after.executed and "trace_data" not in after.extras
 
     def test_program_kernel_trace(self):
         kernel, options = KERNELS["circuit"]

@@ -8,6 +8,7 @@ from repro import BatchResult, ReasonSession
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
+from repro.trace import timeline
 
 
 class TestRun:
@@ -26,10 +27,11 @@ class TestRun:
 
     def test_record_events_surfaces_timeline(self):
         report = ReasonSession().run(
-            random_ksat(10, 30, seed=2), backend="reason", record_events=True
+            random_ksat(10, 30, seed=2), backend="reason", trace=True
         )
-        events = report.extras["events"]
-        assert events and all(hasattr(e, "unit") for e in events)
+        events = list(timeline(report.extras["trace_data"]))
+        assert events and all(unit for _, unit, _ in events)
+        assert events[-1][0] == report.cycles  # RUN_END closes the timeline
 
     def test_scaled_report(self):
         report = ReasonSession().run(random_ksat(10, 30, seed=3))

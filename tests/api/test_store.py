@@ -29,6 +29,21 @@ def _artifact(key: str) -> CompiledArtifact:
     return CompiledArtifact(kind="cnf", key=key, kernel=None)
 
 
+def _serve(cache: CompileCache, key: str):
+    """One request through the cache's only entry point; a miss at both
+    levels compiles ``_artifact(key)`` and publishes it.  Returns
+    ``(artifact, cache_hit)``."""
+    return cache.get_or_compile(key, lambda: _artifact(key))
+
+
+def _must_hit(cache: CompileCache, key: str) -> CompiledArtifact:
+    artifact, hit = cache.get_or_compile(
+        key, lambda: pytest.fail(f"{key!r} must not recompile")
+    )
+    assert hit
+    return artifact
+
+
 class TestSharedStore:
     def test_put_get_contains_len_keys_clear(self):
         store = SharedStore()
@@ -175,12 +190,11 @@ class TestTwoLevelCache:
         store.put("k", _artifact("k"))
         cache = CompileCache(store=store)
         assert "k" not in cache  # local level empty
-        artifact = cache.get("k")
-        assert artifact is not None
+        _must_hit(cache, "k")
         assert "k" in cache  # promoted
         stats = cache.stats
         assert stats.shared_hits == 1 and stats.promotions == 1
-        cache.get("k")
+        _must_hit(cache, "k")
         assert cache.stats.local_hits == 1  # second lookup served locally
 
     def test_lru_eviction_recovers_via_repromotion(self):
@@ -190,24 +204,22 @@ class TestTwoLevelCache:
         store = SharedStore()
         cache = CompileCache(capacity=2, store=store)
         for key in ("a", "b", "c"):  # "a" falls out of the LRU
-            cache.put(key, _artifact(key))
+            _serve(cache, key)
         assert "a" not in cache and len(cache) == 2
         assert cache.stats.evictions == 1
-        artifact = cache.get("a")
-        assert artifact is not None and artifact.key == "a"
+        assert _must_hit(cache, "a").key == "a"
         stats = cache.stats
         assert stats.shared_hits == 1 and stats.promotions == 1
-        assert stats.misses == 0
+        assert stats.misses == 3  # the three seeding compiles, no fourth
 
     def test_per_level_stats_arithmetic(self):
         store = SharedStore()
         cache = CompileCache(store=store)
-        cache.get("missing")  # miss at both levels
-        cache.put("k", _artifact("k"))
-        cache.get("k")  # local hit
+        _serve(cache, "k")  # miss at both levels
+        _must_hit(cache, "k")  # local hit
         store.put("s", _artifact("s"))
-        cache.get("s")  # shared hit + promotion
-        cache.get("s")  # local hit after promotion
+        _must_hit(cache, "s")  # shared hit + promotion
+        _must_hit(cache, "s")  # local hit after promotion
         stats = cache.stats
         assert stats.local_hits == 2
         assert stats.shared_hits == 1
@@ -236,11 +248,12 @@ class TestTwoLevelCache:
     def test_clear_drops_local_level_only(self):
         store = SharedStore()
         cache = CompileCache(store=store)
-        cache.put("k", _artifact("k"))
+        _serve(cache, "k")
         cache.clear()
         assert len(cache) == 0
         assert "k" in store
-        assert cache.get("k") is not None  # re-promoted
+        _must_hit(cache, "k")  # re-promoted
+        assert cache.stats.promotions == 1
 
     def test_concurrent_sessions_over_one_store_compile_once(self):
         """Four 'shards' (sessions sharing a store) racing on the same

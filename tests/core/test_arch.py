@@ -27,6 +27,7 @@ from repro.core.arch.memory import DmaEngine, Scratchpad, SramBanks
 from repro.logic.cdcl import CDCLSolver
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import pigeonhole, random_ksat
+from repro.trace import TraceWriter, timeline
 
 
 class TestConfig:
@@ -325,9 +326,11 @@ class TestSymbolicReplay:
     def test_events_recorded_when_requested(self):
         formula = random_ksat(15, 60, seed=3)
         accelerator = ReasonAccelerator()
-        trace, _ = accelerator.run_symbolic(formula, record_events=True)
-        assert trace.events
-        units = {e.unit for e in trace.events}
+        writer = TraceWriter()
+        accelerator.attach_trace(writer)
+        accelerator.run_symbolic(formula)
+        writer.close()
+        units = {unit for _, unit, _ in timeline(writer.getvalue())}
         assert "broadcast" in units
 
     def test_flat_layout_ablation_costs_more_cycles(self):
