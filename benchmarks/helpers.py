@@ -24,7 +24,6 @@ Calibration model (see EXPERIMENTS.md for the full discussion):
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -40,9 +39,8 @@ from repro.baselines.device import (
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
-from repro.logic.generators import pigeonhole, random_ksat
 from repro.pc.circuit import Circuit
-from repro.pc.learn import random_circuit, sample_dataset
+from repro.pc.learn import sample_dataset
 from repro.workloads import all_workloads
 from repro.workloads.base import NeuroSymbolicWorkload, TaskInstance
 
@@ -227,50 +225,6 @@ def device_energy_j(device: DeviceModel, entry: TaskEndToEnd) -> float:
     neural_power = device.idle_w + (device.tdp_w - device.idle_w) * 0.9
     symbolic_power = device.idle_w + (device.tdp_w - device.idle_w) * 0.45
     return neural_power * neural_s + symbolic_power * symbolic_s
-
-
-def build_trace(tiny: bool = False) -> List[Tuple[str, object, dict]]:
-    """Deterministic mixed cold trace: (name, kernel, run options).
-
-    The kernels ``bench_metrics`` times its overhead on, and the ones
-    ``tests/api/test_report_identity.py`` pins report digests for — so
-    changing a kernel here means re-recording those digests.
-    """
-    if tiny:
-        circuit = random_circuit(6, depth=2, sum_children=2, seed=3)
-        hmm = HMM.random(6, 5, seed=1)
-        return [
-            ("cnf/ksat-40", random_ksat(40, 160, seed=7), {}),
-            (
-                "circuit/rand-6",
-                circuit,
-                {"calibration": sample_dataset(circuit, 8, seed=5)},
-            ),
-            ("hmm/rand-6", hmm, {"hmm_observations": [0, 1, 2, 3, 4, 0, 1, 2]}),
-        ]
-    circuit_a = random_circuit(10, depth=3, sum_children=3, seed=3)
-    circuit_b = random_circuit(12, depth=3, sum_children=3, seed=9)
-    hmm_a = HMM.random(10, 8, seed=1)
-    hmm_b = HMM.random(12, 6, seed=2)
-    hmm_calibration = [
-        [observation % 8 for observation in hmm_a.sample(20, random.Random(4))[1]]
-    ]
-    return [
-        ("cnf/ksat-120", random_ksat(120, 500, seed=7), {}),
-        ("cnf/php-5", pigeonhole(5), {}),
-        (
-            "circuit/rand-10",
-            circuit_a,
-            {"calibration": sample_dataset(circuit_a, 256, seed=5)},
-        ),
-        (
-            "circuit/rand-12",
-            circuit_b,
-            {"calibration": sample_dataset(circuit_b, 128, seed=6)},
-        ),
-        ("hmm/rand-10", hmm_a, {"calibration": hmm_calibration}),
-        ("hmm/rand-12", hmm_b, {"hmm_observations": [i % 6 for i in range(12)]}),
-    ]
 
 
 def print_table(title: str, header: List[str], rows: List[List[str]]) -> None:

@@ -23,17 +23,20 @@ from repro.baselines.device import KernelClass, KernelProfile
 from repro.core.arch.config import ArchConfig
 from repro.core.compiler import compile_dag
 from repro.core.dag import (
+    OptimizationResult,
     circuit_to_dag,
     default_leaf_inputs,
     evaluate_dag,
     hmm_to_dag,
     optimize,
 )
+from repro.core.dag.builders import cnf_dag_footprint
 from repro.core.dag.graph import Dag, OpType
 from repro.hmm.inference import log_likelihood as hmm_log_likelihood
 from repro.hmm.model import HMM
 from repro.logic.cdcl import CDCLSolver, SolveResult
 from repro.logic.cnf import CNF
+from repro.logic.implication_graph import prune_hidden_literals
 from repro.pc.circuit import Circuit, LeafNode, ProductNode, SumNode
 from repro.pc.inference import likelihood
 
@@ -139,7 +142,7 @@ class KernelAdapter:
             options.optimize,
             options.keep_fraction,
             options.calibration_key(),
-            tuple(options.hmm_observations) if options.hmm_observations else None,
+            None if options.hmm_observations is None else tuple(options.hmm_observations),
         )
 
     def kernel_key(self, kernel: object) -> object:
@@ -158,7 +161,6 @@ class KernelAdapter:
     def _compile_artifact(
         self,
         kernel: object,
-        options: RunOptions,
         config: ArchConfig,
         dag: Dag,
         model: object,
@@ -196,8 +198,13 @@ class CnfAdapter(KernelAdapter):
         optimization = None
         working = kernel
         if options.optimize:
-            optimization = optimize(kernel)
-            working = optimization.pruned_model
+            # Pruned on the implication graph and replayed from the
+            # solver trace: nothing downstream reads a CNF's unified
+            # DAG, so only its footprint is counted, none is built.
+            working, report = prune_hidden_literals(kernel)
+            optimization = OptimizationResult(
+                None, cnf_dag_footprint(kernel), cnf_dag_footprint(working), report, working
+            )
         solver = CDCLSolver(record_trace=True)
         verdict, model = solver.solve(working)
         ops = max(solver.stats.clause_fetches, 1)
@@ -263,9 +270,7 @@ class CircuitAdapter(KernelAdapter):
             optimization = None
             dag, _ = circuit_to_dag(kernel)
             model = kernel
-        return self._compile_artifact(
-            kernel, options, config, dag, model, optimization, KernelClass.MARGINAL
-        )
+        return self._compile_artifact(kernel, config, dag, model, optimization, KernelClass.MARGINAL)
 
     def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
         start = time.perf_counter()
@@ -309,7 +314,7 @@ class HmmAdapter(KernelAdapter):
             dag = hmm_to_dag(kernel, observations)
             model = kernel
         artifact = self._compile_artifact(
-            kernel, options, config, dag, model, optimization, KernelClass.BAYESIAN
+            kernel, config, dag, model, optimization, KernelClass.BAYESIAN
         )
         artifact.extras["observations"] = observations
         return artifact
@@ -349,9 +354,7 @@ class DagAdapter(KernelAdapter):
             op in histogram for op in (OpType.SUM, OpType.PRODUCT, OpType.LEAF)
         )
         kernel_class = KernelClass.MARGINAL if probabilistic else KernelClass.LOGIC
-        return self._compile_artifact(
-            kernel, options, config, kernel, None, None, kernel_class
-        )
+        return self._compile_artifact(kernel, config, kernel, None, None, kernel_class)
 
     def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
         dag = artifact.dag

@@ -47,7 +47,7 @@ per-request deadlines (``submit(..., deadline_s=...)``) are enforced
 at admission, in queue, and around execution.  All of it is
 exercisable deterministically through ``faults=``
 (:class:`repro.faults.FaultPlan`) and gated by
-``benchmarks/bench_faults.py``.
+``tests/api/test_faults.py``.
 """
 
 from __future__ import annotations

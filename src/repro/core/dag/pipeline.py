@@ -32,9 +32,17 @@ from repro.pc.circuit import Circuit
 
 @dataclass
 class OptimizationResult:
-    """Output of the three-stage pipeline."""
+    """Output of the three-stage pipeline.
 
-    dag: Dag
+    ``dag`` is the pruned (and, by default, two-input) unified DAG that
+    :func:`optimize` builds.  It is ``None`` on the artifact of a CNF
+    served through :class:`~repro.api.adapters.CnfAdapter`: a logic
+    request is pruned on the implication graph and replayed from the
+    solver trace, so the serving path counts the two footprints and
+    builds no DAG; call :func:`optimize` (or ``cnf_to_dag``) for one.
+    """
+
+    dag: Optional[Dag]
     memory_before: int
     memory_after: int
     stage_report: object = None

@@ -7,7 +7,7 @@ around a real :class:`~repro.api.store.ArtifactStore`.  The serving
 layer (:class:`~repro.api.service.ReasonService`, built with
 ``faults=FaultPlan(...)``) survives all of it — see
 :mod:`repro.api.resilience` for the retry/breaker/deadline machinery
-and ``benchmarks/bench_faults.py`` for the chaos gates.
+and ``tests/api/test_faults.py`` for the chaos gates.
 
 Zero overhead when off: without a plan attached, the hot path pays one
 ``is None`` check per hook and never imports this package's logic.

@@ -12,8 +12,9 @@ self-contained — there is no external spec document):
   7 escapes to an explicit varint).  Payload operands are LEB128
   varints — unsigned for banks/counts/levels, zigzag for literals —
   so a typical PROPAGATE(literal) record is 2-3 bytes and a BANK_READ
-  is 3.  A mixed stream must average <= 6 bytes/event (the CI gate in
-  ``benchmarks/bench_trace.py`` enforces this).
+  is 3.  A mixed stream must average <= 6 bytes/event
+  (``tests/trace`` holds a synthetic mix and the traces of real
+  kernels to it).
 * **Delta-encoded cycles.**  Event cycles are emitted as signed deltas
   against the previous record, so monotone streams cost 0-1 bytes per
   timestamp regardless of absolute cycle counts (billions of cycles

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.api import adapter_for, register_adapter, registered_adapters
+from repro.api import (
+    DiskStore,
+    ReasonSession,
+    adapter_for,
+    register_adapter,
+    registered_adapters,
+)
 from repro.api.adapters import (
     CircuitAdapter,
     CnfAdapter,
@@ -12,11 +18,11 @@ from repro.api.adapters import (
     RunOptions,
 )
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.core.dag import cnf_to_dag
+from repro.core.dag import cnf_to_dag, prune_logic_dag
 from repro.core.dag.graph import Dag
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
-from repro.logic.generators import random_ksat
+from repro.logic.generators import random_ksat, redundant_sat
 from repro.pc.circuit import Circuit, CircuitNode, LeafNode, ProductNode, SumNode
 from repro.pc.learn import random_circuit
 
@@ -90,6 +96,17 @@ class TestFingerprints:
         b = adapter.fingerprint(hmm, RunOptions(hmm_observations=(1, 0)), DEFAULT_CONFIG)
         assert a != b
 
+    def test_empty_hmm_observations_raise_cold_and_warm(self):
+        """``[]`` is a request of its own, not the default unroll: it
+        must not be answered from the entry a plain run cached."""
+        hmm = HMM.random(4, 6, seed=9)
+        session = ReasonSession()
+        with pytest.raises(ValueError, match="empty observation"):
+            session.run(hmm, hmm_observations=[])
+        assert session.run(hmm).result > 0.0
+        with pytest.raises(ValueError, match="empty observation"):
+            session.run(hmm, hmm_observations=[])
+
     def test_dag_key_covers_structure(self):
         adapter = DagAdapter()
         dag_a, _ = cnf_to_dag(random_ksat(6, 15, seed=8))
@@ -155,6 +172,31 @@ class TestPreparedArtifacts:
         assert artifact.solver is not None and artifact.solver.trace
         assert "verdict" in artifact.extras
         assert artifact.profile.flops > 0
+
+    def test_cnf_artifact_counts_the_pruned_dag_without_building_it(self, tmp_path):
+        kernel, _ = redundant_sat(40, 160, redundancy=0.3, seed=0)
+        session = ReasonSession(store=DiskStore(tmp_path))
+        artifact = session.compile(kernel)
+        optimization = artifact.optimization
+        assert optimization.dag is None and artifact.dag is None
+        assert optimization.pruned_model is artifact.model
+        pruned_dag, pruned_cnf, _ = prune_logic_dag(kernel)
+        assert optimization.memory_after == pruned_dag.memory_footprint()
+        assert optimization.memory_after < optimization.memory_before
+        assert [c.literals for c in artifact.model.clauses] == [
+            c.literals for c in pruned_cnf.clauses
+        ]
+        # The stored artifact replays to the compiling session's report.
+        report = session.run(kernel, queries=3)
+        restarted = ReasonSession(store=DiskStore(tmp_path))
+        replayed = restarted.run(kernel, queries=3)
+        assert replayed.cache_hit and restarted.prepare_calls == 0
+        assert replayed.identity() == report.identity()
+
+    def test_unoptimized_cnf_artifact_has_no_optimization(self):
+        kernel = random_ksat(10, 30, seed=10)
+        artifact = CnfAdapter().prepare(kernel, RunOptions(optimize=False), DEFAULT_CONFIG)
+        assert artifact.optimization is None and artifact.model is kernel
 
     def test_dag_artifact_compiles_program(self):
         adapter = DagAdapter()

@@ -12,6 +12,7 @@ from repro import (
     DeadlineExceeded,
     FaultPlan,
     ReasonService,
+    ReasonSession,
     RetriesExhausted,
     RetryPolicy,
     ShardCrashed,
@@ -435,7 +436,7 @@ class TestChaosTelemetry:
 
 class TestAccountingInvariant:
     @pytest.mark.parametrize("seed", range(5))
-    def test_submitted_equals_terminal_sum_under_chaos(self, seed):
+    def test_submitted_equals_terminal_sum_under_chaos(self, seed, tmp_path):
         rng = random.Random(seed)
         plan = FaultPlan(
             seed=seed,
@@ -444,24 +445,32 @@ class TestAccountingInvariant:
             crash_rate=rng.uniform(0.0, 0.2),
             latency_rate=rng.uniform(0.0, 0.3),
             latency_s=0.002,
+            store_error_rate=rng.uniform(0.0, 0.2),
+            store_corrupt_rate=rng.uniform(0.0, 0.5),
         )
         kernels = [
             random_ksat(8 + i % 5, 24 + 3 * (i % 5), seed=i) for i in range(12)
         ]
+        fault_free = ReasonSession()
+        reference = [fault_free.run(kernel).identity() for kernel in kernels]
         with ReasonService(
-            shards=2, retry=RetryPolicy(max_attempts=3), faults=plan
+            shards=2,
+            store=f"disk:{tmp_path}",
+            retry=RetryPolicy(max_attempts=3),
+            faults=plan,
         ) as service:
-            futures = []
-            for index, kernel in enumerate(kernels):
+            futures = {}  # future -> index of its kernel
+            # Two passes: the second reads what the first published, so
+            # store errors and corrupt entries are on the path.
+            for index, kernel in enumerate(kernels * 2):
                 deadline = 5.0 if index % 4 == 0 else None
                 try:
-                    futures.append(
-                        service.submit(kernel, deadline_s=deadline)
-                    )
+                    future = service.submit(kernel, deadline_s=deadline)
                 except ServiceOverloaded:
-                    pass  # deadline shed at admission: no future, no charge
+                    continue  # deadline shed at admission: no future, no charge
+                futures[future] = index % len(kernels)
             if futures:
-                futures[-1].cancel()  # may or may not win the race
+                list(futures)[-1].cancel()  # may or may not win the race
             service.drain(timeout=20)
             stats = service.stats()
             # Every admitted future is terminal — never pending/hung.
@@ -471,6 +480,14 @@ class TestAccountingInvariant:
                 shard.completed + shard.failed + shard.cancelled
             ), f"seed {seed} shard {shard.index} leaks accounting"
             assert shard.pending == 0
+        settled = [future for future in futures if not future.cancelled()]
+        succeeded = [future for future in settled if future.exception() is None]
+        assert stats.completed == len(succeeded)
+        assert stats.failed == len(settled) - len(succeeded)
+        # Retried, rerouted, recompiled after a corrupt read: whatever a
+        # success went through, it is the fault-free answer.
+        for future in succeeded:
+            assert future.result().identity() == reference[futures[future]]
 
     def test_terminal_race_settles_every_request_exactly_once(self):
         """Caller cancel(), a deadline timer a few hundred microseconds

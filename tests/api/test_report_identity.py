@@ -22,15 +22,56 @@ instruction in it.
 """
 
 import hashlib
-import sys
-from pathlib import Path
+import random
+from typing import List, Tuple
 
 import pytest
 
 from repro import ReasonSession
+from repro.hmm.model import HMM
+from repro.logic.generators import pigeonhole, random_ksat
+from repro.pc.learn import random_circuit, sample_dataset
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-from helpers import build_trace  # noqa: E402
+
+def build_trace(tiny: bool = False) -> List[Tuple[str, object, dict]]:
+    """Deterministic mixed cold trace: (name, kernel, run options).
+    Changing a kernel here means re-recording its digests below."""
+    if tiny:
+        circuit = random_circuit(6, depth=2, sum_children=2, seed=3)
+        hmm = HMM.random(6, 5, seed=1)
+        return [
+            ("cnf/ksat-40", random_ksat(40, 160, seed=7), {}),
+            (
+                "circuit/rand-6",
+                circuit,
+                {"calibration": sample_dataset(circuit, 8, seed=5)},
+            ),
+            ("hmm/rand-6", hmm, {"hmm_observations": [0, 1, 2, 3, 4, 0, 1, 2]}),
+        ]
+    circuit_a = random_circuit(10, depth=3, sum_children=3, seed=3)
+    circuit_b = random_circuit(12, depth=3, sum_children=3, seed=9)
+    hmm_a = HMM.random(10, 8, seed=1)
+    hmm_b = HMM.random(12, 6, seed=2)
+    hmm_calibration = [
+        [observation % 8 for observation in hmm_a.sample(20, random.Random(4))[1]]
+    ]
+    return [
+        ("cnf/ksat-120", random_ksat(120, 500, seed=7), {}),
+        ("cnf/php-5", pigeonhole(5), {}),
+        (
+            "circuit/rand-10",
+            circuit_a,
+            {"calibration": sample_dataset(circuit_a, 256, seed=5)},
+        ),
+        (
+            "circuit/rand-12",
+            circuit_b,
+            {"calibration": sample_dataset(circuit_b, 128, seed=6)},
+        ),
+        ("hmm/rand-10", hmm_a, {"calibration": hmm_calibration}),
+        ("hmm/rand-12", hmm_b, {"hmm_observations": [i % 6 for i in range(12)]}),
+    ]
+
 
 RECORDED = {
     "cnf/ksat-120": "ce778d1e11fe86286a55b26353a4241ec6415fade47eaf246ef7c457ef369107",

@@ -1,6 +1,7 @@
 """ReasonService: admission, futures, sharding, backpressure, stats."""
 
 import asyncio
+import random
 import threading
 
 import pytest
@@ -16,7 +17,7 @@ from repro.api.backends import Backend
 from repro.api.scheduler import SchedulingPolicy
 from repro.api.types import ExecutionReport
 from repro.hmm.model import HMM
-from repro.logic.generators import random_ksat
+from repro.logic.generators import random_ksat, redundant_sat
 from repro.pc.learn import random_circuit
 
 
@@ -369,6 +370,28 @@ class TestStatsAndDrain:
         assert stats.makespan_s == pytest.approx(max(per_shard))
         assert stats.composition.single_shard_s >= stats.makespan_s
         assert stats.throughput_rps > 0
+
+    def test_four_shards_at_least_double_one_shards_modeled_throughput(self):
+        """32 mixed kernels x 4 shuffled passes, so neither kernel family
+        nor repeat index lines up with a shard stride.  Round-robin
+        placement and the modeled clock are both deterministic, hence
+        so is the ratio (3.45x when this was written)."""
+        families = (
+            lambda seed: redundant_sat(30, 110, seed=seed)[0],
+            lambda seed: random_ksat(24, 85, seed=seed),
+            lambda seed: random_circuit(5, depth=2, seed=seed),
+            lambda seed: HMM.random(3, 5, seed=seed),
+        )
+        trace = [families[index % 4](index) for index in range(32)] * 4
+        random.Random(0).shuffle(trace)
+        throughput = {}
+        for shards in (1, 4):
+            with ReasonService(shards=shards, policy="round-robin") as service:
+                for kernel in trace:
+                    service.submit(kernel, queries=200, neural_s=0.0)
+                service.drain()
+                throughput[shards] = service.stats().throughput_rps
+        assert throughput[4] >= 2.0 * throughput[1]
 
     def test_stats_window_bounds_retained_history(self):
         from repro.core.system import TwoLevelPipeline

@@ -166,7 +166,7 @@ class TestCrossCheck:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
         for name in (
             "ReasonSession",
             "ReasonService",

@@ -6,7 +6,10 @@ service-wide, disk round-trips replay bit-identically, eviction is
 recoverable via re-promotion, and the per-level stats stay arithmetic.
 """
 
+import json
 import pickle
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -23,6 +26,24 @@ from repro.api.store import ArtifactStore
 from repro.api.types import CompiledArtifact
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
+
+
+#: What a restarted server does: open the directory, serve the kernels.
+_SERVE_FROM_DISK = """
+import json, pathlib, pickle, sys
+from repro.api import ReasonSession
+root = pathlib.Path(sys.argv[1])
+session = ReasonSession(store=f"disk:{root / 'store'}")
+reports = [
+    session.run(kernel, queries=3, **options)
+    for _, kernel, options in pickle.loads((root / "kernels.pkl").read_bytes())
+]
+print(json.dumps([
+    session.prepare_calls,
+    session.cache_stats.shared_hits,
+    [report.identity() for report in reports],
+]))
+"""
 
 
 def _artifact(key: str) -> CompiledArtifact:
@@ -172,6 +193,22 @@ class TestDiskStore:
             assert replayed.utilization == baseline[name].utilization
         assert second.prepare_calls == 0
         assert second.cache_stats.shared_hits == len(kernels)
+
+        # ... and so does a second interpreter, whose hash seed, pickle
+        # memo and numpy state owe nothing to this one.
+        (tmp_path / "kernels.pkl").write_bytes(pickle.dumps(kernels))
+        child = subprocess.run(
+            [sys.executable, "-c", _SERVE_FROM_DISK, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        prepare_calls, shared_hits, identities = json.loads(child.stdout)
+        assert prepare_calls == 0 and shared_hits == len(kernels)
+        assert identities == [
+            list(baseline[name].identity()) for name, _, _ in kernels
+        ]
 
     def test_pickle_protocol_stability(self, tmp_path):
         store = DiskStore(tmp_path)

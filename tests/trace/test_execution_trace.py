@@ -65,7 +65,10 @@ class TestTracingIsObservationOnly:
 
 class TestCrossValidation:
     """Summed trace events must reproduce ExecutionReport counters
-    exactly — the integrity bridge of the whole subsystem."""
+    exactly — the integrity bridge of the whole subsystem.  The same
+    replayed and executed streams are held to the format's density
+    budget: the varint + cycle-delta layout has to pay off on real
+    kernels, not only on a synthetic mix."""
 
     @pytest.mark.parametrize(
         "kernel",
@@ -75,13 +78,15 @@ class TestCrossValidation:
     def test_symbolic_kernels(self, kernel):
         report = ReasonSession(cache=False).run(kernel, trace=True)
         data = report.extras["trace_data"]
-        TraceReader(data).validate()
+        assert TraceReader(data).validate().bytes_per_event <= 6.0
         cross_validate(data, report).raise_on_mismatch()
 
     def test_circuit_kernel(self):
         circuit = random_circuit(8, depth=3, sum_children=3, seed=3)
         report = ReasonSession(cache=False).run(circuit, trace=True)
-        cross_validate(report.extras["trace_data"], report).raise_on_mismatch()
+        data = report.extras["trace_data"]
+        assert TraceReader(data).validate().bytes_per_event <= 6.0
+        cross_validate(data, report).raise_on_mismatch()
 
     def test_spill_heavy_kernel(self, overflow_schedule, tiny_regfile):
         # The register-starved kernel the scheduler suite pins
@@ -112,7 +117,9 @@ class TestCrossValidation:
     def test_queries_scale_cycles(self):
         kernel = random_ksat(30, 120, seed=1)
         report = ReasonSession(cache=False).run(kernel, queries=5, trace=True)
-        cross_validate(report.extras["trace_data"], report).raise_on_mismatch()
+        data = report.extras["trace_data"]
+        assert TraceReader(data).validate().bytes_per_event <= 6.0
+        cross_validate(data, report).raise_on_mismatch()
 
     def test_mismatch_is_detected(self):
         # Negative control: a wrong report must fail, not pass vacuously.
