@@ -4,13 +4,9 @@ banks B and registers per bank R over latency / energy / EDP.
 Paper shape: (D=3, B=64, R=32) offers the best latency-energy balance.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import print_table  # noqa: E402
+from helpers import print_table
 
 from repro.core.arch import ReasonAccelerator
 from repro.core.arch.config import ArchConfig, dse_grid

@@ -13,13 +13,10 @@ runtime beats RL-CoT's hundreds-of-queries-per-step pattern by >2×.
 """
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import print_table  # noqa: E402
+from helpers import print_table
 
 from repro.baselines.device import RTX_A6000
 from repro.workloads.alphageometry import AlphaGeometryWorkload

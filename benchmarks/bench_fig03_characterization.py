@@ -5,13 +5,9 @@
 placement of neural vs symbolic kernels.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import print_table  # noqa: E402
+from helpers import print_table
 
 from repro.baselines.device import KernelClass, KernelProfile, ORIN_NX, RTX_A6000
 from repro.baselines.roofline import roofline_point

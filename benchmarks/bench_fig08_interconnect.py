@@ -5,13 +5,9 @@ broadcast-to-root cycle counts.  Paper shape: tree O(log N) stays flat,
 mesh O(√N) grows moderately, the bus O(N) explodes.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import print_table  # noqa: E402
+from helpers import print_table
 
 from repro.core.arch.interconnect import (
     Topology,

@@ -5,13 +5,9 @@ Paper shape: REASON ~1.0, RTX ~9.8-13.8×, Orin ~48-53×, Xeon ~96-100×,
 with REASON completing tasks in real time (<1.0 s).
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import ALL_TASKS, print_table, task_end_to_end  # noqa: E402
+from helpers import ALL_TASKS, print_table, task_end_to_end
 
 
 @pytest.fixture(scope="module")

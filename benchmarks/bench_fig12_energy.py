@@ -5,20 +5,16 @@
 310× vs Orin-class, 681× vs RTX, 838× vs Xeon on average).
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import (  # noqa: E402
+from helpers import (
     ALL_TASKS,
     device_energy_j,
     print_table,
     reason_energy_j,
     task_end_to_end,
 )
-from repro.baselines.device import ORIN_NX, RTX_A6000, XEON_CPU  # noqa: E402
+from repro.baselines.device import ORIN_NX, RTX_A6000, XEON_CPU
 
 
 @pytest.fixture(scope="module")

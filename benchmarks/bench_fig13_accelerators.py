@@ -15,13 +15,9 @@ the calibrated per-device slowdowns.  End-to-end blends the two with
 the symbolic weight ``SYMBOLIC_WEIGHT`` of REASON-normalized time.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import SYMBOLIC_SLOWDOWN, print_table, reason_timing_for_task  # noqa: E402
+from helpers import SYMBOLIC_SLOWDOWN, print_table, reason_timing_for_task
 
 WORKLOAD_TASK = {
     "AlphaGeometry": "IMO",

@@ -6,13 +6,9 @@ Paper shape: the linked-list memory layout alone trims symbolic runtime
 scheduling ~73% total reduction.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import print_table  # noqa: E402
+from helpers import print_table
 
 from repro.core.arch import ReasonAccelerator
 from repro.core.arch.config import DEFAULT_CONFIG

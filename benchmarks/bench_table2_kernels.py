@@ -1,13 +1,7 @@
 """Table II: hardware inefficiency analysis of neural / symbolic /
 probabilistic kernels (compute, memory, control metrics)."""
 
-import sys
-from pathlib import Path
-
-import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import print_table  # noqa: E402
+from helpers import print_table
 
 from repro.baselines.kernels import TABLE2_KERNELS, characterize_kernel
 from repro.baselines.device import KernelClass

@@ -5,13 +5,9 @@ Paper anchors: REASON = 6.00 mm² / 2.12 W / 1.25 MB at 28 nm;
 1.37 mm² / 1.21 W at 12 nm; 0.51 mm² / 0.98 W at 8 nm.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import print_table  # noqa: E402
+from helpers import print_table
 
 from repro.baselines.device import all_devices
 from repro.core.arch.config import DEFAULT_CONFIG

@@ -5,17 +5,11 @@ Paper shape: accuracy/AUPRC/BLEU/success essentially unchanged (≤1 pt)
 with 21-43% memory reduction (31.7% average).
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import ALL_TASKS, calibration_for, print_table, workload_for_task  # noqa: E402
+from helpers import ALL_TASKS, calibration_for, print_table, workload_for_task
 
 from repro.core.dag import optimize
-from repro.hmm.model import HMM
-from repro.logic.cnf import CNF
 from repro.pc.circuit import Circuit
 
 

@@ -5,13 +5,9 @@ Paper shape: REASON algorithm on Orin trims runtime to 78-87% of the
 baseline; algorithm + hardware reaches ~2% (50×).
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from helpers import (  # noqa: E402
+from helpers import (
     SYMBOLIC_SLOWDOWN,
     calibration_for,
     print_table,

@@ -31,14 +31,12 @@ from repro import ReasonSession
 from repro.api.types import ExecutionReport
 from repro.baselines.device import (
     DeviceModel,
-    KernelProfile,
     ORIN_NX,
     RTX_A6000,
     XEON_CPU,
 )
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.hmm.model import HMM
-from repro.logic.cnf import CNF
 from repro.pc.circuit import Circuit
 from repro.pc.learn import sample_dataset
 from repro.workloads import all_workloads

@@ -61,13 +61,6 @@ class RunOptions:
     :meth:`KernelAdapter.fingerprint`, so traced and untraced runs of
     the same kernel share one cache entry.
 
-    ``span`` is the live-telemetry sibling of ``trace``: pass a
-    :class:`~repro.metrics.spans.RequestSpan` and the session fills
-    its compile/execute wall-time legs while serving the request (the
-    service attaches one per admitted request).  Like ``trace``, it is
-    observation-only and deliberately excluded from the fingerprint —
-    metrics must never split the compile cache.
-
     ``verify`` opts into post-compile static verification
     (:mod:`repro.analysis`): ``True`` checks the freshly compiled
     artifact and raises
@@ -76,7 +69,7 @@ class RunOptions:
     built with ``verify=True``; ``None`` defers to the session.  It
     runs inside the compile-once factory: cold path only, and a
     rejected artifact is never cached or published.  Like
-    ``trace``/``span`` it is excluded from the fingerprint: a verified
+    ``trace`` it is excluded from the fingerprint: a verified
     and an unverified compile of the same kernel are the same artifact.
     """
 
@@ -85,7 +78,6 @@ class RunOptions:
     calibration: Optional[Sequence] = None
     hmm_observations: Optional[Sequence[int]] = None
     trace: object = None
-    span: object = None
     verify: Optional[bool] = None
 
     def calibration_key(self) -> object:

@@ -2,8 +2,8 @@
 
 :class:`~repro.api.service.ReasonService` asks its policy to place
 every admitted request on one of its shards.  A policy sees the request
-(including its content-hash fingerprint and, when the service's cost
-model has one, a predicted cost per backend class) and a load snapshot
+(including its content-hash fingerprint and the cost model's predicted
+cost on every substrate it could land on) and a load snapshot
 of every shard, and returns a shard index.  Five policies ship in the
 registry:
 
@@ -35,25 +35,27 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.api.adapters import RunOptions
-from repro.costmodel.features import PredictionMap, prediction_for
+from repro.costmodel.features import CostPrediction, PredictionMap
+
+#: Fingerprints the cost-aware policy remembers per shard (FIFO-bounded,
+#: so the memo stays constant-size on a long-lived service).
+MAX_TRACKED_FINGERPRINTS = 65536
 
 
 @dataclass(frozen=True)
 class ShardView:
     """Read-only load snapshot of one shard, handed to policies.
 
-    ``backend`` and ``busy_s`` extend the original (index, pending,
-    completed) triple with the shard's substrate identity and its
-    cumulative *predicted* busy time — the seconds of admitted-but-
-    unfinished work the cost model expects it still owes.  Both default
-    so pre-cost-model callers keep constructing views positionally.
+    ``backend`` is the shard's substrate and ``busy_s`` its cumulative
+    *predicted* busy time — the seconds of admitted-but-unfinished work
+    the cost model expects it still owes.
     """
 
     index: int
     pending: int  # queued + in-flight requests
     completed: int
-    backend: str = "reason"
-    busy_s: float = 0.0  # predicted seconds of unfinished admitted work
+    backend: str
+    busy_s: float  # predicted seconds of unfinished admitted work
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,11 @@ class Request:
 
     ``backend`` is the caller's forced substrate, or None when the
     request should run on whatever backend the chosen shard owns.
-    ``predicted`` maps each eligible backend name to the cost model's
-    :class:`~repro.costmodel.features.CostPrediction` (None when the
-    service runs without a cost model).  ``warm`` says the compiled
+    ``predicted`` maps every backend the request could execute on (the
+    forced one, or each distinct shard substrate) to the cost model's
+    :class:`~repro.costmodel.features.CostPrediction` — the service
+    always has a cost model, so a policy never sees a request without
+    one.  ``warm`` says the compiled
     artifact already sits in the service's shared store, so *any*
     shard serves this request without a cold front end — placement may
     ignore compile penalties and cache locality for it.
@@ -77,17 +81,17 @@ class Request:
     backend: Optional[str]
     queries: int
     neural_s: float
-    predicted: Optional[PredictionMap] = None
+    predicted: PredictionMap
     warm: bool = False
     # Wall-clock budget the caller attached (resolved seconds; None =
     # unbounded).  Admission rejects placements whose predicted
     # completion already exceeds it; policies may also route on it.
     deadline_s: Optional[float] = None
 
-    def predicted_for(self, view: ShardView):
+    def predicted_for(self, view: ShardView) -> CostPrediction:
         """This request's prediction on one shard's substrate (its
         forced backend when set, else the shard's own)."""
-        return prediction_for(self.predicted, self.backend or view.backend)
+        return self.predicted[self.backend or view.backend]
 
 
 class SchedulingPolicy(abc.ABC):
@@ -153,19 +157,14 @@ class PredictedMakespanPolicy(SchedulingPolicy):
     shard-scaling bench shows).  This policy charges each shard its
     cumulative predicted busy time and places the request where
     ``busy_s + predicted_exec_s`` is smallest — greedy longest-
-    processing-time balancing over the cost model's estimates.  Without
-    predictions (no cost model) it degrades to least-loaded.
+    processing-time balancing over the cost model's estimates.
     """
 
     name = "predicted-makespan"
 
     def select(self, request: Request, shards: Sequence[ShardView]) -> int:
-        if not request.predicted:
-            return min(shards, key=lambda view: (view.pending, view.index)).index
-
         def completion(view: ShardView):
-            prediction = request.predicted_for(view)
-            exec_s = prediction.seconds if prediction is not None else 0.0
+            exec_s = request.predicted_for(view).seconds
             return (view.busy_s + exec_s, view.pending, view.index)
 
         return min(shards, key=completion).index
@@ -186,8 +185,7 @@ class CostAwarePlacementPolicy(SchedulingPolicy):
     that serves it fastest *given current load*, spilling onto slower
     substrates only when the fast ones are saturated.  The compile term
     charges the offline front end once per (shard, fingerprint), which
-    keeps hot kernels from ping-ponging between cold caches.  Without
-    predictions it degrades to least-loaded.
+    keeps hot kernels from ping-ponging between cold caches.
 
     Requests flagged ``warm`` (their artifact is resident in the
     service's shared store) carry no cold penalty anywhere: their
@@ -201,20 +199,16 @@ class CostAwarePlacementPolicy(SchedulingPolicy):
     marked warm, slightly under-charging the next repeat — a bounded
     mis-estimate the calibrated busy time dominates, accepted to keep
     policies free of admission-outcome plumbing.  The per-shard memory
-    is FIFO-bounded by ``max_tracked`` fingerprints.
+    is FIFO-bounded by :data:`MAX_TRACKED_FINGERPRINTS`.
     """
 
     name = "cost-aware"
 
-    def __init__(self, max_tracked: int = 65536):
-        self.max_tracked = max_tracked
+    def __init__(self):
         # dict-as-ordered-set per shard: insertion order = FIFO eviction.
         self._placed: Dict[int, Dict[str, None]] = {}
 
     def select(self, request: Request, shards: Sequence[ShardView]) -> int:
-        if not request.predicted:
-            return min(shards, key=lambda view: (view.pending, view.index)).index
-
         # Cold start: with neither features nor class priors the scores
         # carry no compile signal (compile_s is 0 everywhere), so a
         # burst of identical never-seen kernels would spread across
@@ -230,19 +224,15 @@ class CostAwarePlacementPolicy(SchedulingPolicy):
 
         def completion(view: ShardView):
             prediction = request.predicted_for(view)
-            exec_s = prediction.seconds if prediction is not None else 0.0
             compile_s = 0.0
-            if (
-                prediction is not None
-                and request.fingerprint not in self._placed.get(view.index, ())
-            ):
+            if request.fingerprint not in self._placed.get(view.index, ()):
                 compile_s = prediction.compile_s
-            return (view.busy_s + exec_s + compile_s, view.pending, view.index)
+            return (view.busy_s + prediction.seconds + compile_s, view.pending, view.index)
 
         index = min(shards, key=completion).index
         placed = self._placed.setdefault(index, {})
         placed[request.fingerprint] = None
-        if len(placed) > self.max_tracked:
+        if len(placed) > MAX_TRACKED_FINGERPRINTS:
             placed.pop(next(iter(placed)))
         return index
 

@@ -95,6 +95,9 @@ from repro.metrics.spans import RequestSpan, SpanLog
 #: like ``stats_window``).
 SPAN_LOG_SIZE = 4096
 
+#: What a request that settled without a report contributes to its span.
+_NO_REPORT = ExecutionReport("", "", None, 0, 0.0)
+
 #: Per-backend histograms a successful request's span feeds:
 #: (RequestSpan attribute, metric name, help, buckets).
 _SPAN_HISTOGRAMS = (
@@ -188,16 +191,18 @@ class _WorkItem:
     # What admission routed on: kernel, queries, neural_s, deadline_s and
     # the fingerprint (reused for the shard's cache lookup).
     request: Request
-    options: RunOptions  # the request's, plus the span when metrics are on
     backend: str  # resolved substrate (forced by caller or shard default)
     future: ReasonFuture
     shard: "_Shard"  # current owner; a rerouted retry updates it
     predicted_s: float = 0.0  # busy-time charged at admission, repaid on exit
-    span: Optional[RequestSpan] = None  # live-telemetry record (metrics on)
     deadline_at: Optional[float] = None  # absolute monotonic expiry
     attempts: int = 1  # executions dispatched (1 = the original)
     state: str = _QUEUED
     timer: Optional[threading.Timer] = None  # armed deadline watchdog
+    # Wall-clock stamps (perf_counter) the settle-time span is built
+    # from: admission, and the QUEUED -> RUNNING claim (0.0 = never claimed).
+    admitted_at: float = field(default_factory=time.perf_counter)
+    started_at: float = 0.0
     # Guards `state`, `shard` and `timer`: worker success/failure, the
     # deadline timer, retry dispatch and cancellation all race on one
     # item, and whoever flips it SETTLED under this lock does the
@@ -542,8 +547,8 @@ class ReasonService:
         or a :class:`SchedulingPolicy` instance.
     config:
         Architecture configuration shared by every shard.
-    cache / cache_capacity:
-        Forwarded to each shard's session.
+    cache_capacity:
+        LRU bound of each shard's compile cache (None = unbounded).
     store:
         Optional shared compile-cache level behind every shard's local
         LRU: an :class:`~repro.api.store.ArtifactStore` instance or a
@@ -580,7 +585,7 @@ class ReasonService:
         Live telemetry (:mod:`repro.metrics`): ``True`` for a private
         :class:`~repro.metrics.registry.MetricsRegistry`, or a shared
         registry instance to aggregate several services.  When on,
-        every admitted request carries a
+        every admitted request settles into a
         :class:`~repro.metrics.spans.RequestSpan` (queue-wait /
         compile / execute / end-to-end wall times plus
         predicted-vs-actual residuals), the shards' sessions register
@@ -620,7 +625,6 @@ class ReasonService:
         shards: Union[int, Sequence[str]] = 2,
         policy: Union[str, SchedulingPolicy] = "round-robin",
         config: ArchConfig = DEFAULT_CONFIG,
-        cache: bool = True,
         cache_capacity: Optional[int] = None,
         max_queue: int = 128,
         stats_window: Optional[int] = 65536,
@@ -647,13 +651,7 @@ class ReasonService:
         self.config = config
         self.policy = get_policy(policy)
         self.max_queue = max_queue
-        if store is not None and not cache:
-            raise ValueError(
-                "store= requires the compile cache: a shared store is a "
-                "cache level, so cache=False with a store is contradictory"
-            )
         self.cost_model = cost_model or CostEstimator(config=config)
-        self._cache_enabled = cache
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError(
                 f"retry must be a RetryPolicy or None, not {type(retry).__name__}"
@@ -687,9 +685,7 @@ class ReasonService:
             self.trace_dir = Path(trace_dir)
             self.trace_dir.mkdir(parents=True, exist_ok=True)
         self._metrics = ensure_registry(metrics)
-        self._span_log: Optional[SpanLog] = (
-            SpanLog(SPAN_LOG_SIZE) if self._metrics is not None else None
-        )
+        self._span_log = SpanLog(SPAN_LOG_SIZE)  # appended to only with metrics on
         # Per-backend (span attribute, histogram) pairs, created lazily
         # by _close_span.
         self._span_instruments: Dict[str, list] = {}
@@ -699,7 +695,6 @@ class ReasonService:
                 backend,
                 ReasonSession(
                     config=config,
-                    cache=cache,
                     cache_capacity=cache_capacity,
                     store=self.store,
                     metrics=self._metrics,
@@ -780,7 +775,7 @@ class ReasonService:
     def spans(self, last: Optional[int] = None) -> List[RequestSpan]:
         """The most recent completed request spans, oldest first
         (at most :data:`SPAN_LOG_SIZE`)."""
-        if self._span_log is None:
+        if self._metrics is None:
             raise ValueError("service was built without metrics=")
         return self._span_log.snapshot(last)
 
@@ -864,20 +859,44 @@ class ReasonService:
         self.cost_model.calibrator.attach_metrics(registry)
 
     def _close_span(self, item: _WorkItem, outcome: str, payload) -> None:
-        """Settle's telemetry leg: stamp the span with the outcome, log
-        it, and fold a success's legs into the per-backend histograms
-        (failures and cancellations are logged but kept out of the
-        latency distributions).  Shielded: telemetry must never kill
-        the thread that settles a request."""
-        span = item.span
-        span.attempts = item.attempts
-        if outcome == "ok":
-            span.complete(payload)
-        elif outcome == "cancelled":
-            span.cancel()
-        else:
-            span.fail(payload)
+        """Settle's telemetry leg: build the request's span from the
+        item, the outcome and (on success) the report, log it, and fold
+        a success's legs into the per-backend histograms (failures and
+        cancellations are logged but kept out of the latency
+        distributions).  Shielded: telemetry must never kill the thread
+        that settles a request."""
         try:
+            request = item.request
+            finished_at = time.perf_counter()
+            # Only a success has a report; every other outcome's report
+            # legs read as the blank one's zeros.
+            report = payload if outcome == "ok" else _NO_REPORT
+            failed = outcome in ("error", "deadline")
+            span = RequestSpan(
+                status=outcome,
+                fingerprint=request.fingerprint,
+                kind=request.kind,
+                backend=item.backend,
+                shard=item.shard.index,
+                queries=request.queries,
+                predicted_s=item.predicted_s,
+                predicted_energy_j=request.predicted[item.backend].energy_j,
+                warm=request.warm,
+                attempts=item.attempts,
+                admitted_at=item.admitted_at,
+                started_at=item.started_at,
+                finished_at=finished_at,
+                # Admission on the wall clock: a label for cross-process
+                # correlation, never an input to anything replayed.
+                wall_unix=time.time() - (finished_at - item.admitted_at),  # noqa: RPR002
+                error=f"{type(payload).__name__}: {payload}" if failed else "",
+                cache_hit=report.cache_hit,
+                executed=report.executed,
+                actual_s=float(report.seconds),
+                actual_energy_j=float(report.energy_j),
+                compile_s=report.compile_s,
+                execute_s=report.execute_s,
+            )
             self._span_log.append(span)
             if outcome != "ok":
                 return
@@ -1059,8 +1078,7 @@ class ReasonService:
                 shard = self._alternative_to(shard) or shard
             view = views[shard.index]
             resolved = backend if backend is not None else shard.backend
-            prediction = predicted[resolved]
-            predicted_s = prediction.seconds
+            predicted_s = predicted[resolved].seconds
             # Deadline-aware admission (the SLO substrate): reject now —
             # by predicted *seconds* of backlog, not queue length —
             # rather than burn shard time on a request that cannot
@@ -1075,20 +1093,6 @@ class ReasonService:
                     f"{view.busy_s:.6f}s + request {predicted_s:.6f}s), "
                     f"past the {deadline_s}s deadline",
                 )
-            span = None
-            if self._metrics is not None:
-                span = RequestSpan(
-                    fingerprint=fingerprint,
-                    kind=adapter.kind,
-                    backend=resolved,
-                    shard=shard.index,
-                    queries=queries,
-                    predicted_s=predicted_s,
-                    predicted_energy_j=prediction.energy_j,
-                    warm=warm,
-                )
-                # Observation-only, fingerprint-excluded — like trace=.
-                options = replace(options, span=span)
             future = ReasonFuture(
                 kind=adapter.kind,
                 fingerprint=fingerprint,
@@ -1097,12 +1101,10 @@ class ReasonService:
             )
             item = _WorkItem(
                 request,
-                options,
                 resolved,
                 future,
                 shard,
                 predicted_s,
-                span,
                 None if deadline_s is None else time.monotonic() + deadline_s,
             )
             # Charge the placement while still holding the admission
@@ -1140,7 +1142,7 @@ class ReasonService:
                     )
                     item.timer.daemon = True
                     item.timer.start()
-        if span is not None:
+        if self._metrics is not None:
             self._m_admitted.inc()
         return future
 
@@ -1225,7 +1227,7 @@ class ReasonService:
                 # Observable but outside the report's identity: a retried
                 # success must stay bit-identical to a first-try success.
                 payload.extras.setdefault("attempts", item.attempts)
-            if item.span is not None and outcome != "rejected":
+            if self._metrics is not None and outcome != "rejected":
                 self._close_span(item, outcome, payload)
             try:
                 if outcome == "ok":
@@ -1310,12 +1312,14 @@ class ReasonService:
 
     def _claim(self, item: _WorkItem) -> bool:
         """Move a dequeued item QUEUED -> RUNNING; False = nothing left
-        to do.  A retried item made that transition on its first
-        attempt; a queued one may have been cancelled by the caller or
-        settled by its deadline timer."""
+        to do.  A retried item made that transition (and took its
+        ``started_at`` stamp) on its first attempt; a queued one may
+        have been cancelled by the caller or settled by its deadline
+        timer."""
         with item.lock:
             if item.state is _QUEUED and item.future.set_running_or_notify_cancel():
                 item.state = _RUNNING
+                item.started_at = time.perf_counter()
             state = item.state
         if state is _QUEUED:
             self._settle(item, "cancelled")
@@ -1331,12 +1335,10 @@ class ReasonService:
             return
         if self._faults is not None:
             self._faults.crash_fault(shard.index)  # may raise WorkerCrash
-        if item.span is not None and item.span.started_at == 0.0:
-            item.span.mark_started()  # first pickup only; retries keep it
         try:
             report = shard.session.run_prepared(
                 item.request.kernel,
-                item.options,
+                item.request.options,
                 backend=item.backend,
                 queries=item.request.queries,
                 fingerprint=item.request.fingerprint,
@@ -1448,8 +1450,6 @@ class ReasonService:
                     target.counters.busy_s += item.predicted_s
                 item.shard = target
                 item.future.shard_index = target.index
-                if item.span is not None:
-                    item.span.shard = target.index
             refused = target.offer(item)
         if refused:
             failure = RetriesExhausted(
@@ -1497,13 +1497,12 @@ class ReasonService:
             shard_tasks[future.shard_index].append((future.neural_s, report.seconds))
         composition = compose_shard_makespans(shard_tasks)
         cache_hits = sum(1 for report in reports if report.cache_hit)
-        cache_misses = len(reports) - cache_hits if self._cache_enabled else 0
         return ServiceBatchResult(
             reports=list(reports),
             shard_indices=[future.shard_index for future in futures],
             composition=composition,
             cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            cache_misses=len(reports) - cache_hits,
         )
 
     # ----------------------------------------------------------- lifecycle

@@ -43,8 +43,6 @@ class ReasonSession:
     ----------
     config:
         Architecture configuration shared by every request.
-    cache:
-        Enable the content-hash compile cache (on by default).
     cache_capacity:
         Optional LRU bound on cached artifacts (None = unbounded).
     store:
@@ -53,8 +51,6 @@ class ReasonSession:
         string (``"shared"`` / ``"disk:<path>"``).  Sessions handed
         the same store share compiled artifacts — a kernel compiled by
         any of them is a (shared) cache hit for all of them.
-        Contradicts ``cache=False`` (the store is a cache level), so
-        that combination raises :class:`ValueError`.
     metrics:
         Live telemetry (:mod:`repro.metrics`): ``True`` for a private
         :class:`~repro.metrics.registry.MetricsRegistry`, or a shared
@@ -86,7 +82,6 @@ class ReasonSession:
     def __init__(
         self,
         config: ArchConfig = DEFAULT_CONFIG,
-        cache: bool = True,
         cache_capacity: Optional[int] = None,
         store: Union[None, str, ArtifactStore] = None,
         metrics: Union[None, bool, MetricsRegistry] = None,
@@ -94,15 +89,8 @@ class ReasonSession:
         faults: Optional["FaultPlan"] = None,  # noqa: F821
         verify: bool = False,
     ):
-        if store is not None and not cache:
-            raise ValueError(
-                "store= requires the compile cache: a shared store is a "
-                "cache level, so cache=False with a store is contradictory"
-            )
         self.config = config
-        self._cache: Optional[CompileCache] = (
-            CompileCache(capacity=cache_capacity, store=store) if cache else None
-        )
+        self._cache = CompileCache(capacity=cache_capacity, store=store)
         self._backends: Dict[str, Backend] = {}
         self._prepare_calls = 0
         self._executions = 0
@@ -150,8 +138,6 @@ class ReasonSession:
             **labels,
         )
         cache = self._cache
-        if cache is None:
-            return
         for field, help_text in (
             ("local_hits", "Compile-cache hits served by the local LRU."),
             ("shared_hits", "Compile-cache hits served by the shared store."),
@@ -207,12 +193,12 @@ class ReasonSession:
     @property
     def store(self) -> Optional[ArtifactStore]:
         """The shared store behind the local cache level, if any."""
-        return self._cache.store if self._cache is not None else None
+        return self._cache.store
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters (zeros when caching is disabled)."""
-        return self._cache.stats if self._cache is not None else CacheStats()
+        """Hit/miss/eviction counters of this session's compile cache."""
+        return self._cache.stats
 
     @property
     def prepare_calls(self) -> int:
@@ -230,19 +216,16 @@ class ReasonSession:
         return list_backends()
 
     def clear_cache(self) -> None:
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()
 
     def artifact_for(self, fingerprint: str) -> Optional[CompiledArtifact]:
         """The cached artifact behind one content-hash fingerprint, or
-        None when caching is off or the kernel was never compiled here.
+        None when the kernel was never compiled here.
 
         Stats-neutral (:meth:`CompileCache.peek`): the serving layer
         uses this to feed compile features to the cost model without
         inflating the warm hit rate it also reports.
         """
-        if self._cache is None:
-            return None
         return self._cache.peek(fingerprint)
 
     def _backend(self, name: str) -> Backend:
@@ -281,14 +264,16 @@ class ReasonSession:
         """
         adapter = adapter_for(kernel)
         verify = options.verify if options.verify is not None else self._verify
+        if key is None:
+            key = adapter.fingerprint(kernel, options, self.config)
 
         def compile_cold() -> CompiledArtifact:
             if self._faults is not None:
-                self._faults.compile_fault(key or "")
+                self._faults.compile_fault(key)
             start = time.perf_counter()
             artifact = adapter.prepare(kernel, options, self.config)
             artifact.compile_s = time.perf_counter() - start
-            artifact.key = key or ""
+            artifact.key = key
             if verify:
                 # Cold path only: hits and the execute path never pay
                 # for this, and the lazy import keeps repro.analysis
@@ -302,10 +287,6 @@ class ReasonSession:
                 self._m_compile.observe(artifact.compile_s)
             return artifact
 
-        if self._cache is None:
-            return compile_cold(), False
-        if key is None:
-            key = adapter.fingerprint(kernel, options, self.config)
         # The cache runs the factory at most once per in-flight key —
         # concurrent requests for the same cold kernel (across threads,
         # and across shards when a store is attached) join one compile.
@@ -358,38 +339,26 @@ class ReasonSession:
         """
         if queries < 1:
             raise ValueError("queries must be >= 1")
-        # Three clock reads per request whether or not anyone is
-        # looking: ~0.2 us against a request of milliseconds, cheaper
-        # than keeping an uninstrumented copy of this body in step.
-        compile_start = time.perf_counter()
         artifact, cache_hit = self._compile(kernel, options, key=fingerprint)
         if self._faults is not None:
             self._faults.execute_fault(fingerprint or artifact.key)
+        # Two clock reads per request whether or not anyone is looking:
+        # ~0.1 us against a request of milliseconds, cheaper than keeping
+        # an uninstrumented copy of this body in step.
         execute_start = time.perf_counter()
         report = self._backend(backend).run(
             artifact, config=self.config, queries=queries, options=options
         )
-        execute_s = time.perf_counter() - execute_start
+        report.execute_s = time.perf_counter() - execute_start
         report.cache_hit = cache_hit
         report.compile_s = 0.0 if cache_hit else artifact.compile_s
         if report.executed:
             with self._lock:
                 self._executions += 1
-        span = options.span
-        if span is not None:
-            span.cache_hit = cache_hit
-            span.executed = report.executed
-            span.backend = backend
-            if not span.kind:
-                span.kind = artifact.kind
-            # On a hit the lookup is noise, not compile time — mirror
-            # the report's convention.
-            span.compile_s = 0.0 if cache_hit else execute_start - compile_start
-            span.execute_s = execute_s
         if self.metrics is not None:
             runs, run_seconds = self._run_instruments(backend)
             runs.inc()
-            run_seconds.observe(execute_s)
+            run_seconds.observe(report.execute_s)
         return report
 
     def run_batch(
@@ -423,7 +392,7 @@ class ReasonSession:
         ]
 
         cache_hits = sum(1 for report in reports if report.cache_hit)
-        cache_misses = len(reports) - cache_hits if self._cache is not None else 0
+        cache_misses = len(reports) - cache_hits
         symbolic_times = [report.seconds for report in reports]
         pipeline = TwoLevelPipeline()
         overlapped = pipeline.run(neural_times, symbolic_times, pipelined=pipelined)

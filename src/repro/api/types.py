@@ -36,7 +36,9 @@ class ExecutionReport:
     ``executed`` says whether the accelerator model actually ran to
     produce this report: False when a warm request reused the run its
     artifact already carries (:class:`ExecutionSummary`), and on the
-    backends that never run the model.
+    backends that never run the model.  ``compile_s`` and ``execute_s``
+    are wall seconds this request paid — the front end (0.0 on a cache
+    hit) and the backend call — set by the session, not the backend.
     """
 
     backend: str
@@ -51,6 +53,7 @@ class ExecutionReport:
     cache_hit: bool = False
     executed: bool = False
     compile_s: float = 0.0
+    execute_s: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -62,8 +65,8 @@ class ExecutionReport:
         must be bit-identical between a first-try success and a retried
         or differently-routed replay of the same request.  Excludes the
         delivery circumstances (``cache_hit``, ``executed``, wall-clock
-        ``compile_s``, ``extras``), which legitimately differ across
-        attempts."""
+        ``compile_s`` / ``execute_s``, ``extras``), which legitimately
+        differ across attempts."""
         return (
             self.backend,
             self.kernel,

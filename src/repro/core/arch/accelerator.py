@@ -44,10 +44,6 @@ class ExecutionReport:
     instructions: int
     stalls: int = 0
 
-    @property
-    def runtime_s(self) -> float:
-        return self.cycles / DEFAULT_CONFIG.frequency_hz
-
 
 @dataclass
 class SymbolicExecutionTrace:

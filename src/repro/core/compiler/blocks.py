@@ -54,8 +54,7 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
     order = dag.topological_order()
     # Node ids are dense (allocated sequentially), so per-node state
     # lives in flat arrays instead of dict/set lookups.  Parent counts
-    # span the whole DAG (matching ``parents_map``), not just the
-    # reachable part.
+    # span the whole DAG, not just the reachable part.
     size = 1 + max((node_id for node_id, _ in dag.items()), default=-1)
     parent_count = [0] * size
     for _, node in dag.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class OpType(enum.Enum):
@@ -69,12 +69,15 @@ class DagNode:
 class Dag:
     """A rooted DAG of :class:`DagNode` addressed by integer ids."""
 
+    # Memoized topological order, dropped on any mutation.  A class
+    # default rather than an __init__ assignment, so a Dag unpickled
+    # from an older store entry starts without one too.
+    _topo_order: Optional[List[int]] = None
+
     def __init__(self) -> None:
         self._nodes: Dict[int, DagNode] = {}
         self._next_id = 0
         self.root: Optional[int] = None
-        # Memoized topological orders, invalidated on any mutation.
-        self._topo_cache: Dict[Optional[Tuple[int, ...]], List[int]] = {}
 
     def add(self, node: DagNode) -> int:
         for child in node.children:
@@ -83,8 +86,7 @@ class Dag:
         node_id = self._next_id
         self._next_id += 1
         self._nodes[node_id] = node
-        if self._topo_cache:
-            self._topo_cache.clear()
+        self._topo_order = None
         return node_id
 
     def add_op(
@@ -111,42 +113,31 @@ class Dag:
     def set_root(self, node_id: int) -> None:
         if node_id not in self._nodes:
             raise KeyError(f"node {node_id} not in DAG")
-        if node_id != self.root and self._topo_cache:
-            self._topo_cache.clear()
+        if node_id != self.root:
+            self._topo_order = None
         self.root = node_id
-
-    def ids(self) -> List[int]:
-        return list(self._nodes)
 
     def items(self) -> Iterator[Tuple[int, DagNode]]:
         return iter(self._nodes.items())
 
     # --------------------------------------------------------------- queries
 
-    def topological_order(self, roots: Optional[Iterable[int]] = None) -> List[int]:
-        """Children-before-parents order of nodes reachable from roots.
+    def topological_order(self) -> List[int]:
+        """Children-before-parents order of nodes reachable from the root.
 
-        Defaults to the DAG's root; raises if no root is set.  Orders
-        are memoized per roots tuple and invalidated when the DAG
-        mutates through :meth:`add`/:meth:`set_root`, so the many
-        traversal-hungry consumers (compiler passes, pruning, footprint
-        queries) pay the walk once.  In-place edits of a node's
-        ``children`` list are not tracked (see :class:`DagNode`).
+        Raises if no root is set.  The order is memoized and dropped
+        when the DAG mutates through :meth:`add`/:meth:`set_root`, so
+        the many traversal-hungry consumers (compiler passes, pruning,
+        footprint queries) pay the walk once.  In-place edits of a
+        node's ``children`` list are not tracked (see :class:`DagNode`).
         """
-        if roots is None:
-            if self.root is None:
-                raise ValueError("DAG has no root")
-            key: Optional[Tuple[int, ...]] = None
-            roots = [self.root]
-        else:
-            roots = list(roots)
-            key = tuple(roots)
-        cached = self._topo_cache.get(key)
-        if cached is not None:
-            return list(cached)
+        if self.root is None:
+            raise ValueError("DAG has no root")
+        if self._topo_order is not None:
+            return list(self._topo_order)
         order: List[int] = []
         state: Dict[int, int] = {}  # 0 visiting, 1 done
-        stack: List[Tuple[int, bool]] = [(r, False) for r in roots]
+        stack: List[Tuple[int, bool]] = [(self.root, False)]
         while stack:
             node_id, processed = stack.pop()
             if processed:
@@ -171,7 +162,7 @@ class Dag:
             if node_id not in seen:
                 seen.add(node_id)
                 unique.append(node_id)
-        self._topo_cache[key] = unique
+        self._topo_order = unique
         return list(unique)
 
     @property
@@ -198,13 +189,6 @@ class Dag:
         return max(
             (len(nodes[i].children) for i in self.topological_order()), default=0
         )
-
-    def parents_map(self) -> Dict[int, List[int]]:
-        out: Dict[int, List[int]] = {i: [] for i in self._nodes}
-        for node_id, node in self._nodes.items():
-            for child in node.children:
-                out[child].append(node_id)
-        return out
 
     def op_histogram(self) -> Dict[OpType, int]:
         hist: Dict[OpType, int] = {}

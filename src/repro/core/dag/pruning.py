@@ -55,17 +55,21 @@ def prune_logic_dag(formula: CNF) -> Tuple[Dag, CNF, PruneReport]:
     return dag, pruned_cnf, report
 
 
+#: Children every sum node keeps however low their flow: pruning never
+#: empties a mixture.
+MIN_SUM_CHILDREN = 1
+
+
 def prune_circuit_by_flow(
     circuit: Circuit,
     dataset: Sequence[Evidence],
     keep_fraction: float = 0.8,
-    min_children: int = 1,
 ) -> Tuple[Circuit, FlowPruneReport]:
     """Remove the lowest-flow sum edges of a probabilistic circuit.
 
     Edges are ranked by cumulative flow F_{n,c}(D); the lowest
     ``1 - keep_fraction`` of sum edges are deleted (each sum keeps at
-    least ``min_children`` children).  Surviving weights are
+    least :data:`MIN_SUM_CHILDREN` children).  Surviving weights are
     renormalized.  The report carries the paper's bound
     Δ log L ≤ Σ_pruned F_{n,c}(D)/|D|.
     """
@@ -79,7 +83,7 @@ def prune_circuit_by_flow(
     num_to_drop = int(len(sum_edges) * (1.0 - keep_fraction))
     drop_order = [key for key, _ in sum_edges]
 
-    # Respect min_children per sum node while honoring the drop budget.
+    # Respect MIN_SUM_CHILDREN per sum node while honoring the drop budget.
     children_left: Dict[int, int] = {}
     for node in circuit.topological_order():
         if isinstance(node, SumNode):
@@ -90,7 +94,7 @@ def prune_circuit_by_flow(
         if len(dropped) >= num_to_drop:
             break
         parent_id, _ = key
-        if children_left[parent_id] <= min_children:
+        if children_left[parent_id] <= MIN_SUM_CHILDREN:
             continue
         dropped.add(key)
         children_left[parent_id] -= 1

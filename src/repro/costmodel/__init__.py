@@ -20,7 +20,7 @@ policies (``predicted-makespan``, ``cost-aware``) in
 
 from repro.costmodel.calibrator import CalibrationStats, Calibrator
 from repro.costmodel.estimator import CostEstimator
-from repro.costmodel.features import CostFeatures, CostPrediction, prediction_for
+from repro.costmodel.features import CostFeatures, CostPrediction
 
 __all__ = [
     "CalibrationStats",
@@ -28,5 +28,4 @@ __all__ = [
     "CostEstimator",
     "CostFeatures",
     "CostPrediction",
-    "prediction_for",
 ]

@@ -126,11 +126,3 @@ class CostPrediction:
 #: Type alias used by the scheduler: backend name → prediction.
 PredictionMap = Mapping[str, CostPrediction]
 
-
-def prediction_for(
-    predictions: Optional[PredictionMap], backend: Optional[str]
-) -> Optional[CostPrediction]:
-    """Safe lookup helper shared by the time-aware policies."""
-    if not predictions or backend is None:
-        return None
-    return predictions.get(backend)

@@ -305,6 +305,36 @@ class MetricsRegistry:
 
     # -------------------------------------------------------- registration
 
+    def _family(
+        self, name: str, kind: str, help: str, labels: Dict[str, str]
+    ) -> Tuple[_Family, str]:
+        """Get-or-create the family ``name`` and check that ``kind`` and
+        the label names agree with it; returns it with the canonical
+        series key of ``labels``.  Call with the registry lock held."""
+        if not name or not name.replace("_", "").replace(":", "").isalnum():
+            raise ValueError(
+                f"metric name {name!r} must be non-empty and use only "
+                f"letters, digits, '_' and ':'"
+            )
+        label_names = tuple(sorted(labels))
+        family = self._families.get(name)
+        if family is None:
+            family = self._families[name] = _Family(name, kind, help, label_names)
+        else:
+            if family.kind != kind:
+                raise ValueError(
+                    f"metric {name!r} is already registered as a "
+                    f"{family.kind}, not a {kind}"
+                )
+            if family.label_names != label_names:
+                raise ValueError(
+                    f"metric {name!r} uses labels {family.label_names}, "
+                    f"got {label_names}"
+                )
+            if help and not family.help:
+                family.help = help
+        return family, canonical_labels(labels)
+
     def _instrument(
         self,
         name: str,
@@ -313,30 +343,8 @@ class MetricsRegistry:
         help: str,
         labels: Dict[str, str],
     ):
-        if not name or not name.replace("_", "").replace(":", "").isalnum():
-            raise ValueError(
-                f"metric name {name!r} must be non-empty and use only "
-                f"letters, digits, '_' and ':'"
-            )
-        label_names = tuple(sorted(labels))
-        series = canonical_labels(labels)
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = self._families[name] = _Family(name, kind, help, label_names)
-            else:
-                if family.kind != kind:
-                    raise ValueError(
-                        f"metric {name!r} is already registered as a "
-                        f"{family.kind}, not a {kind}"
-                    )
-                if family.label_names != label_names:
-                    raise ValueError(
-                        f"metric {name!r} uses labels {family.label_names}, "
-                        f"got {label_names}"
-                    )
-                if help and not family.help:
-                    family.help = help
+            family, series = self._family(name, kind, help, labels)
             instrument = family.children.get(series)
             if instrument is None:
                 if series in family.callbacks:
@@ -380,23 +388,8 @@ class MetricsRegistry:
         inside :meth:`snapshot`."""
         if kind not in ("counter", "gauge"):
             raise ValueError("callbacks serve counters or gauges only")
-        label_names = tuple(sorted(labels))
-        series = canonical_labels(labels)
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = self._families[name] = _Family(name, kind, help, label_names)
-            else:
-                if family.kind != kind:
-                    raise ValueError(
-                        f"metric {name!r} is already registered as a "
-                        f"{family.kind}, not a {kind}"
-                    )
-                if family.label_names != label_names:
-                    raise ValueError(
-                        f"metric {name!r} uses labels {family.label_names}, "
-                        f"got {label_names}"
-                    )
+            family, series = self._family(name, kind, help, labels)
             if series in family.children or series in family.callbacks:
                 raise ValueError(
                     f"metric {name!r} series {series!r} is already registered "

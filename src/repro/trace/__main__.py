@@ -171,8 +171,7 @@ def _record_demo(args) -> int:
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown demo kernel {kernel_name!r}")
 
-    session = ReasonSession(cache=False)
-    report = session.run(kernel, trace=args.out)
+    report = ReasonSession().run(kernel, trace=args.out)
     info = report.extras["trace"]
     print(f"wrote {args.out}: {info['events']} events, {info['bytes']} bytes "
           f"({info['bytes_per_event']:.2f} B/event)")

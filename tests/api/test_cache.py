@@ -136,15 +136,6 @@ class TestSessionCaching:
         assert not report.cache_hit
         assert session.prepare_calls == 2
 
-    def test_disabled_cache_never_hits(self):
-        session = ReasonSession(cache=False)
-        kernel = random_circuit(4, depth=2, seed=3)
-        session.run(kernel)
-        report = session.run(kernel)
-        assert not report.cache_hit
-        assert session.prepare_calls == 2
-        assert session.cache_stats.lookups == 0
-
     def test_clear_cache_forces_recompile(self):
         session = ReasonSession()
         kernel = random_ksat(10, 30, seed=4)

@@ -7,7 +7,7 @@ import pytest
 
 from repro import ReasonService, ReasonSession
 from repro.api.adapters import RunOptions, adapter_for
-from repro.api.scheduler import Request, ShardView, get_policy
+from repro.api.scheduler import Request, SchedulingPolicy, ShardView, get_policy
 from repro.core.system.sharding import compose_shard_makespans
 from repro.costmodel import CostEstimator
 from repro.hmm.model import HMM
@@ -55,6 +55,33 @@ class TestHeterogeneousShards:
                 for k in mixed_kernels()[:2]
             ]
         assert all(report.backend == "software" for report in reports)
+
+    @pytest.mark.parametrize(
+        "shards, forced",
+        [(2, None), (["reason", "gpu", "cpu"], None), (["reason", "gpu", "cpu"], "software")],
+        ids=["homogeneous", "heterogeneous", "forced-backend"],
+    )
+    def test_every_placed_request_has_a_prediction_for_every_view(self, shards, forced):
+        """What lets the time-aware policies read ``predicted_for(view)``
+        without a fallback: admission predicts the forced backend, or
+        every distinct shard substrate, before any policy runs."""
+        seen = []
+
+        class Recording(SchedulingPolicy):
+            name = "recording"
+
+            def select(self, request, views):
+                seen.extend((request, view) for view in views)
+                return len(seen) % len(views)
+
+        with ReasonService(shards=shards, policy=Recording()) as service:
+            for kernel in mixed_kernels():
+                service.submit(kernel, backend=forced).result()
+            backends = service.shard_backends
+        assert len(seen) == len(mixed_kernels()) * len(backends)
+        for request, view in seen:
+            assert request.predicted_for(view).backend == (forced or backends[view.index])
+            assert request.predicted_for(view).seconds > 0.0
 
     def test_unknown_substrate_rejected_at_construction(self):
         with pytest.raises(KeyError):

@@ -16,12 +16,11 @@ from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.dag import circuit_to_dag
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
-from repro.metrics.spans import RequestSpan
 from repro.pc.learn import random_circuit, sample_dataset
 from repro.trace import TraceWriter, cross_validate, read_trace, timeline
 
 #: How a report was delivered, not what it says.
-DELIVERY = ("cache_hit", "executed", "compile_s")
+DELIVERY = ("cache_hit", "executed", "compile_s", "execute_s")
 
 
 CIRCUIT = random_circuit(5, depth=2, seed=1)
@@ -46,7 +45,7 @@ def content(report):
 @pytest.mark.parametrize("kind", KINDS)
 def test_warm_reports_equal_a_fresh_execution(kind, queries):
     kernel, options = KERNELS[kind]
-    fresh = ReasonSession(cache=False).run(kernel, queries=queries, **options)
+    fresh = ReasonSession().run(kernel, queries=queries, **options)
     session = ReasonSession()
     first, second, third = (
         session.run(kernel, queries=queries, **options) for _ in range(3)
@@ -65,7 +64,7 @@ def test_queries_only_scale_the_stored_run():
     session = ReasonSession()
     session.run(kernel, **options)
     warm = session.run(kernel, queries=8, **options)
-    fresh = ReasonSession(cache=False).run(kernel, queries=8, **options)
+    fresh = ReasonSession().run(kernel, queries=8, **options)
     assert not warm.executed
     assert content(warm) == content(fresh)
 
@@ -100,7 +99,7 @@ class TestObservedRunsStillExecute:
     def test_borrowed_writer(self, warmed):
         session, kernel, plain = warmed
         cold_writer, writer = TraceWriter(), TraceWriter()
-        ReasonSession(cache=False).run(kernel, trace=cold_writer)
+        ReasonSession().run(kernel, trace=cold_writer)
         traced = session.run(kernel, trace=writer)
         assert traced.executed
         assert traced.identity() == plain.identity()
@@ -112,7 +111,7 @@ class TestObservedRunsStillExecute:
 
     def test_record_events(self, warmed):
         session, kernel, plain = warmed
-        cold = ReasonSession(cache=False).run(kernel, trace=True)
+        cold = ReasonSession().run(kernel, trace=True)
         observed = session.run(kernel, trace=True)
         assert observed.executed
         assert observed.identity() == plain.identity()
@@ -143,14 +142,14 @@ def test_other_config_executes(kind):
     assert artifact.execution.config == DEFAULT_CONFIG
     backend = ReasonBackend()
     report = backend.run(artifact, other, queries=8)
-    expected = ReasonSession(config=other, cache=False).run(kernel, queries=8, **options)
+    expected = ReasonSession(config=other).run(kernel, queries=8, **options)
     assert report.executed
     # (Clock and DRAM latency are read by the model, not by the compiler.)
     assert content(report) == content(expected)
     assert report.seconds == report.cycles * other.cycle_time_s
     # Back under the first config: the same report as before the detour.
     assert content(backend.run(artifact, DEFAULT_CONFIG)) == content(
-        ReasonSession(cache=False).run(kernel, **options)
+        ReasonSession().run(kernel, **options)
     )
 
 
@@ -158,7 +157,7 @@ def test_two_first_executions_of_one_artifact_agree(monkeypatch):
     """Both threads find no summary and both execute (held together
     inside the model run): each returns the reference report."""
     kernel, options = KERNELS["cnf"]
-    reference = content(ReasonSession(cache=False).run(kernel, queries=8, **options))
+    reference = content(ReasonSession().run(kernel, queries=8, **options))
     artifact = ReasonSession().compile(kernel, **options)
     both_inside = threading.Barrier(2)
     execute = ReasonBackend._execute
@@ -191,7 +190,7 @@ def test_contended_session_counts_every_execution():
     counter loses no update (it equals the reports flagged executed)."""
     threads = 8
     references = {
-        kind: content(ReasonSession(cache=False).run(kernel, queries=8, **options))
+        kind: content(ReasonSession().run(kernel, queries=8, **options))
         for kind, (kernel, options) in KERNELS.items()
     }
     session = ReasonSession()
@@ -258,17 +257,17 @@ class TestDiskRoundTrip:
 class TestWhichRequestsExecuted:
     def test_span_and_counter(self):
         kernel, options = KERNELS["cnf"]
-        session = ReasonSession(metrics=True)
-        spans = [RequestSpan() for _ in range(3)]
-        for span in spans:
-            session.run(kernel, span=span, **options)
-        assert [span.executed for span in spans] == [True, False, False]
-        assert [span.to_dict()["executed"] for span in spans] == [True, False, False]
-        session.run(kernel, trace=True)
-        assert session.executions == 2
-        metrics = session.metrics.snapshot()["metrics"]
-        assert metrics["reason_executions_total"]["series"][""] == 2
-        assert metrics["reason_prepare_calls_total"]["series"][""] == 1
+        with ReasonService(shards=1, metrics=True) as service:
+            for _ in range(3):
+                service.submit(kernel, **options).result()
+            spans = service.spans()
+            assert [span.executed for span in spans] == [True, False, False]
+            assert [span.to_dict()["executed"] for span in spans] == [True, False, False]
+            service.submit(kernel, trace=True).result()
+            assert service.session_of(0).executions == 2
+            metrics = service.metrics().snapshot()["metrics"]
+        assert metrics["reason_executions_total"]["series"]["shard=0"] == 2
+        assert metrics["reason_prepare_calls_total"]["series"]["shard=0"] == 1
 
     def test_other_backends_never_run_the_model(self):
         kernel, options = KERNELS["cnf"]

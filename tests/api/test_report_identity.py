@@ -130,10 +130,9 @@ def program_digest(program) -> str:
 
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
 def test_compiled_programs_match_recorded_digests(tiny):
-    session = ReasonSession(cache=False)
     drifted = []
     for name, kernel, options in build_trace(tiny=tiny):
-        program = session.compile(kernel, **options).program
+        program = ReasonSession().compile(kernel, **options).program
         if program is None:  # logic kernels replay a solver trace
             assert name.startswith("cnf/")
             continue
@@ -144,13 +143,14 @@ def test_compiled_programs_match_recorded_digests(tiny):
 
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
 def test_cold_reports_match_recorded_digests(tiny):
-    cold_session, caching = ReasonSession(cache=False), ReasonSession()
+    caching = ReasonSession()
     drifted = []
     for name, kernel, options in build_trace(tiny=tiny):
         caching.run(kernel, backend="reason", **options)
         warm = caching.run(kernel, backend="reason", **options)
         assert warm.cache_hit and not warm.executed
-        cold = cold_session.run(kernel, backend="reason", **options)
+        cold = ReasonSession().run(kernel, backend="reason", **options)
+        assert not cold.cache_hit and cold.executed
         for label, report in (("cold", cold), ("warm", warm)):
             if report_digest(report) != RECORDED[name]:
                 drifted.append(

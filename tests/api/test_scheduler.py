@@ -1,5 +1,7 @@
 """Scheduling policies: selection semantics and the registry."""
 
+import inspect
+
 import pytest
 
 from repro.api.adapters import RunOptions
@@ -22,6 +24,8 @@ from repro.costmodel import CostPrediction
 def request(
     fingerprint: str = "ab" * 32, backend="reason", predicted=None, warm=False
 ) -> Request:
+    if predicted is None:  # every placed request carries one; 1 s on "reason"
+        predicted = {"reason": prediction("reason", 1.0)}
     return Request(
         kernel=None,
         options=RunOptions(),
@@ -35,8 +39,13 @@ def request(
     )
 
 
+def view(index, pending=0, completed=0, backend="reason", busy_s=0.0) -> ShardView:
+    """An idle ``reason`` shard unless the test says otherwise."""
+    return ShardView(index, pending, completed, backend, busy_s)
+
+
 def views(*pending) -> list:
-    return [ShardView(i, p, 0) for i, p in enumerate(pending)]
+    return [view(i, p) for i, p in enumerate(pending)]
 
 
 def prediction(backend, seconds, compile_s=0.0) -> CostPrediction:
@@ -101,25 +110,35 @@ class TestCacheAffinity:
 
 
 class TestShardViewCompat:
-    def test_positional_construction_still_works(self):
-        """Pre-cost-model callers built views as (index, pending,
-        completed); the new fields must default."""
-        view = ShardView(1, 4, 9)
-        assert (view.index, view.pending, view.completed) == (1, 4, 9)
-        assert view.backend == "reason"
-        assert view.busy_s == 0.0
-
     def test_extended_construction(self):
-        view = ShardView(0, 1, 2, "gpu", 0.5)
-        assert view.backend == "gpu" and view.busy_s == 0.5
+        shard = ShardView(0, 1, 2, "gpu", 0.5)
+        assert shard.backend == "gpu" and shard.busy_s == 0.5
+
+
+class TestCompleteInputs:
+    """A policy never sees a view without a substrate and a backlog, or
+    a request without predictions: both are required at construction."""
+
+    def test_shard_view_has_no_defaults(self):
+        parameters = inspect.signature(ShardView).parameters
+        assert list(parameters) == ["index", "pending", "completed", "backend", "busy_s"]
+        assert all(p.default is inspect.Parameter.empty for p in parameters.values())
+        with pytest.raises(TypeError):
+            ShardView(0, 0, 0)
+
+    def test_request_requires_predictions(self):
+        parameters = inspect.signature(Request).parameters
+        assert parameters["predicted"].default is inspect.Parameter.empty
+        with pytest.raises(TypeError, match="predicted"):
+            Request(None, RunOptions(), "cnf", "ab" * 32, None, 1, 0.0)
 
 
 class TestPredictedMakespan:
     def test_balances_predicted_seconds_not_counts(self):
         policy = PredictedMakespanPolicy()
         shards = [
-            ShardView(0, pending=1, completed=0, busy_s=5.0),  # fewer, heavier
-            ShardView(1, pending=3, completed=0, busy_s=1.0),  # more, lighter
+            view(0, pending=1, completed=0, busy_s=5.0),  # fewer, heavier
+            view(1, pending=3, completed=0, busy_s=1.0),  # more, lighter
         ]
         req = request(predicted={"reason": prediction("reason", 1.0)})
         assert policy.select(req, shards) == 1
@@ -127,8 +146,8 @@ class TestPredictedMakespan:
     def test_charges_per_substrate_execution_time(self):
         policy = PredictedMakespanPolicy()
         shards = [
-            ShardView(0, 0, 0, "reason", busy_s=2.0),
-            ShardView(1, 0, 0, "gpu", busy_s=0.0),
+            view(0, 0, 0, "reason", busy_s=2.0),
+            view(1, 0, 0, "gpu", busy_s=0.0),
         ]
         # gpu is idle but slow for this kernel; loaded reason still wins.
         req = request(
@@ -140,13 +159,9 @@ class TestPredictedMakespan:
         )
         assert policy.select(req, shards) == 0
 
-    def test_falls_back_to_least_loaded_without_predictions(self):
-        policy = PredictedMakespanPolicy()
-        assert policy.select(request(), views(3, 1, 2)) == 1
-
     def test_ties_break_by_pending_then_index(self):
         policy = PredictedMakespanPolicy()
-        shards = [ShardView(0, 2, 0, busy_s=1.0), ShardView(1, 1, 0, busy_s=1.0)]
+        shards = [view(0, 2, 0, busy_s=1.0), view(1, 1, 0, busy_s=1.0)]
         req = request(predicted={"reason": prediction("reason", 1.0)})
         assert policy.select(req, shards) == 1
 
@@ -155,9 +170,9 @@ class TestCostAwarePlacement:
     def test_routes_to_fastest_substrate(self):
         policy = CostAwarePlacementPolicy()
         shards = [
-            ShardView(0, 0, 0, "cpu"),
-            ShardView(1, 0, 0, "reason"),
-            ShardView(2, 0, 0, "gpu"),
+            view(0, 0, 0, "cpu"),
+            view(1, 0, 0, "reason"),
+            view(2, 0, 0, "gpu"),
         ]
         req = request(
             backend=None,
@@ -172,8 +187,8 @@ class TestCostAwarePlacement:
     def test_spills_to_slower_substrate_under_load(self):
         policy = CostAwarePlacementPolicy()
         shards = [
-            ShardView(0, 0, 0, "reason", busy_s=10.0),  # fast but saturated
-            ShardView(1, 0, 0, "gpu", busy_s=0.0),
+            view(0, 0, 0, "reason", busy_s=10.0),  # fast but saturated
+            view(1, 0, 0, "gpu", busy_s=0.0),
         ]
         req = request(
             backend=None,
@@ -186,13 +201,13 @@ class TestCostAwarePlacement:
 
     def test_compile_penalty_keeps_repeats_on_the_warm_shard(self):
         policy = CostAwarePlacementPolicy()
-        shards = [ShardView(0, 0, 0, "reason"), ShardView(1, 0, 0, "reason")]
+        shards = [view(0, 0, 0, "reason"), view(1, 0, 0, "reason")]
         predicted = {"reason": prediction("reason", 1.0, compile_s=5.0)}
         first = policy.select(request("aa", predicted=predicted), shards)
         assert first == 0  # tie → lowest index, now owns the artifact
         # Same kernel again, shard 0 slightly busier: the cold shard
         # would re-pay the 5s front end, so the warm shard still wins.
-        busier = [ShardView(0, 0, 0, "reason", busy_s=2.0), shards[1]]
+        busier = [view(0, 0, 0, "reason", busy_s=2.0), shards[1]]
         assert policy.select(request("aa", predicted=predicted), busier) == 0
         # A different kernel has no warm home; load decides (shard 1).
         assert policy.select(request("bb", predicted=predicted), busier) == 1
@@ -203,27 +218,23 @@ class TestCostAwarePlacement:
         policy = CostAwarePlacementPolicy()
         cold = {"reason": CostPrediction(backend="reason", seconds=1e-4)}
         assert cold["reason"].source == "default"
-        shards = [ShardView(0, 0, 0), ShardView(1, 0, 0)]
+        shards = [view(0, 0, 0), view(1, 0, 0)]
         first = policy.select(request("aa", predicted=cold), shards)
         # Busy time accrued on the first shard would otherwise push
         # the identical repeat onto the cold one.
-        busier = [ShardView(0, 1, 0, busy_s=1e-4), ShardView(1, 0, 0)]
+        busier = [view(0, 1, 0, busy_s=1e-4), view(1, 0, 0)]
         assert policy.select(request("aa", predicted=cold), busier) == first
-
-    def test_falls_back_to_least_loaded_without_predictions(self):
-        policy = CostAwarePlacementPolicy()
-        assert policy.select(request(), views(2, 2, 1)) == 2
 
     def test_warm_request_skips_cold_start_stickiness(self):
         """A store-warm kernel is equally cheap on every shard: load
         should decide placement, not which shard first saw it."""
         policy = CostAwarePlacementPolicy()
         cold = {"reason": CostPrediction(backend="reason", seconds=1e-4)}
-        shards = [ShardView(0, 0, 0), ShardView(1, 0, 0)]
+        shards = [view(0, 0, 0), view(1, 0, 0)]
         assert policy.select(request("aa", predicted=cold), shards) == 0
         # Shard 0 busier now; the sticky branch would pin the repeat
         # there, but a warm request follows the load instead.
-        busier = [ShardView(0, 1, 0, busy_s=1e-4), ShardView(1, 0, 0)]
+        busier = [view(0, 1, 0, busy_s=1e-4), view(1, 0, 0)]
         assert (
             policy.select(request("aa", predicted=cold, warm=True), busier) == 1
         )
@@ -234,13 +245,13 @@ class TestCostAwarePlacement:
         optimization, not a correctness crutch."""
         policy = CostAwarePlacementPolicy()
         cold = {"reason": prediction("reason", 1.0, compile_s=5.0)}
-        shards = [ShardView(0, 0, 0, "reason"), ShardView(1, 0, 0, "reason")]
+        shards = [view(0, 0, 0, "reason"), view(1, 0, 0, "reason")]
         assert policy.select(request("aa", predicted=cold), shards) == 0
         # Same kernel now resident in the shared store: its prediction
         # arrives with compile_s=0, so the less-busy cold shard wins
         # even though shard 0 holds the placement record.
         warm = {"reason": prediction("reason", 1.0, compile_s=0.0)}
-        busier = [ShardView(0, 0, 0, "reason", busy_s=2.0), shards[1]]
+        busier = [view(0, 0, 0, "reason", busy_s=2.0), shards[1]]
         assert (
             policy.select(request("aa", predicted=warm, warm=True), busier) == 1
         )

@@ -1,10 +1,12 @@
 """ReasonSession facade: run/run_batch/cross_check semantics and public
 exports."""
 
+import inspect
+
 import pytest
 
 import repro
-from repro import BatchResult, ReasonSession
+from repro import BatchResult, ReasonService, ReasonSession
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
@@ -112,12 +114,6 @@ class TestRunBatch:
         session.run_batch(kernels, keep_fraction=0.9)
         assert len(constructions) == 1
 
-    def test_batch_with_cache_disabled_reports_no_lookups(self):
-        session = ReasonSession(cache=False)
-        batch = session.run_batch([random_ksat(8, 24, seed=20)] * 3)
-        assert batch.cache_hits == 0 and batch.cache_misses == 0
-        assert session.prepare_calls == 3
-
 
 class TestCrossCheck:
     def test_all_backends_by_default(self):
@@ -166,7 +162,7 @@ class TestCrossCheck:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
         for name in (
             "ReasonSession",
             "ReasonService",
@@ -186,6 +182,19 @@ class TestPublicSurface:
             "render_prometheus",
         ):
             assert hasattr(repro, name)
+
+    def test_one_mode_constructors(self):
+        """Sessions always cache and nothing smuggles a span through the
+        compile options: the arguments that selected otherwise are gone."""
+        session = inspect.signature(ReasonSession).parameters
+        service = inspect.signature(ReasonService).parameters
+        assert "cache" not in session and "cache" not in service
+        assert len(service) == 13
+        with pytest.raises(TypeError):
+            ReasonSession().run(random_ksat(6, 18, seed=1), span=object())
+        assert ReasonSession(store="shared").store is not None
+        with ReasonService(shards=1, store="shared") as built:
+            assert built.store is not None
 
     def test_session_lists_backends(self):
         assert set(ReasonSession().backends()) >= {"reason", "software", "gpu", "cpu"}

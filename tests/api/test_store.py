@@ -374,15 +374,6 @@ class TestServiceSharedStore:
             assert shared_report.cycles == private_report.cycles
             assert shared_report.energy_j == private_report.energy_j
 
-    def test_store_with_cache_off_is_rejected(self):
-        """A store is a cache level: silently dropping it on
-        cache=False would leave a user believing cross-process sharing
-        is on while every request compiles cold."""
-        with pytest.raises(ValueError, match="cache=False"):
-            ReasonService(shards=2, cache=False, store="shared")
-        with pytest.raises(ValueError, match="cache=False"):
-            ReasonSession(cache=False, store="shared")
-
     def test_corrupt_disk_entry_is_a_miss_not_an_error(self, tmp_path):
         store = DiskStore(tmp_path)
         session = ReasonSession(store=store)

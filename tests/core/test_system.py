@@ -139,7 +139,7 @@ class TestEndToEndModels:
 
 def run_on_reason(kernel, **options):
     """One cold run on the accelerator model."""
-    return ReasonSession(cache=False).run(kernel, backend="reason", **options)
+    return ReasonSession().run(kernel, backend="reason", **options)
 
 
 class TestRunner:

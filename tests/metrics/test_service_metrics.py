@@ -4,11 +4,13 @@ serialization."""
 
 import pytest
 
-from repro.api.adapters import RunOptions, adapter_for
+from repro.api.adapters import CnfAdapter, RunOptions, adapter_for
+from repro.api import resilience
 from repro.api.service import ReasonService, ServiceStats
 from repro.api.session import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.system.sharding import ShardComposition
+from repro.faults import FaultPlan
 from repro.logic.generators import random_ksat
 from repro.metrics import MetricsRegistry, RequestSpan, SpanLog
 from repro.pc.learn import random_circuit
@@ -50,28 +52,6 @@ class TestSessionMetrics:
         assert snap["reason_cache_local_hits_total"]["series"][""] == 1
         assert snap["reason_cache_artifacts"]["series"][""] == 1
 
-    def test_session_fills_caller_span(self):
-        session = ReasonSession(metrics=True)
-        kernel = random_ksat(16, 56, seed=3)
-        cold = RequestSpan()
-        report = session.run(kernel, span=cold)
-        assert cold.compile_s > 0.0 and cold.execute_s > 0.0
-        assert cold.cache_hit is False
-        assert cold.backend == "reason" and cold.kind == "cnf"
-        warm = RequestSpan()
-        session.run(kernel, span=warm)
-        assert warm.cache_hit is True and warm.compile_s == 0.0
-        assert cold.complete(report).status == "ok"
-        assert cold.actual_s == report.seconds
-
-    def test_span_works_without_registry(self):
-        # span= is independent of metrics=: a plain session still
-        # fills the legs (the instrumented path triggers on either).
-        session = ReasonSession()
-        span = RequestSpan()
-        session.run(random_ksat(12, 40, seed=4), span=span)
-        assert span.execute_s > 0.0
-
     def test_shared_registry_needs_distinct_labels(self):
         registry = MetricsRegistry()
         ReasonSession(metrics=registry, metrics_labels={"shard": "0"})
@@ -88,21 +68,16 @@ class TestFingerprintExclusion:
     """Observation knobs must never split the compile cache."""
 
     def test_span_and_trace_not_in_fingerprint(self):
+        # trace= and verify= are options the fingerprint skips; the span
+        # is not an option at all, so it has nothing to enter it by.
         kernel = random_ksat(14, 48, seed=6)
         adapter = adapter_for(kernel)
         base = adapter.fingerprint(kernel, RunOptions(), DEFAULT_CONFIG)
-        spanned = adapter.fingerprint(
-            kernel, RunOptions(span=RequestSpan(), trace=True), DEFAULT_CONFIG
+        observed = adapter.fingerprint(
+            kernel, RunOptions(trace=True, verify=True), DEFAULT_CONFIG
         )
-        assert spanned == base
-
-    def test_spanned_run_hits_plain_cache_entry(self):
-        session = ReasonSession()
-        kernel = random_ksat(14, 48, seed=7)
-        assert session.run(kernel).cache_hit is False
-        report = session.run(kernel, span=RequestSpan())
-        assert report.cache_hit is True
-        assert session.prepare_calls == 1
+        assert observed == base
+        assert "span" not in RunOptions.__dataclass_fields__
 
 
 class TestServiceMetrics:
@@ -162,6 +137,76 @@ class TestServiceMetrics:
         # Failures stay out of the latency histograms.
         assert "reason_request_e2e_seconds" not in snap
 
+    def test_ok_span_legs_are_the_reports(self):
+        kernel = random_ksat(16, 56, seed=3)
+        with ReasonService(shards=1, metrics=True) as service:
+            reports = [service.submit(kernel).result(timeout=60) for _ in range(2)]
+            spans = service.spans()  # logged before each future resolved
+        assert [report.cache_hit for report in reports] == [False, True]
+        for span, report in zip(spans, reports):
+            assert span.status == "ok" and span.error == ""
+            assert span.compile_s == report.compile_s
+            assert span.execute_s == report.execute_s > 0.0
+            assert span.cache_hit is report.cache_hit
+            assert span.executed is report.executed
+            assert span.actual_s == report.seconds
+            assert span.actual_energy_j == report.energy_j
+            assert span.backend == report.backend and span.kind == report.kernel
+            assert span.admitted_at <= span.started_at <= span.finished_at
+        assert spans[0].compile_s > 0.0 and spans[1].compile_s == 0.0
+
+    def test_span_status_is_the_settle_outcome_not_the_exception_name(self, monkeypatch):
+        """A user's own ``DeadlineExceeded`` is an error like any other:
+        the span and the counters describe the same request the same way."""
+
+        class DeadlineExceeded(Exception):
+            pass
+
+        def prepare(self, kernel, options, config):
+            raise DeadlineExceeded("the user's own")
+
+        monkeypatch.setattr(CnfAdapter, "prepare", prepare)
+        with ReasonService(shards=1, metrics=True) as service:
+            with pytest.raises(DeadlineExceeded):
+                service.submit(random_ksat(8, 24, seed=7)).result(timeout=30)
+            service.drain(timeout=15)
+            (span,) = service.spans()
+            stats = service.stats()
+        assert span.status == "error"
+        assert span.error == "DeadlineExceeded: the user's own"
+        assert (stats.failed, stats.expired) == (1, 0)
+
+    def test_missed_deadline_span(self):
+        slow = FaultPlan(latency_rate=1.0, latency_s=0.5)  # outlasts the budget
+        with ReasonService(shards=1, metrics=True, faults=slow) as service:
+            future = service.submit(random_ksat(10, 30, seed=0), deadline_s=0.05)
+            with pytest.raises(resilience.DeadlineExceeded):
+                future.result(timeout=30)
+            (span,) = service.spans()
+            service.drain(timeout=15)
+            stats = service.stats()
+        assert span.status == "deadline"
+        assert span.error.startswith("DeadlineExceeded: ")
+        assert (stats.failed, stats.expired) == (1, 1)
+        assert span.started_at > 0.0 and span.execute_s == 0.0
+
+    def test_rerouted_retry_span_carries_the_final_shard(self):
+        # Round-robin opens on shard 0; its one injected fault sends the
+        # retry to the only other shard.
+        with ReasonService(
+            shards=2,
+            metrics=True,
+            retry=resilience.RetryPolicy(max_attempts=3, reroute=True),
+            faults=FaultPlan(seed=1, execute_error_rate=1.0, max_injections=1),
+        ) as service:
+            future = service.submit(random_ksat(12, 40, seed=1))
+            report = future.result(timeout=30)
+            (span,) = service.spans()
+        assert future.shard_index == 1
+        assert (span.status, span.shard, span.attempts) == ("ok", 1, 2)
+        assert report.extras["attempts"] == 2
+        assert span.execute_s == report.execute_s
+
     def test_cancelled_span(self):
         kernels = _kernels()
         with ReasonService(shards=1, metrics=True) as service:
@@ -210,7 +255,7 @@ class TestSpanLog:
     def test_bounded_ring(self):
         log = SpanLog(maxlen=3)
         for index in range(5):
-            log.append(RequestSpan(fingerprint=str(index)))
+            log.append(RequestSpan("ok", fingerprint=str(index)))
         assert len(log) == 3
         assert log.total == 5
         assert [span.fingerprint for span in log.snapshot()] == ["2", "3", "4"]
@@ -221,12 +266,16 @@ class TestSpanLog:
     def test_span_to_dict_round_trips_json(self):
         import json
 
-        span = RequestSpan(fingerprint="abc", kind="cnf", backend="reason")
-        span.mark_started()
-        span.complete()
+        span = RequestSpan(
+            "ok", fingerprint="abc", kind="cnf", backend="reason",
+            admitted_at=1.0, started_at=1.5, finished_at=3.0,
+        )
         payload = json.loads(json.dumps(span.to_dict()))
         assert payload["status"] == "ok"
         assert payload["fingerprint"] == "abc"
+        assert (payload["queue_wait_s"], payload["e2e_s"]) == (0.5, 2.0)
+        with pytest.raises(TypeError):
+            RequestSpan()  # a span without an outcome is not a record
 
 
 class TestStatsSerialization:

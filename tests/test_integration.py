@@ -33,7 +33,7 @@ class TestWorkloadKernelsOnAccelerator:
             calibration = sample_dataset(kernel, 15, seed=1)
         elif isinstance(kernel, HMM):
             calibration = workload.calibration_sequences(instance)
-        report = ReasonSession(cache=False).run(kernel, calibration=calibration)
+        report = ReasonSession().run(kernel, calibration=calibration)
         assert report.cycles > 0
         assert report.energy_j > 0
 
@@ -138,7 +138,7 @@ class TestEndToEndSpeedupStructure:
         from repro.logic.generators import redundant_sat
 
         formula, _ = redundant_sat(50, 200, redundancy=0.35, seed=8)
-        session = ReasonSession(cache=False)
+        session = ReasonSession()
         raw = session.run(formula, optimize=False)
         optimized = session.run(formula, optimize=True)
         # Pruned formulas never cost more; usually they cost less.

@@ -19,7 +19,7 @@ def traces(tmp_path_factory):
     for name, seed in (("a", 11), ("b", 11), ("c", 12)):
         kernel = random_ksat(24, 96, seed=seed)
         path = root / f"{name}.trace"
-        ReasonSession(cache=False).run(kernel, trace=str(path))
+        ReasonSession().run(kernel, trace=str(path))
         paths[name] = str(path)
     return paths
 

@@ -76,14 +76,14 @@ class TestCrossValidation:
         ids=["ksat", "pigeonhole"],
     )
     def test_symbolic_kernels(self, kernel):
-        report = ReasonSession(cache=False).run(kernel, trace=True)
+        report = ReasonSession().run(kernel, trace=True)
         data = report.extras["trace_data"]
         assert TraceReader(data).validate().bytes_per_event <= 6.0
         cross_validate(data, report).raise_on_mismatch()
 
     def test_circuit_kernel(self):
         circuit = random_circuit(8, depth=3, sum_children=3, seed=3)
-        report = ReasonSession(cache=False).run(circuit, trace=True)
+        report = ReasonSession().run(circuit, trace=True)
         data = report.extras["trace_data"]
         assert TraceReader(data).validate().bytes_per_event <= 6.0
         cross_validate(data, report).raise_on_mismatch()
@@ -116,7 +116,7 @@ class TestCrossValidation:
 
     def test_queries_scale_cycles(self):
         kernel = random_ksat(30, 120, seed=1)
-        report = ReasonSession(cache=False).run(kernel, queries=5, trace=True)
+        report = ReasonSession().run(kernel, queries=5, trace=True)
         data = report.extras["trace_data"]
         assert TraceReader(data).validate().bytes_per_event <= 6.0
         cross_validate(data, report).raise_on_mismatch()
@@ -124,7 +124,7 @@ class TestCrossValidation:
     def test_mismatch_is_detected(self):
         # Negative control: a wrong report must fail, not pass vacuously.
         kernel = random_ksat(30, 120, seed=1)
-        report = ReasonSession(cache=False).run(kernel, trace=True)
+        report = ReasonSession().run(kernel, trace=True)
         report.extras["decisions"] += 1
         result = cross_validate(report.extras["trace_data"], report)
         assert not result.ok
@@ -136,7 +136,7 @@ class TestCrossValidation:
 class TestTraceContents:
     def test_learn_events_follow_conflicts(self):
         formula = pigeonhole(4)  # UNSAT: plenty of conflicts and learns
-        report = ReasonSession(cache=False).run(formula, trace=True)
+        report = ReasonSession().run(formula, trace=True)
         records = read_trace(report.extras["trace_data"])
         conflicts = [r for r in records if r.kind is EventKind.CONFLICT]
         learns = [r for r in records if r.kind is EventKind.LEARN]
@@ -147,14 +147,14 @@ class TestTraceContents:
 
     def test_phase_markers_tag_the_stream(self):
         kernel = random_ksat(30, 120, seed=1)
-        report = ReasonSession(cache=False).run(kernel, trace=True)
+        report = ReasonSession().run(kernel, trace=True)
         breakdown = phase_breakdown(report.extras["trace_data"])
         assert list(breakdown.by_phase) == ["symbolic-replay"]
         assert breakdown.total_cycles > 0
 
     def test_pe_block_events_for_programs(self):
         circuit = random_circuit(8, depth=3, sum_children=3, seed=3)
-        report = ReasonSession(cache=False).run(circuit, trace=True)
+        report = ReasonSession().run(circuit, trace=True)
         records = read_trace(report.extras["trace_data"])
         computes = sum(1 for r in records if r.kind is EventKind.COMPUTE)
         pe_blocks = sum(1 for r in records if r.kind is EventKind.PE_BLOCK)
@@ -164,7 +164,7 @@ class TestTraceContents:
 class TestApiPlumbing:
     def test_file_capture_and_summary(self, tmp_path):
         path = tmp_path / "run.trace"
-        report = ReasonSession(cache=False).run(
+        report = ReasonSession().run(
             random_ksat(30, 120, seed=2), trace=str(path)
         )
         info = report.extras["trace"]
@@ -177,7 +177,7 @@ class TestApiPlumbing:
     def test_borrowed_writer_spans_runs(self):
         # Passing an existing writer leaves its lifecycle to the caller:
         # two runs append to one stream.
-        session = ReasonSession(cache=False)
+        session = ReasonSession()
         writer = TraceWriter()
         r1 = session.run(random_ksat(20, 80, seed=1), trace=writer)
         after_first = writer.events
