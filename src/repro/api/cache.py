@@ -105,26 +105,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-safe dict (counters only; derived values recompute)."""
-        return {
-            "local_hits": self.local_hits,
-            "shared_hits": self.shared_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "promotions": self.promotions,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheStats":
-        return cls(
-            local_hits=int(data.get("local_hits", 0)),
-            shared_hits=int(data.get("shared_hits", 0)),
-            misses=int(data.get("misses", 0)),
-            evictions=int(data.get("evictions", 0)),
-            promotions=int(data.get("promotions", 0)),
-        )
-
 
 class CompileCache:
     """Thread-safe two-level cache: local LRU over an optional store.

@@ -57,7 +57,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import InvalidStateError
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.api.adapters import RunOptions, adapter_for, per_kernel_inputs
@@ -319,16 +319,6 @@ class _Shard:
             )
 
 
-#: Decoders for :meth:`ShardStats.from_dict`, by field annotation.
-_STATS_DECODERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "CacheStats": CacheStats.from_dict,
-    "PipelineResult": PipelineResult.from_dict,
-}
-
-
 @dataclass
 class ShardStats:
     """Point-in-time accounting for one shard.
@@ -355,28 +345,6 @@ class ShardStats:
     crashes: int = 0  # worker deaths observed
     expired: int = 0  # requests failed by their deadline (⊆ failed)
     breaker: str = "disabled"  # circuit state: closed | half-open | open
-
-    def to_dict(self) -> dict:
-        """JSON-safe dict; :meth:`from_dict` round-trips it exactly
-        (dashboards and the metrics CLI persist these next to
-        snapshots)."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(cache=self.cache.to_dict(), makespan=self.makespan.to_dict())
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardStats":
-        # Defaulted fields may be absent (snapshots persisted before
-        # the cost model or fault tolerance existed still load); a
-        # missing required field is a KeyError.
-        return cls(
-            **{
-                f.name: _STATS_DECODERS[f.type](data[f.name])
-                for f in fields(cls)
-                if f.name in data or f.default is MISSING
-            }
-        )
-
 
 
 @dataclass
@@ -455,22 +423,10 @@ class ServiceStats:
         return self.composition.throughput_rps(self.retained)
 
     def to_dict(self) -> dict:
-        """JSON-safe dict of the whole snapshot (derived properties
-        recompute from the round-tripped fields)."""
-        return {
-            "policy": self.policy,
-            "shards": [shard.to_dict() for shard in self.shards],
-            "composition": self.composition.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceStats":
-        return cls(
-            policy=str(data["policy"]),
-            shards=[ShardStats.from_dict(entry) for entry in data["shards"]],
-            composition=ShardComposition.from_dict(data["composition"]),
-        )
-
+        """JSON-safe dict of the whole snapshot: the policy, every
+        shard's counters and the composition (derived properties are
+        not stored)."""
+        return asdict(self)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 A parameterized, event-driven model of the accelerator: reconfigurable
 tree-based PEs with three execution modes, a Benes input crossbar,
 banked register files and SRAM, a watched-literals memory unit with
-linked-list layout, a BCP FIFO, inter-node interconnect topologies, and
-an analytical area/energy model with technology scaling.
+linked-list layout, inter-node interconnect topologies, and an
+analytical area/energy model with technology scaling.
 """
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
@@ -22,8 +22,7 @@ from repro.core.arch.energy import (
     unified_vs_decoupled,
 )
 from repro.core.arch.spmspm import CsrMatrix, SpmspmEngine
-from repro.core.arch.memory import SramBanks, Scratchpad, DmaEngine
-from repro.core.arch.bcp_fifo import BcpFifo
+from repro.core.arch.memory import SramBanks, DmaEngine
 from repro.core.arch.watched_literals import WatchedLiteralsUnit
 from repro.core.arch.tree_pe import TreePE, PEMode
 from repro.core.arch.accelerator import (
@@ -47,9 +46,7 @@ __all__ = [
     "CsrMatrix",
     "SpmspmEngine",
     "SramBanks",
-    "Scratchpad",
     "DmaEngine",
-    "BcpFifo",
     "WatchedLiteralsUnit",
     "TreePE",
     "PEMode",

@@ -7,11 +7,14 @@ Two execution paths mirror the paper's two kernel families:
   cycles, memory traffic and energy — validated against the reference
   DAG evaluator.
 * :meth:`ReasonAccelerator.run_symbolic` replays a CDCL solver trace on
-  the symbolic machinery (watched-literals unit, BCP FIFO, pipelined
-  broadcast/reduction over the node tree), reproducing the Fig. 9
-  timeline: implications pipeline through the reduction tree, watch-list
-  misses trigger DMA whose latency is hidden behind queued work, and a
-  conflict flushes the FIFO and cancels outstanding fetches.
+  the symbolic machinery (watched-literals unit, broadcast/reduction
+  over the node tree), charging each event of the Fig. 9 timeline in
+  solver order: one tree pass plus the watch-list traversal per
+  decision and implication, a DMA fetch for a list that misses local
+  SRAM, a trip to the root per conflict.  Implications are charged one
+  at a time — the solver trace does not mark which of them the
+  hardware's BCP FIFO would hold at once, so nothing queues, overlaps
+  a fetch or is flushed (ROADMAP lists what that leaves uncharged).
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.arch.bcp_fifo import BcpFifo
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.arch.energy import EnergyModel
 from repro.core.arch.interconnect import Topology, broadcast_cycles
-from repro.core.arch.memory import DmaEngine, Scratchpad, SramBanks
+from repro.core.arch.memory import DmaEngine, SramBanks
 from repro.core.arch.tree_pe import PEMode, TreePE
 from repro.core.arch.watched_literals import WatchedLiteralsUnit
 from repro.core.compiler.program import InstructionKind, Program
@@ -53,8 +55,6 @@ class SymbolicExecutionTrace:
     decisions: int = 0
     implications: int = 0
     conflicts: int = 0
-    fifo_flushes: int = 0
-    dma_cancelled: int = 0
 
 
 class ReasonAccelerator:
@@ -64,11 +64,9 @@ class ReasonAccelerator:
         self.config = config
         self.energy = EnergyModel(config=config)
         self.sram = SramBanks(config, self.energy)
-        self.scratchpad = Scratchpad(config, self.energy)
         self.dma = DmaEngine(config, self.energy)
         self.pes = [TreePE(config, self.energy) for _ in range(config.num_pes)]
         self.wl_unit = WatchedLiteralsUnit(config, self.sram)
-        self.fifo = BcpFifo(config.bcp_fifo_depth)
         # Opt-in binary event trace (repro.trace).  None (the default)
         # keeps the execution loops on their untraced hot paths — the
         # only cost of the feature when off is one local None check per
@@ -219,72 +217,63 @@ class ReasonAccelerator:
         """Solve ``formula`` and replay the BCP trace on the hardware.
 
         A software CDCL run produces the decision/implication/conflict
-        event stream; the replay charges broadcast and reduction latency
-        over the node tree, watch-list traversal cycles, FIFO
-        serialization, and DMA exposure, honoring the ablation switches
-        (linked-list layout, pipelined scheduling).
+        event stream; :meth:`run_symbolic_trace` charges it.
         """
         if solver is None:
             solver = CDCLSolver(record_trace=True)
         elif not solver.record_trace:
             solver.record_trace = True
         solver.solve(formula)
-        return self._replay(formula, solver)
+        return self.run_symbolic_trace(formula, solver)
 
-    def _replay(
+    def run_symbolic_trace(
         self,
         formula: CNF,
         solver: "CDCLSolver",
     ) -> Tuple[SymbolicExecutionTrace, "CDCLSolver"]:
-        """Charge hardware costs for an already-recorded CDCL trace."""
+        """Charge hardware costs for an already-recorded CDCL trace.
+
+        Every decision and implication costs one pass over the node
+        tree plus the traversal of the falsified literal's watch list:
+        ``access_cycles`` when scheduling is pipelined, twice that when
+        it is not (ablation).  An implication whose list costs more than
+        ``dram_latency_cycles`` fetches it by DMA instead and pays
+        ``access_cycles`` whatever the scheduling.  A conflict costs
+        the trip to the root plus one control cycle, a backjump two
+        cycles, a restart a pipeline refill; learn events are free.
+        """
+        if not solver.trace and (
+            solver.stats.decisions or solver.stats.propagations
+        ):
+            raise ValueError("solver was run without record_trace=True")
         for pe in self.pes:
             pe.set_mode(PEMode.SYMBOLIC)
         self.wl_unit.load_formula(formula)
 
-        trace = SymbolicExecutionTrace()
-        tree_hops = int(broadcast_cycles(Topology.TREE, self.config.leaves_per_pe))
-        cycle = 0
-
-        # Hot loop: replay charges each event from its literal's cached
-        # watch summary and accumulates bookkeeping in local counters,
-        # flushing to the energy model / WL unit / SRAM banks once at
-        # the end — the aggregates are exactly the per-event totals.
         config = self.config
-        wl = self.wl_unit
-        summary_for = wl.summary_for
-        fifo = self.fifo
-        queue = fifo._queue
-        fifo_stats = fifo.stats
-        fifo_depth = fifo.depth
+        summary_for = self.wl_unit.summary_for
+        tree_hops = int(broadcast_cycles(Topology.TREE, config.leaves_per_pe))
         pipelined = config.pipelined_scheduling
         dram_latency = config.dram_latency_cycles
-        leaves_per_pe = config.leaves_per_pe
-
+        cycle = 0
         decisions = 0
         implications = 0
         conflicts = 0
-        fifo_flushes = 0
-        network_hops = 0
-        control_events = 0
         logic_ops = 0
-        fifo_ops = 0
-        pushes = 0
-        pops = 0
-        overflow_stalls = 0
-        flushes = 0
-        entries_flushed = 0
-        max_occupancy = fifo_stats.max_occupancy
-        # Traversal statistics are identical for every assignment of the
-        # same literal, so the loop keeps one record per literal —
-        # [clause count, access cycles, traversals] — and the full
-        # per-event accounting is reconstructed afterwards.  The record
-        # lookup is intentionally inlined (not a helper) in both the
-        # imply and decide branches; keep the two blocks identical.
-        lit_state: Dict[int, List[int]] = {}
+        # A watch list is static during a replay, so each falsified
+        # literal keeps one record: [clause count, access cycles, bank
+        # reads, visits].
+        lit_state: Dict[int, list] = {}
 
-        # Opt-in binary event trace.  When detached (`emit is None`, the
-        # default) each branch pays exactly one local None check; the
-        # traced path records absolute replay cycles, which is what
+        def first_visit(literal: int) -> list:
+            summary = summary_for(literal)
+            state = lit_state[literal] = [
+                len(summary.clauses), summary.access_cycles, summary.bank_reads, 0
+            ]
+            return state
+
+        # Same opt-in tracing as run_program.  The traced path records
+        # absolute replay cycles, which is what
         # repro.trace.analyze.timeline reads the Fig. 9 rows from.
         tw = self.trace
         emit = None if tw is None else tw.emit
@@ -298,105 +287,45 @@ class ReasonAccelerator:
             ev_watch = EventKind.WATCH_UPDATE
             ev_dma = EventKind.DMA_FETCH
             ev_bank = EventKind.BANK_READ
-            # Per-literal bank-read summaries, cached on the traced path
-            # only (the untraced path reconstructs them once at flush).
-            lit_banks: Dict[int, tuple] = {}
             emit(EventKind.PHASE, 0, PHASE_SYMBOLIC)
 
-        pending_dma = None
         for event in solver.trace:
             kind = event.kind
-            if kind == "imply":
-                implications += 1
-                # Implication returns through the reduction tree; queued
-                # implications pipeline at one per cycle (Fig. 9).
-                if queue:
-                    cycle += 1
-                else:
-                    cycle += tree_hops
-                if len(queue) >= fifo_depth:
-                    overflow_stalls += 1
-                    cycle += 1  # overflow stall, retry
-                    queue.popleft()
-                    pops += 1
-                queue.append((event.literal, -1))
-                pushes += 1
-                occupancy = len(queue)
-                if occupancy > max_occupancy:
-                    max_occupancy = occupancy
-                fifo_ops += 1
-                network_hops += 1
-                # The queue is non-empty here, so the pop always yields.
-                popped = queue.popleft()
-                pops += 1
-                literal = -popped[0]
-                state = lit_state.get(literal)
-                if state is None:
-                    summary = summary_for(literal)
-                    state = [len(summary.clauses), summary.access_cycles, 1]
-                    lit_state[literal] = state
-                else:
-                    state[2] += 1
-                num_clauses = state[0]
-                access = state[1]
-                if access > dram_latency:
-                    # Local miss: DMA fetch, partially hidden by
-                    # continuing to service the FIFO.
-                    pending_dma = self.dma.issue(cycle, words=num_clauses * 4 + 4)
-                    hidden = min(len(queue), dram_latency)
-                    cycle += max(1, access - hidden)
-                    if emit is not None:
-                        emit(ev_dma, cycle, num_clauses * 4 + 4)
-                else:
-                    cycle += access if pipelined else access * 2
-                logic_ops += max(num_clauses, 1)
-                if emit is not None:
-                    emit(ev_propagate, cycle, popped[0])
-                    emit(ev_watch, cycle, literal, num_clauses)
-                    banks = lit_banks.get(literal)
-                    if banks is None:
-                        banks = lit_banks[literal] = summary_for(literal).bank_reads
-                    for bank, count in banks:
-                        emit(ev_bank, cycle, bank, count)
-            elif kind == "decide":
-                decisions += 1
-                cycle += tree_hops  # broadcast decision to leaves
-                network_hops += leaves_per_pe
-                control_events += 1
+            if kind == "imply" or kind == "decide":
                 literal = -event.literal
-                state = lit_state.get(literal)
-                if state is None:
-                    summary = summary_for(literal)
-                    state = [len(summary.clauses), summary.access_cycles, 1]
-                    lit_state[literal] = state
+                state = lit_state.get(literal) or first_visit(literal)
+                state[3] += 1
+                num_clauses, access, banks, _ = state
+                # One pass over the node tree: a decision broadcasts to
+                # the leaves, an implication returns through the
+                # reduction tree.
+                cycle += tree_hops
+                if kind == "decide":
+                    decisions += 1
+                    logic_ops += num_clauses
+                    cycle += access if pipelined else access * 2
                 else:
-                    state[2] += 1
-                num_clauses = state[0]
-                cycle += state[1] if pipelined else state[1] * 2
-                logic_ops += num_clauses
+                    implications += 1
+                    logic_ops += num_clauses or 1
+                    if access > dram_latency:
+                        # Local miss: the list comes from DRAM.
+                        self.dma.issue(cycle, words=num_clauses * 4 + 4)
+                        cycle += access
+                        if emit is not None:
+                            emit(ev_dma, cycle, num_clauses * 4 + 4)
+                    else:
+                        cycle += access if pipelined else access * 2
                 if emit is not None:
-                    emit(ev_decide, cycle, event.literal)
+                    emit(ev_decide if kind == "decide" else ev_propagate, cycle, event.literal)
                     emit(ev_watch, cycle, literal, num_clauses)
-                    banks = lit_banks.get(literal)
-                    if banks is None:
-                        banks = lit_banks[literal] = summary_for(literal).bank_reads
                     for bank, count in banks:
                         emit(ev_bank, cycle, bank, count)
             elif kind == "conflict":
                 conflicts += 1
                 cycle += tree_hops  # conflict propagates to the root
-                dropped = len(queue)
-                queue.clear()
-                flushes += 1
-                entries_flushed += dropped
-                fifo_flushes += 1
-                if pending_dma is not None:
-                    trace.dma_cancelled += self.dma.cancel_pending(cycle)
-                    pending_dma = None
                 cycle += 1  # priority control assertion
-                control_events += 2
                 if emit is not None:
-                    emit(ev_conflict, cycle, dropped)
+                    emit(ev_conflict, cycle, 0)
             elif kind == "backjump":
                 cycle += 2  # trail unwinding bookkeeping on the scalar PE
                 if emit is not None:
@@ -413,58 +342,20 @@ class ReasonAccelerator:
                 if emit is not None:
                     emit(ev_learn, cycle, event.clause_size)
 
-        trace.decisions = decisions
-        trace.implications = implications
-        trace.conflicts = conflicts
-        trace.fifo_flushes = fifo_flushes
-
-        fifo_stats.pushes += pushes
-        fifo_stats.pops += pops
-        fifo_stats.overflow_stalls += overflow_stalls
-        fifo_stats.flushes += flushes
-        fifo_stats.entries_flushed += entries_flushed
-        fifo_stats.max_occupancy = max_occupancy
-
         energy = self.energy
-        energy.network_hop += network_hops
-        energy.control_overhead += control_events
+        energy.network_hop += implications + decisions * config.leaves_per_pe
+        energy.control_overhead += decisions + 2 * conflicts
         energy.logic_op += logic_ops
-        energy.fifo_op += fifo_ops
-
-        head_lookups = 0
-        traversal_steps = 0
-        clause_fetches = 0
-        words_touched = 0
-        wl_misses = 0
-        full_scans = 0
+        energy.fifo_op += implications
         bank_reads: Dict[int, int] = {}
-        for literal, (_, _, times) in lit_state.items():
-            summary = summary_for(literal)
-            num_clauses = len(summary.clauses)
-            if summary.full_scan:
-                full_scans += times
-            else:
-                head_lookups += times
-                traversal_steps += times * num_clauses
-                wl_misses += times * summary.misses
-            clause_fetches += times * num_clauses
-            words_touched += times * summary.words_touched
-            for bank, count in summary.bank_reads:
-                bank_reads[bank] = bank_reads.get(bank, 0) + times * count
-        wl.charge_bulk(
-            head_lookups,
-            traversal_steps,
-            clause_fetches,
-            words_touched,
-            wl_misses,
-            full_scans,
-            bank_reads,
-        )
+        for _, _, banks, visits in lit_state.values():
+            for bank, count in banks:
+                bank_reads[bank] = bank_reads.get(bank, 0) + visits * count
+        self.sram.read_batch(bank_reads)
 
-        trace.cycles = cycle
         if emit is not None:
             emit(EventKind.RUN_END, cycle)
-        return trace, solver
+        return SymbolicExecutionTrace(cycle, decisions, implications, conflicts), solver
 
     def run_symbolic_parallel(
         self,
@@ -497,29 +388,5 @@ class ReasonAccelerator:
             aggregate.decisions += trace.decisions
             aggregate.implications += trace.implications
             aggregate.conflicts += trace.conflicts
-            aggregate.fifo_flushes += trace.fifo_flushes
         aggregate.cycles = max(pe_busy) if any(pe_busy) else 0
         return aggregate, per_cube
-
-    def run_symbolic_trace(
-        self,
-        formula: CNF,
-        solver: "CDCLSolver",
-    ) -> Tuple[SymbolicExecutionTrace, "CDCLSolver"]:
-        """Replay an already-solved CDCL run (trace must be recorded)."""
-        if not solver.trace and (
-            solver.stats.decisions or solver.stats.propagations
-        ):
-            raise ValueError("solver was run without record_trace=True")
-        return self._replay(formula, solver)
-
-    # ------------------------------------------------------------- reports
-
-    def report(self, cycles: int) -> Dict[str, float]:
-        return {
-            "cycles": cycles,
-            "runtime_s": cycles * self.config.cycle_time_s,
-            "energy_j": self.energy.total_energy_j(),
-            "power_w": self.energy.average_power_w(cycles),
-            "area_mm2": self.energy.area_mm2(),
-        }

@@ -10,7 +10,7 @@ the ablation switches used by the evaluation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class ArchConfig:
 
     Attributes mirror the paper's template: a *PE* is one tree engine of
     ``2**tree_depth`` leaves (so ``2**(tree_depth+1) - 1`` nodes); the
-    chip integrates ``num_pes`` of them behind a shared scratchpad.
+    chip integrates ``num_pes`` of them behind shared local SRAM.
     """
 
     tree_depth: int = 3  # D: levels below the root (8 leaves)
@@ -31,11 +31,9 @@ class ArchConfig:
     sram_banks: int = 16
     dram_bandwidth_gbps: float = 104.0
     dram_latency_cycles: int = 100
-    bcp_fifo_depth: int = 16
     tech_node_nm: int = 28
     voltage: float = 0.9
     # Ablation switches (Sec. VII-C hardware ablation)
-    unified_engine: bool = True  # unified vs decoupled symbolic/probabilistic
     pipelined_scheduling: bool = True  # pipeline-aware reordering
     reconfigurable: bool = True  # per-cycle mode switching
     linked_list_layout: bool = True  # WLs linked-list SRAM layout
@@ -68,18 +66,6 @@ class ArchConfig:
     def with_ablation(self, **switches: bool) -> "ArchConfig":
         """Copy with ablation switches flipped."""
         return replace(self, **switches)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "tree_depth": self.tree_depth,
-            "num_banks": self.num_banks,
-            "regs_per_bank": self.regs_per_bank,
-            "num_pes": self.num_pes,
-            "nodes_per_pe": self.nodes_per_pe,
-            "frequency_mhz": self.frequency_hz / 1e6,
-            "sram_kib": self.sram_kib,
-            "tech_node_nm": self.tech_node_nm,
-        }
 
 
 #: The paper's selected configuration (Fig. 10 specification table).

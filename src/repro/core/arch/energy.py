@@ -11,6 +11,7 @@ and 8 nm, reproducing Table III's REASON* rows.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -168,18 +169,21 @@ class EnergyModel:
         28 nm (Fig. 10): SRAM dominates (~55%), PEs ~25%, interconnect
         ~12%, control/periphery ~8%.
         """
-        cfg = self.config
-        sram = 2.58 * (cfg.sram_kib / 1280.0)
-        pes = 1.50 * (cfg.total_tree_nodes / DEFAULT_CONFIG.total_tree_nodes)
-        # Benes area grows ~N log N with bank count.
-        import math
-
-        bank_term = cfg.num_banks * max(math.log2(max(cfg.num_banks, 2)), 1.0)
-        crossbar = 0.72 * (bank_term / (64 * 6))
-        control = 0.48
-        registers = 0.72 * (cfg.registers_total / (64 * 32))
+        sram, pes, crossbar, control, registers = _area_terms(self.config)
         total28 = sram + pes + crossbar + control + registers
         return total28 * _SCALING[node]["area"]
+
+
+def _area_terms(config: ArchConfig) -> Tuple[float, float, float, float, float]:
+    """(sram, pes, crossbar, control, registers) area in mm² at 28 nm."""
+    sram = 2.58 * (config.sram_kib / 1280.0)
+    pes = 1.50 * (config.total_tree_nodes / DEFAULT_CONFIG.total_tree_nodes)
+    # Benes area grows ~N log N with bank count.
+    bank_term = config.num_banks * max(math.log2(max(config.num_banks, 2)), 1.0)
+    crossbar = 0.72 * (bank_term / (64 * 6))
+    control = 0.48
+    registers = 0.72 * (config.registers_total / (64 * 32))
+    return sram, pes, crossbar, control, registers
 
 
 @dataclass(frozen=True)
@@ -213,14 +217,7 @@ def unified_vs_decoupled(config: Optional[ArchConfig] = None) -> EngineCompariso
     # needs its own PE array, crossbar and register file; local SRAM is
     # largely per-engine (only the shared scratchpad amortizes, ~10%);
     # control duplicates with a thin shared front-end.
-    import math
-
-    sram = 2.58 * (config.sram_kib / 1280.0)
-    pes = 1.50 * (config.total_tree_nodes / DEFAULT_CONFIG.total_tree_nodes)
-    bank_term = config.num_banks * max(math.log2(max(config.num_banks, 2)), 1.0)
-    crossbar = 0.72 * (bank_term / (64 * 6))
-    registers = 0.72 * (config.registers_total / (64 * 32))
-    control = 0.48
+    sram, pes, crossbar, control, registers = _area_terms(config)
     decoupled_area = (
         1.9 * sram + 3.0 * pes + 2.0 * crossbar + 2.0 * registers + 1.6 * control
     )

@@ -1,10 +1,10 @@
-"""Memory subsystem: banked SRAM, shared scratchpad, prefetcher/DMA.
+"""Memory subsystem: banked SRAM and the prefetcher/DMA engine.
 
 Models the paper's hierarchy (Fig. 6): per-PE dual-port SRAM banks
-behind the Benes crossbar, a shared local scratchpad, and a DMA engine
-that overlaps remote fetches with compute (the latency-hiding behavior
-of the Fig. 9 timeline).  Costs are in cycles and energy events; data
-values themselves live in the functional layer.
+behind the Benes crossbar and a DMA engine that overlaps remote fetches
+with compute (the latency-hiding behavior of the Fig. 9 timeline).
+Costs are in cycles and energy events; data values themselves live in
+the functional layer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class MemoryStats:
     sram_reads: int = 0
     sram_writes: int = 0
     bank_conflicts: int = 0
-    scratchpad_accesses: int = 0
     dram_accesses: int = 0
     dma_transfers: int = 0
     dma_cycles_hidden: int = 0
@@ -83,23 +82,6 @@ class SramBanks:
         self.stats.sram_writes += count
         if self.energy:
             self.energy.record("sram_access", count)
-
-
-class Scratchpad:
-    """Shared local memory between the PEs (fixed access latency)."""
-
-    LATENCY_CYCLES = 4
-
-    def __init__(self, config: ArchConfig, energy: Optional[EnergyModel] = None):
-        self.config = config
-        self.energy = energy
-        self.stats = MemoryStats()
-
-    def access(self, words: int = 1) -> int:
-        self.stats.scratchpad_accesses += words
-        if self.energy:
-            self.energy.record("scratchpad_access", words)
-        return self.LATENCY_CYCLES
 
 
 @dataclass

@@ -32,12 +32,6 @@ class PEMode(enum.Enum):
 class PEStats:
     instructions: int = 0
     active_node_ops: int = 0
-    forward_ops: int = 0
-    mode_switches: int = 0
-
-    def utilization(self, nodes_per_pe: int) -> float:
-        issued = self.instructions * nodes_per_pe
-        return 0.0 if issued == 0 else self.active_node_ops / issued
 
 
 class TreePE:
@@ -60,9 +54,7 @@ class TreePE:
         function array: mode switches require a pipeline drain charged
         by the accelerator as extra cycles (see ``mode_switch_penalty``).
         """
-        if mode is not self._mode:
-            self.stats.mode_switches += 1
-            self._mode = mode
+        self._mode = mode
 
     @property
     def mode(self) -> Optional[PEMode]:
@@ -123,7 +115,6 @@ class TreePE:
             if not operands:
                 raise ValueError(f"op node {position} has no inputs")
             values[position] = _apply_op(config, operands)
-        self.stats.forward_ops += forward_ops
         self.stats.active_node_ops += logic_ops + alu_ops
         if self.energy:
             self.energy.logic_op += logic_ops

@@ -112,8 +112,8 @@ class WatchedLiteralsUnit:
 
         Pure: computes the clause list, cycle cost and SRAM read pattern
         without charging any statistics or energy — callers account via
-        :meth:`charge` (single event) or :meth:`charge_bulk` (aggregated
-        over a batch of assignments).
+        :meth:`charge` (single event) or, like the accelerator's replay,
+        flush the summed bank reads with one ``sram.read_batch``.
         """
         summary = self._summaries.get(literal)
         if summary is not None:
@@ -182,31 +182,6 @@ class WatchedLiteralsUnit:
         self.stats.sram_words_touched += summary.words_touched
         if self.sram:
             self.sram.read_batch(dict(summary.bank_reads))
-
-    def charge_bulk(
-        self,
-        head_lookups: int,
-        traversal_steps: int,
-        clause_fetches: int,
-        words_touched: int,
-        misses: int,
-        full_scans: int,
-        bank_reads: Optional[Dict[int, int]] = None,
-    ) -> None:
-        """Aggregate accounting for a whole batch of assignments.
-
-        The per-event counters are additive and SRAM conflict accounting
-        telescopes per bank, so charging a batch in one call yields
-        exactly the same statistics and energy as per-event charging.
-        """
-        self.stats.head_lookups += head_lookups
-        self.stats.list_traversal_steps += traversal_steps
-        self.stats.clause_fetches += clause_fetches
-        self.stats.sram_words_touched += words_touched
-        self.stats.local_misses += misses
-        self.stats.full_scans += full_scans
-        if self.sram and bank_reads:
-            self.sram.read_batch(bank_reads)
 
     def on_assignment(self, literal: int) -> Tuple[List[Tuple[int, ...]], int]:
         """Clauses to inspect when ``literal`` becomes false.

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.dag.graph import Dag, OpType
-
-_LEAF_OPS = {OpType.LITERAL, OpType.LEAF, OpType.INPUT}
+from repro.core.dag.graph import LEAF_OPS, Dag
 
 
 @dataclass
@@ -73,7 +71,7 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
         node = node_of(node_id)
         if len(node.children) > 2:
             raise ValueError("block decomposition requires a two-input DAG")
-        if node.op in _LEAF_OPS:
+        if node.op in LEAF_OPS:
             materialized[node_id] = 1
             continue
 
@@ -151,7 +149,7 @@ def _validate_blocks(dag: Dag, blocks: Sequence[Block], max_depth: int) -> None:
     interior = {
         node_id
         for node_id in dag.topological_order()
-        if dag.node(node_id).op not in _LEAF_OPS
+        if dag.node(node_id).op not in LEAF_OPS
     }
     missing = interior - covered
     if missing:

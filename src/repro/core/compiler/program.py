@@ -55,14 +55,13 @@ class VLIWInstruction:
     reads: List[Tuple[int, int]] = field(default_factory=list)  # (bank, addr)
     write: Optional[Tuple[int, int]] = None
     tree_config: List[TreeNodeConfig] = field(default_factory=list)
-    comment: str = ""
     issue_cycle: int = -1  # filled by the scheduler
     pe: int = 0  # which tree PE executes this slot
     leaf_operands: Dict[int, int] = field(default_factory=dict)  # PE leaf pos -> DAG value id
     output_value: int = -1  # DAG node id this compute produces
-    #: DAG value id a LOAD/STORE/SPILL/RELOAD moves (-1 for COMPUTE/NOP).
-    #: Structured so tools (the static verifier in :mod:`repro.analysis`)
-    #: never have to parse ``comment`` strings to follow data movement.
+    #: DAG value id a LOAD/STORE/SPILL/RELOAD moves (-1 for COMPUTE/NOP);
+    #: how tools (the static verifier in :mod:`repro.analysis`) follow
+    #: data movement.
     value: int = -1
 
     @property
@@ -72,11 +71,10 @@ class VLIWInstruction:
 
 @dataclass
 class Program:
-    """A compiled kernel: the VLIW stream plus placement metadata."""
+    """A compiled kernel: the VLIW stream, its root value and its DAG."""
 
     instructions: List[VLIWInstruction] = field(default_factory=list)
     num_blocks: int = 0
-    value_locations: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     root_value: Optional[int] = None  # DAG node id of the final output
     dag: object = None  # the (regularized) DAG this program computes
 

@@ -24,9 +24,7 @@ from repro.core.compiler.blocks import Block, block_dependencies, topological_bl
 from repro.core.compiler.mapping import BankAssignment, issue_conflicts
 from repro.core.compiler.program import InstructionKind, Program, VLIWInstruction
 from repro.core.compiler.tree_map import TreePlacement, map_block_to_tree
-from repro.core.dag.graph import Dag, OpType
-
-_LEAF_OPS = {OpType.LITERAL, OpType.LEAF, OpType.INPUT}
+from repro.core.dag.graph import LEAF_OPS, Dag
 
 
 class _BankFile:
@@ -84,7 +82,6 @@ class _BankFile:
 class ScheduleStats:
     cycles: int = 0
     nops: int = 0
-    stalls_bank_conflict: int = 0
     spills: int = 0
     reloads: int = 0
     loads: int = 0
@@ -159,19 +156,17 @@ def schedule_program(
                 VLIWInstruction(
                     InstructionKind.SPILL,
                     reads=[where],
-                    comment=f"spill value {victim}",
                     value=victim,
                 )
             )
             stats.spills += 1
             slot = banks.allocate(value, bank)
         node = dag.node(value) if value in dag else None
-        if node is not None and node.op in _LEAF_OPS:
+        if node is not None and node.op in LEAF_OPS:
             issued.append(
                 VLIWInstruction(
                     InstructionKind.LOAD,
                     write=slot,
-                    comment=f"load leaf {value}",
                     value=value,
                 )
             )
@@ -181,7 +176,6 @@ def schedule_program(
                 VLIWInstruction(
                     InstructionKind.RELOAD,
                     write=slot,
-                    comment=f"reload {value}",
                     value=value,
                 )
             )
@@ -236,7 +230,6 @@ def schedule_program(
                         ensure_resident(value, block_inputs)
                     )
             conflicts = issue_conflicts(assignment, block)
-            stats.stalls_bank_conflict += conflicts
             reads = [
                 banks.address_of.get(
                     value, (assignment.bank_of.get(value, 0), 0)
@@ -253,7 +246,6 @@ def schedule_program(
                     VLIWInstruction(
                         InstructionKind.SPILL,
                         reads=[where],
-                        comment=f"spill {victim}",
                         value=victim,
                     )
                 )
@@ -267,7 +259,6 @@ def schedule_program(
                 tree_config=placements[block.block_id].configs,
                 issue_cycle=cycle,
                 pe=slot,
-                comment=f"block {block.block_id}",
                 leaf_operands=dict(placements[block.block_id].leaf_operands),
                 output_value=block.output,
             )
@@ -291,12 +282,11 @@ def schedule_program(
         stats.pe_issue_slots += config.num_pes
         if not issue_this_cycle:
             program.instructions.append(
-                VLIWInstruction(InstructionKind.NOP, issue_cycle=cycle, comment="hazard")
+                VLIWInstruction(InstructionKind.NOP, issue_cycle=cycle)
             )
             stats.nops += 1
         cycle += 1
 
     stats.cycles = max(finish_cycle.values(), default=0)
-    program.value_locations = dict(banks.address_of)
     program.root_value = dag.root
     return program, stats

@@ -1,7 +1,6 @@
 """Stage 1: kernel → unified DAG builders (paper Sec. IV-A).
 
-* CNF: literal leaves → OR clause nodes → one AND formula root, with
-  watch-list metadata preserved in node labels.
+* CNF: literal leaves → OR clause nodes → one AND formula root.
 * PC: structural isomorphism (leaves/sums/products map one-to-one).
 * HMM: the sequence is unrolled over time steps; each step multiplies
   transition-weighted prior state beliefs by emission factors — the
@@ -30,28 +29,21 @@ def cnf_to_dag(formula: CNF) -> Tuple[Dag, Dict[int, int]]:
     """CNF → three-layer logic DAG.
 
     Returns the DAG and a map literal → LITERAL node id.  Shared literal
-    leaves give the DAG its reconvergent structure; the first two
-    literals of each clause are tagged as watched in the clause label
-    (the metadata REASON's WLs unit indexes).
+    leaves give the DAG its reconvergent structure.
     """
     dag = Dag()
     literal_nodes: Dict[int, int] = {}
 
     def literal_node(lit: int) -> int:
         if lit not in literal_nodes:
-            literal_nodes[lit] = dag.add_op(
-                OpType.LITERAL, payload=lit, label=f"lit({lit})"
-            )
+            literal_nodes[lit] = dag.add_op(OpType.LITERAL, payload=lit)
         return literal_nodes[lit]
 
     clause_ids: List[int] = []
-    for index, clause in enumerate(formula.clauses):
+    for clause in formula.clauses:
         children = [literal_node(l) for l in clause.literals]
-        watched = ",".join(str(l) for l in clause.literals[:2])
-        clause_ids.append(
-            dag.add_op(OpType.OR, children, label=f"C{index}[watch:{watched}]")
-        )
-    root = dag.add_op(OpType.AND, clause_ids, label="formula")
+        clause_ids.append(dag.add_op(OpType.OR, children))
+    root = dag.add_op(OpType.AND, clause_ids)
     dag.set_root(root)
     return dag, literal_nodes
 
@@ -69,7 +61,6 @@ def circuit_to_dag(circuit: Circuit) -> Tuple[Dag, Dict[int, int]]:
             mapping[node.node_id] = dag.add_op(
                 OpType.LEAF,
                 payload=(node.variable, tuple(float(p) for p in node.probabilities)),
-                label=f"X{node.variable}",
             )
         elif isinstance(node, ProductNode):
             mapping[node.node_id] = dag.add_op(OpType.PRODUCT, children)
@@ -130,19 +121,13 @@ def hmm_to_dag(
 
     def emission_leaf(t: int, s: int) -> int:
         probability = float(hmm.emission[s, observations[t]])
-        return dag.add_op(
-            OpType.LEAF,
-            payload=(t * S + s, (probability,)),
-            label=f"emit[t={t},s={s}]",
-        )
+        return dag.add_op(OpType.LEAF, payload=(t * S + s, (probability,)))
 
     # Layer 0: alpha_0(s) = initial[s] * emission[s, x_0].
     previous: List[int] = []
     for s in range(S):
         leaf = emission_leaf(0, s)
-        scaled = dag.add_op(
-            OpType.SUM, [leaf], weights=[float(hmm.initial[s])], label=f"init[s={s}]"
-        )
+        scaled = dag.add_op(OpType.SUM, [leaf], weights=[float(hmm.initial[s])])
         previous.append(scaled)
 
     for t in range(1, T):
@@ -158,19 +143,15 @@ def hmm_to_dag(
                 weights.append(w)
             if not incoming:
                 # State unreachable after pruning: contributes zero.
-                zero = dag.add_op(OpType.LEAF, payload=(-1, (0.0,)), label="zero")
+                zero = dag.add_op(OpType.LEAF, payload=(-1, (0.0,)))
                 current.append(zero)
                 continue
-            mixed = dag.add_op(
-                OpType.SUM, incoming, weights=weights, label=f"trans[t={t},s={s}]"
-            )
-            emitted = dag.add_op(
-                OpType.PRODUCT, [mixed, emission_leaf(t, s)], label=f"alpha[t={t},s={s}]"
-            )
+            mixed = dag.add_op(OpType.SUM, incoming, weights=weights)
+            emitted = dag.add_op(OpType.PRODUCT, [mixed, emission_leaf(t, s)])
             current.append(emitted)
         previous = current
 
-    root = dag.add_op(OpType.SUM, previous, weights=[1.0] * len(previous), label="joint")
+    root = dag.add_op(OpType.SUM, previous, weights=[1.0] * len(previous))
     dag.set_root(root)
     return dag
 

@@ -35,12 +35,16 @@ class OpType(enum.Enum):
     INPUT = "input"
 
 
+#: Ops whose value comes from outside the DAG rather than from children.
+LEAF_OPS = frozenset({OpType.LITERAL, OpType.LEAF, OpType.INPUT})
+
+
 @dataclass
 class DagNode:
     """A node in the unified DAG.
 
     ``payload`` depends on the op: a literal for LITERAL, a
-    (variable, probabilities) tuple for LEAF, a label for INPUT.
+    (variable, probabilities) tuple for LEAF, a name for INPUT.
     ``weights`` parallels ``children`` on SUM nodes.
 
     ``children`` must not be mutated after the node is added to a
@@ -53,7 +57,6 @@ class DagNode:
     children: List[int] = field(default_factory=list)
     payload: object = None
     weights: Optional[List[float]] = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.op is OpType.SUM and self.weights is None:
@@ -95,10 +98,9 @@ class Dag:
         children: Sequence[int] = (),
         payload: object = None,
         weights: Optional[Sequence[float]] = None,
-        label: str = "",
     ) -> int:
         return self.add(
-            DagNode(op, list(children), payload, list(weights) if weights else None, label)
+            DagNode(op, list(children), payload, list(weights) if weights else None)
         )
 
     def node(self, node_id: int) -> DagNode:
@@ -224,7 +226,6 @@ class Dag:
                 [mapping[c] for c in node.children],
                 node.payload,
                 node.weights,
-                node.label,
             )
         out.set_root(mapping[self.root])
         return out
@@ -268,7 +269,7 @@ def evaluate_dag(dag: Dag, inputs: Dict[int, float]) -> Dict[int, float]:
     values: Dict[int, float] = {}
     for node_id in dag.topological_order():
         node = dag.node(node_id)
-        if node.op in (OpType.LITERAL, OpType.LEAF, OpType.INPUT):
+        if node.op in LEAF_OPS:
             if node_id in inputs:
                 values[node_id] = float(inputs[node_id])
             elif node.op is OpType.LEAF and node.payload is not None:

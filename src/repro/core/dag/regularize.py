@@ -35,25 +35,23 @@ def regularize_two_input(dag: Dag) -> Dag:
     out = Dag()
     mapping: Dict[int, int] = {}
 
-    def balanced_reduce(op: OpType, children: List[int], label: str) -> int:
+    def balanced_reduce(op: OpType, children: List[int]) -> int:
         if len(children) == 1:
             return children[0]
         if len(children) == 2:
             weights = [1.0, 1.0] if op is OpType.SUM else None
-            return out.add_op(op, children, weights=weights, label=label)
+            return out.add_op(op, children, weights=weights)
         mid = (len(children) + 1) // 2
-        left = balanced_reduce(op, children[:mid], label)
-        right = balanced_reduce(op, children[mid:], label)
+        left = balanced_reduce(op, children[:mid])
+        right = balanced_reduce(op, children[mid:])
         weights = [1.0, 1.0] if op is OpType.SUM else None
-        return out.add_op(op, [left, right], weights=weights, label=label)
+        return out.add_op(op, [left, right], weights=weights)
 
     for node_id in dag.topological_order():
         node = dag.node(node_id)
         children = [mapping[c] for c in node.children]
         if node.fan_in <= 2 or node.op not in _ASSOCIATIVE:
-            mapping[node_id] = out.add_op(
-                node.op, children, node.payload, node.weights, node.label
-            )
+            mapping[node_id] = out.add_op(node.op, children, node.payload, node.weights)
             continue
         if node.op is OpType.SUM:
             assert node.weights is not None
@@ -62,17 +60,10 @@ def regularize_two_input(dag: Dag) -> Dag:
                 if weight == 1.0:
                     scaled.append(child)
                 else:
-                    scaled.append(
-                        out.add_op(
-                            OpType.SUM,
-                            [child],
-                            weights=[weight],
-                            label=f"{node.label}·w",
-                        )
-                    )
-            mapping[node_id] = balanced_reduce(OpType.SUM, scaled, node.label)
+                    scaled.append(out.add_op(OpType.SUM, [child], weights=[weight]))
+            mapping[node_id] = balanced_reduce(OpType.SUM, scaled)
         else:
-            mapping[node_id] = balanced_reduce(node.op, children, node.label)
+            mapping[node_id] = balanced_reduce(node.op, children)
 
     assert dag.root is not None
     out.set_root(mapping[dag.root])

@@ -42,23 +42,6 @@ class PipelineResult:
         busy = self.neural_s + self.symbolic_s
         return 0.0 if busy == 0 else self.symbolic_s / busy
 
-    def to_dict(self) -> dict:
-        return {
-            "total_s": self.total_s,
-            "neural_s": self.neural_s,
-            "symbolic_s": self.symbolic_s,
-            "overlap_saved_s": self.overlap_saved_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineResult":
-        return cls(
-            total_s=float(data["total_s"]),
-            neural_s=float(data["neural_s"]),
-            symbolic_s=float(data["symbolic_s"]),
-            overlap_saved_s=float(data.get("overlap_saved_s", 0.0)),
-        )
-
 
 class TwoLevelPipeline:
     """Task-level GPU/REASON overlap simulator."""

@@ -79,25 +79,6 @@ class ShardComposition:
             serial_s=0.0,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "per_shard": [result.to_dict() for result in self.per_shard],
-            "total_s": self.total_s,
-            "single_shard_s": self.single_shard_s,
-            "serial_s": self.serial_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardComposition":
-        return cls(
-            per_shard=[
-                PipelineResult.from_dict(entry) for entry in data["per_shard"]
-            ],
-            total_s=float(data["total_s"]),
-            single_shard_s=float(data["single_shard_s"]),
-            serial_s=float(data["serial_s"]),
-        )
-
 
 def compose_shard_makespans(
     shard_tasks: Sequence[Sequence[StageTimes]],

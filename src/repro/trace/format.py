@@ -86,7 +86,7 @@ class EventKind(enum.IntEnum):
     # ---- algorithm events (CDCL replay) ---------------------------------
     DECIDE = 1  # value = decided literal (zigzag)
     PROPAGATE = 2  # value = implied literal (zigzag)
-    CONFLICT = 3  # value = FIFO entries flushed
+    CONFLICT = 3  # value = FIFO entries flushed (always 0: the replay queues nothing)
     LEARN = 4  # value = learned clause size (cycle-neutral annotation)
     BACKJUMP = 5  # value = target decision level
     RESTART = 6
@@ -108,14 +108,12 @@ class EventKind(enum.IntEnum):
 
 
 #: ``PHASE`` payload values: which execution mode follows.
-PHASE_SYMBOLIC = 1  # CDCL trace replay (accelerator._replay)
+PHASE_SYMBOLIC = 1  # CDCL trace replay (run_symbolic_trace)
 PHASE_PROGRAM = 2  # compiled VLIW program (run_program)
-PHASE_SOLVER = 3  # raw CDCL solver trace (no hardware timing)
 
 PHASE_NAMES: Dict[int, str] = {
     PHASE_SYMBOLIC: "symbolic-replay",
     PHASE_PROGRAM: "program",
-    PHASE_SOLVER: "solver",
 }
 
 #: kind -> (payload field count, first field zigzag-signed?).  The

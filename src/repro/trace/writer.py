@@ -32,7 +32,6 @@ from repro.trace.format import (
     DELTA_ESCAPE,
     EVENT_SCHEMA,
     MAX_INLINE_DELTA,
-    PHASE_SOLVER,
     EventKind,
     encode_footer,
     encode_header,
@@ -146,41 +145,6 @@ class TraceWriter:
         self._events += 1
         if len(buf) >= _FLUSH_BYTES and self._sink is not None:
             self._flush()
-
-    def emit_solver_trace(self, solver) -> int:
-        """Encode a recorded :class:`~repro.logic.cdcl.CDCLSolver` trace
-        directly (no hardware timing: the "cycle" axis is the event
-        index).  Returns the number of events written.
-
-        This is the pure-software wiring of the CDCL trace: a solve can
-        be archived and analyzed without ever replaying it on the
-        accelerator model.
-        """
-        emit = self.emit
-        emit(EventKind.PHASE, None, PHASE_SOLVER)
-        index = self._last_cycle
-        written = 1
-        for event in solver.trace:
-            index += 1
-            kind = event.kind
-            if kind == "imply":
-                emit(EventKind.PROPAGATE, index, event.literal)
-            elif kind == "decide":
-                emit(EventKind.DECIDE, index, event.literal)
-            elif kind == "conflict":
-                emit(EventKind.CONFLICT, index, 0)
-            elif kind == "learn":
-                emit(EventKind.LEARN, index, event.clause_size)
-            elif kind == "backjump":
-                emit(EventKind.BACKJUMP, index, event.level)
-            elif kind == "restart":
-                emit(EventKind.RESTART, index)
-            else:  # unknown solver event kinds are skipped, not fatal
-                index -= 1
-                continue
-            written += 1
-        emit(EventKind.RUN_END, index)
-        return written + 1
 
     # ----------------------------------------------------------- counters
 

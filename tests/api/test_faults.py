@@ -423,13 +423,10 @@ class TestChaosTelemetry:
                 service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
             stats = service.stats()
-        from repro.api import ServiceStats
-
-        clone = ServiceStats.from_dict(stats.to_dict())
-        assert clone.retries == stats.retries == 1
-        assert clone.restarts == stats.restarts == 1
-        assert clone.crashes == stats.crashes == 1
-        assert [s.breaker for s in clone.shards] == [
+        assert stats.retries == stats.restarts == stats.crashes == 1
+        shards = stats.to_dict()["shards"]
+        assert sum(shard["retries"] for shard in shards) == 1
+        assert [shard["breaker"] for shard in shards] == [
             s.breaker for s in stats.shards
         ]
 

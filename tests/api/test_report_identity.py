@@ -19,15 +19,24 @@ same way (``RECORDED_PROGRAMS``, recorded at 26a2d5e before the
 probabilistic front end was vectorised): a front-end optimisation may
 change how fast a ``Program`` is produced, never one field of one
 instruction in it.
+
+The traced event stream of the symbolic replay is pinned too
+(``RECORDED_TRACES``, recorded at 33175a4 before the replay loop lost
+its FIFO queue and its statistics): order, cycles and operands of every
+event, under the default config and under each config switch the loop
+branches on.  ``dram_latency_cycles=3`` is the only way the
+``DMA_FETCH`` branch runs at these sizes.
 """
 
 import hashlib
 import random
+from dataclasses import replace
 from typing import List, Tuple
 
 import pytest
 
 from repro import ReasonSession
+from repro.core.arch.config import DEFAULT_CONFIG
 from repro.hmm.model import HMM
 from repro.logic.generators import pigeonhole, random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
@@ -94,6 +103,16 @@ RECORDED_PROGRAMS = {
     "hmm/rand-6": "0069ab546470419ba9689f2d735b08eed61389785cde49e6f5a4c012ac81b684",
 }
 
+#: (``build_trace`` cnf entry, ``ArchConfig`` overrides) -> sha256 of
+#: ``session.run(kernel, trace=True).extras["trace_data"]``.
+RECORDED_TRACES = {
+    ("cnf/ksat-120", ()): "6733aa5f3159addad45e58859259c71b9fc770b2c745bb169ddfb53a30b51bef",
+    ("cnf/php-5", ()): "6a1a37d2ec3f78149cb95620bec0bb79e5cd6dc7ea362837897925fd4568b7bf",
+    ("cnf/ksat-40", (("linked_list_layout", False),)): "e20bb6efe66232c8aab8bfca7bee4047a6a5923c2b8a5a4fcbc8db5db8b8b4c3",
+    ("cnf/ksat-40", (("pipelined_scheduling", False),)): "a2143229b4381a3dc8ced019da45dc714d9c12e966869e7ffd1f7c315ab13b80",
+    ("cnf/php-5", (("dram_latency_cycles", 3),)): "b7ddc3d9dbcb88b923d7c9d514049b4cbc64067070d1ca7addc18e5d7539141a",
+}
+
 
 def report_counters(report):
     """The integer ``extras`` (decisions, conflicts, instructions,
@@ -157,3 +176,18 @@ def test_cold_reports_match_recorded_digests(tiny):
                     f"{name} ({label}): {report.identity()} {report_counters(report)}"
                 )
     assert not drifted, "modeled clock drifted on: " + "; ".join(drifted)
+
+
+def test_traced_replays_match_recorded_digests():
+    kernels = {
+        name: kernel
+        for tiny in (True, False)
+        for name, kernel, _ in build_trace(tiny=tiny)
+    }
+    drifted = []
+    for (name, overrides), recorded in RECORDED_TRACES.items():
+        session = ReasonSession(config=replace(DEFAULT_CONFIG, **dict(overrides)))
+        data = session.run(kernels[name], trace=True).extras["trace_data"]
+        if hashlib.sha256(data).hexdigest() != recorded:
+            drifted.append(f"{name} {dict(overrides)}")
+    assert not drifted, "traced event stream drifted on: " + "; ".join(drifted)

@@ -1,15 +1,16 @@
 """Tests for the architecture model: Benes, interconnect, memory,
-BCP FIFO, watched literals, energy, and symbolic replay."""
+watched literals, energy, and symbolic replay."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ReasonSession
 from repro.core.arch import (
     ArchConfig,
-    BcpFifo,
     BenesNetwork,
     DEFAULT_CONFIG,
     EnergyModel,
@@ -23,10 +24,11 @@ from repro.core.arch import (
 from repro.core.arch.config import dse_grid
 from repro.core.arch.energy import EVENT_NAMES, scale_to_node
 from repro.core.arch.interconnect import area_breakdown, scalability_series
-from repro.core.arch.memory import DmaEngine, Scratchpad, SramBanks
+from repro.core.arch.memory import DmaEngine, SramBanks
 from repro.logic.cdcl import CDCLSolver
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import pigeonhole, random_ksat
+from repro.pc.learn import random_circuit
 from repro.trace import TraceWriter, timeline
 
 
@@ -51,6 +53,22 @@ class TestConfig:
         ablated = DEFAULT_CONFIG.with_ablation(pipelined_scheduling=False)
         assert not ablated.pipelined_scheduling
         assert DEFAULT_CONFIG.pipelined_scheduling  # original untouched
+
+    def test_no_switch_is_accepted_and_ignored(self):
+        names = {f.name for f in dataclasses.fields(ArchConfig)}
+        assert not names & {"unified_engine", "bcp_fifo_depth"}
+        with pytest.raises(TypeError):
+            DEFAULT_CONFIG.with_ablation(unified_engine=False)
+        kernels = (pigeonhole(4), random_circuit(6, depth=2, sum_children=2, seed=3))
+
+        def modeled_cycles(config):
+            return [ReasonSession(config=config).run(k).cycles for k in kernels]
+
+        baseline = modeled_cycles(DEFAULT_CONFIG)
+        for switch in ("pipelined_scheduling", "reconfigurable", "linked_list_layout"):
+            assert switch in names
+            flipped = DEFAULT_CONFIG.with_ablation(**{switch: False})
+            assert modeled_cycles(flipped) != baseline, switch
 
     def test_dse_grid_size(self):
         grid = dse_grid()
@@ -145,10 +163,6 @@ class TestMemory:
         assert sram.read(0) == 0
         assert sram.read(1) == 0
 
-    def test_scratchpad_latency(self):
-        pad = Scratchpad(DEFAULT_CONFIG)
-        assert pad.access(4) == Scratchpad.LATENCY_CYCLES
-
     def test_dma_latency_scales_with_words(self):
         dma = DmaEngine(DEFAULT_CONFIG)
         small = dma.issue(0, words=8)
@@ -165,36 +179,6 @@ class TestMemory:
         dma = DmaEngine(DEFAULT_CONFIG)
         dma.issue(0, words=64)
         assert dma.cancel_pending(1) == 1
-
-
-class TestBcpFifo:
-    def test_push_pop_order(self):
-        fifo = BcpFifo(4)
-        fifo.push(5)
-        fifo.push(-7)
-        assert fifo.pop()[0] == 5
-        assert fifo.pop()[0] == -7
-
-    def test_overflow_stalls(self):
-        fifo = BcpFifo(1)
-        assert fifo.push(1)
-        assert not fifo.push(2)
-        assert fifo.stats.overflow_stalls == 1
-
-    def test_flush_discards_all(self):
-        fifo = BcpFifo(8)
-        for lit in (1, 2, 3):
-            fifo.push(lit)
-        assert fifo.flush() == 3
-        assert fifo.is_empty
-        assert fifo.stats.entries_flushed == 3
-
-    def test_pop_empty_returns_none(self):
-        assert BcpFifo(2).pop() is None
-
-    def test_invalid_depth(self):
-        with pytest.raises(ValueError):
-            BcpFifo(0)
 
 
 class TestWatchedLiterals:
@@ -316,13 +300,6 @@ class TestSymbolicReplay:
         assert trace.implications == solver.stats.propagations
         assert trace.conflicts == solver.stats.conflicts
 
-    def test_conflicts_flush_fifo(self):
-        formula = pigeonhole(4)
-        accelerator = ReasonAccelerator()
-        trace, _ = accelerator.run_symbolic(formula)
-        assert trace.conflicts > 0
-        assert trace.fifo_flushes == trace.conflicts
-
     def test_events_recorded_when_requested(self):
         formula = random_ksat(15, 60, seed=3)
         accelerator = ReasonAccelerator()
@@ -349,9 +326,9 @@ class TestSymbolicReplay:
     def test_report_fields(self):
         accelerator = ReasonAccelerator()
         trace, _ = accelerator.run_symbolic(random_ksat(12, 40, seed=6))
-        report = accelerator.report(trace.cycles)
-        assert report["runtime_s"] > 0
-        assert report["area_mm2"] == pytest.approx(6.0, rel=0.02)
+        assert trace.cycles * accelerator.config.cycle_time_s > 0
+        assert accelerator.energy.total_energy_j() > 0
+        assert accelerator.energy.area_mm2() == pytest.approx(6.0, rel=0.02)
 
 
 class TestUnifiedVsDecoupled:

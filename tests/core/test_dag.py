@@ -135,13 +135,6 @@ class TestBuilders:
         dag, literal_nodes = cnf_to_dag(formula)
         assert len(literal_nodes) == 3  # literal 1 shared
 
-    def test_cnf_dag_records_watched_literals(self):
-        dag, _ = cnf_to_dag(CNF([Clause([1, 2, 3])]))
-        clause_labels = [
-            n.label for _, n in dag.items() if n.op is OpType.OR
-        ]
-        assert any("watch:" in label for label in clause_labels)
-
     def test_circuit_dag_roundtrip_preserves_likelihood(self):
         circuit = random_circuit(5, depth=2, seed=1)
         dag, _ = circuit_to_dag(circuit)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api.adapters import CnfAdapter, RunOptions, adapter_for
 from repro.api import resilience
-from repro.api.service import ReasonService, ServiceStats
+from repro.api.service import ReasonService
 from repro.api.session import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.system.sharding import ShardComposition
@@ -286,15 +286,17 @@ class TestStatsSerialization:
                 service.submit(kernels[index % len(kernels)]).result(timeout=60)
             service.drain()
             stats = service.stats()
-        restored = ServiceStats.from_dict(stats.to_dict())
-        assert restored == stats
-        assert restored.completed == 6
-        assert restored.makespan_s == pytest.approx(stats.makespan_s)
-        assert restored.warm_hit_rate == pytest.approx(stats.warm_hit_rate)
-        # And the dict itself is JSON-safe.
         import json
 
-        json.dumps(stats.to_dict())
+        payload = json.loads(json.dumps(stats.to_dict()))
+        assert set(payload) == {"policy", "shards", "composition"}
+        assert payload["policy"] == stats.policy
+        assert sum(shard["completed"] for shard in payload["shards"]) == 6
+        assert [shard["cache"]["misses"] for shard in payload["shards"]] == [
+            shard.cache.misses for shard in stats.shards
+        ]
+        assert payload["composition"]["total_s"] == stats.makespan_s
+        assert len(payload["composition"]["per_shard"]) == 2
 
     def test_zero_request_stats_compose_empty(self):
         with ReasonService(shards=3) as service:
@@ -303,8 +305,3 @@ class TestStatsSerialization:
         assert stats.makespan_s == 0.0
         assert stats.throughput_rps == 0.0
         assert stats.composition == ShardComposition.empty(3)
-        assert ServiceStats.from_dict(stats.to_dict()) == stats
-
-    def test_composition_round_trip(self):
-        composition = ShardComposition.empty(2)
-        assert ShardComposition.from_dict(composition.to_dict()) == composition

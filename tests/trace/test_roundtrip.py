@@ -165,21 +165,28 @@ class TestQueries:
 
 
 def test_solver_trace_encoding_round_trips():
+    from repro import ReasonSession
     from repro.logic.cdcl import CDCLSolver
     from repro.logic.generators import random_ksat
 
+    formula = random_ksat(30, 120, seed=5)
+    report = ReasonSession().run(formula, trace=True)
+    records = read_trace(report.extras["trace_data"])
+    assert len(records) == report.extras["trace"]["events"]
     solver = CDCLSolver(record_trace=True)
-    solver.solve(random_ksat(30, 120, seed=5))
-    writer = TraceWriter()
-    written = writer.emit_solver_trace(solver)
-    writer.close()
-    records = read_trace(writer.getvalue())
-    assert len(records) == written == writer.events
-    # Every solver event maps 1:1 (plus PHASE and RUN_END wrappers).
-    solver_kinds = {"imply", "decide", "conflict", "learn", "backjump", "restart"}
-    assert len(records) == 2 + sum(
-        1 for event in solver.trace if event.kind in solver_kinds
-    )
+    solver.solve(formula)
+    # Every solver event maps 1:1 and in order onto its algorithm event.
+    algorithm = {
+        EventKind.PROPAGATE: "imply",
+        EventKind.DECIDE: "decide",
+        EventKind.CONFLICT: "conflict",
+        EventKind.LEARN: "learn",
+        EventKind.BACKJUMP: "backjump",
+        EventKind.RESTART: "restart",
+    }
+    assert [algorithm[r.kind] for r in records if r.kind in algorithm] == [
+        event.kind for event in solver.trace
+    ]
     decisions = [r for r in records if r.kind is EventKind.DECIDE]
     assert [r.value for r in decisions] == [
         e.literal for e in solver.trace if e.kind == "decide"
