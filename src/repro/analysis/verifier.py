@@ -710,7 +710,7 @@ def verify_execution(
     config: ArchConfig = DEFAULT_CONFIG,
     energy_delta: Optional[Dict[str, int]] = None,
 ) -> VerifyReport:
-    """Check an :class:`~repro.core.arch.accelerator.ExecutionReport`
+    """Check an :class:`~repro.core.arch.accelerator.ProgramRun`
     (from ``run_program``) against what the stream statically implies:
     instruction count, NOP/stall count, the cycle lower bound, and —
     when ``energy_delta`` carries the run's energy-counter deltas —

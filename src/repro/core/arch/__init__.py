@@ -27,7 +27,7 @@ from repro.core.arch.watched_literals import WatchedLiteralsUnit
 from repro.core.arch.tree_pe import TreePE, PEMode
 from repro.core.arch.accelerator import (
     ReasonAccelerator,
-    ExecutionReport,
+    ProgramRun,
     SymbolicExecutionTrace,
 )
 
@@ -51,6 +51,6 @@ __all__ = [
     "TreePE",
     "PEMode",
     "ReasonAccelerator",
-    "ExecutionReport",
+    "ProgramRun",
     "SymbolicExecutionTrace",
 ]

@@ -35,8 +35,9 @@ from repro.trace.format import PHASE_PROGRAM, PHASE_SYMBOLIC, EventKind
 
 
 @dataclass
-class ExecutionReport:
-    """Outcome of running one compiled kernel."""
+class ProgramRun:
+    """Outcome of one :meth:`ReasonAccelerator.run_program` on the
+    modeled chip (the serving layer's ``ExecutionReport`` is built from it)."""
 
     result: Optional[float]
     cycles: int
@@ -89,7 +90,7 @@ class ReasonAccelerator:
         program: Program,
         inputs: Optional[Dict[int, float]] = None,
         mode: PEMode = PEMode.PROBABILISTIC,
-    ) -> ExecutionReport:
+    ) -> ProgramRun:
         """Execute a compiled program; returns the root value and costs.
 
         ``inputs`` maps DAG leaf node ids to values (same contract as
@@ -197,7 +198,7 @@ class ReasonAccelerator:
             sum(pe.stats.active_node_ops for pe in self.pes)
             / max(1, sum(pe.stats.instructions for pe in self.pes) * self.config.nodes_per_pe)
         )
-        return ExecutionReport(
+        return ProgramRun(
             result=root,
             cycles=cycles,
             energy_j=self.energy.total_energy_j(),

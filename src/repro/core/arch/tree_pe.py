@@ -71,30 +71,20 @@ class TreePE:
     ) -> float:
         """Evaluate one placed block and return the root value.
 
-        ``leaf_values`` maps PE leaf heap-positions to operand values.
-        Unconfigured positions are inert; FORWARD nodes pass their
-        single live child value upward.
+        ``configs`` is :func:`map_block_to_tree`'s list: unique heap
+        positions, ascending, so walking it backwards sees children
+        before parents.  ``leaf_values`` maps PE leaf heap-positions to
+        operand values.  Unconfigured positions are inert; FORWARD nodes
+        pass their single live child value upward.
         """
         self.stats.instructions += 1
         values: Dict[int, float] = dict(leaf_values)
-        # Compiler placements arrive sorted ascending with unique
-        # positions; reuse that order directly and only fall back to
-        # the dedup + sort for arbitrary config lists.
-        if all(a.position < b.position for a, b in zip(configs, configs[1:])):
-            ordered = list(configs)
-            ordered.reverse()
-        else:
-            by_position = {c.position: c for c in configs}
-            ordered = [
-                by_position[position]
-                for position in sorted(by_position, reverse=True)
-            ]
         forward_ops = 0
         logic_ops = 0
         alu_ops = 0
         logic_op_types = (OpType.AND, OpType.OR, OpType.NOT)
         values_get = values.get
-        for config in ordered:
+        for config in reversed(configs):
             position = config.position
             left = values_get(2 * position + 1)
             right = values_get(2 * position + 2)

@@ -6,6 +6,13 @@ tree depth.  A node absorbs its children's blocks when the combined
 depth stays within budget and no child value is needed elsewhere
 (shared nodes become block outputs so their value materializes to
 registers once).  Each block then maps onto one tree-PE issue.
+
+A value read from outside its block is materialized, and materializing
+a node closes its block with that node as the output — so a block's
+interior inputs are exactly other blocks' outputs, and the block
+dependency graph is read off ``Block.inputs`` without revisiting the
+DAG.  Block ids are creation order; :func:`topological_block_order`
+gives the order the scheduler indexes blocks by.
 """
 
 from __future__ import annotations
@@ -157,19 +164,17 @@ def _validate_blocks(dag: Dag, blocks: Sequence[Block], max_depth: int) -> None:
 
 
 def block_dependencies(dag: Dag, blocks: Sequence[Block]) -> Dict[int, Set[int]]:
-    """block_id → set of block_ids whose outputs it reads."""
-    producer: Dict[int, int] = {}
-    for block in blocks:
-        for node_id in block.nodes:
-            producer[node_id] = block.block_id
-    deps: Dict[int, Set[int]] = {block.block_id: set() for block in blocks}
-    for block in blocks:
-        for node_id in block.nodes:
-            for child in dag.node(node_id).children:
-                child_owner = producer.get(child)
-                if child_owner is not None and child_owner != block.block_id:
-                    deps[block.block_id].add(child_owner)
-    return deps
+    """block_id → set of block_ids whose outputs it reads.
+
+    A block's interior inputs are always other blocks' outputs (a node
+    read from outside its block is materialized, which closes its
+    block), so the edges are read off ``inputs``; leaves have no owner.
+    """
+    owner = {block.output: block.block_id for block in blocks}
+    return {
+        block.block_id: {owner[value] for value in block.inputs if value in owner}
+        for block in blocks
+    }
 
 
 def topological_block_order(

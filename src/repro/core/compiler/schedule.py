@@ -7,23 +7,28 @@ read conflict), and NOPs fill cycles where no block is ready —
 the hazard spacing the paper's Step-4 "Reordering" performs.
 
 Register management implements automatic write-address generation:
-values take the lowest free address of their assigned bank; live-range
-analysis frees addresses after the last consumer issues; when a bank
-overflows, the value whose next use is furthest is spilled to shared
-memory (SPILL) and reloaded lazily (RELOAD).
+values take the lowest free address of their assigned bank.  There is
+one liveness rule: a value keeps its register until its last reader has
+*issued*.  Readers are counted, not indexed — issue order is not the
+topological block order, so "the reader with the highest index has
+issued" does not mean every reader has.  When a bank overflows, the
+resident whose *last* reader is furthest in block order is spilled to
+shared memory (SPILL) and comes back when a reader next needs it
+(RELOAD); every emitted program passes
+:func:`repro.analysis.verifier.verify_program`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.arch.config import ArchConfig
 from repro.core.compiler.blocks import Block, block_dependencies, topological_block_order
 from repro.core.compiler.mapping import BankAssignment, issue_conflicts
 from repro.core.compiler.program import InstructionKind, Program, VLIWInstruction
-from repro.core.compiler.tree_map import TreePlacement, map_block_to_tree
+from repro.core.compiler.tree_map import map_block_to_tree
 from repro.core.dag.graph import LEAF_OPS, Dag
 
 
@@ -36,13 +41,10 @@ class _BankFile:
     """
 
     def __init__(self, num_banks: int, regs_per_bank: int):
-        self.regs_per_bank = regs_per_bank
+        # Ascending addresses are already heap-ordered.
         self._free: List[List[int]] = [list(range(regs_per_bank)) for _ in range(num_banks)]
-        for heap in self._free:
-            heapq.heapify(heap)
         self.address_of: Dict[int, Tuple[int, int]] = {}
         self._residents: List[Dict[int, int]] = [{} for _ in range(num_banks)]
-        self.spilled: Set[int] = set()
 
     def allocate(self, value: int, bank: int) -> Optional[Tuple[int, int]]:
         """Place a value; returns (bank, addr) or None when bank is full."""
@@ -51,22 +53,19 @@ class _BankFile:
         addr = heapq.heappop(self._free[bank])
         self.address_of[value] = (bank, addr)
         self._residents[bank][value] = addr
-        self.spilled.discard(value)
         return (bank, addr)
 
     def release(self, value: int) -> None:
-        located = self.address_of.pop(value, None)
-        if located is not None:
-            bank, addr = located
-            heapq.heappush(self._free[bank], addr)
-            del self._residents[bank][value]
+        """Free the value's register, if it holds one."""
+        if value in self.address_of:
+            self.evict(value)
 
     def evict(self, value: int) -> Tuple[int, int]:
+        """Free a resident value's register; returns where it lived."""
         located = self.address_of.pop(value)
         bank, addr = located
         heapq.heappush(self._free[bank], addr)
         del self._residents[bank][value]
-        self.spilled.add(value)
         return located
 
     def resident(self, value: int) -> bool:
@@ -107,90 +106,51 @@ def schedule_program(
     """
     deps = block_dependencies(dag, blocks)
     ordered = topological_block_order(dag, blocks, deps)
-    placements: Dict[int, TreePlacement] = {
-        block.block_id: map_block_to_tree(dag, block, config.tree_depth)
-        for block in blocks
-    }
+    bank_of = assignment.bank_of
 
-    # Live-range analysis: last consumer index per value.
-    last_use: Dict[int, int] = {}
+    # Live ranges.  Blocks issue lowest-index-first among those *ready*,
+    # which is not ``ordered`` order, so liveness is a count of readers
+    # still to issue; the index of a value's last reader only ranks
+    # spill victims (the root has no reader and ranks furthest).
+    readers_left: Dict[int, int] = {}
+    last_reader: Dict[int, int] = {dag.root: len(ordered)}
     for index, block in enumerate(ordered):
         for value in block.inputs:
-            last_use[value] = index
+            readers_left[value] = readers_left.get(value, 0) + 1
+            last_reader[value] = index
 
     banks = _BankFile(config.num_banks, config.regs_per_bank)
     program = Program(num_blocks=len(blocks))
+    emit = program.instructions.append
     stats = ScheduleStats()
-    next_use_index: Dict[int, int] = dict(last_use)
 
-    def ensure_resident(
-        value: int, pinned: frozenset = frozenset()
-    ) -> List[VLIWInstruction]:
-        """Materialize a value into its bank, spilling if needed.
+    def place(value: int, keep: frozenset) -> Tuple[int, int]:
+        """Claim the lowest free register of the value's bank; while the
+        bank is full, spill the resident whose last reader is furthest.
 
-        ``pinned`` holds the issuing block's inputs: they are exempt
-        from victim selection whenever any other resident value can be
-        evicted instead, so materializing one operand does not
-        silently evict a sibling operand the COMPUTE is about to read.
-        (Only when a block's same-bank inputs exceed the bank itself
-        is a pinned sibling evicted — the unavoidable case.)
+        ``keep`` (the issuing block's inputs) is spared while any other
+        resident can go instead, so materializing one operand does not
+        evict a sibling the COMPUTE is about to read.  Only a block with
+        more same-bank inputs than the bank has registers loses a kept
+        sibling: the unavoidable, bank-starved case.
         """
-        issued: List[VLIWInstruction] = []
-        if banks.resident(value):
-            return issued
-        # Captured before allocate(), which clears the spilled mark:
-        # this is what decides LOAD (never-resident leaf) vs RELOAD
-        # (evicted value coming back from shared memory).
-        was_spilled = value in banks.spilled
-        bank = assignment.bank_of.get(value, value % config.num_banks)
+        bank = bank_of[value]
         slot = banks.allocate(value, bank)
         while slot is None:
-            victims = banks.values_in_bank(bank)
-            unpinned = [v for v in victims if v not in pinned]
-            victim = max(
-                unpinned or victims,
-                key=lambda v: next_use_index.get(v, len(ordered) + 1),
-            )
+            residents = banks.values_in_bank(bank)
+            spare = [v for v in residents if v not in keep]
+            victim = max(spare or residents, key=last_reader.__getitem__)
             where = banks.evict(victim)
-            issued.append(
-                VLIWInstruction(
-                    InstructionKind.SPILL,
-                    reads=[where],
-                    value=victim,
-                )
-            )
+            emit(VLIWInstruction(InstructionKind.SPILL, reads=[where], value=victim))
             stats.spills += 1
             slot = banks.allocate(value, bank)
-        node = dag.node(value) if value in dag else None
-        if node is not None and node.op in LEAF_OPS:
-            issued.append(
-                VLIWInstruction(
-                    InstructionKind.LOAD,
-                    write=slot,
-                    value=value,
-                )
-            )
-            stats.loads += 1
-        elif was_spilled:
-            issued.append(
-                VLIWInstruction(
-                    InstructionKind.RELOAD,
-                    write=slot,
-                    value=value,
-                )
-            )
-            stats.reloads += 1
-        return issued
+        return slot
 
-    finish_cycle: Dict[int, int] = {}  # block id -> result-visible cycle
-    cycle = 0
-
-    # Ready-queue scheduling: instead of rescanning every pending block
-    # each cycle (O(cycles × blocks)), blocks enter a time-ordered heap
-    # the moment their last producer's finish cycle is known, then move
-    # to an index-ordered ready heap as the clock reaches it.  Selection
-    # order (lowest ordered-index first among ready blocks) matches the
-    # original pending-list scan exactly.
+    # Ready-queue scheduling: a block enters the ``future`` heap of
+    # (ready_at, index) the moment its last producer's finish cycle is
+    # known and moves to the index-ordered ``ready`` heap as the clock
+    # reaches it, so no cycle rescans every pending block.  (The initial
+    # ``future`` is ascending, which is already heap order.)
     index_of = {block.block_id: i for i, block in enumerate(ordered)}
     blocked_on = [len(deps[block.block_id]) for block in ordered]
     dependents: List[List[int]] = [[] for _ in ordered]
@@ -198,95 +158,77 @@ def schedule_program(
         for dep in deps[block.block_id]:
             dependents[index_of[dep]].append(i)
     ready_when = [0] * len(ordered)
-    future: List[Tuple[int, int]] = []  # (ready_at, index): deps all issued
-    for i, remaining_deps in enumerate(blocked_on):
-        if remaining_deps == 0:
-            future.append((0, i))
-    heapq.heapify(future)
-    ready: List[int] = []  # index heap of blocks ready at the clock
-    last_finish = 0  # pipeline-drain gate for the non-pipelined ablation
-    remaining = len(ordered)
+    future = [(0, i) for i, waiting in enumerate(blocked_on) if not waiting]
+    ready: List[int] = []
+    cycle = 0
 
-    while remaining:
+    # ``stats.cycles`` runs as the cycle the latest result is visible:
+    # the schedule's length, and the drain gate of the non-pipelined
+    # ablation.  An unissued block whose producers have all issued sits
+    # in a heap, so both are empty exactly when every block has issued.
+    while future or ready:
         while future and future[0][0] <= cycle:
             heapq.heappush(ready, heapq.heappop(future)[1])
-        issue_this_cycle: List[int] = []
-        if ready and (config.pipelined_scheduling or last_finish <= cycle):
-            for _ in range(min(config.num_pes, len(ready))):
-                issue_this_cycle.append(heapq.heappop(ready))
-
-        for slot, index in enumerate(issue_this_cycle):
+        issuing = 0
+        if config.pipelined_scheduling or stats.cycles <= cycle:
+            issuing = min(config.num_pes, len(ready))
+        for pe in range(issuing):
+            index = heapq.heappop(ready)
             block = ordered[index]
-            # Materialize every non-resident input: leaves arrive as
-            # LOADs, spilled intermediates come back as RELOADs (they
-            # used to be silently read through a stale-address
-            # fallback with no instruction or cycle/energy cost).
-            # Pinning the block's own inputs keeps one operand's
-            # materialization from evicting a sibling operand.
-            block_inputs = frozenset(block.inputs)
+            # A non-resident input is a leaf (LOAD) or a spilled
+            # intermediate (RELOAD) and nothing else: a value is produced
+            # before any reader is ready and keeps its register until
+            # the last one has issued.
+            keep = frozenset(block.inputs)
             for value in block.inputs:
-                if not banks.resident(value):
-                    program.instructions.extend(
-                        ensure_resident(value, block_inputs)
-                    )
-            conflicts = issue_conflicts(assignment, block)
-            reads = [
-                banks.address_of.get(
-                    value, (assignment.bank_of.get(value, 0), 0)
+                if banks.resident(value):
+                    continue
+                slot = place(value, keep)
+                if dag.node(value).op in LEAF_OPS:
+                    emit(VLIWInstruction(InstructionKind.LOAD, write=slot, value=value))
+                    stats.loads += 1
+                else:
+                    emit(VLIWInstruction(InstructionKind.RELOAD, write=slot, value=value))
+                    stats.reloads += 1
+            # The fallback address is the bank-starved stale read: a kept
+            # sibling ``place`` had to evict (a verifier *warning*;
+            # execution reads operands by value id).  Reads are taken
+            # before the write-back slot is claimed, so an input spilled
+            # to make room for the output is still read at its old
+            # address, which holds its bits until the write lands.
+            reads = [banks.address_of.get(v, (bank_of[v], 0)) for v in block.inputs]
+            out_slot = place(block.output, frozenset())
+            placement = map_block_to_tree(dag, block, config.tree_depth)
+            emit(
+                VLIWInstruction(
+                    InstructionKind.COMPUTE,
+                    block_id=block.block_id,
+                    reads=reads,
+                    write=out_slot,
+                    tree_config=placement.configs,
+                    issue_cycle=cycle,
+                    pe=pe,
+                    leaf_operands=placement.leaf_operands,
+                    output_value=block.output,
                 )
-                for value in block.inputs
-            ]
-            out_bank = assignment.bank_of.get(block.output, block.output % config.num_banks)
-            out_slot = banks.allocate(block.output, out_bank)
-            while out_slot is None:
-                victims = banks.values_in_bank(out_bank)
-                victim = max(victims, key=lambda v: next_use_index.get(v, len(ordered) + 1))
-                where = banks.evict(victim)
-                program.instructions.append(
-                    VLIWInstruction(
-                        InstructionKind.SPILL,
-                        reads=[where],
-                        value=victim,
-                    )
-                )
-                stats.spills += 1
-                out_slot = banks.allocate(block.output, out_bank)
-            instruction = VLIWInstruction(
-                InstructionKind.COMPUTE,
-                block_id=block.block_id,
-                reads=reads,
-                write=out_slot,
-                tree_config=placements[block.block_id].configs,
-                issue_cycle=cycle,
-                pe=slot,
-                leaf_operands=dict(placements[block.block_id].leaf_operands),
-                output_value=block.output,
             )
-            program.instructions.append(instruction)
-            finish = cycle + config.pipeline_stages + conflicts
-            finish_cycle[block.block_id] = finish
-            if finish > last_finish:
-                last_finish = finish
+            finish = cycle + config.pipeline_stages + issue_conflicts(assignment, block)
+            stats.cycles = max(stats.cycles, finish)
             for dependent in dependents[index]:
                 blocked_on[dependent] -= 1
-                if finish > ready_when[dependent]:
-                    ready_when[dependent] = finish
+                ready_when[dependent] = max(ready_when[dependent], finish)
                 if blocked_on[dependent] == 0:
                     heapq.heappush(future, (ready_when[dependent], dependent))
-            remaining -= 1
-            # Free dead values.
             for value in block.inputs:
-                if last_use.get(value) == index:
+                readers_left[value] -= 1
+                if not readers_left[value]:
                     banks.release(value)
 
         stats.pe_issue_slots += config.num_pes
-        if not issue_this_cycle:
-            program.instructions.append(
-                VLIWInstruction(InstructionKind.NOP, issue_cycle=cycle)
-            )
+        if not issuing:
+            emit(VLIWInstruction(InstructionKind.NOP, issue_cycle=cycle))
             stats.nops += 1
         cycle += 1
 
-    stats.cycles = max(finish_cycle.values(), default=0)
     program.root_value = dag.root
     return program, stats

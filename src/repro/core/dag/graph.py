@@ -157,15 +157,8 @@ class Dag:
                     if state.get(child) == 0:
                         raise ValueError("cycle detected in DAG")
                     stack.append((child, False))
-        # Deduplicate while preserving order (diamond reconvergence).
-        seen: set = set()
-        unique: List[int] = []
-        for node_id in order:
-            if node_id not in seen:
-                seen.add(node_id)
-                unique.append(node_id)
-        self._topo_order = unique
-        return list(unique)
+        self._topo_order = order
+        return list(order)
 
     @property
     def num_nodes(self) -> int:

@@ -18,7 +18,6 @@ silently is a trace whose counts the footer has vouched for.
 
 from __future__ import annotations
 
-import io
 import os
 from typing import Dict, Iterable, Iterator, Optional, Union
 
@@ -58,25 +57,26 @@ _UNIT_FILTERABLE = frozenset(
 
 
 class TraceReader:
-    """Decode one binary trace from a path, bytes, or binary file.
+    """Decode one binary trace from a path or from bytes.
 
     A reader is restartable: every call to :meth:`__iter__` /
     :meth:`events` / :meth:`validate` re-opens the stream from the
     first record, so one reader instance can serve several queries.
-    Byte and seekable-file sources rewind; non-seekable streams support
-    a single pass.
     """
 
-    def __init__(self, source: Union[str, os.PathLike, bytes, bytearray, io.IOBase]):
+    def __init__(self, source: Union[str, os.PathLike, bytes, bytearray]):
         self._path: Optional[str] = None
         self._data: Optional[bytes] = None
-        self._stream: Optional[io.IOBase] = None
         if isinstance(source, (bytes, bytearray, memoryview)):
             self._data = bytes(source)
         elif isinstance(source, (str, os.PathLike)):
             self._path = str(source)
         else:
-            self._stream = source
+            raise TypeError(
+                "TraceReader reads a path (str / os.PathLike) or bytes, "
+                f"not {type(source).__name__}; pass an open file's name or "
+                "its .read()"
+            )
         # Validate the header eagerly: a reader over a foreign or
         # stale-version file should fail at construction, not mid-scan.
         header = self._read_prefix()
@@ -87,45 +87,20 @@ class TraceReader:
     def _read_prefix(self) -> bytes:
         if self._data is not None:
             return self._data[:8]
-        if self._path is not None:
-            with open(self._path, "rb") as handle:
-                return handle.read(8)
-        handle = self._stream
-        if handle.seekable():
-            position = handle.tell()
-            prefix = handle.read(8)
-            handle.seek(position)
-            return prefix
-        # Non-seekable stream: buffer everything once up front.
-        self._data = handle.read()
-        self._stream = None
-        return self._data[:8]
+        with open(self._path, "rb") as handle:
+            return handle.read(8)
 
     def _chunks(self) -> Iterator[bytes]:
         """Yield the raw stream as chunks, from the beginning."""
         if self._data is not None:
             yield self._data
             return
-        if self._path is not None:
-            with open(self._path, "rb") as handle:
-                while True:
-                    chunk = handle.read(_CHUNK_BYTES)
-                    if not chunk:
-                        return
-                    yield chunk
-            return
-        handle = self._stream
-        if not handle.seekable():
-            raise TraceFormatError(
-                "non-seekable trace stream was already consumed; "
-                "wrap it in bytes for repeated queries"
-            )
-        handle.seek(0)
-        while True:
-            chunk = handle.read(_CHUNK_BYTES)
-            if not chunk:
-                return
-            yield chunk
+        with open(self._path, "rb") as handle:
+            while True:
+                chunk = handle.read(_CHUNK_BYTES)
+                if not chunk:
+                    return
+                yield chunk
 
     # ------------------------------------------------------------ decode
 
@@ -242,9 +217,9 @@ class TraceReader:
     def summary(self) -> TraceSummary:
         """Footer metadata without decoding records.
 
-        For paths and seekable streams this reads only the footer
-        region (self-locating via its trailing length field), so
-        summarizing a huge archived trace is O(footer).
+        For paths this reads only the footer region (self-locating via
+        its trailing length field), so summarizing a huge archived
+        trace is O(footer).
         """
         tail = self._read_tail()
         if len(tail) < FOOTER_TAIL_SIZE:
@@ -272,33 +247,16 @@ class TraceReader:
         window = 4096 + FOOTER_TAIL_SIZE
         if self._data is not None:
             return self._data[-window:]
-        if self._path is not None:
-            with open(self._path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                handle.seek(max(0, size - window))
-                return handle.read()
-        handle = self._stream
-        if not handle.seekable():
-            raise TraceFormatError("cannot summarize a non-seekable stream")
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        handle.seek(max(0, size - window))
-        tail = handle.read()
-        handle.seek(0)
-        return tail
+        with open(self._path, "rb") as handle:
+            handle.seek(0, os.SEEK_END)
+            size = handle.tell()
+            handle.seek(max(0, size - window))
+            return handle.read()
 
     def _stream_size(self) -> int:
         if self._data is not None:
             return len(self._data)
-        if self._path is not None:
-            return os.path.getsize(self._path)
-        handle = self._stream
-        position = handle.tell()
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        handle.seek(position)
-        return size
+        return os.path.getsize(self._path)
 
     def validate(self) -> TraceSummary:
         """Full-decode integrity check against the footer.
@@ -334,7 +292,7 @@ class TraceReader:
 
 
 def read_trace(
-    source: Union[str, os.PathLike, bytes, bytearray, io.IOBase],
+    source: Union[str, os.PathLike, bytes, bytearray],
 ) -> "list[TraceRecord]":
     """Decode a whole (small) trace into a list — convenience for tests
     and interactive use; large traces should stream via TraceReader."""

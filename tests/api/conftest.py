@@ -1,0 +1,37 @@
+"""Fixtures shared by the serving suites."""
+
+import threading
+
+import pytest
+
+from repro.api import backends
+from repro.api.types import ExecutionReport
+
+
+class GateBackend(backends.Backend):
+    """Blocks every run until its gate opens — pins a worker
+    mid-request so backpressure, cancellation and queue-deadline
+    scenarios are deterministic."""
+
+    name = "test-gate"
+
+    def __init__(self, gate: threading.Event):
+        self.gate = gate
+
+    def run(self, artifact, config=None, queries=1, options=None):
+        self.gate.wait(timeout=10.0)
+        return ExecutionReport(
+            backend=self.name, kernel=artifact.kind, result=1.0, cycles=1, seconds=1e-6
+        )
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """A shut gate behind ``backend="test-gate"``, registered for this
+    test only: ``ReasonSession.cross_check()`` runs every registered
+    backend, so a gate left in the registry would block it.  Opened on
+    the way out whatever the test did."""
+    event = threading.Event()
+    monkeypatch.setitem(backends._BACKENDS, GateBackend.name, lambda: GateBackend(event))
+    yield event
+    event.set()

@@ -4,7 +4,6 @@ and the accounting invariant under random fault plans."""
 
 import random
 import sys
-import threading
 
 import pytest
 
@@ -17,11 +16,9 @@ from repro import (
     RetryPolicy,
     ShardCrashed,
 )
-from repro.api import DiskStore, ServiceOverloaded, register_backend
-from repro.api.backends import Backend
+from repro.api import DiskStore, ServiceOverloaded
 from repro.api.resilience import CircuitBreaker
 from repro.api.scheduler import SchedulingPolicy
-from repro.api.types import ExecutionReport
 from repro.faults import CORRUPT_BYTES, FaultInjected, corrupt_disk_entry
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
@@ -35,23 +32,6 @@ def mixed_kernels():
         HMM.random(3, 4, seed=2),
         random_ksat(12, 40, seed=3),
     ]
-
-
-class ChaosGateBackend(Backend):
-    """Blocks every run until released — pins a worker mid-request so
-    queue-level deadline behavior is deterministic."""
-
-    name = "chaos-gate"
-    gate = threading.Event()
-
-    def run(self, artifact, config=None, queries=1, options=None):
-        ChaosGateBackend.gate.wait(timeout=10.0)
-        return ExecutionReport(
-            backend=self.name, kernel=artifact.kind, result=1.0, cycles=1, seconds=1e-6
-        )
-
-
-register_backend("chaos-gate", ChaosGateBackend)
 
 
 class PinZeroPolicy(SchedulingPolicy):
@@ -247,26 +227,22 @@ class TestDeadlines:
             ).result(timeout=30)
         assert report.cycles > 0
 
-    def test_queued_request_shed_at_expiry(self):
-        ChaosGateBackend.gate.clear()
-        try:
-            with ReasonService(shards=1, max_queue=8) as service:
-                blocker = service.submit(
-                    random_ksat(10, 30, seed=0), backend="chaos-gate"
-                )
-                doomed = service.submit(
-                    random_ksat(12, 40, seed=1),
-                    backend="chaos-gate",
-                    deadline_s=0.05,
-                )
-                with pytest.raises(DeadlineExceeded):
-                    doomed.result(timeout=10)  # resolved while still queued
-                ChaosGateBackend.gate.set()
-                assert blocker.result(timeout=30).result == 1.0
-                service.drain(timeout=15)
-                stats = service.stats()
-        finally:
-            ChaosGateBackend.gate.set()
+    def test_queued_request_shed_at_expiry(self, gate):
+        with ReasonService(shards=1, max_queue=8) as service:
+            blocker = service.submit(
+                random_ksat(10, 30, seed=0), backend="test-gate"
+            )
+            doomed = service.submit(
+                random_ksat(12, 40, seed=1),
+                backend="test-gate",
+                deadline_s=0.05,
+            )
+            with pytest.raises(DeadlineExceeded):
+                doomed.result(timeout=10)  # resolved while still queued
+            gate.set()
+            assert blocker.result(timeout=30).result == 1.0
+            service.drain(timeout=15)
+            stats = service.stats()
         assert stats.expired == 1
         assert stats.completed == 1
 

@@ -7,15 +7,8 @@ import threading
 import pytest
 
 from repro import ReasonService, ReasonSession
-from repro.api import (
-    ServiceBatchResult,
-    ServiceClosed,
-    ServiceOverloaded,
-    register_backend,
-)
-from repro.api.backends import Backend
+from repro.api import ServiceBatchResult, ServiceClosed, ServiceOverloaded
 from repro.api.scheduler import SchedulingPolicy
-from repro.api.types import ExecutionReport
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat, redundant_sat
 from repro.pc.learn import random_circuit
@@ -28,23 +21,6 @@ def mixed_kernels():
         HMM.random(3, 4, seed=2),
         random_ksat(12, 40, seed=3),
     ]
-
-
-class GateBackend(Backend):
-    """Test backend that blocks every run until released (deterministic
-    backpressure/cancellation scenarios)."""
-
-    name = "test-gate"
-    gate = threading.Event()
-
-    def run(self, artifact, config=None, queries=1, options=None):
-        GateBackend.gate.wait(timeout=10.0)
-        return ExecutionReport(
-            backend=self.name, kernel=artifact.kind, result=1.0, cycles=1, seconds=1e-6
-        )
-
-
-register_backend("test-gate", GateBackend)
 
 
 class TestSubmit:
@@ -116,8 +92,7 @@ def wait_until_running(future, timeout_s: float = 10.0) -> None:
 
 
 class TestBackpressure:
-    def test_full_queue_times_out_with_service_overloaded(self):
-        GateBackend.gate.clear()
+    def test_full_queue_times_out_with_service_overloaded(self, gate):
         kernel = random_ksat(8, 24, seed=8)
         service = ReasonService(shards=1, max_queue=1)
         try:
@@ -129,18 +104,17 @@ class TestBackpressure:
             with pytest.raises(ServiceOverloaded):
                 service.submit(kernel, backend="test-gate", timeout=0.0)
         finally:
-            GateBackend.gate.set()
+            gate.set()
             service.close()
         assert running.result(timeout=30).result == 1.0
         assert queued.result(timeout=30).result == 1.0
 
-    def test_timeout_covers_lock_wait_behind_parked_producer(self):
+    def test_timeout_covers_lock_wait_behind_parked_producer(self, gate):
         """A bounded submit must reject promptly even while another
         producer blocks inside the same shard's admission (holding the
         submit lock on a full queue)."""
         import time
 
-        GateBackend.gate.clear()
         kernel = random_ksat(8, 24, seed=30)
         service = ReasonService(shards=1, max_queue=1)
         try:
@@ -159,14 +133,13 @@ class TestBackpressure:
                 service.submit(kernel, backend="test-gate", timeout=0.1)
             assert time.monotonic() - start < 5.0  # bounded, not forever
         finally:
-            GateBackend.gate.set()
+            gate.set()
             parked.join(timeout=30)
             service.close()
         assert running.result(timeout=30).result == 1.0
         assert queued.result(timeout=30).result == 1.0
 
-    def test_submit_batch_cancels_admitted_work_on_rejection(self):
-        GateBackend.gate.clear()
+    def test_submit_batch_cancels_admitted_work_on_rejection(self, gate):
         kernel = random_ksat(8, 24, seed=31)
         service = ReasonService(shards=1, max_queue=1)
         try:
@@ -178,14 +151,13 @@ class TestBackpressure:
             with pytest.raises(ServiceOverloaded):
                 service.submit_batch([kernel] * 2, backend="test-gate", timeout=0.0)
         finally:
-            GateBackend.gate.set()
+            gate.set()
             service.close()
         assert running.result(timeout=30).result == 1.0
         stats = service.stats()
         assert stats.cancelled == 1 and stats.completed == 1
 
-    def test_queued_request_can_be_cancelled(self):
-        GateBackend.gate.clear()
+    def test_queued_request_can_be_cancelled(self, gate):
         kernel = random_ksat(8, 24, seed=9)
         service = ReasonService(shards=1, max_queue=4)
         try:
@@ -194,7 +166,7 @@ class TestBackpressure:
             queued = service.submit(kernel, backend="test-gate")
             assert queued.cancel()
         finally:
-            GateBackend.gate.set()
+            gate.set()
             service.close()
         assert running.result(timeout=30).result == 1.0
         assert queued.cancelled()
@@ -203,7 +175,7 @@ class TestBackpressure:
         # The accounting identity every monitoring consumer relies on:
         assert stats.submitted == stats.completed + stats.failed + stats.cancelled
 
-    def test_close_without_wait_needs_no_queue_slot(self):
+    def test_close_without_wait_needs_no_queue_slot(self, gate):
         """Shutdown is independent of queue occupancy: with the one
         queue slot taken and the worker parked, close(wait=False)
         returns at once, the queued request is still served, and a
@@ -211,7 +183,6 @@ class TestBackpressure:
         not that it is overloaded."""
         import time
 
-        GateBackend.gate.clear()
         kernel = random_ksat(8, 24, seed=33)
         service = ReasonService(shards=1, max_queue=1)
         raised = []
@@ -235,7 +206,7 @@ class TestBackpressure:
             racer.join(timeout=5.0)  # the gate is still shut
             assert not racer.is_alive()
         finally:
-            GateBackend.gate.set()
+            gate.set()
         assert elapsed < 1.0
         assert [type(exc) for exc in raised] == [ServiceClosed]
         assert running.result(timeout=30).result == 1.0

@@ -4,6 +4,7 @@ DAG evaluator."""
 
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,33 @@ def assert_placements_match_reference(dag: Dag, tree_depth: int) -> int:
     return len(blocks)
 
 
+def random_two_input_dag(seed: int, leaves: int, ops: int) -> Dag:
+    """Ops over earlier nodes, one child recent (depth) and one from
+    anywhere (sharing); the last op is the root, so some are unreachable."""
+    rng = random.Random(seed)
+    dag = Dag()
+    nodes = [dag.add_op(OpType.LEAF, payload=(i, (1.0,))) for i in range(leaves)]
+    for _ in range(ops):
+        children = [rng.choice(nodes[-4:]), rng.choice(nodes)]
+        nodes.append(dag.add_op(rng.choice([OpType.SUM, OpType.PRODUCT]), children))
+    dag.set_root(nodes[-1])
+    return dag
+
+
+def reference_block_dependencies(dag, blocks):
+    """``block_dependencies`` as it was until PR 19: walk every interior
+    node's children and look up the block that owns each."""
+    producer = {node_id: b.block_id for b in blocks for node_id in b.nodes}
+    deps = {block.block_id: set() for block in blocks}
+    for block in blocks:
+        for node_id in block.nodes:
+            for child in dag.node(node_id).children:
+                owner = producer.get(child)
+                if owner is not None and owner != block.block_id:
+                    deps[block.block_id].add(owner)
+    return deps
+
+
 class TestBlockDecomposition:
     def test_requires_two_input_dag(self):
         dag, _ = cnf_to_dag(random_ksat(5, 10, seed=0))
@@ -139,6 +167,26 @@ class TestBlockDecomposition:
         for block in blocks:
             for dep in deps[block.block_id]:
                 assert position[dep] < position[block.block_id]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_property_dependencies_read_off_inputs_equal_the_node_walk(
+        self, seed, leaves, ops, depth
+    ):
+        dag = random_two_input_dag(seed, leaves, ops)
+        blocks = decompose_blocks(dag, depth)
+        deps = block_dependencies(dag, blocks)
+        assert deps == reference_block_dependencies(dag, blocks)
+        placed = set()
+        for block in topological_block_order(dag, blocks, deps):
+            assert deps[block.block_id] <= placed
+            placed.add(block.block_id)
+        assert len(placed) == len(blocks)
 
     def test_invalid_depth_rejected(self):
         dag = chain_dag(3)

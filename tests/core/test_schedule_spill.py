@@ -13,14 +13,30 @@ The scheduler must keep two invariants pinned here:
 * **Emission is deterministic.**  The counts below pin the post-fix
   scheduler's exact behavior on one overflow kernel, so any future
   drift in victim selection, issue order or NOP insertion fails loudly.
+* **Every operand has an instruction behind it.**  A value keeps its
+  register until its last reader has *issued* (issue order is not block
+  order), so a non-resident input is a leaf or a spilled intermediate
+  and nothing else.  The calibrated-HMM sweep below is where the
+  index-based release freed registers early and the COMPUTE then read an
+  address nothing wrote; every program in it has to pass the static
+  verifier and the operand walk.
 """
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from repro import ReasonSession
+from repro.analysis.verifier import verify_artifact
 
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.arch.accelerator import ReasonAccelerator
-from repro.core.compiler import compile_dag
+from repro.core.compiler import compile_dag, decompose_blocks
 from repro.core.compiler.program import InstructionKind
 from repro.core.compiler.schedule import _BankFile
 from repro.core.dag import circuit_to_dag, default_leaf_inputs
+from repro.hmm.model import HMM
 from repro.pc.learn import random_circuit
 
 # The spill-heavy kernel/config pair and its compiled schedule come
@@ -151,6 +167,67 @@ class TestSpillReloadStability:
         assert InstructionKind.RELOAD not in kinds
 
 
+SWEEP_CONFIGS = {
+    "default": DEFAULT_CONFIG,
+    "4x4": replace(DEFAULT_CONFIG, num_banks=4, regs_per_bank=4),
+    "2x3": replace(DEFAULT_CONFIG, num_banks=2, regs_per_bank=3),
+    "unpipelined": replace(DEFAULT_CONFIG, pipelined_scheduling=False),
+}
+
+
+@pytest.fixture(scope="module", params=SWEEP_CONFIGS.values(), ids=SWEEP_CONFIGS)
+def calibrated_hmm_sweep(request):
+    """``(config, [(seed, artifact, verify report)])`` for six calibrated
+    HMMs: posterior pruning leaves DAGs whose blocks issue far from
+    block order."""
+    config, compiled = request.param, []
+    for seed in range(6):
+        hmm = HMM.random(8 + seed % 3, 6, seed=seed)
+        sequences = [
+            [int(o) for o in hmm.sample(8 + seed % 3, random.Random(7 * seed + i))[1]]
+            for i in range(4)
+        ]
+        artifact = ReasonSession(config=config).compile(hmm, calibration=sequences)
+        compiled.append((seed, artifact, verify_artifact(artifact, config)))
+    return config, compiled
+
+
+def unwritten_operand_sites(program, config):
+    """Sites of COMPUTEs reading an address whose last writer (LOAD,
+    RELOAD or COMPUTE write-back) wrote some other value, or nothing."""
+    inputs_of = {
+        block.block_id: block.inputs
+        for block in decompose_blocks(program.dag, config.tree_depth)
+    }
+    holds = {}  # (bank, addr) -> value last written there
+    sites = set()
+    for site, instruction in enumerate(program.instructions):
+        if instruction.kind is InstructionKind.COMPUTE:
+            operands = inputs_of[instruction.block_id]
+            for value, where in zip(operands, instruction.reads, strict=True):
+                if holds.get(where) != value:
+                    sites.add(site)
+            holds[instruction.write] = instruction.output_value
+        elif instruction.kind in (InstructionKind.LOAD, InstructionKind.RELOAD):
+            holds[instruction.write] = instruction.value
+    return sites
+
+
+class TestLastReaderLiveness:
+    def test_calibrated_hmm_sweep_passes_the_verifier(self, calibrated_hmm_sweep):
+        for seed, _, report in calibrated_hmm_sweep[1]:
+            assert report.errors == [], f"seed {seed}: {report.errors[0].describe()}"
+
+    def test_no_input_is_materialised_without_an_instruction(self, calibrated_hmm_sweep):
+        """Every COMPUTE operand was written by an earlier LOAD / RELOAD
+        / COMPUTE at the address the COMPUTE reads; the only exception
+        is the bank-starved read, which the verifier counts."""
+        config, compiled = calibrated_hmm_sweep
+        for seed, artifact, report in compiled:
+            starved = {f.site for f in report.warnings if f.invariant == "bank-capacity"}
+            assert unwritten_operand_sites(artifact.program, config) <= starved, seed
+
+
 def replace_instructions(program, instructions):
     """A shallow program copy with a substituted instruction list."""
     import copy
@@ -162,8 +239,7 @@ def replace_instructions(program, instructions):
 
 class TestBankFileBookkeeping:
     """The per-bank resident maps must mirror the global address map,
-    and the evict→spilled→reallocate bookkeeping the RELOAD branch now
-    depends on is pinned directly here."""
+    and evict→reallocate reuses the lowest freed address."""
 
     def test_evict_marks_spilled_and_frees_lowest_address(self):
         banks = _BankFile(num_banks=2, regs_per_bank=2)
@@ -171,13 +247,9 @@ class TestBankFileBookkeeping:
         assert banks.allocate(11, bank=0) == (0, 1)
         assert banks.allocate(12, bank=0) is None  # full
         assert banks.evict(10) == (0, 0)
-        assert 10 in banks.spilled
         assert not banks.resident(10)
-        # Reallocation reuses the lowest freed address and clears the
-        # spilled mark — which is why ensure_resident must read the
-        # mark *before* allocating.
+        # Reallocation reuses the lowest freed address.
         assert banks.allocate(10, bank=0) == (0, 0)
-        assert 10 not in banks.spilled
 
     def test_values_in_bank_preserves_allocation_order(self):
         banks = _BankFile(num_banks=2, regs_per_bank=3)

@@ -1,5 +1,7 @@
 """Wire-format primitives: varints, zigzag, framing, error paths."""
 
+import io
+
 import pytest
 
 from repro.trace.format import (
@@ -182,6 +184,10 @@ class TestReaderErrors:
     def test_reader_rejects_foreign_bytes_at_construction(self):
         with pytest.raises(TraceFormatError):
             TraceReader(b"GIF89a not a trace")
+
+    def test_reader_rejects_an_open_file_naming_what_it_accepts(self):
+        with pytest.raises(TypeError, match=r"path .* or bytes, not BytesIO"):
+            TraceReader(io.BytesIO(self._stream()))
 
     def test_reader_rejects_future_version_at_construction(self):
         data = bytearray(self._stream())
