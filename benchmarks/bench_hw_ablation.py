@@ -75,7 +75,7 @@ def test_memory_layout_band(ablation_data):
     """Paper: ~22% from the memory layout alone.  Our model charges the
     flat layout a full clause-database scan per assignment, which
     overestimates the benefit on small formulas — the reduction lands
-    above the paper's figure (noted in EXPERIMENTS.md)."""
+    above the paper's figure (noted under "Calibration" in the README)."""
     reduction = 1.0 - ablation_data["layout"] / ablation_data["none"]
     assert 0.10 <= reduction <= 0.90
 

@@ -10,7 +10,12 @@ import pytest
 from helpers import print_table
 
 from repro.baselines.device import all_devices
-from repro.core.arch.config import DEFAULT_CONFIG
+from repro.core.arch.config import (
+    DEFAULT_CONFIG,
+    DRAM_BANDWIDTH_GBPS,
+    TECH_NODE_NM,
+    VOLTAGE,
+)
 from repro.core.arch.energy import EnergyModel, TechNode, scale_to_node
 
 
@@ -44,8 +49,7 @@ def test_reason_fig10_specs():
     assert config.sram_kib == 1280
     assert config.num_pes == 12
     assert config.frequency_hz == 500e6
-    assert config.voltage == 0.9
-    assert config.dram_bandwidth_gbps == 104.0
+    assert (TECH_NODE_NM, VOLTAGE, DRAM_BANDWIDTH_GBPS) == (28, 0.9, 104.0)
 
 
 def test_tech_scaling_table3_rows():

@@ -4,22 +4,8 @@ Centralizes the calibration constants and the per-task end-to-end
 latency/energy computations reused by the Fig. 11 / Fig. 12 / Table V
 benches.
 
-Calibration model (see EXPERIMENTS.md for the full discussion):
-
-* REASON symbolic times are *measured* on the cycle-level accelerator
-  model, then lifted from our miniature synthetic instances to paper
-  task size by ``TASK_SCALE`` (chosen so REASON completes a task's
-  reasoning in the paper's reported ~0.3-0.8 s band).
-* Baseline devices execute the same reasoning kernel; since we cannot
-  run their real symbolic CUDA/C++ implementations offline, their
-  symbolic-stage slowdowns relative to REASON are calibrated constants
-  (``SYMBOLIC_SLOWDOWN``) fit to the paper's cross-device measurements
-  (Fig. 3(c) A6000-vs-Orin ratios, Sec. VII-C V100/A100 numbers) and
-  consistent with the Table II efficiency gaps.
-* Neural stages are timed on the device roofline models from the
-  transformer cost model; the REASON system keeps the neural stage on
-  the host GPU with the Sec. VII-C LLM optimizations (~3×) and overlaps
-  it with REASON execution through the two-level pipeline.
+The calibration model (`TASK_SCALE`, `SYMBOLIC_SLOWDOWN`, the neural
+stage) is described under "Calibration" in the README.
 """
 
 from __future__ import annotations

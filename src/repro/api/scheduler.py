@@ -35,11 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.api.adapters import RunOptions
-from repro.costmodel.features import CostPrediction, PredictionMap
-
-#: Fingerprints the cost-aware policy remembers per shard (FIFO-bounded,
-#: so the memo stays constant-size on a long-lived service).
-MAX_TRACKED_FINGERPRINTS = 65536
+from repro.costmodel.features import CostPrediction, PredictionMap, remember
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ class CostAwarePlacementPolicy(SchedulingPolicy):
     marked warm, slightly under-charging the next repeat — a bounded
     mis-estimate the calibrated busy time dominates, accepted to keep
     policies free of admission-outcome plumbing.  The per-shard memory
-    is FIFO-bounded by :data:`MAX_TRACKED_FINGERPRINTS`.
+    is FIFO-bounded (:func:`repro.costmodel.features.remember`).
     """
 
     name = "cost-aware"
@@ -230,10 +226,7 @@ class CostAwarePlacementPolicy(SchedulingPolicy):
             return (view.busy_s + prediction.seconds + compile_s, view.pending, view.index)
 
         index = min(shards, key=completion).index
-        placed = self._placed.setdefault(index, {})
-        placed[request.fingerprint] = None
-        if len(placed) > MAX_TRACKED_FINGERPRINTS:
-            placed.pop(next(iter(placed)))
+        remember(self._placed.setdefault(index, {}), request.fingerprint)
         return index
 
 

@@ -83,6 +83,7 @@ from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition, compose_shard_makespans
 from repro.costmodel import CostEstimator
+from repro.costmodel.features import remember
 from repro.metrics.registry import (
     LATENCY_BUCKETS,
     RATIO_BUCKETS,
@@ -685,7 +686,6 @@ class ReasonService:
         # correctness — shards simply recompile.  (Dict ops are atomic
         # under the GIL; a racy duplicate probe is harmless.)
         self._warm_fingerprints: Dict[str, None] = {}
-        self._max_warm_tracked = 65536
         for shard in self._shards:
             self._start_worker(shard)
 
@@ -990,13 +990,7 @@ class ReasonService:
             fingerprint in self._warm_fingerprints or fingerprint in self.store
         )
         if warm:
-            self._warm_fingerprints[fingerprint] = None
-            if len(self._warm_fingerprints) > self._max_warm_tracked:
-                # Both defaults matter: racing trims may have emptied
-                # the memo, or popped the same oldest key between our
-                # read and this pop.
-                oldest = next(iter(self._warm_fingerprints), None)
-                self._warm_fingerprints.pop(oldest, None)
+            remember(self._warm_fingerprints, fingerprint)
         # One prediction per substrate the request could land on: the
         # forced backend, or every distinct shard backend.
         eligible = {backend} if backend is not None else set(self.shard_backends)

@@ -2,9 +2,10 @@
 
 A parameterized, event-driven model of the accelerator: reconfigurable
 tree-based PEs with three execution modes, a Benes input crossbar,
-banked register files and SRAM, a watched-literals memory unit with
-linked-list layout, inter-node interconnect topologies, and an
-analytical area/energy model with technology scaling.
+banked register files, the watched-literals linked-list SRAM layout
+as a per-literal cost table (``watch_costs``), inter-node interconnect
+topologies, and an analytical area/energy model with technology
+scaling.
 """
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
@@ -22,8 +23,7 @@ from repro.core.arch.energy import (
     unified_vs_decoupled,
 )
 from repro.core.arch.spmspm import CsrMatrix, SpmspmEngine
-from repro.core.arch.memory import SramBanks, DmaEngine
-from repro.core.arch.watched_literals import WatchedLiteralsUnit
+from repro.core.arch.watched_literals import watch_costs
 from repro.core.arch.tree_pe import TreePE, PEMode
 from repro.core.arch.accelerator import (
     ReasonAccelerator,
@@ -45,9 +45,7 @@ __all__ = [
     "unified_vs_decoupled",
     "CsrMatrix",
     "SpmspmEngine",
-    "SramBanks",
-    "DmaEngine",
-    "WatchedLiteralsUnit",
+    "watch_costs",
     "TreePE",
     "PEMode",
     "ReasonAccelerator",

@@ -7,11 +7,12 @@ Two execution paths mirror the paper's two kernel families:
   cycles, memory traffic and energy — validated against the reference
   DAG evaluator.
 * :meth:`ReasonAccelerator.run_symbolic` replays a CDCL solver trace on
-  the symbolic machinery (watched-literals unit, broadcast/reduction
-  over the node tree), charging each event of the Fig. 9 timeline in
-  solver order: one tree pass plus the watch-list traversal per
-  decision and implication, a DMA fetch for a list that misses local
-  SRAM, a trip to the root per conflict.  Implications are charged one
+  the symbolic machinery (watch lists in their linked-list SRAM
+  layout, broadcast/reduction over the node tree), charging each event
+  of the Fig. 9 timeline in solver order: one tree pass plus the
+  watch-list traversal (:func:`watch_costs`) per decision and
+  implication, a DMA fetch for a list too long to be local, a trip to
+  the root per conflict.  Implications are charged one
   at a time — the solver trace does not mark which of them the
   hardware's BCP FIFO would hold at once, so nothing queues, overlaps
   a fetch or is flushed (ROADMAP lists what that leaves uncharged).
@@ -25,9 +26,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.arch.energy import EnergyModel
 from repro.core.arch.interconnect import Topology, broadcast_cycles
-from repro.core.arch.memory import DmaEngine, SramBanks
 from repro.core.arch.tree_pe import PEMode, TreePE
-from repro.core.arch.watched_literals import WatchedLiteralsUnit
+from repro.core.arch.watched_literals import watch_costs
 from repro.core.compiler.program import InstructionKind, Program
 from repro.logic.cdcl import CDCLSolver
 from repro.logic.cnf import CNF
@@ -59,15 +59,12 @@ class SymbolicExecutionTrace:
 
 
 class ReasonAccelerator:
-    """One REASON instance: PEs + memory + symbolic units + energy."""
+    """One REASON instance: the tree PEs and the energy counters."""
 
     def __init__(self, config: ArchConfig = DEFAULT_CONFIG):
         self.config = config
         self.energy = EnergyModel(config=config)
-        self.sram = SramBanks(config, self.energy)
-        self.dma = DmaEngine(config, self.energy)
         self.pes = [TreePE(config, self.energy) for _ in range(config.num_pes)]
-        self.wl_unit = WatchedLiteralsUnit(config, self.sram)
         # Opt-in binary event trace (repro.trace).  None (the default)
         # keeps the execution loops on their untraced hot paths — the
         # only cost of the feature when off is one local None check per
@@ -249,10 +246,8 @@ class ReasonAccelerator:
             raise ValueError("solver was run without record_trace=True")
         for pe in self.pes:
             pe.set_mode(PEMode.SYMBOLIC)
-        self.wl_unit.load_formula(formula)
 
         config = self.config
-        summary_for = self.wl_unit.summary_for
         tree_hops = int(broadcast_cycles(Topology.TREE, config.leaves_per_pe))
         pipelined = config.pipelined_scheduling
         dram_latency = config.dram_latency_cycles
@@ -261,17 +256,12 @@ class ReasonAccelerator:
         implications = 0
         conflicts = 0
         logic_ops = 0
-        # A watch list is static during a replay, so each falsified
-        # literal keeps one record: [clause count, access cycles, bank
-        # reads, visits].
-        lit_state: Dict[int, list] = {}
-
-        def first_visit(literal: int) -> list:
-            summary = summary_for(literal)
-            state = lit_state[literal] = [
-                len(summary.clauses), summary.access_cycles, summary.bank_reads, 0
-            ]
-            return state
+        energy = self.energy
+        # A watch list is static during a replay: what a falsified
+        # literal costs is a table entry, what the replay adds is how
+        # often each literal was visited.
+        costs, unwatched = watch_costs(formula, config)
+        visits: Dict[int, int] = {}
 
         # Same opt-in tracing as run_program.  The traced path records
         # absolute replay cycles, which is what
@@ -294,9 +284,8 @@ class ReasonAccelerator:
             kind = event.kind
             if kind == "imply" or kind == "decide":
                 literal = -event.literal
-                state = lit_state.get(literal) or first_visit(literal)
-                state[3] += 1
-                num_clauses, access, banks, _ = state
+                visits[literal] = visits.get(literal, 0) + 1
+                num_clauses, access, banks = costs.get(literal, unwatched)
                 # One pass over the node tree: a decision broadcasts to
                 # the leaves, an implication returns through the
                 # reduction tree.
@@ -310,7 +299,7 @@ class ReasonAccelerator:
                     logic_ops += num_clauses or 1
                     if access > dram_latency:
                         # Local miss: the list comes from DRAM.
-                        self.dma.issue(cycle, words=num_clauses * 4 + 4)
+                        energy.dram_access += num_clauses * 4 + 4
                         cycle += access
                         if emit is not None:
                             emit(ev_dma, cycle, num_clauses * 4 + 4)
@@ -343,16 +332,14 @@ class ReasonAccelerator:
                 if emit is not None:
                     emit(ev_learn, cycle, event.clause_size)
 
-        energy = self.energy
         energy.network_hop += implications + decisions * config.leaves_per_pe
         energy.control_overhead += decisions + 2 * conflicts
         energy.logic_op += logic_ops
         energy.fifo_op += implications
-        bank_reads: Dict[int, int] = {}
-        for _, _, banks, visits in lit_state.values():
-            for bank, count in banks:
-                bank_reads[bank] = bank_reads.get(bank, 0) + visits * count
-        self.sram.read_batch(bank_reads)
+        energy.sram_access += sum(
+            count * sum(reads for _, reads in costs.get(literal, unwatched)[2])
+            for literal, count in visits.items()
+        )
 
         if emit is not None:
             emit(EventKind.RUN_END, cycle)

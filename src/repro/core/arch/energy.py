@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 
@@ -72,8 +72,8 @@ class EnergyModel:
     Counters are plain ``int`` attributes (one per event in
     :data:`EVENT_NAMES`), so hot loops can accumulate locally and flush
     with a single ``model.sram_access += n`` instead of paying a method
-    call and a ``hasattr`` check per event.  :meth:`record` /
-    :meth:`record_many` remain the validated general-purpose API.
+    call and a ``hasattr`` check per event.  :meth:`record` remains the
+    validated general-purpose API.
     """
 
     __slots__ = ("config", "energies") + EVENT_NAMES
@@ -102,23 +102,6 @@ class EnergyModel:
                 f"(valid events: {', '.join(EVENT_NAMES)})"
             )
         setattr(self, event, getattr(self, event) + count)
-
-    def record_many(self, items: Iterable[Tuple[str, int]]) -> None:
-        """Batch-accumulate ``(event, count)`` pairs in one call.
-
-        Atomic with respect to validation: every name is checked before
-        any counter moves, so a typo mid-batch leaves the model
-        untouched instead of half-applied.
-        """
-        items = list(items)
-        for event, _ in items:
-            if event not in _EVENT_SET:
-                raise KeyError(
-                    f"unknown energy event: {event!r} "
-                    f"(valid events: {', '.join(EVENT_NAMES)})"
-                )
-        for event, count in items:
-            setattr(self, event, getattr(self, event) + count)
 
     def merge(self, other: "EnergyModel") -> None:
         for event in EVENT_NAMES:

@@ -121,7 +121,10 @@ def _apply_op(config: TreeNodeConfig, operands: List[float]) -> float:
     if op is OpType.SUM:
         weights = config.child_weights or tuple(1.0 for _ in operands)
         if len(weights) != len(operands):
-            weights = tuple(1.0 for _ in operands)
+            raise ValueError(
+                f"SUM node {config.position} has {len(weights)} child weights "
+                f"for {len(operands)} live operands"
+            )
         return sum(w * v for w, v in zip(weights, operands))
     if op is OpType.PRODUCT:
         out = 1.0

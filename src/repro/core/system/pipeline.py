@@ -91,8 +91,8 @@ def baseline_end_to_end(
 
     ``coupled_devices`` adds the measured >15% inter-device transfer
     overhead of CPU+GPU systems.  ``symbolic_scale`` lifts the synthetic
-    miniature instance to the paper's task size (see EXPERIMENTS.md
-    calibration notes).
+    miniature instance to the paper's task size (see "Calibration" in
+    the README).
     """
     neural_s = device.run(neural_profiles)
     symbolic_s = device.run(symbolic_profiles) * symbolic_scale

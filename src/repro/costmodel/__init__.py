@@ -6,7 +6,7 @@ neuro-symbolic traffic is anything but (a 110-clause SAT replay and a
 explicit per-resource cost model the serving layer routes on:
 
 * :class:`CostFeatures` — what the compiler front end knows about one
-  kernel (schedule cycles, CDCL trace ops, DAG size, roofline profile);
+  kernel (schedule cycles, CDCL trace ops, roofline profile);
 * :class:`CostEstimator` — predicted per-request latency and energy for
   each backend class (analytic device rooflines, REASON cycle counts);
 * :class:`Calibrator` — online EWMA residuals keyed by kernel

@@ -18,6 +18,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.costmodel.features import remember
+
 Key = Tuple[str, str]  # (fingerprint, backend) or (kind, backend)
 
 
@@ -102,6 +104,14 @@ class Calibrator:
 
     # ------------------------------------------------------------ observe
 
+    def _tracked(self, table: Dict[Key, _Ewma], key: Key) -> _Ewma:
+        """The EWMA of one per-fingerprint table (FIFO-bounded; the
+        per-class tables are bounded by the kinds and backends)."""
+        ewma = table.get(key)
+        if ewma is None:
+            ewma = remember(table, key, _Ewma(self.alpha))
+        return ewma
+
     def observe(
         self,
         fingerprint: str,
@@ -125,14 +135,14 @@ class Calibrator:
             class_key = (kind, backend)
             if raw_s is not None and raw_s > 0.0 and observed_s >= 0.0:
                 ratio = observed_s / raw_s
-                self._ratio.setdefault(key, _Ewma(self.alpha)).update(ratio)
+                self._tracked(self._ratio, key).update(ratio)
                 self._class_ratio.setdefault(class_key, _Ewma(self.alpha)).update(ratio)
             if observed_s >= 0.0:
                 self._class_seconds.setdefault(class_key, _Ewma(self.alpha)).update(
                     observed_s
                 )
             if energy_j is not None and energy_j >= 0.0:
-                self._energy.setdefault(key, _Ewma(self.alpha)).update(energy_j)
+                self._tracked(self._energy, key).update(energy_j)
             if compile_s is not None and compile_s > 0.0:
                 self._compile.setdefault(kind, _Ewma(self.alpha)).update(compile_s)
         # Outside the EWMA lock: the histogram has its own, and the

@@ -29,7 +29,7 @@ from typing import Dict, Optional
 from repro.baselines.device import DeviceModel, device_named
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.costmodel.calibrator import Calibrator
-from repro.costmodel.features import CostFeatures, CostPrediction
+from repro.costmodel.features import CostFeatures, CostPrediction, remember
 
 
 class CostEstimator:
@@ -66,7 +66,7 @@ class CostEstimator:
         """Extract and store features for one compiled artifact."""
         features = CostFeatures.from_artifact(artifact)
         with self._lock:
-            self._features[fingerprint] = features
+            remember(self._features, fingerprint, features)
         return features
 
     def features_for(self, fingerprint: str) -> Optional[CostFeatures]:

@@ -1,8 +1,8 @@
 """Cost features: what the compiler front end knows about a kernel.
 
 Everything the offline flow produces — :class:`CompileStats` (schedule
-cycles, NOPs, spills), the scheduled DAG's size and arity, the recorded
-CDCL trace statistics for logic kernels, and the roofline
+cycles), the recorded CDCL trace statistics for logic kernels, and the
+roofline
 :class:`~repro.baselines.device.KernelProfile` — is condensed into one
 flat :class:`CostFeatures` record keyed by the kernel's content-hash
 fingerprint.  The :class:`~repro.costmodel.estimator.CostEstimator`
@@ -14,9 +14,28 @@ usable from the compiler side without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.baselines.device import KernelClass, KernelProfile
+
+#: Entries a per-fingerprint memo on the serving path may hold
+#: (:func:`remember` evicts first-in first-out past it), so a long-lived
+#: service stays constant-size however many distinct kernels it sees.
+MAX_TRACKED_FINGERPRINTS = 65536
+
+
+def remember(memo: dict, key, value=None):
+    """Insert into a dict kept as a FIFO-bounded memo; returns ``value``.
+
+    Insertion order is the eviction order (re-inserting a key does not
+    refresh it).  Both defaults in the trim matter to callers that rely
+    on the GIL instead of a lock: a racing trim may have emptied the
+    memo, or popped the same oldest key between the read and the pop.
+    """
+    memo[key] = value
+    if len(memo) > MAX_TRACKED_FINGERPRINTS:
+        memo.pop(next(iter(memo), None), None)
+    return value
 
 
 @dataclass(frozen=True)
@@ -36,17 +55,9 @@ class CostFeatures:
     flops: float
     bytes_accessed: float
     launches: int
-    num_nodes: int
-    num_edges: int
     schedule_cycles: int
     trace_ops: int
     compile_s: float
-
-    @property
-    def operational_intensity(self) -> float:
-        if self.bytes_accessed <= 0:
-            return float("inf")
-        return self.flops / self.bytes_accessed
 
     @property
     def profile(self) -> KernelProfile:
@@ -72,22 +83,12 @@ class CostFeatures:
         trace_ops = 0
         if artifact.solver is not None:
             trace_ops = int(getattr(artifact.solver.stats, "clause_fetches", 0))
-        num_nodes = num_edges = 0
-        if artifact.dag is not None:
-            num_nodes = artifact.dag.num_nodes
-            num_edges = artifact.dag.num_edges
-        elif artifact.model is not None and hasattr(artifact.model, "clauses"):
-            clauses = artifact.model.clauses
-            num_nodes = len(clauses)
-            num_edges = sum(len(clause.literals) for clause in clauses)
         return cls(
             kind=artifact.kind,
             kernel_class=kernel_class,
             flops=profile.flops if profile is not None else 1.0,
             bytes_accessed=profile.bytes_accessed if profile is not None else 4.0,
             launches=profile.launches if profile is not None else 1,
-            num_nodes=num_nodes,
-            num_edges=num_edges,
             schedule_cycles=schedule_cycles,
             trace_ops=trace_ops,
             compile_s=float(artifact.compile_s),

@@ -249,6 +249,67 @@ def test_dead_reload_is_a_warning_not_an_error():
     )
 
 
+def _move(kind, value, write=None, reads=()):
+    return VLIWInstruction(kind, value=value, write=write, reads=list(reads))
+
+
+_LOAD, _STORE = InstructionKind.LOAD, InstructionKind.STORE
+_SPILL, _RELOAD = InstructionKind.SPILL, InstructionKind.RELOAD
+_LOAD_1 = _move(_LOAD, 1, (0, 0))
+_COMPUTE_5 = _compute(5, [(0, 0)], 0, operands=[1])
+#: One smallest stream per error that no compiled program and no
+#: catalogued mutant raises: (instructions, invariant, message).
+_NEGATIVES = {
+    "write-without-slot": ([_move(_LOAD, 1)], "bank-capacity", "LOAD has no register slot"),
+    "fractional-addresses-overfill-a-bank": (
+        [_move(_LOAD, value, (0, addr)) for value, addr in enumerate((0, 1, 0.5))],
+        "bank-capacity",
+        "bank 0 holds 3 live values (capacity 2)",
+    ),
+    "reload-of-resident": (
+        [_LOAD_1, _move(_RELOAD, 1, (0, 1))],
+        "spill-reload-pairing",
+        "RELOAD of value 1 which is already resident at (0, 0)",
+    ),
+    "spill-reads-wrong-register": (
+        [_LOAD_1, _move(_SPILL, 1, reads=[(0, 1)])],
+        "spill-reload-pairing",
+        "SPILL of value 1 reads (0, 1) but the value lives at (0, 0)",
+    ),
+    "store-of-undefined": ([_move(_STORE, 7)], "def-before-use", "STORE of undefined value 7"),
+    "operand-read-at-stale-address": (
+        [_LOAD_1, _compute(5, [(0, 1)], 0, operands=[1])],
+        "def-before-use",
+        "operand 1 is resident at (0, 0) but the instruction reads [(0, 1)]",
+    ),
+    "root-never-written": (
+        [_LOAD_1, dataclasses.replace(_COMPUTE_5, write=None)],
+        "def-before-use",
+        "root value 5 is never defined",
+    ),
+    "nop-in-a-busy-cycle": (
+        [_LOAD_1, _COMPUTE_5, VLIWInstruction(InstructionKind.NOP, issue_cycle=0)],
+        "cycle-monotonic",
+        "NOP at cycle 0 which already issued work",
+    ),
+    "unaccounted-cycle": (
+        [_LOAD_1, _COMPUTE_5, _move(_LOAD, 2, (1, 0)), _compute(6, [(1, 0)], 2, operands=[2])],
+        "cycle-monotonic",
+        "cycles [1] are neither issue nor NOP cycles",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _NEGATIVES)
+def test_every_hand_built_negative_is_flagged(name):
+    instructions, invariant, message = _NEGATIVES[name]
+    config = dataclasses.replace(DEFAULT_CONFIG, regs_per_bank=2)
+    report = verify_program(Program(instructions, root_value=5), config)
+    assert [f.invariant for f in report.errors if f.message == message] == [
+        invariant
+    ], [f.describe() for f in report.findings]
+
+
 def test_report_describe_and_by_invariant(overflow_schedule, tiny_regfile):
     program, stats = overflow_schedule
     mutant, mutant_stats = apply_mutation("stale-reload", program, stats.schedule)
@@ -283,6 +344,9 @@ def test_execution_mismatch_is_flagged(overflow_schedule, tiny_regfile):
     short = dataclasses.replace(execution, cycles=1)
     report = verify_execution(program, short, tiny_regfile)
     assert any("lower bound" in f.message for f in report.errors)
+    padded = dataclasses.replace(execution, instructions=execution.instructions + 1)
+    report = verify_execution(program, padded, tiny_regfile)
+    assert any("report.instructions=" in f.message for f in report.errors)
 
 
 def test_energy_event_drift_is_flagged(overflow_schedule, tiny_regfile):

@@ -1,6 +1,7 @@
 """Fixtures shared by the serving suites."""
 
 import threading
+import time
 
 import pytest
 
@@ -23,6 +24,13 @@ class GateBackend(backends.Backend):
         return ExecutionReport(
             backend=self.name, kernel=artifact.kind, result=1.0, cycles=1, seconds=1e-6
         )
+
+
+def wait_until_running(future, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not future.running():
+        assert time.monotonic() < deadline, "worker never picked up the request"
+        time.sleep(0.001)
 
 
 @pytest.fixture

@@ -24,6 +24,8 @@ from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit
 
+from tests.api.conftest import wait_until_running
+
 
 def mixed_kernels():
     return [
@@ -141,6 +143,37 @@ class TestRetriesUnderChaos:
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value.__cause__, FaultInjected)
 
+    def test_retry_that_cannot_land_fails_fast(self, gate, monkeypatch):
+        """A retry never waits for admission (its worker would wait on
+        its own queue): with the one slot taken it is shed, chained to
+        the fault it was retrying."""
+        plan = FaultPlan(seed=9, execute_error_rate=1.0, max_injections=1)
+        inject = plan.execute_fault
+
+        def parked_fault(key=""):
+            gate.wait(timeout=10.0)  # hold the worker until the queue is full
+            inject(key)
+
+        monkeypatch.setattr(plan, "execute_fault", parked_fault)
+        with ReasonService(
+            shards=1, max_queue=1, retry=RetryPolicy(reroute=False), faults=plan
+        ) as service:
+            faulted = service.submit(random_ksat(10, 30, seed=0))
+            wait_until_running(faulted)
+            queued = service.submit(random_ksat(12, 40, seed=1))  # takes the slot
+            gate.set()
+            with pytest.raises(RetriesExhausted, match="shed by shard 0") as excinfo:
+                faulted.result(timeout=30)
+            assert queued.result(timeout=30).cycles > 0
+            service.drain(timeout=15)
+            stats = service.stats()
+        assert isinstance(excinfo.value.__cause__, FaultInjected)
+        assert excinfo.value.attempts == 2
+        assert (stats.completed, stats.failed, stats.retries) == (1, 1, 1)
+        (shard,) = stats.shards
+        assert shard.pending == 0
+        assert shard.submitted == shard.completed + shard.failed + shard.cancelled
+
     def test_deadline_exceeded_is_never_retried(self):
         plan = FaultPlan(seed=6, latency_rate=1.0, latency_s=0.3, max_injections=1)
         with ReasonService(
@@ -179,6 +212,24 @@ class TestSupervision:
         assert excinfo.value.shard_index == 0
         assert stats.crashes == 1 and stats.restarts == 1
         assert stats.failed == 1
+
+    def test_supervision_that_fails_still_settles_the_future(self, monkeypatch):
+        # Last resort: if the supervisor itself raises after a crash,
+        # the stranded request fails with the crash instead of hanging.
+        plan = FaultPlan(seed=10, crash_rate=1.0, max_injections=1)
+        with ReasonService(shards=1, faults=plan) as service:
+
+            def broken(item, error):
+                raise RuntimeError("supervisor bug")
+
+            monkeypatch.setattr(service, "_retry_or_fail", broken)
+            future = service.submit(random_ksat(10, 30, seed=0))
+            with pytest.raises(ShardCrashed):
+                future.result(timeout=30)
+            service.drain(timeout=15)
+            stats = service.stats()
+        assert stats.crashes == 1 and stats.failed == 1
+        assert stats.shards[0].pending == 0
 
     def test_drain_bounded_with_worker_killed_mid_stream(self):
         # The acceptance drill: kill a worker while requests are queued

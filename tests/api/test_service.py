@@ -13,6 +13,8 @@ from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat, redundant_sat
 from repro.pc.learn import random_circuit
 
+from tests.api.conftest import wait_until_running
+
 
 def mixed_kernels():
     return [
@@ -80,15 +82,6 @@ class TestSubmit:
             stats = service.stats()
             assert stats.failed == 1 and stats.completed == 1
             assert stats.submitted == 2
-
-
-def wait_until_running(future, timeout_s: float = 10.0) -> None:
-    import time
-
-    deadline = time.monotonic() + timeout_s
-    while not future.running():
-        assert time.monotonic() < deadline, "worker never picked up the request"
-        time.sleep(0.001)
 
 
 class TestBackpressure:

@@ -1,9 +1,10 @@
-"""Tests for the architecture model: Benes, interconnect, memory,
-watched literals, energy, and symbolic replay."""
+"""Tests for the architecture model: Benes, interconnect, the
+watched-literals cost table, energy, and symbolic replay."""
 
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,14 +18,16 @@ from repro.core.arch import (
     ReasonAccelerator,
     TechNode,
     Topology,
-    WatchedLiteralsUnit,
     broadcast_cycles,
     traversal_latency,
+    watch_costs,
 )
 from repro.core.arch.config import dse_grid
 from repro.core.arch.energy import EVENT_NAMES, scale_to_node
 from repro.core.arch.interconnect import area_breakdown, scalability_series
-from repro.core.arch.memory import DmaEngine, SramBanks
+from repro.core.arch.tree_pe import TreePE
+from repro.core.compiler.program import TreeNodeConfig
+from repro.core.dag.graph import OpType
 from repro.logic.cdcl import CDCLSolver
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import pigeonhole, random_ksat
@@ -55,20 +58,28 @@ class TestConfig:
         assert DEFAULT_CONFIG.pipelined_scheduling  # original untouched
 
     def test_no_switch_is_accepted_and_ignored(self):
-        names = {f.name for f in dataclasses.fields(ArchConfig)}
-        assert not names & {"unified_engine", "bcp_fifo_depth"}
+        """Every ``ArchConfig`` field moves a CNF report, a circuit
+        report or a traced stream: a field nothing reads would still
+        change every cache key."""
         with pytest.raises(TypeError):
             DEFAULT_CONFIG.with_ablation(unified_engine=False)
+        other = dict(
+            tree_depth=2, num_banks=32, regs_per_bank=16, num_pes=6, frequency_hz=250e6,
+            sram_kib=640, sram_banks=4, dram_latency_cycles=3,
+            pipelined_scheduling=False, reconfigurable=False, linked_list_layout=False,
+        )
+        assert set(other) == {f.name for f in dataclasses.fields(ArchConfig)}
         kernels = (pigeonhole(4), random_circuit(6, depth=2, sum_children=2, seed=3))
 
-        def modeled_cycles(config):
-            return [ReasonSession(config=config).run(k).cycles for k in kernels]
+        def observed(config):
+            reports = [ReasonSession(config=config).run(k, trace=True) for k in kernels]
+            return [(r.identity(), r.extras["trace_data"]) for r in reports]
 
-        baseline = modeled_cycles(DEFAULT_CONFIG)
-        for switch in ("pipelined_scheduling", "reconfigurable", "linked_list_layout"):
-            assert switch in names
-            flipped = DEFAULT_CONFIG.with_ablation(**{switch: False})
-            assert modeled_cycles(flipped) != baseline, switch
+        baseline = observed(DEFAULT_CONFIG)
+        for name, value in other.items():
+            assert getattr(DEFAULT_CONFIG, name) != value
+            moved = observed(dataclasses.replace(DEFAULT_CONFIG, **{name: value}))
+            assert moved != baseline, name
 
     def test_dse_grid_size(self):
         grid = dse_grid()
@@ -148,80 +159,66 @@ class TestInterconnect:
         assert bus["buffers"] > bus["wires"]
 
 
-class TestMemory:
-    def test_sram_dual_port_conflicts(self):
-        sram = SramBanks(DEFAULT_CONFIG)
-        sram.begin_cycle(0)
-        assert sram.read(0) == 0
-        assert sram.read(0) == 0
-        assert sram.read(0) == 1  # third access to same bank stalls
-        assert sram.stats.bank_conflicts == 1
-
-    def test_sram_distinct_banks_no_conflict(self):
-        sram = SramBanks(DEFAULT_CONFIG)
-        sram.begin_cycle(0)
-        assert sram.read(0) == 0
-        assert sram.read(1) == 0
-
-    def test_dma_latency_scales_with_words(self):
-        dma = DmaEngine(DEFAULT_CONFIG)
-        small = dma.issue(0, words=8)
-        large = dma.issue(0, words=8000)
-        assert large.finish_cycle > small.finish_cycle
-
-    def test_dma_exposure_hidden_by_late_need(self):
-        dma = DmaEngine(DEFAULT_CONFIG)
-        transfer = dma.issue(0, words=64)
-        assert dma.cycles_exposed(transfer, need_cycle=transfer.finish_cycle + 10) == 0
-        assert dma.cycles_exposed(transfer, need_cycle=0) > 0
-
-    def test_dma_cancel(self):
-        dma = DmaEngine(DEFAULT_CONFIG)
-        dma.issue(0, words=64)
-        assert dma.cancel_pending(1) == 1
-
-
 class TestWatchedLiterals:
     def _formula(self):
         return CNF([Clause([1, 2, 3]), Clause([-1, 2]), Clause([1, -3])])
 
     def test_watch_lists_index_first_two_literals(self):
-        unit = WatchedLiteralsUnit(DEFAULT_CONFIG)
-        unit.load_formula(self._formula())
-        assert unit.watch_list_length(1) == 2  # clauses 0 and 2 watch lit 1
-        assert unit.watch_list_length(2) == 2  # clauses 0 and 1
+        table, _ = watch_costs(self._formula(), DEFAULT_CONFIG)
+        assert table[1][0] == 2  # clauses 0 and 2 watch lit 1
+        assert table[2][0] == 2  # clauses 0 and 1
+        assert 3 not in table  # third literal of clause 0: on no list
 
     def test_assignment_touches_only_watchers(self):
-        unit = WatchedLiteralsUnit(DEFAULT_CONFIG)
-        unit.load_formula(self._formula())
-        clauses, cycles = unit.on_assignment(1)
-        assert len(clauses) == 2
-        assert cycles >= 1 + len(clauses)
-        assert unit.stats.full_scans == 0
+        table, unwatched = watch_costs(self._formula(), DEFAULT_CONFIG)
+        clauses, cycles, banks = table[1]
+        assert clauses == 2
+        assert cycles == 1 + clauses  # head lookup + one hop per clause
+        assert sum(reads for _, reads in banks) == clauses
+        assert unwatched == (0, 1, ())
 
     def test_flat_layout_ablation_scans_database(self):
-        config = DEFAULT_CONFIG.with_ablation(linked_list_layout=False)
-        unit = WatchedLiteralsUnit(config)
-        unit.load_formula(self._formula())
-        clauses, cycles = unit.on_assignment(1)
-        assert unit.stats.full_scans == 1
-        assert len(clauses) == 2  # same answer, worse cost
+        formula = self._formula()
+        linked, _ = watch_costs(formula, DEFAULT_CONFIG)
+        flat, unwatched = watch_costs(
+            formula, DEFAULT_CONFIG.with_ablation(linked_list_layout=False)
+        )
+        # Same answer, worse cost: one scan of the region, watched or not.
+        assert {lit: cost[0] for lit, cost in flat.items()} == {
+            lit: cost[0] for lit, cost in linked.items()
+        }
+        assert {cost[1:] for cost in flat.values()} == {unwatched[1:]}
+        assert unwatched[0] == 0 and unwatched[2]
 
     def test_linked_layout_cheaper_than_scan_on_large_db(self):
         formula = random_ksat(60, 400, seed=1)
-        linked = WatchedLiteralsUnit(DEFAULT_CONFIG)
-        linked.load_formula(formula)
-        flat = WatchedLiteralsUnit(DEFAULT_CONFIG.with_ablation(linked_list_layout=False))
-        flat.load_formula(formula)
-        _, linked_cycles = linked.on_assignment(3)
-        _, flat_cycles = flat.on_assignment(3)
-        assert linked.stats.sram_words_touched < flat.stats.sram_words_touched
+        _, linked_cycles, linked_banks = watch_costs(formula, DEFAULT_CONFIG)[0][3]
+        _, flat_cycles, flat_banks = watch_costs(
+            formula, DEFAULT_CONFIG.with_ablation(linked_list_layout=False)
+        )[0][3]
+        assert linked_cycles < flat_cycles
+        assert sum(r for _, r in linked_banks) < sum(r for _, r in flat_banks)
 
-    def test_nonresident_clauses_cost_dram_latency(self):
-        unit = WatchedLiteralsUnit(DEFAULT_CONFIG, resident_fraction=0.0)
-        unit.load_formula(self._formula())
-        _, cycles = unit.on_assignment(1)
-        assert cycles >= DEFAULT_CONFIG.dram_latency_cycles
+    def test_bank_reads_are_newest_clause_first(self):
+        # Records sit at words 0, 4, 9, 13, 18 -> banks 0, 0, 1, 1, 2 of
+        # four; the head pointer names the newest, so the list is read
+        # 2, 1, 1, 0, 0 and each bank appears at its first touch.
+        formula = CNF(
+            [Clause([1, 2]), Clause([1, 3, 4]), Clause([1, 5]), Clause([1, 6, 7]), Clause([1, 8])]
+        )
+        table, _ = watch_costs(formula, dataclasses.replace(DEFAULT_CONFIG, sram_banks=4))
+        assert table[1] == (5, 6, ((2, 1), (1, 2), (0, 2)))
+
+
+class TestTreePE:
+    def test_sum_with_mismatched_weights_is_rejected(self):
+        # Two weights, one live operand: evaluating with all-ones
+        # weights instead would be a silently wrong marginal.
+        pe = TreePE(DEFAULT_CONFIG)
+        weighted = TreeNodeConfig(0, OpType.SUM, (0.25, 0.75))
+        assert pe.execute_config([weighted], {1: 0.5, 2: 1.0}) == pytest.approx(0.875)
+        with pytest.raises(ValueError, match="SUM node 0 has 2 child weights for 1 live"):
+            pe.execute_config([weighted], {1: 0.5})
 
 
 class TestEnergyModel:
@@ -250,23 +247,27 @@ class TestEnergyModel:
         for name in ("alu_op", "sram_access", "control_overhead"):
             assert name in message
         with pytest.raises(KeyError, match="alu_opp"):
-            EnergyModel().record_many([("alu_op", 1), ("alu_opp", 2)])
+            EnergyModel().record("alu_opp", 2)
 
     def test_record_many_is_atomic_on_bad_name(self):
-        # Validation happens before any counter moves: a typo mid-batch
-        # must not half-apply the earlier pairs.
+        # Validation happens before any counter moves: a typo among many
+        # records changes nothing the valid ones did not.
         model = EnergyModel()
+        model.record("alu_op", 5)
         with pytest.raises(KeyError):
-            model.record_many([("alu_op", 5), ("not_an_event", 1)])
-        assert not any(getattr(model, name) for name in EVENT_NAMES)
+            model.record("not_an_event", 1)
+        assert [getattr(model, name) for name in EVENT_NAMES if getattr(model, name)] == [5]
 
     def test_counts_order_is_stable(self):
         # The counters are one attribute per EVENT_NAMES entry, not an
         # insertion-ordered mapping: two models fed the same events in
         # different orders read identically, event by event.
         a, b = EnergyModel(), EnergyModel()
-        a.record_many([("alu_op", 1), ("network_hop", 2), ("sram_access", 3)])
-        b.record_many([("sram_access", 3), ("alu_op", 1), ("network_hop", 2)])
+        events = [("alu_op", 1), ("network_hop", 2), ("sram_access", 3)]
+        for event, count in events:
+            a.record(event, count)
+        for event, count in reversed(events):
+            b.record(event, count)
         assert [getattr(a, name) for name in EVENT_NAMES] == [
             getattr(b, name) for name in EVENT_NAMES
         ]
@@ -289,6 +290,26 @@ class TestEnergyModel:
         b.record("alu_op", 7)
         a.merge(b)
         assert a.alu_op == 12
+
+
+ORACLE_FORMULAS = {
+    "php4": pigeonhole(4),
+    "php6": pigeonhole(6),  # enough conflicts to restart
+    "ksat20": random_ksat(20, 80, seed=2),
+    "ksat40": random_ksat(40, 170, seed=4),
+    "ksat60": random_ksat(60, 250, seed=5),
+    "ksat60x400": random_ksat(60, 400, seed=1),
+    "narrow": CNF(
+        [Clause([1]), Clause([-1, 2]), Clause([-2, 3, 4]), Clause([-3, -4]), Clause([4, 5, -6])]
+    ),
+}
+ORACLE_CONFIGS = {
+    "default": DEFAULT_CONFIG,
+    "flat": DEFAULT_CONFIG.with_ablation(linked_list_layout=False),
+    "unpipelined": DEFAULT_CONFIG.with_ablation(pipelined_scheduling=False),
+    "dram3": dataclasses.replace(DEFAULT_CONFIG, dram_latency_cycles=3),
+    "banks4": dataclasses.replace(DEFAULT_CONFIG, sram_banks=4),
+}
 
 
 class TestSymbolicReplay:
@@ -329,6 +350,47 @@ class TestSymbolicReplay:
         assert trace.cycles * accelerator.config.cycle_time_s > 0
         assert accelerator.energy.total_energy_j() > 0
         assert accelerator.energy.area_mm2() == pytest.approx(6.0, rel=0.02)
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS)
+    @pytest.mark.parametrize("formula", ORACLE_FORMULAS.values(), ids=ORACLE_FORMULAS)
+    def test_untraced_replay_is_a_function_of_the_event_histogram(self, formula, config):
+        """Cycles and all nine energy counters are per-literal constants
+        (``watch_costs``) times visit counts, plus fixed costs per
+        conflict / backjump / restart — nothing depends on event order."""
+        accelerator = ReasonAccelerator(config)
+        trace, solver = accelerator.run_symbolic(formula)
+        histogram = Counter((event.kind, event.literal) for event in solver.trace)
+        costs, unwatched = watch_costs(formula, config)
+        tree_hops = config.tree_depth
+        cycles = 0
+        expected = dict.fromkeys(EVENT_NAMES, 0)
+        for (kind, literal), n in histogram.items():
+            if kind in ("decide", "imply"):
+                clauses, access, banks = costs.get(-literal, unwatched)
+                fetched = kind == "imply" and access > config.dram_latency_cycles
+                paid = access if fetched or config.pipelined_scheduling else 2 * access
+                cycles += n * (tree_hops + paid)
+                expected["sram_access"] += n * sum(reads for _, reads in banks)
+                if kind == "decide":
+                    expected["logic_op"] += n * clauses
+                    expected["network_hop"] += n * config.leaves_per_pe
+                    expected["control_overhead"] += n
+                else:
+                    expected["logic_op"] += n * max(clauses, 1)
+                    expected["network_hop"] += n
+                    expected["fifo_op"] += n
+                    expected["dram_access"] += n * (4 * clauses + 4) * fetched
+            elif kind == "conflict":
+                cycles += n * (tree_hops + 1)
+                expected["control_overhead"] += 2 * n
+            elif kind == "backjump":
+                cycles += 2 * n
+            elif kind == "restart":
+                cycles += n * config.pipeline_stages
+            else:
+                assert kind == "learn"
+        assert trace.cycles == cycles
+        assert {name: getattr(accelerator.energy, name) for name in EVENT_NAMES} == expected
 
 
 class TestUnifiedVsDecoupled:

@@ -10,7 +10,7 @@ from repro.api.backends import DeviceBackend
 from repro.api.types import ExecutionReport
 from repro.baselines.device import KernelClass, RTX_A6000
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.costmodel import Calibrator, CostEstimator
+from repro.costmodel import Calibrator, CostEstimator, features as cost_features
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit
 
@@ -35,8 +35,6 @@ def fake_artifact(schedule_cycles=1000, compile_s=0.25):
         profile=profile,
         compile_stats=stats,
         solver=None,
-        dag=None,
-        model=None,
         compile_s=compile_s,
     )
 
@@ -62,7 +60,6 @@ class TestCostFeatures:
         assert features.kernel_class is KernelClass.LOGIC
         assert features.trace_ops > 0  # recorded CDCL work
         assert features.schedule_cycles == 0  # no VLIW schedule for logic
-        assert features.num_nodes > 0 and features.num_edges > 0
         assert features.compile_s > 0.0
 
     def test_dag_kernel_features(self):
@@ -71,7 +68,6 @@ class TestCostFeatures:
         assert features.kind == "circuit"
         assert features.schedule_cycles > 0
         assert features.trace_ops == 0
-        assert features.num_nodes == artifact.dag.num_nodes
         assert features.schedule_cycles == artifact.compile_stats.cycles
         profile = features.profile
         assert profile.flops == features.flops
@@ -205,3 +201,25 @@ class TestCalibration:
         assert calibrator.stats.observations == 0
         assert not calibrator.has_fingerprint("fa", "reason")
         assert calibrator.class_seconds("cnf", "reason") is None
+
+
+class TestBoundedMemos:
+    def test_per_fingerprint_tables_are_fifo_bounded(self, monkeypatch):
+        # A service that sees a stream of distinct kernels keeps the
+        # newest MAX_TRACKED_FINGERPRINTS of them, in every table.
+        monkeypatch.setattr(cost_features, "MAX_TRACKED_FINGERPRINTS", 4)
+        estimator = CostEstimator()
+        for i in range(10):
+            estimator.observe(
+                f"fp{i}", "dag", "reason", report(1e-3, energy_j=1e-9), artifact=fake_artifact()
+            )
+        calibrator = estimator.calibrator
+        newest = [f"fp{i}" for i in range(6, 10)]
+        assert list(estimator._features) == newest
+        assert [fp for fp, _ in calibrator._ratio] == newest
+        assert [fp for fp, _ in calibrator._energy] == newest
+        assert calibrator.stats.observations == 10
+        # A kept kernel is still priced from its own residual, an
+        # evicted one from what its class learned.
+        assert estimator.predict("fp9", "reason").source == "calibrated"
+        assert estimator.predict("fp0", "reason", kind="dag").source == "class-prior"
