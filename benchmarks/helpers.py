@@ -4,7 +4,7 @@ Centralizes the calibration constants and the per-task end-to-end
 latency/energy computations reused by the Fig. 11 / Fig. 12 / Table V
 benches.
 
-The calibration model (`TASK_SCALE`, `SYMBOLIC_SLOWDOWN`, the neural
+The calibration model (`REASON_TASK_SECONDS`, `SYMBOLIC_SLOWDOWN`, the neural
 stage) is described under "Calibration" in the README.
 """
 

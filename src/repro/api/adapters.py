@@ -15,9 +15,13 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.api.cache import content_key
+import numpy as np
+
+from repro.api.cache import content_key, stable_repr
 from repro.api.types import CompiledArtifact
 from repro.baselines.device import KernelClass, KernelProfile
 from repro.core.arch.config import ArchConfig
@@ -37,8 +41,21 @@ from repro.hmm.model import HMM
 from repro.logic.cdcl import CDCLSolver, SolveResult
 from repro.logic.cnf import CNF
 from repro.logic.implication_graph import prune_hidden_literals
-from repro.pc.circuit import Circuit, LeafNode, ProductNode, SumNode
+from repro.pc.circuit import Circuit
 from repro.pc.inference import likelihood
+
+
+def _int_record(tag: bytes, values: Tuple[object, ...]) -> bytes:
+    """``tag``, a count, then that many int64s.  When ``struct`` rejects
+    a value (``None``, a float, an integer past int64) the record is the
+    tuple's length-prefixed ``repr`` instead: such a request stays keyed
+    by what it holds, so it reaches the front end and fails (or not)
+    exactly where it would without a cache."""
+    try:
+        return struct.pack(f"<cq{len(values)}q", tag, len(values), *values)
+    except struct.error:
+        text = stable_repr(values)
+        return struct.pack("<ccq", b"R", tag, len(text)) + text
 
 
 @dataclass(frozen=True)
@@ -80,16 +97,37 @@ class RunOptions:
     trace: object = None
     verify: Optional[bool] = None
 
-    def calibration_key(self) -> object:
+    def calibration_key(self) -> Optional[bytes]:
+        """Canonical bytes of ``calibration``, one record per item: an
+        evidence dict as its sorted variables followed by their values,
+        an observation sequence as it is."""
         if self.calibration is None:
             return None
-        canonical = []
+        records = [struct.pack("<q", len(self.calibration))]
         for item in self.calibration:
             if isinstance(item, dict):
-                canonical.append(tuple(sorted(item.items())))
+                variables = sorted(item)
+                records.append(
+                    _int_record(b"E", (*variables, *map(item.__getitem__, variables)))
+                )
             else:
-                canonical.append(tuple(item))
-        return tuple(canonical)
+                records.append(_int_record(b"S", tuple(item)))
+        return b"".join(records)
+
+    def observations_key(self) -> Optional[bytes]:
+        if self.hmm_observations is None:
+            return None
+        return _int_record(b"S", tuple(self.hmm_observations))
+
+
+#: How each compile option enters a fingerprint: the sequence-valued
+#: ones packed, the scalars as they are (``content_key`` reprs them).
+_OPTION_PARTS = {
+    "optimize": attrgetter("optimize"),
+    "keep_fraction": attrgetter("keep_fraction"),
+    "calibration": RunOptions.calibration_key,
+    "hmm_observations": RunOptions.observations_key,
+}
 
 
 def per_kernel_inputs(
@@ -122,22 +160,32 @@ def per_kernel_inputs(
 
 
 class KernelAdapter:
-    """Base adapter: fingerprint, compile, and software-reference a kernel."""
+    """Base adapter: fingerprint, compile, and software-reference a kernel.
+
+    The key contract: a fingerprint is a pure function of what the
+    kernel, the options and the config hold *at the call*.  Kernels are
+    mutable, so ``kernel_key`` re-reads every parameter on every request
+    and remembers only what the kernel's types freeze (a circuit's
+    child tuples, a frozen config); its cost is C-level work over the
+    kernel's bytes, not Python work per node, clause or evidence value.
+    """
 
     kind: str = ""
+    #: The :class:`RunOptions` fields :meth:`prepare` reads, which are
+    #: exactly the ones :meth:`fingerprint` hashes: a field the front
+    #: end ignores must not split one artifact over two cache entries.
+    option_fields: Tuple[str, ...] = tuple(_OPTION_PARTS)
 
     def fingerprint(self, kernel: object, options: RunOptions, config: ArchConfig) -> str:
         return content_key(
             self.kind,
             self.kernel_key(kernel),
-            config,
-            options.optimize,
-            options.keep_fraction,
-            options.calibration_key(),
-            None if options.hmm_observations is None else tuple(options.hmm_observations),
+            config.key_bytes,
+            *[_OPTION_PARTS[name](options) for name in self.option_fields],
         )
 
-    def kernel_key(self, kernel: object) -> object:
+    def kernel_key(self, kernel: object) -> bytes:
+        """Canonical, self-delimiting bytes of the kernel's content."""
         raise NotImplementedError
 
     def prepare(self, kernel: object, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
@@ -178,13 +226,25 @@ class KernelAdapter:
         )
 
 
+_LITERALS = attrgetter("literals")
+
+
 class CnfAdapter(KernelAdapter):
     """SAT formulas: prune exactly, solve once, cache the CDCL trace."""
 
     kind = "cnf"
+    option_fields = ("optimize",)
 
-    def kernel_key(self, kernel: CNF) -> object:
-        return (kernel.num_vars, tuple(clause.literals for clause in kernel.clauses))
+    def kernel_key(self, kernel: CNF) -> bytes:
+        """One int64 stream: ``num_vars``, the clause count, every
+        clause's length, then every literal.  A ``Clause`` is frozen but
+        the clause list is not, so the list is walked on every request —
+        by ``map`` / ``chain``, not by a Python loop."""
+        clauses = list(map(_LITERALS, kernel.clauses))
+        stream = chain(
+            (kernel.num_vars, len(clauses)), map(len, clauses), chain.from_iterable(clauses)
+        )
+        return np.fromiter(stream, dtype=np.int64).tobytes()
 
     def prepare(self, kernel: CNF, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         optimization = None
@@ -225,30 +285,22 @@ class CircuitAdapter(KernelAdapter):
     """Probabilistic circuits: flow-prune (with calibration) and compile."""
 
     kind = "circuit"
+    option_fields = ("optimize", "keep_fraction", "calibration")
 
     def kernel_key(self, kernel: Circuit) -> bytes:
-        """Canonical bytes, one self-delimiting record per node in
-        topological order: a tag, a count, then that many child indices
-        and/or packed doubles.  Hashed raw by ``content_key`` — no
-        nested tuple to build, no float to ``repr``."""
-        order = kernel.topological_order()
-        index = {id(node): i for i, node in enumerate(order)}
-        pack = struct.pack
-        parts: List[bytes] = []
-        for node in order:
-            if isinstance(node, LeafNode):
-                parts.append(pack("<cqq", b"L", node.variable, len(node.probabilities)))
-                parts.append(node.probabilities.tobytes())
-                continue
-            children = [index[id(child)] for child in node.children]
-            if isinstance(node, SumNode):
-                parts.append(pack(f"<cq{len(children)}q", b"S", len(children), *children))
-                parts.append(node.weights.tobytes())
-            elif isinstance(node, ProductNode):
-                parts.append(pack(f"<cq{len(children)}q", b"P", len(children), *children))
-            else:
-                raise TypeError(f"unsupported circuit node type: {type(node).__name__}")
-        return b"".join(parts)
+        """The plan's structure digest (built once per root), then what
+        the nodes hold now: the length of every leaf table and weight
+        vector, and their values as one float64 dump."""
+        plan = kernel.plan()
+        tables = [leaf.probabilities for leaf in plan.leaves]
+        tables += [node.weights for node in plan.sums]
+        return b"".join(
+            (
+                plan.structure_digest,
+                np.fromiter(map(len, tables), np.int64, len(tables)).tobytes(),
+                np.concatenate(tables, dtype=np.float64).tobytes(),
+            )
+        )
 
     def prepare(self, kernel: Circuit, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         if options.optimize and options.calibration:
@@ -275,13 +327,13 @@ class HmmAdapter(KernelAdapter):
 
     kind = "hmm"
 
-    def kernel_key(self, kernel: HMM) -> object:
-        return (
-            kernel.initial.tobytes(),
-            kernel.transition.tobytes(),
-            kernel.emission.tobytes(),
-            kernel.emission.shape,
-        )
+    def kernel_key(self, kernel: HMM) -> bytes:
+        parts = []
+        for matrix in (kernel.initial, kernel.transition, kernel.emission):
+            matrix = np.asarray(matrix, dtype=np.float64)
+            parts.append(struct.pack(f"<q{matrix.ndim}q", matrix.ndim, *matrix.shape))
+            parts.append(matrix.tobytes())
+        return b"".join(parts)
 
     def observations_for(self, kernel: HMM, options: RunOptions) -> List[int]:
         observations = list(
@@ -324,21 +376,27 @@ class DagAdapter(KernelAdapter):
     """Raw unified DAGs: compile directly (regularizing when needed)."""
 
     kind = "dag"
+    option_fields = ()
 
-    def kernel_key(self, kernel: Dag) -> object:
-        serial = []
-        for node_id in kernel.topological_order():
+    def kernel_key(self, kernel: Dag) -> bytes:
+        """One record per node in topological order: id, fan-in, weight
+        count and label length, then the children, the weights as
+        doubles and the label (op name and payload, ``repr``-ed: a
+        payload is a literal, a name or a small table)."""
+        order = kernel.topological_order()
+        parts = [struct.pack("<qq", len(order), kernel.root)]
+        for node_id in order:
             node = kernel.node(node_id)
-            serial.append(
-                (
-                    node_id,
-                    node.op.name,
-                    tuple(node.children),
-                    node.payload,
-                    tuple(node.weights) if node.weights else None,
-                )
+            children, weights = node.children, node.weights or ()
+            label = stable_repr((node.op.name, node.payload))
+            parts.append(
+                struct.pack(
+                    f"<4q{len(children)}q{len(weights)}d",
+                    node_id, len(children), len(weights), len(label), *children, *weights,
+                )  # fmt: skip
             )
-        return (tuple(serial), kernel.root)
+            parts.append(label)
+        return b"".join(parts)
 
     def prepare(self, kernel: Dag, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         histogram = kernel.op_histogram()

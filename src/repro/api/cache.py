@@ -44,33 +44,39 @@ from repro.api.types import CompiledArtifact
 _ADDRESS_REPR = re.compile(r" at 0x[0-9a-fA-F]+>")
 
 
-def content_key(*parts: object) -> str:
-    """Stable content hash over an iterable of picklable-repr parts.
+def stable_repr(part: object) -> bytes:
+    """``repr(part)`` as UTF-8, for the small parts of a key that have
+    no packed form (option scalars, a Dag payload, an evidence value
+    ``struct`` will not take).
 
-    ``bytes`` parts (e.g. numpy ``tobytes()`` dumps) are hashed raw;
-    everything else via ``repr`` — adapters are responsible for passing
-    canonical, order-stable structures (sorted clause tuples,
-    topologically ordered node serializations, frozen configs).
-
-    Parts whose repr falls back to the address-bearing default
-    ``object.__repr__`` (``<Foo object at 0x...>``) raise
+    A repr that falls back to the address-bearing default
+    ``object.__repr__`` (``<Foo object at 0x...>``) raises
     :class:`TypeError`: such reprs change between processes, so the
     resulting key would never match in a shared or on-disk store.
     """
+    text = repr(part)
+    if " at 0x" in text and _ADDRESS_REPR.search(text):
+        raise TypeError(
+            f"content_key part {text!r} (type "
+            f"{type(part).__name__}) has an address-based repr; "
+            f"give it a stable __repr__ or pass a canonical "
+            f"serialization instead"
+        )
+    return text.encode("utf-8")
+
+
+def content_key(*parts: object) -> str:
+    """Stable content hash over canonical parts.
+
+    ``bytes`` parts — what adapters pass for everything sizeable: packed
+    kernel structure, raw parameter arrays, packed evidence — are hashed
+    raw; anything else goes through :func:`stable_repr`.  Adapters are
+    responsible for making each ``bytes`` part self-delimiting and
+    order-stable.
+    """
     digest = hashlib.sha256()
     for part in parts:
-        if isinstance(part, bytes):
-            digest.update(part)
-        else:
-            text = repr(part)
-            if _ADDRESS_REPR.search(text):
-                raise TypeError(
-                    f"content_key part {text!r} (type "
-                    f"{type(part).__name__}) has an address-based repr; "
-                    f"give it a stable __repr__ or pass a canonical "
-                    f"serialization instead"
-                )
-            digest.update(text.encode("utf-8"))
+        digest.update(part if isinstance(part, bytes) else stable_repr(part))
         digest.update(b"\x1f")  # field separator: avoid concat collisions
     return digest.hexdigest()
 

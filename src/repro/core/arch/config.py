@@ -11,6 +11,7 @@ benchmarks; the rest of the Fig. 10 row are the constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import List, Tuple
 
 #: Fig. 10 specification-row entries no modeled quantity depends on
@@ -67,6 +68,14 @@ class ArchConfig:
     @property
     def cycle_time_s(self) -> float:
         return 1.0 / self.frequency_hz
+
+    @cached_property
+    def key_bytes(self) -> bytes:
+        """This configuration's part of a compile-cache key: every field
+        by name.  The instance is frozen, so it is computed once per
+        object (``cached_property`` writes the instance dict directly)
+        instead of once per request."""
+        return repr(self).encode("utf-8")
 
     def with_ablation(self, **switches: bool) -> "ArchConfig":
         """Copy with ablation switches flipped."""

@@ -11,11 +11,18 @@ checks them.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+
+EdgeKey = Tuple[int, int]  # (parent node_id, child node_id)
+
+# Entry kinds of a :class:`CircuitPlan` (also the tags of its structure stream).
+_LEAF, _PRODUCT, _SUM = 0, 1, 2
 
 
 class CircuitNode:
@@ -124,39 +131,33 @@ class SumNode(CircuitNode):
         return f"Sum({len(self._children)} children, w={np.round(self.weights, 3).tolist()})"
 
 
-@dataclass
-class Circuit:
-    """A rooted probabilistic circuit.
+class CircuitPlan:
+    """The graph below one root, flattened once for everything that walks it.
 
-    ``num_states[v]`` gives the cardinality of variable ``v``; binary
-    variables default to 2 states when not specified.
+    Children are tuples, so all of this is a pure function of the root
+    node's identity: node order, dense child indices, sum-edge slots and
+    the ``structure_digest`` are built by one walk and remembered.
+    Weights and leaf tables are *not* here — they are arrays anyone may
+    write or reassign, so every reader (flows, EM, the cache key) takes
+    them from ``leaves`` / ``sums`` at use.
+
+    ``structure_digest`` is the SHA-256 of an int64 stream: the node
+    count, then per node in topological order ``(_LEAF, variable)`` or
+    ``(_PRODUCT | _SUM, fan-in, child indices...)`` — everything about
+    the circuit except its parameter values, in 32 bytes.
     """
 
-    root: CircuitNode
-    num_states: Dict[int, int] = field(default_factory=dict)
-    # Memoized (root, order): children tuples are immutable, so the
-    # order is a pure function of the root node's identity.
-    _topo_cache: Optional[Tuple[CircuitNode, List[CircuitNode]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = (
+        "root", "order", "entries", "edge_keys", "root_index", "variables",
+        "leaves", "sums", "structure_digest",
+    )  # fmt: skip
 
-    def __post_init__(self) -> None:
-        for variable in self.variables():
-            self.num_states.setdefault(variable, 2)
-
-    def variables(self) -> FrozenSet[int]:
-        return self.root.scope()
-
-    def topological_order(self) -> List[CircuitNode]:
-        """Children-before-parents order (bottom-up evaluation order)."""
-        cached = self._topo_cache
-        if cached is not None and cached[0] is self.root:
-            return list(cached[1])
+    def __init__(self, root: CircuitNode):
         order: List[CircuitNode] = []
         visited: set = set()
         # Iterative post-order DFS (the recursive version overflow-limits
         # deep circuits and pays a Python call per node).
-        stack: List[Tuple[CircuitNode, bool]] = [(self.root, False)]
+        stack: List[Tuple[CircuitNode, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -169,8 +170,81 @@ class Circuit:
             for child in reversed(node.children):
                 if child.node_id not in visited:
                     stack.append((child, False))
-        self._topo_cache = (self.root, order)
-        return list(order)
+        self.root = root
+        self.order = order
+        index = {node.node_id: i for i, node in enumerate(order)}
+        self.root_index = index[root.node_id]
+        # entries: (kind, dense index, node, child dense indices, edge slot)
+        self.entries: List[Tuple[int, int, CircuitNode, Tuple[int, ...], int]] = []
+        self.edge_keys: List[EdgeKey] = []
+        self.variables: Set[int] = set()
+        self.leaves: List[LeafNode] = []
+        self.sums: List[SumNode] = []
+        stream = array("q", [len(order)])
+        for dense, node in enumerate(order):
+            if isinstance(node, LeafNode):
+                self.entries.append((_LEAF, dense, node, (), -1))
+                self.variables.add(node.variable)
+                self.leaves.append(node)
+                stream.extend((_LEAF, node.variable))
+                continue
+            children = tuple(index[child.node_id] for child in node.children)
+            if isinstance(node, ProductNode):
+                kind, slot = _PRODUCT, -1
+            elif isinstance(node, SumNode):
+                kind, slot = _SUM, len(self.edge_keys)
+                self.sums.append(node)
+                for child in node.children:
+                    self.edge_keys.append((node.node_id, child.node_id))
+            else:
+                raise TypeError(f"unsupported circuit node type: {type(node).__name__}")
+            self.entries.append((kind, dense, node, children, slot))
+            stream.extend((kind, len(children)))
+            stream.extend(children)
+        self.structure_digest = hashlib.sha256(stream.tobytes()).digest()
+
+
+@dataclass
+class Circuit:
+    """A rooted probabilistic circuit.
+
+    ``num_states[v]`` gives the cardinality of variable ``v``; binary
+    variables default to 2 states when not specified.
+    """
+
+    root: CircuitNode
+    num_states: Dict[int, int] = field(default_factory=dict)
+    # The one root-keyed memo of the graph walk (see CircuitPlan).
+    _plan: Optional[CircuitPlan] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for variable in self.variables():
+            self.num_states.setdefault(variable, 2)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The plan is derived data: a stored or copied circuit rebuilds
+        # it on first use instead of carrying it.
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
+
+    def variables(self) -> FrozenSet[int]:
+        return self.root.scope()
+
+    def plan(self) -> CircuitPlan:
+        """The flattened graph below the current root, built on first
+        use and rebuilt when ``root`` is reassigned.  Two threads racing
+        the first build each store an equal plan; either is served."""
+        plan = self._plan
+        if plan is None or plan.root is not self.root:
+            plan = self._plan = CircuitPlan(self.root)
+        return plan
+
+    def topological_order(self) -> List[CircuitNode]:
+        """Children-before-parents order (bottom-up evaluation order)."""
+        return list(self.plan().order)
 
     def nodes(self) -> List[CircuitNode]:
         return self.topological_order()

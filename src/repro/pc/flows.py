@@ -9,12 +9,12 @@ passes through the edge.  Cumulative flows over a dataset rank edges for
 REASON's adaptive pruning; the decrease in average log-likelihood caused
 by deleting an edge is bounded by its mean flow.
 
-Implementation: the circuit is flattened once into a dense plan (node
-order, child index arrays, edge slots) and every query evaluates the
-whole evidence batch as numpy rows — one integer column per variable,
-one table gather per leaf, one bottom-up value pass and one top-down
-flow pass for an entire calibration dataset; nothing is paid per input
-except reading its evidence dict.  All element-wise operations apply
+Implementation: the circuit is flattened once into its dense plan
+(:meth:`Circuit.plan`: node order, child index arrays, edge slots) and
+every query evaluates the whole evidence batch as numpy rows — one
+integer column per variable, one table gather per leaf, one bottom-up
+value pass and one top-down flow pass for an entire calibration
+dataset; nothing is paid per input except reading its evidence dict.  All element-wise operations apply
 the same IEEE-754 double operations in the same order as the scalar
 recurrences (``inference._evaluate_all``), so flows are bit-identical
 to per-input evaluation.
@@ -29,63 +29,19 @@ non-integer such as ``1.5`` raises ``TypeError``.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.pc.circuit import Circuit, LeafNode, ProductNode, SumNode
+from repro.pc.circuit import _LEAF, _PRODUCT, Circuit, CircuitPlan, EdgeKey
 from repro.pc.inference import Evidence
-
-EdgeKey = Tuple[int, int]  # (parent node_id, child node_id)
-
-_LEAF, _PRODUCT, _SUM = 0, 1, 2
 
 # Column code of a marginalised variable (``None`` or absent evidence).
 _MARGINAL = np.iinfo(np.int64).min
 
 
-class _FlowPlan:
-    """Flattened traversal plan for one circuit root."""
-
-    __slots__ = ("root", "order", "entries", "edge_keys", "root_index", "variables")
-
-    def __init__(self, circuit: Circuit):
-        order = circuit.topological_order()
-        self.root = circuit.root
-        self.order = order
-        index = {node.node_id: i for i, node in enumerate(order)}
-        self.root_index = index[circuit.root.node_id]
-        # entries: (kind, dense index, node, child dense indices, edge slot)
-        self.entries: List[Tuple[int, int, object, Tuple[int, ...], int]] = []
-        self.edge_keys: List[EdgeKey] = []
-        self.variables = {n.variable for n in order if isinstance(n, LeafNode)}
-        for node in order:
-            dense = index[node.node_id]
-            if isinstance(node, LeafNode):
-                self.entries.append((_LEAF, dense, node, (), -1))
-            elif isinstance(node, ProductNode):
-                children = tuple(index[c.node_id] for c in node.children)
-                self.entries.append((_PRODUCT, dense, node, children, -1))
-            elif isinstance(node, SumNode):
-                children = tuple(index[c.node_id] for c in node.children)
-                slot = len(self.edge_keys)
-                self.entries.append((_SUM, dense, node, children, slot))
-                for child in node.children:
-                    self.edge_keys.append((node.node_id, child.node_id))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown node type: {node!r}")
-
-
-def _plan_for(circuit: Circuit) -> _FlowPlan:
-    plan = getattr(circuit, "_flow_plan", None)
-    if plan is None or plan.root is not circuit.root:
-        plan = _FlowPlan(circuit)
-        circuit._flow_plan = plan
-    return plan
-
-
 def _evidence_columns(
-    plan: _FlowPlan, dataset: Sequence[Evidence]
+    plan: CircuitPlan, dataset: Sequence[Evidence]
 ) -> Dict[int, np.ndarray]:
     """One int64 column per circuit variable, one entry per evidence.
 
@@ -106,7 +62,7 @@ def _evidence_columns(
     return columns
 
 
-def _evaluate_batch(plan: _FlowPlan, columns: Dict[int, np.ndarray]) -> np.ndarray:
+def _evaluate_batch(plan: CircuitPlan, columns: Dict[int, np.ndarray]) -> np.ndarray:
     """Bottom-up values, one row per node and one column per evidence.
 
     A leaf row is one gather from the leaf's table extended by two
@@ -148,7 +104,7 @@ def _evaluate_batch(plan: _FlowPlan, columns: Dict[int, np.ndarray]) -> np.ndarr
 
 
 def _flow_batch(
-    plan: _FlowPlan, values: np.ndarray, want_edges: bool
+    plan: CircuitPlan, values: np.ndarray, want_edges: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Top-down flows per node (and per sum edge when requested)."""
     num_nodes, m = values.shape
@@ -202,7 +158,7 @@ def _totals_in_dataset_order(per_input: np.ndarray) -> np.ndarray:
 
 def node_flows(circuit: Circuit, evidence: Evidence) -> Dict[int, float]:
     """Top-down flow F_n(x) reaching each node for one input."""
-    plan = _plan_for(circuit)
+    plan = circuit.plan()
     values = _evaluate_batch(plan, _evidence_columns(plan, [evidence]))
     flows, _ = _flow_batch(plan, values, want_edges=False)
     return {
@@ -212,7 +168,7 @@ def node_flows(circuit: Circuit, evidence: Evidence) -> Dict[int, float]:
 
 def edge_flows(circuit: Circuit, evidence: Evidence) -> Dict[EdgeKey, float]:
     """Flow through every sum edge for one input."""
-    plan = _plan_for(circuit)
+    plan = circuit.plan()
     values = _evaluate_batch(plan, _evidence_columns(plan, [evidence]))
     _, edge_values = _flow_batch(plan, values, want_edges=True)
     return {
@@ -230,7 +186,7 @@ def dataset_edge_flows(
     data = list(dataset)
     if not data:
         return {}, 0
-    plan = _plan_for(circuit)
+    plan = circuit.plan()
     values = _evaluate_batch(plan, _evidence_columns(plan, data))
     _, edge_values = _flow_batch(plan, values, want_edges=True)
     totals = _totals_in_dataset_order(edge_values)

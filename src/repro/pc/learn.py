@@ -15,28 +15,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pc.circuit import (
+    _LEAF,
+    _SUM,
     Circuit,
     CircuitNode,
+    CircuitPlan,
     ProductNode,
     SumNode,
     bernoulli_leaf,
 )
 from repro.pc.flows import (
-    _LEAF,
     _MARGINAL,
-    _SUM,
-    _FlowPlan,
     _evaluate_batch,
     _evidence_columns,
     _flow_batch,
-    _plan_for,
     _totals_in_dataset_order,
 )
 from repro.pc.inference import Evidence
 
 
 def _em_update(
-    plan: _FlowPlan, columns: Dict[int, np.ndarray], values: np.ndarray, smoothing: float
+    plan: CircuitPlan, columns: Dict[int, np.ndarray], values: np.ndarray, smoothing: float
 ) -> None:
     """The M-step from ``values``, the bottom-up pass over the dataset
     under the current parameters; writes new weights and leaf tables.
@@ -67,7 +66,7 @@ def em_step(circuit: Circuit, dataset: Sequence[Evidence], smoothing: float = 0.
     Laplace-style pseudo-count that keeps probabilities strictly
     positive.
     """
-    plan = _plan_for(circuit)
+    plan = circuit.plan()
     columns = _evidence_columns(plan, dataset)
     values = _evaluate_batch(plan, columns)
     _em_update(plan, columns, values, smoothing)
@@ -87,7 +86,7 @@ def fit_em(
     log-likelihood is the E-step input of the next update.
     """
     history: List[float] = []
-    plan = _plan_for(circuit)
+    plan = circuit.plan()
     columns = _evidence_columns(plan, dataset)
     values = _evaluate_batch(plan, columns)
     for _ in range(iterations):

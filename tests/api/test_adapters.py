@@ -1,7 +1,16 @@
 """Adapter registry: type dispatch, fingerprints, and the error path."""
 
-import pytest
+import json
+import os
+import subprocess
+import sys
+import threading
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.pc.circuit
 from repro.api import (
     DiskStore,
     ReasonSession,
@@ -19,12 +28,17 @@ from repro.api.adapters import (
 )
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.dag import cnf_to_dag, prune_logic_dag
-from repro.core.dag.graph import Dag
+from repro.core.dag.graph import Dag, OpType
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.logic.generators import random_ksat, redundant_sat
 from repro.pc.circuit import Circuit, CircuitNode, LeafNode, ProductNode, SumNode
+from repro.pc.flows import dataset_edge_flows
 from repro.pc.learn import random_circuit
+
+
+def fingerprint(kernel, **options):
+    return adapter_for(kernel).fingerprint(kernel, RunOptions(**options), DEFAULT_CONFIG)
 
 
 class TestRegistryDispatch:
@@ -116,6 +130,162 @@ class TestFingerprints:
             dag_b, options, DEFAULT_CONFIG
         )
 
+    def test_clause_boundaries_are_part_of_the_key(self):
+        # The same literal stream, cut differently.
+        assert fingerprint(CNF([[1, 2], [3]], 3)) != fingerprint(CNF([[1], [2, 3]], 3))
+        # Clause normalises literal order; declared variables count.
+        assert fingerprint(CNF([[1, 2], [3]], 3)) == fingerprint(CNF([(2, 1), (3,)], 3))
+        assert fingerprint(CNF([[1, 2], [3]], 3)) != fingerprint(CNF([[1, 2], [3]], 4))
+
+    def test_calibration_boundaries_are_part_of_the_key(self):
+        hmm = HMM.random(3, 4, seed=7)
+
+        def key(calibration):
+            return fingerprint(hmm, calibration=calibration)
+
+        assert key([[1, 2], [3]]) != key([[1], [2, 3]])
+        assert key([[1, 2], [3]]) == key([(1, 2), np.array([3])])
+        assert key([]) != key(None) != key([[]])
+
+    def test_marginal_evidence_is_not_a_value(self):
+        """``None``, an absent variable and the int64 code flows uses
+        for a marginalised one are three different requests."""
+        circuit = mixture()
+        keys = [
+            fingerprint(circuit, calibration=[evidence])
+            for evidence in ({1: None}, {}, {1: -(2**63)}, {1: 0}, {0: 1}, {1: 2**63})
+        ]
+        assert len(set(keys)) == len(keys)
+
+    def test_evidence_order_is_not_part_of_the_key(self):
+        circuit = mixture()
+
+        def key(evidence):
+            return fingerprint(circuit, calibration=[evidence])
+
+        assert key({0: 1, 1: 0}) == key({1: 0, 0: 1}) == key({0: np.int64(1), 1: False})
+        assert key({0: 1, 1: 0}) != key({0: 0, 1: 1})
+
+    def test_float_evidence_still_fails_in_the_front_end(self):
+        """The key takes what ``struct`` rejects by ``repr``; the flows
+        that read the evidence are where a float is refused."""
+        session = ReasonSession()
+        with pytest.raises(TypeError):
+            session.run(mixture(), calibration=[{0: 1.5}])
+        assert session.prepare_calls == 0
+
+    def test_dag_records_are_self_delimiting(self):
+        def key(first_children, weights):
+            dag = Dag()
+            leaves = [dag.add_op(OpType.LEAF, payload=(v, (0.5, 0.5))) for v in range(3)]
+            first = dag.add_op(OpType.SUM, [leaves[c] for c in first_children], None, weights)
+            dag.set_root(dag.add_op(OpType.PRODUCT, [first, leaves[2]]))
+            return fingerprint(dag)
+
+        keys = [
+            key([0, 1], [0.5, 0.5]),
+            key([0, 1], [0.25, 0.75]),
+            key([1, 0], [0.5, 0.5]),
+            key([0], [1.0]),
+        ]
+        assert len(set(keys)) == len(keys)
+        assert key([0, 1], [0.5, 0.5]) == keys[0]
+
+
+COMPILE_OPTIONS = ("optimize", "keep_fraction", "calibration", "hmm_observations")
+
+#: Per family: a kernel builder, a calibration it accepts, and the
+#: compile options its ``prepare`` reads (stated here, not read back
+#: from the adapter).
+FAMILIES = {
+    "cnf": (lambda: random_ksat(10, 30, seed=3), [{1: 1}], ("optimize",)),
+    "circuit": (
+        lambda: random_circuit(4, depth=2, seed=3),
+        [{0: 1, 1: 0}, {0: 0}],
+        ("optimize", "keep_fraction", "calibration"),
+    ),
+    "hmm": (lambda: HMM.random(4, 5, seed=3), [[0, 1, 2], [2, 1, 0]], COMPILE_OPTIONS),
+    "dag": (lambda: cnf_to_dag(random_ksat(6, 15, seed=3))[0], [[0, 1]], ()),
+}
+
+
+class TestOptionFields:
+    """An adapter hashes exactly the options its front end reads."""
+
+    @pytest.mark.parametrize("option", COMPILE_OPTIONS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_unread_options_share_an_entry_and_read_ones_split_it(self, family, option):
+        build, calibration, reads = FAMILIES[family]
+        value = {
+            "optimize": False,
+            "keep_fraction": 0.5,
+            "calibration": calibration,
+            "hmm_observations": (0, 1),
+        }[option]
+        kernel = build()
+        assert adapter_for(kernel).option_fields == reads
+        session = ReasonSession()
+        session.run(kernel)
+        again = session.run(kernel, **{option: value})
+        if option in reads:
+            assert fingerprint(kernel, **{option: value}) != fingerprint(kernel)
+            assert not again.cache_hit and session.prepare_calls == 2
+        else:
+            assert fingerprint(kernel, **{option: value}) == fingerprint(kernel)
+            assert again.cache_hit and session.prepare_calls == 1
+
+    def test_an_adapter_that_declares_nothing_keys_every_compile_option(self):
+        assert KernelAdapter.option_fields == COMPILE_OPTIONS
+
+    def test_observation_options_never_enter_a_key(self):
+        for build, _, _ in FAMILIES.values():
+            kernel = build()
+            assert fingerprint(kernel, trace=True, verify=True) == fingerprint(kernel)
+
+
+SALT_SCRIPT = """
+import json
+from repro.api.adapters import RunOptions, adapter_for
+from repro.core.arch.config import DEFAULT_CONFIG
+from repro.core.dag import cnf_to_dag
+from repro.hmm.model import HMM
+from repro.logic.generators import random_ksat
+from repro.pc.learn import random_circuit, sample_dataset
+
+circuit = random_circuit(6, depth=3, seed=11)
+requests = [
+    (random_ksat(12, 40, seed=11), {"optimize": False}),
+    (circuit, {"calibration": sample_dataset(circuit, 4, seed=11)}),
+    (HMM.random(4, 5, seed=11), {"hmm_observations": [0, 1, 2]}),
+    (cnf_to_dag(random_ksat(6, 15, seed=11))[0], {}),
+]
+print(json.dumps([
+    adapter_for(kernel).fingerprint(kernel, RunOptions(**options), DEFAULT_CONFIG)
+    for kernel, options in requests
+]))
+"""
+
+
+def test_fingerprints_do_not_depend_on_the_hash_salt():
+    """Tier-1 pins ``PYTHONHASHSEED``, so nothing else would notice a
+    key that iterates a set or hashes a string: one seeded kernel per
+    family, keyed in two interpreters with different salts."""
+
+    def keys(salt):
+        result = subprocess.run(
+            [sys.executable, "-c", SALT_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": salt},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        return json.loads(result.stdout)
+
+    first, second = keys("1"), keys("2")
+    assert first == second
+    assert len(set(first)) == 4
+
 
 def mixture(weight=0.3, probability=0.2, third_uses=0):
     """Three products over two leaves per variable, mixed by one sum;
@@ -163,6 +333,99 @@ class TestCircuitFingerprints:
 
         with pytest.raises(TypeError, match="unsupported circuit node type: Stray"):
             self.key(Circuit(Stray()))
+
+
+    def test_table_boundaries_are_part_of_the_key(self):
+        """Tables of 2 and 3 entries against 3 and 2, holding the same
+        five doubles in the same order."""
+
+        def two_leaves(first, second):
+            return Circuit(ProductNode([LeafNode(0, first), LeafNode(1, second)]))
+
+        values = [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert self.key(two_leaves(values[:2], values[2:])) != self.key(
+            two_leaves(values[:3], values[3:])
+        )
+
+    def test_a_reinterpreted_table_changes_the_key(self):
+        """A float32 array assigned over a float64 one with the very
+        same bytes is another table; the same *values* in another dtype
+        are not."""
+        circuit = mixture()
+        leaf = circuit.topological_order()[0]
+        before = self.key(circuit)
+        table = leaf.probabilities
+        leaf.probabilities = np.frombuffer(table.tobytes(), dtype=np.float32)
+        assert leaf.probabilities.tobytes() == table.tobytes()
+        assert self.key(circuit) != before
+        leaf.probabilities = np.array([0.25, 0.75], dtype=np.float32)
+        narrow = self.key(circuit)
+        leaf.probabilities = np.array([0.25, 0.75])
+        assert self.key(circuit) == narrow != before
+
+    def test_structure_is_walked_once_per_root(self, monkeypatch):
+        built = []
+        plan_type = repro.pc.circuit.CircuitPlan
+
+        def counting(root):
+            built.append(root)
+            return plan_type(root)
+
+        monkeypatch.setattr(repro.pc.circuit, "CircuitPlan", counting)
+        circuit = random_circuit(6, depth=3, seed=2)
+        keys = {self.key(circuit) for _ in range(100)}
+        assert len(keys) == 1 and built == [circuit.root]
+        # Everything else that walks the graph reads the same plan.
+        circuit.topological_order()
+        dataset_edge_flows(circuit, [{0: 1}, {1: 0}])
+        assert built == [circuit.root]
+        # A new root is a new graph.
+        circuit.root = circuit.root.children[0]
+        assert self.key(circuit) not in keys and len(built) == 2
+
+
+    def test_racing_first_builds_agree(self):
+        """Producer threads keying one never-seen circuit at once may
+        each build its plan; whichever is stored, the key is the same."""
+        circuit = random_circuit(8, depth=3, seed=4)
+        expected = self.key(random_circuit(8, depth=3, seed=4))
+        barrier = threading.Barrier(8)
+        keys = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            keys.append(self.key(circuit))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert keys == [expected] * 8
+
+
+class TestEqualKernelsShareAKey:
+    """Keys are content: two objects built apart from one seed agree,
+    and a different seed disagrees."""
+
+    BUILDERS = {
+        "circuit": lambda seed: random_circuit(2 + seed % 5, depth=1 + seed % 3, seed=seed),
+        "cnf": lambda seed: random_ksat(5 + seed % 9, 12 + seed % 17, seed=seed),
+        "hmm": lambda seed: HMM.random(2 + seed % 4, 2 + seed % 5, seed=seed),
+    }
+
+    @pytest.mark.parametrize("family", BUILDERS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_one_seed_one_key(self, family, seed):
+        build = self.BUILDERS[family]
+        assert fingerprint(build(seed)) == fingerprint(build(seed))
+        assert fingerprint(build(seed)) != fingerprint(build(seed + 1))
 
 
 class TestPreparedArtifacts:

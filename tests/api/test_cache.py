@@ -3,11 +3,16 @@ the session's compile-once/replay-many behavior."""
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.api import CompileCache, ReasonSession, content_key
 from repro.api.types import CompiledArtifact
+from repro.core.dag import circuit_to_dag
+from repro.core.dag.graph import OpType
+from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
+from repro.pc.circuit import LeafNode, SumNode
 from repro.pc.learn import random_circuit
 
 
@@ -153,3 +158,100 @@ class TestSessionCaching:
         second = session.run(kernel)
         assert first.compile_s > 0.0
         assert second.cache_hit and second.compile_s == 0.0
+
+
+def _circuit():
+    return random_circuit(5, depth=2, sum_children=3, seed=8)
+
+
+def _first(circuit, node_type):
+    return next(n for n in circuit.topological_order() if isinstance(n, node_type))
+
+
+def _write_weight_in_place(circuit):
+    weights = _first(circuit, SumNode).weights
+    old = weights[0]
+    weights[0] = old * 0.5
+    return lambda: weights.__setitem__(0, old)
+
+
+def _unnormalized_circuit():
+    circuit = _circuit()
+    node = _first(circuit, SumNode)
+    node.weights = node.weights * 4.0
+    return circuit
+
+
+def _normalize(circuit):
+    node = _first(circuit, SumNode)
+    old = node.weights
+    node.normalize()
+    return lambda: setattr(node, "weights", old)
+
+
+def _reassign_leaf_table(circuit):
+    leaf = _first(circuit, LeafNode)
+    old = leaf.probabilities
+    leaf.probabilities = np.array([0.125, 0.875])
+    return lambda: setattr(leaf, "probabilities", old)
+
+
+def _add_clause(formula):
+    formula.add_clause([1, -2, 3])
+    return formula.clauses.pop
+
+
+def _pop_clause(formula):
+    clause = formula.clauses.pop()
+    return lambda: formula.clauses.append(clause)
+
+
+def _write_transition_in_place(hmm):
+    old = hmm.transition[0].copy()
+    hmm.transition[0] = old[::-1]
+    return lambda: hmm.transition.__setitem__(0, old)
+
+
+def _add_op(dag):
+    old = dag.root
+    dag.set_root(dag.add_op(OpType.PRODUCT, [old, old]))
+    return lambda: dag.set_root(old)
+
+
+MUTATIONS = {
+    "circuit-weight-in-place": (_circuit, _write_weight_in_place),
+    "circuit-normalize": (_unnormalized_circuit, _normalize),
+    "circuit-leaf-table-reassigned": (_circuit, _reassign_leaf_table),
+    "cnf-add-clause": (lambda: random_ksat(10, 30, seed=8), _add_clause),
+    "cnf-pop-clause": (lambda: random_ksat(10, 30, seed=8), _pop_clause),
+    "hmm-transition-in-place": (lambda: HMM.random(4, 5, seed=8), _write_transition_in_place),
+    "dag-add-op": (lambda: circuit_to_dag(_circuit())[0], _add_op),
+}
+
+
+class TestMutationIsNeverServedStale:
+    """Kernels are mutable and keys are read at submit time: a request
+    after a write is a request for the new content, and writing the old
+    content back is a request for the old entry.  Any key remembered by
+    object identity fails the first half."""
+
+    @pytest.mark.parametrize("case", MUTATIONS)
+    def test_write_is_a_miss_and_restore_is_a_hit(self, case):
+        build, mutate = MUTATIONS[case]
+        kernel = build()
+        session = ReasonSession()
+        first = session.run(kernel)
+        assert session.run(kernel).cache_hit
+
+        restore = mutate(kernel)
+        changed = session.run(kernel)
+        assert not changed.cache_hit and session.prepare_calls == 2
+        twin = build()  # never keyed: nothing could be remembered for it
+        mutate(twin)
+        assert changed.identity() == ReasonSession().run(twin).identity()
+        assert session.run(twin).cache_hit
+
+        restore()
+        again = session.run(kernel)
+        assert again.cache_hit and session.prepare_calls == 2
+        assert again.identity() == first.identity()

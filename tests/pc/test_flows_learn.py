@@ -15,7 +15,6 @@ from repro.pc.compile_logic import compile_cnf_to_circuit, model_count, weighted
 from repro.pc.flows import (
     _evaluate_batch,
     _evidence_columns,
-    _plan_for,
     dataset_edge_flows,
     edge_flows,
     flow_pruning_bound,
@@ -104,7 +103,7 @@ def mixed_circuit_and_data(seed: int, m: int):
     circuit = random_circuit(
         num_vars, depth=rng.randint(1, 3), sum_children=rng.randint(2, 3), seed=seed
     )
-    _plan_for(circuit)
+    circuit.plan()
     for node in circuit.topological_order():
         if isinstance(node, LeafNode) and node.variable % 2:
             node.probabilities = np.array([rng.random() for _ in range(3)])
@@ -137,7 +136,7 @@ class TestBatchEvaluation:
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
     def test_rows_equal_the_scalar_evaluator(self, seed, m):
         circuit, data = mixed_circuit_and_data(seed, m)
-        plan = _plan_for(circuit)
+        plan = circuit.plan()
         values = _evaluate_batch(plan, _evidence_columns(plan, data))
         scalar = [_evaluate_all(circuit, evidence) for evidence in data]
         for row, node in zip(values.tolist(), plan.order):
