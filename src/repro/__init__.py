@@ -24,9 +24,9 @@ Package map:
   caching and pipelined batch execution, and :class:`ReasonService`
   for async, sharded serving over many sessions;
 * :mod:`repro.costmodel` — predicted per-request latency/energy per
-  backend class from compile artifacts, calibrated online from
-  execution reports; drives the time-aware scheduling policies and
-  heterogeneous (reason/gpu/cpu) shard placement;
+  backend class from compile artifacts, each (kernel, backend) priced
+  from its first execution report; drives the time-aware scheduling
+  policies and heterogeneous (reason/gpu/cpu) shard placement;
 * :mod:`repro.trace` — opt-in binary event traces of the accelerator's
   modeled execution (versioned varint/delta wire format, streaming
   reader, offline analysis tools and the ``python -m repro.trace``
@@ -65,7 +65,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,
@@ -95,7 +95,6 @@ from repro.api import (  # noqa: E402  (public re-exports)
 # After repro.api: the fault plan builds on the resilience taxonomy.
 from repro.faults import FaultInjected, FaultPlan  # noqa: E402
 from repro.costmodel import (  # noqa: E402  (public re-exports)
-    Calibrator,
     CostEstimator,
     CostFeatures,
     CostPrediction,
@@ -128,7 +127,6 @@ __all__ = [
     "DiskStore",
     "RunOptions",
     "CostEstimator",
-    "Calibrator",
     "CostFeatures",
     "CostPrediction",
     "MetricsRegistry",

@@ -26,8 +26,9 @@ backend — and a sharded service when one session isn't enough.
 
 The time-aware policies route on :mod:`repro.costmodel` predictions:
 every service owns a :class:`~repro.costmodel.CostEstimator` that
-prices requests per backend class and calibrates online from the
-reports its shards produce.
+prices requests per backend class — a (kernel, backend) from the first
+report its shards produce for it, anything else from the static model
+and what its class has cost so far.
 """
 
 from repro.api.adapters import (

@@ -27,8 +27,8 @@ door — requests submitted without a forced ``backend`` execute on
 whatever substrate their shard owns.  A
 :class:`~repro.costmodel.CostEstimator` (one per service) predicts
 each request's per-backend cost at admission, tracks every shard's
-predicted busy time, and learns online from completed reports; the
-time-aware policies route on those predictions.
+predicted busy time, and prices each (kernel, backend) from its first
+completed report; the time-aware policies route on those predictions.
 
 Throughput accounting stays faithful to the paper's overlap model:
 each shard's completed work is composed through its own two-level
@@ -527,8 +527,8 @@ class ReasonService:
     cost_model:
         The :class:`~repro.costmodel.CostEstimator` predicting request
         costs at admission (a private one by default; pass a shared or
-        pre-warmed estimator to start routing on real numbers from the
-        first request).
+        pre-warmed estimator to start routing on settled prices from
+        the first request).
     trace_dir:
         Optional directory for per-request binary event traces
         (:mod:`repro.trace`).  A request submitted with ``trace=True``
@@ -547,7 +547,7 @@ class ReasonService:
         compile / execute / end-to-end wall times plus
         predicted-vs-actual residuals), the shards' sessions register
         their cache and compile instruments labeled ``shard=<i>``, and
-        the cost model's calibrator exports residual histograms.
+        the cost model exports a static-model residual histogram.
         :meth:`metrics` returns the registry, :meth:`spans` the most
         recent :data:`SPAN_LOG_SIZE` span records.  Off by default; when
         off, the serving path touches no instrument at all.
@@ -812,7 +812,7 @@ class ReasonService:
                     help="Faults injected by the active plan, by site.",
                     site=site,
                 )
-        self.cost_model.calibrator.attach_metrics(registry)
+        self.cost_model.attach_metrics(registry)
 
     def _close_span(self, item: _WorkItem, outcome: str, payload) -> None:
         """Settle's telemetry leg: build the request's span from the
@@ -837,6 +837,7 @@ class ReasonService:
                 queries=request.queries,
                 predicted_s=item.predicted_s,
                 predicted_energy_j=request.predicted[item.backend].energy_j,
+                predicted_source=request.predicted[item.backend].source,
                 warm=request.warm,
                 attempts=item.attempts,
                 admitted_at=item.admitted_at,
@@ -1187,20 +1188,22 @@ class ReasonService:
             except InvalidStateError:
                 pass  # cancelled by the caller in the same instant; counters stand
         if outcome == "ok":
-            # Feed the cost model the observed report (and the compiled
-            # artifact from the shard's cache, stats-neutrally) so
-            # predictions calibrate online.  After set_result, and
-            # shielded: a defective cost model (user-supplied estimator)
-            # must never hang a caller or kill the calling worker
-            # thread — it only loses calibration.
+            # Price a (kernel, backend) from its first settled report
+            # (and the compiled artifact from the shard's cache,
+            # stats-neutrally); a priced pair costs one dict probe.
+            # After set_result, and shielded: a defective cost model
+            # (user-supplied estimator) must never hang a caller or
+            # kill the calling worker thread — it only loses its price.
             try:
-                self.cost_model.observe(
-                    item.request.fingerprint,
-                    kind=item.request.kind,
-                    backend=item.backend,
-                    report=payload,
-                    artifact=shard.session.artifact_for(item.request.fingerprint),
-                )
+                fingerprint = item.request.fingerprint
+                if not self.cost_model.priced(fingerprint, item.backend):
+                    self.cost_model.observe(
+                        fingerprint,
+                        kind=item.request.kind,
+                        backend=item.backend,
+                        report=payload,
+                        artifact=shard.session.artifact_for(fingerprint),
+                    )
             except Exception:
                 pass
         with self._drain_cond:

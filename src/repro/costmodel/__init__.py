@@ -8,23 +8,22 @@ explicit per-resource cost model the serving layer routes on:
 * :class:`CostFeatures` — what the compiler front end knows about one
   kernel (schedule cycles, CDCL trace ops, roofline profile);
 * :class:`CostEstimator` — predicted per-request latency and energy for
-  each backend class (analytic device rooflines, REASON cycle counts);
-* :class:`Calibrator` — online EWMA residuals keyed by kernel
-  fingerprint that tighten predictions from observed execution reports.
+  each backend class: a ``(fingerprint, backend)`` that has settled
+  once is priced from that run, anything else from the static model
+  (analytic device rooflines, REASON cycle counts) and what its
+  ``(kind, backend)`` class has cost so far;
+* :class:`CostPrediction` — one such answer, and which rung gave it.
 
 :class:`~repro.api.service.ReasonService` owns an estimator, feeds it
-every completed request, and hands its predictions to the time-aware
-policies (``predicted-makespan``, ``cost-aware``) in
+each pair's first completed request, and hands its predictions to the
+time-aware policies (``predicted-makespan``, ``cost-aware``) in
 :mod:`repro.api.scheduler`.
 """
 
-from repro.costmodel.calibrator import CalibrationStats, Calibrator
 from repro.costmodel.estimator import CostEstimator
 from repro.costmodel.features import CostFeatures, CostPrediction
 
 __all__ = [
-    "CalibrationStats",
-    "Calibrator",
     "CostEstimator",
     "CostFeatures",
     "CostPrediction",

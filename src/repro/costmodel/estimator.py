@@ -1,22 +1,32 @@
 """`CostEstimator`: predicted per-request cost for every backend class.
 
-The static model prices a compiled kernel on each substrate from its
-:class:`~repro.costmodel.features.CostFeatures`:
+What a kernel costs on a backend is a constant of the pair — the
+``reason`` backend reports from one stored execution summary, the
+analytic device backends *are* their static model — so the estimator
+prices a ``(fingerprint, backend)`` **once**: its first settled
+:class:`ExecutionReport` writes ``(seconds per query, joules per
+query)`` into a price table, and every later prediction is that entry
+times ``queries``.  Nothing is averaged per kernel.
 
-* analytic device backends (``gpu`` / ``cpu`` / ``roofline`` / any
-  :class:`~repro.api.backends.DeviceBackend`) — the roofline-derated
-  :meth:`DeviceModel.kernel_time_s` over the kernel's work profile,
-  which is *exactly* what those backends charge at execution time;
-* ``reason`` — schedule cycles (DAG kernels) or recorded CDCL
-  clause fetches (logic kernels) times the configured cycle time;
-* everything else (e.g. the ``software`` reference) — no static model;
-  the class prior learned by the calibrator fills in.
+A pair not yet priced falls through a ladder, most specific first:
 
-An online :class:`~repro.costmodel.calibrator.Calibrator` refines all
-of it from observed :class:`ExecutionReport`\\ s — EWMA residuals keyed
-by kernel fingerprint, falling back to (kind, backend) class priors —
-so predictions tighten as traffic flows.  The serving layer
-(:class:`~repro.api.service.ReasonService`) feeds observations
+* the static model over the kernel's
+  :class:`~repro.costmodel.features.CostFeatures` × the ``(kind,
+  backend)`` class ratio — for analytic device backends (``gpu`` /
+  ``cpu`` / ``roofline`` / any
+  :class:`~repro.api.backends.DeviceBackend`) the roofline-derated
+  :meth:`DeviceModel.kernel_time_s`, which is *exactly* what those
+  backends charge; for ``reason`` schedule cycles (DAG kernels) or
+  recorded CDCL clause fetches (logic kernels) times the cycle time;
+* the class's seconds-per-query prior, for backends without a static
+  model (e.g. the ``software`` reference);
+* a cold-start constant.
+
+The class ratio, the class prior and the per-kind compile prior average
+over *different* kernels, so they are EWMAs — fed by first settles
+only, one sample per priced pair, so a hot kernel does not outvote the
+rest of its class.  The serving layer
+(:class:`~repro.api.service.ReasonService`) feeds first settles
 automatically and hands predictions to the time-aware scheduling
 policies.
 """
@@ -24,54 +34,71 @@ policies.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.baselines.device import DeviceModel, device_named
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
-from repro.costmodel.calibrator import Calibrator
 from repro.costmodel.features import CostFeatures, CostPrediction, remember
+
+#: EWMA gain of the class tables: each new kernel of a class moves its
+#: prior halfway to what that kernel cost.
+ALPHA = 0.5
+
+#: Cold-start seconds per query when neither features nor a class prior
+#: exist — only placement order depends on it, never a reported
+#: makespan, so a loose constant is fine.
+DEFAULT_S = 1e-4
+
+Key = Tuple[str, str]  # (fingerprint, backend) or (kind, backend)
+
+
+def _fold(table: dict, key, sample: float) -> None:
+    """One EWMA step of ``table[key]`` (seeded by its first sample)."""
+    mean = table.get(key)
+    table[key] = sample if mean is None else mean + ALPHA * (sample - mean)
 
 
 class CostEstimator:
     """Predicts per-request latency and energy per backend class.
 
-    Parameters
-    ----------
-    config:
-        Architecture configuration (sets the REASON cycle time).
-    calibrator:
-        Online residual store (a fresh one by default).
-    default_s:
-        Cold-start per-query latency guess when neither features nor a
-        class prior exist — only placement order depends on it, never
-        reported makespans, so a loose constant is fine.
+    ``config`` is the architecture configuration (it sets the REASON
+    cycle time).  ``_features``, ``_prices`` and ``_devices`` are
+    GIL-atomic dict memos read without a lock; the one lock guards the
+    read-modify-write of the class EWMAs at a pair's first settle.
     """
 
-    def __init__(
-        self,
-        config: ArchConfig = DEFAULT_CONFIG,
-        calibrator: Optional[Calibrator] = None,
-        default_s: float = 1e-4,
-    ):
+    def __init__(self, config: ArchConfig = DEFAULT_CONFIG):
         self.config = config
-        self.calibrator = calibrator or Calibrator()
-        self.default_s = default_s
         self._lock = threading.Lock()
         self._features: Dict[str, CostFeatures] = {}
+        self._prices: Dict[Key, Tuple[float, float]] = {}  # (s, J) per query
         self._devices: Dict[str, Optional[DeviceModel]] = {}
+        self._class_ratio: Dict[Key, float] = {}  # observed / static seconds
+        self._class_seconds: Dict[Key, float] = {}  # seconds per query
+        self._compile: Dict[str, float] = {}  # kind → compile seconds
+        self._metrics = None
+
+    def attach_metrics(self, registry) -> None:
+        """Export ``reason_costmodel_residual_ratio{backend,kind}`` to a
+        live-metrics registry (:mod:`repro.metrics`): ``observed /
+        static`` seconds, one sample per priced pair, so a snapshot
+        shows *how wrong the static model is* per kernel of a class,
+        not just the EWMA it feeds.  The service attaches its registry
+        at construction."""
+        from repro.metrics.registry import ensure_registry
+
+        self._metrics = ensure_registry(registry)
 
     # ------------------------------------------------------------ features
 
     def record_artifact(self, fingerprint: str, artifact) -> CostFeatures:
         """Extract and store features for one compiled artifact."""
-        features = CostFeatures.from_artifact(artifact)
-        with self._lock:
-            remember(self._features, fingerprint, features)
-        return features
+        return remember(
+            self._features, fingerprint, CostFeatures.from_artifact(artifact)
+        )
 
     def features_for(self, fingerprint: str) -> Optional[CostFeatures]:
-        with self._lock:
-            return self._features.get(fingerprint)
+        return self._features.get(fingerprint)
 
     def _device_for(self, backend: str) -> Optional[DeviceModel]:
         """Resolve the device model behind an analytic backend name.
@@ -82,9 +109,8 @@ class CostEstimator:
         so ``predict(fp, "V100")`` prices a substrate nothing serves
         yet.  Lazy import: the costmodel package stays a leaf
         (importable before :mod:`repro.api` finishes initializing)."""
-        with self._lock:
-            if backend in self._devices:
-                return self._devices[backend]
+        if backend in self._devices:
+            return self._devices[backend]
         from repro.api.backends import get_backend
 
         try:
@@ -94,15 +120,14 @@ class CostEstimator:
                 device = device_named(backend)
             except KeyError:
                 device = None
-        with self._lock:
-            self._devices[backend] = device
+        self._devices[backend] = device
         return device
 
     # ------------------------------------------------------- static model
 
     def raw_seconds(self, features: CostFeatures, backend: str) -> Optional[float]:
-        """Uncalibrated per-query latency, or None when the backend
-        class has no static model for these features."""
+        """Static per-query latency, or None when the backend class has
+        no static model for these features."""
         device = self._device_for(backend)
         if device is not None:
             return device.kernel_time_s(features.profile)
@@ -112,13 +137,12 @@ class CostEstimator:
                 return cycles * self.config.cycle_time_s
         return None
 
-    def raw_energy(self, features: CostFeatures, backend: str) -> Optional[float]:
-        device = self._device_for(backend)
-        if device is not None:
-            return device.kernel_energy_j(features.profile)
-        return None
-
     # ----------------------------------------------------------- predict
+
+    def priced(self, fingerprint: str, backend: str) -> bool:
+        """Whether the pair has settled once — one dict probe, which is
+        all a settled warm request costs the model."""
+        return (fingerprint, backend) in self._prices
 
     def predict(
         self,
@@ -128,9 +152,8 @@ class CostEstimator:
         kind: Optional[str] = None,
         warm: bool = False,
     ) -> CostPrediction:
-        """Best available per-request cost for one (kernel, backend).
-
-        Falls through static-model × fingerprint residual → class
+        """Best available per-request cost for one (kernel, backend):
+        the pair's own price, else static model × class ratio → class
         prior → cold-start default; see :class:`CostPrediction.source`.
 
         ``warm=True`` declares the compiled artifact already available
@@ -140,34 +163,34 @@ class CostEstimator:
         compile, and placement policies must not charge it as one.
         """
         queries = max(int(queries), 1)
-        features = self.features_for(fingerprint)
+        features = self._features.get(fingerprint)
         kind = kind or (features.kind if features is not None else "")
-        raw = self.raw_seconds(features, backend) if features is not None else None
-        if raw is not None:
-            residual = self.calibrator.residual(fingerprint, kind, backend)
-            calibrated = self.calibrator.has_fingerprint(fingerprint, backend)
-            seconds = raw * residual * queries
-            source = "calibrated" if calibrated else "features"
+        price = self._prices.get((fingerprint, backend))
+        if price is not None:
+            seconds, energy_j, source = price[0], price[1], "calibrated"
         else:
-            prior = self.calibrator.class_seconds(kind, backend)
-            if prior is not None:
-                seconds, source = prior * queries, "class-prior"
+            energy_j = 0.0
+            raw = self.raw_seconds(features, backend) if features is not None else None
+            if raw is not None:
+                seconds = raw * self._class_ratio.get((kind, backend), 1.0)
+                source = "features"
+                device = self._device_for(backend)
+                if device is not None:
+                    energy_j = device.kernel_energy_j(features.profile)
             else:
-                seconds, source = self.default_s * queries, "default"
-        energy_per_query = self.calibrator.energy(fingerprint, backend)
-        if energy_per_query is None and features is not None:
-            energy_per_query = self.raw_energy(features, backend)
-        if warm:
-            compile_s = 0.0
-        else:
-            compile_s = features.compile_s if features is not None else None
-            if not compile_s:
-                compile_s = self.calibrator.compile_seconds(kind)
+                seconds = self._class_seconds.get((kind, backend))
+                source = "class-prior"
+                if seconds is None:
+                    seconds, source = DEFAULT_S, "default"
+        compile_s = 0.0
+        if not warm:
+            compile_s = features.compile_s if features is not None else 0.0
+            compile_s = compile_s or self._compile.get(kind, 0.0)
         return CostPrediction(
             backend=backend,
-            seconds=seconds,
-            energy_j=(energy_per_query or 0.0) * queries,
-            compile_s=compile_s or 0.0,
+            seconds=seconds * queries,
+            energy_j=energy_j * queries,
+            compile_s=compile_s,
             queries=queries,
             source=source,
         )
@@ -182,26 +205,50 @@ class CostEstimator:
         report,
         artifact=None,
     ) -> None:
-        """Fold one executed request back into the model.
+        """Price one (kernel, backend) from its first settled request.
 
         ``report`` is the request's :class:`ExecutionReport`;
         ``artifact`` (when the caller still holds it, e.g. from the
-        shard's compile cache) supplies the static features.  Features
-        are extracted once per fingerprint: the content hash pins the
-        artifact, so a hot kernel's repeats never re-walk its model.
+        shard's compile cache) supplies the static features, extracted
+        once per fingerprint.  A pair already priced returns at once —
+        its cost is a constant, there is nothing to learn from a
+        repeat; a pair the FIFO bound evicted is priced again here.
+        The class tables take their one sample per pair in the same
+        step, under the lock, so racing first settles count once.
         """
-        if artifact is not None and self.features_for(fingerprint) is None:
-            self.record_artifact(fingerprint, artifact)
+        key = (fingerprint, backend)
+        if key in self._prices:
+            return
+        features = self._features.get(fingerprint)
+        if features is None and artifact is not None:
+            features = self.record_artifact(fingerprint, artifact)
         queries = max(int(report.queries), 1)
-        observed_s = report.seconds / queries
-        features = self.features_for(fingerprint)
+        seconds = report.seconds / queries
         raw = self.raw_seconds(features, backend) if features is not None else None
-        self.calibrator.observe(
-            fingerprint,
-            kind,
-            backend,
-            observed_s=observed_s,
-            raw_s=raw,
-            energy_j=report.energy_j / queries if report.energy_j else None,
-            compile_s=report.compile_s if report.compile_s else None,
-        )
+        ratio = None
+        if raw is not None and raw > 0.0 and seconds >= 0.0:
+            ratio = seconds / raw
+        class_key = (kind, backend)
+        with self._lock:
+            if key in self._prices:
+                return
+            if ratio is not None:
+                _fold(self._class_ratio, class_key, ratio)
+            if seconds >= 0.0:
+                _fold(self._class_seconds, class_key, seconds)
+            if report.compile_s > 0.0:
+                _fold(self._compile, kind, report.compile_s)
+            remember(self._prices, key, (seconds, report.energy_j / queries))
+        # Outside the lock: the histogram has its own, and the registry
+        # lookup must not nest.
+        if ratio is not None and self._metrics is not None:
+            from repro.metrics.registry import RATIO_BUCKETS
+
+            self._metrics.histogram(
+                "reason_costmodel_residual_ratio",
+                "Observed/static-model seconds of each priced (kernel, "
+                "backend) (1.0 = the static model was exact).",
+                buckets=RATIO_BUCKETS,
+                backend=backend,
+                kind=kind,
+            ).observe(ratio)

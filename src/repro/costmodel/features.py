@@ -100,9 +100,10 @@ class CostPrediction:
     """One predicted request cost on one backend.
 
     ``source`` says how the number was produced, from most to least
-    informed: ``calibrated`` (static model × this fingerprint's EWMA
-    residual), ``features`` (static model only), ``class-prior``
-    (EWMA over the (kind, backend) class), ``default`` (cold start).
+    informed: ``calibrated`` (this (kernel, backend)'s own first settled
+    run), ``features`` (static model × the (kind, backend) class
+    ratio), ``class-prior`` (EWMA of seconds per query over the (kind,
+    backend) class), ``default`` (cold start).
     """
 
     backend: str
@@ -111,17 +112,6 @@ class CostPrediction:
     compile_s: float = 0.0
     queries: int = 1
     source: str = "default"
-
-    @property
-    def per_query_s(self) -> float:
-        return self.seconds / max(self.queries, 1)
-
-    @property
-    def total_s(self) -> float:
-        """Execution plus (cold) compile — the completion-time term a
-        placement policy charges a shard that has never seen the
-        kernel."""
-        return self.seconds + self.compile_s
 
 
 #: Type alias used by the scheduler: backend name → prediction.

@@ -295,7 +295,7 @@ class MetricsRegistry:
 
     One registry instance is shared by everything reporting on one
     service: the service itself, its shard sessions, their compile
-    caches and the cost model's calibrator all register instruments
+    caches and the cost model all register instruments
     here, and one :meth:`snapshot` exports the lot.
     """
 

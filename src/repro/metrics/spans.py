@@ -61,6 +61,10 @@ class RequestSpan:
     compile_s: float = 0.0  # front-end wall time (0.0 on a cache hit)
     execute_s: float = 0.0  # backend run wall time
     wall_unix: float = 0.0  # time.time() at admission
+    # Which rung of the cost model priced predicted_s
+    # (CostPrediction.source): tells a first sight's static-model
+    # residual from a priced kernel's 1.0.
+    predicted_source: str = ""
 
     # --------------------------------------------------------- durations
 
@@ -116,6 +120,7 @@ class RequestSpan:
             "actual_energy_j": self.actual_energy_j,
             "energy_residual": self.energy_residual,
             "wall_unix": self.wall_unix,
+            "predicted_source": self.predicted_source,
         }
 
 

@@ -25,7 +25,6 @@ from repro.pc.circuit import (
     bernoulli_leaf,
 )
 from repro.pc.flows import (
-    _MARGINAL,
     _evaluate_batch,
     _evidence_columns,
     _flow_batch,
@@ -52,7 +51,9 @@ def _em_update(
         elif kind == _LEAF:
             counts = np.zeros(len(node.probabilities))
             codes = columns[node.variable]
-            observed = codes != _MARGINAL
+            # A marginalised variable counts nowhere, and neither does a
+            # value outside the table (mass 0 in every evaluator).
+            observed = (codes >= 0) & (codes < len(counts))
             # Unbuffered: repeated values add in dataset order.
             np.add.at(counts, codes[observed], flows[dense][observed])
             counts += smoothing

@@ -1,5 +1,7 @@
-"""Cost-model subsystem: features, static predictions, calibration."""
+"""Cost-model subsystem: features, static predictions, pricing."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +12,8 @@ from repro.api.backends import DeviceBackend
 from repro.api.types import ExecutionReport
 from repro.baselines.device import KernelClass, RTX_A6000
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.costmodel import Calibrator, CostEstimator, features as cost_features
+from repro.costmodel import CostEstimator, features as cost_features
+from repro.costmodel.estimator import ALPHA, DEFAULT_S
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit
 
@@ -128,9 +131,9 @@ class TestStaticPrediction:
         assert warm.source == cold.source
 
     def test_unknown_fingerprint_falls_back_to_default(self):
-        estimator = CostEstimator(default_s=1e-3)
+        estimator = CostEstimator()
         prediction = estimator.predict("never-seen", "reason", queries=3)
-        assert prediction.seconds == pytest.approx(3e-3)
+        assert prediction.seconds == pytest.approx(3 * DEFAULT_S)
         assert prediction.source == "default"
 
     def test_class_prior_fills_unmodeled_backends(self):
@@ -144,21 +147,41 @@ class TestStaticPrediction:
 
 
 class TestCalibration:
-    def test_predictions_improve_monotonically_on_synthetic_trace(self):
-        """Seed the EWMA with one bad outlier, then feed the true cost:
-        the residual error must shrink on every observation."""
-        estimator = CostEstimator(calibrator=Calibrator(alpha=0.5))
-        estimator.record_artifact("f1", fake_artifact(schedule_cycles=1000))
-        raw = estimator.predict("f1", "reason").seconds
+    def test_class_ratio_converges_over_distinct_fingerprints(self):
+        """Seed the (kind, backend) ratio with one outlier kernel, then
+        price distinct kernels at the true ratio: the prediction for a
+        kernel the model has never seen must improve on every one."""
+        estimator = CostEstimator()
+        for name in ("outlier", "unseen", *(f"f{i}" for i in range(6))):
+            estimator.record_artifact(name, fake_artifact(schedule_cycles=1000))
+        raw = estimator.predict("unseen", "reason").seconds
         true_s = 3.0 * raw
-        estimator.observe("f1", "dag", "reason", report(10.0 * raw))  # outlier
+        estimator.observe("outlier", "dag", "reason", report(10.0 * raw))
         errors = []
-        for _ in range(6):
-            errors.append(abs(estimator.predict("f1", "reason").seconds - true_s))
-            estimator.observe("f1", "dag", "reason", report(true_s))
+        for i in range(6):
+            errors.append(abs(estimator.predict("unseen", "reason").seconds - true_s))
+            estimator.observe(f"f{i}", "dag", "reason", report(true_s))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 0.05 * errors[0]
-        assert estimator.predict("f1", "reason").source == "calibrated"
+        assert estimator.predict("unseen", "reason").source == "features"
+
+    def test_second_observation_of_a_priced_pair_changes_nothing(self):
+        """A (kernel, backend) is priced at its first settle and never
+        averaged: a repeat, even a different one, moves neither its
+        price nor what its class learned from it."""
+        estimator = CostEstimator()
+        estimator.record_artifact("f1", fake_artifact(schedule_cycles=1000))
+        estimator.record_artifact("f2", fake_artifact(schedule_cycles=1000))
+        estimator.observe("f1", "dag", "reason", report(4e-3, energy_j=1e-6, compile_s=0.5))
+        priced = estimator.predict("f1", "reason", queries=3)
+        unseen = estimator.predict("f2", "reason", queries=3)
+        estimator.observe("f1", "dag", "reason", report(9e-3, energy_j=7e-6, compile_s=2.0))
+        assert estimator.predict("f1", "reason", queries=3) == priced
+        assert estimator.predict("f2", "reason", queries=3) == unseen
+        assert priced.source == "calibrated"
+        assert priced.seconds == 3 * 4e-3
+        # The other backend of the same kernel is its own pair.
+        assert estimator.predict("f1", "gpu").source == "features"
 
     def test_round_trip_on_real_kernel_is_exact_after_one_observation(self):
         session, fingerprint, artifact = compiled(random_ksat(14, 45, seed=4))
@@ -178,29 +201,37 @@ class TestCalibration:
         assert prediction.energy_j == pytest.approx(4e-4)
         assert prediction.compile_s == pytest.approx(0.5)
 
-    def test_fingerprint_residual_beats_class_residual(self):
-        calibrator = Calibrator(alpha=1.0)
-        calibrator.observe("fa", "cnf", "reason", observed_s=2.0, raw_s=1.0)
-        calibrator.observe("fb", "cnf", "reason", observed_s=8.0, raw_s=1.0)
-        assert calibrator.residual("fa", "cnf", "reason") == pytest.approx(2.0)
-        assert calibrator.residual("fb", "cnf", "reason") == pytest.approx(8.0)
-        # Unseen fingerprint of the same kind: class-level EWMA.
-        assert calibrator.residual("fc", "cnf", "reason") == pytest.approx(8.0)
-        # Unseen kind entirely: identity.
-        assert calibrator.residual("fc", "hmm", "reason") == pytest.approx(1.0)
+    def test_own_price_beats_class_ratio_beats_static_model(self):
+        estimator = CostEstimator()
+        for name in ("fa", "fb", "fc"):
+            estimator.record_artifact(name, fake_artifact(schedule_cycles=1000))
+        raw = estimator.predict("fc", "reason").seconds
+        estimator.observe("fa", "cnf", "reason", report(2.0 * raw))
+        estimator.observe("fb", "cnf", "reason", report(8.0 * raw))
+        # A priced kernel is priced from its own settle, to the bit.
+        assert estimator.predict("fa", "reason", kind="cnf").seconds == 2.0 * raw
+        assert estimator.predict("fb", "reason", kind="cnf").seconds == 8.0 * raw
+        assert estimator.predict("fb", "reason", kind="cnf").source == "calibrated"
+        # Unseen fingerprint of the same kind: static model x the class
+        # EWMA (2 then 8 at gain 0.5).
+        unseen = estimator.predict("fc", "reason", kind="cnf")
+        assert unseen.seconds == pytest.approx(5.0 * raw)
+        assert unseen.source == "features"
+        # Unseen kind entirely: the static model alone.
+        assert estimator.predict("fc", "reason", kind="hmm").seconds == raw
 
-    def test_calibrator_lifecycle(self):
-        with pytest.raises(ValueError):
-            Calibrator(alpha=0.0)
-        calibrator = Calibrator()
-        calibrator.observe("fa", "cnf", "reason", observed_s=1.0, raw_s=2.0)
-        assert calibrator.stats.observations == 1
-        assert calibrator.stats.fingerprints == 1
-        assert calibrator.has_fingerprint("fa", "reason")
-        calibrator.reset()
-        assert calibrator.stats.observations == 0
-        assert not calibrator.has_fingerprint("fa", "reason")
-        assert calibrator.class_seconds("cnf", "reason") is None
+    def test_estimator_lifecycle(self):
+        estimator = CostEstimator()
+        assert not estimator.priced("fa", "reason")
+        estimator.observe("fa", "cnf", "reason", report(1.0))
+        assert estimator.priced("fa", "reason")
+        assert not estimator.priced("fa", "gpu")
+        assert list(estimator._prices) == [("fa", "reason")]
+        assert estimator.predict("fb", "reason", kind="cnf").source == "class-prior"
+        # "Reset" is a fresh estimator: it knows no price and no class.
+        fresh = CostEstimator()
+        assert not fresh.priced("fa", "reason")
+        assert fresh.predict("fb", "reason", kind="cnf").source == "default"
 
 
 class TestBoundedMemos:
@@ -213,13 +244,63 @@ class TestBoundedMemos:
             estimator.observe(
                 f"fp{i}", "dag", "reason", report(1e-3, energy_j=1e-9), artifact=fake_artifact()
             )
-        calibrator = estimator.calibrator
         newest = [f"fp{i}" for i in range(6, 10)]
         assert list(estimator._features) == newest
-        assert [fp for fp, _ in calibrator._ratio] == newest
-        assert [fp for fp, _ in calibrator._energy] == newest
-        assert calibrator.stats.observations == 10
-        # A kept kernel is still priced from its own residual, an
-        # evicted one from what its class learned.
+        assert [fp for fp, _ in estimator._prices] == newest
+        # A kept kernel is still priced from its own settle, an evicted
+        # one from what its class learned — until its next settle
+        # prices it again.
         assert estimator.predict("fp9", "reason").source == "calibrated"
         assert estimator.predict("fp0", "reason", kind="dag").source == "class-prior"
+        estimator.observe("fp0", "dag", "reason", report(2e-3), artifact=fake_artifact())
+        repriced = estimator.predict("fp0", "reason")
+        assert (repriced.source, repriced.seconds) == ("calibrated", 2e-3)
+        assert len(estimator._prices) == 4
+
+
+class TestRace:
+    def test_racing_first_settles_price_the_pair_once(self):
+        estimator = CostEstimator()
+        for name in ("seed", "hot"):
+            estimator.record_artifact(name, fake_artifact(schedule_cycles=1000))
+        estimator.observe("seed", "dag", "reason", report(1e-3, compile_s=0.25))
+        settle = report(4e-3, queries=2, energy_j=6e-6, compile_s=0.75)
+        barrier = threading.Barrier(12)
+        failures = []
+
+        def run(body):
+            try:
+                barrier.wait(timeout=30)
+                body()
+            except Exception as error:  # reported by the assertion below
+                failures.append(error)
+
+        def observe():
+            estimator.observe("hot", "dag", "reason", settle, artifact=fake_artifact())
+
+        def predict():
+            for _ in range(300):
+                prediction = estimator.predict("hot", "reason", queries=2)
+                assert prediction.source in ("features", "calibrated")
+                if prediction.source == "calibrated":
+                    assert (prediction.seconds, prediction.energy_j) == (4e-3, 6e-6)
+
+        threads = [
+            threading.Thread(target=run, args=(body,))
+            for body in [observe] * 6 + [predict] * 6
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(thread.is_alive() for thread in threads)
+        assert estimator._prices["hot", "reason"] == (2e-3, 3e-6)
+        # Six racing settles, one sample in each class table.
+        assert estimator._class_seconds["dag", "reason"] == 1e-3 + ALPHA * (2e-3 - 1e-3)
+        assert estimator._compile["dag"] == 0.25 + ALPHA * (0.75 - 0.25)
+        assert estimator.predict("hot", "reason").source == "calibrated"

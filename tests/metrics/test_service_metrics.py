@@ -1,5 +1,5 @@
 """Serving-path telemetry: spans, session/service instrumentation,
-calibrator residuals, bit-identity with metrics on, and stats
+cost-model residuals, bit-identity with metrics on, and stats
 serialization."""
 
 import pytest
@@ -109,6 +109,9 @@ class TestServiceMetrics:
             assert span.backend == "reason"
             assert span.predicted_s > 0.0
             assert span.latency_residual is not None
+            assert span.to_dict()["predicted_source"] in (
+                "default", "class-prior", "features", "calibrated"
+            )
             assert span.actual_s in {report.seconds for report in reports}
         e2e = snap["reason_request_e2e_seconds"]["series"]["backend=reason"]
         assert e2e["count"] == 9

@@ -293,6 +293,20 @@ class TestEM:
         fit_em(circuit, data, iterations=3, smoothing=1e-6)
         assert likelihood(circuit, {0: 1}) == pytest.approx(0.8, abs=0.01)
 
+    @pytest.mark.parametrize("value", [7, -1])
+    def test_out_of_table_evidence_has_zero_mass_in_em(self, value):
+        """A value past a leaf's table is probability 0 in every
+        evaluator, so EM learns what it learns without that row."""
+        data = sample_dataset(random_circuit(4, depth=2, seed=50), 20, seed=51)
+        with_row = data[:8] + [{0: value, 1: 1}] + data[8:]
+        assert likelihood(random_circuit(4, depth=2, seed=52), with_row[8]) == 0.0
+        for learn in (em_step, lambda c, d: fit_em(c, d, iterations=4)):
+            clean = random_circuit(4, depth=2, seed=52)
+            dirty = random_circuit(4, depth=2, seed=52)
+            learn(clean, data)
+            learn(dirty, with_row)
+            assert parameters(dirty) == parameters(clean)
+
 
 class TestCompileLogic:
     def test_unit_clause(self):
