@@ -239,6 +239,13 @@ class ReasonAccelerator:
         ``access_cycles`` whatever the scheduling.  A conflict costs
         the trip to the root plus one control cycle, a backjump two
         cycles, a restart a pipeline refill; learn events are free.
+
+        None of that depends on event order, so cycles, counts and
+        energy are *counted*: the ``(kind, literal)`` histogram of the
+        stream times the cost of one such event.  Only with a trace
+        writer attached is the stream also *walked*, in solver order and
+        with the same per-event costs, to stamp each emitted event with
+        the replay cycle it ends at.
         """
         if not solver.trace and (
             solver.stats.decisions or solver.stats.propagations
@@ -251,98 +258,91 @@ class ReasonAccelerator:
         tree_hops = int(broadcast_cycles(Topology.TREE, config.leaves_per_pe))
         pipelined = config.pipelined_scheduling
         dram_latency = config.dram_latency_cycles
-        cycle = 0
-        decisions = 0
-        implications = 0
-        conflicts = 0
-        logic_ops = 0
-        energy = self.energy
         # A watch list is static during a replay: what a falsified
-        # literal costs is a table entry, what the replay adds is how
-        # often each literal was visited.
+        # literal costs is a table entry.
         costs, unwatched = watch_costs(formula, config)
-        visits: Dict[int, int] = {}
+        # kind -> (cycles, the event a trace writer records it as)
+        fixed = {
+            # To the root, then the priority control assertion.
+            "conflict": (tree_hops + 1, EventKind.CONFLICT),
+            # Trail unwinding bookkeeping on the scalar PE.
+            "backjump": (2, EventKind.BACKJUMP),
+            "restart": (config.pipeline_stages, EventKind.RESTART),
+            # Annotation-only: the conflict that produced the clause
+            # already paid.
+            "learn": (0, EventKind.LEARN),
+        }
+
+        def visit(kind: str, literal: int) -> Tuple[int, int, int, tuple]:
+            """``(cycles, clauses on the list, DMA words, bank reads)``
+            of one decision / implication of ``literal``: a pass over
+            the node tree (a decision broadcasts to the leaves, an
+            implication returns through the reduction tree) and the
+            falsified literal's watch list, which comes from DRAM when
+            it is too long to be local."""
+            num_clauses, access, banks = costs.get(-literal, unwatched)
+            words = num_clauses * 4 + 4 if kind == "imply" and access > dram_latency else 0
+            paid = access if words or pipelined else access * 2
+            return tree_hops + paid, num_clauses, words, banks
+
+        cycle = decisions = implications = conflicts = 0
+        logic_ops = dram_words = sram_reads = 0
+        for (kind, literal), count in solver.trace.histogram().items():
+            if kind in fixed:
+                cycle += count * fixed[kind][0]
+                if kind == "conflict":
+                    conflicts = count
+                continue
+            cycles, num_clauses, words, banks = visit(kind, literal)
+            cycle += count * cycles
+            dram_words += count * words
+            sram_reads += count * sum(reads for _, reads in banks)
+            if kind == "decide":
+                decisions += count
+                logic_ops += count * num_clauses
+            else:
+                implications += count
+                logic_ops += count * (num_clauses or 1)
+
+        energy = self.energy
+        energy.network_hop += implications + decisions * config.leaves_per_pe
+        energy.control_overhead += decisions + 2 * conflicts
+        energy.logic_op += logic_ops
+        energy.fifo_op += implications
+        energy.sram_access += sram_reads
+        energy.dram_access += dram_words
 
         # Same opt-in tracing as run_program.  The traced path records
         # absolute replay cycles, which is what
         # repro.trace.analyze.timeline reads the Fig. 9 rows from.
         tw = self.trace
-        emit = None if tw is None else tw.emit
-        if emit is not None:
-            ev_decide = EventKind.DECIDE
-            ev_propagate = EventKind.PROPAGATE
-            ev_conflict = EventKind.CONFLICT
-            ev_learn = EventKind.LEARN
-            ev_backjump = EventKind.BACKJUMP
-            ev_restart = EventKind.RESTART
-            ev_watch = EventKind.WATCH_UPDATE
-            ev_dma = EventKind.DMA_FETCH
-            ev_bank = EventKind.BANK_READ
+        if tw is not None:
+            emit = tw.emit
             emit(EventKind.PHASE, 0, PHASE_SYMBOLIC)
-
-        for event in solver.trace:
-            kind = event.kind
-            if kind == "imply" or kind == "decide":
-                literal = -event.literal
-                visits[literal] = visits.get(literal, 0) + 1
-                num_clauses, access, banks = costs.get(literal, unwatched)
-                # One pass over the node tree: a decision broadcasts to
-                # the leaves, an implication returns through the
-                # reduction tree.
-                cycle += tree_hops
-                if kind == "decide":
-                    decisions += 1
-                    logic_ops += num_clauses
-                    cycle += access if pipelined else access * 2
-                else:
-                    implications += 1
-                    logic_ops += num_clauses or 1
-                    if access > dram_latency:
-                        # Local miss: the list comes from DRAM.
-                        energy.dram_access += num_clauses * 4 + 4
-                        cycle += access
-                        if emit is not None:
-                            emit(ev_dma, cycle, num_clauses * 4 + 4)
-                    else:
-                        cycle += access if pipelined else access * 2
-                if emit is not None:
-                    emit(ev_decide if kind == "decide" else ev_propagate, cycle, event.literal)
-                    emit(ev_watch, cycle, literal, num_clauses)
-                    for bank, count in banks:
-                        emit(ev_bank, cycle, bank, count)
-            elif kind == "conflict":
-                conflicts += 1
-                cycle += tree_hops  # conflict propagates to the root
-                cycle += 1  # priority control assertion
-                if emit is not None:
-                    emit(ev_conflict, cycle, 0)
-            elif kind == "backjump":
-                cycle += 2  # trail unwinding bookkeeping on the scalar PE
-                if emit is not None:
-                    emit(ev_backjump, cycle, event.level)
-            elif kind == "restart":
-                cycle += config.pipeline_stages
-                if emit is not None:
-                    emit(ev_restart, cycle)
-            elif kind == "learn":
-                # Annotation-only: a learned clause costs no modeled
-                # cycles or energy here (the conflict that produced it
-                # already paid), so replay accounting is unchanged
-                # whether or not the solver trace carries learn events.
-                if emit is not None:
-                    emit(ev_learn, cycle, event.clause_size)
-
-        energy.network_hop += implications + decisions * config.leaves_per_pe
-        energy.control_overhead += decisions + 2 * conflicts
-        energy.logic_op += logic_ops
-        energy.fifo_op += implications
-        energy.sram_access += sum(
-            count * sum(reads for _, reads in costs.get(literal, unwatched)[2])
-            for literal, count in visits.items()
-        )
-
-        if emit is not None:
-            emit(EventKind.RUN_END, cycle)
+            clock = 0
+            for event in solver.trace:
+                kind = event.kind
+                if kind in fixed:
+                    cycles, recorded_as = fixed[kind]
+                    clock += cycles
+                    # A backjump records its target level, a learn its
+                    # clause's size (0 on a conflict or a restart).
+                    operand = event.level if kind == "backjump" else event.clause_size
+                    emit(recorded_as, clock, operand)
+                    continue
+                cycles, num_clauses, words, banks = visit(kind, event.literal)
+                clock += cycles
+                if words:
+                    emit(EventKind.DMA_FETCH, clock, words)
+                emit(
+                    EventKind.DECIDE if kind == "decide" else EventKind.PROPAGATE,
+                    clock,
+                    event.literal,
+                )
+                emit(EventKind.WATCH_UPDATE, clock, -event.literal, num_clauses)
+                for bank, count in banks:
+                    emit(EventKind.BANK_READ, clock, bank, count)
+            emit(EventKind.RUN_END, clock)
         return SymbolicExecutionTrace(cycle, decisions, implications, conflicts), solver
 
     def run_symbolic_parallel(

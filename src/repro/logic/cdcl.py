@@ -6,20 +6,45 @@ conflict analysis with non-chronological backjumping, VSIDS-style
 activity decay, Luby restarts and learned-clause deletion.
 
 The watched-literal data structure mirrors the hardware organization in
-Fig. 6(e): per-literal watch lists are singly linked so that a variable
-assignment touches only the clauses on its own list (the WLs unit's
-linked-list SRAM layout).  The solver additionally records an event
-trace (decisions, implications, clause fetches, conflicts) that the
-architecture simulator replays cycle by cycle.
+Fig. 6(e): per-literal watch lists, so that a variable assignment
+touches only the clauses on its own list (the WLs unit's linked-list
+SRAM layout).  The solver additionally records an event trace
+(decisions, implications, conflicts, learned clauses, backjumps,
+restarts) that the architecture simulator replays.
+
+**Index space.**  Inside a search every literal is the integer
+``lit + base`` (``base`` = the largest variable), so ``-base..base``
+maps to ``0..2*base`` and negation is ``2*base - x``.  A clause is a
+plain ``list`` of such indices with its two watched literals first —
+the very object the watch lists hold — so the truth test of a clause
+literal is ``val[x]`` (-1 unknown, 0 false, 1 true; both polarities are
+stored) with no add and no sign test.  ``watches``, ``level``,
+``reason`` and the trail are all indexed by, or hold, the index of the
+*falsified* literal of an assignment: that is the index BCP looks a
+watch list up by, and the index every literal of a reason or
+conflicting clause already has, so conflict analysis reads
+``level[q]`` for a clause literal ``q`` as it stands.  ``level[x]`` is 0
+for every ``x`` that is not currently false, which is how analysis skips
+the implied literal of a reason clause without comparing.
+
+**Event encoding.**  The trace is one ``int`` per event in one flat
+list, ``operand * 8 + kind``: the literal's index for ``imply`` and
+``decide``, the target level for ``backjump``, the clause size for
+``learn``, nothing for ``conflict`` and ``restart``.  The level of an
+implication, decision or conflict is not stored: it is the number of
+decisions and assumptions since the last backjump target, which
+:class:`EventTrace` counts while decoding (an assumption, which is not
+an event, leaves a marker for that count).
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.logic.cnf import CNF, Literal, var_of
+from repro.logic.cnf import CNF, Literal
 
 
 class SolveResult(enum.Enum):
@@ -45,27 +70,77 @@ class CDCLStats:
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One BCP-visible event, replayed by the accelerator simulator."""
+    """One BCP-visible event, as :class:`EventTrace` decodes it."""
 
     kind: str  # "decide" | "imply" | "conflict" | "learn" | "restart" | "backjump"
     literal: int = 0
     level: int = 0
-    clause_size: int = 0
+    clause_size: int = 0  # of a "learn" event; an "imply" does not keep its clause's
 
 
-class _Clause:
-    """Mutable clause with the two watched literals at positions 0 and 1."""
+_IMPLY, _DECIDE, _CONFLICT, _LEARN, _BACKJUMP, _RESTART, _ASSUME = range(7)
+_KINDS = ("imply", "decide", "conflict", "learn", "backjump", "restart")
 
-    __slots__ = ("lits", "learned", "activity")
 
-    def __init__(self, lits: List[Literal], learned: bool = False):
-        self.lits = lits
-        self.learned = learned
-        self.activity = 0.0
+class EventTrace:
+    """The recorded event stream: a sequence of :class:`TraceEvent`
+    stored as one int per event (see the module docstring)."""
+
+    __slots__ = ("codes", "base", "assumed")
+
+    def __init__(self, base: int = 0):
+        self.codes: List[int] = []
+        self.base = base
+        self.assumed = 0  # ``_ASSUME`` markers among the codes: not events
+
+    def __len__(self) -> int:
+        return len(self.codes) - self.assumed
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        base = self.base
+        level = 0
+        for code in self.codes:
+            kind = code & 7
+            if kind == _IMPLY:
+                yield TraceEvent("imply", (code >> 3) - base, level)
+            elif kind == _DECIDE:
+                level += 1
+                yield TraceEvent("decide", (code >> 3) - base, level)
+            elif kind == _CONFLICT:
+                yield TraceEvent("conflict", 0, level)
+            elif kind == _BACKJUMP:
+                level = code >> 3
+                yield TraceEvent("backjump", 0, level)
+            elif kind == _LEARN:
+                yield TraceEvent("learn", clause_size=code >> 3)
+            elif kind == _RESTART:
+                yield TraceEvent("restart")
+            else:
+                level += 1
+
+    def histogram(self) -> Dict[Tuple[str, int], int]:
+        """Events per ``(kind, literal)`` — literal 0 for the kinds that
+        carry none.  The stream is counted in C; only its distinct
+        codes are decoded."""
+        base = self.base
+        counts: Dict[Tuple[str, int], int] = Counter()
+        for code, count in Counter(self.codes).items():
+            kind = code & 7
+            if kind <= _DECIDE:
+                counts[_KINDS[kind], (code >> 3) - base] += count
+            elif kind != _ASSUME:
+                counts[_KINDS[kind], 0] += count
+        return counts
 
 
 class CDCLSolver:
     """CDCL solver over a :class:`~repro.logic.cnf.CNF` formula.
+
+    The search state (clause lists, watch lists, ``val`` / ``level`` /
+    ``reason`` arrays, trail) lives in the index space the module
+    docstring describes, exists only while :meth:`solve` runs and is
+    released when it returns: what outlives a search is ``stats`` and
+    ``trace``, which is all a cached artifact keeps — and pickles.
 
     Parameters
     ----------
@@ -95,24 +170,8 @@ class CDCLSolver:
         self.max_conflicts = max_conflicts
         self.record_trace = record_trace
         self.stats = CDCLStats()
-        self.trace: List[TraceEvent] = []
-        self._num_vars = 0
-        self._clauses: List[_Clause] = []
-        # Flat solver state; literal-indexed structures use
-        # ``lit + base`` so negative literals map to 0..base-1 and
-        # positive ones to base+1..2*base.  ``_val`` holds the truth
-        # code of every literal (-1 unknown, 0 false, 1 true), stored
-        # for both polarities so BCP never branches on literal sign.
-        self._lit_base = 0
-        self._watches: List[List[_Clause]] = []
-        self._val: List[int] = []
-        self._level: List[int] = []
-        self._reason: List[Optional[_Clause]] = []
-        self._trail: List[Literal] = []
-        self._trail_lim: List[int] = []
-        self._activity: List[float] = []
-        self._activity_inc = 1.0
-        self._qhead = 0
+        self.trace = EventTrace()
+        self._release()
 
     # ----------------------------------------------------------------- api
 
@@ -121,85 +180,109 @@ class CDCLSolver:
     ) -> Tuple[SolveResult, Optional[Dict[int, bool]]]:
         """Solve the formula, returning (result, model-or-None)."""
         self._initialize(formula, assumptions)
-        for clause in formula.clauses:
-            if clause.is_empty:
+        try:
+            if any(clause.is_empty for clause in formula.clauses) or not self._attach_all():
                 return SolveResult.UNSAT, None
-        if not self._attach_all():
-            return SolveResult.UNSAT, None
-
-        for lit in assumptions:
-            if not self._assume(lit):
-                return SolveResult.UNSAT, None
-
-        conflicts_until_restart = self._luby(self.stats.restarts + 1) * self.restart_base
-        conflicts_since_restart = 0
-        num_assumptions = len(self._trail_lim)
-
-        while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                self.stats.conflicts += 1
-                conflicts_since_restart += 1
-                self._emit("conflict", level=self._decision_level())
-                if self._decision_level() <= num_assumptions:
+            base = self._two_base >> 1
+            for lit in assumptions:
+                if not self._assume(lit + base):
                     return SolveResult.UNSAT, None
-                if self.max_conflicts is not None and self.stats.conflicts > self.max_conflicts:
-                    return SolveResult.UNKNOWN, None
-                learned, backjump_level = self._analyze(conflict)
-                backjump_level = max(backjump_level, num_assumptions)
-                self._backjump(backjump_level)
-                self._learn(learned)
-                self._emit("learn", clause_size=len(learned))
-                self._decay_activities()
-            else:
-                if conflicts_since_restart >= conflicts_until_restart:
-                    self.stats.restarts += 1
-                    conflicts_since_restart = 0
-                    conflicts_until_restart = self._luby(self.stats.restarts + 1) * self.restart_base
-                    self._backjump(num_assumptions)
-                    self._emit("restart")
-                if len(self._clauses) > len(formula.clauses) + self.clause_db_limit:
-                    self._reduce_clause_db()
-                lit = self._pick_branch_literal()
-                if lit is None:
-                    return SolveResult.SAT, self._model()
-                self.stats.decisions += 1
-                self._trail_lim.append(len(self._trail))
-                self.stats.max_decision_level = max(
-                    self.stats.max_decision_level, self._decision_level()
-                )
-                self._emit("decide", literal=lit, level=self._decision_level())
-                self._enqueue(lit, reason=None)
+
+            stats = self.stats
+            val, level, trail, trail_lim = self._val, self._level, self._trail, self._trail_lim
+            two_base = self._two_base
+            codes = self.trace.codes if self.record_trace else None
+            db_limit = len(formula.clauses) + self.clause_db_limit
+            conflicts_until_restart = self._luby(stats.restarts + 1) * self.restart_base
+            conflicts_since_restart = 0
+            num_assumptions = len(trail_lim)
+
+            while True:
+                conflict = self._propagate()
+                if conflict is not None:
+                    stats.conflicts += 1
+                    conflicts_since_restart += 1
+                    if codes is not None:
+                        codes.append(_CONFLICT)
+                    if len(trail_lim) <= num_assumptions:
+                        return SolveResult.UNSAT, None
+                    if self.max_conflicts is not None and stats.conflicts > self.max_conflicts:
+                        return SolveResult.UNKNOWN, None
+                    learned, backjump_level = self._analyze(conflict)
+                    self._backjump(max(backjump_level, num_assumptions))
+                    self._learn(learned)
+                    self._activity_inc /= self.var_decay
+                else:
+                    if conflicts_since_restart >= conflicts_until_restart:
+                        stats.restarts += 1
+                        conflicts_since_restart = 0
+                        conflicts_until_restart = self._luby(stats.restarts + 1) * self.restart_base
+                        self._backjump(num_assumptions)
+                        if codes is not None:
+                            codes.append(_RESTART)
+                    if len(self._clauses) > db_limit:
+                        self._reduce_clause_db()
+                    decision = self._pick_branch_literal()
+                    if not decision:
+                        return SolveResult.SAT, self._model()
+                    stats.decisions += 1
+                    trail_lim.append(len(trail))
+                    if len(trail_lim) > stats.max_decision_level:
+                        stats.max_decision_level = len(trail_lim)
+                    if codes is not None:
+                        codes.append(decision * 8 + _DECIDE)
+                    falsified = two_base - decision
+                    val[decision] = 1
+                    val[falsified] = 0
+                    level[falsified] = len(trail_lim)
+                    trail.append(falsified)
+        finally:
+            self._release()
 
     # ------------------------------------------------------------ internals
 
     def _initialize(self, formula: CNF, assumptions: Sequence[Literal] = ()) -> None:
+        # Sized to cover assumption variables beyond num_vars.
+        base = max(formula.num_vars, max((abs(lit) for lit in assumptions), default=0))
+        size = 2 * base + 1
         self.stats = CDCLStats()
-        self.trace = []
+        self.trace = EventTrace(base)
         self._num_vars = formula.num_vars
-        self._clauses = []
-        # Size the arrays to cover assumption variables beyond num_vars.
-        base = max(
-            formula.num_vars, max((abs(lit) for lit in assumptions), default=0)
-        )
-        self._lit_base = base
-        self._watches = [[] for _ in range(2 * base + 1)]
-        self._val = [-1] * (2 * base + 1)
-        self._level = [0] * (base + 1)
-        self._reason = [None] * (base + 1)
-        self._trail = []
-        self._trail_lim = []
-        self._activity = [0.0] * (base + 1)
+        self._two_base = 2 * base
+        self._clauses = [
+            [lit + base for lit in clause.literals]
+            for clause in formula.clauses
+            if not clause.is_tautology
+        ]
+        self._watches = [[] for _ in range(size)]
+        self._val = [-1] * size
+        self._level = [0] * size
+        self._reason = [None] * size
+        self._activity = [0.0] * size
+
+    def _release(self) -> None:
+        """Drop the search state.  Nothing reads it once ``solve`` has
+        returned (``_initialize`` rebuilds all of it), and the solver of
+        a cached CNF artifact lives — and is pickled — with the artifact."""
+        self._num_vars = 0
+        self._two_base = 0
+        self._clauses: List[List[int]] = []
+        #: ``id(clause) -> activity`` of the learned clauses, in learning
+        #: order; membership is what marks a clause as learned.
+        self._clause_activity: Dict[int, float] = {}
+        self._watches: List[List[List[int]]] = []
+        self._val: List[int] = []
+        self._level: List[int] = []
+        self._reason: List[Optional[List[int]]] = []
+        self._trail: List[int] = []  # falsified indices, in assignment order
+        self._trail_lim: List[int] = []
+        self._activity: List[float] = []  # by the index of a variable's positive literal
         self._activity_inc = 1.0
         self._qhead = 0
-        self._pending: List[_Clause] = []
-        for clause in formula.clauses:
-            if not clause.is_tautology:
-                self._pending.append(_Clause(list(clause.literals)))
 
     def _model(self) -> Dict[int, bool]:
         val = self._val
-        base = self._lit_base
+        base = self._two_base >> 1
         return {
             variable: code == 1
             for variable in range(1, base + 1)
@@ -208,277 +291,245 @@ class CDCLSolver:
 
     def _attach_all(self) -> bool:
         """Attach initial clauses; returns False on immediate conflict."""
-        for clause in self._pending:
-            if len(clause.lits) == 1:
-                lit = clause.lits[0]
-                if self._value(lit) is False:
+        val, watches = self._val, self._watches
+        for clause in self._clauses:
+            if len(clause) == 1:
+                if val[clause[0]] == 0:
                     return False
-                if self._value(lit) is None:
-                    self._enqueue(lit, reason=clause)
-                self._clauses.append(clause)
+                if val[clause[0]] < 0:
+                    self._assign(clause[0], clause)
             else:
-                self._clauses.append(clause)
-                self._watch(clause.lits[0], clause)
-                self._watch(clause.lits[1], clause)
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
         return self._propagate() is None
 
-    def _watch(self, lit: Literal, clause: _Clause) -> None:
-        self._watches[lit + self._lit_base].append(clause)
-
-    def _value(self, lit: Literal) -> Optional[bool]:
-        code = self._val[lit + self._lit_base]
-        if code < 0:
-            return None
-        return code == 1
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _assume(self, lit: Literal) -> bool:
+    def _assume(self, index: int) -> bool:
         """Push an assumption at a fresh decision level and propagate."""
-        if self._value(lit) is False:
+        if self._val[index] == 0:
             return False
         self._trail_lim.append(len(self._trail))
-        if self._value(lit) is None:
-            self._enqueue(lit, reason=None)
+        if self.record_trace:
+            self.trace.codes.append(_ASSUME)
+            self.trace.assumed += 1
+        if self._val[index] < 0:
+            self._assign(index, None)
         return self._propagate() is None
 
-    def _enqueue(self, lit: Literal, reason: Optional[_Clause]) -> None:
-        variable = var_of(lit)
-        index = lit + self._lit_base
+    def _assign(self, index: int, reason: Optional[List[int]]) -> None:
+        """Make the literal at ``index`` true at the current level."""
+        falsified = self._two_base - index
         self._val[index] = 1
-        self._val[2 * self._lit_base - index] = 0
-        self._level[variable] = self._decision_level()
-        self._reason[variable] = reason
-        self._trail.append(lit)
+        self._val[falsified] = 0
+        self._level[falsified] = len(self._trail_lim)
+        self._reason[falsified] = reason
+        self._trail.append(falsified)
 
-    def _propagate(self) -> Optional[_Clause]:
+    def _propagate(self) -> Optional[List[int]]:
         """Two-watched-literal BCP; returns the conflicting clause if any."""
-        # Everything the inner loop touches is bound locally: flat
-        # arrays replace the per-literal dict lookups, and truth tests
-        # are one literal-indexed load and an int compare instead of a
-        # ``_value``/``var_of`` call pair per literal.
         val = self._val
         level = self._level
         reason = self._reason
         trail = self._trail
         watches = self._watches
-        base = self._lit_base
-        two_base = 2 * base
-        record = self.record_trace
-        trace = self.trace
+        two_base = self._two_base
+        codes = self.trace.codes if self.record_trace else None
         decision_level = len(self._trail_lim)
+        push = trail.append
+        assigned = len(trail)
         fetches = 0
-        propagations = 0
+        conflict = None
 
-        # The queue head can regress after backjumps.
-        head = min(self._qhead, len(trail))
+        head = self._qhead
         while head < len(trail):
-            lit = trail[head]
+            false_idx = trail[head]
             head += 1
-            false_lit = -lit
-            false_idx = false_lit + base
-            # In-place two-pointer compaction: surviving watchers slide
-            # to the front of the same list (their scan order — exactly
-            # what rebuilding the list produced, without allocating one
-            # per trail literal).  Replacement-watch moves append to a
-            # *different* literal's list, never this one, so the scan
-            # window is stable.
             watchers = watches[false_idx]
-            keep = 0
-            trail_append = trail.append
-            num_watchers = len(watchers)
-            for idx in range(num_watchers):
-                clause = watchers[idx]
-                fetches += 1
-                lits = clause.lits
+            keep = moved = 0
+            for clause in watchers:
                 # Ensure the false literal sits at position 1.
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                first_code = val[first + base]
-                if first_code == 1:
+                first = clause[0]
+                if first == false_idx:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_idx
+                state = val[first]
+                if state == 1:
                     watchers[keep] = clause
                     keep += 1
                     continue
                 # Search a replacement watch.
-                found = False
-                for pos in range(2, len(lits)):
-                    other = lits[pos]
-                    if val[other + base] != 0:  # not false
-                        lits[1], lits[pos] = other, lits[1]
-                        watches[other + base].append(clause)
-                        found = True
+                for pos in range(2, len(clause)):
+                    other = clause[pos]
+                    if val[other]:  # not false
+                        clause[1] = other
+                        clause[pos] = false_idx
+                        # Another literal's list, never this one: the
+                        # list being walked does not grow.
+                        watches[other].append(clause)
+                        moved += 1
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watchers[keep] = clause
-                keep += 1
-                if first_code == 0:  # false: conflict
-                    watchers[keep:] = watchers[idx + 1 :]
-                    self._qhead = len(trail)
-                    self.stats.clause_fetches += fetches
-                    self.stats.propagations += propagations
-                    return clause
-                propagations += 1
-                if record:
-                    trace.append(
-                        TraceEvent("imply", first, decision_level, len(lits))
-                    )
-                first_idx = first + base
-                val[first_idx] = 1
-                val[two_base - first_idx] = 0
-                variable = first if first > 0 else -first
-                level[variable] = decision_level
-                reason[variable] = clause
-                trail_append(first)
-            del watchers[keep:]
+                else:
+                    watchers[keep] = clause
+                    keep += 1
+                    if state == 0:
+                        conflict = clause
+                        break
+                    # Unit: ``first`` is implied.
+                    falsified = two_base - first
+                    val[first] = 1
+                    val[falsified] = 0
+                    level[falsified] = decision_level
+                    reason[falsified] = clause
+                    push(falsified)
+                    if codes is not None:
+                        codes.append(first * 8)  # + _IMPLY
+            # Fetched: the clauses that stay and the ones that moved.
+            # The stale slots are between them and the unseen rest
+            # (empty unless a conflict cut the walk short).
+            fetches += keep + moved
+            if moved:
+                del watchers[keep : keep + moved]
+            if conflict is not None:
+                head = len(trail)
+                break
         self._qhead = head
         self.stats.clause_fetches += fetches
-        self.stats.propagations += propagations
-        return None
+        self.stats.propagations += len(trail) - assigned
+        return conflict
 
-    def _analyze(self, conflict: _Clause) -> Tuple[List[Literal], int]:
+    def _analyze(self, conflict: List[int]) -> Tuple[List[int], int]:
         """1-UIP conflict analysis.
 
         Returns the learned clause (asserting literal first) and the
         backjump level.
         """
-        current_level = self._decision_level()
-        levels = self._level
+        level = self._level
         trail = self._trail
-        seen: set = set()
-        learned: List[Literal] = []
+        reasons = self._reason
+        activity = self._activity
+        clause_activity = self._clause_activity
+        two_base = self._two_base
+        base = two_base >> 1
+        inc = self._activity_inc
+        current_level = len(self._trail_lim)
+        seen = [False] * (two_base + 1)
+        learned = [0]  # slot 0: the asserting literal
         counter = 0
-        lit: Optional[Literal] = None
-        reason: Optional[_Clause] = conflict
-        trail_idx = len(trail) - 1
+        clause = conflict
+        trail_idx = len(trail)
 
         while True:
-            assert reason is not None
-            reason.activity += self._activity_inc
-            for q in reason.lits:
-                if lit is not None and q == lit:
+            if id(clause) in clause_activity:
+                clause_activity[id(clause)] += inc
+            for q in clause:
+                # ``level`` is 0 for the literal this clause implied
+                # (it is true) and for assignments no decision made.
+                if seen[q] or not level[q]:
                     continue
-                variable = q if q > 0 else -q
-                if variable in seen or levels[variable] == 0:
-                    continue
-                seen.add(variable)
-                self._bump_activity(variable)
-                if levels[variable] == current_level:
+                seen[q] = True
+                positive = q if q > base else two_base - q
+                bumped = activity[positive] + inc
+                activity[positive] = bumped
+                if bumped > 1e100:
+                    inc = self._rescale_activities()
+                if level[q] == current_level:
                     counter += 1
                 else:
                     learned.append(q)
             # Walk the trail backwards to the next marked literal.
-            while trail_idx >= 0 and abs(trail[trail_idx]) not in seen:
-                trail_idx -= 1
-            if trail_idx < 0:
-                break
-            lit = trail[trail_idx]
-            variable = lit if lit > 0 else -lit
-            seen.discard(variable)
             trail_idx -= 1
+            while not seen[trail[trail_idx]]:
+                trail_idx -= 1
+            asserting = trail[trail_idx]
             counter -= 1
             if counter == 0:
-                learned.insert(0, -lit)
                 break
-            reason = self._reason[variable]
-            if reason is None:
+            clause = reasons[asserting]
+            if clause is None:
                 # Decision literal reached without a unique implication
                 # point: learn the negation of the decision.
-                learned.insert(0, -lit)
                 break
+        learned[0] = asserting
 
-        if len(learned) == 1:
-            return learned, 0
-        distinct = sorted({levels[var_of(q)] for q in learned[1:]}, reverse=True)
-        backjump = distinct[0] if distinct else 0
-        # Put a literal from the backjump level in the second watch slot.
+        # Put the first literal of the backjump level (the highest among
+        # the rest) in the second watch slot.
+        backjump, slot = 0, 1
         for pos in range(1, len(learned)):
-            if levels[var_of(learned[pos])] == backjump:
-                learned[1], learned[pos] = learned[pos], learned[1]
-                break
+            if level[learned[pos]] > backjump:
+                backjump, slot = level[learned[pos]], pos
+        if backjump:
+            learned[1], learned[slot] = learned[slot], learned[1]
         return learned, backjump
 
-    def _backjump(self, level: int) -> None:
-        if self._decision_level() <= level:
+    def _backjump(self, target: int) -> None:
+        if len(self._trail_lim) <= target:
             return
-        cut = self._trail_lim[level]
-        val = self._val
-        base = self._lit_base
-        two_base = 2 * base
-        levels = self._level
-        reasons = self._reason
-        for lit in self._trail[cut:]:
-            index = lit + base
-            val[index] = -1
-            val[two_base - index] = -1
-            variable = lit if lit > 0 else -lit
-            levels[variable] = 0
-            reasons[variable] = None
+        cut = self._trail_lim[target]
+        val, level, reason, two_base = self._val, self._level, self._reason, self._two_base
+        for falsified in self._trail[cut:]:
+            val[falsified] = -1
+            val[two_base - falsified] = -1
+            level[falsified] = 0
+            reason[falsified] = None
         del self._trail[cut:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
-        self._emit("backjump", level=level)
+        del self._trail_lim[target:]
+        self._qhead = cut
+        if self.record_trace:
+            self.trace.codes.append(target * 8 + _BACKJUMP)
 
-    def _learn(self, learned: List[Literal]) -> None:
+    def _learn(self, learned: List[int]) -> None:
         self.stats.learned_clauses += 1
         self.stats.learned_literals += len(learned)
-        clause = _Clause(list(learned), learned=True)
-        clause.activity = self._activity_inc
-        self._clauses.append(clause)
+        self._clauses.append(learned)
+        self._clause_activity[id(learned)] = self._activity_inc
         if len(learned) >= 2:
-            self._watch(learned[0], clause)
-            self._watch(learned[1], clause)
-        self._enqueue(learned[0], reason=clause if len(learned) >= 2 else None)
+            self._watches[learned[0]].append(learned)
+            self._watches[learned[1]].append(learned)
+        self._assign(learned[0], learned if len(learned) >= 2 else None)
+        if self.record_trace:
+            self.trace.codes.append(len(learned) * 8 + _LEARN)
 
     def _reduce_clause_db(self) -> None:
         """Delete the lower-activity half of learned clauses not in use."""
-        learned = [c for c in self._clauses if c.learned]
-        learned.sort(key=lambda c: c.activity)
+        activity = self._clause_activity
+        learned = sorted(
+            (c for c in self._clauses if id(c) in activity), key=lambda c: activity[id(c)]
+        )
         locked = {id(r) for r in self._reason if r is not None}
         to_delete = {
             id(c)
             for c in learned[: len(learned) // 2]
-            if id(c) not in locked and len(c.lits) > 2
+            if id(c) not in locked and len(c) > 2
         }
         if not to_delete:
             return
         self.stats.deleted_clauses += len(to_delete)
         self._clauses = [c for c in self._clauses if id(c) not in to_delete]
-        self._watches = [
-            [c for c in watchers if id(c) not in to_delete]
-            for watchers in self._watches
-        ]
+        for watchers in self._watches:
+            watchers[:] = [c for c in watchers if id(c) not in to_delete]
+        for key in to_delete:  # an id may be reused once its clause is gone
+            del activity[key]
 
-    def _pick_branch_literal(self) -> Optional[Literal]:
+    def _pick_branch_literal(self) -> int:
+        """Index of the positive literal (positive polarity first; phase
+        saving is overkill here) of the unassigned variable of highest
+        activity, the lowest such variable on a tie; 0 when none is left."""
         val = self._val
-        base = self._lit_base
         activities = self._activity
-        best_var: Optional[int] = None
+        base = self._two_base >> 1
+        best = 0
         best_activity = -1.0
-        for variable in range(1, self._num_vars + 1):
-            if val[variable + base] >= 0:
-                continue
-            activity = activities[variable]
-            if activity > best_activity:
-                best_var, best_activity = variable, activity
-        if best_var is None:
-            return None
-        return best_var  # positive polarity first; phase saving is overkill here
+        for index in range(base + 1, base + self._num_vars + 1):
+            if val[index] < 0 and activities[index] > best_activity:
+                best, best_activity = index, activities[index]
+        return best
 
-    def _bump_activity(self, variable: int) -> None:
+    def _rescale_activities(self) -> float:
         activities = self._activity
-        bumped = activities[variable] + self._activity_inc
-        activities[variable] = bumped
-        if bumped > 1e100:
-            for v in range(1, len(activities)):
-                activities[v] *= 1e-100
-            self._activity_inc *= 1e-100
-
-    def _decay_activities(self) -> None:
-        self._activity_inc /= self.var_decay
+        for index in range(len(activities)):
+            activities[index] *= 1e-100
+        self._activity_inc *= 1e-100
+        return self._activity_inc
 
     @staticmethod
     def _luby(i: int) -> int:
@@ -493,10 +544,6 @@ class CDCLSolver:
             seq -= 1
             x %= size
         return 1 << seq
-
-    def _emit(self, kind: str, literal: int = 0, level: int = 0, clause_size: int = 0) -> None:
-        if self.record_trace:
-            self.trace.append(TraceEvent(kind, literal, level, clause_size))
 
 
 def solve_cnf(formula: CNF, **kwargs) -> Tuple[SolveResult, Optional[Dict[int, bool]]]:

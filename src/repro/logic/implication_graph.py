@@ -18,12 +18,22 @@ with respect to the other but not simultaneously removable.  The
 implementation below maintains the implication graph incrementally with
 reference-counted edges to honor both.
 
+Most clauses of most formulas have nothing to prune, and showing that
+by graph search is where the sweep's time went.  The pruner therefore
+takes the transitive closure of the graph once (one bitmask per
+literal) and keeps it a *superset* of what is reachable as the sweep
+edits the graph — untouched when an edge goes, widened when one is
+added.  A clause none of whose literals can reach a sibling even in the
+superset is kept without a search; every other clause is searched
+exactly as before, so the closure only ever skips work.
+
 This module is the logic half of REASON's adaptive DAG pruning stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.logic.cnf import CNF, Clause, Literal
@@ -35,11 +45,25 @@ class PruneReport:
 
     literals_removed: int = 0
     clauses_removed: int = 0
-    failed_literals: List[Literal] = field(default_factory=list)
+    #: The pruned formula: what ``failed_literals`` is computed from, on
+    #: first use (no request reads it; the report travels with the
+    #: formula in ``OptimizationResult`` anyway).
+    pruned: Optional[CNF] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def failed_literals(self) -> List[Literal]:
+        if self.pruned is None:
+            return []
+        graph = BinaryImplicationGraph(self.pruned)
+        return graph.failed_literals(sorted(self.pruned.variables()))
 
     @property
     def changed(self) -> bool:
         return bool(self.literals_removed or self.clauses_removed or self.failed_literals)
+
+
+def _bit(lit: Literal) -> int:
+    return 1 << (2 * lit if lit > 0 else 1 - 2 * lit)
 
 
 class BinaryImplicationGraph:
@@ -52,6 +76,9 @@ class BinaryImplicationGraph:
 
     def __init__(self, formula: Optional[CNF] = None):
         self._succ: Dict[Literal, Dict[Literal, int]] = {}
+        #: Literal -> bitmask of the literals it reaches, once
+        #: :meth:`close` has run: a superset from then on.
+        self._reach: Optional[Dict[Literal, int]] = None
         self.num_edges = 0
         if formula is not None:
             for clause in formula.clauses:
@@ -75,6 +102,15 @@ class BinaryImplicationGraph:
         if dst not in bucket:
             self.num_edges += 1
         bucket[dst] = bucket.get(dst, 0) + 1
+        reach = self._reach
+        if reach is not None:
+            # Whatever reaches ``src`` now also reaches ``dst`` and on.
+            gain = _bit(dst) | reach.get(dst, 0)
+            through = _bit(src)
+            for lit, mask in reach.items():
+                if mask & through:
+                    reach[lit] = mask | gain
+            reach[src] = reach.get(src, 0) | gain
 
     def _remove_edge(self, src: Literal, dst: Literal) -> None:
         bucket = self._succ.get(src)
@@ -151,6 +187,53 @@ class BinaryImplicationGraph:
                     stack.append(nxt)
         return False
 
+    def close(self) -> None:
+        """Take the transitive closure (to a fixpoint over the edges).
+        Removing an edge afterwards leaves it a superset; adding one
+        widens it (:meth:`_add_edge`)."""
+        succ = self._succ
+        reach = dict.fromkeys(succ, 0)
+        changed = True
+        while changed:
+            changed = False
+            for src, bucket in succ.items():
+                mask = reach[src]
+                for dst in bucket:
+                    mask |= _bit(dst) | reach.get(dst, 0)
+                if mask != reach[src]:
+                    reach[src] = mask
+                    changed = True
+        self._reach = reach
+
+    def may_reach_sibling(self, clause: Clause) -> bool:
+        """False only when no literal of ``clause``, in either polarity,
+        can reach another of its literals — :meth:`reaches_any` with
+        ``exclude=clause`` is then False for every one of them.  The
+        edges only a binary clause itself induces are stepped over:
+        the first hop from ``¬l`` must be another edge.  Without a
+        closure (:meth:`close` not run) every clause is a "maybe"."""
+        reach = self._reach
+        if not reach:
+            return reach is None
+        literals = clause.literals
+        if len(literals) == 2:
+            for lit, other in (literals, literals[::-1]):
+                target = _bit(other)
+                if reach.get(lit, 0) & target:
+                    return True
+                for dst, count in self._succ.get(-lit, {}).items():
+                    if count > 1 if dst == other else reach.get(dst, 0) & target:
+                        return True
+            return False
+        everyone = 0
+        for lit in literals:
+            everyone |= _bit(lit)
+        for lit in literals:
+            siblings = everyone ^ _bit(lit)
+            if (reach.get(lit, 0) | reach.get(-lit, 0)) & siblings:
+                return True
+        return False
+
     def closure_has_complement(self, lit: Literal) -> bool:
         """Whether ``lit``'s closure contains ``¬lit`` or any pair
         ``x``/``¬x`` — detected incrementally so the traversal stops at
@@ -205,6 +288,7 @@ def prune_hidden_literals(
     to bound cost.
     """
     graph = BinaryImplicationGraph(formula)
+    graph.close()
     report = PruneReport()
     pruned: List[Clause] = []
 
@@ -216,6 +300,9 @@ def prune_hidden_literals(
             report.clauses_removed += 1
             if len(clause) == 2:
                 graph.remove_clause_edges(clause)
+            continue
+        if not graph.may_reach_sibling(clause):
+            pruned.append(clause)
             continue
         literals = list(clause.literals)
         # HTE: entailed through other clauses' implications?
@@ -249,11 +336,8 @@ def prune_hidden_literals(
                     break
         pruned.append(current)
 
-    out = CNF(pruned, formula.num_vars)
-    report.failed_literals = BinaryImplicationGraph(out).failed_literals(
-        sorted(out.variables())
-    )
-    return out, report
+    report.pruned = CNF(pruned, formula.num_vars)
+    return report.pruned, report
 
 
 def apply_failed_literals(formula: CNF, failed: Iterable[Literal]) -> CNF:

@@ -1,0 +1,218 @@
+"""Search identity: the CDCL search itself is pinned, not just the
+reports built from it.
+
+``RECORDED`` was taken at 73eedf6, before the solver's inner loops moved
+to index-space clause lists and the trace to one int per event: for
+every corpus entry the verdict, all nine :class:`CDCLStats` fields and a
+sha256 of the decoded ``(kind, literal, level)`` event stream.  A faster
+solver may change how a search is *run*; one different decision,
+implication order, watch move or clause fetch fails here, naming the
+formula.  ``clause_size`` is left out of the digest on purpose: only a
+``learn`` event's is read anywhere (``LEARN`` in the traced replay,
+pinned by ``RECORDED_TRACES``), and an ``imply`` event no longer stores
+one.
+
+Re-record (after a *deliberate* change to the search) with
+``PYTHONPATH=src python tests/logic/test_search_identity.py``.
+"""
+
+import dataclasses
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from repro.logic.cdcl import CDCLSolver, SolveResult, TraceEvent
+from repro.logic.cnf import CNF, Clause
+from repro.logic.generators import (
+    graph_coloring_cnf,
+    pigeonhole,
+    planted_sat,
+    random_graph,
+    random_ksat,
+    redundant_sat,
+)
+from repro.logic.implication_graph import prune_hidden_literals
+
+
+def graph_pigeonhole(holes: int, degree: int, rng: random.Random) -> CNF:
+    """``holes + 1`` pigeons, each allowed ``degree`` random holes: the
+    refutation family ``cold-logic`` spends most of its time in (built
+    as ``bench/kernels.py`` builds it, from a string-seeded generator)."""
+    pigeons = holes + 1
+    allowed = [sorted(rng.sample(range(holes), degree)) for _ in range(pigeons)]
+    pairs = [(p, h) for p in range(pigeons) for h in allowed[p]]
+    names = list(range(1, len(pairs) + 1))
+    rng.shuffle(names)
+    var = dict(zip(pairs, names))
+    clauses = [[var[(p, h)] for h in allowed[p]] for p in range(pigeons)]
+    for hole in range(holes):
+        sharing = [p for p in range(pigeons) if hole in allowed[p]]
+        for a, b in itertools.combinations(sharing, 2):
+            clauses.append([-var[(a, hole)], -var[(b, hole)]])
+    rng.shuffle(clauses)
+    return CNF([Clause(literals) for literals in clauses], len(pairs))
+
+
+def corpus():
+    """``name -> (formula, solver kwargs, assumptions)``."""
+    rng = random.Random("search-identity")
+    entries = {
+        # The CNFs of tests/api/test_report_identity.py::build_trace.
+        "ksat-120": (random_ksat(120, 500, seed=7), {}, ()),
+        "php-5": (pigeonhole(5), {}, ()),
+        "ksat-40": (random_ksat(40, 160, seed=7), {}, ()),
+        "graph-php-7x5/a": (graph_pigeonhole(7, 5, rng), {}, ()),
+        "graph-php-7x5/b": (graph_pigeonhole(7, 5, rng), {}, ()),
+        "graph-php-6x5": (graph_pigeonhole(6, 5, rng), {}, ()),
+        "ksat-60x250": (random_ksat(60, 250, seed=5), {}, ()),
+        "planted-80": (planted_sat(80, 344, seed=11)[0], {}, ()),
+        "redundant-100": (redundant_sat(100, 420, seed=3)[0], {}, ()),
+        "colouring-20": (graph_coloring_cnf(random_graph(20, 40, seed=9), 20, 3), {}, ()),
+        # Assumptions (one beyond ``num_vars``): a model under them, and
+        # a refutation that ends in a conflict below the assumption levels.
+        "ksat-50/assumed-sat": (random_ksat(50, 200, seed=0), {}, (3, -7, 60, 11)),
+        "ksat-50/assumed-unsat": (random_ksat(50, 212, seed=2), {}, (3, -7, 60, 11)),
+        "php-5/reduce-db": (pigeonhole(5), {"clause_db_limit": 10, "restart_base": 10_000}, ()),
+        "php-5/restarts": (pigeonhole(5), {"restart_base": 5}, ()),
+    }
+    # What the serving path solves is the pruned formula.
+    pruned, _ = prune_hidden_literals(entries["redundant-100"][0])
+    entries["redundant-100/pruned"] = (pruned, {}, ())
+    return entries
+
+
+#: name -> (verdict, CDCLStats as a tuple, events, sha256 of the stream).
+RECORDED = {
+    "colouring-20": (
+        "sat", (10, 84, 2, 2, 6, 0, 8, 226, 0), 100,
+        "799453651dac56d9f6a1390a6915b445bf85787862a90fb577972d5bb7c7c4de",
+    ),
+    "graph-php-6x5": (
+        "unsat", (245, 3198, 234, 233, 1731, 2, 5, 19098, 0), 4147,
+        "562758cfbad5cacedb6cb7446e084128cc314dc683ddee3e3e9f80290992ff90",
+    ),
+    "graph-php-7x5/a": (
+        "unsat", (358, 5058, 333, 332, 2615, 2, 5, 31177, 0), 6416,
+        "b83f7dc68f4d558ad62f726293a90119b3b7040ab7f803f9830f15b49f0a4bea",
+    ),
+    "graph-php-7x5/b": (
+        "unsat", (605, 8559, 570, 569, 5035, 4, 5, 76969, 0), 10880,
+        "928740bdeea44d725cc3ce644002f7bf5c0dc154887228aef0804dcf1e905811",
+    ),
+    "ksat-120": (
+        "unsat", (1569, 42556, 1309, 1308, 12313, 8, 19, 278317, 0), 48065,
+        "a11bc11ca07f82f8416ebe7467e4f6a8018335c86d6ef893882f55c751a59fb7",
+    ),
+    "ksat-40": (
+        "sat", (16, 75, 4, 4, 13, 0, 8, 333, 0), 103,
+        "4266ffcf55c17033dc05219e9dd3770ef7a292cef18cd45c2e7db0af9457cec2",
+    ),
+    "ksat-50/assumed-sat": (
+        "sat", (23, 315, 17, 17, 93, 0, 11, 1133, 0), 389,
+        "c7e763ce79d25e10982c928d5e10d0756dbe1f798e25293f4bff86f6a8c232c6",
+    ),
+    "ksat-50/assumed-unsat": (
+        "unsat", (23, 348, 22, 21, 132, 0, 9, 1182, 0), 435,
+        "49d2dad8932d2fc7023b18086dcfbfc30244ac13aac51faad0f3d7b1a7939c26",
+    ),
+    "ksat-60x250": (
+        "unsat", (111, 1838, 98, 97, 481, 0, 9, 7063, 0), 2241,
+        "319adcc88ea06414e2ca9924349544c4c5925f31f1b7cacc287e572a3ce7ca4c",
+    ),
+    "php-5": (
+        "unsat", (167, 1988, 166, 165, 1018, 1, 4, 8880, 0), 2652,
+        "e070fa4dec44dddd89aeaaa1ff6a82648b4c1a40e445707464ad29f115455b8b",
+    ),
+    "php-5/reduce-db": (
+        "unsat", (183, 2279, 183, 182, 1126, 0, 4, 4793, 150), 3009,
+        "d421fcd9741223cdb3bf4cbd06e6382fc7c2b6cafa239412f1d626ea42f15cd1",
+    ),
+    "php-5/restarts": (
+        "unsat", (197, 2116, 174, 173, 1068, 16, 4, 9207, 0), 2864,
+        "02120301ebd201ce0cee811b811b39c1eaabc809b0115c52886a9e8434f6016f",
+    ),
+    "planted-80": (
+        "sat", (113, 1338, 62, 62, 440, 0, 20, 5291, 0), 1637,
+        "2fdb113da924c07c8839ad335586b63be7d298d57e393bfac03e336f71f0b512",
+    ),
+    "redundant-100": (
+        "sat", (13, 97, 1, 1, 1, 0, 11, 413, 0), 113,
+        "e786c8b99f08f744c2f7acb6a1dbde6557b65a2dcaf0a8fa0b63233288ac44ba",
+    ),
+    "redundant-100/pruned": (
+        "sat", (11, 48, 0, 0, 0, 0, 11, 117, 0), 59,
+        "8503d114e75855c02cc02761c8707f927201e4e6ee28c210924e8e4882c2615a",
+    ),
+}
+
+
+def stream_digest(trace) -> str:
+    rows = [(event.kind, event.literal, event.level) for event in trace]
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+
+def search(name, record_trace=True):
+    formula, kwargs, assumptions = corpus()[name]
+    solver = CDCLSolver(record_trace=record_trace, **kwargs)
+    verdict, model = solver.solve(formula, assumptions=assumptions)
+    if verdict is SolveResult.SAT:
+        assert formula.is_satisfied_by(model)
+        assert all(model[abs(lit)] == (lit > 0) for lit in assumptions)
+    return verdict, solver
+
+
+def observed(name):
+    verdict, solver = search(name)
+    return (
+        verdict.value,
+        dataclasses.astuple(solver.stats),
+        len(solver.trace),
+        stream_digest(solver.trace),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_search_matches_the_recorded_one(name):
+    assert observed(name) == RECORDED[name]
+
+
+def test_the_corpus_reaches_every_branch_of_the_search():
+    fields = [field.name for field in dataclasses.fields(CDCLSolver().stats)]
+    stats = {name: dict(zip(fields, RECORDED[name][1])) for name in RECORDED}
+    assert stats["php-5/reduce-db"]["deleted_clauses"] > 0
+    assert stats["php-5/restarts"]["restarts"] > 0
+    assert stats["ksat-120"]["max_decision_level"] > stats["ksat-120"]["restarts"] > 1
+    assert {RECORDED[name][0] for name in RECORDED} == {"sat", "unsat"}
+
+
+@pytest.mark.parametrize("name", ["graph-php-6x5", "ksat-50/assumed-sat", "php-5/reduce-db"])
+def test_untraced_search_is_the_same_search(name):
+    _, solver = search(name, record_trace=False)
+    assert dataclasses.astuple(solver.stats) == RECORDED[name][1]
+    assert len(solver.trace) == 0 and not solver.trace and list(solver.trace) == []
+
+
+def test_trace_is_a_sequence_of_trace_events():
+    """What ``bench/staged.py``, the traced replay and the histogram
+    oracle of ``tests/core/test_arch.py`` rely on."""
+    _, solver = search("php-5")
+    trace = solver.trace
+    assert trace and len(trace) == RECORDED["php-5"][2]
+    first, second = list(trace), list(trace)  # two independent iterations
+    assert len(first) == len(trace) and first == second
+    assert all(type(event) is TraceEvent for event in first)
+    kinds = {event.kind for event in first}
+    assert kinds == {"decide", "imply", "conflict", "learn", "backjump", "restart"}
+    assert all(event.clause_size >= 1 for event in first if event.kind == "learn")
+    walker = iter(trace)
+    next(walker)
+    assert len(list(trace)) == len(first)  # a started iteration does not consume the trace
+
+
+if __name__ == "__main__":
+    print("RECORDED = {")
+    for entry in sorted(corpus()):
+        print(f"    {entry!r}: {observed(entry)!r},")
+    print("}")
