@@ -65,7 +65,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

@@ -383,10 +383,10 @@ class DagAdapter(KernelAdapter):
         count and label length, then the children, the weights as
         doubles and the label (op name and payload, ``repr``-ed: a
         payload is a literal, a name or a small table)."""
-        order = kernel.topological_order()
-        parts = [struct.pack("<qq", len(order), kernel.root)]
-        for node_id in order:
-            node = kernel.node(node_id)
+        plan = kernel.plan()
+        parts = [struct.pack("<qq", len(plan.order), kernel.root)]
+        for node_id in plan.order:
+            node = plan.nodes[node_id]
             children, weights = node.children, node.weights or ()
             label = stable_repr((node.op.name, node.payload))
             parts.append(

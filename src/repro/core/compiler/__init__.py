@@ -6,7 +6,10 @@ execution blocks bounded by the hardware tree depth; Step 2
 conflict awareness; Step 3 (:mod:`tree_map`) places block nodes onto the
 physical PE tree; Step 4 (:mod:`schedule`) emits a pipeline-aware VLIW
 program with hazard spacing and automatic write-address generation.
-:func:`compile_dag` runs the full pipeline.
+:func:`compile_dag` runs the full pipeline.  No step walks node
+objects: each reads the DAG's :meth:`~repro.core.dag.graph.Dag.plan` —
+one node order and per-id columns (ops, children, leaf flags, SUM
+weights, parent counts) built once per DAG — by node id.
 """
 
 from repro.core.compiler.program import (

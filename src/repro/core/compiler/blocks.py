@@ -1,11 +1,13 @@
 """Compiler Step 1: block decomposition (paper Fig. 7).
 
-A greedy pass over the regularized DAG groups interior nodes into
-tree-shaped *execution blocks* whose depth does not exceed the hardware
-tree depth.  A node absorbs its children's blocks when the combined
-depth stays within budget and no child value is needed elsewhere
-(shared nodes become block outputs so their value materializes to
-registers once).  Each block then maps onto one tree-PE issue.
+A greedy pass over the regularized DAG — its plan's node order, read
+with the plan's leaf flags, children and parent counts — groups
+interior nodes into tree-shaped *execution blocks* whose depth does not
+exceed the hardware tree depth.  A node absorbs its children's blocks
+when the combined depth stays within budget and no child value is
+needed elsewhere (shared nodes become block outputs so their value
+materializes to registers once).  Each block then maps onto one
+tree-PE issue.
 
 A value read from outside its block is materialized, and materializing
 a node closes its block with that node as the output — so a block's
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.dag.graph import LEAF_OPS, Dag
+from repro.core.dag.graph import Dag, DagPlan
 
 
 @dataclass
@@ -55,36 +57,35 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
+    plan = dag.plan()
+    if plan.max_fan_in > 2:
+        raise ValueError("block decomposition requires a two-input DAG")
 
-    order = dag.topological_order()
-    # Node ids are dense (allocated sequentially), so per-node state
-    # lives in flat arrays instead of dict/set lookups.  Parent counts
-    # span the whole DAG, not just the reachable part.
-    size = 1 + max((node_id for node_id, _ in dag.items()), default=-1)
-    parent_count = [0] * size
-    for _, node in dag.items():
-        for child in node.children:
-            parent_count[child] += 1
+    # Per-node state lives in flat arrays indexed by the dense node id.
+    # Parent counts span the whole DAG, not just the reachable part.
+    size = len(plan.nodes)
+    parent_count, leaf, children_of = plan.parents, plan.leaf, plan.children
     block_of = [-1] * size  # block id of each placed interior node
     depth_of = [0] * size  # depth within its block
     materialized = bytearray(size)  # values living in registers/SRAM
-    blocks: List[Block] = []
-    # Set shadows of each block's input list for O(1) membership; the
-    # lists keep insertion order (it defines operand read order).
+    # Open blocks as parallel columns indexed by block id (creation
+    # order); a merged-away block keeps an empty node list.  Each input
+    # list has a set shadow for O(1) membership; the lists keep
+    # insertion order (it defines operand read order).
+    block_nodes: List[List[int]] = []
+    block_inputs: List[List[int]] = []
     input_sets: List[Set[int]] = []
+    block_depth: List[int] = []
 
-    node_of = dag.node
-    for node_id in order:
-        node = node_of(node_id)
-        if len(node.children) > 2:
-            raise ValueError("block decomposition requires a two-input DAG")
-        if node.op in LEAF_OPS:
+    for node_id in plan.order:
+        if leaf[node_id]:
             materialized[node_id] = 1
             continue
 
+        children = children_of[node_id]
         mergeable: List[int] = []  # open child blocks we could absorb
         max_child_depth = 0
-        for child in node.children:
+        for child in children:
             if materialized[child]:
                 continue
             if parent_count[child] > 1:
@@ -99,66 +100,67 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
         new_depth = 1 + max_child_depth
         if new_depth > max_depth:
             # Close every open child block and start a fresh block.
-            for child in node.children:
+            for child in children:
                 materialized[child] = 1
             mergeable = []
             new_depth = 1
 
         if mergeable:
-            target = blocks[mergeable[0]]
-            target_id = target.block_id
-            target_inputs = input_sets[target_id]
-            for other_id in dict.fromkeys(mergeable[1:]):
-                if other_id == target_id:
+            target = mergeable[0]
+            nodes, inputs = block_nodes[target], block_inputs[target]
+            seen = input_sets[target]
+            for other in mergeable[1:]:  # at most one: fan-in ≤ 2
+                if other == target:
                     continue
-                other = blocks[other_id]
-                target.nodes.extend(other.nodes)
-                for i in other.inputs:
-                    if i not in target_inputs:
-                        target_inputs.add(i)
-                        target.inputs.append(i)
-                for moved in other.nodes:
-                    block_of[moved] = target_id
-                other.nodes = []
-                other.inputs = []
-                input_sets[other_id] = set()
+                moved = block_nodes[other]
+                nodes.extend(moved)
+                for value in block_inputs[other]:
+                    if value not in seen:
+                        seen.add(value)
+                        inputs.append(value)
+                for moved_id in moved:
+                    block_of[moved_id] = target
+                block_nodes[other] = []
         else:
-            target = Block(block_id=len(blocks))
-            blocks.append(target)
-            input_sets.append(set())
-            target_inputs = input_sets[target.block_id]
+            target = len(block_nodes)
+            nodes, inputs, seen = [], [], set()
+            block_nodes.append(nodes)
+            block_inputs.append(inputs)
+            input_sets.append(seen)
+            block_depth.append(0)
 
-        target.nodes.append(node_id)
-        for child in node.children:
-            if materialized[child] and child not in target_inputs:
-                target_inputs.add(child)
-                target.inputs.append(child)
-        target.output = node_id
-        if new_depth > target.depth:
-            target.depth = new_depth
-        block_of[node_id] = target.block_id
+        nodes.append(node_id)
+        for child in children:
+            if materialized[child] and child not in seen:
+                seen.add(child)
+                inputs.append(child)
+        if new_depth > block_depth[target]:
+            block_depth[target] = new_depth
+        block_of[node_id] = target
         depth_of[node_id] = new_depth
 
-    live = [b for b in blocks if b.nodes]
-    _validate_blocks(dag, live, max_depth)
+    # A block's output is its last node: the node that joined it last.
+    live = [
+        Block(block_id, nodes, block_inputs[block_id], nodes[-1], block_depth[block_id])
+        for block_id, nodes in enumerate(block_nodes)
+        if nodes
+    ]
+    _validate_blocks(plan, live, max_depth)
     return live
 
 
-def _validate_blocks(dag: Dag, blocks: Sequence[Block], max_depth: int) -> None:
-    covered: Set[int] = set()
+def _validate_blocks(plan: DagPlan, blocks: Sequence[Block], max_depth: int) -> None:
+    covered = bytearray(len(plan.nodes))
     for block in blocks:
         if block.depth > max_depth:
             raise AssertionError(f"block {block.block_id} exceeds depth budget")
-        overlap = covered & set(block.nodes)
+        overlap = {node_id for node_id in block.nodes if covered[node_id]}
         if overlap:
             raise AssertionError(f"nodes in multiple blocks: {sorted(overlap)[:5]}")
-        covered |= set(block.nodes)
-    interior = {
-        node_id
-        for node_id in dag.topological_order()
-        if dag.node(node_id).op not in LEAF_OPS
-    }
-    missing = interior - covered
+        for node_id in block.nodes:
+            covered[node_id] = 1
+    leaf = plan.leaf
+    missing = [n for n in plan.order if not (leaf[n] or covered[n])]
     if missing:
         raise AssertionError(f"nodes not covered by any block: {sorted(missing)[:5]}")
 

@@ -11,6 +11,7 @@ traffic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
@@ -55,49 +56,43 @@ def map_operands_to_banks(
         raise ValueError("need at least one bank")
 
     # Conflict graph: values read together should get distinct banks.
+    # Each value joins every group it is read in, itself included, and
+    # leaves its own set once all groups are in.
     neighbors: Dict[int, Set[int]] = {}
     for block in blocks:
-        group = list(dict.fromkeys(block.inputs))
+        group = block.inputs
         for value in group:
-            neighbors.setdefault(value, set())
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
+            neighbors.setdefault(value, set()).update(group)
+    for value, group in neighbors.items():
+        group.discard(value)
     # Block outputs are also register values (written back).
     for block in blocks:
         neighbors.setdefault(block.output, set())
 
     assignment = BankAssignment(num_banks=num_banks)
-    occupancy = [0] * num_banks
-
     bank_of = assignment.bank_of
+    # Every bank as (occupancy, index), a heap: popping in order visits
+    # banks least loaded first, lowest index on a tie, so the first one
+    # no neighbour holds is the argmin over free banks — and when every
+    # bank is held, the first popped is the least loaded of all.  (The
+    # ascending initial list is already heap-ordered.)
+    banks = [(0, bank) for bank in range(num_banks)]
 
     # Most-constrained-first: order by conflict degree descending.
-    # Bank choice is argmin over (occupancy, index); the first-wins
-    # linear scan reproduces min()'s lexicographic tie-break without a
-    # key-lambda call per bank.
     for value in sorted(neighbors, key=lambda v: (-len(neighbors[v]), v)):
-        taken = {
-            bank_of[n] for n in neighbors[value] if n in bank_of
-        }
-        bank = -1
-        best_occupancy = -1
-        for b in range(num_banks):
-            if b in taken:
-                continue
-            count = occupancy[b]
-            if bank < 0 or count < best_occupancy:
-                bank, best_occupancy = b, count
-        if bank < 0:  # every bank conflicts: fall back to least loaded
-            bank = 0
-            best_occupancy = occupancy[0]
-            for b in range(1, num_banks):
-                if occupancy[b] < best_occupancy:
-                    bank, best_occupancy = b, occupancy[b]
+        taken = {bank_of[n] for n in neighbors[value] if n in bank_of}
+        passed = []
+        while banks and banks[0][1] in taken:
+            passed.append(heapq.heappop(banks))
+        if banks:
+            count, bank = heapq.heappop(banks)
+        else:  # every bank conflicts: fall back to least loaded
+            count, bank = passed.pop(0)
             assignment.conflicts += 1
         bank_of[value] = bank
-        occupancy[bank] += 1
+        heapq.heappush(banks, (count + 1, bank))
+        for entry in passed:
+            heapq.heappush(banks, entry)
 
     return assignment
 

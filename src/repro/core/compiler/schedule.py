@@ -15,7 +15,9 @@ issued" does not mean every reader has.  When a bank overflows, the
 resident whose *last* reader is furthest in block order is spilled to
 shared memory (SPILL) and comes back when a reader next needs it
 (RELOAD); every emitted program passes
-:func:`repro.analysis.verifier.verify_program`.
+:func:`repro.analysis.verifier.verify_program`.  Whether a
+non-resident operand is a LOAD (a DAG leaf) or a RELOAD is the DAG
+plan's leaf flag.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from repro.core.arch.config import ArchConfig
 from repro.core.compiler.blocks import Block, block_dependencies, topological_block_order
 from repro.core.compiler.mapping import BankAssignment, issue_conflicts
 from repro.core.compiler.program import InstructionKind, Program, VLIWInstruction
-from repro.core.compiler.tree_map import map_block_to_tree
-from repro.core.dag.graph import LEAF_OPS, Dag
+from repro.core.compiler.tree_map import place_block
+from repro.core.dag.graph import Dag
 
 
 class _BankFile:
@@ -48,12 +50,13 @@ class _BankFile:
 
     def allocate(self, value: int, bank: int) -> Optional[Tuple[int, int]]:
         """Place a value; returns (bank, addr) or None when bank is full."""
-        if not self._free[bank]:
+        free = self._free[bank]
+        if not free:
             return None
-        addr = heapq.heappop(self._free[bank])
-        self.address_of[value] = (bank, addr)
+        addr = heapq.heappop(free)
+        slot = self.address_of[value] = (bank, addr)
         self._residents[bank][value] = addr
-        return (bank, addr)
+        return slot
 
     def release(self, value: int) -> None:
         """Free the value's register, if it holds one."""
@@ -104,6 +107,8 @@ def schedule_program(
     blocks are not interleaved: each block waits for full pipeline
     drain, modeling a naive in-order issue.
     """
+    plan = dag.plan()
+    leaf = plan.leaf
     deps = block_dependencies(dag, blocks)
     ordered = topological_block_order(dag, blocks, deps)
     bank_of = assignment.bank_of
@@ -123,8 +128,9 @@ def schedule_program(
     program = Program(num_blocks=len(blocks))
     emit = program.instructions.append
     stats = ScheduleStats()
+    configs: Dict = {}  # the compile's op configs, shared (see place_block)
 
-    def place(value: int, keep: frozenset) -> Tuple[int, int]:
+    def place(value: int, keep: Sequence[int]) -> Tuple[int, int]:
         """Claim the lowest free register of the value's bank; while the
         bank is full, spill the resident whose last reader is furthest.
 
@@ -136,6 +142,8 @@ def schedule_program(
         """
         bank = bank_of[value]
         slot = banks.allocate(value, bank)
+        if slot is None:
+            keep = set(keep)
         while slot is None:
             residents = banks.values_in_bank(bank)
             spare = [v for v in residents if v not in keep]
@@ -166,29 +174,34 @@ def schedule_program(
     # the schedule's length, and the drain gate of the non-pipelined
     # ablation.  An unissued block whose producers have all issued sits
     # in a heap, so both are empty exactly when every block has issued.
+    heappush, heappop = heapq.heappush, heapq.heappop
+    load, reload, compute = InstructionKind.LOAD, InstructionKind.RELOAD, InstructionKind.COMPUTE
+    num_pes, pipelined = config.num_pes, config.pipelined_scheduling
+    stages, tree_depth = config.pipeline_stages, config.tree_depth
+    address_of = banks.address_of
     while future or ready:
         while future and future[0][0] <= cycle:
-            heapq.heappush(ready, heapq.heappop(future)[1])
+            heappush(ready, heappop(future)[1])
         issuing = 0
-        if config.pipelined_scheduling or stats.cycles <= cycle:
-            issuing = min(config.num_pes, len(ready))
+        if pipelined or stats.cycles <= cycle:
+            issuing = min(num_pes, len(ready))
         for pe in range(issuing):
-            index = heapq.heappop(ready)
+            index = heappop(ready)
             block = ordered[index]
+            inputs = block.inputs
             # A non-resident input is a leaf (LOAD) or a spilled
             # intermediate (RELOAD) and nothing else: a value is produced
             # before any reader is ready and keeps its register until
             # the last one has issued.
-            keep = frozenset(block.inputs)
-            for value in block.inputs:
-                if banks.resident(value):
+            for value in inputs:
+                if value in address_of:
                     continue
-                slot = place(value, keep)
-                if dag.node(value).op in LEAF_OPS:
-                    emit(VLIWInstruction(InstructionKind.LOAD, write=slot, value=value))
+                slot = place(value, inputs)
+                if leaf[value]:
+                    emit(VLIWInstruction(load, write=slot, value=value))
                     stats.loads += 1
                 else:
-                    emit(VLIWInstruction(InstructionKind.RELOAD, write=slot, value=value))
+                    emit(VLIWInstruction(reload, write=slot, value=value))
                     stats.reloads += 1
             # The fallback address is the bank-starved stale read: a kept
             # sibling ``place`` had to evict (a verifier *warning*;
@@ -196,12 +209,12 @@ def schedule_program(
             # before the write-back slot is claimed, so an input spilled
             # to make room for the output is still read at its old
             # address, which holds its bits until the write lands.
-            reads = [banks.address_of.get(v, (bank_of[v], 0)) for v in block.inputs]
-            out_slot = place(block.output, frozenset())
-            placement = map_block_to_tree(dag, block, config.tree_depth)
+            reads = [address_of.get(v) or (bank_of[v], 0) for v in inputs]
+            out_slot = place(block.output, ())
+            placement = place_block(plan, block, tree_depth, configs)
             emit(
                 VLIWInstruction(
-                    InstructionKind.COMPUTE,
+                    compute,
                     block_id=block.block_id,
                     reads=reads,
                     write=out_slot,
@@ -212,19 +225,21 @@ def schedule_program(
                     output_value=block.output,
                 )
             )
-            finish = cycle + config.pipeline_stages + issue_conflicts(assignment, block)
-            stats.cycles = max(stats.cycles, finish)
+            finish = cycle + stages + issue_conflicts(assignment, block)
+            if finish > stats.cycles:
+                stats.cycles = finish
             for dependent in dependents[index]:
                 blocked_on[dependent] -= 1
-                ready_when[dependent] = max(ready_when[dependent], finish)
-                if blocked_on[dependent] == 0:
-                    heapq.heappush(future, (ready_when[dependent], dependent))
-            for value in block.inputs:
+                if finish > ready_when[dependent]:
+                    ready_when[dependent] = finish
+                if not blocked_on[dependent]:
+                    heappush(future, (ready_when[dependent], dependent))
+            for value in inputs:
                 readers_left[value] -= 1
                 if not readers_left[value]:
                     banks.release(value)
 
-        stats.pe_issue_slots += config.num_pes
+        stats.pe_issue_slots += num_pes
         if not issuing:
             emit(VLIWInstruction(InstructionKind.NOP, issue_cycle=cycle))
             stats.nops += 1

@@ -6,6 +6,9 @@ at the PE root and recursively assigns children, configuring unused
 positions as FORWARD (pass-through) so operands injected at the leaves
 ripple up unchanged.  SUM edge weights ride on the child configuration,
 matching the node microarchitecture's multiply-accumulate datapath.
+Configs are frozen, so they are shared: one FORWARD config per tree
+position per process, and — across the blocks of one schedule — one op
+config per distinct ``(position, op, child weights)``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.compiler.blocks import Block
 from repro.core.compiler.program import TreeNodeConfig
-from repro.core.dag.graph import Dag, OpType
+from repro.core.dag.graph import Dag, DagPlan, OpType
 
 
 @dataclass
@@ -35,10 +38,24 @@ class TreePlacement:
 
 
 @lru_cache(maxsize=None)
-def _forward_configs(num_positions: int) -> Tuple[TreeNodeConfig, ...]:
-    """The one FORWARD config of each heap position, shared by every
-    placement on a tree of this size (configs are frozen)."""
-    return tuple(TreeNodeConfig(position, None) for position in range(num_positions))
+def _tree(tree_depth: int) -> Tuple[Tuple[TreeNodeConfig, ...], Tuple[Tuple[int, ...], ...]]:
+    """Per heap position of a PE tree of this depth: its one FORWARD
+    config, shared by every placement (configs are frozen), and the
+    path an operand wanted there rides — injected at the leaf at the
+    bottom of the position's left spine, FORWARDed up to the position."""
+    num_positions = 2 ** (tree_depth + 1) - 1
+    first_leaf = 2 ** tree_depth - 1
+    paths = []
+    for position in range(num_positions):
+        leaf = position
+        while leaf < first_leaf:
+            leaf = 2 * leaf + 1
+        path = [leaf]
+        while path[-1] != position:
+            path.append((path[-1] - 1) // 2)
+        paths.append(tuple(path))
+    forward = tuple(TreeNodeConfig(position, None) for position in range(num_positions))
+    return forward, tuple(paths)
 
 
 def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
@@ -46,23 +63,34 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
 
     Raises ``ValueError`` when the block is deeper than the PE tree.
     """
+    return place_block(dag.plan(), block, tree_depth, {})
+
+
+def place_block(
+    plan: DagPlan,
+    block: Block,
+    tree_depth: int,
+    configs: Dict[Tuple[int, OpType, Tuple[float, ...]], TreeNodeConfig],
+) -> TreePlacement:
+    """:func:`map_block_to_tree` over the DAG's plan, taking op configs
+    from ``configs`` — keyed by ``(position, op, child weights)`` and
+    filled as new ones appear — so a compile that passes one dict for
+    all its blocks holds one frozen config per distinct key."""
     if block.depth > tree_depth:
         raise ValueError(
             f"block depth {block.depth} exceeds tree depth {tree_depth}"
         )
-    placement = TreePlacement(block_id=block.block_id)
     block_nodes = set(block.nodes)
-    num_positions = 2 ** (tree_depth + 1) - 1
-    first_leaf = 2 ** tree_depth - 1
+    forward, paths = _tree(tree_depth)
+    num_positions = len(forward)
+    first_leaf = num_positions // 2
 
     # Heap-indexed: a config is written straight into its position, so
     # the list comes out sorted.  The walk reaches a position along one
     # path only, so a second claim on a slot means the walk is broken.
     by_position: List[Optional[TreeNodeConfig]] = [None] * num_positions
-    forward = _forward_configs(num_positions)
-    leaf_operands = placement.leaf_operands
-    node_of = dag.node
-    sum_op = OpType.SUM
+    leaf_operands: Dict[int, int] = {}
+    ops, children_of, weights = plan.ops, plan.children, plan.weights
     active = 0
 
     # Pre-order placement walk with an explicit stack (the recursion
@@ -73,29 +101,23 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
         if value_id not in block_nodes:
             # An operand: inject at the leaf below and FORWARD it up to
             # ``position`` (inclusive) so the parent op can read it.
-            leaf = position
-            while leaf < first_leaf:
-                leaf = 2 * leaf + 1  # descend left spine
-            leaf_operands[leaf] = value_id
-            walker = leaf
-            while True:
+            path = paths[position]
+            leaf_operands[path[0]] = value_id
+            for walker in path:
                 if by_position[walker] is not None:
                     raise AssertionError(f"conflicting configs at position {walker}")
                 by_position[walker] = forward[walker]
-                if walker == position:
-                    break
-                walker = (walker - 1) // 2
             continue
 
-        node = node_of(value_id)
-        child_weights: Tuple[float, ...] = ()
-        if node.op is sum_op and node.weights is not None:
-            child_weights = tuple(map(float, node.weights))
         if by_position[position] is not None:
             raise AssertionError(f"conflicting configs at position {position}")
-        by_position[position] = TreeNodeConfig(position, node.op, child_weights)
+        key = (position, ops[value_id], weights[value_id])
+        config = configs.get(key)
+        if config is None:
+            config = configs[key] = TreeNodeConfig(*key)
+        by_position[position] = config
         active += 1
-        children = node.children
+        children = children_of[value_id]
         if children:
             if position >= first_leaf:
                 raise ValueError("op node landed on a leaf position")
@@ -103,6 +125,9 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
                 stack.append((children[1], 2 * position + 2))
             stack.append((children[0], 2 * position + 1))
 
-    placement.configs = [config for config in by_position if config is not None]
-    placement.utilization = active / num_positions
-    return placement
+    return TreePlacement(
+        block.block_id,
+        [config for config in by_position if config is not None],
+        leaf_operands,
+        active / num_positions,
+    )

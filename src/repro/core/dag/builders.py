@@ -17,6 +17,8 @@ from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.core.dag.graph import Dag, OpType
 from repro.pc.circuit import (
+    _LEAF,
+    _PRODUCT,
     Circuit,
     CircuitNode,
     LeafNode,
@@ -51,27 +53,23 @@ def cnf_to_dag(formula: CNF) -> Tuple[Dag, Dict[int, int]]:
 def circuit_to_dag(circuit: Circuit) -> Tuple[Dag, Dict[int, int]]:
     """PC → DAG (structure-preserving).
 
-    Returns the DAG and a map circuit node_id → DAG node id.
+    Returns the DAG and a map circuit node_id → DAG node id.  A fresh
+    DAG numbers nodes as they are added, so adding them in the order of
+    the circuit's plan makes each DAG id the node's dense plan index.
     """
+    plan = circuit.plan()
     dag = Dag()
-    mapping: Dict[int, int] = {}
-    for node in circuit.topological_order():
-        children = [mapping[c.node_id] for c in node.children]
-        if isinstance(node, LeafNode):
-            mapping[node.node_id] = dag.add_op(
-                OpType.LEAF,
-                payload=(node.variable, tuple(float(p) for p in node.probabilities)),
-            )
-        elif isinstance(node, ProductNode):
-            mapping[node.node_id] = dag.add_op(OpType.PRODUCT, children)
-        elif isinstance(node, SumNode):
-            mapping[node.node_id] = dag.add_op(
-                OpType.SUM, children, weights=[float(w) for w in node.weights]
-            )
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown circuit node {node!r}")
-    dag.set_root(mapping[circuit.root.node_id])
-    return dag, mapping
+    add_op = dag.add_op
+    leaf_op, product_op, sum_op = OpType.LEAF, OpType.PRODUCT, OpType.SUM
+    for kind, _, node, children, _ in plan.entries:
+        if kind == _LEAF:
+            add_op(leaf_op, payload=(node.variable, tuple(map(float, node.probabilities))))
+        elif kind == _PRODUCT:
+            add_op(product_op, children)
+        else:
+            add_op(sum_op, children, weights=list(map(float, node.weights)))
+    dag.set_root(plan.root_index)
+    return dag, {node.node_id: dense for dense, node in enumerate(plan.order)}
 
 
 def dag_to_circuit(dag: Dag) -> Circuit:
@@ -118,40 +116,43 @@ def hmm_to_dag(
         raise ValueError("cannot unroll an empty observation sequence")
     S = hmm.num_states
     dag = Dag()
+    add_op = dag.add_op
+    leaf_op, sum_op, product_op = OpType.LEAF, OpType.SUM, OpType.PRODUCT
+    # The parameters as Python floats, read once; column s of the
+    # transition matrix holds the weights into state s.
+    emission = np.asarray(hmm.emission, dtype=float).tolist()
+    into = list(zip(*np.asarray(hmm.transition, dtype=float).tolist()))
+    initial = np.asarray(hmm.initial, dtype=float).tolist()
 
     def emission_leaf(t: int, s: int) -> int:
-        probability = float(hmm.emission[s, observations[t]])
-        return dag.add_op(OpType.LEAF, payload=(t * S + s, (probability,)))
+        probability = emission[s][observations[t]]
+        return add_op(leaf_op, payload=(t * S + s, (probability,)))
 
     # Layer 0: alpha_0(s) = initial[s] * emission[s, x_0].
     previous: List[int] = []
     for s in range(S):
         leaf = emission_leaf(0, s)
-        scaled = dag.add_op(OpType.SUM, [leaf], weights=[float(hmm.initial[s])])
-        previous.append(scaled)
+        previous.append(add_op(sum_op, [leaf], weights=[initial[s]]))
 
     for t in range(1, T):
         current: List[int] = []
         for s in range(S):
             incoming: List[int] = []
             weights: List[float] = []
-            for s_prev in range(S):
-                w = float(hmm.transition[s_prev, s])
+            for s_prev, w in enumerate(into[s]):
                 if w <= prune_transition_below:
                     continue
                 incoming.append(previous[s_prev])
                 weights.append(w)
             if not incoming:
                 # State unreachable after pruning: contributes zero.
-                zero = dag.add_op(OpType.LEAF, payload=(-1, (0.0,)))
-                current.append(zero)
+                current.append(add_op(leaf_op, payload=(-1, (0.0,))))
                 continue
-            mixed = dag.add_op(OpType.SUM, incoming, weights=weights)
-            emitted = dag.add_op(OpType.PRODUCT, [mixed, emission_leaf(t, s)])
-            current.append(emitted)
+            mixed = add_op(sum_op, incoming, weights=weights)
+            current.append(add_op(product_op, [mixed, emission_leaf(t, s)]))
         previous = current
 
-    root = dag.add_op(OpType.SUM, previous, weights=[1.0] * len(previous))
+    root = add_op(sum_op, previous, weights=[1.0] * len(previous))
     dag.set_root(root)
     return dag
 
@@ -169,12 +170,10 @@ def cnf_dag_footprint(formula: CNF) -> int:
 
 
 def circuit_dag_footprint(circuit: Circuit) -> int:
-    """``circuit_to_dag(circuit)[0].memory_footprint()`` without the DAG."""
-    words = 0
-    for node in circuit.topological_order():
-        fan_in = len(node.children)
-        words += 1 + (2 * fan_in if isinstance(node, SumNode) else fan_in)
-    return words
+    """``circuit_to_dag(circuit)[0].memory_footprint()`` without the DAG:
+    a word per node, per edge and per sum edge's weight."""
+    plan = circuit.plan()
+    return len(plan.order) + plan.num_edges + len(plan.edge_keys)
 
 
 def hmm_dag_footprint(hmm: HMM, num_steps: int) -> int:

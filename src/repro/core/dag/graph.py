@@ -9,7 +9,9 @@ One typed DAG covers all three kernel families:
 
 Nodes are atomic reasoning operations, directed edges are data
 dependencies, and inference is a bottom-up traversal — exactly the
-execution model REASON's compiler schedules onto tree PEs.
+execution model REASON's compiler schedules onto tree PEs.  Every pass
+that walks a DAG reads its :meth:`Dag.plan`: the graph flattened once
+into one node order and per-id columns.
 """
 
 from __future__ import annotations
@@ -34,9 +36,18 @@ class OpType(enum.Enum):
     # Generic named input (used by HMM unrolling for observations)
     INPUT = "input"
 
+    # Members are singletons that compare by identity, so the identity
+    # hash agrees with equality; it runs in C, where Enum's own hash is
+    # a Python call (``hash(self._name_)``) on every dict or set probe.
+    __hash__ = object.__hash__
+
 
 #: Ops whose value comes from outside the DAG rather than from children.
 LEAF_OPS = frozenset({OpType.LITERAL, OpType.LEAF, OpType.INPUT})
+
+# Reading a member off an Enum class is a metaclass lookup; the
+# per-node code below reads this one from the module instead.
+_SUM = OpType.SUM
 
 
 @dataclass
@@ -47,10 +58,10 @@ class DagNode:
     (variable, probabilities) tuple for LEAF, a name for INPUT.
     ``weights`` parallels ``children`` on SUM nodes.
 
-    ``children`` must not be mutated after the node is added to a
-    :class:`Dag`: the DAG memoizes traversal orders and only
-    invalidates them on :meth:`Dag.add` / :meth:`Dag.set_root`.  Build
-    a new node (or a new DAG) instead of editing edges in place.
+    A node is frozen once it is added to a :class:`Dag`: its
+    ``children`` and ``weights`` are read into the DAG's :meth:`Dag.plan`,
+    which only :meth:`Dag.add` / :meth:`Dag.set_root` drop.  Build a new
+    node (or a new DAG) instead of editing one in place.
     """
 
     op: OpType
@@ -59,9 +70,11 @@ class DagNode:
     weights: Optional[List[float]] = None
 
     def __post_init__(self) -> None:
-        if self.op is OpType.SUM and self.weights is None:
-            self.weights = [1.0] * len(self.children)
-        if self.weights is not None and len(self.weights) != len(self.children):
+        weights = self.weights
+        if weights is None:
+            if self.op is _SUM:
+                self.weights = [1.0] * len(self.children)
+        elif len(weights) != len(self.children):
             raise ValueError("weights must parallel children")
 
     @property
@@ -69,27 +82,117 @@ class DagNode:
         return len(self.children)
 
 
-class Dag:
-    """A rooted DAG of :class:`DagNode` addressed by integer ids."""
+def _post_order(children: Sequence[Sequence[int]], root: int) -> List[int]:
+    """Iterative depth-first post-order from ``root``, exploring a node's
+    children last-first; raises on a cycle."""
+    state = bytearray(len(children))  # 0 unseen, 1 on the path, 2 placed
+    order: List[int] = []
+    stack = [root]
+    pop, push, extend, place = stack.pop, stack.append, stack.extend, order.append
+    while stack:
+        node_id = pop()
+        if node_id < 0:  # ``~id``: every child of the node is placed
+            node_id = ~node_id
+            state[node_id] = 2
+            place(node_id)
+            continue
+        seen = state[node_id]
+        if seen:
+            if seen == 1:
+                raise ValueError("cycle detected in DAG")
+            continue
+        kids = children[node_id]
+        if kids:
+            state[node_id] = 1
+            push(~node_id)
+            extend(kids)
+        else:
+            state[node_id] = 2
+            place(node_id)
+    return order
 
-    # Memoized topological order, dropped on any mutation.  A class
-    # default rather than an __init__ assignment, so a Dag unpickled
-    # from an older store entry starts without one too.
-    _topo_order: Optional[List[int]] = None
+
+class DagPlan:
+    """The DAG below one root, flattened once for every pass that reads it.
+
+    ``order`` lists the nodes reachable from the root children-first: a
+    depth-first post-order that explores a node's children last-first.
+    Block ids, the ids of a regularized DAG and so every compiled
+    program are functions of it.
+
+    The columns are indexed by node id and cover every node, reachable
+    or not: ``nodes`` (the :class:`DagNode`), ``ops``, ``children``,
+    ``leaf`` (the op is in :data:`LEAF_OPS`), ``weights`` (a SUM's
+    weights as a float tuple, ``()`` for every other op) and ``parents``
+    (how many nodes list the id as a child).  The totals are what
+    :meth:`Dag.max_fan_in` and :meth:`Dag.memory_footprint` count over
+    the reachable nodes and :attr:`Dag.num_edges` over all of them.
+    """
+
+    __slots__ = (
+        "order", "nodes", "ops", "children", "leaf", "weights", "parents",
+        "max_fan_in", "num_edges", "footprint",
+    )  # fmt: skip
+
+    def __init__(self, nodes: List[DagNode], root: int):
+        self.nodes = nodes
+        self.ops = ops = [node.op for node in nodes]
+        self.children = children = [node.children for node in nodes]
+        self.leaf = [op in LEAF_OPS for op in ops]
+        self.weights = [
+            tuple(map(float, node.weights))
+            if node.op is _SUM and node.weights is not None
+            else ()
+            for node in nodes
+        ]
+        self.parents = parents = [0] * len(nodes)
+        for kids in children:
+            for child in kids:
+                parents[child] += 1
+        self.num_edges = sum(map(len, children))
+        self.order = order = _post_order(children, root)
+        fan_in = list(map(len, map(children.__getitem__, order)))
+        self.max_fan_in = max(fan_in, default=0)
+        weighted = (nodes[node_id].weights for node_id in order)
+        self.footprint = (
+            len(order) + sum(fan_in) + sum(len(w) for w in weighted if w is not None)
+        )
+
+
+class Dag:
+    """A rooted DAG of :class:`DagNode` addressed by integer ids.
+
+    Node ids are dense: the n-th node added gets id n.  Passes read the
+    graph through :meth:`plan`, built once and dropped by :meth:`add` /
+    :meth:`set_root`.
+    """
+
+    # The flattened graph, dropped on any mutation.  A class default
+    # rather than an __init__ assignment, so a Dag unpickled from a
+    # store entry starts without one too.
+    _plan: Optional[DagPlan] = None
 
     def __init__(self) -> None:
         self._nodes: Dict[int, DagNode] = {}
         self._next_id = 0
         self.root: Optional[int] = None
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The plan is derived data: a stored or copied DAG rebuilds it
+        # on first use instead of carrying it.
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
+
     def add(self, node: DagNode) -> int:
+        nodes = self._nodes
         for child in node.children:
-            if child not in self._nodes:
+            if child not in nodes:
                 raise KeyError(f"child {child} not in DAG")
         node_id = self._next_id
-        self._next_id += 1
-        self._nodes[node_id] = node
-        self._topo_order = None
+        self._next_id = node_id + 1
+        nodes[node_id] = node
+        self._plan = None
         return node_id
 
     def add_op(
@@ -100,7 +203,9 @@ class Dag:
         weights: Optional[Sequence[float]] = None,
     ) -> int:
         return self.add(
-            DagNode(op, list(children), payload, list(weights) if weights else None)
+            DagNode(
+                op, list(children), payload, None if weights is None else list(weights)
+            )
         )
 
     def node(self, node_id: int) -> DagNode:
@@ -116,7 +221,7 @@ class Dag:
         if node_id not in self._nodes:
             raise KeyError(f"node {node_id} not in DAG")
         if node_id != self.root:
-            self._topo_order = None
+            self._plan = None
         self.root = node_id
 
     def items(self) -> Iterator[Tuple[int, DagNode]]:
@@ -124,41 +229,22 @@ class Dag:
 
     # --------------------------------------------------------------- queries
 
-    def topological_order(self) -> List[int]:
-        """Children-before-parents order of nodes reachable from the root.
+    def plan(self) -> DagPlan:
+        """The flattened graph below the root (see :class:`DagPlan`),
+        built on first use and dropped when the DAG mutates through
+        :meth:`add` / :meth:`set_root`.  Raises if no root is set.  Two
+        threads racing the first build each store an equal plan."""
+        plan = self._plan
+        if plan is None:
+            if self.root is None:
+                raise ValueError("DAG has no root")
+            plan = self._plan = DagPlan(list(self._nodes.values()), self.root)
+        return plan
 
-        Raises if no root is set.  The order is memoized and dropped
-        when the DAG mutates through :meth:`add`/:meth:`set_root`, so
-        the many traversal-hungry consumers (compiler passes, pruning,
-        footprint queries) pay the walk once.  In-place edits of a
-        node's ``children`` list are not tracked (see :class:`DagNode`).
-        """
-        if self.root is None:
-            raise ValueError("DAG has no root")
-        if self._topo_order is not None:
-            return list(self._topo_order)
-        order: List[int] = []
-        state: Dict[int, int] = {}  # 0 visiting, 1 done
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node_id, processed = stack.pop()
-            if processed:
-                state[node_id] = 1
-                order.append(node_id)
-                continue
-            if node_id in state:
-                if state[node_id] == 0:
-                    raise ValueError("cycle detected in DAG")
-                continue
-            state[node_id] = 0
-            stack.append((node_id, True))
-            for child in self._nodes[node_id].children:
-                if state.get(child) != 1:
-                    if state.get(child) == 0:
-                        raise ValueError("cycle detected in DAG")
-                    stack.append((child, False))
-        self._topo_order = order
-        return list(order)
+    def topological_order(self) -> List[int]:
+        """Children-before-parents order of nodes reachable from the
+        root: a copy of ``plan().order``.  Raises if no root is set."""
+        return list(self.plan().order)
 
     @property
     def num_nodes(self) -> int:
@@ -166,29 +252,28 @@ class Dag:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(n.children) for n in self._nodes.values())
+        """Edges of every node, reachable or not; a plan count, so it
+        needs a root like every other query."""
+        return self.plan().num_edges
 
     def depth(self) -> int:
         """Longest path (in edges) from any leaf to the root."""
-        depths: Dict[int, int] = {}
-        for node_id in self.topological_order():
-            node = self._nodes[node_id]
-            if not node.children:
-                depths[node_id] = 0
-            else:
-                depths[node_id] = 1 + max(depths[c] for c in node.children)
-        return depths[self.root] if self.root is not None else 0
+        plan = self.plan()
+        children = plan.children
+        depths = [0] * len(children)
+        for node_id in plan.order:
+            kids = children[node_id]
+            if kids:
+                depths[node_id] = 1 + max(map(depths.__getitem__, kids))
+        return depths[self.root]
 
     def max_fan_in(self) -> int:
-        nodes = self._nodes
-        return max(
-            (len(nodes[i].children) for i in self.topological_order()), default=0
-        )
+        return self.plan().max_fan_in
 
     def op_histogram(self) -> Dict[OpType, int]:
+        plan = self.plan()
         hist: Dict[OpType, int] = {}
-        for node_id in self.topological_order():
-            op = self._nodes[node_id].op
+        for op in map(plan.ops.__getitem__, plan.order):
             hist[op] = hist.get(op, 0) + 1
         return hist
 
@@ -196,24 +281,15 @@ class Dag:
         """Abstract memory cost in words: one per node plus one per edge
         plus one per sum weight — the unit Table IV's memory-reduction
         percentages are measured in."""
-        live = self.topological_order()
-        words = 0
-        for node_id in live:
-            node = self._nodes[node_id]
-            words += 1 + len(node.children)
-            if node.weights is not None:
-                words += len(node.weights)
-        return words
+        return self.plan().footprint
 
     def compact(self) -> "Dag":
         """Copy keeping only nodes reachable from the root, renumbered."""
-        if self.root is None:
-            raise ValueError("DAG has no root")
-        live = self.topological_order()
+        plan = self.plan()
         mapping: Dict[int, int] = {}
         out = Dag()
-        for node_id in live:
-            node = self._nodes[node_id]
+        for node_id in plan.order:
+            node = plan.nodes[node_id]
             mapping[node_id] = out.add_op(
                 node.op,
                 [mapping[c] for c in node.children],
@@ -232,20 +308,24 @@ def default_leaf_inputs(dag: Dag, literal_values: Optional[Dict[int, bool]] = No
     likelihood); LITERAL nodes get the truth value from
     ``literal_values`` (DIMACS variable → bool) or 0.0.
     """
+    plan = dag.plan()
+    nodes, leaf = plan.nodes, plan.leaf
+    leaf_op, literal_op = OpType.LEAF, OpType.LITERAL
     inputs: Dict[int, float] = {}
-    for node_id in dag.topological_order():
-        node = dag.node(node_id)
-        if node.op is OpType.LEAF and node.payload is not None:
-            _, probabilities = node.payload
-            inputs[node_id] = float(sum(probabilities))
-        elif node.op is OpType.LITERAL:
-            if literal_values is not None:
-                lit = node.payload
-                value = literal_values.get(abs(lit))
-                inputs[node_id] = 1.0 if value is not None and value == (lit > 0) else 0.0
-            else:
-                inputs[node_id] = 0.0
-        elif node.op is OpType.INPUT:
+    for node_id in plan.order:
+        if not leaf[node_id]:
+            continue
+        node = nodes[node_id]
+        op = node.op
+        if op is leaf_op:
+            if node.payload is not None:
+                _, probabilities = node.payload
+                inputs[node_id] = float(sum(probabilities))
+        elif op is literal_op and literal_values is not None:
+            lit = node.payload
+            value = literal_values.get(abs(lit))
+            inputs[node_id] = 1.0 if value is not None and value == (lit > 0) else 0.0
+        else:  # a LITERAL without an assignment, or an INPUT
             inputs[node_id] = 0.0
     return inputs
 

@@ -11,7 +11,7 @@ expected transition usage from forward-backward posteriors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,16 @@ from repro.hmm.inference import transition_posteriors
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.logic.implication_graph import PruneReport, prune_hidden_literals
-from repro.pc.circuit import Circuit, CircuitNode, LeafNode, ProductNode, SumNode
+from repro.pc.circuit import (
+    _LEAF,
+    _PRODUCT,
+    Circuit,
+    CircuitNode,
+    LeafNode,
+    ProductNode,
+    SumNode,
+    copy_leaf_tables,
+)
 from repro.pc.flows import dataset_edge_flows, flow_pruning_bound
 from repro.pc.inference import Evidence
 
@@ -84,10 +93,8 @@ def prune_circuit_by_flow(
     drop_order = [key for key, _ in sum_edges]
 
     # Respect MIN_SUM_CHILDREN per sum node while honoring the drop budget.
-    children_left: Dict[int, int] = {}
-    for node in circuit.topological_order():
-        if isinstance(node, SumNode):
-            children_left[node.node_id] = len(node.children)
+    plan = circuit.plan()
+    children_left = {node.node_id: len(node.children) for node in plan.sums}
     dropped: set = set()
     bound_mass = 0.0
     for key in drop_order:
@@ -101,30 +108,38 @@ def prune_circuit_by_flow(
         bound_mass += flows[key]
 
     report = FlowPruneReport(
-        edges_before=circuit.num_edges,
-        nodes_before=circuit.num_nodes,
+        edges_before=plan.num_edges,
+        nodes_before=len(plan.order),
         log_likelihood_bound=flow_pruning_bound(bound_mass, count) if dropped else 0.0,
     )
 
-    rebuilt: Dict[int, CircuitNode] = {}
-    for node in circuit.topological_order():
-        if isinstance(node, LeafNode):
-            rebuilt[node.node_id] = LeafNode(node.variable, node.probabilities.copy())
-        elif isinstance(node, ProductNode):
-            rebuilt[node.node_id] = ProductNode([rebuilt[c.node_id] for c in node.children])
-        elif isinstance(node, SumNode):
+    # The rebuild by dense plan index: a node's children precede it.
+    # Leaf tables are copied and checked in one pass; only when one
+    # fails does each leaf go through ``LeafNode``'s own check, which
+    # raises the error the first bad table in plan order raises.
+    tables, valid = copy_leaf_tables(plan.leaves)
+    new_leaf = LeafNode._over_checked if valid else LeafNode
+    next_table = iter(tables).__next__
+    rebuilt: List[CircuitNode] = []
+    edge_keys = plan.edge_keys
+    for kind, _, node, children, slot in plan.entries:
+        if kind == _LEAF:
+            rebuilt.append(new_leaf(node.variable, next_table()))
+        elif kind == _PRODUCT:
+            rebuilt.append(ProductNode([rebuilt[c] for c in children]))
+        else:
             kept_children: List[CircuitNode] = []
             kept_weights: List[float] = []
-            for child, weight in zip(node.children, node.weights):
-                if (node.node_id, child.node_id) in dropped:
-                    continue
-                kept_children.append(rebuilt[child.node_id])
-                kept_weights.append(float(weight))
+            keys = edge_keys[slot : slot + len(children)]
+            for child, weight, key in zip(children, node.weights, keys):
+                if key not in dropped:
+                    kept_children.append(rebuilt[child])
+                    kept_weights.append(float(weight))
             total = sum(kept_weights)
             if total > 0:
                 kept_weights = [w / total for w in kept_weights]
-            rebuilt[node.node_id] = SumNode(kept_children, kept_weights)
-    pruned = Circuit(rebuilt[circuit.root.node_id], dict(circuit.num_states))
+            rebuilt.append(SumNode(kept_children, kept_weights))
+    pruned = Circuit(rebuilt[plan.root_index], dict(circuit.num_states))
 
     report.edges_after = pruned.num_edges
     report.nodes_after = pruned.num_nodes

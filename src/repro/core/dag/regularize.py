@@ -6,21 +6,25 @@ their edge weights into the first binary layer (each original weighted
 edge becomes a weight-1 internal edge below a weighted leaf-level edge),
 preserving the computed function exactly.  The canonical form gives
 every kernel the same shape as REASON's binary tree PEs.
+
+The rewrite walks the input's :meth:`~repro.core.dag.graph.Dag.plan`
+and adds nodes in its order, so the output's ids are a function of
+that order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from repro.core.dag.graph import Dag, OpType
+from repro.core.dag.graph import Dag, DagNode, OpType
 
 # Ops where an n-ary node equals a balanced tree of 2-ary nodes.
-_ASSOCIATIVE = {OpType.OR, OpType.AND, OpType.SUM, OpType.PRODUCT}
+_ASSOCIATIVE = frozenset({OpType.OR, OpType.AND, OpType.SUM, OpType.PRODUCT})
 
 
 def is_two_input(dag: Dag) -> bool:
     """True when every reachable node has fan-in ≤ 2."""
-    return dag.max_fan_in() <= 2
+    return dag.plan().max_fan_in <= 2
 
 
 def regularize_two_input(dag: Dag) -> Dag:
@@ -32,39 +36,43 @@ def regularize_two_input(dag: Dag) -> Dag:
     balanced tree of unweighted two-input SUMs, keeping depth at
     ``ceil(log2 fan_in)`` extra levels.
     """
+    plan = dag.plan()
     out = Dag()
-    mapping: Dict[int, int] = {}
+    add_op = out.add_op
+    sum_op = OpType.SUM
 
     def balanced_reduce(op: OpType, children: List[int]) -> int:
         if len(children) == 1:
             return children[0]
-        if len(children) == 2:
-            weights = [1.0, 1.0] if op is OpType.SUM else None
-            return out.add_op(op, children, weights=weights)
-        mid = (len(children) + 1) // 2
-        left = balanced_reduce(op, children[:mid])
-        right = balanced_reduce(op, children[mid:])
-        weights = [1.0, 1.0] if op is OpType.SUM else None
-        return out.add_op(op, [left, right], weights=weights)
+        if len(children) > 2:
+            mid = (len(children) + 1) // 2
+            children = [
+                balanced_reduce(op, children[:mid]),
+                balanced_reduce(op, children[mid:]),
+            ]
+        return add_op(op, children, weights=[1.0, 1.0] if op is sum_op else None)
 
-    for node_id in dag.topological_order():
-        node = dag.node(node_id)
-        children = [mapping[c] for c in node.children]
-        if node.fan_in <= 2 or node.op not in _ASSOCIATIVE:
-            mapping[node_id] = out.add_op(node.op, children, node.payload, node.weights)
-            continue
-        if node.op is OpType.SUM:
-            assert node.weights is not None
-            scaled: List[int] = []
-            for child, weight in zip(children, node.weights):
-                if weight == 1.0:
-                    scaled.append(child)
-                else:
-                    scaled.append(out.add_op(OpType.SUM, [child], weights=[weight]))
-            mapping[node_id] = balanced_reduce(OpType.SUM, scaled)
+    nodes, ops = plan.nodes, plan.ops
+    add = out.add
+    mapped = [-1] * len(nodes)  # input id -> output id
+    for node_id in plan.order:
+        node = nodes[node_id]
+        op = ops[node_id]
+        children = [mapped[c] for c in node.children]
+        if len(children) <= 2 or op not in _ASSOCIATIVE:
+            # A copy of the node over the new ids (``add_op`` less its
+            # defensive copy of a children list built here).
+            weights = node.weights
+            copy = DagNode(op, children, node.payload, None if weights is None else list(weights))
+            mapped[node_id] = add(copy)
+        elif op is sum_op:
+            scaled = [
+                child if weight == 1.0 else add_op(sum_op, [child], weights=[weight])
+                for child, weight in zip(children, node.weights)
+            ]
+            mapped[node_id] = balanced_reduce(sum_op, scaled)
         else:
-            mapping[node_id] = balanced_reduce(node.op, children)
+            mapped[node_id] = balanced_reduce(op, children)
 
-    assert dag.root is not None
-    out.set_root(mapping[dag.root])
+    out.set_root(mapped[dag.root])
     return out

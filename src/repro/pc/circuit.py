@@ -59,6 +59,15 @@ class LeafNode(CircuitNode):
         self.variable = variable
         self.probabilities = probs
 
+    @classmethod
+    def _over_checked(cls, variable: int, table: np.ndarray) -> "LeafNode":
+        """A leaf over ``table`` as it is, for a caller that has already
+        checked it as ``__init__`` would (see :func:`copy_leaf_tables`)."""
+        leaf = cls.__new__(cls)
+        CircuitNode.__init__(leaf)
+        leaf.variable, leaf.probabilities = variable, table
+        return leaf
+
     def scope(self) -> FrozenSet[int]:
         return frozenset([self.variable])
 
@@ -135,8 +144,9 @@ class CircuitPlan:
     """The graph below one root, flattened once for everything that walks it.
 
     Children are tuples, so all of this is a pure function of the root
-    node's identity: node order, dense child indices, sum-edge slots and
-    the ``structure_digest`` are built by one walk and remembered.
+    node's identity: node order, dense child indices, sum-edge slots, the
+    edge count and the ``structure_digest`` are built by one walk and
+    remembered.
     Weights and leaf tables are *not* here — they are arrays anyone may
     write or reassign, so every reader (flows, EM, the cache key) takes
     them from ``leaves`` / ``sums`` at use.
@@ -149,7 +159,7 @@ class CircuitPlan:
 
     __slots__ = (
         "root", "order", "entries", "edge_keys", "root_index", "variables",
-        "leaves", "sums", "structure_digest",
+        "leaves", "sums", "num_edges", "structure_digest",
     )  # fmt: skip
 
     def __init__(self, root: CircuitNode):
@@ -180,6 +190,7 @@ class CircuitPlan:
         self.variables: Set[int] = set()
         self.leaves: List[LeafNode] = []
         self.sums: List[SumNode] = []
+        self.num_edges = 0
         stream = array("q", [len(order)])
         for dense, node in enumerate(order):
             if isinstance(node, LeafNode):
@@ -199,6 +210,7 @@ class CircuitPlan:
             else:
                 raise TypeError(f"unsupported circuit node type: {type(node).__name__}")
             self.entries.append((kind, dense, node, children, slot))
+            self.num_edges += len(children)
             stream.extend((kind, len(children)))
             stream.extend(children)
         self.structure_digest = hashlib.sha256(stream.tobytes()).digest()
@@ -231,7 +243,7 @@ class Circuit:
         return state
 
     def variables(self) -> FrozenSet[int]:
-        return self.root.scope()
+        return frozenset(self.plan().variables)
 
     def plan(self) -> CircuitPlan:
         """The flattened graph below the current root, built on first
@@ -259,11 +271,11 @@ class Circuit:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.topological_order())
+        return len(self.plan().order)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges())
+        return self.plan().num_edges
 
     @property
     def num_parameters(self) -> int:
@@ -276,26 +288,36 @@ class Circuit:
                 count += len(node.probabilities)
         return count
 
+    def _scopes(self) -> List[FrozenSet[int]]:
+        """Every node's scope by dense plan index, built bottom-up once
+        (``CircuitNode.scope`` recurses with no memo: exponential on
+        shared sub-circuits, and a deep chain overflows the stack)."""
+        scopes: List[FrozenSet[int]] = []
+        for kind, _, node, children, _ in self.plan().entries:
+            if kind == _LEAF:
+                scopes.append(frozenset((node.variable,)))
+            else:
+                scopes.append(frozenset().union(*map(scopes.__getitem__, children)))
+        return scopes
+
     def is_smooth(self) -> bool:
         """Every sum node's children share the same scope."""
-        for node in self.topological_order():
-            if isinstance(node, SumNode):
-                scopes = {child.scope() for child in node.children}
-                if len(scopes) > 1:
-                    return False
-        return True
+        scopes = self._scopes()
+        return all(
+            len({scopes[child] for child in children}) <= 1
+            for kind, _, _, children, _ in self.plan().entries
+            if kind == _SUM
+        )
 
     def is_decomposable(self) -> bool:
-        """Every product node's children have pairwise disjoint scopes."""
-        for node in self.topological_order():
-            if isinstance(node, ProductNode):
-                seen: set = set()
-                for child in node.children:
-                    child_scope = child.scope()
-                    if seen & child_scope:
-                        return False
-                    seen |= child_scope
-        return True
+        """Every product node's children have pairwise disjoint scopes:
+        their sizes add up to the size of their union."""
+        scopes = self._scopes()
+        return all(
+            sum(len(scopes[child]) for child in children) == len(scopes[dense])
+            for kind, dense, _, children, _ in self.plan().entries
+            if kind == _PRODUCT
+        )
 
     def is_deterministic(self, max_assignments: int = 4096) -> bool:
         """Every sum node has at most one non-zero child per assignment.
@@ -347,6 +369,15 @@ class Circuit:
 
     def max_fan_in(self) -> int:
         return max((len(n.children) for n in self.topological_order()), default=0)
+
+
+def copy_leaf_tables(leaves: Sequence[LeafNode]) -> Tuple[List[np.ndarray], bool]:
+    """Float copies of the leaves' tables, and whether every copy passes
+    :class:`LeafNode`'s check — 1-D, non-empty, non-negative — taken in
+    one numpy pass over all of them rather than one per leaf."""
+    tables = [np.array(leaf.probabilities, dtype=float) for leaf in leaves]
+    valid = all(table.ndim == 1 and table.size for table in tables)
+    return tables, valid and not (np.concatenate(tables) < 0).any()
 
 
 def bernoulli_leaf(variable: int, p_true: float) -> LeafNode:

@@ -122,6 +122,41 @@ def reference_block_dependencies(dag, blocks):
     return deps
 
 
+def reference_bank_mapping(blocks, num_banks):
+    """``map_operands_to_banks`` as it was before the heap: pairwise
+    conflict cliques, then a first-wins scan of every bank per value.
+    Returns ``(bank_of, conflicts)``."""
+    neighbors = {}
+    for block in blocks:
+        group = list(dict.fromkeys(block.inputs))
+        for value in group:
+            neighbors.setdefault(value, set())
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+    for block in blocks:
+        neighbors.setdefault(block.output, set())
+    bank_of, occupancy, conflicts = {}, [0] * num_banks, 0
+    for value in sorted(neighbors, key=lambda v: (-len(neighbors[v]), v)):
+        taken = {bank_of[n] for n in neighbors[value] if n in bank_of}
+        bank, best_occupancy = -1, -1
+        for b in range(num_banks):
+            if b in taken:
+                continue
+            if bank < 0 or occupancy[b] < best_occupancy:
+                bank, best_occupancy = b, occupancy[b]
+        if bank < 0:  # every bank conflicts: the least loaded, first wins
+            bank = 0
+            for b in range(1, num_banks):
+                if occupancy[b] < occupancy[bank]:
+                    bank = b
+            conflicts += 1
+        bank_of[value] = bank
+        occupancy[bank] += 1
+    return bank_of, conflicts
+
+
 class TestBlockDecomposition:
     def test_requires_two_input_dag(self):
         dag, _ = cnf_to_dag(random_ksat(5, 10, seed=0))
@@ -222,6 +257,25 @@ class TestBankMapping:
     def test_zero_banks_rejected(self):
         with pytest.raises(ValueError):
             map_operands_to_banks(Dag(), [], 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_property_heap_argmin_equals_the_bank_scan(self, groups, num_banks):
+        # Outputs share the inputs' id range, so blocks read each other.
+        blocks = [
+            Block(i, [20 + i], group, 20 + i, depth=1) for i, group in enumerate(groups)
+        ]
+        assignment = map_operands_to_banks(Dag(), blocks, num_banks)
+        assert (assignment.bank_of, assignment.conflicts) == reference_bank_mapping(
+            blocks, num_banks
+        )
 
 
 class TestTreePlacement:

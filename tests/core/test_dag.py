@@ -1,7 +1,9 @@
 """Tests for the unified DAG IR, builders, pruning, and regularization."""
 
+import collections
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -29,11 +31,13 @@ from repro.core.dag.builders import (
     cnf_dag_footprint,
     hmm_dag_footprint,
 )
+from repro.core.dag.graph import LEAF_OPS
 from repro.hmm.inference import log_likelihood as hmm_log_likelihood
 from repro.hmm.model import HMM
 from repro.logic.cdcl import solve_cnf
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import random_ksat
+from repro.pc.circuit import Circuit, ProductNode, SumNode, bernoulli_leaf
 from repro.pc.inference import likelihood, partition_function
 from repro.pc.learn import random_circuit, sample_dataset
 
@@ -49,6 +53,31 @@ class TestDagCore:
         a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
         s = dag.add_op(OpType.SUM, [a])
         assert dag.node(s).weights == [1.0]
+
+    def test_add_op_keeps_array_weights(self):
+        # An array is not truth-tested: a zero weight is stored as given
+        # (it used to become the default 1.0) and a two-weight array is
+        # accepted (it used to raise numpy's "truth value ... ambiguous").
+        dag = Dag()
+        a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
+        b = dag.add_op(OpType.LEAF, payload=(1, (1.0,)))
+        zero = dag.add_op(OpType.SUM, [a], weights=np.array([0.0]))
+        pair = dag.add_op(OpType.SUM, [a, b], weights=np.array([0.25, 0.75]))
+        assert dag.node(zero).weights == [0.0]
+        assert dag.node(pair).weights == [0.25, 0.75]
+        dag.set_root(zero)
+        assert evaluate_dag(dag, {})[zero] == 0.0
+
+    def test_add_op_copies_list_weights(self):
+        dag = Dag()
+        a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
+        weights = [0.5]
+        s = dag.add_op(OpType.SUM, [a], weights=weights)
+        weights[0] = 9.0
+        assert dag.node(s).weights == [0.5]
+        assert dag.node(dag.add_op(OpType.PRODUCT, [a, s])).weights is None
+        with pytest.raises(ValueError, match="parallel"):
+            dag.add_op(OpType.SUM, [a], weights=[0.5, 0.5])
 
     def test_weight_child_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -96,6 +125,112 @@ class TestDagCore:
         assert hist[OpType.LITERAL] == 2
         assert hist[OpType.OR] == 1
         assert hist[OpType.AND] == 1
+
+
+def reference_topological_order(dag: Dag) -> list:
+    """``Dag.topological_order`` as it was before the plan: the stack
+    walk over node objects whose order the plan has to keep."""
+    order, state = [], {}  # 0 visiting, 1 done
+    stack = [(dag.root, False)]
+    while stack:
+        node_id, processed = stack.pop()
+        if processed:
+            state[node_id] = 1
+            order.append(node_id)
+            continue
+        if node_id in state:
+            if state[node_id] == 0:
+                raise ValueError("cycle detected in DAG")
+            continue
+        state[node_id] = 0
+        stack.append((node_id, True))
+        for child in dag.node(node_id).children:
+            if state.get(child) != 1:
+                if state.get(child) == 0:
+                    raise ValueError("cycle detected in DAG")
+                stack.append((child, False))
+    return order
+
+
+def random_dag(seed: int, leaves: int, ops: int) -> Dag:
+    """Ops of fan-in 1-4 over earlier nodes, some repeating a child; the
+    last op is the root, so some nodes are unreachable."""
+    rng = random.Random(seed)
+    dag = Dag()
+    nodes = [dag.add_op(OpType.LITERAL, payload=i + 1) for i in range(0, leaves, 2)]
+    nodes += [dag.add_op(OpType.LEAF, payload=(i, (0.5,))) for i in range(1, leaves, 2)]
+    for _ in range(ops):
+        children = [rng.choice(nodes[-6:]) for _ in range(rng.randint(1, 4))]
+        op = rng.choice([OpType.SUM, OpType.PRODUCT, OpType.AND, OpType.OR])
+        weights = None
+        if op is OpType.SUM:  # an int weight too: the plan's are floats
+            weights = [rng.choice([1, 0.5, 0.25]) for _ in children]
+        nodes.append(dag.add_op(op, children, weights=weights))
+    dag.set_root(nodes[-1])
+    return dag
+
+
+class TestDagPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_property_plan_equals_the_object_graph(self, seed, leaves, ops):
+        dag = random_dag(seed, leaves, ops)
+        plan = dag.plan()
+        live = reference_topological_order(dag)
+        assert plan.order == live
+        nodes = [node for _, node in dag.items()]
+        assert plan.ops == [node.op for node in nodes]
+        assert plan.children == [node.children for node in nodes]
+        assert plan.leaf == [node.op in LEAF_OPS for node in nodes]
+        assert plan.weights == [
+            tuple(float(w) for w in node.weights) if node.op is OpType.SUM else ()
+            for node in nodes
+        ]
+        assert all(type(w) is float for weights in plan.weights for w in weights)
+        parents = collections.Counter(c for node in nodes for c in node.children)
+        assert plan.parents == [parents[node_id] for node_id in range(len(nodes))]
+        assert plan.num_edges == sum(len(node.children) for node in nodes)
+        assert plan.max_fan_in == max(len(nodes[i].children) for i in live)
+        assert plan.footprint == sum(
+            1 + len(nodes[i].children) + len(nodes[i].weights or ()) for i in live
+        )
+
+    def test_plan_is_built_once_and_dropped_by_mutation(self):
+        dag, _ = cnf_to_dag(CNF([Clause([1, 2]), Clause([-1, 3])]))
+        plan = dag.plan()
+        assert dag.plan() is plan
+        assert dag.topological_order() == plan.order
+        assert dag.topological_order() is not plan.order  # callers get a copy
+        dag.set_root(dag.root)
+        assert dag.plan() is plan
+        leaf = dag.add_op(OpType.LITERAL, payload=4)
+        assert dag.plan() is not plan
+        plan = dag.plan()
+        dag.set_root(leaf)
+        assert dag.plan() is not plan and dag.plan().order == [leaf]
+
+    def test_plan_stays_out_of_pickles(self):
+        dag, _ = cnf_to_dag(random_ksat(6, 12, seed=3))
+        plan = dag.plan()
+        restored = pickle.loads(pickle.dumps(dag))
+        assert "_plan" not in restored.__dict__
+        assert dag.plan() is plan
+        assert restored.plan().order == plan.order
+
+    def test_plan_needs_a_root_and_rejects_a_cycle(self):
+        with pytest.raises(ValueError, match="no root"):
+            Dag().plan()
+        dag = Dag()
+        a = dag.add_op(OpType.LITERAL, payload=1)
+        b = dag.add_op(OpType.NOT, [a])
+        dag.set_root(b)
+        dag.node(a).children.append(b)  # breaks the frozen-node contract
+        with pytest.raises(ValueError, match="cycle"):
+            dag.plan()
 
 
 class TestEvaluate:
@@ -225,6 +360,41 @@ class TestCircuitPruning:
         circuit = random_circuit(4, depth=2, seed=14)
         with pytest.raises(ValueError):
             prune_circuit_by_flow(circuit, [])
+
+    @pytest.mark.parametrize(
+        "first, last, message",
+        [
+            (None, [-0.5, 1.5], "non-negative"),
+            (None, [], "1-D"),
+            ([], [-0.5, 1.5], "1-D"),
+            ([-0.5, 1.5], [], "non-negative"),
+        ],
+    )
+    def test_bad_leaf_table_raises_the_first_bad_leafs_error(self, first, last, message):
+        # The rebuild checks every leaf table in one batch; on a failure
+        # the first bad leaf in plan order raises LeafNode's own error.
+        leaves = [bernoulli_leaf(variable, 0.5) for variable in (0, 1, 0, 1)]
+        products = [ProductNode(leaves[:2]), ProductNode(leaves[2:])]
+        circuit = Circuit(SumNode(products, [0.5, 0.5]))
+        assert [leaf.node_id for leaf in circuit.plan().leaves] == [
+            leaf.node_id for leaf in leaves
+        ]
+        if first is not None:
+            leaves[0].probabilities = np.array(first, dtype=float)
+        leaves[3].probabilities = np.array(last, dtype=float)
+        with pytest.raises(ValueError, match=message):
+            prune_circuit_by_flow(circuit, [{0: 1, 1: 0}], keep_fraction=0.5)
+
+    def test_pruned_leaves_are_fresh_float_copies(self):
+        circuit = random_circuit(5, depth=2, seed=15)
+        data = sample_dataset(circuit, 20, seed=16)
+        pruned, _ = prune_circuit_by_flow(circuit, data, keep_fraction=1.0)
+        before = {leaf.node_id for leaf in circuit.plan().leaves}
+        for old, new in zip(circuit.plan().leaves, pruned.plan().leaves):
+            assert new.node_id not in before
+            assert new.probabilities is not old.probabilities
+            assert new.probabilities.dtype == np.float64
+            np.testing.assert_array_equal(new.probabilities, old.probabilities)
 
 
 class TestHmmPruning:

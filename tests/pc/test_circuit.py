@@ -1,6 +1,7 @@
 """Tests for probabilistic circuit structure and inference."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,36 @@ class TestStructure:
         bad = Circuit(ProductNode([bernoulli_leaf(0, 0.5), bernoulli_leaf(0, 0.5)]))
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_deep_chain_constructs_and_validates(self):
+        # 3,000 nested sums: scope() recursion would pass the
+        # interpreter's limit; the circuit reads its plan instead.
+        node = bernoulli_leaf(0, 0.5)
+        for _ in range(3000):
+            node = SumNode([node], [1.0])
+        circuit = Circuit(node)
+        assert circuit.variables() == frozenset({0})
+        circuit.validate()
+        assert (circuit.num_nodes, circuit.num_edges) == (3001, 3000)
+
+    def test_shared_diamond_validates_in_linear_time(self):
+        # 40 levels of SumNode([a, a]): an unmemoised scope() walk
+        # visits 2**40 paths.  A product repeating a variable sits under
+        # the shared levels, so both checks have to reach the bottom.
+        bottom = ProductNode([bernoulli_leaf(0, 0.5), bernoulli_leaf(1, 0.5)])
+        bad = ProductNode([bernoulli_leaf(0, 0.5), bernoulli_leaf(0, 0.5)])
+        tops = []
+        for product in (bottom, bad):
+            node = product
+            for _ in range(40):
+                node = SumNode([node, node], [0.5, 0.5])
+            tops.append(node)
+        start = time.perf_counter()
+        good, shared_bad = Circuit(tops[0]), Circuit(tops[1])
+        good.validate()
+        assert not shared_bad.is_decomposable() and shared_bad.is_smooth()
+        assert good.variables() == frozenset({0, 1})
+        assert time.perf_counter() - start < 1.0
 
     def test_topological_order_children_first(self):
         circuit = simple_mixture()
