@@ -1,11 +1,12 @@
-"""End-to-end GPU+REASON pipeline (paper Sec. VI): the coprocessor
-programming model and sharded service execution.
+"""End-to-end GPU+REASON pipeline (paper Sec. VI): kernels through the
+front door, then sharded service execution.
 
-Runs a batch of mixed reasoning tasks two ways: through the Listing-1
-coprocessor interface (`reason_execute` / `reason_check_status`), and
-through `ReasonService.run_batch`, which shards the batch across
-accelerator instances (each with its own compile cache), executes on
-the accelerator model, and composes each shard's makespan through the
+Runs a batch of mixed reasoning tasks two ways: one kernel at a time
+through `ReasonSession.run` (a SAT formula, then a probabilistic
+circuit's unified DAG at 8 queries), and through
+`ReasonService.run_batch`, which shards the batch across accelerator
+instances (each with its own compile cache), executes on the
+accelerator model, and composes each shard's makespan through the
 two-level pipeline so the symbolic stage of task N overlaps the neural
 stage of task N+1 — and shards overlap each other.
 
@@ -14,32 +15,29 @@ Run:  python examples/end_to_end_pipeline.py
 
 import asyncio
 
-from repro import ReasonService
+from repro import ReasonService, ReasonSession
 from repro.baselines.device import RTX_A6000
 from repro.core.dag import circuit_to_dag
-from repro.core.system.coprocessor import ReasonCoprocessor, ReasoningMode
 from repro.logic.generators import redundant_sat
 from repro.pc.learn import random_circuit
 from repro.workloads.neural import MODEL_ZOO
 
 
 def main() -> None:
-    coprocessor = ReasonCoprocessor()
+    session = ReasonSession()
 
-    # Batch 0: a symbolic (SAT) kernel through the Listing-1 interface.
+    # A symbolic (SAT) kernel: one query.
     formula, _ = redundant_sat(40, 150, seed=1)
-    coprocessor.flags.set_neural_ready(0)
-    record0 = coprocessor.reason_execute(0, 1, formula, ReasoningMode.SYMBOLIC)
-    status, _ = coprocessor.reason_check_status(0, blocking=False, now_s=0.0)
-    print(f"batch 0 launched: status={status.value}, cycles={record0.cycles}")
-    status, t = coprocessor.reason_check_status(0, blocking=True, now_s=0.0)
-    print(f"batch 0 complete at t={t * 1e6:.2f} us (status={status.value})")
+    report = session.run(formula, queries=1)
+    print(
+        f"SAT kernel: cycles={report.cycles} = {report.seconds * 1e6:.2f} us, "
+        f"result={report.result}"
+    )
 
-    # Batch 1: a probabilistic circuit kernel.
+    # A probabilistic circuit kernel, as its unified DAG: 8 queries.
     dag, _ = circuit_to_dag(random_circuit(6, depth=2, seed=2))
-    coprocessor.flags.set_neural_ready(1)
-    record1 = coprocessor.reason_execute(1, 8, dag, ReasoningMode.PROBABILISTIC)
-    print(f"batch 1 (8 queries): cycles={record1.cycles}, result={coprocessor.result_of(1):.4f}")
+    report = session.run(dag, queries=8)
+    print(f"circuit DAG (8 queries): cycles={report.cycles}, result={report.result:.4f}")
 
     # The same idea through the serving API: a mixed batch (SAT + PC
     # kernels) sharded across two accelerator instances, neural stages

@@ -5,8 +5,7 @@ Package map:
 
 * :mod:`repro.logic` — CNF/SAT (DPLL, CDCL, cube-and-conquer) and FOL
   (unification, clausification, resolution, forward chaining);
-* :mod:`repro.pc` — probabilistic circuits (inference, flows, learning,
-  CNF compilation / weighted model counting);
+* :mod:`repro.pc` — probabilistic circuits (inference, flows, learning);
 * :mod:`repro.hmm` — hidden Markov models (forward-backward, Viterbi,
   Baum-Welch, DFA-constrained decoding);
 * :mod:`repro.core` — the paper's contribution: unified DAG
@@ -65,7 +64,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

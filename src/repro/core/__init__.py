@@ -7,8 +7,8 @@ Subpackages:
 * :mod:`repro.core.compiler` — the four-step DAG→hardware compiler
   (block decomposition, PE/register mapping, tree mapping, reordering).
 * :mod:`repro.core.arch` — the reconfigurable tree-PE accelerator model
-  (cycle/energy simulation, watched-literals unit, BCP FIFO, Benes
-  network, interconnect topologies).
-* :mod:`repro.core.system` — GPU integration: coprocessor programming
-  model and the two-level execution pipeline.
+  (cycle/energy simulation, the watched-literals cost table,
+  interconnect topologies).
+* :mod:`repro.core.system` — GPU integration: the two-level execution
+  pipeline, end-to-end latency models and shard-makespan composition.
 """

@@ -1,7 +1,7 @@
 """REASON hardware architecture model (paper Sec. V).
 
 A parameterized, event-driven model of the accelerator: reconfigurable
-tree-based PEs with three execution modes, a Benes input crossbar,
+tree-based PEs with two execution modes (probabilistic and symbolic),
 banked register files, the watched-literals linked-list SRAM layout
 as a per-literal cost table (``watch_costs``), inter-node interconnect
 topologies, and an analytical area/energy model with technology
@@ -9,7 +9,6 @@ scaling.
 """
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
-from repro.core.arch.benes import BenesNetwork
 from repro.core.arch.interconnect import (
     Topology,
     broadcast_cycles,
@@ -22,7 +21,6 @@ from repro.core.arch.energy import (
     scale_to_node,
     unified_vs_decoupled,
 )
-from repro.core.arch.spmspm import CsrMatrix, SpmspmEngine
 from repro.core.arch.watched_literals import watch_costs
 from repro.core.arch.tree_pe import TreePE, PEMode
 from repro.core.arch.accelerator import (
@@ -34,7 +32,6 @@ from repro.core.arch.accelerator import (
 __all__ = [
     "ArchConfig",
     "DEFAULT_CONFIG",
-    "BenesNetwork",
     "Topology",
     "broadcast_cycles",
     "traversal_latency",
@@ -43,8 +40,6 @@ __all__ = [
     "TechNode",
     "scale_to_node",
     "unified_vs_decoupled",
-    "CsrMatrix",
-    "SpmspmEngine",
     "watch_costs",
     "TreePE",
     "PEMode",

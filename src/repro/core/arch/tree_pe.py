@@ -1,12 +1,11 @@
 """Reconfigurable tree PE: functional + cycle model (paper Sec. V-B).
 
 One PE is a complete binary tree of nodes whose datapaths reconfigure
-per VLIW instruction among three modes: PROBABILISTIC (sum/product
-aggregation), SYMBOLIC (comparator/adder BCP datapath) and SPMSPM
-(leaf multipliers + internal adders).  :meth:`TreePE.execute_config`
-evaluates one placed block bottom-up; the cycle cost of one issue is
-the pipeline depth, with per-level throughput of one block per cycle
-once the pipeline is full.
+per VLIW instruction between two modes: PROBABILISTIC (sum/product
+aggregation) and SYMBOLIC (comparator/adder BCP datapath).
+:meth:`TreePE.execute_config` evaluates one placed block bottom-up; the
+cycle cost of one issue is the pipeline depth, with per-level
+throughput of one block per cycle once the pipeline is full.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.trace.format import EventKind
 class PEMode(enum.Enum):
     PROBABILISTIC = "probabilistic"
     SYMBOLIC = "symbolic"
-    SPMSPM = "spmspm"
 
 
 @dataclass

@@ -66,7 +66,7 @@ class TwoLevelPipeline:
         neural_total = float(sum(neural_times_s))
         symbolic_total = float(sum(symbolic_times_s))
         serial = neural_total + symbolic_total + self.handoff_s * len(neural_times_s)
-        if not pipelined or not neural_times_s:
+        if not pipelined or len(neural_times_s) == 0:
             return PipelineResult(serial, neural_total, symbolic_total, 0.0)
         gpu_free = 0.0
         reason_free = 0.0
@@ -77,6 +77,7 @@ class TwoLevelPipeline:
             start = max(neural_done + self.handoff_s, reason_free)
             finish = start + symbolic
             reason_free = finish
+        finish = float(finish)  # numpy stage times would make it np.float64
         return PipelineResult(finish, neural_total, symbolic_total, serial - finish)
 
 

@@ -3,8 +3,9 @@
 This package implements the logical-reasoning kernels that REASON
 accelerates: propositional CNF formulas with DIMACS I/O, a DPLL solver
 with lookahead, a CDCL solver with two-watched-literals and 1-UIP clause
-learning, implication-graph-based preprocessing (the paper's Stage-2
-pruning for logic kernels), cube-and-conquer parallel solving, and a
+learning, hidden-literal pruning on the binary implication graph (the
+paper's Stage-2 pruning for logic kernels, and the only preprocessing
+a CNF gets), cube-and-conquer parallel solving, and a
 first-order-logic layer (unification, clausification, resolution,
 forward chaining).
 """
@@ -17,7 +18,6 @@ from repro.logic.implication_graph import (
     prune_hidden_literals,
 )
 from repro.logic.cube_and_conquer import CubeAndConquerSolver, Cube
-from repro.logic.subsumption import eliminate_subsumed, preprocess
 from repro.logic.generators import (
     random_ksat,
     pigeonhole,
@@ -40,8 +40,6 @@ __all__ = [
     "prune_hidden_literals",
     "CubeAndConquerSolver",
     "Cube",
-    "eliminate_subsumed",
-    "preprocess",
     "random_ksat",
     "pigeonhole",
     "graph_coloring_cnf",

@@ -4,9 +4,7 @@ Implements the paper's probabilistic-reasoning primitive (Sec. II-C,
 Eq. 1): circuits of sum, product and leaf nodes supporting exact
 marginal/conditional/MAP inference in time linear in circuit size,
 top-down circuit flows (the quantity REASON's adaptive pruning ranks
-edges by), EM parameter learning, random structure generation, and
-compilation of CNF formulas into deterministic circuits for weighted
-model counting.
+edges by), EM parameter learning and random structure generation.
 """
 
 from repro.pc.circuit import (
@@ -34,7 +32,6 @@ from repro.pc.learn import (
     random_circuit,
     random_binary_tree_circuit,
 )
-from repro.pc.compile_logic import compile_cnf_to_circuit, weighted_model_count
 
 __all__ = [
     "Circuit",
@@ -58,6 +55,4 @@ __all__ = [
     "fit_em",
     "random_circuit",
     "random_binary_tree_circuit",
-    "compile_cnf_to_circuit",
-    "weighted_model_count",
 ]

@@ -1,18 +1,15 @@
-"""Tests for the architecture model: Benes, interconnect, the
-watched-literals cost table, energy, and symbolic replay."""
+"""Tests for the architecture model: interconnect, the
+watched-literals cost table, the tree PE datapath, energy, and
+symbolic replay."""
 
 import dataclasses
-import itertools
-import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import ReasonSession
 from repro.core.arch import (
     ArchConfig,
-    BenesNetwork,
     DEFAULT_CONFIG,
     EnergyModel,
     ReasonAccelerator,
@@ -25,7 +22,7 @@ from repro.core.arch import (
 from repro.core.arch.config import dse_grid
 from repro.core.arch.energy import EVENT_NAMES, scale_to_node
 from repro.core.arch.interconnect import area_breakdown, scalability_series
-from repro.core.arch.tree_pe import TreePE
+from repro.core.arch.tree_pe import PEMode, TreePE
 from repro.core.compiler.program import TreeNodeConfig
 from repro.core.dag.graph import OpType
 from repro.logic.cdcl import CDCLSolver
@@ -87,42 +84,6 @@ class TestConfig:
         assert any(c.tree_depth == 3 and c.num_banks == 64 and c.regs_per_bank == 32 for c in grid)
 
 
-class TestBenes:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            BenesNetwork(6)
-
-    def test_stage_and_switch_counts(self):
-        net = BenesNetwork(8)
-        assert net.num_stages == 5
-        assert net.num_switches == 20
-
-    def test_routes_all_permutations_n4(self):
-        net = BenesNetwork(4)
-        for perm in itertools.permutations(range(4)):
-            routing = net.route(perm)
-            assert routing.realized_permutation() == list(perm)
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            BenesNetwork(4).route([0, 0, 1, 2])
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=100_000))
-    def test_random_permutations_route_conflict_free(self, seed):
-        rng = random.Random(seed)
-        n = rng.choice([8, 16])
-        perm = list(range(n))
-        rng.shuffle(perm)
-        routing = BenesNetwork(n).route(perm)
-        assert routing.realized_permutation() == perm
-
-    def test_identity_crosses_no_switches_at_base(self):
-        net = BenesNetwork(2)
-        assert net.route([0, 1]).switches_crossed == 0
-        assert net.route([1, 0]).switches_crossed == 1
-
-
 class TestInterconnect:
     def test_tree_is_logarithmic(self):
         assert broadcast_cycles(Topology.TREE, 64) == pytest.approx(6.0)
@@ -157,6 +118,33 @@ class TestInterconnect:
     def test_area_breakdown_bus_buffers_dominate(self):
         bus = area_breakdown(Topology.ALL_TO_ONE, 64)
         assert bus["buffers"] > bus["wires"]
+
+    def test_area_breakdown_tree_counts_edges(self):
+        # N leaves: N - 1 internal nodes, two wires and one buffer each.
+        assert area_breakdown(Topology.TREE, 64) == {"wires": 126.0, "buffers": 63, "total": 189.0}
+
+    def test_broadcast_rejects_an_empty_array(self):
+        with pytest.raises(ValueError):
+            broadcast_cycles(Topology.TREE, 0)
+
+    def test_single_leaf_tree_is_one_hop(self):
+        assert broadcast_cycles(Topology.TREE, 1) == pytest.approx(1.0)
+
+    def test_tree_at_base_size_totals_one(self):
+        # The Fig. 8(a) bars are normalized to the tree at its base size.
+        breakdown = traversal_latency(Topology.TREE, 8)
+        assert breakdown.total == pytest.approx(1.0)
+        assert sum(breakdown.as_dict().values()) == pytest.approx(breakdown.total)
+
+    def test_only_the_inter_node_term_depends_on_topology(self):
+        tree, mesh, bus = (traversal_latency(t, 64) for t in list(Topology))
+        for other in (mesh, bus):
+            assert (other.memory, other.pe, other.peripheries) == (tree.memory, tree.pe, tree.peripheries)
+        assert tree.inter_node < mesh.inter_node < bus.inter_node
+
+    def test_scalability_series_is_normalized_to_the_smallest_tree(self):
+        series = scalability_series(list(Topology), [8, 64])
+        assert series["tree"] == pytest.approx([1.0, 2.0])
 
 
 class TestWatchedLiterals:
@@ -219,6 +207,74 @@ class TestTreePE:
         assert pe.execute_config([weighted], {1: 0.5, 2: 1.0}) == pytest.approx(0.875)
         with pytest.raises(ValueError, match="SUM node 0 has 2 child weights for 1 live"):
             pe.execute_config([weighted], {1: 0.5})
+
+    def test_unweighted_sum_adds_and_product_multiplies(self):
+        pe = TreePE(DEFAULT_CONFIG)
+        leaves = {1: 0.25, 2: 4.0}
+        assert pe.execute_config([TreeNodeConfig(0, OpType.SUM)], leaves) == pytest.approx(4.25)
+        assert pe.execute_config([TreeNodeConfig(0, OpType.PRODUCT)], leaves) == pytest.approx(1.0)
+
+    def test_logic_ops_read_positive_values_as_true(self):
+        pe = TreePE(DEFAULT_CONFIG)
+        for left, right in ((0.0, 0.0), (0.0, 0.5), (2.0, 0.0), (1.0, 1.0)):
+            leaves = {1: left, 2: right}
+            both = left > 0 and right > 0
+            either = left > 0 or right > 0
+            assert pe.execute_config([TreeNodeConfig(0, OpType.AND)], leaves) == float(both)
+            assert pe.execute_config([TreeNodeConfig(0, OpType.OR)], leaves) == float(either)
+        assert pe.execute_config([TreeNodeConfig(0, OpType.NOT)], {1: 1.0}) == 0.0
+        assert pe.execute_config([TreeNodeConfig(0, OpType.NOT)], {1: 0.0}) == 1.0
+
+    def test_forward_nodes_pass_their_live_child_up(self):
+        # Root (0) multiplies a forwarded left operand (1 <- 3) and a
+        # right subtree product (2 <- 5 * 6).
+        pe = TreePE(DEFAULT_CONFIG)
+        configs = [
+            TreeNodeConfig(0, OpType.PRODUCT),
+            TreeNodeConfig(1, None),
+            TreeNodeConfig(2, OpType.PRODUCT),
+        ]
+        assert pe.execute_config(configs, {3: 0.5, 5: 2.0, 6: 3.0}) == pytest.approx(3.0)
+
+    def test_leaf_level_forward_keeps_the_injected_operand(self):
+        pe = TreePE(DEFAULT_CONFIG)
+        configs = [TreeNodeConfig(0, OpType.SUM), TreeNodeConfig(1, None), TreeNodeConfig(2, None)]
+        assert pe.execute_config(configs, {1: 0.25, 2: 0.5}) == pytest.approx(0.75)
+
+    def test_nodes_without_inputs_are_rejected(self):
+        pe = TreePE(DEFAULT_CONFIG)
+        with pytest.raises(ValueError, match="op node 0 has no inputs"):
+            pe.execute_config([TreeNodeConfig(0, OpType.AND)], {})
+        with pytest.raises(ValueError, match="forward node 0 has no input"):
+            pe.execute_config([TreeNodeConfig(0, None)], {})
+        with pytest.raises(ValueError, match="root value"):
+            pe.execute_config([TreeNodeConfig(1, OpType.OR)], {3: 1.0})
+
+    def test_graph_only_ops_are_not_executable(self):
+        with pytest.raises(TypeError, match="not executable"):
+            TreePE(DEFAULT_CONFIG).execute_config([TreeNodeConfig(0, OpType.LEAF)], {1: 1.0})
+
+    def test_stats_and_energy_split_logic_from_alu_ops(self):
+        energy = EnergyModel()
+        pe = TreePE(DEFAULT_CONFIG, energy)
+        configs = [
+            TreeNodeConfig(0, OpType.AND),
+            TreeNodeConfig(1, OpType.OR),
+            TreeNodeConfig(2, None),
+        ]
+        pe.execute_config(configs, {3: 1.0, 4: 0.0, 5: 1.0})
+        pe.execute_config([TreeNodeConfig(0, OpType.PRODUCT)], {1: 1.0, 2: 1.0})
+        assert (pe.stats.instructions, pe.stats.active_node_ops) == (2, 3)
+        assert (energy.logic_op, energy.alu_op) == (2, 1)
+
+    def test_mode_switches_cost_a_drain_only_on_a_fixed_array(self):
+        pe = TreePE(DEFAULT_CONFIG)
+        assert pe.mode is None
+        pe.set_mode(PEMode.SYMBOLIC)
+        assert pe.mode is PEMode.SYMBOLIC
+        assert pe.mode_switch_penalty() == 0
+        fixed = TreePE(DEFAULT_CONFIG.with_ablation(reconfigurable=False))
+        assert fixed.mode_switch_penalty() == 4 * DEFAULT_CONFIG.pipeline_stages
 
 
 class TestEnergyModel:

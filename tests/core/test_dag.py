@@ -14,6 +14,7 @@ from repro.core.dag import (
     Dag,
     DagNode,
     OpType,
+    OptimizationResult,
     circuit_to_dag,
     cnf_to_dag,
     dag_to_circuit,
@@ -262,6 +263,19 @@ class TestEvaluate:
         n = dag.add_op(OpType.NOT, [a])
         dag.set_root(n)
         assert evaluate_dag(dag, {a: 1.0})[n] == 0.0
+
+    def test_cnf_dag_agrees_with_formula_pointwise(self):
+        formula = random_ksat(5, 10, seed=40)
+        dag, literal_nodes = cnf_to_dag(formula)
+        variables = sorted(formula.variables())
+        for values in itertools.product([False, True], repeat=len(variables)):
+            assignment = dict(zip(variables, values))
+            inputs = {
+                node: float(assignment[abs(literal)] == (literal > 0))
+                for literal, node in literal_nodes.items()
+            }
+            expected = 1.0 if formula.is_satisfied_by(assignment) else 0.0
+            assert evaluate_dag(dag, inputs)[dag.root] == expected
 
 
 class TestBuilders:
@@ -530,6 +544,24 @@ class TestOptimizePipeline:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(TypeError):
             optimize("not a kernel")
+
+    def test_hmm_requires_calibration(self):
+        with pytest.raises(ValueError):
+            optimize(HMM.random(3, 3, seed=31))
+
+    def test_regularize_off_returns_the_pruned_dag(self):
+        # ``memory_after`` is the pruned DAG's footprint either way; the
+        # two-input rewrite only changes the DAG handed on.
+        formula = random_ksat(10, 30, k=3, seed=32)
+        raw = optimize(formula, regularize=False)
+        regular = optimize(formula)
+        assert raw.memory_after == regular.memory_after == raw.dag.memory_footprint()
+        assert not is_two_input(raw.dag)
+        assert is_two_input(regular.dag)
+
+    def test_empty_footprint_reports_no_reduction(self):
+        assert OptimizationResult(None, 0, 0).memory_reduction == 0.0
+        assert OptimizationResult(None, 200, 50).memory_reduction == pytest.approx(0.75)
 
 
 class TestBaselineFootprints:

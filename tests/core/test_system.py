@@ -1,88 +1,21 @@
-"""Tests for the system layer: coprocessor API, partitioning, pipeline,
-and running kernels on the REASON accelerator model."""
+"""Tests for the system layer: the two-level pipeline, the end-to-end
+latency models, and running kernels on the REASON accelerator model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ReasonSession
 from repro.baselines.device import KernelClass, KernelProfile, ORIN_NX, RTX_A6000
-from repro.core.dag import circuit_to_dag
 from repro.core.system import (
-    ReasonCoprocessor,
-    CoprocessorStatus,
+    PipelineResult,
     TwoLevelPipeline,
     baseline_end_to_end,
-    partition_kernels,
     reason_end_to_end,
 )
-from repro.core.system.coprocessor import ReasoningMode
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
-
-
-class TestCoprocessor:
-    def test_execute_requires_neural_ready_flag(self):
-        coprocessor = ReasonCoprocessor()
-        with pytest.raises(RuntimeError):
-            coprocessor.reason_execute(0, 1, random_ksat(8, 24, seed=0), ReasoningMode.SYMBOLIC)
-
-    def test_symbolic_execution_sets_ready_flag(self):
-        coprocessor = ReasonCoprocessor()
-        coprocessor.flags.set_neural_ready(0)
-        record = coprocessor.reason_execute(0, 1, random_ksat(8, 24, seed=0), ReasoningMode.SYMBOLIC)
-        assert coprocessor.flags.symbolic_ready[0]
-        assert record.cycles > 0
-
-    def test_probabilistic_execution(self):
-        coprocessor = ReasonCoprocessor()
-        coprocessor.flags.set_neural_ready(1)
-        dag, _ = circuit_to_dag(random_circuit(5, depth=2, seed=1))
-        record = coprocessor.reason_execute(1, 4, dag, ReasoningMode.PROBABILISTIC)
-        assert record.cycles > 0
-        assert coprocessor.result_of(1) == pytest.approx(1.0)  # normalized circuit
-
-    def test_mode_type_checks(self):
-        coprocessor = ReasonCoprocessor()
-        coprocessor.flags.set_neural_ready(0)
-        with pytest.raises(TypeError):
-            coprocessor.reason_execute(0, 1, random_ksat(5, 10, seed=2), ReasoningMode.PROBABILISTIC)
-
-    def test_status_blocking_advances_time(self):
-        coprocessor = ReasonCoprocessor()
-        coprocessor.flags.set_neural_ready(0)
-        record = coprocessor.reason_execute(0, 1, random_ksat(10, 30, seed=3), ReasoningMode.SYMBOLIC)
-        status, t = coprocessor.reason_check_status(0, blocking=False, now_s=0.0)
-        assert status is CoprocessorStatus.EXECUTION
-        status, t = coprocessor.reason_check_status(0, blocking=True, now_s=0.0)
-        assert status is CoprocessorStatus.IDLE
-        assert t == pytest.approx(record.finish_time_s)
-
-    def test_unknown_batch_is_idle(self):
-        status, _ = ReasonCoprocessor().reason_check_status(42)
-        assert status is CoprocessorStatus.IDLE
-
-    def test_queued_batches_serialize(self):
-        coprocessor = ReasonCoprocessor()
-        coprocessor.flags.set_neural_ready(0)
-        coprocessor.flags.set_neural_ready(1)
-        first = coprocessor.reason_execute(0, 1, random_ksat(10, 30, seed=4), ReasoningMode.SYMBOLIC)
-        second = coprocessor.reason_execute(1, 1, random_ksat(10, 30, seed=5), ReasoningMode.SYMBOLIC)
-        assert second.finish_time_s > first.finish_time_s
-
-
-class TestPartition:
-    def test_policy(self):
-        profiles = [
-            KernelProfile(KernelClass.NEURAL_GEMM, 1e9, 1e6),
-            KernelProfile(KernelClass.LOGIC, 1e6, 1e6),
-            KernelProfile(KernelClass.MARGINAL, 1e6, 1e6),
-        ]
-        gpu, reason = partition_kernels(profiles)
-        assert len(gpu) == 1 and len(reason) == 2
-
-    def test_spmspm_goes_to_reason(self):
-        gpu, reason = partition_kernels([KernelProfile(KernelClass.SPARSE_MATVEC, 1e6, 1e6)])
-        assert not gpu and len(reason) == 1
 
 
 class TestTwoLevelPipeline:
@@ -108,6 +41,49 @@ class TestTwoLevelPipeline:
     def test_empty_batch(self):
         result = TwoLevelPipeline().run([], [])
         assert result.total_s == 0.0
+
+    @pytest.mark.parametrize("tasks", [0, 1, 3])
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_numpy_stage_times_match_lists(self, tasks, pipelined):
+        neural = [0.01 * (i + 1) for i in range(tasks)]
+        symbolic = [0.02 * (i + 2) for i in range(tasks)]
+        pipeline = TwoLevelPipeline()
+        from_lists = pipeline.run(neural, symbolic, pipelined=pipelined)
+        from_arrays = pipeline.run(np.array(neural), np.array(symbolic), pipelined=pipelined)
+        assert from_arrays == from_lists
+        for field in ("total_s", "neural_s", "symbolic_s", "overlap_saved_s"):
+            assert type(getattr(from_arrays, field)) is float, field
+
+    def test_single_task_has_nothing_to_overlap(self):
+        pipeline = TwoLevelPipeline(handoff_s=0.001)
+        pipelined = pipeline.run([0.2], [0.3])
+        serial = pipeline.run([0.2], [0.3], pipelined=False)
+        assert pipelined.total_s == pytest.approx(serial.total_s)
+        assert pipelined.overlap_saved_s == pytest.approx(0.0)
+
+    def test_serial_charges_one_handoff_per_task(self):
+        result = TwoLevelPipeline(handoff_s=0.5).run([1.0, 2.0], [3.0, 4.0], pipelined=False)
+        assert result == PipelineResult(11.0, 3.0, 7.0, 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=12
+        )
+    )
+    def test_pipelined_total_between_bottleneck_and_serial(self, stages):
+        neural = [n for n, _ in stages]
+        symbolic = [s for _, s in stages]
+        pipeline = TwoLevelPipeline(handoff_s=0.0)
+        overlapped = pipeline.run(neural, symbolic)
+        serial = pipeline.run(neural, symbolic, pipelined=False)
+        tolerance = 1e-9
+        assert max(sum(neural), sum(symbolic)) <= overlapped.total_s + tolerance
+        assert overlapped.total_s <= serial.total_s + tolerance
+        assert overlapped.overlap_saved_s == pytest.approx(serial.total_s - overlapped.total_s)
+
+    def test_idle_batch_has_no_symbolic_share(self):
+        assert TwoLevelPipeline().run([], []).symbolic_share == 0.0
 
 
 class TestEndToEndModels:
@@ -135,6 +111,35 @@ class TestEndToEndModels:
         neural, symbolic = self._profiles()
         result = baseline_end_to_end(RTX_A6000, neural, symbolic)
         assert 0.0 < result.symbolic_share < 1.0
+
+    def test_symbolic_scale_lifts_only_the_symbolic_stage(self):
+        neural, symbolic = self._profiles()
+        plain = baseline_end_to_end(RTX_A6000, neural, symbolic)
+        scaled = baseline_end_to_end(RTX_A6000, neural, symbolic, symbolic_scale=10.0)
+        assert scaled.neural_s == plain.neural_s
+        assert scaled.symbolic_s == pytest.approx(plain.symbolic_s * 10.0)
+        assert scaled.total_s == pytest.approx(scaled.neural_s + scaled.symbolic_s)
+
+    def test_unpipelined_reason_system_pays_both_stages_per_task(self):
+        neural, _ = self._profiles()
+        report = run_on_reason(random_ksat(12, 40, seed=14))
+        result = reason_end_to_end(
+            ORIN_NX, neural, report, llm_optimization_speedup=2.0, pipelined=False
+        )
+        assert result.neural_s == pytest.approx(ORIN_NX.run(neural) / 2.0)
+        assert result.symbolic_s == report.seconds
+        handoff = TwoLevelPipeline().handoff_s
+        assert result.total_s == pytest.approx(result.neural_s + result.symbolic_s + handoff)
+        assert result.overlap_saved_s == 0.0
+
+    def test_pipelined_reason_system_approaches_the_slower_stage(self):
+        neural, _ = self._profiles()
+        report = run_on_reason(random_ksat(12, 40, seed=14))
+        few = reason_end_to_end(ORIN_NX, neural, report, num_tasks=2)
+        many = reason_end_to_end(ORIN_NX, neural, report, num_tasks=200)
+        bottleneck = max(few.neural_s, few.symbolic_s)
+        assert bottleneck <= many.total_s < few.total_s
+        assert many.total_s == pytest.approx(bottleneck, rel=0.02)
 
 
 def run_on_reason(kernel, **options):

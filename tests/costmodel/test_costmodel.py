@@ -76,6 +76,38 @@ class TestCostFeatures:
         assert profile.flops == features.flops
         assert profile.kernel_class is features.kernel_class
 
+    def test_artifact_without_profile_reads_as_a_unit_logic_kernel(self):
+        artifact = SimpleNamespace(
+            kind="cnf",
+            profile=None,
+            compile_stats=None,
+            solver=SimpleNamespace(stats=SimpleNamespace(clause_fetches=17)),
+            compile_s=0,
+        )
+        features = cost_features.CostFeatures.from_artifact(artifact)
+        assert features == cost_features.CostFeatures(
+            kind="cnf",
+            kernel_class=KernelClass.LOGIC,
+            flops=1.0,
+            bytes_accessed=4.0,
+            launches=1,
+            schedule_cycles=0,
+            trace_ops=17,
+            compile_s=0.0,
+        )
+        assert type(features.compile_s) is float
+
+
+class TestRemember:
+    def test_returns_the_value_and_evicts_the_oldest_insert(self, monkeypatch):
+        monkeypatch.setattr(cost_features, "MAX_TRACKED_FINGERPRINTS", 2)
+        memo = {}
+        assert cost_features.remember(memo, "a", 1) == 1
+        cost_features.remember(memo, "b", 2)
+        cost_features.remember(memo, "a", 3)  # re-insert: keeps "a" oldest
+        cost_features.remember(memo, "c", 4)
+        assert memo == {"b": 2, "c": 4}
+
 
 class TestStaticPrediction:
     def test_device_prediction_matches_device_backend_exactly(self):

@@ -184,6 +184,32 @@ class TestBaumWelch:
         _, history = baum_welch(student, sequences, iterations=10)
         assert history[-1] > before
 
+    def test_empty_sequences_are_skipped(self):
+        teacher = HMM.random(2, 3, seed=10)
+        rng = random.Random(11)
+        sequences = [teacher.sample(12, rng)[1] for _ in range(4)]
+        clean, clean_history = baum_welch(HMM.random(2, 3, seed=12), sequences, iterations=4)
+        padded, padded_history = baum_welch(
+            HMM.random(2, 3, seed=12), [[]] + sequences + [[]], iterations=4
+        )
+        assert padded_history == clean_history
+        for table in ("initial", "transition", "emission"):
+            np.testing.assert_array_equal(getattr(padded, table), getattr(clean, table))
+
+    def test_stops_once_the_gain_is_below_tolerance(self):
+        sequences = [weather_hmm().sample(10, random.Random(13))[1]]
+        _, history = baum_welch(HMM.random(2, 3, seed=14), sequences, iterations=50, tolerance=1e9)
+        assert len(history) == 2
+        _, history = baum_welch(HMM.random(2, 3, seed=14), sequences, iterations=3, tolerance=0.0)
+        assert len(history) == 3
+
+    def test_input_model_is_left_untouched(self):
+        student = HMM.random(2, 3, seed=15)
+        before = [student.initial.copy(), student.transition.copy(), student.emission.copy()]
+        baum_welch(student, [[0, 1, 2, 1, 0]], iterations=3)
+        for original, table in zip(before, (student.initial, student.transition, student.emission)):
+            np.testing.assert_array_equal(table, original)
+
 
 class TestConstrainedDecoding:
     def test_contains_word_dfa(self):

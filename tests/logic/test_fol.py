@@ -24,7 +24,7 @@ from repro.logic.fol import (
 from repro.logic.cdcl import SolveResult, solve_cnf
 from repro.logic.fol.clausify import clausify_all
 from repro.logic.fol.terms import conj, disj, formula_variables
-from repro.logic.fol.unification import unify_predicates
+from repro.logic.fol.unification import substitute_predicate, unify_predicates
 
 x, y, z = Var("x"), Var("y"), Var("z")
 alice, bob = Const("alice"), Const("bob")
@@ -56,6 +56,35 @@ class TestUnification:
         subst = unify_predicates(Predicate("P", (x,)), Predicate("P", (alice,)))
         assert subst == {x: alice}
         assert unify_predicates(Predicate("P", (x,)), Predicate("Q", (alice,))) is None
+
+    def test_unifier_makes_nested_terms_equal(self):
+        left = Func("f", (x, Func("g", (y,))))
+        right = Func("f", (Func("g", (z,)), x))
+        subst = unify(left, right)
+        assert subst is not None
+        assert substitute(left, subst) == substitute(right, subst)
+        assert substitute(x, subst) in (Func("g", (y,)), Func("g", (z,)))
+
+    def test_occurs_check_sees_through_bindings(self):
+        # With x already bound to y, y = f(x) would make y = f(y).
+        assert unify(y, Func("f", (x,)), {x: y}) is None
+
+    def test_constant_never_unifies_with_a_function(self):
+        assert unify(alice, Func("alice", ())) is None
+        assert unify(Func("f", (x,)), bob) is None
+
+    def test_given_substitution_is_not_mutated(self):
+        given_subst = {x: alice}
+        assert unify(y, bob, given_subst) == {x: alice, y: bob}
+        assert given_subst == {x: alice}
+
+    def test_predicate_arguments_share_bindings(self):
+        same = Predicate("P", (x, x))
+        assert unify_predicates(same, Predicate("P", (alice, bob))) is None
+        subst = unify_predicates(same, Predicate("P", (alice, y)))
+        assert substitute(y, subst) == alice
+        assert substitute_predicate(same, subst) == Predicate("P", (alice, alice))
+        assert unify_predicates(same, Predicate("P", (alice,))) is None
 
 
 class TestClausify:

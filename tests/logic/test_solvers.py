@@ -1,12 +1,13 @@
 """Tests for DPLL, CDCL and cube-and-conquer solvers, including
 hypothesis-driven agreement and model-soundness properties."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.cdcl import CDCLSolver, SolveResult, solve_cnf
 from repro.logic.cnf import CNF, Clause
 from repro.logic.cube_and_conquer import CubeAndConquerSolver
-from repro.logic.dpll import DPLLSolver
+from repro.logic.dpll import BudgetExceeded, DPLLSolver, DPLLStats
 from repro.logic.generators import (
     chain_implications,
     graph_coloring_cnf,
@@ -85,6 +86,38 @@ class TestDPLL:
         formula = CNF([Clause([1, 2])])
         model = DPLLSolver().solve(formula, assumptions=(-1,))
         assert model is not None and model[2] is True
+
+    def test_contradicting_assumption_is_unsat(self):
+        assert DPLLSolver().solve(CNF([Clause([1]), Clause([1, 2])]), assumptions=(-1,)) is None
+
+    def test_decision_budget_raises_with_the_count(self):
+        with pytest.raises(BudgetExceeded) as excinfo:
+            DPLLSolver(max_decisions=0).solve(pigeonhole(3))
+        assert excinfo.value.decisions == 0
+
+    def test_propagation_alone_fits_a_zero_budget(self):
+        formula = CNF([Clause([1]), Clause([-1, 2]), Clause([-2, 3])])
+        solver = DPLLSolver(max_decisions=0)
+        assert solver.solve(formula) == {1: True, 2: True, 3: True}
+        assert (solver.stats.decisions, solver.stats.propagations) == (0, 3)
+
+    def test_pure_literals_are_set_without_branching(self):
+        formula = CNF([Clause([1, 2]), Clause([1, -3]), Clause([2, -3])])
+        with_pure = DPLLSolver()
+        assert formula.is_satisfied_by(with_pure.solve(formula))
+        assert with_pure.stats.decisions == 0
+        assert with_pure.stats.pure_eliminations > 0
+        without = DPLLSolver(use_pure_literal=False)
+        assert formula.is_satisfied_by(without.solve(formula))
+        assert without.stats.decisions > 0
+        assert without.stats.pure_eliminations == 0
+
+    def test_stats_reset_on_every_solve(self):
+        solver = DPLLSolver()
+        solver.solve(pigeonhole(3))
+        assert solver.stats.decisions > 0
+        solver.solve(CNF([Clause([1])]))
+        assert solver.stats == DPLLStats(propagations=1)
 
     @settings(max_examples=40, deadline=None)
     @given(small_cnf())

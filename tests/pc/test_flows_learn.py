@@ -1,17 +1,13 @@
-"""Tests for circuit flows, EM learning and CNF compilation / WMC."""
+"""Tests for circuit flows and EM learning."""
 
 import hashlib
-import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.logic.cnf import CNF, Clause
-from repro.logic.generators import random_ksat
 from repro.pc.circuit import Circuit, LeafNode, SumNode, bernoulli_leaf
-from repro.pc.compile_logic import compile_cnf_to_circuit, model_count, weighted_model_count
 from repro.pc.flows import (
     _evaluate_batch,
     _evidence_columns,
@@ -27,15 +23,6 @@ from repro.pc.inference import (
     partition_function,
 )
 from repro.pc.learn import em_step, fit_em, random_circuit, sample_dataset
-
-
-def brute_force_count(formula: CNF) -> int:
-    variables = sorted(formula.variables())
-    count = 0
-    for values in itertools.product([False, True], repeat=len(variables)):
-        if formula.is_satisfied_by(dict(zip(variables, values))):
-            count += 1
-    return count
 
 
 class TestFlows:
@@ -307,62 +294,3 @@ class TestEM:
             learn(dirty, with_row)
             assert parameters(dirty) == parameters(clean)
 
-
-class TestCompileLogic:
-    def test_unit_clause(self):
-        formula = CNF([Clause([1])])
-        circuit = compile_cnf_to_circuit(formula)
-        assert likelihood(circuit, {0: 1}) == pytest.approx(1.0)
-        assert likelihood(circuit, {0: 0}) == pytest.approx(0.0)
-
-    def test_model_count_simple(self):
-        # (x1 ∨ x2): 3 of 4 assignments.
-        assert model_count(CNF([Clause([1, 2])])) == 3
-
-    def test_model_count_unsat(self):
-        assert model_count(CNF([Clause([1]), Clause([-1])])) == 0
-
-    def test_compiled_circuit_is_valid_and_deterministic(self):
-        formula = CNF([Clause([1, 2]), Clause([-1, 3])])
-        circuit = compile_cnf_to_circuit(formula)
-        circuit.validate()
-        assert circuit.is_deterministic()
-
-    def test_circuit_agrees_with_formula_pointwise(self):
-        formula = random_ksat(5, 10, seed=40)
-        circuit = compile_cnf_to_circuit(formula)
-        variables = sorted(formula.variables())
-        for values in itertools.product([0, 1], repeat=len(variables)):
-            assignment = dict(zip(variables, values))
-            expected = 1.0 if formula.is_satisfied_by({v: bool(x) for v, x in assignment.items()}) else 0.0
-            evidence = {v - 1: x for v, x in assignment.items()}
-            assert likelihood(circuit, evidence) == pytest.approx(expected)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_model_count_matches_brute_force(self, seed):
-        formula = random_ksat(6, 12, seed=seed)
-        assert model_count(formula) == brute_force_count(formula)
-
-    def test_weighted_model_count(self):
-        # (x1): weight of models where x1 true = p1, over x2 free: p1*(p2 + 1-p2).
-        formula = CNF([Clause([1])], num_vars=2)
-        formula.add_clause([2, -2])  # mention x2 tautologically
-        simplified = CNF([Clause([1]), Clause([2, -2])])
-        wmc = weighted_model_count(CNF([Clause([1, 2]),]), weights={1: 0.5, 2: 0.5})
-        # Models of (x1 ∨ x2): TT, TF, FT → 0.25 * 3.
-        assert wmc == pytest.approx(0.75)
-
-    def test_wmc_unsat_is_zero(self):
-        assert weighted_model_count(CNF([Clause([1]), Clause([-1])]), weights={1: 0.3}) == pytest.approx(0.0)
-
-    def test_compilation_rejects_huge_formulas(self):
-        formula = CNF([Clause([v]) for v in range(1, 40)])
-        with pytest.raises(ValueError):
-            compile_cnf_to_circuit(formula)
-
-    def test_model_count_of_empty_clause_set(self):
-        # No constraints over declared variables → every assignment models.
-        formula = CNF([Clause([1, -1])])  # tautology only
-        count = model_count(formula)
-        assert count == 2
