@@ -16,12 +16,13 @@ import struct
 import time
 from dataclasses import dataclass, replace
 from itertools import chain
+from numbers import Real
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from repro.api.cache import content_key, stable_repr
+from repro.api.cache import content_key, key_part, stable_repr
 from repro.api.types import CompiledArtifact
 from repro.baselines.device import KernelClass, KernelProfile
 from repro.core.arch.config import ArchConfig
@@ -39,7 +40,7 @@ from repro.core.dag.graph import Dag, OpType
 from repro.hmm.inference import log_likelihood as hmm_log_likelihood
 from repro.hmm.model import HMM
 from repro.logic.cdcl import CDCLSolver, SolveResult
-from repro.logic.cnf import CNF
+from repro.logic.cnf import CNF, Clause
 from repro.logic.implication_graph import prune_hidden_literals
 from repro.pc.circuit import Circuit
 from repro.pc.inference import likelihood
@@ -138,13 +139,13 @@ def per_kernel_inputs(
 ) -> List[Tuple[float, RunOptions]]:
     """One ``(neural_s, options)`` pair per kernel of a batch.
 
-    ``neural_s`` is a scalar broadcast or one value per kernel;
-    ``calibrations`` optionally overrides the shared ``calibration``
-    per kernel.  The shared options were parsed once by the caller;
-    per-kernel ones derive from them instead of re-validating every
-    keyword.
+    ``neural_s`` is a scalar broadcast — any 0-d real: a Python or numpy
+    number, or a 0-d array — or one value per kernel; ``calibrations``
+    optionally overrides the shared ``calibration`` per kernel.  The
+    shared options were parsed once by the caller; per-kernel ones
+    derive from them instead of re-validating every keyword.
     """
-    if isinstance(neural_s, (int, float)):
+    if isinstance(neural_s, Real) or getattr(neural_s, "ndim", None) == 0:
         neural_s = [neural_s] * count
     neural_times = [float(t) for t in neural_s]
     if len(neural_times) != count:
@@ -164,10 +165,11 @@ class KernelAdapter:
 
     The key contract: a fingerprint is a pure function of what the
     kernel, the options and the config hold *at the call*.  Kernels are
-    mutable, so ``kernel_key`` re-reads every parameter on every request
-    and remembers only what the kernel's types freeze (a circuit's
-    child tuples, a frozen config); its cost is C-level work over the
-    kernel's bytes, not Python work per node, clause or evidence value.
+    mutable, so every request takes a fresh :meth:`snapshot` of the
+    kernel — its key bytes, re-read from every parameter — and only the
+    hash is remembered: against the snapshot and the context (adapter,
+    config and option bytes) it was computed from, on the kernel
+    itself.  An unchanged kernel pays a compare, not a hash.
     """
 
     kind: str = ""
@@ -177,12 +179,34 @@ class KernelAdapter:
     option_fields: Tuple[str, ...] = tuple(_OPTION_PARTS)
 
     def fingerprint(self, kernel: object, options: RunOptions, config: ArchConfig) -> str:
-        return content_key(
-            self.kind,
-            self.kernel_key(kernel),
+        """The cache key.  A kernel type that declares ``_key_memo``
+        (class default ``None``) keeps its last key there as one tuple
+        ``(snapshot, context, digest)``; the digest is served again only
+        while both compare equal to this request's — exactly the bytes
+        ``content_key`` would hash, or (a CNF) what they are packed from.
+        """
+        snapshot = self.snapshot(kernel)
+        context = (
+            self,
             config.key_bytes,
-            *[_OPTION_PARTS[name](options) for name in self.option_fields],
+            *[key_part(_OPTION_PARTS[name](options)) for name in self.option_fields],
         )
+        memo = getattr(kernel, "_key_memo", False)
+        if memo and memo[0] == snapshot and memo[1] == context:
+            return memo[2]
+        digest = content_key(self.kind, self.snapshot_key(snapshot), *context[1:])
+        if memo is not False:
+            kernel._key_memo = (snapshot, context, digest)
+        return digest
+
+    def snapshot(self, kernel: object) -> object:
+        """What the kernel holds now, in a form ``==`` compares exactly:
+        by default its :meth:`kernel_key` bytes."""
+        return self.kernel_key(kernel)
+
+    def snapshot_key(self, snapshot: object) -> bytes:
+        """The key bytes a :meth:`snapshot` stands for."""
+        return snapshot
 
     def kernel_key(self, kernel: object) -> bytes:
         """Canonical, self-delimiting bytes of the kernel's content."""
@@ -235,16 +259,26 @@ class CnfAdapter(KernelAdapter):
     kind = "cnf"
     option_fields = ("optimize",)
 
-    def kernel_key(self, kernel: CNF) -> bytes:
+    def snapshot(self, kernel: CNF) -> Tuple[int, Tuple[Clause, ...]]:
+        """``num_vars`` and the clauses as a tuple.  A ``Clause`` is
+        frozen and tuple equality short-circuits on identity, so an
+        unchanged formula compares equal without reading a literal; an
+        equal clause put in place of another compares equal by value."""
+        return kernel.num_vars, tuple(kernel.clauses)
+
+    def snapshot_key(self, snapshot: Tuple[int, Tuple[Clause, ...]]) -> bytes:
         """One int64 stream: ``num_vars``, the clause count, every
-        clause's length, then every literal.  A ``Clause`` is frozen but
-        the clause list is not, so the list is walked on every request —
-        by ``map`` / ``chain``, not by a Python loop."""
-        clauses = list(map(_LITERALS, kernel.clauses))
+        clause's length, then every literal — by ``map`` / ``chain``,
+        not by a Python loop."""
+        num_vars, clauses = snapshot
+        literals = list(map(_LITERALS, clauses))
         stream = chain(
-            (kernel.num_vars, len(clauses)), map(len, clauses), chain.from_iterable(clauses)
+            (num_vars, len(literals)), map(len, literals), chain.from_iterable(literals)
         )
         return np.fromiter(stream, dtype=np.int64).tobytes()
+
+    def kernel_key(self, kernel: CNF) -> bytes:
+        return self.snapshot_key(self.snapshot(kernel))
 
     def prepare(self, kernel: CNF, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         optimization = None

@@ -65,18 +65,23 @@ def stable_repr(part: object) -> bytes:
     return text.encode("utf-8")
 
 
+def key_part(part: object) -> bytes:
+    """The bytes :func:`content_key` hashes for one part: ``bytes`` as
+    they are, anything else through :func:`stable_repr`."""
+    return part if isinstance(part, bytes) else stable_repr(part)
+
+
 def content_key(*parts: object) -> str:
-    """Stable content hash over canonical parts.
+    """Stable content hash over canonical parts (see :func:`key_part`).
 
     ``bytes`` parts — what adapters pass for everything sizeable: packed
     kernel structure, raw parameter arrays, packed evidence — are hashed
-    raw; anything else goes through :func:`stable_repr`.  Adapters are
-    responsible for making each ``bytes`` part self-delimiting and
-    order-stable.
+    raw.  Adapters are responsible for making each ``bytes`` part
+    self-delimiting and order-stable.
     """
     digest = hashlib.sha256()
     for part in parts:
-        digest.update(part if isinstance(part, bytes) else stable_repr(part))
+        digest.update(key_part(part))
         digest.update(b"\x1f")  # field separator: avoid concat collisions
     return digest.hexdigest()
 

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import abc
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.api.adapters import RunOptions
 from repro.costmodel.features import CostPrediction, PredictionMap, remember
@@ -52,6 +53,25 @@ class ShardView:
     completed: int
     backend: str
     busy_s: float  # predicted seconds of unfinished admitted work
+
+
+class ShardViews(Sequence):
+    """The shards as a policy receives them: each :class:`ShardView` is
+    taken (``source.view()``) when the policy reads it, so a policy that
+    routes on the request alone (round-robin, cache-affinity) takes no
+    snapshot, and no shard lock, at all."""
+
+    def __init__(self, sources: Sequence):
+        self._sources = sources
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def __getitem__(self, index):
+        sources = self._sources[index]
+        if isinstance(index, slice):
+            return [source.view() for source in sources]
+        return sources.view()
 
 
 @dataclass(frozen=True)

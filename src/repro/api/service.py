@@ -56,9 +56,10 @@ import asyncio
 import threading
 import time
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.api.adapters import RunOptions, adapter_for, per_kernel_inputs
 from repro.api.backends import get_backend
@@ -75,7 +76,7 @@ from repro.api.resilience import (
     WorkerCrash,
     resolve_deadline,
 )
-from repro.api.scheduler import Request, SchedulingPolicy, ShardView, get_policy
+from repro.api.scheduler import Request, SchedulingPolicy, ShardView, ShardViews, get_policy
 from repro.api.session import ReasonSession
 from repro.api.store import ArtifactStore, make_store
 from repro.api.types import ExecutionReport
@@ -174,12 +175,12 @@ class ServiceOverloaded(RuntimeError):
 # SETTLED is entered exactly once, in ReasonService._settle.
 _QUEUED, _RUNNING, _SETTLED = "queued", "running", "settled"
 
-#: Terminal outcome -> the shard counters it moves: the one place the
-#: identity ``submitted == completed + failed + cancelled + pending`` is
-#: kept.  A ``rejected`` request never reached its queue, so it takes
-#: its admission back instead of counting as served.
+#: Terminal outcome -> the shard counters it moves, with ``_settle``'s
+#: direct ``completed += 1`` for ``ok``: what keeps the identity
+#: ``submitted == completed + failed + cancelled + pending``.  A
+#: ``rejected`` request never reached its queue, so it takes its
+#: admission back instead of counting as served.
 _OUTCOME_COUNTERS = {
-    "ok": {"completed": 1},
     "error": {"failed": 1},
     "deadline": {"failed": 1, "expired": 1},
     "cancelled": {"cancelled": 1},
@@ -664,6 +665,7 @@ class ReasonService:
             )
             for index, backend in enumerate(backends)
         ]
+        self._views = ShardViews(self._shards)
         if self._metrics is not None:
             self._register_metrics()
         self._closed = False
@@ -910,10 +912,10 @@ class ReasonService:
         that expires while queued or executing resolves with
         :class:`~repro.api.resilience.DeadlineExceeded`.
         """
-        return self.submit_batch(
-            [kernel], backend, queries, float(neural_s), None, timeout, deadline_s,
-            **option_kwargs,
-        )[0]
+        return self._submit(
+            kernel, RunOptions(**option_kwargs), backend, queries, float(neural_s),
+            timeout, deadline_s,
+        )  # fmt: skip
 
     def submit_batch(
         self,
@@ -942,17 +944,9 @@ class ReasonService:
         futures = []
         try:
             for kernel, (neural_time, options) in zip(kernels, inputs):
-                futures.append(
-                    self._submit(
-                        kernel,
-                        options,
-                        backend,
-                        queries,
-                        neural_time,
-                        timeout,
-                        deadline_s,
-                    )
-                )
+                futures.append(self._submit(
+                    kernel, options, backend, queries, neural_time, timeout, deadline_s
+                ))  # fmt: skip
         except BaseException:
             for future in futures:
                 future.cancel()
@@ -1014,8 +1008,7 @@ class ReasonService:
             deadline_s=deadline_s,
         )
         with self._admission_lock:
-            views = [shard.view() for shard in self._shards]
-            index = self.policy.select(request, views)
+            index = self.policy.select(request, self._views)
             if not 0 <= index < len(self._shards):
                 raise IndexError(
                     f"policy {self.policy.name!r} chose shard {index} "
@@ -1027,7 +1020,7 @@ class ReasonService:
                 # shard is tripped the policy's choice stands — serving
                 # degraded beats rejecting all traffic.
                 shard = self._alternative_to(shard) or shard
-            view = views[shard.index]
+            view = None if deadline_s is None else shard.view()
             resolved = backend if backend is not None else shard.backend
             predicted_s = predicted[resolved].seconds
             # Deadline-aware admission (the SLO substrate): reject now —
@@ -1035,7 +1028,7 @@ class ReasonService:
             # rather than burn shard time on a request that cannot
             # finish inside its budget.  Modeled seconds, the same
             # currency busy_s is charged in.
-            if deadline_s is not None and view.busy_s + predicted_s > deadline_s:
+            if view is not None and view.busy_s + predicted_s > deadline_s:
                 self._reject(
                     "deadline",
                     view=view,
@@ -1169,11 +1162,13 @@ class ReasonService:
             shard = item.shard
             with shard.lock:
                 counters = shard.counters
-                for name, step in _OUTCOME_COUNTERS[outcome].items():
-                    setattr(counters, name, getattr(counters, name) + step)
-                counters.repay(item.predicted_s)
                 if outcome == "ok":
+                    counters.completed += 1
                     shard.stage_times.append((item.request.neural_s, payload.seconds))
+                else:
+                    for name, step in _OUTCOME_COUNTERS[outcome].items():
+                        setattr(counters, name, getattr(counters, name) + step)
+                counters.repay(item.predicted_s)
             if outcome == "ok" and item.attempts > 1:
                 # Observable but outside the report's identity: a retried
                 # success must stay bit-identical to a first-try success.

@@ -171,6 +171,9 @@ class Dag:
     # rather than an __init__ assignment, so a Dag unpickled from a
     # store entry starts without one too.
     _plan: Optional[DagPlan] = None
+    # The cache key's memo (see ``KernelAdapter.fingerprint``), derived
+    # the same way but never dropped: it holds what it was computed from.
+    _key_memo = None
 
     def __init__(self) -> None:
         self._nodes: Dict[int, DagNode] = {}
@@ -178,10 +181,11 @@ class Dag:
         self.root: Optional[int] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        # The plan is derived data: a stored or copied DAG rebuilds it
-        # on first use instead of carrying it.
+        # The plan and the key memo are derived data: a stored or copied
+        # DAG rebuilds them on first use instead of carrying them.
         state = dict(self.__dict__)
         state.pop("_plan", None)
+        state.pop("_key_memo", None)
         return state
 
     def add(self, node: DagNode) -> int:

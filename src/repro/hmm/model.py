@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,10 @@ class HMM:
     transition: np.ndarray
     emission: np.ndarray
 
+    # The cache key's memo (see ``KernelAdapter.fingerprint``): derived
+    # data, kept out of ``==``, ``repr`` and pickles like ``CNF``'s.
+    _key_memo = None
+
     def __post_init__(self) -> None:
         self.initial = np.asarray(self.initial, dtype=float)
         self.transition = np.asarray(self.transition, dtype=float)
@@ -43,6 +47,11 @@ class HMM:
         ):
             if np.any(row_stochastic < -1e-12):
                 raise ValueError(f"{name} has negative entries")
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_key_memo", None)
+        return state
 
     @property
     def num_states(self) -> int:

@@ -99,10 +99,20 @@ class CNF:
     clauses: List[Clause] = field(default_factory=list)
     num_vars: int = 0
 
+    # The cache key's memo (see ``KernelAdapter.fingerprint``): derived
+    # data, like ``Circuit._plan``.  A class default rather than a
+    # field, so it stays out of ``==`` and ``repr``; dropped from pickles.
+    _key_memo = None
+
     def __post_init__(self) -> None:
         self.clauses = [c if isinstance(c, Clause) else Clause(c) for c in self.clauses]
         highest = max((max(c.variables(), default=0) for c in self.clauses), default=0)
         self.num_vars = max(self.num_vars, highest)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_key_memo", None)
+        return state
 
     def __len__(self) -> int:
         return len(self.clauses)

@@ -230,16 +230,20 @@ class Circuit:
     _plan: Optional[CircuitPlan] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The cache key's memo (see ``KernelAdapter.fingerprint``): a class
+    # default rather than a field, so it stays out of ``==`` and ``repr``.
+    _key_memo = None
 
     def __post_init__(self) -> None:
         for variable in self.variables():
             self.num_states.setdefault(variable, 2)
 
     def __getstate__(self) -> Dict[str, object]:
-        # The plan is derived data: a stored or copied circuit rebuilds
-        # it on first use instead of carrying it.
+        # The plan and the key memo are derived data: a stored or copied
+        # circuit rebuilds them on first use instead of carrying them.
         state = dict(self.__dict__)
         state.pop("_plan", None)
+        state.pop("_key_memo", None)
         return state
 
     def variables(self) -> FrozenSet[int]:
