@@ -26,7 +26,6 @@ from repro.analysis.verifier import (
     Finding,
     ProgramVerificationError,
     VerifyReport,
-    artifact_verifier,
     check_artifact,
     expected_energy_events,
     verify_artifact,
@@ -41,7 +40,6 @@ __all__ = [
     "Finding",
     "ProgramVerificationError",
     "VerifyReport",
-    "artifact_verifier",
     "check_artifact",
     "expected_energy_events",
     "verify_artifact",

@@ -83,7 +83,11 @@ def _verify(args) -> int:
         # fixture config, not the default 64x32 file (which never spills).
         overrides = {"num_banks": 2, "regs_per_bank": 3, "num_pes": 2}
     if overrides:
-        config = replace(config, **overrides)
+        try:
+            config = replace(config, **overrides)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return EXIT_USAGE
 
     program, stats = _build_demo(args.kernel, args.size, config)
     label = f"{args.kernel} kernel, {config.num_banks}x{config.regs_per_bank} regfile"

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.analysis.verifier import INVARIANTS, operand_values
 from repro.core.compiler.program import InstructionKind, Program
 from repro.core.compiler.schedule import ScheduleStats
 
@@ -39,6 +40,12 @@ class Mutation:
     description: str
     apply: Callable[[Program, ScheduleStats], Tuple[Program, ScheduleStats]]
 
+    def __post_init__(self) -> None:
+        if self.invariant not in INVARIANTS:
+            raise ValueError(
+                f"mutation {self.name!r} expects unknown invariant {self.invariant!r}"
+            )
+
 
 def _clone(program: Program) -> Program:
     # ``dag`` is shared (mutations never touch it); everything else is
@@ -51,10 +58,6 @@ def _clone(program: Program) -> Program:
         program.dag = dag
     mutant.dag = dag
     return mutant
-
-
-def _operand_values(instruction) -> List[int]:
-    return sorted(set(instruction.leaf_operands.values()))
 
 
 def _read_after(program: Program, site: int, value: int) -> bool:
@@ -129,7 +132,7 @@ def _hazard(program: Program, stats: ScheduleStats):
     for instruction in mutant.instructions:
         if instruction.kind is not InstructionKind.COMPUTE:
             continue
-        for value in _operand_values(instruction):
+        for value in operand_values(instruction):
             if value in produced_at and produced_at[value] < instruction.issue_cycle:
                 instruction.issue_cycle = produced_at[value]
                 return mutant, stats
@@ -144,7 +147,7 @@ def _swap_dependents(program: Program, stats: ScheduleStats):
     for index, instruction in enumerate(mutant.instructions):
         if instruction.kind is not InstructionKind.COMPUTE:
             continue
-        for value in _operand_values(instruction):
+        for value in operand_values(instruction):
             producer = produced_at.get(value)
             if producer is not None:
                 instructions = mutant.instructions
@@ -164,7 +167,7 @@ def _clobber_write(program: Program, stats: ScheduleStats):
     for index, instruction in enumerate(mutant.instructions):
         if instruction.kind is not InstructionKind.COMPUTE:
             continue
-        operands = _operand_values(instruction)
+        operands = operand_values(instruction)
         if len(operands) < 2 or len(set(instruction.reads)) < 2:
             continue
         # Redirect the most recent earlier LOAD/RELOAD writing operand

@@ -1,19 +1,21 @@
 """Static program verifier: abstract interpretation over compiled VLIW.
 
-PR 5 fixed a scheduler bug where spilled intermediates were silently
-read from stale register addresses — a class of compiler bug that
-execution-time goldens only catch after the fact, one kernel at a time.
-This module catches the whole class at compile time, for every kernel:
+A scheduler that reads a spilled intermediate through its stale
+register address still computes the right answer in the functional
+model (which reads by value id), so execution-time goldens catch that
+class of compiler bug only after the fact, one kernel at a time.  This
+module catches the whole class at compile time, for every kernel:
 :func:`verify_program` walks the instruction stream of a compiled
-:class:`~repro.core.compiler.program.Program` and tracks an abstract
-machine state (per-bank residency, spill/ghost sets, produced values,
-the issue clock) *without executing anything*.  Six invariant families
-are checked:
+:class:`~repro.core.compiler.program.Program` once, handing each
+instruction to the handler for its kind on an abstract machine
+(:class:`_Machine`: per-bank residency, spill/ghost sets, defined
+values, the issue clock) *without executing anything*.  Six invariant
+families are checked:
 
 ``def-before-use``
     Every COMPUTE operand is resident in a register bank at the address
     the instruction reads; a spilled value must come back through a
-    RELOAD before it is read again (the pre-PR 5 stale-address bug).
+    RELOAD before it is read again (the stale-address bug).
 ``spill-reload-pairing``
     SPILL moves a value that is actually resident (at the address the
     instruction names); RELOAD brings back a value that was actually
@@ -35,6 +37,11 @@ are checked:
     NOP counts, the critical-path cycle count, and the PE issue-slot
     accounting.
 
+Every finding the checks can report is declared once, in ``_RULES``:
+its name, invariant family, severity, message template and hint.
+:func:`flag` is the one place a :class:`Finding` is built, and
+:data:`INVARIANTS` is the table's families in declaration order.
+
 One deliberate semantic subtlety: operand reads happen at issue, the
 write-back lands ``pipeline_stages`` later, so a register that was just
 SPILLed to make room for the *same* instruction's output is still
@@ -53,7 +60,7 @@ address.  Execution stays functionally correct (the functional model
 reads by value id), so the verifier reports these *bank-starved* reads
 as warnings (counted in ``VerifyReport.starved_reads``), reserving the
 error severity for reads the scheduler could have satisfied — the
-pre-PR 5 class, where a RELOAD was owed and missing.
+stale-address class, where a RELOAD was owed and missing.
 
 Findings are structured :class:`Finding` records collected in a
 :class:`VerifyReport`; nothing raises unless a caller opts into
@@ -62,26 +69,175 @@ Findings are structured :class:`Finding` records collected in a
 
 from __future__ import annotations
 
-import functools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.compiler.program import InstructionKind, Program
 from repro.core.compiler.schedule import ScheduleStats
 
-#: Invariant identifiers, in report order.
-INVARIANTS: Tuple[str, ...] = (
-    "def-before-use",
-    "spill-reload-pairing",
-    "bank-capacity",
-    "issue-order",
-    "cycle-monotonic",
-    "stats-consistency",
-)
-
 ERROR = "error"
 WARNING = "warning"
+
+
+class _Rule(NamedTuple):
+    """One finding the verifier can report.  ``message`` and ``hint``
+    are ``str.format`` templates over the fields :func:`flag` gets."""
+
+    invariant: str
+    message: str
+    hint: str
+    severity: str = ERROR
+
+
+#: Every finding, declared once: invariant family (in report order) ->
+#: rule name -> (message template, hint template[, severity]).
+_TABLE: Dict[str, Dict[str, tuple]] = {
+    "def-before-use": {
+        "stale-address": (
+            "operand {value} is resident at {slot} but the instruction reads {reads}",
+            "reads must name the operand's current register, not a stale address",
+        ),
+        "stale-read": (
+            "operand {value} was spilled and never reloaded (stale-address read)",
+            "emit a RELOAD before the consuming compute — the pre-PR 5 scheduler bug",
+        ),
+        "undefined-operand": (
+            "operand {value} is read before any LOAD or COMPUTE defines it",
+            "leaves arrive via LOAD, intermediates via an earlier COMPUTE",
+        ),
+        "released-operand": (
+            "operand {value} was released (dead) before this read",
+            "the live range must cover every consumer",
+        ),
+        "undefined-store": (
+            "STORE of undefined value {value}",
+            "stores must follow the producing compute",
+        ),
+        "undefined-root": (
+            "root value {value} is never defined",
+            "the final compute must produce the root",
+        ),
+    },
+    "spill-reload-pairing": {
+        "reload-of-resident": (
+            "RELOAD of value {value} which is already resident at {slot}",
+            "reload only values a SPILL actually evicted",
+        ),
+        "reload-unpaired": (
+            "RELOAD of value {value} that was never spilled",
+            "every RELOAD must pair with an earlier SPILL of the same value",
+        ),
+        "dead-reload": (
+            "RELOAD of value {value} with no later use",
+            "dead reload: drop it or fix the live range",
+            WARNING,
+        ),
+        "spill-of-nonresident": (
+            "SPILL of value {value} which is not resident",
+            "only register-resident values can be spilled",
+        ),
+        "spill-misread": (
+            "SPILL of value {value} reads {reads} but the value lives at {slot}",
+            "the spill must read the victim's actual register",
+        ),
+    },
+    "bank-capacity": {
+        "no-slot": (
+            "{what} has no register slot",
+            "the scheduler must allocate before emitting",
+        ),
+        "out-of-range": (
+            "{what} targets ({bank}, {addr}) outside the {banks}x{regs} register file",
+            "allocation must come from the per-bank free list",
+        ),
+        "clobber": (
+            "{what} of value {value} overwrites register {slot} "
+            "still holding live value {occupant}",
+            "only free or dead registers may be reallocated; "
+            "spill or release the occupant first",
+        ),
+        "bank-overfull": (
+            "bank {bank} holds {occupancy} live values (capacity {regs})",
+            "spill before allocating into a full bank",
+        ),
+        "starved-read": (
+            "operand {value} read through a stale fallback address in a "
+            "bank-starved block ({demand} bank-{bank} operands, capacity {regs})",
+            "residency is unsatisfiable here — rebalance the bank assignment "
+            "or raise regs_per_bank",
+            WARNING,
+        ),
+    },
+    "issue-order": {
+        "produced-later": (
+            "operand {value} is produced later in the stream (site {producer})",
+            "issue order must respect DAG dependencies",
+        ),
+        "hazard": (
+            "operand {value} becomes visible at cycle {ready} but is read at "
+            "cycle {cycle}",
+            "dependent issues must wait pipeline_stages={stages} cycles",
+        ),
+    },
+    "cycle-monotonic": {
+        "clock-backwards": (
+            "issue cycle {cycle} after cycle {last}",
+            "the stream must be emitted in issue order",
+        ),
+        "busy-nop": (
+            "NOP at cycle {cycle} which already issued work",
+            "NOPs fill only otherwise-empty cycles",
+        ),
+        "unaccounted-cycles": (
+            "cycles {cycles} are neither issue nor NOP cycles",
+            "every cycle up to the last issue is either work or an explicit "
+            "hazard NOP",
+        ),
+    },
+    "stats-consistency": {
+        "stats-count": (
+            "stats.{name}={claimed} but the stream holds {actual} {kind} "
+            "instruction(s)",
+            "schedule statistics must count emitted instructions",
+        ),
+        "stats-cycles": (
+            "stats.cycles={claimed} but the stream's critical path finishes at "
+            "cycle {expected}",
+            "cycles = max(issue + pipeline_stages + bank conflicts)",
+        ),
+        "stats-issue-slots": (
+            "stats.pe_issue_slots={claimed} but {pes} PEs over {cycles} cycles "
+            "offer {expected}",
+            "issue slots = num_pes x elapsed cycles",
+        ),
+        "run-instructions": (
+            "report.instructions={claimed} but the program holds {actual}",
+            "the model must account every emitted instruction",
+        ),
+        "run-stalls": (
+            "report.stalls={claimed} but the stream holds {actual} NOPs",
+            "execution stalls are exactly the scheduler's NOPs",
+        ),
+        "run-cycles": (
+            "report.cycles={claimed} below the static lower bound {expected}",
+            "modeled time cannot beat the schedule's critical path",
+        ),
+        "run-energy": (
+            "energy event {event}: model charged {actual}, stream implies {expected}",
+            "keep expected_energy_events in lockstep with run_program's accounting",
+        ),
+    },
+}
+_RULES: Dict[str, _Rule] = {
+    name: _Rule(invariant, *declared)
+    for invariant, rules in _TABLE.items()
+    for name, declared in rules.items()
+}
+
+#: Invariant identifiers, in report order.
+INVARIANTS: Tuple[str, ...] = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -90,7 +246,8 @@ class Finding:
 
     ``site`` is the index into ``program.instructions`` (-1 for
     program-level findings with no single site); ``invariant`` is one
-    of :data:`INVARIANTS`; ``hint`` says what a fix usually looks like.
+    of :data:`INVARIANTS`; ``hint`` says what a fix usually looks like;
+    ``rule`` names the ``_RULES`` entry that raised it.
     """
 
     severity: str  # ERROR | WARNING
@@ -98,6 +255,7 @@ class Finding:
     site: int
     message: str
     hint: str = ""
+    rule: str = ""
 
     def describe(self) -> str:
         where = f"@{self.site}" if self.site >= 0 else "@program"
@@ -105,6 +263,20 @@ class Finding:
         if self.hint:
             text += f"  (hint: {self.hint})"
         return text
+
+
+def flag(rule: str, site: int, **fields) -> Finding:
+    """The finding ``rule`` declares, at ``site``, its message and hint
+    filled in from ``fields``."""
+    declared = _RULES[rule]
+    return Finding(
+        declared.severity,
+        declared.invariant,
+        site,
+        declared.message.format(**fields),
+        declared.hint.format(**fields),
+        rule,
+    )
 
 
 @dataclass
@@ -116,7 +288,6 @@ class VerifyReport:
     computes: int = 0
     ghost_reads: int = 0  # designed read-under-eviction sites (not findings)
     starved_reads: int = 0  # bank-starved fallback reads (warnings)
-    checked: Tuple[str, ...] = INVARIANTS
 
     @property
     def errors(self) -> List[Finding]:
@@ -132,23 +303,16 @@ class VerifyReport:
         return not self.errors
 
     def by_invariant(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.invariant] = counts.get(finding.invariant, 0) + 1
-        return counts
+        return dict(Counter(finding.invariant for finding in self.findings))
 
     def describe(self) -> List[str]:
-        starved = (
-            f", {self.starved_reads} starved reads" if self.starved_reads else ""
+        starved = f", {self.starved_reads} starved reads" if self.starved_reads else ""
+        verdict = "OK" if self.ok else f"{len(self.errors)} error(s)"
+        head = (
+            f"verified {self.instructions} instructions ({self.computes} computes, "
+            f"{self.ghost_reads} ghost reads{starved}): {verdict}"
         )
-        lines = [
-            f"verified {self.instructions} instructions "
-            f"({self.computes} computes, {self.ghost_reads} ghost reads"
-            f"{starved}): "
-            + ("OK" if self.ok else f"{len(self.errors)} error(s)")
-        ]
-        lines.extend(finding.describe() for finding in self.findings)
-        return lines
+        return [head] + [finding.describe() for finding in self.findings]
 
 
 class ProgramVerificationError(RuntimeError):
@@ -167,17 +331,294 @@ class ProgramVerificationError(RuntimeError):
         super().__init__("\n".join([head] + [f.describe() for f in report.errors]))
 
 
-_MEMORY_KINDS = (
-    InstructionKind.LOAD,
-    InstructionKind.STORE,
-    InstructionKind.SPILL,
-    InstructionKind.RELOAD,
-)
+_COMPUTE, _NOP = InstructionKind.COMPUTE, InstructionKind.NOP
 
 
-def _operand_values(instruction) -> List[int]:
+def operand_values(instruction) -> List[int]:
     """Distinct DAG value ids one COMPUTE reads, deterministic order."""
     return sorted(set(instruction.leaf_operands.values()))
+
+
+class _Stream:
+    """What one pass over a stream counts, for every check that compares
+    the stream with a claim about it: instructions per kind, each
+    value's first producing COMPUTE and last reading site, the highest
+    issue cycle, the latest COMPUTE issue with and without its bank
+    conflicts, and the accelerator-loop energy events."""
+
+    def __init__(self, program: Program):
+        counts = dict.fromkeys(InstructionKind, 0)
+        producer_site: Dict[int, int] = {}
+        last_read: Dict[int, int] = {}
+        last_issue, reach, conflicted = -1, None, None
+        register_reads = hops = 0
+        for site, instruction in enumerate(program.instructions):
+            kind = instruction.kind
+            counts[kind] += 1
+            issue = instruction.issue_cycle
+            if issue > last_issue:
+                last_issue = issue
+            if kind is not _COMPUTE:
+                continue
+            producer_site.setdefault(instruction.output_value, site)
+            for value in operand_values(instruction):
+                last_read[value] = site
+            reads = instruction.reads
+            stalled = issue + len(reads) - len({bank for bank, _addr in reads})
+            if reach is None or issue > reach:
+                reach = issue
+            if conflicted is None or stalled > conflicted:
+                conflicted = stalled
+            register_reads += len(reads) + 1
+            hops += len(instruction.leaf_operands)
+        self.counts, self.last_issue = counts, last_issue
+        self.producer_site, self.last_read = producer_site, last_read
+        self._reach, self._conflicted = reach, conflicted
+        # Every other kind (LOAD, STORE, SPILL, RELOAD) moves one word.
+        memory_ops = len(program.instructions) - counts[_COMPUTE] - counts[_NOP]
+        self.energy = {
+            "register_access": register_reads + memory_ops,
+            "network_hop": hops,
+            "control_overhead": counts[_COMPUTE],
+            "sram_access": memory_ops,
+        }
+
+    def finish(self, stages: int, conflicts: bool = False) -> int:
+        """The cycle the last COMPUTE result lands, ``pipeline_stages``
+        after issue (plus one per bank conflict): 0 without computes."""
+        reach = self._conflicted if conflicts else self._reach
+        return 0 if reach is None else max(0, reach + stages)
+
+
+class _Machine:
+    """The abstract register file one walk of a stream moves: where each
+    value lives, what was spilled and still survives at its old address,
+    what was ever defined, and the issue clock.  Each handler takes one
+    instruction of its :class:`InstructionKind`; findings go to
+    ``report``."""
+
+    def __init__(self, program, config, stream, report):
+        self.program, self.stream, self.report = program, stream, report
+        self.regs, self.banks, self.stages = (
+            config.regs_per_bank, config.num_banks, config.pipeline_stages
+        )
+        self.resident: Dict[int, Tuple[int, int]] = {}  # value -> (bank, addr)
+        self.slots: Dict[Tuple[int, int], int] = {}  # (bank, addr) -> value
+        self.occupancy: Dict[int, int] = {}  # bank -> its keys in ``slots``
+        self.spilled: Set[int] = set()
+        self.ghost: Dict[int, Tuple[int, int]] = {}  # spilled value -> old slot
+        self.ghost_by_slot: Dict[Tuple[int, int], int] = {}
+        self.home_bank: Dict[int, int] = {}  # value -> bank it last lived in
+        self.defined: Set[int] = set()  # ever written by a LOAD, RELOAD or COMPUTE
+        self.compute_issue: Dict[int, int] = {}  # value -> producer issue cycle
+        self.last_cycle = -1
+        self.busy: Set[int] = set()  # cycles a COMPUTE or a NOP issued in
+
+    def emit(self, rule: str, site: int, **fields) -> None:
+        """Report ``rule`` at ``site``; the machine's bounds are fields too."""
+        bounds = {"regs": self.regs, "banks": self.banks, "stages": self.stages}
+        self.report.findings.append(flag(rule, site, **bounds, **fields))
+
+    # ------------------------------------------------------ shared moves
+
+    def tick(self, site: int, cycle: int) -> None:
+        """Advance the issue clock; it never runs backwards."""
+        if cycle >= 0:
+            if cycle < self.last_cycle:
+                self.emit("clock-backwards", site, cycle=cycle, last=self.last_cycle)
+            else:
+                self.last_cycle = cycle
+
+    def in_range(self, site: int, slot, what: str) -> bool:
+        """Range-check one (bank, addr) a write targets."""
+        if slot is None:
+            self.emit("no-slot", site, what=what)
+            return False
+        bank, addr = slot
+        if not (0 <= bank < self.banks and 0 <= addr < self.regs):
+            self.emit("out-of-range", site, what=what, bank=bank, addr=addr)
+            return False
+        return True
+
+    def write(self, site: int, value: int, slot: Tuple[int, int], what: str) -> None:
+        """A register write: the clobber check, the move, then the
+        occupancy check."""
+        resident, slots = self.resident, self.slots
+        occupant = slots.get(slot)
+        if occupant is None:
+            self.occupancy[slot[0]] = self.occupancy.get(slot[0], 0) + 1
+        elif occupant != value:
+            self.emit(
+                "clobber", site, what=what, value=value, slot=slot, occupant=occupant
+            )
+            resident.pop(occupant, None)
+        stale = self.ghost_by_slot.pop(slot, None)
+        if stale is not None:
+            self.ghost.pop(stale, None)
+        previous = resident.get(value)
+        if previous is not None and previous != slot:
+            self.release(value)
+        resident[value] = slot
+        slots[slot] = value
+        self.home_bank[value] = bank = slot[0]
+        self.spilled.discard(value)
+        old = self.ghost.pop(value, None)
+        if old is not None:
+            self.ghost_by_slot.pop(old, None)
+        self.defined.add(value)
+        if self.occupancy[bank] > self.regs:
+            self.emit("bank-overfull", site, bank=bank, occupancy=self.occupancy[bank])
+
+    def release(self, value: int) -> None:
+        """Free ``value``'s register, if it holds one."""
+        located = self.resident.pop(value, None)
+        if located is not None:
+            del self.slots[located]
+            self.occupancy[located[0]] -= 1
+
+    # ---------------------------------------------------------- handlers
+
+    def load(self, site: int, instruction, what: str = "LOAD") -> None:
+        if self.in_range(site, instruction.write, what):
+            self.write(site, instruction.value, instruction.write, what)
+
+    def reload(self, site: int, instruction) -> None:
+        value, located = instruction.value, self.resident.get(instruction.value)
+        if located is not None:
+            self.emit("reload-of-resident", site, value=value, slot=located)
+        elif value not in self.spilled:
+            self.emit("reload-unpaired", site, value=value)
+        last_read = self.stream.last_read.get(value, -1)
+        if last_read < site and value != self.program.root_value:
+            self.emit("dead-reload", site, value=value)
+        self.load(site, instruction, "RELOAD")
+
+    def spill(self, site: int, instruction) -> None:
+        value = instruction.value
+        located = self.resident.get(value)
+        if located is None:
+            self.emit("spill-of-nonresident", site, value=value)
+            return
+        where = instruction.reads[0] if instruction.reads else None
+        if where != located:
+            self.emit("spill-misread", site, value=value, reads=where, slot=located)
+        self.release(value)
+        self.spilled.add(value)
+        self.ghost[value] = located
+        self.ghost_by_slot[located] = value
+
+    def store(self, site: int, instruction) -> None:
+        # Every resident value was written, so ``defined`` covers it.
+        value = instruction.value
+        if value >= 0 and value not in self.defined:
+            self.emit("undefined-store", site, value=value)
+
+    def compute(self, site: int, instruction) -> None:
+        cycle = instruction.issue_cycle
+        if cycle >= 0:
+            self.busy.add(cycle)
+        reads = set(instruction.reads)
+        operands = operand_values(instruction)
+        resident, issued_at = self.resident, self.compute_issue
+        producer_site, stages = self.stream.producer_site, self.stages
+        for value in operands:
+            located = resident.get(value)
+            if located is None or located not in reads:
+                self.misread(site, value, located, reads, operands)
+            producer = producer_site.get(value)
+            if producer is None or producer == site:
+                continue
+            if producer > site:
+                self.emit("produced-later", site, value=value, producer=producer)
+            elif cycle >= 0:
+                issued = issued_at.get(value, -1)
+                if issued >= 0 and cycle < issued + stages:
+                    ready = issued + stages
+                    self.emit("hazard", site, value=value, ready=ready, cycle=cycle)
+        if self.in_range(site, instruction.write, "COMPUTE write-back"):
+            self.write(site, instruction.output_value, instruction.write, "write-back")
+        issued_at[instruction.output_value] = cycle
+        # Scheduler live-range release: operands whose last reader is
+        # this instruction free their registers.
+        last_read = self.stream.last_read
+        for value in operands:
+            if last_read.get(value) == site:
+                self.release(value)
+
+    def misread(self, site: int, value: int, located, reads, operands) -> None:
+        """Classify a COMPUTE operand that is not resident where the
+        instruction reads it."""
+        if located is not None:
+            self.emit(
+                "stale-address", site, value=value, slot=located, reads=sorted(reads)
+            )
+        elif value in self.spilled:
+            old = self.ghost.get(value)
+            if old is not None and old in reads:
+                # Designed read-under-eviction: the value was spilled to
+                # free this very instruction's output slot, and its bits
+                # survive until the write-back lands (reads happen at issue).
+                self.report.ghost_reads += 1
+            elif (demand := self.bank_demand(value, operands)) > self.regs:
+                # More distinct operands of this block live in the bank
+                # than it has registers: the scheduler could not have
+                # kept them all resident.  Impossible, not missed.
+                self.report.starved_reads += 1
+                bank = self.home_bank[value]
+                self.emit("starved-read", site, value=value, demand=demand, bank=bank)
+            else:
+                self.emit("stale-read", site, value=value)
+        elif value not in self.defined:
+            self.emit("undefined-operand", site, value=value)
+        else:
+            self.emit("released-operand", site, value=value)
+
+    def bank_demand(self, value: int, operands: List[int]) -> int:
+        """How many of ``operands`` live (or last lived) in ``value``'s
+        home bank."""
+        bank = self.home_bank.get(value)
+        if bank is None:
+            return 0
+        resident, home_bank = self.resident, self.home_bank
+        banks = [
+            resident[operand][0] if operand in resident else home_bank.get(operand)
+            for operand in operands
+        ]
+        return banks.count(bank)
+
+    def nop(self, site: int, instruction) -> None:
+        cycle = instruction.issue_cycle
+        if cycle >= 0:
+            if cycle in self.busy:
+                self.emit("busy-nop", site, cycle=cycle)
+            self.busy.add(cycle)
+
+    # -------------------------------------------------- program handlers
+
+    def root(self) -> None:
+        """The root value, when a COMPUTE produces it, was written."""
+        root = self.program.root_value
+        if root in self.stream.producer_site and root not in self.defined:
+            self.emit("undefined-root", -1, value=root)
+
+    def cycles(self) -> None:
+        """Every cycle up to the last issue holds a COMPUTE or a NOP."""
+        if self.busy:
+            missing = [c for c in range(max(self.busy) + 1) if c not in self.busy]
+            if missing:
+                self.emit("unaccounted-cycles", -1, cycles=missing[:5])
+
+
+#: One handler per instruction kind, named after it.
+_HANDLERS = {kind: getattr(_Machine, kind.name.lower()) for kind in InstructionKind}
+
+#: The ScheduleStats counters that each count one instruction kind.
+_COUNTED = {
+    "spills": InstructionKind.SPILL,
+    "reloads": InstructionKind.RELOAD,
+    "loads": InstructionKind.LOAD,
+    "nops": _NOP,
+}
 
 
 def verify_program(
@@ -193,483 +634,43 @@ def verify_program(
     additionally cross-check its counters against the stream
     (``stats-consistency``); without it those checks are skipped.
     """
-    report = VerifyReport(instructions=len(program.instructions))
-    out = report.findings
-    regs = config.regs_per_bank
-    num_banks = config.num_banks
-    stages = config.pipeline_stages
-
-    instructions = program.instructions
-
-    # Pre-passes over the stream: the producing COMPUTE of every value,
-    # and each value's last reading site (release modeling mirrors the
-    # scheduler's live-range analysis, but derived purely from the
-    # stream so a mutated program is judged on what it actually says).
-    producer_site: Dict[int, int] = {}
-    last_read: Dict[int, int] = {}
-    for index, instruction in enumerate(instructions):
-        if instruction.kind is InstructionKind.COMPUTE:
-            producer_site.setdefault(instruction.output_value, index)
-            for value in _operand_values(instruction):
-                last_read[value] = index
-
-    # Abstract machine state.
-    resident: Dict[int, Tuple[int, int]] = {}  # value -> (bank, addr)
-    slots: Dict[Tuple[int, int], int] = {}  # (bank, addr) -> value
-    spilled: Set[int] = set()
-    ghost: Dict[int, Tuple[int, int]] = {}  # spilled value -> old slot
-    ghost_by_slot: Dict[Tuple[int, int], int] = {}
-    home_bank: Dict[int, int] = {}  # value -> bank it last lived in
-    defined: Set[int] = set()  # ever LOADed or COMPUTEd
-    compute_issue: Dict[int, int] = {}  # value -> producer issue cycle
-    last_cycle = -1
-    compute_cycles: Set[int] = set()
-    nop_cycles: Set[int] = set()
-    max_finish = 0
-
-    def slot_ok(site: int, slot: Optional[Tuple[int, int]], what: str) -> bool:
-        """Range-check one (bank, addr); report under bank-capacity."""
-        if slot is None:
-            out.append(
-                Finding(
-                    ERROR,
-                    "bank-capacity",
-                    site,
-                    f"{what} has no register slot",
-                    "the scheduler must allocate before emitting",
-                )
-            )
-            return False
-        bank, addr = slot
-        if not (0 <= bank < num_banks) or not (0 <= addr < regs):
-            out.append(
-                Finding(
-                    ERROR,
-                    "bank-capacity",
-                    site,
-                    f"{what} targets ({bank}, {addr}) outside the "
-                    f"{num_banks}x{regs} register file",
-                    "allocation must come from the per-bank free list",
-                )
-            )
-            return False
-        return True
-
-    def write_value(site: int, value: int, slot: Tuple[int, int], what: str) -> None:
-        """Model a register write: clobber checks, then update state."""
-        occupant = slots.get(slot)
-        if occupant is not None and occupant != value:
-            out.append(
-                Finding(
-                    ERROR,
-                    "bank-capacity",
-                    site,
-                    f"{what} of value {value} overwrites register {slot} "
-                    f"still holding live value {occupant}",
-                    "only free or dead registers may be reallocated; "
-                    "spill or release the occupant first",
-                )
-            )
-            resident.pop(occupant, None)
-        stale = ghost_by_slot.pop(slot, None)
-        if stale is not None:
-            ghost.pop(stale, None)
-        previous = resident.get(value)
-        if previous is not None and previous != slot:
-            slots.pop(previous, None)
-        resident[value] = slot
-        slots[slot] = value
-        home_bank[value] = slot[0]
-        spilled.discard(value)
-        if value in ghost:
-            ghost_by_slot.pop(ghost.pop(value), None)
-        defined.add(value)
-        # Occupancy by construction equals len of per-bank slots; the
-        # addr range check above already bounds it at regs_per_bank,
-        # but a direct count catches pathological duplicate addresses.
-        bank = slot[0]
-        occupancy = sum(1 for (b, _a) in slots if b == bank)
-        if occupancy > regs:
-            out.append(
-                Finding(
-                    ERROR,
-                    "bank-capacity",
-                    site,
-                    f"bank {bank} holds {occupancy} live values "
-                    f"(capacity {regs})",
-                    "spill before allocating into a full bank",
-                )
-            )
-
-    def release(value: int) -> None:
-        located = resident.pop(value, None)
-        if located is not None:
-            slots.pop(located, None)
-
-    for index, instruction in enumerate(instructions):
-        kind = instruction.kind
-        cycle = instruction.issue_cycle
-
-        # Cycle monotonicity across everything that carries a cycle.
-        if cycle >= 0:
-            if cycle < last_cycle:
-                out.append(
-                    Finding(
-                        ERROR,
-                        "cycle-monotonic",
-                        index,
-                        f"issue cycle {cycle} after cycle {last_cycle}",
-                        "the stream must be emitted in issue order",
-                    )
-                )
-            else:
-                last_cycle = cycle
-
-        if kind is InstructionKind.LOAD:
-            if slot_ok(index, instruction.write, "LOAD"):
-                write_value(index, instruction.value, instruction.write, "LOAD")
-
-        elif kind is InstructionKind.RELOAD:
-            value = instruction.value
-            if value in resident:
-                out.append(
-                    Finding(
-                        ERROR,
-                        "spill-reload-pairing",
-                        index,
-                        f"RELOAD of value {value} which is already "
-                        f"resident at {resident[value]}",
-                        "reload only values a SPILL actually evicted",
-                    )
-                )
-            elif value not in spilled:
-                out.append(
-                    Finding(
-                        ERROR,
-                        "spill-reload-pairing",
-                        index,
-                        f"RELOAD of value {value} that was never spilled",
-                        "every RELOAD must pair with an earlier SPILL "
-                        "of the same value",
-                    )
-                )
-            if last_read.get(value, -1) < index and value != program.root_value:
-                out.append(
-                    Finding(
-                        WARNING,
-                        "spill-reload-pairing",
-                        index,
-                        f"RELOAD of value {value} with no later use",
-                        "dead reload: drop it or fix the live range",
-                    )
-                )
-            if slot_ok(index, instruction.write, "RELOAD"):
-                write_value(index, instruction.value, instruction.write, "RELOAD")
-
-        elif kind is InstructionKind.SPILL:
-            value = instruction.value
-            where = instruction.reads[0] if instruction.reads else None
-            located = resident.get(value)
-            if located is None:
-                out.append(
-                    Finding(
-                        ERROR,
-                        "spill-reload-pairing",
-                        index,
-                        f"SPILL of value {value} which is not resident",
-                        "only register-resident values can be spilled",
-                    )
-                )
-            elif where != located:
-                out.append(
-                    Finding(
-                        ERROR,
-                        "spill-reload-pairing",
-                        index,
-                        f"SPILL of value {value} reads {where} but the "
-                        f"value lives at {located}",
-                        "the spill must read the victim's actual register",
-                    )
-                )
-            if located is not None:
-                release(value)
-                spilled.add(value)
-                ghost[value] = located
-                ghost_by_slot[located] = value
-
-        elif kind is InstructionKind.STORE:
-            value = instruction.value
-            if value >= 0 and value not in resident and value not in defined:
-                out.append(
-                    Finding(
-                        ERROR,
-                        "def-before-use",
-                        index,
-                        f"STORE of undefined value {value}",
-                        "stores must follow the producing compute",
-                    )
-                )
-
-        elif kind is InstructionKind.COMPUTE:
-            report.computes += 1
-            if cycle >= 0:
-                compute_cycles.add(cycle)
-            reads_set = set(instruction.reads)
-            operands = _operand_values(instruction)
-            # Distinct operands this block demands from each bank; when
-            # a bank's demand exceeds capacity, residency for all of
-            # them at once is unsatisfiable (the scheduler's documented
-            # unavoidable case) and stale reads there downgrade to
-            # bank-starved warnings.
-            bank_demand: Dict[int, int] = {}
-            for value in operands:
-                located = resident.get(value)
-                bank = located[0] if located is not None else home_bank.get(value)
-                if bank is not None:
-                    bank_demand[bank] = bank_demand.get(bank, 0) + 1
-            for value in operands:
-                located = resident.get(value)
-                if located is not None:
-                    if located not in reads_set:
-                        out.append(
-                            Finding(
-                                ERROR,
-                                "def-before-use",
-                                index,
-                                f"operand {value} is resident at {located} "
-                                f"but the instruction reads "
-                                f"{sorted(reads_set)}",
-                                "reads must name the operand's current "
-                                "register, not a stale address",
-                            )
-                        )
-                elif value in spilled:
-                    old = ghost.get(value)
-                    if old is not None and old in reads_set:
-                        # Designed read-under-eviction: the value was
-                        # spilled to free this very instruction's output
-                        # slot, and its bits survive until the write-back
-                        # lands (reads happen at issue).
-                        report.ghost_reads += 1
-                    elif bank_demand.get(home_bank.get(value), 0) > regs:
-                        # Bank-starved block: more distinct operands
-                        # live in this bank than it has registers, so
-                        # the scheduler could not have kept them all
-                        # resident.  Impossible-to-satisfy, not missed.
-                        report.starved_reads += 1
-                        out.append(
-                            Finding(
-                                WARNING,
-                                "bank-capacity",
-                                index,
-                                f"operand {value} read through a stale "
-                                f"fallback address in a bank-starved "
-                                f"block ({bank_demand[home_bank[value]]} "
-                                f"bank-{home_bank[value]} operands, "
-                                f"capacity {regs})",
-                                "residency is unsatisfiable here — "
-                                "rebalance the bank assignment or raise "
-                                "regs_per_bank",
-                            )
-                        )
-                    else:
-                        out.append(
-                            Finding(
-                                ERROR,
-                                "def-before-use",
-                                index,
-                                f"operand {value} was spilled and never "
-                                f"reloaded (stale-address read)",
-                                "emit a RELOAD before the consuming "
-                                "compute — the pre-PR 5 scheduler bug",
-                            )
-                        )
-                elif value not in defined:
-                    out.append(
-                        Finding(
-                            ERROR,
-                            "def-before-use",
-                            index,
-                            f"operand {value} is read before any LOAD or "
-                            f"COMPUTE defines it",
-                            "leaves arrive via LOAD, intermediates via "
-                            "an earlier COMPUTE",
-                        )
-                    )
-                else:
-                    out.append(
-                        Finding(
-                            ERROR,
-                            "def-before-use",
-                            index,
-                            f"operand {value} was released (dead) before "
-                            f"this read",
-                            "the live range must cover every consumer",
-                        )
-                    )
-                producer = producer_site.get(value)
-                if producer is not None:
-                    if producer > index:
-                        out.append(
-                            Finding(
-                                ERROR,
-                                "issue-order",
-                                index,
-                                f"operand {value} is produced later in the "
-                                f"stream (site {producer})",
-                                "issue order must respect DAG dependencies",
-                            )
-                        )
-                    elif producer != index and cycle >= 0:
-                        ready = compute_issue.get(value, -1) + stages
-                        if 0 <= compute_issue.get(value, -1) and cycle < ready:
-                            out.append(
-                                Finding(
-                                    ERROR,
-                                    "issue-order",
-                                    index,
-                                    f"operand {value} becomes visible at "
-                                    f"cycle {ready} but is read at cycle "
-                                    f"{cycle}",
-                                    f"dependent issues must wait "
-                                    f"pipeline_stages={stages} cycles",
-                                )
-                            )
-            if slot_ok(index, instruction.write, "COMPUTE write-back"):
-                write_value(
-                    index, instruction.output_value, instruction.write, "write-back"
-                )
-            compute_issue[instruction.output_value] = cycle
-            if cycle >= 0:
-                finish = cycle + stages
-                if finish > max_finish:
-                    max_finish = finish
-            # Scheduler live-range release: operands whose last reader
-            # is this instruction free their registers.
-            for value in operands:
-                if last_read.get(value) == index:
-                    release(value)
-
-        elif kind is InstructionKind.NOP:
-            if cycle >= 0:
-                if cycle in compute_cycles or cycle in nop_cycles:
-                    out.append(
-                        Finding(
-                            ERROR,
-                            "cycle-monotonic",
-                            index,
-                            f"NOP at cycle {cycle} which already issued work",
-                            "NOPs fill only otherwise-empty cycles",
-                        )
-                    )
-                nop_cycles.add(cycle)
-
-    # Program-level checks.
-    if program.root_value is not None and producer_site and (
-        program.root_value in producer_site
-    ):
-        if program.root_value not in defined:
-            out.append(
-                Finding(
-                    ERROR,
-                    "def-before-use",
-                    -1,
-                    f"root value {program.root_value} is never defined",
-                    "the final compute must produce the root",
-                )
-            )
-    if compute_cycles or nop_cycles:
-        highest = max(compute_cycles | nop_cycles)
-        missing = [
-            c
-            for c in range(highest + 1)
-            if c not in compute_cycles and c not in nop_cycles
-        ]
-        if missing:
-            out.append(
-                Finding(
-                    ERROR,
-                    "cycle-monotonic",
-                    -1,
-                    f"cycles {missing[:5]} are neither issue nor NOP cycles",
-                    "every cycle up to the last issue is either work or "
-                    "an explicit hazard NOP",
-                )
-            )
-
+    stream = _Stream(program)
+    total = len(program.instructions)
+    report = VerifyReport(instructions=total, computes=stream.counts[_COMPUTE])
+    machine = _Machine(program, config, stream, report)
+    for site, instruction in enumerate(program.instructions):
+        machine.tick(site, instruction.issue_cycle)
+        _HANDLERS[instruction.kind](machine, site, instruction)
+    machine.root()
+    machine.cycles()
     if stats is not None:
-        _check_stats(program, stats, config, report, max_finish)
-
+        _check_stats(stream, stats, config, report.findings)
     return report
 
 
 def _check_stats(
-    program: Program,
-    stats: ScheduleStats,
-    config: ArchConfig,
-    report: VerifyReport,
-    max_finish: int,
+    stream: _Stream, stats: ScheduleStats, config: ArchConfig, out: List[Finding]
 ) -> None:
     """Cross-check ScheduleStats counters against the stream."""
-    out = report.findings
-    counted = {kind: 0 for kind in InstructionKind}
-    expected_cycles = 0
-    last_issue = -1
-    for instruction in program.instructions:
-        counted[instruction.kind] += 1
-        if instruction.kind is InstructionKind.COMPUTE:
-            banks = [bank for bank, _addr in instruction.reads]
-            conflicts = len(banks) - len(set(banks))
-            finish = instruction.issue_cycle + config.pipeline_stages + conflicts
-            if finish > expected_cycles:
-                expected_cycles = finish
-        if instruction.issue_cycle > last_issue:
-            last_issue = instruction.issue_cycle
-
-    for name, kind in (
-        ("spills", InstructionKind.SPILL),
-        ("reloads", InstructionKind.RELOAD),
-        ("loads", InstructionKind.LOAD),
-        ("nops", InstructionKind.NOP),
-    ):
-        claimed = getattr(stats, name)
-        actual = counted[kind]
+    for name, kind in _COUNTED.items():
+        claimed, actual = getattr(stats, name), stream.counts[kind]
         if claimed != actual:
             out.append(
-                Finding(
-                    ERROR,
-                    "stats-consistency",
-                    -1,
-                    f"stats.{name}={claimed} but the stream holds "
-                    f"{actual} {kind.name} instruction(s)",
-                    "schedule statistics must count emitted instructions",
-                )
+                flag("stats-count", -1, name=name, claimed=claimed, actual=actual,
+                     kind=kind.name)
             )
-    if counted[InstructionKind.COMPUTE] and stats.cycles != expected_cycles:
+    if not stream.counts[_COMPUTE]:
+        return
+    expected = stream.finish(config.pipeline_stages, conflicts=True)
+    if stats.cycles != expected:
+        out.append(flag("stats-cycles", -1, claimed=stats.cycles, expected=expected))
+    cycles = stream.last_issue + 1
+    expected = config.num_pes * cycles
+    if stats.pe_issue_slots != expected:
         out.append(
-            Finding(
-                ERROR,
-                "stats-consistency",
-                -1,
-                f"stats.cycles={stats.cycles} but the stream's critical "
-                f"path finishes at cycle {expected_cycles}",
-                "cycles = max(issue + pipeline_stages + bank conflicts)",
-            )
+            flag("stats-issue-slots", -1, claimed=stats.pe_issue_slots,
+                 pes=config.num_pes, cycles=cycles, expected=expected)
         )
-    if counted[InstructionKind.COMPUTE]:
-        expected_slots = config.num_pes * (last_issue + 1)
-        if stats.pe_issue_slots != expected_slots:
-            out.append(
-                Finding(
-                    ERROR,
-                    "stats-consistency",
-                    -1,
-                    f"stats.pe_issue_slots={stats.pe_issue_slots} but "
-                    f"{config.num_pes} PEs over {last_issue + 1} cycles "
-                    f"offer {expected_slots}",
-                    "issue slots = num_pes x elapsed cycles",
-                )
-            )
 
 
 # --------------------------------------------------------------- execution
@@ -684,24 +685,7 @@ def expected_energy_events(program: Program) -> Dict[str, int]:
     this accounting — ``tests/analysis/test_verifier.py`` executes the
     corpus and asserts the prediction exactly matches the model.
     """
-    register_access = 0
-    network_hop = 0
-    computes = 0
-    memory_ops = 0
-    for instruction in program.instructions:
-        kind = instruction.kind
-        if kind is InstructionKind.COMPUTE:
-            register_access += len(instruction.reads) + 1
-            network_hop += len(instruction.leaf_operands)
-            computes += 1
-        elif kind in _MEMORY_KINDS:
-            memory_ops += 1
-    return {
-        "register_access": register_access + memory_ops,
-        "network_hop": network_hop,
-        "control_overhead": computes,
-        "sram_access": memory_ops,
-    }
+    return _Stream(program).energy
 
 
 def verify_execution(
@@ -716,70 +700,25 @@ def verify_execution(
     when ``energy_delta`` carries the run's energy-counter deltas —
     exact energy-event/instruction-count consistency.
     """
-    result = VerifyReport(instructions=len(program.instructions))
+    stream = _Stream(program)
+    total = len(program.instructions)
+    result = VerifyReport(instructions=total, computes=stream.counts[_COMPUTE])
     out = result.findings
-    nops = sum(
-        1
-        for i in program.instructions
-        if i.kind is InstructionKind.NOP
-    )
-    max_finish = 0
-    for instruction in program.instructions:
-        if instruction.kind is InstructionKind.COMPUTE:
-            finish = instruction.issue_cycle + config.pipeline_stages
-            if finish > max_finish:
-                max_finish = finish
-            result.computes += 1
-    expected_cycles = max(max_finish, len(program.instructions))
-
-    if report.instructions != len(program.instructions):
-        out.append(
-            Finding(
-                ERROR,
-                "stats-consistency",
-                -1,
-                f"report.instructions={report.instructions} but the "
-                f"program holds {len(program.instructions)}",
-                "the model must account every emitted instruction",
-            )
-        )
+    if report.instructions != total:
+        claimed = report.instructions
+        out.append(flag("run-instructions", -1, claimed=claimed, actual=total))
+    nops = stream.counts[_NOP]
     if report.stalls != nops:
-        out.append(
-            Finding(
-                ERROR,
-                "stats-consistency",
-                -1,
-                f"report.stalls={report.stalls} but the stream holds "
-                f"{nops} NOPs",
-                "execution stalls are exactly the scheduler's NOPs",
-            )
-        )
-    if report.cycles < expected_cycles:
-        out.append(
-            Finding(
-                ERROR,
-                "stats-consistency",
-                -1,
-                f"report.cycles={report.cycles} below the static lower "
-                f"bound {expected_cycles}",
-                "modeled time cannot beat the schedule's critical path",
-            )
-        )
+        out.append(flag("run-stalls", -1, claimed=report.stalls, actual=nops))
+    bound = max(stream.finish(config.pipeline_stages), total)
+    if report.cycles < bound:
+        out.append(flag("run-cycles", -1, claimed=report.cycles, expected=bound))
     if energy_delta is not None:
-        expected = expected_energy_events(program)
-        for event, count in expected.items():
+        for event, count in stream.energy.items():
             actual = energy_delta.get(event)
             if actual != count:
                 out.append(
-                    Finding(
-                        ERROR,
-                        "stats-consistency",
-                        -1,
-                        f"energy event {event}: model charged {actual}, "
-                        f"stream implies {count}",
-                        "keep expected_energy_events in lockstep with "
-                        "run_program's accounting",
-                    )
+                    flag("run-energy", -1, event=event, actual=actual, expected=count)
                 )
     return result
 
@@ -794,9 +733,8 @@ def verify_artifact(artifact, config: ArchConfig = DEFAULT_CONFIG) -> VerifyRepo
     program = getattr(artifact, "program", None)
     if program is None:
         return VerifyReport()
-    stats = getattr(artifact, "compile_stats", None)
-    schedule_stats = getattr(stats, "schedule", None) if stats is not None else None
-    return verify_program(program, config, stats=schedule_stats)
+    stats = getattr(getattr(artifact, "compile_stats", None), "schedule", None)
+    return verify_program(program, config, stats=stats)
 
 
 def check_artifact(artifact, config: ArchConfig = DEFAULT_CONFIG) -> None:
@@ -808,9 +746,3 @@ def check_artifact(artifact, config: ArchConfig = DEFAULT_CONFIG) -> None:
     if not result.ok:
         key = getattr(artifact, "key", "") or "<uncached>"
         raise ProgramVerificationError(result, context=f"artifact {key}")
-
-
-def artifact_verifier(config: ArchConfig = DEFAULT_CONFIG):
-    """:func:`check_artifact` bound to ``config``, as a one-argument
-    callable."""
-    return functools.partial(check_artifact, config=config)

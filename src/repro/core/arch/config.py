@@ -21,6 +21,20 @@ TECH_NODE_NM = 28
 VOLTAGE = 0.9
 DRAM_BANDWIDTH_GBPS = 104.0
 
+#: (field, bound, bound allowed) for every numeric ``ArchConfig`` field:
+#: a PE needs a tree, registers and banks to schedule onto (zero PEs
+#: never issues), and time, latency and memory cannot be negative.
+_LOWER_BOUNDS = (
+    ("tree_depth", 1, True),
+    ("num_banks", 1, True),
+    ("regs_per_bank", 1, True),
+    ("num_pes", 1, True),
+    ("frequency_hz", 0, False),
+    ("sram_kib", 0, True),
+    ("sram_banks", 1, True),
+    ("dram_latency_cycles", 0, True),
+)
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -29,6 +43,8 @@ class ArchConfig:
     Attributes mirror the paper's template: a *PE* is one tree engine of
     ``2**tree_depth`` leaves (so ``2**(tree_depth+1) - 1`` nodes); the
     chip integrates ``num_pes`` of them behind shared local SRAM.
+    Construction rejects a field below its bound in ``_LOWER_BOUNDS``
+    with a ``ValueError`` naming the field, the value and the bound.
     """
 
     tree_depth: int = 3  # D: levels below the root (8 leaves)
@@ -43,6 +59,15 @@ class ArchConfig:
     pipelined_scheduling: bool = True  # pipeline-aware reordering
     reconfigurable: bool = True  # per-cycle mode switching
     linked_list_layout: bool = True  # WLs linked-list SRAM layout
+
+    def __post_init__(self) -> None:
+        for name, bound, inclusive in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if not (value >= bound if inclusive else value > bound):
+                relation = ">=" if inclusive else ">"
+                raise ValueError(
+                    f"ArchConfig.{name}={value!r} must be {relation} {bound}"
+                )
 
     @property
     def leaves_per_pe(self) -> int:

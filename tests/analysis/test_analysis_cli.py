@@ -48,6 +48,14 @@ def test_verify_mutation_not_applicable_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--regs", "--banks"])
+def test_verify_zero_sized_config_is_usage_error(flag, capsys):
+    # Zero registers or banks used to fail inside the scheduler with a
+    # traceback and the findings exit code (and --pes 0 hung it).
+    assert analysis_main(["verify", flag, "0"]) == EXIT_USAGE
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_list_mutations(capsys):
     assert analysis_main(["verify", "--list-mutations"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -5,10 +5,9 @@ import dataclasses
 import pytest
 
 from repro.analysis import (
-    INVARIANTS,
     ProgramVerificationError,
     VerifyReport,
-    artifact_verifier,
+    check_artifact,
     expected_energy_events,
     verify_artifact,
     verify_execution,
@@ -318,7 +317,6 @@ def test_report_describe_and_by_invariant(overflow_schedule, tiny_regfile):
     lines = report.describe()
     assert "1 error(s)" in lines[0]
     assert any("stale" in line for line in lines[1:])
-    assert set(report.checked) == set(INVARIANTS)
 
 
 # ------------------------------------------------- execution consistency
@@ -365,7 +363,7 @@ def test_energy_event_drift_is_flagged(overflow_schedule, tiny_regfile):
 # --------------------------------------------------------- artifact hook
 
 
-def test_artifact_verifier_passes_good_artifact(overflow_schedule, tiny_regfile):
+def test_check_artifact_passes_good_artifact(overflow_schedule, tiny_regfile):
     program, _ = overflow_schedule
 
     class FakeArtifact:
@@ -373,10 +371,10 @@ def test_artifact_verifier_passes_good_artifact(overflow_schedule, tiny_regfile)
 
     artifact = FakeArtifact()
     artifact.program = program
-    artifact_verifier(tiny_regfile)(artifact)  # no raise
+    check_artifact(artifact, tiny_regfile)  # no raise
 
 
-def test_artifact_verifier_raises_with_report(overflow_schedule, tiny_regfile):
+def test_check_artifact_raises_with_report(overflow_schedule, tiny_regfile):
     program, stats = overflow_schedule
     mutant, _ = apply_mutation("stale-reload", program, stats.schedule)
 
@@ -386,7 +384,7 @@ def test_artifact_verifier_raises_with_report(overflow_schedule, tiny_regfile):
     artifact = FakeArtifact()
     artifact.program = mutant
     with pytest.raises(ProgramVerificationError) as excinfo:
-        artifact_verifier(tiny_regfile)(artifact)
+        check_artifact(artifact, tiny_regfile)
     assert isinstance(excinfo.value.report, VerifyReport)
     assert excinfo.value.report.errors
     assert "bad" in str(excinfo.value)

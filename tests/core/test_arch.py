@@ -78,6 +78,33 @@ class TestConfig:
             moved = observed(dataclasses.replace(DEFAULT_CONFIG, **{name: value}))
             assert moved != baseline, name
 
+    @pytest.mark.parametrize(
+        "name, value, bound",
+        [
+            ("tree_depth", 0, ">= 1"),
+            ("num_banks", 0, ">= 1"),
+            ("regs_per_bank", 0, ">= 1"),
+            ("num_pes", 0, ">= 1"),
+            ("frequency_hz", 0.0, "> 0"),
+            ("frequency_hz", float("nan"), "> 0"),
+            ("sram_kib", -1, ">= 0"),
+            ("sram_banks", 0, ">= 1"),
+            ("dram_latency_cycles", -5, ">= 0"),
+        ],
+    )
+    def test_out_of_range_field_is_rejected(self, name, value, bound):
+        """Zero PEs used to hang the scheduler, zero registers or SRAM
+        banks failed deep inside it, a zero clock divided by zero."""
+        with pytest.raises(ValueError, match=f"ArchConfig.{name}=.* must be {bound}"):
+            dataclasses.replace(DEFAULT_CONFIG, **{name: value})
+
+    def test_smallest_legal_config_is_accepted(self):
+        smallest = dataclasses.replace(
+            DEFAULT_CONFIG, tree_depth=1, num_banks=1, regs_per_bank=1, num_pes=1,
+            frequency_hz=1.0, sram_kib=0, sram_banks=1, dram_latency_cycles=0,
+        )
+        assert smallest.key_bytes != DEFAULT_CONFIG.key_bytes
+
     def test_dse_grid_size(self):
         grid = dse_grid()
         assert len(grid) == 3 * 4 * 3
