@@ -3,9 +3,9 @@
 Two execution paths mirror the paper's two kernel families:
 
 * :meth:`ReasonAccelerator.run_program` executes a compiled VLIW program
-  (probabilistic / logic DAG inference) functionally while accounting
-  cycles, memory traffic and energy — validated against the reference
-  DAG evaluator.
+  (probabilistic / logic DAG inference): it evaluates each block's tree
+  — validated against the reference DAG evaluator — and counts cycles,
+  memory traffic and energy from the instruction stream.
 * :meth:`ReasonAccelerator.run_symbolic` replays a CDCL solver trace on
   the symbolic machinery (watch lists in their linked-list SRAM
   layout, broadcast/reduction over the node tree), charging each event
@@ -21,6 +21,7 @@ Two execution paths mirror the paper's two kernel families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
@@ -29,9 +30,25 @@ from repro.core.arch.interconnect import Topology, broadcast_cycles
 from repro.core.arch.tree_pe import PEMode, TreePE
 from repro.core.arch.watched_literals import watch_costs
 from repro.core.compiler.program import InstructionKind, Program
+from repro.core.dag.graph import OpType
 from repro.logic.cdcl import CDCLSolver
 from repro.logic.cnf import CNF
 from repro.trace.format import PHASE_PROGRAM, PHASE_SYMBOLIC, EventKind
+
+_COMPUTE, _NOP = InstructionKind.COMPUTE, InstructionKind.NOP
+_SUM, _PRODUCT = OpType.SUM, OpType.PRODUCT
+_AND, _OR, _NOT = OpType.AND, OpType.OR, OpType.NOT
+_ISSUE = attrgetter("issue_cycle")
+_READS, _LEAF_OPERANDS = attrgetter("reads"), attrgetter("leaf_operands")
+#: The event a memory instruction is traced as; a STORE / SPILL without
+#: a write-back names the bank it reads from.
+_MEMORY_EVENTS = {
+    InstructionKind.LOAD: EventKind.LOAD,
+    InstructionKind.RELOAD: EventKind.RELOAD,
+    InstructionKind.STORE: EventKind.STORE,
+    InstructionKind.SPILL: EventKind.SPILL,
+}
+_STORES = (InstructionKind.STORE, InstructionKind.SPILL)
 
 
 @dataclass
@@ -64,11 +81,11 @@ class ReasonAccelerator:
     def __init__(self, config: ArchConfig = DEFAULT_CONFIG):
         self.config = config
         self.energy = EnergyModel(config=config)
-        self.pes = [TreePE(config, self.energy) for _ in range(config.num_pes)]
+        self.pes = [TreePE(config) for _ in range(config.num_pes)]
         # Opt-in binary event trace (repro.trace).  None (the default)
-        # keeps the execution loops on their untraced hot paths — the
-        # only cost of the feature when off is one local None check per
-        # event branch.  Attach via :meth:`attach_trace`.
+        # keeps both execution paths counting: the cost of the feature
+        # when off is one None check per run.  Attach via
+        # :meth:`attach_trace`.
         self.trace = None
 
     def attach_trace(self, writer) -> None:
@@ -77,8 +94,6 @@ class ReasonAccelerator:
         instruction issues, PE block evaluations).  The caller owns the
         writer's lifecycle — the accelerator only emits."""
         self.trace = writer
-        for pe in self.pes:
-            pe.trace = writer
 
     # -------------------------------------------------------- DAG programs
 
@@ -88,120 +103,171 @@ class ReasonAccelerator:
         inputs: Optional[Dict[int, float]] = None,
         mode: PEMode = PEMode.PROBABILISTIC,
     ) -> ProgramRun:
-        """Execute a compiled program; returns the root value and costs.
+        """Execute a compiled program; returns the root value and the
+        costs of this run (the chip's counters keep accumulating).
 
         ``inputs`` maps DAG leaf node ids to values (same contract as
         :func:`repro.core.dag.graph.evaluate_dag`); missing inputs
         default to 0.0 for logic and to the leaf payload mass for
         probabilistic leaves when the compiler recorded one.
-        """
-        inputs = dict(inputs or {})
-        values: Dict[int, float] = dict(inputs)
-        stalls = 0
-        switch_penalty = 0
-        max_finish = 0
 
-        for pe in self.pes:
+        The values are computed block by block: each COMPUTE's tree
+        bottom-up, one op node at a time.  The costs are *counted*:
+        cycles, stalls, every energy counter and the per-PE statistics
+        are a closed form of the stream — its kind histogram, the operand
+        reads and leaf operands of its COMPUTEs, the last COMPUTE issue,
+        the mode-switch penalty and each block's logic / ALU op count —
+        charged once.  Only with a trace writer attached is the stream
+        also *walked*, in issue order, to emit one event per instruction
+        and block; the walk charges nothing.
+        """
+        instructions = program.instructions
+        config = self.config
+        pes = self.pes
+        num_pes = len(pes)
+        switch_penalty = 0
+        for pe in pes:
             if pe.mode is not mode:
                 switch_penalty += pe.mode_switch_penalty()
             pe.set_mode(mode)
+        computes = [i for i in instructions if i.kind is _COMPUTE]
 
-        # Per-instruction event counts accumulate locally and flush to
-        # the energy model in one aggregate update after the loop.
-        register_events = 0
-        network_hops = 0
-        compute_count = 0
-        memory_ops = 0
-        pes = self.pes
-        num_pes = len(pes)
-        pipeline_stages = self.config.pipeline_stages
-        kind_compute = InstructionKind.COMPUTE
-        kind_load = InstructionKind.LOAD
-        kind_reload = InstructionKind.RELOAD
-        kind_nop = InstructionKind.NOP
+        # The value pass.  ``tree_config`` lists unique heap positions in
+        # ascending order, so walking it backwards sees children before
+        # parents.  A block's store is indexed by heap position and wide
+        # enough for the children of every node of this chip's tree.
+        # Unconfigured positions are inert; FORWARD nodes pass their one
+        # live child up; an op reads its live children left first, with
+        # the IEEE operations of ``sum`` (which starts from int 0) or of
+        # a running product from 1.0, in that order.
+        values: Dict[int, float] = dict(inputs or {})
+        width = 2 * config.nodes_per_pe + 1
+        blocks_on = [0] * num_pes
+        ops_on = [0] * num_pes
+        logic_ops = 0
+        try:
+            for instruction in computes:
+                store: List[Optional[float]] = [None] * width
+                for position, value_id in instruction.leaf_operands.items():
+                    store[position] = values[value_id]
+                ops = 0
+                for node in reversed(instruction.tree_config):
+                    position = node.position
+                    op = node.op
+                    if op is None:  # FORWARD
+                        if store[position] is None:  # else a leaf operand
+                            live = store[2 * position + 1]
+                            if live is None:
+                                live = store[2 * position + 2]
+                            if live is None:
+                                raise ValueError(f"forward node {position} has no input")
+                            store[position] = live
+                        continue
+                    ops += 1
+                    left = store[2 * position + 1]
+                    right = store[2 * position + 2]
+                    if left is None:  # a lone live operand is the first
+                        left, right = right, None
+                        if left is None:
+                            raise ValueError(f"op node {position} has no inputs")
+                    if op is _SUM:
+                        operands = 1 if right is None else 2
+                        weights = node.child_weights or (1.0,) * operands
+                        if len(weights) != operands:
+                            raise ValueError(
+                                f"SUM node {position} has {len(weights)} child "
+                                f"weights for {operands} live operands"
+                            )
+                        value = 0 + weights[0] * left
+                        if right is not None:
+                            value += weights[1] * right
+                    elif op is _PRODUCT:
+                        value = 1.0 * left
+                        if right is not None:
+                            value *= right
+                    elif op is _AND:
+                        logic_ops += 1
+                        value = 1.0 if left > 0 and (right is None or right > 0) else 0.0
+                    elif op is _OR:
+                        logic_ops += 1
+                        value = 1.0 if left > 0 or (right is not None and right > 0) else 0.0
+                    elif op is _NOT:
+                        logic_ops += 1
+                        value = 1.0 - left
+                    else:
+                        raise TypeError(f"op {op} not executable on a tree node")
+                    store[position] = value
+                if store[0] is None:
+                    raise ValueError("block did not produce a root value")
+                values[instruction.output_value] = store[0]
+                on = instruction.pe % num_pes
+                blocks_on[on] += 1
+                ops_on[on] += ops
+        except KeyError as missing:  # only reading an operand's value raises it
+            raise KeyError(f"input value for DAG node {missing.args[0]} missing") from None
+        except IndexError:  # only a heap position past the store raises it
+            raise ValueError(
+                f"a COMPUTE addresses a position outside this chip's "
+                f"{config.nodes_per_pe}-node PE tree; compile the program for this config"
+            ) from None
 
-        # Tracing is opt-in: `emit` is None on the untraced hot path, so
-        # the only added cost when off is one local None check per
-        # instruction branch.
+        for pe, blocks, ops in zip(pes, blocks_on, ops_on):
+            pe.stats.instructions += blocks
+            pe.stats.active_node_ops += ops
+        active = sum(ops_on)
+        stalls = sum(1 for i in instructions if i.kind is _NOP)
+        # Every other kind (LOAD, STORE, SPILL, RELOAD) moves one word.
+        memory_ops = len(instructions) - len(computes) - stalls
+        run = EnergyModel(config, self.energy.energies)
+        run.logic_op = logic_ops
+        run.alu_op = active - logic_ops
+        # A COMPUTE reads its operand registers and writes one back.
+        run.register_access = (
+            sum(map(len, map(_READS, computes))) + len(computes) + memory_ops
+        )
+        run.network_hop = sum(map(len, map(_LEAF_OPERANDS, computes)))
+        run.control_overhead = len(computes)
+        run.sram_access = memory_ops
+        self.energy.merge(run)
+        stages = config.pipeline_stages
+        finish = max(map(_ISSUE, computes), default=-stages) + stages
+        cycles = max(finish, len(instructions)) + switch_penalty
+
         tw = self.trace
         emit = None if tw is None else tw.emit
         if emit is not None:
-            ev_compute = EventKind.COMPUTE
-            ev_load = EventKind.LOAD
-            ev_reload = EventKind.RELOAD
-            ev_store = EventKind.STORE
-            ev_spill = EventKind.SPILL
-            ev_nop = EventKind.NOP
-            kind_store = InstructionKind.STORE
             emit(EventKind.PHASE, 0, PHASE_PROGRAM)
-
-        for instruction in program.instructions:
-            kind = instruction.kind
-            if kind is kind_compute:
-                pe = pes[instruction.pe % num_pes]
-                if emit is not None:
-                    emit(ev_compute, instruction.issue_cycle, instruction.pe % num_pes)
-                leaf_values = {}
-                for position, value_id in instruction.leaf_operands.items():
-                    if value_id not in values:
-                        raise KeyError(
-                            f"input value for DAG node {value_id} missing"
-                        )
-                    leaf_values[position] = values[value_id]
-                result = pe.execute_config(instruction.tree_config, leaf_values)
-                values[instruction.output_value] = result
-                # Register traffic: operand reads + one write-back.
-                register_events += len(instruction.reads) + 1
-                network_hops += len(instruction.leaf_operands)
-                compute_count += 1
-                finish = instruction.issue_cycle + pipeline_stages
-                if finish > max_finish:
-                    max_finish = finish
-            elif kind is kind_load or kind is kind_reload:
-                memory_ops += 1
-                if emit is not None:
+            for instruction in instructions:
+                kind = instruction.kind
+                if kind is _COMPUTE:
+                    emit(EventKind.COMPUTE, instruction.issue_cycle, instruction.pe % num_pes)
+                    configs = instruction.tree_config
+                    forwards = sum(1 for node in configs if node.op is None)
+                    emit(EventKind.PE_BLOCK, None, len(configs) - forwards, forwards)
+                elif kind is _NOP:
+                    issue = instruction.issue_cycle
+                    emit(EventKind.NOP, issue if issue >= 0 else None)
+                else:
                     # The scheduler fills issue_cycle only for COMPUTE
                     # and NOP; memory ops ride the clock's last value
                     # (cycle=None -> zero delta, one code byte).
-                    bank = instruction.write[0] if instruction.write else 0
-                    emit(ev_load if kind is kind_load else ev_reload, None, bank)
-            elif kind is kind_nop:
-                stalls += 1
-                if emit is not None:
-                    issue = instruction.issue_cycle
-                    emit(ev_nop, issue if issue >= 0 else None)
-            else:  # STORE / SPILL
-                memory_ops += 1
-                if emit is not None:
-                    if instruction.write:
-                        bank = instruction.write[0]
-                    elif instruction.reads:
-                        bank = instruction.reads[0][0]
+                    write, reads = instruction.write, instruction.reads
+                    if write:
+                        bank = write[0]
+                    elif reads and kind in _STORES:
+                        bank = reads[0][0]
                     else:
                         bank = 0
-                    emit(ev_store if kind is kind_store else ev_spill, None, bank)
-
-        energy = self.energy
-        energy.register_access += register_events + memory_ops
-        energy.network_hop += network_hops
-        energy.control_overhead += compute_count
-        energy.sram_access += memory_ops
-
-        cycles = max(max_finish, len(program.instructions)) + switch_penalty
-        if emit is not None:
+                    emit(_MEMORY_EVENTS[kind], None, bank)
             emit(EventKind.RUN_END, cycles)
-        root = values.get(program.root_value) if program.root_value is not None else None
-        utilization = (
-            sum(pe.stats.active_node_ops for pe in self.pes)
-            / max(1, sum(pe.stats.instructions for pe in self.pes) * self.config.nodes_per_pe)
-        )
+
         return ProgramRun(
-            result=root,
+            result=values.get(program.root_value) if program.root_value is not None else None,
             cycles=cycles,
-            energy_j=self.energy.total_energy_j(),
-            power_w=self.energy.average_power_w(cycles),
-            utilization=utilization,
-            instructions=len(program.instructions),
+            energy_j=run.total_energy_j(),
+            power_w=run.average_power_w(cycles),
+            utilization=active / max(1, len(computes) * config.nodes_per_pe),
+            instructions=len(instructions),
             stalls=stalls,
         )
 

@@ -159,7 +159,7 @@ class CircuitPlan:
 
     __slots__ = (
         "root", "order", "entries", "edge_keys", "root_index", "variables",
-        "leaves", "sums", "num_edges", "structure_digest",
+        "leaves", "leaf_rows", "sums", "num_edges", "structure_digest",
     )  # fmt: skip
 
     def __init__(self, root: CircuitNode):
@@ -189,6 +189,7 @@ class CircuitPlan:
         self.edge_keys: List[EdgeKey] = []
         self.variables: Set[int] = set()
         self.leaves: List[LeafNode] = []
+        self.leaf_rows: List[int] = []  # each leaf's dense index
         self.sums: List[SumNode] = []
         self.num_edges = 0
         stream = array("q", [len(order)])
@@ -197,6 +198,7 @@ class CircuitPlan:
                 self.entries.append((_LEAF, dense, node, (), -1))
                 self.variables.add(node.variable)
                 self.leaves.append(node)
+                self.leaf_rows.append(dense)
                 stream.extend((_LEAF, node.variable))
                 continue
             children = tuple(index[child.node_id] for child in node.children)

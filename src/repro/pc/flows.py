@@ -12,7 +12,7 @@ by deleting an edge is bounded by its mean flow.
 Implementation: the circuit is flattened once into its dense plan
 (:meth:`Circuit.plan`: node order, child index arrays, edge slots) and
 every query evaluates the whole evidence batch as numpy rows — one
-integer column per variable, one table gather per leaf, one bottom-up
+integer column per variable, one gather for every leaf row, one bottom-up
 value pass and one top-down flow pass for an entire calibration
 dataset; nothing is paid per input except reading its evidence dict.  All element-wise operations apply
 the same IEEE-754 double operations in the same order as the scalar
@@ -36,61 +36,88 @@ import numpy as np
 from repro.pc.circuit import _LEAF, _PRODUCT, Circuit, CircuitPlan, EdgeKey
 from repro.pc.inference import Evidence
 
-# Column code of a marginalised variable (``None`` or absent evidence).
-_MARGINAL = np.iinfo(np.int64).min
+#: Per circuit variable, one entry per evidence: the value as an int64
+#: code, and whether the variable is marginalised there.
+Columns = Dict[int, Tuple[np.ndarray, np.ndarray]]
 
 
-def _evidence_columns(
-    plan: CircuitPlan, dataset: Sequence[Evidence]
-) -> Dict[int, np.ndarray]:
-    """One int64 column per circuit variable, one entry per evidence.
+def _evidence_columns(plan: CircuitPlan, dataset: Sequence[Evidence]) -> Columns:
+    """Two columns per circuit variable, one entry per evidence.
 
     Evidence values are integers or ``None``; an absent variable and
-    ``None`` both become ``_MARGINAL``.  Anything ``operator.index``
+    ``None`` are marginalised, and that is what the boolean column
+    says: no int64 value is set aside to mean it (a marginalised
+    entry's code is -1, read by nothing).  Anything ``operator.index``
     rejects (a float such as ``1.5``) raises instead of being truncated.
     """
     m = len(dataset)
     as_index = operator.index
-    columns: Dict[int, np.ndarray] = {}
+    columns: Columns = {}
     for variable in plan.variables:
         raw = [evidence.get(variable) for evidence in dataset]
-        columns[variable] = np.fromiter(
-            (_MARGINAL if value is None else as_index(value) for value in raw),
+        codes = np.fromiter(
+            (-1 if value is None else as_index(value) for value in raw),
             dtype=np.int64,
             count=m,
         )
+        marginal = np.fromiter((value is None for value in raw), dtype=bool, count=m)
+        columns[variable] = codes, marginal
     return columns
 
 
-def _evaluate_batch(plan: CircuitPlan, columns: Dict[int, np.ndarray]) -> np.ndarray:
+def _evaluate_batch(plan: CircuitPlan, columns: Columns) -> np.ndarray:
     """Bottom-up values, one row per node and one column per evidence.
 
-    A leaf row is one gather from the leaf's table extended by two
-    slots — 0.0 for a value outside the table, the table's total mass
-    for a marginalised variable — the three cases of ``LeafNode.prob``.
-    Tables and weights are read now, never cached.  Element-wise
-    accumulation order matches the scalar evaluator, so each column is
-    bit-identical to ``_evaluate_all`` on that evidence.
+    Every leaf row comes from one gather.  The leaf tables are laid end
+    to end, each followed by two slots — 0.0 for a value outside the
+    table, the table's total mass for a marginalised variable — the
+    three cases of ``LeafNode.prob``.  Each ``(variable, table size)``
+    has one row of slots, one per evidence, and one fancy index reads
+    every leaf's row of that extended table at once.  A mass is its
+    table's ``sum()`` bit for bit: tables of one size are summed as the
+    rows of one array, which numpy reduces row by row with the pairwise
+    sum of a lone table (a sequential ``reduceat`` would round
+    differently).  The internal rows are then walked bottom-up.  Tables
+    and weights are read now, never cached.  Element-wise accumulation
+    order matches the scalar evaluator, so each column is bit-identical
+    to ``_evaluate_all`` on that evidence.
     """
-    m = len(next(iter(columns.values())))  # a circuit has a leaf, so a column
+    m = len(next(iter(columns.values()))[0])  # a circuit has a leaf, so a column
     values = np.empty((len(plan.order), m), dtype=float)
-    slots_of: Dict[Tuple[int, int], np.ndarray] = {}  # (variable, table size)
+    leaves = plan.leaves
+    tables = [leaf.probabilities for leaf in leaves]
+    sizes = np.fromiter(map(len, tables), dtype=np.intp, count=len(tables))
+    flat = np.concatenate(tables)
+    starts = np.cumsum(sizes) - sizes
+    masses = np.empty(len(tables))
+    for size in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        masses[group] = flat[starts[group, None] + np.arange(size)].sum(axis=1)
+    # Table i starts at offsets[i] of the extended table: the two slots
+    # of every table before it come first.
+    offsets = starts + 2 * np.arange(len(tables))
+    extended = np.empty(len(flat) + 2 * len(tables))
+    extended[np.repeat(offsets - starts, sizes) + np.arange(len(flat))] = flat
+    extended[offsets + sizes] = 0.0
+    extended[offsets + sizes + 1] = masses
+    slot_row_of: Dict[Tuple[int, int], int] = {}  # (variable, table size)
+    slot_rows = []
+    leaf_slot_rows = []
+    for leaf, size in zip(leaves, sizes.tolist()):
+        key = (leaf.variable, size)
+        index = slot_row_of.get(key)
+        if index is None:
+            codes, marginal = columns[leaf.variable]
+            slots = np.where((codes >= 0) & (codes < size), codes, size)
+            slots[marginal] = size + 1
+            index = slot_row_of[key] = len(slot_rows)
+            slot_rows.append(slots)
+        leaf_slot_rows.append(index)
+    values[plan.leaf_rows] = extended[offsets[:, None] + np.stack(slot_rows)[leaf_slot_rows]]
     for kind, dense, node, children, _ in plan.entries:
         if kind == _LEAF:
-            probabilities = node.probabilities
-            size = len(probabilities)
-            slots = slots_of.get((node.variable, size))
-            if slots is None:
-                codes = columns[node.variable]
-                slots = np.where((codes >= 0) & (codes < size), codes, size)
-                slots[codes == _MARGINAL] = size + 1
-                slots_of[node.variable, size] = slots
-            table = np.empty(size + 2)
-            table[:size] = probabilities
-            table[size] = 0.0
-            table[size + 1] = probabilities.sum()
-            np.take(table, slots, out=values[dense])
-        elif kind == _PRODUCT:
+            continue
+        if kind == _PRODUCT:
             row = values[children[0]].copy()
             for child in children[1:]:
                 row *= values[child]

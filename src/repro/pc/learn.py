@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random as _random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.pc.circuit import (
     bernoulli_leaf,
 )
 from repro.pc.flows import (
+    Columns,
     _evaluate_batch,
     _evidence_columns,
     _flow_batch,
@@ -34,7 +35,7 @@ from repro.pc.inference import Evidence
 
 
 def _em_update(
-    plan: CircuitPlan, columns: Dict[int, np.ndarray], values: np.ndarray, smoothing: float
+    plan: CircuitPlan, columns: Columns, values: np.ndarray, smoothing: float
 ) -> None:
     """The M-step from ``values``, the bottom-up pass over the dataset
     under the current parameters; writes new weights and leaf tables.
@@ -50,10 +51,10 @@ def _em_update(
             node.weights = counts / counts.sum()
         elif kind == _LEAF:
             counts = np.zeros(len(node.probabilities))
-            codes = columns[node.variable]
+            codes, marginal = columns[node.variable]
             # A marginalised variable counts nowhere, and neither does a
             # value outside the table (mass 0 in every evaluator).
-            observed = (codes >= 0) & (codes < len(counts))
+            observed = ~marginal & (codes >= 0) & (codes < len(counts))
             # Unbuffered: repeated values add in dataset order.
             np.add.at(counts, codes[observed], flows[dense][observed])
             counts += smoothing

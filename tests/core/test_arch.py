@@ -23,7 +23,12 @@ from repro.core.arch.config import dse_grid
 from repro.core.arch.energy import EVENT_NAMES, scale_to_node
 from repro.core.arch.interconnect import area_breakdown, scalability_series
 from repro.core.arch.tree_pe import PEMode, TreePE
-from repro.core.compiler.program import TreeNodeConfig
+from repro.core.compiler.program import (
+    InstructionKind,
+    Program,
+    TreeNodeConfig,
+    VLIWInstruction,
+)
 from repro.core.dag.graph import OpType
 from repro.logic.cdcl import CDCLSolver
 from repro.logic.cnf import CNF, Clause
@@ -225,74 +230,106 @@ class TestWatchedLiterals:
         assert table[1] == (5, 6, ((2, 1), (1, 2), (0, 2)))
 
 
+def _compute(configs, leaves, output=-1):
+    """One COMPUTE of ``configs`` on PE 0 whose leaf operand at each
+    heap position of ``leaves`` is the DAG value of the same id."""
+    return VLIWInstruction(
+        InstructionKind.COMPUTE,
+        tree_config=list(configs),
+        leaf_operands={position: position for position in leaves},
+        output_value=output,
+    )
+
+
+def _execute(configs, leaves):
+    """What one placed block computes: ``leaves`` maps heap positions to
+    operand values, the result is the block's root value."""
+    program = Program([_compute(configs, leaves)], root_value=-1)
+    return ReasonAccelerator().run_program(program, leaves).result
+
+
 class TestTreePE:
+    """The tree-node datapath, driven through ``run_program``'s value pass."""
+
     def test_sum_with_mismatched_weights_is_rejected(self):
         # Two weights, one live operand: evaluating with all-ones
         # weights instead would be a silently wrong marginal.
-        pe = TreePE(DEFAULT_CONFIG)
         weighted = TreeNodeConfig(0, OpType.SUM, (0.25, 0.75))
-        assert pe.execute_config([weighted], {1: 0.5, 2: 1.0}) == pytest.approx(0.875)
+        assert _execute([weighted], {1: 0.5, 2: 1.0}) == pytest.approx(0.875)
         with pytest.raises(ValueError, match="SUM node 0 has 2 child weights for 1 live"):
-            pe.execute_config([weighted], {1: 0.5})
+            _execute([weighted], {1: 0.5})
 
     def test_unweighted_sum_adds_and_product_multiplies(self):
-        pe = TreePE(DEFAULT_CONFIG)
         leaves = {1: 0.25, 2: 4.0}
-        assert pe.execute_config([TreeNodeConfig(0, OpType.SUM)], leaves) == pytest.approx(4.25)
-        assert pe.execute_config([TreeNodeConfig(0, OpType.PRODUCT)], leaves) == pytest.approx(1.0)
+        assert _execute([TreeNodeConfig(0, OpType.SUM)], leaves) == pytest.approx(4.25)
+        assert _execute([TreeNodeConfig(0, OpType.PRODUCT)], leaves) == pytest.approx(1.0)
 
     def test_logic_ops_read_positive_values_as_true(self):
-        pe = TreePE(DEFAULT_CONFIG)
         for left, right in ((0.0, 0.0), (0.0, 0.5), (2.0, 0.0), (1.0, 1.0)):
             leaves = {1: left, 2: right}
             both = left > 0 and right > 0
             either = left > 0 or right > 0
-            assert pe.execute_config([TreeNodeConfig(0, OpType.AND)], leaves) == float(both)
-            assert pe.execute_config([TreeNodeConfig(0, OpType.OR)], leaves) == float(either)
-        assert pe.execute_config([TreeNodeConfig(0, OpType.NOT)], {1: 1.0}) == 0.0
-        assert pe.execute_config([TreeNodeConfig(0, OpType.NOT)], {1: 0.0}) == 1.0
+            assert _execute([TreeNodeConfig(0, OpType.AND)], leaves) == float(both)
+            assert _execute([TreeNodeConfig(0, OpType.OR)], leaves) == float(either)
+        assert _execute([TreeNodeConfig(0, OpType.NOT)], {1: 1.0}) == 0.0
+        assert _execute([TreeNodeConfig(0, OpType.NOT)], {1: 0.0}) == 1.0
 
     def test_forward_nodes_pass_their_live_child_up(self):
         # Root (0) multiplies a forwarded left operand (1 <- 3) and a
         # right subtree product (2 <- 5 * 6).
-        pe = TreePE(DEFAULT_CONFIG)
         configs = [
             TreeNodeConfig(0, OpType.PRODUCT),
             TreeNodeConfig(1, None),
             TreeNodeConfig(2, OpType.PRODUCT),
         ]
-        assert pe.execute_config(configs, {3: 0.5, 5: 2.0, 6: 3.0}) == pytest.approx(3.0)
+        assert _execute(configs, {3: 0.5, 5: 2.0, 6: 3.0}) == pytest.approx(3.0)
 
     def test_leaf_level_forward_keeps_the_injected_operand(self):
-        pe = TreePE(DEFAULT_CONFIG)
         configs = [TreeNodeConfig(0, OpType.SUM), TreeNodeConfig(1, None), TreeNodeConfig(2, None)]
-        assert pe.execute_config(configs, {1: 0.25, 2: 0.5}) == pytest.approx(0.75)
+        assert _execute(configs, {1: 0.25, 2: 0.5}) == pytest.approx(0.75)
 
     def test_nodes_without_inputs_are_rejected(self):
-        pe = TreePE(DEFAULT_CONFIG)
         with pytest.raises(ValueError, match="op node 0 has no inputs"):
-            pe.execute_config([TreeNodeConfig(0, OpType.AND)], {})
+            _execute([TreeNodeConfig(0, OpType.AND)], {})
         with pytest.raises(ValueError, match="forward node 0 has no input"):
-            pe.execute_config([TreeNodeConfig(0, None)], {})
+            _execute([TreeNodeConfig(0, None)], {})
         with pytest.raises(ValueError, match="root value"):
-            pe.execute_config([TreeNodeConfig(1, OpType.OR)], {3: 1.0})
+            _execute([TreeNodeConfig(1, OpType.OR)], {3: 1.0})
 
     def test_graph_only_ops_are_not_executable(self):
         with pytest.raises(TypeError, match="not executable"):
-            TreePE(DEFAULT_CONFIG).execute_config([TreeNodeConfig(0, OpType.LEAF)], {1: 1.0})
+            _execute([TreeNodeConfig(0, OpType.LEAF)], {1: 1.0})
+
+    def test_a_missing_input_is_named(self):
+        program = Program([_compute([TreeNodeConfig(0, OpType.SUM)], {1: 0.5})], root_value=-1)
+        with pytest.raises(KeyError, match="input value for DAG node 1 missing"):
+            ReasonAccelerator().run_program(program, {})
+
+    def test_a_position_outside_the_tree_is_rejected(self):
+        # A depth-1 tree has positions 0-2; its store reaches their
+        # children (3-6), so a leaf at 7 belongs to a deeper tree.
+        shallow = dataclasses.replace(DEFAULT_CONFIG, tree_depth=1)
+        program = Program([_compute([TreeNodeConfig(0, None)], {7: 1.0})], root_value=-1)
+        with pytest.raises(ValueError, match="outside this chip's 3-node PE tree"):
+            ReasonAccelerator(shallow).run_program(program, {7: 1.0})
 
     def test_stats_and_energy_split_logic_from_alu_ops(self):
-        energy = EnergyModel()
-        pe = TreePE(DEFAULT_CONFIG, energy)
+        accelerator = ReasonAccelerator()
         configs = [
             TreeNodeConfig(0, OpType.AND),
             TreeNodeConfig(1, OpType.OR),
             TreeNodeConfig(2, None),
         ]
-        pe.execute_config(configs, {3: 1.0, 4: 0.0, 5: 1.0})
-        pe.execute_config([TreeNodeConfig(0, OpType.PRODUCT)], {1: 1.0, 2: 1.0})
+        program = Program(
+            [
+                _compute(configs, {3: 1.0, 4: 0.0, 5: 1.0}, output=10),
+                _compute([TreeNodeConfig(0, OpType.PRODUCT)], {1: 1.0, 2: 1.0}, output=11),
+            ]
+        )
+        accelerator.run_program(program, {3: 1.0, 4: 0.0, 5: 1.0, 1: 1.0, 2: 1.0})
+        pe = accelerator.pes[0]
         assert (pe.stats.instructions, pe.stats.active_node_ops) == (2, 3)
-        assert (energy.logic_op, energy.alu_op) == (2, 1)
+        assert (accelerator.energy.logic_op, accelerator.energy.alu_op) == (2, 1)
 
     def test_mode_switches_cost_a_drain_only_on_a_fixed_array(self):
         pe = TreePE(DEFAULT_CONFIG)

@@ -144,6 +144,78 @@ class TestBatchEvaluation:
         plain = edge_flows(circuit, {0: 1, 2: 0})
         assert edge_flows(circuit, {0: np.int64(1), 2: np.int32(0)}) == plain
 
+    def test_the_lowest_int64_is_a_value_not_a_marginal(self):
+        # -2**63 is negative, so probability 0.0 like any other negative
+        # value; it once doubled as the column code of "marginalised".
+        circuit = Circuit(SumNode([bernoulli_leaf(0, 0.2), bernoulli_leaf(0, 0.7)], [0.5, 0.5]))
+        lowest = -(2**63)
+        assert likelihood(circuit, {0: lowest}) == 0.0
+        for flows_of in (node_flows, edge_flows):
+            assert flows_of(circuit, {0: lowest}) == flows_of(circuit, {0: -1})
+            assert flows_of(circuit, {0: lowest}) != flows_of(circuit, {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 5, 64]))
+    def test_leaf_gather_equals_the_per_leaf_loop(self, seed, m):
+        """Tables of 1-12 entries (zeros and negative zeros included),
+        several sizes per variable, evidence in range, past the end,
+        negative, ``None`` or absent: the values are the bytes the
+        per-leaf loop produced."""
+        rng = random.Random(seed)
+        num_vars = rng.randint(1, 5)
+        circuit = random_circuit(
+            num_vars, depth=rng.randint(1, 3), sum_children=rng.randint(2, 3), seed=seed
+        )
+        plan = circuit.plan()
+        for leaf in plan.leaves:
+            size = rng.randint(1, 12)
+            leaf.probabilities = np.array(
+                [rng.choice((0.0, -0.0, rng.random(), rng.random() * 1e-9)) for _ in range(size)]
+            )
+        choices = (None, 0, 1, 2, 5, 11, 12, 40, -1, -7, -(2**63), 2**63 - 1)
+        data = [
+            {v: rng.choice(choices) for v in range(num_vars) if rng.random() < 0.8}
+            for _ in range(m)
+        ]
+        columns = _evidence_columns(plan, data)
+        expected = per_leaf_loop(plan, columns)
+        assert _evaluate_batch(plan, columns).tobytes() == expected.tobytes()
+
+
+def per_leaf_loop(plan, columns):
+    """``_evaluate_batch`` as it was written before its leaf rows became
+    one gather: one ``np.take`` per leaf from the leaf's own table
+    extended by an out-of-table 0.0 and its ``sum()``."""
+    m = len(next(iter(columns.values()))[0])
+    values = np.empty((len(plan.order), m), dtype=float)
+    slots_of = {}
+    for kind, dense, node, children, _ in plan.entries:
+        if isinstance(node, LeafNode):
+            probabilities = node.probabilities
+            size = len(probabilities)
+            slots = slots_of.get((node.variable, size))
+            if slots is None:
+                codes, marginal = columns[node.variable]
+                slots = np.where((codes >= 0) & (codes < size), codes, size)
+                slots[marginal] = size + 1
+                slots_of[node.variable, size] = slots
+            table = np.empty(size + 2)
+            table[:size] = probabilities
+            table[size] = 0.0
+            table[size + 1] = probabilities.sum()
+            np.take(table, slots, out=values[dense])
+        elif isinstance(node, SumNode):
+            row = np.zeros(m)
+            for child, weight in zip(children, node.weights):
+                row += weight * values[child]
+            values[dense] = row
+        else:
+            row = values[children[0]].copy()
+            for child in children[1:]:
+                row *= values[child]
+            values[dense] = row
+    return values
+
 
 def reference_em_step(circuit, dataset, smoothing):
     """EM written one input at a time (the loop ``em_step`` replaced):
@@ -280,7 +352,7 @@ class TestEM:
         fit_em(circuit, data, iterations=3, smoothing=1e-6)
         assert likelihood(circuit, {0: 1}) == pytest.approx(0.8, abs=0.01)
 
-    @pytest.mark.parametrize("value", [7, -1])
+    @pytest.mark.parametrize("value", [7, -1, -(2**63)])
     def test_out_of_table_evidence_has_zero_mass_in_em(self, value):
         """A value past a leaf's table is probability 0 in every
         evaluator, so EM learns what it learns without that row."""
