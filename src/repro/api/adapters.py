@@ -418,11 +418,11 @@ class DagAdapter(KernelAdapter):
         doubles and the label (op name and payload, ``repr``-ed: a
         payload is a literal, a name or a small table)."""
         plan = kernel.plan()
+        ops, payloads = plan.ops, plan.payloads
         parts = [struct.pack("<qq", len(plan.order), kernel.root)]
         for node_id in plan.order:
-            node = plan.nodes[node_id]
-            children, weights = node.children, node.weights or ()
-            label = stable_repr((node.op.name, node.payload))
+            children, weights = plan.children[node_id], plan.weights[node_id]
+            label = stable_repr((ops[node_id].name, payloads[node_id]))
             parts.append(
                 struct.pack(
                     f"<4q{len(children)}q{len(weights)}d",

@@ -63,18 +63,17 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
 
     # Per-node state lives in flat arrays indexed by the dense node id.
     # Parent counts span the whole DAG, not just the reachable part.
-    size = len(plan.nodes)
+    size = len(plan.ops)
     parent_count, leaf, children_of = plan.parents, plan.leaf, plan.children
     block_of = [-1] * size  # block id of each placed interior node
     depth_of = [0] * size  # depth within its block
     materialized = bytearray(size)  # values living in registers/SRAM
     # Open blocks as parallel columns indexed by block id (creation
-    # order); a merged-away block keeps an empty node list.  Each input
-    # list has a set shadow for O(1) membership; the lists keep
-    # insertion order (it defines operand read order).
+    # order); a merged-away block keeps an empty node list.  Input lists
+    # keep insertion order (it defines operand read order) and hold at
+    # most 2 ** max_depth values, so membership is a short scan.
     block_nodes: List[List[int]] = []
     block_inputs: List[List[int]] = []
-    input_sets: List[Set[int]] = []
     block_depth: List[int] = []
 
     for node_id in plan.order:
@@ -108,31 +107,27 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
         if mergeable:
             target = mergeable[0]
             nodes, inputs = block_nodes[target], block_inputs[target]
-            seen = input_sets[target]
             for other in mergeable[1:]:  # at most one: fan-in ≤ 2
                 if other == target:
                     continue
                 moved = block_nodes[other]
                 nodes.extend(moved)
                 for value in block_inputs[other]:
-                    if value not in seen:
-                        seen.add(value)
+                    if value not in inputs:
                         inputs.append(value)
                 for moved_id in moved:
                     block_of[moved_id] = target
                 block_nodes[other] = []
         else:
             target = len(block_nodes)
-            nodes, inputs, seen = [], [], set()
+            nodes, inputs = [], []
             block_nodes.append(nodes)
             block_inputs.append(inputs)
-            input_sets.append(seen)
             block_depth.append(0)
 
         nodes.append(node_id)
         for child in children:
-            if materialized[child] and child not in seen:
-                seen.add(child)
+            if materialized[child] and child not in inputs:
                 inputs.append(child)
         if new_depth > block_depth[target]:
             block_depth[target] = new_depth
@@ -150,12 +145,12 @@ def decompose_blocks(dag: Dag, max_depth: int) -> List[Block]:
 
 
 def _validate_blocks(plan: DagPlan, blocks: Sequence[Block], max_depth: int) -> None:
-    covered = bytearray(len(plan.nodes))
+    covered = bytearray(len(plan.ops))
     for block in blocks:
         if block.depth > max_depth:
             raise AssertionError(f"block {block.block_id} exceeds depth budget")
-        overlap = {node_id for node_id in block.nodes if covered[node_id]}
-        if overlap:
+        if any(map(covered.__getitem__, block.nodes)):
+            overlap = {node_id for node_id in block.nodes if covered[node_id]}
             raise AssertionError(f"nodes in multiple blocks: {sorted(overlap)[:5]}")
         for node_id in block.nodes:
             covered[node_id] = 1

@@ -96,8 +96,3 @@ def map_operands_to_banks(
 
     return assignment
 
-
-def issue_conflicts(assignment: BankAssignment, block: Block) -> int:
-    """Stall cycles this block pays for same-bank operand reads."""
-    banks = [assignment.bank_of[v] for v in dict.fromkeys(block.inputs)]
-    return len(banks) - len(set(banks))

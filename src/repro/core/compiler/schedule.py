@@ -24,60 +24,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.arch.config import ArchConfig
 from repro.core.compiler.blocks import Block, block_dependencies, topological_block_order
-from repro.core.compiler.mapping import BankAssignment, issue_conflicts
+from repro.core.compiler.mapping import BankAssignment
 from repro.core.compiler.program import InstructionKind, Program, VLIWInstruction
-from repro.core.compiler.tree_map import place_block
+from repro.core.compiler.tree_map import place_blocks
 from repro.core.dag.graph import Dag
-
-
-class _BankFile:
-    """Per-bank free lists with lowest-address-first allocation.
-
-    Residency is tracked both globally (``address_of``) and per bank
-    (insertion-ordered dicts), so spill-victim enumeration scans only
-    the overflowing bank instead of every resident value.
-    """
-
-    def __init__(self, num_banks: int, regs_per_bank: int):
-        # Ascending addresses are already heap-ordered.
-        self._free: List[List[int]] = [list(range(regs_per_bank)) for _ in range(num_banks)]
-        self.address_of: Dict[int, Tuple[int, int]] = {}
-        self._residents: List[Dict[int, int]] = [{} for _ in range(num_banks)]
-
-    def allocate(self, value: int, bank: int) -> Optional[Tuple[int, int]]:
-        """Place a value; returns (bank, addr) or None when bank is full."""
-        free = self._free[bank]
-        if not free:
-            return None
-        addr = heapq.heappop(free)
-        slot = self.address_of[value] = (bank, addr)
-        self._residents[bank][value] = addr
-        return slot
-
-    def release(self, value: int) -> None:
-        """Free the value's register, if it holds one."""
-        if value in self.address_of:
-            self.evict(value)
-
-    def evict(self, value: int) -> Tuple[int, int]:
-        """Free a resident value's register; returns where it lived."""
-        located = self.address_of.pop(value)
-        bank, addr = located
-        heapq.heappush(self._free[bank], addr)
-        del self._residents[bank][value]
-        return located
-
-    def resident(self, value: int) -> bool:
-        return value in self.address_of
-
-    def values_in_bank(self, bank: int) -> List[int]:
-        # Same enumeration order as filtering ``address_of`` insertion
-        # order: values enter/leave both maps together.
-        return list(self._residents[bank])
 
 
 @dataclass
@@ -112,6 +66,11 @@ def schedule_program(
     deps = block_dependencies(dag, blocks)
     ordered = topological_block_order(dag, blocks, deps)
     bank_of = assignment.bank_of
+    # What a block's COMPUTE carries does not depend on when it issues:
+    # every block's tree placement, and its stalls — one per operand
+    # read from a bank another operand of the block already reads.
+    placements = place_blocks(plan, ordered, config.tree_depth)
+    stalls = [len(set(b.inputs)) - len({bank_of[v] for v in b.inputs}) for b in ordered]
 
     # Live ranges.  Blocks issue lowest-index-first among those *ready*,
     # which is not ``ordered`` order, so liveness is a count of readers
@@ -124,11 +83,17 @@ def schedule_program(
             readers_left[value] = readers_left.get(value, 0) + 1
             last_reader[value] = index
 
-    banks = _BankFile(config.num_banks, config.regs_per_bank)
+    # The register file: per bank, a heap of free addresses (ascending
+    # is already heap order) and the residents in allocation order, so
+    # spill victims are enumerated from the overflowing bank alone; and
+    # every resident's (bank, address).
+    free = [list(range(config.regs_per_bank)) for _ in range(config.num_banks)]
+    residents: List[Dict[int, int]] = [{} for _ in range(config.num_banks)]
+    address_of: Dict[int, Tuple[int, int]] = {}
     program = Program(num_blocks=len(blocks))
     emit = program.instructions.append
     stats = ScheduleStats()
-    configs: Dict = {}  # the compile's op configs, shared (see place_block)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     def place(value: int, keep: Sequence[int]) -> Tuple[int, int]:
         """Claim the lowest free register of the value's bank; while the
@@ -141,17 +106,18 @@ def schedule_program(
         sibling: the unavoidable, bank-starved case.
         """
         bank = bank_of[value]
-        slot = banks.allocate(value, bank)
-        if slot is None:
+        vacant, in_bank = free[bank], residents[bank]
+        if not vacant:
             keep = set(keep)
-        while slot is None:
-            residents = banks.values_in_bank(bank)
-            spare = [v for v in residents if v not in keep]
-            victim = max(spare or residents, key=last_reader.__getitem__)
-            where = banks.evict(victim)
+        while not vacant:
+            spare = [v for v in in_bank if v not in keep]
+            victim = max(spare or in_bank, key=last_reader.__getitem__)
+            where = address_of.pop(victim)
+            heappush(vacant, in_bank.pop(victim))
             emit(VLIWInstruction(InstructionKind.SPILL, reads=[where], value=victim))
             stats.spills += 1
-            slot = banks.allocate(value, bank)
+        addr = in_bank[value] = heappop(vacant)
+        slot = address_of[value] = (bank, addr)
         return slot
 
     # Ready-queue scheduling: a block enters the ``future`` heap of
@@ -174,11 +140,9 @@ def schedule_program(
     # the schedule's length, and the drain gate of the non-pipelined
     # ablation.  An unissued block whose producers have all issued sits
     # in a heap, so both are empty exactly when every block has issued.
-    heappush, heappop = heapq.heappush, heapq.heappop
     load, reload, compute = InstructionKind.LOAD, InstructionKind.RELOAD, InstructionKind.COMPUTE
     num_pes, pipelined = config.num_pes, config.pipelined_scheduling
-    stages, tree_depth = config.pipeline_stages, config.tree_depth
-    address_of = banks.address_of
+    stages = config.pipeline_stages
     while future or ready:
         while future and future[0][0] <= cycle:
             heappush(ready, heappop(future)[1])
@@ -211,21 +175,21 @@ def schedule_program(
             # address, which holds its bits until the write lands.
             reads = [address_of.get(v) or (bank_of[v], 0) for v in inputs]
             out_slot = place(block.output, ())
-            placement = place_block(plan, block, tree_depth, configs)
+            tree_config, leaf_operands, _ = placements[index]
             emit(
                 VLIWInstruction(
                     compute,
                     block_id=block.block_id,
                     reads=reads,
                     write=out_slot,
-                    tree_config=placement.configs,
+                    tree_config=tree_config,
                     issue_cycle=cycle,
                     pe=pe,
-                    leaf_operands=placement.leaf_operands,
+                    leaf_operands=leaf_operands,
                     output_value=block.output,
                 )
             )
-            finish = cycle + stages + issue_conflicts(assignment, block)
+            finish = cycle + stages + stalls[index]
             if finish > stats.cycles:
                 stats.cycles = finish
             for dependent in dependents[index]:
@@ -235,9 +199,10 @@ def schedule_program(
                 if not blocked_on[dependent]:
                     heappush(future, (ready_when[dependent], dependent))
             for value in inputs:
-                readers_left[value] -= 1
-                if not readers_left[value]:
-                    banks.release(value)
+                left = readers_left[value] = readers_left[value] - 1
+                if not left and value in address_of:
+                    bank = address_of.pop(value)[0]
+                    heappush(free[bank], residents[bank].pop(value))
 
         stats.pe_issue_slots += num_pes
         if not issuing:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiler.blocks import Block
 from repro.core.compiler.program import TreeNodeConfig
@@ -63,71 +63,76 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
 
     Raises ``ValueError`` when the block is deeper than the PE tree.
     """
-    return place_block(dag.plan(), block, tree_depth, {})
+    ((configs, leaf_operands, active),) = place_blocks(dag.plan(), [block], tree_depth)
+    return TreePlacement(
+        block.block_id, configs, leaf_operands, active / (2 ** (tree_depth + 1) - 1)
+    )
 
 
-def place_block(
-    plan: DagPlan,
-    block: Block,
-    tree_depth: int,
-    configs: Dict[Tuple[int, OpType, Tuple[float, ...]], TreeNodeConfig],
-) -> TreePlacement:
-    """:func:`map_block_to_tree` over the DAG's plan, taking op configs
-    from ``configs`` — keyed by ``(position, op, child weights)`` and
-    filled as new ones appear — so a compile that passes one dict for
-    all its blocks holds one frozen config per distinct key."""
-    if block.depth > tree_depth:
-        raise ValueError(
-            f"block depth {block.depth} exceeds tree depth {tree_depth}"
-        )
-    block_nodes = set(block.nodes)
+def place_blocks(
+    plan: DagPlan, blocks: Sequence[Block], tree_depth: int
+) -> List[Tuple[List[TreeNodeConfig], Dict[int, int], int]]:
+    """Every block's placement, as ``(configs, leaf_operands, active op
+    count)`` in block order — :func:`map_block_to_tree` over the DAG's
+    plan, reading block membership off one per-node owner array.  The
+    blocks share one op config per distinct ``(position, op, child
+    weights)``."""
     forward, paths = _tree(tree_depth)
     num_positions = len(forward)
     first_leaf = num_positions // 2
-
-    # Heap-indexed: a config is written straight into its position, so
-    # the list comes out sorted.  The walk reaches a position along one
-    # path only, so a second claim on a slot means the walk is broken.
-    by_position: List[Optional[TreeNodeConfig]] = [None] * num_positions
-    leaf_operands: Dict[int, int] = {}
     ops, children_of, weights = plan.ops, plan.children, plan.weights
-    active = 0
+    owner = [-1] * len(ops)  # node id -> index of the block holding it
+    for index, block in enumerate(blocks):
+        for node_id in block.nodes:
+            owner[node_id] = index
+    configs: Dict[Tuple[int, OpType, Tuple[float, ...]], TreeNodeConfig] = {}
+    placements = []
 
-    # Pre-order placement walk with an explicit stack (the recursion
-    # paid a Python frame per operand spine).
-    stack = [(block.output, 0)]
-    while stack:
-        value_id, position = stack.pop()
-        if value_id not in block_nodes:
-            # An operand: inject at the leaf below and FORWARD it up to
-            # ``position`` (inclusive) so the parent op can read it.
-            path = paths[position]
-            leaf_operands[path[0]] = value_id
-            for walker in path:
-                if by_position[walker] is not None:
-                    raise AssertionError(f"conflicting configs at position {walker}")
-                by_position[walker] = forward[walker]
-            continue
+    for index, block in enumerate(blocks):
+        if block.depth > tree_depth:
+            raise ValueError(
+                f"block depth {block.depth} exceeds tree depth {tree_depth}"
+            )
+        # Heap-indexed: a config is written straight into its position,
+        # so the list comes out sorted.  The walk reaches a position
+        # along one path only, so a second claim on a slot means the
+        # walk is broken.
+        by_position: List[Optional[TreeNodeConfig]] = [None] * num_positions
+        leaf_operands: Dict[int, int] = {}
+        active = 0
+        # Pre-order placement walk with an explicit stack (the recursion
+        # paid a Python frame per operand spine).
+        stack = [(block.output, 0)]
+        while stack:
+            value_id, position = stack.pop()
+            if owner[value_id] != index:
+                # An operand: inject at the leaf below and FORWARD it up
+                # to ``position`` (inclusive) so the parent op can read it.
+                path = paths[position]
+                leaf_operands[path[0]] = value_id
+                for walker in path:
+                    if by_position[walker] is not None:
+                        raise AssertionError(f"conflicting configs at position {walker}")
+                    by_position[walker] = forward[walker]
+                continue
 
-        if by_position[position] is not None:
-            raise AssertionError(f"conflicting configs at position {position}")
-        key = (position, ops[value_id], weights[value_id])
-        config = configs.get(key)
-        if config is None:
-            config = configs[key] = TreeNodeConfig(*key)
-        by_position[position] = config
-        active += 1
-        children = children_of[value_id]
-        if children:
-            if position >= first_leaf:
-                raise ValueError("op node landed on a leaf position")
-            if len(children) == 2:
-                stack.append((children[1], 2 * position + 2))
-            stack.append((children[0], 2 * position + 1))
+            if by_position[position] is not None:
+                raise AssertionError(f"conflicting configs at position {position}")
+            key = (position, ops[value_id], weights[value_id])
+            config = configs.get(key)
+            if config is None:
+                config = configs[key] = TreeNodeConfig(*key)
+            by_position[position] = config
+            active += 1
+            children = children_of[value_id]
+            if children:
+                if position >= first_leaf:
+                    raise ValueError("op node landed on a leaf position")
+                if len(children) == 2:
+                    stack.append((children[1], 2 * position + 2))
+                stack.append((children[0], 2 * position + 1))
 
-    return TreePlacement(
-        block.block_id,
-        [config for config in by_position if config is not None],
-        leaf_operands,
-        active / num_positions,
-    )
+        placements.append(
+            ([config for config in by_position if config is not None], leaf_operands, active)
+        )
+    return placements

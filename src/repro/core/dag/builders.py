@@ -61,13 +61,16 @@ def circuit_to_dag(circuit: Circuit) -> Tuple[Dag, Dict[int, int]]:
     dag = Dag()
     add_op = dag.add_op
     leaf_op, product_op, sum_op = OpType.LEAF, OpType.PRODUCT, OpType.SUM
+    # Tables and weights are read as Python floats by ``tolist`` (one C
+    # call, where iterating an array boxes a numpy scalar per entry).
     for kind, _, node, children, _ in plan.entries:
         if kind == _LEAF:
-            add_op(leaf_op, payload=(node.variable, tuple(map(float, node.probabilities))))
+            table = np.asarray(node.probabilities, dtype=float).tolist()
+            add_op(leaf_op, payload=(node.variable, tuple(table)))
         elif kind == _PRODUCT:
             add_op(product_op, children)
         else:
-            add_op(sum_op, children, weights=list(map(float, node.weights)))
+            add_op(sum_op, children, weights=np.asarray(node.weights, dtype=float).tolist())
     dag.set_root(plan.root_index)
     return dag, {node.node_id: dense for dense, node in enumerate(plan.order)}
 
@@ -77,22 +80,22 @@ def dag_to_circuit(dag: Dag) -> Circuit:
 
     Raises ``ValueError`` if the DAG contains logic ops.
     """
+    plan = dag.plan()
+    ops, children_of, payloads, weights = plan.ops, plan.children, plan.payloads, plan.weights
     rebuilt: Dict[int, CircuitNode] = {}
-    for node_id in dag.topological_order():
-        node = dag.node(node_id)
-        if node.op is OpType.LEAF:
-            variable, probabilities = node.payload  # type: ignore[misc]
+    for node_id in plan.order:
+        op = ops[node_id]
+        if op is OpType.LEAF:
+            variable, probabilities = payloads[node_id]  # type: ignore[misc]
             rebuilt[node_id] = LeafNode(variable, list(probabilities))
-        elif node.op is OpType.PRODUCT:
-            rebuilt[node_id] = ProductNode([rebuilt[c] for c in node.children])
-        elif node.op is OpType.SUM:
-            assert node.weights is not None
+        elif op is OpType.PRODUCT:
+            rebuilt[node_id] = ProductNode([rebuilt[c] for c in children_of[node_id]])
+        elif op is OpType.SUM:
             rebuilt[node_id] = SumNode(
-                [rebuilt[c] for c in node.children], list(node.weights)
+                [rebuilt[c] for c in children_of[node_id]], list(weights[node_id])
             )
         else:
-            raise ValueError(f"not a probabilistic DAG: contains {node.op}")
-    assert dag.root is not None
+            raise ValueError(f"not a probabilistic DAG: contains {op}")
     return Circuit(rebuilt[dag.root])
 
 

@@ -9,9 +9,11 @@ One typed DAG covers all three kernel families:
 
 Nodes are atomic reasoning operations, directed edges are data
 dependencies, and inference is a bottom-up traversal — exactly the
-execution model REASON's compiler schedules onto tree PEs.  Every pass
-that walks a DAG reads its :meth:`Dag.plan`: the graph flattened once
-into one node order and per-id columns.
+execution model REASON's compiler schedules onto tree PEs.  A DAG is
+its per-id columns (op, children, payload, weights), appended to by
+:meth:`Dag.add_op`; every pass that walks one reads its
+:meth:`Dag.plan`: those columns plus one node order and the counts
+derived from them, built once.
 """
 
 from __future__ import annotations
@@ -46,22 +48,21 @@ class OpType(enum.Enum):
 LEAF_OPS = frozenset({OpType.LITERAL, OpType.LEAF, OpType.INPUT})
 
 # Reading a member off an Enum class is a metaclass lookup; the
-# per-node code below reads this one from the module instead.
-_SUM = OpType.SUM
+# per-node code below reads these from the module instead.
+_SUM, _LEAF, _LITERAL = OpType.SUM, OpType.LEAF, OpType.LITERAL
 
 
 @dataclass
 class DagNode:
-    """A node in the unified DAG.
+    """One node of the unified DAG, as a value.
 
     ``payload`` depends on the op: a literal for LITERAL, a
     (variable, probabilities) tuple for LEAF, a name for INPUT.
     ``weights`` parallels ``children`` on SUM nodes.
 
-    A node is frozen once it is added to a :class:`Dag`: its
-    ``children`` and ``weights`` are read into the DAG's :meth:`Dag.plan`,
-    which only :meth:`Dag.add` / :meth:`Dag.set_root` drop.  Build a new
-    node (or a new DAG) instead of editing one in place.
+    A :class:`Dag` stores no node objects: :meth:`Dag.add` reads one
+    into its columns, and :meth:`Dag.node` / :meth:`Dag.items` build a
+    fresh one from them, so editing a node never changes a DAG.
     """
 
     op: OpType
@@ -121,31 +122,28 @@ class DagPlan:
     program are functions of it.
 
     The columns are indexed by node id and cover every node, reachable
-    or not: ``nodes`` (the :class:`DagNode`), ``ops``, ``children``,
-    ``leaf`` (the op is in :data:`LEAF_OPS`), ``weights`` (a SUM's
-    weights as a float tuple, ``()`` for every other op) and ``parents``
-    (how many nodes list the id as a child).  The totals are what
-    :meth:`Dag.max_fan_in` and :meth:`Dag.memory_footprint` count over
-    the reachable nodes and :attr:`Dag.num_edges` over all of them.
+    or not.  ``ops``, ``children`` (id tuples), ``payloads`` and
+    ``weights`` (a SUM's weights as a float tuple, ``()`` for every other
+    op) are the DAG's columns as of the build; ``leaf`` (the op is in
+    :data:`LEAF_OPS`) and ``parents`` (how many nodes list the id as a
+    child) are derived.  The totals are what :meth:`Dag.max_fan_in` and
+    :meth:`Dag.memory_footprint` count over the reachable nodes and
+    :attr:`Dag.num_edges` over all of them.
     """
 
     __slots__ = (
-        "order", "nodes", "ops", "children", "leaf", "weights", "parents",
+        "order", "ops", "children", "payloads", "weights", "leaf", "parents",
         "max_fan_in", "num_edges", "footprint",
     )  # fmt: skip
 
-    def __init__(self, nodes: List[DagNode], root: int):
-        self.nodes = nodes
-        self.ops = ops = [node.op for node in nodes]
-        self.children = children = [node.children for node in nodes]
-        self.leaf = [op in LEAF_OPS for op in ops]
-        self.weights = [
-            tuple(map(float, node.weights))
-            if node.op is _SUM and node.weights is not None
-            else ()
-            for node in nodes
-        ]
-        self.parents = parents = [0] * len(nodes)
+    def __init__(self, dag: "Dag", root: int):
+        # Copies of the column lists, so a later ``add_op`` leaves them be.
+        self.ops = ops = list(dag._ops)
+        self.children = children = list(dag._children)
+        self.payloads = list(dag._payloads)
+        self.weights = weights = list(dag._weights)
+        self.leaf = list(map(LEAF_OPS.__contains__, ops))
+        self.parents = parents = [0] * len(ops)
         for kids in children:
             for child in kids:
                 parents[child] += 1
@@ -153,18 +151,17 @@ class DagPlan:
         self.order = order = _post_order(children, root)
         fan_in = list(map(len, map(children.__getitem__, order)))
         self.max_fan_in = max(fan_in, default=0)
-        weighted = (nodes[node_id].weights for node_id in order)
         self.footprint = (
-            len(order) + sum(fan_in) + sum(len(w) for w in weighted if w is not None)
+            len(order) + sum(fan_in) + sum(map(len, map(weights.__getitem__, order)))
         )
 
 
 class Dag:
-    """A rooted DAG of :class:`DagNode` addressed by integer ids.
+    """A rooted DAG addressed by integer ids, stored as per-id columns.
 
     Node ids are dense: the n-th node added gets id n.  Passes read the
-    graph through :meth:`plan`, built once and dropped by :meth:`add` /
-    :meth:`set_root`.
+    graph through :meth:`plan`, built once and dropped by
+    :meth:`add_op` / :meth:`set_root`.
     """
 
     # The flattened graph, dropped on any mutation.  A class default
@@ -176,8 +173,10 @@ class Dag:
     _key_memo = None
 
     def __init__(self) -> None:
-        self._nodes: Dict[int, DagNode] = {}
-        self._next_id = 0
+        self._ops: List[OpType] = []
+        self._children: List[Tuple[int, ...]] = []
+        self._payloads: List[object] = []
+        self._weights: List[Tuple[float, ...]] = []
         self.root: Optional[int] = None
 
     def __getstate__(self) -> Dict[str, object]:
@@ -188,16 +187,12 @@ class Dag:
         state.pop("_key_memo", None)
         return state
 
-    def add(self, node: DagNode) -> int:
-        nodes = self._nodes
-        for child in node.children:
-            if child not in nodes:
-                raise KeyError(f"child {child} not in DAG")
-        node_id = self._next_id
-        self._next_id = node_id + 1
-        nodes[node_id] = node
-        self._plan = None
-        return node_id
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # A DAG pickled while a DAG was a dict of node objects has no
+        # columns: refuse it, so a store reads the entry as a miss.
+        if "_ops" not in state:
+            raise ValueError("a Dag pickled without node columns: recompile it")
+        self.__dict__.update(state)
 
     def add_op(
         self,
@@ -206,43 +201,78 @@ class Dag:
         payload: object = None,
         weights: Optional[Sequence[float]] = None,
     ) -> int:
-        return self.add(
-            DagNode(
-                op, list(children), payload, None if weights is None else list(weights)
-            )
-        )
+        """Append a node and return its id.
+
+        ``children`` must be ids already in the DAG; ``weights`` must
+        parallel them and only a SUM takes them (a SUM without weights
+        gets ones).  Both are copied, the weights as floats.
+        """
+        ops = self._ops
+        node_id = len(ops)
+        children = tuple(children)
+        if children and (min(children) < 0 or max(children) >= node_id):
+            missing = next(child for child in children if not 0 <= child < node_id)
+            raise KeyError(f"child {missing} not in DAG")
+        if op is _SUM:
+            weights = (1.0,) * len(children) if weights is None else tuple(map(float, weights))
+            if len(weights) != len(children):
+                raise ValueError("weights must parallel children")
+        elif weights is not None:
+            raise ValueError(f"a {op.name} node takes no weights: only SUM edges carry them")
+        else:
+            weights = ()
+        self._plan = None
+        ops.append(op)
+        self._children.append(children)
+        self._payloads.append(payload)
+        self._weights.append(weights)
+        return node_id
+
+    def add(self, node: DagNode) -> int:
+        """:meth:`add_op` of the node's fields; the DAG keeps copies."""
+        return self.add_op(node.op, node.children, node.payload, node.weights)
 
     def node(self, node_id: int) -> DagNode:
-        return self._nodes[node_id]
+        """A new :class:`DagNode` holding copies of the node's columns."""
+        if node_id not in self:
+            raise KeyError(node_id)
+        op = self._ops[node_id]
+        return DagNode(
+            op,
+            list(self._children[node_id]),
+            self._payloads[node_id],
+            list(self._weights[node_id]) if op is _SUM else None,
+        )
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return node_id in range(len(self._ops))
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._ops)
 
     def set_root(self, node_id: int) -> None:
-        if node_id not in self._nodes:
+        if node_id not in self:
             raise KeyError(f"node {node_id} not in DAG")
         if node_id != self.root:
             self._plan = None
         self.root = node_id
 
     def items(self) -> Iterator[Tuple[int, DagNode]]:
-        return iter(self._nodes.items())
+        """``(id, node)`` pairs in id order, each node built by :meth:`node`."""
+        return ((node_id, self.node(node_id)) for node_id in range(len(self._ops)))
 
     # --------------------------------------------------------------- queries
 
     def plan(self) -> DagPlan:
         """The flattened graph below the root (see :class:`DagPlan`),
         built on first use and dropped when the DAG mutates through
-        :meth:`add` / :meth:`set_root`.  Raises if no root is set.  Two
-        threads racing the first build each store an equal plan."""
+        :meth:`add_op` / :meth:`set_root`.  Raises if no root is set.
+        Two threads racing the first build each store an equal plan."""
         plan = self._plan
         if plan is None:
             if self.root is None:
                 raise ValueError("DAG has no root")
-            plan = self._plan = DagPlan(list(self._nodes.values()), self.root)
+            plan = self._plan = DagPlan(self, self.root)
         return plan
 
     def topological_order(self) -> List[int]:
@@ -252,7 +282,7 @@ class Dag:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._ops)
 
     @property
     def num_edges(self) -> int:
@@ -290,46 +320,45 @@ class Dag:
     def compact(self) -> "Dag":
         """Copy keeping only nodes reachable from the root, renumbered."""
         plan = self.plan()
-        mapping: Dict[int, int] = {}
+        ops, children, payloads, weights = plan.ops, plan.children, plan.payloads, plan.weights
+        mapping = [-1] * len(ops)
         out = Dag()
         for node_id in plan.order:
-            node = plan.nodes[node_id]
+            op = ops[node_id]
             mapping[node_id] = out.add_op(
-                node.op,
-                [mapping[c] for c in node.children],
-                node.payload,
-                node.weights,
+                op,
+                map(mapping.__getitem__, children[node_id]),
+                payloads[node_id],
+                weights[node_id] if op is _SUM else None,
             )
         out.set_root(mapping[self.root])
         return out
 
 
 def default_leaf_inputs(dag: Dag, literal_values: Optional[Dict[int, bool]] = None) -> Dict[int, float]:
-    """Default input map for a DAG's leaf nodes.
+    """Default input map for a DAG's reachable leaf nodes — the values
+    :func:`evaluate_dag` uses for leaves missing from its inputs.
 
     Probabilistic LEAF nodes get their marginalized payload mass
     (evaluating the DAG then yields the partition function / joint
     likelihood); LITERAL nodes get the truth value from
-    ``literal_values`` (DIMACS variable → bool) or 0.0.
+    ``literal_values`` (DIMACS variable → bool).  Everything else — a
+    LEAF without a payload, a LITERAL without an assignment, an INPUT —
+    gets 0.0.
     """
     plan = dag.plan()
-    nodes, leaf = plan.nodes, plan.leaf
-    leaf_op, literal_op = OpType.LEAF, OpType.LITERAL
+    ops, payloads, leaf = plan.ops, plan.payloads, plan.leaf
     inputs: Dict[int, float] = {}
     for node_id in plan.order:
         if not leaf[node_id]:
             continue
-        node = nodes[node_id]
-        op = node.op
-        if op is leaf_op:
-            if node.payload is not None:
-                _, probabilities = node.payload
-                inputs[node_id] = float(sum(probabilities))
-        elif op is literal_op and literal_values is not None:
-            lit = node.payload
-            value = literal_values.get(abs(lit))
-            inputs[node_id] = 1.0 if value is not None and value == (lit > 0) else 0.0
-        else:  # a LITERAL without an assignment, or an INPUT
+        op, payload = ops[node_id], payloads[node_id]
+        if op is _LEAF and payload is not None:
+            inputs[node_id] = float(sum(payload[1]))
+        elif op is _LITERAL and literal_values is not None:
+            value = literal_values.get(abs(payload))
+            inputs[node_id] = 1.0 if value is not None and value == (payload > 0) else 0.0
+        else:
             inputs[node_id] = 0.0
     return inputs
 
@@ -339,37 +368,36 @@ def evaluate_dag(dag: Dag, inputs: Dict[int, float]) -> Dict[int, float]:
 
     ``inputs`` maps node_id → value for LITERAL/LEAF/INPUT nodes;
     missing logic leaves default to 0 (false) and missing probabilistic
-    leaves to their marginalized mass when the payload provides one.
-    Logic ops use Boolean semantics over {0.0, 1.0}; SUM/PRODUCT use
-    arithmetic semantics.  Returns values for every reachable node.
+    leaves to their marginalized mass when the payload provides one
+    (0 when it does not).  Logic ops use Boolean semantics over
+    {0.0, 1.0}; SUM/PRODUCT use arithmetic semantics.  Returns values
+    for every reachable node.
     """
+    plan = dag.plan()
+    ops, children_of, payloads, weights_of = plan.ops, plan.children, plan.payloads, plan.weights
     values: Dict[int, float] = {}
-    for node_id in dag.topological_order():
-        node = dag.node(node_id)
-        if node.op in LEAF_OPS:
+    for node_id in plan.order:
+        op, children = ops[node_id], children_of[node_id]
+        if op in LEAF_OPS:
             if node_id in inputs:
                 values[node_id] = float(inputs[node_id])
-            elif node.op is OpType.LEAF and node.payload is not None:
-                _, probabilities = node.payload
-                values[node_id] = float(sum(probabilities))
+            elif op is _LEAF and payloads[node_id] is not None:
+                values[node_id] = float(sum(payloads[node_id][1]))
             else:
                 values[node_id] = 0.0
-        elif node.op is OpType.NOT:
-            values[node_id] = 1.0 - values[node.children[0]]
-        elif node.op is OpType.OR:
-            values[node_id] = 1.0 if any(values[c] > 0 for c in node.children) else 0.0
-        elif node.op is OpType.AND:
-            values[node_id] = 1.0 if all(values[c] > 0 for c in node.children) else 0.0
-        elif node.op is OpType.PRODUCT:
+        elif op is OpType.NOT:
+            values[node_id] = 1.0 - values[children[0]]
+        elif op is OpType.OR:
+            values[node_id] = 1.0 if any(values[c] > 0 for c in children) else 0.0
+        elif op is OpType.AND:
+            values[node_id] = 1.0 if all(values[c] > 0 for c in children) else 0.0
+        elif op is OpType.PRODUCT:
             out = 1.0
-            for child in node.children:
+            for child in children:
                 out *= values[child]
             values[node_id] = out
-        elif node.op is OpType.SUM:
-            assert node.weights is not None
-            values[node_id] = sum(
-                w * values[c] for w, c in zip(node.weights, node.children)
-            )
+        elif op is _SUM:
+            values[node_id] = sum(w * values[c] for w, c in zip(weights_of[node_id], children))
         else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown op {node.op}")
+            raise TypeError(f"unknown op {op}")
     return values

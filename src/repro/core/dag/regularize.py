@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.dag.graph import Dag, DagNode, OpType
+from repro.core.dag.graph import Dag, OpType
 
 # Ops where an n-ary node equals a balanced tree of 2-ary nodes.
 _ASSOCIATIVE = frozenset({OpType.OR, OpType.AND, OpType.SUM, OpType.PRODUCT})
+_ONES = (1.0, 1.0)  # the weights of an unweighted two-input SUM
 
 
 def is_two_input(dag: Dag) -> bool:
@@ -50,29 +51,25 @@ def regularize_two_input(dag: Dag) -> Dag:
                 balanced_reduce(op, children[:mid]),
                 balanced_reduce(op, children[mid:]),
             ]
-        return add_op(op, children, weights=[1.0, 1.0] if op is sum_op else None)
+        return add_op(op, children, weights=_ONES if op is sum_op else None)
 
-    nodes, ops = plan.nodes, plan.ops
-    add = out.add
-    mapped = [-1] * len(nodes)  # input id -> output id
+    ops, children_of, payloads, weights_of = plan.ops, plan.children, plan.payloads, plan.weights
+    mapped = [-1] * len(ops)  # input id -> output id
+    remap = mapped.__getitem__
     for node_id in plan.order:
-        node = nodes[node_id]
-        op = ops[node_id]
-        children = [mapped[c] for c in node.children]
-        if len(children) <= 2 or op not in _ASSOCIATIVE:
-            # A copy of the node over the new ids (``add_op`` less its
-            # defensive copy of a children list built here).
-            weights = node.weights
-            copy = DagNode(op, children, node.payload, None if weights is None else list(weights))
-            mapped[node_id] = add(copy)
+        op, kids = ops[node_id], children_of[node_id]
+        if len(kids) <= 2 or op not in _ASSOCIATIVE:
+            # A copy of the node over the new ids.
+            weights = weights_of[node_id] if op is sum_op else None
+            mapped[node_id] = add_op(op, map(remap, kids), payloads[node_id], weights)
         elif op is sum_op:
             scaled = [
-                child if weight == 1.0 else add_op(sum_op, [child], weights=[weight])
-                for child, weight in zip(children, node.weights)
+                child if weight == 1.0 else add_op(sum_op, (child,), weights=(weight,))
+                for child, weight in zip(map(remap, kids), weights_of[node_id])
             ]
             mapped[node_id] = balanced_reduce(sum_op, scaled)
         else:
-            mapped[node_id] = balanced_reduce(op, children)
+            mapped[node_id] = balanced_reduce(op, list(map(remap, kids)))
 
     out.set_root(mapped[dag.root])
     return out

@@ -162,7 +162,7 @@ class TestCrossCheck:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.22.0"
+        assert repro.__version__ == "1.23.0"
         for name in (
             "ReasonSession",
             "ReasonService",

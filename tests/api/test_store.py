@@ -24,6 +24,7 @@ from repro.api import (
 )
 from repro.api.store import ArtifactStore
 from repro.api.types import CompiledArtifact
+from repro.core.dag import Dag
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
 
@@ -389,6 +390,30 @@ class TestServiceSharedStore:
         report = fresh.run(kernel)  # recompiles and rewrites the entry
         assert not report.cache_hit and fresh.prepare_calls == 1
         assert store.get(key) is not None
+
+    def test_an_entry_with_a_dict_of_nodes_dag_is_a_counted_miss(self, tmp_path, monkeypatch):
+        # Entries written while a Dag pickled as a dict of node objects
+        # (``_nodes``) rather than as columns: one miss each, counted,
+        # then recompiled and rewritten — never a failed request.
+        circuit = random_circuit(6, depth=2, sum_children=2, seed=3)
+        options = {"calibration": sample_dataset(circuit, 8, seed=5)}
+
+        def dict_of_nodes(dag):
+            return {"_nodes": dict(dag.items()), "_next_id": len(dag), "root": dag.root}
+
+        monkeypatch.setattr(Dag, "__getstate__", dict_of_nodes)
+        baseline = ReasonSession(store=DiskStore(tmp_path)).run(circuit, **options)
+        monkeypatch.undo()
+        store = DiskStore(tmp_path)
+        fresh = ReasonSession(store=store)
+        report = fresh.run(circuit, **options)
+        assert not report.cache_hit and fresh.prepare_calls == 1
+        assert report.identity() == baseline.identity()
+        misses = store.corrupt_misses
+        assert misses > 0  # counted, not raised
+        (key,) = store.keys()
+        assert store.get(key) is not None  # rewritten in the column format
+        assert store.corrupt_misses == misses
 
     def test_stats_aggregate_both_levels(self):
         kernel = random_ksat(14, 50, seed=2)

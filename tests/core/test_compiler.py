@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ReasonSession
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.compiler import (
     compile_dag,
@@ -21,7 +22,6 @@ from repro.core.compiler.blocks import (
     block_dependencies,
     topological_block_order,
 )
-from repro.core.compiler.mapping import issue_conflicts
 from repro.core.compiler.program import TreeNodeConfig
 from repro.core.dag import (
     Dag,
@@ -36,6 +36,14 @@ from repro.core.dag import (
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_binary_tree_circuit, random_circuit
+from tests.api.test_report_identity import build_trace
+
+
+def issue_conflicts(assignment, block) -> int:
+    """The stall cycles a block's issue pays: one per operand read from
+    a bank another of its operands already reads."""
+    values = set(block.inputs)
+    return len(values) - len({assignment.bank_of[v] for v in values})
 
 
 def chain_dag(length: int) -> Dag:
@@ -311,6 +319,29 @@ class TestTreePlacement:
                 )
                 assert instruction.tree_config == configs
                 assert instruction.leaf_operands == leaf_operands
+
+    @pytest.mark.parametrize("tree_depth", [2, 3, 4])
+    def test_map_block_to_tree_equals_the_scheduled_placement_on_the_corpus(self, tree_depth):
+        # The scheduler places every block up front and this entry point
+        # one block at a time: both go through ``place_blocks``.
+        config = ArchConfig(tree_depth=tree_depth)
+        placed = 0
+        for tiny in (True, False):
+            for _, kernel, options in build_trace(tiny):
+                program = ReasonSession(config=config).compile(kernel, **options).program
+                if program is None:
+                    continue
+                by_id = {b.block_id: b for b in decompose_blocks(program.dag, tree_depth)}
+                for instruction in program.instructions:
+                    if instruction.is_compute:
+                        block = by_id[instruction.block_id]
+                        placement = map_block_to_tree(program.dag, block, tree_depth)
+                        assert placement.configs == instruction.tree_config
+                        assert list(placement.leaf_operands.items()) == list(
+                            instruction.leaf_operands.items()
+                        )
+                        placed += 1
+        assert placed > 1000
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ReasonSession
 from repro.core.dag import (
     Dag,
     DagNode,
@@ -18,6 +19,7 @@ from repro.core.dag import (
     circuit_to_dag,
     cnf_to_dag,
     dag_to_circuit,
+    default_leaf_inputs,
     evaluate_dag,
     hmm_to_dag,
     is_two_input,
@@ -83,6 +85,68 @@ class TestDagCore:
     def test_weight_child_mismatch_raises(self):
         with pytest.raises(ValueError):
             DagNode(OpType.SUM, [1, 2], weights=[1.0])
+
+    def test_weights_on_a_non_sum_node_are_rejected(self):
+        # Only SUM edges carry weights: a PRODUCT's used to be stored,
+        # counted by memory_footprint() and keyed, yet never applied.
+        dag = Dag()
+        x = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
+        y = dag.add_op(OpType.LEAF, payload=(1, (1.0,)))
+        with pytest.raises(ValueError, match="PRODUCT"):
+            dag.add_op(OpType.PRODUCT, [x, y], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="AND"):
+            dag.add(DagNode(OpType.AND, [x, y], weights=[1.0, 1.0]))
+        assert len(dag) == 2
+        dag.set_root(dag.add_op(OpType.PRODUCT, [x, y]))
+        assert dag.memory_footprint() == 5
+
+    def test_add_copies_the_callers_children(self):
+        dag = Dag()
+        l1 = dag.add_op(OpType.LITERAL, payload=1)
+        l2 = dag.add_op(OpType.LITERAL, payload=2)
+        kids = [l1]
+        o = dag.add(DagNode(OpType.OR, kids))
+        dag.set_root(o)
+        order = dag.topological_order()
+        kids.append(l2)
+        assert dag.node(o).children == [l1]
+        assert dag.topological_order() == order == [l1, o]
+
+    def test_a_node_is_a_view_that_edits_nothing(self):
+        dag = Dag()
+        a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
+        s = dag.add_op(OpType.SUM, [a], weights=[0.5])
+        dag.set_root(s)
+        plan = dag.plan()
+        view = dag.node(s)
+        view.children.append(a)
+        view.weights[0] = 9.0
+        assert dag.node(s) == DagNode(OpType.SUM, [a], None, [0.5])
+        assert dag.plan() is plan and plan.weights[s] == (0.5,)
+        with pytest.raises(KeyError):
+            dag.node(2)
+        with pytest.raises(KeyError):
+            dag.node(-1)
+
+    def test_a_payload_less_leaf_reads_zero_everywhere(self):
+        # A LEAF with no payload has no mass to marginalise: 0.0 as an
+        # input, as evaluate_dag reads it, and on the accelerator.
+        dag = Dag()
+        bare = dag.add_op(OpType.LEAF)
+        table = dag.add_op(OpType.LEAF, payload=(0, (0.25, 0.75)))
+        dag.set_root(dag.add_op(OpType.SUM, [bare, table], weights=[0.5, 0.5]))
+        assert default_leaf_inputs(dag) == {bare: 0.0, table: 1.0}
+        assert evaluate_dag(dag, {})[dag.root] == 0.5
+        assert ReasonSession().run(dag).result == 0.5
+
+    def test_plan_keeps_its_columns_when_the_dag_grows(self):
+        dag = Dag()
+        a = dag.add_op(OpType.LITERAL, payload=1)
+        dag.set_root(a)
+        plan = dag.plan()
+        dag.set_root(dag.add_op(OpType.NOT, [a]))
+        assert (plan.ops, plan.children, plan.order) == ([OpType.LITERAL], [()], [a])
+        assert dag.plan().ops == [OpType.LITERAL, OpType.NOT]
 
     def test_topological_order_children_first(self):
         dag = Dag()
@@ -185,7 +249,7 @@ class TestDagPlan:
         assert plan.order == live
         nodes = [node for _, node in dag.items()]
         assert plan.ops == [node.op for node in nodes]
-        assert plan.children == [node.children for node in nodes]
+        assert plan.children == [tuple(node.children) for node in nodes]
         assert plan.leaf == [node.op in LEAF_OPS for node in nodes]
         assert plan.weights == [
             tuple(float(w) for w in node.weights) if node.op is OpType.SUM else ()
@@ -229,9 +293,122 @@ class TestDagPlan:
         a = dag.add_op(OpType.LITERAL, payload=1)
         b = dag.add_op(OpType.NOT, [a])
         dag.set_root(b)
-        dag.node(a).children.append(b)  # breaks the frozen-node contract
+        # ``add_op`` only takes existing children, so no DAG built through
+        # it has a cycle; corrupt the children column to plant one.
+        dag._children[a] = (b,)
         with pytest.raises(ValueError, match="cycle"):
             dag.plan()
+
+
+#: The associative ops: the ones regularization splits into binary trees.
+_WIDE_OPS = [OpType.SUM, OpType.PRODUCT, OpType.AND, OpType.OR]
+
+
+@st.composite
+def built_graphs(draw):
+    """``(op, children, payload or weights)`` per node of a random DAG:
+    leaves of each kind, then ops of fan-in 0-6 over any earlier nodes
+    (so children are shared and repeated).  A SUM's weights mix 1.0,
+    which regularization keeps as a plain edge, with other values, ints
+    among them, or are left to the default."""
+    specs = [
+        (OpType.LITERAL, [], 1),
+        (OpType.LEAF, [], (0, (0.5, 0.5))),
+        (OpType.INPUT, [], "x"),
+        (OpType.LEAF, [], None),
+    ]
+    weight = st.sampled_from([1.0, 1, 0.5, 0.25, 2.0])
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        op = draw(st.sampled_from(_WIDE_OPS + [OpType.NOT]))
+        fan_in = 1 if op is OpType.NOT else draw(st.integers(min_value=0, max_value=6))
+        children = [draw(st.integers(min_value=0, max_value=len(specs) - 1)) for _ in range(fan_in)]
+        weights = None
+        if op is OpType.SUM and draw(st.booleans()):
+            weights = [draw(weight) for _ in children]
+        specs.append((op, children, weights))
+    return specs
+
+
+def build_from_specs(specs) -> Dag:
+    dag = Dag()
+    for op, children, extra in specs:
+        if op in LEAF_OPS:
+            dag.add_op(op, payload=extra)
+        else:
+            dag.add_op(op, children, weights=extra)
+    dag.set_root(len(specs) - 1)
+    return dag
+
+
+def reference_regularize(dag: Dag):
+    """``regularize_two_input`` as it was when a DAG was a dict of node
+    objects, over node views: the output's nodes in id order, and its
+    root."""
+    out = []
+
+    def add(op, children, payload=None, weights=None):
+        out.append(DagNode(op, list(children), payload, None if weights is None else list(weights)))
+        return len(out) - 1
+
+    def balanced_reduce(op, children):
+        if len(children) == 1:
+            return children[0]
+        if len(children) > 2:
+            mid = (len(children) + 1) // 2
+            children = [balanced_reduce(op, children[:mid]), balanced_reduce(op, children[mid:])]
+        return add(op, children, weights=[1.0, 1.0] if op is OpType.SUM else None)
+
+    mapped = {}
+    for node_id in reference_topological_order(dag):
+        node = dag.node(node_id)
+        children = [mapped[c] for c in node.children]
+        if len(children) <= 2 or node.op not in _WIDE_OPS:
+            mapped[node_id] = add(node.op, children, node.payload, node.weights)
+        elif node.op is OpType.SUM:
+            scaled = [
+                child if weight == 1.0 else add(OpType.SUM, [child], weights=[weight])
+                for child, weight in zip(children, node.weights)
+            ]
+            mapped[node_id] = balanced_reduce(OpType.SUM, scaled)
+        else:
+            mapped[node_id] = balanced_reduce(node.op, children)
+    return out, mapped[dag.root]
+
+
+class TestDagColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(built_graphs())
+    def test_property_columns_and_views_equal_the_graph_as_built(self, specs):
+        dag = build_from_specs(specs)
+        expected = []
+        for op, children, extra in specs:
+            if op in LEAF_OPS:
+                expected.append(DagNode(op, [], extra))
+            elif op is OpType.SUM:
+                weights = [1.0] * len(children) if extra is None else [float(w) for w in extra]
+                expected.append(DagNode(op, list(children), None, weights))
+            else:
+                expected.append(DagNode(op, list(children)))
+        assert len(dag) == dag.num_nodes == len(specs)
+        assert [dag.node(i) for i in range(len(dag))] == expected
+        assert list(dag.items()) == list(enumerate(expected))
+        assert all(type(w) is float for node in expected if node.weights for w in node.weights)
+        plan = dag.plan()
+        assert plan.ops == [node.op for node in expected]
+        assert plan.children == [tuple(node.children) for node in expected]
+        assert plan.payloads == [node.payload for node in expected]
+        assert plan.weights == [tuple(node.weights or ()) for node in expected]
+        assert plan.order == reference_topological_order(dag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(built_graphs())
+    def test_property_regularize_equals_the_node_object_rewrite(self, specs):
+        dag = build_from_specs(specs)
+        regular = regularize_two_input(dag)
+        nodes, root = reference_regularize(dag)
+        assert [regular.node(i) for i in range(len(regular))] == nodes
+        assert regular.root == root
+        assert is_two_input(regular)
 
 
 class TestEvaluate:

@@ -23,6 +23,7 @@ The scheduler must keep two invariants pinned here:
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -34,7 +35,7 @@ from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.arch.accelerator import ReasonAccelerator
 from repro.core.compiler import compile_dag, decompose_blocks
 from repro.core.compiler.program import InstructionKind
-from repro.core.compiler.schedule import _BankFile
+from repro.core.compiler.blocks import topological_block_order
 from repro.core.dag import circuit_to_dag, default_leaf_inputs
 from repro.hmm.model import HMM
 from repro.pc.learn import random_circuit
@@ -237,42 +238,88 @@ def replace_instructions(program, instructions):
     return clone
 
 
-class TestBankFileBookkeeping:
-    """The per-bank resident maps must mirror the global address map,
-    and evict→reallocate reuses the lowest freed address."""
+def register_file_mismatches(program, config):
+    """Replay a program's register traffic on a model register file and
+    return ``(rule, site)`` for every instruction that breaks one of the
+    scheduler's three rules:
 
-    def test_evict_marks_spilled_and_frees_lowest_address(self):
-        banks = _BankFile(num_banks=2, regs_per_bank=2)
-        assert banks.allocate(10, bank=0) == (0, 0)
-        assert banks.allocate(11, bank=0) == (0, 1)
-        assert banks.allocate(12, bank=0) is None  # full
-        assert banks.evict(10) == (0, 0)
-        assert not banks.resident(10)
-        # Reallocation reuses the lowest freed address.
-        assert banks.allocate(10, bank=0) == (0, 0)
+    * ``address``: a LOAD, RELOAD or COMPUTE write-back takes the lowest
+      free address of its bank;
+    * ``victim``: a SPILL evicts, from the bank it frees, the resident
+      whose last reader is furthest in block order — sparing the issuing
+      block's inputs while another resident can go, the first allocated
+      on a tie;
+    * ``spill-read``: a SPILL reads the register its victim was written to.
 
-    def test_values_in_bank_preserves_allocation_order(self):
-        banks = _BankFile(num_banks=2, regs_per_bank=3)
-        for value in (7, 5, 9):
-            banks.allocate(value, bank=1)
-        assert banks.values_in_bank(1) == [7, 5, 9]
-        banks.release(5)
-        assert banks.values_in_bank(1) == [7, 9]
-        # Re-allocation appends (it is a fresh insertion in both maps).
-        banks.allocate(5, bank=1)
-        assert banks.values_in_bank(1) == [7, 9, 5]
-        assert banks.values_in_bank(0) == []
+    A register is freed by a SPILL and when its value's last reader
+    issues, after the reader's write-back is placed."""
+    dag = program.dag
+    blocks = decompose_blocks(dag, config.tree_depth)
+    inputs_of = {block.block_id: block.inputs for block in blocks}
+    readers = Counter(value for block in blocks for value in block.inputs)
+    last_reader = {dag.root: len(blocks)}
+    for index, block in enumerate(topological_block_order(dag, blocks)):
+        for value in block.inputs:
+            last_reader[value] = index
+    free = [set(range(config.regs_per_bank)) for _ in range(config.num_banks)]
+    held = [{} for _ in range(config.num_banks)]  # value -> address, allocation order
+    bank_of = {}
+    instructions = program.instructions
+    mismatches = []
 
-    def test_per_bank_maps_stay_consistent_with_address_of(self):
-        banks = _BankFile(num_banks=3, regs_per_bank=2)
-        for value, bank in ((1, 0), (2, 1), (3, 1), (4, 2)):
-            banks.allocate(value, bank)
-        banks.evict(2)
-        banks.release(4)
-        for bank in range(3):
-            expected = [
-                value
-                for value, (b, _) in banks.address_of.items()
-                if b == bank
-            ]
-            assert banks.values_in_bank(bank) == expected
+    def claim(site, value, slot):
+        bank, addr = slot
+        if addr != min(free[bank]):
+            mismatches.append(("address", site))
+        free[bank].discard(addr)
+        held[bank][value] = addr
+        bank_of[value] = bank
+
+    for site, instruction in enumerate(instructions):
+        kind = instruction.kind
+        if kind in (InstructionKind.LOAD, InstructionKind.RELOAD):
+            claim(site, instruction.value, instruction.write)
+        elif kind is InstructionKind.SPILL:
+            # Spills made room for an operand when a LOAD or RELOAD
+            # follows them, for the write-back when the COMPUTE does.
+            after = next(i for i in instructions[site:] if i.kind is not InstructionKind.SPILL)
+            compute = next(i for i in instructions[site:] if i.is_compute)
+            keep = set(inputs_of[compute.block_id]) if not after.is_compute else set()
+            ((bank, addr),) = instruction.reads
+            residents = held[bank]
+            spare = [value for value in residents if value not in keep]
+            if instruction.value != max(spare or residents, key=last_reader.__getitem__):
+                mismatches.append(("victim", site))
+            if residents.get(instruction.value) != addr:
+                mismatches.append(("spill-read", site))
+            free[bank].add(residents.pop(instruction.value, addr))
+        elif kind is InstructionKind.COMPUTE:
+            claim(site, instruction.output_value, instruction.write)
+            for value in inputs_of[instruction.block_id]:
+                readers[value] -= 1
+                if not readers[value] and value in held[bank_of[value]]:
+                    free[bank_of[value]].add(held[bank_of[value]].pop(value))
+    return mismatches
+
+
+class TestRegisterFile:
+    """The register rules, checked on every instruction of the spill
+    kernel and of the calibrated-HMM sweep by replaying each program on
+    a model register file (the scheduler keeps its register file in
+    locals, so the stream is where its rules show)."""
+
+    @pytest.fixture
+    def programs(self, overflow_schedule, tiny_regfile, calibrated_hmm_sweep):
+        config, compiled = calibrated_hmm_sweep
+        return [(overflow_schedule[0], tiny_regfile)] + [
+            (artifact.program, config) for _, artifact, _ in compiled
+        ]
+
+    @pytest.mark.parametrize("rule", ["address", "victim", "spill-read"])
+    def test_replay_on_a_model_register_file_finds_no_mismatch(self, programs, rule):
+        spills = 0
+        for program, config in programs:
+            mismatches = register_file_mismatches(program, config)
+            assert [site for kind, site in mismatches if kind == rule] == []
+            spills += sum(i.kind is InstructionKind.SPILL for i in program.instructions)
+        assert spills >= 99  # the spill kernel's alone
