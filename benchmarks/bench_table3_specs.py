@@ -1,8 +1,11 @@
 """Table III / Fig. 10: device specifications and REASON's silicon
-footprint with technology scaling.
+footprint with technology scaling, and Sec. V-F's unified fabric
+against two decoupled engines.
 
 Paper anchors: REASON = 6.00 mm² / 2.12 W / 1.25 MB at 28 nm;
-1.37 mm² / 1.21 W at 12 nm; 0.51 mm² / 0.98 W at 8 nm.
+1.37 mm² / 1.21 W at 12 nm; 0.51 mm² / 0.98 W at 8 nm.  One fabric for
+both kernel kinds: ~58 % less area than a symbolic plus a probabilistic
+engine, at > 90 % utilization.
 """
 
 import pytest
@@ -15,8 +18,14 @@ from repro.core.arch.config import (
     DRAM_BANDWIDTH_GBPS,
     TECH_NODE_NM,
     VOLTAGE,
+    ArchConfig,
 )
-from repro.core.arch.energy import EnergyModel, TechNode, scale_to_node
+from repro.core.arch.energy import (
+    EnergyModel,
+    TechNode,
+    scale_to_node,
+    unified_vs_decoupled,
+)
 
 
 def bench_table3_specs(benchmark):
@@ -66,3 +75,19 @@ def test_reason_orders_of_magnitude_smaller_than_gpus():
         if device.name in ("DPU-like",):
             continue
         assert model.area_mm2() < device.area_mm2
+
+
+def test_area_saving_band():
+    comparison = unified_vs_decoupled()
+    assert 0.45 <= comparison.area_saving <= 0.65
+
+
+def test_utilization_gap():
+    comparison = unified_vs_decoupled()
+    assert comparison.unified_utilization > 0.90
+    assert comparison.decoupled_utilization < 0.60
+
+
+def test_scales_with_config():
+    big = unified_vs_decoupled(ArchConfig(num_pes=24))
+    assert big.decoupled_area_mm2 > big.unified_area_mm2

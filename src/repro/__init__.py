@@ -3,10 +3,10 @@ Reasoning for Scalable Neuro-Symbolic Intelligence" (HPCA 2026).
 
 Package map:
 
-* :mod:`repro.logic` — CNF/SAT (DPLL, CDCL, cube-and-conquer) and FOL
+* :mod:`repro.logic` — CNF/SAT (DPLL, CDCL) and FOL
   (unification, clausification, resolution, forward chaining);
 * :mod:`repro.pc` — probabilistic circuits (inference, flows, learning);
-* :mod:`repro.hmm` — hidden Markov models (forward-backward, Viterbi,
+* :mod:`repro.hmm` — hidden Markov models (forward-backward,
   Baum-Welch, DFA-constrained decoding);
 * :mod:`repro.core` — the paper's contribution: unified DAG
   representation with adaptive pruning and two-input regularization,
@@ -64,7 +64,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

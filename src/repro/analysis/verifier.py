@@ -69,7 +69,6 @@ Findings are structured :class:`Finding` records collected in a
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -294,16 +293,9 @@ class VerifyReport:
         return [f for f in self.findings if f.severity == ERROR]
 
     @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == WARNING]
-
-    @property
     def ok(self) -> bool:
         """True when no *error* findings exist (warnings don't fail)."""
         return not self.errors
-
-    def by_invariant(self) -> Dict[str, int]:
-        return dict(Counter(finding.invariant for finding in self.findings))
 
     def describe(self) -> List[str]:
         starved = f", {self.starved_reads} starved reads" if self.starved_reads else ""

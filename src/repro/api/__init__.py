@@ -36,7 +36,6 @@ from repro.api.adapters import (
     RunOptions,
     adapter_for,
     register_adapter,
-    registered_adapters,
 )
 from repro.api.backends import (
     Backend,
@@ -105,7 +104,6 @@ __all__ = [
     "RunOptions",
     "adapter_for",
     "register_adapter",
-    "registered_adapters",
     "ReasonBackend",
     "SoftwareBackend",
     "DeviceBackend",

@@ -460,10 +460,6 @@ def register_adapter(kernel_type: Type, adapter: KernelAdapter) -> None:
     _ADAPTERS[kernel_type] = adapter
 
 
-def registered_adapters() -> Dict[Type, KernelAdapter]:
-    return dict(_ADAPTERS)
-
-
 def adapter_for(kernel: object) -> KernelAdapter:
     """Resolve the adapter for a kernel instance via the registry."""
     exact = _ADAPTERS.get(type(kernel))

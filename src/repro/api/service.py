@@ -424,12 +424,6 @@ class ServiceStats:
         whose all-time ``completed`` exceeds the window."""
         return self.composition.throughput_rps(self.retained)
 
-    def to_dict(self) -> dict:
-        """JSON-safe dict of the whole snapshot: the policy, every
-        shard's counters and the composition (derived properties are
-        not stored)."""
-        return asdict(self)
-
 
 @dataclass
 class ServiceBatchResult:
@@ -701,14 +695,6 @@ class ReasonService:
     def shard_backends(self) -> List[str]:
         """Each shard's substrate, by index."""
         return [shard.backend for shard in self._shards]
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def session_of(self, shard_index: int) -> ReasonSession:
-        """The session owned by one shard (introspection/tests)."""
-        return self._shards[shard_index].session
 
     def trace_path_for(self, fingerprint: str) -> "os.PathLike":
         """Where a ``trace=True`` request with this content fingerprint
@@ -1428,13 +1414,6 @@ class ReasonService:
         reports = list(
             await asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
         )
-        return self._compose_batch(futures, reports)
-
-    def run_batch_sync(self, kernels: Sequence[object], **kwargs) -> ServiceBatchResult:
-        """Blocking convenience over :meth:`run_batch` for non-async
-        callers (scripts, benchmarks)."""
-        futures = self.submit_batch(kernels, **kwargs)
-        reports = [future.result() for future in futures]
         return self._compose_batch(futures, reports)
 
     def _compose_batch(

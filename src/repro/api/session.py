@@ -215,9 +215,6 @@ class ReasonSession:
         """Names accepted by ``run(..., backend=...)``."""
         return list_backends()
 
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
     def artifact_for(self, fingerprint: str) -> Optional[CompiledArtifact]:
         """The cached artifact behind one content-hash fingerprint, or
         None when the kernel was never compiled here.
@@ -407,21 +404,3 @@ class ReasonSession:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
         )
-
-    # -------------------------------------------------------- cross-checks
-
-    def cross_check(
-        self,
-        kernel: object,
-        backends: Optional[Sequence[str]] = None,
-        queries: int = 1,
-        **option_kwargs,
-    ) -> Dict[str, ExecutionReport]:
-        """Run one kernel on several backends (default: all registered)
-        and return the reports keyed by backend name."""
-        names = list(backends) if backends is not None else self.backends()
-        options = RunOptions(**option_kwargs)
-        return {
-            name: self.run_prepared(kernel, options, backend=name, queries=queries)
-            for name in names
-        }

@@ -56,10 +56,6 @@ class ExecutionReport:
     execute_s: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def per_query_s(self) -> float:
-        return self.seconds / max(self.queries, 1)
-
     def identity(self) -> tuple:
         """The deterministic content of this report — everything that
         must be bit-identical between a first-try success and a retried
@@ -159,16 +155,6 @@ class CompiledArtifact:
         state = dict(self.__dict__)
         state.pop("execution", None)
         return state
-
-    def cost_features(self):
-        """Condense this artifact into the flat
-        :class:`~repro.costmodel.features.CostFeatures` record the
-        cost-model subsystem predicts from (schedule cycles, CDCL trace
-        ops, DAG size, roofline profile).  Imported lazily so the type
-        layer stays a leaf."""
-        from repro.costmodel.features import CostFeatures
-
-        return CostFeatures.from_artifact(self)
 
 
 @dataclass

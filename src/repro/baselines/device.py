@@ -29,10 +29,6 @@ class KernelClass(enum.Enum):
     MARGINAL = "marginal"  # PC bottom-up passes
     BAYESIAN = "bayesian"  # HMM message passing / belief update
 
-    @property
-    def is_neural(self) -> bool:
-        return self in (KernelClass.NEURAL_GEMM, KernelClass.NEURAL_SOFTMAX)
-
 
 @dataclass(frozen=True)
 class KernelProfile:

@@ -9,7 +9,6 @@ symbolic and probabilistic kernels sit far left on the intensity axis
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 from repro.baselines.device import DeviceModel, KernelProfile
 
@@ -57,9 +56,3 @@ def roofline_point(
         achieved_tflops=achieved,
         memory_bound=intensity < ridge,
     )
-
-
-def roofline_series(
-    device: DeviceModel, profiles: Sequence[Tuple[str, KernelProfile]]
-) -> List[RooflinePoint]:
-    return [roofline_point(device, profile, label) for label, profile in profiles]

@@ -13,7 +13,6 @@ from repro.core.arch.interconnect import (
     Topology,
     broadcast_cycles,
     traversal_latency,
-    area_breakdown,
 )
 from repro.core.arch.energy import (
     EnergyModel,
@@ -35,7 +34,6 @@ __all__ = [
     "Topology",
     "broadcast_cycles",
     "traversal_latency",
-    "area_breakdown",
     "EnergyModel",
     "TechNode",
     "scale_to_node",

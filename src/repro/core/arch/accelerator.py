@@ -410,37 +410,3 @@ class ReasonAccelerator:
                     emit(EventKind.BANK_READ, clock, bank, count)
             emit(EventKind.RUN_END, clock)
         return SymbolicExecutionTrace(cycle, decisions, implications, conflicts), solver
-
-    def run_symbolic_parallel(
-        self,
-        formula: CNF,
-        cutoff_depth: int = 3,
-    ) -> Tuple[SymbolicExecutionTrace, List[SymbolicExecutionTrace]]:
-        """Cube-and-conquer across the PE array (Fig. 9 top).
-
-        The lookahead DPLL phase splits the formula into cubes; each
-        cube's CDCL conquer run replays on its own tree PE, so the
-        chip-level makespan is the longest per-PE queue rather than the
-        serial sum.  Returns (aggregate trace with the parallel
-        makespan, per-cube traces).
-        """
-        from repro.logic.cube_and_conquer import CubeAndConquerSolver
-
-        splitter = CubeAndConquerSolver(cutoff_depth=cutoff_depth)
-        workloads = splitter.conquer_workloads(formula)
-        per_cube: List[SymbolicExecutionTrace] = []
-        pe_busy = [0] * self.config.num_pes
-        aggregate = SymbolicExecutionTrace()
-        for index, (cube, solver) in enumerate(workloads):
-            worker = ReasonAccelerator(self.config)
-            trace, _ = worker.run_symbolic_trace(formula, solver)
-            per_cube.append(trace)
-            self.energy.merge(worker.energy)
-            # Greedy list scheduling onto the least-busy PE.
-            target = min(range(len(pe_busy)), key=lambda p: pe_busy[p])
-            pe_busy[target] += trace.cycles
-            aggregate.decisions += trace.decisions
-            aggregate.implications += trace.implications
-            aggregate.conflicts += trace.conflicts
-        aggregate.cycles = max(pe_busy) if any(pe_busy) else 0
-        return aggregate, per_cube

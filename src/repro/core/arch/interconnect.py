@@ -86,21 +86,6 @@ def traversal_latency(topology: Topology, num_leaves: int, base_leaves: int = 8)
     return LatencyBreakdown(memory, pe, peripheries, inter)
 
 
-def area_breakdown(topology: Topology, num_leaves: int) -> Dict[str, float]:
-    """Relative interconnect area: wires + buffers per topology."""
-    if topology is Topology.TREE:
-        wires = 2.0 * (num_leaves - 1)
-        buffers = num_leaves - 1
-    elif topology is Topology.MESH:
-        side = math.ceil(math.sqrt(num_leaves))
-        wires = 2.0 * side * (side - 1) * 2
-        buffers = num_leaves  # one router buffer per node
-    else:
-        wires = float(num_leaves)
-        buffers = 2.0 * num_leaves  # hold-fix buffer insertion dominates
-    return {"wires": wires, "buffers": buffers, "total": wires + buffers}
-
-
 def scalability_series(
     topologies: Sequence[Topology],
     leaf_counts: Sequence[int],

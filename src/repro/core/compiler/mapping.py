@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from repro.core.compiler.blocks import Block
 from repro.core.dag.graph import Dag
@@ -31,16 +31,6 @@ class BankAssignment:
     bank_of: Dict[int, int] = field(default_factory=dict)
     num_banks: int = 0
     conflicts: int = 0
-
-    def occupancy(self) -> List[int]:
-        counts = [0] * self.num_banks
-        for bank in self.bank_of.values():
-            counts[bank] += 1
-        return counts
-
-    @property
-    def max_occupancy(self) -> int:
-        return max(self.occupancy(), default=0)
 
 
 def map_operands_to_banks(
@@ -95,4 +85,3 @@ def map_operands_to_banks(
             heapq.heappush(banks, entry)
 
     return assignment
-

@@ -41,10 +41,6 @@ class TreeNodeConfig:
     op: Optional[OpType]
     child_weights: Tuple[float, ...] = ()
 
-    @property
-    def is_forward(self) -> bool:
-        return self.op is None
-
 
 @dataclass
 class VLIWInstruction:
@@ -63,10 +59,6 @@ class VLIWInstruction:
     #: how tools (the static verifier in :mod:`repro.analysis`) follow
     #: data movement.
     value: int = -1
-
-    @property
-    def is_compute(self) -> bool:
-        return self.kind is InstructionKind.COMPUTE
 
 
 @dataclass

@@ -19,7 +19,6 @@ from repro.core.dag.builders import (
     cnf_to_dag,
     circuit_to_dag,
     hmm_to_dag,
-    dag_to_circuit,
 )
 from repro.core.dag.pruning import (
     prune_logic_dag,
@@ -39,7 +38,6 @@ __all__ = [
     "cnf_to_dag",
     "circuit_to_dag",
     "hmm_to_dag",
-    "dag_to_circuit",
     "prune_logic_dag",
     "prune_circuit_by_flow",
     "prune_hmm_by_posterior",

@@ -16,15 +16,7 @@ import numpy as np
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.core.dag.graph import Dag, OpType
-from repro.pc.circuit import (
-    _LEAF,
-    _PRODUCT,
-    Circuit,
-    CircuitNode,
-    LeafNode,
-    ProductNode,
-    SumNode,
-)
+from repro.pc.circuit import _LEAF, _PRODUCT, Circuit
 
 
 def cnf_to_dag(formula: CNF) -> Tuple[Dag, Dict[int, int]]:
@@ -73,30 +65,6 @@ def circuit_to_dag(circuit: Circuit) -> Tuple[Dag, Dict[int, int]]:
             add_op(sum_op, children, weights=np.asarray(node.weights, dtype=float).tolist())
     dag.set_root(plan.root_index)
     return dag, {node.node_id: dense for dense, node in enumerate(plan.order)}
-
-
-def dag_to_circuit(dag: Dag) -> Circuit:
-    """Inverse of :func:`circuit_to_dag` for probabilistic DAGs.
-
-    Raises ``ValueError`` if the DAG contains logic ops.
-    """
-    plan = dag.plan()
-    ops, children_of, payloads, weights = plan.ops, plan.children, plan.payloads, plan.weights
-    rebuilt: Dict[int, CircuitNode] = {}
-    for node_id in plan.order:
-        op = ops[node_id]
-        if op is OpType.LEAF:
-            variable, probabilities = payloads[node_id]  # type: ignore[misc]
-            rebuilt[node_id] = LeafNode(variable, list(probabilities))
-        elif op is OpType.PRODUCT:
-            rebuilt[node_id] = ProductNode([rebuilt[c] for c in children_of[node_id]])
-        elif op is OpType.SUM:
-            rebuilt[node_id] = SumNode(
-                [rebuilt[c] for c in children_of[node_id]], list(weights[node_id])
-            )
-        else:
-            raise ValueError(f"not a probabilistic DAG: contains {op}")
-    return Circuit(rebuilt[dag.root])
 
 
 def hmm_to_dag(

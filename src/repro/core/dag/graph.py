@@ -317,23 +317,6 @@ class Dag:
         percentages are measured in."""
         return self.plan().footprint
 
-    def compact(self) -> "Dag":
-        """Copy keeping only nodes reachable from the root, renumbered."""
-        plan = self.plan()
-        ops, children, payloads, weights = plan.ops, plan.children, plan.payloads, plan.weights
-        mapping = [-1] * len(ops)
-        out = Dag()
-        for node_id in plan.order:
-            op = ops[node_id]
-            mapping[node_id] = out.add_op(
-                op,
-                map(mapping.__getitem__, children[node_id]),
-                payloads[node_id],
-                weights[node_id] if op is _SUM else None,
-            )
-        out.set_root(mapping[self.root])
-        return out
-
 
 def default_leaf_inputs(dag: Dag, literal_values: Optional[Dict[int, bool]] = None) -> Dict[int, float]:
     """Default input map for a DAG's reachable leaf nodes — the values

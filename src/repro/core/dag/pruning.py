@@ -45,12 +45,6 @@ class FlowPruneReport:
     nodes_after: int = 0
     log_likelihood_bound: float = 0.0
 
-    @property
-    def edge_reduction(self) -> float:
-        if self.edges_before == 0:
-            return 0.0
-        return 1.0 - self.edges_after / self.edges_before
-
 
 def prune_logic_dag(formula: CNF) -> Tuple[Dag, CNF, PruneReport]:
     """Prune a CNF via its implication graph and rebuild the DAG.

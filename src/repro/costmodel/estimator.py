@@ -97,9 +97,6 @@ class CostEstimator:
             self._features, fingerprint, CostFeatures.from_artifact(artifact)
         )
 
-    def features_for(self, fingerprint: str) -> Optional[CostFeatures]:
-        return self._features.get(fingerprint)
-
     def _device_for(self, backend: str) -> Optional[DeviceModel]:
         """Resolve the device model behind an analytic backend name.
 

@@ -1,9 +1,9 @@
 """Hidden Markov model substrate (paper Sec. II-C, Eq. 2).
 
 Discrete-observation HMMs with forward/backward filtering and smoothing,
-Viterbi decoding, Baum-Welch learning, posterior-usage statistics (the
-quantities REASON's flow pruning ranks transitions/emissions by), and
-unrolling into the unified DAG representation.
+Baum-Welch learning, posterior-usage statistics (the quantities REASON's
+flow pruning ranks transitions/emissions by), and unrolling into the
+unified DAG representation.
 """
 
 from repro.hmm.model import HMM
@@ -13,8 +13,6 @@ from repro.hmm.inference import (
     log_likelihood,
     posteriors,
     transition_posteriors,
-    viterbi,
-    filter_distribution,
 )
 from repro.hmm.learn import baum_welch
 from repro.hmm.constrained import constrained_decode, DFAConstraint
@@ -26,8 +24,6 @@ __all__ = [
     "log_likelihood",
     "posteriors",
     "transition_posteriors",
-    "viterbi",
-    "filter_distribution",
     "baum_welch",
     "constrained_decode",
     "DFAConstraint",

@@ -8,7 +8,7 @@ traversals of the paper's Fig. 5.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -93,40 +93,3 @@ def transition_posteriors(hmm: HMM, observations: Sequence[int]) -> np.ndarray:
         total = raw.sum()
         xi[t] = raw / total if total > 0 else 0.0
     return xi
-
-
-def filter_distribution(hmm: HMM, observations: Sequence[int]) -> np.ndarray:
-    """Filtering: P(z_T | x_1:T)."""
-    alpha, _ = forward(hmm, observations)
-    return alpha[-1]
-
-
-def viterbi(hmm: HMM, observations: Sequence[int]) -> Tuple[List[int], float]:
-    """Most likely state path and its log probability."""
-    T = len(observations)
-    S = hmm.num_states
-    with np.errstate(divide="ignore"):
-        log_init = np.log(hmm.initial)
-        log_trans = np.log(hmm.transition)
-        log_emit = np.log(hmm.emission)
-    delta = np.zeros((T, S))
-    backpointer = np.zeros((T, S), dtype=int)
-    delta[0] = log_init + log_emit[:, observations[0]]
-    for t in range(1, T):
-        candidates = delta[t - 1][:, None] + log_trans
-        backpointer[t] = np.argmax(candidates, axis=0)
-        delta[t] = candidates[backpointer[t], np.arange(S)] + log_emit[:, observations[t]]
-    path = [int(np.argmax(delta[T - 1]))]
-    for t in range(T - 1, 0, -1):
-        path.append(int(backpointer[t, path[-1]]))
-    path.reverse()
-    return path, float(delta[T - 1].max())
-
-
-def predict_next_observation(hmm: HMM, observations: Sequence[int]) -> np.ndarray:
-    """P(x_{T+1} | x_1:T): one-step predictive distribution."""
-    if len(observations):
-        state = filter_distribution(hmm, observations) @ hmm.transition
-    else:
-        state = hmm.initial
-    return state @ hmm.emission

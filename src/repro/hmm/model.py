@@ -35,16 +35,20 @@ class HMM:
         self.initial = np.asarray(self.initial, dtype=float)
         self.transition = np.asarray(self.transition, dtype=float)
         self.emission = np.asarray(self.emission, dtype=float)
+        if self.initial.ndim != 1 or not self.initial.size:
+            raise ValueError("initial must be (S,) with at least one state")
         s = self.num_states
         if self.transition.shape != (s, s):
             raise ValueError("transition must be (S, S)")
-        if self.emission.shape[0] != s:
-            raise ValueError("emission must have S rows")
+        if self.emission.ndim != 2 or self.emission.shape[0] != s:
+            raise ValueError("emission must be (S, V)")
         for name, row_stochastic in (
             ("initial", self.initial[None, :]),
             ("transition", self.transition),
             ("emission", self.emission),
         ):
+            if not np.isfinite(row_stochastic).all():
+                raise ValueError(f"{name} has non-finite entries")
             if np.any(row_stochastic < -1e-12):
                 raise ValueError(f"{name} has negative entries")
 

@@ -11,14 +11,9 @@ clauses.  This representation is shared by every solver in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 Literal = int
-
-
-def neg(lit: Literal) -> Literal:
-    """Return the negation of a literal."""
-    return -lit
 
 
 def var_of(lit: Literal) -> int:
@@ -178,47 +173,3 @@ class CNF:
                 continue
             kept.append(clause.without(-lit) if -lit in clause else clause)
         return CNF(kept, self.num_vars)
-
-
-def parse_dimacs(text: str) -> CNF:
-    """Parse a DIMACS CNF document."""
-    clauses: List[Clause] = []
-    declared_vars = 0
-    pending: List[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("c", "%")):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed problem line: {line!r}")
-            declared_vars = int(parts[2])
-            continue
-        for token in line.split():
-            value = int(token)
-            if value == 0:
-                if pending:
-                    clauses.append(Clause(pending))
-                    pending = []
-            else:
-                pending.append(value)
-    if pending:
-        clauses.append(Clause(pending))
-    return CNF(clauses, declared_vars)
-
-
-def to_dimacs(formula: CNF, comment: str = "") -> str:
-    """Serialize a CNF formula to DIMACS text."""
-    lines = []
-    if comment:
-        lines.extend(f"c {row}" for row in comment.splitlines())
-    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
-    for clause in formula.clauses:
-        lines.append(" ".join(str(l) for l in clause.literals) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def assignment_from_literals(literals: Sequence[Literal]) -> Dict[int, bool]:
-    """Convert a literal list (e.g. a model) into a variable→bool map."""
-    return {abs(l): l > 0 for l in literals}

@@ -1,11 +1,8 @@
-"""DPLL SAT solver with unit propagation, pure-literal elimination and
-optional lookahead branching.
+"""DPLL SAT solver with unit propagation and pure-literal elimination.
 
-The DPLL procedure is the "cube" side of the paper's cube-and-conquer
-execution (Sec. II-C, Sec. V-E): REASON's tree PEs broadcast decisions
-and reduce implications for DPLL subproblems, while CDCL handles the
-conquer phase.  This software solver is the functional reference the
-hardware simulator is validated against.
+It shares no code with the CDCL solver the accelerator replays, so
+it is the independent reference an UNSAT verdict is checked against
+(``bench/oracle.py``).
 """
 
 from __future__ import annotations
@@ -36,30 +33,15 @@ class DPLLSolver:
     use_pure_literal:
         Enable pure-literal elimination (sound for satisfiability but
         not model counting).
-    use_lookahead:
-        Branch on the variable whose two sub-cubes trigger the most unit
-        propagations (the lookahead heuristic from cube-and-conquer).
-    max_decisions:
-        Abort with ``None`` once this many decisions were made; used by
-        the cube generator to bound cube cost.
     """
 
     use_pure_literal: bool = True
-    use_lookahead: bool = False
-    max_decisions: Optional[int] = None
     stats: DPLLStats = field(default_factory=DPLLStats)
 
-    def solve(self, formula: CNF, assumptions: Tuple[Literal, ...] = ()) -> Optional[Dict[int, bool]]:
-        """Return a satisfying assignment or ``None`` when UNSAT.
-
-        Raises :class:`BudgetExceeded` when ``max_decisions`` runs out.
-        """
+    def solve(self, formula: CNF) -> Optional[Dict[int, bool]]:
+        """Return a satisfying assignment or ``None`` when UNSAT."""
         self.stats = DPLLStats()
-        working = formula.simplify()
-        for lit in assumptions:
-            working = working.condition(lit)
-        model = self._search(working, {abs(l): l > 0 for l in assumptions}, depth=0)
-        return model
+        return self._search(formula.simplify(), {}, depth=0)
 
     def _search(
         self, formula: CNF, assignment: Dict[int, bool], depth: int
@@ -72,8 +54,6 @@ class DPLLSolver:
             formula, assignment = self._eliminate_pure(formula, assignment)
         if not formula.clauses:
             return dict(assignment)
-        if self.max_decisions is not None and self.stats.decisions >= self.max_decisions:
-            raise BudgetExceeded(self.stats.decisions)
 
         branch_var = self._pick_branch_variable(formula)
         self.stats.decisions += 1
@@ -124,40 +104,8 @@ class DPLLSolver:
                 formula = formula.condition(lit)
 
     def _pick_branch_variable(self, formula: CNF) -> int:
-        if self.use_lookahead:
-            return self._lookahead_variable(formula)
         counts: Dict[int, int] = {}
         for clause in formula.clauses:
             for lit in clause:
                 counts[var_of(lit)] = counts.get(var_of(lit), 0) + 1
         return max(counts.items(), key=lambda kv: kv[1])[0]
-
-    def _lookahead_variable(self, formula: CNF) -> int:
-        """Score each candidate by propagation strength of both branches.
-
-        This mirrors the lookahead ranking LA(·) in the paper's Fig. 9:
-        the DPLL node preferring the sub-cube with stronger implied
-        reductions.
-        """
-        best_var, best_score = 0, -1.0
-        for variable in sorted(formula.variables()):
-            pos = self._propagation_gain(formula, variable)
-            negv = self._propagation_gain(formula, -variable)
-            score = pos * negv + pos + negv
-            if score > best_score:
-                best_var, best_score = variable, score
-        return best_var
-
-    def _propagation_gain(self, formula: CNF, lit: Literal) -> float:
-        reduced, _, conflict = self._propagate(formula.condition(lit), {})
-        if conflict:
-            return float(formula.num_literals)
-        return float(formula.num_literals - reduced.num_literals)
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when the solver exhausts its decision budget."""
-
-    def __init__(self, decisions: int):
-        super().__init__(f"decision budget exhausted after {decisions} decisions")
-        self.decisions = decisions

@@ -40,9 +40,6 @@ class FOLLiteral:
     atom: Predicate
     positive: bool = True
 
-    def negated(self) -> "FOLLiteral":
-        return FOLLiteral(self.atom, not self.positive)
-
     def __repr__(self) -> str:
         return repr(self.atom) if self.positive else f"¬{self.atom!r}"
 

@@ -144,23 +144,3 @@ def formula_variables(formula: Formula) -> FrozenSet[Var]:
     if isinstance(formula, (ForAll, Exists)):
         return formula_variables(formula.body) - {formula.variable}
     raise TypeError(f"unknown formula node: {formula!r}")
-
-
-def conj(*parts: Formula) -> Formula:
-    """Right-folded conjunction of one or more formulas."""
-    if not parts:
-        raise ValueError("conj of zero formulas")
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = And(part, out)
-    return out
-
-
-def disj(*parts: Formula) -> Formula:
-    """Right-folded disjunction of one or more formulas."""
-    if not parts:
-        raise ValueError("disj of zero formulas")
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = Or(part, out)
-    return out

@@ -165,15 +165,3 @@ def redundant_sat(
             formula.add_clause([chain[0], chain[-1], extra])
             budget -= 1
     return formula, plant
-
-
-def chain_implications(num_vars: int) -> CNF:
-    """A long binary implication chain x1 → x2 → ... → xn.
-
-    Used by tests of implication-graph pruning: every later literal is
-    hidden with respect to x1.
-    """
-    formula = CNF(num_vars=num_vars)
-    for v in range(1, num_vars):
-        formula.add_clause([-v, v + 1])
-    return formula

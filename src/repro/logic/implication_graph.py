@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.logic.cnf import CNF, Clause, Literal
 
@@ -121,39 +121,6 @@ class BinaryImplicationGraph:
             del bucket[dst]
             self.num_edges -= 1
 
-    def successors(self, lit: Literal) -> FrozenSet[Literal]:
-        return frozenset(self._succ.get(lit, ()))
-
-    def reachable(
-        self, lit: Literal, exclude: Optional[Clause] = None
-    ) -> FrozenSet[Literal]:
-        """All literals implied by ``lit`` (excluding ``lit`` itself).
-
-        Depth-first traversal, linear in the graph size as the paper
-        requires.  When ``exclude`` is a binary clause, edges only that
-        clause induces are ignored.
-        """
-        forbidden: Set[Tuple[Literal, Literal]] = set()
-        if exclude is not None and len(exclude) == 2:
-            a, b = exclude.literals
-            for src, dst in ((-a, b), (-b, a)):
-                if self._succ.get(src, {}).get(dst, 0) == 1:
-                    forbidden.add((src, dst))
-        seen: Set[Literal] = set()
-        stack = [lit]
-        while stack:
-            current = stack.pop()
-            for nxt in self._succ.get(current, ()):
-                if (current, nxt) in forbidden:
-                    continue
-                if nxt not in seen and nxt != lit:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
-
-    def implies(self, a: Literal, b: Literal) -> bool:
-        return b in self.reachable(a)
-
     def reaches_any(
         self,
         lit: Literal,
@@ -162,9 +129,11 @@ class BinaryImplicationGraph:
     ) -> bool:
         """Whether ``lit``'s closure intersects ``targets``.
 
-        Same traversal as :meth:`reachable` but stops at the first hit,
-        so hidden-literal checks don't materialize whole closures.
-        ``lit`` itself never counts (it is excluded from the closure).
+        Depth-first traversal, linear in the graph size as the paper
+        requires, that stops at the first hit, so hidden-literal checks
+        don't materialize whole closures.  ``lit`` itself never counts
+        (it is excluded from the closure).  When ``exclude`` is a binary
+        clause, edges only that clause induces are ignored.
         """
         forbidden: Set[Tuple[Literal, Literal]] = set()
         if exclude is not None and len(exclude) == 2:
@@ -338,11 +307,3 @@ def prune_hidden_literals(
 
     report.pruned = CNF(pruned, formula.num_vars)
     return report.pruned, report
-
-
-def apply_failed_literals(formula: CNF, failed: Iterable[Literal]) -> CNF:
-    """Condition the formula on the negations of failed literals."""
-    out = formula
-    for lit in failed:
-        out = out.condition(-lit)
-    return out

@@ -20,7 +20,6 @@ from repro.metrics.registry import (
     LATENCY_BUCKETS,
     RATIO_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     ensure_registry,
@@ -37,7 +36,6 @@ from repro.metrics.spans import RequestSpan, SpanLog
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "RequestSpan",

@@ -1,12 +1,12 @@
 """Lock-cheap metrics primitives and the service-wide registry.
 
-Three instrument kinds cover everything the serving stack needs to
+Three series kinds cover everything the serving stack needs to
 report:
 
 * :class:`Counter` — monotonically increasing totals (requests
   admitted, cache hits, bytes written);
-* :class:`Gauge` — point-in-time levels that go both ways (queue
-  depth, predicted busy seconds);
+* gauges — point-in-time levels that go both ways (queue depth,
+  predicted busy seconds), served by snapshot-time callbacks (below);
 * :class:`Histogram` — fixed *logarithmic* buckets with quantile
   estimation, sized for latency-style data whose interesting range
   spans many orders of magnitude.  Log buckets keep the instrument
@@ -118,40 +118,9 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge for levels")
+            raise ValueError("counters only go up; serve levels as a gauge callback")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot_value(self) -> float:
-        return self.value
-
-
-class Gauge:
-    """Settable level; ``inc``/``dec`` are exact under contention."""
-
-    kind = "gauge"
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -316,6 +285,11 @@ class MetricsRegistry:
                 f"metric name {name!r} must be non-empty and use only "
                 f"letters, digits, '_' and ':'"
             )
+        for key, value in labels.items():
+            if "," in f"{key}{value}" or "=" in f"{key}{value}":
+                raise ValueError(
+                    f"label {key}={value!r} of metric {name!r} must not contain ',' or '='"
+                )
         label_names = tuple(sorted(labels))
         family = self._families.get(name)
         if family is None:
@@ -358,9 +332,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         """Get-or-create the counter for ``name`` + ``labels``."""
         return self._instrument(name, "counter", Counter, help, labels)
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return self._instrument(name, "gauge", Gauge, help, labels)
 
     def histogram(
         self,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: spans are unique records
@@ -93,35 +93,6 @@ class RequestSpan:
         if self.predicted_energy_j <= 0.0 or self.actual_energy_j <= 0.0:
             return None
         return self.actual_energy_j / self.predicted_energy_j
-
-    # ------------------------------------------------------ serialization
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "fingerprint": self.fingerprint,
-            "kind": self.kind,
-            "backend": self.backend,
-            "shard": self.shard,
-            "queries": self.queries,
-            "status": self.status,
-            "error": self.error,
-            "attempts": self.attempts,
-            "cache_hit": self.cache_hit,
-            "executed": self.executed,
-            "warm": self.warm,
-            "queue_wait_s": self.queue_wait_s,
-            "compile_s": self.compile_s,
-            "execute_s": self.execute_s,
-            "e2e_s": self.e2e_s,
-            "predicted_s": self.predicted_s,
-            "actual_s": self.actual_s,
-            "latency_residual": self.latency_residual,
-            "predicted_energy_j": self.predicted_energy_j,
-            "actual_energy_j": self.actual_energy_j,
-            "energy_residual": self.energy_residual,
-            "wall_unix": self.wall_unix,
-            "predicted_source": self.predicted_source,
-        }
 
 
 class SpanLog:

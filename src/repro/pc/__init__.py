@@ -2,7 +2,7 @@
 
 Implements the paper's probabilistic-reasoning primitive (Sec. II-C,
 Eq. 1): circuits of sum, product and leaf nodes supporting exact
-marginal/conditional/MAP inference in time linear in circuit size,
+marginal/conditional inference in time linear in circuit size,
 top-down circuit flows (the quantity REASON's adaptive pruning ranks
 edges by), EM parameter learning and random structure generation.
 """
@@ -14,23 +14,18 @@ from repro.pc.circuit import (
     ProductNode,
     SumNode,
     bernoulli_leaf,
-    categorical_leaf,
-    indicator_leaf,
 )
 from repro.pc.inference import (
     log_likelihood,
     likelihood,
     marginal,
     conditional,
-    map_state,
     sample,
 )
-from repro.pc.flows import edge_flows, node_flows, dataset_edge_flows
+from repro.pc.flows import edge_flows, dataset_edge_flows
 from repro.pc.learn import (
-    em_step,
     fit_em,
     random_circuit,
-    random_binary_tree_circuit,
 )
 
 __all__ = [
@@ -40,19 +35,13 @@ __all__ = [
     "ProductNode",
     "SumNode",
     "bernoulli_leaf",
-    "categorical_leaf",
-    "indicator_leaf",
     "log_likelihood",
     "likelihood",
     "marginal",
     "conditional",
-    "map_state",
     "sample",
     "edge_flows",
-    "node_flows",
     "dataset_edge_flows",
-    "em_step",
     "fit_em",
     "random_circuit",
-    "random_binary_tree_circuit",
 ]

@@ -25,6 +25,11 @@ EdgeKey = Tuple[int, int]  # (parent node_id, child node_id)
 _LEAF, _PRODUCT, _SUM = 0, 1, 2
 
 
+def _finite_non_negative(values: np.ndarray) -> bool:
+    """Every entry is finite and ≥ 0 (NaN fails both comparisons)."""
+    return bool(((values >= 0) & (values < np.inf)).all())
+
+
 class CircuitNode:
     """Base class for circuit nodes; nodes are identified by object id."""
 
@@ -54,8 +59,8 @@ class LeafNode(CircuitNode):
         probs = np.asarray(probabilities, dtype=float)
         if probs.ndim != 1 or len(probs) < 1:
             raise ValueError("leaf needs a 1-D probability vector")
-        if np.any(probs < 0):
-            raise ValueError("leaf probabilities must be non-negative")
+        if not _finite_non_negative(probs):
+            raise ValueError("leaf probabilities must be finite and non-negative")
         self.variable = variable
         self.probabilities = probs
 
@@ -113,11 +118,11 @@ class SumNode(CircuitNode):
         super().__init__()
         if not children:
             raise ValueError("sum node needs at least one child")
-        if len(children) != len(weights):
-            raise ValueError("one weight per child required")
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("sum weights must be non-negative")
+        if w.shape != (len(children),):
+            raise ValueError("one weight per child required")
+        if not _finite_non_negative(w):
+            raise ValueError("sum weights must be finite and non-negative")
         self._children = tuple(children)
         self.weights = w
 
@@ -325,37 +330,6 @@ class Circuit:
             if kind == _PRODUCT
         )
 
-    def is_deterministic(self, max_assignments: int = 4096) -> bool:
-        """Every sum node has at most one non-zero child per assignment.
-
-        Checked by enumeration over the (small) joint assignment space;
-        determinism enables exact MAP and model counting.
-        """
-        from repro.pc.inference import _evaluate_all  # local import avoids a cycle
-
-        variables = sorted(self.variables())
-        spaces = [range(self.num_states[v]) for v in variables]
-        total = 1
-        for space in spaces:
-            total *= len(space)
-        if total > max_assignments:
-            raise ValueError(
-                f"assignment space {total} too large for determinism check"
-            )
-        sums = [n for n in self.topological_order() if isinstance(n, SumNode)]
-        for assignment_values in itertools.product(*spaces):
-            evidence = dict(zip(variables, assignment_values))
-            values = _evaluate_all(self, evidence)
-            for node in sums:
-                nonzero = sum(
-                    1
-                    for child, weight in zip(node.children, node.weights)
-                    if weight > 0 and values[child.node_id] > 0
-                )
-                if nonzero > 1:
-                    return False
-        return True
-
     def validate(self) -> None:
         """Raise ValueError unless the circuit is smooth and decomposable."""
         if not self.is_smooth():
@@ -379,11 +353,11 @@ class Circuit:
 
 def copy_leaf_tables(leaves: Sequence[LeafNode]) -> Tuple[List[np.ndarray], bool]:
     """Float copies of the leaves' tables, and whether every copy passes
-    :class:`LeafNode`'s check — 1-D, non-empty, non-negative — taken in
-    one numpy pass over all of them rather than one per leaf."""
+    :class:`LeafNode`'s check — 1-D, non-empty, finite, non-negative —
+    taken in one numpy pass over all of them rather than one per leaf."""
     tables = [np.array(leaf.probabilities, dtype=float) for leaf in leaves]
     valid = all(table.ndim == 1 and table.size for table in tables)
-    return tables, valid and not (np.concatenate(tables) < 0).any()
+    return tables, valid and _finite_non_negative(np.concatenate(tables))
 
 
 def bernoulli_leaf(variable: int, p_true: float) -> LeafNode:
@@ -391,19 +365,3 @@ def bernoulli_leaf(variable: int, p_true: float) -> LeafNode:
     if not 0.0 <= p_true <= 1.0:
         raise ValueError("p_true must lie in [0, 1]")
     return LeafNode(variable, [1.0 - p_true, p_true])
-
-
-def categorical_leaf(variable: int, probabilities: Sequence[float]) -> LeafNode:
-    """Categorical leaf; probabilities are normalized."""
-    probs = np.asarray(probabilities, dtype=float)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("categorical leaf needs positive total mass")
-    return LeafNode(variable, probs / total)
-
-
-def indicator_leaf(variable: int, value: int, num_states: int = 2) -> LeafNode:
-    """Leaf putting all mass on one value (logical literal as a leaf)."""
-    probs = np.zeros(num_states)
-    probs[value] = 1.0
-    return LeafNode(variable, probs)

@@ -131,15 +131,13 @@ def _evaluate_batch(plan: CircuitPlan, columns: Columns) -> np.ndarray:
 
 
 def _flow_batch(
-    plan: CircuitPlan, values: np.ndarray, want_edges: bool
+    plan: CircuitPlan, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-down flows per node (and per sum edge when requested)."""
+    """Top-down flows per node and per sum edge."""
     num_nodes, m = values.shape
     flows = np.zeros((num_nodes, m))
     flows[plan.root_index] = 1.0
-    edge_values = (
-        np.zeros((len(plan.edge_keys), m)) if want_edges else np.zeros((0, m))
-    )
+    edge_values = np.zeros((len(plan.edge_keys), m))
     for kind, dense, node, children, slot in reversed(plan.entries):
         if kind == _LEAF:
             continue
@@ -155,21 +153,18 @@ def _flow_batch(
         # the scalar recurrence; adding the masked zeros is exact
         # because every flow is non-negative.
         mask = (parent_value > 0) & (flow != 0.0)
-        any_live = mask.any()
+        if not mask.any():
+            continue  # every edge row stays zero
         for offset, (child, weight) in enumerate(zip(children, node.weights)):
-            if any_live:
-                contribution = np.divide(
-                    weight * values[child],
-                    parent_value,
-                    out=np.zeros(m),
-                    where=mask,
-                )
-                contribution *= flow
-                flows[child] += contribution
-            else:
-                contribution = np.zeros(m)
-            if want_edges:
-                edge_values[slot + offset] = contribution
+            contribution = np.divide(
+                weight * values[child],
+                parent_value,
+                out=np.zeros(m),
+                where=mask,
+            )
+            contribution *= flow
+            flows[child] += contribution
+            edge_values[slot + offset] = contribution
     return flows, edge_values
 
 
@@ -183,21 +178,11 @@ def _totals_in_dataset_order(per_input: np.ndarray) -> np.ndarray:
     return totals
 
 
-def node_flows(circuit: Circuit, evidence: Evidence) -> Dict[int, float]:
-    """Top-down flow F_n(x) reaching each node for one input."""
-    plan = circuit.plan()
-    values = _evaluate_batch(plan, _evidence_columns(plan, [evidence]))
-    flows, _ = _flow_batch(plan, values, want_edges=False)
-    return {
-        node.node_id: float(flows[i, 0]) for i, node in enumerate(plan.order)
-    }
-
-
 def edge_flows(circuit: Circuit, evidence: Evidence) -> Dict[EdgeKey, float]:
     """Flow through every sum edge for one input."""
     plan = circuit.plan()
     values = _evaluate_batch(plan, _evidence_columns(plan, [evidence]))
-    _, edge_values = _flow_batch(plan, values, want_edges=True)
+    _, edge_values = _flow_batch(plan, values)
     return {
         key: float(edge_values[k, 0]) for k, key in enumerate(plan.edge_keys)
     }
@@ -215,7 +200,7 @@ def dataset_edge_flows(
         return {}, 0
     plan = circuit.plan()
     values = _evaluate_batch(plan, _evidence_columns(plan, data))
-    _, edge_values = _flow_batch(plan, values, want_edges=True)
+    _, edge_values = _flow_batch(plan, values)
     totals = _totals_in_dataset_order(edge_values)
     return (
         {key: float(totals[k]) for k, key in enumerate(plan.edge_keys)},

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import random as _random
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.pc.circuit import Circuit, CircuitNode, LeafNode, ProductNode, SumNode
 
@@ -76,57 +74,6 @@ def conditional(circuit: Circuit, query: Evidence, given: Evidence) -> float:
     joint = dict(given)
     joint.update(query)
     return likelihood(circuit, joint) / denominator
-
-
-def map_state(circuit: Circuit, evidence: Optional[Evidence] = None) -> Tuple[Dict[int, int], float]:
-    """MAP assignment via a max-product upward pass and downward decode.
-
-    Exact for deterministic circuits; for general circuits this is the
-    standard max-product approximation (maximizer of the circuit's
-    max-semiring value).
-    """
-    evidence = evidence or {}
-    values: Dict[int, float] = {}
-    best_child: Dict[int, int] = {}
-    best_value: Dict[int, int] = {}
-
-    for node in circuit.topological_order():
-        if isinstance(node, LeafNode):
-            fixed = evidence.get(node.variable)
-            if fixed is not None:
-                values[node.node_id] = node.prob(fixed)
-                best_value[node.node_id] = fixed
-            else:
-                arg = int(np.argmax(node.probabilities))
-                values[node.node_id] = float(node.probabilities[arg])
-                best_value[node.node_id] = arg
-        elif isinstance(node, ProductNode):
-            out = 1.0
-            for child in node.children:
-                out *= values[child.node_id]
-            values[node.node_id] = out
-        elif isinstance(node, SumNode):
-            best, best_idx = -1.0, 0
-            for idx, (child, weight) in enumerate(zip(node.children, node.weights)):
-                candidate = weight * values[child.node_id]
-                if candidate > best:
-                    best, best_idx = candidate, idx
-            values[node.node_id] = best
-            best_child[node.node_id] = best_idx
-
-    assignment: Dict[int, int] = {
-        k: v for k, v in evidence.items() if v is not None
-    }
-    stack: List[CircuitNode] = [circuit.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, LeafNode):
-            assignment.setdefault(node.variable, best_value[node.node_id])
-        elif isinstance(node, ProductNode):
-            stack.extend(node.children)
-        elif isinstance(node, SumNode):
-            stack.append(node.children[best_child[node.node_id]])
-    return assignment, values[circuit.root.node_id]
 
 
 def sample(circuit: Circuit, rng: Optional[_random.Random] = None) -> Dict[int, int]:

@@ -43,7 +43,7 @@ def _em_update(
     Expected counts add up one input at a time in dataset order, so the
     parameters are the ones a per-input loop learns, bit for bit.
     """
-    flows, edge_flows = _flow_batch(plan, values, want_edges=True)
+    flows, edge_flows = _flow_batch(plan, values)
     edge_counts = _totals_in_dataset_order(edge_flows)
     for kind, dense, node, children, slot in plan.entries:
         if kind == _SUM:
@@ -59,20 +59,6 @@ def _em_update(
             np.add.at(counts, codes[observed], flows[dense][observed])
             counts += smoothing
             node.probabilities = counts / counts.sum()
-
-
-def em_step(circuit: Circuit, dataset: Sequence[Evidence], smoothing: float = 0.1) -> Circuit:
-    """One EM iteration, updating sum weights and leaf tables in place.
-
-    Expected counts come from top-down flows; ``smoothing`` is a
-    Laplace-style pseudo-count that keeps probabilities strictly
-    positive.
-    """
-    plan = circuit.plan()
-    columns = _evidence_columns(plan, dataset)
-    values = _evaluate_batch(plan, columns)
-    _em_update(plan, columns, values, smoothing)
-    return circuit
 
 
 def fit_em(
@@ -140,33 +126,6 @@ def random_circuit(
         return node
 
     circuit = Circuit(build(list(range(num_vars)), depth))
-    circuit.validate()
-    return circuit
-
-
-def random_binary_tree_circuit(num_vars: int, seed: Optional[int] = None) -> Circuit:
-    """A balanced binary-tree-structured circuit (HCLT-like skeleton).
-
-    Every internal scope split is a sum over two product decompositions;
-    already in two-input form, so it maps directly onto REASON's tree
-    PEs without regularization.
-    """
-    rng = _random.Random(seed)
-
-    def build(scope: List[int]) -> CircuitNode:
-        if len(scope) == 1:
-            return bernoulli_leaf(scope[0], rng.uniform(0.1, 0.9))
-        mid = len(scope) // 2
-        left, right = scope[:mid], scope[mid:]
-        alternatives = [
-            ProductNode([build(left), build(right)]),
-            ProductNode([build(left), build(right)]),
-        ]
-        node = SumNode(alternatives, [rng.uniform(0.2, 1.0) for _ in alternatives])
-        node.normalize()
-        return node
-
-    circuit = Circuit(build(list(range(num_vars))))
     circuit.validate()
     return circuit
 

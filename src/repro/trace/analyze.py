@@ -197,19 +197,6 @@ class ValidationResult:
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    @property
-    def mismatches(self) -> List[CheckResult]:
-        return [check for check in self.checks if not check.ok]
-
-    def raise_on_mismatch(self) -> "ValidationResult":
-        if not self.ok:
-            detail = ", ".join(
-                f"{c.name}: trace={c.trace_value} report={c.report_value}"
-                for c in self.mismatches
-            )
-            raise AssertionError(f"trace does not reproduce the report: {detail}")
-        return self
-
 
 def cross_validate(source, report) -> ValidationResult:
     """Check that summed trace events reproduce ``report``'s counters.

@@ -95,40 +95,3 @@ MODEL_ZOO: Dict[str, TransformerCostModel] = {
     "13B": _llama_like("13B", 1.3e10, 40, 5120),
     "70B": _llama_like("70B", 7.0e10, 80, 8192),
 }
-
-
-@dataclass(frozen=True)
-class LLMOptimizations:
-    """The orthogonal neural-side optimizations of Sec. VII-C.
-
-    Speedup factors are multiplicative on neural kernel time, matching
-    the paper's reported 2.8-3.3× (unique prompts) and 4-5× (reused
-    prefixes).
-    """
-
-    memory_efficient_attention: bool = False
-    chunked_prefill: bool = False
-    speculative_decoding: bool = False
-    flash_attention3: bool = False
-    fp8_kv_cache: bool = False
-    prefix_caching: bool = False
-
-    def speedup(self, prefix_reuse: bool = False) -> float:
-        factor = 1.0
-        if self.memory_efficient_attention:
-            factor *= 1.25
-        if self.chunked_prefill:
-            factor *= 1.15
-        if self.speculative_decoding:
-            factor *= 1.6
-        if self.flash_attention3:
-            factor *= 1.3
-        if self.fp8_kv_cache:
-            factor *= 1.1
-        if self.prefix_caching and prefix_reuse:
-            factor *= 1.45
-        return factor
-
-    @staticmethod
-    def all_enabled() -> "LLMOptimizations":
-        return LLMOptimizations(True, True, True, True, True, True)

@@ -65,10 +65,12 @@ def test_compiled_schedules_always_verify_clean(
         # The only tolerated findings are the bank-starved warnings
         # themselves — blocks whose same-bank operand demand exceeds
         # regs_per_bank, which no schedule can keep resident.
-        assert len(report.warnings) == report.starved_reads
+        assert len(report.findings) == report.starved_reads
         assert all(
-            f.invariant == "bank-capacity" and "bank-starved" in f.message
-            for f in report.warnings
+            f.severity == "warning"
+            and f.invariant == "bank-capacity"
+            and "bank-starved" in f.message
+            for f in report.findings
         )
 
 
@@ -86,7 +88,7 @@ def test_spilling_schedules_verify_clean_without_stats(num_vars, seed):
     program, _ = compile_dag(dag, config)
     report = verify_program(program, config)
     assert report.errors == [], [f.describe() for f in report.errors]
-    assert all("bank-starved" in f.message for f in report.warnings)
+    assert all("bank-starved" in f.message for f in report.findings)
 
 
 # ------------------------------------------------------------- totality

@@ -36,9 +36,9 @@ def wait_until_running(future, timeout_s: float = 10.0) -> None:
 @pytest.fixture
 def gate(monkeypatch):
     """A shut gate behind ``backend="test-gate"``, registered for this
-    test only: ``ReasonSession.cross_check()`` runs every registered
-    backend, so a gate left in the registry would block it.  Opened on
-    the way out whatever the test did."""
+    test only: ``test_every_registered_backend_agrees`` runs every
+    registered backend, so a gate left in the registry would block it.
+    Opened on the way out whatever the test did."""
     event = threading.Event()
     monkeypatch.setitem(backends._BACKENDS, GateBackend.name, lambda: GateBackend(event))
     yield event

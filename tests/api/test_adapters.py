@@ -16,7 +16,6 @@ from repro.api import (
     ReasonSession,
     adapter_for,
     register_adapter,
-    registered_adapters,
 )
 from repro.api.adapters import (
     CircuitAdapter,
@@ -64,16 +63,13 @@ class TestRegistryDispatch:
         class FakeAdapter(KernelAdapter):
             kind = "fake"
 
-        before = dict(registered_adapters())
+        from repro.api import adapters as adapters_module
+
         try:
             register_adapter(Fake, FakeAdapter())
             assert adapter_for(Fake()).kind == "fake"
         finally:
-            registered = registered_adapters()
-            for extra in set(registered) - set(before):
-                from repro.api import adapters as adapters_module
-
-                adapters_module._ADAPTERS.pop(extra)
+            adapters_module._ADAPTERS.pop(Fake, None)
 
 
 class TestFingerprints:

@@ -141,11 +141,11 @@ class TestSessionCaching:
         assert not report.cache_hit
         assert session.prepare_calls == 2
 
-    def test_clear_cache_forces_recompile(self):
+    def test_clearing_the_cache_forces_recompile(self):
         session = ReasonSession()
         kernel = random_ksat(10, 30, seed=4)
         session.run(kernel)
-        session.clear_cache()
+        session._cache.clear()
         report = session.run(kernel)
         assert not report.cache_hit
         assert session.prepare_calls == 2

@@ -85,7 +85,7 @@ class TestObservedRunsStillExecute:
         traced = session.run(kernel, trace=True)
         assert traced.executed and traced.cache_hit
         assert traced.identity() == plain.identity()
-        cross_validate(traced.extras["trace_data"], traced).raise_on_mismatch()
+        assert cross_validate(traced.extras["trace_data"], traced).ok
 
     def test_file_trace(self, warmed, tmp_path):
         session, kernel, plain = warmed
@@ -94,7 +94,7 @@ class TestObservedRunsStillExecute:
         assert traced.executed
         assert traced.identity() == plain.identity()
         assert path.stat().st_size == traced.extras["trace"]["bytes"]
-        cross_validate(path, traced).raise_on_mismatch()
+        assert cross_validate(path, traced).ok
 
     def test_borrowed_writer(self, warmed):
         session, kernel, plain = warmed
@@ -129,7 +129,7 @@ class TestObservedRunsStillExecute:
         traced = session.run(kernel, trace=True, **options)
         assert traced.executed
         assert traced.identity() == plain.identity()
-        cross_validate(traced.extras["trace_data"], traced).raise_on_mismatch()
+        assert cross_validate(traced.extras["trace_data"], traced).ok
 
 
 @pytest.mark.parametrize("kind", ["cnf", "circuit"])
@@ -262,9 +262,8 @@ class TestWhichRequestsExecuted:
                 service.submit(kernel, **options).result()
             spans = service.spans()
             assert [span.executed for span in spans] == [True, False, False]
-            assert [span.to_dict()["executed"] for span in spans] == [True, False, False]
             service.submit(kernel, trace=True).result()
-            assert service.session_of(0).executions == 2
+            assert service._shards[0].session.executions == 2
             metrics = service.metrics().snapshot()["metrics"]
         assert metrics["reason_executions_total"]["series"]["shard=0"] == 2
         assert metrics["reason_prepare_calls_total"]["series"]["shard=0"] == 1

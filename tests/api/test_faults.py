@@ -2,6 +2,7 @@
 service — supervision, retries, deadlines, breakers, store degradation,
 and the accounting invariant under random fault plans."""
 
+import dataclasses
 import random
 import sys
 
@@ -386,7 +387,7 @@ class TestStoreChaos:
             service.drain(timeout=15)
             assert corrupt_disk_entry(store, fingerprint)  # plant garbage
             assert store._file_for(fingerprint).read_bytes() == CORRUPT_BYTES
-            service.session_of(0).clear_cache()  # force the store read
+            service._shards[0].session._cache.clear()  # force the store read
             report = service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
             snap = service.metrics().snapshot()["metrics"]
@@ -402,7 +403,7 @@ class TestStoreChaos:
         with ReasonService(shards=1, store=store, faults=plan) as service:
             service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
-            service.session_of(0).clear_cache()
+            service._shards[0].session._cache.clear()
             report = service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
         assert plan.injected("corrupt") >= 1
@@ -451,7 +452,7 @@ class TestChaosTelemetry:
             service.drain(timeout=15)
             stats = service.stats()
         assert stats.retries == stats.restarts == stats.crashes == 1
-        shards = stats.to_dict()["shards"]
+        shards = dataclasses.asdict(stats)["shards"]
         assert sum(shard["retries"] for shard in shards) == 1
         assert [shard["breaker"] for shard in shards] == [
             s.breaker for s in stats.shards

@@ -218,8 +218,8 @@ class TestSharding:
             for _ in range(4):  # round-robin alternates shards
                 service.submit(kernel)
             service.drain()
-            assert service.session_of(0).prepare_calls == 1
-            assert service.session_of(1).prepare_calls == 1
+            assert service._shards[0].session.prepare_calls == 1
+            assert service._shards[1].session.prepare_calls == 1
             stats = service.stats()
         assert stats.cache_misses == 2 and stats.cache_hits == 2
 
@@ -277,15 +277,12 @@ class TestRunBatch:
         # sends both copies to the same shard: one miss + one hit each.
         assert batch.cache_hits == 4 and batch.cache_misses == 4
 
-    def test_sync_wrapper_matches_async(self):
+    def test_batch_reports_equal_single_submits(self):
         kernels = [random_ksat(10, 30, seed=15)] * 4
         with ReasonService(shards=2) as service:
-            sync_batch = service.run_batch_sync(kernels, queries=50)
-            async_batch = asyncio.run(service.run_batch(kernels, queries=50))
-        assert sync_batch.total_s == async_batch.total_s
-        assert [r.result for r in sync_batch.reports] == [
-            r.result for r in async_batch.reports
-        ]
+            singles = [service.submit(k, queries=50).result() for k in kernels]
+            batch = asyncio.run(service.run_batch(kernels, queries=50))
+        assert [r.identity() for r in batch.reports] == [r.identity() for r in singles]
 
     def test_futures_are_awaitable(self):
         async def roundtrip(service, kernel):
@@ -309,7 +306,7 @@ class TestRunBatch:
         circuits = [random_circuit(4, depth=2, seed=s) for s in (18, 19)]
         calibrations = [sample_dataset(c, 10, seed=20) for c in circuits]
         with ReasonService(shards=2) as service:
-            batch = service.run_batch_sync(circuits, calibrations=calibrations)
+            batch = asyncio.run(service.run_batch(circuits, calibrations=calibrations))
         assert all(r.result == pytest.approx(1.0) for r in batch.reports)
 
 

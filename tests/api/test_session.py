@@ -1,5 +1,5 @@
-"""ReasonSession facade: run/run_batch/cross_check semantics and public
-exports."""
+"""ReasonSession facade: run/run_batch semantics across backends and
+public exports."""
 
 import inspect
 
@@ -21,7 +21,7 @@ class TestRun:
         many = session.run(kernel, queries=10)
         assert many.cycles == one.cycles * 10
         assert many.seconds == pytest.approx(one.seconds * 10)
-        assert many.per_query_s == pytest.approx(one.seconds)
+        assert many.seconds / many.queries == pytest.approx(one.seconds)
 
     def test_invalid_queries_rejected(self):
         with pytest.raises(ValueError):
@@ -115,54 +115,35 @@ class TestRunBatch:
         assert len(constructions) == 1
 
 
-class TestCrossCheck:
-    def test_all_backends_by_default(self):
+class TestBackends:
+    def test_every_backend_runs_a_kernel(self):
         session = ReasonSession()
-        reports = session.cross_check(random_ksat(10, 30, seed=21))
-        assert set(reports) == set(session.backends())
-        for name, report in reports.items():
+        kernel = random_ksat(10, 30, seed=21)
+        for name in session.backends():
+            report = session.run(kernel, backend=name)
             assert report.backend == name
             assert report.kernel == "cnf"
 
     def test_functional_backends_agree(self):
         session = ReasonSession()
-        reports = session.cross_check(
-            random_ksat(10, 30, seed=22), backends=["reason", "software"]
-        )
+        kernel = random_ksat(10, 30, seed=22)
+        reports = {
+            name: session.run(kernel, backend=name) for name in ("reason", "software")
+        }
         assert reports["reason"].result == reports["software"].result
 
-    def test_backend_subset_and_single_compile(self):
+    def test_one_compile_serves_every_backend(self):
         session = ReasonSession()
         kernel = random_circuit(4, depth=2, seed=23)
-        reports = session.cross_check(kernel, backends=["reason", "gpu", "cpu"])
-        assert list(reports) == ["reason", "gpu", "cpu"]
-        # One front-end pass serves every backend via the cache.
+        for name in ("reason", "gpu", "cpu"):
+            session.run(kernel, backend=name)
         assert session.prepare_calls == 1
         assert session.cache_stats.hits == 2
-
-    def test_options_flow_through(self):
-        session = ReasonSession()
-        kernel = HMM.random(3, 4, seed=24)
-        reports = session.cross_check(
-            kernel, backends=["reason", "software"], hmm_observations=[0, 1, 2]
-        )
-        assert reports["reason"].result == pytest.approx(
-            reports["software"].result, rel=1e-6
-        )
-
-    def test_queries_forwarded(self):
-        """Regression: queries must reach the backends, not RunOptions."""
-        session = ReasonSession()
-        kernel = random_ksat(10, 30, seed=25)
-        reports = session.cross_check(kernel, backends=["reason"], queries=5)
-        single = session.run(kernel, queries=1)
-        assert reports["reason"].queries == 5
-        assert reports["reason"].cycles == single.cycles * 5
 
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
         for name in (
             "ReasonSession",
             "ReasonService",

@@ -16,7 +16,6 @@ from repro.baselines import (
     characterize_kernel,
     roofline_point,
 )
-from repro.baselines.roofline import roofline_series
 
 
 def gemm_profile():
@@ -79,6 +78,14 @@ class TestRoofline:
         point = roofline_point(RTX_A6000, logic_profile())
         assert point.memory_bound
 
+    def test_kernel_energy_floors_activity_at_a_tenth(self):
+        profile = logic_profile()
+        assert XEON_CPU.compute_efficiency[KernelClass.LOGIC] < 0.1
+        power = XEON_CPU.idle_w + 0.1 * (XEON_CPU.tdp_w - XEON_CPU.idle_w)
+        assert XEON_CPU.kernel_energy_j(profile) == pytest.approx(
+            power * XEON_CPU.kernel_time_s(profile)
+        )
+
     def test_gemm_kernels_are_compute_bound(self):
         point = roofline_point(RTX_A6000, gemm_profile())
         assert not point.memory_bound
@@ -88,9 +95,9 @@ class TestRoofline:
             point = roofline_point(RTX_A6000, profile)
             assert point.achieved_tflops <= point.attainable_tflops * 1.01
 
-    def test_series(self):
-        points = roofline_series(RTX_A6000, [("gemm", gemm_profile()), ("logic", logic_profile())])
-        assert [p.label for p in points] == ["gemm", "logic"]
+    def test_point_label_defaults_to_the_kernel_class(self):
+        assert roofline_point(RTX_A6000, gemm_profile(), "gemm").label == "gemm"
+        assert roofline_point(RTX_A6000, logic_profile()).label == KernelClass.LOGIC.value
 
 
 class TestTable2:

@@ -21,7 +21,7 @@ from repro.core.arch import (
 )
 from repro.core.arch.config import dse_grid
 from repro.core.arch.energy import EVENT_NAMES, scale_to_node
-from repro.core.arch.interconnect import area_breakdown, scalability_series
+from repro.core.arch.interconnect import scalability_series
 from repro.core.arch.tree_pe import PEMode, TreePE
 from repro.core.compiler.program import (
     InstructionKind,
@@ -146,14 +146,6 @@ class TestInterconnect:
         small = traversal_latency(Topology.TREE, 8)
         large = traversal_latency(Topology.TREE, 64)
         assert large.total > small.total
-
-    def test_area_breakdown_bus_buffers_dominate(self):
-        bus = area_breakdown(Topology.ALL_TO_ONE, 64)
-        assert bus["buffers"] > bus["wires"]
-
-    def test_area_breakdown_tree_counts_edges(self):
-        # N leaves: N - 1 internal nodes, two wires and one buffer each.
-        assert area_breakdown(Topology.TREE, 64) == {"wires": 126.0, "buffers": 63, "total": 189.0}
 
     def test_broadcast_rejects_an_empty_array(self):
         with pytest.raises(ValueError):
@@ -464,6 +456,13 @@ class TestSymbolicReplay:
         large, _ = ReasonAccelerator().run_symbolic(random_ksat(60, 250, seed=5))
         assert 0 < small.cycles < large.cycles
 
+    def test_replay_requires_recorded_trace(self):
+        accelerator = ReasonAccelerator()
+        solver = CDCLSolver(record_trace=False)
+        solver.solve(random_ksat(10, 30, seed=5))
+        with pytest.raises(ValueError):
+            accelerator.run_symbolic_trace(random_ksat(10, 30, seed=5), solver)
+
     def test_report_fields(self):
         accelerator = ReasonAccelerator()
         trace, _ = accelerator.run_symbolic(random_ksat(12, 40, seed=6))
@@ -511,27 +510,3 @@ class TestSymbolicReplay:
                 assert kind == "learn"
         assert trace.cycles == cycles
         assert {name: getattr(accelerator.energy, name) for name in EVENT_NAMES} == expected
-
-
-class TestUnifiedVsDecoupled:
-    """The Sec. V-F design-choice claim: unified fabric ≈ 58% lower
-    area/power with >90% utilization vs decoupled engines."""
-
-    def test_area_saving_band(self):
-        from repro.core.arch.energy import unified_vs_decoupled
-
-        comparison = unified_vs_decoupled()
-        assert 0.45 <= comparison.area_saving <= 0.65
-
-    def test_utilization_gap(self):
-        from repro.core.arch.energy import unified_vs_decoupled
-
-        comparison = unified_vs_decoupled()
-        assert comparison.unified_utilization > 0.90
-        assert comparison.decoupled_utilization < 0.60
-
-    def test_scales_with_config(self):
-        from repro.core.arch.energy import unified_vs_decoupled
-
-        big = unified_vs_decoupled(ArchConfig(num_pes=24))
-        assert big.decoupled_area_mm2 > big.unified_area_mm2

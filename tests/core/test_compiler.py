@@ -22,7 +22,8 @@ from repro.core.compiler.blocks import (
     block_dependencies,
     topological_block_order,
 )
-from repro.core.compiler.program import TreeNodeConfig
+from repro.core.compiler.program import InstructionKind, TreeNodeConfig
+from repro.core.compiler.schedule import ScheduleStats
 from repro.core.dag import (
     Dag,
     OpType,
@@ -35,7 +36,7 @@ from repro.core.dag import (
 )
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
-from repro.pc.learn import random_binary_tree_circuit, random_circuit
+from repro.pc.learn import random_circuit
 from tests.api.test_report_identity import build_trace
 
 
@@ -88,7 +89,7 @@ def reference_placement(dag: Dag, block, tree_depth: int):
     positions = [config.position for config in configs]
     assert len(set(positions)) == len(positions)
     configs.sort(key=lambda config: config.position)
-    active = sum(1 for config in configs if not config.is_forward)
+    active = sum(1 for config in configs if config.op is not None)
     return configs, leaf_operands, active / (2 ** (tree_depth + 1) - 1)
 
 
@@ -259,7 +260,8 @@ class TestBankMapping:
         dag = regularize_two_input(circuit_to_dag(random_circuit(8, depth=3, seed=7))[0])
         blocks = decompose_blocks(dag, 3)
         assignment = map_operands_to_banks(dag, blocks, num_banks=8)
-        occupancy = assignment.occupancy()
+        banks = list(assignment.bank_of.values())
+        occupancy = [banks.count(bank) for bank in range(assignment.num_banks)]
         assert max(occupancy) - min(occupancy) <= max(2, len(assignment.bank_of) // 8)
 
     def test_zero_banks_rejected(self):
@@ -313,7 +315,7 @@ class TestTreePlacement:
         # ... and they are what the scheduler put in the program.
         by_block = {b.block_id: b for b in decompose_blocks(program.dag, depth)}
         for instruction in program.instructions:
-            if instruction.is_compute:
+            if instruction.kind is InstructionKind.COMPUTE:
                 configs, leaf_operands, _ = reference_placement(
                     program.dag, by_block[instruction.block_id], depth
                 )
@@ -333,7 +335,7 @@ class TestTreePlacement:
                     continue
                 by_id = {b.block_id: b for b in decompose_blocks(program.dag, tree_depth)}
                 for instruction in program.instructions:
-                    if instruction.is_compute:
+                    if instruction.kind is InstructionKind.COMPUTE:
                         block = by_id[instruction.block_id]
                         placement = map_block_to_tree(program.dag, block, tree_depth)
                         assert placement.configs == instruction.tree_config
@@ -373,7 +375,7 @@ class TestTreePlacement:
                 id(config): config.position
                 for instruction in candidate.instructions
                 for config in instruction.tree_config
-                if config.is_forward
+                if config.op is None
             }
             assert len(forwards) == len(set(forwards.values()))
 
@@ -382,7 +384,7 @@ class TestTreePlacement:
         blocks = decompose_blocks(dag, 3)
         for block in blocks:
             placement = map_block_to_tree(dag, block, 3)
-            active = [c for c in placement.configs if not c.is_forward]
+            active = [c for c in placement.configs if c.op is not None]
             assert len(active) == block.num_ops
 
     def test_utilization_between_zero_and_one(self):
@@ -402,7 +404,7 @@ class TestScheduling:
     def test_dependent_chain_spaced_by_pipeline(self):
         dag = chain_dag(12)
         program, stats = compile_dag(dag)
-        computes = [i for i in program.instructions if i.is_compute]
+        computes = [i for i in program.instructions if i.kind is InstructionKind.COMPUTE]
         # A serial chain cannot beat pipeline_stages per dependent block.
         config = DEFAULT_CONFIG
         assert stats.cycles >= (len(computes) - 1) * 1  # progress made
@@ -420,6 +422,16 @@ class TestScheduling:
         dag = regularize_two_input(circuit_to_dag(random_circuit(8, depth=3, seed=12))[0])
         program, stats = compile_dag(dag, tiny)
         assert stats.schedule.spills > 0
+
+    def test_issue_efficiency_is_the_share_of_slots_not_spent_on_nops(
+        self, overflow_schedule
+    ):
+        program, stats = overflow_schedule
+        schedule = stats.schedule
+        assert schedule.nops == program.nop_count > 0
+        assert schedule.issue_efficiency == 1.0 - schedule.nops / schedule.pe_issue_slots
+        assert 0.0 < schedule.issue_efficiency < 1.0
+        assert ScheduleStats().issue_efficiency == 0.0
 
     def test_compile_rejects_wide_dag_without_regularization(self):
         dag, _ = cnf_to_dag(random_ksat(5, 10, seed=13))
@@ -445,7 +457,9 @@ class TestFunctionalEquivalence:
             assert result == pytest.approx(expected)
 
     def test_binary_tree_circuit_weights_survive(self):
-        dag, _ = circuit_to_dag(random_binary_tree_circuit(8, seed=20))
+        circuit = random_circuit(4, depth=2, sum_children=2, seed=20)
+        assert circuit.max_fan_in() <= 2  # already two-input
+        dag, _ = circuit_to_dag(circuit)
         result, expected = self._run(dag)
         assert result == pytest.approx(expected)
         assert expected == pytest.approx(1.0)  # normalized circuit

@@ -18,7 +18,6 @@ from repro.core.dag import (
     OptimizationResult,
     circuit_to_dag,
     cnf_to_dag,
-    dag_to_circuit,
     default_leaf_inputs,
     evaluate_dag,
     hmm_to_dag,
@@ -168,13 +167,6 @@ class TestDagCore:
         assert dag.depth() == 2
         assert dag.max_fan_in() == 3
 
-    def test_compact_drops_unreachable(self):
-        dag = Dag()
-        a = dag.add_op(OpType.LITERAL, payload=1)
-        dag.add_op(OpType.LITERAL, payload=2)  # orphan
-        dag.set_root(a)
-        assert dag.compact().num_nodes == 1
-
     def test_memory_footprint_counts_nodes_edges_weights(self):
         dag = Dag()
         a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
@@ -190,6 +182,19 @@ class TestDagCore:
         assert hist[OpType.LITERAL] == 2
         assert hist[OpType.OR] == 1
         assert hist[OpType.AND] == 1
+
+
+def dag_likelihood(dag: Dag, evidence) -> float:
+    """A probabilistic DAG's root value under circuit evidence: each LEAF
+    reads its table at the variable's value, or sums it when the
+    variable is absent."""
+    inputs = {}
+    for node_id, node in dag.items():
+        if node.op is OpType.LEAF:
+            variable, table = node.payload
+            value = evidence.get(variable)
+            inputs[node_id] = sum(table) if value is None else table[value]
+    return evaluate_dag(dag, inputs)[dag.root]
 
 
 def reference_topological_order(dag: Dag) -> list:
@@ -461,19 +466,13 @@ class TestBuilders:
         dag, literal_nodes = cnf_to_dag(formula)
         assert len(literal_nodes) == 3  # literal 1 shared
 
-    def test_circuit_dag_roundtrip_preserves_likelihood(self):
+    def test_circuit_dag_preserves_likelihood(self):
         circuit = random_circuit(5, depth=2, seed=1)
         dag, _ = circuit_to_dag(circuit)
-        rebuilt = dag_to_circuit(dag)
         for evidence in ({0: 1}, {1: 0, 2: 1}, {}):
-            assert likelihood(rebuilt, evidence) == pytest.approx(
+            assert dag_likelihood(dag, evidence) == pytest.approx(
                 likelihood(circuit, evidence)
             )
-
-    def test_dag_to_circuit_rejects_logic_dags(self):
-        dag, _ = cnf_to_dag(CNF([Clause([1])]))
-        with pytest.raises(ValueError):
-            dag_to_circuit(dag)
 
     def test_hmm_unroll_computes_joint_likelihood(self):
         hmm = HMM.random(3, 4, seed=2)
@@ -516,7 +515,6 @@ class TestCircuitPruning:
         data = sample_dataset(circuit, 50, seed=6)
         pruned, report = prune_circuit_by_flow(circuit, data, keep_fraction=0.6)
         assert report.edges_after < report.edges_before
-        assert report.edge_reduction > 0
 
     def test_pruned_circuit_remains_normalized_and_valid(self):
         circuit = random_circuit(6, depth=2, seed=7)
@@ -559,6 +557,8 @@ class TestCircuitPruning:
             (None, [], "1-D"),
             ([], [-0.5, 1.5], "1-D"),
             ([-0.5, 1.5], [], "non-negative"),
+            (None, [math.nan, 0.5], "finite"),
+            ([math.inf, 0.5], [], "finite"),
         ],
     )
     def test_bad_leaf_table_raises_the_first_bad_leafs_error(self, first, last, message):
@@ -664,9 +664,8 @@ class TestRegularization:
         dag, _ = circuit_to_dag(circuit)
         regular = regularize_two_input(dag)
         assert is_two_input(regular)
-        rebuilt = dag_to_circuit(regular)
         for evidence in ({}, {0: 1}, {1: 0, 3: 1}):
-            assert likelihood(rebuilt, evidence) == pytest.approx(
+            assert dag_likelihood(regular, evidence) == pytest.approx(
                 likelihood(circuit, evidence)
             )
 

@@ -225,7 +225,11 @@ class TestLastReaderLiveness:
         is the bank-starved read, which the verifier counts."""
         config, compiled = calibrated_hmm_sweep
         for seed, artifact, report in compiled:
-            starved = {f.site for f in report.warnings if f.invariant == "bank-capacity"}
+            starved = {
+                f.site
+                for f in report.findings
+                if f.severity == "warning" and f.invariant == "bank-capacity"
+            }
             assert unwritten_operand_sites(artifact.program, config) <= starved, seed
 
 
@@ -283,8 +287,9 @@ def register_file_mismatches(program, config):
             # Spills made room for an operand when a LOAD or RELOAD
             # follows them, for the write-back when the COMPUTE does.
             after = next(i for i in instructions[site:] if i.kind is not InstructionKind.SPILL)
-            compute = next(i for i in instructions[site:] if i.is_compute)
-            keep = set(inputs_of[compute.block_id]) if not after.is_compute else set()
+            compute = next(i for i in instructions[site:] if i.kind is InstructionKind.COMPUTE)
+            computing = after.kind is InstructionKind.COMPUTE
+            keep = set() if computing else set(inputs_of[compute.block_id])
             ((bank, addr),) = instruction.reads
             residents = held[bank]
             spare = [value for value in residents if value not in keep]

@@ -1,20 +1,17 @@
-"""Tests for the system layer: the two-level pipeline, the end-to-end
-latency models, and running kernels on the REASON accelerator model."""
+"""Tests for the system layer: the two-level pipeline, and running
+kernels on the REASON accelerator model."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ReasonSession
-from repro.baselines.device import KernelClass, KernelProfile, ORIN_NX, RTX_A6000
-from repro.core.system import (
-    PipelineResult,
-    TwoLevelPipeline,
-    baseline_end_to_end,
-    reason_end_to_end,
-)
+from repro.core.arch.config import DEFAULT_CONFIG
+from repro.core.system import PipelineResult, TwoLevelPipeline
 from repro.hmm.model import HMM
-from repro.logic.generators import random_ksat
+from repro.logic.generators import pigeonhole, random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
 
 
@@ -86,62 +83,6 @@ class TestTwoLevelPipeline:
         assert TwoLevelPipeline().run([], []).symbolic_share == 0.0
 
 
-class TestEndToEndModels:
-    def _profiles(self):
-        neural = [KernelProfile(KernelClass.NEURAL_GEMM, 1e12, 1e10)]
-        symbolic = [KernelProfile(KernelClass.LOGIC, 1e8, 1e9, launches=200)]
-        return neural, symbolic
-
-    def test_coupled_overhead(self):
-        neural, symbolic = self._profiles()
-        plain = baseline_end_to_end(RTX_A6000, neural, symbolic)
-        coupled = baseline_end_to_end(RTX_A6000, neural, symbolic, coupled_devices=True)
-        assert coupled.total_s == pytest.approx(plain.total_s * 1.15)
-
-    def test_reason_system_faster_than_baseline(self):
-        neural, symbolic = self._profiles()
-        baseline = baseline_end_to_end(ORIN_NX, neural, symbolic, symbolic_scale=10.0)
-        report = run_on_reason(random_ksat(20, 70, seed=6))
-        system = reason_end_to_end(
-            ORIN_NX, neural, report, symbolic_scale=10.0, llm_optimization_speedup=3.0
-        )
-        assert system.total_s < baseline.total_s
-
-    def test_symbolic_share_reported(self):
-        neural, symbolic = self._profiles()
-        result = baseline_end_to_end(RTX_A6000, neural, symbolic)
-        assert 0.0 < result.symbolic_share < 1.0
-
-    def test_symbolic_scale_lifts_only_the_symbolic_stage(self):
-        neural, symbolic = self._profiles()
-        plain = baseline_end_to_end(RTX_A6000, neural, symbolic)
-        scaled = baseline_end_to_end(RTX_A6000, neural, symbolic, symbolic_scale=10.0)
-        assert scaled.neural_s == plain.neural_s
-        assert scaled.symbolic_s == pytest.approx(plain.symbolic_s * 10.0)
-        assert scaled.total_s == pytest.approx(scaled.neural_s + scaled.symbolic_s)
-
-    def test_unpipelined_reason_system_pays_both_stages_per_task(self):
-        neural, _ = self._profiles()
-        report = run_on_reason(random_ksat(12, 40, seed=14))
-        result = reason_end_to_end(
-            ORIN_NX, neural, report, llm_optimization_speedup=2.0, pipelined=False
-        )
-        assert result.neural_s == pytest.approx(ORIN_NX.run(neural) / 2.0)
-        assert result.symbolic_s == report.seconds
-        handoff = TwoLevelPipeline().handoff_s
-        assert result.total_s == pytest.approx(result.neural_s + result.symbolic_s + handoff)
-        assert result.overlap_saved_s == 0.0
-
-    def test_pipelined_reason_system_approaches_the_slower_stage(self):
-        neural, _ = self._profiles()
-        report = run_on_reason(random_ksat(12, 40, seed=14))
-        few = reason_end_to_end(ORIN_NX, neural, report, num_tasks=2)
-        many = reason_end_to_end(ORIN_NX, neural, report, num_tasks=200)
-        bottleneck = max(few.neural_s, few.symbolic_s)
-        assert bottleneck <= many.total_s < few.total_s
-        assert many.total_s == pytest.approx(bottleneck, rel=0.02)
-
-
 def run_on_reason(kernel, **options):
     """One cold run on the accelerator model."""
     return ReasonSession().run(kernel, backend="reason", **options)
@@ -164,6 +105,15 @@ class TestRunner:
         hmm = HMM.random(3, 4, seed=10)
         timing = run_on_reason(hmm, hmm_observations=[0, 1, 2, 3])
         assert timing.cycles > 0
+
+    def test_cnf_report_is_a_single_pe_replay(self):
+        # The symbolic replay runs on one tree PE, so the PE count moves
+        # neither its cycles nor its energy.
+        reports = [
+            ReasonSession(config=replace(DEFAULT_CONFIG, num_pes=n)).run(pigeonhole(4))
+            for n in (1, 12, 24)
+        ]
+        assert len({(report.cycles, report.energy_j) for report in reports}) == 1
 
     def test_queries_scale_cycles(self):
         formula = random_ksat(12, 40, seed=11)

@@ -58,7 +58,7 @@ def report(seconds, queries=1, energy_j=0.0, compile_s=0.0, backend="reason"):
 class TestCostFeatures:
     def test_logic_kernel_features(self):
         _, _, artifact = compiled(random_ksat(14, 45, seed=0))
-        features = artifact.cost_features()
+        features = cost_features.CostFeatures.from_artifact(artifact)
         assert features.kind == "cnf"
         assert features.kernel_class is KernelClass.LOGIC
         assert features.trace_ops > 0  # recorded CDCL work
@@ -67,7 +67,7 @@ class TestCostFeatures:
 
     def test_dag_kernel_features(self):
         _, _, artifact = compiled(random_circuit(4, depth=2, seed=1))
-        features = artifact.cost_features()
+        features = cost_features.CostFeatures.from_artifact(artifact)
         assert features.kind == "circuit"
         assert features.schedule_cycles > 0
         assert features.trace_ops == 0
@@ -138,9 +138,8 @@ class TestStaticPrediction:
         from repro.baselines.device import V100, device_named
 
         estimator = CostEstimator()
-        estimator.record_artifact("f1", fake_artifact())
+        features = estimator.record_artifact("f1", fake_artifact())
         prediction = estimator.predict("f1", "V100")
-        features = estimator.features_for("f1")
         assert prediction.seconds == pytest.approx(
             V100.kernel_time_s(features.profile)
         )

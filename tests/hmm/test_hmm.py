@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hmm.constrained import DFAConstraint, constrained_decode, product_forward_table
 from repro.hmm.inference import (
-    filter_distribution,
+    backward,
+    forward,
     log_likelihood,
     posteriors,
-    predict_next_observation,
     transition_posteriors,
-    viterbi,
 )
 from repro.hmm.learn import baum_welch
 from repro.hmm.model import HMM
@@ -50,6 +49,35 @@ class TestModel:
         with pytest.raises(ValueError):
             HMM([1.1, -0.1], [[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["initial", "transition", "emission"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        # NaN < 0 is False, so a sign test alone lets it through.
+        parameters = {
+            "initial": [0.5, 0.5],
+            "transition": [[0.5, 0.5], [0.5, 0.5]],
+            "emission": [[0.5, 0.5], [0.5, 0.5]],
+        }
+        table = np.array(parameters[field], dtype=float)
+        table.flat[-1] = bad
+        parameters[field] = table
+        with pytest.raises(ValueError, match=f"{field} has non-finite entries"):
+            HMM(**parameters)
+
+    def test_two_dimensional_initial_rejected(self):
+        with pytest.raises(ValueError, match=r"initial must be \(S,\)"):
+            HMM([[0.5], [0.5]], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_an_hmm_without_states_rejected(self):
+        # It used to construct, then fail to compile ("op node 0 has no inputs").
+        with pytest.raises(ValueError, match="at least one state"):
+            HMM([], np.zeros((0, 0)), np.zeros((0, 2)))
+
+    def test_one_dimensional_emission_rejected(self):
+        # One entry per state passes a row count; it is not (S, V).
+        with pytest.raises(ValueError, match=r"emission must be \(S, V\)"):
+            HMM([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.3, 0.7])
+
     def test_validate_stochastic(self):
         weather_hmm().validate_stochastic()
         broken = HMM([0.5, 0.4], [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]])
@@ -83,8 +111,18 @@ class TestInference:
         assert log_likelihood(weather_hmm(), []) == 0.0
 
     def test_filtering_is_normalized(self):
-        dist = filter_distribution(weather_hmm(), [0, 1, 2])
-        assert dist.sum() == pytest.approx(1.0)
+        alpha, _ = forward(weather_hmm(), [0, 1, 2])
+        assert alpha[-1].sum() == pytest.approx(1.0)
+
+    def test_backward_shares_forwards_scaling(self):
+        # One scale per step on both passes makes the sum of
+        # alpha_t * beta_t exactly P(x) / P(x) at every t.  Posteriors
+        # renormalize, so they would hide a scaling mismatch.
+        hmm = HMM.random(3, 4, seed=5)
+        observations = [0, 3, 1, 2, 2]
+        alpha, scales = forward(hmm, observations)
+        beta = backward(hmm, observations, scales)
+        assert np.allclose((alpha * beta).sum(axis=1), 1.0)
 
     def test_posteriors_normalized_per_step(self):
         gamma = posteriors(weather_hmm(), [0, 1, 2, 1])
@@ -119,29 +157,6 @@ class TestInference:
         xi = transition_posteriors(hmm, obs)
         # Σ_j xi[t, i, j] = gamma[t, i]
         assert np.allclose(xi.sum(axis=2), gamma[:-1], atol=1e-9)
-
-    def test_viterbi_path_is_argmax(self):
-        hmm = weather_hmm()
-        obs = [0, 0, 2]
-        path, logp = viterbi(hmm, obs)
-        # Brute force best path.
-        best, best_p = None, -1.0
-        for states in itertools.product(range(2), repeat=3):
-            p = hmm.initial[states[0]] * hmm.emission[states[0], obs[0]]
-            for t in range(1, 3):
-                p *= hmm.transition[states[t - 1], states[t]] * hmm.emission[states[t], obs[t]]
-            if p > best_p:
-                best, best_p = list(states), p
-        assert path == best
-        assert logp == pytest.approx(math.log(best_p))
-
-    def test_predictive_distribution_normalized(self):
-        pred = predict_next_observation(weather_hmm(), [0, 1])
-        assert pred.sum() == pytest.approx(1.0)
-
-    def test_predictive_with_empty_history(self):
-        pred = predict_next_observation(weather_hmm(), [])
-        assert pred.sum() == pytest.approx(1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(

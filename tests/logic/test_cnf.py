@@ -2,22 +2,10 @@
 
 import pytest
 
-from repro.logic.cnf import (
-    CNF,
-    Clause,
-    assignment_from_literals,
-    neg,
-    parse_dimacs,
-    to_dimacs,
-    var_of,
-)
+from repro.logic.cnf import CNF, Clause, var_of
 
 
 class TestLiteralHelpers:
-    def test_neg_flips_sign(self):
-        assert neg(3) == -3
-        assert neg(-7) == 7
-
     def test_var_of_strips_sign(self):
         assert var_of(5) == 5
         assert var_of(-5) == 5
@@ -106,34 +94,3 @@ class TestCNF:
         clone = formula.copy()
         clone.add_clause([2])
         assert len(formula) == 1
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        formula = CNF([Clause([1, -2]), Clause([3])], num_vars=4)
-        parsed = parse_dimacs(to_dimacs(formula))
-        assert parsed.num_vars == 4
-        assert parsed.clauses == formula.clauses
-
-    def test_parse_skips_comments(self):
-        text = "c a comment\np cnf 2 1\n1 -2 0\n"
-        formula = parse_dimacs(text)
-        assert len(formula) == 1
-        assert formula.num_vars == 2
-
-    def test_parse_multiline_clause(self):
-        text = "p cnf 3 1\n1 2\n3 0\n"
-        formula = parse_dimacs(text)
-        assert formula.clauses[0] == Clause([1, 2, 3])
-
-    def test_parse_rejects_bad_problem_line(self):
-        with pytest.raises(ValueError):
-            parse_dimacs("p foo 1 1\n1 0\n")
-
-    def test_serialize_includes_comment(self):
-        formula = CNF([Clause([1])])
-        assert to_dimacs(formula, comment="hello").startswith("c hello")
-
-
-def test_assignment_from_literals():
-    assert assignment_from_literals([1, -2, 3]) == {1: True, 2: False, 3: True}

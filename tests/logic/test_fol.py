@@ -23,7 +23,7 @@ from repro.logic.fol import (
 )
 from repro.logic.cdcl import SolveResult, solve_cnf
 from repro.logic.fol.clausify import clausify_all
-from repro.logic.fol.terms import conj, disj, formula_variables
+from repro.logic.fol.terms import formula_variables, term_variables
 from repro.logic.fol.unification import substitute_predicate, unify_predicates
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -159,18 +159,14 @@ class TestClausify:
 
 
 class TestFormulaHelpers:
+    def test_term_variables_collects_nested_arguments(self):
+        term = Func("f", (x, alice, Func("g", (y, x))))
+        assert term_variables(term) == frozenset({x, y})
+        assert term_variables(alice) == frozenset()
+
     def test_formula_variables_respects_binding(self):
         formula = ForAll(x, Predicate("R", (x, y)))
         assert formula_variables(formula) == frozenset({y})
-
-    def test_conj_disj_fold(self):
-        three = conj(Predicate("A"), Predicate("B"), Predicate("C"))
-        assert isinstance(three, And)
-        assert isinstance(disj(Predicate("A"), Predicate("B")), Or)
-
-    def test_conj_empty_raises(self):
-        with pytest.raises(ValueError):
-            conj()
 
 
 class TestResolution:

@@ -4,19 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic.cdcl import solve_cnf
 from repro.logic.cnf import CNF, Clause
-from repro.logic.generators import chain_implications, random_ksat
-from repro.logic.implication_graph import (
-    BinaryImplicationGraph,
-    apply_failed_literals,
-    prune_hidden_literals,
-)
+from repro.logic.generators import random_ksat
+from repro.logic.implication_graph import BinaryImplicationGraph, prune_hidden_literals
+
+from tests.logic.conftest import chain_implications
 
 
 class TestBinaryImplicationGraph:
     def test_binary_clause_induces_two_edges(self):
         graph = BinaryImplicationGraph(CNF([Clause([1, 2])]))
-        assert 2 in graph.successors(-1)
-        assert 1 in graph.successors(-2)
+        assert graph.reaches_any(-1, {2})
+        assert graph.reaches_any(-2, {1})
         assert graph.num_edges == 2
 
     def test_non_binary_clauses_ignored(self):
@@ -26,12 +24,13 @@ class TestBinaryImplicationGraph:
     def test_reachability_is_transitive(self):
         formula = chain_implications(5)  # x1→x2→x3→x4→x5
         graph = BinaryImplicationGraph(formula)
-        assert graph.implies(1, 5)
-        assert not graph.implies(5, 1)
+        assert graph.reaches_any(1, {5})
+        assert not graph.reaches_any(5, {1})
 
-    def test_reachable_excludes_self(self):
-        graph = BinaryImplicationGraph(CNF([Clause([1, 2])]))
-        assert 1 not in graph.reachable(1)
+    def test_closure_excludes_self(self):
+        graph = BinaryImplicationGraph(CNF([Clause([-1, 2]), Clause([-2, 1])]))
+        assert graph.reaches_any(1, {2})
+        assert not graph.reaches_any(1, {1})  # 1 → 2 → 1 returns to the start
 
     def test_failed_literal_detection(self):
         # x1 → x2 and x1 → ¬x2, so asserting x1 fails.
@@ -97,10 +96,13 @@ class TestHiddenLiteralPruning:
 
 
 class TestFailedLiterals:
-    def test_apply_failed_literals_preserves_satisfiability(self):
+    def test_conditioning_on_failed_literals_preserves_satisfiability(self):
         formula = CNF([Clause([-1, 2]), Clause([-1, -2]), Clause([1, 3])])
-        pruned, report = prune_hidden_literals(formula)
-        conditioned = apply_failed_literals(pruned, report.failed_literals)
+        failed = BinaryImplicationGraph(formula).failed_literals([1, 2, 3])
+        assert failed == [1, -3]  # each forces both 2 and -2
+        conditioned = formula
+        for literal in failed:
+            conditioned = conditioned.condition(-literal)
         before, _ = solve_cnf(formula)
         after, _ = solve_cnf(conditioned)
         assert before is after

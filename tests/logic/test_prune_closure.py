@@ -19,11 +19,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.cnf import CNF, Clause
-from repro.logic.generators import chain_implications, pigeonhole, random_ksat, redundant_sat
+from repro.logic.generators import pigeonhole, random_ksat, redundant_sat
 from repro.logic.implication_graph import BinaryImplicationGraph, _bit, prune_hidden_literals
 
+from tests.logic.conftest import chain_implications
 from tests.logic.test_search_identity import graph_pigeonhole
 from tests.logic.test_solvers import brute_force_sat
+
+
+def reachable(graph, lit):
+    """Every literal ``lit`` implies, ``lit`` excluded: the exact closure,
+    by depth-first search over the graph's edges."""
+    seen, stack = set(), [lit]
+    while stack:
+        for nxt in graph._succ.get(stack.pop(), ()):
+            if nxt not in seen and nxt != lit:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def sweep(formula):
@@ -126,4 +139,4 @@ def test_closure_is_a_superset_of_reachability_under_edits(formula):
         for variable in range(1, formula.num_vars + 1):
             for lit in (variable, -variable):
                 mask = graph._reach.get(lit, 0)
-                assert all(mask & _bit(other) for other in graph.reachable(lit))
+                assert all(mask & _bit(other) for other in reachable(graph, lit))

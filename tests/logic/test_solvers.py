@@ -1,15 +1,12 @@
-"""Tests for DPLL, CDCL and cube-and-conquer solvers, including
+"""Tests for the DPLL and CDCL solvers, including
 hypothesis-driven agreement and model-soundness properties."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.cdcl import CDCLSolver, SolveResult, solve_cnf
 from repro.logic.cnf import CNF, Clause
-from repro.logic.cube_and_conquer import CubeAndConquerSolver
-from repro.logic.dpll import BudgetExceeded, DPLLSolver, DPLLStats
+from repro.logic.dpll import DPLLSolver, DPLLStats
 from repro.logic.generators import (
-    chain_implications,
     graph_coloring_cnf,
     pigeonhole,
     planted_sat,
@@ -70,34 +67,15 @@ class TestDPLL:
     def test_pigeonhole_unsat(self):
         assert DPLLSolver().solve(pigeonhole(3)) is None
 
-    def test_lookahead_branching_agrees(self):
-        formula = random_ksat(10, 35, seed=2)
-        plain = DPLLSolver(use_lookahead=False).solve(formula)
-        ahead = DPLLSolver(use_lookahead=True).solve(formula)
-        assert (plain is None) == (ahead is None)
-
     def test_stats_are_populated(self):
         solver = DPLLSolver()
         solver.solve(pigeonhole(3))
         assert solver.stats.decisions > 0
         assert solver.stats.backtracks > 0
 
-    def test_assumptions_constrain_search(self):
-        formula = CNF([Clause([1, 2])])
-        model = DPLLSolver().solve(formula, assumptions=(-1,))
-        assert model is not None and model[2] is True
-
-    def test_contradicting_assumption_is_unsat(self):
-        assert DPLLSolver().solve(CNF([Clause([1]), Clause([1, 2])]), assumptions=(-1,)) is None
-
-    def test_decision_budget_raises_with_the_count(self):
-        with pytest.raises(BudgetExceeded) as excinfo:
-            DPLLSolver(max_decisions=0).solve(pigeonhole(3))
-        assert excinfo.value.decisions == 0
-
-    def test_propagation_alone_fits_a_zero_budget(self):
+    def test_propagation_alone_makes_no_decision(self):
         formula = CNF([Clause([1]), Clause([-1, 2]), Clause([-2, 3])])
-        solver = DPLLSolver(max_decisions=0)
+        solver = DPLLSolver()
         assert solver.solve(formula) == {1: True, 2: True, 3: True}
         assert (solver.stats.decisions, solver.stats.propagations) == (0, 3)
 
@@ -123,6 +101,13 @@ class TestDPLL:
     @given(small_cnf())
     def test_agrees_with_brute_force(self, formula):
         assert (DPLLSolver().solve(formula) is not None) == brute_force_sat(formula)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_cnf())
+    def test_branching_alone_agrees_with_brute_force(self, formula):
+        solver = DPLLSolver(use_pure_literal=False)
+        assert (solver.solve(formula) is not None) == brute_force_sat(formula)
+        assert solver.stats.pure_eliminations == 0
 
 
 class TestCDCL:
@@ -208,40 +193,3 @@ class TestCDCL:
         result, _ = solve_cnf(formula)
         dpll_model = DPLLSolver().solve(formula)
         assert (result is SolveResult.SAT) == (dpll_model is not None)
-
-
-class TestCubeAndConquer:
-    def test_split_produces_bounded_cubes(self):
-        solver = CubeAndConquerSolver(cutoff_depth=3)
-        cubes = solver.split(random_ksat(12, 40, seed=5))
-        assert 0 < len(cubes) <= 8
-        assert all(len(cube) <= 3 for cube in cubes)
-
-    def test_solve_sat(self):
-        formula, _ = planted_sat(20, 70, seed=9)
-        result, model = CubeAndConquerSolver(cutoff_depth=3).solve(formula)
-        assert result is SolveResult.SAT
-        assert formula.is_satisfied_by(model)
-
-    def test_solve_unsat(self):
-        result, _ = CubeAndConquerSolver(cutoff_depth=2).solve(pigeonhole(3))
-        assert result is SolveResult.UNSAT
-
-    def test_implication_chain_collapses_to_single_cube(self):
-        solver = CubeAndConquerSolver(cutoff_depth=4)
-        cubes = solver.split(chain_implications(10))
-        # Propagation solves each branch almost fully; cube count stays small.
-        assert solver.stats.cubes_generated == len(cubes)
-
-    def test_conquer_workloads_expose_traces(self):
-        solver = CubeAndConquerSolver(cutoff_depth=2)
-        workloads = solver.conquer_workloads(random_ksat(10, 30, seed=6))
-        assert workloads
-        assert all(hasattr(s, "trace") for _, s in workloads)
-
-    @settings(max_examples=20, deadline=None)
-    @given(small_cnf())
-    def test_agrees_with_cdcl(self, formula):
-        cc_result, _ = CubeAndConquerSolver(cutoff_depth=2).solve(formula)
-        cdcl_result, _ = solve_cnf(formula)
-        assert cc_result is cdcl_result

@@ -10,7 +10,6 @@ from repro.metrics import (
     LATENCY_BUCKETS,
     RATIO_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     ensure_registry,
@@ -63,17 +62,6 @@ class TestThreadSafety:
         self._hammer(lambda: [counter.inc() for _ in range(self.PER_THREAD)])
         assert counter.value == self.THREADS * self.PER_THREAD
 
-    def test_gauge_inc_dec_balance(self):
-        gauge = Gauge()
-
-        def work():
-            for _ in range(self.PER_THREAD):
-                gauge.inc(2.0)
-                gauge.dec(1.0)
-
-        self._hammer(work)
-        assert gauge.value == self.THREADS * self.PER_THREAD
-
     def test_histogram_exact_count_and_sum(self):
         hist = Histogram(LATENCY_BUCKETS)
         values = [1e-5 * (i % 7 + 1) for i in range(self.PER_THREAD)]
@@ -100,15 +88,10 @@ class TestThreadSafety:
         assert instruments[0].value == self.THREADS
 
 
-class TestCounterAndGauge:
+class TestCounter:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().inc(-1.0)
-
-    def test_gauge_set(self):
-        gauge = Gauge()
-        gauge.set(41.5)
-        assert gauge.value == 41.5
 
 
 class TestHistogramQuantiles:
@@ -163,13 +146,21 @@ class TestRegistryFamilies:
         registry = MetricsRegistry()
         registry.counter("thing_total")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("thing_total")
+            registry.histogram("thing_total")
 
     def test_label_set_conflict_raises(self):
         registry = MetricsRegistry()
         registry.counter("thing_total", shard="0")
         with pytest.raises(ValueError, match="labels"):
             registry.counter("thing_total", backend="gpu")
+
+    def test_label_values_holding_separators_rejected(self):
+        # "tenant=a,b" would read back as two labels, "tenant=a" and "b=".
+        registry = MetricsRegistry()
+        for value in ("a,b", "x=y"):
+            with pytest.raises(ValueError, match="tenant"):
+                registry.counter("thing_total", tenant=value)
+        assert registry.names() == []
 
     def test_same_labels_share_instrument(self):
         registry = MetricsRegistry()
@@ -188,7 +179,7 @@ class TestRegistryFamilies:
     def test_get_and_names(self):
         registry = MetricsRegistry()
         counter = registry.counter("a_total", shard="0")
-        registry.gauge("b_depth")
+        registry.register_callback("b_depth", lambda: 0.0)
         assert registry.names() == ["a_total", "b_depth"]
         assert registry.get("a_total", shard="0") is counter
         assert registry.get("a_total", shard="9") is None
@@ -224,9 +215,9 @@ class TestCallbacks:
         registry.counter("owned_total")
         with pytest.raises(ValueError):
             registry.register_callback("owned_total", lambda: 0.0, kind="counter")
-        registry.register_callback("served", lambda: 0.0)
+        registry.register_callback("served", lambda: 0.0, kind="counter")
         with pytest.raises(ValueError):
-            registry.gauge("served")
+            registry.counter("served")
 
     def test_histogram_callbacks_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ def snapshot():
     registry = MetricsRegistry()
     registry.counter("reason_requests_total", "Requests.", backend="reason").inc(5)
     registry.counter("reason_requests_total", "Requests.", backend="gpu").inc(2)
-    registry.gauge("reason_queue_depth").set(3)
+    registry.register_callback("reason_queue_depth", lambda: 3.0)
     hist = registry.histogram("reason_latency_seconds", "Latency.")
     for value in (0.001, 0.002, 0.004, 0.032):
         hist.observe(value)

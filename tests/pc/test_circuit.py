@@ -1,6 +1,7 @@
 """Tests for probabilistic circuit structure and inference."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -13,19 +14,17 @@ from repro.pc.circuit import (
     ProductNode,
     SumNode,
     bernoulli_leaf,
-    categorical_leaf,
-    indicator_leaf,
+    copy_leaf_tables,
 )
 from repro.pc.inference import (
     conditional,
     expected_flops,
     likelihood,
     log_likelihood,
-    map_state,
     partition_function,
     sample,
 )
-from repro.pc.learn import random_binary_tree_circuit, random_circuit
+from repro.pc.learn import random_circuit
 
 
 def simple_mixture() -> Circuit:
@@ -55,14 +54,6 @@ class TestNodes:
         with pytest.raises(ValueError):
             bernoulli_leaf(0, 1.5)
 
-    def test_categorical_normalizes(self):
-        leaf = categorical_leaf(0, [2.0, 2.0])
-        assert leaf.prob(0) == pytest.approx(0.5)
-
-    def test_indicator_leaf(self):
-        leaf = indicator_leaf(0, 1)
-        assert leaf.prob(1) == 1.0 and leaf.prob(0) == 0.0
-
     def test_sum_requires_matching_weights(self):
         with pytest.raises(ValueError):
             SumNode([bernoulli_leaf(0, 0.5)], [0.5, 0.5])
@@ -70,6 +61,57 @@ class TestNodes:
     def test_sum_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             SumNode([bernoulli_leaf(0, 0.5)], [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sum_rejects_non_finite_weights(self, bad):
+        # NaN < 0 is False, so a sign test alone lets it through.
+        with pytest.raises(ValueError, match="finite"):
+            SumNode([bernoulli_leaf(0, 0.5), bernoulli_leaf(0, 0.2)], [0.5, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_leaf_rejects_non_finite_probs(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LeafNode(0, [bad, 0.5])
+
+    def test_sum_rejects_weights_not_one_per_child(self):
+        # Two rows of one weight have the children's length but are not
+        # one weight per child; they used to fail deep in the compiler.
+        leaves = [bernoulli_leaf(0, 0.5), bernoulli_leaf(0, 0.2)]
+        with pytest.raises(ValueError, match="one weight per child"):
+            SumNode(leaves, [[0.5], [0.5]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(
+                    st.sampled_from(
+                        [0.0, -0.0, 0.5, 1e-300, 2.0, -0.5, math.nan, math.inf, -math.inf]
+                    ),
+                    max_size=3,
+                ),
+                st.just([[0.5, 0.5]]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_batch_table_check_agrees_with_leaf_construction(self, tables):
+        """``copy_leaf_tables``' one-pass flag accepts exactly the tables
+        ``LeafNode`` constructs from, whatever mix they come in."""
+        leaves = [bernoulli_leaf(variable, 0.5) for variable in range(len(tables))]
+        for leaf, table in zip(leaves, tables):
+            leaf.probabilities = np.array(table, dtype=float)
+
+        def constructs(table):
+            try:
+                LeafNode(0, table)
+            except ValueError:
+                return False
+            return True
+
+        _, valid = copy_leaf_tables(leaves)
+        assert valid == all(constructs(table) for table in tables)
 
     def test_product_requires_children(self):
         with pytest.raises(ValueError):
@@ -81,6 +123,12 @@ class TestNodes:
 
 
 class TestStructure:
+    def test_edges_are_every_parent_child_pair(self):
+        circuit = random_circuit(5, depth=2, seed=4)
+        edges = circuit.edges()
+        assert len(edges) == len(set(edges)) == circuit.num_edges
+        assert all(child in parent.children for parent, child in edges)
+
     def test_smoothness_detected(self):
         smooth = simple_mixture()
         assert smooth.is_smooth()
@@ -149,13 +197,6 @@ class TestStructure:
         assert circuit.max_depth() >= 2
         assert circuit.max_fan_in() >= 2
 
-    def test_determinism_check(self):
-        det = Circuit(
-            SumNode([indicator_leaf(0, 0), indicator_leaf(0, 1)], [0.5, 0.5])
-        )
-        assert det.is_deterministic()
-        assert not simple_mixture().is_deterministic()
-
 
 class TestInference:
     def test_mixture_likelihood(self):
@@ -194,25 +235,14 @@ class TestInference:
 
     def test_conditional_zero_evidence_raises(self):
         circuit = Circuit(
-            ProductNode([indicator_leaf(0, 1), bernoulli_leaf(1, 0.5)])
+            ProductNode([LeafNode(0, [0.0, 1.0]), bernoulli_leaf(1, 0.5)])
         )
         with pytest.raises(ValueError):
             conditional(circuit, {1: 1}, {0: 0})
 
     def test_log_likelihood_of_impossible_evidence(self):
-        circuit = Circuit(indicator_leaf(0, 1))
+        circuit = Circuit(LeafNode(0, [0.0, 1.0]))
         assert log_likelihood(circuit, {0: 0}) == float("-inf")
-
-    def test_map_state_respects_evidence(self):
-        circuit = two_var_product()
-        assignment, _ = map_state(circuit, {0: 0})
-        assert assignment[0] == 0
-        assert assignment[1] == 0  # B(0.3) favors 0
-
-    def test_map_state_value_matches_likelihood(self):
-        circuit = two_var_product()
-        assignment, value = map_state(circuit)
-        assert likelihood(circuit, assignment) == pytest.approx(value)
 
     def test_sample_matches_marginals(self):
         import random
@@ -229,12 +259,4 @@ class TestInference:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_circuits_are_normalized(self, seed):
         circuit = random_circuit(4, depth=2, seed=seed)
-        assert partition_function(circuit) == pytest.approx(1.0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=1000))
-    def test_binary_tree_circuit_structure(self, num_vars, seed):
-        circuit = random_binary_tree_circuit(num_vars, seed=seed)
-        assert circuit.max_fan_in() <= 2
-        assert circuit.is_smooth() and circuit.is_decomposable()
         assert partition_function(circuit) == pytest.approx(1.0)

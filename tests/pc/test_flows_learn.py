@@ -14,7 +14,6 @@ from repro.pc.flows import (
     dataset_edge_flows,
     edge_flows,
     flow_pruning_bound,
-    node_flows,
 )
 from repro.pc.inference import (
     _evaluate_all,
@@ -22,24 +21,48 @@ from repro.pc.inference import (
     log_likelihood,
     partition_function,
 )
-from repro.pc.learn import em_step, fit_em, random_circuit, sample_dataset
+from repro.pc.learn import fit_em, random_circuit, sample_dataset
+
+
+def reference_node_flows(circuit, evidence):
+    """Top-down flow F_n(x) reaching each node for one input, from the
+    scalar evaluator: the root carries 1, a product passes its flow to
+    every child, and a sum splits its flow by each child's share of
+    its value."""
+    values = _evaluate_all(circuit, evidence)
+    order = circuit.topological_order()
+    flows = dict.fromkeys((node.node_id for node in order), 0.0)
+    flows[circuit.root.node_id] = 1.0
+    for node in reversed(order):
+        if isinstance(node, SumNode):
+            parent_value = values[node.node_id]
+            if parent_value <= 0:
+                continue
+            for child, weight in zip(node.children, node.weights):
+                share = weight * values[child.node_id] / parent_value
+                flows[child.node_id] += share * flows[node.node_id]
+        elif not isinstance(node, LeafNode):
+            for child in node.children:
+                flows[child.node_id] += flows[node.node_id]
+    return flows
 
 
 class TestFlows:
     def test_root_flow_is_one(self):
         circuit = random_circuit(4, depth=2, seed=1)
-        flows = node_flows(circuit, {0: 1})
-        assert flows[circuit.root.node_id] == 1.0
+        per_edge = edge_flows(circuit, {0: 1})
+        root = circuit.root
+        assert isinstance(root, SumNode)
+        outgoing = sum(per_edge[(root.node_id, c.node_id)] for c in root.children)
+        assert outgoing == pytest.approx(1.0)
 
     def test_sum_edge_flows_sum_to_parent_flow(self):
         circuit = random_circuit(4, depth=2, seed=2)
         evidence = {0: 1, 1: 0, 2: 1, 3: 0}
         per_edge = edge_flows(circuit, evidence)
-        flows = node_flows(circuit, evidence)
-        from repro.pc.circuit import SumNode as SN
-
+        flows = reference_node_flows(circuit, evidence)
         for node in circuit.topological_order():
-            if isinstance(node, SN):
+            if isinstance(node, SumNode):
                 outgoing = sum(
                     per_edge[(node.node_id, c.node_id)] for c in node.children
                 )
@@ -63,11 +86,9 @@ class TestFlows:
             flow_pruning_bound(1.0, 0)
 
     def test_zero_probability_input_gives_zero_flows(self):
-        from repro.pc.circuit import indicator_leaf
-
         circuit = Circuit(
             SumNode(
-                [indicator_leaf(0, 0), indicator_leaf(0, 1)],
+                [LeafNode(0, [1.0, 0.0]), LeafNode(0, [0.0, 1.0])],
                 [1.0, 0.0],
             )
         )
@@ -131,11 +152,29 @@ class TestBatchEvaluation:
                 assert row == [node.prob(e.get(node.variable)) for e in data]
             assert row == [per_node[node.node_id] for per_node in scalar]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_edge_rows_equal_the_scalar_recurrence(self, seed):
+        """Every sum edge carries ``(θ·p_c / p_n)·F_n`` of the scalar
+        pass, and exactly 0.0 below a sum of value or flow zero."""
+        circuit, data = mixed_circuit_and_data(seed, 1)
+        evidence = data[0]
+        values = _evaluate_all(circuit, evidence)
+        flows = reference_node_flows(circuit, evidence)
+        expected = {}
+        for node in circuit.topological_order():
+            if isinstance(node, SumNode):
+                parent_value = values[node.node_id]
+                for child, weight in zip(node.children, node.weights):
+                    live = parent_value > 0 and flows[node.node_id] != 0.0
+                    share = weight * values[child.node_id] / parent_value if live else 0.0
+                    expected[(node.node_id, child.node_id)] = share * flows[node.node_id]
+        assert edge_flows(circuit, evidence) == expected
+
     def test_non_integer_evidence_raises_instead_of_truncating(self):
         circuit = random_circuit(3, depth=2, seed=5)
-        for call in (edge_flows, node_flows):
-            with pytest.raises(TypeError):
-                call(circuit, {0: 1.5})
+        with pytest.raises(TypeError):
+            edge_flows(circuit, {0: 1.5})
         with pytest.raises(TypeError):
             dataset_edge_flows(circuit, [{0: 1}, {1: 1.5}])
 
@@ -150,7 +189,7 @@ class TestBatchEvaluation:
         circuit = Circuit(SumNode([bernoulli_leaf(0, 0.2), bernoulli_leaf(0, 0.7)], [0.5, 0.5]))
         lowest = -(2**63)
         assert likelihood(circuit, {0: lowest}) == 0.0
-        for flows_of in (node_flows, edge_flows):
+        for flows_of in (edge_flows, lambda c, e: dataset_edge_flows(c, [e])):
             assert flows_of(circuit, {0: lowest}) == flows_of(circuit, {0: -1})
             assert flows_of(circuit, {0: lowest}) != flows_of(circuit, {})
 
@@ -218,9 +257,9 @@ def per_leaf_loop(plan, columns):
 
 
 def reference_em_step(circuit, dataset, smoothing):
-    """EM written one input at a time (the loop ``em_step`` replaced):
-    scalar bottom-up values, that input's node flows, counts added in
-    dataset order."""
+    """One EM iteration written one input at a time (the loop
+    ``fit_em`` replaced): scalar bottom-up values, that input's node
+    flows, counts added in dataset order."""
     nodes = circuit.topological_order()
     counts = {}
     for node in nodes:
@@ -230,7 +269,7 @@ def reference_em_step(circuit, dataset, smoothing):
             counts[node.node_id] = np.zeros(len(node.probabilities))
     for evidence in dataset:
         values = _evaluate_all(circuit, evidence)
-        flows = node_flows(circuit, evidence)
+        flows = reference_node_flows(circuit, evidence)
         for node in nodes:
             if isinstance(node, SumNode):
                 parent_value = values[node.node_id]
@@ -279,7 +318,7 @@ class TestEM:
         batch = random_circuit(num_vars, seed=seed, **shape)
         loop = random_circuit(num_vars, seed=seed, **shape)
         for _ in range(3):
-            em_step(batch, data, smoothing=0.07)
+            fit_em(batch, data, iterations=1, smoothing=0.07)
             reference_em_step(loop, data, smoothing=0.07)
             assert parameters(batch) == parameters(loop)
 
@@ -302,13 +341,13 @@ class TestEM:
     def test_em_keeps_circuit_normalized(self):
         circuit = random_circuit(4, depth=2, seed=30)
         data = sample_dataset(circuit, 50, seed=31)
-        em_step(circuit, data)
+        fit_em(circuit, data, iterations=1)
         assert partition_function(circuit) == pytest.approx(1.0)
 
     def test_fit_em_reproduces_recorded_parameters(self):
-        # Recorded at 26a2d5e, where em_step walked the samples one by
-        # one: every learned weight and leaf table (digest over their
-        # bytes in topological order) and the LL history, bit for bit.
+        # Recorded at 26a2d5e, where EM walked the samples one by one:
+        # every learned weight and leaf table (digest over their bytes
+        # in topological order) and the LL history, bit for bit.
         teacher = random_circuit(6, depth=2, seed=10)
         data = sample_dataset(teacher, 60, seed=11)
         for j, evidence in enumerate(data):
@@ -335,11 +374,11 @@ class TestEM:
             "298462ab9de944fc025df1ed485b51ebf2432dec4f6a53a603ce5d0bad37d3ae"
         )
 
-    def test_em_step_is_one_iteration_of_fit_em(self):
+    def test_one_iteration_of_fit_em_is_one_em_step(self):
         data = sample_dataset(random_circuit(4, depth=2, seed=40), 30, seed=41)
         stepped = random_circuit(4, depth=2, seed=42)
         fitted = random_circuit(4, depth=2, seed=42)
-        em_step(stepped, data, smoothing=0.2)
+        reference_em_step(stepped, data, smoothing=0.2)
         _, history = fit_em(fitted, data, iterations=1, smoothing=0.2)
         assert parameters(stepped) == parameters(fitted)
         mean_ll = sum(log_likelihood(stepped, x) for x in data) / len(data)
@@ -359,10 +398,10 @@ class TestEM:
         data = sample_dataset(random_circuit(4, depth=2, seed=50), 20, seed=51)
         with_row = data[:8] + [{0: value, 1: 1}] + data[8:]
         assert likelihood(random_circuit(4, depth=2, seed=52), with_row[8]) == 0.0
-        for learn in (em_step, lambda c, d: fit_em(c, d, iterations=4)):
+        for iterations in (1, 4):
             clean = random_circuit(4, depth=2, seed=52)
             dirty = random_circuit(4, depth=2, seed=52)
-            learn(clean, data)
-            learn(dirty, with_row)
+            fit_em(clean, data, iterations=iterations)
+            fit_em(dirty, with_row, iterations=iterations)
             assert parameters(dirty) == parameters(clean)
 

@@ -143,13 +143,3 @@ class TestEndToEndSpeedupStructure:
         optimized = session.run(formula, optimize=True)
         # Pruned formulas never cost more; usually they cost less.
         assert optimized.cycles <= raw.cycles * 1.2
-
-    def test_parallel_conquer_beats_serial_on_multicore(self):
-        from repro.logic.generators import pigeonhole
-
-        accelerator = ReasonAccelerator()
-        serial, _ = accelerator.run_symbolic(pigeonhole(4))
-        parallel_acc = ReasonAccelerator()
-        parallel, per_cube = parallel_acc.run_symbolic_parallel(pigeonhole(4), cutoff_depth=3)
-        if len(per_cube) > 1:
-            assert parallel.cycles < sum(t.cycles for t in per_cube)
