@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     except KeyError as error:
         print(f"error: unknown mutation {error}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,9 +12,10 @@ API entry goes through, and registering a new kernel family is one
 
 from __future__ import annotations
 
+import math
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
 from operator import attrgetter
@@ -131,33 +132,18 @@ _OPTION_PARTS = {
 }
 
 
-def per_kernel_inputs(
-    count: int,
-    neural_s: Union[float, Sequence[float]],
-    calibrations: Optional[Sequence],
-    options: RunOptions,
-) -> List[Tuple[float, RunOptions]]:
-    """One ``(neural_s, options)`` pair per kernel of a batch.
+def per_kernel_neural_s(count: int, neural_s: Union[float, Sequence[float]]) -> List[float]:
+    """One neural-stage time per kernel of a batch.
 
     ``neural_s`` is a scalar broadcast — any 0-d real: a Python or numpy
-    number, or a 0-d array — or one value per kernel; ``calibrations``
-    optionally overrides the shared ``calibration`` per kernel.  The
-    shared options were parsed once by the caller; per-kernel ones
-    derive from them instead of re-validating every keyword.
+    number, or a 0-d array — or one value per kernel.
     """
     if isinstance(neural_s, Real) or getattr(neural_s, "ndim", None) == 0:
         neural_s = [neural_s] * count
     neural_times = [float(t) for t in neural_s]
     if len(neural_times) != count:
         raise ValueError("need one neural_s per kernel")
-    if calibrations is None:
-        return [(neural_time, options) for neural_time in neural_times]
-    if len(calibrations) != count:
-        raise ValueError("need one calibration entry per kernel")
-    return [
-        (neural_time, replace(options, calibration=calibration))
-        for neural_time, calibration in zip(neural_times, calibrations)
-    ]
+    return neural_times
 
 
 class KernelAdapter:
@@ -398,8 +384,6 @@ class HmmAdapter(KernelAdapter):
         return artifact
 
     def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
-        import math
-
         observations = artifact.extras["observations"]
         start = time.perf_counter()
         value = math.exp(hmm_log_likelihood(artifact.model, observations))
@@ -433,6 +417,17 @@ class DagAdapter(KernelAdapter):
         return b"".join(parts)
 
     def prepare(self, kernel: Dag, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
+        """Reject a NaN or infinite SUM weight or LEAF probability of a
+        reachable node (a built Circuit or HMM is checked when constructed;
+        a raw DAG first here), then compile."""
+        plan = kernel.plan()
+        for node_id in plan.order:
+            payload = plan.payloads[node_id]
+            table = payload[1] if plan.ops[node_id] is OpType.LEAF and payload is not None else ()
+            if not all(map(math.isfinite, chain(plan.weights[node_id], table))):
+                raise ValueError(
+                    f"DAG node {node_id} holds a NaN or infinite weight or leaf probability"
+                )
         histogram = kernel.op_histogram()
         probabilistic = any(
             op in histogram for op in (OpType.SUM, OpType.PRODUCT, OpType.LEAF)

@@ -228,12 +228,11 @@ class DeviceBackend(Backend):
 
 class RooflineBackend(Backend):
     """Roofline placement: attainable vs achieved throughput and the
-    memory-bound diagnosis (paper Fig. 3(d)) for the kernel's profile."""
+    memory-bound diagnosis (paper Fig. 3(d)) for the kernel's profile
+    on the profiling GPU."""
 
     name = "roofline"
-
-    def __init__(self, device: DeviceModel = RTX_A6000):
-        self.device = device
+    device = RTX_A6000
 
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
         profile = artifact.profile

@@ -61,7 +61,7 @@ from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Deque, Dict, List, Optional, Union
 
-from repro.api.adapters import RunOptions, adapter_for, per_kernel_inputs
+from repro.api.adapters import RunOptions, adapter_for, per_kernel_neural_s
 from repro.api.backends import get_backend
 from repro.api.cache import CacheStats
 from repro.api.futures import ReasonFuture
@@ -909,7 +909,6 @@ class ReasonService:
         backend: Optional[str] = None,
         queries: int = 1,
         neural_s: Union[float, Sequence[float]] = 0.0,
-        calibrations: Optional[Sequence] = None,
         timeout: Optional[float] = None,
         deadline_s: Union[None, float, str] = None,
         **option_kwargs,
@@ -924,12 +923,11 @@ class ReasonService:
         run to completion.
         """
         kernels = list(kernels)
-        inputs = per_kernel_inputs(
-            len(kernels), neural_s, calibrations, RunOptions(**option_kwargs)
-        )
+        neural_times = per_kernel_neural_s(len(kernels), neural_s)
+        options = RunOptions(**option_kwargs)
         futures = []
         try:
-            for kernel, (neural_time, options) in zip(kernels, inputs):
+            for kernel, neural_time in zip(kernels, neural_times):
                 futures.append(self._submit(
                     kernel, options, backend, queries, neural_time, timeout, deadline_s
                 ))  # fmt: skip

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.api.adapters import RunOptions, adapter_for, per_kernel_inputs
-from repro.api.backends import Backend, get_backend, list_backends
+from repro.api.adapters import RunOptions, adapter_for, per_kernel_neural_s
+from repro.api.backends import Backend, get_backend
 from repro.api.cache import CacheStats, CompileCache
 from repro.api.store import ArtifactStore
 from repro.api.types import BatchResult, CompiledArtifact, ExecutionReport
@@ -211,10 +211,6 @@ class ReasonSession:
         request reuses its artifact's first run instead)."""
         return self._executions
 
-    def backends(self) -> List[str]:
-        """Names accepted by ``run(..., backend=...)``."""
-        return list_backends()
-
     def artifact_for(self, fingerprint: str) -> Optional[CompiledArtifact]:
         """The cached artifact behind one content-hash fingerprint, or
         None when the kernel was never compiled here.
@@ -364,8 +360,6 @@ class ReasonSession:
         backend: str = "reason",
         queries: int = 1,
         neural_s: Union[float, Sequence[float]] = 0.0,
-        pipelined: bool = True,
-        calibrations: Optional[Sequence] = None,
         **option_kwargs,
     ) -> BatchResult:
         """Run many kernels in one call, scheduled through the two-level
@@ -374,25 +368,22 @@ class ReasonSession:
         ``neural_s`` gives each task's neural-stage time (scalar
         broadcast or one value per kernel); the batch makespan overlaps
         task N's symbolic stage with task N+1's neural stage exactly as
-        :class:`~repro.core.system.pipeline.TwoLevelPipeline` models.
-        ``calibrations`` optionally supplies per-kernel calibration data
-        (overriding a shared ``calibration=`` option).
+        :class:`~repro.core.system.pipeline.TwoLevelPipeline` models;
+        ``serial_s`` is the same batch without the overlap.
         """
         kernels = list(kernels)
-        inputs = per_kernel_inputs(
-            len(kernels), neural_s, calibrations, RunOptions(**option_kwargs)
-        )
-        neural_times = [neural_time for neural_time, _ in inputs]
+        neural_times = per_kernel_neural_s(len(kernels), neural_s)
+        options = RunOptions(**option_kwargs)
         reports = [
             self.run_prepared(kernel, options, backend=backend, queries=queries)
-            for kernel, (_, options) in zip(kernels, inputs)
+            for kernel in kernels
         ]
 
         cache_hits = sum(1 for report in reports if report.cache_hit)
         cache_misses = len(reports) - cache_hits
         symbolic_times = [report.seconds for report in reports]
         pipeline = TwoLevelPipeline()
-        overlapped = pipeline.run(neural_times, symbolic_times, pipelined=pipelined)
+        overlapped = pipeline.run(neural_times, symbolic_times)
         serial = pipeline.run(neural_times, symbolic_times, pipelined=False)
         return BatchResult(
             reports=reports,

@@ -142,8 +142,7 @@ class ReasonAccelerator:
         # a running product from 1.0, in that order.
         values: Dict[int, float] = dict(inputs or {})
         width = 2 * config.nodes_per_pe + 1
-        blocks_on = [0] * num_pes
-        ops_on = [0] * num_pes
+        active = 0
         logic_ops = 0
         try:
             for instruction in computes:
@@ -200,9 +199,7 @@ class ReasonAccelerator:
                 if store[0] is None:
                     raise ValueError("block did not produce a root value")
                 values[instruction.output_value] = store[0]
-                on = instruction.pe % num_pes
-                blocks_on[on] += 1
-                ops_on[on] += ops
+                active += ops
         except KeyError as missing:  # only reading an operand's value raises it
             raise KeyError(f"input value for DAG node {missing.args[0]} missing") from None
         except IndexError:  # only a heap position past the store raises it
@@ -211,10 +208,6 @@ class ReasonAccelerator:
                 f"{config.nodes_per_pe}-node PE tree; compile the program for this config"
             ) from None
 
-        for pe, blocks, ops in zip(pes, blocks_on, ops_on):
-            pe.stats.instructions += blocks
-            pe.stats.active_node_ops += ops
-        active = sum(ops_on)
         stalls = sum(1 for i in instructions if i.kind is _NOP)
         # Every other kind (LOAD, STORE, SPILL, RELOAD) moves one word.
         memory_ops = len(instructions) - len(computes) - stalls

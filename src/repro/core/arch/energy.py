@@ -63,7 +63,6 @@ EVENT_NAMES: Tuple[str, ...] = (
     "fifo_op",
     "control_overhead",
 )
-_EVENT_SET = frozenset(EVENT_NAMES)
 
 
 class EnergyModel:
@@ -72,8 +71,7 @@ class EnergyModel:
     Counters are plain ``int`` attributes (one per event in
     :data:`EVENT_NAMES`), so hot loops can accumulate locally and flush
     with a single ``model.sram_access += n`` instead of paying a method
-    call and a ``hasattr`` check per event.  :meth:`record` remains the
-    validated general-purpose API.
+    call per event.
     """
 
     __slots__ = ("config", "energies") + EVENT_NAMES
@@ -94,14 +92,6 @@ class EnergyModel:
         self.network_hop = 0
         self.fifo_op = 0
         self.control_overhead = 0
-
-    def record(self, event: str, count: int = 1) -> None:
-        if event not in _EVENT_SET:
-            raise KeyError(
-                f"unknown energy event: {event!r} "
-                f"(valid events: {', '.join(EVENT_NAMES)})"
-            )
-        setattr(self, event, getattr(self, event) + count)
 
     def merge(self, other: "EnergyModel") -> None:
         for event in EVENT_NAMES:

@@ -71,18 +71,18 @@ class LatencyBreakdown:
         }
 
 
-def traversal_latency(topology: Topology, num_leaves: int, base_leaves: int = 8) -> LatencyBreakdown:
+def traversal_latency(topology: Topology, num_leaves: int) -> LatencyBreakdown:
     """Latency breakdown for one reduction pass over ``num_leaves``.
 
-    Components are normalized so the TREE topology at ``base_leaves``
-    totals 1.0; memory/PE/periphery terms are topology-independent
+    Components are normalized so the TREE topology at 8 leaves totals
+    1.0; memory/PE/periphery terms are topology-independent
     (they scale with the array size), only the inter-node term differs.
     """
-    scale = num_leaves / base_leaves
+    scale = num_leaves / 8
     memory = 0.35 * scale ** 0.5  # wider arrays amortize banked accesses
     pe = 0.30
     peripheries = 0.15 * scale ** 0.25
-    inter = broadcast_cycles(topology, num_leaves) / broadcast_cycles(Topology.TREE, base_leaves) * 0.20
+    inter = broadcast_cycles(topology, num_leaves) / broadcast_cycles(Topology.TREE, 8) * 0.20
     return LatencyBreakdown(memory, pe, peripheries, inter)
 
 

@@ -4,16 +4,14 @@ One PE is a complete binary tree of nodes whose datapaths reconfigure
 per VLIW instruction between two modes: PROBABILISTIC (sum/product
 aggregation) and SYMBOLIC (comparator/adder BCP datapath).  What one
 issue computes — a placed block evaluated bottom-up — is the value pass
-of :meth:`~repro.core.arch.accelerator.ReasonAccelerator.run_program`,
-which also charges each PE's statistics.  The cycle cost of one issue
-is the pipeline depth, with per-level throughput of one block per cycle
-once the pipeline is full.
+of :meth:`~repro.core.arch.accelerator.ReasonAccelerator.run_program`.
+The cycle cost of one issue is the pipeline depth, with per-level
+throughput of one block per cycle once the pipeline is full.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.arch.config import ArchConfig
@@ -24,18 +22,11 @@ class PEMode(enum.Enum):
     SYMBOLIC = "symbolic"
 
 
-@dataclass
-class PEStats:
-    instructions: int = 0
-    active_node_ops: int = 0
-
-
 class TreePE:
-    """One tree engine; stateless between instructions except statistics."""
+    """One tree engine; stateless between instructions except its mode."""
 
     def __init__(self, config: ArchConfig):
         self.config = config
-        self.stats = PEStats()
         self._mode: Optional[PEMode] = None
 
     def set_mode(self, mode: PEMode) -> None:

@@ -31,18 +31,14 @@ class CompileStats:
 def compile_dag(
     dag: Dag,
     config: ArchConfig = DEFAULT_CONFIG,
-    auto_regularize: bool = True,
 ) -> Tuple[Program, CompileStats]:
     """Run block decomposition, mapping, tree placement and scheduling.
 
-    Non-two-input DAGs are regularized first when ``auto_regularize``
-    (matching the paper's offline unification→pruning→regularization→
-    compile flow).
+    Non-two-input DAGs are regularized first (matching the paper's
+    offline unification→pruning→regularization→compile flow).
     """
     working = dag
     if not is_two_input(working):
-        if not auto_regularize:
-            raise ValueError("DAG must be two-input regularized before compilation")
         working = regularize_two_input(working)
 
     blocks = decompose_blocks(working, config.tree_depth)

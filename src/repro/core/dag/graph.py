@@ -49,7 +49,7 @@ LEAF_OPS = frozenset({OpType.LITERAL, OpType.LEAF, OpType.INPUT})
 
 # Reading a member off an Enum class is a metaclass lookup; the
 # per-node code below reads these from the module instead.
-_SUM, _LEAF, _LITERAL = OpType.SUM, OpType.LEAF, OpType.LITERAL
+_SUM, _LEAF = OpType.SUM, OpType.LEAF
 
 
 @dataclass
@@ -77,10 +77,6 @@ class DagNode:
                 self.weights = [1.0] * len(self.children)
         elif len(weights) != len(self.children):
             raise ValueError("weights must parallel children")
-
-    @property
-    def fan_in(self) -> int:
-        return len(self.children)
 
 
 def _post_order(children: Sequence[Sequence[int]], root: int) -> List[int]:
@@ -318,16 +314,14 @@ class Dag:
         return self.plan().footprint
 
 
-def default_leaf_inputs(dag: Dag, literal_values: Optional[Dict[int, bool]] = None) -> Dict[int, float]:
+def default_leaf_inputs(dag: Dag) -> Dict[int, float]:
     """Default input map for a DAG's reachable leaf nodes — the values
     :func:`evaluate_dag` uses for leaves missing from its inputs.
 
     Probabilistic LEAF nodes get their marginalized payload mass
     (evaluating the DAG then yields the partition function / joint
-    likelihood); LITERAL nodes get the truth value from
-    ``literal_values`` (DIMACS variable → bool).  Everything else — a
-    LEAF without a payload, a LITERAL without an assignment, an INPUT —
-    gets 0.0.
+    likelihood).  Everything else — a LEAF without a payload, a
+    LITERAL, an INPUT — gets 0.0.
     """
     plan = dag.plan()
     ops, payloads, leaf = plan.ops, plan.payloads, plan.leaf
@@ -338,9 +332,6 @@ def default_leaf_inputs(dag: Dag, literal_values: Optional[Dict[int, bool]] = No
         op, payload = ops[node_id], payloads[node_id]
         if op is _LEAF and payload is not None:
             inputs[node_id] = float(sum(payload[1]))
-        elif op is _LITERAL and literal_values is not None:
-            value = literal_values.get(abs(payload))
-            inputs[node_id] = 1.0 if value is not None and value == (payload > 0) else 0.0
         else:
             inputs[node_id] = 0.0
     return inputs

@@ -61,7 +61,6 @@ def optimize(
     kernel: Union[CNF, Circuit, HMM],
     calibration: Optional[Sequence] = None,
     keep_fraction: float = 0.8,
-    regularize: bool = True,
 ) -> OptimizationResult:
     """Run unification → adaptive pruning → two-input regularization.
 
@@ -74,7 +73,7 @@ def optimize(
     if isinstance(kernel, CNF):
         memory_before = cnf_dag_footprint(kernel)
         pruned_dag, pruned_cnf, report = prune_logic_dag(kernel)
-        final = regularize_two_input(pruned_dag) if regularize else pruned_dag
+        final = regularize_two_input(pruned_dag)
         return OptimizationResult(
             final, memory_before, pruned_dag.memory_footprint(), report, pruned_cnf
         )
@@ -87,7 +86,7 @@ def optimize(
             kernel, list(calibration), keep_fraction=keep_fraction
         )
         pruned_dag, _ = circuit_to_dag(pruned_circuit)
-        final = regularize_two_input(pruned_dag) if regularize else pruned_dag
+        final = regularize_two_input(pruned_dag)
         return OptimizationResult(
             final, memory_before, pruned_dag.memory_footprint(), report, pruned_circuit
         )
@@ -103,7 +102,7 @@ def optimize(
             threshold_quantile=1.0 - keep_fraction,
         )
         pruned_dag = hmm_to_dag(pruned_hmm, sequences[0], prune_transition_below=0.0)
-        final = regularize_two_input(pruned_dag) if regularize else pruned_dag
+        final = regularize_two_input(pruned_dag)
         return OptimizationResult(
             final, memory_before, pruned_dag.memory_footprint(), report, pruned_hmm
         )

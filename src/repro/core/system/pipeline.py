@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+#: GPU→REASON handoff per task: shared-memory flag polling, microseconds
+#: rather than milliseconds.
+HANDOFF_S = 2e-6
+
 
 @dataclass
 class PipelineResult:
@@ -31,10 +35,6 @@ class PipelineResult:
 class TwoLevelPipeline:
     """Task-level GPU/REASON overlap simulator."""
 
-    def __init__(self, handoff_s: float = 2e-6):
-        # Shared-memory flag polling: microseconds, not milliseconds.
-        self.handoff_s = handoff_s
-
     def run(
         self,
         neural_times_s: Sequence[float],
@@ -50,7 +50,7 @@ class TwoLevelPipeline:
             raise ValueError("need one symbolic time per neural time")
         neural_total = float(sum(neural_times_s))
         symbolic_total = float(sum(symbolic_times_s))
-        serial = neural_total + symbolic_total + self.handoff_s * len(neural_times_s)
+        serial = neural_total + symbolic_total + HANDOFF_S * len(neural_times_s)
         if not pipelined or len(neural_times_s) == 0:
             return PipelineResult(serial, neural_total, symbolic_total, 0.0)
         gpu_free = 0.0
@@ -59,7 +59,7 @@ class TwoLevelPipeline:
         for neural, symbolic in zip(neural_times_s, symbolic_times_s):
             neural_done = gpu_free + neural
             gpu_free = neural_done
-            start = max(neural_done + self.handoff_s, reason_free)
+            start = max(neural_done + HANDOFF_S, reason_free)
             finish = start + symbolic
             reason_free = finish
         finish = float(finish)  # numpy stage times would make it np.float64

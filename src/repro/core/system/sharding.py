@@ -15,7 +15,7 @@ imbalance still cost what Fig. 9 says they cost, once per shard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.system.pipeline import PipelineResult, TwoLevelPipeline
 
@@ -82,8 +82,6 @@ class ShardComposition:
 
 def compose_shard_makespans(
     shard_tasks: Sequence[Sequence[StageTimes]],
-    handoff_s: Optional[float] = None,
-    pipelined: bool = True,
 ) -> ShardComposition:
     """Compose per-shard task lists into service-level makespans.
 
@@ -92,16 +90,16 @@ def compose_shard_makespans(
     own :class:`TwoLevelPipeline`; the single-shard baseline threads the
     concatenated workload through one pipeline instance.
     """
-    pipeline = TwoLevelPipeline() if handoff_s is None else TwoLevelPipeline(handoff_s)
+    pipeline = TwoLevelPipeline()
     per_shard = []
     for tasks in shard_tasks:
         neural = [task[0] for task in tasks]
         symbolic = [task[1] for task in tasks]
-        per_shard.append(pipeline.run(neural, symbolic, pipelined=pipelined))
+        per_shard.append(pipeline.run(neural, symbolic))
     all_tasks = [task for tasks in shard_tasks for task in tasks]
     all_neural = [task[0] for task in all_tasks]
     all_symbolic = [task[1] for task in all_tasks]
-    single = pipeline.run(all_neural, all_symbolic, pipelined=pipelined)
+    single = pipeline.run(all_neural, all_symbolic)
     serial = pipeline.run(all_neural, all_symbolic, pipelined=False)
     total_s = max((result.total_s for result in per_shard), default=0.0)
     return ShardComposition(

@@ -131,10 +131,9 @@ def constrained_decode(
     dfa: DFAConstraint,
     length: int,
     rng: Optional[_random.Random] = None,
-    greedy: bool = False,
 ) -> ConstrainedDecodeResult:
-    """Sample (or greedily decode) a length-``length`` sequence from the
-    HMM conditioned on DFA acceptance.
+    """Sample a length-``length`` sequence from the HMM conditioned on
+    DFA acceptance.
 
     Exact: uses the product-space suffix table so the sampled sequence
     is drawn from P(x_1:T | DFA accepts x_1:T).  Returns a result with
@@ -166,10 +165,7 @@ def constrained_decode(
         if total <= 0:
             return ConstrainedDecodeResult(sequence, float("-inf"), False, dfa.num_states * hmm.num_states)
         probabilities = scores / total
-        if greedy:
-            symbol = int(np.argmax(probabilities))
-        else:
-            symbol = int(rng.choices(range(hmm.num_observations), weights=probabilities)[0])
+        symbol = int(rng.choices(range(hmm.num_observations), weights=probabilities)[0])
         log_prob += float(np.log(probabilities[symbol]))
         # Advance the (unnormalized) HMM state belief and the DFA.
         state_dist = state_dist * hmm.emission[:, symbol]

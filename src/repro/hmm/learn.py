@@ -14,13 +14,13 @@ def baum_welch(
     hmm: HMM,
     sequences: Sequence[Sequence[int]],
     iterations: int = 20,
-    smoothing: float = 1e-3,
-    tolerance: float = 1e-6,
 ) -> Tuple[HMM, List[float]]:
     """Fit HMM parameters by EM over multiple observation sequences.
 
-    Returns the fitted model and the per-iteration mean log-likelihood
-    trajectory (non-decreasing up to numerical noise).
+    Every count starts from a 1e-3 pseudo-count; EM stops early once an
+    iteration gains less than 1e-6 in mean log-likelihood.  Returns the
+    fitted model and the per-iteration mean log-likelihood trajectory
+    (non-decreasing up to numerical noise).
     """
     if not sequences:
         raise ValueError("baum_welch needs at least one sequence")
@@ -29,9 +29,9 @@ def baum_welch(
     S, V = model.num_states, model.num_observations
 
     for _ in range(iterations):
-        initial_acc = np.full(S, smoothing)
-        transition_acc = np.full((S, S), smoothing)
-        emission_acc = np.full((S, V), smoothing)
+        initial_acc = np.full(S, 1e-3)
+        transition_acc = np.full((S, S), 1e-3)
+        emission_acc = np.full((S, V), 1e-3)
 
         for observations in sequences:
             if not len(observations):
@@ -52,6 +52,6 @@ def baum_welch(
             np.mean([log_likelihood(model, obs) for obs in sequences if len(obs)])
         )
         history.append(mean_ll)
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tolerance:
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < 1e-6:
             break
     return model, history

@@ -65,13 +65,13 @@ class HMM:
     def num_observations(self) -> int:
         return self.emission.shape[1]
 
-    def validate_stochastic(self, atol: float = 1e-8) -> None:
-        """Raise unless all distributions are normalized."""
-        if not np.isclose(self.initial.sum(), 1.0, atol=atol):
+    def validate_stochastic(self) -> None:
+        """Raise unless all distributions are normalized (to 1e-8)."""
+        if not np.isclose(self.initial.sum(), 1.0, atol=1e-8):
             raise ValueError("initial distribution is not normalized")
-        if not np.allclose(self.transition.sum(axis=1), 1.0, atol=atol):
+        if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-8):
             raise ValueError("transition rows are not normalized")
-        if not np.allclose(self.emission.sum(axis=1), 1.0, atol=atol):
+        if not np.allclose(self.emission.sum(axis=1), 1.0, atol=1e-8):
             raise ValueError("emission rows are not normalized")
 
     def normalized(self) -> "HMM":

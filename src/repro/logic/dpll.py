@@ -26,16 +26,9 @@ class DPLLStats:
 
 @dataclass
 class DPLLSolver:
-    """Recursive DPLL with unit propagation.
+    """Recursive DPLL with unit propagation and pure-literal
+    elimination (sound for satisfiability, not for model counting)."""
 
-    Parameters
-    ----------
-    use_pure_literal:
-        Enable pure-literal elimination (sound for satisfiability but
-        not model counting).
-    """
-
-    use_pure_literal: bool = True
     stats: DPLLStats = field(default_factory=DPLLStats)
 
     def solve(self, formula: CNF) -> Optional[Dict[int, bool]]:
@@ -50,8 +43,7 @@ class DPLLSolver:
         formula, assignment, conflict = self._propagate(formula, assignment)
         if conflict:
             return None
-        if self.use_pure_literal:
-            formula, assignment = self._eliminate_pure(formula, assignment)
+        formula, assignment = self._eliminate_pure(formula, assignment)
         if not formula.clauses:
             return dict(assignment)
 

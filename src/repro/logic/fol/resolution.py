@@ -46,13 +46,13 @@ class ResolutionProver:
         Generated-clause budget; exceeding it makes :meth:`prove` return
         ``None`` (unknown) rather than loop forever — first-order
         entailment is only semi-decidable.
-    max_clause_width:
-        Discard resolvents wider than this (keeps search shallow).
+
+    Resolvents wider than 12 literals are discarded (keeps search
+    shallow).
     """
 
-    def __init__(self, max_clauses: int = 5000, max_clause_width: int = 12):
+    def __init__(self, max_clauses: int = 5000):
         self.max_clauses = max_clauses
-        self.max_clause_width = max_clause_width
         self.stats = ProverStats()
         self.proof: List[ProofStep] = []
 
@@ -97,7 +97,7 @@ class ResolutionProver:
                     self.stats.clauses_generated += 1
                     if self.stats.clauses_generated > self.max_clauses:
                         return None
-                    if len(resolvent.literals) > self.max_clause_width:
+                    if len(resolvent.literals) > 12:
                         continue
                     key = canonical(resolvent)
                     if key in seen:

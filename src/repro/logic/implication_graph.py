@@ -7,8 +7,6 @@ assignments; a literal that implies another literal of the same clause is
 can be narrowed without changing satisfiability (hidden literal
 elimination, HLE).  A clause entailed through the implication chains of
 the *other* clauses is a hidden tautology and can be dropped (HTE).
-Failed literals (literals whose implication closure contains a
-complementary pair) can be asserted negatively.
 
 Soundness requires care on two points that a naive reading of the paper
 glosses over: (1) a clause may not justify its own removal through the
@@ -32,9 +30,8 @@ This module is the logic half of REASON's adaptive DAG pruning stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.logic.cnf import CNF, Clause, Literal
 
@@ -45,21 +42,6 @@ class PruneReport:
 
     literals_removed: int = 0
     clauses_removed: int = 0
-    #: The pruned formula: what ``failed_literals`` is computed from, on
-    #: first use (no request reads it; the report travels with the
-    #: formula in ``OptimizationResult`` anyway).
-    pruned: Optional[CNF] = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def failed_literals(self) -> List[Literal]:
-        if self.pruned is None:
-            return []
-        graph = BinaryImplicationGraph(self.pruned)
-        return graph.failed_literals(sorted(self.pruned.variables()))
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.literals_removed or self.clauses_removed or self.failed_literals)
 
 
 def _bit(lit: Literal) -> int:
@@ -203,42 +185,8 @@ class BinaryImplicationGraph:
                 return True
         return False
 
-    def closure_has_complement(self, lit: Literal) -> bool:
-        """Whether ``lit``'s closure contains ``¬lit`` or any pair
-        ``x``/``¬x`` — detected incrementally so the traversal stops at
-        the first contradiction instead of materializing the closure.
-        """
-        succ = self._succ
-        seen: Set[Literal] = set()
-        stack = [lit]
-        while stack:
-            current = stack.pop()
-            for nxt in succ.get(current, ()):
-                if nxt not in seen and nxt != lit:
-                    if nxt == -lit or -nxt in seen:
-                        return True
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
 
-    def failed_literals(self, variables: Iterable[int]) -> List[Literal]:
-        """Literals whose closure contains a complementary pair.
-
-        If asserting ``l`` forces both ``x`` and ``¬x``, then ``¬l`` is a
-        consequence of the formula.
-        """
-        failed: List[Literal] = []
-        for variable in variables:
-            for lit in (variable, -variable):
-                if self.closure_has_complement(lit):
-                    failed.append(lit)
-                    break  # asserting the other polarity is then forced anyway
-        return failed
-
-
-def prune_hidden_literals(
-    formula: CNF, max_clause_width: int = 64
-) -> Tuple[CNF, PruneReport]:
+def prune_hidden_literals(formula: CNF) -> Tuple[CNF, PruneReport]:
     """Hidden tautology elimination + hidden literal elimination.
 
     Clauses are visited in order against a live implication graph:
@@ -253,8 +201,8 @@ def prune_hidden_literals(
     Each removal immediately updates the graph, so later removals are
     justified only by clauses still present.  The procedure preserves
     satisfiability exactly and runs in time linear in the graph size per
-    clause visit.  Clauses wider than ``max_clause_width`` are skipped
-    to bound cost.
+    clause visit.  Clauses wider than 64 literals are skipped to bound
+    cost.
     """
     graph = BinaryImplicationGraph(formula)
     graph.close()
@@ -262,7 +210,7 @@ def prune_hidden_literals(
     pruned: List[Clause] = []
 
     for clause in formula.clauses:
-        if len(clause) > max_clause_width or len(clause) < 2:
+        if len(clause) > 64 or len(clause) < 2:
             pruned.append(clause)
             continue
         if clause.is_tautology:
@@ -305,5 +253,4 @@ def prune_hidden_literals(
                     break
         pruned.append(current)
 
-    report.pruned = CNF(pruned, formula.num_vars)
-    return report.pruned, report
+    return CNF(pruned, formula.num_vars), report

@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as error:

@@ -107,7 +107,8 @@ RATIO_BUCKETS = log_buckets(1.0 / 64.0, 64.0, per_octave=2)
 
 
 class Counter:
-    """Monotonic counter.  ``inc`` is exact under thread contention."""
+    """Monotonic counter.  ``inc`` adds one, exactly under thread
+    contention."""
 
     kind = "counter"
     __slots__ = ("_lock", "_value")
@@ -116,11 +117,9 @@ class Counter:
         self._lock = threading.Lock()
         self._value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; serve levels as a gauge callback")
+    def inc(self) -> None:
         with self._lock:
-            self._value += amount
+            self._value += 1.0
 
     @property
     def value(self) -> float:

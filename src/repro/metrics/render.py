@@ -71,9 +71,9 @@ def render_prometheus(snapshot: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(snapshot: Dict[str, object], indent: int = 2) -> str:
+def render_json(snapshot: Dict[str, object]) -> str:
     """Canonical JSON (sorted keys — byte-stable for identical state)."""
-    return json.dumps(snapshot, indent=indent, sort_keys=True)
+    return json.dumps(snapshot, indent=2, sort_keys=True)
 
 
 def _fmt_value(value: float) -> str:

@@ -272,14 +272,6 @@ class Circuit:
     def nodes(self) -> List[CircuitNode]:
         return self.topological_order()
 
-    def edges(self) -> List[Tuple[CircuitNode, CircuitNode]]:
-        """All (parent, child) pairs."""
-        out = []
-        for node in self.topological_order():
-            for child in node.children:
-                out.append((node, child))
-        return out
-
     @property
     def num_nodes(self) -> int:
         return len(self.plan().order)

@@ -34,11 +34,10 @@ from repro.pc.flows import (
 from repro.pc.inference import Evidence
 
 
-def _em_update(
-    plan: CircuitPlan, columns: Columns, values: np.ndarray, smoothing: float
-) -> None:
+def _em_update(plan: CircuitPlan, columns: Columns, values: np.ndarray) -> None:
     """The M-step from ``values``, the bottom-up pass over the dataset
-    under the current parameters; writes new weights and leaf tables.
+    under the current parameters; writes new weights and leaf tables,
+    every count starting from a 0.1 pseudo-count.
 
     Expected counts add up one input at a time in dataset order, so the
     parameters are the ones a per-input loop learns, bit for bit.
@@ -47,7 +46,7 @@ def _em_update(
     edge_counts = _totals_in_dataset_order(edge_flows)
     for kind, dense, node, children, slot in plan.entries:
         if kind == _SUM:
-            counts = edge_counts[slot : slot + len(children)] + smoothing
+            counts = edge_counts[slot : slot + len(children)] + 0.1
             node.weights = counts / counts.sum()
         elif kind == _LEAF:
             counts = np.zeros(len(node.probabilities))
@@ -57,7 +56,7 @@ def _em_update(
             observed = ~marginal & (codes >= 0) & (codes < len(counts))
             # Unbuffered: repeated values add in dataset order.
             np.add.at(counts, codes[observed], flows[dense][observed])
-            counts += smoothing
+            counts += 0.1
             node.probabilities = counts / counts.sum()
 
 
@@ -65,12 +64,12 @@ def fit_em(
     circuit: Circuit,
     dataset: Sequence[Evidence],
     iterations: int = 10,
-    smoothing: float = 0.1,
-    tolerance: float = 1e-6,
 ) -> Tuple[Circuit, List[float]]:
     """Run EM to convergence; returns the circuit and the LL trajectory.
 
-    One bottom-up pass per iteration: the pass that scores an update's
+    Every count starts from a 0.1 pseudo-count; EM stops early once an
+    iteration gains less than 1e-6 in mean log-likelihood.  One
+    bottom-up pass per iteration: the pass that scores an update's
     log-likelihood is the E-step input of the next update.
     """
     history: List[float] = []
@@ -78,14 +77,14 @@ def fit_em(
     columns = _evidence_columns(plan, dataset)
     values = _evaluate_batch(plan, columns)
     for _ in range(iterations):
-        _em_update(plan, columns, values, smoothing)
+        _em_update(plan, columns, values)
         values = _evaluate_batch(plan, columns)
         total = sum(
             math.log(value) if value > 0 else float("-inf")
             for value in values[plan.root_index].tolist()
         )
         history.append(total / max(len(dataset), 1))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tolerance:
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < 1e-6:
             break
     return circuit, history
 

@@ -9,7 +9,7 @@ symbolic kernels on a device cost model and reports the split
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -43,27 +43,24 @@ class WorkloadProfile:
 def profile_workload(
     workload: NeuroSymbolicWorkload,
     device: DeviceModel,
-    task: Optional[str] = None,
     scale: str = "small",
-    seed: int = 0,
-    calibrate_to_paper_share: bool = True,
 ) -> WorkloadProfile:
-    """Time one instance's neural and symbolic stages on a device.
+    """Time the first instance of a workload's first task, neural and
+    symbolic stages, on a device.
 
-    With ``calibrate_to_paper_share`` the symbolic kernel volume is
-    scaled so the split on the profiling GPU matches the share the
+    The symbolic kernel volume is scaled so the split on the profiling GPU matches the share the
     paper measured for this workload (Fig. 3(a)) — our synthetic
     instances are miniatures, so the *volume ratio* between the stages
     is the calibrated quantity while per-byte and per-launch costs come
     from the device model.  Cross-device and cross-scale comparisons
     then inherit realistic relative behavior.
     """
-    task = task or workload.tasks[0]
-    instance = workload.generate_instance(task, scale, seed)
+    task = workload.tasks[0]
+    instance = workload.generate_instance(task, scale, 0)
     neural_s = device.run(workload.neural_profiles(instance))
     symbolic_profiles = workload.symbolic_profiles(instance)
     symbolic_s = device.run(symbolic_profiles)
-    if calibrate_to_paper_share and symbolic_s > 0:
+    if symbolic_s > 0:
         share = workload.symbolic_runtime_share
         target_symbolic = neural_s * share / (1.0 - share)
         scale_factor = target_symbolic / symbolic_s
@@ -78,14 +75,14 @@ def profile_workload(
 def runtime_breakdown(
     workloads: List[NeuroSymbolicWorkload],
     device: DeviceModel,
-    scale: str = "small",
 ) -> List[WorkloadProfile]:
     """Fig. 3(a): neural/symbolic runtime split per workload."""
-    return [profile_workload(w, device, scale=scale) for w in workloads]
+    return [profile_workload(w, device) for w in workloads]
 
 
-def sparsity_of_workload(workload: NeuroSymbolicWorkload, seed: int = 0) -> float:
-    """Operand sparsity of the workload's REASON kernel.
+def sparsity_of_workload(workload: NeuroSymbolicWorkload) -> float:
+    """Operand sparsity of the REASON kernel of the workload's first
+    instance.
 
     For logic kernels: fraction of literal slots inactive per BCP step
     (clauses not on the current watch list).  For probabilistic kernels:
@@ -96,7 +93,7 @@ def sparsity_of_workload(workload: NeuroSymbolicWorkload, seed: int = 0) -> floa
     from repro.logic.cnf import CNF
     from repro.pc.circuit import Circuit
 
-    instance = workload.generate_instance(workload.tasks[0], seed=seed)
+    instance = workload.generate_instance(workload.tasks[0], seed=0)
     kernel = workload.reason_kernel(instance)
     if isinstance(kernel, CNF):
         # Watch lists touch 2 literals per clause; the rest are inactive
@@ -111,7 +108,7 @@ def sparsity_of_workload(workload: NeuroSymbolicWorkload, seed: int = 0) -> floa
         from repro.pc.flows import dataset_edge_flows
         from repro.pc.learn import sample_dataset
 
-        data = sample_dataset(kernel, 30, seed=seed)
+        data = sample_dataset(kernel, 30, seed=0)
         flows, count = dataset_edge_flows(kernel, data)
         if not flows:
             return 0.0
@@ -123,7 +120,7 @@ def sparsity_of_workload(workload: NeuroSymbolicWorkload, seed: int = 0) -> floa
     if isinstance(kernel, HMM):
         from repro.hmm.inference import transition_posteriors
 
-        rng = __import__("random").Random(seed)
+        rng = __import__("random").Random(0)
         usage = np.zeros_like(kernel.transition)
         for _ in range(8):
             observations = kernel.sample(16, rng)[1]

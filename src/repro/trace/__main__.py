@@ -39,6 +39,9 @@ from repro.trace.analyze import (
 from repro.trace.format import EventKind, TraceFormatError
 from repro.trace.reader import TraceReader
 
+#: The kinds a record can have: every ``EventKind`` but the footer's.
+_KINDS = sorted(kind.name for kind in EventKind if kind is not EventKind.EOS)
+
 
 def _print_summary(args) -> int:
     summary = TraceReader(args.trace).summary()
@@ -114,20 +117,30 @@ def _print_hist(args) -> int:
     return EXIT_OK
 
 
+def _event_kinds(text: str) -> list:
+    """``--kinds``: comma-separated event kind names, any case (none
+    given: every kind)."""
+    kinds = [name.strip().upper() for name in text.split(",") if name.strip()]
+    unknown = [name for name in kinds if name not in _KINDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown event kind(s) {', '.join(unknown)}; valid: {', '.join(_KINDS)}"
+        )
+    return kinds or None
+
+
 def _print_dump(args) -> int:
-    kinds = None
-    if args.kinds:
-        kinds = [name.strip().upper() for name in args.kinds.split(",") if name.strip()]
     reader = TraceReader(args.trace)
     printed = 0
-    for record in reader.events(kinds=kinds, start_cycle=args.start, end_cycle=args.end):
-        print(f"{record.cycle:>12}  {describe_record(record)}")
-        printed += 1
-        if args.limit is not None and printed >= args.limit:
+    for record in reader.events(kinds=args.kinds, start_cycle=args.start, end_cycle=args.end):
+        if printed == args.limit:
             print(f"... stopped after {args.limit} records")
             break
-    if printed == 0:
-        print("no records matched")
+        print(f"{record.cycle:>12}  {describe_record(record)}")
+        printed += 1
+    else:
+        if printed == 0:
+            print("no records matched")
     return EXIT_OK
 
 
@@ -210,7 +223,7 @@ def main(argv=None) -> int:
     hist.add_argument(
         "--kind",
         default="CONFLICT",
-        choices=sorted(k.name.lower() for k in EventKind if k is not EventKind.EOS),
+        choices=[name.lower() for name in _KINDS],
         type=str.lower,
     )
     hist.add_argument("--buckets", type=int, default=20)
@@ -218,7 +231,7 @@ def main(argv=None) -> int:
 
     dump = commands.add_parser("dump", help="print matching records")
     dump.add_argument("trace")
-    dump.add_argument("--kinds", help="comma-separated EventKind names")
+    dump.add_argument("--kinds", type=_event_kinds, help="comma-separated EventKind names")
     dump.add_argument("--start", type=int, default=None, help="window start cycle")
     dump.add_argument("--end", type=int, default=None, help="window end cycle")
     dump.add_argument("--limit", type=int, default=50)
@@ -249,7 +262,7 @@ def main(argv=None) -> int:
     except TraceFormatError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
 

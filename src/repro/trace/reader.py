@@ -5,7 +5,7 @@ record at a time from a chunked read buffer, so a multi-gigabyte trace
 costs constant memory to scan.  Three access levels:
 
 * :meth:`TraceReader.__iter__` / :meth:`events` — forward iteration,
-  optionally filtered by event kind, cycle window and bank/PE operand;
+  optionally filtered by event kind and cycle window;
 * :meth:`summary` — footer-only metadata (event counts, final cycle)
   read from the last few dozen bytes without decoding any records;
 * :meth:`validate` — full decode cross-checked against the footer's
@@ -41,19 +41,6 @@ _CHUNK_BYTES = 1 << 16
 #: A record is at most code + 3 maximal varints (< 32 bytes); keeping
 #: this many bytes buffered guarantees a record never splits a refill.
 _MIN_BUFFERED = 64
-
-#: Kinds whose ``value`` operand is a bank/PE index, for ``events``'
-#: unit filter.
-_UNIT_FILTERABLE = frozenset(
-    {
-        EventKind.BANK_READ,
-        EventKind.COMPUTE,
-        EventKind.LOAD,
-        EventKind.STORE,
-        EventKind.SPILL,
-        EventKind.RELOAD,
-    }
-)
 
 
 class TraceReader:
@@ -180,15 +167,12 @@ class TraceReader:
         kinds: Optional[Iterable[Union[EventKind, str]]] = None,
         start_cycle: Optional[int] = None,
         end_cycle: Optional[int] = None,
-        unit: Optional[int] = None,
     ) -> Iterator[TraceRecord]:
         """Stream records matching every given filter.
 
         ``kinds`` accepts :class:`EventKind` members or their names;
-        ``start_cycle``/``end_cycle`` bound an inclusive cycle window;
-        ``unit`` matches the bank/PE operand of memory and compute
-        events (other kinds never match a unit filter).  Filters
-        compose; the stream is never materialized.
+        ``start_cycle``/``end_cycle`` bound an inclusive cycle window.
+        Filters compose; the stream is never materialized.
         """
         wanted = None
         if kinds is not None:
@@ -202,15 +186,7 @@ class TraceReader:
                 continue
             if end_cycle is not None and record.cycle > end_cycle:
                 continue
-            if unit is not None and (
-                record.kind not in _UNIT_FILTERABLE or record.value != unit
-            ):
-                continue
             yield record
-
-    def window(self, start_cycle: int, end_cycle: int) -> Iterator[TraceRecord]:
-        """Every record whose cycle falls in ``[start_cycle, end_cycle]``."""
-        return self.events(start_cycle=start_cycle, end_cycle=end_cycle)
 
     # ----------------------------------------------------------- metadata
 

@@ -30,9 +30,10 @@ class AlphaGeometryWorkload(NeuroSymbolicWorkload):
     metric = "Accuracy"
     model_name = "8B"
     symbolic_runtime_share = 0.638  # paper Fig. 3(a)
+    #: Constructions the proposal stage hands to deduction.
+    beam_width = 2
 
-    def __init__(self, beam_width: int = 2, proposal_noise: float = 0.8):
-        self.beam_width = beam_width
+    def __init__(self, proposal_noise: float = 0.8):
         self.proposal_noise = proposal_noise
 
     def generate_instance(self, task: str, scale: str = "small", seed: int = 0) -> TaskInstance:

@@ -92,11 +92,11 @@ class NeuroSymbolicWorkload(abc.ABC):
 
     # --------------------------------------------------------- conveniences
 
-    def accuracy(self, task: str, num_instances: int = 20, scale: str = "small", seed: int = 0) -> float:
-        """Fraction of instances solved correctly."""
+    def accuracy(self, task: str, num_instances: int = 20, seed: int = 0) -> float:
+        """Fraction of small instances solved correctly."""
         correct = 0
         for i in range(num_instances):
-            instance = self.generate_instance(task, scale, seed + i)
+            instance = self.generate_instance(task, "small", seed + i)
             result = self.solve(instance)
             correct += int(result.correct)
         return correct / num_instances

@@ -29,16 +29,12 @@ class CtrlGWorkload(NeuroSymbolicWorkload):
     metric = "Success rate"
     model_name = "7B"
     symbolic_runtime_share = 0.639  # paper Fig. 3(a)
+    num_states = 5
+    vocab_size = 10
+    #: How far below the corpus's per-token log-likelihood an infill may fall.
+    fluency_margin = 1.35
 
-    def __init__(
-        self,
-        num_states: int = 5,
-        vocab_size: int = 10,
-        fluency_margin: float = 1.35,
-    ):
-        self.num_states = num_states
-        self.vocab_size = vocab_size
-        self.fluency_margin = fluency_margin
+    def __init__(self):
         self._hmm: Optional[HMM] = None
         self._baseline_ll: Optional[float] = None
 

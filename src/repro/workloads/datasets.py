@@ -229,7 +229,6 @@ def generate_entailment_problem(
     depth: int = 3,
     num_distractors: int = 3,
     entailed: bool = True,
-    redundancy: int = 2,
     seed: int = 0,
 ) -> EntailmentProblem:
     """Chained universally-quantified implications over unary predicates.
@@ -238,8 +237,8 @@ def generate_entailment_problem(
     non-entailed instances break one link (replace it with an unrelated
     implication), so resolution cannot reach the goal.
 
-    ``redundancy`` adds shortcut rules (P_i → P_j already entailed by
-    the chain) and entailed wide disjunctions — the natural-language
+    Up to two shortcut rules (P_i → P_j already entailed by the chain)
+    and as many entailed wide disjunctions are added — the natural-language
     restatements present in FOLIO/ProofWriter theories that REASON's
     Stage-2 pruning removes.  Shortcuts never span a broken link, so
     the entailment label is unaffected.
@@ -267,7 +266,7 @@ def generate_entailment_problem(
 
     added = 0
     attempts = 0
-    while added < redundancy and attempts < 20:
+    while added < 2 and attempts < 20:
         attempts += 1
         i = rng.randrange(depth - 1) if depth >= 2 else 0
         j = min(i + rng.randint(2, 3), depth)

@@ -57,11 +57,10 @@ class GeLaToWorkload(NeuroSymbolicWorkload):
     metric = "BLEU"
     model_name = "7B"
     symbolic_runtime_share = 0.366  # paper Fig. 3(a)
+    num_states = 6
+    vocab_size = 12
 
-    def __init__(self, num_states: int = 6, vocab_size: int = 12, bw_iterations: int = 4):
-        self.num_states = num_states
-        self.vocab_size = vocab_size
-        self.bw_iterations = bw_iterations
+    def __init__(self):
         self._hmm_cache: Dict[Tuple[str, int], Tuple[HMM, TextCorpus]] = {}
 
     def _distilled_hmm(self, task: str, seed: int) -> Tuple[HMM, TextCorpus]:
@@ -72,7 +71,7 @@ class GeLaToWorkload(NeuroSymbolicWorkload):
                 seed=hash((task, seed)) & 0xFFFF,
             )
             student = HMM.random(self.num_states, self.vocab_size, seed=seed)
-            fitted, _ = baum_welch(student, corpus.sequences, iterations=self.bw_iterations)
+            fitted, _ = baum_welch(student, corpus.sequences, iterations=4)
             self._hmm_cache[key] = (fitted, corpus)
         return self._hmm_cache[key]
 

@@ -29,10 +29,10 @@ class LINCWorkload(NeuroSymbolicWorkload):
     metric = "Accuracy"
     model_name = "8B"
     symbolic_runtime_share = 0.348  # paper Fig. 3(a)
-
-    def __init__(self, parse_error_rate: float = 0.06, prover_budget: int = 3000):
-        self.parse_error_rate = parse_error_rate
-        self.prover_budget = prover_budget
+    #: Probability the formalization drops a premise.
+    parse_error_rate = 0.06
+    #: Clauses the resolution prover may generate.
+    prover_budget = 3000
 
     def generate_instance(self, task: str, scale: str = "small", seed: int = 0) -> TaskInstance:
         if task not in self.tasks:

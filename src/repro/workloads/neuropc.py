@@ -25,11 +25,10 @@ class NeuroPCWorkload(NeuroSymbolicWorkload):
     metric = "Accuracy"
     model_name = "125M"  # a DNN, not an LLM (Table I)
     symbolic_runtime_share = 0.505  # paper Fig. 3(a)
-
-    def __init__(self, num_classes: int = 6, num_attributes: int = 10, leaf_confidence: float = 0.85):
-        self.num_classes = num_classes
-        self.num_attributes = num_attributes
-        self.leaf_confidence = leaf_confidence
+    num_classes = 6
+    num_attributes = 10
+    #: A class circuit's probability that an attribute matches its signature.
+    leaf_confidence = 0.85
 
     def class_circuit(self, signature: Sequence[int]) -> Circuit:
         """Class-conditional PC: a mixture of attribute-product variants.

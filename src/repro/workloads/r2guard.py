@@ -44,9 +44,10 @@ class R2GuardWorkload(NeuroSymbolicWorkload):
     metric = "AUPRC"
     model_name = "7B"
     symbolic_runtime_share = 0.627  # paper Fig. 3(a)
+    #: Hazard categories; the label is one more PC variable.
+    num_categories = 7
 
-    def __init__(self, num_categories: int = 7, em_iterations: int = 10):
-        self.num_categories = num_categories
+    def __init__(self, em_iterations: int = 10):
         self.em_iterations = em_iterations
         self._circuit_cache: Dict[Tuple[str, int], Circuit] = {}
 

@@ -463,3 +463,34 @@ class TestPreparedArtifacts:
         artifact = adapter.prepare(dag, RunOptions(), DEFAULT_CONFIG)
         assert artifact.program is not None
         assert artifact.compile_stats.cycles > 0
+
+
+def leaf_mixture(weight=0.5, table=(0.3, 0.7)):
+    """A raw DAG: a SUM over two LEAFs of variable 0, root id 2."""
+    dag = Dag()
+    first = dag.add_op(OpType.LEAF, payload=(0, list(table)))
+    second = dag.add_op(OpType.LEAF, payload=(0, [0.5, 0.5]))
+    dag.set_root(dag.add_op(OpType.SUM, [first, second], weights=[weight, 1.0 - weight]))
+    return dag
+
+
+class TestRawDagInputs:
+    """A raw DAG reaches no Circuit or HMM constructor, so its adapter
+    rejects what they reject before anything compiles."""
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_sum_weight_names_its_node(self, weight):
+        with pytest.raises(ValueError, match="DAG node 2 "):
+            ReasonSession().run(leaf_mixture(weight=weight))
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_a_non_finite_leaf_probability_names_its_node(self, entry):
+        with pytest.raises(ValueError, match="DAG node 0 "):
+            ReasonSession().run(leaf_mixture(table=(entry, 0.5)))
+
+    def test_a_rejected_dag_is_not_cached(self):
+        session = ReasonSession()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                session.run(leaf_mixture(weight=float("nan")))
+        assert session.run(leaf_mixture()).result == pytest.approx(1.0)

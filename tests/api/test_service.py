@@ -297,17 +297,6 @@ class TestRunBatch:
             kernels = [random_ksat(8, 24, seed=17)] * 2
             with pytest.raises(ValueError):
                 service.submit_batch(kernels, neural_s=[0.1])
-            with pytest.raises(ValueError):
-                service.submit_batch(kernels, calibrations=[None])
-
-    def test_per_kernel_calibrations(self):
-        from repro.pc.learn import sample_dataset
-
-        circuits = [random_circuit(4, depth=2, seed=s) for s in (18, 19)]
-        calibrations = [sample_dataset(c, 10, seed=20) for c in circuits]
-        with ReasonService(shards=2) as service:
-            batch = asyncio.run(service.run_batch(circuits, calibrations=calibrations))
-        assert all(r.result == pytest.approx(1.0) for r in batch.reports)
 
 
 class TestStatsAndDrain:

@@ -9,7 +9,7 @@ import repro
 from repro import BatchResult, ReasonService, ReasonSession
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
-from repro.pc.learn import random_circuit, sample_dataset
+from repro.pc.learn import random_circuit
 from repro.trace import timeline
 
 
@@ -47,23 +47,20 @@ class TestRunBatch:
     def test_batched_totals_match_serial_sum_without_overlap(self):
         session = ReasonSession()
         kernels = [random_ksat(10, 30, seed=s) for s in range(4)]
-        batch = session.run_batch(kernels, neural_s=0.0, pipelined=False)
+        batch = session.run_batch(kernels, neural_s=0.0)
         assert isinstance(batch, BatchResult)
         assert len(batch) == 4
         per_kernel = sum(report.seconds for report in batch.reports)
         # Serial makespan = sum of stage times plus per-task handoffs.
-        assert batch.total_s == pytest.approx(per_kernel, rel=1e-6, abs=1e-4)
+        assert batch.serial_s == pytest.approx(per_kernel, rel=1e-6, abs=1e-4)
 
     def test_pipelined_batch_not_slower_and_overlap_reported(self):
         session = ReasonSession()
         kernels = [random_ksat(10, 30, seed=s) for s in range(4)]
-        symbolic = session.run_batch(kernels, queries=1000, pipelined=False)
+        symbolic = session.run_batch(kernels, queries=1000)
         neural_s = symbolic.reports[0].seconds  # balanced two-stage pipeline
         overlapped = session.run_batch(kernels, queries=1000, neural_s=neural_s)
-        serial = session.run_batch(
-            kernels, queries=1000, neural_s=neural_s, pipelined=False
-        )
-        assert overlapped.total_s < serial.total_s
+        assert overlapped.total_s < overlapped.serial_s
         assert overlapped.overlap_saved_s > 0
         assert overlapped.speedup > 1.0
 
@@ -81,20 +78,11 @@ class TestRunBatch:
         batch = session.run_batch(kernels)
         assert [r.kernel for r in batch.reports] == ["cnf", "circuit", "hmm"]
 
-    def test_per_kernel_calibrations(self):
-        session = ReasonSession()
-        circuits = [random_circuit(4, depth=2, seed=s) for s in (9, 10)]
-        calibrations = [sample_dataset(c, 10, seed=11) for c in circuits]
-        batch = session.run_batch(circuits, calibrations=calibrations)
-        assert all(report.result == pytest.approx(1.0) for report in batch.reports)
-
     def test_mismatched_lengths_rejected(self):
         session = ReasonSession()
         kernels = [random_ksat(8, 24, seed=12)] * 2
         with pytest.raises(ValueError):
             session.run_batch(kernels, neural_s=[0.1])
-        with pytest.raises(ValueError):
-            session.run_batch(kernels, calibrations=[None])
 
     def test_options_parsed_once_per_batch(self, monkeypatch):
         """Regression: run_batch used to rebuild RunOptions for every
@@ -119,7 +107,7 @@ class TestBackends:
     def test_every_backend_runs_a_kernel(self):
         session = ReasonSession()
         kernel = random_ksat(10, 30, seed=21)
-        for name in session.backends():
+        for name in repro.list_backends():
             report = session.run(kernel, backend=name)
             assert report.backend == name
             assert report.kernel == "cnf"
@@ -143,7 +131,7 @@ class TestBackends:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.24.0"
+        assert repro.__version__ == "1.25.0"
         for name in (
             "ReasonSession",
             "ReasonService",
@@ -176,6 +164,3 @@ class TestPublicSurface:
         assert ReasonSession(store="shared").store is not None
         with ReasonService(shards=1, store="shared") as built:
             assert built.store is not None
-
-    def test_session_lists_backends(self):
-        assert set(ReasonSession().backends()) >= {"reason", "software", "gpu", "cpu"}

@@ -32,6 +32,7 @@ from repro.core.dag import (
     default_leaf_inputs,
     evaluate_dag,
     hmm_to_dag,
+    is_two_input,
     regularize_two_input,
 )
 from repro.hmm.model import HMM
@@ -433,10 +434,11 @@ class TestScheduling:
         assert 0.0 < schedule.issue_efficiency < 1.0
         assert ScheduleStats().issue_efficiency == 0.0
 
-    def test_compile_rejects_wide_dag_without_regularization(self):
+    def test_compile_regularizes_a_wide_dag_first(self):
         dag, _ = cnf_to_dag(random_ksat(5, 10, seed=13))
-        with pytest.raises(ValueError):
-            compile_dag(dag, auto_regularize=False)
+        assert not is_two_input(dag)
+        program, _ = compile_dag(dag)
+        assert is_two_input(program.dag)
 
 
 class TestFunctionalEquivalence:
@@ -482,7 +484,11 @@ class TestFunctionalEquivalence:
         from repro.core.arch import ReasonAccelerator
 
         assignment = {v: (v % 2 == 0) for v in range(1, 7)}
-        inputs = default_leaf_inputs(regular, literal_values=assignment)
+        inputs = {
+            node_id: float(assignment[abs(node.payload)] == (node.payload > 0))
+            for node_id, node in regular.items()
+            if node.op is OpType.LITERAL
+        }
         report = ReasonAccelerator().run_program(program, inputs)
         expected = evaluate_dag(regular, inputs)[regular.root]
         assert report.result == expected

@@ -725,14 +725,13 @@ class TestOptimizePipeline:
         with pytest.raises(ValueError):
             optimize(HMM.random(3, 3, seed=31))
 
-    def test_regularize_off_returns_the_pruned_dag(self):
-        # ``memory_after`` is the pruned DAG's footprint either way; the
-        # two-input rewrite only changes the DAG handed on.
+    def test_memory_after_is_the_pruned_dags_footprint(self):
+        # The two-input rewrite only changes the DAG handed on.
         formula = random_ksat(10, 30, k=3, seed=32)
-        raw = optimize(formula, regularize=False)
+        pruned, _, _ = prune_logic_dag(formula)
         regular = optimize(formula)
-        assert raw.memory_after == regular.memory_after == raw.dag.memory_footprint()
-        assert not is_two_input(raw.dag)
+        assert regular.memory_after == pruned.memory_footprint()
+        assert not is_two_input(pruned)
         assert is_two_input(regular.dag)
 
     def test_empty_footprint_reports_no_reduction(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.system import PipelineResult, TwoLevelPipeline
+from repro.core.system.pipeline import HANDOFF_S
 from repro.hmm.model import HMM
 from repro.logic.generators import pigeonhole, random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
@@ -26,7 +27,7 @@ class TestTwoLevelPipeline:
         assert overlapped.overlap_saved_s > 0
 
     def test_steady_state_tracks_bottleneck_stage(self):
-        pipeline = TwoLevelPipeline(handoff_s=0.0)
+        pipeline = TwoLevelPipeline()
         result = pipeline.run([0.01] * 100, [0.05] * 100)
         # Per-task cost approaches the symbolic stage time.
         assert result.total_s / 100 == pytest.approx(0.05, rel=0.05)
@@ -52,15 +53,15 @@ class TestTwoLevelPipeline:
             assert type(getattr(from_arrays, field)) is float, field
 
     def test_single_task_has_nothing_to_overlap(self):
-        pipeline = TwoLevelPipeline(handoff_s=0.001)
+        pipeline = TwoLevelPipeline()
         pipelined = pipeline.run([0.2], [0.3])
         serial = pipeline.run([0.2], [0.3], pipelined=False)
         assert pipelined.total_s == pytest.approx(serial.total_s)
         assert pipelined.overlap_saved_s == pytest.approx(0.0)
 
     def test_serial_charges_one_handoff_per_task(self):
-        result = TwoLevelPipeline(handoff_s=0.5).run([1.0, 2.0], [3.0, 4.0], pipelined=False)
-        assert result == PipelineResult(11.0, 3.0, 7.0, 0.0)
+        result = TwoLevelPipeline().run([1.0, 2.0], [3.0, 4.0], pipelined=False)
+        assert result == PipelineResult(10.0 + 2 * HANDOFF_S, 3.0, 7.0, 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -71,7 +72,7 @@ class TestTwoLevelPipeline:
     def test_pipelined_total_between_bottleneck_and_serial(self, stages):
         neural = [n for n, _ in stages]
         symbolic = [s for _, s in stages]
-        pipeline = TwoLevelPipeline(handoff_s=0.0)
+        pipeline = TwoLevelPipeline()
         overlapped = pipeline.run(neural, symbolic)
         serial = pipeline.run(neural, symbolic, pipelined=False)
         tolerance = 1e-9

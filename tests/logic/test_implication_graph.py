@@ -32,12 +32,6 @@ class TestBinaryImplicationGraph:
         assert graph.reaches_any(1, {2})
         assert not graph.reaches_any(1, {1})  # 1 → 2 → 1 returns to the start
 
-    def test_failed_literal_detection(self):
-        # x1 → x2 and x1 → ¬x2, so asserting x1 fails.
-        formula = CNF([Clause([-1, 2]), Clause([-1, -2])])
-        graph = BinaryImplicationGraph(formula)
-        assert 1 in graph.failed_literals([1, 2])
-
 
 class TestHiddenLiteralPruning:
     def test_drops_hidden_literal(self):
@@ -76,14 +70,11 @@ class TestHiddenLiteralPruning:
         assert pruned.num_literals < wide.num_literals
 
     def test_skips_wide_clauses(self):
-        formula = CNF([Clause([-1, 2]), Clause(list(range(1, 10)))])
-        _, report = prune_hidden_literals(formula, max_clause_width=4)
-        assert report.literals_removed == 0
-
-    def test_report_changed_flag(self):
-        formula = CNF([Clause([1, 2, 3])])
-        _, report = prune_hidden_literals(formula)
-        assert not report.changed
+        # 1 → 2 hides literal 1, but only in a clause of at most 64.
+        narrow = CNF([Clause([-1, 2]), Clause(list(range(1, 65)))])
+        assert prune_hidden_literals(narrow)[1].literals_removed == 1
+        wide = CNF([Clause([-1, 2]), Clause(list(range(1, 66)))])
+        assert prune_hidden_literals(wide)[1].literals_removed == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -92,17 +83,4 @@ class TestHiddenLiteralPruning:
         pruned, report = prune_hidden_literals(formula)
         before, _ = solve_cnf(formula)
         after, _ = solve_cnf(pruned)
-        assert before is after
-
-
-class TestFailedLiterals:
-    def test_conditioning_on_failed_literals_preserves_satisfiability(self):
-        formula = CNF([Clause([-1, 2]), Clause([-1, -2]), Clause([1, 3])])
-        failed = BinaryImplicationGraph(formula).failed_literals([1, 2, 3])
-        assert failed == [1, -3]  # each forces both 2 and -2
-        conditioned = formula
-        for literal in failed:
-            conditioned = conditioned.condition(-literal)
-        before, _ = solve_cnf(formula)
-        after, _ = solve_cnf(conditioned)
         assert before is after

@@ -43,7 +43,7 @@ def sweep(formula):
     pruned, report = prune_hidden_literals(formula)
     return (
         [clause.literals for clause in pruned.clauses],
-        (report.literals_removed, report.clauses_removed, report.failed_literals),
+        (report.literals_removed, report.clauses_removed),
     )
 
 

@@ -85,10 +85,6 @@ class TestDPLL:
         assert formula.is_satisfied_by(with_pure.solve(formula))
         assert with_pure.stats.decisions == 0
         assert with_pure.stats.pure_eliminations > 0
-        without = DPLLSolver(use_pure_literal=False)
-        assert formula.is_satisfied_by(without.solve(formula))
-        assert without.stats.decisions > 0
-        assert without.stats.pure_eliminations == 0
 
     def test_stats_reset_on_every_solve(self):
         solver = DPLLSolver()
@@ -101,13 +97,6 @@ class TestDPLL:
     @given(small_cnf())
     def test_agrees_with_brute_force(self, formula):
         assert (DPLLSolver().solve(formula) is not None) == brute_force_sat(formula)
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_cnf())
-    def test_branching_alone_agrees_with_brute_force(self, formula):
-        solver = DPLLSolver(use_pure_literal=False)
-        assert (solver.solve(formula) is not None) == brute_force_sat(formula)
-        assert solver.stats.pure_eliminations == 0
 
 
 class TestCDCL:

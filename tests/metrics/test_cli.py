@@ -12,7 +12,9 @@ from repro.metrics.__main__ import main
 @pytest.fixture
 def snapshot_file(tmp_path):
     registry = MetricsRegistry()
-    registry.counter("demo_total", "Demo.", backend="reason").inc(4)
+    counter = registry.counter("demo_total", "Demo.", backend="reason")
+    for _ in range(4):
+        counter.inc()
     registry.histogram("demo_seconds").observe(0.002)
     snapshot = registry.snapshot()
     path = tmp_path / "a.json"
@@ -46,12 +48,22 @@ class TestShow:
         path.write_text('{"version": 42}')
         assert main(["show", str(path)]) == 2
 
+    def test_a_directory_is_bad_input(self, tmp_path, capsys):
+        assert main(["show", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDiffCommand:
     def test_identical_exits_zero(self, snapshot_file, capsys):
         path, _ = snapshot_file
         assert main(["diff", str(path), str(path)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_a_directory_is_bad_input_not_a_drift(self, snapshot_file, tmp_path, capsys):
+        path, _ = snapshot_file
+        assert main(["diff", str(tmp_path), str(tmp_path)]) == 2
+        assert main(["diff", str(path), str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_injected_regression_exits_one(self, snapshot_file, tmp_path, capsys):
         path, snapshot = snapshot_file

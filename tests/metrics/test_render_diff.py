@@ -19,8 +19,10 @@ from repro.metrics import (
 @pytest.fixture
 def snapshot():
     registry = MetricsRegistry()
-    registry.counter("reason_requests_total", "Requests.", backend="reason").inc(5)
-    registry.counter("reason_requests_total", "Requests.", backend="gpu").inc(2)
+    for backend, requests in (("reason", 5), ("gpu", 2)):
+        counter = registry.counter("reason_requests_total", "Requests.", backend=backend)
+        for _ in range(requests):
+            counter.inc()
     registry.register_callback("reason_queue_depth", lambda: 3.0)
     hist = registry.histogram("reason_latency_seconds", "Latency.")
     for value in (0.001, 0.002, 0.004, 0.032):

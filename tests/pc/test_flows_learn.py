@@ -256,10 +256,10 @@ def per_leaf_loop(plan, columns):
     return values
 
 
-def reference_em_step(circuit, dataset, smoothing):
+def reference_em_step(circuit, dataset):
     """One EM iteration written one input at a time (the loop
     ``fit_em`` replaced): scalar bottom-up values, that input's node
-    flows, counts added in dataset order."""
+    flows, counts added in dataset order from a 0.1 pseudo-count."""
     nodes = circuit.topological_order()
     counts = {}
     for node in nodes:
@@ -284,10 +284,10 @@ def reference_em_step(circuit, dataset, smoothing):
                     counts[node.node_id][value] += flows[node.node_id]
     for node in nodes:
         if isinstance(node, SumNode):
-            smoothed = counts[node.node_id] + smoothing
+            smoothed = counts[node.node_id] + 0.1
             node.weights = smoothed / smoothed.sum()
         elif isinstance(node, LeafNode):
-            smoothed = counts[node.node_id] + smoothing
+            smoothed = counts[node.node_id] + 0.1
             node.probabilities = smoothed / smoothed.sum()
 
 
@@ -318,8 +318,8 @@ class TestEM:
         batch = random_circuit(num_vars, seed=seed, **shape)
         loop = random_circuit(num_vars, seed=seed, **shape)
         for _ in range(3):
-            fit_em(batch, data, iterations=1, smoothing=0.07)
-            reference_em_step(loop, data, smoothing=0.07)
+            fit_em(batch, data, iterations=1)
+            reference_em_step(loop, data)
             assert parameters(batch) == parameters(loop)
 
     def test_em_increases_log_likelihood(self):
@@ -334,7 +334,7 @@ class TestEM:
         teacher = random_circuit(4, depth=2, seed=20)
         data = sample_dataset(teacher, 100, seed=21)
         student = random_circuit(4, depth=2, seed=22)
-        _, history = fit_em(student, data, iterations=6, smoothing=0.01)
+        _, history = fit_em(student, data, iterations=6)
         for earlier, later in zip(history, history[1:]):
             assert later >= earlier - 1e-6
 
@@ -345,9 +345,9 @@ class TestEM:
         assert partition_function(circuit) == pytest.approx(1.0)
 
     def test_fit_em_reproduces_recorded_parameters(self):
-        # Recorded at 26a2d5e, where EM walked the samples one by one:
-        # every learned weight and leaf table (digest over their bytes
-        # in topological order) and the LL history, bit for bit.
+        # Recorded at 861c41a at EM's 0.1 pseudo-count: every learned
+        # weight and leaf table (digest over their bytes in topological
+        # order) and the LL history, bit for bit.
         teacher = random_circuit(6, depth=2, seed=10)
         data = sample_dataset(teacher, 60, seed=11)
         for j, evidence in enumerate(data):
@@ -356,7 +356,7 @@ class TestEM:
             elif j % 7 == 0:
                 evidence[j % 6] = None
         student = random_circuit(6, depth=2, seed=12)
-        _, history = fit_em(student, data, iterations=5, smoothing=0.05)
+        _, history = fit_em(student, data, iterations=5)
         digest = hashlib.sha256()
         for node in student.topological_order():
             if isinstance(node, SumNode):
@@ -364,22 +364,22 @@ class TestEM:
             elif isinstance(node, LeafNode):
                 digest.update(node.probabilities.tobytes())
         assert history == [
-            -3.795960900270495,
-            -3.7242694205961824,
-            -3.680605478098573,
-            -3.654171542942619,
-            -3.6316943291499086,
+            -3.799713360232613,
+            -3.7330590910749715,
+            -3.690812667228959,
+            -3.666202514441882,
+            -3.646536953775189,
         ]
         assert digest.hexdigest() == (
-            "298462ab9de944fc025df1ed485b51ebf2432dec4f6a53a603ce5d0bad37d3ae"
+            "304db499ac5e497413d0cef2cf583016433e4ce95a1fd5765fcdc999836e7019"
         )
 
     def test_one_iteration_of_fit_em_is_one_em_step(self):
         data = sample_dataset(random_circuit(4, depth=2, seed=40), 30, seed=41)
         stepped = random_circuit(4, depth=2, seed=42)
         fitted = random_circuit(4, depth=2, seed=42)
-        reference_em_step(stepped, data, smoothing=0.2)
-        _, history = fit_em(fitted, data, iterations=1, smoothing=0.2)
+        reference_em_step(stepped, data)
+        _, history = fit_em(fitted, data, iterations=1)
         assert parameters(stepped) == parameters(fitted)
         mean_ll = sum(log_likelihood(stepped, x) for x in data) / len(data)
         assert history == [mean_ll]
@@ -388,7 +388,7 @@ class TestEM:
         # Single Bernoulli: EM should match the empirical frequency.
         circuit = Circuit(bernoulli_leaf(0, 0.5))
         data = [{0: 1}] * 80 + [{0: 0}] * 20
-        fit_em(circuit, data, iterations=3, smoothing=1e-6)
+        fit_em(circuit, data, iterations=3)
         assert likelihood(circuit, {0: 1}) == pytest.approx(0.8, abs=0.01)
 
     @pytest.mark.parametrize("value", [7, -1, -(2**63)])

@@ -17,12 +17,6 @@ class TestProfileWorkload:
             workload.symbolic_runtime_share, abs=0.01
         )
 
-    def test_uncalibrated_share_is_model_driven(self):
-        profile = profile_workload(
-            AlphaGeometryWorkload(), RTX_A6000, calibrate_to_paper_share=False
-        )
-        assert 0.0 <= profile.symbolic_share <= 1.0
-
     def test_orin_slower_than_a6000(self):
         workload = AlphaGeometryWorkload()
         fast = profile_workload(workload, RTX_A6000)

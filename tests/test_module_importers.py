@@ -1,5 +1,5 @@
-"""Every module, function and class under ``src/repro`` is reached from a
-front door.
+"""Every module, function, class and option under ``src/repro`` is
+reached from a front door.
 
 Code that only tests call can break without any report noticing.  These
 tests read source with ``ast`` only (nothing is imported) and ask whether
@@ -21,16 +21,30 @@ are entry points and need no importer.
 
 Names.  Every top-level function and class, and every public method or
 property of a public top-level class, of a non-``__init__`` file of
-``src/repro`` needs a front door that references its name: an
-``ast.Name``, an ``ast.Attribute`` attribute or an import alias.  A
-reference inside the definition's own body does not count, and neither
-does a package ``__init__``'s re-export of it.  Dispatch by name is
-exempt by rule: dunder methods and the methods of a private class are
-not public (the verifier's ``_Machine`` handlers are looked up by
-instruction kind), and neither are the ``visit_*`` methods of an
-``ast.NodeVisitor`` subclass.  Whatever else stays is public API that no
-front door calls: it is listed in :data:`ALLOWLIST` with a reason and
-named in the README's "Public API outside the front doors" list.
+``src/repro`` needs a front door that references its name.  A function
+or class is referenced by an ``ast.Name``, an ``ast.Attribute``
+attribute or an import alias; a method or property only by an
+attribute or a ``getattr(x, "name")`` with a constant name, so a local
+variable that shares its name does not reach it.  A reference inside
+the definition's own body does not count, and neither does a package
+``__init__``'s re-export of it.  Dispatch by name is exempt by rule:
+dunder methods and the methods of a private class are not public (the
+verifier's ``_Machine`` handlers are looked up by instruction kind),
+and neither are the ``visit_*`` methods of an ``ast.NodeVisitor``
+subclass.
+
+Parameters.  Every defaulted parameter of a checked function, method or
+class ``__init__`` needs a front-door call to a callee of that name
+that passes it: by keyword, by position (``self`` / ``cls`` aside) or
+through an import alias of the callee.  A call with ``*args`` or
+``**kwargs`` passes everything, erring on the side of keeping.  The
+parameters of an allowlisted definition are exempt; dataclass fields
+are records, not call sites, and out of scope.
+
+Whatever else stays is public API that no front door uses: it is listed
+in :data:`ALLOWLIST` with a reason (a parameter as
+``Qualified.name(parameter)``) and named in the README's "Public API
+outside the front doors" list.
 """
 
 import ast
@@ -41,17 +55,45 @@ ROOT = Path(__file__).resolve().parent.parent
 IMPORTER_DIRS = ("src/repro", "bench", "benchmarks", "examples")
 README_SECTION = "Public API outside the front doors"
 
-#: Reached by no front door, kept on purpose: name → reason.
+#: Reached or passed by no front door, kept on purpose: name → reason.
 ALLOWLIST = {
     "verify_execution": "the verifier's check of a ProgramRun against its program",
     "expected_energy_events": "the energy deltas verify_execution holds a run to",
     "read_trace": "decodes a whole trace into records for a caller",
     "wait_all": "resolves the futures submit() returned, in submission order",
+    "list_backends": "the registered names run(..., backend=...) accepts",
     "HMM.validate_stochastic": "input checking for a hand-built HMM",
     "ReasonSession.executions": "how many times the accelerator model ran",
     "RequestSpan.e2e_s": "a span's latency; the service reads it by name",
     "RequestSpan.latency_residual": "a span's cost-model error; read by name",
     "RequestSpan.energy_residual": "a span's energy-model error; read by name",
+    "ServiceStats.expired": "requests failed by their deadline; README and drills read it",
+    # The pinned CDCL runs of test_search_identity.py set it.
+    "CDCLSolver.solve(assumptions)": "solves under assumed literals",
+    # Collaborators tests substitute with fakes, and deployment settings.
+    "ReasonService(faults)": "the chaos schedule a drill injects",
+    "ReasonService(retry)": "the retry policy a deployment chooses",
+    "ReasonService(breaker)": "the store circuit breaker a deployment tunes",
+    "ReasonService(cost_model)": "a cost model shared across services",
+    "ReasonService(config)": "the accelerator configuration served",
+    "ReasonService(trace_dir)": "where trace=True requests write their traces",
+    "ReasonService(stats_window)": "how many settled requests stats() summarizes",
+    "ResilientStore(breaker)": "the circuit breaker guarding a store",
+    "FaultPlan(seed)": "the chaos schedule's root seed",
+    "FaultPlan(compile_error_rate)": "a chaos drill's compile fault rate",
+    "FaultPlan(execute_error_rate)": "a chaos drill's execution fault rate",
+    "FaultPlan(latency_rate)": "a chaos drill's slow-execution rate",
+    "FaultPlan(latency_s)": "how long a slow execution sleeps",
+    "FaultPlan(crash_rate)": "a chaos drill's worker crash rate",
+    "FaultPlan(store_error_rate)": "a chaos drill's store fault rate",
+    "FaultPlan(store_corrupt_rate)": "a chaos drill's disk corruption rate",
+    "FaultPlan(max_injections)": "caps each site's injected faults",
+    # Waits: synchronisation code bounds them.
+    "ReasonService.drain(timeout)": "bounds a wait for admitted work",
+    "ReasonFuture.report(timeout)": "bounds a wait for one report",
+    "ReasonService.close(wait)": "whether close waits for the workers",
+    "ReasonSession(verify)": "the static-verifier gate on every compile",
+    "random_ksat(k)": "clause width; the implication-graph tests need 2-SAT",
 }
 
 
@@ -77,16 +119,76 @@ def bindings(tree: ast.Module) -> dict:
     return bound
 
 
+def is_getattr(node: ast.AST) -> bool:
+    """``getattr(x, "name")`` with a constant name."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    )
+
+
 def references(tree: ast.AST):
-    """``(name, line)`` for every name, attribute and import alias."""
+    """``(name, line, by attribute)`` for every name, attribute, import
+    alias and constant ``getattr`` name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                yield alias.name.rsplit(".", 1)[-1], node.lineno
+                yield alias.name.rsplit(".", 1)[-1], node.lineno, False
+        elif is_getattr(node):
+            yield node.args[1].value, node.lineno, True
+
+
+def calls(tree: ast.AST):
+    """``(callee, line, positional count, keywords, starred)`` for every
+    call by name or attribute, an import alias read as the name it
+    imports; a call with ``*args`` or ``**kwargs`` is starred."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            callee = aliases.get(node.func.id, node.func.id)
+        elif isinstance(node.func, ast.Attribute):
+            callee = node.func.attr
+        else:
+            continue
+        keywords = {keyword.arg for keyword in node.keywords}
+        starred = None in keywords or any(
+            isinstance(argument, ast.Starred) for argument in node.args
+        )
+        yield callee, node.lineno, len(node.args), keywords, starred
+
+
+def defaulted(function: ast.AST, method: bool):
+    """``(parameter, position)`` for every defaulted parameter of a def;
+    the position leaves out a method's ``self`` / ``cls`` and is ``None``
+    for a keyword-only parameter."""
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    shift = method and not any(
+        isinstance(decorator, ast.Name) and decorator.id == "staticmethod"
+        for decorator in function.decorator_list
+    )
+    first_default = len(positional) - len(arguments.defaults)
+    for index, argument in enumerate(positional[first_default:], first_default):
+        yield argument.arg, index - shift
+    for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+        if default is not None:
+            yield argument.arg, None
 
 
 def span(node: ast.AST) -> range:
@@ -103,25 +205,31 @@ def is_node_visitor(node: ast.ClassDef) -> bool:
     )
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def definitions(tree: ast.Module):
-    """``(qualified name, name, lines)`` for every top-level function and
-    class and every public method or property of a public top-level
-    class."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    """``(qualified name, name, lines, def)`` for every top-level
+    function and class and every public method or property of a public
+    top-level class; ``def`` is the node whose parameters a call passes
+    (a class's ``__init__``, or ``None`` if it has none)."""
     for node in tree.body:
-        if not isinstance(node, functions + (ast.ClassDef,)):
+        if isinstance(node, FUNCTIONS):
+            yield node.name, node.name, span(node), node
+        if not isinstance(node, ast.ClassDef):
             continue
-        yield node.name, node.name, span(node)
-        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+        init = [item for item in node.body if getattr(item, "name", "") == "__init__"]
+        yield node.name, node.name, span(node), (init or [None])[0]
+        if node.name.startswith("_"):
             continue
         visitor = is_node_visitor(node)
         for item in node.body:
             if (
-                isinstance(item, functions)
+                isinstance(item, FUNCTIONS)
                 and not item.name.startswith("_")
                 and not (visitor and item.name.startswith("visit_"))
             ):
-                yield f"{node.name}.{item.name}", item.name, span(item)
+                yield f"{node.name}.{item.name}", item.name, span(item), item
 
 
 class SourceTree:
@@ -165,16 +273,23 @@ class SourceTree:
                 out |= {alias.name for alias in node.names if alias.name in self.modules}
         return out
 
+    def own_code(self, package: str) -> list:
+        """A package ``__init__``'s statements outside its import lines
+        and ``__all__``."""
+        return [
+            statement
+            for statement in parse(self.modules[package]).body
+            if not isinstance(statement, (ast.Import, ast.ImportFrom))
+            and not is_all(statement)
+        ]
+
     def own_code_names(self, package: str) -> set:
-        """Names a package ``__init__`` uses outside its import lines and
-        ``__all__``."""
-        names = set()
-        for statement in parse(self.modules[package]).body:
-            if not isinstance(statement, (ast.Import, ast.ImportFrom)) and not is_all(
-                statement
-            ):
-                names |= {name for name, _ in references(statement)}
-        return names
+        """Names a package ``__init__`` uses in its own code."""
+        return {
+            name
+            for statement in self.own_code(package)
+            for name, _, _ in references(statement)
+        }
 
     def used_by_own_code(self, package: str) -> set:
         """Modules reached by the names a package ``__init__`` uses in its
@@ -207,34 +322,76 @@ class SourceTree:
         }
         return sorted(subjects - used)
 
-    def unreached_names(self) -> list:
-        """Qualified names of the definitions no front door references."""
-        # name → {(file, line)} of every reference a front door makes
-        where = {}
+    def front_door_code(self):
+        """``(file, tree)`` for every front door; a package ``__init__``'s
+        own code has file ``None``, its names read as the originals it
+        re-exports."""
         for path in self.importer_files():
-            for name, line in references(parse(path)):
-                where.setdefault(name, set()).add((path, line))
+            yield path, parse(path)
         for package in self.packages:
-            for name in self.own_code_names(package):
-                original = self.reexports[package].get(name, (None, name))[1]
-                where.setdefault(original, set()).add((None, 0))
-        out = []
+            bound = self.reexports[package]
+            body = ast.Module(self.own_code(package), [])
+            for node in ast.walk(body):
+                if isinstance(node, ast.Name) and node.id in bound:
+                    node.id = bound[node.id][1]
+            yield None, body
+
+    def subjects(self):
+        """``(file, definition)`` for every definition the gate checks."""
         for path in self.modules.values():
-            if path.name == "__init__.py":
+            if path.name != "__init__.py":
+                for definition in definitions(parse(path)):
+                    yield path, definition
+
+    def unreached_names(self) -> list:
+        """Qualified names of the definitions no front door references; a
+        method only by attribute."""
+        # name → {(file, line, by attribute)} of every front-door reference
+        where = {}
+        for file, tree in self.front_door_code():
+            for name, line, by_attribute in references(tree):
+                where.setdefault(name, set()).add((file, line, by_attribute))
+        out = []
+        for path, (qualified, name, lines, _) in self.subjects():
+            method = "." in qualified
+            if not any(
+                (file != path or line not in lines) and (by_attribute or not method)
+                for file, line, by_attribute in where.get(name, ())
+            ):
+                out.append(qualified)
+        return sorted(out)
+
+    def unpassed_parameters(self, exempt=()) -> list:
+        """``Qualified.name(parameter)`` for every defaulted parameter that
+        no front-door call to a callee of that name passes, the parameters
+        of an ``exempt`` definition aside."""
+        # callee → [(file, line, positional count, keywords, starred)]
+        passes = {}
+        for file, tree in self.front_door_code():
+            for callee, *call in calls(tree):
+                passes.setdefault(callee, []).append((file, *call))
+        out = []
+        for path, (qualified, name, lines, function) in self.subjects():
+            if function is None or qualified in exempt:
                 continue
-            for qualified, name, lines in definitions(parse(path)):
+            outside = [
+                call for call in passes.get(name, ()) if call[0] != path or call[1] not in lines
+            ]
+            method = "." in qualified or function.name == "__init__"
+            for parameter, position in defaulted(function, method):
                 if not any(
-                    file != path or line not in lines
-                    for file, line in where.get(name, ())
+                    starred or parameter in keywords or (position is not None and position < count)
+                    for _, _, count, keywords, starred in outside
                 ):
-                    out.append(qualified)
+                    out.append(f"{qualified}({parameter})")
         return sorted(out)
 
 
 def allowlist_findings(unreached: list, allowlist: dict) -> tuple:
     """``(unreached names the allowlist lacks, allowlisted names that are
     reached or no longer defined)``: the gate passes when both are
-    empty."""
+    empty.  A parameter no front door passes counts as an unreached
+    name."""
     return (
         sorted(set(unreached) - set(allowlist)),
         sorted(set(allowlist) - set(unreached)),
@@ -258,9 +415,11 @@ def test_every_module_has_a_real_importer():
 
 
 def test_every_name_is_reached_from_a_front_door():
-    unlisted, stale = allowlist_findings(SourceTree(ROOT).unreached_names(), ALLOWLIST)
-    assert not unlisted, f"reached by no front door and not allowlisted: {unlisted}"
-    assert not stale, f"allowlisted but reached or gone: {stale}"
+    tree = SourceTree(ROOT)
+    findings = tree.unreached_names() + tree.unpassed_parameters(exempt=ALLOWLIST)
+    unlisted, stale = allowlist_findings(findings, ALLOWLIST)
+    assert not unlisted, f"reached or passed by no front door and not allowlisted: {unlisted}"
+    assert not stale, f"allowlisted but reached, passed or gone: {stale}"
 
 
 def test_every_allowlisted_name_is_in_the_readme():
@@ -485,3 +644,117 @@ def test_a_main_module_needs_no_importer(tmp_path):
     )
     assert tree.unimported_modules() == []
     assert tree.unreached_names() == []
+
+
+def test_a_local_variable_named_like_a_method_does_not_reach_it(tmp_path):
+    tree = write_tree(
+        tmp_path,
+        {
+            "src/repro/m.py": (
+                "class Reader:\n    def window(self):\n        return 1\n\n\n"
+                "def window():\n    return 2\n"
+            ),
+            "examples/demo.py": (
+                "from repro.m import Reader\n\nwindow = 4096\nReader()\nprint(window)\n"
+            ),
+        },
+    )
+    # The bare name still reaches the function of that name.
+    assert tree.unreached_names() == ["Reader.window"]
+
+
+def test_a_constant_getattr_reaches_a_method(tmp_path):
+    tree = write_tree(
+        tmp_path,
+        {
+            "src/repro/m.py": (
+                "class Stats:\n"
+                "    @property\n    def expired(self):\n        return 0\n\n"
+                "    @property\n    def failed(self):\n        return 0\n"
+            ),
+            "examples/demo.py": (
+                "from repro.m import Stats\n\n"
+                "name = 'failed'\n"
+                "getattr(Stats(), 'expired'), getattr(Stats(), name)\n"
+            ),
+        },
+    )
+    assert tree.unreached_names() == ["Stats.failed"]
+
+
+OPTIONS = (
+    "def solve(formula, budget=10, *, seed=0):\n    pass\n\n\n"
+    "class Prover:\n"
+    "    def __init__(self, width=12, depth=3):\n        pass\n\n"
+    "    def prove(self, goal, limit=None):\n        pass\n\n"
+    "    @staticmethod\n    def parse(text, strict=False):\n        pass\n"
+)
+
+
+def test_a_parameter_passed_by_keyword_position_or_kwargs_counts(tmp_path):
+    tree = write_tree(
+        tmp_path,
+        {
+            "src/repro/m.py": OPTIONS,
+            "examples/demo.py": (
+                "from repro.m import Prover, solve as run\n\n"
+                "run(None, seed=1)\n"  # keyword, through an import alias
+                "prover = Prover(16)\n"  # position, self aside
+                "prover.prove(None, None)\n"
+                "Prover.parse('', True)\n"  # a static method has no self
+                "options = {}\n"
+                "run(None, **options)\n"  # **kwargs passes everything
+            ),
+        },
+    )
+    assert tree.unpassed_parameters() == ["Prover(depth)"]
+
+
+def test_a_parameter_only_a_test_passes_is_listed(tmp_path):
+    tree = write_tree(
+        tmp_path,
+        {
+            "src/repro/m.py": OPTIONS,
+            "examples/demo.py": (
+                "from repro.m import Prover, solve\n\n"
+                "solve(None, 5, seed=1)\n"
+                "Prover(*[16, 4]).prove(None, limit=3)\n"
+                "Prover.parse('', strict=True)\n"
+            ),
+            "tests/test_m.py": "from repro.m import solve\n\nsolve(None, budget=5)\n",
+        },
+    )
+    assert tree.unpassed_parameters() == []
+    tree = write_tree(
+        tmp_path, {"examples/demo.py": "from repro.m import Prover, solve\n\nsolve(None)\n"}
+    )
+    assert tree.unpassed_parameters() == [
+        "Prover(depth)",
+        "Prover(width)",
+        "Prover.parse(strict)",
+        "Prover.prove(limit)",
+        "solve(budget)",
+        "solve(seed)",
+    ]
+    assert tree.unpassed_parameters(exempt={"Prover", "Prover.parse"}) == [
+        "Prover.prove(limit)",
+        "solve(budget)",
+        "solve(seed)",
+    ]
+
+
+def test_a_call_inside_its_own_body_does_not_pass(tmp_path):
+    tree = write_tree(
+        tmp_path,
+        {
+            "src/repro/m.py": "def walk(node, depth=0):\n    return walk(node, depth + 1)\n",
+            "examples/demo.py": "from repro.m import walk\n\nwalk(None)\n",
+        },
+    )
+    assert tree.unpassed_parameters() == ["walk(depth)"]
+
+
+def test_an_allowlisted_parameter_missing_from_the_readme_fails():
+    readme = f"## {README_SECTION}\n\n- `solve(seed)`: listed.\n\n## Next\n"
+    allowlist = {"solve(seed)": "kept", "Prover(depth)": "kept"}
+    assert missing_from_readme(allowlist, readme) == ["Prover(depth)"]
