@@ -5,8 +5,8 @@ call ``session.run(kernel)`` — the kernel adapter runs the Stage 1-3
 algorithm optimizations (unified DAG → adaptive pruning → two-input
 regularization), compiles for the tree-PE array, and executes on the
 accelerator model — then cross-check the same kernel on the software
-CDCL reference and the GPU/CPU/roofline cost models, and replay it from
-the compile cache.
+CDCL reference and the GPU/CPU/roofline cost models, replay it from
+the compile cache, and run it as a pipelined batch.
 
 Run:  python examples/quickstart.py
 """
@@ -53,6 +53,13 @@ def main() -> None:
     print(
         f"compile cache: {stats.hits} hits / {stats.lookups} lookups "
         f"({stats.hit_rate:.0%} hit rate, front end ran {session.prepare_calls}x)"
+    )
+
+    # 6. A pipelined batch: eight copies, compiled and executed once.
+    batch = session.run_batch([formula] * 8, queries=4)
+    print(
+        f"batch of {len(batch)}: makespan {batch.total_s * 1e6:.1f} us, "
+        f"{batch.speedup:.2f}x over serial, {batch.hit_rate:.0%} cache hits"
     )
 
 

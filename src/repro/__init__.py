@@ -24,8 +24,8 @@ Package map:
   for async, sharded serving over many sessions;
 * :mod:`repro.costmodel` — predicted per-request latency/energy per
   backend class from compile artifacts, each (kernel, backend) priced
-  from its first execution report; drives the time-aware scheduling
-  policies and heterogeneous (reason/gpu/cpu) shard placement;
+  from its first execution report; charges shard busy time, decides
+  deadline admission and feeds the request spans' residuals;
 * :mod:`repro.trace` — opt-in binary event traces of the accelerator's
   modeled execution (versioned varint/delta wire format, streaming
   reader, offline analysis tools and the ``python -m repro.trace``
@@ -64,7 +64,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

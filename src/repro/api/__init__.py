@@ -10,8 +10,7 @@ backend — and a sharded service when one session isn't enough.
 * :mod:`backends` — the substrate registry (``reason``, ``software``,
   ``gpu``, ``cpu``, ``roofline``) sharing one :class:`ExecutionReport`;
 * :mod:`scheduler` — the placement-policy registry (``round-robin``,
-  ``least-loaded``, ``cache-affinity``, ``predicted-makespan``,
-  ``cost-aware``);
+  ``least-loaded``, ``cache-affinity``);
 * :mod:`cache` — the thread-safe two-level compile cache (local LRU
   over an optional shared store);
 * :mod:`store` — content-addressed artifact stores behind the shared
@@ -24,11 +23,12 @@ backend — and a sharded service when one session isn't enough.
   and the deadline plumbing (:data:`DEADLINE_CLASSES`,
   :func:`resolve_deadline`, :class:`DeadlineExceeded`).
 
-The time-aware policies route on :mod:`repro.costmodel` predictions:
-every service owns a :class:`~repro.costmodel.CostEstimator` that
+Every service owns a :class:`~repro.costmodel.CostEstimator` that
 prices requests per backend class — a (kernel, backend) from the first
 report its shards produce for it, anything else from the static model
-and what its class has cost so far.
+and what its class has cost so far.  Its predictions charge each
+shard's busy time, decide deadline admission and give every span its
+residuals.
 """
 
 from repro.api.adapters import (
@@ -64,9 +64,7 @@ from repro.api.resilience import (
 from repro.api.store import ArtifactStore, DiskStore, SharedStore, make_store
 from repro.api.scheduler import (
     CacheAffinityPolicy,
-    CostAwarePlacementPolicy,
     LeastLoadedPolicy,
-    PredictedMakespanPolicy,
     Request,
     RoundRobinPolicy,
     SchedulingPolicy,
@@ -117,8 +115,6 @@ __all__ = [
     "RoundRobinPolicy",
     "LeastLoadedPolicy",
     "CacheAffinityPolicy",
-    "PredictedMakespanPolicy",
-    "CostAwarePlacementPolicy",
     "get_policy",
     "list_policies",
     "register_policy",

@@ -17,7 +17,7 @@ import struct
 import time
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Real
+from numbers import Integral, Real
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -132,15 +132,36 @@ _OPTION_PARTS = {
 }
 
 
+def check_queries(queries: object) -> None:
+    """Reject a ``queries`` that is not a positive integer: a bool, a
+    float or anything else that is not an :class:`~numbers.Integral`
+    (numpy integers are), or one below 1.  A plain ``int`` skips the
+    abstract-class checks, which cost more than the rest of the test."""
+    if (
+        type(queries) is not int
+        and (isinstance(queries, bool) or not isinstance(queries, Integral))
+    ) or queries < 1:
+        raise ValueError(f"queries must be a positive integer, not {queries!r}")
+
+
+def neural_time(seconds: object, index: int = 0) -> float:
+    """``seconds`` as one task's neural-stage time: a float, finite and
+    ≥ 0, or a ValueError naming its ``index`` in the batch."""
+    seconds = float(seconds)
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(f"neural_s[{index}] is {seconds!r}: it must be finite and >= 0")
+    return seconds
+
+
 def per_kernel_neural_s(count: int, neural_s: Union[float, Sequence[float]]) -> List[float]:
-    """One neural-stage time per kernel of a batch.
+    """One :func:`neural_time` per kernel of a batch.
 
     ``neural_s`` is a scalar broadcast — any 0-d real: a Python or numpy
     number, or a 0-d array — or one value per kernel.
     """
     if isinstance(neural_s, Real) or getattr(neural_s, "ndim", None) == 0:
         neural_s = [neural_s] * count
-    neural_times = [float(t) for t in neural_s]
+    neural_times = [neural_time(t, index) for index, t in enumerate(neural_s)]
     if len(neural_times) != count:
         raise ValueError("need one neural_s per kernel")
     return neural_times
@@ -263,9 +284,6 @@ class CnfAdapter(KernelAdapter):
         )
         return np.fromiter(stream, dtype=np.int64).tobytes()
 
-    def kernel_key(self, kernel: CNF) -> bytes:
-        return self.snapshot_key(self.snapshot(kernel))
-
     def prepare(self, kernel: CNF, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         optimization = None
         working = kernel
@@ -356,12 +374,9 @@ class HmmAdapter(KernelAdapter):
         return b"".join(parts)
 
     def observations_for(self, kernel: HMM, options: RunOptions) -> List[int]:
-        observations = list(
-            options.hmm_observations
-            if options.hmm_observations is not None
-            else range(min(8, kernel.num_observations))
-        )
-        return [o % kernel.num_observations for o in observations]
+        if options.hmm_observations is not None:
+            return list(options.hmm_observations)
+        return list(range(min(8, kernel.num_observations)))
 
     def prepare(self, kernel: HMM, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         observations = self.observations_for(kernel, options)

@@ -246,9 +246,3 @@ class CompileCache:
         if self.capacity is not None and len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop the local level (the shared store, if any, is left
-        intact — other caches may still be serving from it)."""
-        with self._lock:
-            self._entries.clear()

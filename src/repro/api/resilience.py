@@ -300,7 +300,7 @@ class ResilientStore(ArtifactStore):
     """Degrade store trouble to shard-local caching, never to failure.
 
     Wraps any :class:`~repro.api.store.ArtifactStore` so that an error
-    in ``get``/``put``/``__contains__`` becomes a miss / no-op instead
+    in ``get``/``put``/``len`` becomes a miss / no-op / zero instead
     of propagating into the request: the compile factory still runs,
     the request still succeeds, only the *sharing* is lost.  Errors
     feed a :class:`CircuitBreaker`; while it is open the inner store
@@ -346,17 +346,8 @@ class ResilientStore(ArtifactStore):
     def put(self, key, artifact) -> None:
         self._guarded(lambda: self.inner.put(key, artifact), None)
 
-    def __contains__(self, key) -> bool:
-        return bool(self._guarded(lambda: key in self.inner, False))
-
     def __len__(self) -> int:
         return int(self._guarded(lambda: len(self.inner), 0))
-
-    def keys(self):
-        return self._guarded(lambda: self.inner.keys(), [])
-
-    def clear(self) -> None:
-        self._guarded(lambda: self.inner.clear(), None)
 
     def attach_metrics(self, registry) -> None:
         """Mirror this store into a live-metrics registry

@@ -14,9 +14,9 @@ layer::
 Each shard owns a private :class:`ReasonSession` (its own compile
 cache) fed by a bounded admission queue and drained by a dedicated
 worker thread.  A pluggable :class:`~repro.api.scheduler.SchedulingPolicy`
-(round-robin, least-loaded, cache-affinity, predicted-makespan,
-cost-aware) places every request; admission applies backpressure —
-when the chosen shard's queue is full, ``submit`` blocks (or raises
+(round-robin, least-loaded, cache-affinity) places every request;
+admission applies backpressure — when the chosen shard's queue is
+full, ``submit`` blocks (or raises
 :class:`ServiceOverloaded` after ``timeout``), so producers can't
 outrun the accelerators unboundedly.
 
@@ -28,7 +28,8 @@ whatever substrate their shard owns.  A
 :class:`~repro.costmodel.CostEstimator` (one per service) predicts
 each request's per-backend cost at admission, tracks every shard's
 predicted busy time, and prices each (kernel, backend) from its first
-completed report; the time-aware policies route on those predictions.
+completed report; deadline admission and the request spans' residuals
+read those predictions.
 
 Throughput accounting stays faithful to the paper's overlap model:
 each shard's completed work is composed through its own two-level
@@ -61,7 +62,13 @@ from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Deque, Dict, List, Optional, Union
 
-from repro.api.adapters import RunOptions, adapter_for, per_kernel_neural_s
+from repro.api.adapters import (
+    RunOptions,
+    adapter_for,
+    check_queries,
+    neural_time,
+    per_kernel_neural_s,
+)
 from repro.api.backends import get_backend
 from repro.api.cache import CacheStats
 from repro.api.futures import ReasonFuture
@@ -84,7 +91,6 @@ from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition, compose_shard_makespans
 from repro.costmodel import CostEstimator
-from repro.costmodel.features import remember
 from repro.metrics.registry import (
     LATENCY_BUCKETS,
     RATIO_BUCKETS,
@@ -442,10 +448,6 @@ class ServiceBatchResult:
     cache_misses: int
 
     @property
-    def per_shard(self) -> List[PipelineResult]:
-        return self.composition.per_shard
-
-    @property
     def total_s(self) -> float:
         """Sharded service makespan (slowest shard's pipeline)."""
         return self.composition.total_s
@@ -459,14 +461,6 @@ class ServiceBatchResult:
     def serial_s(self) -> float:
         """The fully serialized (no-overlap) ablation."""
         return self.composition.serial_s
-
-    @property
-    def neural_s(self) -> float:
-        return self.composition.neural_s
-
-    @property
-    def symbolic_s(self) -> float:
-        return self.composition.symbolic_s
 
     @property
     def speedup(self) -> float:
@@ -495,8 +489,7 @@ class ReasonService:
         substrate, so one service spans heterogeneous devices.
     policy:
         Scheduling policy name (``round-robin`` | ``least-loaded`` |
-        ``cache-affinity`` | ``predicted-makespan`` | ``cost-aware``)
-        or a :class:`SchedulingPolicy` instance.
+        ``cache-affinity``) or a :class:`SchedulingPolicy` instance.
     config:
         Architecture configuration shared by every shard.
     cache_capacity:
@@ -510,8 +503,7 @@ class ReasonService:
         a kernel front-end-compiles once *service-wide* instead of
         once per shard — ``cache-affinity`` routing becomes a locality
         optimization rather than the only defense against N× cold
-        penalties — and admission treats store-resident kernels as
-        warm when pricing cold-compile penalties.
+        penalties.
     max_queue:
         Bound on each shard's admission queue — the backpressure knob.
     stats_window:
@@ -671,17 +663,6 @@ class ReasonService:
         # exactly once per item by whichever actor finishes it, does.
         self._drain_cond = threading.Condition()
         self._outstanding = 0
-        # Fingerprints confirmed store-resident: content-addressed
-        # artifacts never change under a key, so one positive probe
-        # answers every repeat — admission stats a DiskStore at most
-        # once per unique cold kernel, not once per request.  FIFO-
-        # bounded like the cost-aware policy's placement memo; and
-        # like it, the memo is optimistic: emptying the store out from
-        # under a live service leaves stale warm flags, which mis-price
-        # predictions (compile charged as 0) but never affect
-        # correctness — shards simply recompile.  (Dict ops are atomic
-        # under the GIL; a racy duplicate probe is harmless.)
-        self._warm_fingerprints: Dict[str, None] = {}
         for shard in self._shards:
             self._start_worker(shard)
 
@@ -826,7 +807,6 @@ class ReasonService:
                 predicted_s=item.predicted_s,
                 predicted_energy_j=request.predicted[item.backend].energy_j,
                 predicted_source=request.predicted[item.backend].source,
-                warm=request.warm,
                 attempts=item.attempts,
                 admitted_at=item.admitted_at,
                 started_at=item.started_at,
@@ -899,7 +879,7 @@ class ReasonService:
         :class:`~repro.api.resilience.DeadlineExceeded`.
         """
         return self._submit(
-            kernel, RunOptions(**option_kwargs), backend, queries, float(neural_s),
+            kernel, RunOptions(**option_kwargs), backend, queries, neural_time(neural_s),
             timeout, deadline_s,
         )  # fmt: skip
 
@@ -949,8 +929,7 @@ class ReasonService:
     ) -> ReasonFuture:
         if self._closed:
             self._reject("closed")
-        if queries < 1:
-            raise ValueError("queries must be >= 1")
+        check_queries(queries)
         deadline_s = resolve_deadline(deadline_s)
         adapter = adapter_for(kernel)
         fingerprint = adapter.fingerprint(kernel, options, self.config)
@@ -961,22 +940,11 @@ class ReasonService:
         # through untouched.
         if options.trace is True and self.trace_dir is not None:
             options = replace(options, trace=str(self.trace_path_for(fingerprint)))
-        # A store-resident artifact makes the kernel warm *service-wide*:
-        # whichever shard the policy picks fetches it instead of paying
-        # the front end, so no placement should be charged a cold
-        # compile penalty for it.
-        warm = self.store is not None and (
-            fingerprint in self._warm_fingerprints or fingerprint in self.store
-        )
-        if warm:
-            remember(self._warm_fingerprints, fingerprint)
         # One prediction per substrate the request could land on: the
         # forced backend, or every distinct shard backend.
         eligible = {backend} if backend is not None else set(self.shard_backends)
         predicted = {
-            name: self.cost_model.predict(
-                fingerprint, name, queries=queries, kind=adapter.kind, warm=warm
-            )
+            name: self.cost_model.predict(fingerprint, name, queries=queries, kind=adapter.kind)
             for name in eligible
         }
         request = Request(
@@ -988,7 +956,6 @@ class ReasonService:
             queries=queries,
             neural_s=neural_s,
             predicted=predicted,
-            warm=warm,
             deadline_s=deadline_s,
         )
         with self._admission_lock:

@@ -26,7 +26,7 @@ import threading
 import time
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.api.adapters import RunOptions, adapter_for, per_kernel_neural_s
+from repro.api.adapters import RunOptions, adapter_for, check_queries, per_kernel_neural_s
 from repro.api.backends import Backend, get_backend
 from repro.api.cache import CacheStats, CompileCache
 from repro.api.store import ArtifactStore
@@ -191,11 +191,6 @@ class ReasonSession:
     # ------------------------------------------------------------ plumbing
 
     @property
-    def store(self) -> Optional[ArtifactStore]:
-        """The shared store behind the local cache level, if any."""
-        return self._cache.store
-
-    @property
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction counters of this session's compile cache."""
         return self._cache.stats
@@ -330,8 +325,7 @@ class ReasonSession:
         this session's config (the service computes it at admission for
         cache-affinity routing), skipping a second content hash.
         """
-        if queries < 1:
-            raise ValueError("queries must be >= 1")
+        check_queries(queries)
         artifact, cache_hit = self._compile(kernel, options, key=fingerprint)
         if self._faults is not None:
             self._faults.execute_fault(fingerprint or artifact.key)

@@ -34,7 +34,7 @@ import re
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.api.types import CompiledArtifact
 
@@ -115,9 +115,8 @@ class ArtifactStore(abc.ABC):
     """Content-addressed map from compile-cache key to artifact.
 
     Subclasses provide plain storage (:meth:`get` / :meth:`put` /
-    :meth:`__contains__` / :meth:`keys` / :meth:`clear`); the base
-    class layers the compile-once guard on top.  Stores keep no
-    hit/miss statistics — accounting is the job of the
+    ``len``); the base class layers the compile-once guard on top.
+    Stores keep no hit/miss statistics — accounting is the job of the
     :class:`~repro.api.cache.CompileCache` level that owns the lookup.
     """
 
@@ -134,22 +133,8 @@ class ArtifactStore(abc.ABC):
         hashes, so concurrent writers store equivalent values)."""
 
     @abc.abstractmethod
-    def __contains__(self, key: str) -> bool:
-        """Stats-free presence probe (admission uses this to decide
-        whether a kernel is warm service-wide)."""
-
-    @abc.abstractmethod
     def __len__(self) -> int:
         """Number of stored artifacts."""
-
-    @abc.abstractmethod
-    def keys(self) -> List[str]:
-        """Stored content keys (path-unsafe keys appear under their
-        sha256 alias in a :class:`DiskStore`)."""
-
-    @abc.abstractmethod
-    def clear(self) -> None:
-        """Drop every stored artifact."""
 
     def fetch_or_compile(
         self, key: str, factory: Callable[[], CompiledArtifact]
@@ -181,21 +166,9 @@ class SharedStore(ArtifactStore):
         with self._lock:
             self._entries[key] = artifact
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def keys(self) -> List[str]:
-        with self._lock:
-            return sorted(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 class DiskStore(ArtifactStore):
@@ -267,25 +240,8 @@ class DiskStore(ArtifactStore):
                 pass
             raise
 
-    def __contains__(self, key: str) -> bool:
-        return self._file_for(key).exists()
-
     def __len__(self) -> int:
-        return len(self.keys())
-
-    def keys(self) -> List[str]:
-        return sorted(
-            entry.name[: -len(self._SUFFIX)]
-            for entry in self.path.iterdir()
-            if entry.name.endswith(self._SUFFIX)
-        )
-
-    def clear(self) -> None:
-        for key in self.keys():
-            try:
-                os.unlink(self.path / f"{key}{self._SUFFIX}")
-            except FileNotFoundError:
-                pass
+        return sum(entry.name.endswith(self._SUFFIX) for entry in self.path.iterdir())
 
 
 def make_store(

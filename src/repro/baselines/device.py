@@ -213,14 +213,3 @@ DPU_LIKE = DeviceModel(
 def all_devices() -> List[DeviceModel]:
     return [XEON_CPU, RTX_A6000, ORIN_NX, V100, A100, TPU_LIKE, DPU_LIKE]
 
-
-def device_named(name: str) -> DeviceModel:
-    """Look a device model up by (case-insensitive) name.  The cost
-    model falls back to this catalog for substrate names that aren't
-    registered backends, so it can price devices nothing serves yet."""
-    wanted = name.strip().lower()
-    for device in all_devices():
-        if device.name.lower() == wanted:
-            return device
-    known = ", ".join(device.name for device in all_devices())
-    raise KeyError(f"unknown device {name!r} (known: {known})")

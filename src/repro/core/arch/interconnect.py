@@ -62,14 +62,6 @@ class LatencyBreakdown:
     def total(self) -> float:
         return self.memory + self.pe + self.peripheries + self.inter_node
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "memory": self.memory,
-            "pe": self.pe,
-            "peripheries": self.peripheries,
-            "inter_node": self.inter_node,
-        }
-
 
 def traversal_latency(topology: Topology, num_leaves: int) -> LatencyBreakdown:
     """Latency breakdown for one reduction pass over ``num_leaves``.

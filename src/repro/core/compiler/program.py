@@ -72,29 +72,3 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
-
-    @property
-    def compute_count(self) -> int:
-        return sum(1 for i in self.instructions if i.kind is InstructionKind.COMPUTE)
-
-    @property
-    def nop_count(self) -> int:
-        return sum(1 for i in self.instructions if i.kind is InstructionKind.NOP)
-
-    @property
-    def memory_op_count(self) -> int:
-        return sum(
-            1
-            for i in self.instructions
-            if i.kind in (InstructionKind.LOAD, InstructionKind.STORE,
-                          InstructionKind.SPILL, InstructionKind.RELOAD)
-        )
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "instructions": len(self.instructions),
-            "compute": self.compute_count,
-            "nops": self.nop_count,
-            "memory_ops": self.memory_op_count,
-            "blocks": self.num_blocks,
-        }

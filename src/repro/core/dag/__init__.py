@@ -10,7 +10,6 @@ three stages.
 
 from repro.core.dag.graph import (
     Dag,
-    DagNode,
     OpType,
     evaluate_dag,
     default_leaf_inputs,
@@ -31,7 +30,6 @@ from repro.core.dag.pipeline import optimize, OptimizationResult
 
 __all__ = [
     "Dag",
-    "DagNode",
     "OpType",
     "evaluate_dag",
     "default_leaf_inputs",

@@ -85,6 +85,7 @@ def hmm_to_dag(
     T = len(observations)
     if T == 0:
         raise ValueError("cannot unroll an empty observation sequence")
+    hmm.check_observations(observations)
     S = hmm.num_states
     dag = Dag()
     add_op = dag.add_op

@@ -19,8 +19,7 @@ derived from them, built once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class OpType(enum.Enum):
@@ -50,33 +49,6 @@ LEAF_OPS = frozenset({OpType.LITERAL, OpType.LEAF, OpType.INPUT})
 # Reading a member off an Enum class is a metaclass lookup; the
 # per-node code below reads these from the module instead.
 _SUM, _LEAF = OpType.SUM, OpType.LEAF
-
-
-@dataclass
-class DagNode:
-    """One node of the unified DAG, as a value.
-
-    ``payload`` depends on the op: a literal for LITERAL, a
-    (variable, probabilities) tuple for LEAF, a name for INPUT.
-    ``weights`` parallels ``children`` on SUM nodes.
-
-    A :class:`Dag` stores no node objects: :meth:`Dag.add` reads one
-    into its columns, and :meth:`Dag.node` / :meth:`Dag.items` build a
-    fresh one from them, so editing a node never changes a DAG.
-    """
-
-    op: OpType
-    children: List[int] = field(default_factory=list)
-    payload: object = None
-    weights: Optional[List[float]] = None
-
-    def __post_init__(self) -> None:
-        weights = self.weights
-        if weights is None:
-            if self.op is _SUM:
-                self.weights = [1.0] * len(self.children)
-        elif len(weights) != len(self.children):
-            raise ValueError("weights must parallel children")
 
 
 def _post_order(children: Sequence[Sequence[int]], root: int) -> List[int]:
@@ -224,22 +196,6 @@ class Dag:
         self._weights.append(weights)
         return node_id
 
-    def add(self, node: DagNode) -> int:
-        """:meth:`add_op` of the node's fields; the DAG keeps copies."""
-        return self.add_op(node.op, node.children, node.payload, node.weights)
-
-    def node(self, node_id: int) -> DagNode:
-        """A new :class:`DagNode` holding copies of the node's columns."""
-        if node_id not in self:
-            raise KeyError(node_id)
-        op = self._ops[node_id]
-        return DagNode(
-            op,
-            list(self._children[node_id]),
-            self._payloads[node_id],
-            list(self._weights[node_id]) if op is _SUM else None,
-        )
-
     def __contains__(self, node_id: int) -> bool:
         return node_id in range(len(self._ops))
 
@@ -252,10 +208,6 @@ class Dag:
         if node_id != self.root:
             self._plan = None
         self.root = node_id
-
-    def items(self) -> Iterator[Tuple[int, DagNode]]:
-        """``(id, node)`` pairs in id order, each node built by :meth:`node`."""
-        return ((node_id, self.node(node_id)) for node_id in range(len(self._ops)))
 
     # --------------------------------------------------------------- queries
 
@@ -270,11 +222,6 @@ class Dag:
                 raise ValueError("DAG has no root")
             plan = self._plan = DagPlan(self, self.root)
         return plan
-
-    def topological_order(self) -> List[int]:
-        """Children-before-parents order of nodes reachable from the
-        root: a copy of ``plan().order``.  Raises if no root is set."""
-        return list(self.plan().order)
 
     @property
     def num_nodes(self) -> int:

@@ -68,7 +68,9 @@ def optimize(
     probabilistic kernels: a list of evidence dicts for circuits, a list
     of observation sequences for HMMs (for HMMs the first calibration
     sequence also defines the unroll length).  Logic kernels prune
-    exactly and need no calibration.
+    exactly and need no calibration.  ``keep_fraction`` is the share of
+    probabilistic structure pruning keeps: both families reject a value
+    outside (0, 1] here.
     """
     if isinstance(kernel, CNF):
         memory_before = cnf_dag_footprint(kernel)
@@ -77,6 +79,9 @@ def optimize(
         return OptimizationResult(
             final, memory_before, pruned_dag.memory_footprint(), report, pruned_cnf
         )
+
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError("keep_fraction must lie in (0, 1]")
 
     if isinstance(kernel, Circuit):
         if not calibration:

@@ -72,12 +72,11 @@ def prune_circuit_by_flow(
 
     Edges are ranked by cumulative flow F_{n,c}(D); the lowest
     ``1 - keep_fraction`` of sum edges are deleted (each sum keeps at
-    least :data:`MIN_SUM_CHILDREN` children).  Surviving weights are
+    least :data:`MIN_SUM_CHILDREN` children; ``optimize`` checks that
+    ``keep_fraction`` lies in (0, 1]).  Surviving weights are
     renormalized.  The report carries the paper's bound
     Δ log L ≤ Σ_pruned F_{n,c}(D)/|D|.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1]")
     flows, count = dataset_edge_flows(circuit, dataset)
     if count == 0:
         raise ValueError("flow pruning needs a non-empty calibration dataset")

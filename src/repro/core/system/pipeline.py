@@ -26,11 +26,6 @@ class PipelineResult:
     symbolic_s: float
     overlap_saved_s: float = 0.0
 
-    @property
-    def symbolic_share(self) -> float:
-        busy = self.neural_s + self.symbolic_s
-        return 0.0 if busy == 0 else self.symbolic_s / busy
-
 
 class TwoLevelPipeline:
     """Task-level GPU/REASON overlap simulator."""

@@ -39,26 +39,9 @@ class ShardComposition:
     serial_s: float
 
     @property
-    def num_shards(self) -> int:
-        return len(self.per_shard)
-
-    @property
-    def neural_s(self) -> float:
-        return sum(result.neural_s for result in self.per_shard)
-
-    @property
-    def symbolic_s(self) -> float:
-        return sum(result.symbolic_s for result in self.per_shard)
-
-    @property
     def speedup(self) -> float:
         """Throughput gain of sharding vs one shard (same overlap model)."""
         return self.single_shard_s / self.total_s if self.total_s > 0 else 1.0
-
-    @property
-    def overlap_saved_s(self) -> float:
-        """What pipelining saved vs strictly serial, at the service level."""
-        return max(self.serial_s - self.total_s, 0.0)
 
     def throughput_rps(self, num_tasks: int) -> float:
         """Modeled requests/second for ``num_tasks`` tasks."""

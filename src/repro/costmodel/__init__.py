@@ -1,9 +1,9 @@
-"""Cost-model subsystem: predicted-time scheduling across substrates.
+"""Cost-model subsystem: predicted per-request cost across substrates.
 
-Queue-depth heuristics treat every request as equal work; mixed
-neuro-symbolic traffic is anything but (a 110-clause SAT replay and a
-3-state HMM differ by orders of magnitude).  This package builds the
-explicit per-resource cost model the serving layer routes on:
+Queue depth treats every request as equal work; mixed neuro-symbolic
+traffic is anything but (a 110-clause SAT replay and a 3-state HMM
+differ by orders of magnitude).  This package builds the explicit
+per-resource cost model the serving layer accounts in:
 
 * :class:`CostFeatures` — what the compiler front end knows about one
   kernel (schedule cycles, CDCL trace ops, roofline profile);
@@ -14,10 +14,10 @@ explicit per-resource cost model the serving layer routes on:
   ``(kind, backend)`` class has cost so far;
 * :class:`CostPrediction` — one such answer, and which rung gave it.
 
-:class:`~repro.api.service.ReasonService` owns an estimator, feeds it
-each pair's first completed request, and hands its predictions to the
-time-aware policies (``predicted-makespan``, ``cost-aware``) in
-:mod:`repro.api.scheduler`.
+:class:`~repro.api.service.ReasonService` owns an estimator and feeds
+it each pair's first completed request.  Its predictions charge each
+shard's busy time, decide deadline admission and give every request
+span its predicted-vs-actual residuals.
 """
 
 from repro.costmodel.estimator import CostEstimator

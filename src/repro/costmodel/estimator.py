@@ -22,13 +22,12 @@ A pair not yet priced falls through a ladder, most specific first:
   model (e.g. the ``software`` reference);
 * a cold-start constant.
 
-The class ratio, the class prior and the per-kind compile prior average
-over *different* kernels, so they are EWMAs — fed by first settles
-only, one sample per priced pair, so a hot kernel does not outvote the
-rest of its class.  The serving layer
-(:class:`~repro.api.service.ReasonService`) feeds first settles
-automatically and hands predictions to the time-aware scheduling
-policies.
+The class ratio and the class prior average over *different* kernels,
+so they are EWMAs — fed by first settles only, one sample per priced
+pair, so a hot kernel does not outvote the rest of its class.  The
+serving layer (:class:`~repro.api.service.ReasonService`) feeds first
+settles automatically; its predictions charge shard busy time and
+decide deadline admission.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Tuple
 
-from repro.baselines.device import DeviceModel, device_named
+from repro.baselines.device import DeviceModel
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.costmodel.features import CostFeatures, CostPrediction, remember
 
@@ -75,7 +74,6 @@ class CostEstimator:
         self._devices: Dict[str, Optional[DeviceModel]] = {}
         self._class_ratio: Dict[Key, float] = {}  # observed / static seconds
         self._class_seconds: Dict[Key, float] = {}  # seconds per query
-        self._compile: Dict[str, float] = {}  # kind → compile seconds
         self._metrics = None
 
     def attach_metrics(self, registry) -> None:
@@ -98,14 +96,11 @@ class CostEstimator:
         )
 
     def _device_for(self, backend: str) -> Optional[DeviceModel]:
-        """Resolve the device model behind an analytic backend name.
-
-        Registered backends win (``gpu`` → the RTX A6000 the gpu
-        backend wraps); names that aren't backends fall back to the
-        device catalog (:func:`~repro.baselines.device.device_named`),
-        so ``predict(fp, "V100")`` prices a substrate nothing serves
-        yet.  Lazy import: the costmodel package stays a leaf
-        (importable before :mod:`repro.api` finishes initializing)."""
+        """The device model behind an analytic backend name (``gpu`` →
+        the RTX A6000 the gpu backend wraps), or None for a backend
+        without one or a name no backend is registered under.  Lazy
+        import: the costmodel package stays a leaf (importable before
+        :mod:`repro.api` finishes initializing)."""
         if backend in self._devices:
             return self._devices[backend]
         from repro.api.backends import get_backend
@@ -113,10 +108,7 @@ class CostEstimator:
         try:
             device = getattr(get_backend(backend), "device", None)
         except KeyError:
-            try:
-                device = device_named(backend)
-            except KeyError:
-                device = None
+            device = None
         self._devices[backend] = device
         return device
 
@@ -147,17 +139,10 @@ class CostEstimator:
         backend: str,
         queries: int = 1,
         kind: Optional[str] = None,
-        warm: bool = False,
     ) -> CostPrediction:
         """Best available per-request cost for one (kernel, backend):
         the pair's own price, else static model × class ratio → class
         prior → cold-start default; see :class:`CostPrediction.source`.
-
-        ``warm=True`` declares the compiled artifact already available
-        to whoever serves the request (e.g. resident in a service's
-        shared :class:`~repro.api.store.ArtifactStore`), so the
-        returned ``compile_s`` is zero: a shared hit is not a cold
-        compile, and placement policies must not charge it as one.
         """
         queries = max(int(queries), 1)
         features = self._features.get(fingerprint)
@@ -179,15 +164,10 @@ class CostEstimator:
                 source = "class-prior"
                 if seconds is None:
                     seconds, source = DEFAULT_S, "default"
-        compile_s = 0.0
-        if not warm:
-            compile_s = features.compile_s if features is not None else 0.0
-            compile_s = compile_s or self._compile.get(kind, 0.0)
         return CostPrediction(
             backend=backend,
             seconds=seconds * queries,
             energy_j=energy_j * queries,
-            compile_s=compile_s,
             queries=queries,
             source=source,
         )
@@ -233,8 +213,6 @@ class CostEstimator:
                 _fold(self._class_ratio, class_key, ratio)
             if seconds >= 0.0:
                 _fold(self._class_seconds, class_key, seconds)
-            if report.compile_s > 0.0:
-                _fold(self._compile, kind, report.compile_s)
             remember(self._prices, key, (seconds, report.energy_j / queries))
         # Outside the lock: the histogram has its own, and the registry
         # lookup must not nest.

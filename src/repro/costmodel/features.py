@@ -4,7 +4,7 @@ Everything the offline flow produces — :class:`CompileStats` (schedule
 cycles), the recorded CDCL trace statistics for logic kernels, and the
 roofline
 :class:`~repro.baselines.device.KernelProfile` — is condensed into one
-flat :class:`CostFeatures` record keyed by the kernel's content-hash
+:class:`CostFeatures` record keyed by the kernel's content-hash
 fingerprint.  The :class:`~repro.costmodel.estimator.CostEstimator`
 predicts per-request latency and energy from these features for each
 backend class; nothing here imports the serving layer, so the record is
@@ -42,41 +42,26 @@ def remember(memo: dict, key, value=None):
 class CostFeatures:
     """Static per-kernel cost descriptors from one compiled artifact.
 
-    ``schedule_cycles`` is the VLIW schedule length for DAG-backed
-    kernels (0 for logic kernels, which replay a CDCL trace instead);
-    ``trace_ops`` is the recorded solver's clause-fetch count (0 for
-    DAG kernels).  ``flops`` / ``bytes_accessed`` / ``launches`` come
-    from the artifact's :class:`KernelProfile` and drive the analytic
-    device backends.
+    ``profile`` is the artifact's roofline :class:`KernelProfile` (the
+    analytic device backends price it); ``schedule_cycles`` is the VLIW
+    schedule length for DAG-backed kernels (0 for logic kernels, which
+    replay a CDCL trace instead); ``trace_ops`` is the recorded solver's
+    clause-fetch count (0 for DAG kernels).
     """
 
     kind: str
-    kernel_class: KernelClass
-    flops: float
-    bytes_accessed: float
-    launches: int
+    profile: KernelProfile
     schedule_cycles: int
     trace_ops: int
-    compile_s: float
-
-    @property
-    def profile(self) -> KernelProfile:
-        """The roofline work profile the device models consume."""
-        return KernelProfile(
-            self.kernel_class,
-            flops=self.flops,
-            bytes_accessed=self.bytes_accessed,
-            launches=self.launches,
-        )
 
     @classmethod
     def from_artifact(cls, artifact) -> "CostFeatures":
         """Extract features from a :class:`CompiledArtifact` (duck-typed
-        so this leaf module never imports the API layer)."""
+        so this leaf module never imports the API layer); an artifact
+        without a profile reads as one unit logic kernel."""
         profile = artifact.profile
-        kernel_class = (
-            profile.kernel_class if profile is not None else KernelClass.LOGIC
-        )
+        if profile is None:
+            profile = KernelProfile(KernelClass.LOGIC, flops=1.0, bytes_accessed=4.0)
         schedule_cycles = 0
         if artifact.compile_stats is not None:
             schedule_cycles = int(artifact.compile_stats.cycles)
@@ -85,13 +70,9 @@ class CostFeatures:
             trace_ops = int(getattr(artifact.solver.stats, "clause_fetches", 0))
         return cls(
             kind=artifact.kind,
-            kernel_class=kernel_class,
-            flops=profile.flops if profile is not None else 1.0,
-            bytes_accessed=profile.bytes_accessed if profile is not None else 4.0,
-            launches=profile.launches if profile is not None else 1,
+            profile=profile,
             schedule_cycles=schedule_cycles,
             trace_ops=trace_ops,
-            compile_s=float(artifact.compile_s),
         )
 
 
@@ -109,7 +90,6 @@ class CostPrediction:
     backend: str
     seconds: float
     energy_j: float = 0.0
-    compile_s: float = 0.0
     queries: int = 1
     source: str = "default"
 

@@ -52,7 +52,7 @@ class FaultInjected(TransientError, RuntimeError):
 
 
 class StoreFault(FaultInjected):
-    """An injected shared-store failure (``get``/``put``/probe)."""
+    """An injected shared-store failure (``get`` / ``put``)."""
 
 
 #: Injection sites a plan tracks, in reporting order.
@@ -102,7 +102,7 @@ class FaultPlan:
         (:class:`~repro.api.resilience.WorkerCrash`) as it picks up a
         request — the supervisor-restart path.
     store_error_rate:
-        Probability a shared-store get/put/probe raises
+        Probability a shared-store get or put raises
         :class:`StoreFault` (degraded by
         :class:`~repro.api.resilience.ResilientStore`).
     store_corrupt_rate:

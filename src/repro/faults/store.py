@@ -2,7 +2,7 @@
 
 :class:`ChaosStore` sits between a cache and a real
 :class:`~repro.api.store.ArtifactStore` and injects the store-side
-faults a :class:`~repro.faults.plan.FaultPlan` schedules: get/put/probe
+faults a :class:`~repro.faults.plan.FaultPlan` schedules: get and put
 operations raise :class:`~repro.faults.plan.StoreFault`, and — for
 file-backed stores — a just-written entry can be corrupted on disk, so
 the next reader exercises the corrupt-entry miss path.
@@ -20,7 +20,7 @@ builds exactly this sandwich when given both ``store=`` and
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.api.store import ArtifactStore
 from repro.api.types import CompiledArtifact
@@ -67,18 +67,8 @@ class ChaosStore(ArtifactStore):
         if self.plan.corrupt_put(key):
             corrupt_disk_entry(self.inner, key)
 
-    def __contains__(self, key: str) -> bool:
-        self.plan.store_fault("contains", key)
-        return key in self.inner
-
     def __len__(self) -> int:
         return len(self.inner)
-
-    def keys(self) -> List[str]:
-        return self.inner.keys()
-
-    def clear(self) -> None:
-        self.inner.clear()
 
     def __getattr__(self, name):
         # Proxy diagnostics (corrupt_misses, path, ...) to the real

@@ -21,6 +21,7 @@ def forward(hmm: HMM, observations: Sequence[int]) -> Tuple[np.ndarray, np.ndarr
     Returns ``(alpha, scales)`` with ``alpha[t, s]`` = P(z_t = s | x_1:t)
     and ``scales[t]`` = P(x_t | x_1:t-1).
     """
+    hmm.check_observations(observations)
     T = len(observations)
     S = hmm.num_states
     alpha = np.zeros((T, S))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +65,19 @@ class HMM:
     def num_observations(self) -> int:
         return self.emission.shape[1]
 
+    def check_observations(self, observations: Sequence[int]) -> None:
+        """Raise a ValueError naming the first observation that is not
+        one of this HMM's symbols ``0 .. num_observations - 1``: every
+        path that reads ``emission`` by symbol checks here first, so an
+        out-of-range symbol is never wrapped or read from the wrong end."""
+        count = self.num_observations
+        for position, symbol in enumerate(observations):
+            if not 0 <= symbol < count:
+                raise ValueError(
+                    f"observation {position} is symbol {symbol!r}, outside this "
+                    f"HMM's symbols 0..{count - 1}"
+                )
+
     def validate_stochastic(self) -> None:
         """Raise unless all distributions are normalized (to 1e-8)."""
         if not np.isclose(self.initial.sum(), 1.0, atol=1e-8):
@@ -122,7 +135,3 @@ class HMM:
         transition = rng.dirichlet([concentration] * num_states, size=num_states)
         emission = rng.dirichlet([concentration] * num_observations, size=num_states)
         return HMM(initial, transition, emission)
-
-    @property
-    def num_parameters(self) -> int:
-        return self.initial.size + self.transition.size + self.emission.size

@@ -122,15 +122,6 @@ class CNF:
         self.num_vars = max(self.num_vars, highest)
         return clause
 
-    def variables(self) -> FrozenSet[int]:
-        out: set = set()
-        for clause in self.clauses:
-            out |= clause.variables()
-        return frozenset(out)
-
-    def copy(self) -> "CNF":
-        return CNF(list(self.clauses), self.num_vars)
-
     @property
     def num_literals(self) -> int:
         """Total literal occurrences across all clauses."""

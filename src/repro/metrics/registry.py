@@ -48,7 +48,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 #: Snapshot schema version (bump when the nested-dict layout changes).
 SNAPSHOT_VERSION = 1
@@ -168,21 +168,6 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``0 <= q <= 1``).
@@ -369,18 +354,6 @@ class MetricsRegistry:
             family.callbacks[series] = fn
 
     # ------------------------------------------------------------- export
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._families)
-
-    def get(self, name: str, **labels: str):
-        """The registered instrument, or None (introspection/tests)."""
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                return None
-            return family.children.get(canonical_labels(labels))
 
     def snapshot(self) -> Dict[str, object]:
         """Export every series as nested, JSON-safe dicts.

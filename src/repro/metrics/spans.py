@@ -46,7 +46,6 @@ class RequestSpan:
     # Cost-model view at admission.
     predicted_s: float = 0.0
     predicted_energy_j: float = 0.0
-    warm: bool = False
     # Outcome.
     error: str = ""
     attempts: int = 1  # executions dispatched (>1 = the request retried)
@@ -109,12 +108,10 @@ class SpanLog:
             raise ValueError("span log needs room for at least one span")
         self._lock = threading.Lock()
         self._spans: Deque[RequestSpan] = deque(maxlen=maxlen)
-        self._total = 0
 
     def append(self, span: RequestSpan) -> None:
         with self._lock:
             self._spans.append(span)
-            self._total += 1
 
     def snapshot(self, last: Optional[int] = None) -> List[RequestSpan]:
         """The most recent ``last`` spans (all retained by default),
@@ -124,12 +121,6 @@ class SpanLog:
         if last is not None:
             spans = spans[-last:]
         return spans
-
-    @property
-    def total(self) -> int:
-        """Spans ever appended (including ones the ring dropped)."""
-        with self._lock:
-            return self._total
 
     def __len__(self) -> int:
         with self._lock:

@@ -42,10 +42,6 @@ class CircuitNode:
     def children(self) -> Tuple["CircuitNode", ...]:
         return ()
 
-    def scope(self) -> FrozenSet[int]:
-        """Variable indices this node's distribution ranges over."""
-        raise NotImplementedError
-
 
 class LeafNode(CircuitNode):
     """A primitive distribution over one discrete variable.
@@ -73,9 +69,6 @@ class LeafNode(CircuitNode):
         leaf.variable, leaf.probabilities = variable, table
         return leaf
 
-    def scope(self) -> FrozenSet[int]:
-        return frozenset([self.variable])
-
     def prob(self, value: Optional[int]) -> float:
         """P(X = value); a None value marginalizes the leaf (sums to total mass)."""
         if value is None:
@@ -101,12 +94,6 @@ class ProductNode(CircuitNode):
     def children(self) -> Tuple[CircuitNode, ...]:
         return self._children
 
-    def scope(self) -> FrozenSet[int]:
-        out: FrozenSet[int] = frozenset()
-        for child in self._children:
-            out |= child.scope()
-        return out
-
     def __repr__(self) -> str:
         return f"Product({len(self._children)} children)"
 
@@ -129,12 +116,6 @@ class SumNode(CircuitNode):
     @property
     def children(self) -> Tuple[CircuitNode, ...]:
         return self._children
-
-    def scope(self) -> FrozenSet[int]:
-        out: FrozenSet[int] = frozenset()
-        for child in self._children:
-            out |= child.scope()
-        return out
 
     def normalize(self) -> None:
         total = self.weights.sum()
@@ -269,9 +250,6 @@ class Circuit:
         """Children-before-parents order (bottom-up evaluation order)."""
         return list(self.plan().order)
 
-    def nodes(self) -> List[CircuitNode]:
-        return self.topological_order()
-
     @property
     def num_nodes(self) -> int:
         return len(self.plan().order)
@@ -280,21 +258,9 @@ class Circuit:
     def num_edges(self) -> int:
         return self.plan().num_edges
 
-    @property
-    def num_parameters(self) -> int:
-        """Free parameters: sum weights plus leaf probabilities."""
-        count = 0
-        for node in self.topological_order():
-            if isinstance(node, SumNode):
-                count += len(node.weights)
-            elif isinstance(node, LeafNode):
-                count += len(node.probabilities)
-        return count
-
     def _scopes(self) -> List[FrozenSet[int]]:
-        """Every node's scope by dense plan index, built bottom-up once
-        (``CircuitNode.scope`` recurses with no memo: exponential on
-        shared sub-circuits, and a deep chain overflows the stack)."""
+        """Every node's scope — the variables its distribution ranges
+        over — by dense plan index, built bottom-up once."""
         scopes: List[FrozenSet[int]] = []
         for kind, _, node, children, _ in self.plan().entries:
             if kind == _LEAF:
@@ -328,19 +294,6 @@ class Circuit:
             raise ValueError("circuit is not smooth")
         if not self.is_decomposable():
             raise ValueError("circuit is not decomposable")
-
-    def max_depth(self) -> int:
-        """Longest root-to-leaf path length (edges)."""
-        depth: Dict[int, int] = {}
-        for node in self.topological_order():
-            if not node.children:
-                depth[node.node_id] = 0
-            else:
-                depth[node.node_id] = 1 + max(depth[c.node_id] for c in node.children)
-        return depth[self.root.node_id]
-
-    def max_fan_in(self) -> int:
-        return max((len(n.children) for n in self.topological_order()), default=0)
 
 
 def copy_leaf_tables(leaves: Sequence[LeafNode]) -> Tuple[List[np.ndarray], bool]:

@@ -148,15 +148,6 @@ class TraceWriter:
 
     # ----------------------------------------------------------- counters
 
-    @property
-    def events(self) -> int:
-        """Events emitted so far."""
-        return self._events
-
-    @property
-    def last_cycle(self) -> int:
-        return self._last_cycle
-
     def counts(self) -> Dict[str, int]:
         """Per-kind event counts so far (non-zero, by kind name)."""
         return {

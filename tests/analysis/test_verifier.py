@@ -41,7 +41,7 @@ def test_overflow_kernel_verifies_clean(overflow_schedule, tiny_regfile):
     assert report.ok
     assert report.findings == []
     assert report.instructions == len(program.instructions)
-    assert report.computes == program.compute_count
+    assert report.computes == sum(i.kind is InstructionKind.COMPUTE for i in program.instructions)
     # The output-allocation path evicts same-instruction operands on
     # this kernel: the verifier must classify those as designed ghost
     # reads, not stale-address errors.

@@ -141,15 +141,6 @@ class TestSessionCaching:
         assert not report.cache_hit
         assert session.prepare_calls == 2
 
-    def test_clearing_the_cache_forces_recompile(self):
-        session = ReasonSession()
-        kernel = random_ksat(10, 30, seed=4)
-        session.run(kernel)
-        session._cache.clear()
-        report = session.run(kernel)
-        assert not report.cache_hit
-        assert session.prepare_calls == 2
-
     def test_cached_replay_skips_front_end_wall_time(self):
         """The point of the cache: second run avoids optimize+compile."""
         session = ReasonSession()

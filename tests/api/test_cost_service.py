@@ -1,17 +1,13 @@
 """ReasonService × cost model: heterogeneous shards, busy-time
 accounting, online calibration, and placement fidelity."""
 
-import random
-
 import pytest
 
 from repro import ReasonService, ReasonSession
-from repro.api.adapters import RunOptions, adapter_for
-from repro.api.scheduler import Request, SchedulingPolicy, ShardView, get_policy
-from repro.core.system.sharding import compose_shard_makespans
+from repro.api.scheduler import SchedulingPolicy
 from repro.costmodel import CostEstimator
 from repro.hmm.model import HMM
-from repro.logic.generators import random_ksat, redundant_sat
+from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit
 
 
@@ -62,9 +58,9 @@ class TestHeterogeneousShards:
         ids=["homogeneous", "heterogeneous", "forced-backend"],
     )
     def test_every_placed_request_has_a_prediction_for_every_view(self, shards, forced):
-        """What lets the time-aware policies read ``predicted_for(view)``
-        without a fallback: admission predicts the forced backend, or
-        every distinct shard substrate, before any policy runs."""
+        """Admission predicts the forced backend, or every distinct shard
+        substrate, before any policy runs: whichever shard a policy
+        picks, its busy-time charge reads an existing prediction."""
         seen = []
 
         class Recording(SchedulingPolicy):
@@ -80,8 +76,9 @@ class TestHeterogeneousShards:
             backends = service.shard_backends
         assert len(seen) == len(mixed_kernels()) * len(backends)
         for request, view in seen:
-            assert request.predicted_for(view).backend == (forced or backends[view.index])
-            assert request.predicted_for(view).seconds > 0.0
+            prediction = request.predicted[forced or view.backend]
+            assert prediction.backend == (forced or backends[view.index])
+            assert prediction.seconds > 0.0
 
     def test_unknown_substrate_rejected_at_construction(self):
         with pytest.raises(KeyError):
@@ -94,7 +91,7 @@ class TestHeterogeneousShards:
 
 class TestBusyTimeAccounting:
     def test_busy_drains_to_zero(self):
-        with ReasonService(shards=2, policy="predicted-makespan") as service:
+        with ReasonService(shards=2, policy="least-loaded") as service:
             for kernel in mixed_kernels() * 3:
                 service.submit(kernel, queries=5)
             service.drain()
@@ -142,7 +139,7 @@ class TestOnlineCalibration:
 
 
 class TestPlacementFidelity:
-    @pytest.mark.parametrize("policy", ["predicted-makespan", "cost-aware"])
+    @pytest.mark.parametrize("policy", ["least-loaded", "cache-affinity"])
     def test_reports_bit_identical_to_session_runs(self, policy):
         kernels = mixed_kernels() * 2
         with ReasonService(shards=["reason", "gpu"], policy=policy) as service:
@@ -155,71 +152,3 @@ class TestPlacementFidelity:
             assert expected.cycles == report.cycles
             assert expected.seconds == report.seconds
             assert expected.energy_j == report.energy_j
-
-
-def saturated_throughput(trace, policy_name, backends, estimator):
-    """Modeled requests/s of ``trace`` placed by the policy with every
-    request admitted before any completes — where placement alone sets
-    the makespan, and no completion feedback adds wall-clock jitter —
-    composed over one pipeline per shard."""
-    policy = get_policy(policy_name)
-    session = ReasonSession()
-    options = RunOptions()
-    pending = [0] * len(backends)
-    busy = [0.0] * len(backends)
-    tasks = [[] for _ in backends]
-    for kernel, queries in trace:
-        adapter = adapter_for(kernel)
-        fingerprint = adapter.fingerprint(kernel, options, session.config)
-        predicted = {
-            backend: estimator.predict(
-                fingerprint, backend, queries=queries, kind=adapter.kind
-            )
-            for backend in set(backends)
-        }
-        request = Request(
-            kernel, options, adapter.kind, fingerprint, None, queries, 0.0, predicted
-        )
-        views = [
-            ShardView(index, pending[index], 0, backend, busy[index])
-            for index, backend in enumerate(backends)
-        ]
-        chosen = policy.select(request, views)
-        pending[chosen] += 1
-        busy[chosen] += predicted[backends[chosen]].seconds
-        report = session.run(kernel, backend=backends[chosen], queries=queries)
-        tasks[chosen].append((0.0, report.seconds))
-    return compose_shard_makespans(tasks).throughput_rps(len(trace))
-
-
-class TestPlacementQuality:
-    def test_time_aware_policies_win_on_a_heterogeneous_trace(self):
-        """Heavy SAT replays next to tiny HMMs, 1x-16x query batches: a
-        request count cannot see that spread and a substrate-blind cycle
-        cannot see a derated roofline; the cost model's seconds can."""
-        families = (
-            lambda seed: redundant_sat(36, 140, seed=seed)[0],
-            lambda seed: random_ksat(16, 55, seed=seed),
-            lambda seed: random_circuit(5, depth=2, seed=seed),
-            lambda seed: HMM.random(3, 5, seed=seed),
-        )
-        kernels = [families[index % 4](index) for index in range(8)]
-        rng = random.Random(0)
-        trace = [(kernel, 50 * rng.choice((1, 2, 4, 16))) for kernel in kernels * 3]
-        rng.shuffle(trace)
-        estimator = CostEstimator()
-        with ReasonService(shards=1, cost_model=estimator) as profiling:
-            for kernel in kernels:
-                profiling.submit(kernel, queries=50)
-            profiling.drain()
-
-        def throughput(policy, backends):
-            return saturated_throughput(trace, policy, backends, estimator)
-
-        assert throughput("predicted-makespan", ["reason"] * 2) > throughput(
-            "least-loaded", ["reason"] * 2
-        )
-        substrates = ["reason", "gpu", "cpu"]
-        assert throughput("cost-aware", substrates) > throughput(
-            "round-robin", substrates
-        )

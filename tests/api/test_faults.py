@@ -387,7 +387,7 @@ class TestStoreChaos:
             service.drain(timeout=15)
             assert corrupt_disk_entry(store, fingerprint)  # plant garbage
             assert store._file_for(fingerprint).read_bytes() == CORRUPT_BYTES
-            service._shards[0].session._cache.clear()  # force the store read
+            service._shards[0].session._cache._entries.clear()  # force the store read
             report = service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
             snap = service.metrics().snapshot()["metrics"]
@@ -403,7 +403,7 @@ class TestStoreChaos:
         with ReasonService(shards=1, store=store, faults=plan) as service:
             service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
-            service._shards[0].session._cache.clear()
+            service._shards[0].session._cache._entries.clear()
             report = service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
         assert plan.injected("corrupt") >= 1

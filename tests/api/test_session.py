@@ -131,7 +131,7 @@ class TestBackends:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.25.0"
+        assert repro.__version__ == "1.26.0"
         for name in (
             "ReasonSession",
             "ReasonService",
@@ -161,6 +161,6 @@ class TestPublicSurface:
         assert len(service) == 13
         with pytest.raises(TypeError):
             ReasonSession().run(random_ksat(6, 18, seed=1), span=object())
-        assert ReasonSession(store="shared").store is not None
+        assert ReasonSession(store="shared")._cache.store is not None
         with ReasonService(shards=1, store="shared") as built:
             assert built.store is not None

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro import ReasonSession
 from repro.core.dag import (
     Dag,
-    DagNode,
     OpType,
     OptimizationResult,
     circuit_to_dag,
@@ -54,7 +53,8 @@ class TestDagCore:
         dag = Dag()
         a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
         s = dag.add_op(OpType.SUM, [a])
-        assert dag.node(s).weights == [1.0]
+        dag.set_root(s)
+        assert dag.plan().weights[s] == (1.0,)
 
     def test_add_op_keeps_array_weights(self):
         # An array is not truth-tested: a zero weight is stored as given
@@ -65,9 +65,9 @@ class TestDagCore:
         b = dag.add_op(OpType.LEAF, payload=(1, (1.0,)))
         zero = dag.add_op(OpType.SUM, [a], weights=np.array([0.0]))
         pair = dag.add_op(OpType.SUM, [a, b], weights=np.array([0.25, 0.75]))
-        assert dag.node(zero).weights == [0.0]
-        assert dag.node(pair).weights == [0.25, 0.75]
         dag.set_root(zero)
+        assert dag.plan().weights[zero] == (0.0,)
+        assert dag.plan().weights[pair] == (0.25, 0.75)
         assert evaluate_dag(dag, {})[zero] == 0.0
 
     def test_add_op_copies_list_weights(self):
@@ -76,14 +76,11 @@ class TestDagCore:
         weights = [0.5]
         s = dag.add_op(OpType.SUM, [a], weights=weights)
         weights[0] = 9.0
-        assert dag.node(s).weights == [0.5]
-        assert dag.node(dag.add_op(OpType.PRODUCT, [a, s])).weights is None
+        product = dag.add_op(OpType.PRODUCT, [a, s])
+        dag.set_root(product)
+        assert dag.plan().weights[s] == (0.5,) and dag.plan().weights[product] == ()
         with pytest.raises(ValueError, match="parallel"):
             dag.add_op(OpType.SUM, [a], weights=[0.5, 0.5])
-
-    def test_weight_child_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            DagNode(OpType.SUM, [1, 2], weights=[1.0])
 
     def test_weights_on_a_non_sum_node_are_rejected(self):
         # Only SUM edges carry weights: a PRODUCT's used to be stored,
@@ -94,7 +91,7 @@ class TestDagCore:
         with pytest.raises(ValueError, match="PRODUCT"):
             dag.add_op(OpType.PRODUCT, [x, y], weights=[0.5, 0.5])
         with pytest.raises(ValueError, match="AND"):
-            dag.add(DagNode(OpType.AND, [x, y], weights=[1.0, 1.0]))
+            dag.add_op(OpType.AND, [x, y], weights=[1.0, 1.0])
         assert len(dag) == 2
         dag.set_root(dag.add_op(OpType.PRODUCT, [x, y]))
         assert dag.memory_footprint() == 5
@@ -104,28 +101,11 @@ class TestDagCore:
         l1 = dag.add_op(OpType.LITERAL, payload=1)
         l2 = dag.add_op(OpType.LITERAL, payload=2)
         kids = [l1]
-        o = dag.add(DagNode(OpType.OR, kids))
-        dag.set_root(o)
-        order = dag.topological_order()
+        o = dag.add_op(OpType.OR, kids)
         kids.append(l2)
-        assert dag.node(o).children == [l1]
-        assert dag.topological_order() == order == [l1, o]
-
-    def test_a_node_is_a_view_that_edits_nothing(self):
-        dag = Dag()
-        a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
-        s = dag.add_op(OpType.SUM, [a], weights=[0.5])
-        dag.set_root(s)
-        plan = dag.plan()
-        view = dag.node(s)
-        view.children.append(a)
-        view.weights[0] = 9.0
-        assert dag.node(s) == DagNode(OpType.SUM, [a], None, [0.5])
-        assert dag.plan() is plan and plan.weights[s] == (0.5,)
-        with pytest.raises(KeyError):
-            dag.node(2)
-        with pytest.raises(KeyError):
-            dag.node(-1)
+        dag.set_root(o)
+        assert dag.plan().children[o] == (l1,)
+        assert dag.plan().order == [l1, o]
 
     def test_a_payload_less_leaf_reads_zero_everywhere(self):
         # A LEAF with no payload has no mass to marginalise: 0.0 as an
@@ -153,13 +133,9 @@ class TestDagCore:
         b = dag.add_op(OpType.LITERAL, payload=2)
         o = dag.add_op(OpType.OR, [a, b])
         dag.set_root(o)
-        order = dag.topological_order()
+        order = dag.plan().order
         assert order.index(a) < order.index(o)
         assert order.index(b) < order.index(o)
-
-    def test_root_required_for_topological_order(self):
-        with pytest.raises(ValueError):
-            Dag().topological_order()
 
     def test_depth_and_fan_in(self):
         formula = CNF([Clause([1, 2, 3]), Clause([-1, 2])])
@@ -188,18 +164,19 @@ def dag_likelihood(dag: Dag, evidence) -> float:
     """A probabilistic DAG's root value under circuit evidence: each LEAF
     reads its table at the variable's value, or sums it when the
     variable is absent."""
+    plan = dag.plan()
     inputs = {}
-    for node_id, node in dag.items():
-        if node.op is OpType.LEAF:
-            variable, table = node.payload
+    for node_id, (op, payload) in enumerate(zip(plan.ops, plan.payloads)):
+        if op is OpType.LEAF:
+            variable, table = payload
             value = evidence.get(variable)
             inputs[node_id] = sum(table) if value is None else table[value]
     return evaluate_dag(dag, inputs)[dag.root]
 
 
 def reference_topological_order(dag: Dag) -> list:
-    """``Dag.topological_order`` as it was before the plan: the stack
-    walk over node objects whose order the plan has to keep."""
+    """The node order as it was before the plan: the stack walk over
+    the children column whose order the plan has to keep."""
     order, state = [], {}  # 0 visiting, 1 done
     stack = [(dag.root, False)]
     while stack:
@@ -214,7 +191,7 @@ def reference_topological_order(dag: Dag) -> list:
             continue
         state[node_id] = 0
         stack.append((node_id, True))
-        for child in dag.node(node_id).children:
+        for child in dag._children[node_id]:
             if state.get(child) != 1:
                 if state.get(child) == 0:
                     raise ValueError("cycle detected in DAG")
@@ -252,29 +229,20 @@ class TestDagPlan:
         plan = dag.plan()
         live = reference_topological_order(dag)
         assert plan.order == live
-        nodes = [node for _, node in dag.items()]
-        assert plan.ops == [node.op for node in nodes]
-        assert plan.children == [tuple(node.children) for node in nodes]
-        assert plan.leaf == [node.op in LEAF_OPS for node in nodes]
-        assert plan.weights == [
-            tuple(float(w) for w in node.weights) if node.op is OpType.SUM else ()
-            for node in nodes
-        ]
-        assert all(type(w) is float for weights in plan.weights for w in weights)
-        parents = collections.Counter(c for node in nodes for c in node.children)
-        assert plan.parents == [parents[node_id] for node_id in range(len(nodes))]
-        assert plan.num_edges == sum(len(node.children) for node in nodes)
-        assert plan.max_fan_in == max(len(nodes[i].children) for i in live)
-        assert plan.footprint == sum(
-            1 + len(nodes[i].children) + len(nodes[i].weights or ()) for i in live
-        )
+        ops, kids, weights = dag._ops, dag._children, dag._weights
+        assert (plan.ops, plan.children, plan.weights) == (ops, kids, weights)
+        assert plan.leaf == [op in LEAF_OPS for op in ops]
+        assert all(type(w) is float for sums in plan.weights for w in sums)
+        parents = collections.Counter(c for children in kids for c in children)
+        assert plan.parents == [parents[node_id] for node_id in range(len(ops))]
+        assert plan.num_edges == sum(map(len, kids))
+        assert plan.max_fan_in == max(len(kids[i]) for i in live)
+        assert plan.footprint == sum(1 + len(kids[i]) + len(weights[i]) for i in live)
 
     def test_plan_is_built_once_and_dropped_by_mutation(self):
         dag, _ = cnf_to_dag(CNF([Clause([1, 2]), Clause([-1, 3])]))
         plan = dag.plan()
         assert dag.plan() is plan
-        assert dag.topological_order() == plan.order
-        assert dag.topological_order() is not plan.order  # callers get a copy
         dag.set_root(dag.root)
         assert dag.plan() is plan
         leaf = dag.add_op(OpType.LITERAL, payload=4)
@@ -345,14 +313,21 @@ def build_from_specs(specs) -> Dag:
     return dag
 
 
+def records(dag: Dag) -> list:
+    """``(op, children, payload, weights)`` per node id, from the plan's
+    columns."""
+    plan = dag.plan()
+    return list(zip(plan.ops, plan.children, plan.payloads, plan.weights))
+
+
 def reference_regularize(dag: Dag):
     """``regularize_two_input`` as it was when a DAG was a dict of node
-    objects, over node views: the output's nodes in id order, and its
+    objects, over the columns: the output's :func:`records`, and its
     root."""
     out = []
 
-    def add(op, children, payload=None, weights=None):
-        out.append(DagNode(op, list(children), payload, None if weights is None else list(weights)))
+    def add(op, children, payload=None, weights=()):
+        out.append((op, tuple(children), payload, tuple(weights)))
         return len(out) - 1
 
     def balanced_reduce(op, children):
@@ -361,49 +336,43 @@ def reference_regularize(dag: Dag):
         if len(children) > 2:
             mid = (len(children) + 1) // 2
             children = [balanced_reduce(op, children[:mid]), balanced_reduce(op, children[mid:])]
-        return add(op, children, weights=[1.0, 1.0] if op is OpType.SUM else None)
+        return add(op, children, weights=[1.0, 1.0] if op is OpType.SUM else ())
 
     mapped = {}
     for node_id in reference_topological_order(dag):
-        node = dag.node(node_id)
-        children = [mapped[c] for c in node.children]
-        if len(children) <= 2 or node.op not in _WIDE_OPS:
-            mapped[node_id] = add(node.op, children, node.payload, node.weights)
-        elif node.op is OpType.SUM:
+        op, weights = dag._ops[node_id], dag._weights[node_id]
+        children = [mapped[c] for c in dag._children[node_id]]
+        if len(children) <= 2 or op not in _WIDE_OPS:
+            mapped[node_id] = add(op, children, dag._payloads[node_id], weights)
+        elif op is OpType.SUM:
             scaled = [
                 child if weight == 1.0 else add(OpType.SUM, [child], weights=[weight])
-                for child, weight in zip(children, node.weights)
+                for child, weight in zip(children, weights)
             ]
             mapped[node_id] = balanced_reduce(OpType.SUM, scaled)
         else:
-            mapped[node_id] = balanced_reduce(node.op, children)
+            mapped[node_id] = balanced_reduce(op, children)
     return out, mapped[dag.root]
 
 
 class TestDagColumns:
     @settings(max_examples=200, deadline=None)
     @given(built_graphs())
-    def test_property_columns_and_views_equal_the_graph_as_built(self, specs):
+    def test_property_columns_equal_the_graph_as_built(self, specs):
         dag = build_from_specs(specs)
         expected = []
         for op, children, extra in specs:
             if op in LEAF_OPS:
-                expected.append(DagNode(op, [], extra))
+                expected.append((op, (), extra, ()))
             elif op is OpType.SUM:
-                weights = [1.0] * len(children) if extra is None else [float(w) for w in extra]
-                expected.append(DagNode(op, list(children), None, weights))
+                weights = (1.0,) * len(children) if extra is None else tuple(map(float, extra))
+                expected.append((op, tuple(children), None, weights))
             else:
-                expected.append(DagNode(op, list(children)))
+                expected.append((op, tuple(children), None, ()))
         assert len(dag) == dag.num_nodes == len(specs)
-        assert [dag.node(i) for i in range(len(dag))] == expected
-        assert list(dag.items()) == list(enumerate(expected))
-        assert all(type(w) is float for node in expected if node.weights for w in node.weights)
-        plan = dag.plan()
-        assert plan.ops == [node.op for node in expected]
-        assert plan.children == [tuple(node.children) for node in expected]
-        assert plan.payloads == [node.payload for node in expected]
-        assert plan.weights == [tuple(node.weights or ()) for node in expected]
-        assert plan.order == reference_topological_order(dag)
+        assert records(dag) == expected
+        assert all(type(w) is float for weights in dag.plan().weights for w in weights)
+        assert dag.plan().order == reference_topological_order(dag)
 
     @settings(max_examples=200, deadline=None)
     @given(built_graphs())
@@ -411,7 +380,7 @@ class TestDagColumns:
         dag = build_from_specs(specs)
         regular = regularize_two_input(dag)
         nodes, root = reference_regularize(dag)
-        assert [regular.node(i) for i in range(len(regular))] == nodes
+        assert records(regular) == nodes
         assert regular.root == root
         assert is_two_input(regular)
 
@@ -449,7 +418,7 @@ class TestEvaluate:
     def test_cnf_dag_agrees_with_formula_pointwise(self):
         formula = random_ksat(5, 10, seed=40)
         dag, literal_nodes = cnf_to_dag(formula)
-        variables = sorted(formula.variables())
+        variables = range(1, formula.num_vars + 1)
         for values in itertools.product([False, True], repeat=len(variables)):
             assignment = dict(zip(variables, values))
             inputs = {
@@ -540,10 +509,14 @@ class TestCircuitPruning:
         pruned, report = prune_circuit_by_flow(circuit, data, keep_fraction=1.0)
         assert report.edges_after == report.edges_before
 
-    def test_invalid_keep_fraction(self):
+    @pytest.mark.parametrize("keep_fraction", [0.0, -0.2, 1.5])
+    def test_invalid_keep_fraction(self, keep_fraction):
+        # One rule, one message, for both probabilistic families.
         circuit = random_circuit(4, depth=2, seed=13)
-        with pytest.raises(ValueError):
-            prune_circuit_by_flow(circuit, [{}], keep_fraction=0.0)
+        hmm = HMM.random(3, 3, seed=13)
+        for kernel, calibration in ((circuit, [{}]), (hmm, [[0, 1, 2]])):
+            with pytest.raises(ValueError, match=r"keep_fraction must lie in \(0, 1\]"):
+                optimize(kernel, calibration=calibration, keep_fraction=keep_fraction)
 
     def test_empty_calibration_rejected(self):
         circuit = random_circuit(4, depth=2, seed=14)
@@ -638,10 +611,10 @@ class TestRegularization:
             assign = {v: assignment[v - 1] for v in range(1, 7)}
             for dag_obj, inputs in ((dag, lit_inputs_orig), (regular, lit_inputs_reg)):
                 inputs.clear()
-                for node_id in dag_obj.topological_order():
-                    node = dag_obj.node(node_id)
-                    if node.op is OpType.LITERAL:
-                        lit = node.payload
+                plan = dag_obj.plan()
+                for node_id in plan.order:
+                    if plan.ops[node_id] is OpType.LITERAL:
+                        lit = plan.payloads[node_id]
                         value = assign[abs(lit)] == (lit > 0)
                         inputs[node_id] = 1.0 if value else 0.0
             original = evaluate_dag(dag, lit_inputs_orig)[dag.root]

@@ -17,7 +17,7 @@ class TestComposeShardMakespans:
         pipeline = TwoLevelPipeline()
         slow = pipeline.run([0.0], [3.0]).total_s
         assert comp.total_s == pytest.approx(slow)
-        assert comp.num_shards == 2
+        assert len(comp.per_shard) == 2
 
     def test_single_shard_baseline_concatenates_all_work(self):
         tasks = [[(0.1, 0.2), (0.1, 0.3)], [(0.1, 0.25)]]
@@ -27,7 +27,6 @@ class TestComposeShardMakespans:
         assert comp.single_shard_s == pytest.approx(baseline)
         assert comp.total_s <= comp.single_shard_s <= comp.serial_s
         assert comp.speedup >= 1.0
-        assert comp.overlap_saved_s >= 0.0
 
     def test_balanced_shards_scale_nearly_linearly(self):
         # 4 shards x 4 identical tasks vs all 16 on one shard.
@@ -35,11 +34,6 @@ class TestComposeShardMakespans:
         comp = compose_shard_makespans([shard] * 4)
         assert comp.speedup == pytest.approx(4.0, rel=0.01)
         assert comp.throughput_rps(16) == pytest.approx(16 / comp.total_s)
-
-    def test_neural_and_symbolic_totals(self):
-        comp = compose_shard_makespans([[(0.5, 1.0)], [(0.25, 2.0)]])
-        assert comp.neural_s == pytest.approx(0.75)
-        assert comp.symbolic_s == pytest.approx(3.0)
 
     def test_empty_and_partial_shards(self):
         comp = compose_shard_makespans([[], [(0.0, 1.0)], []])

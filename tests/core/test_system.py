@@ -80,9 +80,6 @@ class TestTwoLevelPipeline:
         assert overlapped.total_s <= serial.total_s + tolerance
         assert overlapped.overlap_saved_s == pytest.approx(serial.total_s - overlapped.total_s)
 
-    def test_idle_batch_has_no_symbolic_share(self):
-        assert TwoLevelPipeline().run([], []).symbolic_share == 0.0
-
 
 def run_on_reason(kernel, **options):
     """One cold run on the accelerator model."""

@@ -10,7 +10,7 @@ from repro import ReasonSession
 from repro.api.adapters import RunOptions, adapter_for
 from repro.api.backends import DeviceBackend
 from repro.api.types import ExecutionReport
-from repro.baselines.device import KernelClass, RTX_A6000
+from repro.baselines.device import KernelClass, KernelProfile, RTX_A6000
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.costmodel import CostEstimator, features as cost_features
 from repro.costmodel.estimator import ALPHA, DEFAULT_S
@@ -27,19 +27,11 @@ def compiled(kernel, session=None):
     return session, fingerprint, artifact
 
 
-def fake_artifact(schedule_cycles=1000, compile_s=0.25):
+def fake_artifact(schedule_cycles=1000):
     """Duck-typed artifact: exactly what CostFeatures.from_artifact reads."""
-    profile = SimpleNamespace(
-        kernel_class=KernelClass.MARGINAL, flops=2e4, bytes_accessed=8e4, launches=1
-    )
+    profile = KernelProfile(KernelClass.MARGINAL, flops=2e4, bytes_accessed=8e4)
     stats = SimpleNamespace(cycles=schedule_cycles)
-    return SimpleNamespace(
-        kind="dag",
-        profile=profile,
-        compile_stats=stats,
-        solver=None,
-        compile_s=compile_s,
-    )
+    return SimpleNamespace(kind="dag", profile=profile, compile_stats=stats, solver=None)
 
 
 def report(seconds, queries=1, energy_j=0.0, compile_s=0.0, backend="reason"):
@@ -60,10 +52,10 @@ class TestCostFeatures:
         _, _, artifact = compiled(random_ksat(14, 45, seed=0))
         features = cost_features.CostFeatures.from_artifact(artifact)
         assert features.kind == "cnf"
-        assert features.kernel_class is KernelClass.LOGIC
+        assert features.profile is artifact.profile
+        assert features.profile.kernel_class is KernelClass.LOGIC
         assert features.trace_ops > 0  # recorded CDCL work
         assert features.schedule_cycles == 0  # no VLIW schedule for logic
-        assert features.compile_s > 0.0
 
     def test_dag_kernel_features(self):
         _, _, artifact = compiled(random_circuit(4, depth=2, seed=1))
@@ -72,9 +64,7 @@ class TestCostFeatures:
         assert features.schedule_cycles > 0
         assert features.trace_ops == 0
         assert features.schedule_cycles == artifact.compile_stats.cycles
-        profile = features.profile
-        assert profile.flops == features.flops
-        assert profile.kernel_class is features.kernel_class
+        assert features.profile is artifact.profile
 
     def test_artifact_without_profile_reads_as_a_unit_logic_kernel(self):
         artifact = SimpleNamespace(
@@ -82,20 +72,14 @@ class TestCostFeatures:
             profile=None,
             compile_stats=None,
             solver=SimpleNamespace(stats=SimpleNamespace(clause_fetches=17)),
-            compile_s=0,
         )
         features = cost_features.CostFeatures.from_artifact(artifact)
         assert features == cost_features.CostFeatures(
             kind="cnf",
-            kernel_class=KernelClass.LOGIC,
-            flops=1.0,
-            bytes_accessed=4.0,
-            launches=1,
+            profile=KernelProfile(KernelClass.LOGIC, flops=1.0, bytes_accessed=4.0, launches=1),
             schedule_cycles=0,
             trace_ops=17,
-            compile_s=0.0,
         )
-        assert type(features.compile_s) is float
 
 
 class TestRemember:
@@ -129,37 +113,15 @@ class TestStaticPrediction:
         assert estimator.predict("f1", "reason", queries=6).seconds == pytest.approx(
             6 * one.seconds
         )
-        assert one.compile_s == pytest.approx(0.25)
 
-    def test_catalog_devices_priced_without_a_registered_backend(self):
-        """Substrate names that aren't backends resolve through the
-        device catalog, so the estimator can price a V100 nothing
-        serves yet."""
-        from repro.baselines.device import V100, device_named
-
+    def test_a_name_no_backend_serves_has_no_static_model(self):
+        """Only a registered device backend prices from a device model:
+        a catalog device name nothing serves falls to the class prior
+        and then to the cold-start default."""
         estimator = CostEstimator()
-        features = estimator.record_artifact("f1", fake_artifact())
-        prediction = estimator.predict("f1", "V100")
-        assert prediction.seconds == pytest.approx(
-            V100.kernel_time_s(features.profile)
-        )
-        assert device_named("v100") is V100
-        with pytest.raises(KeyError):
-            device_named("abacus")
-
-    def test_warm_prediction_zeroes_the_compile_penalty(self):
-        """``warm=True`` declares the artifact shared-store resident:
-        whoever serves the request fetches instead of compiling, so
-        the prediction must not carry a cold front-end charge."""
-        estimator = CostEstimator()
-        estimator.record_artifact("f1", fake_artifact(compile_s=0.25))
-        cold = estimator.predict("f1", "reason")
-        warm = estimator.predict("f1", "reason", warm=True)
-        assert cold.compile_s == pytest.approx(0.25)
-        assert warm.compile_s == 0.0
-        # Execution cost is untouched — only the compile term is warm.
-        assert warm.seconds == cold.seconds
-        assert warm.source == cold.source
+        estimator.record_artifact("f1", fake_artifact())
+        prediction = estimator.predict("f1", "V100", queries=2)
+        assert (prediction.source, prediction.seconds) == ("default", 2 * DEFAULT_S)
 
     def test_unknown_fingerprint_falls_back_to_default(self):
         estimator = CostEstimator()
@@ -223,14 +185,13 @@ class TestCalibration:
         assert predicted.seconds == pytest.approx(observed.seconds, rel=1e-9)
         assert predicted.energy_j == pytest.approx(observed.energy_j, rel=1e-9)
 
-    def test_energy_and_compile_learned_from_reports(self):
+    def test_energy_learned_from_reports(self):
         estimator = CostEstimator()
         estimator.observe(
             "f1", "cnf", "reason", report(1e-3, energy_j=2e-4, compile_s=0.5)
         )
         prediction = estimator.predict("f1", "reason", kind="cnf", queries=2)
         assert prediction.energy_j == pytest.approx(4e-4)
-        assert prediction.compile_s == pytest.approx(0.5)
 
     def test_own_price_beats_class_ratio_beats_static_model(self):
         estimator = CostEstimator()
@@ -333,5 +294,4 @@ class TestRace:
         assert estimator._prices["hot", "reason"] == (2e-3, 3e-6)
         # Six racing settles, one sample in each class table.
         assert estimator._class_seconds["dag", "reason"] == 1e-3 + ALPHA * (2e-3 - 1e-3)
-        assert estimator._compile["dag"] == 0.25 + ALPHA * (0.75 - 0.25)
         assert estimator.predict("hot", "reason").source == "calibrated"

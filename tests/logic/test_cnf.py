@@ -88,9 +88,3 @@ class TestCNF:
     def test_num_literals(self):
         formula = CNF([Clause([1, 2]), Clause([3])])
         assert formula.num_literals == 3
-
-    def test_copy_is_independent(self):
-        formula = CNF([Clause([1])])
-        clone = formula.copy()
-        clone.add_clause([2])
-        assert len(formula) == 1

@@ -63,7 +63,7 @@ class TestHiddenLiteralPruning:
 
     def test_reduces_literal_count_on_chains(self):
         base = chain_implications(6)
-        wide = base.copy()
+        wide = CNF(list(base.clauses), base.num_vars)
         wide.add_clause([1, 3, 6])  # 1→3 and 1→6 hidden: 1 droppable
         pruned, report = prune_hidden_literals(wide)
         assert report.literals_removed >= 1

@@ -71,8 +71,9 @@ class TestThreadSafety:
                 hist.observe(value)
 
         self._hammer(work)
-        assert hist.count == self.THREADS * self.PER_THREAD
-        assert hist.sum == pytest.approx(self.THREADS * sum(values))
+        snapshot = hist.snapshot_value()
+        assert snapshot["count"] == self.THREADS * self.PER_THREAD
+        assert snapshot["sum"] == pytest.approx(self.THREADS * sum(values))
 
     def test_registry_get_or_create_race(self):
         registry = MetricsRegistry()
@@ -154,7 +155,7 @@ class TestRegistryFamilies:
         for value in ("a,b", "x=y"):
             with pytest.raises(ValueError, match="tenant"):
                 registry.counter("thing_total", tenant=value)
-        assert registry.names() == []
+        assert registry.snapshot()["metrics"] == {}
 
     def test_same_labels_share_instrument(self):
         registry = MetricsRegistry()
@@ -170,14 +171,11 @@ class TestRegistryFamilies:
         with pytest.raises(ValueError):
             registry.counter("")
 
-    def test_get_and_names(self):
+    def test_snapshot_names_every_family(self):
         registry = MetricsRegistry()
-        counter = registry.counter("a_total", shard="0")
+        registry.counter("a_total", shard="0")
         registry.register_callback("b_depth", lambda: 0.0)
-        assert registry.names() == ["a_total", "b_depth"]
-        assert registry.get("a_total", shard="0") is counter
-        assert registry.get("a_total", shard="9") is None
-        assert registry.get("missing") is None
+        assert sorted(registry.snapshot()["metrics"]) == ["a_total", "b_depth"]
 
 
 class TestCallbacks:

@@ -262,7 +262,6 @@ class TestSpanLog:
         for index in range(5):
             log.append(RequestSpan("ok", fingerprint=str(index)))
         assert len(log) == 3
-        assert log.total == 5
         assert [span.fingerprint for span in log.snapshot()] == ["2", "3", "4"]
         assert [span.fingerprint for span in log.snapshot(last=2)] == ["3", "4"]
         with pytest.raises(ValueError):

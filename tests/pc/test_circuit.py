@@ -117,10 +117,6 @@ class TestNodes:
         with pytest.raises(ValueError):
             ProductNode([])
 
-    def test_scopes(self):
-        circuit = two_var_product()
-        assert circuit.root.scope() == frozenset({0, 1})
-
 
 class TestStructure:
     def test_num_edges_counts_every_parent_child_pair(self):
@@ -152,7 +148,7 @@ class TestStructure:
             bad.validate()
 
     def test_deep_chain_constructs_and_validates(self):
-        # 3,000 nested sums: scope() recursion would pass the
+        # 3,000 nested sums: a recursive scope walk would pass the
         # interpreter's limit; the circuit reads its plan instead.
         node = bernoulli_leaf(0, 0.5)
         for _ in range(3000):
@@ -163,7 +159,7 @@ class TestStructure:
         assert (circuit.num_nodes, circuit.num_edges) == (3001, 3000)
 
     def test_shared_diamond_validates_in_linear_time(self):
-        # 40 levels of SumNode([a, a]): an unmemoised scope() walk
+        # 40 levels of SumNode([a, a]): an unmemoised scope walk
         # visits 2**40 paths.  A product repeating a variable sits under
         # the shared levels, so both checks have to reach the bottom.
         bottom = ProductNode([bernoulli_leaf(0, 0.5), bernoulli_leaf(1, 0.5)])
@@ -193,12 +189,6 @@ class TestStructure:
         circuit = simple_mixture()
         assert circuit.num_nodes == 3
         assert circuit.num_edges == 2
-        assert circuit.num_parameters == 2 + 2 + 2
-
-    def test_max_depth_and_fan_in(self):
-        circuit = random_circuit(6, depth=2, seed=0)
-        assert circuit.max_depth() >= 2
-        assert circuit.max_fan_in() >= 2
 
 
 class TestInference:

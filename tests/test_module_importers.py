@@ -33,6 +33,11 @@ verifier's ``_Machine`` handlers are looked up by instruction kind),
 and neither are the ``visit_*`` methods of an ``ast.NodeVisitor``
 subclass.
 
+Registered names.  Every string a ``src/repro`` module registers
+through ``register_policy`` or ``register_backend`` needs a front door
+outside that module that holds an equal string constant: a policy or
+backend no front door can select by name is code only tests run.
+
 Parameters.  Every defaulted parameter of a checked function, method or
 class ``__init__`` needs a front-door call to a callee of that name
 that passes it: by keyword, by position (``self`` / ``cls`` aside) or
@@ -73,7 +78,7 @@ ALLOWLIST = {
     # Collaborators tests substitute with fakes, and deployment settings.
     "ReasonService(faults)": "the chaos schedule a drill injects",
     "ReasonService(retry)": "the retry policy a deployment chooses",
-    "ReasonService(breaker)": "the store circuit breaker a deployment tunes",
+    "ReasonService(breaker)": "the per-shard circuit breaker factory a deployment tunes",
     "ReasonService(cost_model)": "a cost model shared across services",
     "ReasonService(config)": "the accelerator configuration served",
     "ReasonService(trace_dir)": "where trace=True requests write their traces",
@@ -171,6 +176,32 @@ def calls(tree: ast.AST):
             isinstance(argument, ast.Starred) for argument in node.args
         )
         yield callee, node.lineno, len(node.args), keywords, starred
+
+
+#: Calls whose constant first argument registers a name callers select by.
+REGISTRIES = ("register_policy", "register_backend")
+
+
+def registered_names(tree: ast.AST):
+    """The constant names a module's registry calls register."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in REGISTRIES
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            yield node.args[0].value
+
+
+def string_constants(tree: ast.AST) -> set:
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
 
 
 def defaulted(function: ast.AST, method: bool):
@@ -361,6 +392,17 @@ class SourceTree:
                 out.append(qualified)
         return sorted(out)
 
+    def unselected_registrations(self) -> list:
+        """Registered names no front door outside the registering module
+        holds as a string constant."""
+        constants = [(file, string_constants(tree)) for file, tree in self.front_door_code()]
+        return sorted(
+            name
+            for path in self.modules.values()
+            for name in registered_names(parse(path))
+            if not any(file != path and name in held for file, held in constants)
+        )
+
     def unpassed_parameters(self, exempt=()) -> list:
         """``Qualified.name(parameter)`` for every defaulted parameter that
         no front-door call to a callee of that name passes, the parameters
@@ -420,6 +462,11 @@ def test_every_name_is_reached_from_a_front_door():
     unlisted, stale = allowlist_findings(findings, ALLOWLIST)
     assert not unlisted, f"reached or passed by no front door and not allowlisted: {unlisted}"
     assert not stale, f"allowlisted but reached, passed or gone: {stale}"
+
+
+def test_every_registered_name_is_selected_by_a_front_door():
+    unselected = SourceTree(ROOT).unselected_registrations()
+    assert not unselected, f"registered names no front door selects: {unselected}"
 
 
 def test_every_allowlisted_name_is_in_the_readme():
@@ -752,6 +799,25 @@ def test_a_call_inside_its_own_body_does_not_pass(tmp_path):
         },
     )
     assert tree.unpassed_parameters() == ["walk(depth)"]
+
+
+def test_a_registered_name_only_its_module_and_tests_hold_is_listed(tmp_path):
+    tree = write_tree(
+        tmp_path,
+        {
+            "src/repro/policies.py": (
+                "def register_policy(name, factory):\n    pass\n\n\n"
+                "class Fast:\n    name = 'fast'\n\n\n"
+                "register_policy('fast', Fast)\n"
+                "register_policy('slow', Fast)\n"
+                "register_policy('spare', Fast)\n"
+            ),
+            "examples/demo.py": "from repro.policies import Fast\n\nFast(), 'fast'\n",
+            "bench/run.py": "POLICY = 'slow'\n",
+            "tests/test_policies.py": "POLICY = 'spare'\n",
+        },
+    )
+    assert tree.unselected_registrations() == ["spare"]
 
 
 def test_an_allowlisted_parameter_missing_from_the_readme_fails():
