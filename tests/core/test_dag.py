@@ -82,6 +82,14 @@ class TestDagCore:
         with pytest.raises(ValueError, match="parallel"):
             dag.add_op(OpType.SUM, [a], weights=[0.5, 0.5])
 
+    def test_weight_child_mismatch_raises(self):
+        dag = Dag()
+        a = dag.add_op(OpType.LEAF, payload=(0, (1.0,)))
+        b = dag.add_op(OpType.LEAF, payload=(1, (1.0,)))
+        with pytest.raises(ValueError, match="parallel"):
+            dag.add_op(OpType.SUM, [a, b], weights=[1.0])
+        assert len(dag) == 2
+
     def test_weights_on_a_non_sum_node_are_rejected(self):
         # Only SUM edges carry weights: a PRODUCT's used to be stored,
         # counted by memory_footprint() and keyed, yet never applied.
@@ -136,6 +144,10 @@ class TestDagCore:
         order = dag.plan().order
         assert order.index(a) < order.index(o)
         assert order.index(b) < order.index(o)
+
+    def test_root_required_for_topological_order(self):
+        with pytest.raises(ValueError, match="no root"):
+            Dag().plan()
 
     def test_depth_and_fan_in(self):
         formula = CNF([Clause([1, 2, 3]), Clause([-1, 2])])

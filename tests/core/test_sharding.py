@@ -35,6 +35,11 @@ class TestComposeShardMakespans:
         assert comp.speedup == pytest.approx(4.0, rel=0.01)
         assert comp.throughput_rps(16) == pytest.approx(16 / comp.total_s)
 
+    def test_neural_and_symbolic_totals(self):
+        comp = compose_shard_makespans([[(0.5, 1.0)], [(0.25, 2.0)]])
+        assert [r.neural_s for r in comp.per_shard] == pytest.approx([0.5, 0.25])
+        assert [r.symbolic_s for r in comp.per_shard] == pytest.approx([1.0, 2.0])
+
     def test_empty_and_partial_shards(self):
         comp = compose_shard_makespans([[], [(0.0, 1.0)], []])
         assert comp.total_s == pytest.approx(

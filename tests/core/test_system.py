@@ -80,6 +80,9 @@ class TestTwoLevelPipeline:
         assert overlapped.total_s <= serial.total_s + tolerance
         assert overlapped.overlap_saved_s == pytest.approx(serial.total_s - overlapped.total_s)
 
+    def test_idle_batch_has_no_symbolic_share(self):
+        assert TwoLevelPipeline().run([], []) == PipelineResult(0.0, 0.0, 0.0, 0.0)
+
 
 def run_on_reason(kernel, **options):
     """One cold run on the accelerator model."""
