@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, add_version
+from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, add_version, positive_int
 
 _PROG = "python -m repro.analysis"
 
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     verify.add_argument(
         "--kernel", default="overflow", choices=("overflow", "circuit", "hmm")
     )
-    verify.add_argument("--size", type=int, default=None)
+    verify.add_argument("--size", type=positive_int, default=None)
     verify.add_argument("--banks", type=int, default=None)
     verify.add_argument("--regs", type=int, default=None)
     verify.add_argument("--pes", type=int, default=None)

@@ -36,3 +36,15 @@ def add_version(parser: argparse.ArgumentParser, prog: str) -> None:
         version=version_string(prog),
         help="print the repro package version and exit",
     )
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a count of at least 1 (a demo kernel's
+    ``--size``): anything else is a usage error with a message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value

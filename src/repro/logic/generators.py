@@ -65,8 +65,11 @@ def planted_sat(
 def pigeonhole(holes: int) -> CNF:
     """PHP(holes+1, holes): provably unsatisfiable, hard for resolution.
 
-    Variable p(i, j) means pigeon ``i`` sits in hole ``j``.
+    Variable p(i, j) means pigeon ``i`` sits in hole ``j``.  Raises
+    ``ValueError`` for a negative number of holes.
     """
+    if holes < 0:
+        raise ValueError(f"pigeonhole needs holes >= 0, got {holes}")
     pigeons = holes + 1
 
     def var(i: int, j: int) -> int:

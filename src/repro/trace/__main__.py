@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, add_version
+from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, add_version, positive_int
 from repro.trace.analyze import (
     bank_heatmap,
     cross_validate,
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         default="ksat",
         choices=("ksat", "pigeonhole", "circuit", "hmm"),
     )
-    record.add_argument("--size", type=int, default=None)
+    record.add_argument("--size", type=positive_int, default=None)
     record.set_defaults(handler=_record_demo)
 
     args = parser.parse_args(argv)

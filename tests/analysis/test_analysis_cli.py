@@ -56,6 +56,15 @@ def test_verify_zero_sized_config_is_usage_error(flag, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel, size", [("hmm", "-1"), ("circuit", "0"), ("overflow", "two")])
+def test_verify_size_below_one_is_usage_error(kernel, size, capsys):
+    # A negative size used to die in numpy with exit 1, and 0 meant the default.
+    with pytest.raises(SystemExit) as exit_info:
+        analysis_main(["verify", "--kernel", kernel, "--size", size])
+    assert exit_info.value.code == EXIT_USAGE
+    assert "argument --size" in capsys.readouterr().err
+
+
 def test_list_mutations(capsys):
     assert analysis_main(["verify", "--list-mutations"]) == EXIT_OK
     out = capsys.readouterr().out

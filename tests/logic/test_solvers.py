@@ -1,6 +1,7 @@
 """Tests for the DPLL and CDCL solvers, including
 hypothesis-driven agreement and model-soundness properties."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.cdcl import CDCLSolver, SolveResult, solve_cnf
@@ -66,6 +67,13 @@ class TestDPLL:
 
     def test_pigeonhole_unsat(self):
         assert DPLLSolver().solve(pigeonhole(3)) is None
+        # No holes: the one pigeon's clause is empty.
+        assert DPLLSolver().solve(pigeonhole(0)) is None
+
+    def test_pigeonhole_rejects_negative_holes(self):
+        # pigeonhole(-2) used to return a CNF with no clauses: satisfiable.
+        with pytest.raises(ValueError, match="holes >= 0"):
+            pigeonhole(-2)
 
     def test_stats_are_populated(self):
         solver = DPLLSolver()

@@ -46,3 +46,15 @@ def test_limit_prints_at_most_that_many_records(trace, capsys, limit, printed, s
     assert sum("PROPAGATE" in line for line in lines) == printed
     assert (f"... stopped after {limit} records" in lines) is stopped
     assert "no records matched" not in lines
+
+
+@pytest.mark.parametrize("kernel, size", [("circuit", "-2"), ("pigeonhole", "-2"), ("hmm", "0"), ("ksat", "x")])
+def test_record_size_below_one_is_bad_input(kernel, size, tmp_path, capsys):
+    # A negative size used to die in numpy / random with exit 1, 0 meant
+    # the default, and pigeonhole(-2) recorded a satisfiable formula.
+    out = tmp_path / "demo.trace"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["record", str(out), "--kernel", kernel, "--size", size])
+    assert exit_info.value.code == EXIT_USAGE
+    assert "argument --size" in capsys.readouterr().err
+    assert not out.exists()
