@@ -60,6 +60,14 @@ def count(path: Path) -> int:
     return sum(code_lines(file.read_text(encoding="utf-8")) for file in files)
 
 
+USAGE = "usage: python .github/scripts/code_lines.py PATH [PATH ...]"
+
+
 if __name__ == "__main__":
+    missing = [argument for argument in sys.argv[1:] if not Path(argument).exists()]
+    if missing:
+        print(USAGE, file=sys.stderr)
+        print(f"error: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        sys.exit(2)
     for argument in sys.argv[1:]:
         print(f"{count(Path(argument)):>7}  {argument}")
