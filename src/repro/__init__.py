@@ -64,7 +64,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
-from repro.core.compiler.program import InstructionKind, Program
+from repro.core.compiler.program import COMPUTE, KINDS, NO_WRITE, InstructionKind, Program
 from repro.core.compiler.schedule import ScheduleStats
 
 ERROR = "error"
@@ -332,42 +332,42 @@ def operand_values(instruction) -> List[int]:
 
 
 class _Stream:
-    """What one pass over a stream counts, for every check that compares
-    the stream with a claim about it: instructions per kind, each
-    value's first producing COMPUTE and last reading site, the highest
-    issue cycle, the latest COMPUTE issue with and without its bank
-    conflicts, and the accelerator-loop energy events."""
+    """What one pass over a stream's columns counts, for every check that
+    compares the stream with a claim about it: instructions per kind,
+    each value's first producing COMPUTE and last reading site, the
+    highest issue cycle, the latest COMPUTE issue with and without its
+    bank conflicts, and the accelerator-loop energy events."""
 
     def __init__(self, program: Program):
-        counts = dict.fromkeys(InstructionKind, 0)
+        kinds, issues = program.kinds, program.issue_cycles
+        counts = {kind: kinds.count(code) for code, kind in enumerate(KINDS)}
+        computes = [site for site, kind in enumerate(kinds) if kind == COMPUTE]
         producer_site: Dict[int, int] = {}
         last_read: Dict[int, int] = {}
-        last_issue, reach, conflicted = -1, None, None
+        reach = conflicted = None
         register_reads = hops = 0
-        for site, instruction in enumerate(program.instructions):
-            kind = instruction.kind
-            counts[kind] += 1
-            issue = instruction.issue_cycle
-            if issue > last_issue:
-                last_issue = issue
-            if kind is not _COMPUTE:
-                continue
-            producer_site.setdefault(instruction.output_value, site)
-            for value in operand_values(instruction):
+        read_offsets, read_banks = program.read_offsets, program.read_banks
+        leaf_offsets, leaf_values = program.leaf_offsets, program.leaf_values
+        output_values = program.output_values
+        for site in computes:
+            producer_site.setdefault(output_values[site], site)
+            first, end = leaf_offsets[site], leaf_offsets[site + 1]
+            for value in leaf_values[first:end]:
                 last_read[value] = site
-            reads = instruction.reads
-            stalled = issue + len(reads) - len({bank for bank, _addr in reads})
+            hops += end - first
+            first, end = read_offsets[site], read_offsets[site + 1]
+            issue = issues[site]
+            stalled = issue + end - first - len(set(read_banks[first:end]))
             if reach is None or issue > reach:
                 reach = issue
             if conflicted is None or stalled > conflicted:
                 conflicted = stalled
-            register_reads += len(reads) + 1
-            hops += len(instruction.leaf_operands)
-        self.counts, self.last_issue = counts, last_issue
+            register_reads += end - first + 1
+        self.counts, self.last_issue = counts, max(-1, max(issues, default=-1))
         self.producer_site, self.last_read = producer_site, last_read
         self._reach, self._conflicted = reach, conflicted
         # Every other kind (LOAD, STORE, SPILL, RELOAD) moves one word.
-        memory_ops = len(program.instructions) - counts[_COMPUTE] - counts[_NOP]
+        memory_ops = len(kinds) - counts[_COMPUTE] - counts[_NOP]
         self.energy = {
             "register_access": register_reads + memory_ops,
             "network_hop": hops,
@@ -385,9 +385,9 @@ class _Stream:
 class _Machine:
     """The abstract register file one walk of a stream moves: where each
     value lives, what was spilled and still survives at its old address,
-    what was ever defined, and the issue clock.  Each handler takes one
-    instruction of its :class:`InstructionKind`; findings go to
-    ``report``."""
+    what was ever defined, and the issue clock.  Each handler takes the
+    site of one instruction of its :class:`InstructionKind` and reads the
+    program's columns there; findings go to ``report``."""
 
     def __init__(self, program, config, stream, report):
         self.program, self.stream, self.report = program, stream, report
@@ -470,12 +470,20 @@ class _Machine:
 
     # ---------------------------------------------------------- handlers
 
-    def load(self, site: int, instruction, what: str = "LOAD") -> None:
-        if self.in_range(site, instruction.write, what):
-            self.write(site, instruction.value, instruction.write, what)
+    def slot(self, site: int) -> Optional[Tuple[int, int]]:
+        """The (bank, addr) the instruction at ``site`` writes, if any."""
+        program = self.program
+        bank = program.write_banks[site]
+        return None if bank == NO_WRITE else (bank, program.write_addrs[site])
 
-    def reload(self, site: int, instruction) -> None:
-        value, located = instruction.value, self.resident.get(instruction.value)
+    def load(self, site: int, what: str = "LOAD") -> None:
+        slot = self.slot(site)
+        if self.in_range(site, slot, what):
+            self.write(site, self.program.values[site], slot, what)
+
+    def reload(self, site: int) -> None:
+        value = self.program.values[site]
+        located = self.resident.get(value)
         if located is not None:
             self.emit("reload-of-resident", site, value=value, slot=located)
         elif value not in self.spilled:
@@ -483,15 +491,19 @@ class _Machine:
         last_read = self.stream.last_read.get(value, -1)
         if last_read < site and value != self.program.root_value:
             self.emit("dead-reload", site, value=value)
-        self.load(site, instruction, "RELOAD")
+        self.load(site, "RELOAD")
 
-    def spill(self, site: int, instruction) -> None:
-        value = instruction.value
+    def spill(self, site: int) -> None:
+        program = self.program
+        value = program.values[site]
         located = self.resident.get(value)
         if located is None:
             self.emit("spill-of-nonresident", site, value=value)
             return
-        where = instruction.reads[0] if instruction.reads else None
+        first = program.read_offsets[site]
+        where = None
+        if first < program.read_offsets[site + 1]:
+            where = (program.read_banks[first], program.read_addrs[first])
         if where != located:
             self.emit("spill-misread", site, value=value, reads=where, slot=located)
         self.release(value)
@@ -499,18 +511,21 @@ class _Machine:
         self.ghost[value] = located
         self.ghost_by_slot[located] = value
 
-    def store(self, site: int, instruction) -> None:
+    def store(self, site: int) -> None:
         # Every resident value was written, so ``defined`` covers it.
-        value = instruction.value
+        value = self.program.values[site]
         if value >= 0 and value not in self.defined:
             self.emit("undefined-store", site, value=value)
 
-    def compute(self, site: int, instruction) -> None:
-        cycle = instruction.issue_cycle
+    def compute(self, site: int) -> None:
+        program = self.program
+        cycle = program.issue_cycles[site]
         if cycle >= 0:
             self.busy.add(cycle)
-        reads = set(instruction.reads)
-        operands = operand_values(instruction)
+        first, end = program.read_offsets[site], program.read_offsets[site + 1]
+        reads = set(zip(program.read_banks[first:end], program.read_addrs[first:end]))
+        first, end = program.leaf_offsets[site], program.leaf_offsets[site + 1]
+        operands = sorted(set(program.leaf_values[first:end]))
         resident, issued_at = self.resident, self.compute_issue
         producer_site, stages = self.stream.producer_site, self.stages
         for value in operands:
@@ -527,9 +542,10 @@ class _Machine:
                 if issued >= 0 and cycle < issued + stages:
                     ready = issued + stages
                     self.emit("hazard", site, value=value, ready=ready, cycle=cycle)
-        if self.in_range(site, instruction.write, "COMPUTE write-back"):
-            self.write(site, instruction.output_value, instruction.write, "write-back")
-        issued_at[instruction.output_value] = cycle
+        output, slot = program.output_values[site], self.slot(site)
+        if self.in_range(site, slot, "COMPUTE write-back"):
+            self.write(site, output, slot, "write-back")
+        issued_at[output] = cycle
         # Scheduler live-range release: operands whose last reader is
         # this instruction free their registers.
         last_read = self.stream.last_read
@@ -578,8 +594,8 @@ class _Machine:
         ]
         return banks.count(bank)
 
-    def nop(self, site: int, instruction) -> None:
-        cycle = instruction.issue_cycle
+    def nop(self, site: int) -> None:
+        cycle = self.program.issue_cycles[site]
         if cycle >= 0:
             if cycle in self.busy:
                 self.emit("busy-nop", site, cycle=cycle)
@@ -601,8 +617,8 @@ class _Machine:
                 self.emit("unaccounted-cycles", -1, cycles=missing[:5])
 
 
-#: One handler per instruction kind, named after it.
-_HANDLERS = {kind: getattr(_Machine, kind.name.lower()) for kind in InstructionKind}
+#: One handler per instruction kind, named after it, by kind code.
+_HANDLERS = [getattr(_Machine, kind.name.lower()) for kind in KINDS]
 
 #: The ScheduleStats counters that each count one instruction kind.
 _COUNTED = {
@@ -627,12 +643,12 @@ def verify_program(
     (``stats-consistency``); without it those checks are skipped.
     """
     stream = _Stream(program)
-    total = len(program.instructions)
-    report = VerifyReport(instructions=total, computes=stream.counts[_COMPUTE])
+    report = VerifyReport(instructions=len(program), computes=stream.counts[_COMPUTE])
     machine = _Machine(program, config, stream, report)
-    for site, instruction in enumerate(program.instructions):
-        machine.tick(site, instruction.issue_cycle)
-        _HANDLERS[instruction.kind](machine, site, instruction)
+    issues = program.issue_cycles
+    for site, kind in enumerate(program.kinds):
+        machine.tick(site, issues[site])
+        _HANDLERS[kind](machine, site)
     machine.root()
     machine.cycles()
     if stats is not None:
@@ -693,7 +709,7 @@ def verify_execution(
     exact energy-event/instruction-count consistency.
     """
     stream = _Stream(program)
-    total = len(program.instructions)
+    total = len(program)
     result = VerifyReport(instructions=total, computes=stream.counts[_COMPUTE])
     out = result.findings
     if report.instructions != total:

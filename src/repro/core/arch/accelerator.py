@@ -21,7 +21,6 @@ Two execution paths mirror the paper's two kernel families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
@@ -29,26 +28,34 @@ from repro.core.arch.energy import EnergyModel
 from repro.core.arch.interconnect import Topology, broadcast_cycles
 from repro.core.arch.tree_pe import PEMode, TreePE
 from repro.core.arch.watched_literals import watch_costs
-from repro.core.compiler.program import InstructionKind, Program
+from repro.core.compiler.program import (
+    COMPUTE,
+    LOAD,
+    NO_WRITE,
+    NOP,
+    OPS,
+    RELOAD,
+    SPILL,
+    STORE,
+    Program,
+)
 from repro.core.dag.graph import OpType
 from repro.logic.cdcl import CDCLSolver
 from repro.logic.cnf import CNF
 from repro.trace.format import PHASE_PROGRAM, PHASE_SYMBOLIC, EventKind
 
-_COMPUTE, _NOP = InstructionKind.COMPUTE, InstructionKind.NOP
-_SUM, _PRODUCT = OpType.SUM, OpType.PRODUCT
-_AND, _OR, _NOT = OpType.AND, OpType.OR, OpType.NOT
-_ISSUE = attrgetter("issue_cycle")
-_READS, _LEAF_OPERANDS = attrgetter("reads"), attrgetter("leaf_operands")
+_SUM, _PRODUCT, _AND, _OR, _NOT = map(
+    OPS.index, (OpType.SUM, OpType.PRODUCT, OpType.AND, OpType.OR, OpType.NOT)
+)
 #: The event a memory instruction is traced as; a STORE / SPILL without
 #: a write-back names the bank it reads from.
 _MEMORY_EVENTS = {
-    InstructionKind.LOAD: EventKind.LOAD,
-    InstructionKind.RELOAD: EventKind.RELOAD,
-    InstructionKind.STORE: EventKind.STORE,
-    InstructionKind.SPILL: EventKind.SPILL,
+    LOAD: EventKind.LOAD,
+    RELOAD: EventKind.RELOAD,
+    STORE: EventKind.STORE,
+    SPILL: EventKind.SPILL,
 }
-_STORES = (InstructionKind.STORE, InstructionKind.SPILL)
+_STORES = (STORE, SPILL)
 
 
 @dataclass
@@ -121,7 +128,9 @@ class ReasonAccelerator:
         also *walked*, in issue order, to emit one event per instruction
         and block; the walk charges nothing.
         """
-        instructions = program.instructions
+        kinds, issues = program.kinds, program.issue_cycles
+        read_offsets, leaf_offsets = program.read_offsets, program.leaf_offsets
+        config_offsets = program.config_offsets
         config = self.config
         pes = self.pes
         num_pes = len(pes)
@@ -130,30 +139,34 @@ class ReasonAccelerator:
             if pe.mode is not mode:
                 switch_penalty += pe.mode_switch_penalty()
             pe.set_mode(mode)
-        computes = [i for i in instructions if i.kind is _COMPUTE]
+        computes = [site for site, kind in enumerate(kinds) if kind == COMPUTE]
 
-        # The value pass.  ``tree_config`` lists unique heap positions in
-        # ascending order, so walking it backwards sees children before
+        # The value pass.  A COMPUTE's tree configs are in ascending heap
+        # position, so walking them backwards sees children before
         # parents.  A block's store is indexed by heap position and wide
         # enough for the children of every node of this chip's tree.
         # Unconfigured positions are inert; FORWARD nodes pass their one
         # live child up; an op reads its live children left first, with
         # the IEEE operations of ``sum`` (which starts from int 0) or of
         # a running product from 1.0, in that order.
+        positions, config_ops = program.config_positions, program.config_ops
+        config_weights = program.config_weights
+        leaf_positions, leaf_values = program.leaf_positions, program.leaf_values
+        output_values = program.output_values
         values: Dict[int, float] = dict(inputs or {})
         width = 2 * config.nodes_per_pe + 1
         active = 0
         logic_ops = 0
         try:
-            for instruction in computes:
+            for site in computes:
                 store: List[Optional[float]] = [None] * width
-                for position, value_id in instruction.leaf_operands.items():
-                    store[position] = values[value_id]
+                for leaf in range(leaf_offsets[site], leaf_offsets[site + 1]):
+                    store[leaf_positions[leaf]] = values[leaf_values[leaf]]
                 ops = 0
-                for node in reversed(instruction.tree_config):
-                    position = node.position
-                    op = node.op
-                    if op is None:  # FORWARD
+                for node in range(config_offsets[site + 1] - 1, config_offsets[site] - 1, -1):
+                    position = positions[node]
+                    op = config_ops[node]
+                    if not op:  # FORWARD
                         if store[position] is None:  # else a leaf operand
                             live = store[2 * position + 1]
                             if live is None:
@@ -169,9 +182,9 @@ class ReasonAccelerator:
                         left, right = right, None
                         if left is None:
                             raise ValueError(f"op node {position} has no inputs")
-                    if op is _SUM:
+                    if op == _SUM:
                         operands = 1 if right is None else 2
-                        weights = node.child_weights or (1.0,) * operands
+                        weights = config_weights[node] or (1.0,) * operands
                         if len(weights) != operands:
                             raise ValueError(
                                 f"SUM node {position} has {len(weights)} child "
@@ -180,25 +193,25 @@ class ReasonAccelerator:
                         value = 0 + weights[0] * left
                         if right is not None:
                             value += weights[1] * right
-                    elif op is _PRODUCT:
+                    elif op == _PRODUCT:
                         value = 1.0 * left
                         if right is not None:
                             value *= right
-                    elif op is _AND:
+                    elif op == _AND:
                         logic_ops += 1
                         value = 1.0 if left > 0 and (right is None or right > 0) else 0.0
-                    elif op is _OR:
+                    elif op == _OR:
                         logic_ops += 1
                         value = 1.0 if left > 0 or (right is not None and right > 0) else 0.0
-                    elif op is _NOT:
+                    elif op == _NOT:
                         logic_ops += 1
                         value = 1.0 - left
                     else:
-                        raise TypeError(f"op {op} not executable on a tree node")
+                        raise TypeError(f"op {OPS[op]} not executable on a tree node")
                     store[position] = value
                 if store[0] is None:
                     raise ValueError("block did not produce a root value")
-                values[instruction.output_value] = store[0]
+                values[output_values[site]] = store[0]
                 active += ops
         except KeyError as missing:  # only reading an operand's value raises it
             raise KeyError(f"input value for DAG node {missing.args[0]} missing") from None
@@ -208,49 +221,50 @@ class ReasonAccelerator:
                 f"{config.nodes_per_pe}-node PE tree; compile the program for this config"
             ) from None
 
-        stalls = sum(1 for i in instructions if i.kind is _NOP)
+        total = len(kinds)
+        stalls = kinds.count(NOP)
         # Every other kind (LOAD, STORE, SPILL, RELOAD) moves one word.
-        memory_ops = len(instructions) - len(computes) - stalls
+        memory_ops = total - len(computes) - stalls
         run = EnergyModel(config, self.energy.energies)
         run.logic_op = logic_ops
         run.alu_op = active - logic_ops
         # A COMPUTE reads its operand registers and writes one back.
         run.register_access = (
-            sum(map(len, map(_READS, computes))) + len(computes) + memory_ops
+            sum(read_offsets[site + 1] - read_offsets[site] for site in computes)
+            + len(computes)
+            + memory_ops
         )
-        run.network_hop = sum(map(len, map(_LEAF_OPERANDS, computes)))
+        run.network_hop = sum(leaf_offsets[site + 1] - leaf_offsets[site] for site in computes)
         run.control_overhead = len(computes)
         run.sram_access = memory_ops
         self.energy.merge(run)
         stages = config.pipeline_stages
-        finish = max(map(_ISSUE, computes), default=-stages) + stages
-        cycles = max(finish, len(instructions)) + switch_penalty
+        finish = max(map(issues.__getitem__, computes), default=-stages) + stages
+        cycles = max(finish, total) + switch_penalty
 
         tw = self.trace
         emit = None if tw is None else tw.emit
         if emit is not None:
+            write_banks, read_banks = program.write_banks, program.read_banks
             emit(EventKind.PHASE, 0, PHASE_PROGRAM)
-            for instruction in instructions:
-                kind = instruction.kind
-                if kind is _COMPUTE:
-                    emit(EventKind.COMPUTE, instruction.issue_cycle, instruction.pe % num_pes)
-                    configs = instruction.tree_config
-                    forwards = sum(1 for node in configs if node.op is None)
-                    emit(EventKind.PE_BLOCK, None, len(configs) - forwards, forwards)
-                elif kind is _NOP:
-                    issue = instruction.issue_cycle
+            for site, kind in enumerate(kinds):
+                if kind == COMPUTE:
+                    emit(EventKind.COMPUTE, issues[site], program.pes[site] % num_pes)
+                    first, end = config_offsets[site], config_offsets[site + 1]
+                    forwards = config_ops[first:end].count(0)
+                    emit(EventKind.PE_BLOCK, None, end - first - forwards, forwards)
+                elif kind == NOP:
+                    issue = issues[site]
                     emit(EventKind.NOP, issue if issue >= 0 else None)
                 else:
                     # The scheduler fills issue_cycle only for COMPUTE
                     # and NOP; memory ops ride the clock's last value
                     # (cycle=None -> zero delta, one code byte).
-                    write, reads = instruction.write, instruction.reads
-                    if write:
-                        bank = write[0]
-                    elif reads and kind in _STORES:
-                        bank = reads[0][0]
-                    else:
-                        bank = 0
+                    bank = write_banks[site]
+                    if bank == NO_WRITE:
+                        first = read_offsets[site]
+                        stored = kind in _STORES and first < read_offsets[site + 1]
+                        bank = read_banks[first] if stored else 0
                     emit(_MEMORY_EVENTS[kind], None, bank)
             emit(EventKind.RUN_END, cycles)
 
@@ -260,7 +274,7 @@ class ReasonAccelerator:
             energy_j=run.total_energy_j(),
             power_w=run.average_power_w(cycles),
             utilization=active / max(1, len(computes) * config.nodes_per_pe),
-            instructions=len(instructions),
+            instructions=total,
             stalls=stalls,
         )
 

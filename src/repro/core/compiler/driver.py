@@ -44,7 +44,6 @@ def compile_dag(
     blocks = decompose_blocks(working, config.tree_depth)
     assignment = map_operands_to_banks(working, blocks, config.num_banks)
     program, schedule_stats = schedule_program(working, blocks, assignment, config)
-    program.dag = working
 
     mean_ops = (
         sum(b.num_ops for b in blocks) / len(blocks) if blocks else 0.0

@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.arch.config import ArchConfig
 from repro.core.compiler.blocks import Block, block_dependencies, topological_block_order
 from repro.core.compiler.mapping import BankAssignment
-from repro.core.compiler.program import InstructionKind, Program, VLIWInstruction
+from repro.core.compiler.program import COMPUTE, LOAD, NOP, RELOAD, SPILL, Program
 from repro.core.compiler.tree_map import place_blocks
 from repro.core.dag.graph import Dag
 
@@ -66,10 +66,8 @@ def schedule_program(
     deps = block_dependencies(dag, blocks)
     ordered = topological_block_order(dag, blocks, deps)
     bank_of = assignment.bank_of
-    # What a block's COMPUTE carries does not depend on when it issues:
-    # every block's tree placement, and its stalls — one per operand
+    # A block's stalls do not depend on when it issues: one per operand
     # read from a bank another operand of the block already reads.
-    placements = place_blocks(plan, ordered, config.tree_depth)
     stalls = [len(set(b.inputs)) - len({bank_of[v] for v in b.inputs}) for b in ordered]
 
     # Live ranges.  Blocks issue lowest-index-first among those *ready*,
@@ -90,8 +88,11 @@ def schedule_program(
     free = [list(range(config.regs_per_bank)) for _ in range(config.num_banks)]
     residents: List[Dict[int, int]] = [{} for _ in range(config.num_banks)]
     address_of: Dict[int, Tuple[int, int]] = {}
-    program = Program(num_blocks=len(blocks))
-    emit = program.instructions.append
+    # The stream is written straight into the program's columns: a
+    # COMPUTE's tree configs and leaf operands by ``place_block``.
+    program = Program(root_value=dag.root, dag=dag)
+    append = program.append
+    place_block = place_blocks(plan, ordered, config.tree_depth, program)
     stats = ScheduleStats()
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -114,8 +115,7 @@ def schedule_program(
             victim = max(spare or in_bank, key=last_reader.__getitem__)
             where = address_of.pop(victim)
             heappush(vacant, in_bank.pop(victim))
-            emit(VLIWInstruction(InstructionKind.SPILL, reads=[where], value=victim))
-            stats.spills += 1
+            append(SPILL, reads=(where,), value=victim)
         addr = in_bank[value] = heappop(vacant)
         slot = address_of[value] = (bank, addr)
         return slot
@@ -140,7 +140,6 @@ def schedule_program(
     # the schedule's length, and the drain gate of the non-pipelined
     # ablation.  An unissued block whose producers have all issued sits
     # in a heap, so both are empty exactly when every block has issued.
-    load, reload, compute = InstructionKind.LOAD, InstructionKind.RELOAD, InstructionKind.COMPUTE
     num_pes, pipelined = config.num_pes, config.pipelined_scheduling
     stages = config.pipeline_stages
     while future or ready:
@@ -160,35 +159,18 @@ def schedule_program(
             for value in inputs:
                 if value in address_of:
                     continue
-                slot = place(value, inputs)
-                if leaf[value]:
-                    emit(VLIWInstruction(load, write=slot, value=value))
-                    stats.loads += 1
-                else:
-                    emit(VLIWInstruction(reload, write=slot, value=value))
-                    stats.reloads += 1
+                append(LOAD if leaf[value] else RELOAD, write=place(value, inputs), value=value)
             # The fallback address is the bank-starved stale read: a kept
             # sibling ``place`` had to evict (a verifier *warning*;
             # execution reads operands by value id).  Reads are taken
             # before the write-back slot is claimed, so an input spilled
             # to make room for the output is still read at its old
-            # address, which holds its bits until the write lands.
+            # address, which holds its bits until the write lands.  The
+            # tree goes into the program after ``place``'s SPILLs.
             reads = [address_of.get(v) or (bank_of[v], 0) for v in inputs]
-            out_slot = place(block.output, ())
-            tree_config, leaf_operands, _ = placements[index]
-            emit(
-                VLIWInstruction(
-                    compute,
-                    block_id=block.block_id,
-                    reads=reads,
-                    write=out_slot,
-                    tree_config=tree_config,
-                    issue_cycle=cycle,
-                    pe=pe,
-                    leaf_operands=leaf_operands,
-                    output_value=block.output,
-                )
-            )
+            write = place(block.output, ())
+            place_block(index)
+            append(COMPUTE, block.block_id, reads, write, cycle, pe, output_value=block.output)
             finish = cycle + stages + stalls[index]
             if finish > stats.cycles:
                 stats.cycles = finish
@@ -206,9 +188,10 @@ def schedule_program(
 
         stats.pe_issue_slots += num_pes
         if not issuing:
-            emit(VLIWInstruction(InstructionKind.NOP, issue_cycle=cycle))
-            stats.nops += 1
+            append(NOP, issue_cycle=cycle)
         cycle += 1
 
-    program.root_value = dag.root
+    stats.nops, stats.spills, stats.reloads, stats.loads = map(
+        program.kinds.count, (NOP, SPILL, RELOAD, LOAD)
+    )
     return program, stats

@@ -6,20 +6,19 @@ at the PE root and recursively assigns children, configuring unused
 positions as FORWARD (pass-through) so operands injected at the leaves
 ripple up unchanged.  SUM edge weights ride on the child configuration,
 matching the node microarchitecture's multiply-accumulate datapath.
-Configs are frozen, so they are shared: one FORWARD config per tree
-position per process, and — across the blocks of one schedule — one op
-config per distinct ``(position, op, child weights)``.
+A placement is written as rows of a program's config and leaf-operand
+tables (:class:`~repro.core.compiler.program.Program`), not as objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiler.blocks import Block
-from repro.core.compiler.program import TreeNodeConfig
-from repro.core.dag.graph import Dag, DagPlan, OpType
+from repro.core.compiler.program import COMPUTE, OPS, Program, TreeNodeConfig
+from repro.core.dag.graph import Dag, DagPlan
 
 
 @dataclass
@@ -38,24 +37,18 @@ class TreePlacement:
 
 
 @lru_cache(maxsize=None)
-def _tree(tree_depth: int) -> Tuple[Tuple[TreeNodeConfig, ...], Tuple[Tuple[int, ...], ...]]:
-    """Per heap position of a PE tree of this depth: its one FORWARD
-    config, shared by every placement (configs are frozen), and the
-    path an operand wanted there rides — injected at the leaf at the
-    bottom of the position's left spine, FORWARDed up to the position."""
-    num_positions = 2 ** (tree_depth + 1) - 1
+def _paths(tree_depth: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per heap position of a PE tree of this depth, the path an operand
+    wanted there rides: injected at the leaf at the bottom of the
+    position's left spine, FORWARDed up to the position."""
     first_leaf = 2 ** tree_depth - 1
     paths = []
-    for position in range(num_positions):
-        leaf = position
-        while leaf < first_leaf:
-            leaf = 2 * leaf + 1
-        path = [leaf]
-        while path[-1] != position:
-            path.append((path[-1] - 1) // 2)
-        paths.append(tuple(path))
-    forward = tuple(TreeNodeConfig(position, None) for position in range(num_positions))
-    return forward, tuple(paths)
+    for position in range(2 * first_leaf + 1):
+        spine = [position]
+        while spine[-1] < first_leaf:
+            spine.append(2 * spine[-1] + 1)
+        paths.append(tuple(reversed(spine)))
+    return tuple(paths)
 
 
 def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
@@ -63,42 +56,47 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
 
     Raises ``ValueError`` when the block is deeper than the PE tree.
     """
-    ((configs, leaf_operands, active),) = place_blocks(dag.plan(), [block], tree_depth)
-    return TreePlacement(
-        block.block_id, configs, leaf_operands, active / (2 ** (tree_depth + 1) - 1)
-    )
+    program = Program()
+    active = place_blocks(dag.plan(), [block], tree_depth, program)(0)
+    program.append(COMPUTE)
+    (placed,) = program.instructions
+    utilization = active / (2 ** (tree_depth + 1) - 1)
+    return TreePlacement(block.block_id, placed.tree_config, placed.leaf_operands, utilization)
 
 
 def place_blocks(
-    plan: DagPlan, blocks: Sequence[Block], tree_depth: int
-) -> List[Tuple[List[TreeNodeConfig], Dict[int, int], int]]:
-    """Every block's placement, as ``(configs, leaf_operands, active op
-    count)`` in block order — :func:`map_block_to_tree` over the DAG's
-    plan, reading block membership off one per-node owner array.  The
-    blocks share one op config per distinct ``(position, op, child
-    weights)``."""
-    forward, paths = _tree(tree_depth)
-    num_positions = len(forward)
+    plan: DagPlan, blocks: Sequence[Block], tree_depth: int, program: Program
+) -> Callable[[int], int]:
+    """The placer of ``blocks`` over the DAG's plan: ``place(index)``
+    writes block ``index``'s tree configs (ascending heap position) and
+    leaf operands (in walk order) to ``program``'s tables — the rows of
+    the instruction appended next — and returns its active op count.
+    Block membership is read off one per-node owner array, built once."""
+    paths = _paths(tree_depth)
+    num_positions = len(paths)
     first_leaf = num_positions // 2
-    ops, children_of, weights = plan.ops, plan.children, plan.weights
-    owner = [-1] * len(ops)  # node id -> index of the block holding it
+    children_of = plan.children
+    # Per node id: the index of the block holding it, and its config's
+    # op code and weights; a FORWARD is node id -1.
+    owner = [-1] * len(children_of)
     for index, block in enumerate(blocks):
         for node_id in block.nodes:
             owner[node_id] = index
-    configs: Dict[Tuple[int, OpType, Tuple[float, ...]], TreeNodeConfig] = {}
-    placements = []
+    codes = [*map(OPS.index, plan.ops), 0]
+    weights = [*plan.weights, ()]
+    config_position, config_op = program.config_positions.append, program.config_ops.append
+    config_weights, leaf_positions = program.config_weights.append, program.leaf_positions.append
+    leaf_values = program.leaf_values.append
 
-    for index, block in enumerate(blocks):
+    def place(index: int) -> int:
+        block = blocks[index]
         if block.depth > tree_depth:
-            raise ValueError(
-                f"block depth {block.depth} exceeds tree depth {tree_depth}"
-            )
-        # Heap-indexed: a config is written straight into its position,
-        # so the list comes out sorted.  The walk reaches a position
-        # along one path only, so a second claim on a slot means the
-        # walk is broken.
-        by_position: List[Optional[TreeNodeConfig]] = [None] * num_positions
-        leaf_operands: Dict[int, int] = {}
+            raise ValueError(f"block depth {block.depth} exceeds tree depth {tree_depth}")
+        # Heap-indexed: the op node placed at a position (-1: FORWARD)
+        # is written straight into it, so the configs come out sorted.
+        # The walk reaches a position along one path only, so a second
+        # claim on a slot means the walk is broken.
+        by_position: List[Optional[int]] = [None] * num_positions
         active = 0
         # Pre-order placement walk with an explicit stack (the recursion
         # paid a Python frame per operand spine).
@@ -109,20 +107,17 @@ def place_blocks(
                 # An operand: inject at the leaf below and FORWARD it up
                 # to ``position`` (inclusive) so the parent op can read it.
                 path = paths[position]
-                leaf_operands[path[0]] = value_id
+                leaf_positions(path[0])
+                leaf_values(value_id)
                 for walker in path:
                     if by_position[walker] is not None:
                         raise AssertionError(f"conflicting configs at position {walker}")
-                    by_position[walker] = forward[walker]
+                    by_position[walker] = -1
                 continue
 
             if by_position[position] is not None:
                 raise AssertionError(f"conflicting configs at position {position}")
-            key = (position, ops[value_id], weights[value_id])
-            config = configs.get(key)
-            if config is None:
-                config = configs[key] = TreeNodeConfig(*key)
-            by_position[position] = config
+            by_position[position] = value_id
             active += 1
             children = children_of[value_id]
             if children:
@@ -132,7 +127,11 @@ def place_blocks(
                     stack.append((children[1], 2 * position + 2))
                 stack.append((children[0], 2 * position + 1))
 
-        placements.append(
-            ([config for config in by_position if config is not None], leaf_operands, active)
-        )
-    return placements
+        for position, node_id in enumerate(by_position):
+            if node_id is not None:
+                config_position(position)
+                config_op(codes[node_id])
+                config_weights(weights[node_id])
+        return active
+
+    return place

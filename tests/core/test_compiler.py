@@ -360,24 +360,13 @@ class TestTreePlacement:
             dag, _ = cnf_to_dag(random_ksat(6, 14, seed=seed))
         assert_placements_match_reference(regularize_two_input(dag), tree_depth)
 
-    def test_forward_configs_are_shared_and_survive_pickling(self, overflow_schedule):
+    def test_scheduled_placements_survive_pickling(self, overflow_schedule):
+        # A program holds no config objects to share: its tree configs
+        # are int columns, and a stored copy builds the same stream.
         program, _ = overflow_schedule
         restored = pickle.loads(pickle.dumps(program))
         assert restored.instructions == program.instructions
-        assert (restored.num_blocks, restored.root_value) == (
-            program.num_blocks,
-            program.root_value,
-        )
-        # One frozen FORWARD config per tree position, however many
-        # blocks forward through it — in memory and in the pickle.
-        for candidate in (program, restored):
-            forwards = {
-                id(config): config.position
-                for instruction in candidate.instructions
-                for config in instruction.tree_config
-                if config.op is None
-            }
-            assert len(forwards) == len(set(forwards.values()))
+        assert restored.root_value == program.root_value
 
     def test_placement_configs_cover_block_ops(self):
         dag = regularize_two_input(circuit_to_dag(random_circuit(6, depth=2, seed=8))[0])

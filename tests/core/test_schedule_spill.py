@@ -34,7 +34,7 @@ from repro.analysis.verifier import verify_artifact
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.arch.accelerator import ReasonAccelerator
 from repro.core.compiler import compile_dag, decompose_blocks
-from repro.core.compiler.program import InstructionKind
+from repro.core.compiler.program import InstructionKind, Program
 from repro.core.compiler.blocks import topological_block_order
 from repro.core.dag import circuit_to_dag, default_leaf_inputs
 from repro.hmm.model import HMM
@@ -234,12 +234,8 @@ class TestLastReaderLiveness:
 
 
 def replace_instructions(program, instructions):
-    """A shallow program copy with a substituted instruction list."""
-    import copy
-
-    clone = copy.copy(program)
-    clone.instructions = instructions
-    return clone
+    """The program with a substituted instruction list."""
+    return Program(instructions, program.root_value, program.dag)
 
 
 def register_file_mismatches(program, config):
