@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.dag.graph import OpType
 
@@ -34,13 +34,13 @@ KINDS: Tuple[InstructionKind, ...] = tuple(InstructionKind)
 COMPUTE, LOAD, STORE, SPILL, RELOAD, NOP = range(len(KINDS))
 #: A ``config_ops`` entry is the index of its op here; 0 is FORWARD.
 OPS: Tuple[Optional[OpType], ...] = (None, *OpType)
-#: The ``write_banks`` entry of an instruction without a write-back: no
-#: register file has a negative bank.
+#: The ``write_banks`` entry of an instruction without a write-back.  No
+#: register file has a negative bank, but a hand-built stream may write
+#: to bank -1 and must convert back unchanged.
 NO_WRITE = -(1 << 15)
 
 
-@dataclass(frozen=True)
-class TreeNodeConfig:
+class TreeNodeConfig(NamedTuple):
     """Op configuration of one physical tree node for one instruction.
 
     ``position`` is the heap index of the node inside the PE tree

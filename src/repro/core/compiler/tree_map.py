@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiler.blocks import Block
-from repro.core.compiler.program import COMPUTE, OPS, Program, TreeNodeConfig
+from repro.core.compiler.program import OPS, Program, TreeNodeConfig
 from repro.core.dag.graph import Dag, DagPlan
 
 
@@ -56,12 +56,13 @@ def map_block_to_tree(dag: Dag, block: Block, tree_depth: int) -> TreePlacement:
 
     Raises ``ValueError`` when the block is deeper than the PE tree.
     """
-    program = Program()
-    active = place_blocks(dag.plan(), [block], tree_depth, program)(0)
-    program.append(COMPUTE)
-    (placed,) = program.instructions
+    placed = Program()
+    active = place_blocks(dag.plan(), [block], tree_depth, placed)(0)
+    ops = map(OPS.__getitem__, placed.config_ops)
+    configs = list(map(TreeNodeConfig, placed.config_positions, ops, placed.config_weights))
+    leaf_operands = dict(zip(placed.leaf_positions, placed.leaf_values))
     utilization = active / (2 ** (tree_depth + 1) - 1)
-    return TreePlacement(block.block_id, placed.tree_config, placed.leaf_operands, utilization)
+    return TreePlacement(block.block_id, configs, leaf_operands, utilization)
 
 
 def place_blocks(
@@ -75,15 +76,14 @@ def place_blocks(
     paths = _paths(tree_depth)
     num_positions = len(paths)
     first_leaf = num_positions // 2
-    children_of = plan.children
-    # Per node id: the index of the block holding it, and its config's
-    # op code and weights; a FORWARD is node id -1.
-    owner = [-1] * len(children_of)
+    ops, children_of, weights = plan.ops, plan.children, plan.weights
+    # Per node id: the index of the block holding it; per placed node
+    # id, its config's op code (a FORWARD is node id -1).
+    owner, codes = [-1] * len(ops), {-1: 0}
     for index, block in enumerate(blocks):
         for node_id in block.nodes:
             owner[node_id] = index
-    codes = [*map(OPS.index, plan.ops), 0]
-    weights = [*plan.weights, ()]
+            codes[node_id] = OPS.index(ops[node_id])
     config_position, config_op = program.config_positions.append, program.config_ops.append
     config_weights, leaf_positions = program.config_weights.append, program.leaf_positions.append
     leaf_values = program.leaf_values.append
@@ -131,7 +131,7 @@ def place_blocks(
             if node_id is not None:
                 config_position(position)
                 config_op(codes[node_id])
-                config_weights(weights[node_id])
+                config_weights(weights[node_id] if node_id >= 0 else ())
         return active
 
     return place
