@@ -38,6 +38,7 @@ from repro.core.dag import (
 )
 from repro.core.dag.builders import cnf_dag_footprint
 from repro.core.dag.graph import Dag, OpType
+from repro.costmodel.features import remember
 from repro.hmm.inference import log_likelihood as hmm_log_likelihood
 from repro.hmm.model import HMM
 from repro.logic.cdcl import CDCLSolver, SolveResult
@@ -122,6 +123,11 @@ class RunOptions:
         return _int_record(b"S", tuple(self.hmm_observations))
 
 
+#: The options of every request that passes none.  No field holds a
+#: caller-owned container, so nothing can change them in place: the key
+#: context of this one instance is built once per (adapter, config).
+DEFAULT_OPTIONS = RunOptions()
+
 #: How each compile option enters a fingerprint: the sequence-valued
 #: ones packed, the scalars as they are (``content_key`` reprs them).
 _OPTION_PARTS = {
@@ -130,6 +136,10 @@ _OPTION_PARTS = {
     "calibration": RunOptions.calibration_key,
     "hmm_observations": RunOptions.observations_key,
 }
+
+#: ``(adapter, config.key_bytes)`` -> the key context of
+#: :data:`DEFAULT_OPTIONS`, FIFO-bounded like the serving path's other memos.
+_DEFAULT_CONTEXTS: Dict[Tuple["KernelAdapter", bytes], tuple] = {}
 
 
 def check_queries(queries: object) -> None:
@@ -193,11 +203,14 @@ class KernelAdapter:
         ``content_key`` would hash, or (a CNF) what they are packed from.
         """
         snapshot = self.snapshot(kernel)
-        context = (
-            self,
-            config.key_bytes,
-            *[key_part(_OPTION_PARTS[name](options)) for name in self.option_fields],
-        )
+        if options is DEFAULT_OPTIONS:
+            context = _DEFAULT_CONTEXTS.get((self, config.key_bytes))
+            if context is None:
+                context = remember(
+                    _DEFAULT_CONTEXTS, (self, config.key_bytes), self._context(options, config)
+                )
+        else:
+            context = self._context(options, config)
         memo = getattr(kernel, "_key_memo", False)
         if memo and memo[0] == snapshot and memo[1] == context:
             return memo[2]
@@ -205,6 +218,15 @@ class KernelAdapter:
         if memo is not False:
             kernel._key_memo = (snapshot, context, digest)
         return digest
+
+    def _context(self, options: RunOptions, config: ArchConfig) -> tuple:
+        """The adapter, the config bytes and the option parts: what a
+        fingerprint hashes besides the kernel."""
+        return (
+            self,
+            config.key_bytes,
+            *[key_part(_OPTION_PARTS[name](options)) for name in self.option_fields],
+        )
 
     def snapshot(self, kernel: object) -> object:
         """What the kernel holds now, in a form ``==`` compares exactly:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, List, Optional
 
-from repro.api.adapters import RunOptions, adapter_for
+from repro.api.adapters import DEFAULT_OPTIONS, RunOptions, adapter_for
 from repro.api.types import CompiledArtifact, ExecutionReport, ExecutionSummary
 from repro.baselines.device import DeviceModel, RTX_A6000, XEON_CPU
 from repro.baselines.roofline import roofline_point
@@ -96,7 +96,7 @@ class ReasonBackend(Backend):
     name = "reason"
 
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
-        options = options or RunOptions()
+        options = options or DEFAULT_OPTIONS
         writer, owned = _trace_writer_for(options.trace)
         summary = artifact.execution
         executed = (

@@ -63,6 +63,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.api.adapters import (
+    DEFAULT_OPTIONS,
     RunOptions,
     adapter_for,
     check_queries,
@@ -878,10 +879,10 @@ class ReasonService:
         that expires while queued or executing resolves with
         :class:`~repro.api.resilience.DeadlineExceeded`.
         """
+        options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
         return self._submit(
-            kernel, RunOptions(**option_kwargs), backend, queries, neural_time(neural_s),
-            timeout, deadline_s,
-        )  # fmt: skip
+            kernel, options, backend, queries, neural_time(neural_s), timeout, deadline_s
+        )
 
     def submit_batch(
         self,
@@ -904,7 +905,7 @@ class ReasonService:
         """
         kernels = list(kernels)
         neural_times = per_kernel_neural_s(len(kernels), neural_s)
-        options = RunOptions(**option_kwargs)
+        options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
         futures = []
         try:
             for kernel, neural_time in zip(kernels, neural_times):

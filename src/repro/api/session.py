@@ -26,7 +26,13 @@ import threading
 import time
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.api.adapters import RunOptions, adapter_for, check_queries, per_kernel_neural_s
+from repro.api.adapters import (
+    DEFAULT_OPTIONS,
+    RunOptions,
+    adapter_for,
+    check_queries,
+    per_kernel_neural_s,
+)
 from repro.api.backends import Backend, get_backend
 from repro.api.cache import CacheStats, CompileCache
 from repro.api.store import ArtifactStore
@@ -234,7 +240,8 @@ class ReasonSession:
         runs optimization + compilation (or CDCL solve + trace record
         for logic kernels) and stores the result.
         """
-        artifact, _ = self._compile(kernel, RunOptions(**option_kwargs))
+        options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
+        artifact, _ = self._compile(kernel, options)
         return artifact
 
     def _compile(
@@ -248,18 +255,18 @@ class ReasonSession:
         may be served by either cache level: the local LRU, or the
         shared store another session (shard, process) compiled into.
         ``key`` accepts a precomputed fingerprint for this (kernel,
-        options, config) so serving layers don't hash the kernel twice.
+        options, config) so serving layers don't hash the kernel twice;
+        a warm request then never resolves the kernel's adapter.
         """
-        adapter = adapter_for(kernel)
         verify = options.verify if options.verify is not None else self._verify
         if key is None:
-            key = adapter.fingerprint(kernel, options, self.config)
+            key = adapter_for(kernel).fingerprint(kernel, options, self.config)
 
         def compile_cold() -> CompiledArtifact:
             if self._faults is not None:
                 self._faults.compile_fault(key)
             start = time.perf_counter()
-            artifact = adapter.prepare(kernel, options, self.config)
+            artifact = adapter_for(kernel).prepare(kernel, options, self.config)
             artifact.compile_s = time.perf_counter() - start
             artifact.key = key
             if verify:
@@ -303,9 +310,8 @@ class ReasonSession:
         (``report.extras['trace_data']``, which
         :func:`repro.trace.analyze.timeline` turns into cycle rows).
         """
-        return self.run_prepared(
-            kernel, RunOptions(**option_kwargs), backend=backend, queries=queries
-        )
+        options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
+        return self.run_prepared(kernel, options, backend=backend, queries=queries)
 
     def run_prepared(
         self,
@@ -323,9 +329,11 @@ class ReasonSession:
         entry point.  ``fingerprint`` optionally passes the cache key
         the caller already computed for this (kernel, options) against
         this session's config (the service computes it at admission for
-        cache-affinity routing), skipping a second content hash.
+        cache-affinity routing), skipping a second content hash.  Such a
+        caller has also checked ``queries``, so it is not checked again.
         """
-        check_queries(queries)
+        if fingerprint is None:
+            check_queries(queries)
         artifact, cache_hit = self._compile(kernel, options, key=fingerprint)
         if self._faults is not None:
             self._faults.execute_fault(fingerprint or artifact.key)
@@ -367,7 +375,7 @@ class ReasonSession:
         """
         kernels = list(kernels)
         neural_times = per_kernel_neural_s(len(kernels), neural_s)
-        options = RunOptions(**option_kwargs)
+        options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
         reports = [
             self.run_prepared(kernel, options, backend=backend, queries=queries)
             for kernel in kernels
