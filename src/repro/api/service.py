@@ -653,6 +653,7 @@ class ReasonService:
             for index, backend in enumerate(backends)
         ]
         self._views = ShardViews(self._shards)
+        self._substrates = tuple(dict.fromkeys(backends))  # distinct, in shard order
         if self._metrics is not None:
             self._register_metrics()
         self._closed = False
@@ -943,10 +944,10 @@ class ReasonService:
             options = replace(options, trace=str(self.trace_path_for(fingerprint)))
         # One prediction per substrate the request could land on: the
         # forced backend, or every distinct shard backend.
-        eligible = {backend} if backend is not None else set(self.shard_backends)
+        predict = self.cost_model.predict
         predicted = {
-            name: self.cost_model.predict(fingerprint, name, queries=queries, kind=adapter.kind)
-            for name in eligible
+            name: predict(fingerprint, name, queries, adapter.kind)
+            for name in ((backend,) if backend is not None else self._substrates)
         }
         request = Request(
             kernel=kernel,

@@ -51,6 +51,16 @@ DEFAULT_S = 1e-4
 Key = Tuple[str, str]  # (fingerprint, backend) or (kind, backend)
 
 
+class _Price(tuple):
+    """A priced pair's table entry: ``(seconds, joules)`` per query, plus
+    ``quote``, the pair's prediction at ``queries=1``.  The quote is
+    built once, at the settle that prices the pair, so a settled warm
+    request reads it instead of building one, and a FIFO eviction drops
+    the price and its quote together."""
+
+    quote: CostPrediction
+
+
 def _fold(table: dict, key, sample: float) -> None:
     """One EWMA step of ``table[key]`` (seeded by its first sample)."""
     mean = table.get(key)
@@ -70,7 +80,7 @@ class CostEstimator:
         self.config = config
         self._lock = threading.Lock()
         self._features: Dict[str, CostFeatures] = {}
-        self._prices: Dict[Key, Tuple[float, float]] = {}  # (s, J) per query
+        self._prices: Dict[Key, _Price] = {}  # (s, J) per query, and its quote
         self._devices: Dict[str, Optional[DeviceModel]] = {}
         self._class_ratio: Dict[Key, float] = {}  # observed / static seconds
         self._class_seconds: Dict[Key, float] = {}  # seconds per query
@@ -129,8 +139,8 @@ class CostEstimator:
     # ----------------------------------------------------------- predict
 
     def priced(self, fingerprint: str, backend: str) -> bool:
-        """Whether the pair has settled once — one dict probe, which is
-        all a settled warm request costs the model."""
+        """Whether the pair has settled once: the one dict probe a
+        settled warm request's settle costs the model."""
         return (fingerprint, backend) in self._prices
 
     def predict(
@@ -143,14 +153,18 @@ class CostEstimator:
         """Best available per-request cost for one (kernel, backend):
         the pair's own price, else static model × class ratio → class
         prior → cold-start default; see :class:`CostPrediction.source`.
+        A priced pair at ``queries=1`` is its stored quote: one dict
+        probe, and nothing read or built besides.
         """
-        queries = max(int(queries), 1)
-        features = self._features.get(fingerprint)
-        kind = kind or (features.kind if features is not None else "")
         price = self._prices.get((fingerprint, backend))
+        if price is not None and queries == 1:
+            return price.quote
+        queries = max(int(queries), 1)
         if price is not None:
             seconds, energy_j, source = price[0], price[1], "calibrated"
         else:
+            features = self._features.get(fingerprint)
+            kind = kind or (features.kind if features is not None else "")
             energy_j = 0.0
             raw = self.raw_seconds(features, backend) if features is not None else None
             if raw is not None:
@@ -213,7 +227,9 @@ class CostEstimator:
                 _fold(self._class_ratio, class_key, ratio)
             if seconds >= 0.0:
                 _fold(self._class_seconds, class_key, seconds)
-            remember(self._prices, key, (seconds, report.energy_j / queries))
+            price = _Price((seconds, report.energy_j / queries))
+            price.quote = CostPrediction(backend, seconds, price[1], 1, "calibrated")
+            remember(self._prices, key, price)
         # Outside the lock: the histogram has its own, and the registry
         # lookup must not nest.
         if ratio is not None and self._metrics is not None:
