@@ -25,7 +25,7 @@ import abc
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 from repro.api.adapters import RunOptions
 from repro.costmodel.features import PredictionMap
@@ -66,8 +66,7 @@ class ShardViews(Sequence):
         return sources.view()
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """What a policy may route on (the kernel itself included).
 
     ``backend`` is the caller's forced substrate, or None when the
@@ -76,7 +75,9 @@ class Request:
     forced one, or each distinct shard substrate) to the cost model's
     :class:`~repro.costmodel.features.CostPrediction` — the service
     always has a cost model, so a policy never sees a request without
-    one.
+    one.  Immutable, and built in one step (a tuple, not a frozen
+    dataclass's one ``object.__setattr__`` per field): admission makes
+    one per request.
     """
 
     kernel: object
