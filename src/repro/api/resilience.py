@@ -129,8 +129,10 @@ DEADLINE_CLASSES: Dict[str, float] = {
 
 
 def resolve_deadline(spec: Union[None, int, float, str]) -> Optional[float]:
-    """A deadline spec to seconds: None (no deadline), a positive
-    number, or a named class from :data:`DEADLINE_CLASSES`."""
+    """A deadline spec to seconds: None (no deadline), a named class
+    from :data:`DEADLINE_CLASSES`, or a number above 0 and at most
+    :data:`threading.TIMEOUT_MAX` — the longest wait the deadline timer
+    can arm (NaN and infinity are neither)."""
     if spec is None:
         return None
     if isinstance(spec, str):
@@ -142,8 +144,10 @@ def resolve_deadline(spec: Union[None, int, float, str]) -> Optional[float]:
                 f"(expected one of {sorted(DEADLINE_CLASSES)})"
             ) from None
     deadline = float(spec)
-    if deadline <= 0.0:
-        raise ValueError(f"deadline_s must be positive, got {deadline}")
+    if not 0.0 < deadline <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"deadline_s must be positive and at most {threading.TIMEOUT_MAX} s, got {deadline}"
+        )
     return deadline
 
 

@@ -60,6 +60,7 @@ from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.api.adapters import (
@@ -581,8 +582,14 @@ class ReasonService:
         breaker: Union[None, bool, Callable[[], CircuitBreaker]] = True,
         faults: Optional["FaultPlan"] = None,  # noqa: F821
     ):
-        if isinstance(shards, int):
-            backends = ["reason"] * shards
+        if isinstance(shards, bool) or (
+            isinstance(shards, Real) and not isinstance(shards, Integral)
+        ):
+            raise ValueError(
+                f"shards must be a shard count or a sequence of backend names, not {shards!r}"
+            )
+        if isinstance(shards, Integral):
+            backends = ["reason"] * int(shards)
         else:
             backends = [str(name) for name in shards]
             for name in backends:
@@ -944,22 +951,14 @@ class ReasonService:
             options = replace(options, trace=str(self.trace_path_for(fingerprint)))
         # One prediction per substrate the request could land on: the
         # forced backend, or every distinct shard backend.
-        predict = self.cost_model.predict
         predicted = {
-            name: predict(fingerprint, name, queries, adapter.kind)
+            name: self.cost_model.predict(fingerprint, name, queries, adapter.kind)
             for name in ((backend,) if backend is not None else self._substrates)
         }
         request = Request(
-            kernel=kernel,
-            options=options,
-            kind=adapter.kind,
-            fingerprint=fingerprint,
-            backend=backend,
-            queries=queries,
-            neural_s=neural_s,
-            predicted=predicted,
-            deadline_s=deadline_s,
-        )
+            kernel, options, adapter.kind, fingerprint, backend, queries, neural_s, predicted,
+            deadline_s,
+        )  # fmt: skip
         with self._admission_lock:
             index = self.policy.select(request, self._views)
             if not 0 <= index < len(self._shards):
@@ -990,20 +989,9 @@ class ReasonService:
                     f"{view.busy_s:.6f}s + request {predicted_s:.6f}s), "
                     f"past the {deadline_s}s deadline",
                 )
-            future = ReasonFuture(
-                kind=adapter.kind,
-                fingerprint=fingerprint,
-                shard_index=shard.index,
-                neural_s=neural_s,
-            )
-            item = _WorkItem(
-                request,
-                resolved,
-                future,
-                shard,
-                predicted_s,
-                None if deadline_s is None else time.monotonic() + deadline_s,
-            )
+            future = ReasonFuture(adapter.kind, fingerprint, shard.index, neural_s)
+            deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
+            item = _WorkItem(request, resolved, future, shard, predicted_s, deadline_at)
             # Charge the placement while still holding the admission
             # lock: the next policy.select must see this request in the
             # shard's pending count and predicted busy time, or
