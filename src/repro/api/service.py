@@ -660,7 +660,7 @@ class ReasonService:
             for index, backend in enumerate(backends)
         ]
         self._views = ShardViews(self._shards)
-        self._substrates = tuple(dict.fromkeys(backends))  # distinct, in shard order
+        self._substrates = tuple(dict.fromkeys(self.shard_backends))  # distinct, in order
         if self._metrics is not None:
             self._register_metrics()
         self._closed = False

@@ -2,6 +2,8 @@
 checked where they enter, the same way at every entry point."""
 
 import math
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -88,3 +90,53 @@ def test_a_logic_kernel_ignores_keep_fraction():
     # keep_fraction is a probabilistic-pruning option: a CNF's exact
     # pruning neither reads nor checks it.
     assert optimize(random_ksat(6, 18, seed=1), keep_fraction=1.5).dag is not None
+
+
+def shard_counters(service):
+    return [
+        (s.submitted, s.completed, s.failed, s.cancelled, s.pending, s.expired, s.busy_s)
+        for s in service.stats().shards
+    ]
+
+
+@pytest.mark.parametrize(
+    "deadline_s",
+    [math.nan, math.inf, 1e300, threading.TIMEOUT_MAX * 2, 0.0, -1.0],
+    ids=["nan", "inf", "huge", "past-timeout-max", "zero", "negative"],
+)
+def test_deadline_must_be_positive_and_armable(deadline_s):
+    """A NaN deadline used to fail every request as "missed its nan
+    deadline"; an infinite or huge one was admitted and killed the
+    armed timer thread with an OverflowError."""
+    hmm = HMM.random(4, 3, seed=1)
+    message = "deadline_s must be positive and at most"
+    with ReasonService(shards=2) as service:
+        service.submit(hmm).result(timeout=60)
+        service.drain(timeout=60)
+        before = shard_counters(service)
+        with pytest.raises(ValueError, match=message):
+            service.submit(hmm, deadline_s=deadline_s)
+        with pytest.raises(ValueError, match=message):
+            service.submit_batch([hmm, hmm], deadline_s=deadline_s)
+        assert shard_counters(service) == before
+
+
+def test_the_longest_armable_deadline_is_served():
+    hmm = HMM.random(4, 3, seed=1)
+    with ReasonService(shards=1) as service:
+        report = service.submit(hmm, deadline_s=threading.TIMEOUT_MAX).result(timeout=60)
+        service.drain(timeout=60)
+        assert report.identity() == ReasonSession().run(hmm).identity()
+        assert service.stats().expired == 0
+
+
+@pytest.mark.parametrize("shards", [True, False, 1.5, 2.0, np.float64(2.0)])
+def test_shard_count_must_be_an_integer(shards):
+    with pytest.raises(ValueError, match=f"shards must be a shard count .*not {re.escape(repr(shards))}"):
+        ReasonService(shards=shards)
+
+
+def test_numpy_integer_shard_count_is_accepted():
+    with ReasonService(shards=np.int64(3)) as service:
+        assert service.shard_backends == ["reason"] * 3
+        assert service.submit(HMM.random(4, 3, seed=1)).result(timeout=60).queries == 1
