@@ -486,7 +486,8 @@ class ReasonService:
     ----------
     shards:
         Number of accelerator instances (each with a private session
-        and compile cache), or a sequence of backend names — e.g.
+        and compile cache; an integer, numpy's included, never a bool
+        or a float), or a sequence of backend names — e.g.
         ``["reason", "reason", "gpu", "cpu"]`` — giving each shard its
         substrate, so one service spans heterogeneous devices.
     policy:
