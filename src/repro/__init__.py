@@ -28,14 +28,14 @@ Package map:
   deadline admission and feeds the request spans' residuals;
 * :mod:`repro.trace` — opt-in binary event traces of the accelerator's
   modeled execution (versioned varint/delta wire format, streaming
-  reader, offline analysis tools and the ``python -m repro.trace``
-  CLI, including trace-to-trace regression diffing);
+  reader, offline analysis tools and trace-to-trace regression
+  diffing);
 * :mod:`repro.metrics` — live telemetry over the serving path:
   lock-cheap counters/gauges/log-bucket histograms in a
   :class:`MetricsRegistry`, per-request :class:`RequestSpan` records
   (queue-wait/compile/execute/e2e plus predicted-vs-actual residuals),
-  Prometheus-text/JSON exposition, and snapshot diffing via the
-  ``python -m repro.metrics`` CLI — zero overhead when off;
+  Prometheus-text/JSON exposition, and snapshot diffing — zero
+  overhead when off;
 * :mod:`repro.analysis` — static program verification and project
   idiom linting: :func:`verify_program` abstractly interprets compiled
   VLIW streams against six invariant families (def-before-use
@@ -43,14 +43,17 @@ Package map:
   monotonicity, stats consistency) without executing; the opt-in
   gate (``ReasonSession(verify=True)`` or a per-request
   ``verify=True``) runs inside the compile-once factory, so a rejected
-  program reaches no cache level or store; the ``python -m
-  repro.analysis`` CLI verifies kernels and lints the source tree;
+  program reaches no cache level or store;
 * :mod:`repro.faults` — deterministic seeded fault injection
   (:class:`FaultPlan`: compile/execute errors, latency, worker
   crashes, store failures and on-disk corruption) exercising the
   serving layer's resilience — supervised shard workers, bounded
   retries, per-shard circuit breakers, and per-request deadlines
   (:mod:`repro.api.resilience`).
+
+``python -m repro`` is the one command line over trace, metrics and
+analysis: ``record`` a traced, metered bundle from a service, then
+analyze, diff and verify (:mod:`repro.__main__`).
 
 Quickstart::
 
@@ -64,7 +67,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.27.0"
+__version__ = "1.28.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

@@ -11,7 +11,7 @@ Two halves, one package:
   deterministic time/randomness, lock discipline, the exception
   taxonomy).
 
-``python -m repro.analysis verify|lint`` is the command-line face;
+``python -m repro verify|lint`` is the command-line face;
 :func:`check_artifact` is the gate
 :class:`~repro.api.session.ReasonSession` runs on a cold compile under
 ``verify=True``; and

@@ -1,20 +1,24 @@
-"""Shared command-line conventions for the ``python -m repro.*`` tools.
+"""Shared command-line conventions for ``python -m repro``.
 
-Every CLI in the repo (``repro.trace``, ``repro.metrics``,
-``repro.analysis``) speaks the same exit-code dialect and carries the
-same ``--version`` flag, so CI scripts and shells can treat them
-uniformly:
+The one CLI speaks a fixed exit-code dialect and carries a
+``--version`` flag, so CI scripts and shells can rely on it:
 
 * :data:`EXIT_OK` (0) — success / nothing found
 * :data:`EXIT_FAILURE` (1) — the tool ran and the check failed
   (trace diff differs, lint findings, verifier errors)
 * :data:`EXIT_USAGE` (2) — bad arguments or unreadable/invalid input
   (argparse's own convention, extended to input errors)
+
+Every count an option takes goes through :func:`positive_int` (or
+:func:`non_negative_int` where zero means "none"), and every duration
+through :func:`positive_float`: a value out of range is a usage error
+naming the option, never a silent reinterpretation.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -38,13 +42,26 @@ def add_version(parser: argparse.ArgumentParser, prog: str) -> None:
     )
 
 
-def positive_int(text: str) -> int:
-    """argparse ``type=`` for a count of at least 1 (a demo kernel's
-    ``--size``): anything else is a usage error with a message."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(convert, expected: str, ok, bound: str):
+    """An argparse ``type=``: ``convert`` the text, then hold it to ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+#: A count of at least 1 (``--size``, ``--requests``, ``--shards``, ``--buckets``, ``--count``).
+positive_int = _bounded(int, "an integer", lambda value: value >= 1, ">= 1")
+#: A count where 0 means none (``--limit``).
+non_negative_int = _bounded(int, "an integer", lambda value: value >= 0, ">= 0")
+#: A finite duration above 0 (``--interval``).
+positive_float = _bounded(
+    float, "a number", lambda value: math.isfinite(value) and value > 0, "a finite number > 0"
+)

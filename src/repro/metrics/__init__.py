@@ -7,7 +7,8 @@ histograms (with labels and quantile estimation), per-request
 :class:`RequestSpan` records carrying queue-wait / compile / execute /
 end-to-end wall times and the cost model's predicted-vs-actual
 residuals, Prometheus-text and JSON exposition, snapshot diffing for
-regression hunting, and the ``python -m repro.metrics`` CLI.
+regression hunting, and ``python -m repro show|watch|diff`` over
+snapshot files.
 
 Wiring is zero-overhead-when-off throughout: pass ``metrics=True`` (or
 a shared registry) to :class:`~repro.api.session.ReasonSession` /

@@ -105,8 +105,12 @@ def diff_snapshots(
     ``tolerance * max(|a|, |b|)`` of each other are equal (0.0 =
     exact).  ``ignore`` holds glob patterns matched against the metric
     name and the full ``name{series}`` string — wall-clock metrics
-    that never reproduce belong there.
+    that never reproduce belong there.  A ``tolerance`` that is not a
+    finite number >= 0 is a ``ValueError``: NaN or infinity would pass
+    any drift.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     diff = SnapshotDiff()
     metrics_a: Dict[str, dict] = before.get("metrics", {})
     metrics_b: Dict[str, dict] = after.get("metrics", {})

@@ -11,7 +11,8 @@ event streams the execution layer otherwise aggregates away.
   heatmaps, event-cycle histograms, the Fig. 9 cycle
   :func:`~repro.trace.analyze.timeline`, and exact cross-validation of
   a trace against its :class:`~repro.api.types.ExecutionReport`;
-* ``python -m repro.trace`` — the offline CLI over all of the above.
+* ``python -m repro summary|validate|phases|heatmap|hist|dump|diff``
+  — the offline commands over all of the above.
 
 Capture plumbs through the API layer: ``session.run(kernel,
 trace="out.trace")`` (any :class:`~repro.api.adapters.RunOptions`

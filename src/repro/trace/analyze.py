@@ -152,10 +152,11 @@ def cycle_histogram(
     """Histogram of when ``kind`` events land across the trace's cycle
     range — conflict/learn clustering made visible.  Uses the footer
     for the cycle range, so the stream is read exactly once."""
+    if buckets < 1:
+        raise ValueError(f"cycle_histogram needs buckets >= 1, got {buckets}")
     reader = _reader(source)
     wanted = EventKind[kind] if isinstance(kind, str) else EventKind(kind)
     last_cycle = max(reader.summary().last_cycle, 1)
-    buckets = max(int(buckets), 1)
     bucket_cycles = max((last_cycle + buckets - 1) // buckets, 1)
     counts = [0] * buckets
     total = 0

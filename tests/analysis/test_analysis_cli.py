@@ -1,13 +1,14 @@
-"""The ``repro.analysis`` CLI, and the shared CLI conventions
-(``--version``, exit codes) across every ``python -m repro.*`` tool."""
+"""The verify and lint commands of ``python -m repro``, and the shared
+CLI conventions (``--version``, exit codes)."""
+
+import subprocess
+import sys
 
 import pytest
 
 from repro import __version__
-from repro.analysis.__main__ import main as analysis_main
+from repro.__main__ import main as analysis_main
 from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, version_string
-from repro.metrics.__main__ import main as metrics_main
-from repro.trace.__main__ import main as trace_main
 
 TINY = ["--banks", "2", "--regs", "3", "--pes", "2"]
 
@@ -24,6 +25,7 @@ def test_verify_overflow_kernel_is_clean(capsys):
 
 def test_verify_circuit_and_hmm_kernels(capsys):
     assert analysis_main(["verify", "--kernel", "circuit"]) == EXIT_OK
+    assert analysis_main(["verify", "--kernel", "hmm"]) == EXIT_OK
     assert analysis_main(["verify", "--kernel", "hmm", *TINY]) == EXIT_OK
 
 
@@ -36,7 +38,12 @@ def test_verify_with_planted_mutation_fails(capsys):
 
 
 def test_verify_unknown_mutation_is_usage_error(capsys):
-    assert analysis_main(["verify", "--mutate", "nope"]) == EXIT_USAGE
+    # Checked against the catalog, not by reading any KeyError as one.
+    with pytest.raises(SystemExit) as exit_info:
+        analysis_main(["verify", "--mutate", "bogus"])
+    assert exit_info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --mutate" in err and "stale-reload" in err
 
 
 def test_verify_mutation_not_applicable_is_usage_error(capsys):
@@ -107,37 +114,36 @@ def test_lint_list_rules(capsys):
         assert code in out
 
 
-# --------------------------------------- shared conventions, all CLIs
+# ------------------------------------------------- shared conventions
 
 
-@pytest.mark.parametrize(
-    "main,prog",
-    [
-        (analysis_main, "python -m repro.analysis"),
-        (trace_main, "python -m repro.trace"),
-        (metrics_main, "python -m repro.metrics"),
-    ],
-)
-def test_every_cli_has_the_shared_version_flag(main, prog, capsys):
+def test_the_cli_has_the_shared_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["--version"])
+        analysis_main(["--version"])
     assert excinfo.value.code == EXIT_OK
-    assert capsys.readouterr().out.strip() == f"{prog} {__version__}"
+    assert capsys.readouterr().out.strip() == f"python -m repro {__version__}"
 
 
-@pytest.mark.parametrize(
-    "main", [analysis_main, trace_main, metrics_main]
-)
-def test_every_cli_rejects_bad_arguments_with_exit_2(main, capsys):
+def test_the_cli_rejects_bad_arguments_with_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["no-such-command"])
+        analysis_main(["no-such-command"])
     assert excinfo.value.code == EXIT_USAGE
 
 
 def test_unreadable_input_is_usage_error(capsys):
-    assert trace_main(["summary", "/no/such/trace"]) == EXIT_USAGE
-    assert metrics_main(["show", "/no/such/snapshot"]) == EXIT_USAGE
+    assert analysis_main(["summary", "/no/such/trace"]) == EXIT_USAGE
+    assert analysis_main(["show", "/no/such/snapshot"]) == EXIT_USAGE
 
 
 def test_version_string_single_source():
     assert version_string("x") == f"x {__version__}"
+
+
+@pytest.mark.parametrize("package", ["repro.trace", "repro.metrics", "repro.analysis"])
+def test_python_m_repro_is_the_only_command_line(package):
+    # One CLI, no aliases: the per-package entry points are gone.
+    gone = subprocess.run(
+        [sys.executable, "-m", package], capture_output=True, text=True, timeout=120
+    )
+    assert gone.returncode != 0
+    assert f"No module named {package}.__main__" in gone.stderr

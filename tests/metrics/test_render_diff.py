@@ -122,6 +122,21 @@ class TestDiff:
         assert not diff_snapshots(snapshot, changed, tolerance=0.2).clean
         assert diff_snapshots(snapshot, changed, tolerance=0.3).clean
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_a_tolerance_that_would_pass_any_drift_is_rejected(self, snapshot, tolerance):
+        # NaN and infinity used to report a x10 counter as "no differences".
+        changed = copy.deepcopy(snapshot)
+        changed["metrics"]["reason_requests_total"]["series"]["backend=reason"] = 50.0
+        with pytest.raises(ValueError, match="tolerance"):
+            diff_snapshots(snapshot, changed, tolerance=tolerance)
+
+    def test_five_percent_separates_drift_from_noise(self, snapshot):
+        drift, noise = copy.deepcopy(snapshot), copy.deepcopy(snapshot)
+        drift["metrics"]["reason_requests_total"]["series"]["backend=reason"] = 50.0
+        noise["metrics"]["reason_requests_total"]["series"]["backend=reason"] = 5.1
+        assert not diff_snapshots(snapshot, drift, tolerance=0.05).clean
+        assert diff_snapshots(snapshot, noise, tolerance=0.05).clean
+
     def test_ignore_globs_match_name_and_series(self, snapshot):
         changed = copy.deepcopy(snapshot)
         changed["metrics"]["reason_requests_total"]["series"]["backend=gpu"] = 9.0

@@ -81,7 +81,6 @@ ALLOWLIST = {
     "ReasonService(breaker)": "the per-shard circuit breaker factory a deployment tunes",
     "ReasonService(cost_model)": "a cost model shared across services",
     "ReasonService(config)": "the accelerator configuration served",
-    "ReasonService(trace_dir)": "where trace=True requests write their traces",
     "ReasonService(stats_window)": "how many settled requests stats() summarizes",
     "ResilientStore(breaker)": "the circuit breaker guarding a store",
     "FaultPlan(seed)": "the chaos schedule's root seed",

@@ -5,7 +5,8 @@ import pytest
 
 from repro.api.session import ReasonSession
 from repro.logic.generators import random_ksat
-from repro.trace.__main__ import main
+from repro.metrics import MetricsRegistry, save_snapshot
+from repro.__main__ import main
 from repro.trace.analyze import diff_traces
 from repro.trace.reader import TraceReader
 
@@ -73,3 +74,27 @@ class TestDiffCli:
         assert main(["diff", traces["a"], traces["c"]]) == 1
         out = capsys.readouterr().out
         assert "DIFFERS" in out and "first divergence" in out
+
+    def test_prints_exactly_the_trace_diff(self, traces, capsys):
+        same, differs = diff_traces(traces["a"], traces["b"]), diff_traces(traces["a"], traces["c"])
+        main(["diff", traces["a"], traces["b"]])
+        main(["diff", traces["a"], traces["c"]])
+        assert capsys.readouterr().out == "\n".join([
+            f"OK: traces match ({same.events[0]} events, {same.cycles[0]} cycles)",
+            *differs.describe(),
+            "DIFFERS: the traces record different executions",
+            "",
+        ])  # fmt: skip
+
+    def test_a_trace_and_a_snapshot_are_bad_input(self, traces, tmp_path, capsys):
+        snapshot = tmp_path / "s.json"
+        save_snapshot(MetricsRegistry().snapshot(), snapshot)
+        assert main(["diff", traces["a"], str(snapshot)]) == 2
+        assert main(["diff", str(snapshot), traces["a"]]) == 2
+        assert "two traces or two snapshots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--tolerance", "0.05"], ["--ignore", "*"]])
+    def test_snapshot_filters_on_traces_are_bad_input(self, traces, option, capsys):
+        # They used to be accepted and silently ignored.
+        assert main(["diff", traces["a"], traces["c"], *option]) == 2
+        assert "snapshots, not traces" in capsys.readouterr().err

@@ -1,10 +1,10 @@
-"""The ``python -m repro.trace`` CLI speaks the shared exit-code dialect:
-bad input is exit 2 with a message, never a traceback."""
+"""The trace commands of ``python -m repro`` speak the shared exit-code
+dialect: bad input is exit 2 with a message, never a traceback."""
 
 import pytest
 
 from repro.cli import EXIT_OK, EXIT_USAGE
-from repro.trace.__main__ import main
+from repro.__main__ import main
 from repro.trace.format import EventKind
 from repro.trace.writer import TraceWriter
 
@@ -48,13 +48,28 @@ def test_limit_prints_at_most_that_many_records(trace, capsys, limit, printed, s
     assert "no records matched" not in lines
 
 
-@pytest.mark.parametrize("kernel, size", [("circuit", "-2"), ("pigeonhole", "-2"), ("hmm", "0"), ("ksat", "x")])
-def test_record_size_below_one_is_bad_input(kernel, size, tmp_path, capsys):
-    # A negative size used to die in numpy / random with exit 1, 0 meant
-    # the default, and pigeonhole(-2) recorded a satisfiable formula.
-    out = tmp_path / "demo.trace"
+@pytest.mark.parametrize("size", ["-2", "x"])
+def test_record_size_below_one_is_bad_input(size, tmp_path, capsys):
+    # A negative size used to die in numpy / random with exit 1, and
+    # pigeonhole(-2) recorded a satisfiable formula.
+    out = tmp_path / "bundle"
     with pytest.raises(SystemExit) as exit_info:
-        main(["record", str(out), "--kernel", kernel, "--size", size])
+        main(["record", str(out), "--size", size])
     assert exit_info.value.code == EXIT_USAGE
     assert "argument --size" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["hist", "--buckets", "0"], "--buckets"),  # once drew one bucket
+        (["hist", "--buckets", "-2"], "--buckets"),
+        (["dump", "--limit", "-1"], "--limit"),  # once printed every record
+    ],
+)
+def test_a_count_below_its_bound_is_bad_input(argv, option, trace, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], trace, *argv[1:]])
+    assert exit_info.value.code == EXIT_USAGE
+    assert f"argument {option}" in capsys.readouterr().err
