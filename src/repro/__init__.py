@@ -31,11 +31,11 @@ Package map:
   reader, offline analysis tools and trace-to-trace regression
   diffing);
 * :mod:`repro.metrics` — live telemetry over the serving path:
-  lock-cheap counters/gauges/log-bucket histograms in a
+  counters/gauges/batch-folded log-bucket histograms in a
   :class:`MetricsRegistry`, per-request :class:`RequestSpan` records
   (queue-wait/compile/execute/e2e plus predicted-vs-actual residuals),
-  Prometheus-text/JSON exposition, and snapshot diffing — zero
-  overhead when off;
+  Prometheus-text/JSON exposition, and snapshot diffing — always on,
+  with no lock per request;
 * :mod:`repro.analysis` — static program verification and project
   idiom linting: :func:`verify_program` abstractly interprets compiled
   VLIW streams against six invariant families (def-before-use
@@ -67,7 +67,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

@@ -126,7 +126,7 @@ def demo_kernel(kind: str, size: int):
 def _record(args) -> int:
     kinds = [MIX[index % len(MIX)] for index in range(args.requests)]
     kernels = {kind: demo_kernel(kind, args.size) for kind in MIX}
-    with ReasonService(shards=args.shards, trace_dir=args.dir, metrics=True) as service:
+    with ReasonService(shards=args.shards, trace_dir=args.dir) as service:
         futures = [service.submit(kernels[kind], trace=True) for kind in kinds]
         reports = [future.result() for future in futures]
         service.drain()

@@ -5,11 +5,12 @@ to generic linters, and each has already cost (or would cost) a real
 debugging session when violated:
 
 ``RPR001`` zero-overhead-when-off hooks
-    Optional feature objects (``trace``, ``metrics``, ``faults``)
-    are probed *once* before a hot loop (``emit = None if tw
-    is None else tw.emit``), never per iteration.  An ``x.trace is
-    None`` test inside a loop body means the hook shape regressed and
-    the "off" path pays attribute traffic every iteration.
+    Optional feature objects (``trace``, ``faults``) are probed
+    *once* before a hot loop (``emit = None if tw is None else
+    tw.emit``), never per iteration.  An ``x.trace is None`` test
+    inside a loop body means the hook shape regressed and the "off"
+    path pays attribute traffic every iteration.  (Metrics have no off
+    mode, so they have no probe to hoist.)
 
 ``RPR002`` deterministic time and randomness
     Replay, retry and fault-injection paths are deterministic: seeded
@@ -43,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 #: Feature-hook attribute names whose per-iteration None probes RPR001
 #: flags.  Matches the optional subsystems wired through sessions and
 #: the service (the zero-overhead-when-off surface).
-HOOK_ATTRIBUTES = frozenset({"trace", "metrics", "faults", "emit", "verify_hook"})
+HOOK_ATTRIBUTES = frozenset({"trace", "faults", "emit", "verify_hook"})
 
 #: Subtrees whose code must stay deterministic (seeded streams only).
 DETERMINISTIC_SUBTREES = (

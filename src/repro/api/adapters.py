@@ -142,16 +142,17 @@ _OPTION_PARTS = {
 _DEFAULT_CONTEXTS: Dict[Tuple["KernelAdapter", bytes], tuple] = {}
 
 
-def check_queries(queries: object) -> None:
-    """Reject a ``queries`` that is not a positive integer: a bool, a
-    float or anything else that is not an :class:`~numbers.Integral`
-    (numpy integers are), or one below 1.  A plain ``int`` skips the
-    abstract-class checks, which cost more than the rest of the test."""
+def check_count(name: str, value: object) -> None:
+    """Reject a count argument (``queries``, ``max_queue``, ...) that is
+    not a positive integer: a bool, a float or anything else that is
+    not an :class:`~numbers.Integral` (numpy integers are), or one
+    below 1, naming ``name``.  A plain ``int`` skips the abstract-class
+    checks, which cost more than the rest of the test."""
     if (
-        type(queries) is not int
-        and (isinstance(queries, bool) or not isinstance(queries, Integral))
-    ) or queries < 1:
-        raise ValueError(f"queries must be a positive integer, not {queries!r}")
+        type(value) is not int
+        and (isinstance(value, bool) or not isinstance(value, Integral))
+    ) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
 
 
 def neural_time(seconds: object, index: int = 0) -> float:

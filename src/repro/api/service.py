@@ -56,18 +56,19 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+import weakref
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
-from typing import Callable, Deque, Dict, List, Optional, Union
+from typing import Callable, Deque, List, Optional, Union
 
 from repro.api.adapters import (
     DEFAULT_OPTIONS,
     RunOptions,
     adapter_for,
-    check_queries,
+    check_count,
     neural_time,
     per_kernel_neural_s,
 )
@@ -99,49 +100,29 @@ from repro.metrics.registry import (
     MetricsRegistry,
     ensure_registry,
 )
-from repro.metrics.spans import RequestSpan, SpanLog
+from repro.metrics.spans import RequestSpan, SpanLog, leg_columns
 
 #: Completed spans :meth:`ReasonService.spans` retains (a bounded ring,
 #: like ``stats_window``).
 SPAN_LOG_SIZE = 4096
 
 #: What a request that settled without a report contributes to its span.
-_NO_REPORT = ExecutionReport("", "", None, 0, 0.0)
+_NO_REPORT = ExecutionReport("", "", None, 0, 0.0, 0.0)
 
 #: Per-backend histograms a successful request's span feeds:
 #: (RequestSpan attribute, metric name, help, buckets).
 _SPAN_HISTOGRAMS = (
-    (
-        "queue_wait_s",
-        "reason_request_queue_wait_seconds",
-        "Admission to worker pickup.",
-        LATENCY_BUCKETS,
-    ),
-    (
-        "execute_s",
-        "reason_request_execute_seconds",
-        "Backend execution wall seconds.",
-        LATENCY_BUCKETS,
-    ),
-    (
-        "e2e_s",
-        "reason_request_e2e_seconds",
-        "Admission to completion — caller-visible latency.",
-        LATENCY_BUCKETS,
-    ),
-    (
-        "latency_residual",
-        "reason_request_latency_residual",
-        "Actual/predicted modeled seconds (1.0 = exact).",
-        RATIO_BUCKETS,
-    ),
-    (
-        "energy_residual",
-        "reason_request_energy_residual",
-        "Actual/predicted energy (1.0 = exact).",
-        RATIO_BUCKETS,
-    ),
-)
+    ("queue_wait_s", "reason_request_queue_wait_seconds",
+     "Admission to worker pickup.", LATENCY_BUCKETS),
+    ("execute_s", "reason_request_execute_seconds",
+     "Backend execution wall seconds.", LATENCY_BUCKETS),
+    ("e2e_s", "reason_request_e2e_seconds",
+     "Admission to completion — caller-visible latency.", LATENCY_BUCKETS),
+    ("latency_residual", "reason_request_latency_residual",
+     "Actual/predicted modeled seconds (1.0 = exact).", RATIO_BUCKETS),
+    ("energy_residual", "reason_request_energy_residual",
+     "Actual/predicted energy (1.0 = exact).", RATIO_BUCKETS),
+)  # fmt: skip
 
 
 class ServiceClosed(RuntimeError):
@@ -529,18 +510,17 @@ class ReasonService:
         (:meth:`trace_path_for` resolves it).  Requests that pass an
         explicit path or writer keep it unchanged.
     metrics:
-        Live telemetry (:mod:`repro.metrics`): ``True`` for a private
-        :class:`~repro.metrics.registry.MetricsRegistry`, or a shared
-        registry instance to aggregate several services.  When on,
-        every admitted request settles into a
+        Live telemetry (:mod:`repro.metrics`), always on: a shared
+        :class:`~repro.metrics.registry.MetricsRegistry` to aggregate
+        several services, or ``None`` / ``True`` for a private one.
+        Every admitted request settles into a
         :class:`~repro.metrics.spans.RequestSpan` (queue-wait /
         compile / execute / end-to-end wall times plus
         predicted-vs-actual residuals), the shards' sessions register
         their cache and compile instruments labeled ``shard=<i>``, and
         the cost model exports a static-model residual histogram.
         :meth:`metrics` returns the registry, :meth:`spans` the most
-        recent :data:`SPAN_LOG_SIZE` span records.  Off by default; when
-        off, the serving path touches no instrument at all.
+        recent :data:`SPAN_LOG_SIZE` span records.
     retry:
         :class:`~repro.api.resilience.RetryPolicy` for transient
         failures (injected faults, worker crashes): bounded replays
@@ -597,10 +577,10 @@ class ReasonService:
                 get_backend(name)  # fail fast on unknown substrates
         if len(backends) < 1:
             raise ValueError("need at least one shard")
-        if max_queue < 1:
-            raise ValueError("admission queue must hold at least one request")
-        if stats_window is not None and stats_window < 1:
-            raise ValueError("stats_window must be positive (or None)")
+        check_count("max_queue", max_queue)
+        if stats_window is not None:
+            check_count("stats_window", stats_window)
+            stats_window = int(stats_window)  # a deque's maxlen takes no numpy int
         self.config = config
         self.policy = get_policy(policy)
         self.max_queue = max_queue
@@ -638,10 +618,12 @@ class ReasonService:
             self.trace_dir = Path(trace_dir)
             self.trace_dir.mkdir(parents=True, exist_ok=True)
         self._metrics = ensure_registry(metrics)
-        self._span_log = SpanLog(SPAN_LOG_SIZE)  # appended to only with metrics on
-        # Per-backend (span attribute, histogram) pairs, created lazily
-        # by _close_span.
-        self._span_instruments: Dict[str, list] = {}
+        # Settle queues each span's row on `_settled` (a deque append,
+        # no lock); _fold moves the rows into the span log and their
+        # legs into per-backend histograms, in batches.
+        self._settled: Deque[tuple] = deque()
+        self._span_log = SpanLog(SPAN_LOG_SIZE)
+        self._fold_lock = threading.Lock()
         self._shards = [
             _Shard(
                 index,
@@ -662,8 +644,7 @@ class ReasonService:
         ]
         self._views = ShardViews(self._shards)
         self._substrates = tuple(dict.fromkeys(self.shard_backends))  # distinct, in order
-        if self._metrics is not None:
-            self._register_metrics()
+        self._register_metrics()
         self._closed = False
         self._admission_lock = threading.Lock()  # serializes policy.select
         # Admitted-but-unresolved futures, service-wide.  drain() waits
@@ -703,15 +684,13 @@ class ReasonService:
         """The live :class:`~repro.metrics.registry.MetricsRegistry`
         behind this service (``service.metrics().snapshot()`` exports
         it; the renderers in :mod:`repro.metrics.render` format it)."""
-        if self._metrics is None:
-            raise ValueError("service was built without metrics=")
         return self._metrics
 
     def spans(self, last: Optional[int] = None) -> List[RequestSpan]:
-        """The most recent completed request spans, oldest first
-        (at most :data:`SPAN_LOG_SIZE`)."""
-        if self._metrics is None:
-            raise ValueError("service was built without metrics=")
+        """The most recent ``last`` completed request spans (all
+        retained by default, at most :data:`SPAN_LOG_SIZE`), oldest
+        first."""
+        self._fold()
         return self._span_log.snapshot(last)
 
     def _register_metrics(self) -> None:
@@ -723,12 +702,20 @@ class ReasonService:
         snapshot time, so the admission and worker paths pay nothing.
         """
         registry = self._metrics
-        self._m_admitted = registry.counter(
+        # The registry holds the service and its shards weakly: a
+        # service keeps its registry, so strong references would make a
+        # cycle that outlives close() until a full garbage collection.
+        me = weakref.proxy(self)
+        # Admission charges `submitted` and a rejection takes it back,
+        # so the shards' sum is the admitted count once drained.
+        registry.register_callback(
             "reason_service_admitted_total",
-            "Requests admitted past the scheduling policy.",
+            lambda: sum(shard.counters.submitted for shard in me._shards),
+            kind="counter",
+            help="Requests admitted past the scheduling policy.",
         )
         # Keyed by _reject's reason; a full queue is labelled "overloaded".
-        self._m_rejected = {
+        self._rejected = {
             reason: registry.counter(
                 "reason_service_rejected_total",
                 "Requests rejected at admission, by reason.",
@@ -740,46 +727,34 @@ class ReasonService:
                 ("deadline", "deadline"),
             )
         }
-        for shard in self._shards:
-            labels = {"shard": str(shard.index)}
-            for counter in fields(_ShardCounters):
-                if "help" in counter.metadata:
-                    registry.register_callback(
-                        f"reason_shard_{counter.name}_total",
-                        lambda s=shard, n=counter.name: getattr(s.counters, n),
-                        kind="counter",
-                        help=counter.metadata["help"],
-                        **labels,
-                    )
+        for shard in map(weakref.proxy, self._shards):
+            series = [
+                (f"reason_shard_{counter.name}_total", "counter", counter.metadata["help"],
+                 lambda s=shard, n=counter.name: getattr(s.counters, n))
+                for counter in fields(_ShardCounters)
+                if "help" in counter.metadata
+            ]  # fmt: skip
+            series += [
+                ("reason_shard_queue_depth", "gauge",
+                 "Admitted but not yet terminal (queued or executing).",
+                 lambda s=shard: s.view().pending),
+                ("reason_shard_busy_seconds", "gauge",
+                 "Predicted seconds of admitted-but-unfinished work.",
+                 lambda s=shard: s.counters.busy_s),
+            ]  # fmt: skip
             if shard.breaker is not None:
+                series += [
+                    ("reason_shard_breaker_state", "gauge",
+                     "Circuit state: 0=closed, 1=half-open, 2=open.",
+                     lambda s=shard: s.breaker.state_code),
+                    ("reason_shard_breaker_trips_total", "counter",
+                     "Times this shard's breaker tripped open.",
+                     lambda s=shard: s.breaker.trips),
+                ]  # fmt: skip
+            for name, kind, help_text, fn in series:
                 registry.register_callback(
-                    "reason_shard_breaker_state",
-                    lambda s=shard: s.breaker.state_code,
-                    kind="gauge",
-                    help="Circuit state: 0=closed, 1=half-open, 2=open.",
-                    **labels,
+                    name, fn, kind=kind, help=help_text, shard=str(shard.index)
                 )
-                registry.register_callback(
-                    "reason_shard_breaker_trips_total",
-                    lambda s=shard: s.breaker.trips,
-                    kind="counter",
-                    help="Times this shard's breaker tripped open.",
-                    **labels,
-                )
-            registry.register_callback(
-                "reason_shard_queue_depth",
-                lambda s=shard: s.view().pending,
-                kind="gauge",
-                help="Admitted but not yet terminal (queued or executing).",
-                **labels,
-            )
-            registry.register_callback(
-                "reason_shard_busy_seconds",
-                lambda s=shard: s.counters.busy_s,
-                kind="gauge",
-                help="Predicted seconds of admitted-but-unfinished work.",
-                **labels,
-            )
         if self.store is not None:
             self.store.attach_metrics(registry)
         if self._faults is not None and hasattr(self._faults, "counts"):
@@ -792,63 +767,24 @@ class ReasonService:
                     site=site,
                 )
         self.cost_model.attach_metrics(registry)
+        registry.register_fold(self._fold)
 
-    def _close_span(self, item: _WorkItem, outcome: str, payload) -> None:
-        """Settle's telemetry leg: build the request's span from the
-        item, the outcome and (on success) the report, log it, and fold
-        a success's legs into the per-backend histograms (failures and
-        cancellations are logged but kept out of the latency
-        distributions).  Shielded: telemetry must never kill the thread
-        that settles a request."""
-        try:
-            request = item.request
-            finished_at = time.perf_counter()
-            # Only a success has a report; every other outcome's report
-            # legs read as the blank one's zeros.
-            report = payload if outcome == "ok" else _NO_REPORT
-            failed = outcome in ("error", "deadline")
-            span = RequestSpan(
-                status=outcome,
-                fingerprint=request.fingerprint,
-                kind=request.kind,
-                backend=item.backend,
-                shard=item.shard.index,
-                queries=request.queries,
-                predicted_s=item.predicted_s,
-                predicted_energy_j=request.predicted[item.backend].energy_j,
-                predicted_source=request.predicted[item.backend].source,
-                attempts=item.attempts,
-                admitted_at=item.admitted_at,
-                started_at=item.started_at,
-                finished_at=finished_at,
-                # Admission on the wall clock: a label for cross-process
-                # correlation, never an input to anything replayed.
-                wall_unix=time.time() - (finished_at - item.admitted_at),  # noqa: RPR002
-                error=f"{type(payload).__name__}: {payload}" if failed else "",
-                cache_hit=report.cache_hit,
-                executed=report.executed,
-                actual_s=float(report.seconds),
-                actual_energy_j=float(report.energy_j),
-                compile_s=report.compile_s,
-                execute_s=report.execute_s,
-            )
-            self._span_log.append(span)
-            if outcome != "ok":
-                return
-            histograms = self._span_instruments.get(span.backend)
-            if histograms is None:
-                # Get-or-create, racy but idempotent: the registry
-                # dedupes by name + labels.
-                histograms = self._span_instruments[span.backend] = [
-                    (leg, self._metrics.histogram(name, help_text, buckets, backend=span.backend))
-                    for leg, name, help_text, buckets in _SPAN_HISTOGRAMS
-                ]
-            for leg, histogram in histograms:
-                value = getattr(span, leg)
-                if value is not None:  # a residual without a prediction
-                    histogram.observe(value)
-        except Exception:
-            pass
+    def _fold(self) -> None:
+        """Move the spans settled since the last fold into the span log,
+        and bin each leg of the successes into its per-backend histogram
+        with one ``observe_many`` (failures and cancellations are logged
+        but kept out of the latency distributions).  Runs on every read
+        (:meth:`spans`, a registry snapshot) and once per
+        :data:`SPAN_LOG_SIZE` settles; under one lock, so a read never
+        sees a batch half folded."""
+        with self._fold_lock:
+            settled = self._settled
+            batch = [settled.popleft() for _ in range(len(settled))]
+            self._span_log.extend(batch)
+            for backend, legs in leg_columns(batch).items():
+                for leg, name, help_text, buckets in _SPAN_HISTOGRAMS:
+                    histogram = self._metrics.histogram(name, help_text, buckets, backend=backend)
+                    histogram.observe_many(legs[leg])
 
     def __enter__(self) -> "ReasonService":
         return self
@@ -939,7 +875,7 @@ class ReasonService:
     ) -> ReasonFuture:
         if self._closed:
             self._reject("closed")
-        check_queries(queries)
+        check_count("queries", queries)
         deadline_s = resolve_deadline(deadline_s)
         adapter = adapter_for(kernel)
         fingerprint = adapter.fingerprint(kernel, options, self.config)
@@ -1028,8 +964,6 @@ class ReasonService:
                     )
                     item.timer.daemon = True
                     item.timer.start()
-        if self._metrics is not None:
-            self._m_admitted.inc()
         return future
 
     def _reject(
@@ -1047,8 +981,7 @@ class ReasonService:
         at rejection time."""
         if item is not None:
             self._settle(item, "rejected")
-        if self._metrics is not None:
-            self._m_rejected[reason].inc()
+        self._rejected[reason].inc()
         if reason == "closed":
             raise ServiceClosed("cannot submit to a closed ReasonService")
         raise ServiceOverloaded(
@@ -1089,10 +1022,10 @@ class ReasonService:
         queue; the caller gets the exception raised, not a future).
         Whoever flips the item SETTLED under its lock cancels its
         timer, moves the shard counters, repays the predicted busy
-        time, closes the span, resolves the future and takes the item
+        time, queues the span, resolves the future and takes the item
         off the drain() count; every later caller finds it settled and
-        backs off.  The span closes before the future resolves, so a
-        caller woken by the result finds the span already logged, and
+        backs off.  The span is queued before the future resolves, so a
+        caller woken by the result finds it in :meth:`spans`, and
         when drain() returns every counter is final.
         """
         with item.lock:
@@ -1115,8 +1048,11 @@ class ReasonService:
                 # Observable but outside the report's identity: a retried
                 # success must stay bit-identical to a first-try success.
                 payload.extras.setdefault("attempts", item.attempts)
-            if self._metrics is not None and outcome != "rejected":
-                self._close_span(item, outcome, payload)
+            if outcome != "rejected":
+                try:
+                    self._settled.append(self._span_row(item, outcome, payload))
+                except Exception:
+                    pass  # telemetry loses a span, never a request
             try:
                 if outcome == "ok":
                     item.future.set_result(payload)
@@ -1147,6 +1083,31 @@ class ReasonService:
             self._outstanding -= 1
             if self._outstanding <= 0:
                 self._drain_cond.notify_all()
+        if len(self._settled) >= SPAN_LOG_SIZE:
+            self._fold()
+
+    def _span_row(self, item: _WorkItem, outcome: str, payload) -> tuple:
+        """The settled request's record as a plain tuple in
+        :class:`RequestSpan`'s field order: a named tuple's constructor
+        would cost as much again, so the span log makes spans only of
+        the rows it is read for.  Only a success has a report; every
+        other outcome reads the blank one's zeros."""
+        request = item.request
+        report = payload if outcome == "ok" else _NO_REPORT
+        predicted = request.predicted[item.backend]
+        finished_at = time.perf_counter()
+        return (
+            outcome, request.fingerprint, request.kind, item.backend, item.shard.index,
+            request.queries, item.predicted_s, predicted.energy_j,
+            f"{type(payload).__name__}: {payload}" if outcome in ("error", "deadline") else "",
+            item.attempts, report.cache_hit, report.executed,
+            report.seconds, report.energy_j,
+            item.admitted_at, item.started_at, finished_at, report.compile_s, report.execute_s,
+            # Admission on the wall clock: a label for cross-process
+            # correlation, never an input to anything replayed.
+            time.time() - (finished_at - item.admitted_at),  # noqa: RPR002
+            predicted.source,
+        )  # fmt: skip
 
     def _expire(self, item: _WorkItem) -> None:
         """The request's budget ran out — while queued, executing, or
@@ -1457,7 +1418,9 @@ class ReasonService:
         )
 
     def close(self, wait: bool = True) -> None:
-        """Stop admission, let workers finish queued work, join them."""
+        """Stop admission, let workers finish queued work, join them,
+        and fold what has settled, so a shared registry holds it after
+        the service is gone."""
         with self._admission_lock:
             if self._closed:
                 return
@@ -1483,3 +1446,4 @@ class ReasonService:
                     thread.join()
                     if shard.thread is thread:
                         break
+        self._fold()

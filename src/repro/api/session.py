@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.api.adapters import (
     DEFAULT_OPTIONS,
     RunOptions,
     adapter_for,
-    check_queries,
+    check_count,
     per_kernel_neural_s,
 )
 from repro.api.backends import Backend, get_backend
@@ -39,7 +40,7 @@ from repro.api.store import ArtifactStore
 from repro.api.types import BatchResult, CompiledArtifact, ExecutionReport
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.system.pipeline import TwoLevelPipeline
-from repro.metrics.registry import MetricsRegistry, ensure_registry
+from repro.metrics.registry import Histogram, MetricsRegistry, ensure_registry
 
 
 class ReasonSession:
@@ -58,11 +59,11 @@ class ReasonSession:
         the same store share compiled artifacts — a kernel compiled by
         any of them is a (shared) cache hit for all of them.
     metrics:
-        Live telemetry (:mod:`repro.metrics`): ``True`` for a private
-        :class:`~repro.metrics.registry.MetricsRegistry`, or a shared
-        registry instance (how :class:`~repro.api.service.ReasonService`
-        aggregates its shards).  Off by default — when off, the run
-        path touches no instrument at all.
+        Live telemetry (:mod:`repro.metrics`), always on: a shared
+        :class:`~repro.metrics.registry.MetricsRegistry` (how
+        :class:`~repro.api.service.ReasonService` aggregates its
+        shards), or ``None`` / ``True`` for a private one
+        (``session.metrics``).
     metrics_labels:
         Labels stamped on every series this session registers
         (``{"shard": "0"}`` from the service).  Two sessions sharing a
@@ -95,55 +96,53 @@ class ReasonSession:
         faults: Optional["FaultPlan"] = None,  # noqa: F821
         verify: bool = False,
     ):
+        if cache_capacity is not None:
+            check_count("cache_capacity", cache_capacity)
         self.config = config
         self._cache = CompileCache(capacity=cache_capacity, store=store)
         self._backends: Dict[str, Backend] = {}
         self._prepare_calls = 0
         self._executions = 0
-        # Guards _backends, _prepare_calls and _executions.
+        # Guards _backends, _prepare_calls, _executions and the first
+        # write of each _run_seconds entry.
         self._lock = threading.Lock()
-        self.metrics: Optional[MetricsRegistry] = ensure_registry(metrics)
+        self.metrics = ensure_registry(metrics)
         self._metrics_labels: Dict[str, str] = dict(metrics_labels or {})
         self._faults = faults
         self._verify = verify
-        # Per-backend (runs counter, run-seconds histogram) pairs,
-        # created lazily on first use so only exercised backends
-        # appear in the snapshot.
-        self._run_metrics: Dict[str, tuple] = {}
-        self._m_compile = None
-        if self.metrics is not None:
-            self._register_metrics()
+        # Per-backend run-seconds histograms, created lazily on first
+        # use so only exercised backends appear in the snapshot.
+        self._run_seconds: Dict[str, Histogram] = {}
+        self._register_metrics()
 
     def _register_metrics(self) -> None:
         """Register this session's instruments and snapshot callbacks.
 
         Everything that already has a counter elsewhere (prepare calls,
         executions, cache stats, cache size) is exported via snapshot-time
-        callbacks — the hot path pays nothing for them.  Only the
-        compile-seconds histogram is a live instrument, observed once
-        per cold compile (which is front-end-dominated anyway).
+        callbacks — the hot path pays nothing for them.  The live
+        instruments are the compile-seconds histogram, observed once
+        per cold compile, and one run-seconds histogram per backend.
         """
         registry, labels = self.metrics, self._metrics_labels
-        self._m_compile = registry.histogram(
+        # Held weakly: the session keeps its registry, so a strong
+        # reference would make a cycle that keeps a dropped session and
+        # its compile cache alive until a full garbage collection.
+        me = weakref.proxy(self)
+        self._compile_seconds = registry.histogram(
             "reason_compile_seconds",
             "Offline front-end wall seconds per cold compile.",
             **labels,
         )
-        registry.register_callback(
-            "reason_prepare_calls_total",
-            lambda: self._prepare_calls,
-            kind="counter",
-            help="Times the offline front end actually ran.",
-            **labels,
-        )
-        registry.register_callback(
-            "reason_executions_total",
-            lambda: self._executions,
-            kind="counter",
-            help="Times the accelerator model actually ran.",
-            **labels,
-        )
         cache = self._cache
+        series = [
+            ("reason_prepare_calls_total", lambda: me._prepare_calls, "counter",
+             "Times the offline front end actually ran."),
+            ("reason_executions_total", lambda: me._executions, "counter",
+             "Times the accelerator model actually ran."),
+            ("reason_cache_artifacts", lambda: len(cache), "gauge",
+             "Artifacts currently resident in the local LRU."),
+        ]  # fmt: skip
         for field, help_text in (
             ("local_hits", "Compile-cache hits served by the local LRU."),
             ("shared_hits", "Compile-cache hits served by the shared store."),
@@ -151,48 +150,39 @@ class ReasonSession:
             ("evictions", "Artifacts evicted from the local LRU."),
             ("promotions", "Store-served artifacts promoted into the LRU."),
         ):
-            registry.register_callback(
+            # Bind the field name now; read the live stats at snapshot time.
+            series.append((
                 f"reason_cache_{field}_total",
-                # Bind the field name now; read the live stats at
-                # snapshot time.
                 lambda field=field: getattr(cache.stats, field),
-                kind="counter",
-                help=help_text,
-                **labels,
-            )
-        registry.register_callback(
-            "reason_cache_artifacts",
-            lambda: len(cache),
-            kind="gauge",
-            help="Artifacts currently resident in the local LRU.",
-            **labels,
-        )
+                "counter",
+                help_text,
+            ))  # fmt: skip
+        for name, fn, kind, help_text in series:
+            registry.register_callback(name, fn, kind=kind, help=help_text, **labels)
 
-    def _run_instruments(self, backend: str) -> tuple:
-        """The (counter, histogram) pair for one backend, get-or-create.
-
-        The dict probe is racy-but-idempotent: the registry dedupes by
-        (name, labels), so two threads racing the first request on a
-        backend converge on the same instruments.
-        """
-        pair = self._run_metrics.get(backend)
-        if pair is None:
-            labels = dict(self._metrics_labels)
-            labels["backend"] = backend
-            pair = (
-                self.metrics.counter(
-                    "reason_runs_total",
-                    "Requests executed by this session.",
-                    **labels,
-                ),
-                self.metrics.histogram(
+    def _run_histogram(self, backend: str) -> Histogram:
+        """The run-seconds histogram of one backend, get-or-create, with
+        ``reason_runs_total`` served by its count.  Registered under the
+        session lock, so two threads racing the first request on a
+        backend register it once."""
+        with self._lock:
+            histogram = self._run_seconds.get(backend)
+            if histogram is None:
+                labels = {**self._metrics_labels, "backend": backend}
+                histogram = self.metrics.histogram(
                     "reason_run_seconds",
                     "Backend execution wall seconds per request.",
                     **labels,
-                ),
-            )
-            self._run_metrics[backend] = pair
-        return pair
+                )
+                self.metrics.register_callback(
+                    "reason_runs_total",
+                    lambda: histogram.count,
+                    kind="counter",
+                    help="Requests executed by this session.",
+                    **labels,
+                )
+                self._run_seconds[backend] = histogram
+        return histogram
 
     # ------------------------------------------------------------ plumbing
 
@@ -278,8 +268,7 @@ class ReasonSession:
                 check_artifact(artifact, self.config)
             with self._lock:
                 self._prepare_calls += 1
-            if self._m_compile is not None:
-                self._m_compile.observe(artifact.compile_s)
+            self._compile_seconds.observe(artifact.compile_s)
             return artifact
 
         # The cache runs the factory at most once per in-flight key —
@@ -333,7 +322,7 @@ class ReasonSession:
         caller has also checked ``queries``, so it is not checked again.
         """
         if fingerprint is None:
-            check_queries(queries)
+            check_count("queries", queries)
         artifact, cache_hit = self._compile(kernel, options, key=fingerprint)
         if self._faults is not None:
             self._faults.execute_fault(fingerprint or artifact.key)
@@ -350,10 +339,7 @@ class ReasonSession:
         if report.executed:
             with self._lock:
                 self._executions += 1
-        if self.metrics is not None:
-            runs, run_seconds = self._run_instruments(backend)
-            runs.inc()
-            run_seconds.observe(report.execute_s)
+        (self._run_seconds.get(backend) or self._run_histogram(backend)).observe(report.execute_s)
         return report
 
     def run_batch(

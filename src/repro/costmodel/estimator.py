@@ -38,6 +38,7 @@ from typing import Dict, Optional, Tuple
 from repro.baselines.device import DeviceModel
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.costmodel.features import CostFeatures, CostPrediction, remember
+from repro.metrics.registry import RATIO_BUCKETS, MetricsRegistry
 
 #: EWMA gain of the class tables: each new kernel of a class moves its
 #: prior halfway to what that kernel cost.
@@ -84,18 +85,16 @@ class CostEstimator:
         self._devices: Dict[str, Optional[DeviceModel]] = {}
         self._class_ratio: Dict[Key, float] = {}  # observed / static seconds
         self._class_seconds: Dict[Key, float] = {}  # seconds per query
-        self._metrics = None
+        self._metrics = MetricsRegistry()
 
-    def attach_metrics(self, registry) -> None:
+    def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Export ``reason_costmodel_residual_ratio{backend,kind}`` to a
-        live-metrics registry (:mod:`repro.metrics`): ``observed /
-        static`` seconds, one sample per priced pair, so a snapshot
-        shows *how wrong the static model is* per kernel of a class,
-        not just the EWMA it feeds.  The service attaches its registry
-        at construction."""
-        from repro.metrics.registry import ensure_registry
-
-        self._metrics = ensure_registry(registry)
+        live-metrics registry (:mod:`repro.metrics`) instead of the
+        estimator's private one: ``observed / static`` seconds, one
+        sample per priced pair, so a snapshot shows *how wrong the
+        static model is* per kernel of a class, not just the EWMA it
+        feeds.  The service attaches its registry at construction."""
+        self._metrics = registry
 
     # ------------------------------------------------------------ features
 
@@ -230,11 +229,8 @@ class CostEstimator:
             price = _Price((seconds, report.energy_j / queries))
             price.quote = CostPrediction(backend, seconds, price[1], 1, "calibrated")
             remember(self._prices, key, price)
-        # Outside the lock: the histogram has its own, and the registry
-        # lookup must not nest.
-        if ratio is not None and self._metrics is not None:
-            from repro.metrics.registry import RATIO_BUCKETS
-
+        # Outside the lock: the registry lookup must not nest.
+        if ratio is not None:
             self._metrics.histogram(
                 "reason_costmodel_residual_ratio",
                 "Observed/static-model seconds of each priced (kernel, "

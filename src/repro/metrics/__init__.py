@@ -10,10 +10,12 @@ residuals, Prometheus-text and JSON exposition, snapshot diffing for
 regression hunting, and ``python -m repro show|watch|diff`` over
 snapshot files.
 
-Wiring is zero-overhead-when-off throughout: pass ``metrics=True`` (or
-a shared registry) to :class:`~repro.api.session.ReasonSession` /
-:class:`~repro.api.service.ReasonService` to turn it on; without it no
-instrument is ever touched.
+There is one mode, always on: every
+:class:`~repro.api.session.ReasonSession` /
+:class:`~repro.api.service.ReasonService` owns a private registry, or
+shares the one passed as ``metrics=``.  The request path pays a deque
+append per observation and per settled span; instruments bin what is
+queued in vectorised batches on every read and once enough is waiting.
 """
 
 from repro.metrics.diff import MetricChange, SnapshotDiff, diff_snapshots

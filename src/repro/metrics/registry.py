@@ -10,33 +10,36 @@ report:
 * :class:`Histogram` — fixed *logarithmic* buckets with quantile
   estimation, sized for latency-style data whose interesting range
   spans many orders of magnitude.  Log buckets keep the instrument
-  allocation-free and O(1) per observation — no reservoir, no
-  rebalancing — at the price of bounded relative quantile error (one
-  bucket ratio, ~2x at the default base; tighten with more buckets).
+  fixed-size — no reservoir, no rebalancing — at the price of bounded
+  relative quantile error (one bucket ratio, ~2x at the default base;
+  tighten with more buckets).
 
 Every instrument may carry **labels** (``backend="gpu"``,
 ``shard="2"``): instruments sharing a name form a family whose
-children are keyed by their canonical label string.  Label sets and
-instrument kinds are enforced per name — registering ``foo`` as both a
-counter and a gauge, or with different label keys, raises.
+children are keyed by their canonical label string.  Label sets,
+instrument kinds and histogram buckets are enforced per name —
+registering ``foo`` as both a counter and a gauge, with different
+label keys, or as a histogram with other buckets, raises.
 
 Design rules the serving integration depends on:
 
-* **Hot paths never touch the registry.**  ``registry.counter(...)``
-  is get-or-create under the registry lock; callers hold the returned
-  instrument and call ``inc()`` / ``observe()`` directly, which takes
-  only that instrument's own lock (uncontended in the common case —
-  "lock-cheap", and exact under contention, which the thread-hammer
-  tests assert).
-* **Zero overhead when off.**  Nothing in this module is consulted
-  unless a caller was constructed with a registry; the serving stack
-  follows the trace subsystem's idiom
-  (``emit = None if registry is None else instrument.inc``).
+* **Hot paths never touch the registry, nor a lock.**
+  ``registry.histogram(...)`` is get-or-create under the registry
+  lock; callers hold the returned instrument, whose ``observe()`` only
+  queues the value.  Queued values are binned in one vectorised batch
+  under the instrument's lock on every read, and once
+  :data:`FOLD_AT` are waiting — exact under contention, which the
+  thread-hammer tests assert.  ``Counter.inc`` takes its lock: it
+  counts rare events (rejections).
 * **Snapshot-time callbacks.**  State that already exists elsewhere
-  (cache hit counters, queue depths, store sizes) is exported by
-  registering a zero-argument callable; it is evaluated only inside
-  :meth:`MetricsRegistry.snapshot`, so mirroring it costs the hot path
-  nothing.
+  (cache hit counters, queue depths, store sizes, a histogram's count)
+  is exported by registering a zero-argument callable; it is
+  evaluated only inside :meth:`MetricsRegistry.snapshot`, so mirroring
+  it costs the hot path nothing.  :meth:`MetricsRegistry.register_fold`
+  does the same for a source that queues its own batches.
+
+There is no off mode: every session and service owns (or shares) a
+registry.
 
 :meth:`MetricsRegistry.snapshot` returns plain nested dicts (JSON-safe,
 diffable, version-tagged); the exposition formats live in
@@ -45,15 +48,19 @@ diffable, version-tagged); the exposition formats live in
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
-from typing import Callable, Dict, Optional, Sequence, Tuple
+import weakref
+from collections import deque
+from typing import Callable, Deque, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 #: Snapshot schema version (bump when the nested-dict layout changes).
 SNAPSHOT_VERSION = 1
 
-_VALID_KINDS = ("counter", "gauge", "histogram")
+#: Observations a histogram queues before it bins them without a read.
+FOLD_AT = 4096
 
 
 def canonical_labels(labels: Dict[str, str]) -> str:
@@ -138,10 +145,14 @@ class Histogram:
     overflow bucket.  Alongside the bucket counts the histogram tracks
     count, sum, min and max, so means are exact and extreme quantiles
     degrade to the true extremes instead of a bucket edge.
+
+    :meth:`observe` only queues the value (a deque append, no lock);
+    queued values are binned in one batch under the lock on every read
+    and once :data:`FOLD_AT` are waiting.
     """
 
     kind = "histogram"
-    __slots__ = ("bounds", "_lock", "_counts", "_count", "_sum", "_min", "_max")
+    __slots__ = ("bounds", "_lock", "_pending", "_counts", "_count", "_sum", "_min", "_max")
 
     def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
         bounds = tuple(float(b) for b in bounds)
@@ -149,7 +160,8 @@ class Histogram:
             raise ValueError("histogram bounds must be strictly increasing")
         self.bounds = bounds
         self._lock = threading.Lock()
-        self._counts = [0] * (len(bounds) + 1)  # +1 = overflow bucket
+        self._pending: Deque[float] = deque()
+        self._counts = np.zeros(len(bounds) + 1, dtype=np.int64)  # +1 = overflow
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -157,17 +169,45 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        # Bucket search happens outside the lock; only the increments
-        # are serialized, so contended observers stay exact and cheap.
-        index = bisect.bisect_left(self.bounds, value)
+        if value != value:
+            raise ValueError("cannot observe NaN")
+        self._pending.append(value)
+        if len(self._pending) >= FOLD_AT:
+            with self._lock:
+                self._fold()
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe every value of ``values``, binned at once."""
+        values = np.asarray(values, dtype=float)
+        if np.isnan(values).any():
+            raise ValueError("cannot observe NaN")
         with self._lock:
-            self._counts[index] += 1
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+            self._fold(values)
+
+    def _fold(self, values: np.ndarray = np.empty(0)) -> None:
+        """Bin the queued observations and ``values`` in one vectorised
+        step (searchsorted + bincount).  Call with the lock held: only
+        folds pop, so the ``len`` counted are there to take."""
+        pending = self._pending
+        if pending:
+            values = np.concatenate(([pending.popleft() for _ in range(len(pending))], values))
+        if values.size:
+            index = np.searchsorted(self.bounds, values)
+            self._counts += np.bincount(index, minlength=len(self._counts))
+            self._count += values.size
+            self._sum += float(values.sum())
+            self._min = min(self._min, float(values.min()))
+            self._max = max(self._max, float(values.max()))
+
+    def _read(self) -> Tuple[List[int], int, float, float, float]:
+        with self._lock:
+            self._fold()
+            return self._counts.tolist(), self._count, self._sum, self._min, self._max
+
+    @property
+    def count(self) -> int:
+        """Observations so far, queued ones included."""
+        return self._read()[1]
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``0 <= q <= 1``).
@@ -179,10 +219,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            count = self._count
-            counts = list(self._counts)
-            lo, hi = self._min, self._max
+        counts, count, _, lo, hi = self._read()
         if count == 0:
             return 0.0
         rank = q * count
@@ -206,17 +243,12 @@ class Histogram:
         return hi
 
     def snapshot_value(self) -> Dict[str, object]:
-        with self._lock:
-            counts = list(self._counts)
-            count = self._count
-            total = self._sum
-            lo = self._min if self._count else 0.0
-            hi = self._max if self._count else 0.0
+        counts, count, total, lo, hi = self._read()
         return {
             "count": count,
             "sum": total,
-            "min": lo,
-            "max": hi,
+            "min": lo if count else 0.0,
+            "max": hi if count else 0.0,
             "buckets": [
                 [bound, bucket]
                 for bound, bucket in zip(self.bounds, counts)
@@ -255,6 +287,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
+        self._folds: List[weakref.WeakMethod] = []
 
     # -------------------------------------------------------- registration
 
@@ -324,9 +357,15 @@ class MetricsRegistry:
         buckets: Sequence[float] = LATENCY_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        return self._instrument(
-            name, "histogram", lambda: Histogram(buckets), help, labels
+        """Get-or-create the histogram for ``name`` + ``labels``; an
+        existing one must have the same ``buckets``."""
+        bounds = tuple(float(b) for b in buckets)
+        histogram = self._instrument(
+            name, "histogram", lambda: Histogram(bounds), help, labels
         )
+        if histogram.bounds != bounds:
+            raise ValueError(f"histogram {name!r} is already registered with other buckets")
+        return histogram
 
     def register_callback(
         self,
@@ -353,6 +392,15 @@ class MetricsRegistry:
                 )
             family.callbacks[series] = fn
 
+    def register_fold(self, fold: Callable[[], None]) -> None:
+        """Call the bound method ``fold`` at the start of every
+        :meth:`snapshot`: how a source that feeds its instruments in
+        batches (the service's settled spans) lands what is still queued
+        before it is read.  Held weakly: the registry does not keep the
+        source alive, and a source that is gone has nothing to fold."""
+        with self._lock:
+            self._folds.append(weakref.WeakMethod(fold))
+
     # ------------------------------------------------------------- export
 
     def snapshot(self) -> Dict[str, object]:
@@ -376,6 +424,12 @@ class MetricsRegistry:
         than killing the snapshot).
         """
         with self._lock:
+            folds = list(self._folds)
+        for ref in folds:
+            fold = ref()
+            if fold is not None:
+                fold()  # may register the histograms it feeds
+        with self._lock:
             families = list(self._families.values())
         metrics: Dict[str, object] = {}
         for family in families:
@@ -396,19 +450,16 @@ class MetricsRegistry:
         return {"version": SNAPSHOT_VERSION, "metrics": dict(sorted(metrics.items()))}
 
 
-def ensure_registry(
-    metrics: "Optional[object]",
-) -> Optional[MetricsRegistry]:
+def ensure_registry(value: object) -> MetricsRegistry:
     """Resolve the ``metrics=`` constructor argument the serving stack
-    accepts everywhere: ``None``/``False`` (off), ``True`` (a fresh
-    registry), or a :class:`MetricsRegistry` instance (shared)."""
-    if metrics is None or metrics is False:
-        return None
-    if metrics is True:
+    accepts everywhere: a :class:`MetricsRegistry` instance (shared), or
+    ``None`` / ``True`` (a private one).  Telemetry has no off mode, so
+    ``False`` is a :class:`TypeError` like any other value."""
+    if isinstance(value, MetricsRegistry):
+        return value
+    if value is None or value is True:
         return MetricsRegistry()
-    if isinstance(metrics, MetricsRegistry):
-        return metrics
     raise TypeError(
-        f"metrics= accepts None, True or a MetricsRegistry, "
-        f"not {type(metrics).__name__}"
+        f"metrics= accepts None, True or a MetricsRegistry, not {value!r} "
+        f"(telemetry is always on; metrics=False no longer turns it off)"
     )

@@ -11,8 +11,9 @@ Nothing fills a span in flight: the service stamps its work item at
 admission and at the worker's first claim, the session puts its
 ``compile_s`` / ``execute_s`` on the :class:`ExecutionReport`, and the
 one terminal transition (``ReasonService._settle``) builds the span from
-the item, the settle outcome and the report, then logs it before the
-future resolves.
+the item, the settle outcome and the report, then queues it before the
+future resolves.  The service moves queued spans into its
+:class:`SpanLog` and their legs into its histograms in batches.
 
 Timestamps are ``time.perf_counter()`` values: durations between them
 are exact, absolute values are process-relative (``wall_unix`` anchors
@@ -23,13 +24,16 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional
+from numbers import Integral
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 
-@dataclass(frozen=True, eq=False)  # identity semantics: spans are unique records
-class RequestSpan:
-    """Record of one settled request.
+class RequestSpan(NamedTuple):
+    """Record of one settled request.  A named tuple: the service's
+    settle builds the fields as a plain tuple, positionally, and the
+    span log hands them back as this type.
 
     ``status`` is the settle outcome.  The cache / execution / actual /
     ``compile_s`` / ``execute_s`` fields are the request's
@@ -94,33 +98,84 @@ class RequestSpan:
         return self.actual_energy_j / self.predicted_energy_j
 
 
+def leg_columns(spans: Sequence[tuple]) -> Dict[str, Dict[str, np.ndarray]]:
+    """Per backend, the duration and residual properties of the
+    successful spans among ``spans`` (RequestSpans, or plain tuples in
+    its field order), one array per property name, each value equal to
+    the property's (a residual's array skips the spans whose property
+    is None): how the service bins a batch of settled spans without a
+    property call per span.  Failures and cancellations are left out."""
+    if not spans:
+        return {}
+    columns = dict(zip(RequestSpan._fields, zip(*spans)))
+    admitted, started, finished, execute, actual_s, predicted_s, actual_j, predicted_j = (
+        np.array(columns[name], dtype=float)
+        for name in ("admitted_at", "started_at", "finished_at", "execute_s",
+                     "actual_s", "predicted_s", "actual_energy_j", "predicted_energy_j")
+    )  # fmt: skip
+    with np.errstate(divide="ignore", invalid="ignore"):  # an undefined residual is NaN
+        legs = {
+            "queue_wait_s": np.where(started > 0.0, np.maximum(started - admitted, 0.0), 0.0),
+            "execute_s": execute,
+            "e2e_s": np.maximum(finished - admitted, 0.0),
+            "latency_residual": np.where(
+                (predicted_s > 0.0) & (actual_s > 0.0), actual_s / predicted_s, np.nan
+            ),
+            "energy_residual": np.where(
+                (predicted_j > 0.0) & (actual_j > 0.0), actual_j / predicted_j, np.nan
+            ),
+        }
+    # Object arrays: comparing the strings themselves is cheaper than
+    # converting them to numpy's fixed-width text.
+    backends = np.array(columns["backend"], dtype=object)
+    ok = np.array(columns["status"], dtype=object) == "ok"
+    return {
+        backend: {
+            name: values[ok & (backends == backend) & ~np.isnan(values)]
+            for name, values in legs.items()
+        }
+        for backend in set(backends[ok])
+    }
+
+
 class SpanLog:
     """Bounded, thread-safe ring of completed spans.
 
-    The service appends every settled request's span here; ``maxlen`` bounds
-    memory on long-lived services exactly like the stats window.  Reads
-    snapshot under the lock, so callers can aggregate while workers
-    keep appending.
+    The service adds settled spans here in batches; ``maxlen`` bounds
+    memory on long-lived services exactly like the stats window.  Each
+    span is kept as the tuple it was given — a :class:`RequestSpan`, or
+    a plain tuple in its field order, which is how the service adds
+    them without paying a named tuple's constructor per request — and
+    read back as a :class:`RequestSpan`.  Reads snapshot under the
+    lock, so callers can aggregate while workers keep adding.
     """
 
     def __init__(self, maxlen: int = 4096):
         if maxlen < 1:
             raise ValueError("span log needs room for at least one span")
         self._lock = threading.Lock()
-        self._spans: Deque[RequestSpan] = deque(maxlen=maxlen)
+        self._spans: Deque[tuple] = deque(maxlen=maxlen)
 
-    def append(self, span: RequestSpan) -> None:
+    def append(self, span: tuple) -> None:
+        self.extend((span,))
+
+    def extend(self, spans: Iterable[tuple]) -> None:
         with self._lock:
-            self._spans.append(span)
+            self._spans.extend(spans)
 
     def snapshot(self, last: Optional[int] = None) -> List[RequestSpan]:
         """The most recent ``last`` spans (all retained by default),
-        oldest first."""
+        oldest first.  ``last`` is a count: ``0`` returns none, and a
+        negative, bool or non-integer ``last`` raises ValueError."""
+        if last is not None and (
+            isinstance(last, bool) or not isinstance(last, Integral) or last < 0
+        ):
+            raise ValueError(f"last must be None or a count >= 0, not {last!r}")
         with self._lock:
             spans = list(self._spans)
         if last is not None:
-            spans = spans[-last:]
-        return spans
+            spans = spans[max(len(spans) - last, 0):]
+        return [RequestSpan._make(span) for span in spans]
 
     def __len__(self) -> int:
         with self._lock:

@@ -140,3 +140,28 @@ def test_numpy_integer_shard_count_is_accepted():
     with ReasonService(shards=np.int64(3)) as service:
         assert service.shard_backends == ["reason"] * 3
         assert service.submit(HMM.random(4, 3, seed=1)).result(timeout=60).queries == 1
+
+
+@pytest.mark.parametrize("argument", ["max_queue", "cache_capacity", "stats_window"])
+@pytest.mark.parametrize(
+    "value", NOT_POSITIVE_INTEGERS.values(), ids=list(NOT_POSITIVE_INTEGERS)
+)
+def test_service_counts_must_be_positive_integers(argument, value):
+    message = f"{argument} must be a positive integer, not {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=message):
+        ReasonService(shards=1, **{argument: value})
+    if argument == "cache_capacity":
+        with pytest.raises(ValueError, match=message):
+            ReasonSession(cache_capacity=value)
+
+
+def test_numpy_integer_service_counts_are_accepted():
+    hmm = HMM.random(4, 3, seed=1)
+    counts = {"max_queue": np.int64(2), "cache_capacity": np.int32(1), "stats_window": np.int64(3)}
+    with ReasonService(shards=1, **counts) as service:
+        for _ in range(4):
+            service.submit(hmm).result(timeout=60)
+        service.drain(timeout=60)
+        (shard,) = service.stats().shards
+        assert (shard.completed, shard.retained) == (4, 3)
+    assert ReasonSession(cache_capacity=np.int64(2)).run(hmm).cycles > 0

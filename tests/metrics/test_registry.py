@@ -2,6 +2,7 @@
 family/label enforcement, and snapshot-time callbacks."""
 
 import math
+import sys
 import threading
 
 import pytest
@@ -75,6 +76,41 @@ class TestThreadSafety:
         assert snapshot["count"] == self.THREADS * self.PER_THREAD
         assert snapshot["sum"] == pytest.approx(self.THREADS * sum(values))
 
+    def test_observe_and_snapshot_concurrently_stay_exact(self):
+        # Readers fold while writers queue: every observation lands in
+        # exactly one fold, whichever thread runs it.
+        hist = Histogram(LATENCY_BUCKETS)
+        counts = []
+
+        def write():
+            for index in range(self.PER_THREAD):
+                hist.observe(1e-5 * (index % 7 + 1))
+
+        def read():
+            for _ in range(200):
+                counts.append(hist.snapshot_value()["count"])
+                hist.quantile(0.5)
+
+        threads = [threading.Thread(target=write) for _ in range(self.THREADS)]
+        threads += [threading.Thread(target=read) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave queueing and folding finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = self.THREADS * self.PER_THREAD
+        assert all(0 <= count <= total for count in counts)
+        assert hist.count == total
+        snapshot = hist.snapshot_value()
+        assert sum(count for _, count in snapshot["buckets"]) + snapshot["overflow"] == total
+        per_thread = sum(1e-5 * (index % 7 + 1) for index in range(self.PER_THREAD))
+        assert snapshot["sum"] == pytest.approx(self.THREADS * per_thread, rel=1e-12)
+
     def test_registry_get_or_create_race(self):
         registry = MetricsRegistry()
         instruments = []
@@ -131,6 +167,24 @@ class TestHistogramQuantiles:
         with pytest.raises(ValueError):
             Histogram((2.0, 1.0))
 
+    def test_nan_rejected_before_it_is_queued(self):
+        hist = Histogram(LATENCY_BUCKETS)
+        hist.observe(2e-6)
+        for observe in (lambda: hist.observe(math.nan), lambda: hist.observe_many([1e-6, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                observe()
+        snap = hist.snapshot_value()
+        assert (snap["count"], snap["sum"], snap["buckets"]) == (1, 2e-6, [[LATENCY_BUCKETS[1], 1]])
+
+    def test_observe_many_bins_as_observe_does(self):
+        values = [0.0, 1e-6, 1.5e-6, 2e-6, 3e-3, 0.25, 64.0, 100.0]
+        one, many = Histogram(LATENCY_BUCKETS), Histogram(LATENCY_BUCKETS)
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        many.observe_many([])
+        assert one.snapshot_value() == many.snapshot_value()
+
     def test_rejects_bad_quantile(self):
         with pytest.raises(ValueError):
             Histogram(LATENCY_BUCKETS).quantile(1.5)
@@ -156,6 +210,13 @@ class TestRegistryFamilies:
             with pytest.raises(ValueError, match="tenant"):
                 registry.counter("thing_total", tenant=value)
         assert registry.snapshot()["metrics"] == {}
+
+    def test_bucket_conflict_raises(self):
+        registry = MetricsRegistry()
+        first = registry.histogram("h_seconds", buckets=(1.0, 2.0))
+        assert registry.histogram("h_seconds", buckets=[1, 2]) is first
+        with pytest.raises(ValueError, match="bucket"):
+            registry.histogram("h_seconds", buckets=(1.0, 4.0))
 
     def test_same_labels_share_instrument(self):
         registry = MetricsRegistry()
@@ -237,10 +298,13 @@ class TestSnapshotSchema:
 
 class TestEnsureRegistry:
     def test_resolution(self):
-        assert ensure_registry(None) is None
-        assert ensure_registry(False) is None
-        assert isinstance(ensure_registry(True), MetricsRegistry)
+        # One mode: None and True both give a private registry, and
+        # False (the deleted off mode) is a TypeError like any other value.
+        private = [ensure_registry(None), ensure_registry(True)]
+        assert all(isinstance(registry, MetricsRegistry) for registry in private)
+        assert private[0] is not private[1]
         registry = MetricsRegistry()
         assert ensure_registry(registry) is registry
-        with pytest.raises(TypeError):
-            ensure_registry("yes")
+        for value in ("yes", False):
+            with pytest.raises(TypeError, match="always on"):
+                ensure_registry(value)

@@ -3,18 +3,32 @@ cost-model residuals, bit-identity with metrics on, and stats
 serialization."""
 
 import dataclasses
+import gc
+import math
+import threading
+import weakref
 
+import numpy as np
 import pytest
 
 from repro.api.adapters import CnfAdapter, RunOptions, adapter_for
 from repro.api import resilience
+from repro.api import service as service_module
 from repro.api.service import ReasonService
 from repro.api.session import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.system.sharding import ShardComposition
+from repro.costmodel import CostEstimator
 from repro.faults import FaultPlan
 from repro.logic.generators import random_ksat
-from repro.metrics import MetricsRegistry, RequestSpan, SpanLog
+from repro.metrics import (
+    LATENCY_BUCKETS,
+    RATIO_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+    RequestSpan,
+    SpanLog,
+)
 from repro.pc.learn import random_circuit
 
 
@@ -25,12 +39,6 @@ def _kernels():
 
 
 class TestSessionMetrics:
-    def test_off_by_default(self):
-        session = ReasonSession()
-        assert session.metrics is None
-        report = session.run(random_ksat(12, 40, seed=0))
-        assert report.cycles > 0
-
     def test_reports_bit_identical_with_metrics_on(self):
         kernel = random_ksat(30, 120, seed=5)
         plain = ReasonSession().run(kernel)
@@ -83,13 +91,6 @@ class TestFingerprintExclusion:
 
 
 class TestServiceMetrics:
-    def test_accessors_raise_when_off(self):
-        with ReasonService(shards=1) as service:
-            with pytest.raises(ValueError, match="without metrics="):
-                service.metrics()
-            with pytest.raises(ValueError, match="without metrics="):
-                service.spans()
-
     def test_spans_cover_every_request(self):
         kernels = _kernels()
         with ReasonService(shards=2, metrics=True) as service:
@@ -256,7 +257,142 @@ class TestServiceMetrics:
             ReasonService(shards=1, metrics=registry)
 
 
+class TestOneMode:
+    """Telemetry has no off mode: every service keeps spans, and the
+    batched folds lose nothing."""
+
+    LEGS = (
+        ("queue_wait_s", "reason_request_queue_wait_seconds"),
+        ("execute_s", "reason_request_execute_seconds"),
+        ("e2e_s", "reason_request_e2e_seconds"),
+        ("latency_residual", "reason_request_latency_residual"),
+        ("energy_residual", "reason_request_energy_residual"),
+    )
+
+    def test_metrics_false_raises(self):
+        with pytest.raises(TypeError, match="always on"):
+            ReasonSession(metrics=False)
+        with pytest.raises(TypeError, match="always on"):
+            ReasonService(shards=1, metrics=False)
+
+    def test_span_histograms_equal_sequential_observe(self):
+        kernels = _kernels()
+        with ReasonService(shards=["reason", "gpu"], policy="round-robin") as service:
+            for index in range(12):
+                service.submit(kernels[index % len(kernels)]).result(timeout=60)
+            service.drain(timeout=60)
+            spans = service.spans()
+            snap = service.metrics().snapshot()["metrics"]
+        assert len(spans) == 12
+        for backend in ("reason", "gpu"):
+            mine = [span for span in spans if span.backend == backend]
+            assert mine
+            for leg, name in self.LEGS:
+                reference = Histogram(LATENCY_BUCKETS if leg.endswith("_s") else RATIO_BUCKETS)
+                for span in mine:
+                    if getattr(span, leg) is not None:
+                        reference.observe(getattr(span, leg))
+                expected = reference.snapshot_value()
+                folded = snap[name]["series"][f"backend={backend}"]
+                assert folded["count"] == expected["count"] > 0
+                for key in ("buckets", "overflow", "min", "max", "p50", "p95", "p99"):
+                    assert folded[key] == expected[key], (leg, key)
+                assert folded["sum"] == pytest.approx(expected["sum"], rel=1e-12)
+
+    def test_ring_wraps_without_losing_observations(self, monkeypatch):
+        monkeypatch.setattr(service_module, "SPAN_LOG_SIZE", 16)
+        kernels = _kernels()
+        # A priced cost model gives every span both residuals.
+        priced = CostEstimator()
+        with ReasonService(shards=1, cost_model=priced) as warmup:
+            for kernel in kernels:
+                warmup.submit(kernel).result(timeout=60)
+        with ReasonService(shards=1, cost_model=priced) as service:
+            futures = [service.submit(kernels[index % len(kernels)]) for index in range(100)]
+            for future in futures:
+                future.result(timeout=60)
+            service.drain(timeout=60)
+            spans = service.spans()
+            snap = service.metrics().snapshot()["metrics"]
+        # One shard serves its queue in order: the ring keeps the last 16.
+        assert [span.fingerprint for span in spans] == [f.fingerprint for f in futures[-16:]]
+        for _, name in self.LEGS:
+            assert snap[name]["series"]["backend=reason"]["count"] == 100, name
+        assert snap["reason_service_admitted_total"]["series"][""] == 100
+        assert snap["reason_runs_total"]["series"]["backend=reason,shard=0"] == 100
+
+    def test_caller_woken_by_result_finds_its_span(self):
+        kernels = _kernels()
+        missing = []
+        with ReasonService(shards=2) as service:
+
+            def caller(index):
+                future = service.submit(kernels[index % len(kernels)], queries=index + 1)
+                future.result(timeout=60)
+                if not any(
+                    span.fingerprint == future.fingerprint and span.queries == index + 1
+                    for span in service.spans()
+                ):
+                    missing.append(index)
+
+            threads = [threading.Thread(target=caller, args=(index,)) for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert missing == []
+
+    def test_registry_keeps_no_dropped_session_or_service_alive(self):
+        # A session or service owns its registry, so callbacks holding
+        # it strongly would be a cycle: a dropped one, compile cache and
+        # all, would live on until a full garbage collection.
+        kernel = random_ksat(12, 40, seed=4)
+        registry = MetricsRegistry()
+        gc.disable()
+        try:
+            session = ReasonSession()
+            session.run(kernel)
+            dropped = [weakref.ref(session)]
+            del session
+            service = ReasonService(shards=2, metrics=registry)
+            service.submit(kernel).result(timeout=60)
+            service.close()
+            dropped.append(weakref.ref(service))
+            del service
+            assert [ref() for ref in dropped] == [None, None]
+        finally:
+            gc.enable()
+        # What the registry mirrored is gone and reads NaN; close()
+        # folded the service's spans into the histograms it shares.
+        snap = registry.snapshot()["metrics"]
+        assert math.isnan(snap["reason_service_admitted_total"]["series"][""])
+        assert snap["reason_request_e2e_seconds"]["series"]["backend=reason"]["count"] == 1
+
+    def test_spans_last_is_a_count(self):
+        kernel = random_ksat(12, 40, seed=2)
+        with ReasonService(shards=1) as service:
+            for _ in range(5):
+                service.submit(kernel).result(timeout=60)
+            assert service.spans(last=0) == []
+            assert len(service.spans(last=2)) == 2
+            assert len(service.spans(last=np.int64(9))) == 5
+            for last in (-2, True, 1.5, "2"):
+                with pytest.raises(ValueError, match="last"):
+                    service.spans(last=last)
+
+
 class TestSpanLog:
+    def test_last_is_a_count(self):
+        log = SpanLog(maxlen=8)
+        for index in range(5):
+            log.append(RequestSpan("ok", fingerprint=str(index)))
+        assert log.snapshot(0) == []
+        assert [span.fingerprint for span in log.snapshot(7)] == ["0", "1", "2", "3", "4"]
+        for last in (-2, False, 2.0):
+            with pytest.raises(ValueError, match="last"):
+                log.snapshot(last)
+
     def test_bounded_ring(self):
         log = SpanLog(maxlen=3)
         for index in range(5):
