@@ -10,7 +10,7 @@ store.  The policy objects that decide *how* live here:
   (bad kernel, unknown backend) passes through untouched, and replays
   are idempotent because execution is deterministic, so a retried
   success is bit-identical to a first-try success.
-* :class:`CircuitBreaker` — per-shard (and per-store) trip switch:
+* :class:`CircuitBreaker` — every shard's (and the store's) trip switch:
   after ``failure_threshold`` *consecutive* faults the breaker opens
   and admission routes around the shard; after ``reset_after_s`` it
   half-opens and lets one probe through — success closes it, failure
@@ -39,12 +39,14 @@ The exception taxonomy callers see:
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
+from repro.api.adapters import check_count
 from repro.api.store import ArtifactStore
 
 # --------------------------------------------------------------------------
@@ -132,9 +134,11 @@ def resolve_deadline(spec: Union[None, int, float, str]) -> Optional[float]:
     """A deadline spec to seconds: None (no deadline), a named class
     from :data:`DEADLINE_CLASSES`, or a number above 0 and at most
     :data:`threading.TIMEOUT_MAX` — the longest wait the deadline timer
-    can arm (NaN and infinity are neither)."""
+    can arm (NaN, infinity and a bool are none of these)."""
     if spec is None:
         return None
+    if isinstance(spec, bool):
+        raise ValueError(f"deadline_s must be seconds or a deadline class, not {spec!r}")
     if isinstance(spec, str):
         try:
             return DEADLINE_CLASSES[spec]
@@ -168,7 +172,14 @@ class RetryPolicy:
     back off identically (determinism survives the chaos suite).
     ``reroute=True`` sends each retry to a different shard when one is
     available — the natural move after a shard crash, and harmless
-    otherwise because any shard can execute any resolved backend.
+    otherwise because every shard is the same REASON session and runs
+    whatever backend the request names.
+
+    Construction checks what a backoff timer can arm: ``max_attempts``
+    is a positive integer, ``backoff_s`` and ``multiplier`` are finite,
+    and the longest delay, jitter included, is at most
+    :data:`threading.TIMEOUT_MAX` (the bound deadlines have too) —
+    past it the timer thread dies and its request never resolves.
     """
 
     max_attempts: int = 3
@@ -179,14 +190,24 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0.0:
-            raise ValueError("backoff_s must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        check_count("max_attempts", self.max_attempts)
+        if not 0.0 <= self.backoff_s < math.inf:
+            raise ValueError(f"backoff_s must be finite and >= 0, not {self.backoff_s!r}")
+        if not 1.0 <= self.multiplier < math.inf:
+            raise ValueError(f"multiplier must be finite and >= 1, not {self.multiplier!r}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
+        if self.backoff_s > 0.0 and self.max_attempts > 1:
+            try:
+                longest = self.backoff_s * self.multiplier ** (self.max_attempts - 2)
+            except OverflowError:
+                longest = math.inf
+            longest *= 1.0 + self.jitter
+            if longest > threading.TIMEOUT_MAX:
+                raise ValueError(
+                    f"the longest retry delay, {longest} s, must be at most "
+                    f"threading.TIMEOUT_MAX ({threading.TIMEOUT_MAX} s)"
+                )
 
     def retryable(self, error: BaseException) -> bool:
         """Is this error worth a replay?
@@ -234,10 +255,10 @@ class CircuitBreaker:
     """
 
     def __init__(self, failure_threshold: int = 5, reset_after_s: float = 0.25):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_after_s < 0.0:
-            raise ValueError("reset_after_s must be >= 0")
+        check_count("failure_threshold", failure_threshold)
+        if not 0.0 <= reset_after_s < math.inf:
+            # A NaN cooldown would never half-open: `elapsed >= nan` is False.
+            raise ValueError(f"reset_after_s must be finite and >= 0, not {reset_after_s!r}")
         self.failure_threshold = failure_threshold
         self.reset_after_s = reset_after_s
         self._lock = threading.Lock()

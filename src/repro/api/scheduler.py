@@ -2,10 +2,11 @@
 
 :class:`~repro.api.service.ReasonService` asks its policy to place
 every admitted request on one of its shards.  A policy sees the request
-(including its content-hash fingerprint and the cost model's predicted
-cost on every substrate it could land on) and a load snapshot
-of every shard, and returns a shard index.  Three policies ship in the
-registry:
+(including its content-hash fingerprint and the cost model's one
+predicted cost, on the backend the request runs on) and a load
+snapshot of every shard, and returns a shard index.  Every shard is
+the same REASON session, so placement never changes a request's
+substrate.  Three policies ship in the registry:
 
 * ``round-robin``   — cycle through shards; the predictable baseline;
 * ``least-loaded``  — pick the shard with the fewest pending requests
@@ -35,9 +36,10 @@ from repro.costmodel.features import PredictionMap
 class ShardView:
     """Read-only load snapshot of one shard, handed to policies.
 
-    ``backend`` is the shard's substrate and ``busy_s`` its cumulative
-    *predicted* busy time — the seconds of admitted-but-unfinished work
-    the cost model expects it still owes.
+    ``backend`` is always ``"reason"`` (every shard is a REASON
+    session; the field stays for callers that build views) and
+    ``busy_s`` its cumulative *predicted* busy time — the seconds of
+    admitted-but-unfinished work the cost model expects it still owes.
     """
 
     index: int
@@ -69,15 +71,14 @@ class ShardViews(Sequence):
 class Request(NamedTuple):
     """What a policy may route on (the kernel itself included).
 
-    ``backend`` is the caller's forced substrate, or None when the
-    request should run on whatever backend the chosen shard owns.
-    ``predicted`` maps every backend the request could execute on (the
-    forced one, or each distinct shard substrate) to the cost model's
-    :class:`~repro.costmodel.features.CostPrediction` — the service
-    always has a cost model, so a policy never sees a request without
-    one.  Immutable, and built in one step (a tuple, not a frozen
-    dataclass's one ``object.__setattr__`` per field): admission makes
-    one per request.
+    ``backend`` is the caller's forced substrate, or None for the
+    REASON model.  ``predicted`` maps the one backend the request
+    executes on to the cost model's
+    :class:`~repro.costmodel.features.CostPrediction`, made once at
+    admission — the service always has a cost model, so a policy never
+    sees a request without one.  Immutable, and built in one step (a
+    tuple, not a frozen dataclass's one ``object.__setattr__`` per
+    field): admission makes one per request.
     """
 
     kernel: object

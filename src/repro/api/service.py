@@ -20,16 +20,16 @@ full, ``submit`` blocks (or raises
 :class:`ServiceOverloaded` after ``timeout``), so producers can't
 outrun the accelerators unboundedly.
 
-Shards may sit on *different substrates*: ``shards=4`` spins up four
-REASON instances, while ``shards=["reason", "reason", "gpu", "cpu"]``
-spans the accelerator and the analytic device models with one front
-door — requests submitted without a forced ``backend`` execute on
-whatever substrate their shard owns.  A
+Every shard is the same thing: ``shards=4`` spins up four REASON
+instances, each a session behind one bounded queue and one
+:class:`CircuitBreaker`.  A substrate is chosen in one place, the
+request's ``backend=`` (``"reason"`` unless the caller names another
+registered backend, which any shard can run).  A
 :class:`~repro.costmodel.CostEstimator` (one per service) predicts
-each request's per-backend cost at admission, tracks every shard's
-predicted busy time, and prices each (kernel, backend) from its first
-completed report; deadline admission and the request spans' residuals
-read those predictions.
+each request's cost on that backend once at admission, tracks every
+shard's predicted busy time, and prices each (kernel, backend) from
+its first completed report; deadline admission and the request spans'
+residuals read those predictions.
 
 Throughput accounting stays faithful to the paper's overlap model:
 each shard's completed work is composed through its own two-level
@@ -61,7 +61,7 @@ from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Callable, Deque, List, Optional, Union
 
 from repro.api.adapters import (
@@ -72,7 +72,6 @@ from repro.api.adapters import (
     neural_time,
     per_kernel_neural_s,
 )
-from repro.api.backends import get_backend
 from repro.api.cache import CacheStats
 from repro.api.futures import ReasonFuture
 from repro.api.resilience import (
@@ -182,7 +181,7 @@ class _WorkItem:
     # What admission routed on: kernel, queries, neural_s, deadline_s and
     # the fingerprint (reused for the shard's cache lookup).
     request: Request
-    backend: str  # resolved substrate (forced by caller or shard default)
+    backend: str  # resolved substrate: the caller's ``backend=``, else "reason"
     future: ReasonFuture
     shard: "_Shard"  # current owner; a rerouted retry updates it
     predicted_s: float = 0.0  # busy-time charged at admission, repaid on exit
@@ -249,9 +248,8 @@ class _Shard:
     and the worker thread :class:`ReasonService` runs over them."""
 
     index: int
-    backend: str
     session: ReasonSession
-    breaker: Optional[CircuitBreaker]  # trips on consecutive transient faults
+    breaker: CircuitBreaker  # trips on consecutive transient faults
     capacity: int  # queued (not yet dequeued) items the shard holds
     # (neural_s, symbolic_s) per success; bounded so a long-lived
     # service doesn't grow without limit and stats() stays cheap.
@@ -305,7 +303,7 @@ class _Shard:
                 self.index,
                 counters.pending,
                 counters.completed,
-                self.backend,
+                "reason",
                 counters.busy_s,
             )
 
@@ -329,13 +327,12 @@ class ShardStats:
     prepare_calls: int
     cache: CacheStats
     makespan: PipelineResult
-    backend: str = "reason"  # substrate this shard executes on
     busy_s: float = 0.0  # predicted seconds of unfinished admitted work
     retries: int = 0  # replays dispatched after transient failures
     restarts: int = 0  # worker threads respawned by the supervisor
     crashes: int = 0  # worker deaths observed
     expired: int = 0  # requests failed by their deadline (⊆ failed)
-    breaker: str = "disabled"  # circuit state: closed | half-open | open
+    breaker: str = "closed"  # circuit state: closed | half-open | open
 
 
 @dataclass
@@ -466,11 +463,11 @@ class ReasonService:
     Parameters
     ----------
     shards:
-        Number of accelerator instances (each with a private session
-        and compile cache; an integer, numpy's included, never a bool
-        or a float), or a sequence of backend names — e.g.
-        ``["reason", "reason", "gpu", "cpu"]`` — giving each shard its
-        substrate, so one service spans heterogeneous devices.
+        Number of REASON instances, each with a private session and
+        compile cache (an integer of at least 1, numpy's included,
+        never a bool or a float).  Every shard runs whatever backend a
+        request names (``submit(..., backend=...)``, ``"reason"`` by
+        default).
     policy:
         Scheduling policy name (``round-robin`` | ``least-loaded`` |
         ``cache-affinity``) or a :class:`SchedulingPolicy` instance.
@@ -492,9 +489,9 @@ class ReasonService:
         Bound on each shard's admission queue — the backpressure knob.
     stats_window:
         How many recent successful requests each shard retains for the
-        makespan composition in :meth:`stats` (None = unbounded; the
-        default keeps memory and ``stats()`` cost constant on
-        long-lived services).
+        makespan composition in :meth:`stats` (a positive integer,
+        which keeps memory and ``stats()`` cost constant on long-lived
+        services).
     cost_model:
         The :class:`~repro.costmodel.CostEstimator` predicting request
         costs at admission (a private one by default; pass a shared or
@@ -531,13 +528,13 @@ class ReasonService:
         Request-inherent errors (bad kernel, unknown backend) are
         never retried.
     breaker:
-        Per-shard :class:`~repro.api.resilience.CircuitBreaker`
-        configuration: ``True`` (default) gives every shard a breaker
-        with default thresholds, ``None``/``False`` disables them, a
-        callable is invoked once per shard as a factory.  Tripped
-        shards are routed around at admission and by retry placement;
-        when *every* breaker is open the service fails open (serves
-        anyway) rather than rejecting all traffic.
+        Zero-argument factory called once per shard for its
+        :class:`~repro.api.resilience.CircuitBreaker` (default
+        thresholds by default).  Every shard has a breaker, so
+        ``None``, ``False`` and ``True`` are a :class:`TypeError`.
+        Tripped shards are routed around at admission and by retry
+        placement; when *every* breaker is open the service fails open
+        (serves anyway) rather than rejecting all traffic.
     faults:
         Optional :class:`repro.faults.FaultPlan` — the deterministic
         chaos schedule the resilience machinery is tested against.
@@ -549,38 +546,24 @@ class ReasonService:
 
     def __init__(
         self,
-        shards: Union[int, Sequence[str]] = 2,
+        shards: int = 2,
         policy: Union[str, SchedulingPolicy] = "round-robin",
         config: ArchConfig = DEFAULT_CONFIG,
         cache_capacity: Optional[int] = None,
         max_queue: int = 128,
-        stats_window: Optional[int] = 65536,
+        stats_window: int = 65536,
         cost_model: Optional[CostEstimator] = None,
         store: Union[None, str, ArtifactStore] = None,
         trace_dir: Union[None, str, "os.PathLike"] = None,
         metrics: Union[None, bool, MetricsRegistry] = None,
         retry: Optional[RetryPolicy] = RetryPolicy(),
-        breaker: Union[None, bool, Callable[[], CircuitBreaker]] = True,
+        breaker: Callable[[], CircuitBreaker] = CircuitBreaker,
         faults: Optional["FaultPlan"] = None,  # noqa: F821
     ):
-        if isinstance(shards, bool) or (
-            isinstance(shards, Real) and not isinstance(shards, Integral)
-        ):
-            raise ValueError(
-                f"shards must be a shard count or a sequence of backend names, not {shards!r}"
-            )
-        if isinstance(shards, Integral):
-            backends = ["reason"] * int(shards)
-        else:
-            backends = [str(name) for name in shards]
-            for name in backends:
-                get_backend(name)  # fail fast on unknown substrates
-        if len(backends) < 1:
-            raise ValueError("need at least one shard")
+        if isinstance(shards, bool) or not isinstance(shards, Integral) or shards < 1:
+            raise ValueError(f"shards must be a shard count (an integer >= 1), not {shards!r}")
         check_count("max_queue", max_queue)
-        if stats_window is not None:
-            check_count("stats_window", stats_window)
-            stats_window = int(stats_window)  # a deque's maxlen takes no numpy int
+        check_count("stats_window", stats_window)
         self.config = config
         self.policy = get_policy(policy)
         self.max_queue = max_queue
@@ -590,12 +573,10 @@ class ReasonService:
                 f"retry must be a RetryPolicy or None, not {type(retry).__name__}"
             )
         self._retry = retry
-        if breaker is True:
-            breaker = CircuitBreaker
-        if breaker and not callable(breaker):
+        if not callable(breaker):
             raise TypeError(
-                "breaker must be True/False/None or a zero-arg factory "
-                f"returning a CircuitBreaker, not {type(breaker).__name__}"
+                "every shard has a circuit breaker: breaker must be a zero-argument "
+                f"factory returning a CircuitBreaker, not {breaker!r}"
             )
         self._faults = faults
         # One store instance resolved here and handed to every shard:
@@ -627,7 +608,6 @@ class ReasonService:
         self._shards = [
             _Shard(
                 index,
-                backend,
                 ReasonSession(
                     config=config,
                     cache_capacity=cache_capacity,
@@ -636,14 +616,13 @@ class ReasonService:
                     metrics_labels={"shard": str(index)},
                     faults=faults,
                 ),
-                breaker() if breaker else None,
+                breaker(),
                 max_queue,
-                deque(maxlen=stats_window),
+                deque(maxlen=int(stats_window)),  # a deque's maxlen takes no numpy int
             )
-            for index, backend in enumerate(backends)
+            for index in range(int(shards))
         ]
         self._views = ShardViews(self._shards)
-        self._substrates = tuple(dict.fromkeys(self.shard_backends))  # distinct, in order
         self._register_metrics()
         self._closed = False
         self._admission_lock = threading.Lock()  # serializes policy.select
@@ -662,11 +641,6 @@ class ReasonService:
     @property
     def num_shards(self) -> int:
         return len(self._shards)
-
-    @property
-    def shard_backends(self) -> List[str]:
-        """Each shard's substrate, by index."""
-        return [shard.backend for shard in self._shards]
 
     def trace_path_for(self, fingerprint: str) -> "os.PathLike":
         """Where a ``trace=True`` request with this content fingerprint
@@ -741,16 +715,13 @@ class ReasonService:
                 ("reason_shard_busy_seconds", "gauge",
                  "Predicted seconds of admitted-but-unfinished work.",
                  lambda s=shard: s.counters.busy_s),
+                ("reason_shard_breaker_state", "gauge",
+                 "Circuit state: 0=closed, 1=half-open, 2=open.",
+                 lambda s=shard: s.breaker.state_code),
+                ("reason_shard_breaker_trips_total", "counter",
+                 "Times this shard's breaker tripped open.",
+                 lambda s=shard: s.breaker.trips),
             ]  # fmt: skip
-            if shard.breaker is not None:
-                series += [
-                    ("reason_shard_breaker_state", "gauge",
-                     "Circuit state: 0=closed, 1=half-open, 2=open.",
-                     lambda s=shard: s.breaker.state_code),
-                    ("reason_shard_breaker_trips_total", "counter",
-                     "Times this shard's breaker tripped open.",
-                     lambda s=shard: s.breaker.trips),
-                ]  # fmt: skip
             for name, kind, help_text, fn in series:
                 registry.register_callback(
                     name, fn, kind=kind, help=help_text, shard=str(shard.index)
@@ -806,11 +777,11 @@ class ReasonService:
     ) -> ReasonFuture:
         """Admit one request; returns immediately with a future.
 
-        ``backend=None`` (the default) runs the request on whatever
-        substrate the chosen shard owns; naming a backend forces it on
-        any shard.  The policy picks the shard; if that shard's bounded
-        queue is full, the call blocks until space frees
-        (backpressure).  ``timeout`` caps the wait — on expiry the
+        ``backend=None`` (the default) runs the request on the REASON
+        model; naming another registered backend runs it there, on
+        whichever shard serves it.  The policy picks the shard; if that
+        shard's bounded queue is full, the call blocks until space
+        frees (backpressure).  ``timeout`` caps the wait — on expiry the
         request is rejected with :class:`ServiceOverloaded` and no
         state changes.
 
@@ -886,15 +857,12 @@ class ReasonService:
         # through untouched.
         if options.trace is True and self.trace_dir is not None:
             options = replace(options, trace=str(self.trace_path_for(fingerprint)))
-        # One prediction per substrate the request could land on: the
-        # forced backend, or every distinct shard backend.
-        predicted = {
-            name: self.cost_model.predict(fingerprint, name, queries, adapter.kind)
-            for name in ((backend,) if backend is not None else self._substrates)
-        }
+        # The substrate is the request's alone, so it is priced once.
+        resolved = "reason" if backend is None else backend
+        prediction = self.cost_model.predict(fingerprint, resolved, queries, adapter.kind)
         request = Request(
-            kernel, options, adapter.kind, fingerprint, backend, queries, neural_s, predicted,
-            deadline_s,
+            kernel, options, adapter.kind, fingerprint, backend, queries, neural_s,
+            {resolved: prediction}, deadline_s,
         )  # fmt: skip
         with self._admission_lock:
             index = self.policy.select(request, self._views)
@@ -904,14 +872,13 @@ class ReasonService:
                     f"of {len(self._shards)}"
                 )
             shard = self._shards[index]
-            if shard.breaker is not None and not shard.breaker.admits():
+            if not shard.breaker.admits():
                 # Route around a tripped shard.  Fails open: when every
                 # shard is tripped the policy's choice stands — serving
                 # degraded beats rejecting all traffic.
                 shard = self._alternative_to(shard) or shard
             view = None if deadline_s is None else shard.view()
-            resolved = backend if backend is not None else shard.backend
-            predicted_s = predicted[resolved].seconds
+            predicted_s = prediction.seconds
             # Deadline-aware admission (the SLO substrate): reject now —
             # by predicted *seconds* of backlog, not queue length —
             # rather than burn shard time on a request that cannot
@@ -999,7 +966,7 @@ class ReasonService:
         views = [
             other.view()
             for other in self._shards
-            if other is not shard and (other.breaker is None or other.breaker.admits())
+            if other is not shard and other.breaker.admits()
         ]
         best = min(views, key=lambda v: (v.busy_s, v.pending, v.index), default=None)
         return None if best is None else self._shards[best.index]
@@ -1197,17 +1164,14 @@ class ReasonService:
         except WorkerCrash:
             raise  # worker death, not request failure — see _work
         except BaseException as exc:
-            if shard.breaker is not None and isinstance(
-                exc, (TransientError, ShardCrashed)
-            ):
+            if isinstance(exc, (TransientError, ShardCrashed)):
                 # Only infrastructure faults feed the breaker: a storm
                 # of user errors (bad kernels, unknown backends) must
                 # not take a healthy shard out of rotation.
                 shard.breaker.record_failure()
             self._retry_or_fail(item, exc)
         else:
-            if shard.breaker is not None:
-                shard.breaker.record_success()
+            shard.breaker.record_success()
             self._settle(item, "ok", report)
 
     def _worker_died(
@@ -1227,8 +1191,7 @@ class ReasonService:
             with shard.lock:
                 shard.counters.crashes += 1
                 shard.counters.restarts += 1
-            if shard.breaker is not None:
-                shard.breaker.record_failure()
+            shard.breaker.record_failure()
             self._start_worker(shard)
             self._retry_or_fail(item, error)
         except BaseException:
@@ -1403,10 +1366,7 @@ class ReasonService:
                 prepare_calls=shard.session.prepare_calls,
                 cache=shard.session.cache_stats,
                 makespan=makespan,
-                backend=shard.backend,
-                breaker=(
-                    shard.breaker.state if shard.breaker is not None else "disabled"
-                ),
+                breaker=shard.breaker.state,
                 **asdict(counters),
             )
             for shard, counters, times, makespan in zip(

@@ -10,8 +10,10 @@ benchmarks; the rest of the Fig. 10 row are the constants below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
 from typing import List, Tuple
 
 #: Fig. 10 specification-row entries no modeled quantity depends on
@@ -24,6 +26,7 @@ DRAM_BANDWIDTH_GBPS = 104.0
 #: (field, bound, bound allowed) for every numeric ``ArchConfig`` field:
 #: a PE needs a tree, registers and banks to schedule onto (zero PEs
 #: never issues), and time, latency and memory cannot be negative.
+#: Every field but ``frequency_hz`` is a count: an integer, never a bool.
 _LOWER_BOUNDS = (
     ("tree_depth", 1, True),
     ("num_banks", 1, True),
@@ -44,7 +47,9 @@ class ArchConfig:
     ``2**tree_depth`` leaves (so ``2**(tree_depth+1) - 1`` nodes); the
     chip integrates ``num_pes`` of them behind shared local SRAM.
     Construction rejects a field below its bound in ``_LOWER_BOUNDS``
-    with a ``ValueError`` naming the field, the value and the bound.
+    with a ``ValueError`` naming the field, the value and the bound, a
+    count that is a bool or not an integer (numpy integers are), and a
+    clock that is not finite.
     """
 
     tree_depth: int = 3  # D: levels below the root (8 leaves)
@@ -68,6 +73,12 @@ class ArchConfig:
                 raise ValueError(
                     f"ArchConfig.{name}={value!r} must be {relation} {bound}"
                 )
+            if name != "frequency_hz" and (
+                isinstance(value, bool) or not isinstance(value, Integral)
+            ):
+                raise ValueError(f"ArchConfig.{name}={value!r} must be an integer")
+        if self.frequency_hz == math.inf:  # a zero cycle time: every report says 0 s
+            raise ValueError(f"ArchConfig.frequency_hz={self.frequency_hz!r} must be finite")
 
     @property
     def leaves_per_pe(self) -> int:

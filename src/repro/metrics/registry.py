@@ -95,8 +95,8 @@ def log_buckets(
     The returned bounds are finite; every histogram adds an implicit
     overflow bucket above the last bound.
     """
-    if lo <= 0 or hi <= lo:
-        raise ValueError("need 0 < lo < hi for log buckets")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"need finite 0 < lo < hi for log buckets, got lo={lo!r}, hi={hi!r}")
     if per_octave < 1:
         raise ValueError("per_octave must be >= 1")
     ratio = 2.0 ** (1.0 / per_octave)
@@ -156,8 +156,10 @@ class Histogram:
 
     def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
         bounds = tuple(float(b) for b in bounds)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("histogram bounds must be strictly increasing")
+        if not bounds or not all(map(math.isfinite, bounds)) or any(
+            b <= a for a, b in zip(bounds, bounds[1:])
+        ):
+            raise ValueError("histogram bounds must be finite and strictly increasing")
         self.bounds = bounds
         self._lock = threading.Lock()
         self._pending: Deque[float] = deque()

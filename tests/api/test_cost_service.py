@@ -1,5 +1,6 @@
-"""ReasonService × cost model: heterogeneous shards, busy-time
-accounting, online calibration, and placement fidelity."""
+"""ReasonService × cost model: uniform shards with per-request
+backends, busy-time accounting, online calibration, and placement
+fidelity."""
 
 import pytest
 
@@ -20,47 +21,44 @@ def mixed_kernels():
     ]
 
 
-class TestHeterogeneousShards:
-    def test_backend_specs_give_each_shard_a_substrate(self):
-        with ReasonService(shards=["reason", "gpu", "cpu"]) as service:
-            assert service.num_shards == 3
-            assert service.shard_backends == ["reason", "gpu", "cpu"]
-            stats = service.stats()
-            assert [shard.backend for shard in stats.shards] == [
-                "reason",
-                "gpu",
-                "cpu",
-            ]
-
-    def test_integer_shards_stay_homogeneous(self):
-        with ReasonService(shards=3) as service:
-            assert service.shard_backends == ["reason"] * 3
-
-    def test_requests_execute_on_their_shards_substrate(self):
-        with ReasonService(shards=["reason", "gpu"], policy="round-robin") as service:
-            futures = [service.submit(k) for k in mixed_kernels()]
-            reports = [future.result() for future in futures]
-        for future, report in zip(futures, reports):
-            expected = ["reason", "gpu"][future.shard_index]
-            assert report.backend == expected
-
-    def test_forced_backend_overrides_the_shard_default(self):
-        with ReasonService(shards=["reason", "gpu"], policy="round-robin") as service:
-            reports = [
-                service.submit(k, backend="software").result()
-                for k in mixed_kernels()[:2]
-            ]
-        assert all(report.backend == "software" for report in reports)
+class TestUniformShards:
+    """Every shard is a REASON session with a breaker; only the request
+    chooses a substrate."""
 
     @pytest.mark.parametrize(
-        "shards, forced",
-        [(2, None), (["reason", "gpu", "cpu"], None), (["reason", "gpu", "cpu"], "software")],
-        ids=["homogeneous", "heterogeneous", "forced-backend"],
+        "shards", [["reason"], ["reason", "gpu", "cpu"], ("reason",), []], ids=repr
     )
-    def test_every_placed_request_has_a_prediction_for_every_view(self, shards, forced):
-        """Admission predicts the forced backend, or every distinct shard
-        substrate, before any policy runs: whichever shard a policy
-        picks, its busy-time charge reads an existing prediction."""
+    def test_backend_names_are_not_a_shard_count(self, shards):
+        with pytest.raises(ValueError, match="shards must be a shard count"):
+            ReasonService(shards=shards)
+
+    def test_every_shard_is_a_reason_session_with_a_breaker(self):
+        with ReasonService(shards=3) as service:
+            service.submit(mixed_kernels()[0], backend="gpu").result(timeout=60)
+            service.drain(timeout=60)
+            stats = service.stats()
+            views = list(service._views)
+        assert [shard.breaker for shard in stats.shards] == ["closed"] * 3
+        assert all(not hasattr(shard, "backend") for shard in service._shards)
+        assert all(not hasattr(shard, "backend") for shard in stats.shards)
+        assert [view.backend for view in views] == ["reason"] * 3
+
+    def test_requests_execute_on_their_own_backend(self):
+        backends = [None, "gpu", "cpu", "software"]
+        with ReasonService(shards=2, policy="round-robin") as service:
+            futures = [
+                service.submit(kernel, backend=backend)
+                for kernel, backend in zip(mixed_kernels(), backends)
+            ]
+            reports = [future.result(timeout=60) for future in futures]
+        assert [future.shard_index for future in futures] == [0, 1, 0, 1]
+        assert [report.backend for report in reports] == ["reason", "gpu", "cpu", "software"]
+
+    @pytest.mark.parametrize("forced", [None, "software"], ids=["default", "forced-backend"])
+    def test_every_placed_request_carries_its_one_prediction(self, forced):
+        """Admission predicts the request's backend once, before any
+        policy runs: whichever shard a policy picks, its busy-time
+        charge reads that prediction."""
         seen = []
 
         class Recording(SchedulingPolicy):
@@ -70,23 +68,41 @@ class TestHeterogeneousShards:
                 seen.extend((request, view) for view in views)
                 return len(seen) % len(views)
 
-        with ReasonService(shards=shards, policy=Recording()) as service:
+        with ReasonService(shards=3, policy=Recording()) as service:
             for kernel in mixed_kernels():
-                service.submit(kernel, backend=forced).result()
-            backends = service.shard_backends
-        assert len(seen) == len(mixed_kernels()) * len(backends)
+                service.submit(kernel, backend=forced).result(timeout=60)
+        assert len(seen) == len(mixed_kernels()) * 3
         for request, view in seen:
-            prediction = request.predicted[forced or view.backend]
-            assert prediction.backend == (forced or backends[view.index])
+            (prediction,) = request.predicted.values()
+            assert list(request.predicted) == [forced or "reason"]
+            assert prediction.backend == (forced or "reason") and view.backend == "reason"
             assert prediction.seconds > 0.0
 
-    def test_unknown_substrate_rejected_at_construction(self):
-        with pytest.raises(KeyError):
-            ReasonService(shards=["reason", "warp-drive"])
+    def test_admission_predicts_once_per_request(self):
+        class Recording(CostEstimator):
+            def __init__(self):
+                super().__init__()
+                self.predicted = []
 
-    def test_empty_spec_rejected(self):
-        with pytest.raises(ValueError):
-            ReasonService(shards=[])
+            def predict(self, fingerprint, backend, queries=1, kind=None):
+                self.predicted.append((fingerprint, backend))
+                return super().predict(fingerprint, backend, queries, kind)
+
+        estimator = Recording()
+        kernels = mixed_kernels() * 2
+        backends = [None, "gpu"] * len(mixed_kernels())
+        with ReasonService(shards=3, policy="least-loaded", cost_model=estimator) as service:
+            futures = [
+                service.submit(kernel, backend=backend, queries=2)
+                for kernel, backend in zip(kernels, backends)
+            ]
+            for future in futures:
+                future.result(timeout=60)
+            service.drain(timeout=60)
+        assert estimator.predicted == [
+            (future.fingerprint, backend or "reason")
+            for future, backend in zip(futures, backends)
+        ]
 
 
 class TestBusyTimeAccounting:
@@ -142,12 +158,17 @@ class TestPlacementFidelity:
     @pytest.mark.parametrize("policy", ["least-loaded", "cache-affinity"])
     def test_reports_bit_identical_to_session_runs(self, policy):
         kernels = mixed_kernels() * 2
-        with ReasonService(shards=["reason", "gpu"], policy=policy) as service:
-            futures = [service.submit(k, queries=3) for k in kernels]
+        backends = ["reason", "gpu"] * len(mixed_kernels())
+        with ReasonService(shards=2, policy=policy) as service:
+            futures = [
+                service.submit(k, backend=backend, queries=3)
+                for k, backend in zip(kernels, backends)
+            ]
             reports = [future.result() for future in futures]
         session = ReasonSession()
-        for kernel, report in zip(kernels, reports):
-            expected = session.run(kernel, backend=report.backend, queries=3)
+        for kernel, backend, report in zip(kernels, backends, reports):
+            assert report.backend == backend
+            expected = session.run(kernel, backend=backend, queries=3)
             assert expected.result == report.result
             assert expected.cycles == report.cycles
             assert expected.seconds == report.seconds

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import ReasonService, ReasonSession
+from repro.api.resilience import resolve_deadline
 from repro.core.dag import optimize
 from repro.hmm.inference import log_likelihood
 from repro.hmm.model import HMM
@@ -138,8 +139,29 @@ def test_shard_count_must_be_an_integer(shards):
 
 def test_numpy_integer_shard_count_is_accepted():
     with ReasonService(shards=np.int64(3)) as service:
-        assert service.shard_backends == ["reason"] * 3
+        assert service.num_shards == 3
         assert service.submit(HMM.random(4, 3, seed=1)).result(timeout=60).queries == 1
+
+
+@pytest.mark.parametrize("breaker", [None, False, True])
+def test_every_shard_has_a_breaker(breaker):
+    with pytest.raises(TypeError, match="every shard has a circuit breaker"):
+        ReasonService(shards=1, breaker=breaker)
+
+
+def test_stats_window_is_bounded():
+    with pytest.raises(ValueError, match="stats_window must be a positive integer, not None"):
+        ReasonService(shards=1, stats_window=None)
+
+
+def test_a_bool_is_not_a_deadline():
+    """``True`` used to become a one-second deadline."""
+    with pytest.raises(ValueError, match="deadline_s must be seconds or a deadline class, not True"):
+        resolve_deadline(True)
+    with ReasonService(shards=1) as service:
+        with pytest.raises(ValueError, match="not False"):
+            service.submit(HMM.random(4, 3, seed=1), deadline_s=False)
+        assert service.stats().submitted == 0
 
 
 @pytest.mark.parametrize("argument", ["max_queue", "cache_capacity", "stats_window"])

@@ -2,12 +2,13 @@
 resilient store wrapper, and the enriched wait_all/ServiceOverloaded
 error surfaces."""
 
+import math
 import threading
 import time
 
 import pytest
 
-from repro.api import ServiceOverloaded
+from repro.api import ReasonService, ServiceOverloaded
 from repro.api.futures import ReasonFuture, wait_all
 from repro.api.resilience import (
     DEADLINE_CLASSES,
@@ -22,6 +23,8 @@ from repro.api.resilience import (
 )
 from repro.api.store import SharedStore
 from repro.api.types import CompiledArtifact
+from repro.faults import FaultPlan
+from repro.hmm.model import HMM
 
 
 class TestResolveDeadline:
@@ -57,6 +60,44 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=-0.1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(backoff_s=math.inf), "backoff_s must be finite and >= 0, not inf"),
+            (dict(backoff_s=math.nan), "backoff_s must be finite and >= 0, not nan"),
+            (dict(multiplier=math.inf), "multiplier must be finite and >= 1, not inf"),
+            (dict(multiplier=math.nan), "multiplier must be finite and >= 1, not nan"),
+            (dict(max_attempts=2.5), "max_attempts must be a positive integer, not 2.5"),
+            (dict(max_attempts=True), "max_attempts must be a positive integer, not True"),
+            (dict(backoff_s=1.0, max_attempts=2000), "longest retry delay, inf s"),
+            (dict(backoff_s=threading.TIMEOUT_MAX, jitter=0.5, max_attempts=2), "TIMEOUT_MAX"),
+            (dict(backoff_s=1.0, multiplier=2.0, max_attempts=40), "longest retry delay"),
+        ],
+        ids=[
+            "inf-backoff", "nan-backoff", "inf-multiplier", "nan-multiplier",
+            "fractional-attempts", "bool-attempts", "overflowing-growth",
+            "jitter-past-timeout-max", "growth-past-timeout-max",
+        ],
+    )  # fmt: skip
+    def test_every_backoff_is_armable(self, fields, message):
+        """A backoff timer past ``threading.TIMEOUT_MAX`` died with an
+        OverflowError, and the request it held never resolved."""
+        with pytest.raises(ValueError, match=message):
+            RetryPolicy(**fields)
+
+    def test_the_longest_armable_backoff_is_accepted(self):
+        assert RetryPolicy(max_attempts=2, backoff_s=threading.TIMEOUT_MAX).backoff_s > 0
+        assert RetryPolicy(max_attempts=10**6, backoff_s=1.0, multiplier=1.0).max_attempts
+
+    def test_a_backed_off_retry_resolves(self):
+        plan = FaultPlan(seed=0, execute_error_rate=1.0, max_injections=1)
+        retry = RetryPolicy(max_attempts=3, backoff_s=0.01)
+        with ReasonService(shards=1, retry=retry, faults=plan) as service:
+            report = service.submit(HMM.random(4, 3, seed=1)).result(timeout=30)
+            service.drain(timeout=30)
+            assert service.stats().retries == 1
+        assert report.extras["attempts"] == 2
 
     def test_retryable_classification(self):
         policy = RetryPolicy()
@@ -119,6 +160,25 @@ class TestCircuitBreaker:
         assert breaker.admits()
         breaker.record_success()  # probe succeeded: closed again
         assert breaker.state == "closed" and breaker.admits()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(reset_after_s=math.nan), "reset_after_s must be finite and >= 0, not nan"),
+            (dict(reset_after_s=math.inf), "reset_after_s must be finite and >= 0, not inf"),
+            (dict(reset_after_s=-1.0), "reset_after_s must be finite and >= 0"),
+            (dict(failure_threshold=2.5), "failure_threshold must be a positive integer"),
+            (dict(failure_threshold=True), "failure_threshold must be a positive integer"),
+            (dict(failure_threshold=0), "failure_threshold must be a positive integer"),
+        ],
+        ids=["nan-cooldown", "inf-cooldown", "negative-cooldown",
+             "fractional-threshold", "bool-threshold", "zero-threshold"],
+    )  # fmt: skip
+    def test_threshold_and_cooldown_are_checked(self, fields, message):
+        """A NaN cooldown never half-opened: ``elapsed >= nan`` is False,
+        so a tripped shard was routed around for good."""
+        with pytest.raises(ValueError, match=message):
+            CircuitBreaker(**fields)
 
     def test_state_codes(self):
         breaker = CircuitBreaker(failure_threshold=1, reset_after_s=60.0)

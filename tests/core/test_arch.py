@@ -5,6 +5,7 @@ symbolic replay."""
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro import ReasonSession
@@ -102,6 +103,35 @@ class TestConfig:
         banks failed deep inside it, a zero clock divided by zero."""
         with pytest.raises(ValueError, match=f"ArchConfig.{name}=.* must be {bound}"):
             dataclasses.replace(DEFAULT_CONFIG, **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("tree_depth", 2.5, "must be an integer"),
+            ("num_pes", True, "must be an integer"),
+            ("num_banks", 3.5, "must be an integer"),
+            ("regs_per_bank", 32.0, "must be an integer"),
+            ("sram_kib", 1280.0, "must be an integer"),
+            ("sram_banks", True, "must be an integer"),
+            ("dram_latency_cycles", 100.5, "must be an integer"),
+            ("frequency_hz", float("inf"), "must be finite"),
+        ],
+    )
+    def test_counts_are_integers_and_the_clock_is_finite(self, name, value, message):
+        """``tree_depth=2.5`` gave 5.66 leaves per PE, and an infinite
+        clock a zero cycle time, so every report said 0 seconds."""
+        with pytest.raises(ValueError, match=f"ArchConfig.{name}={value!r} {message}"):
+            dataclasses.replace(DEFAULT_CONFIG, **{name: value})
+
+    def test_numpy_integer_counts_pass(self):
+        numpy_counts = {
+            name: np.int64(getattr(DEFAULT_CONFIG, name))
+            for name in ("tree_depth", "num_banks", "regs_per_bank", "num_pes",
+                         "sram_kib", "sram_banks", "dram_latency_cycles")
+        }  # fmt: skip
+        config = dataclasses.replace(DEFAULT_CONFIG, **numpy_counts)
+        assert config.leaves_per_pe == DEFAULT_CONFIG.leaves_per_pe
+        assert config == DEFAULT_CONFIG
 
     def test_smallest_legal_config_is_accepted(self):
         smallest = dataclasses.replace(

@@ -56,13 +56,17 @@ class TestPremise:
         """
         pool = kernels()
         # Two rounds at queries=1 put each kernel's first settle on
-        # both substrates (round-robin, rotated by one); then mixed.
+        # both substrates (alternating by turn, rotated by one); then mixed.
         rounds = [1, 1, 3, 8, 1, 50]
         settled = []
-        with ReasonService(shards=["reason", "gpu"], metrics=True) as service:
+        with ReasonService(shards=2, metrics=True) as service:
             for turn, queries in enumerate(rounds):
                 futures = [
-                    service.submit(pool[(i + turn) % len(pool)], queries=queries)
+                    service.submit(
+                        pool[(i + turn) % len(pool)],
+                        backend=("reason", "gpu")[i % 2],
+                        queries=queries,
+                    )
                     for i in range(len(pool))
                 ]
                 settled += [(future, future.result(timeout=60)) for future in futures]

@@ -39,6 +39,24 @@ class TestLogBuckets:
         with pytest.raises(ValueError):
             log_buckets(1.0, 2.0, per_octave=0)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf), (math.inf, math.inf)]
+    )
+    def test_rejects_non_finite_ends(self, lo, hi):
+        """``lo=nan`` used to return ``(nan,)``; ``hi=inf`` doubled
+        until a bound overflowed to infinity."""
+        with pytest.raises(ValueError, match="need finite 0 < lo < hi"):
+            log_buckets(lo, hi)
+
+    @pytest.mark.parametrize(
+        "bounds", [[1.0, math.nan, 3.0], [math.nan], [1.0, math.inf], [-math.inf, 1.0]]
+    )
+    def test_histogram_bounds_must_be_finite(self, bounds):
+        """``[1, nan, 3]`` passed the strictly-increasing check: every
+        comparison with NaN is False."""
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Histogram(bounds)
+
     def test_ratio_buckets_straddle_one(self):
         assert RATIO_BUCKETS[0] < 1.0 < RATIO_BUCKETS[-1]
 

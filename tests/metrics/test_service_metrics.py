@@ -277,9 +277,10 @@ class TestOneMode:
 
     def test_span_histograms_equal_sequential_observe(self):
         kernels = _kernels()
-        with ReasonService(shards=["reason", "gpu"], policy="round-robin") as service:
+        with ReasonService(shards=2, policy="round-robin") as service:
             for index in range(12):
-                service.submit(kernels[index % len(kernels)]).result(timeout=60)
+                backend = ("reason", "gpu")[index % 2]
+                service.submit(kernels[index % len(kernels)], backend=backend).result(timeout=60)
             service.drain(timeout=60)
             spans = service.spans()
             snap = service.metrics().snapshot()["metrics"]
