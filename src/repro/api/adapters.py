@@ -13,11 +13,12 @@ API entry goes through, and registering a new kernel family is one
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral, Real
+from numbers import Real
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -71,12 +72,15 @@ class RunOptions:
     calibration is given.
 
     ``trace`` opts into the binary event trace (:mod:`repro.trace`):
-    ``True`` captures in memory (bytes land in
-    ``report.extras['trace_data']``), a path string captures to that
-    file, and an existing :class:`~repro.trace.writer.TraceWriter` is
-    borrowed (the caller closes it).  The trace is the one record of a
-    run's events: :func:`repro.trace.analyze.timeline` reads the
-    Fig. 9-style cycle timeline out of it.  Tracing is an observation
+    ``None`` or ``False`` (the default) traces nothing, ``True``
+    captures in memory (bytes land in ``report.extras['trace_data']``)
+    and a non-empty path (``str`` or :class:`os.PathLike`) captures to
+    that file.  The run opens, closes and summarizes a writer of its
+    own; any other value is a :class:`TypeError` (``""`` a
+    :class:`ValueError`) when the options are built, before anything
+    compiles.  The trace is the one record of a run's events:
+    :func:`repro.trace.analyze.timeline` reads the Fig. 9-style cycle
+    timeline out of it.  Tracing is an observation
     knob, not a compilation knob — it deliberately stays out of
     :meth:`KernelAdapter.fingerprint`, so traced and untraced runs of
     the same kernel share one cache entry.
@@ -97,8 +101,17 @@ class RunOptions:
     keep_fraction: float = 0.8
     calibration: Optional[Sequence] = None
     hmm_observations: Optional[Sequence[int]] = None
-    trace: object = None
+    trace: Union[None, bool, str, os.PathLike] = None
     verify: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        trace = self.trace
+        if not (trace is None or isinstance(trace, (bool, str, os.PathLike))):
+            raise TypeError(
+                f"trace must be None, a bool or a path (str or os.PathLike), not {trace!r}"
+            )
+        if trace == "":
+            raise ValueError("trace must be None, a bool or a non-empty path, not ''")
 
     def calibration_key(self) -> Optional[bytes]:
         """Canonical bytes of ``calibration``, one record per item: an
@@ -140,19 +153,6 @@ _OPTION_PARTS = {
 #: ``(adapter, config.key_bytes)`` -> the key context of
 #: :data:`DEFAULT_OPTIONS`, FIFO-bounded like the serving path's other memos.
 _DEFAULT_CONTEXTS: Dict[Tuple["KernelAdapter", bytes], tuple] = {}
-
-
-def check_count(name: str, value: object) -> None:
-    """Reject a count argument (``queries``, ``max_queue``, ...) that is
-    not a positive integer: a bool, a float or anything else that is
-    not an :class:`~numbers.Integral` (numpy integers are), or one
-    below 1, naming ``name``.  A plain ``int`` skips the abstract-class
-    checks, which cost more than the rest of the test."""
-    if (
-        type(value) is not int
-        and (isinstance(value, bool) or not isinstance(value, Integral))
-    ) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, not {value!r}")
 
 
 def neural_time(seconds: object, index: int = 0) -> float:

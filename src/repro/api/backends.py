@@ -10,14 +10,16 @@ results and costs are directly comparable across:
 * ``gpu`` / ``cpu`` — roofline-derated device cost models (analytic);
 * ``roofline`` — the bound itself, with the memory-bound diagnosis.
 
-Backends register by name in a module-level registry; adding a new
-substrate is one ``register_backend`` call.
+Backends register by name in a module-level registry that holds one
+instance per name: a backend keeps no per-run state, so every session
+runs the registered instance.  Adding a new substrate is one
+``register_backend(name, instance)`` call.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.api.adapters import DEFAULT_OPTIONS, RunOptions, adapter_for
 from repro.api.types import CompiledArtifact, ExecutionReport, ExecutionSummary
@@ -31,7 +33,12 @@ from repro.logic.cdcl import SolveResult
 
 
 class Backend(abc.ABC):
-    """One execution substrate for compiled kernel artifacts."""
+    """One execution substrate for compiled kernel artifacts.
+
+    A backend keeps no per-run state: the registry holds one instance
+    per name and every session, thread and shard runs that instance, so
+    a re-registration reaches all of them at once.
+    """
 
     name: str = ""
 
@@ -47,27 +54,18 @@ class Backend(abc.ABC):
 
 
 def _trace_writer_for(spec):
-    """Resolve ``RunOptions.trace`` into ``(writer, owned)``.
-
-    ``None``/``False`` -> no tracing; ``True`` -> an in-memory writer
-    the backend closes and summarizes; a path -> a file writer the
-    backend closes; an existing :class:`TraceWriter` -> borrowed, the
-    caller keeps ownership (lets one writer span several runs)."""
+    """The run's own writer for ``RunOptions.trace``: None when tracing
+    is off (``None``/``False``), an in-memory writer for ``True``, a
+    file writer for a path."""
     if spec is None or spec is False:
-        return None, False
+        return None
     from repro.trace.writer import TraceWriter
 
-    if isinstance(spec, TraceWriter):
-        return spec, False
-    if spec is True:
-        return TraceWriter(), True
-    return TraceWriter(spec), True
+    return TraceWriter(None if spec is True else spec)
 
 
-def _finish_trace(report, writer, owned) -> None:
-    """Close an owned writer and publish its summary in the report."""
-    if writer is None or not owned:
-        return
+def _finish_trace(report, writer) -> None:
+    """Close the run's writer and publish its summary in the report."""
     summary = writer.close()
     info = {
         "events": summary.events,
@@ -97,7 +95,7 @@ class ReasonBackend(Backend):
 
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
         options = options or DEFAULT_OPTIONS
-        writer, owned = _trace_writer_for(options.trace)
+        writer = _trace_writer_for(options.trace)
         summary = artifact.execution
         executed = (
             writer is not None or summary is None or summary.config != config
@@ -106,13 +104,14 @@ class ReasonBackend(Backend):
             try:
                 summary = self._execute(artifact, config, writer)
             except BaseException:
-                if owned:
+                if writer is not None:
                     writer.discard()  # no half-written temp file left behind
                 raise
             # Racing first runs store equal summaries: last writer wins.
             artifact.execution = summary
         report = self._report(summary, artifact.kind, queries, executed)
-        _finish_trace(report, writer, owned)
+        if writer is not None:
+            _finish_trace(report, writer)
         return report
 
     def _execute(self, artifact, config, writer):
@@ -256,32 +255,35 @@ class RooflineBackend(Backend):
         )
 
 
-#: Name → factory registry.  Factories keep registration cheap while
-#: letting sessions hold their own (stateless) backend instances.
-_BACKENDS: Dict[str, Callable[[], Backend]] = {}
+#: Name → the one instance served under it (see :class:`Backend`).
+_BACKENDS: Dict[str, Backend] = {}
 
 
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register (or override) a backend under ``name``."""
-    _BACKENDS[name] = factory
+def register_backend(name: str, backend: Backend) -> None:
+    """Register (or replace) the backend instance served under ``name``."""
+    if not isinstance(backend, Backend):
+        raise TypeError(
+            f"register_backend takes a Backend instance, not {backend!r}: the "
+            "registry holds one shared instance per name, not a factory"
+        )
+    _BACKENDS[name] = backend
 
 
 def get_backend(name: str) -> Backend:
     try:
-        factory = _BACKENDS[name]
+        return _BACKENDS[name]
     except KeyError:
         raise KeyError(
             f"unknown backend {name!r} (registered: {', '.join(sorted(_BACKENDS))})"
         ) from None
-    return factory()
 
 
 def list_backends() -> List[str]:
     return sorted(_BACKENDS)
 
 
-register_backend("reason", ReasonBackend)
-register_backend("software", SoftwareBackend)
-register_backend("gpu", lambda: DeviceBackend(RTX_A6000, name="gpu"))
-register_backend("cpu", lambda: DeviceBackend(XEON_CPU, name="cpu"))
-register_backend("roofline", RooflineBackend)
+register_backend("reason", ReasonBackend())
+register_backend("software", SoftwareBackend())
+register_backend("gpu", DeviceBackend(RTX_A6000, name="gpu"))
+register_backend("cpu", DeviceBackend(XEON_CPU, name="cpu"))
+register_backend("roofline", RooflineBackend())

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 from repro.api.store import ArtifactStore, _OnceGuard, make_store
-from repro.api.types import CompiledArtifact
+from repro.api.types import CompiledArtifact, check_count
 
 #: CPython's default ``object.__repr__`` embeds the instance address
 #: (``<Foo object at 0x7f...>``), which differs between processes and
@@ -120,9 +120,10 @@ class CacheStats:
 class CompileCache:
     """Thread-safe two-level cache: local LRU over an optional store.
 
-    ``capacity=None`` means an unbounded local level (the default:
-    artifacts are small relative to the kernels they were compiled
-    from).  ``store`` attaches the shared level — an
+    ``capacity`` bounds the local level: a positive integer (numpy's
+    included, never a bool or a float), or ``None`` for an unbounded
+    one (the default: artifacts are small relative to the kernels they
+    were compiled from).  ``store`` attaches the shared level — an
     :class:`~repro.api.store.ArtifactStore` instance or a spec string
     (``"shared"`` / ``"disk:<path>"``).  Without a store the cache
     behaves exactly like the original single-level LRU.
@@ -138,8 +139,8 @@ class CompileCache:
         capacity: Optional[int] = None,
         store: Union[None, str, ArtifactStore] = None,
     ):
-        if capacity is not None and capacity <= 0:
-            raise ValueError("cache capacity must be positive (or None)")
+        if capacity is not None:
+            check_count("capacity", capacity)
         self.capacity = capacity
         self.store = make_store(store)
         self._lock = threading.RLock()

@@ -46,8 +46,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from repro.api.adapters import check_count
 from repro.api.store import ArtifactStore
+from repro.api.types import check_count
 
 # --------------------------------------------------------------------------
 # Exception taxonomy

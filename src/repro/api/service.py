@@ -68,7 +68,6 @@ from repro.api.adapters import (
     DEFAULT_OPTIONS,
     RunOptions,
     adapter_for,
-    check_count,
     neural_time,
     per_kernel_neural_s,
 )
@@ -88,7 +87,7 @@ from repro.api.resilience import (
 from repro.api.scheduler import Request, SchedulingPolicy, ShardView, ShardViews, get_policy
 from repro.api.session import ReasonSession
 from repro.api.store import ArtifactStore, make_store
-from repro.api.types import ExecutionReport
+from repro.api.types import ExecutionReport, check_count
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition, compose_shard_makespans
@@ -472,7 +471,8 @@ class ReasonService:
         Scheduling policy name (``round-robin`` | ``least-loaded`` |
         ``cache-affinity``) or a :class:`SchedulingPolicy` instance.
     config:
-        Architecture configuration shared by every shard.
+        Architecture configuration shared by every shard (an
+        :class:`~repro.core.arch.config.ArchConfig`).
     cache_capacity:
         LRU bound of each shard's compile cache (None = unbounded).
     store:
@@ -494,9 +494,10 @@ class ReasonService:
         services).
     cost_model:
         The :class:`~repro.costmodel.CostEstimator` predicting request
-        costs at admission (a private one by default; pass a shared or
-        pre-warmed estimator to start routing on settled prices from
-        the first request).
+        costs at admission (``None``, the default, builds a private
+        one; pass a shared or pre-warmed estimator to start routing on
+        settled prices from the first request).  Anything else is a
+        :class:`TypeError`.
     trace_dir:
         Optional directory for per-request binary event traces
         (:mod:`repro.trace`).  A request submitted with ``trace=True``
@@ -504,8 +505,10 @@ class ReasonService:
         ``trace_dir/<fingerprint>.trace`` — the same content
         fingerprint the compile cache and artifact store address by,
         so a request's trace sits next to its compiled artifact
-        (:meth:`trace_path_for` resolves it).  Requests that pass an
-        explicit path or writer keep it unchanged.
+        (:meth:`trace_path_for` resolves it).  A request that passes
+        an explicit path keeps it unchanged; without ``trace_dir``,
+        ``trace=True`` captures in memory, as
+        :meth:`ReasonSession.run` does.
     metrics:
         Live telemetry (:mod:`repro.metrics`), always on: a shared
         :class:`~repro.metrics.registry.MetricsRegistry` to aggregate
@@ -564,10 +567,14 @@ class ReasonService:
             raise ValueError(f"shards must be a shard count (an integer >= 1), not {shards!r}")
         check_count("max_queue", max_queue)
         check_count("stats_window", stats_window)
+        if not isinstance(config, ArchConfig):
+            raise TypeError(f"config must be an ArchConfig, not {config!r}")
+        if cost_model is not None and not isinstance(cost_model, CostEstimator):
+            raise TypeError(f"cost_model must be a CostEstimator or None, not {cost_model!r}")
         self.config = config
         self.policy = get_policy(policy)
         self.max_queue = max_queue
-        self.cost_model = cost_model or CostEstimator(config=config)
+        self.cost_model = CostEstimator(config=config) if cost_model is None else cost_model
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError(
                 f"retry must be a RetryPolicy or None, not {type(retry).__name__}"
@@ -853,8 +860,8 @@ class ReasonService:
         # trace=True on a service with a trace_dir resolves to a
         # content-addressed file next to the artifact store's keys
         # (tracing never enters the fingerprint, so this stays a cache
-        # hit for the untraced twin).  Explicit paths/writers pass
-        # through untouched.
+        # hit for the untraced twin).  An explicit path passes through
+        # untouched.
         if options.trace is True and self.trace_dir is not None:
             options = replace(options, trace=str(self.trace_path_for(fingerprint)))
         # The substrate is the request's alone, so it is priced once.

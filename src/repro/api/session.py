@@ -31,13 +31,12 @@ from repro.api.adapters import (
     DEFAULT_OPTIONS,
     RunOptions,
     adapter_for,
-    check_count,
     per_kernel_neural_s,
 )
-from repro.api.backends import Backend, get_backend
+from repro.api.backends import get_backend
 from repro.api.cache import CacheStats, CompileCache
 from repro.api.store import ArtifactStore
-from repro.api.types import BatchResult, CompiledArtifact, ExecutionReport
+from repro.api.types import BatchResult, CompiledArtifact, ExecutionReport, check_count
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.system.pipeline import TwoLevelPipeline
 from repro.metrics.registry import Histogram, MetricsRegistry, ensure_registry
@@ -49,7 +48,8 @@ class ReasonSession:
     Parameters
     ----------
     config:
-        Architecture configuration shared by every request.
+        Architecture configuration shared by every request (an
+        :class:`~repro.core.arch.config.ArchConfig`).
     cache_capacity:
         Optional LRU bound on cached artifacts (None = unbounded).
     store:
@@ -96,15 +96,16 @@ class ReasonSession:
         faults: Optional["FaultPlan"] = None,  # noqa: F821
         verify: bool = False,
     ):
+        if not isinstance(config, ArchConfig):
+            raise TypeError(f"config must be an ArchConfig, not {config!r}")
         if cache_capacity is not None:
             check_count("cache_capacity", cache_capacity)
         self.config = config
         self._cache = CompileCache(capacity=cache_capacity, store=store)
-        self._backends: Dict[str, Backend] = {}
         self._prepare_calls = 0
         self._executions = 0
-        # Guards _backends, _prepare_calls, _executions and the first
-        # write of each _run_seconds entry.
+        # Guards _prepare_calls, _executions and the first write of each
+        # _run_seconds entry.
         self._lock = threading.Lock()
         self.metrics = ensure_registry(metrics)
         self._metrics_labels: Dict[str, str] = dict(metrics_labels or {})
@@ -212,15 +213,6 @@ class ReasonSession:
         """
         return self._cache.peek(fingerprint)
 
-    def _backend(self, name: str) -> Backend:
-        with self._lock:
-            backend = self._backends.get(name)
-        if backend is None:
-            backend = get_backend(name)
-            with self._lock:
-                self._backends.setdefault(name, backend)
-        return backend
-
     # ------------------------------------------------------------- compile
 
     def compile(self, kernel: object, **option_kwargs) -> CompiledArtifact:
@@ -298,6 +290,9 @@ class ReasonSession:
         ``report.extras['trace']``) or ``True`` to capture in memory
         (``report.extras['trace_data']``, which
         :func:`repro.trace.analyze.timeline` turns into cycle rows).
+        Each traced run opens, closes and summarizes a writer of its
+        own; any other ``trace`` value is rejected before anything
+        compiles.
         """
         options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
         return self.run_prepared(kernel, options, backend=backend, queries=queries)
@@ -330,7 +325,7 @@ class ReasonSession:
         # ~0.1 us against a request of milliseconds, cheaper than keeping
         # an uninstrumented copy of this body in step.
         execute_start = time.perf_counter()
-        report = self._backend(backend).run(
+        report = get_backend(backend).run(
             artifact, config=self.config, queries=queries, options=options
         )
         report.execute_s = time.perf_counter() - execute_start

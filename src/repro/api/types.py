@@ -7,11 +7,15 @@ cost can be cross-checked across substrates with one comparison loop.
 :class:`CompiledArtifact` is the unit the session's compile cache
 stores: everything the optimize→compile front end produced, ready to
 replay on any backend without repeating that work.
+:func:`check_count` is the one check of a count argument that the
+session, the service, the compile cache and the resilience policies
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.device import KernelProfile
@@ -20,6 +24,19 @@ from repro.core.compiler.driver import CompileStats
 from repro.core.compiler.program import Program
 from repro.core.dag.graph import Dag
 from repro.core.dag.pipeline import OptimizationResult
+
+
+def check_count(name: str, value: object) -> None:
+    """Reject a count argument (``queries``, ``max_queue``, ...) that is
+    not a positive integer: a bool, a float or anything else that is
+    not an :class:`~numbers.Integral` (numpy integers are), or one
+    below 1, naming ``name``.  A plain ``int`` skips the abstract-class
+    checks, which cost more than the rest of the test."""
+    if (
+        type(value) is not int
+        and (isinstance(value, bool) or not isinstance(value, Integral))
+    ) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
 
 
 @dataclass

@@ -72,9 +72,11 @@ class CostEstimator:
     """Predicts per-request latency and energy per backend class.
 
     ``config`` is the architecture configuration (it sets the REASON
-    cycle time).  ``_features``, ``_prices`` and ``_devices`` are
-    GIL-atomic dict memos read without a lock; the one lock guards the
-    read-modify-write of the class EWMAs at a pair's first settle.
+    cycle time).  ``_features`` and ``_prices`` are GIL-atomic dict
+    memos read without a lock; the one lock guards the
+    read-modify-write of the class EWMAs at a pair's first settle.  The
+    device model behind a backend name is read off the registered
+    backend instance, so the estimator keeps no copy of the registry.
     """
 
     def __init__(self, config: ArchConfig = DEFAULT_CONFIG):
@@ -82,7 +84,6 @@ class CostEstimator:
         self._lock = threading.Lock()
         self._features: Dict[str, CostFeatures] = {}
         self._prices: Dict[Key, _Price] = {}  # (s, J) per query, and its quote
-        self._devices: Dict[str, Optional[DeviceModel]] = {}
         self._class_ratio: Dict[Key, float] = {}  # observed / static seconds
         self._class_seconds: Dict[Key, float] = {}  # seconds per query
         self._metrics = MetricsRegistry()
@@ -105,21 +106,17 @@ class CostEstimator:
         )
 
     def _device_for(self, backend: str) -> Optional[DeviceModel]:
-        """The device model behind an analytic backend name (``gpu`` →
-        the RTX A6000 the gpu backend wraps), or None for a backend
-        without one or a name no backend is registered under.  Lazy
-        import: the costmodel package stays a leaf (importable before
-        :mod:`repro.api` finishes initializing)."""
-        if backend in self._devices:
-            return self._devices[backend]
+        """The device model of the backend registered under ``backend``
+        (``gpu`` → the RTX A6000 the gpu backend wraps), or None for a
+        backend without one or a name no backend is registered under.
+        Lazy import: the costmodel package stays a leaf (importable
+        before :mod:`repro.api` finishes initializing)."""
         from repro.api.backends import get_backend
 
         try:
-            device = getattr(get_backend(backend), "device", None)
+            return getattr(get_backend(backend), "device", None)
         except KeyError:
-            device = None
-        self._devices[backend] = device
-        return device
+            return None
 
     # ------------------------------------------------------- static model
 

@@ -17,9 +17,12 @@ event streams the execution layer otherwise aggregates away.
 Capture plumbs through the API layer: ``session.run(kernel,
 trace="out.trace")`` (any :class:`~repro.api.adapters.RunOptions`
 entry point) writes the file and reports a summary in
-``report.extras["trace"]``; a :class:`~repro.api.service.ReasonService`
-built with ``trace_dir=`` stores per-request traces addressed by the
-same content fingerprint its artifact store uses.
+``report.extras["trace"]``, and ``trace=True`` captures in memory
+(``report.extras["trace_data"]``).  Each traced run owns its writer,
+and the writer owns its file; ``trace`` takes no other form.  A
+:class:`~repro.api.service.ReasonService` built with ``trace_dir=``
+stores per-request traces addressed by the same content fingerprint
+its artifact store uses.
 """
 
 from repro.trace.format import (

@@ -8,20 +8,20 @@ syscalls, in the hot loop).  ``close()`` seals the stream with the
 counting footer readers validate against.
 
 Sinks: ``None`` buffers the whole stream in memory (``getvalue()``),
-a ``str``/``Path`` writes the file, and any object with ``write()``
-is used as-is (only owned files are closed on ``close()``).
+and a ``str``/``Path`` writes that file.  The writer owns every file it
+opens; anything else is a :class:`TypeError`.
 
 A path sink is written to a sibling temp file and moved into place by
 ``close()``, so the path never holds a partial trace: a reader sees the
 previous complete trace or the new one, even while a second request of
 the same kernel (same content-addressed path) is being traced.  A run
 that raises before ``close()`` calls ``discard()``, which deletes the
-temp file.
+temp file, and a ``close()`` that cannot move the file into place (the
+path is a directory, say) deletes it before it re-raises.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -65,23 +65,20 @@ class TraceWriter:
     operands, and a size check that flushes at most once per ~64 KiB.
     """
 
-    def __init__(self, sink: Union[None, str, os.PathLike, io.IOBase] = None):
-        if sink is None or isinstance(sink, (str, os.PathLike)):
-            self.path: Optional[str] = None if sink is None else str(sink)
-            if sink is None:
-                self._sink = None
-            else:
-                target = Path(sink)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                fd, self._tmp_path = tempfile.mkstemp(
-                    dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-                )
-                self._sink = os.fdopen(fd, "wb")
-            self._owns_sink = sink is not None
-        else:
-            self.path = getattr(sink, "name", None)
-            self._sink = sink
-            self._owns_sink = False
+    def __init__(self, sink: Union[None, str, os.PathLike] = None):
+        if not (sink is None or isinstance(sink, (str, os.PathLike))):
+            raise TypeError(
+                f"a TraceWriter sink is None (in memory) or a path, not {type(sink).__name__}"
+            )
+        self.path: Optional[str] = None if sink is None else str(sink)
+        self._sink = None
+        if sink is not None:
+            target = Path(sink)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, self._tmp_path = tempfile.mkstemp(
+                dir=target.parent, prefix=target.name + ".", suffix=".tmp"
+            )
+            self._sink = os.fdopen(fd, "wb")
         self._buf = bytearray(encode_header())
         self._flushed = 0
         self._last_cycle = 0
@@ -165,20 +162,23 @@ class TraceWriter:
 
     def close(self) -> TraceSummary:
         """Seal the stream: write the counting footer, flush, and (for
-        owned file sinks) close the file and move it into place at
-        ``path``.  Idempotent; returns the
+        a path sink) close the file and move it into place at ``path``,
+        discarding it if that fails.  Idempotent; returns the
         :class:`TraceSummary` for the whole trace."""
         if self._closed:
             return self._summary
-        self._closed = True
         counts = {kind: n for kind, n in enumerate(self._counts) if n}
         self._buf.extend(encode_footer(counts, self._events, self._last_cycle))
         total_bytes = self._flushed + len(self._buf)
         if self._sink is not None:
-            self._flush()
-            if self._owns_sink:
+            try:
+                self._flush()
                 self._sink.close()
                 os.replace(self._tmp_path, self.path)
+            except BaseException:
+                self.discard()
+                raise
+        self._closed = True
         self._summary = TraceSummary(
             events=self._events,
             bytes=total_bytes,
@@ -189,12 +189,11 @@ class TraceWriter:
         return self._summary
 
     def discard(self) -> None:
-        """Abandon an unsealed trace to an owned path sink: close the
-        temp file and delete it, so ``path`` keeps whatever complete
-        trace it held.  For a run that raised before ``close()``.
-        Idempotent; does nothing after ``close()`` and on borrowed or
-        in-memory sinks."""
-        if self._closed or not self._owns_sink:
+        """Abandon an unsealed trace to a path sink: close the temp file
+        and delete it, so ``path`` keeps whatever complete trace it
+        held.  For a run that raised before ``close()``.  Idempotent;
+        does nothing after ``close()`` and on an in-memory sink."""
+        if self._closed or self._sink is None:
             return
         self._closed = True
         self._sink.close()
@@ -208,7 +207,7 @@ class TraceWriter:
         if self._sink is not None:
             raise ValueError(
                 "getvalue() is only available on in-memory writers; "
-                f"this one streams to {self.path or self._sink!r}"
+                f"this one streams to {self.path!r}"
             )
         return bytes(self._buf)
 

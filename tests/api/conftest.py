@@ -40,6 +40,6 @@ def gate(monkeypatch):
     registered backend, so a gate left in the registry would block it.
     Opened on the way out whatever the test did."""
     event = threading.Event()
-    monkeypatch.setitem(backends._BACKENDS, GateBackend.name, lambda: GateBackend(event))
+    monkeypatch.setitem(backends._BACKENDS, GateBackend.name, GateBackend(event))
     yield event
     event.set()

@@ -6,7 +6,15 @@ import math
 
 import pytest
 
-from repro.api import ExecutionReport, ReasonSession, get_backend, list_backends
+from repro.api import (
+    ExecutionReport,
+    ReasonSession,
+    get_backend,
+    list_backends,
+    register_backend,
+)
+from repro.api import backends
+from repro.api.backends import Backend, ReasonBackend
 from repro.core.dag import circuit_to_dag
 from repro.hmm.inference import log_likelihood as hmm_ll
 from repro.hmm.model import HMM
@@ -16,6 +24,31 @@ from repro.pc.learn import random_circuit, sample_dataset
 
 
 REQUIRED_BACKENDS = ["reason", "software", "gpu", "cpu", "roofline"]
+
+
+class AnswerBackend(Backend):
+    """Answers one constant and counts the runs it served."""
+
+    name = "test-answer"
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.runs = 0
+
+    def run(self, artifact, config=None, queries=1, options=None):
+        self.runs += 1
+        return ExecutionReport(
+            backend=self.name, kernel=artifact.kind, result=self.answer, cycles=1, seconds=1e-6
+        )
+
+
+@pytest.fixture
+def answer_name(monkeypatch):
+    """``test-answer``, registered for this test only:
+    ``test_every_registered_backend_agrees`` runs every registered
+    backend, so one left in the registry would fail it."""
+    monkeypatch.setitem(backends._BACKENDS, AnswerBackend.name, AnswerBackend(0.0))
+    return AnswerBackend.name
 
 
 class TestRegistry:
@@ -31,6 +64,36 @@ class TestRegistry:
         session = ReasonSession()
         with pytest.raises(KeyError):
             session.run(random_ksat(6, 18, seed=0), backend="quantum")
+
+    @pytest.mark.parametrize("name", REQUIRED_BACKENDS)
+    def test_the_registry_holds_one_instance(self, name):
+        assert get_backend(name) is get_backend(name)
+
+    def test_every_session_runs_the_registered_instance(self, answer_name):
+        shared = AnswerBackend(1.0)
+        register_backend(answer_name, shared)
+        formula = random_ksat(6, 18, seed=0)
+        for session in (ReasonSession(), ReasonSession()):
+            assert session.run(formula, backend=answer_name).result == 1.0
+        assert shared.runs == 2
+
+    def test_a_reregistration_reaches_a_session_that_ran_the_name(self, answer_name):
+        session, formula = ReasonSession(), random_ksat(6, 18, seed=0)
+        register_backend(answer_name, AnswerBackend(1.0))
+        assert session.run(formula, backend=answer_name).result == 1.0
+        register_backend(answer_name, AnswerBackend(2.0))
+        assert session.run(formula, backend=answer_name).result == 2.0
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: AnswerBackend(1.0), AnswerBackend, ReasonBackend, None],
+        ids=["lambda", "class", "builtin-class", "none"],
+    )
+    def test_register_backend_takes_an_instance(self, answer_name, factory):
+        registered = get_backend(answer_name)
+        with pytest.raises(TypeError, match="not a factory"):
+            register_backend(answer_name, factory)
+        assert get_backend(answer_name) is registered
 
 
 class TestEveryKernelOnEveryBackend:

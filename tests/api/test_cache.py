@@ -45,9 +45,15 @@ class TestCompileCache:
         assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.stats.evictions == 1
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            CompileCache(capacity=0)
+    @pytest.mark.parametrize(
+        "capacity", [0, -1, True, 2.5, 2.0, float("nan"), "4"],
+        ids=["zero", "negative", "bool", "float", "integral-float", "nan", "str"],
+    )
+    def test_invalid_capacity_rejected(self, capacity):
+        """A positive integer or None, as ``check_count`` has it: a NaN
+        capacity used to make the cache silently unbounded."""
+        with pytest.raises(ValueError, match="capacity must be a positive integer"):
+            CompileCache(capacity=capacity)
 
     def test_content_key_separates_fields(self):
         # ("ab", "c") must not collide with ("a", "bc").

@@ -17,7 +17,7 @@ from repro.core.dag import circuit_to_dag
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit, sample_dataset
-from repro.trace import TraceWriter, cross_validate, read_trace, timeline
+from repro.trace import cross_validate, read_trace, timeline
 
 #: How a report was delivered, not what it says.
 DELIVERY = ("cache_hit", "executed", "compile_s", "execute_s")
@@ -96,17 +96,14 @@ class TestObservedRunsStillExecute:
         assert path.stat().st_size == traced.extras["trace"]["bytes"]
         assert cross_validate(path, traced).ok
 
-    def test_borrowed_writer(self, warmed):
+    def test_memory_trace_matches_a_cold_run(self, warmed):
         session, kernel, plain = warmed
-        cold_writer, writer = TraceWriter(), TraceWriter()
-        ReasonSession().run(kernel, trace=cold_writer)
-        traced = session.run(kernel, trace=writer)
+        cold = ReasonSession().run(kernel, trace=True)
+        traced = session.run(kernel, trace=True)
         assert traced.executed
         assert traced.identity() == plain.identity()
-        cold_writer.close()
-        writer.close()
-        assert list(read_trace(writer.getvalue())) == list(
-            read_trace(cold_writer.getvalue())
+        assert list(read_trace(traced.extras["trace_data"])) == list(
+            read_trace(cold.extras["trace_data"])
         )
 
     def test_record_events(self, warmed):

@@ -1,5 +1,6 @@
-"""A request's ``queries``, neural-stage times and HMM symbols are
-checked where they enter, the same way at every entry point."""
+"""A request's ``queries``, neural-stage times, HMM symbols and
+``trace`` target, and the constructors' counts, config and cost model,
+are checked where they enter, the same way at every entry point."""
 
 import math
 import re
@@ -11,9 +12,11 @@ import pytest
 from repro.api import ReasonService, ReasonSession
 from repro.api.resilience import resolve_deadline
 from repro.core.dag import optimize
+from repro.costmodel import CostEstimator
 from repro.hmm.inference import log_likelihood
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
+from repro.trace import TraceWriter
 
 NOT_POSITIVE_INTEGERS = {
     "float": 2.5,
@@ -187,3 +190,53 @@ def test_numpy_integer_service_counts_are_accepted():
         (shard,) = service.stats().shards
         assert (shard.completed, shard.retained) == (4, 3)
     assert ReasonSession(cache_capacity=np.int64(2)).run(hmm).cycles > 0
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [1, 0, 2.5, b"x.trace", "", TraceWriter()],
+    ids=["int", "zero", "float", "bytes", "empty", "writer"],
+)
+def test_a_bad_trace_fails_before_anything_compiles(trace):
+    """A non-path ``trace`` used to fail with an AttributeError after
+    the model had run, and ``""`` left a temp file behind."""
+    formula = random_ksat(6, 18, seed=0)
+    message = "trace must be None, a bool or a"
+    session = ReasonSession()
+    with pytest.raises((TypeError, ValueError), match=message):
+        session.run(formula, trace=trace)
+    with pytest.raises((TypeError, ValueError), match=message):
+        session.run_batch([formula], trace=trace)
+    assert session.prepare_calls == 0
+    with ReasonService(shards=1) as service:
+        with pytest.raises((TypeError, ValueError), match=message):
+            service.submit(formula, trace=trace)
+        assert service.stats().submitted == 0
+
+
+def test_a_directory_trace_target_leaves_nothing_behind(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        ReasonSession().run(random_ksat(6, 18, seed=0), trace=str(target))
+    assert [entry.name for entry in tmp_path.iterdir()] == ["taken"]
+    assert not any(target.iterdir())
+
+
+@pytest.mark.parametrize("config", ["x", None, {}], ids=["str", "none", "dict"])
+def test_config_must_be_an_arch_config(config):
+    """A bad config used to construct, then fail the first request."""
+    with pytest.raises(TypeError, match="config must be an ArchConfig"):
+        ReasonSession(config=config)
+    with pytest.raises(TypeError, match="config must be an ArchConfig"):
+        ReasonService(shards=1, config=config)
+
+
+@pytest.mark.parametrize("cost_model", [0, False, "x", {}], ids=["zero", "false", "str", "dict"])
+def test_cost_model_must_be_an_estimator_or_none(cost_model):
+    """A falsy cost model used to be swapped for a private estimator."""
+    with pytest.raises(TypeError, match="cost_model must be a CostEstimator or None"):
+        ReasonService(shards=1, cost_model=cost_model)
+    estimator = CostEstimator()
+    with ReasonService(shards=1, cost_model=estimator) as service:
+        assert service.cost_model is estimator

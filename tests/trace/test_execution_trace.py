@@ -232,20 +232,6 @@ class TestApiPlumbing:
         assert "trace_data" not in report.extras
         assert cross_validate(path, report).ok
 
-    def test_borrowed_writer_spans_runs(self):
-        # Passing an existing writer leaves its lifecycle to the caller:
-        # two runs append to one stream.
-        session = ReasonSession()
-        writer = TraceWriter()
-        r1 = session.run(random_ksat(20, 80, seed=1), trace=writer)
-        after_first = sum(writer.counts().values())
-        r2 = session.run(random_ksat(20, 80, seed=2), trace=writer)
-        assert "trace" not in r1.extras  # backend didn't close/summarize
-        assert sum(writer.counts().values()) > after_first
-        writer.close()
-        TraceReader(writer.getvalue()).validate()
-        assert sum(1 for r in read_trace(writer.getvalue()) if r.kind is EventKind.RUN_END) == 2
-
     def test_trace_does_not_split_the_compile_cache(self):
         session = ReasonSession()
         kernel = random_ksat(20, 80, seed=4)

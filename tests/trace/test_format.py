@@ -158,19 +158,20 @@ class TestWriterDiscard:
         writer.discard()
         assert TraceReader(path.read_bytes()).validate().events == summary.events
 
-    def test_discard_leaves_borrowed_and_memory_sinks_alone(self, tmp_path):
+    def test_discard_leaves_a_memory_sink_alone(self):
         memory = TraceWriter()
         memory.emit(EventKind.DECIDE, 1, 3)
         memory.discard()
         memory.close()
         assert TraceReader(memory.getvalue()).validate().events == 1
-        with open(tmp_path / "borrowed.trace", "wb") as handle:
-            borrowed = TraceWriter(handle)
-            borrowed.emit(EventKind.DECIDE, 1, 3)
-            borrowed.discard()
-            assert not handle.closed
-            borrowed.close()
-        assert TraceReader((tmp_path / "borrowed.trace").read_bytes()).validate().events == 1
+
+    def test_the_writer_owns_its_sink(self, tmp_path):
+        with open(tmp_path / "handle.trace", "wb") as handle:
+            with pytest.raises(TypeError, match=r"None \(in memory\) or a path"):
+                TraceWriter(handle)
+        with pytest.raises(TypeError, match="not bytes"):
+            TraceWriter(b"x.trace")
+        assert [entry.name for entry in tmp_path.iterdir()] == ["handle.trace"]
 
 
 class TestReaderErrors:
