@@ -349,19 +349,13 @@ class CircuitAdapter(KernelAdapter):
     option_fields = ("optimize", "keep_fraction", "calibration")
 
     def kernel_key(self, kernel: Circuit) -> bytes:
-        """The plan's structure digest (built once per root), then what
-        the nodes hold now: the length of every leaf table and weight
-        vector, and their values as one float64 dump."""
+        """The plan's structure digest (built once per root), then its
+        parameter layout (:meth:`CircuitPlan.parameters`): the int64
+        length of every leaf table and weight vector, and the float64
+        buffer they are views into, as one ``tobytes()``."""
         plan = kernel.plan()
-        tables = [leaf.probabilities for leaf in plan.leaves]
-        tables += [node.weights for node in plan.sums]
-        return b"".join(
-            (
-                plan.structure_digest,
-                np.fromiter(map(len, tables), np.int64, len(tables)).tobytes(),
-                np.concatenate(tables, dtype=np.float64).tobytes(),
-            )
-        )
+        _, lengths, buffer = plan.parameters()
+        return b"".join((plan.structure_digest, lengths, buffer.tobytes()))
 
     def prepare(self, kernel: Circuit, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         if options.optimize and options.calibration:

@@ -110,7 +110,7 @@ def prune_circuit_by_flow(
     # Leaf tables are copied and checked in one pass; only when one
     # fails does each leaf go through ``LeafNode``'s own check, which
     # raises the error the first bad table in plan order raises.
-    tables, valid = copy_leaf_tables(plan.leaves)
+    tables, valid = copy_leaf_tables(plan)
     new_leaf = LeafNode._over_checked if valid else LeafNode
     next_table = iter(tables).__next__
     rebuilt: List[CircuitNode] = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import threading
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -23,6 +24,12 @@ EdgeKey = Tuple[int, int]  # (parent node_id, child node_id)
 
 # Entry kinds of a :class:`CircuitPlan` (also the tags of its structure stream).
 _LEAF, _PRODUCT, _SUM = 0, 1, 2
+
+# Taken by every rebind and every layout, so the two never interleave: a
+# node is never left viewing a buffer that a layout's flag calls fresh.
+_LAYOUT_LOCK = threading.Lock()
+# The layout of a plan that has none yet: its flag is raised for good.
+_NO_LAYOUT = ([True], b"", None)
 
 
 def _finite_non_negative(values: np.ndarray) -> bool:
@@ -43,30 +50,79 @@ class CircuitNode:
         return ()
 
 
-class LeafNode(CircuitNode):
+class _ParameterNode(CircuitNode):
+    """A node with one float64 parameter vector — a leaf's table, a
+    sum's weights — behind a checked property.
+
+    Once a plan lays out its parameter buffer (:meth:`CircuitPlan.parameters`)
+    the vector is a view into that buffer, so an in-place write lands
+    where the key reads, and ``_owner`` is the layout's stale flag.  A
+    rebind stores the new array as it is and raises the flag; the next
+    layout copies it in.  It never copies into the old slot, so an array
+    read before the rebind keeps its values.
+    """
+
+    #: The name the vector is pickled under (its attribute name before
+    #: it became a property), so a node pickles to the same state.
+    _field = ""
+    #: The stale-flag cell of the layout whose buffer ``_values`` views.
+    _owner: Optional[List[bool]] = None
+
+    def _rebind(self, values: np.ndarray) -> None:
+        with _LAYOUT_LOCK:
+            if self._owner is not None:
+                self._owner[0] = True
+            self._values, self._owner = values, None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickled and copied nodes carry their values, never an owner.
+        field = self._field
+        return {
+            field if name == "_values" else name: value
+            for name, value in self.__dict__.items()
+            if name != "_owner"
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        field = self._field
+        for name, value in state.items():
+            setattr(self, "_values" if name == field else name, value)
+
+
+class LeafNode(_ParameterNode):
     """A primitive distribution over one discrete variable.
 
     ``probabilities[v]`` is P(X = v); an *indicator* leaf puts all mass
     on a single value and is used when compiling logical constraints.
     """
 
+    _field = "probabilities"
+
     def __init__(self, variable: int, probabilities: Sequence[float]):
         super().__init__()
-        probs = np.asarray(probabilities, dtype=float)
+        self.variable = variable
+        self.probabilities = probabilities
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self._values
+
+    @probabilities.setter
+    def probabilities(self, values: Sequence[float]) -> None:
+        probs = np.asarray(values, dtype=float)
         if probs.ndim != 1 or len(probs) < 1:
             raise ValueError("leaf needs a 1-D probability vector")
         if not _finite_non_negative(probs):
             raise ValueError("leaf probabilities must be finite and non-negative")
-        self.variable = variable
-        self.probabilities = probs
+        self._rebind(probs)
 
     @classmethod
     def _over_checked(cls, variable: int, table: np.ndarray) -> "LeafNode":
         """A leaf over ``table`` as it is, for a caller that has already
-        checked it as ``__init__`` would (see :func:`copy_leaf_tables`)."""
+        checked it as the setter would (see :func:`copy_leaf_tables`)."""
         leaf = cls.__new__(cls)
         CircuitNode.__init__(leaf)
-        leaf.variable, leaf.probabilities = variable, table
+        leaf.variable, leaf._values = variable, table
         return leaf
 
     def prob(self, value: Optional[int]) -> float:
@@ -98,24 +154,34 @@ class ProductNode(CircuitNode):
         return f"Product({len(self._children)} children)"
 
 
-class SumNode(CircuitNode):
+class SumNode(_ParameterNode):
     """Weighted mixture of children sharing a scope."""
+
+    _field = "weights"
 
     def __init__(self, children: Sequence[CircuitNode], weights: Sequence[float]):
         super().__init__()
         if not children:
             raise ValueError("sum node needs at least one child")
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(children),):
-            raise ValueError("one weight per child required")
-        if not _finite_non_negative(w):
-            raise ValueError("sum weights must be finite and non-negative")
         self._children = tuple(children)
-        self.weights = w
+        self.weights = weights
 
     @property
     def children(self) -> Tuple[CircuitNode, ...]:
         return self._children
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._values
+
+    @weights.setter
+    def weights(self, values: Sequence[float]) -> None:
+        w = np.asarray(values, dtype=float)
+        if w.shape != (len(self._children),):
+            raise ValueError("one weight per child required")
+        if not _finite_non_negative(w):
+            raise ValueError("sum weights must be finite and non-negative")
+        self._rebind(w)
 
     def normalize(self) -> None:
         total = self.weights.sum()
@@ -133,9 +199,10 @@ class CircuitPlan:
     node's identity: node order, dense child indices, sum-edge slots, the
     edge count and the ``structure_digest`` are built by one walk and
     remembered.
-    Weights and leaf tables are *not* here — they are arrays anyone may
-    write or reassign, so every reader (flows, EM, the cache key) takes
-    them from ``leaves`` / ``sums`` at use.
+    Weights and leaf tables are values anyone may write or rebind, so
+    they are not walked here: :meth:`parameters` lays them out once into
+    one float64 buffer the nodes then view, and lays them out again only
+    after a rebind.
 
     ``structure_digest`` is the SHA-256 of an int64 stream: the node
     count, then per node in topological order ``(_LEAF, variable)`` or
@@ -145,7 +212,7 @@ class CircuitPlan:
 
     __slots__ = (
         "root", "order", "entries", "edge_keys", "root_index", "variables",
-        "leaves", "leaf_rows", "sums", "num_edges", "structure_digest",
+        "leaves", "leaf_rows", "sums", "num_edges", "structure_digest", "_layout",
     )  # fmt: skip
 
     def __init__(self, root: CircuitNode):
@@ -202,6 +269,41 @@ class CircuitPlan:
             stream.extend((kind, len(children)))
             stream.extend(children)
         self.structure_digest = hashlib.sha256(stream.tobytes()).digest()
+        self._layout = _NO_LAYOUT
+
+    def parameters(self) -> Tuple[List[bool], bytes, np.ndarray]:
+        """The parameter layout ``(stale flag, lengths, buffer)``: every
+        leaf table in plan order, then every sum's weights, end to end in
+        one float64 buffer, and their lengths as int64 bytes.
+
+        Each leaf's ``probabilities`` and each sum's ``weights`` is a view
+        into the buffer, so an in-place write is read here for free.  A
+        rebind raises the flag (a one-item list), and so does a later
+        layout of another plan that takes over a shared node; the next
+        call lays the buffer out afresh.  The three travel as one tuple,
+        so no reader pairs one layout's buffer with another's flag.
+        """
+        layout = self._layout
+        if layout[0][0]:
+            with _LAYOUT_LOCK:
+                layout = self._layout
+                if layout[0][0]:
+                    layout = self._layout = self._lay_out()
+        return layout
+
+    def _lay_out(self) -> Tuple[List[bool], bytes, np.ndarray]:
+        nodes = [*self.leaves, *self.sums]
+        arrays = [node._values for node in nodes]
+        lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
+        buffer = np.concatenate(arrays, dtype=np.float64)
+        flag = [False]
+        start = 0
+        for node, end in zip(nodes, np.cumsum(lengths).tolist()):
+            if node._owner is not None:
+                node._owner[0] = True
+            node._values, node._owner = buffer[start:end], flag
+            start = end
+        return flag, lengths.tobytes(), buffer
 
 
 @dataclass
@@ -296,13 +398,17 @@ class Circuit:
             raise ValueError("circuit is not decomposable")
 
 
-def copy_leaf_tables(leaves: Sequence[LeafNode]) -> Tuple[List[np.ndarray], bool]:
-    """Float copies of the leaves' tables, and whether every copy passes
-    :class:`LeafNode`'s check — 1-D, non-empty, finite, non-negative —
-    taken in one numpy pass over all of them rather than one per leaf."""
-    tables = [np.array(leaf.probabilities, dtype=float) for leaf in leaves]
-    valid = all(table.ndim == 1 and table.size for table in tables)
-    return tables, valid and _finite_non_negative(np.concatenate(tables))
+def copy_leaf_tables(plan: CircuitPlan) -> Tuple[List[np.ndarray], bool]:
+    """Copies of the plan's leaf tables — views into one copy of its
+    buffer's leaf prefix — and whether every entry is finite and
+    non-negative.  The setters check the rest of :class:`LeafNode`'s
+    rule (1-D, non-empty) and the entries too, so only an in-place
+    write can make this ``False``."""
+    _, lengths, buffer = plan.parameters()
+    ends = np.cumsum(np.frombuffer(lengths, np.int64, len(plan.leaves))).tolist()
+    flat = buffer[: ends[-1]].copy()
+    tables = [flat[start:end] for start, end in zip([0, *ends], ends)]
+    return tables, _finite_non_negative(flat)
 
 
 def bernoulli_leaf(variable: int, p_true: float) -> LeafNode:

@@ -68,35 +68,36 @@ def _evidence_columns(plan: CircuitPlan, dataset: Sequence[Evidence]) -> Columns
 def _evaluate_batch(plan: CircuitPlan, columns: Columns) -> np.ndarray:
     """Bottom-up values, one row per node and one column per evidence.
 
-    Every leaf row comes from one gather.  The leaf tables are laid end
-    to end, each followed by two slots — 0.0 for a value outside the
-    table, the table's total mass for a marginalised variable — the
-    three cases of ``LeafNode.prob``.  Each ``(variable, table size)``
+    Every leaf row comes from one gather.  The leaf tables, which are
+    the leaf prefix of the plan's parameter buffer, are laid end to end,
+    each followed by two slots — 0.0 for a value outside the table, the
+    table's total mass for a marginalised variable — the three cases of
+    ``LeafNode.prob``.  Each ``(variable, table size)``
     has one row of slots, one per evidence, and one fancy index reads
     every leaf's row of that extended table at once.  A mass is its
     table's ``sum()`` bit for bit: tables of one size are summed as the
     rows of one array, which numpy reduces row by row with the pairwise
     sum of a lone table (a sequential ``reduceat`` would round
     differently).  The internal rows are then walked bottom-up.  Tables
-    and weights are read now, never cached.  Element-wise accumulation
-    order matches the scalar evaluator, so each column is bit-identical
-    to ``_evaluate_all`` on that evidence.
+    and weights are read now, from the buffer and its views.
+    Element-wise accumulation order matches the scalar evaluator, so
+    each column is bit-identical to ``_evaluate_all`` on that evidence.
     """
     m = len(next(iter(columns.values()))[0])  # a circuit has a leaf, so a column
     values = np.empty((len(plan.order), m), dtype=float)
     leaves = plan.leaves
-    tables = [leaf.probabilities for leaf in leaves]
-    sizes = np.fromiter(map(len, tables), dtype=np.intp, count=len(tables))
-    flat = np.concatenate(tables)
+    _, lengths, buffer = plan.parameters()
+    sizes = np.frombuffer(lengths, dtype=np.int64, count=len(leaves))
+    flat = buffer[: sizes.sum()]
     starts = np.cumsum(sizes) - sizes
-    masses = np.empty(len(tables))
+    masses = np.empty(len(leaves))
     for size in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == size)
         masses[group] = flat[starts[group, None] + np.arange(size)].sum(axis=1)
     # Table i starts at offsets[i] of the extended table: the two slots
     # of every table before it come first.
-    offsets = starts + 2 * np.arange(len(tables))
-    extended = np.empty(len(flat) + 2 * len(tables))
+    offsets = starts + 2 * np.arange(len(leaves))
+    extended = np.empty(len(flat) + 2 * len(leaves))
     extended[np.repeat(offsets - starts, sizes) + np.arange(len(flat))] = flat
     extended[offsets + sizes] = 0.0
     extended[offsets + sizes + 1] = masses

@@ -347,12 +347,14 @@ class TestCircuitFingerprints:
         """A float32 array assigned over a float64 one with the very
         same bytes is another table; the same *values* in another dtype
         are not."""
-        circuit = mixture()
+        circuit = mixture(probability=0.5)
         leaf = circuit.topological_order()[0]
         before = self.key(circuit)
         table = leaf.probabilities
+        # [0.5, 0.5] as float32 is [0.0, 1.75, 0.0, 1.75]: a valid table
+        # (bytes that read as a negative float32 are refused by the setter).
         leaf.probabilities = np.frombuffer(table.tobytes(), dtype=np.float32)
-        assert leaf.probabilities.tobytes() == table.tobytes()
+        assert leaf.probabilities.tolist() == [0.0, 1.75, 0.0, 1.75]
         assert self.key(circuit) != before
         leaf.probabilities = np.array([0.25, 0.75], dtype=np.float32)
         narrow = self.key(circuit)

@@ -20,6 +20,7 @@ from repro.core.dag import cnf_to_dag
 from repro.hmm.model import HMM
 from repro.logic.cnf import Clause
 from repro.logic.generators import random_ksat
+from repro.pc.circuit import LeafNode, SumNode
 from repro.pc.learn import random_circuit
 
 OTHER_CONFIG = DEFAULT_CONFIG.with_ablation(linked_list_layout=False)
@@ -138,8 +139,16 @@ class TestParameters:
         leaf = circuit.plan().leaves[0]
         before = key(circuit)
         table = leaf.probabilities
-        leaf.probabilities = np.frombuffer(table.tobytes(), dtype=np.float32)
-        assert key(circuit) == fresh_key(circuit) != before
+        # These bytes read as float32 hold a negative entry: the setter
+        # refuses them and the leaf keeps its table.
+        with pytest.raises(ValueError, match="non-negative"):
+            leaf.probabilities = np.frombuffer(table.tobytes(), dtype=np.float32)
+        assert leaf.probabilities is table and key(circuit) == before
+        # 0.5 as float64 reads as float32 [0.0, 1.75]: valid, another key.
+        leaf.probabilities = np.full(len(table), 0.5)
+        halves = key(circuit)
+        leaf.probabilities = np.frombuffer(leaf.probabilities.tobytes(), dtype=np.float32)
+        assert key(circuit) == fresh_key(circuit) not in (before, halves)
         leaf.probabilities = table
         assert key(circuit) == before
 
@@ -166,6 +175,33 @@ class TestHygiene:
         monkeypatch.setattr(np, "fromiter", counting)
         assert all(key(cnf) == first for _ in range(5))
         assert walks == []
+
+    def test_an_unchanged_circuit_is_not_gathered_again(self, monkeypatch):
+        """Re-keyed, an unchanged circuit reads its parameter buffer
+        whole: no ``np.concatenate``, no node's table or weights read,
+        and no new layout."""
+        circuit = random_circuit(6, depth=3, seed=9)
+        first = key(circuit)
+        layout = circuit.plan().parameters()
+        reads = []
+        real = np.concatenate
+
+        def counting(*args, **kwargs):
+            reads.append(args)
+            return real(*args, **kwargs)
+
+        def counted(prop):
+            def get(node):
+                reads.append(node)
+                return prop.fget(node)
+
+            return property(get, prop.fset)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        for cls, name in ((LeafNode, "probabilities"), (SumNode, "weights")):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+        assert all(key(circuit) == first for _ in range(5))
+        assert reads == [] and circuit.plan().parameters() is layout
 
     @pytest.mark.parametrize("family", BUILDERS)
     def test_pickles_equality_and_repr_are_unaffected(self, family):

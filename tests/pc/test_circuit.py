@@ -97,11 +97,9 @@ class TestNodes:
         )
     )
     def test_batch_table_check_agrees_with_leaf_construction(self, tables):
-        """``copy_leaf_tables``' one-pass flag accepts exactly the tables
-        ``LeafNode`` constructs from, whatever mix they come in."""
-        leaves = [bernoulli_leaf(variable, 0.5) for variable in range(len(tables))]
-        for leaf, table in zip(leaves, tables):
-            leaf.probabilities = np.array(table, dtype=float)
+        """The setter accepts exactly the tables ``LeafNode`` constructs
+        from, and ``copy_leaf_tables``' one-pass flag over tables written
+        in place agrees with it, whatever mix they come in."""
 
         def constructs(table):
             try:
@@ -110,8 +108,27 @@ class TestNodes:
                 return False
             return True
 
-        _, valid = copy_leaf_tables(leaves)
-        assert valid == all(constructs(table) for table in tables)
+        for table in tables:
+            leaf = bernoulli_leaf(0, 0.5)
+            try:
+                leaf.probabilities = table
+            except ValueError:
+                assert not constructs(table)
+            else:
+                assert constructs(table)
+        # Only an in-place write of the right length reaches a built leaf.
+        shaped = [table for table in tables if table and not isinstance(table[0], list)]
+        if not shaped:
+            return
+        leaves = [LeafNode(v, [1.0] * len(table)) for v, table in enumerate(shaped)]
+        plan = Circuit(ProductNode(leaves)).plan()
+        for leaf, table in zip(leaves, shaped):
+            leaf.probabilities[:] = table
+        copies, valid = copy_leaf_tables(plan)
+        assert valid == all(constructs(table) for table in shaped)
+        assert [copy.tobytes() for copy in copies] == [
+            np.array(table, dtype=float).tobytes() for table in shaped
+        ]
 
     def test_product_requires_children(self):
         with pytest.raises(ValueError):
