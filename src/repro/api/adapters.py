@@ -12,10 +12,13 @@ API entry goes through, and registering a new kernel family is one
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import pickle
 import struct
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -112,6 +115,16 @@ class RunOptions:
             )
         if trace == "":
             raise ValueError("trace must be None, a bool or a non-empty path, not ''")
+        calibration = self.calibration
+        if calibration is not None and isinstance(
+            calibration, (str, bytes, bytearray, Mapping)
+        ):
+            raise TypeError(
+                "calibration must be a sequence of evidence dicts or observation "
+                f"sequences, not a {type(calibration).__name__}"
+            )
+        if isinstance(self.hmm_observations, str):
+            raise TypeError("hmm_observations must be a sequence of ints, not a str")
 
     def calibration_key(self) -> Optional[bytes]:
         """Canonical bytes of ``calibration``, one record per item: an
@@ -136,19 +149,56 @@ class RunOptions:
         return _int_record(b"S", tuple(self.hmm_observations))
 
 
+class _BuiltinsOnly(pickle.Pickler):
+    """A pickler of exact builtins.  The C pickler writes ``None``,
+    bools, ints, floats, str, bytes and exact lists, tuples, dicts (and
+    sets) itself, and asks :meth:`reducer_override` about anything else:
+    a numpy scalar or array, a subclass, an ``OrderedDict``."""
+
+    def reducer_override(self, obj: object) -> object:
+        raise pickle.PicklingError(f"not an exact builtin: {type(obj).__name__}")
+
+
+#: The key part of an option that is ``None``.
+_ABSENT = key_part(None)
+
+
+def _calibration_snapshot(options: RunOptions) -> Union[bytes, Tuple[bytes]]:
+    """What ``calibration`` holds now, in a form ``==`` compares exactly
+    and cheaper to take than :meth:`RunOptions.calibration_key`: a
+    builtins-only pickle (protocol 4, which refuses a ``PickleBuffer``),
+    in a 1-tuple so it never equals packed bytes.  A pickle holds every
+    type, value, order and shared object, and the packed key is a
+    function of those.  Anything else is the packed key itself, and no
+    calibration is the part the packed form has for it."""
+    if options.calibration is None:
+        return _ABSENT
+    buffer = io.BytesIO()
+    try:
+        _BuiltinsOnly(buffer, 4).dump(options.calibration)
+    except (pickle.PicklingError, RecursionError):  # not exact builtins, or too deep
+        return key_part(options.calibration_key())
+    return (buffer.getvalue(),)
+
+
 #: The options of every request that passes none.  No field holds a
 #: caller-owned container, so nothing can change them in place: the key
 #: context of this one instance is built once per (adapter, config).
 DEFAULT_OPTIONS = RunOptions()
 
-#: How each compile option enters a fingerprint: the sequence-valued
-#: ones packed, the scalars as they are (``content_key`` reprs them).
+#: How each compile option enters a fingerprint, as the bytes
+#: ``content_key`` hashes: the sequence-valued ones packed, the scalars
+#: ``repr``-ed.
 _OPTION_PARTS = {
-    "optimize": attrgetter("optimize"),
-    "keep_fraction": attrgetter("keep_fraction"),
-    "calibration": RunOptions.calibration_key,
-    "hmm_observations": RunOptions.observations_key,
+    "optimize": lambda options: key_part(options.optimize),
+    "keep_fraction": lambda options: key_part(options.keep_fraction),
+    "calibration": lambda options: key_part(options.calibration_key()),
+    "hmm_observations": lambda options: key_part(options.observations_key()),
 }
+
+#: How each option is compared against a warm kernel's memo: as
+#: :data:`_OPTION_PARTS`, except ``calibration`` by its snapshot.
+_OPTION_SNAPSHOTS = {**_OPTION_PARTS, "calibration": _calibration_snapshot}
 
 #: ``(adapter, config.key_bytes)`` -> the key context of
 #: :data:`DEFAULT_OPTIONS`, FIFO-bounded like the serving path's other memos.
@@ -202,32 +252,43 @@ class KernelAdapter:
         ``(snapshot, context, digest)``; the digest is served again only
         while both compare equal to this request's — exactly the bytes
         ``content_key`` would hash, or (a CNF) what they are packed from.
+
+        Options are compared the way the kernel is: only once the
+        kernel's snapshot matches its memo does a request take the
+        options' snapshot (:data:`_OPTION_SNAPSHOTS`), and only when
+        that differs are they packed.  A first sight packs, as without
+        a memo, and remembers the packed context.
         """
         snapshot = self.snapshot(kernel)
+        memo = getattr(kernel, "_key_memo", False)
+        warm = memo and memo[0] == snapshot
+        packed = None
         if options is DEFAULT_OPTIONS:
-            context = _DEFAULT_CONTEXTS.get((self, config.key_bytes))
+            context = packed = _DEFAULT_CONTEXTS.get((self, config.key_bytes))
             if context is None:
-                context = remember(
+                context = packed = remember(
                     _DEFAULT_CONTEXTS, (self, config.key_bytes), self._context(options, config)
                 )
+        elif warm:
+            context = self._context(options, config, _OPTION_SNAPSHOTS)
         else:
-            context = self._context(options, config)
-        memo = getattr(kernel, "_key_memo", False)
-        if memo and memo[0] == snapshot and memo[1] == context:
+            context = packed = self._context(options, config)
+        if warm and memo[1] == context:
             return memo[2]
-        digest = content_key(self.kind, self.snapshot_key(snapshot), *context[1:])
+        if packed is None:
+            packed = self._context(options, config)
+        digest = content_key(self.kind, self.snapshot_key(snapshot), *packed[1:])
         if memo is not False:
             kernel._key_memo = (snapshot, context, digest)
         return digest
 
-    def _context(self, options: RunOptions, config: ArchConfig) -> tuple:
+    def _context(
+        self, options: RunOptions, config: ArchConfig, parts: Dict[str, object] = _OPTION_PARTS
+    ) -> tuple:
         """The adapter, the config bytes and the option parts: what a
-        fingerprint hashes besides the kernel."""
-        return (
-            self,
-            config.key_bytes,
-            *[key_part(_OPTION_PARTS[name](options)) for name in self.option_fields],
-        )
+        fingerprint hashes besides the kernel (or, given
+        :data:`_OPTION_SNAPSHOTS`, what stands for it in a memo)."""
+        return (self, config.key_bytes, *[parts[name](options) for name in self.option_fields])
 
     def snapshot(self, kernel: object) -> object:
         """What the kernel holds now, in a form ``==`` compares exactly:

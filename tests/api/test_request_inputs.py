@@ -214,6 +214,34 @@ def test_a_bad_trace_fails_before_anything_compiles(trace):
         assert service.stats().submitted == 0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("calibration", "abc"),
+        ("calibration", b"\x00\x01"),
+        ("calibration", bytearray(b"\x00\x01")),
+        ("calibration", {0: 1}),
+        ("hmm_observations", "01"),
+    ],
+    ids=["str", "bytes", "bytearray", "mapping", "observations-str"],
+)
+def test_a_malformed_option_container_fails_before_anything_compiles(field, value):
+    """A str or a mapping where a sequence of records belongs used to be
+    keyed, admitted and queued, then fail deep in the front end."""
+    kernel = HMM.random(4, 3, seed=2)
+    message = f"{field} must be a sequence of"
+    session = ReasonSession()
+    with pytest.raises(TypeError, match=message):
+        session.run(kernel, **{field: value})
+    with pytest.raises(TypeError, match=message):
+        session.run_batch([kernel], **{field: value})
+    assert session.prepare_calls == 0
+    with ReasonService(shards=1) as service:
+        with pytest.raises(TypeError, match=message):
+            service.submit(kernel, **{field: value})
+        assert service.stats().submitted == 0
+
+
 def test_a_directory_trace_target_leaves_nothing_behind(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()
