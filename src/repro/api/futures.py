@@ -50,11 +50,6 @@ class ReasonFuture(concurrent.futures.Future):
         self.shard_index = shard_index
         self.neural_s = neural_s
 
-    def report(self, timeout: Optional[float] = None) -> ExecutionReport:
-        """Block until the shard executes the request; alias of
-        :meth:`result` with the specific return type spelled out."""
-        return self.result(timeout=timeout)
-
     def __await__(self):
         # Bridge into the running asyncio loop: the shard worker thread
         # resolves the concurrent future, the wrapper wakes the loop.

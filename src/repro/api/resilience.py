@@ -309,12 +309,6 @@ class CircuitBreaker:
                 self._opened_at = time.monotonic()
                 self.trips += 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CircuitBreaker(state={self.state!r}, "
-            f"threshold={self.failure_threshold}, trips={self.trips})"
-        )
-
 
 # --------------------------------------------------------------------------
 # Resilient store wrapper

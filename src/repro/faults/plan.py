@@ -207,9 +207,3 @@ class FaultPlan:
                 name: {"decisions": site.decisions, "injected": site.injected}
                 for name, site in self._sites.items()
             }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        active = {
-            name: site.rate for name, site in self._sites.items() if site.rate > 0
-        }
-        return f"FaultPlan(seed={self.seed}, rates={active})"

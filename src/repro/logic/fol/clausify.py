@@ -50,9 +50,6 @@ class FOLClause:
 
     literals: Tuple[FOLLiteral, ...]
 
-    def __len__(self) -> int:
-        return len(self.literals)
-
     def __iter__(self):
         return iter(self.literals)
 

@@ -18,7 +18,6 @@ from repro.pc.circuit import (
 from repro.pc.inference import (
     log_likelihood,
     likelihood,
-    marginal,
     conditional,
     sample,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "bernoulli_leaf",
     "log_likelihood",
     "likelihood",
-    "marginal",
     "conditional",
     "sample",
     "edge_flows",

@@ -49,19 +49,6 @@ def log_likelihood(circuit: Circuit, evidence: Evidence) -> float:
     return math.log(value) if value > 0 else float("-inf")
 
 
-def partition_function(circuit: Circuit) -> float:
-    """Total mass of the circuit (1.0 for a normalized circuit)."""
-    return likelihood(circuit, {})
-
-
-def marginal(circuit: Circuit, evidence: Evidence) -> float:
-    """Normalized marginal probability of the evidence."""
-    z = partition_function(circuit)
-    if z == 0:
-        raise ValueError("circuit has zero total mass")
-    return likelihood(circuit, evidence) / z
-
-
 def conditional(circuit: Circuit, query: Evidence, given: Evidence) -> float:
     """P(query | given) with consistency checks on overlapping variables."""
     overlap = set(query) & set(given)

@@ -71,6 +71,35 @@ class TestRegistryDispatch:
         finally:
             adapters_module._ADAPTERS.pop(Fake, None)
 
+    def test_the_base_methods_raise_until_overridden(self):
+        adapter = KernelAdapter()
+        with pytest.raises(NotImplementedError):
+            adapter.kernel_key(object())
+        with pytest.raises(NotImplementedError):
+            adapter.prepare(object(), RunOptions(), DEFAULT_CONFIG)
+        with pytest.raises(NotImplementedError):
+            adapter.reference(None)
+
+    def test_an_adapter_without_a_kernel_key_cannot_fingerprint(self):
+        # Were the base kernel_key to return None, every kernel of the
+        # family would share one cache key.
+        class Fake:
+            pass
+
+        class KeylessAdapter(KernelAdapter):
+            kind = "keyless"
+
+        from repro.api import adapters as adapters_module
+
+        try:
+            register_adapter(Fake, KeylessAdapter())
+            with pytest.raises(NotImplementedError):
+                adapter_for(Fake()).fingerprint(Fake(), RunOptions(), DEFAULT_CONFIG)
+            with pytest.raises(NotImplementedError):
+                ReasonSession().run(Fake())
+        finally:
+            adapters_module._ADAPTERS.pop(Fake, None)
+
 
 class TestFingerprints:
     def test_identical_content_same_key(self):

@@ -406,6 +406,8 @@ class TestStoreChaos:
             service._shards[0].session._cache._entries.clear()
             report = service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
+            # ResilientStore(ChaosStore(store)): both count what the store holds.
+            assert len(service.store) == len(store) == 1
         assert plan.injected("corrupt") >= 1
         assert store.corrupt_misses >= 1
         assert report.cycles > 0

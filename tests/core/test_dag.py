@@ -39,7 +39,7 @@ from repro.logic.cdcl import solve_cnf
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import random_ksat
 from repro.pc.circuit import Circuit, ProductNode, SumNode, bernoulli_leaf
-from repro.pc.inference import likelihood, partition_function
+from repro.pc.inference import likelihood
 from repro.pc.learn import random_circuit, sample_dataset
 
 
@@ -502,7 +502,7 @@ class TestCircuitPruning:
         data = sample_dataset(circuit, 40, seed=8)
         pruned, _ = prune_circuit_by_flow(circuit, data, keep_fraction=0.7)
         pruned.validate()
-        assert partition_function(pruned) == pytest.approx(1.0)
+        assert likelihood(pruned, {}) == pytest.approx(1.0)
 
     def test_likelihood_degrades_within_reason(self):
         circuit = random_circuit(6, depth=2, seed=9)

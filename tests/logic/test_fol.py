@@ -10,6 +10,7 @@ from repro.logic.fol import (
     ForwardChainer,
     Func,
     HornRule,
+    Iff,
     Implies,
     Not,
     Or,
@@ -136,6 +137,22 @@ class TestClausify:
         assert len(clauses) == 2
         assert all(not c.literals[0].positive for c in clauses)
 
+    def test_biconditional_becomes_two_implications(self):
+        clauses = clausify(Iff(Predicate("P"), Predicate("Q")))
+        signs = sorted(sorted((l.atom.name, l.positive) for l in c) for c in clauses)
+        assert signs == [[("P", False), ("Q", True)], [("P", True), ("Q", False)]]
+
+    def test_negated_conjunction_becomes_one_disjunction(self):
+        (clause,) = clausify(Not(And(Predicate("P"), Predicate("Q"))))
+        assert sorted((l.atom.name, l.positive) for l in clause) == [("P", False), ("Q", False)]
+
+    def test_negated_forall_skolemizes_a_counterexample(self):
+        # ¬∀x P(x) is ∃x ¬P(x): one negative literal on a Skolem constant.
+        (clause,) = clausify(Not(ForAll(x, Predicate("P", (x,)))))
+        (literal,) = clause.literals
+        assert not literal.positive
+        assert isinstance(literal.atom.args[0], Const)
+
     def test_clausify_all_keeps_skolems_distinct(self):
         f1 = Exists(x, Predicate("P", (x,)))
         f2 = Exists(x, Predicate("Q", (x,)))
@@ -159,6 +176,24 @@ class TestClausify:
 
 
 class TestFormulaHelpers:
+    def test_formulas_print_in_logic_notation(self):
+        formula = ForAll(
+            x,
+            Implies(
+                And(Predicate("P", (x,)), Not(Predicate("Q", (x,)))),
+                Exists(
+                    y,
+                    Or(
+                        Predicate("R", (x, Func("f", (y, alice)))),
+                        Iff(Predicate("P", (y,)), Predicate("Q", (y,))),
+                    ),
+                ),
+            ),
+        )
+        assert repr(formula) == (
+            "∀x. ((P(?x) ∧ ¬Q(?x)) → ∃y. (R(?x, f(?y, alice)) ∨ (P(?y) ↔ Q(?y))))"
+        )
+
     def test_term_variables_collects_nested_arguments(self):
         term = Func("f", (x, alice, Func("g", (y, x))))
         assert term_variables(term) == frozenset({x, y})
@@ -209,6 +244,23 @@ class TestResolution:
         prover = ResolutionProver(max_clauses=30)
         assert prover.prove(theory, Predicate("Q", (alice,))) is None
 
+    def test_factoring_merges_unifiable_literals(self):
+        # {P(x) ∨ P(y)}, {¬P(u) ∨ ¬P(v)} is unsatisfiable.  The prover
+        # merges duplicate literals of a resolvent, so the refutation does
+        # not strictly need factoring; what this checks is that factoring
+        # steps are recorded, each unifying two literals into one.
+        u, v = Var("u"), Var("v")
+        theory = clausify_all(
+            [
+                ForAll(x, ForAll(y, Or(Predicate("P", (x,)), Predicate("P", (y,))))),
+                ForAll(u, ForAll(v, Or(Not(Predicate("P", (u,))), Not(Predicate("P", (v,)))))),
+            ]
+        )
+        prover = ResolutionProver()
+        assert prover.refute(theory) is True
+        factors = [step.conclusion for step in prover.proof if step.rule == "factoring"]
+        assert factors and all(len(clause.literals) == 1 for clause in factors)
+
     def test_proof_steps_recorded(self):
         prover = ResolutionProver()
         theory = [Predicate("P"), Implies(Predicate("P"), Predicate("Q"))]
@@ -227,6 +279,13 @@ class TestForwardChaining:
         carol = Const("carol")
         facts = [parent(alice, bob), parent(bob, carol)]
         return facts, rules, anc, carol
+
+    def test_rules_print_as_clauses(self):
+        _, (base, step), _, _ = self._kinship()
+        assert repr(base) == "[base] ancestor(?x, ?y) :- parent(?x, ?y)"
+        assert repr(HornRule(step.head, step.body)) == (
+            "ancestor(?x, ?z) :- parent(?x, ?y), ancestor(?y, ?z)"
+        )
 
     def test_transitive_closure(self):
         facts, rules, anc, carol = self._kinship()

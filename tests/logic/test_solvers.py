@@ -108,6 +108,23 @@ class TestDPLL:
 
 
 class TestCDCL:
+    @pytest.mark.parametrize(
+        "formula", [pigeonhole(5), planted_sat(80, 340, seed=2)[0]], ids=["pigeonhole", "planted"]
+    )
+    def test_activity_rescale_keeps_the_answer(self, formula, monkeypatch):
+        # A tiny decay multiplies the bump by 1000 per conflict, so
+        # activities pass 1e100 within a few dozen conflicts.
+        rescales = []
+        rescale = CDCLSolver._rescale_activities
+        monkeypatch.setattr(
+            CDCLSolver, "_rescale_activities", lambda self: rescales.append(1) or rescale(self)
+        )
+        result, model = CDCLSolver(var_decay=0.001).solve(formula)
+        assert rescales
+        assert result is CDCLSolver().solve(formula)[0]
+        if result is SolveResult.SAT:
+            assert formula.is_satisfied_by(model)
+
     def test_trivially_sat(self):
         result, model = solve_cnf(CNF([Clause([1]), Clause([-1, 2])]))
         assert result is SolveResult.SAT

@@ -3,11 +3,13 @@ and the bundle ``record`` writes."""
 
 import copy
 import json
+import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.__main__ import MIX, main
-from repro.metrics import MetricsRegistry, diff_snapshots, save_snapshot
+from repro.metrics import MetricsRegistry, diff_snapshots, render_pretty, save_snapshot
 from repro.trace import TraceReader
 from repro.trace.analyze import CheckResult, ValidationResult
 
@@ -132,6 +134,27 @@ class TestWatch:
             ["watch", str(path), "--interval", "0.01", "--count", "1"]
         ) == 0
         assert "demo_total" in capsys.readouterr().out
+
+    def test_a_rewrite_between_polls_prints_what_moved(self, snapshot_file, capsys, monkeypatch):
+        path, snapshot = snapshot_file
+        changed = copy.deepcopy(snapshot)
+        changed["metrics"]["demo_total"]["series"]["backend=reason"] = 9.0
+        rewrites = iter([changed, changed])
+
+        def rewrite_instead_of_sleeping(seconds):
+            # Each poll's sleep rewrites the file under a new mtime: the
+            # first rewrite moves the counter, the second moves nothing.
+            save_snapshot(next(rewrites), path)
+            mtime = path.stat().st_mtime + 10
+            os.utime(path, (mtime, mtime))
+
+        monkeypatch.setattr("repro.__main__.time", SimpleNamespace(sleep=rewrite_instead_of_sleeping))
+        assert main(["watch", str(path), "--count", "3"]) == 0
+        assert capsys.readouterr().out == "".join([
+            render_pretty(snapshot),
+            *(line + "\n" for line in diff_snapshots(snapshot, changed).describe()),
+            "(no change)\n",
+        ])  # fmt: skip
 
     @pytest.mark.parametrize(
         "option, value",

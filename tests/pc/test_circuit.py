@@ -21,7 +21,6 @@ from repro.pc.inference import (
     expected_flops,
     likelihood,
     log_likelihood,
-    partition_function,
     sample,
 )
 from repro.pc.learn import random_circuit
@@ -134,6 +133,13 @@ class TestNodes:
         with pytest.raises(ValueError):
             ProductNode([])
 
+    def test_nodes_print_their_kind_and_parameters(self):
+        leaf = bernoulli_leaf(0, 0.25)
+        product = ProductNode([leaf, bernoulli_leaf(1, 0.5)])
+        assert repr(leaf) == "Leaf(X0, [0.75, 0.25])"
+        assert repr(product) == "Product(2 children)"
+        assert repr(SumNode([product, product], [0.3, 0.7])) == "Sum(2 children, w=[0.3, 0.7])"
+
 
 class TestStructure:
     def test_num_edges_counts_every_parent_child_pair(self):
@@ -219,7 +225,7 @@ class TestInference:
         assert likelihood(circuit, {0: 1, 1: 1}) == pytest.approx(0.7 * 0.3)
 
     def test_partition_function_of_normalized_circuit(self):
-        assert partition_function(simple_mixture()) == pytest.approx(1.0)
+        assert likelihood(simple_mixture(), {}) == pytest.approx(1.0)
 
     def test_marginalization_sums_out_missing_vars(self):
         circuit = two_var_product()
@@ -232,7 +238,7 @@ class TestInference:
             likelihood(circuit, dict(zip(variables, values)))
             for values in itertools.product([0, 1], repeat=len(variables))
         )
-        assert total == pytest.approx(partition_function(circuit))
+        assert total == pytest.approx(likelihood(circuit, {}))
 
     def test_conditional_consistency(self):
         circuit = two_var_product()
@@ -269,4 +275,4 @@ class TestInference:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_circuits_are_normalized(self, seed):
         circuit = random_circuit(4, depth=2, seed=seed)
-        assert partition_function(circuit) == pytest.approx(1.0)
+        assert likelihood(circuit, {}) == pytest.approx(1.0)

@@ -94,7 +94,6 @@ ALLOWLIST = {
     "FaultPlan(max_injections)": "caps each site's injected faults",
     # Waits: synchronisation code bounds them.
     "ReasonService.drain(timeout)": "bounds a wait for admitted work",
-    "ReasonFuture.report(timeout)": "bounds a wait for one report",
     "ReasonService.close(wait)": "whether close waits for the workers",
     "ReasonSession(verify)": "the static-verifier gate on every compile",
     "random_ksat(k)": "clause width; the implication-graph tests need 2-SAT",
