@@ -67,7 +67,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.34.0"
+__version__ = "1.35.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

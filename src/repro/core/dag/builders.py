@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
-from repro.core.dag.graph import Dag, OpType
-from repro.pc.circuit import _LEAF, _PRODUCT, Circuit
+from repro.core.dag.graph import Dag, DagColumns, OpType
+from repro.pc.circuit import _LEAF, _PRODUCT, _SUM, Circuit, CircuitPlan
 
 
 def cnf_to_dag(formula: CNF) -> Tuple[Dag, Dict[int, int]]:
@@ -65,6 +65,36 @@ def circuit_to_dag(circuit: Circuit) -> Tuple[Dag, Dict[int, int]]:
             add_op(sum_op, children, weights=np.asarray(node.weights, dtype=float).tolist())
     dag.set_root(plan.root_index)
     return dag, {node.node_id: dense for dense, node in enumerate(plan.order)}
+
+
+#: A plan entry's kind (``_LEAF``, ``_PRODUCT``, ``_SUM``) → its DAG op.
+_KIND_OPS = (OpType.LEAF, OpType.PRODUCT, OpType.SUM)
+
+
+def circuit_columns(plan: CircuitPlan) -> DagColumns:
+    """The columns :func:`circuit_to_dag` builds, laid out without a
+    :class:`Dag`: one node per plan entry by dense index, a leaf's
+    payload ``(variable, table)``, a sum's weights its own.  Tables and
+    weights are read as Python floats by one ``tolist`` of the plan's
+    parameter buffer (every leaf table in plan order, then every sum's
+    weights in edge-slot order)."""
+    _, lengths, buffer = plan.parameters()
+    flat = buffer.tolist()
+    ends = np.cumsum(np.frombuffer(lengths, np.int64, len(plan.leaves))).tolist()
+    tables = iter(map(flat.__getitem__, map(slice, [0, *ends], ends)))
+    weights_at = ends[-1]  # a circuit has a leaf; its sums' weights follow
+    ops, children_of, payloads, weights_of = [], [], [], []
+    for kind, _, node, children, slot in plan.entries:
+        ops.append(_KIND_OPS[kind])
+        children_of.append(children)
+        if kind == _LEAF:
+            payloads.append((node.variable, tuple(next(tables))))
+            weights_of.append(())
+        else:
+            payloads.append(None)
+            start = weights_at + slot
+            weights_of.append(tuple(flat[start : start + len(children)]) if kind == _SUM else ())
+    return DagColumns(ops, children_of, payloads, weights_of, plan.root_index)
 
 
 def hmm_to_dag(

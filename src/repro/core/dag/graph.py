@@ -19,7 +19,7 @@ derived from them, built once.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class OpType(enum.Enum):
@@ -81,6 +81,42 @@ def _post_order(children: Sequence[Sequence[int]], root: int) -> List[int]:
     return order
 
 
+class Reach(NamedTuple):
+    """What :meth:`DagColumns.reachable` counts below the root."""
+
+    order: List[int]
+    max_fan_in: int
+    edges: int
+    footprint: int
+
+
+class DagColumns(NamedTuple):
+    """A DAG's per-id columns and root, read as they are: ops, children
+    as id tuples, payloads, and weights (a SUM's as a float tuple, ``()``
+    for every other op).  :meth:`Dag.columns` gives a built DAG's;
+    :func:`~repro.core.dag.builders.circuit_columns` lays out a
+    circuit's without a DAG.  :func:`~repro.core.dag.regularize.two_input`
+    rewrites either into two-input form."""
+
+    ops: List[OpType]
+    children: List[Tuple[int, ...]]
+    payloads: List[object]
+    weights: List[Tuple[float, ...]]
+    root: int
+
+    def reachable(self) -> Reach:
+        """The nodes below the root in :class:`DagPlan` order, their
+        largest fan-in, their edge count and their memory footprint (one
+        word per node, per edge and per SUM weight): the plan's own
+        counts, so a one-pass walk of the columns needs no plan."""
+        children = self.children
+        order = _post_order(children, self.root)
+        fan_in = list(map(len, map(children.__getitem__, order)))
+        edges = sum(fan_in)
+        weights = sum(map(len, map(self.weights.__getitem__, order)))
+        return Reach(order, max(fan_in, default=0), edges, len(order) + edges + weights)
+
+
 class DagPlan:
     """The DAG below one root, flattened once for every pass that reads it.
 
@@ -116,12 +152,8 @@ class DagPlan:
             for child in kids:
                 parents[child] += 1
         self.num_edges = sum(map(len, children))
-        self.order = order = _post_order(children, root)
-        fan_in = list(map(len, map(children.__getitem__, order)))
-        self.max_fan_in = max(fan_in, default=0)
-        self.footprint = (
-            len(order) + sum(fan_in) + sum(map(len, map(weights.__getitem__, order)))
-        )
+        reach = DagColumns(ops, children, self.payloads, weights, root).reachable()
+        self.order, self.max_fan_in, self.footprint = reach.order, reach.max_fan_in, reach.footprint
 
 
 class Dag:
@@ -195,6 +227,11 @@ class Dag:
         self._payloads.append(payload)
         self._weights.append(weights)
         return node_id
+
+    def columns(self) -> DagColumns:
+        """The DAG's columns and root as they stand, read without a
+        plan: for a pass that walks the DAG once and is done with it."""
+        return DagColumns(self._ops, self._children, self._payloads, self._weights, self.root)
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in range(len(self._ops))

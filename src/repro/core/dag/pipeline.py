@@ -3,7 +3,10 @@
 `optimize` is the offline flow the paper describes at the end of
 Sec. IV-C: construct the unified DAG, prune adaptively, regularize to
 two-input form, and report memory savings — the artifact handed to the
-compiler for binary generation.
+compiler for binary generation.  A pruned circuit or HMM is rewritten
+into two-input form from its n-ary DAG's columns — a circuit's are its
+parent's with the dropped edges filtered out — and counted on them, so
+that DAG is never planned (and, for a circuit, never built).
 """
 
 from __future__ import annotations
@@ -13,18 +16,17 @@ from typing import Optional, Sequence, Union
 
 from repro.core.dag.builders import (
     circuit_dag_footprint,
-    circuit_to_dag,
     cnf_dag_footprint,
     hmm_dag_footprint,
     hmm_to_dag,
 )
 from repro.core.dag.graph import Dag
 from repro.core.dag.pruning import (
-    prune_circuit_by_flow,
+    prune_circuit_columns,
     prune_hmm_by_posterior,
     prune_logic_dag,
 )
-from repro.core.dag.regularize import regularize_two_input
+from repro.core.dag.regularize import regularize_two_input, two_input
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.pc.circuit import Circuit
@@ -34,12 +36,12 @@ from repro.pc.circuit import Circuit
 class OptimizationResult:
     """Output of the three-stage pipeline.
 
-    ``dag`` is the pruned (and, by default, two-input) unified DAG that
-    :func:`optimize` builds.  It is ``None`` on the artifact of a CNF
-    served through :class:`~repro.api.adapters.CnfAdapter`: a logic
-    request is pruned on the implication graph and replayed from the
-    solver trace, so the serving path counts the two footprints and
-    builds no DAG; call :func:`optimize` (or ``cnf_to_dag``) for one.
+    ``dag`` is the pruned, two-input unified DAG that :func:`optimize`
+    builds.  It is ``None`` on the artifact of a CNF served through
+    :class:`~repro.api.adapters.CnfAdapter`: a logic request is pruned
+    on the implication graph and replayed from the solver trace, so the
+    serving path counts the two footprints and builds no DAG; call
+    :func:`optimize` (or ``cnf_to_dag``) for one.
     """
 
     dag: Optional[Dag]
@@ -87,13 +89,13 @@ def optimize(
         if not calibration:
             raise ValueError("circuit pruning needs calibration evidence")
         memory_before = circuit_dag_footprint(kernel)
-        pruned_circuit, report = prune_circuit_by_flow(
-            kernel, list(calibration), keep_fraction=keep_fraction
+        pruned_circuit, report, columns = prune_circuit_columns(
+            kernel, list(calibration), keep_fraction
         )
-        pruned_dag, _ = circuit_to_dag(pruned_circuit)
-        final = regularize_two_input(pruned_dag)
+        reach = columns.reachable()
+        report.nodes_after, report.edges_after = len(reach.order), reach.edges
         return OptimizationResult(
-            final, memory_before, pruned_dag.memory_footprint(), report, pruned_circuit
+            two_input(columns, reach.order), memory_before, reach.footprint, report, pruned_circuit
         )
 
     if isinstance(kernel, HMM):
@@ -106,10 +108,10 @@ def optimize(
             calibration_sequences=sequences,
             threshold_quantile=1.0 - keep_fraction,
         )
-        pruned_dag = hmm_to_dag(pruned_hmm, sequences[0], prune_transition_below=0.0)
-        final = regularize_two_input(pruned_dag)
+        columns = hmm_to_dag(pruned_hmm, sequences[0], prune_transition_below=0.0).columns()
+        reach = columns.reachable()
         return OptimizationResult(
-            final, memory_before, pruned_dag.memory_footprint(), report, pruned_hmm
+            two_input(columns, reach.order), memory_before, reach.footprint, report, pruned_hmm
         )
 
     raise TypeError(f"unsupported kernel type: {type(kernel).__name__}")

@@ -15,8 +15,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dag.builders import cnf_to_dag
-from repro.core.dag.graph import Dag
+from repro.core.dag.builders import circuit_columns, cnf_to_dag
+from repro.core.dag.graph import Dag, DagColumns
 from repro.hmm.inference import transition_posteriors
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
@@ -77,6 +77,23 @@ def prune_circuit_by_flow(
     renormalized.  The report carries the paper's bound
     Δ log L ≤ Σ_pruned F_{n,c}(D)/|D|.
     """
+    pruned, report, _ = prune_circuit_columns(circuit, dataset, keep_fraction)
+    report.edges_after = pruned.num_edges
+    report.nodes_after = pruned.num_nodes
+    return pruned, report
+
+
+def prune_circuit_columns(
+    circuit: Circuit, dataset: Sequence[Evidence], keep_fraction: float
+) -> Tuple[Circuit, FlowPruneReport, DagColumns]:
+    """:func:`prune_circuit_by_flow`'s pruned circuit, and its unified
+    DAG as columns over the parent's dense plan indices: the parent
+    plan's children with the dropped edges filtered out.  Nodes no
+    longer reachable stay in the columns, below no root.  The report's
+    ``edges_after`` / ``nodes_after`` are the caller's to count (they
+    are ``columns.reachable()``'s), so the pruned circuit is built
+    without a plan walk: it inherits its parent's ``num_states``,
+    completed for every variable of the parent."""
     flows, count = dataset_edge_flows(circuit, dataset)
     if count == 0:
         raise ValueError("flow pruning needs a non-empty calibration dataset")
@@ -115,28 +132,33 @@ def prune_circuit_by_flow(
     next_table = iter(tables).__next__
     rebuilt: List[CircuitNode] = []
     edge_keys = plan.edge_keys
-    for kind, _, node, children, slot in plan.entries:
+    # The parent's columns, each sum's children and weights then
+    # replaced by the kept ones.
+    columns = circuit_columns(plan)
+    for kind, dense, node, children, slot in plan.entries:
         if kind == _LEAF:
             rebuilt.append(new_leaf(node.variable, next_table()))
         elif kind == _PRODUCT:
             rebuilt.append(ProductNode([rebuilt[c] for c in children]))
         else:
-            kept_children: List[CircuitNode] = []
+            kept: List[int] = []
             kept_weights: List[float] = []
             keys = edge_keys[slot : slot + len(children)]
-            for child, weight, key in zip(children, node.weights, keys):
+            for child, weight, key in zip(children, columns.weights[dense], keys):
                 if key not in dropped:
-                    kept_children.append(rebuilt[child])
-                    kept_weights.append(float(weight))
+                    kept.append(child)
+                    kept_weights.append(weight)
             total = sum(kept_weights)
             if total > 0:
                 kept_weights = [w / total for w in kept_weights]
-            rebuilt.append(SumNode(kept_children, kept_weights))
-    pruned = Circuit(rebuilt[plan.root_index], dict(circuit.num_states))
-
-    report.edges_after = pruned.num_edges
-    report.nodes_after = pruned.num_nodes
-    return pruned, report
+            rebuilt.append(SumNode([rebuilt[c] for c in kept], kept_weights))
+            columns.children[dense] = tuple(kept)
+            columns.weights[dense] = tuple(kept_weights)
+    num_states = dict(circuit.num_states)
+    for variable in plan.variables:
+        num_states.setdefault(variable, 2)
+    pruned = Circuit.with_states(rebuilt[plan.root_index], num_states)
+    return pruned, report, columns
 
 
 def prune_hmm_by_posterior(

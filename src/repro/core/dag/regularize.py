@@ -7,16 +7,19 @@ edge becomes a weight-1 internal edge below a weighted leaf-level edge),
 preserving the computed function exactly.  The canonical form gives
 every kernel the same shape as REASON's binary tree PEs.
 
-The rewrite walks the input's :meth:`~repro.core.dag.graph.Dag.plan`
-and adds nodes in its order, so the output's ids are a function of
-that order.
+The rewrite walks the input's node order — its
+:meth:`~repro.core.dag.graph.Dag.plan`'s, or the same depth-first
+post-order counted by :meth:`~repro.core.dag.graph.DagColumns.reachable`
+— and adds nodes in it, so the output's ids are a function of that
+order.  ``optimize`` rewrites a circuit's or HMM's columns
+(:func:`two_input`), so the n-ary DAG it prunes is never planned.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
-from repro.core.dag.graph import Dag, OpType
+from repro.core.dag.graph import Dag, DagColumns, OpType
 
 # Ops where an n-ary node equals a balanced tree of 2-ary nodes.
 _ASSOCIATIVE = frozenset({OpType.OR, OpType.AND, OpType.SUM, OpType.PRODUCT})
@@ -38,6 +41,14 @@ def regularize_two_input(dag: Dag) -> Dag:
     ``ceil(log2 fan_in)`` extra levels.
     """
     plan = dag.plan()
+    columns = DagColumns(plan.ops, plan.children, plan.payloads, plan.weights, dag.root)
+    return two_input(columns, plan.order)
+
+
+def two_input(columns: DagColumns, order: Sequence[int]) -> Dag:
+    """:func:`regularize_two_input` of the graph ``columns`` lay out,
+    walked in ``order`` (``columns.reachable()``'s): no plan of the
+    input is built."""
     out = Dag()
     add_op = out.add_op
     sum_op = OpType.SUM
@@ -53,10 +64,10 @@ def regularize_two_input(dag: Dag) -> Dag:
             ]
         return add_op(op, children, weights=_ONES if op is sum_op else None)
 
-    ops, children_of, payloads, weights_of = plan.ops, plan.children, plan.payloads, plan.weights
+    ops, children_of, payloads, weights_of, root = columns
     mapped = [-1] * len(ops)  # input id -> output id
     remap = mapped.__getitem__
-    for node_id in plan.order:
+    for node_id in order:
         op, kids = ops[node_id], children_of[node_id]
         if len(kids) <= 2 or op not in _ASSOCIATIVE:
             # A copy of the node over the new ids.
@@ -71,5 +82,5 @@ def regularize_two_input(dag: Dag) -> Dag:
         else:
             mapped[node_id] = balanced_reduce(op, list(map(remap, kids)))
 
-    out.set_root(mapped[dag.root])
+    out.set_root(mapped[root])
     return out

@@ -213,6 +213,7 @@ class CircuitPlan:
     __slots__ = (
         "root", "order", "entries", "edge_keys", "root_index", "variables",
         "leaves", "leaf_rows", "sums", "num_edges", "structure_digest", "_layout",
+        "levels",
     )  # fmt: skip
 
     def __init__(self, root: CircuitNode):
@@ -270,6 +271,7 @@ class CircuitPlan:
             stream.extend(children)
         self.structure_digest = hashlib.sha256(stream.tobytes()).digest()
         self._layout = _NO_LAYOUT
+        self.levels = None  # the flow passes' level groups, built by pc.flows on first use
 
     def parameters(self) -> Tuple[List[bool], bytes, np.ndarray]:
         """The parameter layout ``(stale flag, lengths, buffer)``: every
@@ -327,6 +329,15 @@ class Circuit:
     def __post_init__(self) -> None:
         for variable in self.variables():
             self.num_states.setdefault(variable, 2)
+
+    @classmethod
+    def with_states(cls, root: CircuitNode, num_states: Dict[int, int]) -> "Circuit":
+        """A circuit over ``root`` holding ``num_states`` as it is, for a
+        caller whose map already covers every variable below ``root``:
+        unlike the constructor, this walks nothing (and builds no plan)."""
+        circuit = cls.__new__(cls)
+        circuit.root, circuit.num_states, circuit._plan = root, num_states, None
+        return circuit
 
     def __getstate__(self) -> Dict[str, object]:
         # The plan and the key memo are derived data: a stored or copied

@@ -12,12 +12,14 @@ by deleting an edge is bounded by its mean flow.
 Implementation: the circuit is flattened once into its dense plan
 (:meth:`Circuit.plan`: node order, child index arrays, edge slots) and
 every query evaluates the whole evidence batch as numpy rows — one
-integer column per variable, one gather for every leaf row, one bottom-up
-value pass and one top-down flow pass for an entire calibration
-dataset; nothing is paid per input except reading its evidence dict.  All element-wise operations apply
-the same IEEE-754 double operations in the same order as the scalar
-recurrences (``inference._evaluate_all``), so flows are bit-identical
-to per-input evaluation.
+integer column per variable, one gather for every leaf row, then the
+internal rows bottom-up and the flows top-down one level group at a
+time (every node of one height, kind and fan-in as one block of rows,
+see :class:`_LevelGroups`) for an entire calibration dataset; nothing
+is paid per input except reading its evidence dict.  All element-wise
+operations apply the same IEEE-754 double operations in the same order
+as the scalar recurrences (``inference._evaluate_all``), so flows are
+bit-identical to per-input evaluation.
 
 Evidence contract: a variable's value is an integer (anything
 ``operator.index`` accepts, within int64) or ``None``; ``None`` and an
@@ -29,11 +31,12 @@ non-integer such as ``1.5`` raises ``TypeError``.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.pc.circuit import _LEAF, _PRODUCT, Circuit, CircuitPlan, EdgeKey
+from repro.pc.circuit import _LEAF, _PRODUCT, _SUM, Circuit, CircuitPlan, EdgeKey
 from repro.pc.inference import Evidence
 
 #: Per circuit variable, one entry per evidence: the value as an int64
@@ -78,8 +81,9 @@ def _evaluate_batch(plan: CircuitPlan, columns: Columns) -> np.ndarray:
     table's ``sum()`` bit for bit: tables of one size are summed as the
     rows of one array, which numpy reduces row by row with the pairwise
     sum of a lone table (a sequential ``reduceat`` would round
-    differently).  The internal rows are then walked bottom-up.  Tables
-    and weights are read now, from the buffer and its views.
+    differently).  The internal rows then follow level group by level
+    group, from the lowest up.  Tables and weights are read now, from
+    the buffer.
     Element-wise accumulation order matches the scalar evaluator, so
     each column is bit-identical to ``_evaluate_all`` on that evidence.
     """
@@ -115,67 +119,182 @@ def _evaluate_batch(plan: CircuitPlan, columns: Columns) -> np.ndarray:
             slot_rows.append(slots)
         leaf_slot_rows.append(index)
     values[plan.leaf_rows] = extended[offsets[:, None] + np.stack(slot_rows)[leaf_slot_rows]]
-    for kind, dense, node, children, _ in plan.entries:
-        if kind == _LEAF:
-            continue
+    # Every sum's weights by edge slot: they follow the tables.  A term
+    # is computed as ``p_c · θ``, the same IEEE product as ``θ · p_c``.
+    weights = buffer[len(flat) :]
+    levels = _level_groups(plan)
+    rows_out, terms = np.empty((2, levels.widest, m))
+    for kind, rows, kids, slots in levels.up:
+        row, term = rows_out[: len(rows)], terms[: len(rows)]
         if kind == _PRODUCT:
-            row = values[children[0]].copy()
-            for child in children[1:]:
-                row *= values[child]
-            values[dense] = row
+            _gather(values, kids[0], row)
+            for column in kids[1:]:
+                row *= _gather(values, column, term)
         else:  # _SUM
-            row = np.zeros(m)
-            for child, weight in zip(children, node.weights):
-                row += weight * values[child]
-            values[dense] = row
+            row.fill(0.0)
+            for column, slot in zip(kids, slots):
+                _gather(values, column, term)
+                term *= weights[slot][:, None]
+                row += term
+        values[rows] = row
     return values
 
 
 def _flow_batch(
     plan: CircuitPlan, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-down flows per node and per sum edge."""
+    """Top-down flows per node and per sum edge, as two views of one
+    array: node rows first, then one row per edge slot.
+
+    A node's flow is the ordered sum of what reaches it, in the order
+    the scalar recurrence adds it: parent by parent in reverse plan
+    order, a parent's edges in child order.  A product passes on its
+    own row, a sum edge ``((θ·p_c)/p_n)·F_n``, zero where the scalar
+    recurrence skips it (``p_n`` not positive or ``F_n`` zero); adding
+    a zero is exact, since no flow is negative or ``-0.0``.  The levels
+    run from the root down, so every parent's row is final before a
+    child sums it.
+    """
     num_nodes, m = values.shape
-    flows = np.zeros((num_nodes, m))
-    flows[plan.root_index] = 1.0
-    edge_values = np.zeros((len(plan.edge_keys), m))
-    for kind, dense, node, children, slot in reversed(plan.entries):
-        if kind == _LEAF:
-            continue
-        flow = flows[dense]
-        if kind == _PRODUCT:
-            # A product passes its full flow to every child.
-            if flow.any():
-                for child in children:
-                    flows[child] += flow
-            continue
-        parent_value = values[dense]
-        # Contribution ((θ·p_c)/p_n)·F_n masked where it is skipped by
-        # the scalar recurrence; adding the masked zeros is exact
-        # because every flow is non-negative.
-        mask = (parent_value > 0) & (flow != 0.0)
-        if not mask.any():
-            continue  # every edge row stays zero
-        for offset, (child, weight) in enumerate(zip(children, node.weights)):
-            contribution = np.divide(
-                weight * values[child],
-                parent_value,
-                out=np.zeros(m),
-                where=mask,
-            )
-            contribution *= flow
-            flows[child] += contribution
-            edge_values[slot + offset] = contribution
-    return flows, edge_values
+    _, lengths, buffer = plan.parameters()
+    weights = buffer[np.frombuffer(lengths, np.int64, len(plan.leaves)).sum() :]
+    pool = np.zeros((num_nodes + len(plan.edge_keys), m))
+    pool[plan.root_index] = 1.0
+    levels = _level_groups(plan)
+    first, second, terms, shares = np.empty((4, levels.widest, m))
+    for inflows, sums in levels.down:
+        for rows, sources in inflows:
+            # ``0.0 + F`` of the recurrence, as ``F + 0.0``: the same sum.
+            flow = _gather(pool, sources[0], first[: len(rows)])
+            flow += 0.0
+            for column in sources[1:]:
+                flow += _gather(pool, column, terms[: len(rows)])
+            pool[rows] = flow
+        for rows, kids, slots in sums:
+            count = len(rows)
+            parent_value = _gather(values, rows, first[:count])
+            flow = _gather(pool, rows, second[:count])
+            mask = (parent_value > 0) & (flow != 0.0)
+            term, contribution = terms[:count], shares[:count]
+            for column, slot in zip(kids, slots):
+                _gather(values, column, term)
+                term *= weights[slot][:, None]
+                contribution.fill(0.0)
+                np.divide(term, parent_value, out=contribution, where=mask)
+                contribution *= flow
+                pool[num_nodes + slot] = contribution
+    return pool[:num_nodes], pool[num_nodes:]
+
+
+class _LevelGroups:
+    """A plan's internal nodes and its flows in level groups, built once
+    per plan (:func:`_level_groups`).
+
+    A node's height is 0 for a leaf and one more than its highest child
+    otherwise; a level group is every node of one height, kind and
+    fan-in, as index arrays, so a pass handles the group with one fancy
+    index per child position.  ``up`` holds ``(kind, rows, kids,
+    slots)`` by rising height: ``kids[j]`` / ``slots[j]`` are the
+    group's ``j``-th children and edge slots.  ``down`` holds one
+    ``(inflows, sums)`` pair per height, from the top: ``inflows`` are
+    ``(rows, sources)`` per in-degree, where ``sources[j]`` is the
+    ``j``-th row each node's flow adds (a product's node row, a sum
+    edge's row past the node rows) in the scalar recurrence's order,
+    and ``sums`` are the height's sum groups as ``(rows, kids, slots)``.
+    ``widest`` is the most rows one group holds: the passes gather into
+    scratch that wide, allocated once a pass rather than once a group.
+    """
+
+    __slots__ = ("up", "down", "widest")
+
+    def __init__(self, plan: CircuitPlan):
+        num_nodes = len(plan.entries)
+        height = [0] * num_nodes
+        internal = [entry for entry in plan.entries if entry[0] != _LEAF]
+        for _, dense, _, children, _ in internal:
+            height[dense] = 1 + max(map(height.__getitem__, children))
+        heights = np.array(height)
+        count = len(internal)
+        kinds, nodes, slots = (
+            np.fromiter(map(operator.itemgetter(field), internal), np.intp, count)
+            for field in (0, 1, 4)
+        )
+        kids = list(map(operator.itemgetter(3), internal))
+        fan_in = np.fromiter(map(len, kids), np.intp, count)
+        # Every edge, parent by parent in plan order: its child, and its
+        # node's first edge.
+        children = np.fromiter(chain.from_iterable(kids), np.intp, fan_in.sum())
+        first = np.cumsum(fan_in) - fan_in
+        top = height[plan.root_index]
+        self.up: List[tuple] = []
+        sums: List[list] = [[] for _ in range(top + 1)]
+        for group in _groups(heights[nodes], kinds, fan_in):
+            kind, level = int(kinds[group[0]]), heights[nodes[group[0]]]
+            positions = np.arange(fan_in[group[0]])[:, None]
+            rows, slot_rows = nodes[group], slots[group] + positions
+            self.up.append((kind, rows, children[first[group] + positions], slot_rows))
+            if kind == _SUM:
+                sums[level].append(self.up[-1][1:])
+        # An edge's source row: the parent's own row for a product, its
+        # slot's row past the node rows for a sum edge.  A child's
+        # sources run parent by parent in reverse plan order (a stable
+        # sort keeps a parent's edges in child order).
+        parents = np.repeat(nodes, fan_in)
+        sources = parents.copy()
+        sum_edges = np.repeat(kinds == _SUM, fan_in)
+        sources[sum_edges] = num_nodes + np.arange(len(plan.edge_keys))
+        sources = sources[np.lexsort((-parents, children))]
+        in_degree = np.bincount(children, minlength=num_nodes)
+        in_first = np.cumsum(in_degree) - in_degree
+        targets = np.flatnonzero(in_degree)
+        down: List[list] = [[] for _ in range(top + 1)]
+        for group in _groups(heights[targets], in_degree[targets]):
+            rows = targets[group]
+            columns = sources[in_first[rows] + np.arange(in_degree[rows[0]])[:, None]]
+            down[heights[rows[0]]].append((rows, columns))
+        self.down = [(down[level], sums[level]) for level in range(top, -1, -1)]
+        # The most rows one group reads or writes: the passes' scratch.
+        widths = chain(
+            (group[1] for group in self.up), (group[0] for level in down for group in level)
+        )
+        self.widest = max(map(len, widths), default=0)
+
+
+def _gather(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows[index]`` written into ``out``: scratch the passes reuse, so
+    no group allocates its own block (``mode="clip"`` is numpy's
+    unbuffered ``take``; every index is in range)."""
+    return np.take(rows, index, axis=0, out=out, mode="clip")
+
+
+def _groups(*keys: np.ndarray) -> List[np.ndarray]:
+    """Indices of equal key tuples, one array per distinct tuple (first
+    key most significant)."""
+    order = np.lexsort(keys[::-1])
+    sorted_keys = np.stack(keys)[:, order]
+    cuts = np.flatnonzero((sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)) + 1
+    return np.split(order, cuts) if len(order) else []
+
+
+def _level_groups(plan: CircuitPlan) -> _LevelGroups:
+    """The plan's level groups, built on first use and kept on the plan
+    (its structure never changes).  Two threads racing the first build
+    each store equal groups; either is served."""
+    levels = plan.levels
+    if levels is None:
+        levels = plan.levels = _LevelGroups(plan)
+    return levels
 
 
 def _totals_in_dataset_order(per_input: np.ndarray) -> np.ndarray:
     """Row totals of a (rows, inputs) array, one input added at a time:
-    the same ordered float sum a per-input loop produces (``np.sum``
-    pairs terms up and rounds differently)."""
+    the same ordered float sum a per-input loop from 0.0 produces
+    (``np.sum`` pairs terms up and rounds differently).  ``cumsum``
+    adds left to right; adding its last column to 0.0 gives a total of
+    zeros the loop's ``+0.0``."""
     totals = np.zeros(per_input.shape[0])
-    for column in per_input.T:
-        totals += column
+    if per_input.shape[1]:
+        totals += np.cumsum(per_input, axis=1)[:, -1]
     return totals
 
 

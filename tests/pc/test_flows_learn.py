@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pc.circuit import Circuit, LeafNode, SumNode, bernoulli_leaf
+from repro.pc.circuit import Circuit, LeafNode, ProductNode, SumNode, bernoulli_leaf
 from repro.pc.flows import (
     _evaluate_batch,
     _evidence_columns,
+    _flow_batch,
     dataset_edge_flows,
     edge_flows,
     flow_pruning_bound,
@@ -404,3 +405,80 @@ class TestEM:
             fit_em(dirty, with_row, iterations=iterations)
             assert parameters(dirty) == parameters(clean)
 
+
+
+def shared_circuit_and_data(seed: int, m: int):
+    """A DAG-shaped circuit and ``m`` evidence dicts drawn as
+    :func:`mixed_circuit_and_data` draws them.  ``random_circuit`` never
+    reuses a node, so these are built by hand: either
+    ``test_circuit.py``'s diamond (levels of ``SumNode([a, a])`` over a
+    product), or one sub-circuit reused under sums at several depths."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(2, 5)
+    if rng.random() < 0.3:
+        node = ProductNode([bernoulli_leaf(v, rng.uniform(0.1, 0.9)) for v in range(num_vars)])
+        for _ in range(rng.randint(1, 6)):
+            node = SumNode([node, node], [0.5, 0.5])
+    else:
+        shared = random_circuit(num_vars, depth=1, sum_children=2, seed=seed).root
+        node = shared
+        for level in range(rng.randint(1, 4)):
+            other = random_circuit(
+                num_vars, depth=rng.randint(1, 2), sum_children=3, seed=seed + level + 1
+            )
+            children = [node, shared, other.root]
+            rng.shuffle(children)
+            node = SumNode(children, [rng.uniform(0.1, 1.0) for _ in children])
+        node = SumNode([node, shared], [rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
+    circuit = Circuit(node)
+    circuit.validate()
+    for leaf in circuit.plan().leaves:
+        if leaf.variable % 2:
+            leaf.probabilities = np.array([rng.random() for _ in range(3)])
+    data = [
+        {v: rng.choice(EVIDENCE_VALUES) for v in range(num_vars) if rng.random() < 0.75}
+        for _ in range(m)
+    ]
+    return circuit, data
+
+
+class TestSharedChildren:
+    """A child with several parents sums their flows in reverse plan
+    order, a parent's edges in child order: the batch passes against
+    the per-sample definitions on DAG-shaped circuits, with ``==``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
+    def test_rows_and_node_flows_equal_the_per_sample_recurrence(self, seed, m):
+        circuit, data = shared_circuit_and_data(seed, m)
+        plan = circuit.plan()
+        values = _evaluate_batch(plan, _evidence_columns(plan, data))
+        flows, _ = _flow_batch(plan, values)
+        for j, evidence in enumerate(data):
+            scalar = _evaluate_all(circuit, evidence)
+            per_node = reference_node_flows(circuit, evidence)
+            assert values[:, j].tolist() == [scalar[node.node_id] for node in plan.order]
+            assert flows[:, j].tolist() == [per_node[node.node_id] for node in plan.order]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
+    def test_dataset_totals_are_the_ordered_sum_of_per_sample_flows(self, seed, m):
+        circuit, data = shared_circuit_and_data(seed, m)
+        totals, count = dataset_edge_flows(circuit, data)
+        expected = dict.fromkeys(totals, 0.0)
+        for evidence in data:
+            for key, flow in edge_flows(circuit, evidence).items():
+                expected[key] += flow
+        assert count == m
+        assert totals == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_em_steps_equal_the_per_input_loop(self, seed):
+        batch, data = shared_circuit_and_data(seed, 16)
+        loop, _ = shared_circuit_and_data(seed, 16)
+        counted = [{v: value for v, value in e.items() if value in (0, 1, None)} for e in data]
+        for _ in range(2):
+            fit_em(batch, counted, iterations=1)
+            reference_em_step(loop, counted)
+            assert parameters(batch) == parameters(loop)
