@@ -43,7 +43,8 @@ Package map:
   monotonicity, stats consistency) without executing; the opt-in
   gate (``ReasonSession(verify=True)`` or a per-request
   ``verify=True``) runs inside the compile-once factory, so a rejected
-  program reaches no cache level or store;
+  program reaches no cache level or store, and checks a CNF kernel's
+  SAT model against every clause it was given;
 * :mod:`repro.faults` — deterministic seeded fault injection
   (:class:`FaultPlan`: compile/execute errors, latency, worker
   crashes, store failures and on-disk corruption) exercising the
@@ -67,7 +68,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.35.0"
+__version__ = "1.36.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

@@ -10,7 +10,7 @@ module catches the whole class at compile time, for every kernel:
 instruction to the handler for its kind on an abstract machine
 (:class:`_Machine`: per-bank residency, spill/ghost sets, defined
 values, the issue clock) *without executing anything*.  Six invariant
-families are checked:
+families are checked on a program, and a seventh on a CNF artifact:
 
 ``def-before-use``
     Every COMPUTE operand is resident in a register bank at the address
@@ -36,6 +36,10 @@ families are checked:
     compiler reported match the instruction stream: spill/reload/load/
     NOP counts, the critical-path cycle count, and the PE issue-slot
     accounting.
+``model-soundness``
+    A CNF artifact's SAT model satisfies every clause of the formula
+    the kernel was given (:func:`verify_artifact`; an UNSAT answer is
+    not checked).
 
 Every finding the checks can report is declared once, in ``_RULES``:
 its name, invariant family, severity, message template and hint.
@@ -75,6 +79,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.compiler.program import COMPUTE, KINDS, NO_WRITE, InstructionKind, Program
 from repro.core.compiler.schedule import ScheduleStats
+from repro.logic.cdcl import SolveResult
 
 ERROR = "error"
 WARNING = "warning"
@@ -226,6 +231,13 @@ _TABLE: Dict[str, Dict[str, tuple]] = {
         "run-energy": (
             "energy event {event}: model charged {actual}, stream implies {expected}",
             "keep expected_energy_events in lockstep with run_program's accounting",
+        ),
+    },
+    "model-soundness": {
+        "falsified-clause": (
+            "clause {index} {literals} of the original formula is not satisfied "
+            "by the SAT model",
+            "a model must satisfy every clause the kernel was given, pruned or not",
         ),
     },
 }
@@ -736,13 +748,25 @@ def verify_execution(
 
 def verify_artifact(artifact, config: ArchConfig = DEFAULT_CONFIG) -> VerifyReport:
     """Verify one compiled artifact's program (with its schedule stats
-    when available).  Artifacts without a VLIW program — CNF kernels
-    compile to a CDCL trace instead — verify vacuously."""
+    when available).  A CNF kernel compiles to a CDCL trace instead: a
+    SAT verdict's model must satisfy every clause of the *original*
+    formula (pruning only narrows or drops implied clauses, so a model
+    of the pruned one does), and the first clause it leaves unsatisfied
+    is flagged.  An UNSAT verdict, and any other artifact without a
+    program, verifies vacuously."""
     program = getattr(artifact, "program", None)
-    if program is None:
-        return VerifyReport()
-    stats = getattr(getattr(artifact, "compile_stats", None), "schedule", None)
-    return verify_program(program, config, stats=stats)
+    if program is not None:
+        stats = getattr(getattr(artifact, "compile_stats", None), "schedule", None)
+        return verify_program(program, config, stats=stats)
+    result = VerifyReport()
+    if getattr(artifact, "kind", None) == "cnf" and artifact.extras["verdict"] is SolveResult.SAT:
+        model = artifact.extras["assignment"]
+        for index, clause in enumerate(artifact.kernel.clauses):
+            if clause.evaluate(model) is not True:
+                literals = list(clause.literals)
+                result.findings.append(flag("falsified-clause", -1, index=index, literals=literals))
+                break
+    return result
 
 
 def check_artifact(artifact, config: ArchConfig = DEFAULT_CONFIG) -> None:

@@ -27,6 +27,23 @@ conflicting clause already has, so conflict analysis reads
 for every ``x`` that is not currently false, which is how analysis skips
 the implied literal of a reason clause without comparing.
 
+**Watches.**  A clause of two or more literals is on the watch lists
+of the literals in its slots 0 and 1 and on no other.  BCP walks
+``watches[x]`` for a just-falsified ``x``, which is in slot 0 or 1 of
+every clause on it.  Each visit first puts ``x`` in slot 1 and the
+other watch in slot 0, then leaves the clause in one of two states:
+
+- *moved*: a non-false literal from slot 2 on took slot 1, ``x`` took
+  its place, and the clause went onto that literal's list — never
+  ``x``'s, so the list being walked does not grow;
+- *kept*: the other watch is true, or no slot from 2 on holds a
+  non-false literal, and the clause is unit (the other watch is
+  implied, with this clause as its reason) or conflicting.
+
+Kept clauses stay in ``watches[x]`` in visit order, compacted over the
+slots of the moved ones.  The walk reads every clause it visits, so
+``clause_fetches`` counts the kept and the moved ones alike.
+
 **Event encoding.**  The trace is one ``int`` per event in one flat
 list, ``operand * 8 + kind``: the literal's index for ``imply`` and
 ``decide``, the target level for ``backjump``, the clause size for
@@ -145,13 +162,16 @@ class CDCLSolver:
     Parameters
     ----------
     var_decay:
-        VSIDS activity decay factor applied after each conflict.
+        VSIDS activity decay factor applied after each conflict, in
+        ``(0, 1]``.
     restart_base:
-        Conflict interval unit for the Luby restart sequence.
+        Conflict interval unit for the Luby restart sequence, ``>= 1``.
     clause_db_limit:
-        Soft cap on learned clauses before deletion of low-activity ones.
+        Soft cap on learned clauses before deletion of low-activity
+        ones, ``>= 0``.
     max_conflicts:
-        Optional budget; exceeding it returns ``SolveResult.UNKNOWN``.
+        Optional budget, ``>= 0``; exceeding it returns
+        ``SolveResult.UNKNOWN``.
     record_trace:
         When True, keep the BCP event trace (costs memory on big runs).
     """
@@ -164,6 +184,16 @@ class CDCLSolver:
         max_conflicts: Optional[int] = None,
         record_trace: bool = False,
     ):
+        # A zero restart base restarts before every decision and never
+        # reaches a conflict; a zero decay divides by zero at the first.
+        if not 0 < var_decay <= 1:
+            raise ValueError(f"var_decay must be in (0, 1], got {var_decay!r}")
+        if restart_base < 1:
+            raise ValueError(f"restart_base must be >= 1, got {restart_base!r}")
+        if clause_db_limit < 0:
+            raise ValueError(f"clause_db_limit must be >= 0, got {clause_db_limit!r}")
+        if max_conflicts is not None and max_conflicts < 0:
+            raise ValueError(f"max_conflicts must be None or >= 0, got {max_conflicts!r}")
         self.var_decay = var_decay
         self.restart_base = restart_base
         self.clause_db_limit = clause_db_limit
@@ -344,6 +374,10 @@ class CDCLSolver:
             false_idx = trail[head]
             head += 1
             watchers = watches[false_idx]
+            # ``watchers[:keep]`` are the clauses that stay on this list,
+            # in visit order; ``moved`` of the visited ones have left it.
+            # Until one has, that prefix is the visited one: a kept
+            # clause is stored back only once ``moved`` is non-zero.
             keep = moved = 0
             for clause in watchers:
                 # Ensure the false literal sits at position 1.
@@ -354,11 +388,14 @@ class CDCLSolver:
                     clause[1] = false_idx
                 state = val[first]
                 if state == 1:
-                    watchers[keep] = clause
+                    if moved:
+                        watchers[keep] = clause
                     keep += 1
                     continue
                 # Search a replacement watch.
-                for pos in range(2, len(clause)):
+                size = len(clause)
+                pos = 2
+                while pos < size:
                     other = clause[pos]
                     if val[other]:  # not false
                         clause[1] = other
@@ -368,8 +405,10 @@ class CDCLSolver:
                         watches[other].append(clause)
                         moved += 1
                         break
+                    pos += 1
                 else:
-                    watchers[keep] = clause
+                    if moved:
+                        watchers[keep] = clause
                     keep += 1
                     if state == 0:
                         conflict = clause

@@ -18,6 +18,8 @@ from repro.analysis.mutations import (
     MutationNotApplicable,
     apply_mutation,
 )
+from repro.api.adapters import DEFAULT_OPTIONS, CnfAdapter
+from repro.api.session import ReasonSession
 from repro.core.arch.accelerator import ReasonAccelerator
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.arch.energy import EVENT_NAMES
@@ -25,9 +27,11 @@ from repro.core.compiler import compile_dag
 from repro.core.compiler.program import InstructionKind, Program, VLIWInstruction
 from repro.core.dag import circuit_to_dag, default_leaf_inputs, hmm_to_dag
 from repro.hmm.model import HMM
+from repro.logic.cdcl import SolveResult
 from repro.pc.learn import random_circuit
 
 from tests.conftest import TINY_REGFILE
+from tests.logic.test_search_identity import corpus as cnf_corpus
 
 
 # ------------------------------------------------------------- soundness
@@ -396,3 +400,52 @@ def test_artifact_without_program_verifies_vacuously():
 
     report = verify_artifact(TraceArtifact())
     assert report.ok and report.instructions == 0
+
+
+# ------------------------------------------------------------- CNF models
+
+
+def _cnf_artifact(formula):
+    return CnfAdapter().prepare(formula, DEFAULT_OPTIONS, DEFAULT_CONFIG)
+
+
+#: The search-identity corpus, one entry per distinct formula.
+_CNF_CORPUS = sorted(name for name, (_, kwargs, _) in cnf_corpus().items() if not kwargs)
+
+
+@pytest.mark.parametrize("name", _CNF_CORPUS)
+def test_every_corpus_cnf_passes_the_model_gate(name):
+    """Pruned or not (``redundant-100`` is solved pruned), each SAT
+    model satisfies the clauses the kernel was given."""
+    ReasonSession(verify=True).run(cnf_corpus()[name][0])  # the gate raises on a finding
+
+
+def test_a_corrupted_sat_model_is_flagged_at_its_first_falsified_clause():
+    formula = cnf_corpus()["planted-80"][0]
+    artifact = _cnf_artifact(formula)
+    model = artifact.extras["assignment"]
+    # Falsify clause 40: every literal of it made false.
+    for literal in formula.clauses[40].literals:
+        model[abs(literal)] = literal < 0
+    first = next(i for i, c in enumerate(formula.clauses) if c.evaluate(model) is not True)
+    assert first <= 40
+
+    report = verify_artifact(artifact)
+    assert [(f.rule, f.invariant, f.site) for f in report.findings] == [
+        ("falsified-clause", "model-soundness", -1)
+    ]
+    assert report.findings[0].message.startswith(f"clause {first} ")
+    assert str(list(formula.clauses[first].literals)) in report.findings[0].message
+    artifact.key = "corrupted"
+    with pytest.raises(ProgramVerificationError, match="not satisfied by the SAT model"):
+        check_artifact(artifact)
+
+    # An assignment that leaves a clause's variables out is no model either.
+    artifact.extras["assignment"] = {}
+    assert verify_artifact(artifact).findings[0].message.startswith("clause 0 ")
+
+
+def test_an_unsat_verdict_is_not_checked_yet():
+    artifact = _cnf_artifact(cnf_corpus()["php-5"][0])
+    assert artifact.extras["verdict"] is SolveResult.UNSAT
+    assert verify_artifact(artifact).findings == []

@@ -2,7 +2,9 @@
 reports built from it.
 
 ``RECORDED`` was taken at 73eedf6, before the solver's inner loops moved
-to index-space clause lists and the trace to one int per event: for
+to index-space clause lists and the trace to one int per event (the
+``graph-php-7x5/*/...`` and ``wide`` entries at 62134df, before BCP's
+watcher loop was tightened): for
 every corpus entry the verdict, all nine :class:`CDCLStats` fields and a
 sha256 of the decoded ``(kind, literal, level)`` event stream.  A faster
 solver may change how a search is *run*; one different decision,
@@ -55,6 +57,17 @@ def graph_pigeonhole(holes: int, degree: int, rng: random.Random) -> CNF:
     return CNF([Clause(literals) for literals in clauses], len(pairs))
 
 
+def wide_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> CNF:
+    """Random clauses of 4 to 8 distinct variables: the replacement-watch
+    scan of BCP goes well past slot 2, which the 2- and 3-literal
+    clauses of the other entries seldom make it do."""
+    clauses = []
+    for _ in range(num_clauses):
+        variables = rng.sample(range(1, num_vars + 1), rng.randint(4, 8))
+        clauses.append(Clause([v if rng.random() < 0.5 else -v for v in variables]))
+    return CNF(clauses, num_vars)
+
+
 def corpus():
     """``name -> (formula, solver kwargs, assumptions)``."""
     rng = random.Random("search-identity")
@@ -76,7 +89,16 @@ def corpus():
         "ksat-50/assumed-unsat": (random_ksat(50, 212, seed=2), {}, (3, -7, 60, 11)),
         "php-5/reduce-db": (pigeonhole(5), {"clause_db_limit": 10, "restart_base": 10_000}, ()),
         "php-5/restarts": (pigeonhole(5), {"restart_base": 5}, ()),
+        "wide": (wide_cnf(30, 1200, random.Random("search-identity/wide")), {}, ()),
     }
+    # Deletion and restarts on the refutation family ``cold-logic`` runs
+    # (the formulas above, not new draws from ``rng``).
+    entries["graph-php-7x5/a/reduce-db"] = (
+        entries["graph-php-7x5/a"][0],
+        {"clause_db_limit": 20, "restart_base": 10_000},
+        (),
+    )
+    entries["graph-php-7x5/b/restarts"] = (entries["graph-php-7x5/b"][0], {"restart_base": 5}, ())
     # What the serving path solves is the pruned formula.
     pruned, _ = prune_hidden_literals(entries["redundant-100"][0])
     entries["redundant-100/pruned"] = (pruned, {}, ())
@@ -97,9 +119,17 @@ RECORDED = {
         "unsat", (358, 5058, 333, 332, 2615, 2, 5, 31177, 0), 6416,
         "b83f7dc68f4d558ad62f726293a90119b3b7040ab7f803f9830f15b49f0a4bea",
     ),
+    "graph-php-7x5/a/reduce-db": (
+        "unsat", (399, 5595, 379, 378, 2856, 0, 5, 11934, 344), 7129,
+        "74c43aadedb6373e428c35b00042029270224e33951ac953b478803acc2cd073",
+    ),
     "graph-php-7x5/b": (
         "unsat", (605, 8559, 570, 569, 5035, 4, 5, 76969, 0), 10880,
         "928740bdeea44d725cc3ce644002f7bf5c0dc154887228aef0804dcf1e905811",
+    ),
+    "graph-php-7x5/b/restarts": (
+        "unsat", (684, 8488, 581, 580, 5534, 46, 5, 79430, 0), 11004,
+        "e71da1c889fa288368671a6a5c176ab0cab7366003a39fba474418475073a527",
     ),
     "ksat-120": (
         "unsat", (1569, 42556, 1309, 1308, 12313, 8, 19, 278317, 0), 48065,
@@ -145,6 +175,10 @@ RECORDED = {
         "sat", (11, 48, 0, 0, 0, 0, 11, 117, 0), 59,
         "8503d114e75855c02cc02761c8707f927201e4e6ee28c210924e8e4882c2615a",
     ),
+    "wide": (
+        "unsat", (446, 4211, 415, 414, 2958, 3, 10, 113833, 0), 5905,
+        "de2676d907765daff0086ce9026c62676fe6e01c7426bbaebf2db94ac37ef24d",
+    ),
 }
 
 
@@ -183,6 +217,9 @@ def test_the_corpus_reaches_every_branch_of_the_search():
     stats = {name: dict(zip(fields, RECORDED[name][1])) for name in RECORDED}
     assert stats["php-5/reduce-db"]["deleted_clauses"] > 0
     assert stats["php-5/restarts"]["restarts"] > 0
+    assert stats["graph-php-7x5/a/reduce-db"]["deleted_clauses"] > 0
+    assert stats["graph-php-7x5/b/restarts"]["restarts"] > 0
+    assert stats["wide"]["conflicts"] > 0 and stats["wide"]["restarts"] > 0
     assert stats["ksat-120"]["max_decision_level"] > stats["ksat-120"]["restarts"] > 1
     assert {RECORDED[name][0] for name in RECORDED} == {"sat", "unsat"}
 

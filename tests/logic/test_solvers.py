@@ -1,6 +1,9 @@
 """Tests for the DPLL and CDCL solvers, including
 hypothesis-driven agreement and model-soundness properties."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +45,37 @@ def small_cnf(draw):
         )
         clauses.append(Clause(lits))
     return CNF(clauses, num_vars)
+
+
+@st.composite
+def wide_cnf(draw):
+    """Clauses of up to 8 distinct variables over up to 10: BCP's
+    replacement-watch scan runs past slot 2, which ``small_cnf``'s
+    clauses of at most 3 literals seldom make it do."""
+    num_vars = draw(st.integers(min_value=1, max_value=10))
+    num_clauses = draw(st.integers(min_value=1, max_value=40))
+    clauses = []
+    for _ in range(num_clauses):
+        variables = draw(
+            st.lists(
+                st.integers(min_value=1, max_value=num_vars),
+                min_size=1,
+                max_size=min(8, num_vars),
+                unique=True,
+            )
+        )
+        signs = draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
+        clauses.append(Clause([v if positive else -v for v, positive in zip(variables, signs)]))
+    return CNF(clauses, num_vars)
+
+
+def assert_cdcl_agrees(formula: CNF, satisfiable: bool) -> None:
+    """CDCL's verdict is ``satisfiable``, and a SAT model satisfies
+    every clause."""
+    result, model = solve_cnf(formula)
+    assert (result is SolveResult.SAT) == satisfiable
+    if model is not None:
+        assert formula.is_satisfied_by(model)
 
 
 class TestDPLL:
@@ -196,14 +230,56 @@ class TestCDCL:
     @settings(max_examples=40, deadline=None)
     @given(small_cnf())
     def test_agrees_with_brute_force(self, formula):
-        result, model = solve_cnf(formula)
-        assert (result is SolveResult.SAT) == brute_force_sat(formula)
-        if model is not None:
-            assert formula.is_satisfied_by(model)
+        assert_cdcl_agrees(formula, brute_force_sat(formula))
 
     @settings(max_examples=25, deadline=None)
     @given(small_cnf())
     def test_agrees_with_dpll(self, formula):
-        result, _ = solve_cnf(formula)
-        dpll_model = DPLLSolver().solve(formula)
-        assert (result is SolveResult.SAT) == (dpll_model is not None)
+        assert_cdcl_agrees(formula, DPLLSolver().solve(formula) is not None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_cnf())
+    def test_wide_clauses_agree_with_brute_force(self, formula):
+        assert_cdcl_agrees(formula, brute_force_sat(formula))
+
+    @settings(max_examples=25, deadline=None)
+    @given(wide_cnf())
+    def test_wide_clauses_agree_with_dpll(self, formula):
+        assert_cdcl_agrees(formula, DPLLSolver().solve(formula) is not None)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"var_decay": 0}, r"var_decay must be in \(0, 1\], got 0"),
+            ({"var_decay": 1.5}, r"var_decay must be in \(0, 1\], got 1.5"),
+            ({"var_decay": float("nan")}, r"var_decay must be in \(0, 1\], got nan"),
+            ({"clause_db_limit": -1}, "clause_db_limit must be >= 0, got -1"),
+            ({"max_conflicts": -1}, "max_conflicts must be None or >= 0, got -1"),
+        ],
+        ids=["decay-0", "decay-1.5", "decay-nan", "db-limit--1", "budget--1"],
+    )
+    def test_bad_parameters_are_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CDCLSolver(**kwargs)
+
+    def test_boundary_parameters_are_accepted(self):
+        solver = CDCLSolver(var_decay=1, restart_base=1, clause_db_limit=0, max_conflicts=0)
+        result, _ = solver.solve(pigeonhole(3))
+        assert result is SolveResult.UNKNOWN  # the one conflict is over the budget
+        assert solve_cnf(random_ksat(20, 60, seed=1), restart_base=1)[0] is SolveResult.SAT
+
+    def test_zero_restart_base_fails_fast_instead_of_hanging(self):
+        """Before the check, this solve restarted before every decision
+        and never returned, whatever the conflict budget.  It runs in a
+        child process with a timeout, so a regression fails the suite
+        instead of hanging it."""
+        script = (
+            "from repro.logic.cdcl import CDCLSolver\n"
+            "from repro.logic.generators import random_ksat\n"
+            "CDCLSolver(restart_base=0, max_conflicts=1000).solve(random_ksat(20, 60, seed=1))\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 1
+        assert "ValueError: restart_base must be >= 1, got 0" in child.stderr
