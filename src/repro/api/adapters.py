@@ -18,7 +18,7 @@ import os
 import pickle
 import struct
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -207,8 +207,20 @@ _DEFAULT_CONTEXTS: Dict[Tuple["KernelAdapter", bytes], tuple] = {}
 
 def neural_time(seconds: object, index: int = 0) -> float:
     """``seconds`` as one task's neural-stage time: a float, finite and
-    ≥ 0, or a ValueError naming its ``index`` in the batch."""
-    seconds = float(seconds)
+    ≥ 0, or an error naming its ``index`` in the batch — a TypeError for
+    anything but a real number (a bool, a ``str``, ``None``), a
+    ValueError for NaN, infinity or a negative value."""
+    if type(seconds) is not float:
+        kind = getattr(getattr(seconds, "dtype", None), "kind", None)
+        if isinstance(seconds, bool) or not (
+            isinstance(seconds, Real)
+            or (getattr(seconds, "ndim", None) == 0 and kind in ("i", "u", "f"))
+        ):
+            raise TypeError(
+                f"neural_s[{index}] is {seconds!r} ({type(seconds).__name__}): "
+                "it must be a real number"
+            )
+        seconds = float(seconds)
     if not 0.0 <= seconds < math.inf:
         raise ValueError(f"neural_s[{index}] is {seconds!r}: it must be finite and >= 0")
     return seconds
@@ -217,10 +229,16 @@ def neural_time(seconds: object, index: int = 0) -> float:
 def per_kernel_neural_s(count: int, neural_s: Union[float, Sequence[float]]) -> List[float]:
     """One :func:`neural_time` per kernel of a batch.
 
-    ``neural_s`` is a scalar broadcast — any 0-d real: a Python or numpy
-    number, or a 0-d array — or one value per kernel.
+    ``neural_s`` is one value per kernel, or a scalar broadcast — any 0-d
+    real: a Python or numpy number, or a 0-d array.  Anything that is not
+    a sequence (a ``str`` or ``bytes`` included) is one value, checked as
+    ``neural_s[0]``.
     """
-    if isinstance(neural_s, Real) or getattr(neural_s, "ndim", None) == 0:
+    if (
+        isinstance(neural_s, (str, bytes, bytearray))
+        or not isinstance(neural_s, Iterable)
+        or getattr(neural_s, "ndim", None) == 0
+    ):
         neural_s = [neural_s] * count
     neural_times = [neural_time(t, index) for index, t in enumerate(neural_s)]
     if len(neural_times) != count:

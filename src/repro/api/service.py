@@ -792,14 +792,17 @@ class ReasonService:
         request is rejected with :class:`ServiceOverloaded` and no
         state changes.
 
-        ``deadline_s`` gives the request a wall-clock budget — seconds,
-        or a named class from
-        :data:`~repro.api.resilience.DEADLINE_CLASSES`
-        (``"interactive"`` | ``"standard"`` | ``"batch"``).  A request
-        whose *predicted* completion (shard backlog + its own predicted
-        seconds) already exceeds the budget is rejected at admission
-        with :class:`ServiceOverloaded` (``reason="deadline"``); one
-        that expires while queued or executing resolves with
+        ``deadline_s`` gives the request a budget in seconds, or a named
+        class from :data:`~repro.api.resilience.DEADLINE_CLASSES`
+        (``"interactive"`` | ``"standard"`` | ``"batch"``), and that
+        one number is read on two clocks.  Admission reads it on the
+        *modeled* clock: a request whose predicted completion — the
+        shard's ``busy_s`` plus its own ``predicted_s``, the cost
+        model's seconds, which on the ``reason`` backend are modeled
+        REASON seconds — already exceeds it is rejected with
+        :class:`ServiceOverloaded` (``reason="deadline"``).  The expiry
+        timer reads it on the *wall* clock from admission: a request
+        still queued or executing when it fires resolves with
         :class:`~repro.api.resilience.DeadlineExceeded`.
         """
         options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS

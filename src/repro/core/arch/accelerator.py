@@ -4,8 +4,9 @@ Two execution paths mirror the paper's two kernel families:
 
 * :meth:`ReasonAccelerator.run_program` executes a compiled VLIW program
   (probabilistic / logic DAG inference): it evaluates each block's tree
-  — validated against the reference DAG evaluator — and counts cycles,
-  memory traffic and energy from the instruction stream.
+  on the values it is given and counts cycles, memory traffic and energy
+  from the instruction stream.  It validates nothing: the ``software``
+  backend is the reference its answers are compared with.
 * :meth:`ReasonAccelerator.run_symbolic` replays a CDCL solver trace on
   the symbolic machinery (watch lists in their linked-list SRAM
   layout, broadcast/reduction over the node tree), charging each event
@@ -114,9 +115,11 @@ class ReasonAccelerator:
         costs of this run (the chip's counters keep accumulating).
 
         ``inputs`` maps DAG leaf node ids to values (same contract as
-        :func:`repro.core.dag.graph.evaluate_dag`); missing inputs
-        default to 0.0 for logic and to the leaf payload mass for
-        probabilistic leaves when the compiler recorded one.
+        :func:`repro.core.dag.graph.evaluate_dag`).  Nothing defaults: a
+        leaf the program reads with no entry is a ``KeyError`` naming
+        its node id.  The ``reason`` backend passes
+        :func:`repro.core.dag.graph.default_leaf_inputs` of the
+        program's DAG.
 
         The values are computed block by block: each COMPUTE's tree
         bottom-up, one op node at a time.  The costs are *counted*:

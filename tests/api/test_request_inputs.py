@@ -51,17 +51,35 @@ def test_numpy_integer_queries_are_accepted():
     assert report.cycles == session.run(hmm, queries=3).cycles
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
-def test_neural_s_must_be_finite_and_not_negative(bad):
+BAD_NEURAL_S = {
+    "negative": (-1.0, ValueError),
+    "nan": (math.nan, ValueError),
+    "inf": (math.inf, ValueError),
+    # Only a real number is a time: a bool is not 1.0 s, a str is not
+    # parsed (nor, for a whole batch, walked character by character).
+    "bool": (True, TypeError),
+    "numpy bool": (np.True_, TypeError),
+    "0-d bool array": (np.array(True), TypeError),
+    "string": ("0.5", TypeError),
+    "bytes": (b"1.5", TypeError),
+    "none": (None, TypeError),
+    "complex": (1j, TypeError),
+}
+
+
+@pytest.mark.parametrize("bad, error", BAD_NEURAL_S.values(), ids=list(BAD_NEURAL_S))
+def test_neural_s_must_be_finite_and_not_negative(bad, error):
     hmm = HMM.random(4, 3, seed=1)
-    with pytest.raises(ValueError, match=r"neural_s\[1\] is"):
+    with pytest.raises(error, match=r"neural_s\[1\] is"):
         ReasonSession().run_batch([hmm, hmm], neural_s=[0.5, bad])
-    with pytest.raises(ValueError, match=r"neural_s\[0\] is"):
+    with pytest.raises(error, match=r"neural_s\[0\] is"):
         ReasonSession().run_batch([hmm, hmm], neural_s=bad)
     with ReasonService(shards=1) as service:
-        with pytest.raises(ValueError, match=r"neural_s\[0\] is"):
+        with pytest.raises(error, match=r"neural_s\[0\] is"):
             service.submit(hmm, neural_s=bad)
-        with pytest.raises(ValueError, match=r"neural_s\[1\] is"):
+        with pytest.raises(error, match=r"neural_s\[0\] is"):
+            service.submit_batch([hmm, hmm], neural_s=bad)
+        with pytest.raises(error, match=r"neural_s\[1\] is"):
             service.submit_batch([hmm, hmm], neural_s=[0.0, bad])
         assert service.stats().submitted == 0
 
