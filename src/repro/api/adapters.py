@@ -17,7 +17,6 @@ import math
 import os
 import pickle
 import struct
-import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -324,8 +323,9 @@ class KernelAdapter:
     def prepare(self, kernel: object, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
         raise NotImplementedError
 
-    def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
-        """Answer the canonical query in software; returns (result, wall_s)."""
+    def reference(self, artifact: CompiledArtifact) -> Optional[float]:
+        """Answer the canonical query in software (the ``software``
+        backend times the call)."""
         raise NotImplementedError
 
     # Shared path for every DAG-backed family (circuit / HMM / raw DAG):
@@ -414,11 +414,9 @@ class CnfAdapter(KernelAdapter):
             extras={"verdict": verdict, "assignment": model},
         )
 
-    def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
-        start = time.perf_counter()
+    def reference(self, artifact: CompiledArtifact) -> Optional[float]:
         verdict, _ = CDCLSolver().solve(artifact.model)
-        elapsed = time.perf_counter() - start
-        return (1.0 if verdict is SolveResult.SAT else 0.0), elapsed
+        return 1.0 if verdict is SolveResult.SAT else 0.0
 
 
 class CircuitAdapter(KernelAdapter):
@@ -450,10 +448,8 @@ class CircuitAdapter(KernelAdapter):
             model = kernel
         return self._compile_artifact(kernel, config, dag, model, optimization, KernelClass.MARGINAL)
 
-    def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
-        start = time.perf_counter()
-        value = likelihood(artifact.model, {})
-        return value, time.perf_counter() - start
+    def reference(self, artifact: CompiledArtifact) -> Optional[float]:
+        return likelihood(artifact.model, {})
 
 
 class HmmAdapter(KernelAdapter):
@@ -494,11 +490,8 @@ class HmmAdapter(KernelAdapter):
         artifact.extras["observations"] = observations
         return artifact
 
-    def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
-        observations = artifact.extras["observations"]
-        start = time.perf_counter()
-        value = math.exp(hmm_log_likelihood(artifact.model, observations))
-        return value, time.perf_counter() - start
+    def reference(self, artifact: CompiledArtifact) -> Optional[float]:
+        return math.exp(hmm_log_likelihood(artifact.model, artifact.extras["observations"]))
 
 
 class DagAdapter(KernelAdapter):
@@ -546,13 +539,10 @@ class DagAdapter(KernelAdapter):
         kernel_class = KernelClass.MARGINAL if probabilistic else KernelClass.LOGIC
         return self._compile_artifact(kernel, config, kernel, None, None, kernel_class)
 
-    def reference(self, artifact: CompiledArtifact) -> Tuple[Optional[float], float]:
+    def reference(self, artifact: CompiledArtifact) -> Optional[float]:
         dag = artifact.dag
-        start = time.perf_counter()
         values = evaluate_dag(dag, default_leaf_inputs(dag))
-        elapsed = time.perf_counter() - start
-        result = values.get(dag.root) if dag.root is not None else None
-        return result, elapsed
+        return values.get(dag.root) if dag.root is not None else None
 
 
 #: Type → adapter registry.  Exact type match wins; otherwise the most

@@ -19,6 +19,7 @@ runs the registered instance.  Adding a new substrate is one
 from __future__ import annotations
 
 import abc
+import time
 from typing import Dict, List, Optional
 
 from repro.api.adapters import DEFAULT_OPTIONS, RunOptions, adapter_for
@@ -188,7 +189,9 @@ class SoftwareBackend(Backend):
 
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
         adapter = adapter_for(artifact.kernel)
-        result, wall_s = adapter.reference(artifact)
+        start = time.perf_counter()
+        result = adapter.reference(artifact)
+        wall_s = time.perf_counter() - start
         return ExecutionReport(
             backend=self.name,
             kernel=artifact.kind,

@@ -130,9 +130,10 @@ class DagPlan:
     ``weights`` (a SUM's weights as a float tuple, ``()`` for every other
     op) are the DAG's columns as of the build; ``leaf`` (the op is in
     :data:`LEAF_OPS`) and ``parents`` (how many nodes list the id as a
-    child) are derived.  The totals are what :meth:`Dag.max_fan_in` and
-    :meth:`Dag.memory_footprint` count over the reachable nodes and
-    :attr:`Dag.num_edges` over all of them.
+    child) are derived.  ``max_fan_in`` and ``footprint`` (what
+    :meth:`Dag.memory_footprint` returns) are totals over the reachable
+    nodes, ``num_edges`` (what :attr:`Dag.num_edges` returns) over all
+    of them.
     """
 
     __slots__ = (
@@ -280,9 +281,6 @@ class Dag:
             if kids:
                 depths[node_id] = 1 + max(map(depths.__getitem__, kids))
         return depths[self.root]
-
-    def max_fan_in(self) -> int:
-        return self.plan().max_fan_in
 
     def op_histogram(self) -> Dict[OpType, int]:
         plan = self.plan()

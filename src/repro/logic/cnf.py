@@ -112,9 +112,6 @@ class CNF:
     def __len__(self) -> int:
         return len(self.clauses)
 
-    def __iter__(self) -> Iterator[Clause]:
-        return iter(self.clauses)
-
     def add_clause(self, literals: Iterable[Literal]) -> Clause:
         clause = literals if isinstance(literals, Clause) else Clause(literals)
         self.clauses.append(clause)

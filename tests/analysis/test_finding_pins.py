@@ -3,9 +3,9 @@
 Each case is a sha256 over the report's ordered ``describe()`` lines
 plus its ``computes``, ``ghost_reads`` and ``starved_reads`` counters:
 the nine catalogued mutations planted in two spill-heavy programs (the
-overflow circuit and the HMM, both on the 2x3 register file), the
-hand-built negatives of ``test_verifier.py``, and the four
-``verify_execution`` drift cases there.  The digests were recorded at
+corpus's ``overflow`` circuit and ``hmm``, both on the 2x3 register
+file), the corpus's hand-built ``NEGATIVES``, and the four
+``verify_execution`` drift cases of ``test_verifier.py``.  The digests were recorded at
 b77a3dd, before ``verify_program`` became a rule table; a verifier
 change that keeps every finding, its wording and its order passes them
 unedited.
@@ -22,11 +22,10 @@ from repro.core.arch.accelerator import ReasonAccelerator
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.compiler import compile_dag
 from repro.core.compiler.program import Program
-from repro.core.dag import default_leaf_inputs, hmm_to_dag
-from repro.hmm.model import HMM
+from repro.core.dag import default_leaf_inputs
 
-from tests.analysis.test_verifier import _NEGATIVES
-from tests.conftest import TINY_REGFILE
+from tests import corpus
+from tests.corpus import NEGATIVES, TINY_REGFILE
 
 PINNED = {
     "mutation/overflow/bank-overflow": "35d58646bbfa9429f07474b54c1ea2590d7a5f59f61bf52fc7f266129db35e9f",
@@ -74,8 +73,7 @@ def report_digest(report) -> str:
 
 @pytest.fixture(scope="module")
 def schedules(overflow_schedule):
-    dag = hmm_to_dag(HMM.random(6, 4, seed=1), [0, 1, 2, 3])
-    program, stats = compile_dag(dag, TINY_REGFILE)
+    program, stats = compile_dag(corpus.build("hmm")[0], TINY_REGFILE)
     return {
         "overflow": (overflow_schedule[0], overflow_schedule[1].schedule),
         "hmm": (program, stats.schedule),
@@ -89,7 +87,7 @@ def _mutation_report(schedules, kernel, name):
 
 
 def _negative_report(name):
-    instructions = _NEGATIVES[name][0]
+    instructions = NEGATIVES[name][0]
     config = dataclasses.replace(DEFAULT_CONFIG, regs_per_bank=2)
     return verify_program(Program(instructions, root_value=5), config)
 
@@ -114,7 +112,7 @@ def _drift_report(schedules, drift):
 
 def test_every_case_is_pinned():
     cases = {f"mutation/{k}/{name}" for k in ("overflow", "hmm") for name in CATALOG}
-    cases |= {f"negative/{name}" for name in _NEGATIVES}
+    cases |= {f"negative/{name}" for name in NEGATIVES}
     cases |= {f"execution/{d}" for d in ("stalls", "cycles", "instructions", "energy")}
     assert set(PINNED) == cases
 

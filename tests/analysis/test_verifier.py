@@ -25,13 +25,11 @@ from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.arch.energy import EVENT_NAMES
 from repro.core.compiler import compile_dag
 from repro.core.compiler.program import InstructionKind, Program, VLIWInstruction
-from repro.core.dag import circuit_to_dag, default_leaf_inputs, hmm_to_dag
-from repro.hmm.model import HMM
+from repro.core.dag import default_leaf_inputs
 from repro.logic.cdcl import SolveResult
-from repro.pc.learn import random_circuit
 
-from tests.conftest import TINY_REGFILE
-from tests.logic.test_search_identity import corpus as cnf_corpus
+from tests import corpus
+from tests.corpus import NEGATIVES, TINY_REGFILE
 
 
 # ------------------------------------------------------------- soundness
@@ -52,55 +50,11 @@ def test_overflow_kernel_verifies_clean(overflow_schedule, tiny_regfile):
     assert report.ghost_reads > 0
 
 
-def test_default_config_corpus_verifies_clean():
-    for seed in range(4):
-        circuit = random_circuit(6, depth=2, sum_children=2, seed=seed)
-        dag, _ = circuit_to_dag(circuit)
-        program, stats = compile_dag(dag, DEFAULT_CONFIG)
-        report = verify_program(program, DEFAULT_CONFIG, stats=stats.schedule)
-        assert report.findings == [], [f.describe() for f in report.findings]
-
-
 def test_hmm_kernel_verifies_clean_under_pressure():
-    dag = hmm_to_dag(HMM.random(6, 4, seed=1), [0, 1, 2, 3])
-    program, stats = compile_dag(dag, TINY_REGFILE)
+    program, stats = compile_dag(corpus.build("hmm")[0], TINY_REGFILE)
     assert stats.schedule.spills > 0  # the config is actually starved
     report = verify_program(program, TINY_REGFILE, stats=stats.schedule)
     assert report.findings == []
-
-
-#: Mid-pressure point between "never spills" and "always spills".
-MID_REGFILE = dataclasses.replace(
-    DEFAULT_CONFIG, num_banks=4, regs_per_bank=6, num_pes=2
-)
-_PRESSURES = {
-    "default": DEFAULT_CONFIG,
-    "mid-regfile": MID_REGFILE,
-    "tiny-regfile": TINY_REGFILE,
-}
-
-
-def _circuit_dag(num_vars, depth, sum_children, seed):
-    circuit = random_circuit(num_vars, depth=depth, sum_children=sum_children, seed=seed)
-    return circuit_to_dag(circuit)[0]
-
-
-_KERNELS = {
-    "overflow": lambda: _circuit_dag(8, 3, 3, seed=13),
-    "hmm": lambda: hmm_to_dag(HMM.random(6, 4, seed=1), [0, 1, 2, 3]),
-    **{
-        f"circuit-s{seed}": (lambda seed=seed: _circuit_dag(6, 2, 2, seed=seed))
-        for seed in range(8)
-    },
-}
-#: Every kernel family the compiler emits today across spill-pressure
-#: settings: 28 (kernel, register file) pairs.
-CORPUS = [
-    ("overflow", "tiny-regfile"),
-    ("overflow", "default"),
-    ("hmm", "default"),
-    ("hmm", "tiny-regfile"),
-] + [(f"circuit-s{seed}", pressure) for seed in range(8) for pressure in _PRESSURES]
 
 
 def _execution_findings(program, config):
@@ -119,13 +73,13 @@ def _execution_findings(program, config):
     return [f.describe() for f in report.findings]
 
 
-@pytest.mark.parametrize("kernel, pressure", CORPUS)
+@pytest.mark.parametrize("kernel, pressure", corpus.VERIFIER_CASES)
 def test_corpus_verifies_clean_and_execution_agrees(kernel, pressure):
     """Soundness: zero findings, schedule stats included, on everything
     the compiler emits — and the static prediction equals a real
     ``run_program`` exactly."""
-    config = _PRESSURES[pressure]
-    program, stats = compile_dag(_KERNELS[kernel](), config)
+    config = corpus.config(pressure)
+    program, stats = compile_dag(corpus.build(kernel)[0], config)
     report = verify_program(program, config, stats=stats.schedule)
     assert report.findings == [], [f.describe() for f in report.findings]
     assert _execution_findings(program, config) == []
@@ -177,9 +131,7 @@ def test_stale_reload_reconstruction_matches_pre_pr5_bug(
 
 
 def test_mutation_not_applicable_on_spill_free_program():
-    circuit = random_circuit(6, depth=2, sum_children=2, seed=0)
-    dag, _ = circuit_to_dag(circuit)
-    program, stats = compile_dag(dag, DEFAULT_CONFIG)
+    program, stats = compile_dag(corpus.build("circuit-s0")[0], DEFAULT_CONFIG)
     assert stats.schedule.spills == 0
     with pytest.raises(MutationNotApplicable):
         apply_mutation("stale-reload", program, stats.schedule)
@@ -194,20 +146,9 @@ def test_unknown_mutation_name_raises_keyerror(overflow_schedule):
 # ------------------------------------------------- hand-built negatives
 
 
-def _compute(output, reads, cycle, operands=None):
-    return VLIWInstruction(
-        InstructionKind.COMPUTE,
-        reads=list(reads),
-        write=reads[0] if reads else (0, 0),
-        issue_cycle=cycle,
-        leaf_operands=dict(enumerate(operands or [])),
-        output_value=output,
-    )
-
-
 def test_undefined_operand_is_flagged():
     program = Program(
-        instructions=[_compute(5, [(0, 0)], 0, operands=[3])]
+        instructions=[corpus.compute(5, [(0, 0)], 0, operands=[3])]
     )
     report = verify_program(program, DEFAULT_CONFIG)
     assert any(
@@ -252,60 +193,11 @@ def test_dead_reload_is_a_warning_not_an_error():
     )
 
 
-def _move(kind, value, write=None, reads=()):
-    return VLIWInstruction(kind, value=value, write=write, reads=list(reads))
-
-
-_LOAD, _STORE = InstructionKind.LOAD, InstructionKind.STORE
-_SPILL, _RELOAD = InstructionKind.SPILL, InstructionKind.RELOAD
-_LOAD_1 = _move(_LOAD, 1, (0, 0))
-_COMPUTE_5 = _compute(5, [(0, 0)], 0, operands=[1])
-#: One smallest stream per error that no compiled program and no
-#: catalogued mutant raises: (instructions, invariant, message).
-_NEGATIVES = {
-    "write-without-slot": ([_move(_LOAD, 1)], "bank-capacity", "LOAD has no register slot"),
-    "fractional-addresses-overfill-a-bank": (
-        [_move(_LOAD, value, (0, addr)) for value, addr in enumerate((0, 1, 0.5))],
-        "bank-capacity",
-        "bank 0 holds 3 live values (capacity 2)",
-    ),
-    "reload-of-resident": (
-        [_LOAD_1, _move(_RELOAD, 1, (0, 1))],
-        "spill-reload-pairing",
-        "RELOAD of value 1 which is already resident at (0, 0)",
-    ),
-    "spill-reads-wrong-register": (
-        [_LOAD_1, _move(_SPILL, 1, reads=[(0, 1)])],
-        "spill-reload-pairing",
-        "SPILL of value 1 reads (0, 1) but the value lives at (0, 0)",
-    ),
-    "store-of-undefined": ([_move(_STORE, 7)], "def-before-use", "STORE of undefined value 7"),
-    "operand-read-at-stale-address": (
-        [_LOAD_1, _compute(5, [(0, 1)], 0, operands=[1])],
-        "def-before-use",
-        "operand 1 is resident at (0, 0) but the instruction reads [(0, 1)]",
-    ),
-    "root-never-written": (
-        [_LOAD_1, dataclasses.replace(_COMPUTE_5, write=None)],
-        "def-before-use",
-        "root value 5 is never defined",
-    ),
-    "nop-in-a-busy-cycle": (
-        [_LOAD_1, _COMPUTE_5, VLIWInstruction(InstructionKind.NOP, issue_cycle=0)],
-        "cycle-monotonic",
-        "NOP at cycle 0 which already issued work",
-    ),
-    "unaccounted-cycle": (
-        [_LOAD_1, _COMPUTE_5, _move(_LOAD, 2, (1, 0)), _compute(6, [(1, 0)], 2, operands=[2])],
-        "cycle-monotonic",
-        "cycles [1] are neither issue nor NOP cycles",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", _NEGATIVES)
+@pytest.mark.parametrize("name", NEGATIVES)
 def test_every_hand_built_negative_is_flagged(name):
-    instructions, invariant, message = _NEGATIVES[name]
+    """One smallest stream per error that no compiled program and no
+    catalogued mutant raises."""
+    instructions, invariant, message = NEGATIVES[name]
     config = dataclasses.replace(DEFAULT_CONFIG, regs_per_bank=2)
     report = verify_program(Program(instructions, root_value=5), config)
     assert [f.invariant for f in report.errors if f.message == message] == [
@@ -409,19 +301,21 @@ def _cnf_artifact(formula):
     return CnfAdapter().prepare(formula, DEFAULT_OPTIONS, DEFAULT_CONFIG)
 
 
-#: The search-identity corpus, one entry per distinct formula.
-_CNF_CORPUS = sorted(name for name, (_, kwargs, _) in cnf_corpus().items() if not kwargs)
+#: The corpus's search formulas, one entry per distinct formula.
+_CNF_CORPUS = sorted(
+    name for name in corpus.FAMILIES["search"] if not corpus.build(name)[1]["solver"]
+)
 
 
 @pytest.mark.parametrize("name", _CNF_CORPUS)
 def test_every_corpus_cnf_passes_the_model_gate(name):
     """Pruned or not (``redundant-100`` is solved pruned), each SAT
     model satisfies the clauses the kernel was given."""
-    ReasonSession(verify=True).run(cnf_corpus()[name][0])  # the gate raises on a finding
+    ReasonSession(verify=True).run(corpus.build(name)[0])  # the gate raises on a finding
 
 
 def test_a_corrupted_sat_model_is_flagged_at_its_first_falsified_clause():
-    formula = cnf_corpus()["planted-80"][0]
+    formula = corpus.build("planted-80")[0]
     artifact = _cnf_artifact(formula)
     model = artifact.extras["assignment"]
     # Falsify clause 40: every literal of it made false.
@@ -446,6 +340,6 @@ def test_a_corrupted_sat_model_is_flagged_at_its_first_falsified_clause():
 
 
 def test_an_unsat_verdict_is_not_checked_yet():
-    artifact = _cnf_artifact(cnf_corpus()["php-5"][0])
+    artifact = _cnf_artifact(corpus.build("php-5")[0])
     assert artifact.extras["verdict"] is SolveResult.UNSAT
     assert verify_artifact(artifact).findings == []

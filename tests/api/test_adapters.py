@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.api.adapters import (
     CircuitAdapter,
     CnfAdapter,
     DagAdapter,
-    HmmAdapter,
     KernelAdapter,
     RunOptions,
 )
@@ -35,20 +35,13 @@ from repro.pc.circuit import Circuit, CircuitNode, LeafNode, ProductNode, SumNod
 from repro.pc.flows import dataset_edge_flows
 from repro.pc.learn import random_circuit
 
-
-def fingerprint(kernel, **options):
-    return adapter_for(kernel).fingerprint(kernel, RunOptions(**options), DEFAULT_CONFIG)
+from tests.corpus import KINDS, key, small, small_kernels
 
 
 class TestRegistryDispatch:
     def test_each_kernel_family_resolves(self):
-        kinds = {
-            adapter_for(random_ksat(6, 18, seed=0)).kind: CNF,
-            adapter_for(random_circuit(4, depth=2, seed=1)).kind: Circuit,
-            adapter_for(HMM.random(3, 4, seed=2)).kind: HMM,
-            adapter_for(cnf_to_dag(random_ksat(5, 12, seed=3))[0]).kind: Dag,
-        }
-        assert set(kinds) == {"cnf", "circuit", "hmm", "dag"}
+        kinds = [adapter_for(kernel).kind for kernel in small_kernels()]
+        assert kinds == list(KINDS) == ["cnf", "circuit", "hmm", "dag"]
 
     def test_unsupported_type_raises_with_supported_list(self):
         with pytest.raises(TypeError, match="unsupported kernel type: str"):
@@ -103,37 +96,19 @@ class TestRegistryDispatch:
 
 class TestFingerprints:
     def test_identical_content_same_key(self):
-        options = RunOptions()
-        a = random_ksat(10, 30, seed=4)
-        b = random_ksat(10, 30, seed=4)  # fresh object, same content
-        adapter = CnfAdapter()
-        assert a is not b
-        assert adapter.fingerprint(a, options, DEFAULT_CONFIG) == adapter.fingerprint(
-            b, options, DEFAULT_CONFIG
-        )
+        a, b = small("cnf")[0], small("cnf")[0]  # fresh objects, same content
+        assert a is not b and key(a) == key(b)
 
     def test_different_content_different_key(self):
-        options = RunOptions()
-        adapter = CnfAdapter()
-        a = random_ksat(10, 30, seed=4)
-        b = random_ksat(10, 30, seed=5)
-        assert adapter.fingerprint(a, options, DEFAULT_CONFIG) != adapter.fingerprint(
-            b, options, DEFAULT_CONFIG
-        )
+        assert key(random_ksat(10, 30, seed=4)) != key(random_ksat(10, 30, seed=5))
 
     def test_options_are_part_of_the_key(self):
-        adapter = CnfAdapter()
-        kernel = random_ksat(10, 30, seed=6)
-        optimized = adapter.fingerprint(kernel, RunOptions(optimize=True), DEFAULT_CONFIG)
-        raw = adapter.fingerprint(kernel, RunOptions(optimize=False), DEFAULT_CONFIG)
-        assert optimized != raw
+        kernel = small("cnf")[0]
+        assert key(kernel, optimize=True) != key(kernel, optimize=False)
 
     def test_hmm_observations_in_key(self):
-        adapter = HmmAdapter()
-        hmm = HMM.random(3, 4, seed=7)
-        a = adapter.fingerprint(hmm, RunOptions(hmm_observations=(0, 1)), DEFAULT_CONFIG)
-        b = adapter.fingerprint(hmm, RunOptions(hmm_observations=(1, 0)), DEFAULT_CONFIG)
-        assert a != b
+        hmm = small("hmm")[0]
+        assert key(hmm, hmm_observations=(0, 1)) != key(hmm, hmm_observations=(1, 0))
 
     def test_empty_hmm_observations_raise_cold_and_warm(self):
         """``[]`` is a request of its own, not the default unroll: it
@@ -147,37 +122,33 @@ class TestFingerprints:
             session.run(hmm, hmm_observations=[])
 
     def test_dag_key_covers_structure(self):
-        adapter = DagAdapter()
         dag_a, _ = cnf_to_dag(random_ksat(6, 15, seed=8))
         dag_b, _ = cnf_to_dag(random_ksat(6, 15, seed=9))
-        options = RunOptions()
-        assert adapter.fingerprint(dag_a, options, DEFAULT_CONFIG) != adapter.fingerprint(
-            dag_b, options, DEFAULT_CONFIG
-        )
+        assert key(dag_a) != key(dag_b)
 
     def test_clause_boundaries_are_part_of_the_key(self):
         # The same literal stream, cut differently.
-        assert fingerprint(CNF([[1, 2], [3]], 3)) != fingerprint(CNF([[1], [2, 3]], 3))
+        assert key(CNF([[1, 2], [3]], 3)) != key(CNF([[1], [2, 3]], 3))
         # Clause normalises literal order; declared variables count.
-        assert fingerprint(CNF([[1, 2], [3]], 3)) == fingerprint(CNF([(2, 1), (3,)], 3))
-        assert fingerprint(CNF([[1, 2], [3]], 3)) != fingerprint(CNF([[1, 2], [3]], 4))
+        assert key(CNF([[1, 2], [3]], 3)) == key(CNF([(2, 1), (3,)], 3))
+        assert key(CNF([[1, 2], [3]], 3)) != key(CNF([[1, 2], [3]], 4))
 
     def test_calibration_boundaries_are_part_of_the_key(self):
         hmm = HMM.random(3, 4, seed=7)
 
-        def key(calibration):
-            return fingerprint(hmm, calibration=calibration)
+        def keyed(calibration):
+            return key(hmm, calibration=calibration)
 
-        assert key([[1, 2], [3]]) != key([[1], [2, 3]])
-        assert key([[1, 2], [3]]) == key([(1, 2), np.array([3])])
-        assert key([]) != key(None) != key([[]])
+        assert keyed([[1, 2], [3]]) != keyed([[1], [2, 3]])
+        assert keyed([[1, 2], [3]]) == keyed([(1, 2), np.array([3])])
+        assert keyed([]) != keyed(None) != keyed([[]])
 
     def test_marginal_evidence_is_not_a_value(self):
         """``None``, an absent variable and the int64 code flows uses
         for a marginalised one are three different requests."""
         circuit = mixture()
         keys = [
-            fingerprint(circuit, calibration=[evidence])
+            key(circuit, calibration=[evidence])
             for evidence in ({1: None}, {}, {1: -(2**63)}, {1: 0}, {0: 1}, {1: 2**63})
         ]
         assert len(set(keys)) == len(keys)
@@ -185,11 +156,11 @@ class TestFingerprints:
     def test_evidence_order_is_not_part_of_the_key(self):
         circuit = mixture()
 
-        def key(evidence):
-            return fingerprint(circuit, calibration=[evidence])
+        def keyed(evidence):
+            return key(circuit, calibration=[evidence])
 
-        assert key({0: 1, 1: 0}) == key({1: 0, 0: 1}) == key({0: np.int64(1), 1: False})
-        assert key({0: 1, 1: 0}) != key({0: 0, 1: 1})
+        assert keyed({0: 1, 1: 0}) == keyed({1: 0, 0: 1}) == keyed({0: np.int64(1), 1: False})
+        assert keyed({0: 1, 1: 0}) != keyed({0: 0, 1: 1})
 
     def test_float_evidence_still_fails_in_the_front_end(self):
         """The key takes what ``struct`` rejects by ``repr``; the flows
@@ -200,37 +171,33 @@ class TestFingerprints:
         assert session.prepare_calls == 0
 
     def test_dag_records_are_self_delimiting(self):
-        def key(first_children, weights):
+        def keyed(first_children, weights):
             dag = Dag()
             leaves = [dag.add_op(OpType.LEAF, payload=(v, (0.5, 0.5))) for v in range(3)]
             first = dag.add_op(OpType.SUM, [leaves[c] for c in first_children], None, weights)
             dag.set_root(dag.add_op(OpType.PRODUCT, [first, leaves[2]]))
-            return fingerprint(dag)
+            return key(dag)
 
         keys = [
-            key([0, 1], [0.5, 0.5]),
-            key([0, 1], [0.25, 0.75]),
-            key([1, 0], [0.5, 0.5]),
-            key([0], [1.0]),
+            keyed([0, 1], [0.5, 0.5]),
+            keyed([0, 1], [0.25, 0.75]),
+            keyed([1, 0], [0.5, 0.5]),
+            keyed([0], [1.0]),
         ]
         assert len(set(keys)) == len(keys)
-        assert key([0, 1], [0.5, 0.5]) == keys[0]
+        assert keyed([0, 1], [0.5, 0.5]) == keys[0]
 
 
 COMPILE_OPTIONS = ("optimize", "keep_fraction", "calibration", "hmm_observations")
 
-#: Per family: a kernel builder, a calibration it accepts, and the
+#: Per kind: a calibration its ``small`` kernel accepts, and the
 #: compile options its ``prepare`` reads (stated here, not read back
 #: from the adapter).
-FAMILIES = {
-    "cnf": (lambda: random_ksat(10, 30, seed=3), [{1: 1}], ("optimize",)),
-    "circuit": (
-        lambda: random_circuit(4, depth=2, seed=3),
-        [{0: 1, 1: 0}, {0: 0}],
-        ("optimize", "keep_fraction", "calibration"),
-    ),
-    "hmm": (lambda: HMM.random(4, 5, seed=3), [[0, 1, 2], [2, 1, 0]], COMPILE_OPTIONS),
-    "dag": (lambda: cnf_to_dag(random_ksat(6, 15, seed=3))[0], [[0, 1]], ()),
+OPTION_READS = {
+    "cnf": ([{1: 1}], ("optimize",)),
+    "circuit": ([{0: 1, 1: 0}, {0: 0}], ("optimize", "keep_fraction", "calibration")),
+    "hmm": ([[0, 1, 2], [2, 1, 0]], COMPILE_OPTIONS),
+    "dag": ([[0, 1]], ()),
 }
 
 
@@ -238,56 +205,39 @@ class TestOptionFields:
     """An adapter hashes exactly the options its front end reads."""
 
     @pytest.mark.parametrize("option", COMPILE_OPTIONS)
-    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("family", KINDS)
     def test_unread_options_share_an_entry_and_read_ones_split_it(self, family, option):
-        build, calibration, reads = FAMILIES[family]
+        calibration, reads = OPTION_READS[family]
         value = {
             "optimize": False,
             "keep_fraction": 0.5,
             "calibration": calibration,
             "hmm_observations": (0, 1),
         }[option]
-        kernel = build()
+        kernel = small(family)[0]
         assert adapter_for(kernel).option_fields == reads
         session = ReasonSession()
         session.run(kernel)
         again = session.run(kernel, **{option: value})
         if option in reads:
-            assert fingerprint(kernel, **{option: value}) != fingerprint(kernel)
+            assert key(kernel, **{option: value}) != key(kernel)
             assert not again.cache_hit and session.prepare_calls == 2
         else:
-            assert fingerprint(kernel, **{option: value}) == fingerprint(kernel)
+            assert key(kernel, **{option: value}) == key(kernel)
             assert again.cache_hit and session.prepare_calls == 1
 
     def test_an_adapter_that_declares_nothing_keys_every_compile_option(self):
         assert KernelAdapter.option_fields == COMPILE_OPTIONS
 
     def test_observation_options_never_enter_a_key(self):
-        for build, _, _ in FAMILIES.values():
-            kernel = build()
-            assert fingerprint(kernel, trace=True, verify=True) == fingerprint(kernel)
+        for kernel in small_kernels():
+            assert key(kernel, trace=True, verify=True) == key(kernel)
 
 
 SALT_SCRIPT = """
 import json
-from repro.api.adapters import RunOptions, adapter_for
-from repro.core.arch.config import DEFAULT_CONFIG
-from repro.core.dag import cnf_to_dag
-from repro.hmm.model import HMM
-from repro.logic.generators import random_ksat
-from repro.pc.learn import random_circuit, sample_dataset
-
-circuit = random_circuit(6, depth=3, seed=11)
-requests = [
-    (random_ksat(12, 40, seed=11), {"optimize": False}),
-    (circuit, {"calibration": sample_dataset(circuit, 4, seed=11)}),
-    (HMM.random(4, 5, seed=11), {"hmm_observations": [0, 1, 2]}),
-    (cnf_to_dag(random_ksat(6, 15, seed=11))[0], {}),
-]
-print(json.dumps([
-    adapter_for(kernel).fingerprint(kernel, RunOptions(**options), DEFAULT_CONFIG)
-    for kernel, options in requests
-]))
+from tests.corpus import KINDS, key, small
+print(json.dumps([key(kernel, **options) for kernel, options in map(small, KINDS)]))
 """
 
 
@@ -299,6 +249,7 @@ def test_fingerprints_do_not_depend_on_the_hash_salt():
     def keys(salt):
         result = subprocess.run(
             [sys.executable, "-c", SALT_SCRIPT],
+            cwd=Path(__file__).resolve().parents[2],  # where ``tests`` imports from
             env={**os.environ, "PYTHONHASHSEED": salt},
             capture_output=True,
             text=True,
@@ -329,15 +280,11 @@ class TestCircuitFingerprints:
     """The circuit key is canonical bytes (child indices, variables,
     packed doubles), not a ``repr`` — still content-determined."""
 
-    @staticmethod
-    def key(circuit):
-        return CircuitAdapter().fingerprint(circuit, RunOptions(), DEFAULT_CONFIG)
-
     def test_separately_built_equal_circuits_share_a_key(self):
-        assert self.key(mixture()) == self.key(mixture())
+        assert key(mixture()) == key(mixture())
         big_a, big_b = random_circuit(8, depth=3, seed=5), random_circuit(8, depth=3, seed=5)
         assert big_a is not big_b
-        assert self.key(big_a) == self.key(big_b)
+        assert key(big_a) == key(big_b)
 
     @pytest.mark.parametrize(
         "change",
@@ -345,7 +292,7 @@ class TestCircuitFingerprints:
         ids=["one-weight", "one-probability", "one-edge"],
     )
     def test_one_change_changes_the_key(self, change):
-        assert self.key(mixture(**change)) != self.key(mixture())
+        assert key(mixture(**change)) != key(mixture())
 
     def test_kernel_key_is_bytes(self):
         # Hashed raw by content_key: nothing left for repr to walk.
@@ -357,7 +304,7 @@ class TestCircuitFingerprints:
                 return frozenset([0])
 
         with pytest.raises(TypeError, match="unsupported circuit node type: Stray"):
-            self.key(Circuit(Stray()))
+            key(Circuit(Stray()))
 
 
     def test_table_boundaries_are_part_of_the_key(self):
@@ -368,7 +315,7 @@ class TestCircuitFingerprints:
             return Circuit(ProductNode([LeafNode(0, first), LeafNode(1, second)]))
 
         values = [0.1, 0.2, 0.3, 0.4, 0.5]
-        assert self.key(two_leaves(values[:2], values[2:])) != self.key(
+        assert key(two_leaves(values[:2], values[2:])) != key(
             two_leaves(values[:3], values[3:])
         )
 
@@ -378,17 +325,17 @@ class TestCircuitFingerprints:
         are not."""
         circuit = mixture(probability=0.5)
         leaf = circuit.topological_order()[0]
-        before = self.key(circuit)
+        before = key(circuit)
         table = leaf.probabilities
         # [0.5, 0.5] as float32 is [0.0, 1.75, 0.0, 1.75]: a valid table
         # (bytes that read as a negative float32 are refused by the setter).
         leaf.probabilities = np.frombuffer(table.tobytes(), dtype=np.float32)
         assert leaf.probabilities.tolist() == [0.0, 1.75, 0.0, 1.75]
-        assert self.key(circuit) != before
+        assert key(circuit) != before
         leaf.probabilities = np.array([0.25, 0.75], dtype=np.float32)
-        narrow = self.key(circuit)
+        narrow = key(circuit)
         leaf.probabilities = np.array([0.25, 0.75])
-        assert self.key(circuit) == narrow != before
+        assert key(circuit) == narrow != before
 
     def test_structure_is_walked_once_per_root(self, monkeypatch):
         built = []
@@ -400,7 +347,7 @@ class TestCircuitFingerprints:
 
         monkeypatch.setattr(repro.pc.circuit, "CircuitPlan", counting)
         circuit = random_circuit(6, depth=3, seed=2)
-        keys = {self.key(circuit) for _ in range(100)}
+        keys = {key(circuit) for _ in range(100)}
         assert len(keys) == 1 and built == [circuit.root]
         # Everything else that walks the graph reads the same plan.
         circuit.topological_order()
@@ -408,20 +355,20 @@ class TestCircuitFingerprints:
         assert built == [circuit.root]
         # A new root is a new graph.
         circuit.root = circuit.root.children[0]
-        assert self.key(circuit) not in keys and len(built) == 2
+        assert key(circuit) not in keys and len(built) == 2
 
 
     def test_racing_first_builds_agree(self):
         """Producer threads keying one never-seen circuit at once may
         each build its plan; whichever is stored, the key is the same."""
         circuit = random_circuit(8, depth=3, seed=4)
-        expected = self.key(random_circuit(8, depth=3, seed=4))
+        expected = key(random_circuit(8, depth=3, seed=4))
         barrier = threading.Barrier(8)
         keys = []
 
         def worker():
             barrier.wait(timeout=10)
-            keys.append(self.key(circuit))
+            keys.append(key(circuit))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -451,8 +398,8 @@ class TestEqualKernelsShareAKey:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_one_seed_one_key(self, family, seed):
         build = self.BUILDERS[family]
-        assert fingerprint(build(seed)) == fingerprint(build(seed))
-        assert fingerprint(build(seed)) != fingerprint(build(seed + 1))
+        assert key(build(seed)) == key(build(seed))
+        assert key(build(seed)) != key(build(seed + 1))
 
 
 class TestPreparedArtifacts:

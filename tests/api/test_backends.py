@@ -15,12 +15,13 @@ from repro.api import (
 )
 from repro.api import backends
 from repro.api.backends import Backend, ReasonBackend
-from repro.core.dag import circuit_to_dag
 from repro.hmm.inference import log_likelihood as hmm_ll
 from repro.hmm.model import HMM
 from repro.logic.generators import pigeonhole, random_ksat, redundant_sat
 from repro.pc.inference import likelihood
 from repro.pc.learn import random_circuit, sample_dataset
+
+from tests.corpus import KINDS, small
 
 
 REQUIRED_BACKENDS = ["reason", "software", "gpu", "cpu", "roofline"]
@@ -101,20 +102,10 @@ class TestEveryKernelOnEveryBackend:
     def session(self):
         return ReasonSession()
 
-    @pytest.fixture(scope="class")
-    def kernels(self):
-        circuit = random_circuit(5, depth=2, seed=1)
-        return {
-            "cnf": (random_ksat(12, 40, seed=0), {}),
-            "circuit": (circuit, {"calibration": sample_dataset(circuit, 15, seed=2)}),
-            "hmm": (HMM.random(3, 4, seed=3), {"hmm_observations": [0, 1, 2, 3]}),
-            "dag": (circuit_to_dag(random_circuit(4, depth=2, seed=4))[0], {}),
-        }
-
     @pytest.mark.parametrize("backend", REQUIRED_BACKENDS)
-    @pytest.mark.parametrize("kind", ["cnf", "circuit", "hmm", "dag"])
-    def test_common_report_shape(self, session, kernels, backend, kind):
-        kernel, kwargs = kernels[kind]
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_common_report_shape(self, session, backend, kind):
+        kernel, kwargs = small(kind)
         report = session.run(kernel, backend=backend, **kwargs)
         assert isinstance(report, ExecutionReport)
         assert report.backend == backend
@@ -122,13 +113,13 @@ class TestEveryKernelOnEveryBackend:
         assert report.seconds > 0.0
         assert report.queries == 1
 
-    def test_reason_reports_cycles_and_energy(self, session, kernels):
-        kernel, kwargs = kernels["cnf"]
+    def test_reason_reports_cycles_and_energy(self, session):
+        kernel, kwargs = small("cnf")
         report = session.run(kernel, backend="reason", **kwargs)
         assert report.cycles > 0 and report.energy_j > 0 and report.power_w > 0
 
-    def test_roofline_diagnoses_memory_bound(self, session, kernels):
-        kernel, kwargs = kernels["cnf"]
+    def test_roofline_diagnoses_memory_bound(self, session):
+        kernel, kwargs = small("cnf")
         report = session.run(kernel, backend="roofline", **kwargs)
         # Symbolic kernels sit far left of the ridge point (paper Fig. 3d).
         assert report.extras["memory_bound"] is True

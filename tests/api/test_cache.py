@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.api import CompileCache, ReasonSession, content_key
-from repro.api.types import CompiledArtifact
 from repro.core.dag import circuit_to_dag
 from repro.core.dag.graph import OpType
 from repro.hmm.model import HMM
@@ -15,33 +14,25 @@ from repro.logic.generators import random_ksat
 from repro.pc.circuit import LeafNode, SumNode
 from repro.pc.learn import random_circuit
 
-
-def _artifact(key: str) -> CompiledArtifact:
-    return CompiledArtifact(kind="cnf", key=key, kernel=None)
-
-
-def _serve(cache: CompileCache, key: str):
-    """One request through the cache's only entry point; a miss seeds
-    the entry.  Returns ``(artifact, cache_hit)``."""
-    return cache.get_or_compile(key, lambda: _artifact(key))
+from tests.corpus import serve
 
 
 class TestCompileCache:
     def test_miss_then_hit(self):
         cache = CompileCache()
-        first, hit = _serve(cache, "k")
+        first, hit = serve(cache, "k")
         assert not hit
-        again, hit = _serve(cache, "k")
+        again, hit = serve(cache, "k")
         assert hit and again is first
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_lru_eviction(self):
         cache = CompileCache(capacity=2)
-        _serve(cache, "a")
-        _serve(cache, "b")
-        _serve(cache, "a")  # refresh a; b becomes LRU
-        _serve(cache, "c")
+        serve(cache, "a")
+        serve(cache, "b")
+        serve(cache, "a")  # refresh a; b becomes LRU
+        serve(cache, "c")
         assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.stats.evictions == 1
 
@@ -81,9 +72,9 @@ class TestCompileCache:
 
     def test_stats_snapshot_is_stable(self):
         cache = CompileCache()
-        _serve(cache, "k")
+        serve(cache, "k")
         snapshot = cache.stats
-        _serve(cache, "k")
+        serve(cache, "k")
         assert snapshot.misses == 1 and snapshot.hits == 0  # unchanged copy
         assert cache.stats.hits == 1
 
@@ -101,7 +92,7 @@ class TestThreadSafety:
             try:
                 for step in range(lookups_per_thread):
                     key = keys[(seed * 7 + step) % len(keys)]
-                    _serve(cache, key)
+                    serve(cache, key)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

@@ -4,8 +4,8 @@
 is what ``DiskStore`` / the shared store pickle.  After ``solve`` has
 returned nothing reads the watch lists, the learned-clause database or
 the level / reason arrays, so the solver releases them; the trace is one
-int per event.  The pinned refutation (``cnf/php-5`` of
-``test_report_identity.build_trace``: 2,652 events, 165 learned clauses)
+int per event.  The pinned refutation (the corpus's ``cnf/php-5``: 2,652
+events, 165 learned clauses)
 pickled to 142,899 bytes at 73eedf6 and to 9,396 with this file's
 arrival.
 """

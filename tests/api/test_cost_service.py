@@ -7,18 +7,10 @@ import pytest
 from repro import ReasonService, ReasonSession
 from repro.api.scheduler import SchedulingPolicy
 from repro.costmodel import CostEstimator
-from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit
 
-
-def mixed_kernels():
-    return [
-        random_ksat(12, 40, seed=0),
-        random_circuit(4, depth=2, seed=1),
-        HMM.random(3, 4, seed=2),
-        random_ksat(10, 32, seed=3),
-    ]
+from tests.corpus import small_kernels
 
 
 class TestUniformShards:
@@ -34,7 +26,7 @@ class TestUniformShards:
 
     def test_every_shard_is_a_reason_session_with_a_breaker(self):
         with ReasonService(shards=3) as service:
-            service.submit(mixed_kernels()[0], backend="gpu").result(timeout=60)
+            service.submit(small_kernels()[0], backend="gpu").result(timeout=60)
             service.drain(timeout=60)
             stats = service.stats()
             views = list(service._views)
@@ -48,7 +40,7 @@ class TestUniformShards:
         with ReasonService(shards=2, policy="round-robin") as service:
             futures = [
                 service.submit(kernel, backend=backend)
-                for kernel, backend in zip(mixed_kernels(), backends)
+                for kernel, backend in zip(small_kernels(), backends)
             ]
             reports = [future.result(timeout=60) for future in futures]
         assert [future.shard_index for future in futures] == [0, 1, 0, 1]
@@ -69,9 +61,9 @@ class TestUniformShards:
                 return len(seen) % len(views)
 
         with ReasonService(shards=3, policy=Recording()) as service:
-            for kernel in mixed_kernels():
+            for kernel in small_kernels():
                 service.submit(kernel, backend=forced).result(timeout=60)
-        assert len(seen) == len(mixed_kernels()) * 3
+        assert len(seen) == len(small_kernels()) * 3
         for request, view in seen:
             (prediction,) = request.predicted.values()
             assert list(request.predicted) == [forced or "reason"]
@@ -89,8 +81,8 @@ class TestUniformShards:
                 return super().predict(fingerprint, backend, queries, kind)
 
         estimator = Recording()
-        kernels = mixed_kernels() * 2
-        backends = [None, "gpu"] * len(mixed_kernels())
+        kernels = small_kernels() * 2
+        backends = [None, "gpu"] * len(small_kernels())
         with ReasonService(shards=3, policy="least-loaded", cost_model=estimator) as service:
             futures = [
                 service.submit(kernel, backend=backend, queries=2)
@@ -108,7 +100,7 @@ class TestUniformShards:
 class TestBusyTimeAccounting:
     def test_busy_drains_to_zero(self):
         with ReasonService(shards=2, policy="least-loaded") as service:
-            for kernel in mixed_kernels() * 3:
+            for kernel in small_kernels() * 3:
                 service.submit(kernel, queries=5)
             service.drain()
             stats = service.stats()
@@ -157,8 +149,8 @@ class TestOnlineCalibration:
 class TestPlacementFidelity:
     @pytest.mark.parametrize("policy", ["least-loaded", "cache-affinity"])
     def test_reports_bit_identical_to_session_runs(self, policy):
-        kernels = mixed_kernels() * 2
-        backends = ["reason", "gpu"] * len(mixed_kernels())
+        kernels = small_kernels() * 2
+        backends = ["reason", "gpu"] * len(small_kernels())
         with ReasonService(shards=2, policy=policy) as service:
             futures = [
                 service.submit(k, backend=backend, queries=3)

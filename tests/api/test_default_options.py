@@ -13,17 +13,8 @@ import repro.api.adapters as adapters_module
 from repro import ReasonService, ReasonSession
 from repro.api.adapters import DEFAULT_OPTIONS, RunOptions, adapter_for
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.core.dag import cnf_to_dag
-from repro.hmm.model import HMM
-from repro.logic.generators import random_ksat
-from repro.pc.learn import random_circuit
 
-BUILDERS = {
-    "cnf": lambda: random_ksat(12, 40, seed=11),
-    "circuit": lambda: random_circuit(6, depth=3, seed=11),
-    "hmm": lambda: HMM.random(4, 5, seed=11),
-    "dag": lambda: cnf_to_dag(random_ksat(6, 15, seed=11))[0],
-}
+from tests.corpus import KINDS, fresh_key, small
 
 CONFIGS = {
     "default": DEFAULT_CONFIG,
@@ -31,18 +22,12 @@ CONFIGS = {
 }
 
 
-def fresh_key(kernel, config, **options):
-    """The key of a never-keyed copy under a fresh ``RunOptions``."""
-    twin = copy.deepcopy(kernel)
-    return adapter_for(twin).fingerprint(twin, RunOptions(**options), config)
-
-
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-@pytest.mark.parametrize("family", sorted(BUILDERS))
+@pytest.mark.parametrize("family", sorted(KINDS))
 class TestSharedDefault:
     def test_key_equals_a_fresh_instance(self, family, config_name):
         config = CONFIGS[config_name]
-        kernel = BUILDERS[family]()
+        kernel = small(family)[0]
         adapter = adapter_for(kernel)
         shared = adapter.fingerprint(kernel, DEFAULT_OPTIONS, config)
         assert shared == fresh_key(kernel, config)
@@ -52,17 +37,17 @@ class TestSharedDefault:
 
     def test_context_is_built_once(self, family, config_name):
         config = CONFIGS[config_name]
-        kernel = BUILDERS[family]()
+        kernel = small(family)[0]
         adapter = adapter_for(kernel)
         adapter.fingerprint(kernel, DEFAULT_OPTIONS, config)
         context = adapters_module._DEFAULT_CONTEXTS[adapter, config.key_bytes]
-        adapter.fingerprint(BUILDERS[family](), DEFAULT_OPTIONS, config)
+        adapter.fingerprint(small(family)[0], DEFAULT_OPTIONS, config)
         assert adapters_module._DEFAULT_CONTEXTS[adapter, config.key_bytes] is context
         assert kernel._key_memo[1] is context
 
 
 def test_configs_key_apart():
-    kernel = BUILDERS["circuit"]()
+    kernel = small("circuit")[0]
     adapter = adapter_for(kernel)
     keys = {adapter.fingerprint(kernel, DEFAULT_OPTIONS, c) for c in CONFIGS.values()}
     assert len(keys) == len(CONFIGS)
@@ -77,7 +62,7 @@ def test_default_options_are_immutable():
 class TestFrontDoors:
     def test_no_kwargs_and_explicit_optimize_share_one_compile(self):
         session = ReasonSession()
-        kernel = BUILDERS["circuit"]()
+        kernel = small("circuit")[0]
         first = session.run(kernel)
         second = session.run(kernel, optimize=True)
         assert (first.cache_hit, second.cache_hit) == (False, True)
@@ -85,7 +70,7 @@ class TestFrontDoors:
         assert second.identity() == first.identity()
 
     def test_service_no_kwargs_and_explicit_optimize_share_one_key(self):
-        kernel = BUILDERS["hmm"]()
+        kernel = small("hmm")[0]
         with ReasonService(shards=2, policy="cache-affinity") as service:
             bare = service.submit(kernel)
             bare.result(timeout=60)
@@ -104,7 +89,7 @@ class TestFrontDoors:
         """An observation knob is an option kwarg, so the request builds
         its own ``RunOptions`` (never the shared one) — and the key
         stays the untraced, unverified key."""
-        kernel = BUILDERS["cnf"]()
+        kernel = small("cnf")[0]
         seen = []
         fingerprint = adapters_module.KernelAdapter.fingerprint
 

@@ -13,24 +13,14 @@ from repro import ReasonService, ReasonSession
 from repro.api.backends import ReasonBackend
 from repro.api.store import DiskStore
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.core.dag import circuit_to_dag
-from repro.hmm.model import HMM
-from repro.logic.generators import random_ksat
-from repro.pc.learn import random_circuit, sample_dataset
 from repro.trace import cross_validate, read_trace, timeline
+
+from tests.corpus import KINDS, small
 
 #: How a report was delivered, not what it says.
 DELIVERY = ("cache_hit", "executed", "compile_s", "execute_s")
 
 
-CIRCUIT = random_circuit(5, depth=2, seed=1)
-KERNELS = {
-    "cnf": (random_ksat(20, 80, seed=0), {}),
-    "circuit": (CIRCUIT, {"calibration": sample_dataset(CIRCUIT, 15, seed=2)}),
-    "hmm": (HMM.random(3, 4, seed=3), {"hmm_observations": [0, 1, 2, 3]}),
-    "dag": (circuit_to_dag(random_circuit(4, depth=2, seed=4))[0], {}),
-}
-KINDS = sorted(KERNELS)
 
 
 def content(report):
@@ -42,9 +32,9 @@ def content(report):
 
 
 @pytest.mark.parametrize("queries", [1, 8])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_warm_reports_equal_a_fresh_execution(kind, queries):
-    kernel, options = KERNELS[kind]
+    kernel, options = small(kind)
     fresh = ReasonSession().run(kernel, queries=queries, **options)
     session = ReasonSession()
     first, second, third = (
@@ -60,7 +50,7 @@ def test_warm_reports_equal_a_fresh_execution(kind, queries):
 
 def test_queries_only_scale_the_stored_run():
     # One execution at queries=1 serves a later queries=8 request.
-    kernel, options = KERNELS["cnf"]
+    kernel, options = small("cnf")
     session = ReasonSession()
     session.run(kernel, **options)
     warm = session.run(kernel, queries=8, **options)
@@ -74,7 +64,7 @@ class TestObservedRunsStillExecute:
 
     @pytest.fixture()
     def warmed(self):
-        kernel, options = KERNELS["cnf"]
+        kernel, options = small("cnf")
         session = ReasonSession()
         plain = session.run(kernel, **options)
         assert not session.run(kernel, **options).executed
@@ -120,7 +110,7 @@ class TestObservedRunsStillExecute:
         assert not after.executed and "trace_data" not in after.extras
 
     def test_program_kernel_trace(self):
-        kernel, options = KERNELS["circuit"]
+        kernel, options = small("circuit")
         session = ReasonSession()
         plain = session.run(kernel, **options)
         traced = session.run(kernel, trace=True, **options)
@@ -131,7 +121,7 @@ class TestObservedRunsStillExecute:
 
 @pytest.mark.parametrize("kind", ["cnf", "circuit"])
 def test_other_config_executes(kind):
-    kernel, options = KERNELS[kind]
+    kernel, options = small(kind)
     other = replace(DEFAULT_CONFIG, frequency_hz=250e6, dram_latency_cycles=40)
     session = ReasonSession()
     session.run(kernel, **options)
@@ -153,7 +143,7 @@ def test_other_config_executes(kind):
 def test_two_first_executions_of_one_artifact_agree(monkeypatch):
     """Both threads find no summary and both execute (held together
     inside the model run): each returns the reference report."""
-    kernel, options = KERNELS["cnf"]
+    kernel, options = small("cnf")
     reference = content(ReasonSession().run(kernel, queries=8, **options))
     artifact = ReasonSession().compile(kernel, **options)
     both_inside = threading.Barrier(2)
@@ -186,12 +176,13 @@ def test_contended_session_counts_every_execution():
     one session: every report is the reference one, and the execution
     counter loses no update (it equals the reports flagged executed)."""
     threads = 8
+    requests = {kind: small(kind) for kind in KINDS}  # one kernel per kind, shared
     references = {
         kind: content(ReasonSession().run(kernel, queries=8, **options))
-        for kind, (kernel, options) in KERNELS.items()
+        for kind, (kernel, options) in requests.items()
     }
     session = ReasonSession()
-    for kernel, options in KERNELS.values():
+    for kernel, options in requests.values():
         session.compile(kernel, **options)  # compiled, never executed
     barrier = threading.Barrier(threads)
     reports, errors = [], []
@@ -200,7 +191,7 @@ def test_contended_session_counts_every_execution():
         try:
             barrier.wait(timeout=30)
             for kind in KINDS:  # the same order: every first run is contended
-                kernel, options = KERNELS[kind]
+                kernel, options = requests[kind]
                 reports.append((kind, session.run(kernel, queries=8, **options)))
         except Exception as error:  # surfaced by the assert below
             errors.append(error)
@@ -226,7 +217,7 @@ def test_contended_session_counts_every_execution():
 
 class TestDiskRoundTrip:
     def test_summary_is_dropped_from_pickled_state(self, tmp_path):
-        kernel, options = KERNELS["circuit"]
+        kernel, options = small("circuit")
         session = ReasonSession()
         artifact = session.compile(kernel, **options)
         before = len(pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL))
@@ -241,7 +232,7 @@ class TestDiskRoundTrip:
         assert artifact.execution is not None  # pickling left the live one alone
 
     def test_second_process_executes_once_more(self, tmp_path):
-        kernel, options = KERNELS["hmm"]
+        kernel, options = small("hmm")
         reference = ReasonSession(store=f"disk:{tmp_path}").run(kernel, **options)
         restarted = ReasonSession(store=f"disk:{tmp_path}")
         first = restarted.run(kernel, **options)
@@ -253,7 +244,7 @@ class TestDiskRoundTrip:
 
 class TestWhichRequestsExecuted:
     def test_span_and_counter(self):
-        kernel, options = KERNELS["cnf"]
+        kernel, options = small("cnf")
         with ReasonService(shards=1, metrics=True) as service:
             for _ in range(3):
                 service.submit(kernel, **options).result()
@@ -266,14 +257,14 @@ class TestWhichRequestsExecuted:
         assert metrics["reason_prepare_calls_total"]["series"]["shard=0"] == 1
 
     def test_other_backends_never_run_the_model(self):
-        kernel, options = KERNELS["cnf"]
+        kernel, options = small("cnf")
         session = ReasonSession()
         for backend in ("software", "gpu", "roofline"):
             assert not session.run(kernel, backend=backend, **options).executed
         assert session.executions == 0
 
     def test_shared_store_shares_the_run_across_shards(self):
-        kernel, options = KERNELS["circuit"]
+        kernel, options = small("circuit")
         with ReasonService(shards=2, policy="round-robin", store="shared") as service:
             reports = [
                 service.submit(kernel, queries=8, **options).result() for _ in range(6)

@@ -21,20 +21,10 @@ from repro.api import DiskStore, ServiceOverloaded
 from repro.api.resilience import CircuitBreaker
 from repro.api.scheduler import SchedulingPolicy
 from repro.faults import CORRUPT_BYTES, FaultInjected, corrupt_disk_entry
-from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
-from repro.pc.learn import random_circuit
 
 from tests.api.conftest import wait_until_running
-
-
-def mixed_kernels():
-    return [
-        random_ksat(10, 30, seed=0),
-        random_circuit(4, depth=2, seed=1),
-        HMM.random(3, 4, seed=2),
-        random_ksat(12, 40, seed=3),
-    ]
+from tests.corpus import small_kernels
 
 
 class PinZeroPolicy(SchedulingPolicy):
@@ -101,7 +91,7 @@ class TestFaultPlan:
 
 class TestRetriesUnderChaos:
     def test_injected_faults_retried_to_bit_identical_success(self):
-        kernels = mixed_kernels()
+        kernels = small_kernels()
         baseline = []
         with ReasonService(shards=2) as service:
             for kernel in kernels:
@@ -192,7 +182,7 @@ class TestRetriesUnderChaos:
 class TestSupervision:
     def test_worker_crash_restarts_and_recovers(self):
         plan = FaultPlan(seed=7, crash_rate=1.0, max_injections=1)
-        kernels = mixed_kernels()
+        kernels = small_kernels()
         with ReasonService(shards=2, faults=plan) as service:
             futures = [service.submit(kernel) for kernel in kernels]
             reports = [future.result(timeout=30) for future in futures]
@@ -301,7 +291,7 @@ class TestDeadlines:
     def test_batch_deadline_plumbing(self):
         with ReasonService(shards=2) as service:
             futures = service.submit_batch(
-                mixed_kernels(), queries=2, deadline_s="batch"
+                small_kernels(), queries=2, deadline_s="batch"
             )
             reports = [future.result(timeout=30) for future in futures]
         assert len(reports) == 4
@@ -370,7 +360,7 @@ class TestStoreChaos:
         with ReasonService(
             shards=2, store=f"disk:{tmp_path}", faults=plan
         ) as service:
-            futures = [service.submit(kernel) for kernel in mixed_kernels()]
+            futures = [service.submit(kernel) for kernel in small_kernels()]
             reports = [future.result(timeout=30) for future in futures]
             service.drain(timeout=15)
             assert service.store.errors > 0
@@ -449,7 +439,7 @@ class TestChaosTelemetry:
     def test_stats_roundtrip_with_resilience_fields(self):
         plan = FaultPlan(seed=17, crash_rate=1.0, max_injections=1)
         with ReasonService(shards=2, faults=plan) as service:
-            for kernel in mixed_kernels():
+            for kernel in small_kernels():
                 service.submit(kernel).result(timeout=30)
             service.drain(timeout=15)
             stats = service.stats()

@@ -14,26 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.api.adapters as adapters_module
-from repro.api.adapters import RunOptions, adapter_for
+from repro.api.adapters import adapter_for
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.core.dag import cnf_to_dag
 from repro.hmm.model import HMM
 from repro.logic.cnf import Clause
 from repro.logic.generators import random_ksat
 from repro.pc.circuit import LeafNode, SumNode
 from repro.pc.learn import random_circuit
 
+from tests.corpus import KINDS, fresh_key, key, small
+
 OTHER_CONFIG = DEFAULT_CONFIG.with_ablation(linked_list_layout=False)
-
-
-def key(kernel, config=DEFAULT_CONFIG, **options):
-    return adapter_for(kernel).fingerprint(kernel, RunOptions(**options), config)
-
-
-def fresh_key(kernel, config=DEFAULT_CONFIG, **options):
-    twin = copy.deepcopy(kernel)
-    assert twin._key_memo is None
-    return key(twin, config, **options)
 
 
 @pytest.fixture
@@ -48,14 +39,6 @@ def hashes(monkeypatch):
 
     monkeypatch.setattr(adapters_module, "content_key", counting)
     return calls
-
-
-BUILDERS = {
-    "cnf": lambda: random_ksat(12, 40, seed=7),
-    "circuit": lambda: random_circuit(6, depth=3, seed=7),
-    "hmm": lambda: HMM.random(4, 5, seed=7),
-    "dag": lambda: cnf_to_dag(random_ksat(6, 15, seed=7))[0],
-}
 
 
 class TestCnf:
@@ -97,9 +80,9 @@ class TestCnf:
 
 
 class TestContext:
-    @pytest.mark.parametrize("family", BUILDERS)
+    @pytest.mark.parametrize("family", KINDS)
     def test_one_kernel_alternates_configs_and_options(self, family):
-        kernel = BUILDERS[family]()
+        kernel = small(family)[0]
         requests = [
             (DEFAULT_CONFIG, {}),
             (OTHER_CONFIG, {}),
@@ -154,9 +137,9 @@ class TestParameters:
 
 
 class TestHygiene:
-    @pytest.mark.parametrize("family", BUILDERS)
+    @pytest.mark.parametrize("family", KINDS)
     def test_an_unchanged_kernel_is_not_hashed_again(self, family, hashes):
-        kernel = BUILDERS[family]()
+        kernel = small(family)[0]
         first = key(kernel)
         assert len(hashes) == 1
         assert all(key(kernel) == first for _ in range(5))
@@ -203,9 +186,9 @@ class TestHygiene:
         assert all(key(circuit) == first for _ in range(5))
         assert reads == [] and circuit.plan().parameters() is layout
 
-    @pytest.mark.parametrize("family", BUILDERS)
+    @pytest.mark.parametrize("family", KINDS)
     def test_pickles_equality_and_repr_are_unaffected(self, family):
-        kernel = BUILDERS[family]()
+        kernel = small(family)[0]
         twin = copy.copy(kernel)  # shares the parameters; never keyed
         before = (pickle.dumps(kernel), repr(kernel))
         key(kernel)

@@ -9,7 +9,6 @@ and ``np.int64(1)`` compare equal with ``==``, and ``marshal`` writes a
 numpy array as the bytes of its buffer: a snapshot that used either
 would serve one of these the key of another."""
 
-import copy
 import pickle
 from collections import OrderedDict
 
@@ -17,21 +16,12 @@ import numpy as np
 import pytest
 
 import repro.api.adapters as adapters_module
-from repro.api.adapters import RunOptions, adapter_for
+from repro.api.adapters import RunOptions
 from repro.api.cache import key_part
-from repro.core.arch.config import DEFAULT_CONFIG
 from repro.hmm.model import HMM
 from repro.pc.learn import random_circuit, sample_dataset
 
-
-def key(kernel, **options):
-    return adapter_for(kernel).fingerprint(kernel, RunOptions(**options), DEFAULT_CONFIG)
-
-
-def fresh_key(kernel, **options):
-    twin = copy.deepcopy(kernel)
-    assert twin._key_memo is None
-    return key(twin, **options)
+from tests.corpus import fresh_key, key
 
 
 def circuit():

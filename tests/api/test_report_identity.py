@@ -1,5 +1,6 @@
-"""Report identity: the modeled clock of every ``build_trace`` kernel
-is pinned to a recorded digest.
+"""Report identity: the modeled clock of every kernel of the corpus's
+``tiny`` and ``full`` families (``tests/corpus.py``) is pinned to a
+recorded digest.
 
 The digests were recorded at the last commit that still gated the live
 stack against the frozen pre-optimization implementations
@@ -16,9 +17,9 @@ re-records them with ``report_digest`` below and says why.
 
 The compiled VLIW stream of every kernel that has one is pinned the
 same way (``RECORDED_PROGRAMS``, recorded at 26a2d5e before the
-probabilistic front end was vectorised): a front-end optimisation may
-change how fast a ``Program`` is produced, never one field of one
-instruction in it.  ``hmm/rand-10`` alone was re-recorded in PR 19: the
+probabilistic front end was vectorised), as compiled and after a
+pickle round trip: a front-end optimisation may change how fast a
+``Program`` is produced, never one field of one instruction in it.  ``hmm/rand-10`` alone was re-recorded in PR 19: the
 program recorded for it failed the static verifier (operands read at
 addresses nothing wrote, after their registers were freed before the
 last reader issued); its report digest did not move.  Every corpus
@@ -33,58 +34,15 @@ branches on.  ``dram_latency_cycles=3`` is the only way the
 """
 
 import hashlib
-import random
+import pickle
 from dataclasses import replace
-from typing import List, Tuple
 
 import pytest
 
 from repro import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.hmm.model import HMM
-from repro.logic.generators import pigeonhole, random_ksat
-from repro.pc.learn import random_circuit, sample_dataset
 
-
-def build_trace(tiny: bool = False) -> List[Tuple[str, object, dict]]:
-    """Deterministic mixed cold trace: (name, kernel, run options).
-    Changing a kernel here means re-recording its digests below."""
-    if tiny:
-        circuit = random_circuit(6, depth=2, sum_children=2, seed=3)
-        hmm = HMM.random(6, 5, seed=1)
-        return [
-            ("cnf/ksat-40", random_ksat(40, 160, seed=7), {}),
-            (
-                "circuit/rand-6",
-                circuit,
-                {"calibration": sample_dataset(circuit, 8, seed=5)},
-            ),
-            ("hmm/rand-6", hmm, {"hmm_observations": [0, 1, 2, 3, 4, 0, 1, 2]}),
-        ]
-    circuit_a = random_circuit(10, depth=3, sum_children=3, seed=3)
-    circuit_b = random_circuit(12, depth=3, sum_children=3, seed=9)
-    hmm_a = HMM.random(10, 8, seed=1)
-    hmm_b = HMM.random(12, 6, seed=2)
-    hmm_calibration = [
-        [observation % 8 for observation in hmm_a.sample(20, random.Random(4))[1]]
-    ]
-    return [
-        ("cnf/ksat-120", random_ksat(120, 500, seed=7), {}),
-        ("cnf/php-5", pigeonhole(5), {}),
-        (
-            "circuit/rand-10",
-            circuit_a,
-            {"calibration": sample_dataset(circuit_a, 256, seed=5)},
-        ),
-        (
-            "circuit/rand-12",
-            circuit_b,
-            {"calibration": sample_dataset(circuit_b, 128, seed=6)},
-        ),
-        ("hmm/rand-10", hmm_a, {"calibration": hmm_calibration}),
-        ("hmm/rand-12", hmm_b, {"hmm_observations": [i % 6 for i in range(12)]}),
-    ]
-
+from tests import corpus
 
 RECORDED = {
     "cnf/ksat-120": "ce778d1e11fe86286a55b26353a4241ec6415fade47eaf246ef7c457ef369107",
@@ -107,7 +65,7 @@ RECORDED_PROGRAMS = {
     "hmm/rand-6": "0069ab546470419ba9689f2d735b08eed61389785cde49e6f5a4c012ac81b684",
 }
 
-#: (``build_trace`` cnf entry, ``ArchConfig`` overrides) -> sha256 of
+#: (corpus cnf entry, ``ArchConfig`` overrides) -> sha256 of
 #: ``session.run(kernel, trace=True).extras["trace_data"]``.
 RECORDED_TRACES = {
     ("cnf/ksat-120", ()): "6733aa5f3159addad45e58859259c71b9fc770b2c745bb169ddfb53a30b51bef",
@@ -129,54 +87,35 @@ def report_digest(report) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def program_digest(program) -> str:
-    """Every instruction's kind, operand reads, write-back, issue cycle,
-    PE, tree configuration, leaf operands and moved value."""
-    rows = [
-        (
-            i.kind.value,
-            tuple(i.reads),
-            i.write,
-            i.issue_cycle,
-            i.pe,
-            tuple(
-                (c.position, c.op.value if c.op else None, c.child_weights)
-                for c in i.tree_config
-            ),
-            tuple(sorted(i.leaf_operands.items())),
-            i.value,
-        )
-        for i in program.instructions
-    ]
-    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
-def test_compiled_programs_match_recorded_digests(tiny):
+@pytest.mark.parametrize("family", ["tiny", "full"])
+def test_compiled_programs_match_recorded_digests(family):
+    """Also across a pickle: a program restored from a store is the
+    recorded stream."""
     drifted = []
-    for name, kernel, options in build_trace(tiny=tiny):
+    for name, kernel, options in corpus.trace(family):
         program = ReasonSession().compile(kernel, **options).program
         if program is None:  # logic kernels replay a solver trace
             assert name.startswith("cnf/")
             continue
-        if program_digest(program) != RECORDED_PROGRAMS[name]:
+        restored = pickle.loads(pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
+        if {corpus.program_digest(program), corpus.program_digest(restored)} != {RECORDED_PROGRAMS[name]}:
             drifted.append(f"{name}: {len(program)} instructions, {sorted((k, [i.kind.value for i in program.instructions].count(k)) for k in {i.kind.value for i in program.instructions})}")
     assert not drifted, "compiled program drifted on: " + "; ".join(drifted)
 
 
-@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
-def test_every_corpus_kernel_passes_the_verify_gate(tiny):
+@pytest.mark.parametrize("family", ["tiny", "full"])
+def test_every_corpus_kernel_passes_the_verify_gate(family):
     session = ReasonSession(verify=True)  # raises ProgramVerificationError
-    for name, kernel, options in build_trace(tiny=tiny):
+    for name, kernel, options in corpus.trace(family):
         report = session.run(kernel, **options)
         assert report_digest(report) == RECORDED[name], name
 
 
-@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
-def test_cold_reports_match_recorded_digests(tiny):
+@pytest.mark.parametrize("family", ["tiny", "full"])
+def test_cold_reports_match_recorded_digests(family):
     caching = ReasonSession()
     drifted = []
-    for name, kernel, options in build_trace(tiny=tiny):
+    for name, kernel, options in corpus.trace(family):
         caching.run(kernel, backend="reason", **options)
         warm = caching.run(kernel, backend="reason", **options)
         assert warm.cache_hit and not warm.executed
@@ -191,15 +130,10 @@ def test_cold_reports_match_recorded_digests(tiny):
 
 
 def test_traced_replays_match_recorded_digests():
-    kernels = {
-        name: kernel
-        for tiny in (True, False)
-        for name, kernel, _ in build_trace(tiny=tiny)
-    }
     drifted = []
     for (name, overrides), recorded in RECORDED_TRACES.items():
         session = ReasonSession(config=replace(DEFAULT_CONFIG, **dict(overrides)))
-        data = session.run(kernels[name], trace=True).extras["trace_data"]
+        data = session.run(corpus.build(name)[0], trace=True).extras["trace_data"]
         if hashlib.sha256(data).hexdigest() != recorded:
             drifted.append(f"{name} {dict(overrides)}")
     assert not drifted, "traced event stream drifted on: " + "; ".join(drifted)

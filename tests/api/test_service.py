@@ -14,15 +14,7 @@ from repro.logic.generators import random_ksat, redundant_sat
 from repro.pc.learn import random_circuit
 
 from tests.api.conftest import wait_until_running
-
-
-def mixed_kernels():
-    return [
-        random_ksat(10, 30, seed=0),
-        random_circuit(4, depth=2, seed=1),
-        HMM.random(3, 4, seed=2),
-        random_ksat(12, 40, seed=3),
-    ]
+from tests.corpus import small_kernels
 
 
 class TestSubmit:
@@ -37,7 +29,7 @@ class TestSubmit:
         assert future.fingerprint
 
     def test_results_bit_identical_to_synchronous_session(self):
-        kernels = mixed_kernels()
+        kernels = small_kernels()
         session = ReasonSession()
         with ReasonService(shards=4) as service:
             futures = [service.submit(k, queries=7) for k in kernels]
@@ -253,21 +245,21 @@ class TestSharding:
                 return 0
 
         with ReasonService(shards=3, policy=PinToZero()) as service:
-            futures = [service.submit(k) for k in mixed_kernels()]
+            futures = [service.submit(k) for k in small_kernels()]
             service.drain()
         assert all(f.shard_index == 0 for f in futures)
 
 
 class TestRunBatch:
     def test_async_run_batch_returns_composed_result(self):
-        kernels = mixed_kernels() * 2
+        kernels = small_kernels() * 2
         with ReasonService(shards=2, policy="round-robin") as service:
             batch = asyncio.run(
                 service.run_batch(kernels, queries=100, neural_s=1e-5)
             )
         assert isinstance(batch, ServiceBatchResult)
         assert len(batch) == len(kernels)
-        assert [r.kernel for r in batch.reports[:4]] == ["cnf", "circuit", "hmm", "cnf"]
+        assert [r.kernel for r in batch.reports[:4]] == ["cnf", "circuit", "hmm", "dag"]
         assert batch.shard_indices == [0, 1] * 4
         # Sharded makespan can't exceed the one-shard pipeline, which
         # can't exceed strictly serial execution.
@@ -302,7 +294,7 @@ class TestRunBatch:
 class TestStatsAndDrain:
     def test_drain_waits_for_all_admitted_work(self):
         with ReasonService(shards=3, policy="least-loaded") as service:
-            for kernel in mixed_kernels() * 3:
+            for kernel in small_kernels() * 3:
                 service.submit(kernel, queries=10)
             service.drain()
             stats = service.stats()
@@ -312,7 +304,7 @@ class TestStatsAndDrain:
 
     def test_makespan_composition_is_max_over_shards(self):
         with ReasonService(shards=2, policy="round-robin") as service:
-            for kernel in mixed_kernels():
+            for kernel in small_kernels():
                 service.submit(kernel, queries=100)
             service.drain()
             stats = service.stats()

@@ -26,7 +26,8 @@ from repro.api.store import ArtifactStore
 from repro.api.types import CompiledArtifact
 from repro.core.dag import Dag
 from repro.logic.generators import random_ksat
-from repro.pc.learn import random_circuit, sample_dataset
+
+from tests.corpus import build, serve, stub_artifact
 
 
 #: What a restarted server does: open the directory, serve the kernels.
@@ -47,17 +48,6 @@ print(json.dumps([
 """
 
 
-def _artifact(key: str) -> CompiledArtifact:
-    return CompiledArtifact(kind="cnf", key=key, kernel=None)
-
-
-def _serve(cache: CompileCache, key: str):
-    """One request through the cache's only entry point; a miss at both
-    levels compiles ``_artifact(key)`` and publishes it.  Returns
-    ``(artifact, cache_hit)``."""
-    return cache.get_or_compile(key, lambda: _artifact(key))
-
-
 def _disk_keys(store: DiskStore) -> list:
     """The content keys a :class:`DiskStore` holds, from its file names."""
     suffix = DiskStore._SUFFIX
@@ -76,7 +66,7 @@ class TestSharedStore:
     def test_put_get_len(self):
         store = SharedStore()
         assert store.get("k") is None and len(store) == 0
-        store.put("k", _artifact("k"))
+        store.put("k", stub_artifact("k"))
         assert len(store) == 1
         assert store.get("k").key == "k"
 
@@ -84,11 +74,11 @@ class TestSharedStore:
         store = SharedStore()
         calls = []
         artifact, compiled = store.fetch_or_compile(
-            "k", lambda: calls.append(1) or _artifact("k")
+            "k", lambda: calls.append(1) or stub_artifact("k")
         )
         assert compiled and len(calls) == 1
         again, compiled = store.fetch_or_compile(
-            "k", lambda: calls.append(1) or _artifact("k")
+            "k", lambda: calls.append(1) or stub_artifact("k")
         )
         assert not compiled and len(calls) == 1 and again is artifact
 
@@ -109,7 +99,7 @@ class TestSharedStore:
             release.wait(timeout=10)
             with lock:
                 compile_count.append(1)
-            return _artifact("hot")
+            return stub_artifact("hot")
 
         def worker():
             started.wait(timeout=10)
@@ -140,14 +130,14 @@ class TestSharedStore:
         with pytest.raises(RuntimeError):
             store.fetch_or_compile("k", boom)
         # The key is not wedged: the next caller becomes the owner.
-        artifact, compiled = store.fetch_or_compile("k", lambda: _artifact("k"))
+        artifact, compiled = store.fetch_or_compile("k", lambda: stub_artifact("k"))
         assert compiled and artifact.key == "k"
 
 
 class TestDiskStore:
     def test_round_trip_and_atomic_layout(self, tmp_path):
         store = DiskStore(tmp_path / "artifacts")
-        artifact = _artifact("a" * 64)
+        artifact = stub_artifact("a" * 64)
         store.put("a" * 64, artifact)
         assert len(store) == 1 and _disk_keys(store) == ["a" * 64]
         loaded = store.get("a" * 64)
@@ -162,7 +152,7 @@ class TestDiskStore:
 
     def test_unsafe_keys_are_aliased_not_escaped(self, tmp_path):
         store = DiskStore(tmp_path)
-        store.put("../../etc/passwd", _artifact("x"))
+        store.put("../../etc/passwd", stub_artifact("x"))
         # The artifact is retrievable under its original key, and the
         # file lives inside the store directory under a digest alias.
         assert store.get("../../etc/passwd") is not None
@@ -172,8 +162,7 @@ class TestDiskStore:
         """Round-tripping an artifact through pickle+disk must replay
         to the exact report the compiling session produced — the
         cross-process serving guarantee."""
-        circuit = random_circuit(6, depth=2, sum_children=2, seed=3)
-        options = {"calibration": sample_dataset(circuit, 8, seed=5)}
+        circuit, options = build("circuit/rand-6")
         kernels = [
             ("cnf", random_ksat(24, 96, seed=7), {}),
             ("circuit", circuit, options),
@@ -229,7 +218,7 @@ class TestDiskStore:
 class TestTwoLevelCache:
     def test_shared_hit_promotes_into_local(self):
         store = SharedStore()
-        store.put("k", _artifact("k"))
+        store.put("k", stub_artifact("k"))
         cache = CompileCache(store=store)
         assert "k" not in cache  # local level empty
         _must_hit(cache, "k")
@@ -246,7 +235,7 @@ class TestTwoLevelCache:
         store = SharedStore()
         cache = CompileCache(capacity=2, store=store)
         for key in ("a", "b", "c"):  # "a" falls out of the LRU
-            _serve(cache, key)
+            serve(cache, key)
         assert "a" not in cache and len(cache) == 2
         assert cache.stats.evictions == 1
         assert _must_hit(cache, "a").key == "a"
@@ -257,9 +246,9 @@ class TestTwoLevelCache:
     def test_per_level_stats_arithmetic(self):
         store = SharedStore()
         cache = CompileCache(store=store)
-        _serve(cache, "k")  # miss at both levels
+        serve(cache, "k")  # miss at both levels
         _must_hit(cache, "k")  # local hit
-        store.put("s", _artifact("s"))
+        store.put("s", stub_artifact("s"))
         _must_hit(cache, "s")  # shared hit + promotion
         _must_hit(cache, "s")  # local hit after promotion
         stats = cache.stats
@@ -274,7 +263,7 @@ class TestTwoLevelCache:
     def test_get_or_compile_counts_miss_once_and_publishes(self):
         store = SharedStore()
         cache = CompileCache(store=store)
-        artifact, hit = cache.get_or_compile("k", lambda: _artifact("k"))
+        artifact, hit = cache.get_or_compile("k", lambda: stub_artifact("k"))
         assert not hit and artifact.key == "k"
         assert cache.stats.misses == 1
         assert store.get("k") is artifact  # published for other caches
@@ -389,8 +378,7 @@ class TestServiceSharedStore:
         # Entries written while a Dag pickled as a dict of node objects
         # (``_nodes``) rather than as columns: one miss each, counted,
         # then recompiled and rewritten — never a failed request.
-        circuit = random_circuit(6, depth=2, sum_children=2, seed=3)
-        options = {"calibration": sample_dataset(circuit, 8, seed=5)}
+        circuit, options = build("circuit/rand-6")
 
         def dict_of_nodes(dag):
             return {"_nodes": dict(enumerate(dag._ops)), "_next_id": len(dag), "root": dag.root}

@@ -1,40 +1,29 @@
 """Shared fixtures for the test tree.
 
-The spill-heavy overflow kernel lives here because two suites pin it:
+The schedule of the corpus's spill-heavy ``overflow`` kernel is
+compiled here once because several suites pin it, two of them:
 ``tests/core/test_schedule_spill.py`` (scheduler spill/reload golden
 counts) and ``tests/trace/test_execution_trace.py`` (trace-vs-report
 cross-validation on a memory-pressure-dominated program).  One fixture
-keeps the kernel, config and compiled schedule literally identical in
-both places, so the pinned counts can never drift apart.
+keeps the compiled schedule literally identical in both places, so the pinned counts can never drift apart.
 """
-
-from dataclasses import replace
 
 import pytest
 
-from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.compiler import compile_dag
-from repro.core.dag import circuit_to_dag
-from repro.pc.learn import random_circuit
 
-#: Two banks of three registers on two PEs: far fewer registers than
-#: the overflow kernel's live values, so allocation must spill on most
-#: issues (the scheduler suite pins spills=99, reloads=63, loads=182
-#: on this exact kernel/config pair).
-TINY_REGFILE = replace(DEFAULT_CONFIG, num_banks=2, regs_per_bank=3, num_pes=2)
+from tests import corpus
 
 
 @pytest.fixture(scope="session")
 def tiny_regfile():
     """The register-starved config the overflow kernel compiles under."""
-    return TINY_REGFILE
+    return corpus.TINY_REGFILE
 
 
 @pytest.fixture(scope="session")
 def overflow_schedule():
     """(program, stats) for the canonical spill-heavy kernel compiled
-    against :data:`TINY_REGFILE`."""
-    circuit = random_circuit(8, depth=3, sum_children=3, seed=13)
-    dag, _ = circuit_to_dag(circuit)
-    program, stats = compile_dag(dag, TINY_REGFILE)
-    return program, stats
+    against :data:`~tests.corpus.TINY_REGFILE` (the scheduler suite
+    pins spills=99, reloads=63, loads=182 on this pair)."""
+    return compile_dag(corpus.build("overflow")[0], corpus.TINY_REGFILE)

@@ -38,7 +38,8 @@ from repro.core.dag import (
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
 from repro.pc.learn import random_circuit
-from tests.api.test_report_identity import build_trace
+
+from tests import corpus
 
 
 def issue_conflicts(assignment, block) -> int:
@@ -328,21 +329,19 @@ class TestTreePlacement:
         # one block at a time: both go through ``place_blocks``.
         config = ArchConfig(tree_depth=tree_depth)
         placed = 0
-        for tiny in (True, False):
-            for _, kernel, options in build_trace(tiny):
-                program = ReasonSession(config=config).compile(kernel, **options).program
-                if program is None:
-                    continue
-                by_id = {b.block_id: b for b in decompose_blocks(program.dag, tree_depth)}
-                for instruction in program.instructions:
-                    if instruction.kind is InstructionKind.COMPUTE:
-                        block = by_id[instruction.block_id]
-                        placement = map_block_to_tree(program.dag, block, tree_depth)
-                        assert placement.configs == instruction.tree_config
-                        assert list(placement.leaf_operands.items()) == list(
-                            instruction.leaf_operands.items()
-                        )
-                        placed += 1
+        for name in corpus.probabilistic():
+            kernel, options = corpus.build(name)
+            program = ReasonSession(config=config).compile(kernel, **options).program
+            by_id = {b.block_id: b for b in decompose_blocks(program.dag, tree_depth)}
+            for instruction in program.instructions:
+                if instruction.kind is InstructionKind.COMPUTE:
+                    block = by_id[instruction.block_id]
+                    placement = map_block_to_tree(program.dag, block, tree_depth)
+                    assert placement.configs == instruction.tree_config
+                    assert list(placement.leaf_operands.items()) == list(
+                        instruction.leaf_operands.items()
+                    )
+                    placed += 1
         assert placed > 1000
 
     @settings(max_examples=25, deadline=None)

@@ -153,7 +153,7 @@ class TestDagCore:
         formula = CNF([Clause([1, 2, 3]), Clause([-1, 2])])
         dag, _ = cnf_to_dag(formula)
         assert dag.depth() == 2
-        assert dag.max_fan_in() == 3
+        assert dag.plan().max_fan_in == 3
 
     def test_memory_footprint_counts_nodes_edges_weights(self):
         dag = Dag()

@@ -1,14 +1,22 @@
 """Pins of the unified DAG's cache key and sizes.
 
 ``DagAdapter.kernel_key`` keys a raw :class:`~repro.core.dag.graph.Dag`
-request, and no corpus kernel reaches it (``build_trace`` has no raw
-DAG), so its bytes are pinned here for four DAGs: a CNF's three-layer
-DAG, the regularized DAGs two corpus programs compile, and a hand-built
-DAG with every op a raw request can carry.  Their sizes are pinned
-beside them, and so are ``optimize``'s footprints for the six
-probabilistic corpus kernels.  Everything here was recorded at 5701673,
+request, and no kernel of the corpus's trace reaches it (it has no
+raw DAG), so its bytes are pinned here for four DAGs: a CNF's
+three-layer DAG, the regularized DAGs two trace programs compile, and
+the corpus's hand-built DAG with every op a raw request can carry.
+Their sizes are pinned beside them, and so are ``optimize``'s
+footprints and flow-pruning reports for the six probabilistic trace
+kernels.  The keys, sizes and footprints were recorded at 5701673,
 while a DAG was still a dict of node objects; a change to how a DAG is
-stored must pass it unedited.
+stored must pass them unedited.
+
+``optimize`` counts a pruned circuit's ``nodes_after`` and
+``edges_after`` on the columns it lowers from, not on the pruned
+circuit's own plan, which ``prune_circuit_by_flow`` still walks.  Both
+reports are pinned in ``REPORTS`` (an HMM's report counts states and
+transitions), with the bound as ``float.hex``: recorded at 855650c,
+before the counting moved.
 """
 
 import hashlib
@@ -17,40 +25,22 @@ import pytest
 
 from repro import ReasonSession
 from repro.api.adapters import DagAdapter
-from repro.core.dag import Dag, OpType, cnf_to_dag, optimize
-from tests.api.test_report_identity import build_trace
+from repro.core.dag import Dag, cnf_to_dag, optimize, prune_circuit_by_flow
 
-KERNELS = {
-    name: (kernel, options)
-    for tiny in (True, False)
-    for name, kernel, options in build_trace(tiny)
-}
-
-
-def hand_dag() -> Dag:
-    """An INPUT, a LITERAL, a NOT and a weighted SUM under an OR that
-    shares the NOT with the SUM, plus an unreachable PRODUCT."""
-    dag = Dag()
-    x = dag.add_op(OpType.INPUT, payload="x")
-    literal = dag.add_op(OpType.LITERAL, payload=-3)
-    negated = dag.add_op(OpType.NOT, [x])
-    mixed = dag.add_op(OpType.SUM, [negated, literal], weights=[0.25, 0.75])
-    dag.add_op(OpType.PRODUCT, [literal, x])
-    dag.set_root(dag.add_op(OpType.OR, [mixed, negated]))
-    return dag
+from tests import corpus
 
 
 def pinned_dag(name: str) -> Dag:
-    if name == "hand":
-        return hand_dag()
-    kernel, options = KERNELS[name]
+    kernel, options = corpus.build(name)
     if name.startswith("cnf/"):
         return cnf_to_dag(kernel)[0]
-    return ReasonSession().compile(kernel, **options).dag
+    if name.startswith(("circuit/", "hmm/")):
+        return ReasonSession().compile(kernel, **options).dag
+    return kernel
 
 
 #: name -> (sha256 of ``DagAdapter().kernel_key(dag)``, (num_nodes,
-#: num_edges, memory_footprint(), max_fan_in(), depth())).
+#: num_edges, memory_footprint(), plan().max_fan_in, depth())).
 PINNED = {
     "cnf/ksat-40": (
         "b9e9ab95785776bd59a8e709e3ad9ac1b6b4fa15b8f2ce35de73d69d0a1e83df",
@@ -82,9 +72,20 @@ MEMORY = {
     "hmm/rand-6": (751, 653),
 }
 
+#: kernel -> (edges_before, edges_after, nodes_before, nodes_after,
+#: log_likelihood_bound.hex()) of ``optimize(...).stage_report``.
+REPORTS = {
+    "circuit/rand-10": (411, 308, 412, 309, "0x1.0ed5681c29533p-2"),
+    "circuit/rand-12": (432, 337, 433, 338, "0x1.0f1df50d4cca7p-3"),
+    "hmm/rand-10": (100, 80, 10, 10, "0x1.7457f4be05ccdp-6"),
+    "hmm/rand-12": (144, 115, 12, 12, "0x1.0fe8f42d18e9fp-6"),
+    "circuit/rand-6": (39, 32, 40, 33, "0x1.74b8adee505e4p-3"),
+    "hmm/rand-6": (36, 29, 6, 6, "0x1.e23c8c6673c37p-7"),
+}
+
 
 def sizes(dag: Dag) -> tuple:
-    return (dag.num_nodes, dag.num_edges, dag.memory_footprint(), dag.max_fan_in(), dag.depth())
+    return (dag.num_nodes, dag.num_edges, dag.memory_footprint(), dag.plan().max_fan_in, dag.depth())
 
 
 @pytest.mark.parametrize("name", PINNED)
@@ -94,9 +95,41 @@ def test_raw_dag_key_and_sizes_match_pins(name):
     assert (digest, sizes(dag)) == PINNED[name]
 
 
+def calibrated(name: str):
+    """The kernel and what ``optimize`` calibrates it on: a kernel run
+    without calibration is optimized over its observation sequence."""
+    kernel, options = corpus.build(name)
+    return kernel, options.get("calibration") or [options["hmm_observations"]]
+
+
 @pytest.mark.parametrize("name", MEMORY)
 def test_optimize_footprints_match_pins(name):
-    kernel, options = KERNELS[name]
-    calibration = options.get("calibration") or [options["hmm_observations"]]
+    kernel, calibration = calibrated(name)
     result = optimize(kernel, calibration=calibration)
     assert (result.memory_before, result.memory_after) == MEMORY[name]
+
+
+def row(report) -> tuple:
+    return (
+        report.edges_before,
+        report.edges_after,
+        report.nodes_before,
+        report.nodes_after,
+        report.log_likelihood_bound.hex(),
+    )
+
+
+def test_the_pins_cover_the_footprint_pins():
+    assert REPORTS.keys() == MEMORY.keys() == set(corpus.probabilistic())
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_optimize_reports_match_pins(name):
+    kernel, calibration = calibrated(name)
+    assert row(optimize(kernel, calibration=calibration).stage_report) == REPORTS[name]
+
+
+@pytest.mark.parametrize("name", [name for name in REPORTS if name.startswith("circuit/")])
+def test_prune_circuit_by_flow_reports_match_pins(name):
+    _, report = prune_circuit_by_flow(*calibrated(name))
+    assert row(report) == REPORTS[name]

@@ -34,15 +34,8 @@ from repro.core.dag.regularize import two_input
 from repro.hmm.model import HMM
 from repro.pc.circuit import Circuit
 from repro.pc.learn import random_circuit, sample_dataset
-from tests.api.test_report_identity import build_trace
-from tests.pc.test_flows_learn import shared_circuit_and_data
 
-CORPUS = [
-    (name, kernel, options)
-    for tiny in (True, False)
-    for name, kernel, options in build_trace(tiny)
-    if not name.startswith("cnf/")
-]
+from tests import corpus
 
 
 def key(dag: Dag) -> bytes:
@@ -90,8 +83,9 @@ def assert_hmm_lowering(hmm, observations, calibration):
     assert result.memory_after == pruned_nary.memory_footprint()
 
 
-@pytest.mark.parametrize("name,kernel,options", CORPUS, ids=[name for name, _, _ in CORPUS])
-def test_corpus_kernels_lower_as_the_old_route_does(name, kernel, options):
+@pytest.mark.parametrize("name", corpus.probabilistic())
+def test_corpus_kernels_lower_as_the_old_route_does(name):
+    kernel, options = corpus.build(name)
     if isinstance(kernel, Circuit):
         assert_pruned_circuit_lowering(kernel, options["calibration"])
         assert_plain_circuit_lowering(kernel)
@@ -106,7 +100,7 @@ def test_corpus_kernels_lower_as_the_old_route_does(name, kernel, options):
 def test_tree_and_dag_shaped_circuits_lower_as_the_old_route_does(seed, shared, keep_fraction):
     rng = random.Random(seed)
     if shared:
-        circuit, _ = shared_circuit_and_data(seed, 0)
+        circuit, _ = corpus.shared_circuit_and_data(seed, 0)
     else:
         circuit = random_circuit(
             rng.randint(2, 7), depth=rng.randint(1, 3), sum_children=rng.randint(2, 4), seed=seed

@@ -24,8 +24,9 @@ from repro.core.compiler.program import (
 )
 from repro.core.dag import circuit_to_dag
 from repro.core.dag.graph import OpType
-from repro.pc.learn import random_circuit, sample_dataset
-from tests.api.test_report_identity import RECORDED_PROGRAMS, build_trace, program_digest
+from repro.pc.learn import random_circuit
+
+from tests import corpus
 
 
 def rebuilt(program: Program) -> Program:
@@ -38,31 +39,28 @@ def columns(program: Program) -> dict:
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    """``(name, program)`` for every program kernel of both corpora."""
+def programs():
+    """The program of every circuit and HMM of the corpus's trace."""
     compiled = []
-    for tiny in (True, False):
-        for name, kernel, options in build_trace(tiny=tiny):
-            program = ReasonSession().compile(kernel, **options).program
-            if program is not None:
-                compiled.append((name, program))
-    assert len(compiled) == 6
+    for name in corpus.probabilistic():
+        kernel, options = corpus.build(name)
+        compiled.append(ReasonSession().compile(kernel, **options).program)
+    assert len(compiled) == 6 and None not in compiled
     return compiled
 
 
-def test_instructions_convert_back_column_for_column(corpus, overflow_schedule):
-    programs = [program for _, program in corpus] + [overflow_schedule[0]]
-    for program in programs:
+def test_instructions_convert_back_column_for_column(programs, overflow_schedule):
+    for program in programs + [overflow_schedule[0]]:
         again = rebuilt(program)
         assert columns(again) == columns(program) and again.dag is program.dag
         assert again.instructions == program.instructions
 
 
-def test_instructions_are_the_recorded_stream_across_a_pickle(corpus):
-    for name, program in corpus:
+def test_instructions_are_the_recorded_stream_across_a_pickle(programs):
+    """The restored stream's digest is held to the recorded one by
+    ``test_report_identity.py::test_compiled_programs_match_recorded_digests``."""
+    for program in programs:
         restored = pickle.loads(pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
-        assert program_digest(program) == RECORDED_PROGRAMS[name], name
-        assert program_digest(restored) == RECORDED_PROGRAMS[name], name
         assert columns(restored) == columns(program)
         assert restored.instructions == program.instructions
 
@@ -148,8 +146,7 @@ def test_an_entry_with_a_list_of_instructions_program_is_a_counted_miss(
     # Entries written while a Program pickled as a list of
     # VLIWInstruction objects: one miss each, counted, then recompiled
     # and rewritten in the column format — never a failed request.
-    circuit = random_circuit(6, depth=2, sum_children=2, seed=3)
-    options = {"calibration": sample_dataset(circuit, 8, seed=5)}
+    circuit, options = corpus.build("circuit/rand-6")
 
     def list_of_instructions(program):
         return {

@@ -7,46 +7,32 @@ untraced ``ProgramRun`` and chip counters must equal what the traced
 stream re-sums to (``cross_validate``, the PE_BLOCK op totals, one
 COMPUTE event per control cycle, one memory event per SRAM word) and
 what a per-instruction walk of the stream charges — the loop
-``run_program`` ran before it counted.  The corpus is every kernel of
-``tests/analysis/test_verifier.py`` and every program of
-``build_trace``, under the default config and the configs that change
-the stream.
+``run_program`` ran before it counted.  The kernels are the corpus's
+``verifier`` family and every program of its trace, under the default
+config and the configs that change the stream.
 """
-
-import dataclasses
 
 import pytest
 
 from repro import ReasonSession
 from repro.core.arch import ReasonAccelerator
-from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.arch.energy import EVENT_NAMES, EnergyModel
 from repro.core.compiler import compile_dag
 from repro.core.compiler.program import InstructionKind
 from repro.core.dag import default_leaf_inputs
 from repro.core.dag.graph import OpType
-from repro.pc.learn import random_circuit
 from repro.trace import EventKind, TraceWriter, cross_validate, read_trace
-from tests.analysis.test_verifier import _KERNELS, _PRESSURES, CORPUS
-from tests.api.test_report_identity import build_trace
-from tests.core.test_program_trace_pins import CONFIGS
 
-_BUILD_TRACE = {
-    name: (kernel, options)
-    for tiny in (True, False)
-    for name, kernel, options in build_trace(tiny=tiny)
-    if not name.startswith("cnf/")
-}
-_CONFIGS = {
-    name: dataclasses.replace(DEFAULT_CONFIG, **overrides)
-    for name, overrides in CONFIGS.items()
-}
-#: (source, kernel, config name): the verifier corpus under its own
+from tests import corpus
+
+#: The configs that change a traced stream.
+_STREAM = ("default", "unpipelined", "fixed-function", "4-banks-x-4-regs")
+#: (source, kernel, config name): the verifier entries under their own
 #: register pressures, and both families under every stream config.
 _CASES = (
-    [("verifier", kernel, pressure) for kernel, pressure in CORPUS]
-    + [("verifier", kernel, config) for kernel in _KERNELS for config in _CONFIGS]
-    + [("build_trace", name, config) for name in _BUILD_TRACE for config in _CONFIGS]
+    [("verifier", kernel, pressure) for kernel, pressure in corpus.VERIFIER_CASES]
+    + [("verifier", kernel, config) for kernel in corpus.FAMILIES["verifier"] for config in _STREAM]
+    + [("trace", name, config) for name in corpus.probabilistic() for config in _STREAM]
 )
 _MEMORY = (
     InstructionKind.LOAD,
@@ -58,10 +44,10 @@ _LOGIC = (OpType.AND, OpType.OR, OpType.NOT)
 
 
 def _program(source, kernel, config_name):
-    config = {**_PRESSURES, **_CONFIGS}[config_name]
+    config = corpus.config(config_name)
+    kernel, options = corpus.build(kernel)
     if source == "verifier":
-        return compile_dag(_KERNELS[kernel](), config)[0], config
-    kernel, options = _BUILD_TRACE[kernel]
+        return compile_dag(kernel, config)[0], config
     return ReasonSession(config=config).compile(kernel, **options).program, config
 
 
@@ -141,7 +127,7 @@ def test_a_reused_chip_reports_each_run_alone():
     """A second run of the same program on one chip reports the same
     energy, power and utilization as the first (they used to include
     every earlier run's); the chip's own counters keep accumulating."""
-    program = ReasonSession().compile(random_circuit(5, depth=2, seed=1)).program
+    program = ReasonSession().compile(corpus.small("circuit")[0]).program
     inputs = default_leaf_inputs(program.dag)
     fresh = ReasonAccelerator()
     first = fresh.run_program(program, inputs)

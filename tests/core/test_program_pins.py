@@ -1,7 +1,7 @@
 """Whole-program pins beyond the default config.
 
 ``RECORDED_PROGRAMS`` in ``tests/api/test_report_identity.py`` pins the
-VLIW stream of every corpus kernel under ``DEFAULT_CONFIG``, where no
+VLIW stream of every trace kernel of the corpus under ``DEFAULT_CONFIG``, where no
 bank overflows and no block is cut short by a shallow tree.  These
 digests pin two of those kernels under the configs the compiler
 branches on: a shallower and a deeper PE tree (block decomposition and
@@ -12,21 +12,13 @@ through ``Dag.plan()``; a front-end change that keeps the compiler's
 output must pass them unedited.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import ReasonSession
-from repro.core.arch.config import DEFAULT_CONFIG
-from tests.api.test_report_identity import build_trace, program_digest
 
-CONFIGS = {
-    "tree-depth-2": {"tree_depth": 2},
-    "tree-depth-4": {"tree_depth": 4},
-    "4-banks-x-4-regs": {"num_banks": 4, "regs_per_bank": 4},
-    "unpipelined": {"pipelined_scheduling": False},
-}
+from tests import corpus
 
+#: (corpus entry, corpus config) -> ``corpus.program_digest``.
 PINNED = {
     ("circuit/rand-10", "tree-depth-2"): "cd050204caab8e530bb9e3024142420b4921432c50370d27e28f1f26bf0cfde2",
     ("hmm/rand-12", "tree-depth-2"): "b39aa6cf63663b7217e2ffb1f5611c56dabd56a45ce88adbb49a0d1bd3db4c0a",
@@ -39,17 +31,11 @@ PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
-def kernels():
-    return {name: (kernel, options) for name, kernel, options in build_trace()}
-
-
 @pytest.mark.parametrize("kernel_name, config_name", PINNED)
-def test_program_matches_pinned_digest(kernels, kernel_name, config_name):
-    kernel, options = kernels[kernel_name]
-    config = replace(DEFAULT_CONFIG, **CONFIGS[config_name])
-    artifact = ReasonSession(config=config).compile(kernel, **options)
-    assert program_digest(artifact.program) == PINNED[kernel_name, config_name]
+def test_program_matches_pinned_digest(kernel_name, config_name):
+    kernel, options = corpus.build(kernel_name)
+    artifact = ReasonSession(config=corpus.config(config_name)).compile(kernel, **options)
+    assert corpus.program_digest(artifact.program) == PINNED[kernel_name, config_name]
     if config_name == "4-banks-x-4-regs":
         # The pin covers the overflow paths only if they run.
         stats = artifact.compile_stats

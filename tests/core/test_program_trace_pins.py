@@ -13,23 +13,15 @@ how the stream is produced must pass them unedited.
 """
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
 from repro import ReasonSession
-from repro.core.arch.config import DEFAULT_CONFIG
 from repro.trace import TraceReader
-from tests.api.test_report_identity import build_trace
 
-CONFIGS = {
-    "default": {},
-    "unpipelined": {"pipelined_scheduling": False},
-    "fixed-function": {"reconfigurable": False},
-    "4-banks-x-4-regs": {"num_banks": 4, "regs_per_bank": 4},
-}
+from tests import corpus
 
-#: (``build_trace`` entry, config) -> sha256 of
+#: (corpus entry, corpus config) -> sha256 of
 #: ``session.run(kernel, trace=True, **options).extras["trace_data"]``.
 PINNED = {
     ("circuit/rand-6", "default"): "3ce37a7c3707403d16d7e928de09dc008185460edecdaf243df5a848a4e6d75b",
@@ -50,19 +42,10 @@ PINNED = {
 SPILLING = ("circuit/rand-10", "hmm/rand-12")
 
 
-@pytest.fixture(scope="module")
-def kernels():
-    return {
-        name: (kernel, options)
-        for tiny in (True, False)
-        for name, kernel, options in build_trace(tiny=tiny)
-    }
-
-
 @pytest.mark.parametrize("kernel_name, config_name", PINNED)
-def test_program_trace_matches_pinned_digest(kernels, kernel_name, config_name):
-    kernel, options = kernels[kernel_name]
-    session = ReasonSession(config=replace(DEFAULT_CONFIG, **CONFIGS[config_name]))
+def test_program_trace_matches_pinned_digest(kernel_name, config_name):
+    kernel, options = corpus.build(kernel_name)
+    session = ReasonSession(config=corpus.config(config_name))
     data = session.run(kernel, trace=True, **options).extras["trace_data"]
     assert hashlib.sha256(data).hexdigest() == PINNED[kernel_name, config_name]
     if config_name == "4-banks-x-4-regs" and kernel_name in SPILLING:

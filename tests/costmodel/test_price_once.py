@@ -9,20 +9,9 @@ import pytest
 from repro import ReasonService
 from repro.api.cache import CompileCache
 from repro.costmodel.estimator import ALPHA
-from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat
-from repro.pc.learn import random_circuit
 
-
-def kernels():
-    return [
-        random_ksat(12, 40, seed=0),
-        random_circuit(4, depth=2, seed=1),
-        HMM.random(3, 4, seed=2),
-        random_ksat(10, 32, seed=3),
-        random_circuit(5, depth=2, seed=4),
-        HMM.random(4, 5, seed=5),
-    ]
+from tests.corpus import small_kernels
 
 
 class CountingLock:
@@ -54,7 +43,7 @@ class TestPremise:
         input in its key (or an average back) before placement can
         trust it.
         """
-        pool = kernels()
+        pool = small_kernels()
         # Two rounds at queries=1 put each kernel's first settle on
         # both substrates (alternating by turn, rotated by one); then mixed.
         rounds = [1, 1, 3, 8, 1, 50]

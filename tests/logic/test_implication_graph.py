@@ -7,7 +7,7 @@ from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import random_ksat
 from repro.logic.implication_graph import BinaryImplicationGraph, prune_hidden_literals
 
-from tests.logic.conftest import chain_implications
+from tests.corpus import chain_implications
 
 
 class TestBinaryImplicationGraph:

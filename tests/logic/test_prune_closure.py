@@ -22,9 +22,7 @@ from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import pigeonhole, random_ksat, redundant_sat
 from repro.logic.implication_graph import BinaryImplicationGraph, _bit, prune_hidden_literals
 
-from tests.logic.conftest import chain_implications
-from tests.logic.test_search_identity import graph_pigeonhole
-from tests.logic.test_solvers import brute_force_sat
+from tests.corpus import brute_force_sat, chain_implications, graph_pigeonhole
 
 
 def reachable(graph, lit):

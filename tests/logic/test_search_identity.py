@@ -1,11 +1,11 @@
 """Search identity: the CDCL search itself is pinned, not just the
 reports built from it.
 
-``RECORDED`` was taken at 73eedf6, before the solver's inner loops moved
-to index-space clause lists and the trace to one int per event (the
-``graph-php-7x5/*/...`` and ``wide`` entries at 62134df, before BCP's
-watcher loop was tightened): for
-every corpus entry the verdict, all nine :class:`CDCLStats` fields and a
+``RECORDED`` keys into the corpus's ``search`` family.  It was taken at
+73eedf6, before the solver's inner loops moved to index-space clause
+lists and the trace to one int per event (the ``graph-php-7x5/*/...``
+and ``wide`` entries at 62134df, before BCP's watcher loop was
+tightened): for every entry the verdict, all nine :class:`CDCLStats` fields and a
 sha256 of the decoded ``(kind, literal, level)`` event stream.  A faster
 solver may change how a search is *run*; one different decision,
 implication order, watch move or clause fetch fails here, naming the
@@ -15,94 +15,17 @@ pinned by ``RECORDED_TRACES``), and an ``imply`` event no longer stores
 one.
 
 Re-record (after a *deliberate* change to the search) with
-``PYTHONPATH=src python tests/logic/test_search_identity.py``.
+``PYTHONPATH=src:. python tests/logic/test_search_identity.py``.
 """
 
 import dataclasses
 import hashlib
-import itertools
-import random
 
 import pytest
 
 from repro.logic.cdcl import CDCLSolver, SolveResult, TraceEvent
-from repro.logic.cnf import CNF, Clause
-from repro.logic.generators import (
-    graph_coloring_cnf,
-    pigeonhole,
-    planted_sat,
-    random_graph,
-    random_ksat,
-    redundant_sat,
-)
-from repro.logic.implication_graph import prune_hidden_literals
 
-
-def graph_pigeonhole(holes: int, degree: int, rng: random.Random) -> CNF:
-    """``holes + 1`` pigeons, each allowed ``degree`` random holes: the
-    refutation family ``cold-logic`` spends most of its time in (built
-    as ``bench/kernels.py`` builds it, from a string-seeded generator)."""
-    pigeons = holes + 1
-    allowed = [sorted(rng.sample(range(holes), degree)) for _ in range(pigeons)]
-    pairs = [(p, h) for p in range(pigeons) for h in allowed[p]]
-    names = list(range(1, len(pairs) + 1))
-    rng.shuffle(names)
-    var = dict(zip(pairs, names))
-    clauses = [[var[(p, h)] for h in allowed[p]] for p in range(pigeons)]
-    for hole in range(holes):
-        sharing = [p for p in range(pigeons) if hole in allowed[p]]
-        for a, b in itertools.combinations(sharing, 2):
-            clauses.append([-var[(a, hole)], -var[(b, hole)]])
-    rng.shuffle(clauses)
-    return CNF([Clause(literals) for literals in clauses], len(pairs))
-
-
-def wide_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> CNF:
-    """Random clauses of 4 to 8 distinct variables: the replacement-watch
-    scan of BCP goes well past slot 2, which the 2- and 3-literal
-    clauses of the other entries seldom make it do."""
-    clauses = []
-    for _ in range(num_clauses):
-        variables = rng.sample(range(1, num_vars + 1), rng.randint(4, 8))
-        clauses.append(Clause([v if rng.random() < 0.5 else -v for v in variables]))
-    return CNF(clauses, num_vars)
-
-
-def corpus():
-    """``name -> (formula, solver kwargs, assumptions)``."""
-    rng = random.Random("search-identity")
-    entries = {
-        # The CNFs of tests/api/test_report_identity.py::build_trace.
-        "ksat-120": (random_ksat(120, 500, seed=7), {}, ()),
-        "php-5": (pigeonhole(5), {}, ()),
-        "ksat-40": (random_ksat(40, 160, seed=7), {}, ()),
-        "graph-php-7x5/a": (graph_pigeonhole(7, 5, rng), {}, ()),
-        "graph-php-7x5/b": (graph_pigeonhole(7, 5, rng), {}, ()),
-        "graph-php-6x5": (graph_pigeonhole(6, 5, rng), {}, ()),
-        "ksat-60x250": (random_ksat(60, 250, seed=5), {}, ()),
-        "planted-80": (planted_sat(80, 344, seed=11)[0], {}, ()),
-        "redundant-100": (redundant_sat(100, 420, seed=3)[0], {}, ()),
-        "colouring-20": (graph_coloring_cnf(random_graph(20, 40, seed=9), 20, 3), {}, ()),
-        # Assumptions (one beyond ``num_vars``): a model under them, and
-        # a refutation that ends in a conflict below the assumption levels.
-        "ksat-50/assumed-sat": (random_ksat(50, 200, seed=0), {}, (3, -7, 60, 11)),
-        "ksat-50/assumed-unsat": (random_ksat(50, 212, seed=2), {}, (3, -7, 60, 11)),
-        "php-5/reduce-db": (pigeonhole(5), {"clause_db_limit": 10, "restart_base": 10_000}, ()),
-        "php-5/restarts": (pigeonhole(5), {"restart_base": 5}, ()),
-        "wide": (wide_cnf(30, 1200, random.Random("search-identity/wide")), {}, ()),
-    }
-    # Deletion and restarts on the refutation family ``cold-logic`` runs
-    # (the formulas above, not new draws from ``rng``).
-    entries["graph-php-7x5/a/reduce-db"] = (
-        entries["graph-php-7x5/a"][0],
-        {"clause_db_limit": 20, "restart_base": 10_000},
-        (),
-    )
-    entries["graph-php-7x5/b/restarts"] = (entries["graph-php-7x5/b"][0], {"restart_base": 5}, ())
-    # What the serving path solves is the pruned formula.
-    pruned, _ = prune_hidden_literals(entries["redundant-100"][0])
-    entries["redundant-100/pruned"] = (pruned, {}, ())
-    return entries
+from tests import corpus
 
 
 #: name -> (verdict, CDCLStats as a tuple, events, sha256 of the stream).
@@ -188,8 +111,9 @@ def stream_digest(trace) -> str:
 
 
 def search(name, record_trace=True):
-    formula, kwargs, assumptions = corpus()[name]
-    solver = CDCLSolver(record_trace=record_trace, **kwargs)
+    formula, options = corpus.build(name)
+    assumptions = options["assumptions"]
+    solver = CDCLSolver(record_trace=record_trace, **options["solver"])
     verdict, model = solver.solve(formula, assumptions=assumptions)
     if verdict is SolveResult.SAT:
         assert formula.is_satisfied_by(model)
@@ -207,7 +131,7 @@ def observed(name):
     )
 
 
-@pytest.mark.parametrize("name", sorted(corpus()))
+@pytest.mark.parametrize("name", sorted(corpus.FAMILIES["search"]))
 def test_search_matches_the_recorded_one(name):
     assert observed(name) == RECORDED[name]
 
@@ -250,6 +174,6 @@ def test_trace_is_a_sequence_of_trace_events():
 
 if __name__ == "__main__":
     print("RECORDED = {")
-    for entry in sorted(corpus()):
+    for entry in sorted(corpus.FAMILIES["search"]):
         print(f"    {entry!r}: {observed(entry)!r},")
     print("}")

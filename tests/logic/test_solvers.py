@@ -17,14 +17,7 @@ from repro.logic.generators import (
     random_ksat,
 )
 
-
-def brute_force_sat(formula: CNF) -> bool:
-    variables = sorted(frozenset().union(*(clause.variables() for clause in formula)))
-    for mask in range(1 << len(variables)):
-        assignment = {v: bool(mask >> i & 1) for i, v in enumerate(variables)}
-        if formula.is_satisfied_by(assignment):
-            return True
-    return False
+from tests.corpus import brute_force_sat
 
 
 @st.composite

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pc.circuit import Circuit, LeafNode, ProductNode, SumNode, bernoulli_leaf
+from repro.pc.circuit import Circuit, LeafNode, SumNode, bernoulli_leaf
 from repro.pc.flows import (
     _evaluate_batch,
     _evidence_columns,
@@ -22,6 +22,8 @@ from repro.pc.inference import (
     log_likelihood,
 )
 from repro.pc.learn import fit_em, random_circuit, sample_dataset
+
+from tests.corpus import EVIDENCE_VALUES, shared_circuit_and_data
 
 
 def reference_node_flows(circuit, evidence):
@@ -94,12 +96,6 @@ class TestFlows:
         )
         per_edge = edge_flows(circuit, {0: 1})
         assert all(v == 0.0 for v in per_edge.values())
-
-
-#: What an evidence dict may hold for a variable besides leaving it out:
-#: ``None``, values inside a binary or three-state table, values past
-#: the end of either, and negatives.
-EVIDENCE_VALUES = (None, 0, 1, 2, 3, 7, -1, -4)
 
 
 def mixed_circuit_and_data(seed: int, m: int):
@@ -405,41 +401,6 @@ class TestEM:
             fit_em(dirty, with_row, iterations=iterations)
             assert parameters(dirty) == parameters(clean)
 
-
-
-def shared_circuit_and_data(seed: int, m: int):
-    """A DAG-shaped circuit and ``m`` evidence dicts drawn as
-    :func:`mixed_circuit_and_data` draws them.  ``random_circuit`` never
-    reuses a node, so these are built by hand: either
-    ``test_circuit.py``'s diamond (levels of ``SumNode([a, a])`` over a
-    product), or one sub-circuit reused under sums at several depths."""
-    rng = random.Random(seed)
-    num_vars = rng.randint(2, 5)
-    if rng.random() < 0.3:
-        node = ProductNode([bernoulli_leaf(v, rng.uniform(0.1, 0.9)) for v in range(num_vars)])
-        for _ in range(rng.randint(1, 6)):
-            node = SumNode([node, node], [0.5, 0.5])
-    else:
-        shared = random_circuit(num_vars, depth=1, sum_children=2, seed=seed).root
-        node = shared
-        for level in range(rng.randint(1, 4)):
-            other = random_circuit(
-                num_vars, depth=rng.randint(1, 2), sum_children=3, seed=seed + level + 1
-            )
-            children = [node, shared, other.root]
-            rng.shuffle(children)
-            node = SumNode(children, [rng.uniform(0.1, 1.0) for _ in children])
-        node = SumNode([node, shared], [rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
-    circuit = Circuit(node)
-    circuit.validate()
-    for leaf in circuit.plan().leaves:
-        if leaf.variable % 2:
-            leaf.probabilities = np.array([rng.random() for _ in range(3)])
-    data = [
-        {v: rng.choice(EVIDENCE_VALUES) for v in range(num_vars) if rng.random() < 0.75}
-        for _ in range(m)
-    ]
-    return circuit, data
 
 
 class TestSharedChildren:

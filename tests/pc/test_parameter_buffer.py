@@ -13,20 +13,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api.adapters import RunOptions, adapter_for
-from repro.core.arch.config import DEFAULT_CONFIG
 from repro.pc.circuit import Circuit, LeafNode
 from repro.pc.learn import fit_em, random_circuit, sample_dataset
 
-
-def key(circuit):
-    return adapter_for(circuit).fingerprint(circuit, RunOptions(), DEFAULT_CONFIG)
-
-
-def fresh_key(circuit):
-    twin = copy.deepcopy(circuit)
-    assert twin._key_memo is None and twin._plan is None
-    return key(twin)
+from tests.corpus import fresh_key, key
 
 
 @pytest.fixture
