@@ -1359,13 +1359,8 @@ class ReasonService:
             with shard.lock:
                 snapshots.append(replace(shard.counters))
                 shard_tasks.append(list(shard.stage_times))
-        # Zero completed requests compose explicitly to the zero
-        # makespan (no division, no empty-sequence edge inside the
-        # pipeline model) — stats() is safe to call on a fresh service.
-        if any(shard_tasks):
-            composition = compose_shard_makespans(shard_tasks)
-        else:
-            composition = ShardComposition.empty(len(shard_tasks))
+        # A fresh service composes to one zero pipeline per shard.
+        composition = compose_shard_makespans(shard_tasks)
         stats = [
             ShardStats(
                 index=shard.index,

@@ -175,7 +175,7 @@ def circuit_dag_footprint(circuit: Circuit) -> int:
     """``circuit_to_dag(circuit)[0].memory_footprint()`` without the DAG:
     a word per node, per edge and per sum edge's weight."""
     plan = circuit.plan()
-    return len(plan.order) + plan.num_edges + len(plan.edge_keys)
+    return len(plan.order) + plan.num_edges + plan.num_sum_edges
 
 
 def hmm_dag_footprint(hmm: HMM, num_steps: int) -> int:

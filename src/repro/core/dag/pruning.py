@@ -11,6 +11,7 @@ expected transition usage from forward-backward posteriors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.logic.implication_graph import PruneReport, prune_hidden_literals
 from repro.pc.circuit import (
     _LEAF,
     _PRODUCT,
+    _SUM,
     Circuit,
     CircuitNode,
     LeafNode,
@@ -70,8 +72,9 @@ def prune_circuit_by_flow(
 ) -> Tuple[Circuit, FlowPruneReport]:
     """Remove the lowest-flow sum edges of a probabilistic circuit.
 
-    Edges are ranked by cumulative flow F_{n,c}(D); the lowest
-    ``1 - keep_fraction`` of sum edges are deleted (each sum keeps at
+    Sum edges — one per slot of the plan, so a child a sum lists twice
+    is two edges — are ranked by cumulative flow F_{n,c}(D); the lowest
+    ``1 - keep_fraction`` of them are deleted (each sum keeps at
     least :data:`MIN_SUM_CHILDREN` children; ``optimize`` checks that
     ``keep_fraction`` lies in (0, 1]).  Surviving weights are
     renormalized.  The report carries the paper's bound
@@ -97,25 +100,30 @@ def prune_circuit_columns(
     flows, count = dataset_edge_flows(circuit, dataset)
     if count == 0:
         raise ValueError("flow pruning needs a non-empty calibration dataset")
+    num_to_drop = int(len(flows) * (1.0 - keep_fraction))
 
-    sum_edges = sorted(flows.items(), key=lambda kv: kv[1])
-    num_to_drop = int(len(sum_edges) * (1.0 - keep_fraction))
-    drop_order = [key for key, _ in sum_edges]
-
-    # Respect MIN_SUM_CHILDREN per sum node while honoring the drop budget.
+    # Drop slots from the lowest flow up (ties in slot order), skipping
+    # one whose sum is down to MIN_SUM_CHILDREN kept slots, until the
+    # budget is spent.
     plan = circuit.plan()
-    children_left = {node.node_id: len(node.children) for node in plan.sums}
-    dropped: set = set()
+    span_of = [  # each slot's sum's slot range
+        (slot, slot + len(children))
+        for kind, _, _, children, slot in plan.entries
+        if kind == _SUM
+        for _ in children
+    ]
+    kept = [True] * len(flows)
+    dropped = 0
     bound_mass = 0.0
-    for key in drop_order:
-        if len(dropped) >= num_to_drop:
+    flow_of = flows.tolist()
+    for slot in np.argsort(flows, kind="stable").tolist():
+        if dropped >= num_to_drop:
             break
-        parent_id, _ = key
-        if children_left[parent_id] <= MIN_SUM_CHILDREN:
-            continue
-        dropped.add(key)
-        children_left[parent_id] -= 1
-        bound_mass += flows[key]
+        start, end = span_of[slot]
+        if kept[start:end].count(True) > MIN_SUM_CHILDREN:
+            kept[slot] = False
+            dropped += 1
+            bound_mass += flow_of[slot]
 
     report = FlowPruneReport(
         edges_before=plan.num_edges,
@@ -131,7 +139,6 @@ def prune_circuit_columns(
     new_leaf = LeafNode._over_checked if valid else LeafNode
     next_table = iter(tables).__next__
     rebuilt: List[CircuitNode] = []
-    edge_keys = plan.edge_keys
     # The parent's columns, each sum's children and weights then
     # replaced by the kept ones.
     columns = circuit_columns(plan)
@@ -141,18 +148,14 @@ def prune_circuit_columns(
         elif kind == _PRODUCT:
             rebuilt.append(ProductNode([rebuilt[c] for c in children]))
         else:
-            kept: List[int] = []
-            kept_weights: List[float] = []
-            keys = edge_keys[slot : slot + len(children)]
-            for child, weight, key in zip(children, columns.weights[dense], keys):
-                if key not in dropped:
-                    kept.append(child)
-                    kept_weights.append(weight)
+            mask = kept[slot : slot + len(children)]
+            kept_children = tuple(compress(children, mask))
+            kept_weights = list(compress(columns.weights[dense], mask))
             total = sum(kept_weights)
             if total > 0:
                 kept_weights = [w / total for w in kept_weights]
-            rebuilt.append(SumNode([rebuilt[c] for c in kept], kept_weights))
-            columns.children[dense] = tuple(kept)
+            rebuilt.append(SumNode([rebuilt[c] for c in kept_children], kept_weights))
+            columns.children[dense] = kept_children
             columns.weights[dense] = tuple(kept_weights)
     num_states = dict(circuit.num_states)
     for variable in plan.variables:

@@ -47,21 +47,6 @@ class ShardComposition:
         """Modeled requests/second for ``num_tasks`` tasks."""
         return num_tasks / self.total_s if self.total_s > 0 else 0.0
 
-    @classmethod
-    def empty(cls, num_shards: int = 0) -> "ShardComposition":
-        """The composition of a service that has completed nothing yet:
-        one zero pipeline per shard, zero makespan everywhere.  What
-        :meth:`~repro.api.service.ReasonService.stats` reports before
-        the first request finishes."""
-        return cls(
-            per_shard=[
-                PipelineResult(0.0, 0.0, 0.0, 0.0) for _ in range(num_shards)
-            ],
-            total_s=0.0,
-            single_shard_s=0.0,
-            serial_s=0.0,
-        )
-
 
 def compose_shard_makespans(
     shard_tasks: Sequence[Sequence[StageTimes]],

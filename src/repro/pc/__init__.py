@@ -21,7 +21,7 @@ from repro.pc.inference import (
     conditional,
     sample,
 )
-from repro.pc.flows import edge_flows, dataset_edge_flows
+from repro.pc.flows import dataset_edge_flows
 from repro.pc.learn import (
     fit_em,
     random_circuit,
@@ -38,7 +38,6 @@ __all__ = [
     "likelihood",
     "conditional",
     "sample",
-    "edge_flows",
     "dataset_edge_flows",
     "fit_em",
     "random_circuit",

@@ -20,8 +20,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-EdgeKey = Tuple[int, int]  # (parent node_id, child node_id)
-
 # Entry kinds of a :class:`CircuitPlan` (also the tags of its structure stream).
 _LEAF, _PRODUCT, _SUM = 0, 1, 2
 
@@ -211,9 +209,9 @@ class CircuitPlan:
     """
 
     __slots__ = (
-        "root", "order", "entries", "edge_keys", "root_index", "variables",
-        "leaves", "leaf_rows", "sums", "num_edges", "structure_digest", "_layout",
-        "levels",
+        "root", "order", "entries", "root_index", "variables", "leaves",
+        "leaf_rows", "sums", "num_edges", "num_sum_edges", "structure_digest",
+        "_layout", "levels",
     )  # fmt: skip
 
     def __init__(self, root: CircuitNode):
@@ -238,14 +236,16 @@ class CircuitPlan:
         self.order = order
         index = {node.node_id: i for i, node in enumerate(order)}
         self.root_index = index[root.node_id]
-        # entries: (kind, dense index, node, child dense indices, edge slot)
+        # entries: (kind, dense index, node, child dense indices, edge slot).
+        # A sum's j-th edge is slot ``slot + j``: sums in plan order, each
+        # sum's edges in child order, ``num_sum_edges`` slots in all.
         self.entries: List[Tuple[int, int, CircuitNode, Tuple[int, ...], int]] = []
-        self.edge_keys: List[EdgeKey] = []
         self.variables: Set[int] = set()
         self.leaves: List[LeafNode] = []
         self.leaf_rows: List[int] = []  # each leaf's dense index
         self.sums: List[SumNode] = []
         self.num_edges = 0
+        self.num_sum_edges = 0
         stream = array("q", [len(order)])
         for dense, node in enumerate(order):
             if isinstance(node, LeafNode):
@@ -259,10 +259,9 @@ class CircuitPlan:
             if isinstance(node, ProductNode):
                 kind, slot = _PRODUCT, -1
             elif isinstance(node, SumNode):
-                kind, slot = _SUM, len(self.edge_keys)
+                kind, slot = _SUM, self.num_sum_edges
                 self.sums.append(node)
-                for child in node.children:
-                    self.edge_keys.append((node.node_id, child.node_id))
+                self.num_sum_edges += len(children)
             else:
                 raise TypeError(f"unsupported circuit node type: {type(node).__name__}")
             self.entries.append((kind, dense, node, children, slot))

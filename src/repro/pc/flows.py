@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.pc.circuit import _LEAF, _PRODUCT, _SUM, Circuit, CircuitPlan, EdgeKey
+from repro.pc.circuit import _LEAF, _PRODUCT, _SUM, Circuit, CircuitPlan
 from repro.pc.inference import Evidence
 
 #: Per circuit variable, one entry per evidence: the value as an int64
@@ -158,7 +158,7 @@ def _flow_batch(
     num_nodes, m = values.shape
     _, lengths, buffer = plan.parameters()
     weights = buffer[np.frombuffer(lengths, np.int64, len(plan.leaves)).sum() :]
-    pool = np.zeros((num_nodes + len(plan.edge_keys), m))
+    pool = np.zeros((num_nodes + plan.num_sum_edges, m))
     pool[plan.root_index] = 1.0
     levels = _level_groups(plan)
     first, second, terms, shares = np.empty((4, levels.widest, m))
@@ -242,7 +242,7 @@ class _LevelGroups:
         parents = np.repeat(nodes, fan_in)
         sources = parents.copy()
         sum_edges = np.repeat(kinds == _SUM, fan_in)
-        sources[sum_edges] = num_nodes + np.arange(len(plan.edge_keys))
+        sources[sum_edges] = num_nodes + np.arange(plan.num_sum_edges)
         sources = sources[np.lexsort((-parents, children))]
         in_degree = np.bincount(children, minlength=num_nodes)
         in_first = np.cumsum(in_degree) - in_degree
@@ -298,34 +298,21 @@ def _totals_in_dataset_order(per_input: np.ndarray) -> np.ndarray:
     return totals
 
 
-def edge_flows(circuit: Circuit, evidence: Evidence) -> Dict[EdgeKey, float]:
-    """Flow through every sum edge for one input."""
-    plan = circuit.plan()
-    values = _evaluate_batch(plan, _evidence_columns(plan, [evidence]))
-    _, edge_values = _flow_batch(plan, values)
-    return {
-        key: float(edge_values[k, 0]) for k, key in enumerate(plan.edge_keys)
-    }
-
-
 def dataset_edge_flows(
     circuit: Circuit, dataset: Iterable[Evidence]
-) -> Tuple[Dict[EdgeKey, float], int]:
+) -> Tuple[np.ndarray, int]:
     """Cumulative edge flows F_{n,c}(D) = Σ_x F_{n,c}(x) over a dataset.
 
-    Returns the flow map and the number of inputs accumulated.
+    Returns one total per sum-edge slot and the number of inputs
+    accumulated.  Slots run in plan order: each sum of
+    :meth:`Circuit.plan` in turn, its edges in child order, so a child
+    a sum lists twice has two slots and two totals.
     """
     data = list(dataset)
-    if not data:
-        return {}, 0
     plan = circuit.plan()
     values = _evaluate_batch(plan, _evidence_columns(plan, data))
     _, edge_values = _flow_batch(plan, values)
-    totals = _totals_in_dataset_order(edge_values)
-    return (
-        {key: float(totals[k]) for k, key in enumerate(plan.edge_keys)},
-        len(data),
-    )
+    return _totals_in_dataset_order(edge_values), len(data)
 
 
 def flow_pruning_bound(cumulative_flow: float, dataset_size: int) -> float:

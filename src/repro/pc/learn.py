@@ -42,8 +42,8 @@ def _em_update(plan: CircuitPlan, columns: Columns, values: np.ndarray) -> None:
     Expected counts add up one input at a time in dataset order, so the
     parameters are the ones a per-input loop learns, bit for bit.
     """
-    flows, edge_flows = _flow_batch(plan, values)
-    edge_counts = _totals_in_dataset_order(edge_flows)
+    flows, edge_rows = _flow_batch(plan, values)
+    edge_counts = _totals_in_dataset_order(edge_rows)
     for kind, dense, node, children, slot in plan.entries:
         if kind == _SUM:
             counts = edge_counts[slot : slot + len(children)] + 0.1

@@ -110,9 +110,9 @@ def sparsity_of_workload(workload: NeuroSymbolicWorkload) -> float:
 
         data = sample_dataset(kernel, 30, seed=0)
         flows, count = dataset_edge_flows(kernel, data)
-        if not flows:
+        if not flows.size:
             return 0.0
-        values = np.array(list(flows.values())) / count
+        values = flows / count
         # Activation sparsity: edges carrying a small fraction of the
         # dominant flow contribute negligibly per query.
         threshold = values.max() * 0.25 if values.max() > 0 else 0.0

@@ -63,6 +63,35 @@ class PhaseBreakdown:
         return self.by_kind.get(kind, 0) / self.total_cycles if self.total_cycles else 0.0
 
 
+class _CycleAttribution:
+    """The one attribution rule, fed a record at a time: a PHASE record
+    sets the current phase and the clock and charges nothing; any other
+    record charges its positive delta since the previous record to its
+    kind and to the current phase."""
+
+    __slots__ = ("breakdown", "last_cycle", "phase")
+
+    def __init__(self) -> None:
+        self.breakdown = PhaseBreakdown()
+        self.last_cycle = 0
+        self.phase = "untagged"
+
+    def feed(self, record) -> None:
+        breakdown = self.breakdown
+        breakdown.events += 1
+        if record.kind is EventKind.PHASE:
+            self.phase = PHASE_NAMES.get(record.value, f"phase-{record.value}")
+            self.last_cycle = record.cycle
+            return
+        delta = record.cycle - self.last_cycle
+        self.last_cycle = record.cycle
+        if delta > 0:
+            by_kind, by_phase, name = breakdown.by_kind, breakdown.by_phase, record.kind.name
+            by_kind[name] = by_kind.get(name, 0) + delta
+            by_phase[self.phase] = by_phase.get(self.phase, 0) + delta
+            breakdown.total_cycles += delta
+
+
 def phase_breakdown(source) -> PhaseBreakdown:
     """Attribute every elapsed cycle to the event that spent it.
 
@@ -71,25 +100,10 @@ def phase_breakdown(source) -> PhaseBreakdown:
     PROPAGATE that waited out a watch-list walk owns that walk's
     latency).  RUN_END's delta is the run's trailing bookkeeping.
     """
-    breakdown = PhaseBreakdown()
-    last_cycle = 0
-    phase = "untagged"
-    by_kind = breakdown.by_kind
-    by_phase = breakdown.by_phase
+    attribution = _CycleAttribution()
     for record in _reader(source):
-        breakdown.events += 1
-        if record.kind is EventKind.PHASE:
-            phase = PHASE_NAMES.get(record.value, f"phase-{record.value}")
-            last_cycle = record.cycle
-            continue
-        delta = record.cycle - last_cycle
-        last_cycle = record.cycle
-        if delta > 0:
-            name = record.kind.name
-            by_kind[name] = by_kind.get(name, 0) + delta
-            by_phase[phase] = by_phase.get(phase, 0) + delta
-            breakdown.total_cycles += delta
-    return breakdown
+        attribution.feed(record)
+    return attribution.breakdown
 
 
 @dataclass
@@ -308,34 +322,6 @@ class TraceDiff:
         return lines
 
 
-class _DiffSide:
-    """Streaming aggregates over one trace (counts + phase cycles)."""
-
-    __slots__ = ("events", "last_cycle", "phase", "counts", "phase_cycles")
-
-    def __init__(self) -> None:
-        self.events = 0
-        self.last_cycle = 0
-        self.phase = "untagged"
-        self.counts: Dict[str, int] = {}
-        self.phase_cycles: Dict[str, int] = {}
-
-    def feed(self, record) -> None:
-        self.events += 1
-        name = record.kind.name
-        self.counts[name] = self.counts.get(name, 0) + 1
-        if record.kind is EventKind.PHASE:
-            self.phase = PHASE_NAMES.get(record.value, f"phase-{record.value}")
-            self.last_cycle = record.cycle
-            return
-        delta = record.cycle - self.last_cycle
-        self.last_cycle = record.cycle
-        if delta > 0:
-            self.phase_cycles[self.phase] = (
-                self.phase_cycles.get(self.phase, 0) + delta
-            )
-
-
 def describe_record(record) -> str:
     """One record's kind and operands (their meaning per kind is
     documented on :class:`~repro.trace.format.EventKind`)."""
@@ -358,15 +344,16 @@ def diff_traces(before, after) -> TraceDiff:
     """
     from itertools import zip_longest
 
-    side_a, side_b = _DiffSide(), _DiffSide()
+    sides = (_CycleAttribution(), _CycleAttribution())
+    counts: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
     divergence: Optional[TraceDivergence] = None
-    for index, (rec_a, rec_b) in enumerate(
-        zip_longest(_reader(before), _reader(after))
-    ):
-        if rec_a is not None:
-            side_a.feed(rec_a)
-        if rec_b is not None:
-            side_b.feed(rec_b)
+    for index, records in enumerate(zip_longest(_reader(before), _reader(after))):
+        for side, side_counts, record in zip(sides, counts, records):
+            if record is not None:
+                side.feed(record)
+                name = record.kind.name
+                side_counts[name] = side_counts.get(name, 0) + 1
+        rec_a, rec_b = records
         if divergence is None:
             if rec_a is None or rec_b is None or (
                 (rec_a.cycle, rec_a.kind, rec_a.value, rec_a.extra)
@@ -377,27 +364,24 @@ def diff_traces(before, after) -> TraceDiff:
                     before=None if rec_a is None else _at_cycle(rec_a),
                     after=None if rec_b is None else _at_cycle(rec_b),
                 )
-    kind_deltas = [
-        TraceDelta(name, side_a.counts.get(name, 0), side_b.counts.get(name, 0))
-        for name in sorted(set(side_a.counts) | set(side_b.counts))
-        if side_a.counts.get(name, 0) != side_b.counts.get(name, 0)
-    ]
-    phase_deltas = [
-        TraceDelta(
-            name,
-            side_a.phase_cycles.get(name, 0),
-            side_b.phase_cycles.get(name, 0),
-        )
-        for name in sorted(set(side_a.phase_cycles) | set(side_b.phase_cycles))
-        if side_a.phase_cycles.get(name, 0) != side_b.phase_cycles.get(name, 0)
-    ]
+    side_a, side_b = sides
     return TraceDiff(
-        events=(side_a.events, side_b.events),
+        events=(side_a.breakdown.events, side_b.breakdown.events),
         cycles=(side_a.last_cycle, side_b.last_cycle),
-        kind_deltas=kind_deltas,
-        phase_deltas=phase_deltas,
+        kind_deltas=_deltas(*counts),
+        phase_deltas=_deltas(side_a.breakdown.by_phase, side_b.breakdown.by_phase),
         divergence=divergence,
     )
+
+
+def _deltas(before: Dict[str, int], after: Dict[str, int]) -> List[TraceDelta]:
+    """Every name whose value differs between the two maps (a missing
+    name is 0), in name order."""
+    return [
+        TraceDelta(name, before.get(name, 0), after.get(name, 0))
+        for name in sorted(set(before) | set(after))
+        if before.get(name, 0) != after.get(name, 0)
+    ]
 
 
 # ------------------------------------------------------------- timeline

@@ -33,12 +33,14 @@ from repro.core.dag.builders import (
     hmm_dag_footprint,
 )
 from repro.core.dag.graph import LEAF_OPS
+from repro.core.dag.pruning import MIN_SUM_CHILDREN
 from repro.hmm.inference import log_likelihood as hmm_log_likelihood
 from repro.hmm.model import HMM
 from repro.logic.cdcl import solve_cnf
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import random_ksat
 from repro.pc.circuit import Circuit, ProductNode, SumNode, bernoulli_leaf
+from repro.pc.flows import dataset_edge_flows, flow_pruning_bound
 from repro.pc.inference import likelihood
 from repro.pc.learn import random_circuit, sample_dataset
 
@@ -562,6 +564,39 @@ class TestCircuitPruning:
                 leaf.probabilities[:] = table
         with pytest.raises(ValueError, match="finite and non-negative"):
             prune_circuit_by_flow(circuit, [{0: 1, 1: 0}], keep_fraction=0.5)
+
+    def test_a_repeated_child_is_one_edge_per_slot(self):
+        # ``SumNode([a, a, b])`` has three edges with three flows; the
+        # lowest (slot 0) goes, though its child stays under slot 1.
+        a, b = bernoulli_leaf(0, 0.8), bernoulli_leaf(0, 0.3)
+        data = [{0: 1}, {0: 0}, {0: 1}]
+        circuit = Circuit(SumNode([a, a, b], [0.2, 0.5, 0.3]))
+        pruned, report = prune_circuit_by_flow(circuit, data, keep_fraction=0.4)
+        assert [leaf.probabilities.tolist() for leaf in pruned.root.children] == [
+            a.probabilities.tolist(),
+            b.probabilities.tolist(),
+        ]
+        assert pruned.root.weights.tolist() == pytest.approx([0.625, 0.375])
+        assert (report.edges_before, report.edges_after) == (3, 2)
+        flows, count = dataset_edge_flows(circuit, data)
+        assert len(flows) == 3 and flows[0] < flows[2] < flows[1]
+        assert report.log_likelihood_bound == flow_pruning_bound(flows[0], count)
+
+    def test_no_keep_fraction_empties_a_sum_with_a_repeated_child(self):
+        a, b = bernoulli_leaf(0, 0.8), bernoulli_leaf(0, 0.3)
+        data = [{0: 1}, {0: 0}, {0: 1}]
+        inner = SumNode([a, a], [0.4, 0.6])
+        circuit = Circuit(SumNode([inner, b], [0.7, 0.3]))
+        for keep_fraction in np.linspace(0.05, 1.0, 20).tolist():
+            pruned, _ = prune_circuit_by_flow(circuit, data, keep_fraction)
+            assert all(len(node.children) >= MIN_SUM_CHILDREN for node in pruned.plan().sums)
+            optimize(circuit, calibration=data, keep_fraction=keep_fraction)
+        # Slots: inner's two edges, then the root's.  Slot 0 and the
+        # root's edge to ``b`` are lowest, one from each sum: both go.
+        _, report = prune_circuit_by_flow(circuit, data, keep_fraction=0.5)
+        flows, count = dataset_edge_flows(circuit, data)
+        assert np.argsort(flows, kind="stable").tolist()[:2] == [0, 3]
+        assert report.log_likelihood_bound == flow_pruning_bound(flows[0] + flows[3], count)
 
     def test_pruned_leaves_are_fresh_float_copies(self):
         circuit = random_circuit(5, depth=2, seed=15)

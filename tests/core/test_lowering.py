@@ -43,15 +43,7 @@ def key(dag: Dag) -> bytes:
 
 
 def assert_pruned_circuit_lowering(circuit, calibration, keep_fraction=0.8):
-    try:
-        pruned, report = prune_circuit_by_flow(circuit, calibration, keep_fraction)
-    except ValueError:
-        # Edges are keyed (parent id, child id), so dropping one edge of
-        # ``SumNode([a, a])`` drops both and can leave an empty sum:
-        # both routes refuse such a circuit alike.
-        with pytest.raises(ValueError, match="sum node needs at least one child"):
-            optimize(circuit, calibration=calibration, keep_fraction=keep_fraction)
-        return
+    pruned, report = prune_circuit_by_flow(circuit, calibration, keep_fraction)
     result = optimize(circuit, calibration=calibration, keep_fraction=keep_fraction)
     nary, _ = circuit_to_dag(pruned)
     assert key(result.dag) == key(regularize_two_input(nary))

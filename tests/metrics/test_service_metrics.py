@@ -17,6 +17,7 @@ from repro.api import service as service_module
 from repro.api.service import ReasonService
 from repro.api.session import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
+from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition
 from repro.costmodel import CostEstimator
 from repro.faults import FaultPlan
@@ -440,4 +441,9 @@ class TestStatsSerialization:
         assert stats.completed == 0
         assert stats.makespan_s == 0.0
         assert stats.throughput_rps == 0.0
-        assert stats.composition == ShardComposition.empty(3)
+        assert stats.composition == ShardComposition(
+            per_shard=[PipelineResult(0.0, 0.0, 0.0, 0.0)] * 3,
+            total_s=0.0,
+            single_shard_s=0.0,
+            serial_s=0.0,
+        )

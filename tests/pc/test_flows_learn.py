@@ -13,7 +13,6 @@ from repro.pc.flows import (
     _evidence_columns,
     _flow_batch,
     dataset_edge_flows,
-    edge_flows,
     flow_pruning_bound,
 )
 from repro.pc.inference import (
@@ -49,38 +48,44 @@ def reference_node_flows(circuit, evidence):
     return flows
 
 
+def flows_of(circuit, evidence):
+    """Every sum-edge slot's flow for one input."""
+    return dataset_edge_flows(circuit, [evidence])[0].tolist()
+
+
+def by_sum(circuit, flows):
+    """Each sum of the plan with its slots' flows: sums in plan order,
+    a sum's slots in child order."""
+    start = 0
+    for node in circuit.plan().sums:
+        yield node, flows[start : start + len(node.children)]
+        start += len(node.children)
+
+
 class TestFlows:
     def test_root_flow_is_one(self):
         circuit = random_circuit(4, depth=2, seed=1)
-        per_edge = edge_flows(circuit, {0: 1})
-        root = circuit.root
-        assert isinstance(root, SumNode)
-        outgoing = sum(per_edge[(root.node_id, c.node_id)] for c in root.children)
-        assert outgoing == pytest.approx(1.0)
+        root, outgoing = list(by_sum(circuit, flows_of(circuit, {0: 1})))[-1]
+        assert root is circuit.root
+        assert sum(outgoing) == pytest.approx(1.0)
 
     def test_sum_edge_flows_sum_to_parent_flow(self):
         circuit = random_circuit(4, depth=2, seed=2)
         evidence = {0: 1, 1: 0, 2: 1, 3: 0}
-        per_edge = edge_flows(circuit, evidence)
         flows = reference_node_flows(circuit, evidence)
-        for node in circuit.topological_order():
-            if isinstance(node, SumNode):
-                outgoing = sum(
-                    per_edge[(node.node_id, c.node_id)] for c in node.children
-                )
-                assert outgoing == pytest.approx(flows[node.node_id], abs=1e-9)
+        for node, outgoing in by_sum(circuit, flows_of(circuit, evidence)):
+            assert sum(outgoing) == pytest.approx(flows[node.node_id], abs=1e-9)
 
     def test_flows_nonnegative(self):
         circuit = random_circuit(5, depth=2, seed=3)
-        flows = edge_flows(circuit, {0: 1, 2: 0})
-        assert all(value >= -1e-12 for value in flows.values())
+        assert all(value >= -1e-12 for value in flows_of(circuit, {0: 1, 2: 0}))
 
     def test_dataset_flows_accumulate(self):
         circuit = random_circuit(4, depth=2, seed=4)
         data = [{0: 1}, {1: 0}, {2: 1}]
         totals, count = dataset_edge_flows(circuit, data)
         assert count == 3
-        assert totals
+        assert totals.shape == (circuit.plan().num_sum_edges,) and totals.any()
 
     def test_pruning_bound(self):
         assert flow_pruning_bound(2.0, 4) == 0.5
@@ -94,8 +99,7 @@ class TestFlows:
                 [1.0, 0.0],
             )
         )
-        per_edge = edge_flows(circuit, {0: 1})
-        assert all(v == 0.0 for v in per_edge.values())
+        assert flows_of(circuit, {0: 1}) == [0.0, 0.0]
 
 
 def mixed_circuit_and_data(seed: int, m: int):
@@ -121,6 +125,18 @@ def mixed_circuit_and_data(seed: int, m: int):
     return circuit, data
 
 
+def assert_ordered_sum_of_per_sample_flows(circuit, data):
+    """Each slot's dataset total is its per-input flows added in
+    dataset order, one slot per sum edge (a repeated child included)."""
+    totals, count = dataset_edge_flows(circuit, data)
+    expected = [0.0] * circuit.plan().num_sum_edges
+    for evidence in data:
+        for slot, flow in enumerate(flows_of(circuit, evidence)):
+            expected[slot] += flow
+    assert count == len(data)
+    assert totals.tolist() == expected
+
+
 class TestBatchEvaluation:
     """The array path against the per-sample definitions, with ``==``."""
 
@@ -128,13 +144,7 @@ class TestBatchEvaluation:
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
     def test_dataset_flows_are_the_ordered_sum_of_per_sample_flows(self, seed, m):
         circuit, data = mixed_circuit_and_data(seed, m)
-        totals, count = dataset_edge_flows(circuit, data)
-        expected = dict.fromkeys(totals, 0.0)
-        for evidence in data:
-            for key, flow in edge_flows(circuit, evidence).items():
-                expected[key] += flow
-        assert count == m
-        assert totals == expected
+        assert_ordered_sum_of_per_sample_flows(circuit, data)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
@@ -157,27 +167,26 @@ class TestBatchEvaluation:
         evidence = data[0]
         values = _evaluate_all(circuit, evidence)
         flows = reference_node_flows(circuit, evidence)
-        expected = {}
-        for node in circuit.topological_order():
-            if isinstance(node, SumNode):
-                parent_value = values[node.node_id]
-                for child, weight in zip(node.children, node.weights):
-                    live = parent_value > 0 and flows[node.node_id] != 0.0
-                    share = weight * values[child.node_id] / parent_value if live else 0.0
-                    expected[(node.node_id, child.node_id)] = share * flows[node.node_id]
-        assert edge_flows(circuit, evidence) == expected
+        expected = []
+        for node in circuit.plan().sums:
+            parent_value = values[node.node_id]
+            for child, weight in zip(node.children, node.weights):
+                live = parent_value > 0 and flows[node.node_id] != 0.0
+                share = weight * values[child.node_id] / parent_value if live else 0.0
+                expected.append(share * flows[node.node_id])
+        assert flows_of(circuit, evidence) == expected
 
     def test_non_integer_evidence_raises_instead_of_truncating(self):
         circuit = random_circuit(3, depth=2, seed=5)
         with pytest.raises(TypeError):
-            edge_flows(circuit, {0: 1.5})
+            dataset_edge_flows(circuit, [{0: 1.5}])
         with pytest.raises(TypeError):
             dataset_edge_flows(circuit, [{0: 1}, {1: 1.5}])
 
     def test_numpy_integers_are_evidence(self):
         circuit = random_circuit(3, depth=2, seed=6)
-        plain = edge_flows(circuit, {0: 1, 2: 0})
-        assert edge_flows(circuit, {0: np.int64(1), 2: np.int32(0)}) == plain
+        plain = flows_of(circuit, {0: 1, 2: 0})
+        assert flows_of(circuit, {0: np.int64(1), 2: np.int32(0)}) == plain
 
     def test_the_lowest_int64_is_a_value_not_a_marginal(self):
         # -2**63 is negative, so probability 0.0 like any other negative
@@ -185,9 +194,8 @@ class TestBatchEvaluation:
         circuit = Circuit(SumNode([bernoulli_leaf(0, 0.2), bernoulli_leaf(0, 0.7)], [0.5, 0.5]))
         lowest = -(2**63)
         assert likelihood(circuit, {0: lowest}) == 0.0
-        for flows_of in (edge_flows, lambda c, e: dataset_edge_flows(c, [e])):
-            assert flows_of(circuit, {0: lowest}) == flows_of(circuit, {0: -1})
-            assert flows_of(circuit, {0: lowest}) != flows_of(circuit, {})
+        assert flows_of(circuit, {0: lowest}) == flows_of(circuit, {0: -1})
+        assert flows_of(circuit, {0: lowest}) != flows_of(circuit, {})
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 5, 64]))
@@ -425,13 +433,7 @@ class TestSharedChildren:
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 7, 64]))
     def test_dataset_totals_are_the_ordered_sum_of_per_sample_flows(self, seed, m):
         circuit, data = shared_circuit_and_data(seed, m)
-        totals, count = dataset_edge_flows(circuit, data)
-        expected = dict.fromkeys(totals, 0.0)
-        for evidence in data:
-            for key, flow in edge_flows(circuit, evidence).items():
-                expected[key] += flow
-        assert count == m
-        assert totals == expected
+        assert_ordered_sum_of_per_sample_flows(circuit, data)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
