@@ -13,8 +13,10 @@ layer::
 
 Each shard owns a private :class:`ReasonSession` (its own compile
 cache) fed by a bounded admission queue and drained by a dedicated
-worker thread.  A pluggable :class:`~repro.api.scheduler.SchedulingPolicy`
-(round-robin, least-loaded, cache-affinity) places every request;
+worker thread; a warm hit on an idle shard skips the queue and runs
+on the submitting thread.  A pluggable
+:class:`~repro.api.scheduler.SchedulingPolicy` (round-robin,
+least-loaded, cache-affinity) places every request;
 admission applies backpressure — when the chosen shard's queue is
 full, ``submit`` blocks (or raises
 :class:`ServiceOverloaded` after ``timeout``), so producers can't
@@ -111,7 +113,7 @@ _NO_REPORT = ExecutionReport("", "", None, 0, 0.0, 0.0)
 #: (RequestSpan attribute, metric name, help, buckets).
 _SPAN_HISTOGRAMS = (
     ("queue_wait_s", "reason_request_queue_wait_seconds",
-     "Admission to worker pickup.", LATENCY_BUCKETS),
+     "Admission to the claim by a worker or an inline caller.", LATENCY_BUCKETS),
     ("execute_s", "reason_request_execute_seconds",
      "Backend execution wall seconds.", LATENCY_BUCKETS),
     ("e2e_s", "reason_request_e2e_seconds",
@@ -264,6 +266,11 @@ class _Shard:
     # queue is empty — so nothing admitted is ever orphaned, and
     # shutdown needs no queue slot of its own.
     accepting: bool = True
+    # Taken (under `lock`) by whoever runs a request on this shard: the
+    # worker from each pop to the top of its next loop, or a caller
+    # running a warm hit inline.  Held from construction until a worker
+    # first waits, and by a dead worker until its replacement does.
+    running: bool = True
     thread: Optional[threading.Thread] = None
 
     def __post_init__(self) -> None:
@@ -782,7 +789,8 @@ class ReasonService:
         deadline_s: Union[None, float, str] = None,
         **option_kwargs,
     ) -> ReasonFuture:
-        """Admit one request; returns immediately with a future.
+        """Admit one request; returns a future without waiting for a
+        queued request to run.
 
         ``backend=None`` (the default) runs the request on the REASON
         model; naming another registered backend runs it there, on
@@ -791,6 +799,12 @@ class ReasonService:
         frees (backpressure).  ``timeout`` caps the wait — on expiry the
         request is rejected with :class:`ServiceOverloaded` and no
         state changes.
+
+        A warm hit on an idle shard — the kernel in that shard's local
+        cache, its queue empty, its worker waiting and no fault plan
+        armed — runs on the calling thread instead, and settles before
+        ``submit`` returns: the future is already done, and its
+        done-callbacks run on the caller's thread.
 
         ``deadline_s`` gives the request a budget in seconds, or a named
         class from :data:`~repro.api.resilience.DEADLINE_CLASSES`
@@ -827,7 +841,8 @@ class ReasonService:
         already admitted are cancelled before the exception propagates,
         so no orphaned work keeps burning shard time without a handle.
         Requests a worker already started cannot be cancelled and will
-        run to completion.
+        run to completion, and a request that settled inline (a warm
+        hit on an idle shard, see :meth:`submit`) has already run.
         """
         kernels = list(kernels)
         neural_times = per_kernel_neural_s(len(kernels), neural_s)
@@ -918,7 +933,9 @@ class ReasonService:
         # code that takes it off again, served or rejected.
         with self._drain_cond:
             self._outstanding += 1
-        refused = shard.offer(item, timeout)  # backpressure: may block
+        # A warm hit on an idle shard settles here; the rest queue, and
+        # backpressure may block.
+        refused = "" if self._run_inline(shard, item) else shard.offer(item, timeout)
         if refused:
             self._reject(
                 refused,
@@ -930,8 +947,8 @@ class ReasonService:
         if item.deadline_at is not None:
             # Armed only now that the item is committed to a queue; the
             # timer covers queue wait, execution, and retry backoff
-            # alike.  The worker may already have settled the item, in
-            # which case there is nothing left to watch.
+            # alike.  The worker (or an inline run) may already have
+            # settled the item, in which case there is nothing to watch.
             with item.lock:
                 if item.state is not _SETTLED:
                     item.timer = threading.Timer(
@@ -942,6 +959,36 @@ class ReasonService:
                     item.timer.daemon = True
                     item.timer.start()
         return future
+
+    def _run_inline(self, shard: _Shard, item: _WorkItem) -> bool:
+        """Serve a warm hit on an idle shard on the submitting thread,
+        through the worker's own claim -> execute -> settle path; False
+        leaves the item to be queued.  Runs only with no fault plan
+        armed, the shard's breaker admitting, the shard accepting, its
+        queue empty and nobody running on it — so it never overtakes a
+        queued request — and only on a hit in the shard's local LRU,
+        checked once the flag is taken, when no other run can evict."""
+        # An unlocked glance first, so a busy shard costs no lock; the
+        # check under the lock is the one that counts.
+        if self._faults is not None or shard.running or shard.items or not shard.breaker.admits():
+            return False
+        with shard.lock:
+            if shard.running or shard.items or not shard.accepting:
+                return False
+            shard.running = True
+        hit = item.request.fingerprint in shard.session._cache
+        try:
+            if hit:
+                self._execute(shard, item)
+        except BaseException as exc:
+            self._settle(item, "error", exc)  # never strand the future
+            raise
+        finally:
+            with shard.lock:
+                shard.running = False
+                if shard.items or not shard.accepting:  # the worker waits for the flag
+                    shard.work.notify()
+        return hit
 
     def _reject(
         self,
@@ -983,9 +1030,10 @@ class ReasonService:
 
     # ------------------------------------------------------ request lifecycle
     #
-    # QUEUED -> RUNNING -> SETTLED.  The worker claims a queued item
-    # (QUEUED -> RUNNING), a retry puts a RUNNING item back on a queue,
-    # and _settle — reached from the worker (success, failure, a
+    # QUEUED -> RUNNING -> SETTLED.  A shard's worker claims a queued
+    # item (QUEUED -> RUNNING), or the submitting thread claims a warm
+    # hit on an idle shard; a retry puts a RUNNING item back on a queue,
+    # and _settle — reached from whoever claimed it (success, failure, a
     # cancelled claim), the deadline timer, retry dispatch, the crash
     # supervisor and admission's rejections — is the only way out.
 
@@ -1127,10 +1175,16 @@ class ReasonService:
         """
         while True:
             with shard.lock:
-                shard.work.wait_for(lambda: shard.items or not shard.accepting)
+                shard.running = False
+                # Nor exit while a caller runs inline: close() joins this
+                # thread, so it waits for that run too.
+                shard.work.wait_for(
+                    lambda: (shard.items or not shard.accepting) and not shard.running
+                )
                 if not shard.items:
                     return
                 item = shard.items.popleft()
+                shard.running = True
                 shard.space.notify()
             try:
                 self._execute(shard, item)

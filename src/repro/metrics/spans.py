@@ -59,7 +59,7 @@ class RequestSpan(NamedTuple):
     actual_energy_j: float = 0.0
     # Wall-clock legs (perf_counter timestamps; durations in seconds).
     admitted_at: float = 0.0
-    started_at: float = 0.0  # first worker claim (0.0 = never claimed)
+    started_at: float = 0.0  # first claim, by a worker or an inline caller (0.0 = never)
     finished_at: float = 0.0
     compile_s: float = 0.0  # front-end wall time (0.0 on a cache hit)
     execute_s: float = 0.0  # backend run wall time
@@ -73,7 +73,7 @@ class RequestSpan(NamedTuple):
 
     @property
     def queue_wait_s(self) -> float:
-        """Admission to worker pickup (0 for a request no worker claimed)."""
+        """Admission to the first claim (0 for a request nobody claimed)."""
         if self.started_at <= 0.0:
             return 0.0
         return max(self.started_at - self.admitted_at, 0.0)

@@ -131,7 +131,7 @@ class TestBackends:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.38.0"
+        assert repro.__version__ == "1.39.0"
         for name in (
             "ReasonSession",
             "ReasonService",
