@@ -172,8 +172,10 @@ class CompileCache:
         with self._lock:
             return key in self._entries
 
-    def _local_get(self, key: str) -> Optional[CompiledArtifact]:
-        """Local-level probe: bumps LRU + local_hits, never the store."""
+    def get_local(self, key: str) -> Optional[CompiledArtifact]:
+        """Local-level probe: bumps LRU + local_hits on a hit, never
+        the store, and counts nothing on a miss — so a caller may probe
+        here before building a factory for :meth:`get_or_compile`."""
         with self._lock:
             artifact = self._entries.get(key)
             if artifact is None:
@@ -203,7 +205,7 @@ class CompileCache:
         — they paid a wait, not a front end.  The factory runs outside
         the cache lock, so unrelated keys keep compiling in parallel.
         """
-        artifact = self._local_get(key)
+        artifact = self.get_local(key)
         if artifact is not None:
             return artifact, True
         if self.store is not None:

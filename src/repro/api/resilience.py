@@ -252,6 +252,15 @@ class CircuitBreaker:
     and restarts the cooldown.  Thread-safe; the open→half-open
     transition happens lazily inside :meth:`admits`, so there is no
     background timer to manage.
+
+    A closed breaker is read without its lock, so a healthy shard's
+    requests never take it.  That is safe because :meth:`admits` on a
+    closed breaker is True whatever the clock says, and one attribute
+    read sees a whole state; and because :meth:`record_success` on a
+    closed breaker with no failure counted would change nothing, while
+    a failure racing it counts itself before it moves the state — so a
+    read of "closed" and then of zero failures is a success ordered
+    before that failure, an order the lock also allows.
     """
 
     def __init__(self, failure_threshold: int = 5, reset_after_s: float = 0.25):
@@ -288,11 +297,15 @@ class CircuitBreaker:
 
     def admits(self) -> bool:
         """May the next request use this resource right now?"""
+        if self._state == "closed":
+            return True
         with self._lock:
             self._maybe_half_open()
             return self._state != "open"
 
     def record_success(self) -> None:
+        if self._state == "closed" and not self._consecutive:
+            return  # nothing to reset (see the class docstring)
         with self._lock:
             self._consecutive = 0
             self._state = "closed"

@@ -177,7 +177,7 @@ _OUTCOME_COUNTERS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class _WorkItem:
     # What admission routed on: kernel, queries, neural_s, deadline_s and
     # the fingerprint (reused for the shard's cache lookup).
@@ -305,13 +305,7 @@ class _Shard:
         route on and what a rejection reports."""
         with self.lock:
             counters = self.counters
-            return ShardView(
-                self.index,
-                counters.pending,
-                counters.completed,
-                "reason",
-                counters.busy_s,
-            )
+            return ShardView(self.index, counters.pending, counters.completed, "reason", counters.busy_s)
 
 
 @dataclass
@@ -645,8 +639,12 @@ class ReasonService:
         # worker dies mid-item (task_done never comes) and don't cover
         # deadline timers or retry backoff — the counter, decremented
         # exactly once per item by whichever actor finishes it, does.
-        self._drain_cond = threading.Condition()
+        # The hot path enters the plain lock the condition wraps, which
+        # costs no Python-level __enter__ / __exit__.
+        self._outstanding_lock = threading.Lock()
+        self._drain_cond = threading.Condition(self._outstanding_lock)
         self._outstanding = 0
+        self._drainers = 0  # drain() calls waiting: whom a settle wakes
         for shard in self._shards:
             self._start_worker(shard)
 
@@ -897,11 +895,13 @@ class ReasonService:
                     f"of {len(self._shards)}"
                 )
             shard = self._shards[index]
-            if not shard.breaker.admits():
+            admitted = shard.breaker.admits()
+            if not admitted:
                 # Route around a tripped shard.  Fails open: when every
                 # shard is tripped the policy's choice stands — serving
                 # degraded beats rejecting all traffic.
-                shard = self._alternative_to(shard) or shard
+                alternative = self._alternative_to(shard)
+                admitted, shard = alternative is not None, alternative or shard
             view = None if deadline_s is None else shard.view()
             predicted_s = prediction.seconds
             # Deadline-aware admission (the SLO substrate): reject now —
@@ -925,17 +925,23 @@ class ReasonService:
             # lock: the next policy.select must see this request in the
             # shard's pending count and predicted busy time, or
             # concurrent producers would all pick the same "idle"
-            # shard.  A rejection below takes the charge back.
+            # shard.  A rejection below takes the charge back.  The same
+            # section takes the inline claim (see _run_inline) on an
+            # admitting, accepting shard with nothing queued or running
+            # and no fault plan armed.
             with shard.lock:
                 shard.counters.submitted += 1
                 shard.counters.busy_s += predicted_s
+                claimed = admitted and shard.accepting and self._faults is None
+                claimed = claimed and not (shard.running or shard.items)
+                shard.running = shard.running or claimed
         # From here the item counts for drain(); _settle is the only
         # code that takes it off again, served or rejected.
-        with self._drain_cond:
+        with self._outstanding_lock:
             self._outstanding += 1
         # A warm hit on an idle shard settles here; the rest queue, and
         # backpressure may block.
-        refused = "" if self._run_inline(shard, item) else shard.offer(item, timeout)
+        refused = "" if claimed and self._run_inline(shard, item) else shard.offer(item, timeout)
         if refused:
             self._reject(
                 refused,
@@ -962,31 +968,31 @@ class ReasonService:
 
     def _run_inline(self, shard: _Shard, item: _WorkItem) -> bool:
         """Serve a warm hit on an idle shard on the submitting thread,
-        through the worker's own claim -> execute -> settle path; False
-        leaves the item to be queued.  Runs only with no fault plan
+        through the worker's own execute -> settle path; False leaves
+        the item to be queued.  The caller holds the shard's ``running``
+        flag, which admission's charge section took with no fault plan
         armed, the shard's breaker admitting, the shard accepting, its
         queue empty and nobody running on it — so it never overtakes a
-        queued request — and only on a hit in the shard's local LRU,
-        checked once the flag is taken, when no other run can evict."""
-        # An unlocked glance first, so a busy shard costs no lock; the
-        # check under the lock is the one that counts.
-        if self._faults is not None or shard.running or shard.items or not shard.breaker.admits():
-            return False
-        with shard.lock:
-            if shard.running or shard.items or not shard.accepting:
-                return False
-            shard.running = True
+        queued request.  It runs only on a hit in the shard's local LRU,
+        checked now that the flag is held, when no other run can evict.
+        A hit is claimed here without the future's own transition: the
+        future has not left this thread, so nobody can cancel it, and it
+        goes from pending straight to done."""
         hit = item.request.fingerprint in shard.session._cache
         try:
             if hit:
+                item.state, item.started_at = _RUNNING, time.perf_counter()
                 self._execute(shard, item)
         except BaseException as exc:
             self._settle(item, "error", exc)  # never strand the future
             raise
         finally:
-            with shard.lock:
-                shard.running = False
-                if shard.items or not shard.accepting:  # the worker waits for the flag
+            # The holder drops the flag without the lock; whoever
+            # queued or closed since then is seen below and gets its
+            # wake-up, and anyone later finds the flag already clear.
+            shard.running = False
+            if shard.items or not shard.accepting:  # the worker waits for the flag
+                with shard.lock:
                     shard.work.notify()
         return hit
 
@@ -1104,9 +1110,9 @@ class ReasonService:
                     )
             except Exception:
                 pass
-        with self._drain_cond:
+        with self._outstanding_lock:
             self._outstanding -= 1
-            if self._outstanding <= 0:
+            if self._outstanding <= 0 and self._drainers:
                 self._drain_cond.notify_all()
         if len(self._settled) >= SPAN_LOG_SIZE:
             self._fold()
@@ -1195,9 +1201,9 @@ class ReasonService:
     def _claim(self, item: _WorkItem) -> bool:
         """Move a dequeued item QUEUED -> RUNNING; False = nothing left
         to do.  A retried item made that transition (and took its
-        ``started_at`` stamp) on its first attempt; a queued one may
-        have been cancelled by the caller or settled by its deadline
-        timer."""
+        ``started_at`` stamp) on its first attempt, and an inline hit
+        in :meth:`_run_inline`; a queued one may have been cancelled by
+        the caller or settled by its deadline timer."""
         with item.lock:
             if item.state is _QUEUED and item.future.set_running_or_notify_cancel():
                 item.state = _RUNNING
@@ -1391,9 +1397,12 @@ class ReasonService:
         unresolved after ``timeout`` seconds (None waits forever).
         """
         with self._drain_cond:
-            if not self._drain_cond.wait_for(
-                lambda: self._outstanding == 0, timeout
-            ):
+            self._drainers += 1
+            try:
+                drained = self._drain_cond.wait_for(lambda: self._outstanding == 0, timeout)
+            finally:
+                self._drainers -= 1
+            if not drained:
                 raise TimeoutError(
                     f"{self._outstanding} admitted request(s) still "
                     f"unresolved after {timeout}s"

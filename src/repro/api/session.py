@@ -240,9 +240,13 @@ class ReasonSession:
         options, config) so serving layers don't hash the kernel twice;
         a warm request then never resolves the kernel's adapter.
         """
-        verify = options.verify if options.verify is not None else self._verify
         if key is None:
             key = adapter_for(kernel).fingerprint(kernel, options, self.config)
+        # A local hit, the warm request's whole lookup, builds no factory.
+        artifact = self._cache.get_local(key)
+        if artifact is not None:
+            return artifact, True
+        verify = options.verify if options.verify is not None else self._verify
 
         def compile_cold() -> CompiledArtifact:
             if self._faults is not None:

@@ -140,6 +140,24 @@ def test_other_config_executes(kind):
     )
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_an_equal_config_built_apart_is_a_report(kind):
+    """A config equal to the stored summary's but built separately is
+    not the same object, so equality decides: a report over the run
+    the artifact carries, and the stored summary stays."""
+    kernel, options = small(kind)
+    session = ReasonSession()
+    first = session.run(kernel, queries=8, **options)
+    artifact = session.compile(kernel, **options)
+    stored = artifact.execution
+    twin = replace(DEFAULT_CONFIG)
+    assert twin == DEFAULT_CONFIG and twin is not DEFAULT_CONFIG
+    report = ReasonBackend().run(artifact, twin, queries=8)
+    assert not report.executed
+    assert report.identity() == first.identity()
+    assert artifact.execution is stored
+
+
 def test_two_first_executions_of_one_artifact_agree(monkeypatch):
     """Both threads find no summary and both execute (held together
     inside the model run): each returns the reference report."""

@@ -1,14 +1,15 @@
 """ReasonService's inline settle: a warm hit on an idle shard runs on
 the submitting thread, and everything else still queues."""
 
+import functools
 import itertools
 import threading
 import time
 
 import pytest
 
-from repro import ReasonService
-from repro.api import backends
+from repro import CircuitBreaker, ReasonService
+from repro.api import ServiceClosed, backends
 from repro.api.scheduler import SchedulingPolicy
 from repro.api.types import ExecutionReport
 from repro.faults import FaultPlan
@@ -105,6 +106,36 @@ def test_an_armed_fault_plan_never_settles_inline(recorder):
             wait_idle(service)
     assert len(recorder.runs) == 5
     assert all(is_worker(thread) for _, thread in recorder.runs)
+
+
+def test_a_tripped_breaker_never_settles_inline(recorder):
+    """With its only breaker open, the service fails open and queues the
+    request on the policy's shard: a worker runs it, never the caller."""
+    kernel = random_ksat(8, 24, seed=48)
+    tripping = functools.partial(CircuitBreaker, failure_threshold=1, reset_after_s=60.0)
+    with ReasonService(shards=1, breaker=tripping) as service:
+        warm(service, kernel)
+        service._shards[0].breaker.record_failure()
+        assert service.stats().shards[0].breaker == "open"
+        service.submit(kernel, backend="test-record").result(timeout=30)
+    assert len(recorder.runs) == 1 and is_worker(recorder.runs[0][1])
+
+
+def test_a_shard_that_stopped_accepting_never_settles_inline(recorder):
+    """close() marks the service closed, then clears every shard's
+    ``accepting``.  A submit that passed the closed check just before
+    finds a warm, idle shard that no longer accepts: it is refused, and
+    nothing runs on a service that is shutting down."""
+    kernel = random_ksat(8, 24, seed=49)
+    service = ReasonService(shards=1)
+    warm(service, kernel)
+    service.close()
+    service._closed = False  # where that submit stands
+    with pytest.raises(ServiceClosed):
+        service.submit(kernel, backend="test-record")
+    service.close()
+    assert recorder.runs == []
+    assert service.stats().submitted == service.stats().completed == 1
 
 
 class ByTag(SchedulingPolicy):
