@@ -161,22 +161,46 @@ class _BuiltinsOnly(pickle.Pickler):
 #: The key part of an option that is ``None``.
 _ABSENT = key_part(None)
 
+#: An option scalar's exact value -> its key part (its ``repr``),
+#: FIFO-bounded like :data:`_DEFAULT_CONTEXTS`.  A float is keyed by its
+#: bit pattern (``0.0`` and ``-0.0`` are two entries, a NaN is found
+#: again), a bool or an int by ``(type, value)`` (``True`` and ``1`` are
+#: two).
+_SCALAR_PARTS: Dict[object, bytes] = {}
+
+_DOUBLE = struct.Struct("<d")
+
+
+def _scalar_part(value: object) -> bytes:
+    """``key_part(value)``, packed once per exact value of a builtin
+    ``bool``, ``int`` or ``float``.  Any other type is packed on every
+    call: a numpy scalar's ``repr`` follows numpy's print options."""
+    kind = type(value)
+    if kind is float:
+        exact = _DOUBLE.pack(value)
+    elif kind is bool or kind is int:
+        exact = (kind, value)
+    else:
+        return key_part(value)
+    part = _SCALAR_PARTS.get(exact)
+    if part is None:
+        part = remember(_SCALAR_PARTS, exact, key_part(value))
+    return part
+
 
 def _calibration_snapshot(options: RunOptions) -> Union[bytes, Tuple[bytes]]:
-    """What ``calibration`` holds now, in a form ``==`` compares exactly
-    and cheaper to take than :meth:`RunOptions.calibration_key`: a
-    builtins-only pickle (protocol 4, which refuses a ``PickleBuffer``),
-    in a 1-tuple so it never equals packed bytes.  A pickle holds every
-    type, value, order and shared object, and the packed key is a
-    function of those.  Anything else is the packed key itself, and no
-    calibration is the part the packed form has for it."""
-    if options.calibration is None:
-        return _ABSENT
+    """What a present ``calibration`` holds now, in a form ``==``
+    compares exactly and cheaper to take than
+    :meth:`RunOptions.calibration_key`: a builtins-only pickle (protocol
+    4, which refuses a ``PickleBuffer``), in a 1-tuple so it never equals
+    packed bytes.  A pickle holds every type, value, order and shared
+    object, and the packed key is a function of those.  Anything else is
+    the packed key itself."""
     buffer = io.BytesIO()
     try:
         _BuiltinsOnly(buffer, 4).dump(options.calibration)
     except (pickle.PicklingError, RecursionError):  # not exact builtins, or too deep
-        return key_part(options.calibration_key())
+        return options.calibration_key()
     return (buffer.getvalue(),)
 
 
@@ -185,14 +209,16 @@ def _calibration_snapshot(options: RunOptions) -> Union[bytes, Tuple[bytes]]:
 #: context of this one instance is built once per (adapter, config).
 DEFAULT_OPTIONS = RunOptions()
 
-#: How each compile option enters a fingerprint, as the bytes
-#: ``content_key`` hashes: the sequence-valued ones packed, the scalars
-#: ``repr``-ed.
+#: The scalar compile options: each enters a fingerprint as its
+#: ``repr`` (:func:`_scalar_part`).
+_SCALAR_OPTIONS = ("optimize", "keep_fraction")
+
+#: How each sequence-valued compile option enters a fingerprint when it
+#: is given, as the bytes ``content_key`` hashes: packed.  Any option
+#: that is ``None`` enters as :data:`_ABSENT`.
 _OPTION_PARTS = {
-    "optimize": lambda options: key_part(options.optimize),
-    "keep_fraction": lambda options: key_part(options.keep_fraction),
-    "calibration": lambda options: key_part(options.calibration_key()),
-    "hmm_observations": lambda options: key_part(options.observations_key()),
+    "calibration": lambda options: options.calibration_key(),
+    "hmm_observations": lambda options: options.observations_key(),
 }
 
 #: How each option is compared against a warm kernel's memo: as
@@ -261,14 +287,15 @@ class KernelAdapter:
     #: The :class:`RunOptions` fields :meth:`prepare` reads, which are
     #: exactly the ones :meth:`fingerprint` hashes: a field the front
     #: end ignores must not split one artifact over two cache entries.
-    option_fields: Tuple[str, ...] = tuple(_OPTION_PARTS)
+    option_fields: Tuple[str, ...] = (*_SCALAR_OPTIONS, *_OPTION_PARTS)
 
     def fingerprint(self, kernel: object, options: RunOptions, config: ArchConfig) -> str:
         """The cache key.  A kernel type that declares ``_key_memo``
         (class default ``None``) keeps its last key there as one tuple
         ``(snapshot, context, digest)``; the digest is served again only
         while both compare equal to this request's — exactly the bytes
-        ``content_key`` would hash, or (a CNF) what they are packed from.
+        ``content_key`` would hash, or (a CNF, an HMM) what they are
+        packed from.
 
         Options are compared the way the kernel is: only once the
         kernel's snapshot matches its memo does a request take the
@@ -304,8 +331,19 @@ class KernelAdapter:
     ) -> tuple:
         """The adapter, the config bytes and the option parts: what a
         fingerprint hashes besides the kernel (or, given
-        :data:`_OPTION_SNAPSHOTS`, what stands for it in a memo)."""
-        return (self, config.key_bytes, *[parts[name](options) for name in self.option_fields])
+        :data:`_OPTION_SNAPSHOTS`, what stands for it in a memo).  An
+        absent option and a scalar are the same bytes either way, so
+        neither goes through ``parts``."""
+        context = [self, config.key_bytes]
+        for name in self.option_fields:
+            value = getattr(options, name)
+            if value is None:
+                context.append(_ABSENT)
+            elif name in _SCALAR_OPTIONS:
+                context.append(_scalar_part(value))
+            else:
+                context.append(parts[name](options))
+        return tuple(context)
 
     def snapshot(self, kernel: object) -> object:
         """What the kernel holds now, in a form ``==`` compares exactly:
@@ -452,17 +490,37 @@ class CircuitAdapter(KernelAdapter):
         return likelihood(artifact.model, {})
 
 
+#: A dtype instance: ``np.asarray`` converts one faster than the type.
+_FLOAT64 = np.dtype(np.float64)
+
+
 class HmmAdapter(KernelAdapter):
-    """HMMs: unroll over the observation sequence, prune by posterior."""
+    """HMMs: unroll over the observation sequence, prune by posterior.
+
+    Keyed by ``initial``, ``transition`` and ``emission``, each as
+    float64: its shape, then its bytes.  The memo holds exactly those,
+    unpacked, so a warm request compares three shapes and three byte
+    strings; the shape headers are packed only on a miss."""
 
     kind = "hmm"
 
-    def kernel_key(self, kernel: HMM) -> bytes:
+    def snapshot(self, kernel: HMM) -> Tuple[object, ...]:
+        """The three shapes, then the three buffers' bytes: a matrix
+        reshaped over the same bytes compares unequal."""
+        initial = np.asarray(kernel.initial, dtype=_FLOAT64)
+        transition = np.asarray(kernel.transition, dtype=_FLOAT64)
+        emission = np.asarray(kernel.emission, dtype=_FLOAT64)
+        return (
+            initial.shape, transition.shape, emission.shape,
+            initial.tobytes(), transition.tobytes(), emission.tobytes(),
+        )  # fmt: skip
+
+    def snapshot_key(self, snapshot: Tuple[object, ...]) -> bytes:
+        """Per matrix: int64 ``ndim``, the shape as int64s, the bytes."""
         parts = []
-        for matrix in (kernel.initial, kernel.transition, kernel.emission):
-            matrix = np.asarray(matrix, dtype=np.float64)
-            parts.append(struct.pack(f"<q{matrix.ndim}q", matrix.ndim, *matrix.shape))
-            parts.append(matrix.tobytes())
+        for shape, buffer in zip(snapshot[:3], snapshot[3:]):
+            parts.append(struct.pack(f"<q{len(shape)}q", len(shape), *shape))
+            parts.append(buffer)
         return b"".join(parts)
 
     def observations_for(self, kernel: HMM, options: RunOptions) -> List[int]:

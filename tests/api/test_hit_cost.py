@@ -1,4 +1,5 @@
-"""What a warm service hit costs beyond a session hit, in Python calls.
+"""What a warm hit costs, in Python calls: a session hit of each kernel
+kind that carries options, and a service hit beyond a session hit.
 
 A warm hit on an idle shard runs on the submitting thread
 (``tests/api/test_inline_settle.py``), so one ``sys.setprofile`` hook
@@ -10,8 +11,12 @@ host's load the way a wall-clock time does, so this guard can be exact.
 import sys
 import time
 
+import pytest
+
 from repro import ReasonService, ReasonSession
 from repro.logic.generators import random_ksat
+
+from tests.corpus import small
 
 #: The most Python-level calls one warm inline ``submit(...).result()``
 #: may make beyond one ``ReasonSession.run`` of the same kernel.  Every
@@ -21,6 +26,16 @@ from repro.logic.generators import random_ksat
 #: and neither path runs a comprehension (inlined from 3.12 on), so the
 #: bound is the same for all three.
 MAX_EXTRA_CALLS = 33
+
+#: The most Python-level calls one warm ``ReasonSession.run`` may make
+#: (the probe's own ``lambda`` included), for a kind's ``small`` corpus
+#: kernel with its options: an HMM with ``hmm_observations``, a circuit
+#: with a calibration.  The same caveat holds: the dataclass
+#: ``__init__`` / ``__post_init__`` of the options and
+#: ``ABCMeta.__instancecheck__`` are Python code in CPython 3.10, 3.11
+#: and 3.12 alike, and neither path runs a comprehension (inlined from
+#: 3.12 on), so the bounds are the same for all three.
+MAX_WARM_RUN_CALLS = {"hmm": 24, "circuit": 26}
 
 
 def python_calls(action) -> list:
@@ -46,6 +61,20 @@ def wait_idle(service, timeout_s: float = 10.0) -> None:
     while any(shard.running or shard.items for shard in service._shards):
         assert time.monotonic() < deadline, "a shard never went idle"
         time.sleep(0.001)
+
+
+@pytest.mark.parametrize("kind", sorted(MAX_WARM_RUN_CALLS))
+def test_a_warm_session_hit_stays_within_its_calls(kind):
+    kernel, options = small(kind)
+    session = ReasonSession()
+    for _ in range(2):  # a miss, then a hit that finds the packed context
+        session.run(kernel, **options)
+    calls = python_calls(lambda: session.run(kernel, **options))
+    assert calls.count("run_prepared") == 1 and calls.count("prepare") == 0
+    assert len(calls) <= MAX_WARM_RUN_CALLS[kind], (
+        f"a warm {kind} hit made {len(calls)} Python calls, more than "
+        f"{MAX_WARM_RUN_CALLS[kind]}: {calls}"
+    )
 
 
 def test_a_warm_inline_hit_stays_within_its_calls_of_a_session_hit():

@@ -5,16 +5,20 @@ Every case checks the remembered answer against a never-keyed
 ``copy.deepcopy`` of the kernel, which has no memo to consult."""
 
 import copy
+import math
 import pickle
 import sys
 import threading
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.api.adapters as adapters_module
-from repro.api.adapters import adapter_for
+import repro.costmodel.features as features_module
+from repro.api.adapters import DEFAULT_OPTIONS, HmmAdapter, RunOptions, adapter_for
+from repro.api.cache import key_part
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.hmm.model import HMM
 from repro.logic.cnf import Clause
@@ -25,6 +29,44 @@ from repro.pc.learn import random_circuit
 from tests.corpus import KINDS, fresh_key, key, small
 
 OTHER_CONFIG = DEFAULT_CONFIG.with_ablation(linked_list_layout=False)
+
+#: ``(kind, field) -> key`` of the kind's ``small`` corpus kernel under
+#: the default options (``"default"``) and with each option its adapter
+#: reads changed (:func:`recorded_options`), recorded at 4fe8d3c.  Every
+#: other test here holds a key to a fresh copy's; these hold it to what
+#: a ``DiskStore`` written before a change is addressed by, so a change
+#: that repacks every key alike fails here.
+RECORDED_KEYS = {
+    ("cnf", "default"): "a5f64720be0014828d13b96574bf130471e7257229c315b16d911f031774c268",
+    ("cnf", "optimize"): "8fe87308dac1b372e586ad23be4feebb2020a5443e67d2a6a5972b90a4446000",
+    ("circuit", "default"): "ffa60eb9c06472ace8c678ccedc8d0ef54901c16817a9c1edc35be7bcfa47c06",
+    ("circuit", "optimize"): "50248535bce5e6a831b6709ff13dcd6795e54d303aaf57c4ffd86cc31066db19",
+    ("circuit", "keep_fraction"): "3fc44dc2da4cc9ed1a6fe427ab591050a30dea3b0ec8c797b0e8be9a217223c1",
+    ("circuit", "calibration"): "f6944cb15b2a86842ab2e2c21c7acead12ed457f3c73b785c7d4794c955f7b39",
+    ("hmm", "default"): "1dade1db52d23c508d858b2695e23a222915629b89a424f4d70ff5ad64886889",
+    ("hmm", "optimize"): "bc6b44fbc34ba0d9533c93d899e5c4e5ba3dfe8dcfb4938e2dcf6658b95c4619",
+    ("hmm", "keep_fraction"): "7552d226c814df85090f360bdaf7272d6b4e871653ee126928e9ded331ed1ebd",
+    ("hmm", "calibration"): "777c7dd08f6edbce2c80a3eaa32f4bc3c694e08ef1ee4c4921533e1e7e583bb0",
+    ("hmm", "hmm_observations"): "b328c7c1c2e7025ce721b6a3c92bc36a5e87666c41a7ceaf5f7296dc59f3f3af",
+    ("dag", "default"): "01959409f2cbbac3e994dbb8829df36e6623698806f47f2448679ff67299cb7e",
+}
+
+
+def recorded_options(kind, field):
+    """The options a :data:`RECORDED_KEYS` entry is keyed under."""
+    if field == "default":
+        return {}
+    if field == "optimize":
+        return {"optimize": False}
+    if field == "keep_fraction":
+        return {"keep_fraction": 0.5}
+    if field == "calibration" and kind == "hmm":
+        return {"calibration": [[0, 1, 2, 3], [3, 2, 1, 0]]}
+    # The corpus entry's own: the circuit's calibration, the HMM's
+    # observation sequence.
+    options = small(kind)[1]
+    assert list(options) == [field]
+    return options
 
 
 @pytest.fixture
@@ -39,6 +81,24 @@ def hashes(monkeypatch):
 
     monkeypatch.setattr(adapters_module, "content_key", counting)
     return calls
+
+
+class TestRecordedKeys:
+    def test_every_option_an_adapter_reads_is_recorded(self):
+        for kind in KINDS:
+            recorded = {field for k, field in RECORDED_KEYS if k == kind}
+            assert recorded == {"default", *adapter_for(small(kind)[0]).option_fields}
+
+    @pytest.mark.parametrize("kind, field", list(RECORDED_KEYS))
+    def test_a_key_is_its_recorded_value(self, kind, field):
+        kernel = small(kind)[0]
+        options = recorded_options(kind, field)
+        recorded = RECORDED_KEYS[kind, field]
+        # Cold, then warm from the memo.
+        assert [key(kernel, **options) for _ in range(3)] == [recorded] * 3
+        if field == "default":
+            adapter = adapter_for(kernel)
+            assert adapter.fingerprint(kernel, DEFAULT_OPTIONS, DEFAULT_CONFIG) == recorded
 
 
 class TestCnf:
@@ -106,6 +166,49 @@ class TestContext:
         assert key(cnf, optimize=True) != key(cnf, optimize=1) == fresh_key(cnf, optimize=1)
         assert key(cnf, optimize=True) == fresh_key(cnf, optimize=True)
 
+    def test_scalars_equal_under_eq_key_by_their_exact_value(self):
+        """Option scalars are packed once per exact value: type, and a
+        float's bit pattern.  ``True == 1 == np.True_``, ``0.0 == -0.0``
+        and ``0.8 == np.float64(0.8)``, and a NaN equals nothing; each
+        still gets the key its own ``repr`` gives it."""
+
+        def cases():
+            # A fresh NaN each time: found again by its bits, not by identity.
+            return [
+                {"optimize": flag} for flag in (True, 1, np.True_)
+            ] + [
+                {"keep_fraction": fraction}
+                for fraction in (0.8, np.float64(0.8), 0.0, -0.0, float("nan"))
+            ]
+
+        kernel = small("hmm")[0]
+        cold = []
+        for options in cases():
+            cold.append(key(kernel, **options))
+            assert [key(kernel, **options) for _ in range(2)] == [cold[-1]] * 2
+            assert cold[-1] == fresh_key(kernel, **options)
+        # Alternated, every request follows another case's.
+        for _ in range(2):
+            assert [key(kernel, **options) for options in cases()] == cold
+        scalars = [RunOptions(**options) for options in cases()]
+        parts = [(key_part(o.optimize), key_part(o.keep_fraction)) for o in scalars]
+        for i, j in combinations(range(len(parts)), 2):
+            assert (cold[i] == cold[j]) == (parts[i] == parts[j]), (i, j)
+        # The defaults (True, 0.8), then 1, 0.0, -0.0 and NaN at least.
+        assert len(set(cold)) >= 5
+
+    def test_the_scalar_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(features_module, "MAX_TRACKED_FINGERPRINTS", 8)
+        monkeypatch.setattr(adapters_module, "_SCALAR_PARTS", {})
+        kernel = small("circuit")[0]
+        fractions = [index / 40 for index in range(1, 41)]
+        keys = [key(kernel, keep_fraction=f) for f in fractions]
+        assert len(adapters_module._SCALAR_PARTS) <= 8
+        assert len(set(keys)) == len(fractions)
+        assert keys[:3] == [fresh_key(kernel, keep_fraction=f) for f in fractions[:3]]
+        assert [key(kernel, keep_fraction=f) for f in fractions] == keys
+        assert key(kernel, keep_fraction=math.nan) == fresh_key(kernel, keep_fraction=math.nan)
+
 
 class TestParameters:
     def test_hmm_emission_row_written_in_place(self):
@@ -144,6 +247,23 @@ class TestHygiene:
         assert len(hashes) == 1
         assert all(key(kernel) == first for _ in range(5))
         assert len(hashes) == 1
+
+    def test_an_unchanged_hmm_is_not_packed_again(self, monkeypatch, hashes):
+        """With its observation sequence: the first warm request finds
+        the packed context in the memo, the same bytes it compares."""
+        hmm, options = small("hmm")
+        packs = []
+        real = HmmAdapter.snapshot_key
+
+        def counting(self, snapshot):
+            packs.append(snapshot)
+            return real(self, snapshot)
+
+        monkeypatch.setattr(HmmAdapter, "snapshot_key", counting)
+        first = key(hmm, **options)
+        assert len(packs) == len(hashes) == 1
+        assert all(key(hmm, **options) == first for _ in range(5))
+        assert len(packs) == len(hashes) == 1
 
     def test_an_unchanged_cnf_is_not_walked_again(self, monkeypatch):
         cnf = random_ksat(12, 40, seed=9)
@@ -313,3 +433,57 @@ def test_random_circuit_mutations_never_serve_a_stale_key(steps):
                 node.weights = weights.copy()
         config = OTHER_CONFIG if other_config else DEFAULT_CONFIG
         assert key(circuit, config) == fresh_key(circuit, config)
+
+
+def hmm_steps():
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["entry", "list", "int", "float32", "reshape", "restore"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=hmm_steps())
+def test_random_hmm_mutations_never_serve_a_stale_key(steps):
+    """An HMM's matrices are plain attributes: written in place,
+    reassigned as another type, or reshaped over the same bytes."""
+    hmm, observed = small("hmm")
+    names = ("initial", "transition", "emission")
+    saved = {name: getattr(hmm, name).copy() for name in names}
+    original = {flag: key(hmm, **(observed if flag else {})) for flag in (True, False)}
+    for op, draw, with_observations in steps:
+        options = observed if with_observations else {}
+        name = names[draw % len(names)]
+        matrix = getattr(hmm, name)
+        value = (draw % 89) / 89
+        before = key(hmm, **options)
+        if op == "entry":
+            if isinstance(matrix, np.ndarray):
+                matrix.flat[draw % matrix.size] = value
+            elif isinstance(matrix[0], list):
+                matrix[draw % len(matrix)][draw // 7 % len(matrix[0])] = value
+            else:
+                matrix[draw % len(matrix)] = value
+        elif op == "list":
+            setattr(hmm, name, np.asarray(matrix, dtype=np.float64).tolist())
+        elif op == "int":
+            setattr(hmm, name, (np.asarray(matrix, dtype=np.float64) * 4).astype(np.int64))
+        elif op == "float32":
+            setattr(hmm, name, np.asarray(matrix, dtype=np.float32))
+        elif op == "reshape":
+            array = np.asarray(matrix, dtype=np.float64)
+            setattr(hmm, name, array.reshape(-1) if array.ndim == 2 else array.reshape(1, -1))
+        elif op == "restore":
+            for saved_name, saved_matrix in saved.items():
+                setattr(hmm, saved_name, saved_matrix.copy())
+        after = key(hmm, **options)
+        assert after == fresh_key(hmm, **options)
+        if op == "reshape":
+            assert after != before
+        elif op == "restore":
+            assert after == original[with_observations]
