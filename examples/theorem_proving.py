@@ -20,7 +20,7 @@ from repro.workloads.alphageometry import AlphaGeometryWorkload
 
 def main() -> None:
     workload = AlphaGeometryWorkload()
-    instance = workload.generate_instance("IMO", seed=11)
+    instance = workload.generate_instance("IMO", seed=0)
     problem = instance.payload
     print(f"goal: {problem.goal!r}  (provable by construction: {problem.provable})")
     print(f"facts: {len(problem.facts)}, rules: {len(problem.rules)}")

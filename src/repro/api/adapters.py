@@ -71,7 +71,11 @@ class RunOptions:
     ``calibration`` feeds the adaptive-pruning stage for probabilistic
     kernels (evidence dicts for circuits, observation sequences for
     HMMs); ``hmm_observations`` fixes the unroll sequence when no
-    calibration is given.
+    calibration is given.  These two, ``optimize`` and
+    ``keep_fraction``, are the compile options: each enters
+    :meth:`KernelAdapter.fingerprint` through its row of
+    :data:`_OPTIONS`, a snapshot every request compares and a pack only
+    a miss hashes.
 
     ``trace`` opts into the binary event trace (:mod:`repro.trace`):
     ``None`` or ``False`` (the default) traces nothing, ``True``
@@ -125,27 +129,23 @@ class RunOptions:
         if isinstance(self.hmm_observations, str):
             raise TypeError("hmm_observations must be a sequence of ints, not a str")
 
-    def calibration_key(self) -> Optional[bytes]:
-        """Canonical bytes of ``calibration``, one record per item: an
-        evidence dict as its sorted variables followed by their values,
-        an observation sequence as it is."""
-        if self.calibration is None:
-            return None
-        records = [struct.pack("<q", len(self.calibration))]
-        for item in self.calibration:
-            if isinstance(item, dict):
-                variables = sorted(item)
-                records.append(
-                    _int_record(b"E", (*variables, *map(item.__getitem__, variables)))
-                )
-            else:
-                records.append(_int_record(b"S", tuple(item)))
-        return b"".join(records)
 
-    def observations_key(self) -> Optional[bytes]:
-        if self.hmm_observations is None:
-            return None
-        return _int_record(b"S", tuple(self.hmm_observations))
+def _pack_calibration(calibration: Sequence) -> bytes:
+    """Canonical bytes of a calibration, one record per item: an
+    evidence dict as its sorted variables followed by their values, an
+    observation sequence as it is."""
+    records = [struct.pack("<q", len(calibration))]
+    for item in calibration:
+        if isinstance(item, dict):
+            variables = sorted(item)
+            records.append(_int_record(b"E", (*variables, *map(item.__getitem__, variables))))
+        else:
+            records.append(_int_record(b"S", tuple(item)))
+    return b"".join(records)
+
+
+def _pack_observations(observations: Sequence[int]) -> bytes:
+    return _int_record(b"S", tuple(observations))
 
 
 class _BuiltinsOnly(pickle.Pickler):
@@ -158,72 +158,63 @@ class _BuiltinsOnly(pickle.Pickler):
         raise pickle.PicklingError(f"not an exact builtin: {type(obj).__name__}")
 
 
-#: The key part of an option that is ``None``.
-_ABSENT = key_part(None)
-
-#: An option scalar's exact value -> its key part (its ``repr``),
-#: FIFO-bounded like :data:`_DEFAULT_CONTEXTS`.  A float is keyed by its
-#: bit pattern (``0.0`` and ``-0.0`` are two entries, a NaN is found
-#: again), a bool or an int by ``(type, value)`` (``True`` and ``1`` are
-#: two).
-_SCALAR_PARTS: Dict[object, bytes] = {}
-
 _DOUBLE = struct.Struct("<d")
+_INT = frozenset((int,))
 
 
-def _scalar_part(value: object) -> bytes:
-    """``key_part(value)``, packed once per exact value of a builtin
-    ``bool``, ``int`` or ``float``.  Any other type is packed on every
-    call: a numpy scalar's ``repr`` follows numpy's print options."""
+def _snapshot_scalar(value: object) -> object:
+    """An option scalar's exact value: a builtin ``float`` by its bit
+    pattern (``0.0`` and ``-0.0`` apart, a NaN equal to itself), a
+    ``bool`` or ``int`` with its type (``True`` and ``1`` apart), and
+    any other type (a numpy scalar) by its key part."""
     kind = type(value)
     if kind is float:
-        exact = _DOUBLE.pack(value)
-    elif kind is bool or kind is int:
-        exact = (kind, value)
-    else:
-        return key_part(value)
-    part = _SCALAR_PARTS.get(exact)
-    if part is None:
-        part = remember(_SCALAR_PARTS, exact, key_part(value))
-    return part
+        return kind, _DOUBLE.pack(value)
+    if kind is bool or kind is int:
+        return kind, value
+    return key_part(value)
 
 
-def _calibration_snapshot(options: RunOptions) -> Union[bytes, Tuple[bytes]]:
-    """What a present ``calibration`` holds now, in a form ``==``
-    compares exactly and cheaper to take than
-    :meth:`RunOptions.calibration_key`: a builtins-only pickle (protocol
-    4, which refuses a ``PickleBuffer``), in a 1-tuple so it never equals
-    packed bytes.  A pickle holds every type, value, order and shared
-    object, and the packed key is a function of those.  Anything else is
-    the packed key itself."""
+def _snapshot_calibration(calibration: Sequence) -> Union[bytes, Tuple[bytes]]:
+    """A builtins-only pickle (protocol 4, which refuses a
+    ``PickleBuffer``), in a 1-tuple so it never equals packed bytes.  A
+    pickle holds every type, value, order and shared object, and the
+    packed key is a function of those.  Anything else is the packed key
+    itself."""
     buffer = io.BytesIO()
     try:
-        _BuiltinsOnly(buffer, 4).dump(options.calibration)
+        _BuiltinsOnly(buffer, 4).dump(calibration)
     except (pickle.PicklingError, RecursionError):  # not exact builtins, or too deep
-        return options.calibration_key()
+        return _pack_calibration(calibration)
     return (buffer.getvalue(),)
 
+
+def _snapshot_observations(observations: Sequence[int]) -> Union[bytes, Tuple[int, ...]]:
+    """A tuple of exact ints.  Any other symbol (a float, a bool, a
+    numpy scalar) equals an int under ``==`` whether or not its pack
+    does, so such a sequence stands as its packed key itself."""
+    snapshot = tuple(observations)
+    if _INT.issuperset(map(type, snapshot)):
+        return snapshot
+    return _pack_observations(snapshot)
+
+
+#: Every compile option's two forms, by name: ``(snapshot, pack)``.  A
+#: request's context holds the snapshot of each option its adapter
+#: reads, which ``==`` compares exactly against a kernel's memo; only a
+#: miss packs the options into the parts ``content_key`` hashes.  An
+#: option that is ``None`` is ``None`` in both.
+_OPTIONS = {
+    "optimize": (_snapshot_scalar, key_part),
+    "keep_fraction": (_snapshot_scalar, key_part),
+    "calibration": (_snapshot_calibration, _pack_calibration),
+    "hmm_observations": (_snapshot_observations, _pack_observations),
+}
 
 #: The options of every request that passes none.  No field holds a
 #: caller-owned container, so nothing can change them in place: the key
 #: context of this one instance is built once per (adapter, config).
 DEFAULT_OPTIONS = RunOptions()
-
-#: The scalar compile options: each enters a fingerprint as its
-#: ``repr`` (:func:`_scalar_part`).
-_SCALAR_OPTIONS = ("optimize", "keep_fraction")
-
-#: How each sequence-valued compile option enters a fingerprint when it
-#: is given, as the bytes ``content_key`` hashes: packed.  Any option
-#: that is ``None`` enters as :data:`_ABSENT`.
-_OPTION_PARTS = {
-    "calibration": lambda options: options.calibration_key(),
-    "hmm_observations": lambda options: options.observations_key(),
-}
-
-#: How each option is compared against a warm kernel's memo: as
-#: :data:`_OPTION_PARTS`, except ``calibration`` by its snapshot.
-_OPTION_SNAPSHOTS = {**_OPTION_PARTS, "calibration": _calibration_snapshot}
 
 #: ``(adapter, config.key_bytes)`` -> the key context of
 #: :data:`DEFAULT_OPTIONS`, FIFO-bounded like the serving path's other memos.
@@ -275,74 +266,55 @@ class KernelAdapter:
     """Base adapter: fingerprint, compile, and software-reference a kernel.
 
     The key contract: a fingerprint is a pure function of what the
-    kernel, the options and the config hold *at the call*.  Kernels are
-    mutable, so every request takes a fresh :meth:`snapshot` of the
-    kernel — its key bytes, re-read from every parameter — and only the
-    hash is remembered: against the snapshot and the context (adapter,
-    config and option bytes) it was computed from, on the kernel
-    itself.  An unchanged kernel pays a compare, not a hash.
+    kernel, the options and the config hold *at the call*.  Kernels and
+    option containers are mutable, so every request takes a fresh
+    snapshot of each — the kernel's :meth:`snapshot`, and one per option
+    it reads from :data:`_OPTIONS` — and only the hash is remembered,
+    on the kernel itself, against what it was computed from.  An
+    unchanged request pays a compare, not a pack and a hash.
     """
 
     kind: str = ""
     #: The :class:`RunOptions` fields :meth:`prepare` reads, which are
     #: exactly the ones :meth:`fingerprint` hashes: a field the front
     #: end ignores must not split one artifact over two cache entries.
-    option_fields: Tuple[str, ...] = (*_SCALAR_OPTIONS, *_OPTION_PARTS)
+    option_fields: Tuple[str, ...] = tuple(_OPTIONS)
 
     def fingerprint(self, kernel: object, options: RunOptions, config: ArchConfig) -> str:
         """The cache key.  A kernel type that declares ``_key_memo``
         (class default ``None``) keeps its last key there as one tuple
-        ``(snapshot, context, digest)``; the digest is served again only
-        while both compare equal to this request's — exactly the bytes
-        ``content_key`` would hash, or (a CNF, an HMM) what they are
-        packed from.
-
-        Options are compared the way the kernel is: only once the
-        kernel's snapshot matches its memo does a request take the
-        options' snapshot (:data:`_OPTION_SNAPSHOTS`), and only when
-        that differs are they packed.  A first sight packs, as without
-        a memo, and remembers the packed context.
-        """
+        ``(kernel snapshot, context, digest)``; the digest is served
+        again only while both compare equal to this request's.  Only a
+        miss packs — the kernel by :meth:`snapshot_key`, each option by
+        its pack in :data:`_OPTIONS` — and hashes."""
         snapshot = self.snapshot(kernel)
-        memo = getattr(kernel, "_key_memo", False)
-        warm = memo and memo[0] == snapshot
-        packed = None
         if options is DEFAULT_OPTIONS:
-            context = packed = _DEFAULT_CONTEXTS.get((self, config.key_bytes))
+            context = _DEFAULT_CONTEXTS.get((self, config.key_bytes))
             if context is None:
-                context = packed = remember(
+                context = remember(
                     _DEFAULT_CONTEXTS, (self, config.key_bytes), self._context(options, config)
                 )
-        elif warm:
-            context = self._context(options, config, _OPTION_SNAPSHOTS)
         else:
-            context = packed = self._context(options, config)
-        if warm and memo[1] == context:
+            context = self._context(options, config)
+        memo = getattr(kernel, "_key_memo", False)
+        if memo and memo[0] == snapshot and memo[1] == context:
             return memo[2]
-        if packed is None:
-            packed = self._context(options, config)
-        digest = content_key(self.kind, self.snapshot_key(snapshot), *packed[1:])
+        parts = [self.kind, self.snapshot_key(snapshot), config.key_bytes]
+        for name in self.option_fields:
+            value = getattr(options, name)
+            parts.append(None if value is None else _OPTIONS[name][1](value))
+        digest = content_key(*parts)
         if memo is not False:
             kernel._key_memo = (snapshot, context, digest)
         return digest
 
-    def _context(
-        self, options: RunOptions, config: ArchConfig, parts: Dict[str, object] = _OPTION_PARTS
-    ) -> tuple:
-        """The adapter, the config bytes and the option parts: what a
-        fingerprint hashes besides the kernel (or, given
-        :data:`_OPTION_SNAPSHOTS`, what stands for it in a memo).  An
-        absent option and a scalar are the same bytes either way, so
-        neither goes through ``parts``."""
+    def _context(self, options: RunOptions, config: ArchConfig) -> tuple:
+        """The adapter, the config bytes, then each read option's
+        snapshot: what a memo compares besides the kernel."""
         context = [self, config.key_bytes]
         for name in self.option_fields:
             value = getattr(options, name)
-            if value is None:
-                context.append(_ABSENT)
-            elif name in _SCALAR_OPTIONS:
-                context.append(_scalar_part(value))
-            else:
-                context.append(parts[name](options))
+            context.append(None if value is None else _OPTIONS[name][0](value))
         return tuple(context)
 
     def snapshot(self, kernel: object) -> object:

@@ -35,7 +35,7 @@ MAX_EXTRA_CALLS = 33
 #: ``ABCMeta.__instancecheck__`` are Python code in CPython 3.10, 3.11
 #: and 3.12 alike, and neither path runs a comprehension (inlined from
 #: 3.12 on), so the bounds are the same for all three.
-MAX_WARM_RUN_CALLS = {"hmm": 24, "circuit": 26}
+MAX_WARM_RUN_CALLS = {"hmm": 22, "circuit": 26}
 
 
 def python_calls(action) -> list:
@@ -67,7 +67,7 @@ def wait_idle(service, timeout_s: float = 10.0) -> None:
 def test_a_warm_session_hit_stays_within_its_calls(kind):
     kernel, options = small(kind)
     session = ReasonSession()
-    for _ in range(2):  # a miss, then a hit that finds the packed context
+    for _ in range(2):  # a miss, then a hit
         session.run(kernel, **options)
     calls = python_calls(lambda: session.run(kernel, **options))
     assert calls.count("run_prepared") == 1 and calls.count("prepare") == 0
@@ -75,6 +75,19 @@ def test_a_warm_session_hit_stays_within_its_calls(kind):
         f"a warm {kind} hit made {len(calls)} Python calls, more than "
         f"{MAX_WARM_RUN_CALLS[kind]}: {calls}"
     )
+
+
+@pytest.mark.parametrize("kind", sorted(MAX_WARM_RUN_CALLS))
+def test_the_first_warm_session_hit_costs_no_more_than_a_later_one(kind):
+    """A miss leaves the memo holding what every hit compares: the first
+    hit neither packs nor hashes."""
+    kernel, options = small(kind)
+    session = ReasonSession()
+    session.run(kernel, **options)
+    first = python_calls(lambda: session.run(kernel, **options))
+    later = python_calls(lambda: session.run(kernel, **options))
+    assert first.count("run_prepared") == 1 and first.count("prepare") == 0
+    assert len(first) <= len(later), f"first hit: {first}; a later one: {later}"
 
 
 def test_a_warm_inline_hit_stays_within_its_calls_of_a_session_hit():

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.api.adapters as adapters_module
-import repro.costmodel.features as features_module
 from repro.api.adapters import DEFAULT_OPTIONS, HmmAdapter, RunOptions, adapter_for
 from repro.api.cache import key_part
 from repro.core.arch.config import DEFAULT_CONFIG
@@ -167,7 +166,7 @@ class TestContext:
         assert key(cnf, optimize=True) == fresh_key(cnf, optimize=True)
 
     def test_scalars_equal_under_eq_key_by_their_exact_value(self):
-        """Option scalars are packed once per exact value: type, and a
+        """Option scalars are compared by their exact value: type, and a
         float's bit pattern.  ``True == 1 == np.True_``, ``0.0 == -0.0``
         and ``0.8 == np.float64(0.8)``, and a NaN equals nothing; each
         still gets the key its own ``repr`` gives it."""
@@ -196,18 +195,14 @@ class TestContext:
             assert (cold[i] == cold[j]) == (parts[i] == parts[j]), (i, j)
         # The defaults (True, 0.8), then 1, 0.0, -0.0 and NaN at least.
         assert len(set(cold)) >= 5
-
-    def test_the_scalar_memo_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(features_module, "MAX_TRACKED_FINGERPRINTS", 8)
-        monkeypatch.setattr(adapters_module, "_SCALAR_PARTS", {})
-        kernel = small("circuit")[0]
+        # Many exact values on one circuit: each keys apart, as fresh.
+        circuit = small("circuit")[0]
         fractions = [index / 40 for index in range(1, 41)]
-        keys = [key(kernel, keep_fraction=f) for f in fractions]
-        assert len(adapters_module._SCALAR_PARTS) <= 8
+        keys = [key(circuit, keep_fraction=f) for f in fractions]
         assert len(set(keys)) == len(fractions)
-        assert keys[:3] == [fresh_key(kernel, keep_fraction=f) for f in fractions[:3]]
-        assert [key(kernel, keep_fraction=f) for f in fractions] == keys
-        assert key(kernel, keep_fraction=math.nan) == fresh_key(kernel, keep_fraction=math.nan)
+        assert keys == [fresh_key(circuit, keep_fraction=f) for f in fractions]
+        assert [key(circuit, keep_fraction=f) for f in fractions] == keys
+        assert key(circuit, keep_fraction=math.nan) == fresh_key(circuit, keep_fraction=math.nan)
 
 
 class TestParameters:
@@ -249,8 +244,8 @@ class TestHygiene:
         assert len(hashes) == 1
 
     def test_an_unchanged_hmm_is_not_packed_again(self, monkeypatch, hashes):
-        """With its observation sequence: the first warm request finds
-        the packed context in the memo, the same bytes it compares."""
+        """With its observation sequence: every warm request, the first
+        included, compares snapshots and packs nothing."""
         hmm, options = small("hmm")
         packs = []
         real = HmmAdapter.snapshot_key

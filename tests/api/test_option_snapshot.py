@@ -1,6 +1,6 @@
-"""Calibration snapshots: a warm kernel's request compares what its
-``calibration`` holds by a builtins-only pickle and packs it only when
-that differs.
+"""Option snapshots: every request compares what its ``calibration``
+holds by a builtins-only pickle, and its ``hmm_observations`` by a
+tuple of exact ints, and packs them only on a miss.
 
 Every case checks the remembered answer against ``fresh_key``: the key
 of a never-keyed ``copy.deepcopy`` of the kernel under a fresh
@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 import repro.api.adapters as adapters_module
-from repro.api.adapters import RunOptions
 from repro.api.cache import key_part
 from repro.hmm.model import HMM
 from repro.pc.learn import random_circuit, sample_dataset
 
-from tests.corpus import fresh_key, key
+from tests.corpus import fresh_key, key, small
 
 
 def circuit():
@@ -133,7 +132,7 @@ def test_anything_but_exact_builtins_is_compared_packed(calibration):
     first = key(kernel, calibration=calibration)
     assert first == fresh_key(kernel, calibration=calibration)
     assert key(kernel, calibration=calibration) == first
-    packed = key_part(RunOptions(calibration=calibration).calibration_key())
+    packed = key_part(adapters_module._OPTIONS["calibration"][1](calibration))
     assert packed in kernel._key_memo[1]
 
 
@@ -173,8 +172,8 @@ def test_a_pickle_buffer_is_not_taken_for_its_bytes():
 
 @pytest.fixture
 def packing(monkeypatch):
-    """Every ``calibration_key``, ``_int_record`` and calibration
-    snapshot the adapters take, by name."""
+    """Every calibration snapshot, calibration pack and ``_int_record``
+    the adapters take, by name."""
     calls = []
 
     def counted(name, function):
@@ -184,16 +183,14 @@ def packing(monkeypatch):
 
         return count
 
-    monkeypatch.setattr(
-        RunOptions, "calibration_key", counted("pack", RunOptions.calibration_key)
+    snapshot, pack = adapters_module._OPTIONS["calibration"]
+    monkeypatch.setitem(
+        adapters_module._OPTIONS,
+        "calibration",
+        (counted("snapshot", snapshot), counted("pack", pack)),
     )
     monkeypatch.setattr(
         adapters_module, "_int_record", counted("record", adapters_module._int_record)
-    )
-    monkeypatch.setitem(
-        adapters_module._OPTION_SNAPSHOTS,
-        "calibration",
-        counted("snapshot", adapters_module._OPTION_SNAPSHOTS["calibration"]),
     )
     return calls
 
@@ -207,13 +204,9 @@ def test_a_warm_unchanged_calibration_is_not_packed_again(family, packing):
         kernel = HMM.random(4, 5, seed=17)
         calibration = [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]
     first = key(kernel, calibration=calibration)
-    # First sight: packed once, no snapshot taken.
-    assert packing.count("pack") == 1 and "snapshot" not in packing
-    # The first warm request finds a packed context in the memo: it
-    # packs once more and leaves the snapshot in its place.
-    del packing[:]
-    assert key(kernel, calibration=calibration) == first
-    assert packing.count("snapshot") == 1 and packing.count("pack") == 1
+    # First sight: one snapshot, then one packing for the hash.
+    assert packing.count("snapshot") == packing.count("pack") == 1
+    # Every warm request, the first included, only takes the snapshot.
     del packing[:]
     assert all(key(kernel, calibration=calibration) == first for _ in range(5))
     assert packing == ["snapshot"] * 5
@@ -221,17 +214,58 @@ def test_a_warm_unchanged_calibration_is_not_packed_again(family, packing):
     del packing[:]
     calibration.pop()
     changed = key(kernel, calibration=calibration)
-    assert packing.count("snapshot") == 1 and packing.count("pack") == 1
+    assert packing.count("snapshot") == packing.count("pack") == 1
     del packing[:]
     assert key(kernel, calibration=calibration) == changed
     assert packing == ["snapshot"]
 
 
-def test_a_kernel_seen_anew_is_packed_not_snapshotted(packing):
+def test_a_kernel_seen_anew_is_snapshotted_and_packed_once(packing):
     kernel = circuit()
     calibration = sample_dataset(kernel, 4, seed=7)
     key(kernel, calibration=calibration)
     kernel.plan().leaves[0].probabilities = np.full(2, 0.5)
     del packing[:]
     assert key(kernel, calibration=calibration) == fresh_key(kernel, calibration=calibration)
-    assert packing.count("pack") == 2 and "snapshot" not in packing
+    # The kernel and its never-keyed copy: each a miss.
+    assert packing.count("snapshot") == packing.count("pack") == 2
+
+
+def test_a_warm_hmm_hit_packs_no_observation_sequence(monkeypatch):
+    records = []
+    real = adapters_module._int_record
+
+    def counting(*args):
+        records.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(adapters_module, "_int_record", counting)
+    hmm, options = small("hmm")
+    first = key(hmm, **options)
+    assert len(records) == 1
+    assert all(key(hmm, **options) == first for _ in range(5))
+    assert len(records) == 1
+
+
+def test_observation_symbols_equal_under_eq_keep_their_own_keys():
+    """``(1, 2) == (1.0, 2.0) == (True, 2)``, but a float symbol packs
+    apart from an int: a tuple snapshot of anything but exact ints
+    would serve one the key of another."""
+    hmm = HMM.random(4, 5, seed=20)
+    cases = [[1, 2], [1.0, 2.0], [True, 2], [np.int64(1), 2], np.array([1, 2])]
+    expected = [fresh_key(hmm, hmm_observations=c) for c in cases]
+    for _ in range(3):
+        assert [key(hmm, hmm_observations=c) for c in cases] == expected
+    ints, floats, bools, wide, array = expected
+    assert ints == bools == wide == array != floats
+
+
+def test_an_observation_sequence_written_in_place_between_requests():
+    hmm = HMM.random(4, 5, seed=21)
+    observations = [0, 1, 2, 3]
+    before = key(hmm, hmm_observations=observations)
+    observations[2] = 4
+    moved = key(hmm, hmm_observations=observations)
+    assert moved == fresh_key(hmm, hmm_observations=observations) != before
+    observations[2] = 2
+    assert key(hmm, hmm_observations=observations) == before
