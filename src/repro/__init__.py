@@ -68,7 +68,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.39.0"
+__version__ = "1.40.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

@@ -4,12 +4,12 @@
 flaky compiles/executions, hung requests, and a misbehaving shared
 store.  The policy objects that decide *how* live here:
 
-* :class:`RetryPolicy` — bounded attempts with exponential backoff and
-  deterministic seeded jitter; only *transient* errors (injected
-  faults, worker crashes) are retried — a request's own exception
-  (bad kernel, unknown backend) passes through untouched, and replays
-  are idempotent because execution is deterministic, so a retried
-  success is bit-identical to a first-try success.
+* :class:`RetryPolicy` — a bound on attempts; only *transient* errors
+  (injected faults, worker crashes) are retried — a request's own
+  exception (bad kernel, unknown backend) passes through untouched.
+  Replays are idempotent because execution is deterministic, so a
+  retried success is bit-identical to a first-try success, and a
+  replay is requeued at once: a wait before it would change nothing.
 * :class:`CircuitBreaker` — every shard's (and the store's) trip switch:
   after ``failure_threshold`` *consecutive* faults the breaker opens
   and admission routes around the shard; after ``reset_after_s`` it
@@ -40,7 +40,6 @@ The exception taxonomy callers see:
 from __future__ import annotations
 
 import math
-import random
 import threading
 import time
 from dataclasses import dataclass
@@ -164,50 +163,18 @@ def resolve_deadline(spec: Union[None, int, float, str]) -> Optional[float]:
 class RetryPolicy:
     """How the service replays transiently-failed requests.
 
-    ``max_attempts`` bounds total executions (1 = no retries).  The
-    delay before attempt *n* (n >= 2) is ``backoff_s *
-    multiplier**(n - 2)``, perturbed by ``±jitter`` fractionally —
-    jitter draws from a :class:`random.Random` seeded by
-    ``(seed, fingerprint, attempt)``, so two runs of the same trace
-    back off identically (determinism survives the chaos suite).
-    ``reroute=True`` sends each retry to a different shard when one is
-    available — the natural move after a shard crash, and harmless
+    ``max_attempts`` bounds total executions (1 = no retries), and is a
+    positive integer.  A retry is requeued at once by the thread whose
+    attempt failed, to the least-loaded other admitting shard when
+    there is one — the natural move after a shard crash, and harmless
     otherwise because every shard is the same REASON session and runs
     whatever backend the request names.
-
-    Construction checks what a backoff timer can arm: ``max_attempts``
-    is a positive integer, ``backoff_s`` and ``multiplier`` are finite,
-    and the longest delay, jitter included, is at most
-    :data:`threading.TIMEOUT_MAX` (the bound deadlines have too) —
-    past it the timer thread dies and its request never resolves.
     """
 
     max_attempts: int = 3
-    backoff_s: float = 0.0
-    multiplier: float = 2.0
-    jitter: float = 0.0
-    reroute: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_count("max_attempts", self.max_attempts)
-        if not 0.0 <= self.backoff_s < math.inf:
-            raise ValueError(f"backoff_s must be finite and >= 0, not {self.backoff_s!r}")
-        if not 1.0 <= self.multiplier < math.inf:
-            raise ValueError(f"multiplier must be finite and >= 1, not {self.multiplier!r}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.backoff_s > 0.0 and self.max_attempts > 1:
-            try:
-                longest = self.backoff_s * self.multiplier ** (self.max_attempts - 2)
-            except OverflowError:
-                longest = math.inf
-            longest *= 1.0 + self.jitter
-            if longest > threading.TIMEOUT_MAX:
-                raise ValueError(
-                    f"the longest retry delay, {longest} s, must be at most "
-                    f"threading.TIMEOUT_MAX ({threading.TIMEOUT_MAX} s)"
-                )
 
     def retryable(self, error: BaseException) -> bool:
         """Is this error worth a replay?
@@ -222,17 +189,6 @@ class RetryPolicy:
         if isinstance(error, DeadlineExceeded):
             return False
         return isinstance(error, (TransientError, ShardCrashed))
-
-    def delay_s(self, attempt: int, fingerprint: str = "") -> float:
-        """Seconds to wait before ``attempt`` (2-based; attempt 1 is
-        the original execution and never waits)."""
-        if attempt <= 1 or self.backoff_s <= 0.0:
-            return 0.0
-        base = self.backoff_s * self.multiplier ** (attempt - 2)
-        if self.jitter > 0.0:
-            rng = random.Random(f"{self.seed}:{fingerprint}:{attempt}")
-            base *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(base, 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -194,11 +194,11 @@ class _WorkItem:
     # from: admission, and the QUEUED -> RUNNING claim (0.0 = never claimed).
     admitted_at: float = field(default_factory=time.perf_counter)
     started_at: float = 0.0
-    # Guards `state`, `shard` and `timer`: worker success/failure, the
-    # deadline timer, retry dispatch and cancellation all race on one
-    # item, and whoever flips it SETTLED under this lock does the
-    # bookkeeping; everyone else backs off.  Lock order is item.lock ->
-    # shard.lock, never the reverse.
+    # Guards `state`, `shard` and `timer`: worker success/failure (a
+    # failure's retry included), the deadline timer and cancellation
+    # all race on one item, and whoever flips it SETTLED under this
+    # lock does the bookkeeping; everyone else backs off.  Lock order
+    # is item.lock -> shard.lock, never the reverse.
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -524,11 +524,11 @@ class ReasonService:
         recent :data:`SPAN_LOG_SIZE` span records.
     retry:
         :class:`~repro.api.resilience.RetryPolicy` for transient
-        failures (injected faults, worker crashes): bounded replays
-        with deterministic backoff, optionally rerouted to another
-        shard.  Retried successes are bit-identical to first-try
-        successes (execution is deterministic).  ``None`` disables
-        retries; the default allows 3 attempts with no backoff.
+        failures (injected faults, worker crashes): bounded replays,
+        each requeued at once to the least-loaded other admitting
+        shard when there is one.  Retried successes are bit-identical
+        to first-try successes (execution is deterministic).  ``None``
+        disables retries; the default allows 3 attempts.
         Request-inherent errors (bad kernel, unknown backend) are
         never retried.
     breaker:
@@ -637,7 +637,7 @@ class ReasonService:
         # Admitted-but-unresolved futures, service-wide.  drain() waits
         # on this condition instead of queue.join(): joins hang when a
         # worker dies mid-item (task_done never comes) and don't cover
-        # deadline timers or retry backoff — the counter, decremented
+        # deadline timers or requeued retries — the counter, decremented
         # exactly once per item by whichever actor finishes it, does.
         # The hot path enters the plain lock the condition wraps, which
         # costs no Python-level __enter__ / __exit__.
@@ -952,9 +952,10 @@ class ReasonService:
             )
         if item.deadline_at is not None:
             # Armed only now that the item is committed to a queue; the
-            # timer covers queue wait, execution, and retry backoff
-            # alike.  The worker (or an inline run) may already have
-            # settled the item, in which case there is nothing to watch.
+            # timer covers queue wait, execution and every retry's
+            # requeue alike.  The worker (or an inline run) may already
+            # have settled the item, in which case there is nothing to
+            # watch.
             with item.lock:
                 if item.state is not _SETTLED:
                     item.timer = threading.Timer(
@@ -1040,7 +1041,7 @@ class ReasonService:
     # item (QUEUED -> RUNNING), or the submitting thread claims a warm
     # hit on an idle shard; a retry puts a RUNNING item back on a queue,
     # and _settle — reached from whoever claimed it (success, failure, a
-    # cancelled claim), the deadline timer, retry dispatch, the crash
+    # cancelled claim, a shed retry), the deadline timer, the crash
     # supervisor and admission's rejections — is the only way out.
 
     def _settle(self, item: _WorkItem, outcome: str, payload=None) -> None:
@@ -1141,9 +1142,9 @@ class ReasonService:
         )  # fmt: skip
 
     def _expire(self, item: _WorkItem) -> None:
-        """The request's budget ran out — while queued, executing, or
-        parked in retry backoff.  Called by its armed timer, and by a
-        worker that dequeues it late."""
+        """The request's budget ran out — while queued or executing.
+        Called by its armed timer, and by a worker that dequeues it
+        late."""
         self._settle(
             item,
             "deadline",
@@ -1276,73 +1277,59 @@ class ReasonService:
 
     def _retry_or_fail(self, item: _WorkItem, error: BaseException) -> None:
         """Decide a failed attempt's fate: replay it under the retry
-        policy, or resolve the future with the (possibly wrapped)
-        error."""
-        policy = self._retry
-        retryable = policy is not None and policy.retryable(error)
-        if retryable and item.attempts < policy.max_attempts and not self._closed:
-            with item.shard.lock:
-                item.shard.counters.retries += 1
-            item.attempts += 1
-            delay = policy.delay_s(item.attempts, item.request.fingerprint)
-            if delay > 0.0:
-                timer = threading.Timer(delay, self._dispatch_retry, args=(item, error))
-                timer.daemon = True
-                timer.start()
-            else:
-                self._dispatch_retry(item, error)
-            return
-        if retryable:
-            # A transient error the policy could not (or can no longer)
-            # replay: surface the budget, chain the real cause.
-            wrapped = RetriesExhausted(
-                f"request {item.request.fingerprint[:12]} failed after "
-                f"{item.attempts} attempt(s): "
-                f"{type(error).__name__}: {error}",
-                attempts=item.attempts,
-            )
-            wrapped.__cause__ = error
-            error = wrapped
-        self._settle(item, "error", error)
+        policy, or resolve the future with the (possibly wrapped) error.
 
-    def _dispatch_retry(self, item: _WorkItem, cause: BaseException) -> None:
-        """Requeue a failed item for another attempt.
-
-        Runs on the failing worker's own thread (zero backoff) or a
-        backoff timer's — neither may ever block on admission: a worker
-        waiting on its own shard's full queue is a self-deadlock.  So a
-        retry that cannot land immediately — no free slot, or close()
-        already cleared ``accepting`` — fails fast (``offer`` without a
-        timeout) instead of hanging the future.
+        A replay is requeued at once, on the thread whose attempt
+        failed — a worker, or a dying worker in :meth:`_worker_died` —
+        to the least-loaded other admitting shard, else the same one.
+        That thread may never block on admission: a worker waiting on
+        its own shard's full queue is a self-deadlock.  So a retry that
+        cannot land at once — no free slot, or close() already cleared
+        ``accepting`` — fails fast (``offer`` without a timeout)
+        instead of hanging the future.
         """
-        with item.lock:
-            if item.state is _SETTLED:
-                return  # the deadline fired during backoff
-            source = item.shard
-            target = source
-            if self._retry.reroute:
+        policy = self._retry
+        if policy is None or not policy.retryable(error):
+            self._settle(item, "error", error)
+            return
+        if item.attempts < policy.max_attempts and not self._closed:
+            with item.lock:
+                if item.state is _SETTLED:
+                    return  # the deadline fired mid-attempt: nothing to replay
+                source = item.shard
                 target = self._alternative_to(source) or source
-            if target is not source:
                 # The admission accounting moves with the request, and
                 # so does the future's placement (the batch composer
                 # reads shard_index to attribute stage times).
                 with source.lock:
-                    source.counters.submitted -= 1
-                    source.counters.repay(item.predicted_s)
-                with target.lock:
-                    target.counters.submitted += 1
-                    target.counters.busy_s += item.predicted_s
-                item.shard = target
-                item.future.shard_index = target.index
-            refused = target.offer(item)
-        if refused:
-            failure = RetriesExhausted(
+                    source.counters.retries += 1
+                    if target is not source:
+                        source.counters.submitted -= 1
+                        source.counters.repay(item.predicted_s)
+                if target is not source:
+                    with target.lock:
+                        target.counters.submitted += 1
+                        target.counters.busy_s += item.predicted_s
+                    item.shard = target
+                    item.future.shard_index = target.index
+                item.attempts += 1
+                refused = target.offer(item)
+            if not refused:
+                return
+            message = (
                 f"retry of request {item.request.fingerprint[:12]} shed by "
-                f"shard {target.index} ({refused}, attempt {item.attempts})",
-                attempts=item.attempts,
+                f"shard {target.index} ({refused}, attempt {item.attempts})"
             )
-            failure.__cause__ = cause
-            self._settle(item, "error", failure)
+        else:
+            # A transient error the policy can no longer replay.
+            message = (
+                f"request {item.request.fingerprint[:12]} failed after "
+                f"{item.attempts} attempt(s): {type(error).__name__}: {error}"
+            )
+        # Surface the budget, chain the real cause.
+        wrapped = RetriesExhausted(message, attempts=item.attempts)
+        wrapped.__cause__ = error
+        self._settle(item, "error", wrapped)
 
     # ----------------------------------------------------------- execution
 
@@ -1387,7 +1374,7 @@ class ReasonService:
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every admitted request has resolved.
 
-        Covers queued work, in-flight executions, retry backoff, and
+        Covers queued work, in-flight executions, requeued retries and
         armed deadline timers: the outstanding counter reaches zero
         only when every admitted future is terminal, so after drain()
         the stats identity closes with ``pending == 0``.  Unlike a

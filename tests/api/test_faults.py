@@ -5,6 +5,7 @@ and the accounting invariant under random fault plans."""
 import dataclasses
 import random
 import sys
+import threading
 
 import pytest
 
@@ -147,7 +148,7 @@ class TestRetriesUnderChaos:
 
         monkeypatch.setattr(plan, "execute_fault", parked_fault)
         with ReasonService(
-            shards=1, max_queue=1, retry=RetryPolicy(reroute=False), faults=plan
+            shards=1, max_queue=1, retry=RetryPolicy(), faults=plan
         ) as service:
             faulted = service.submit(random_ksat(10, 30, seed=0))
             wait_until_running(faulted)
@@ -177,6 +178,73 @@ class TestRetriesUnderChaos:
             stats = service.stats()
         assert stats.expired == 1
         assert stats.retries == 0
+
+    def test_a_fault_after_the_deadline_counts_no_retry(self):
+        """The deadline settles the request while its attempt sleeps;
+        the fault that ends the attempt then replays nothing, so
+        ``retries`` (replays dispatched) stays 0."""
+        plan = FaultPlan(
+            seed=0, latency_rate=1.0, latency_s=0.3, execute_error_rate=1.0, max_injections=1
+        )
+        with ReasonService(shards=1, faults=plan) as service:
+            late = service.submit(random_ksat(10, 30, seed=0), deadline_s=0.05)
+            with pytest.raises(DeadlineExceeded):
+                late.result(timeout=30)
+            # The one worker serves this only after the failed attempt.
+            assert service.submit(random_ksat(12, 40, seed=1)).result(timeout=30).cycles > 0
+            late_span = service.spans()[0]
+            stats = service.stats()
+        assert plan.injected("execute") == 1
+        assert (late_span.status, late_span.attempts) == ("deadline", 1)
+        assert (stats.completed, stats.expired, stats.retries) == (1, 1, 0)
+
+    def test_a_retry_starts_no_thread(self, monkeypatch):
+        """A replay is requeued by the thread whose attempt failed: no
+        timer is built, and the service runs no thread beyond its
+        shard workers while retries are in flight."""
+        timers = []
+
+        class CountingTimer(threading.Timer):
+            def __init__(self, *args, **kwargs):
+                timers.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Timer", CountingTimer)
+        count = 8
+        plan = FaultPlan(execute_error_rate=1.0, max_injections=count)
+        inject = plan.execute_fault
+        queued, faulted, threads = threading.Event(), threading.Event(), []
+        first_attempts = set()
+
+        def each_request_faults_once(key=""):
+            # Every request is queued before any runs, and a replay runs
+            # only once the first attempts have taken all the faults.
+            if key in first_attempts:
+                faulted.wait(timeout=10.0)
+                threads.append(threading.active_count())
+            else:
+                first_attempts.add(key)
+                queued.wait(timeout=10.0)
+            try:
+                inject(key)
+            finally:
+                if plan.injected("execute") == count:
+                    faulted.set()
+
+        monkeypatch.setattr(plan, "execute_fault", each_request_faults_once)
+        before = threading.active_count()
+        with ReasonService(shards=2, faults=plan) as service:
+            kernels = [random_ksat(10, 30, seed=index) for index in range(count)]
+            futures = [service.submit(kernel) for kernel in kernels]
+            queued.set()
+            reports = [future.result(timeout=30) for future in futures]
+            service.drain(timeout=15)
+            threads.append(threading.active_count())
+            spans = service.spans()
+        assert [report.extras["attempts"] for report in reports] == [2] * count
+        assert sorted((span.status, span.attempts) for span in spans) == [("ok", 2)] * count
+        assert timers == []
+        assert len(threads) == count + 1 and max(threads) - before <= 2
 
 
 class TestSupervision:
@@ -522,7 +590,7 @@ class TestAccountingInvariant:
             with ReasonService(
                 shards=3,
                 max_queue=8,
-                retry=RetryPolicy(max_attempts=3, reroute=True),
+                retry=RetryPolicy(max_attempts=3),
                 faults=plan,
                 metrics=True,
             ) as service:

@@ -8,6 +8,7 @@ run, the settle and the future.  A call count does not drift with the
 host's load the way a wall-clock time does, so this guard can be exact.
 """
 
+import gc
 import sys
 import time
 
@@ -40,7 +41,10 @@ MAX_WARM_RUN_CALLS = {"hmm": 22, "circuit": 26}
 
 def python_calls(action) -> list:
     """The name of every Python function ``action()`` calls on this
-    thread, in call order."""
+    thread, in call order.  The cyclic collector is off meanwhile: a
+    collection that frees an earlier test's service runs its weakref
+    callbacks (a ``WeakSet._remove``) on this thread, which are not
+    calls of the path probed."""
     calls = []
 
     def record(frame, event, arg):
@@ -48,11 +52,13 @@ def python_calls(action) -> list:
             calls.append(frame.f_code.co_name)
 
     previous = sys.getprofile()
+    gc.disable()
     sys.setprofile(record)
     try:
         action()
     finally:
         sys.setprofile(previous)
+        gc.enable()
     return calls
 
 

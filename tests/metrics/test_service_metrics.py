@@ -203,7 +203,7 @@ class TestServiceMetrics:
         with ReasonService(
             shards=2,
             metrics=True,
-            retry=resilience.RetryPolicy(max_attempts=3, reroute=True),
+            retry=resilience.RetryPolicy(max_attempts=3),
             faults=FaultPlan(seed=1, execute_error_rate=1.0, max_injections=1),
         ) as service:
             future = service.submit(random_ksat(12, 40, seed=1))
