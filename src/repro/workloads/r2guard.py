@@ -46,6 +46,12 @@ class R2GuardWorkload(NeuroSymbolicWorkload):
     symbolic_runtime_share = 0.627  # paper Fig. 3(a)
     #: Hazard categories; the label is one more PC variable.
     num_categories = 7
+    #: The seed of each task's training split.  A constant, not a hash
+    #: of the task name: ``hash`` of a ``str`` is salted per process, so
+    #: the split, the learned circuit and its AUPRC varied from run to
+    #: run.  These are the values that hash gave under
+    #: ``PYTHONHASHSEED=0``, so the benchmark's kernels are unchanged.
+    train_seeds = {"TwinSafety": 746, "XSTest": 23562}
 
     def __init__(self, em_iterations: int = 10):
         self.em_iterations = em_iterations
@@ -75,7 +81,7 @@ class R2GuardWorkload(NeuroSymbolicWorkload):
             raise ValueError(f"unknown task {task!r}")
         noise = 0.10 if task == "TwinSafety" else 0.06
         size = 500 if scale == "large" else 240
-        train = generate_safety_dataset(self.num_categories, size, noise, seed=hash((task, "train")) & 0xFFFF)
+        train = generate_safety_dataset(self.num_categories, size, noise, seed=self.train_seeds[task])
         test = generate_safety_dataset(self.num_categories, 80, noise, seed=seed + 7)
         return TaskInstance(task, scale, (train, test), ground_truth=test.labels, seed=seed)
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.api import ServiceOverloaded
+from repro.api import ReasonService, ServiceOverloaded
 from repro.api.futures import ReasonFuture, wait_all
 from repro.api.resilience import (
     DEADLINE_CLASSES,
@@ -23,6 +23,8 @@ from repro.api.resilience import (
 )
 from repro.api.store import SharedStore
 from repro.api.types import CompiledArtifact
+from repro.faults import FaultPlan
+from repro.hmm.model import HMM
 
 
 class TestResolveDeadline:
@@ -58,9 +60,18 @@ class TestRetryPolicy:
         [
             (dict(max_attempts=2.5), "max_attempts must be a positive integer, not 2.5"),
             (dict(max_attempts=True), "max_attempts must be a positive integer, not True"),
+            (dict(max_attempts=-1), "max_attempts must be a positive integer, not -1"),
+            (dict(max_attempts=3.0), "max_attempts must be a positive integer, not 3.0"),
+            (dict(max_attempts=math.inf), "max_attempts must be a positive integer, not inf"),
+            (dict(max_attempts=math.nan), "max_attempts must be a positive integer, not nan"),
+            (dict(max_attempts="3"), "max_attempts must be a positive integer, not '3'"),
+            (dict(max_attempts=None), "max_attempts must be a positive integer, not None"),
         ],
-        ids=["fractional-attempts", "bool-attempts"],
-    )
+        ids=[
+            "fractional-attempts", "bool-attempts", "negative-attempts", "float-attempts",
+            "inf-attempts", "nan-attempts", "str-attempts", "none-attempts",
+        ],
+    )  # fmt: skip
     def test_every_backoff_is_armable(self, fields, message):
         """The attempt budget is a count: a fraction or a bool is refused
         at construction."""
@@ -69,6 +80,26 @@ class TestRetryPolicy:
 
     def test_the_longest_armable_backoff_is_accepted(self):
         assert RetryPolicy(max_attempts=10**6).max_attempts
+
+    @pytest.mark.parametrize("field", ["backoff_s", "multiplier", "jitter", "seed", "reroute"])
+    def test_a_back_off_field_is_refused(self, field):
+        """A replay is requeued at once and always offered to another
+        shard first, so the policy takes no delay or routing option: a
+        caller that still passes one is told, not silently ignored."""
+        with pytest.raises(TypeError, match=field):
+            RetryPolicy(max_attempts=2, **{field: 1.0})
+
+    def test_a_retry_on_the_only_shard_replays_there(self):
+        """With no other shard to take it, a replay is requeued on the
+        shard whose attempt failed, and resolves."""
+        plan = FaultPlan(seed=0, execute_error_rate=1.0, max_injections=1)
+        with ReasonService(shards=1, retry=RetryPolicy(max_attempts=3), faults=plan) as service:
+            future = service.submit(HMM.random(4, 3, seed=1))
+            report = future.result(timeout=30)
+            service.drain(timeout=30)
+            assert service.stats().retries == 1
+        assert report.extras["attempts"] == 2
+        assert future.shard_index == 0
 
     def test_retryable_classification(self):
         policy = RetryPolicy()
