@@ -37,7 +37,11 @@ The step fails when
 - a function no door runs is not listed;
 - a listed function is run by a door (or no longer exists);
 - a listed function's test does not run it (or fails);
-- a door exits with a status other than the one it expects.
+- a door exits with a status other than the one it expects;
+- a module under ``src/repro`` changed while the script ran (its text
+  is read once, before the doors, and every verdict is made from that
+  reading): then only the changed modules are named, and no other
+  verdict is given.
 
 Statements no door executed are printed per module as context (a
 statement counts when one of its own lines ran: a simple statement's,
@@ -326,24 +330,42 @@ def module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def function_index() -> dict:
+def read_sources(package: Path) -> dict:
+    """Path → text of every module under ``package``, in path order: the
+    one reading every verdict is made from, taken before the doors run."""
+    return {module: module.read_text(encoding="utf-8") for module in sorted(package.rglob("*.py"))}
+
+
+def changed_failures(sources: dict, package: Path) -> list:
+    """A line per module under ``package`` whose text is no longer its
+    ``sources`` reading — edited, added or removed since.  A door that
+    ran edited code recorded line numbers the reading does not hold, so
+    no verdict of the run can be trusted."""
+    now = read_sources(package)
+    return [
+        f"{os.path.relpath(module, REPO)} changed during the run"
+        for module in sorted(sources.keys() | now.keys())
+        if sources.get(module) != now.get(module)
+    ]
+
+
+def function_index(sources: dict) -> dict:
     """``(file, first line, name)`` of a code object → ``module:qualname``,
-    for every function under ``src/repro`` whose body runs code."""
+    for every function in ``sources`` whose body runs code."""
     return {
         (str(module.resolve()), *code): f"{module_name(module)}:{qualname}"
-        for module in sorted(PACKAGE.rglob("*.py"))
-        for qualname, code in functions(ast.parse(module.read_text(encoding="utf-8")))
+        for module, source in sources.items()
+        for qualname, code in functions(ast.parse(source))
     }
 
 
-def dark_keys(entered: set) -> set:
-    """``module:qualname`` of every function under ``src/repro`` no
+def dark_keys(entered: set, sources: dict) -> set:
+    """``module:qualname`` of every function in ``sources`` no
     ``(file, first line, name)`` in ``entered`` ran."""
     dark = set()
-    for module in sorted(PACKAGE.rglob("*.py")):
+    for module, source in sources.items():
         filename = str(module.resolve())
         codes = {(line, name) for file, line, name in entered if file == filename}
-        source = module.read_text(encoding="utf-8")
         dark.update(f"{module_name(module)}:{qualname}" for qualname in dark_functions(source, codes))
     return dark
 
@@ -446,12 +468,12 @@ def recorder_environment(scratch: Path) -> dict:
     return environment
 
 
-def print_statements(executed: set) -> None:
+def print_statements(executed: set, sources: dict) -> None:
     """Per module, the statements no door executed; then the total."""
     total = idle = 0
-    for module in sorted(PACKAGE.rglob("*.py")):
+    for module, source in sources.items():
         filename = str(module.resolve())
-        found = sorted(statements(ast.parse(module.read_text(encoding="utf-8"))), key=lambda s: s[0])
+        found = sorted(statements(ast.parse(source)), key=lambda s: s[0])
         unexecuted = [
             (index, first)
             for index, (first, own) in enumerate(found)
@@ -470,7 +492,8 @@ def print_statements(executed: set) -> None:
 def main() -> int:
     parser = cli_parser()
     listed = read_listed(LISTED.read_text(encoding="utf-8"))
-    index = function_index()
+    sources = read_sources(PACKAGE)
+    index = function_index(sources)
     with tempfile.TemporaryDirectory(prefix="front-door-") as temp:
         scratch = Path(temp)
         environment = recorder_environment(scratch)
@@ -480,7 +503,7 @@ def main() -> int:
             failures += record(noting(commands, invoked), environment, scratch / "doors")
         failures += door_failures(importer_dirs(), doors, subcommands(parser), invoked)
         executed, entered = recorded(scratch / "doors")
-        dark = dark_keys(set().union(*entered.values()))
+        dark = dark_keys(set().union(*entered.values()), sources)
         run = set(index.values()) - dark
         failures += list_failures(dark, run, listed)
         listed_dark = {key: test for key, test in listed.items() if key in dark}
@@ -493,11 +516,15 @@ def main() -> int:
             _, by_test = recorded(scratch / "tests")
             ran = {tag: {index[c] for c in codes if c in index} for tag, codes in by_test.items()}
             failures += named_test_failures(listed_dark, ran)
-    print_statements(executed)
-    print(
-        f"{len(dark)} of {len(index)} functions under src/repro no front door runs; "
-        f"{len(listed)} listed in {LISTED.relative_to(REPO)}"
-    )
+    changed = changed_failures(sources, PACKAGE)
+    if changed:
+        failures = changed
+    else:
+        print_statements(executed, sources)
+        print(
+            f"{len(dark)} of {len(index)} functions under src/repro no front door runs; "
+            f"{len(listed)} listed in {LISTED.relative_to(REPO)}"
+        )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

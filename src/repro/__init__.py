@@ -24,8 +24,8 @@ Package map:
   for async, sharded serving over many sessions;
 * :mod:`repro.costmodel` — predicted per-request latency/energy per
   backend class from compile artifacts, each (kernel, backend) priced
-  from its first execution report; charges shard busy time, decides
-  deadline admission and feeds the request spans' residuals;
+  from its first execution report; charges shard busy time and feeds
+  the request spans' residuals;
 * :mod:`repro.trace` — opt-in binary event traces of the accelerator's
   modeled execution (versioned varint/delta wire format, streaming
   reader, offline analysis tools and trace-to-trace regression
@@ -68,7 +68,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.40.0"
+__version__ = "1.41.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

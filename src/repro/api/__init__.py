@@ -27,8 +27,7 @@ Every service owns a :class:`~repro.costmodel.CostEstimator` that
 prices requests per backend class — a (kernel, backend) from the first
 report its shards produce for it, anything else from the static model
 and what its class has cost so far.  Its predictions charge each
-shard's busy time, decide deadline admission and give every span its
-residuals.
+shard's busy time and give every span its residuals.
 """
 
 from repro.api.adapters import (

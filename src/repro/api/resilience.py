@@ -22,8 +22,8 @@ store.  The policy objects that decide *how* live here:
   simply miss.
 * Deadline plumbing — :func:`resolve_deadline` maps a deadline spec
   (seconds, or a named class from :data:`DEADLINE_CLASSES`) to the
-  per-request budget the service enforces at admission, in queue, and
-  around execution.
+  per-request wall-clock budget, measured from admission, that the
+  service enforces in queue and around execution.
 
 The exception taxonomy callers see:
 

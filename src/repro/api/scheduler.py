@@ -90,8 +90,8 @@ class Request(NamedTuple):
     neural_s: float
     predicted: PredictionMap
     # Wall-clock budget the caller attached (resolved seconds; None =
-    # unbounded).  Admission rejects placements whose predicted
-    # completion already exceeds it; policies may also route on it.
+    # unbounded), measured from admission.  The service's expiry timer
+    # and pre-execution shed read it; admission does not.
     deadline_s: Optional[float] = None
 
 

@@ -30,8 +30,8 @@ registered backend, which any shard can run).  A
 :class:`~repro.costmodel.CostEstimator` (one per service) predicts
 each request's cost on that backend once at admission, tracks every
 shard's predicted busy time, and prices each (kernel, backend) from
-its first completed report; deadline admission and the request spans'
-residuals read those predictions.
+its first completed report; the request spans' residuals read those
+predictions too.
 
 Throughput accounting stays faithful to the paper's overlap model:
 each shard's completed work is composed through its own two-level
@@ -45,11 +45,11 @@ stranded requests (an admitted future always resolves — never hangs),
 transient failures replay under a bounded :class:`RetryPolicy`
 (results stay bit-identical, execution is deterministic), per-shard
 :class:`CircuitBreaker`\\ s route admission around repeatedly-failing
-shards, store trouble degrades to shard-local caching, and
-per-request deadlines (``submit(..., deadline_s=...)``) are enforced
-at admission, in queue, and around execution.  All of it is
-exercisable deterministically through ``faults=``
-(:class:`repro.faults.FaultPlan`) and gated by
+shards, store trouble degrades to shard-local caching, and a
+per-request deadline (``submit(..., deadline_s=...)``) is one
+wall-clock budget from admission, enforced in queue and around
+execution.  All of it is exercisable deterministically through
+``faults=`` (:class:`repro.faults.FaultPlan`) and gated by
 ``tests/api/test_faults.py``.
 """
 
@@ -130,16 +130,14 @@ class ServiceClosed(RuntimeError):
 
 
 class ServiceOverloaded(RuntimeError):
-    """Raised when admission rejects a request — a full shard queue
-    (backpressure) or a deadline no shard can meet.
+    """Raised when admission rejects a request because its shard's
+    queue stayed full past ``timeout`` (backpressure).
 
-    Structured context rides as attributes so callers and dashboards
-    can tell shed-by-depth from shed-by-deadline apart:
+    The shard's load at rejection time rides as attributes:
 
     * ``shard_index`` — the shard the policy chose (-1 if none);
     * ``queue_depth`` — its pending requests at rejection time;
-    * ``backlog_s`` — its predicted seconds of unfinished work;
-    * ``reason`` — ``"queue-full"`` | ``"deadline"``.
+    * ``backlog_s`` — its predicted seconds of unfinished work.
     """
 
     def __init__(
@@ -149,13 +147,11 @@ class ServiceOverloaded(RuntimeError):
         shard_index: int = -1,
         queue_depth: int = 0,
         backlog_s: float = 0.0,
-        reason: str = "queue-full",
     ):
         super().__init__(message)
         self.shard_index = shard_index
         self.queue_depth = queue_depth
         self.backlog_s = backlog_s
-        self.reason = reason
 
 
 # Request lifecycle: QUEUED -> RUNNING -> SETTLED, with a retry the only
@@ -179,19 +175,20 @@ _OUTCOME_COUNTERS = {
 
 @dataclass(slots=True)
 class _WorkItem:
-    # What admission routed on: kernel, queries, neural_s, deadline_s and
-    # the fingerprint (reused for the shard's cache lookup).
+    # What admission routed on: kernel, queries, neural_s, the deadline
+    # budget (read only by the timer and the shed) and the fingerprint
+    # (reused for the shard's cache lookup).
     request: Request
     backend: str  # resolved substrate: the caller's ``backend=``, else "reason"
     future: ReasonFuture
     shard: "_Shard"  # current owner; a rerouted retry updates it
     predicted_s: float = 0.0  # busy-time charged at admission, repaid on exit
-    deadline_at: Optional[float] = None  # absolute monotonic expiry
     attempts: int = 1  # executions dispatched (1 = the original)
     state: str = _QUEUED
     timer: Optional[threading.Timer] = None  # armed deadline watchdog
     # Wall-clock stamps (perf_counter) the settle-time span is built
-    # from: admission, and the QUEUED -> RUNNING claim (0.0 = never claimed).
+    # from: admission, where the deadline budget runs from too, and the
+    # QUEUED -> RUNNING claim (0.0 = never claimed).
     admitted_at: float = field(default_factory=time.perf_counter)
     started_at: float = 0.0
     # Guards `state`, `shard` and `timer`: worker success/failure (a
@@ -710,7 +707,6 @@ class ReasonService:
             for reason, label in (
                 ("closed", "closed"),
                 ("queue-full", "overloaded"),
-                ("deadline", "deadline"),
             )
         }
         for shard in map(weakref.proxy, self._shards):
@@ -804,17 +800,12 @@ class ReasonService:
         ``submit`` returns: the future is already done, and its
         done-callbacks run on the caller's thread.
 
-        ``deadline_s`` gives the request a budget in seconds, or a named
-        class from :data:`~repro.api.resilience.DEADLINE_CLASSES`
-        (``"interactive"`` | ``"standard"`` | ``"batch"``), and that
-        one number is read on two clocks.  Admission reads it on the
-        *modeled* clock: a request whose predicted completion — the
-        shard's ``busy_s`` plus its own ``predicted_s``, the cost
-        model's seconds, which on the ``reason`` backend are modeled
-        REASON seconds — already exceeds it is rejected with
-        :class:`ServiceOverloaded` (``reason="deadline"``).  The expiry
-        timer reads it on the *wall* clock from admission: a request
-        still queued or executing when it fires resolves with
+        ``deadline_s`` gives the request a wall-clock budget in seconds,
+        or a named class from :data:`~repro.api.resilience.DEADLINE_CLASSES`
+        (``"interactive"`` | ``"standard"`` | ``"batch"``), measured
+        from admission on the clock the request's span starts on.
+        Admission does not read it: a request past its budget while
+        still queued or executing resolves with
         :class:`~repro.api.resilience.DeadlineExceeded`.
         """
         options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
@@ -902,25 +893,8 @@ class ReasonService:
                 # degraded beats rejecting all traffic.
                 alternative = self._alternative_to(shard)
                 admitted, shard = alternative is not None, alternative or shard
-            view = None if deadline_s is None else shard.view()
-            predicted_s = prediction.seconds
-            # Deadline-aware admission (the SLO substrate): reject now —
-            # by predicted *seconds* of backlog, not queue length —
-            # rather than burn shard time on a request that cannot
-            # finish inside its budget.  Modeled seconds, the same
-            # currency busy_s is charged in.
-            if view is not None and view.busy_s + predicted_s > deadline_s:
-                self._reject(
-                    "deadline",
-                    view=view,
-                    detail=f"predicted completion on shard {shard.index} is "
-                    f"{view.busy_s + predicted_s:.6f}s (backlog "
-                    f"{view.busy_s:.6f}s + request {predicted_s:.6f}s), "
-                    f"past the {deadline_s}s deadline",
-                )
             future = ReasonFuture(adapter.kind, fingerprint, shard.index, neural_s)
-            deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
-            item = _WorkItem(request, resolved, future, shard, predicted_s, deadline_at)
+            item = _WorkItem(request, resolved, future, shard, prediction.seconds)
             # Charge the placement while still holding the admission
             # lock: the next policy.select must see this request in the
             # shard's pending count and predicted busy time, or
@@ -931,7 +905,7 @@ class ReasonService:
             # and no fault plan armed.
             with shard.lock:
                 shard.counters.submitted += 1
-                shard.counters.busy_s += predicted_s
+                shard.counters.busy_s += prediction.seconds
                 claimed = admitted and shard.accepting and self._faults is None
                 claimed = claimed and not (shard.running or shard.items)
                 shard.running = shard.running or claimed
@@ -950,7 +924,7 @@ class ReasonService:
                 f"shard {shard.index} admission queue full "
                 f"({self.max_queue} requests) after {timeout}s",
             )
-        if item.deadline_at is not None:
+        if deadline_s is not None:
             # Armed only now that the item is committed to a queue; the
             # timer covers queue wait, execution and every retry's
             # requeue alike.  The worker (or an inline run) may already
@@ -959,7 +933,7 @@ class ReasonService:
             with item.lock:
                 if item.state is not _SETTLED:
                     item.timer = threading.Timer(
-                        max(item.deadline_at - time.monotonic(), 0.0),
+                        max(item.admitted_at + deadline_s - time.perf_counter(), 0.0),
                         self._expire,
                         args=(item,),
                     )
@@ -1004,12 +978,11 @@ class ReasonService:
         view: Optional[ShardView] = None,
         detail: str = "",
     ) -> None:
-        """The one rejection point.  ``reason`` is ``closed``,
-        ``queue-full`` or ``deadline``: take back the admission charge
-        of a request that got as far as having one, count the
-        rejection, and raise — :class:`ServiceClosed`, or
-        :class:`ServiceOverloaded` carrying the shard's load (``view``)
-        at rejection time."""
+        """The one rejection point.  ``reason`` is ``closed`` or
+        ``queue-full``: take back the admission charge of a request
+        that got as far as having one, count the rejection, and raise —
+        :class:`ServiceClosed`, or :class:`ServiceOverloaded` carrying
+        the shard's load (``view``) at rejection time."""
         if item is not None:
             self._settle(item, "rejected")
         self._rejected[reason].inc()
@@ -1020,7 +993,6 @@ class ReasonService:
             shard_index=view.index,
             queue_depth=view.pending,
             backlog_s=view.busy_s,
-            reason=reason,
         )
 
     def _alternative_to(self, shard: _Shard) -> Optional[_Shard]:
@@ -1152,7 +1124,7 @@ class ReasonService:
                 f"request {item.request.fingerprint[:12]} missed its "
                 f"{item.request.deadline_s}s deadline on shard "
                 f"{item.shard.index} (attempt {item.attempts})",
-                deadline_s=item.request.deadline_s or 0.0,
+                deadline_s=item.request.deadline_s,
             ),
         )
 
@@ -1215,7 +1187,8 @@ class ReasonService:
         return state is _RUNNING
 
     def _execute(self, shard: _Shard, item: _WorkItem) -> None:
-        if item.deadline_at is not None and time.monotonic() >= item.deadline_at:
+        deadline_s = item.request.deadline_s
+        if deadline_s is not None and time.perf_counter() - item.admitted_at >= deadline_s:
             # Expired while queued: shed before spending execution on a
             # request whose caller has already timed out.
             self._expire(item)

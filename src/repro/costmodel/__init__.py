@@ -16,8 +16,8 @@ per-resource cost model the serving layer accounts in:
 
 :class:`~repro.api.service.ReasonService` owns an estimator and feeds
 it each pair's first completed request.  Its predictions charge each
-shard's busy time, decide deadline admission and give every request
-span its predicted-vs-actual residuals.
+shard's busy time and give every request span its predicted-vs-actual
+residuals.
 """
 
 from repro.costmodel.estimator import CostEstimator

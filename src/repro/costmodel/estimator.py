@@ -27,7 +27,7 @@ so they are EWMAs — fed by first settles only, one sample per priced
 pair, so a hot kernel does not outvote the rest of its class.  The
 serving layer (:class:`~repro.api.service.ReasonService`) feeds first
 settles automatically; its predictions charge shard busy time and
-decide deadline admission.
+give the request spans their residuals.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro import CircuitBreaker, ReasonService
+from repro import CircuitBreaker, DeadlineExceeded, ReasonService
 from repro.api import ServiceClosed, backends
 from repro.api.scheduler import SchedulingPolicy
 from repro.api.types import ExecutionReport
@@ -298,3 +298,26 @@ def test_sequential_warm_deadline_requests_start_no_threads(monkeypatch):
         assert timers == []
         stats = service.stats()
     assert stats.completed == 1001 and stats.expired == 0
+
+
+def test_a_warm_hit_past_its_deadline_settles_before_submit_returns(monkeypatch):
+    """The inline run's pre-execution shed reads the budget on the
+    span's clock: a warm hit already past it settles as expired on the
+    caller's thread, and no timer is built for it."""
+    timers = []
+
+    class CountingTimer(threading.Timer):
+        def __init__(self, *args, **kwargs):
+            timers.append(self)
+            super().__init__(*args, **kwargs)
+
+    kernel = random_ksat(8, 24, seed=47)
+    with ReasonService(shards=1) as service:
+        warm(service, kernel)
+        monkeypatch.setattr(threading, "Timer", CountingTimer)
+        future = service.submit(kernel, deadline_s=1e-9)
+        assert future.done()
+        assert isinstance(future.exception(timeout=0), DeadlineExceeded)
+        span = service.spans()[-1]
+    assert timers == []
+    assert span.status == "deadline"

@@ -264,14 +264,11 @@ class TestStructuredOverload:
         assert error.shard_index == -1
         assert error.queue_depth == 0
         assert error.backlog_s == 0.0
-        assert error.reason == "queue-full"
 
     def test_carries_context(self):
-        error = ServiceOverloaded(
-            "shed", shard_index=2, queue_depth=9, backlog_s=1.5, reason="deadline"
-        )
+        error = ServiceOverloaded("shed", shard_index=2, queue_depth=9, backlog_s=1.5)
         assert (error.shard_index, error.queue_depth) == (2, 9)
-        assert error.backlog_s == 1.5 and error.reason == "deadline"
+        assert error.backlog_s == 1.5
 
 
 class TestExceptionTaxonomy:

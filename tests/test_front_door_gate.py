@@ -184,6 +184,24 @@ def test_a_directory_without_a_door_or_an_uninvoked_subcommand_fails(gate):
     ]
 
 
+def test_a_module_changed_during_the_run_fails_by_name(gate, tmp_path):
+    package = tmp_path / "package"
+    (package / "sub").mkdir(parents=True)
+    (package / "kept.py").write_text("def f():\n    return 1\n")
+    (package / "sub" / "edited.py").write_text("def g():\n    return 2\n")
+    sources = gate.read_sources(package)
+    assert list(sources.values()) == ["def f():\n    return 1\n", "def g():\n    return 2\n"]
+    assert gate.changed_failures(sources, package) == []
+    (package / "sub" / "edited.py").write_text("# a comment\ndef g():\n    return 2\n")
+    (package / "added.py").write_text("")
+    assert [line.rsplit(os.sep, 1)[-1] for line in gate.changed_failures(sources, package)] == [
+        "added.py changed during the run",
+        "edited.py changed during the run",
+    ]
+    (package / "kept.py").unlink()
+    assert len(gate.changed_failures(sources, package)) == 3
+
+
 def test_the_doors_cover_every_importer_dir_and_subcommand(gate, tmp_path):
     parser = gate.cli_parser()
     doors = gate.front_doors(tmp_path, parser)
