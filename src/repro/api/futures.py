@@ -7,12 +7,25 @@ the scheduler used (shard index, content-hash fingerprint, kernel
 kind), and is directly awaitable from asyncio code, so the same handle
 works for blocking callers (``future.result()``) and async callers
 (``await future``).
+
+A request the submitting thread claims to serve itself (a warm hit on
+an idle shard, see ``ReasonService._run_inline``) gets a
+:class:`_ClaimedFuture`, which builds the ``threading.Condition`` a
+stdlib future builds in its constructor only when a thread first needs
+one.  When that inline attempt succeeds, the future is *born
+resolved*: the report is written into it before any other thread holds
+it, with no lock or notify, and a finished one's ``done``, ``result``,
+``exception`` and ``add_done_callback`` read it without the lock.  A
+queued request's future is a plain :class:`ReasonFuture`, whose path
+pays for none of this.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import threading
+from concurrent.futures._base import FINISHED, LOGGER, PENDING
 from typing import List, Optional
 
 from repro.api.types import ExecutionReport
@@ -61,6 +74,78 @@ class ReasonFuture(concurrent.futures.Future):
             f"ReasonFuture(kind={self.kind!r}, shard={self.shard_index}, "
             f"fingerprint={self.fingerprint[:12]!r}..., {state})"
         )
+
+
+class _LazyCondition:
+    """A future's ``_condition``, built the first time a thread reads
+    it.  A non-data descriptor: the first read stores the Condition in
+    the future's ``__dict__``, where every later read finds it without
+    calling here.  ``dict.setdefault`` is one atomic step, so threads
+    racing the first read all get the Condition that won."""
+
+    def __get__(self, future, owner=None):
+        if future is None:
+            return self
+        return future.__dict__.setdefault("_condition", threading.Condition())
+
+
+class _ClaimedFuture(ReasonFuture):
+    """The future of a request its submitting thread claimed to serve
+    inline.  Until the service hands it on (``_sole_thread = 0``), only
+    the thread that built it holds it, and a ``set_result`` there is a
+    write in place.  A request that misses the shard's cache, or whose
+    inline attempt fails and is requeued, is resolved by a worker the
+    stdlib way, under a Condition built on first use."""
+
+    _condition = _LazyCondition()
+
+    def __init__(self, kind: str, fingerprint: str, shard_index: int, neural_s: float):
+        # Future.__init__'s state, less the Condition (_LazyCondition);
+        # tests/api/test_futures.py holds the two to the same attributes.
+        self._state = PENDING
+        self._result = None
+        self._exception = None
+        self._waiters = []
+        self._done_callbacks = []
+        self.kind = kind
+        self.fingerprint = fingerprint
+        self.shard_index = shard_index
+        self.neural_s = neural_s
+        self._sole_thread = threading.get_ident()
+
+    def set_result(self, result: ExecutionReport) -> None:
+        if self._sole_thread != threading.get_ident():
+            super().set_result(result)
+            return
+        # Nobody else can wait on it, add a callback to it or cancel
+        # it: pending straight to FINISHED, no lock, notify or callback.
+        self._result = result
+        self._state = FINISHED
+
+    # FINISHED is terminal: a finished future answers these four
+    # without the lock, and a pending one takes the stdlib path.
+
+    def done(self) -> bool:
+        return self._state == FINISHED or super().done()
+
+    def result(self, timeout: Optional[float] = None):
+        if self._state == FINISHED and self._exception is None:
+            return self._result
+        return super().result(timeout)
+
+    def exception(self, timeout: Optional[float] = None):
+        if self._state == FINISHED:
+            return self._exception
+        return super().exception(timeout)
+
+    def add_done_callback(self, fn) -> None:
+        if self._state != FINISHED:
+            super().add_done_callback(fn)  # runs fn at once if it finished meanwhile
+            return
+        try:
+            fn(self)
+        except Exception:
+            LOGGER.exception("exception calling callback for %r", self)
 
 
 def wait_all(

@@ -74,7 +74,7 @@ from repro.api.adapters import (
     per_kernel_neural_s,
 )
 from repro.api.cache import CacheStats
-from repro.api.futures import ReasonFuture
+from repro.api.futures import ReasonFuture, _ClaimedFuture
 from repro.api.resilience import (
     CircuitBreaker,
     DeadlineExceeded,
@@ -893,8 +893,6 @@ class ReasonService:
                 # degraded beats rejecting all traffic.
                 alternative = self._alternative_to(shard)
                 admitted, shard = alternative is not None, alternative or shard
-            future = ReasonFuture(adapter.kind, fingerprint, shard.index, neural_s)
-            item = _WorkItem(request, resolved, future, shard, prediction.seconds)
             # Charge the placement while still holding the admission
             # lock: the next policy.select must see this request in the
             # shard's pending count and predicted busy time, or
@@ -909,6 +907,13 @@ class ReasonService:
                 claimed = admitted and shard.accepting and self._faults is None
                 claimed = claimed and not (shard.running or shard.items)
                 shard.running = shard.running or claimed
+            # A queued request's future builds its Condition now; a
+            # claimed one, only if a thread ever needs it.
+            if claimed:
+                future = _ClaimedFuture(adapter.kind, fingerprint, shard.index, neural_s)
+            else:
+                future = ReasonFuture(adapter.kind, fingerprint, shard.index, neural_s)
+            item = _WorkItem(request, resolved, future, shard, prediction.seconds)
         # From here the item counts for drain(); _settle is the only
         # code that takes it off again, served or rejected.
         with self._outstanding_lock:
@@ -952,7 +957,11 @@ class ReasonService:
         checked now that the flag is held, when no other run can evict.
         A hit is claimed here without the future's own transition: the
         future has not left this thread, so nobody can cancel it, and it
-        goes from pending straight to done."""
+        goes from pending straight to done — born resolved, written in
+        place with no lock or notify, when this attempt succeeds.  The
+        future is handed on when this returns; an attempt that fails and
+        is requeued leaves it to the worker, which resolves it as it
+        resolves any queued request's."""
         hit = item.request.fingerprint in shard.session._cache
         try:
             if hit:
@@ -966,6 +975,7 @@ class ReasonService:
             # queued or closed since then is seen below and gets its
             # wake-up, and anyone later finds the flag already clear.
             shard.running = False
+            item.future._sole_thread = 0  # others may hold it from here
             if shard.items or not shard.accepting:  # the worker waits for the flag
                 with shard.lock:
                     shard.work.notify()

@@ -1,11 +1,13 @@
 """Stage 3: two-input DAG regularization (paper Sec. IV-C).
 
 Nodes with fan-in > 2 are recursively decomposed into balanced binary
-trees of two-input intermediate nodes of the same op.  SUM nodes push
-their edge weights into the first binary layer (each original weighted
-edge becomes a weight-1 internal edge below a weighted leaf-level edge),
-preserving the computed function exactly.  The canonical form gives
-every kernel the same shape as REASON's binary tree PEs.
+trees of two-input intermediate nodes of the same op.  A SUM node of
+fan-in > 2 gives each child whose weight differs from 1 a unary
+weighted SUM of its own, then adds the scaled children with a balanced
+tree of unweighted two-input SUMs, preserving the computed function
+exactly.  A SUM of fan-in ≤ 2 is copied with its weights.  The
+canonical form gives every kernel the same shape as REASON's binary
+tree PEs.
 
 The rewrite walks the input's node order — its
 :meth:`~repro.core.dag.graph.Dag.plan`'s, or the same depth-first
