@@ -22,10 +22,9 @@ Package map:
   over pluggable kernel adapters and execution backends, with compile
   caching and pipelined batch execution, and :class:`ReasonService`
   for async, sharded serving over many sessions;
-* :mod:`repro.costmodel` — predicted per-request latency/energy per
-  backend class from compile artifacts, each (kernel, backend) priced
-  from its first execution report; charges shard busy time and feeds
-  the request spans' residuals;
+* :mod:`repro.costmodel` — the offline static price of a compiled
+  kernel per backend class (analytic device rooflines, REASON cycle
+  counts); nothing on the serving path calls it;
 * :mod:`repro.trace` — opt-in binary event traces of the accelerator's
   modeled execution (versioned varint/delta wire format, streaming
   reader, offline analysis tools and trace-to-trace regression
@@ -33,7 +32,7 @@ Package map:
 * :mod:`repro.metrics` — live telemetry over the serving path:
   counters/gauges/batch-folded log-bucket histograms in a
   :class:`MetricsRegistry`, per-request :class:`RequestSpan` records
-  (queue-wait/compile/execute/e2e plus predicted-vs-actual residuals),
+  (queue-wait/compile/execute/e2e wall legs beside the modeled cost),
   Prometheus-text/JSON exposition, and snapshot diffing — always on,
   with no lock per request;
 * :mod:`repro.analysis` — static program verification and project
@@ -68,7 +67,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.41.0"
+__version__ = "1.42.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,

@@ -23,11 +23,10 @@ backend — and a sharded service when one session isn't enough.
   and the deadline plumbing (:data:`DEADLINE_CLASSES`,
   :func:`resolve_deadline`, :class:`DeadlineExceeded`).
 
-Every service owns a :class:`~repro.costmodel.CostEstimator` that
-prices requests per backend class — a (kernel, backend) from the first
-report its shards produce for it, anything else from the static model
-and what its class has cost so far.  Its predictions charge each
-shard's busy time and give every span its residuals.
+A service places and reroutes requests on each shard's pending count;
+nothing on the request path prices a request on the modeled clock (a
+request's modeled cost is its own report; :mod:`repro.costmodel` is an
+offline static pricer).
 """
 
 from repro.api.adapters import (

@@ -2,9 +2,8 @@
 
 :class:`~repro.api.service.ReasonService` asks its policy to place
 every admitted request on one of its shards.  A policy sees the request
-(including its content-hash fingerprint and the cost model's one
-predicted cost, on the backend the request runs on) and a load
-snapshot of every shard, and returns a shard index.  Every shard is
+(including its content-hash fingerprint) and a load snapshot of every
+shard — its pending count above all — and returns a shard index.  Every shard is
 the same REASON session, so placement never changes a request's
 substrate.  Three policies ship in the registry:
 
@@ -36,17 +35,17 @@ from repro.costmodel.features import PredictionMap
 class ShardView:
     """Read-only load snapshot of one shard, handed to policies.
 
-    ``backend`` is always ``"reason"`` (every shard is a REASON
-    session; the field stays for callers that build views) and
-    ``busy_s`` its cumulative *predicted* busy time — the seconds of
-    admitted-but-unfinished work the cost model expects it still owes.
+    ``pending`` is the load every shipped policy and the service's
+    rerouting read.  The service no longer predicts, so it fills
+    ``backend`` with ``"reason"`` (every shard is a REASON session) and
+    ``busy_s`` with ``0.0``; both stay for callers that build views.
     """
 
     index: int
     pending: int  # queued + in-flight requests
     completed: int
-    backend: str
-    busy_s: float  # predicted seconds of unfinished admitted work
+    backend: str  # always "reason" from the service
+    busy_s: float  # always 0.0 from the service
 
 
 class ShardViews(Sequence):
@@ -72,13 +71,12 @@ class Request(NamedTuple):
     """What a policy may route on (the kernel itself included).
 
     ``backend`` is the caller's forced substrate, or None for the
-    REASON model.  ``predicted`` maps the one backend the request
-    executes on to the cost model's
-    :class:`~repro.costmodel.features.CostPrediction`, made once at
-    admission — the service always has a cost model, so a policy never
-    sees a request without one.  Immutable, and built in one step (a
-    tuple, not a frozen dataclass's one ``object.__setattr__`` per
-    field): admission makes one per request.
+    REASON model.  ``predicted`` maps a backend name to a
+    :class:`~repro.costmodel.features.CostPrediction` for callers that
+    price requests themselves; the service no longer predicts, so it
+    passes an empty read-only mapping.  Immutable, and built in one
+    step (a tuple, not a frozen dataclass's one ``object.__setattr__``
+    per field): admission makes one per request.
     """
 
     kernel: object

@@ -26,12 +26,10 @@ Every shard is the same thing: ``shards=4`` spins up four REASON
 instances, each a session behind one bounded queue and one
 :class:`CircuitBreaker`.  A substrate is chosen in one place, the
 request's ``backend=`` (``"reason"`` unless the caller names another
-registered backend, which any shard can run).  A
-:class:`~repro.costmodel.CostEstimator` (one per service) predicts
-each request's cost on that backend once at admission, tracks every
-shard's predicted busy time, and prices each (kernel, backend) from
-its first completed report; the request spans' residuals read those
-predictions too.
+registered backend, which any shard can run).  Placement and
+rerouting read each shard's ``pending`` count (admitted, not yet
+settled) on the wall clock the queues run on; nothing on the request
+path prices a request on the modeled clock.
 
 Throughput accounting stays faithful to the paper's overlap model:
 each shard's completed work is composed through its own two-level
@@ -64,6 +62,7 @@ from collections.abc import Sequence
 from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral
+from types import MappingProxyType
 from typing import Callable, Deque, List, Optional, Union
 
 from repro.api.adapters import (
@@ -93,13 +92,7 @@ from repro.api.types import ExecutionReport, check_count
 from repro.core.arch.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition, compose_shard_makespans
-from repro.costmodel import CostEstimator
-from repro.metrics.registry import (
-    LATENCY_BUCKETS,
-    RATIO_BUCKETS,
-    MetricsRegistry,
-    ensure_registry,
-)
+from repro.metrics.registry import MetricsRegistry, ensure_registry
 from repro.metrics.spans import RequestSpan, SpanLog, leg_columns
 
 #: Completed spans :meth:`ReasonService.spans` retains (a bounded ring,
@@ -109,20 +102,23 @@ SPAN_LOG_SIZE = 4096
 #: What a request that settled without a report contributes to its span.
 _NO_REPORT = ExecutionReport("", "", None, 0, 0.0, 0.0)
 
-#: Per-backend histograms a successful request's span feeds:
-#: (RequestSpan attribute, metric name, help, buckets).
+#: Per-backend latency histograms (default buckets) a successful
+#: request's span feeds: (RequestSpan attribute, metric name, help).
 _SPAN_HISTOGRAMS = (
     ("queue_wait_s", "reason_request_queue_wait_seconds",
-     "Admission to the claim by a worker or an inline caller.", LATENCY_BUCKETS),
-    ("execute_s", "reason_request_execute_seconds",
-     "Backend execution wall seconds.", LATENCY_BUCKETS),
-    ("e2e_s", "reason_request_e2e_seconds",
-     "Admission to completion — caller-visible latency.", LATENCY_BUCKETS),
-    ("latency_residual", "reason_request_latency_residual",
-     "Actual/predicted modeled seconds (1.0 = exact).", RATIO_BUCKETS),
-    ("energy_residual", "reason_request_energy_residual",
-     "Actual/predicted energy (1.0 = exact).", RATIO_BUCKETS),
+     "Admission to the claim by a worker or an inline caller."),
+    ("execute_s", "reason_request_execute_seconds", "Backend execution wall seconds."),
+    ("e2e_s", "reason_request_e2e_seconds", "Admission to completion — caller-visible latency."),
 )  # fmt: skip
+
+# The service does not predict: the fields it still fills for custom
+# policies and callers that build views are these neutral constants —
+# a Request's ``predicted`` is an empty read-only mapping, and a
+# ShardView's ``backend`` / ``busy_s`` are "reason" (every shard is a
+# REASON session) and 0.0.
+_NO_PREDICTION = MappingProxyType({})
+_SHARD_BACKEND = "reason"
+_NO_BUSY_S = 0.0
 
 
 class ServiceClosed(RuntimeError):
@@ -136,22 +132,15 @@ class ServiceOverloaded(RuntimeError):
     The shard's load at rejection time rides as attributes:
 
     * ``shard_index`` — the shard the policy chose (-1 if none);
-    * ``queue_depth`` — its pending requests at rejection time;
-    * ``backlog_s`` — its predicted seconds of unfinished work.
+    * ``queue_depth`` — its pending requests at rejection time.
     """
 
     def __init__(
-        self,
-        message: str = "service overloaded",
-        *,
-        shard_index: int = -1,
-        queue_depth: int = 0,
-        backlog_s: float = 0.0,
+        self, message: str = "service overloaded", *, shard_index: int = -1, queue_depth: int = 0
     ):
         super().__init__(message)
         self.shard_index = shard_index
         self.queue_depth = queue_depth
-        self.backlog_s = backlog_s
 
 
 # Request lifecycle: QUEUED -> RUNNING -> SETTLED, with a retry the only
@@ -182,7 +171,6 @@ class _WorkItem:
     backend: str  # resolved substrate: the caller's ``backend=``, else "reason"
     future: ReasonFuture
     shard: "_Shard"  # current owner; a rerouted retry updates it
-    predicted_s: float = 0.0  # busy-time charged at admission, repaid on exit
     attempts: int = 1  # executions dispatched (1 = the original)
     state: str = _QUEUED
     timer: Optional[threading.Timer] = None  # armed deadline watchdog
@@ -220,9 +208,6 @@ class _ShardCounters:
     restarts: int = _counter("Worker threads respawned by the supervisor.")
     crashes: int = _counter("Worker deaths observed on this shard.")
     expired: int = _counter("Requests failed by their deadline.")
-    # Sum of admitted-but-unfinished predicted seconds (the cost model's
-    # view of this shard's backlog; what ShardView.busy_s reports).
-    busy_s: float = 0.0
 
     @property
     def pending(self) -> int:
@@ -233,11 +218,6 @@ class _ShardCounters:
         at every observable instant.
         """
         return self.submitted - self.completed - self.failed - self.cancelled
-
-    def repay(self, predicted_s: float) -> None:
-        # Float error must never leave a phantom backlog behind: clamp
-        # at zero, and a shard with nothing pending owes exactly nothing.
-        self.busy_s = max(self.busy_s - predicted_s, 0.0) if self.pending else 0.0
 
 
 @dataclass(eq=False)  # identity semantics: a shard is not its field values
@@ -302,7 +282,9 @@ class _Shard:
         route on and what a rejection reports."""
         with self.lock:
             counters = self.counters
-            return ShardView(self.index, counters.pending, counters.completed, "reason", counters.busy_s)
+            return ShardView(
+                self.index, counters.pending, counters.completed, _SHARD_BACKEND, _NO_BUSY_S
+            )
 
 
 @dataclass
@@ -324,7 +306,6 @@ class ShardStats:
     prepare_calls: int
     cache: CacheStats
     makespan: PipelineResult
-    busy_s: float = 0.0  # predicted seconds of unfinished admitted work
     retries: int = 0  # replays dispatched after transient failures
     restarts: int = 0  # worker threads respawned by the supervisor
     crashes: int = 0  # worker deaths observed
@@ -490,12 +471,6 @@ class ReasonService:
         makespan composition in :meth:`stats` (a positive integer,
         which keeps memory and ``stats()`` cost constant on long-lived
         services).
-    cost_model:
-        The :class:`~repro.costmodel.CostEstimator` predicting request
-        costs at admission (``None``, the default, builds a private
-        one; pass a shared or pre-warmed estimator to start routing on
-        settled prices from the first request).  Anything else is a
-        :class:`TypeError`.
     trace_dir:
         Optional directory for per-request binary event traces
         (:mod:`repro.trace`).  A request submitted with ``trace=True``
@@ -513,10 +488,9 @@ class ReasonService:
         several services, or ``None`` / ``True`` for a private one.
         Every admitted request settles into a
         :class:`~repro.metrics.spans.RequestSpan` (queue-wait /
-        compile / execute / end-to-end wall times plus
-        predicted-vs-actual residuals), the shards' sessions register
-        their cache and compile instruments labeled ``shard=<i>``, and
-        the cost model exports a static-model residual histogram.
+        compile / execute / end-to-end wall times), and the shards'
+        sessions register their cache and compile instruments labeled
+        ``shard=<i>``.
         :meth:`metrics` returns the registry, :meth:`spans` the most
         recent :data:`SPAN_LOG_SIZE` span records.
     retry:
@@ -553,7 +527,6 @@ class ReasonService:
         cache_capacity: Optional[int] = None,
         max_queue: int = 128,
         stats_window: int = 65536,
-        cost_model: Optional[CostEstimator] = None,
         store: Union[None, str, ArtifactStore] = None,
         trace_dir: Union[None, str, "os.PathLike"] = None,
         metrics: Union[None, bool, MetricsRegistry] = None,
@@ -567,12 +540,9 @@ class ReasonService:
         check_count("stats_window", stats_window)
         if not isinstance(config, ArchConfig):
             raise TypeError(f"config must be an ArchConfig, not {config!r}")
-        if cost_model is not None and not isinstance(cost_model, CostEstimator):
-            raise TypeError(f"cost_model must be a CostEstimator or None, not {cost_model!r}")
         self.config = config
         self.policy = get_policy(policy)
         self.max_queue = max_queue
-        self.cost_model = CostEstimator(config=config) if cost_model is None else cost_model
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError(
                 f"retry must be a RetryPolicy or None, not {type(retry).__name__}"
@@ -680,9 +650,9 @@ class ReasonService:
         """Service-level instruments and per-shard snapshot callbacks.
 
         Shard counters (submitted/completed/failed/cancelled, queue
-        depth, predicted busy seconds) already exist under the shard
-        locks — they are mirrored by callbacks evaluated only at
-        snapshot time, so the admission and worker paths pay nothing.
+        depth) already exist under the shard locks — they are mirrored
+        by callbacks evaluated only at snapshot time, so the admission
+        and worker paths pay nothing.
         """
         registry = self._metrics
         # The registry holds the service and its shards weakly: a
@@ -720,9 +690,6 @@ class ReasonService:
                 ("reason_shard_queue_depth", "gauge",
                  "Admitted but not yet terminal (queued or executing).",
                  lambda s=shard: s.view().pending),
-                ("reason_shard_busy_seconds", "gauge",
-                 "Predicted seconds of admitted-but-unfinished work.",
-                 lambda s=shard: s.counters.busy_s),
                 ("reason_shard_breaker_state", "gauge",
                  "Circuit state: 0=closed, 1=half-open, 2=open.",
                  lambda s=shard: s.breaker.state_code),
@@ -745,7 +712,6 @@ class ReasonService:
                     help="Faults injected by the active plan, by site.",
                     site=site,
                 )
-        self.cost_model.attach_metrics(registry)
         registry.register_fold(self._fold)
 
     def _fold(self) -> None:
@@ -761,8 +727,8 @@ class ReasonService:
             batch = [settled.popleft() for _ in range(len(settled))]
             self._span_log.extend(batch)
             for backend, legs in leg_columns(batch).items():
-                for leg, name, help_text, buckets in _SPAN_HISTOGRAMS:
-                    histogram = self._metrics.histogram(name, help_text, buckets, backend=backend)
+                for leg, name, help_text in _SPAN_HISTOGRAMS:
+                    histogram = self._metrics.histogram(name, help_text, backend=backend)
                     histogram.observe_many(legs[leg])
 
     def __enter__(self) -> "ReasonService":
@@ -871,12 +837,9 @@ class ReasonService:
         # untouched.
         if options.trace is True and self.trace_dir is not None:
             options = replace(options, trace=str(self.trace_path_for(fingerprint)))
-        # The substrate is the request's alone, so it is priced once.
-        resolved = "reason" if backend is None else backend
-        prediction = self.cost_model.predict(fingerprint, resolved, queries, adapter.kind)
         request = Request(
             kernel, options, adapter.kind, fingerprint, backend, queries, neural_s,
-            {resolved: prediction}, deadline_s,
+            _NO_PREDICTION, deadline_s,
         )  # fmt: skip
         with self._admission_lock:
             index = self.policy.select(request, self._views)
@@ -895,15 +858,13 @@ class ReasonService:
                 admitted, shard = alternative is not None, alternative or shard
             # Charge the placement while still holding the admission
             # lock: the next policy.select must see this request in the
-            # shard's pending count and predicted busy time, or
-            # concurrent producers would all pick the same "idle"
-            # shard.  A rejection below takes the charge back.  The same
-            # section takes the inline claim (see _run_inline) on an
-            # admitting, accepting shard with nothing queued or running
-            # and no fault plan armed.
+            # shard's pending count, or concurrent producers would all
+            # pick the same "idle" shard.  A rejection below takes the
+            # charge back.  The same section takes the inline claim (see
+            # _run_inline) on an admitting, accepting shard with nothing
+            # queued or running and no fault plan armed.
             with shard.lock:
                 shard.counters.submitted += 1
-                shard.counters.busy_s += prediction.seconds
                 claimed = admitted and shard.accepting and self._faults is None
                 claimed = claimed and not (shard.running or shard.items)
                 shard.running = shard.running or claimed
@@ -913,7 +874,7 @@ class ReasonService:
                 future = _ClaimedFuture(adapter.kind, fingerprint, shard.index, neural_s)
             else:
                 future = ReasonFuture(adapter.kind, fingerprint, shard.index, neural_s)
-            item = _WorkItem(request, resolved, future, shard, prediction.seconds)
+            item = _WorkItem(request, "reason" if backend is None else backend, future, shard)
         # From here the item counts for drain(); _settle is the only
         # code that takes it off again, served or rejected.
         with self._outstanding_lock:
@@ -1002,19 +963,20 @@ class ReasonService:
             detail,
             shard_index=view.index,
             queue_depth=view.pending,
-            backlog_s=view.busy_s,
         )
 
     def _alternative_to(self, shard: _Shard) -> Optional[_Shard]:
-        """The least-loaded admitting shard other than ``shard`` (None
-        when there is none): where admission sends a request whose
-        chosen shard is tripped, and where a rerouted retry goes."""
+        """The admitting shard other than ``shard`` with the fewest
+        pending requests, ties to the lower index — ``least-loaded``'s
+        key — or None when there is none: where admission sends a
+        request whose chosen shard is tripped, and where a rerouted
+        retry goes."""
         views = [
             other.view()
             for other in self._shards
             if other is not shard and other.breaker.admits()
         ]
-        best = min(views, key=lambda v: (v.busy_s, v.pending, v.index), default=None)
+        best = min(views, key=lambda v: (v.pending, v.index), default=None)
         return None if best is None else self._shards[best.index]
 
     # ------------------------------------------------------ request lifecycle
@@ -1035,10 +997,9 @@ class ReasonService:
         ``rejected`` (admission gave up before the item reached a
         queue; the caller gets the exception raised, not a future).
         Whoever flips the item SETTLED under its lock cancels its
-        timer, moves the shard counters, repays the predicted busy
-        time, queues the span, resolves the future and takes the item
-        off the drain() count; every later caller finds it settled and
-        backs off.  The span is queued before the future resolves, so a
+        timer, moves the shard counters, queues the span, resolves the
+        future and takes the item off the drain() count; every later
+        caller finds it settled and backs off.  The span is queued before the future resolves, so a
         caller woken by the result finds it in :meth:`spans`, and
         when drain() returns every counter is final.
         """
@@ -1057,7 +1018,6 @@ class ReasonService:
                 else:
                     for name, step in _OUTCOME_COUNTERS[outcome].items():
                         setattr(counters, name, getattr(counters, name) + step)
-                counters.repay(item.predicted_s)
             if outcome == "ok" and item.attempts > 1:
                 # Observable but outside the report's identity: a retried
                 # success must stay bit-identical to a first-try success.
@@ -1074,25 +1034,6 @@ class ReasonService:
                     item.future.set_exception(payload)
             except InvalidStateError:
                 pass  # cancelled by the caller in the same instant; counters stand
-        if outcome == "ok":
-            # Price a (kernel, backend) from its first settled report
-            # (and the compiled artifact from the shard's cache,
-            # stats-neutrally); a priced pair costs one dict probe.
-            # After set_result, and shielded: a defective cost model
-            # (user-supplied estimator) must never hang a caller or
-            # kill the calling worker thread — it only loses its price.
-            try:
-                fingerprint = item.request.fingerprint
-                if not self.cost_model.priced(fingerprint, item.backend):
-                    self.cost_model.observe(
-                        fingerprint,
-                        kind=item.request.kind,
-                        backend=item.backend,
-                        report=payload,
-                        artifact=shard.session.artifact_for(fingerprint),
-                    )
-            except Exception:
-                pass
         with self._outstanding_lock:
             self._outstanding -= 1
             if self._outstanding <= 0 and self._drainers:
@@ -1108,11 +1049,10 @@ class ReasonService:
         other outcome reads the blank one's zeros."""
         request = item.request
         report = payload if outcome == "ok" else _NO_REPORT
-        predicted = request.predicted[item.backend]
         finished_at = time.perf_counter()
         return (
             outcome, request.fingerprint, request.kind, item.backend, item.shard.index,
-            request.queries, item.predicted_s, predicted.energy_j,
+            request.queries,
             f"{type(payload).__name__}: {payload}" if outcome in ("error", "deadline") else "",
             item.attempts, report.cache_hit, report.executed,
             report.seconds, report.energy_j,
@@ -1120,7 +1060,6 @@ class ReasonService:
             # Admission on the wall clock: a label for cross-process
             # correlation, never an input to anything replayed.
             time.time() - (finished_at - item.admitted_at),  # noqa: RPR002
-            predicted.source,
         )  # fmt: skip
 
     def _expire(self, item: _WorkItem) -> None:
@@ -1264,7 +1203,8 @@ class ReasonService:
 
         A replay is requeued at once, on the thread whose attempt
         failed — a worker, or a dying worker in :meth:`_worker_died` —
-        to the least-loaded other admitting shard, else the same one.
+        to the other admitting shard with the fewest pending requests,
+        else the same one.
         That thread may never block on admission: a worker waiting on
         its own shard's full queue is a self-deadlock.  So a retry that
         cannot land at once — no free slot, or close() already cleared
@@ -1288,11 +1228,9 @@ class ReasonService:
                     source.counters.retries += 1
                     if target is not source:
                         source.counters.submitted -= 1
-                        source.counters.repay(item.predicted_s)
                 if target is not source:
                     with target.lock:
                         target.counters.submitted += 1
-                        target.counters.busy_s += item.predicted_s
                     item.shard = target
                     item.future.shard_index = target.index
                 item.attempts += 1

@@ -78,22 +78,20 @@ class CostFeatures:
 
 @dataclass(frozen=True)
 class CostPrediction:
-    """One predicted request cost on one backend.
+    """The predicted cost of one query on one backend.
 
-    ``source`` says how the number was produced, from most to least
-    informed: ``calibrated`` (this (kernel, backend)'s own first settled
-    run), ``features`` (static model × the (kind, backend) class
-    ratio), ``class-prior`` (EWMA of seconds per query over the (kind,
-    backend) class), ``default`` (cold start).
+    ``source`` says how the number was produced: ``features`` (the
+    static model over the kernel's recorded features) or ``default``
+    (the cold-start constant).
     """
 
     backend: str
     seconds: float
     energy_j: float = 0.0
-    queries: int = 1
     source: str = "default"
 
 
-#: Type alias used by the scheduler: backend name → prediction.
+#: Type of :attr:`Request.predicted <repro.api.scheduler.Request>`:
+#: backend name → prediction.
 PredictionMap = Mapping[str, CostPrediction]
 

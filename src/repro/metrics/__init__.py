@@ -5,8 +5,8 @@ this package reports what a *running service* is doing: a lock-cheap
 :class:`MetricsRegistry` of counters, gauges and fixed-log-bucket
 histograms (with labels and quantile estimation), per-request
 :class:`RequestSpan` records carrying queue-wait / compile / execute /
-end-to-end wall times and the cost model's predicted-vs-actual
-residuals, Prometheus-text and JSON exposition, snapshot diffing for
+end-to-end wall times next to the modeled cost each request's report
+charged, Prometheus-text and JSON exposition, snapshot diffing for
 regression hunting, and ``python -m repro show|watch|diff`` over
 snapshot files.
 
@@ -21,7 +21,6 @@ queued in vectorised batches on every read and once enough is waiting.
 from repro.metrics.diff import MetricChange, SnapshotDiff, diff_snapshots
 from repro.metrics.registry import (
     LATENCY_BUCKETS,
-    RATIO_BUCKETS,
     Counter,
     Histogram,
     MetricsRegistry,
@@ -54,5 +53,4 @@ __all__ = [
     "log_buckets",
     "ensure_registry",
     "LATENCY_BUCKETS",
-    "RATIO_BUCKETS",
 ]

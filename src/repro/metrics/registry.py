@@ -6,7 +6,7 @@ report:
 * :class:`Counter` — monotonically increasing totals (requests
   admitted, cache hits, bytes written);
 * gauges — point-in-time levels that go both ways (queue depth,
-  predicted busy seconds), served by snapshot-time callbacks (below);
+  breaker state), served by snapshot-time callbacks (below);
 * :class:`Histogram` — fixed *logarithmic* buckets with quantile
   estimation, sized for latency-style data whose interesting range
   spans many orders of magnitude.  Log buckets keep the instrument
@@ -108,9 +108,6 @@ def log_buckets(
 
 #: Default bounds for latency-style histograms: 1 µs – 64 s, doubling.
 LATENCY_BUCKETS = log_buckets(1e-6, 64.0, per_octave=1)
-#: Default bounds for residual-ratio histograms: centered on 1.0,
-#: 1/64x – 64x in √2 steps (a prediction off by 2x lands ~2 buckets out).
-RATIO_BUCKETS = log_buckets(1.0 / 64.0, 64.0, per_octave=2)
 
 
 class Counter:

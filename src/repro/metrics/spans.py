@@ -2,8 +2,8 @@
 
 A :class:`RequestSpan` is what the serving path knows about one request
 once it is over — admitted → queued → compile → execute → settled — the
-wall times of each leg plus the cost model's *predicted vs. actual*
-latency/energy residuals.  Aggregates (the latency histograms the
+wall times of each leg next to the modeled seconds and joules its
+report charged.  Aggregates (the latency histograms the
 registry holds) answer "how is the service doing"; spans answer "what
 happened to *this* request", which is what SLO debugging needs.
 
@@ -47,9 +47,6 @@ class RequestSpan(NamedTuple):
     backend: str = ""
     shard: int = -1  # the shard that settled it (a rerouted retry's last)
     queries: int = 1
-    # Cost-model view at admission.
-    predicted_s: float = 0.0
-    predicted_energy_j: float = 0.0
     # Outcome.
     error: str = ""
     attempts: int = 1  # executions dispatched (>1 = the request retried)
@@ -64,10 +61,6 @@ class RequestSpan(NamedTuple):
     compile_s: float = 0.0  # front-end wall time (0.0 on a cache hit)
     execute_s: float = 0.0  # backend run wall time
     wall_unix: float = 0.0  # time.time() at admission
-    # Which rung of the cost model priced predicted_s
-    # (CostPrediction.source): tells a first sight's static-model
-    # residual from a priced kernel's 1.0.
-    predicted_source: str = ""
 
     # --------------------------------------------------------- durations
 
@@ -83,55 +76,32 @@ class RequestSpan(NamedTuple):
         """Admission to settlement — the caller-visible latency."""
         return max(self.finished_at - self.admitted_at, 0.0)
 
-    @property
-    def latency_residual(self) -> Optional[float]:
-        """``actual / predicted`` modeled seconds (None unless the
-        request succeeded; 1.0 = the model was exact)."""
-        if self.predicted_s <= 0.0 or self.actual_s <= 0.0:
-            return None
-        return self.actual_s / self.predicted_s
-
-    @property
-    def energy_residual(self) -> Optional[float]:
-        if self.predicted_energy_j <= 0.0 or self.actual_energy_j <= 0.0:
-            return None
-        return self.actual_energy_j / self.predicted_energy_j
-
 
 def leg_columns(spans: Sequence[tuple]) -> Dict[str, Dict[str, np.ndarray]]:
-    """Per backend, the duration and residual properties of the
-    successful spans among ``spans`` (RequestSpans, or plain tuples in
-    its field order), one array per property name, each value equal to
-    the property's (a residual's array skips the spans whose property
-    is None): how the service bins a batch of settled spans without a
-    property call per span.  Failures and cancellations are left out."""
+    """Per backend, the duration properties of the successful spans
+    among ``spans`` (RequestSpans, or plain tuples in its field order),
+    one array per property name, each value equal to the property's:
+    how the service bins a batch of settled spans without a property
+    call per span.  Failures and cancellations are left out."""
     if not spans:
         return {}
     columns = dict(zip(RequestSpan._fields, zip(*spans)))
-    admitted, started, finished, execute, actual_s, predicted_s, actual_j, predicted_j = (
+    admitted, started, finished, execute = (
         np.array(columns[name], dtype=float)
-        for name in ("admitted_at", "started_at", "finished_at", "execute_s",
-                     "actual_s", "predicted_s", "actual_energy_j", "predicted_energy_j")
-    )  # fmt: skip
-    with np.errstate(divide="ignore", invalid="ignore"):  # an undefined residual is NaN
-        legs = {
-            "queue_wait_s": np.where(started > 0.0, np.maximum(started - admitted, 0.0), 0.0),
-            "execute_s": execute,
-            "e2e_s": np.maximum(finished - admitted, 0.0),
-            "latency_residual": np.where(
-                (predicted_s > 0.0) & (actual_s > 0.0), actual_s / predicted_s, np.nan
-            ),
-            "energy_residual": np.where(
-                (predicted_j > 0.0) & (actual_j > 0.0), actual_j / predicted_j, np.nan
-            ),
-        }
+        for name in ("admitted_at", "started_at", "finished_at", "execute_s")
+    )
+    legs = {
+        "queue_wait_s": np.where(started > 0.0, np.maximum(started - admitted, 0.0), 0.0),
+        "execute_s": execute,
+        "e2e_s": np.maximum(finished - admitted, 0.0),
+    }
     # Object arrays: comparing the strings themselves is cheaper than
     # converting them to numpy's fixed-width text.
     backends = np.array(columns["backend"], dtype=object)
     ok = np.array(columns["status"], dtype=object) == "ok"
     return {
         backend: {
-            name: values[ok & (backends == backend) & ~np.isnan(values)]
+            name: values[ok & (backends == backend)]
             for name, values in legs.items()
         }
         for backend in set(backends[ok])

@@ -15,7 +15,7 @@ from repro.api.store import DiskStore
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.trace import cross_validate, read_trace, timeline
 
-from tests.corpus import KINDS, small
+from tests.corpus import KINDS, small, small_kernels
 
 #: How a report was delivered, not what it says.
 DELIVERY = ("cache_hit", "executed", "compile_s", "execute_s")
@@ -291,3 +291,50 @@ class TestWhichRequestsExecuted:
         assert served == {3}  # both shards served the kernel ...
         assert sum(report.executed for report in reports) == 1  # ... from one run
         assert len({report.identity() for report in reports}) == 1
+
+
+class TestPremise:
+    def test_a_kernel_costs_the_same_per_query_on_every_request(self):
+        """``ReasonBackend.run`` is a pure function of ``(artifact,
+        config)``: per query, every report of a (fingerprint, backend) —
+        cold, warm, traced, at any ``queries`` — costs what its first
+        one did.
+
+        If this fails, a report has started to depend on something
+        besides the compiled artifact and the backend.  Revisit ROADMAP
+        "Parked": with per-request run-time inputs, a warm report is a
+        function of the input too.
+        """
+        pool = small_kernels()
+        # Two rounds at queries=1 put each kernel's first report on
+        # both substrates (alternating by turn, rotated by one); then mixed.
+        rounds = [1, 1, 3, 8, 1, 50]
+        settled = []
+        with ReasonService(shards=2) as service:
+            for turn, queries in enumerate(rounds):
+                futures = [
+                    service.submit(
+                        pool[(i + turn) % len(pool)],
+                        backend=("reason", "gpu")[i % 2],
+                        queries=queries,
+                    )
+                    for i in range(len(pool))
+                ]
+                settled += [(future, future.result(timeout=60)) for future in futures]
+                service.drain()
+            traced = service.submit(pool[0], backend="reason", trace=True)
+            settled.append((traced, traced.result(timeout=60)))
+        assert settled[-1][1].executed and "trace_data" in settled[-1][1].extras
+        first = {}
+        for future, report in settled:
+            first.setdefault((future.fingerprint, report.backend), report)
+        assert len(first) == 2 * len(pool)
+        assert all(report.queries == 1 for report in first.values())
+        for future, report in settled:
+            base = first[future.fingerprint, report.backend]
+            # (x * q) / q is x to an ulp, and to the bit at q == 1.
+            rel = 0.0 if report.queries == 1 else 1e-15
+            assert report.seconds / report.queries == pytest.approx(base.seconds, rel=rel, abs=0.0)
+            assert report.energy_j / report.queries == pytest.approx(
+                base.energy_j, rel=rel, abs=0.0
+            )

@@ -18,7 +18,7 @@ from repro import (
     RetryPolicy,
     ShardCrashed,
 )
-from repro.api import DiskStore, ServiceOverloaded
+from repro.api import DiskStore, ServiceOverloaded, TransientError, backends
 from repro.api.resilience import CircuitBreaker
 from repro.api.scheduler import SchedulingPolicy
 from repro.faults import CORRUPT_BYTES, FaultInjected, corrupt_disk_entry
@@ -28,13 +28,30 @@ from tests.api.conftest import wait_until_running
 from tests.corpus import small_kernels
 
 
-class PinZeroPolicy(SchedulingPolicy):
-    """Always chooses shard 0 — isolates breaker route-around."""
+class PinnedPolicy(SchedulingPolicy):
+    """Always chooses ``target`` — isolates breaker route-around."""
 
-    name = "pin-zero"
+    name = "pinned"
+    target = 0
 
     def select(self, request, shards):
-        return 0
+        return self.target
+
+
+class FailsOnce(backends.Backend):
+    """Raises a :class:`TransientError` on its first run, then runs as
+    ``reason``: one retried request."""
+
+    name = "test-fails-once"
+
+    def __init__(self):
+        self.runs = 0
+
+    def run(self, artifact, config=None, queries=1, options=None):
+        self.runs += 1
+        if self.runs == 1:
+            raise TransientError("the first attempt fails")
+        return backends.get_backend("reason").run(artifact, config, queries, options)
 
 
 class TestFaultPlan:
@@ -385,23 +402,38 @@ class TestDeadlines:
 
 
 class TestBreakers:
-    def test_tripped_shard_routed_around(self):
+    @pytest.mark.parametrize(
+        "shards, busy, expected",
+        [(2, None, 1), (3, None, 1), (3, 1, 2)],
+        ids=["two-shards", "tie-to-lower-index", "fewest-pending"],
+    )
+    def test_tripped_shard_routed_around(self, monkeypatch, gate, shards, busy, expected):
+        """A transient failure trips shard 0; its retry, and then a new
+        request the policy places there, both go to the admitting shard
+        with the fewest pending requests, ties to the lower index."""
+        monkeypatch.setitem(backends._BACKENDS, FailsOnce.name, FailsOnce())
+        policy = PinnedPolicy()
         with ReasonService(
-            shards=2,
-            policy=PinZeroPolicy(),
+            shards=shards,
+            policy=policy,
             breaker=lambda: CircuitBreaker(failure_threshold=1, reset_after_s=60.0),
         ) as service:
-            first = service.submit(random_ksat(10, 30, seed=0))
-            assert first.result(timeout=30) is not None
-            assert first.shard_index == 0
-            service._shards[0].breaker.record_failure()  # trip it
+            if busy is not None:
+                policy.target = busy
+                blocker = service.submit(random_ksat(8, 24, seed=2), backend="test-gate")
+                wait_until_running(blocker)
+                policy.target = 0
+            retried = service.submit(random_ksat(10, 30, seed=0), backend=FailsOnce.name)
+            assert retried.result(timeout=30).extras["attempts"] == 2
+            assert retried.shard_index == expected
             rerouted = service.submit(random_ksat(12, 40, seed=1))
             assert rerouted.result(timeout=30) is not None
-            assert rerouted.shard_index == 1
+            assert rerouted.shard_index == expected
+            gate.set()
             service.drain(timeout=15)
             stats = service.stats()
-        assert stats.shards[0].breaker == "open"
-        assert stats.shards[1].breaker == "closed"
+        assert [shard.breaker for shard in stats.shards] == ["open"] + ["closed"] * (shards - 1)
+        assert stats.retries == 1 and stats.shards[0].submitted == 0
 
     def test_all_tripped_fails_open(self):
         with ReasonService(
@@ -633,5 +665,4 @@ class TestAccountingInvariant:
         for shard in stats.shards:
             assert shard.submitted == shard.completed + shard.failed + shard.cancelled
             assert shard.pending == 0
-            assert shard.busy_s == 0.0
         assert stats.submitted == len(futures)

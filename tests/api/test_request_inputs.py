@@ -116,7 +116,7 @@ def test_a_logic_kernel_ignores_keep_fraction():
 
 def shard_counters(service):
     return [
-        (s.submitted, s.completed, s.failed, s.cancelled, s.pending, s.expired, s.busy_s)
+        (s.submitted, s.completed, s.failed, s.cancelled, s.pending, s.expired)
         for s in service.stats().shards
     ]
 
@@ -278,11 +278,13 @@ def test_config_must_be_an_arch_config(config):
         ReasonService(shards=1, config=config)
 
 
-@pytest.mark.parametrize("cost_model", [0, False, "x", {}], ids=["zero", "false", "str", "dict"])
-def test_cost_model_must_be_an_estimator_or_none(cost_model):
-    """A falsy cost model used to be swapped for a private estimator."""
-    with pytest.raises(TypeError, match="cost_model must be a CostEstimator or None"):
+@pytest.mark.parametrize(
+    "cost_model",
+    [CostEstimator(), None, 0, False, "x", {}],
+    ids=["estimator", "none", "zero", "false", "str", "dict"],
+)
+def test_a_service_takes_no_cost_model(cost_model):
+    """Nothing on the request path prices a request, so there is no
+    estimator to hand a service, not even ``None``."""
+    with pytest.raises(TypeError, match="cost_model"):
         ReasonService(shards=1, cost_model=cost_model)
-    estimator = CostEstimator()
-    with ReasonService(shards=1, cost_model=estimator) as service:
-        assert service.cost_model is estimator

@@ -263,12 +263,10 @@ class TestStructuredOverload:
         error = ServiceOverloaded()
         assert error.shard_index == -1
         assert error.queue_depth == 0
-        assert error.backlog_s == 0.0
 
     def test_carries_context(self):
-        error = ServiceOverloaded("shed", shard_index=2, queue_depth=9, backlog_s=1.5)
+        error = ServiceOverloaded("shed", shard_index=2, queue_depth=9)
         assert (error.shard_index, error.queue_depth) == (2, 9)
-        assert error.backlog_s == 1.5
 
 
 class TestExceptionTaxonomy:

@@ -9,6 +9,7 @@ import pytest
 from repro import ReasonService, ReasonSession
 from repro.api import ServiceBatchResult, ServiceClosed, ServiceOverloaded
 from repro.api.scheduler import SchedulingPolicy
+from repro.costmodel import CostEstimator
 from repro.hmm.model import HMM
 from repro.logic.generators import random_ksat, redundant_sat
 from repro.pc.learn import random_circuit
@@ -360,3 +361,150 @@ class TestStatsAndDrain:
         assert stats.submitted == 0 and stats.completed == 0
         assert stats.makespan_s == 0.0 and stats.throughput_rps == 0.0
         assert stats.warm_hit_rate == 0.0
+
+
+class TestUniformShards:
+    """Every shard is a REASON session with a breaker; only the request
+    chooses a substrate."""
+
+    @pytest.mark.parametrize(
+        "shards", [["reason"], ["reason", "gpu", "cpu"], ("reason",), []], ids=repr
+    )
+    def test_backend_names_are_not_a_shard_count(self, shards):
+        with pytest.raises(ValueError, match="shards must be a shard count"):
+            ReasonService(shards=shards)
+
+    def test_every_shard_is_a_reason_session_with_a_breaker(self):
+        with ReasonService(shards=3) as service:
+            service.submit(small_kernels()[0], backend="gpu").result(timeout=60)
+            service.drain(timeout=60)
+            stats = service.stats()
+            views = list(service._views)
+        assert [shard.breaker for shard in stats.shards] == ["closed"] * 3
+        assert all(not hasattr(shard, "backend") for shard in service._shards)
+        assert all(not hasattr(shard, "backend") for shard in stats.shards)
+        assert [view.backend for view in views] == ["reason"] * 3
+
+    def test_requests_execute_on_their_own_backend(self):
+        backends = [None, "gpu", "cpu", "software"]
+        with ReasonService(shards=2, policy="round-robin") as service:
+            futures = [
+                service.submit(kernel, backend=backend)
+                for kernel, backend in zip(small_kernels(), backends)
+            ]
+            reports = [future.result(timeout=60) for future in futures]
+        assert [future.shard_index for future in futures] == [0, 1, 0, 1]
+        assert [report.backend for report in reports] == ["reason", "gpu", "cpu", "software"]
+
+    @pytest.mark.parametrize("forced", [None, "software"], ids=["default", "forced-backend"])
+    def test_a_policy_sees_no_prediction(self, forced):
+        """The service does not predict: whatever the backend, a policy
+        sees an empty read-only ``predicted`` and views whose ``busy_s``
+        is 0.0, and routes on ``pending``."""
+        seen = []
+
+        class Recording(SchedulingPolicy):
+            name = "recording"
+
+            def select(self, request, views):
+                seen.extend((request, view) for view in views)
+                return len(seen) % len(views)
+
+        with ReasonService(shards=3, policy=Recording()) as service:
+            for kernel in small_kernels():
+                service.submit(kernel, backend=forced).result(timeout=60)
+        assert len(seen) == len(small_kernels()) * 3
+        for request, view in seen:
+            assert request.backend == forced and dict(request.predicted) == {}
+            with pytest.raises(TypeError):
+                request.predicted[forced or "reason"] = None
+            assert (view.backend, view.busy_s) == ("reason", 0.0)
+
+
+class TestPlacementFidelity:
+    @pytest.mark.parametrize("policy", ["round-robin", "least-loaded", "cache-affinity"])
+    def test_reports_bit_identical_to_session_runs(self, policy):
+        kernels = small_kernels() * 2
+        backends = ["reason", "gpu"] * len(small_kernels())
+        with ReasonService(shards=2, policy=policy) as service:
+            futures = [
+                service.submit(k, backend=backend, queries=3)
+                for k, backend in zip(kernels, backends)
+            ]
+            reports = [future.result() for future in futures]
+        session = ReasonSession()
+        for kernel, backend, report in zip(kernels, backends, reports):
+            assert report.backend == backend
+            expected = session.run(kernel, backend=backend, queries=3)
+            assert expected.result == report.result
+            assert expected.cycles == report.cycles
+            assert expected.seconds == report.seconds
+            assert expected.energy_j == report.energy_j
+
+
+POLICIES = ["round-robin", "least-loaded", "cache-affinity"]
+
+
+class TestPendingAccounting:
+    """Placement and rerouting read ``pending``, so every admitted
+    request must give its slot back however it settles."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_pending_drains_to_zero(self, policy):
+        backends = [None, "gpu", "no-such"]
+        with ReasonService(shards=2, policy=policy) as service:
+            futures = [
+                service.submit(kernel, backend=backend, queries=5)
+                for kernel in small_kernels()
+                for backend in backends
+            ]
+            service.drain()
+            stats = service.stats()
+        failed = [future for future in futures if future.exception() is not None]
+        assert len(failed) == len(small_kernels())
+        assert all(isinstance(future.exception(), KeyError) for future in failed)
+        for shard in stats.shards:
+            assert shard.pending == 0
+            assert shard.submitted == shard.completed + shard.failed + shard.cancelled
+        assert sum(shard.failed for shard in stats.shards) == len(failed)
+
+    def test_failed_requests_release_their_pending_slot(self):
+        with ReasonService(shards=1) as service:
+            bad = service.submit(random_ksat(8, 24, seed=7), backend="no-such")
+            with pytest.raises(KeyError):
+                bad.result()
+            service.drain()
+            stats = service.stats()
+        assert (stats.shards[0].failed, stats.shards[0].pending) == (1, 0)
+
+
+class TestNoPricingOnTheRequestPath:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_admission_and_settle_never_call_the_cost_model(self, monkeypatch, policy):
+        """Cold misses, warm hits and every backend are served without
+        one call into :class:`CostEstimator`."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the request path called the cost model")
+
+        for name in ("__init__", "record_artifact", "predict"):
+            monkeypatch.setattr(CostEstimator, name, refuse)
+        kernels = small_kernels()
+        backends = ["reason", "gpu", "roofline", "cpu"]
+        session = ReasonSession()
+        rounds = []
+        with ReasonService(shards=2, policy=policy) as service:
+            for _ in range(2):  # cold, then warm
+                futures = [
+                    service.submit(kernel, backend=backend, queries=2)
+                    for kernel, backend in zip(kernels, backends)
+                ]
+                rounds.append([future.result(timeout=60) for future in futures])
+                service.drain(timeout=60)
+        # Every policy places the first kernel of each round, on an idle
+        # service, on shard 0, so the warm round holds at least one hit.
+        assert rounds[1][0].cache_hit
+        for reports in rounds:
+            for kernel, backend, report in zip(kernels, backends, reports):
+                expected = session.run(kernel, backend=backend, queries=2)
+                assert report.identity() == expected.identity()

@@ -131,7 +131,7 @@ class TestBackends:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.41.0"
+        assert repro.__version__ == "1.42.0"
         for name in (
             "ReasonSession",
             "ReasonService",
@@ -158,7 +158,7 @@ class TestPublicSurface:
         session = inspect.signature(ReasonSession).parameters
         service = inspect.signature(ReasonService).parameters
         assert "cache" not in session and "cache" not in service
-        assert len(service) == 13
+        assert "cost_model" not in service and len(service) == 12
         with pytest.raises(TypeError):
             ReasonSession().run(random_ksat(6, 18, seed=1), span=object())
         assert ReasonSession(store="shared")._cache.store is not None

@@ -9,7 +9,6 @@ import pytest
 
 from repro.metrics import (
     LATENCY_BUCKETS,
-    RATIO_BUCKETS,
     Counter,
     Histogram,
     MetricsRegistry,
@@ -56,9 +55,6 @@ class TestLogBuckets:
         comparison with NaN is False."""
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             Histogram(bounds)
-
-    def test_ratio_buckets_straddle_one(self):
-        assert RATIO_BUCKETS[0] < 1.0 < RATIO_BUCKETS[-1]
 
 
 class TestThreadSafety:

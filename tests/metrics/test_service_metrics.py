@@ -1,6 +1,5 @@
 """Serving-path telemetry: spans, session/service instrumentation,
-cost-model residuals, bit-identity with metrics on, and stats
-serialization."""
+bit-identity with metrics on, and stats serialization."""
 
 import dataclasses
 import gc
@@ -19,12 +18,10 @@ from repro.api.session import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition
-from repro.costmodel import CostEstimator
 from repro.faults import FaultPlan
 from repro.logic.generators import random_ksat
 from repro.metrics import (
     LATENCY_BUCKETS,
-    RATIO_BUCKETS,
     Histogram,
     MetricsRegistry,
     RequestSpan,
@@ -111,18 +108,10 @@ class TestServiceMetrics:
             assert span.queue_wait_s >= 0.0
             assert 0 <= span.shard < 2
             assert span.backend == "reason"
-            assert span.predicted_s > 0.0
-            assert span.latency_residual is not None
-            assert span.predicted_source in (
-                "default", "class-prior", "features", "calibrated"
-            )
             assert span.actual_s in {report.seconds for report in reports}
         e2e = snap["reason_request_e2e_seconds"]["series"]["backend=reason"]
         assert e2e["count"] == 9
         assert snap["reason_service_admitted_total"]["series"][""] == 9
-        residual = snap["reason_request_latency_residual"]["series"]["backend=reason"]
-        assert residual["count"] == 9
-        assert snap["reason_costmodel_residual_ratio"]["series"]
         # Shard callbacks mirror the counters exactly.
         completed = sum(
             snap["reason_shard_completed_total"]["series"][f"shard={i}"]
@@ -266,8 +255,6 @@ class TestOneMode:
         ("queue_wait_s", "reason_request_queue_wait_seconds"),
         ("execute_s", "reason_request_execute_seconds"),
         ("e2e_s", "reason_request_e2e_seconds"),
-        ("latency_residual", "reason_request_latency_residual"),
-        ("energy_residual", "reason_request_energy_residual"),
     )
 
     def test_metrics_false_raises(self):
@@ -290,10 +277,9 @@ class TestOneMode:
             mine = [span for span in spans if span.backend == backend]
             assert mine
             for leg, name in self.LEGS:
-                reference = Histogram(LATENCY_BUCKETS if leg.endswith("_s") else RATIO_BUCKETS)
+                reference = Histogram(LATENCY_BUCKETS)
                 for span in mine:
-                    if getattr(span, leg) is not None:
-                        reference.observe(getattr(span, leg))
+                    reference.observe(getattr(span, leg))
                 expected = reference.snapshot_value()
                 folded = snap[name]["series"][f"backend={backend}"]
                 assert folded["count"] == expected["count"] > 0
@@ -304,12 +290,7 @@ class TestOneMode:
     def test_ring_wraps_without_losing_observations(self, monkeypatch):
         monkeypatch.setattr(service_module, "SPAN_LOG_SIZE", 16)
         kernels = _kernels()
-        # A priced cost model gives every span both residuals.
-        priced = CostEstimator()
-        with ReasonService(shards=1, cost_model=priced) as warmup:
-            for kernel in kernels:
-                warmup.submit(kernel).result(timeout=60)
-        with ReasonService(shards=1, cost_model=priced) as service:
+        with ReasonService(shards=1) as service:
             futures = [service.submit(kernels[index % len(kernels)]) for index in range(100)]
             for future in futures:
                 future.result(timeout=60)

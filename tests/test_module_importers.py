@@ -70,8 +70,6 @@ ALLOWLIST = {
     "HMM.validate_stochastic": "input checking for a hand-built HMM",
     "ReasonSession.executions": "how many times the accelerator model ran",
     "RequestSpan.e2e_s": "a span's latency; the service reads it by name",
-    "RequestSpan.latency_residual": "a span's cost-model error; read by name",
-    "RequestSpan.energy_residual": "a span's energy-model error; read by name",
     "ServiceStats.expired": "requests failed by their deadline; README and drills read it",
     # The pinned CDCL runs of test_search_identity.py set it.
     "CDCLSolver.solve(assumptions)": "solves under assumed literals",
@@ -79,7 +77,6 @@ ALLOWLIST = {
     "ReasonService(faults)": "the chaos schedule a drill injects",
     "ReasonService(retry)": "the retry policy a deployment chooses",
     "ReasonService(breaker)": "the per-shard circuit breaker factory a deployment tunes",
-    "ReasonService(cost_model)": "a cost model shared across services",
     "ReasonService(config)": "the accelerator configuration served",
     "ReasonService(stats_window)": "how many settled requests stats() summarizes",
     "ResilientStore(breaker)": "the circuit breaker guarding a store",
