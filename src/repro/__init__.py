@@ -67,7 +67,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.42.0"
+__version__ = "1.43.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,
@@ -111,7 +111,6 @@ from repro.metrics import (  # noqa: E402  (public re-exports)
 from repro.trace import (  # noqa: E402  (public re-exports)
     TraceReader,
     TraceWriter,
-    read_trace,
 )
 
 __all__ = [
@@ -138,7 +137,6 @@ __all__ = [
     "render_prometheus",
     "TraceReader",
     "TraceWriter",
-    "read_trace",
     "RetryPolicy",
     "CircuitBreaker",
     "DeadlineExceeded",

@@ -20,8 +20,8 @@ backend — and a sharded service when one session isn't enough.
   under: :class:`RetryPolicy` (bounded deterministic replays),
   :class:`CircuitBreaker` (per-shard trip switch),
   :class:`ResilientStore` (store trouble degrades to local caching),
-  and the deadline plumbing (:data:`DEADLINE_CLASSES`,
-  :func:`resolve_deadline`, :class:`DeadlineExceeded`).
+  and the deadline plumbing (:func:`resolve_deadline`,
+  :class:`DeadlineExceeded`).
 
 A service places and reroutes requests on each shard's pending count;
 nothing on the request path prices a request on the modeled clock (a
@@ -48,7 +48,6 @@ from repro.api.backends import (
 from repro.api.cache import CacheStats, CompileCache, content_key
 from repro.api.futures import ReasonFuture, wait_all
 from repro.api.resilience import (
-    DEADLINE_CLASSES,
     CircuitBreaker,
     DeadlineExceeded,
     ResilientStore,
@@ -131,6 +130,5 @@ __all__ = [
     "RetriesExhausted",
     "TransientError",
     "WorkerCrash",
-    "DEADLINE_CLASSES",
     "resolve_deadline",
 ]

@@ -8,7 +8,8 @@ results and costs are directly comparable across:
 * ``software`` — the reference CDCL / exact-inference implementations
   (functional ground truth, wall-clock timed);
 * ``gpu`` / ``cpu`` — roofline-derated device cost models (analytic);
-* ``roofline`` — the bound itself, with the memory-bound diagnosis.
+* ``roofline`` — the ``gpu`` device's cost, plus its roofline point
+  and memory-bound diagnosis.
 
 Backends register by name in a module-level registry that holds one
 instance per name: a backend keeps no per-run state, so every session
@@ -231,34 +232,25 @@ class DeviceBackend(Backend):
         )
 
 
-class RooflineBackend(Backend):
-    """Roofline placement: attainable vs achieved throughput and the
-    memory-bound diagnosis (paper Fig. 3(d)) for the kernel's profile
-    on the profiling GPU."""
+class RooflineBackend(DeviceBackend):
+    """The profiling GPU's device cost plus its roofline placement:
+    attainable vs achieved throughput and the memory-bound diagnosis
+    (paper Fig. 3(d)) for the kernel's profile."""
 
-    name = "roofline"
-    device = RTX_A6000
+    def __init__(self):
+        super().__init__(RTX_A6000, name="roofline")
 
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
-        profile = artifact.profile
-        point = roofline_point(self.device, profile, label=artifact.kind)
-        seconds = self.device.kernel_time_s(profile) * queries
-        return ExecutionReport(
-            backend=self.name,
-            kernel=artifact.kind,
-            result=None,
-            cycles=0,
-            seconds=seconds,
-            queries=queries,
-            extras={
-                "device": self.device.name,
-                "operational_intensity": point.operational_intensity,
-                "attainable_tflops": point.attainable_tflops,
-                "achieved_tflops": point.achieved_tflops,
-                "memory_bound": point.memory_bound,
-                "efficiency": point.efficiency,
-            },
+        report = super().run(artifact, config, queries, options)
+        point = roofline_point(self.device, artifact.profile, label=artifact.kind)
+        report.extras.update(
+            operational_intensity=point.operational_intensity,
+            attainable_tflops=point.attainable_tflops,
+            achieved_tflops=point.achieved_tflops,
+            memory_bound=point.memory_bound,
+            efficiency=point.efficiency,
         )
+        return report
 
 
 #: Name → the one instance served under it (see :class:`Backend`).

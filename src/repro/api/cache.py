@@ -186,8 +186,9 @@ class CompileCache:
 
     def peek(self, key: str) -> Optional[CompiledArtifact]:
         """Stats-neutral lookup: no hit/miss accounting, no LRU bump,
-        no promotion.  Introspection paths (cost-feature extraction,
-        tests) use this so they never distort the serving hit rate."""
+        no promotion.  Introspection paths (answer checks, the traced
+        bench's placement probe, tests) use this so they never distort
+        the serving hit rate."""
         with self._lock:
             artifact = self._entries.get(key)
         if artifact is None and self.store is not None:

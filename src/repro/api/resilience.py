@@ -20,10 +20,9 @@ store.  The policy objects that decide *how* live here:
   service to shard-local caching instead of failing requests: every
   ``get``/``put`` error is swallowed (counted, breaker-fed) and reads
   simply miss.
-* Deadline plumbing — :func:`resolve_deadline` maps a deadline spec
-  (seconds, or a named class from :data:`DEADLINE_CLASSES`) to the
-  per-request wall-clock budget, measured from admission, that the
-  service enforces in queue and around execution.
+* Deadline plumbing — :func:`resolve_deadline` checks a deadline in
+  seconds: the per-request wall-clock budget, measured from admission,
+  that the service enforces in queue and around execution.
 
 The exception taxonomy callers see:
 
@@ -43,7 +42,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.api.store import ArtifactStore
 from repro.api.types import check_count
@@ -119,33 +118,18 @@ class RetriesExhausted(RuntimeError):
 # Deadlines
 # --------------------------------------------------------------------------
 
-#: Named deadline classes (seconds of wall-clock budget per request).
-#: ``submit(kernel, deadline_s="interactive")`` resolves through this
-#: table — the first half of the ROADMAP's SLO-aware-admission item.
-DEADLINE_CLASSES: Dict[str, float] = {
-    "interactive": 0.100,
-    "standard": 1.0,
-    "batch": 30.0,
-}
-
-
-def resolve_deadline(spec: Union[None, int, float, str]) -> Optional[float]:
-    """A deadline spec to seconds: None (no deadline), a named class
-    from :data:`DEADLINE_CLASSES`, or a number above 0 and at most
-    :data:`threading.TIMEOUT_MAX` — the longest wait the deadline timer
-    can arm (NaN, infinity and a bool are none of these)."""
+def resolve_deadline(spec: Optional[float]) -> Optional[float]:
+    """A deadline to seconds: None (no deadline), or a number above 0
+    and at most :data:`threading.TIMEOUT_MAX` — the longest wait the
+    deadline timer can arm (NaN, infinity and a bool are none of these).
+    Text (``str`` or ``bytes``) is a :class:`TypeError`: a deadline is a
+    number of seconds, never a name or a numeral to parse."""
     if spec is None:
         return None
     if isinstance(spec, bool):
-        raise ValueError(f"deadline_s must be seconds or a deadline class, not {spec!r}")
-    if isinstance(spec, str):
-        try:
-            return DEADLINE_CLASSES[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown deadline class {spec!r} "
-                f"(expected one of {sorted(DEADLINE_CLASSES)})"
-            ) from None
+        raise ValueError(f"deadline_s must be seconds, not {spec!r}")
+    if isinstance(spec, (str, bytes, bytearray)):
+        raise TypeError(f"deadline_s must be seconds (a number), not the text {spec!r}")
     deadline = float(spec)
     if not 0.0 < deadline <= threading.TIMEOUT_MAX:
         raise ValueError(

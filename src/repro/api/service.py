@@ -746,7 +746,7 @@ class ReasonService:
         queries: int = 1,
         neural_s: float = 0.0,
         timeout: Optional[float] = None,
-        deadline_s: Union[None, float, str] = None,
+        deadline_s: Optional[float] = None,
         **option_kwargs,
     ) -> ReasonFuture:
         """Admit one request; returns a future without waiting for a
@@ -766,10 +766,9 @@ class ReasonService:
         ``submit`` returns: the future is already done, and its
         done-callbacks run on the caller's thread.
 
-        ``deadline_s`` gives the request a wall-clock budget in seconds,
-        or a named class from :data:`~repro.api.resilience.DEADLINE_CLASSES`
-        (``"interactive"`` | ``"standard"`` | ``"batch"``), measured
-        from admission on the clock the request's span starts on.
+        ``deadline_s`` gives the request a wall-clock budget in seconds
+        (text is a :class:`TypeError`, raised before admission),
+        measured from admission on the clock the request's span starts on.
         Admission does not read it: a request past its budget while
         still queued or executing resolves with
         :class:`~repro.api.resilience.DeadlineExceeded`.
@@ -786,7 +785,7 @@ class ReasonService:
         queries: int = 1,
         neural_s: Union[float, Sequence[float]] = 0.0,
         timeout: Optional[float] = None,
-        deadline_s: Union[None, float, str] = None,
+        deadline_s: Optional[float] = None,
         **option_kwargs,
     ) -> List[ReasonFuture]:
         """Admit many requests (options parsed once); one future each.
@@ -822,7 +821,7 @@ class ReasonService:
         queries: int,
         neural_s: float,
         timeout: Optional[float],
-        deadline_s: Union[None, float, str],
+        deadline_s: Optional[float],
     ) -> ReasonFuture:
         if self._closed:
             self._reject("closed")

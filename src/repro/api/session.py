@@ -207,9 +207,9 @@ class ReasonSession:
         """The cached artifact behind one content-hash fingerprint, or
         None when the kernel was never compiled here.
 
-        Stats-neutral (:meth:`CompileCache.peek`): the serving layer
-        uses this to feed compile features to the cost model without
-        inflating the warm hit rate it also reports.
+        Stats-neutral (:meth:`CompileCache.peek`): an answer check
+        reads the artifact a request was served from without inflating
+        the warm hit rate the session also reports.
         """
         return self._cache.peek(fingerprint)
 

@@ -49,9 +49,8 @@ list, ``operand * 8 + kind``: the literal's index for ``imply`` and
 ``decide``, the target level for ``backjump``, the clause size for
 ``learn``, nothing for ``conflict`` and ``restart``.  The level of an
 implication, decision or conflict is not stored: it is the number of
-decisions and assumptions since the last backjump target, which
-:class:`EventTrace` counts while decoding (an assumption, which is not
-an event, leaves a marker for that count).
+decisions since the last backjump target, which :class:`EventTrace`
+counts while decoding.
 """
 
 from __future__ import annotations
@@ -59,15 +58,14 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.logic.cnf import CNF, Literal
+from repro.logic.cnf import CNF
 
 
 class SolveResult(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
-    UNKNOWN = "unknown"
 
 
 @dataclass
@@ -95,7 +93,7 @@ class TraceEvent:
     clause_size: int = 0  # of a "learn" event; an "imply" does not keep its clause's
 
 
-_IMPLY, _DECIDE, _CONFLICT, _LEARN, _BACKJUMP, _RESTART, _ASSUME = range(7)
+_IMPLY, _DECIDE, _CONFLICT, _LEARN, _BACKJUMP, _RESTART = range(6)
 _KINDS = ("imply", "decide", "conflict", "learn", "backjump", "restart")
 
 
@@ -103,15 +101,14 @@ class EventTrace:
     """The recorded event stream: a sequence of :class:`TraceEvent`
     stored as one int per event (see the module docstring)."""
 
-    __slots__ = ("codes", "base", "assumed")
+    __slots__ = ("codes", "base")
 
     def __init__(self, base: int = 0):
         self.codes: List[int] = []
         self.base = base
-        self.assumed = 0  # ``_ASSUME`` markers among the codes: not events
 
     def __len__(self) -> int:
-        return len(self.codes) - self.assumed
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         base = self.base
@@ -130,10 +127,8 @@ class EventTrace:
                 yield TraceEvent("backjump", 0, level)
             elif kind == _LEARN:
                 yield TraceEvent("learn", clause_size=code >> 3)
-            elif kind == _RESTART:
-                yield TraceEvent("restart")
             else:
-                level += 1
+                yield TraceEvent("restart")
 
     def histogram(self) -> Dict[Tuple[str, int], int]:
         """Events per ``(kind, literal)`` — literal 0 for the kinds that
@@ -145,7 +140,7 @@ class EventTrace:
             kind = code & 7
             if kind <= _DECIDE:
                 counts[_KINDS[kind], (code >> 3) - base] += count
-            elif kind != _ASSUME:
+            else:
                 counts[_KINDS[kind], 0] += count
         return counts
 
@@ -169,9 +164,6 @@ class CDCLSolver:
     clause_db_limit:
         Soft cap on learned clauses before deletion of low-activity
         ones, ``>= 0``.
-    max_conflicts:
-        Optional budget, ``>= 0``; exceeding it returns
-        ``SolveResult.UNKNOWN``.
     record_trace:
         When True, keep the BCP event trace (costs memory on big runs).
     """
@@ -181,7 +173,6 @@ class CDCLSolver:
         var_decay: float = 0.95,
         restart_base: int = 100,
         clause_db_limit: int = 4000,
-        max_conflicts: Optional[int] = None,
         record_trace: bool = False,
     ):
         # A zero restart base restarts before every decision and never
@@ -192,12 +183,9 @@ class CDCLSolver:
             raise ValueError(f"restart_base must be >= 1, got {restart_base!r}")
         if clause_db_limit < 0:
             raise ValueError(f"clause_db_limit must be >= 0, got {clause_db_limit!r}")
-        if max_conflicts is not None and max_conflicts < 0:
-            raise ValueError(f"max_conflicts must be None or >= 0, got {max_conflicts!r}")
         self.var_decay = var_decay
         self.restart_base = restart_base
         self.clause_db_limit = clause_db_limit
-        self.max_conflicts = max_conflicts
         self.record_trace = record_trace
         self.stats = CDCLStats()
         self.trace = EventTrace()
@@ -205,18 +193,12 @@ class CDCLSolver:
 
     # ----------------------------------------------------------------- api
 
-    def solve(
-        self, formula: CNF, assumptions: Sequence[Literal] = ()
-    ) -> Tuple[SolveResult, Optional[Dict[int, bool]]]:
+    def solve(self, formula: CNF) -> Tuple[SolveResult, Optional[Dict[int, bool]]]:
         """Solve the formula, returning (result, model-or-None)."""
-        self._initialize(formula, assumptions)
+        self._initialize(formula)
         try:
             if any(clause.is_empty for clause in formula.clauses) or not self._attach_all():
                 return SolveResult.UNSAT, None
-            base = self._two_base >> 1
-            for lit in assumptions:
-                if not self._assume(lit + base):
-                    return SolveResult.UNSAT, None
 
             stats = self.stats
             val, level, trail, trail_lim = self._val, self._level, self._trail, self._trail_lim
@@ -225,7 +207,6 @@ class CDCLSolver:
             db_limit = len(formula.clauses) + self.clause_db_limit
             conflicts_until_restart = self._luby(stats.restarts + 1) * self.restart_base
             conflicts_since_restart = 0
-            num_assumptions = len(trail_lim)
 
             while True:
                 conflict = self._propagate()
@@ -234,12 +215,10 @@ class CDCLSolver:
                     conflicts_since_restart += 1
                     if codes is not None:
                         codes.append(_CONFLICT)
-                    if len(trail_lim) <= num_assumptions:
+                    if not trail_lim:
                         return SolveResult.UNSAT, None
-                    if self.max_conflicts is not None and stats.conflicts > self.max_conflicts:
-                        return SolveResult.UNKNOWN, None
                     learned, backjump_level = self._analyze(conflict)
-                    self._backjump(max(backjump_level, num_assumptions))
+                    self._backjump(backjump_level)
                     self._learn(learned)
                     self._activity_inc /= self.var_decay
                 else:
@@ -247,7 +226,7 @@ class CDCLSolver:
                         stats.restarts += 1
                         conflicts_since_restart = 0
                         conflicts_until_restart = self._luby(stats.restarts + 1) * self.restart_base
-                        self._backjump(num_assumptions)
+                        self._backjump(0)
                         if codes is not None:
                             codes.append(_RESTART)
                     if len(self._clauses) > db_limit:
@@ -271,13 +250,11 @@ class CDCLSolver:
 
     # ------------------------------------------------------------ internals
 
-    def _initialize(self, formula: CNF, assumptions: Sequence[Literal] = ()) -> None:
-        # Sized to cover assumption variables beyond num_vars.
-        base = max(formula.num_vars, max((abs(lit) for lit in assumptions), default=0))
+    def _initialize(self, formula: CNF) -> None:
+        base = formula.num_vars
         size = 2 * base + 1
         self.stats = CDCLStats()
         self.trace = EventTrace(base)
-        self._num_vars = formula.num_vars
         self._two_base = 2 * base
         self._clauses = [
             [lit + base for lit in clause.literals]
@@ -294,7 +271,6 @@ class CDCLSolver:
         """Drop the search state.  Nothing reads it once ``solve`` has
         returned (``_initialize`` rebuilds all of it), and the solver of
         a cached CNF artifact lives — and is pickled — with the artifact."""
-        self._num_vars = 0
         self._two_base = 0
         self._clauses: List[List[int]] = []
         #: ``id(clause) -> activity`` of the learned clauses, in learning
@@ -331,18 +307,6 @@ class CDCLSolver:
             else:
                 watches[clause[0]].append(clause)
                 watches[clause[1]].append(clause)
-        return self._propagate() is None
-
-    def _assume(self, index: int) -> bool:
-        """Push an assumption at a fresh decision level and propagate."""
-        if self._val[index] == 0:
-            return False
-        self._trail_lim.append(len(self._trail))
-        if self.record_trace:
-            self.trace.codes.append(_ASSUME)
-            self.trace.assumed += 1
-        if self._val[index] < 0:
-            self._assign(index, None)
         return self._propagate() is None
 
     def _assign(self, index: int, reason: Optional[List[int]]) -> None:
@@ -555,10 +519,9 @@ class CDCLSolver:
         activity, the lowest such variable on a tie; 0 when none is left."""
         val = self._val
         activities = self._activity
-        base = self._two_base >> 1
         best = 0
         best_activity = -1.0
-        for index in range(base + 1, base + self._num_vars + 1):
+        for index in range((self._two_base >> 1) + 1, self._two_base + 1):
             if val[index] < 0 and activities[index] > best_activity:
                 best, best_activity = index, activities[index]
         return best
@@ -585,6 +548,7 @@ class CDCLSolver:
         return 1 << seq
 
 
-def solve_cnf(formula: CNF, **kwargs) -> Tuple[SolveResult, Optional[Dict[int, bool]]]:
-    """Convenience wrapper: run CDCL on a formula."""
-    return CDCLSolver(**kwargs).solve(formula)
+def solve_cnf(formula: CNF) -> Tuple[SolveResult, Optional[Dict[int, bool]]]:
+    """Convenience wrapper: run CDCL on a formula with the default
+    solver."""
+    return CDCLSolver().solve(formula)

@@ -25,7 +25,6 @@ from repro.metrics.registry import (
     Histogram,
     MetricsRegistry,
     ensure_registry,
-    log_buckets,
 )
 from repro.metrics.render import (
     load_snapshot,
@@ -50,7 +49,6 @@ __all__ = [
     "render_pretty",
     "save_snapshot",
     "load_snapshot",
-    "log_buckets",
     "ensure_registry",
     "LATENCY_BUCKETS",
 ]

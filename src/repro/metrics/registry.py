@@ -7,19 +7,18 @@ report:
   admitted, cache hits, bytes written);
 * gauges — point-in-time levels that go both ways (queue depth,
   breaker state), served by snapshot-time callbacks (below);
-* :class:`Histogram` — fixed *logarithmic* buckets with quantile
-  estimation, sized for latency-style data whose interesting range
-  spans many orders of magnitude.  Log buckets keep the instrument
-  fixed-size — no reservoir, no rebalancing — at the price of bounded
-  relative quantile error (one bucket ratio, ~2x at the default base;
-  tighten with more buckets).
+* :class:`Histogram` — fixed *logarithmic* buckets
+  (:data:`LATENCY_BUCKETS`) with quantile estimation, sized for
+  latency-style data whose interesting range spans many orders of
+  magnitude.  Log buckets keep the instrument fixed-size — no
+  reservoir, no rebalancing — at the price of bounded relative
+  quantile error (one bucket ratio, 2x).
 
 Every instrument may carry **labels** (``backend="gpu"``,
 ``shard="2"``): instruments sharing a name form a family whose
-children are keyed by their canonical label string.  Label sets,
-instrument kinds and histogram buckets are enforced per name —
-registering ``foo`` as both a counter and a gauge, with different
-label keys, or as a histogram with other buckets, raises.
+children are keyed by their canonical label string.  Label sets and
+instrument kinds are enforced per name — registering ``foo`` as both
+a counter and a gauge, or with different label keys, raises.
 
 Design rules the serving integration depends on:
 
@@ -85,29 +84,9 @@ def parse_labels(series: str) -> Dict[str, str]:
     return pairs
 
 
-def log_buckets(
-    lo: float = 1e-6, hi: float = 64.0, per_octave: int = 1
-) -> Tuple[float, ...]:
-    """Geometric bucket upper bounds from ``lo`` to at least ``hi``.
-
-    ``per_octave`` subdivides each power of two (1 → bounds double each
-    step; 2 → each step multiplies by √2, halving the quantile error).
-    The returned bounds are finite; every histogram adds an implicit
-    overflow bucket above the last bound.
-    """
-    if not 0 < lo < hi < math.inf:
-        raise ValueError(f"need finite 0 < lo < hi for log buckets, got lo={lo!r}, hi={hi!r}")
-    if per_octave < 1:
-        raise ValueError("per_octave must be >= 1")
-    ratio = 2.0 ** (1.0 / per_octave)
-    bounds = [lo]
-    while bounds[-1] < hi:
-        bounds.append(bounds[-1] * ratio)
-    return tuple(bounds)
-
-
-#: Default bounds for latency-style histograms: 1 µs – 64 s, doubling.
-LATENCY_BUCKETS = log_buckets(1e-6, 64.0, per_octave=1)
+#: Every histogram's bucket upper bounds: 1 µs – 64 s, doubling
+#: (``1e-6 * 2**k``, 27 bounds); an overflow bucket sits above the last.
+LATENCY_BUCKETS: Tuple[float, ...] = tuple(1e-6 * 2.0**k for k in range(27))
 
 
 class Counter:
@@ -137,11 +116,12 @@ class Counter:
 class Histogram:
     """Fixed-log-bucket histogram with quantile estimation.
 
-    ``bounds`` are the finite bucket *upper* bounds in increasing
-    order; observations above the last bound land in an implicit
-    overflow bucket.  Alongside the bucket counts the histogram tracks
-    count, sum, min and max, so means are exact and extreme quantiles
-    degrade to the true extremes instead of a bucket edge.
+    ``bounds`` are the finite bucket *upper* bounds,
+    :data:`LATENCY_BUCKETS`; observations above the last bound land in
+    an implicit overflow bucket.  Alongside the bucket counts the
+    histogram tracks count, sum, min and max, so means are exact and
+    extreme quantiles degrade to the true extremes instead of a bucket
+    edge.
 
     :meth:`observe` only queues the value (a deque append, no lock);
     queued values are binned in one batch under the lock on every read
@@ -149,18 +129,13 @@ class Histogram:
     """
 
     kind = "histogram"
-    __slots__ = ("bounds", "_lock", "_pending", "_counts", "_count", "_sum", "_min", "_max")
+    bounds = LATENCY_BUCKETS
+    __slots__ = ("_lock", "_pending", "_counts", "_count", "_sum", "_min", "_max")
 
-    def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds or not all(map(math.isfinite, bounds)) or any(
-            b <= a for a, b in zip(bounds, bounds[1:])
-        ):
-            raise ValueError("histogram bounds must be finite and strictly increasing")
-        self.bounds = bounds
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pending: Deque[float] = deque()
-        self._counts = np.zeros(len(bounds) + 1, dtype=np.int64)  # +1 = overflow
+        self._counts = np.zeros(len(LATENCY_BUCKETS) + 1, dtype=np.int64)  # +1 = overflow
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -278,9 +253,9 @@ class MetricsRegistry:
     """Service-wide named registry of counters, gauges and histograms.
 
     One registry instance is shared by everything reporting on one
-    service: the service itself, its shard sessions, their compile
-    caches and the cost model all register instruments
-    here, and one :meth:`snapshot` exports the lot.
+    service: the service itself, its shard sessions and their compile
+    caches all register instruments here, and one :meth:`snapshot`
+    exports the lot.
     """
 
     def __init__(self) -> None:
@@ -302,6 +277,11 @@ class MetricsRegistry:
                 f"letters, digits, '_' and ':'"
             )
         for key, value in labels.items():
+            if not isinstance(value, str):
+                raise TypeError(
+                    f"label {key}={value!r} of metric {name!r} must be a str, "
+                    f"not {type(value).__name__}"
+                )
             if "," in f"{key}{value}" or "=" in f"{key}{value}":
                 raise ValueError(
                     f"label {key}={value!r} of metric {name!r} must not contain ',' or '='"
@@ -349,22 +329,9 @@ class MetricsRegistry:
         """Get-or-create the counter for ``name`` + ``labels``."""
         return self._instrument(name, "counter", Counter, help, labels)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = LATENCY_BUCKETS,
-        **labels: str,
-    ) -> Histogram:
-        """Get-or-create the histogram for ``name`` + ``labels``; an
-        existing one must have the same ``buckets``."""
-        bounds = tuple(float(b) for b in buckets)
-        histogram = self._instrument(
-            name, "histogram", lambda: Histogram(bounds), help, labels
-        )
-        if histogram.bounds != bounds:
-            raise ValueError(f"histogram {name!r} is already registered with other buckets")
-        return histogram
+    def histogram(self, name: str, help: str = "", **labels: str) -> Histogram:
+        """Get-or-create the histogram for ``name`` + ``labels``."""
+        return self._instrument(name, "histogram", Histogram, help, labels)
 
     def register_callback(
         self,

@@ -126,9 +126,6 @@ class SpanLog:
         self._lock = threading.Lock()
         self._spans: Deque[tuple] = deque(maxlen=maxlen)
 
-    def append(self, span: tuple) -> None:
-        self.extend((span,))
-
     def extend(self, spans: Iterable[tuple]) -> None:
         with self._lock:
             self._spans.extend(spans)

@@ -33,7 +33,7 @@ from repro.trace.format import (
     TraceFormatError,
     TraceRecord,
 )
-from repro.trace.reader import TraceReader, read_trace
+from repro.trace.reader import TraceReader
 from repro.trace.writer import TraceSummary, TraceWriter
 from repro.trace.analyze import (
     BankHeatmap,
@@ -55,7 +55,6 @@ __all__ = [
     "TraceReader",
     "TraceWriter",
     "TraceSummary",
-    "read_trace",
     "BankHeatmap",
     "CycleHistogram",
     "PhaseBreakdown",

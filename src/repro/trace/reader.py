@@ -265,11 +265,3 @@ class TraceReader:
                 f"decoded last cycle {last_cycle}"
             )
         return declared
-
-
-def read_trace(
-    source: Union[str, os.PathLike, bytes, bytearray],
-) -> "list[TraceRecord]":
-    """Decode a whole (small) trace into a list — convenience for tests
-    and interactive use; large traces should stream via TraceReader."""
-    return list(TraceReader(source))

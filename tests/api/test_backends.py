@@ -126,6 +126,20 @@ class TestEveryKernelOnEveryBackend:
         assert report.extras["operational_intensity"] < 1.0
 
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_roofline_charges_the_gpu_device_cost(self, session, kind):
+        # Roofline is the profiling GPU's device cost plus its roofline
+        # placement: the same seconds, energy and power as "gpu".
+        kernel, kwargs = small(kind)
+        roofline = session.run(kernel, backend="roofline", **kwargs)
+        gpu = session.run(kernel, backend="gpu", **kwargs)
+        assert roofline.energy_j > 0 and roofline.power_w > 0
+        assert (roofline.seconds, roofline.energy_j, roofline.power_w) == (
+            gpu.seconds, gpu.energy_j, gpu.power_w
+        )
+        assert roofline.extras["device"] == gpu.extras["device"]
+
+
 class TestFunctionalParity:
     """software and reason are independent executors of the same kernel;
     their functional answers must agree."""

@@ -13,7 +13,7 @@ from repro import ReasonService, ReasonSession
 from repro.api.backends import ReasonBackend
 from repro.api.store import DiskStore
 from repro.core.arch.config import DEFAULT_CONFIG
-from repro.trace import cross_validate, read_trace, timeline
+from repro.trace import TraceReader, cross_validate, timeline
 
 from tests.corpus import KINDS, small, small_kernels
 
@@ -92,8 +92,8 @@ class TestObservedRunsStillExecute:
         traced = session.run(kernel, trace=True)
         assert traced.executed
         assert traced.identity() == plain.identity()
-        assert list(read_trace(traced.extras["trace_data"])) == list(
-            read_trace(cold.extras["trace_data"])
+        assert list(TraceReader(traced.extras["trace_data"])) == list(
+            TraceReader(cold.extras["trace_data"])
         )
 
     def test_record_events(self, warmed):

@@ -291,7 +291,7 @@ def test_sequential_warm_deadline_requests_start_no_threads(monkeypatch):
         warm(service, kernel)
         before = set(threading.enumerate())
         for _ in range(1000):
-            future = service.submit(kernel, deadline_s="batch")
+            future = service.submit(kernel, deadline_s=30.0)
             assert future.done()
             assert future.result().cache_hit
         assert set(threading.enumerate()) <= before

@@ -143,6 +143,23 @@ def test_deadline_must_be_positive_and_armable(deadline_s):
         assert shard_counters(service) == before
 
 
+@pytest.mark.parametrize("deadline_s", ["interactive", "1.5", b"1.5"])
+def test_text_is_not_a_deadline(deadline_s):
+    """A deadline is seconds: a name or a numeral in text is refused
+    before anything is admitted (``float(b"1.5")`` used to accept
+    bytes)."""
+    hmm = HMM.random(4, 3, seed=1)
+    with ReasonService(shards=2) as service:
+        service.submit(hmm).result(timeout=60)
+        service.drain(timeout=60)
+        before = shard_counters(service)
+        with pytest.raises(TypeError, match="deadline_s must be seconds"):
+            service.submit(hmm, deadline_s=deadline_s)
+        with pytest.raises(TypeError, match="deadline_s must be seconds"):
+            service.submit_batch([hmm, hmm], deadline_s=deadline_s)
+        assert shard_counters(service) == before
+
+
 def test_the_longest_armable_deadline_is_served():
     hmm = HMM.random(4, 3, seed=1)
     with ReasonService(shards=1) as service:
@@ -177,7 +194,7 @@ def test_stats_window_is_bounded():
 
 def test_a_bool_is_not_a_deadline():
     """``True`` used to become a one-second deadline."""
-    with pytest.raises(ValueError, match="deadline_s must be seconds or a deadline class, not True"):
+    with pytest.raises(ValueError, match="deadline_s must be seconds, not True"):
         resolve_deadline(True)
     with ReasonService(shards=1) as service:
         with pytest.raises(ValueError, match="not False"):

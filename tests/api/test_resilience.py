@@ -11,7 +11,6 @@ import pytest
 from repro.api import ReasonService, ServiceOverloaded
 from repro.api.futures import ReasonFuture, wait_all
 from repro.api.resilience import (
-    DEADLINE_CLASSES,
     CircuitBreaker,
     DeadlineExceeded,
     ResilientStore,
@@ -31,17 +30,9 @@ class TestResolveDeadline:
     def test_none_passes_through(self):
         assert resolve_deadline(None) is None
 
-    def test_named_classes(self):
-        for name, seconds in DEADLINE_CLASSES.items():
-            assert resolve_deadline(name) == seconds
-
     def test_numbers_pass_through(self):
         assert resolve_deadline(2.5) == 2.5
         assert resolve_deadline(3) == 3.0
-
-    def test_unknown_class_names_the_options(self):
-        with pytest.raises(ValueError, match="interactive"):
-            resolve_deadline("warp-speed")
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -131,7 +131,7 @@ class TestBackends:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.42.0"
+        assert repro.__version__ == "1.43.0"
         for name in (
             "ReasonSession",
             "ReasonService",
@@ -143,7 +143,6 @@ class TestPublicSurface:
             "list_policies",
             "TraceReader",
             "TraceWriter",
-            "read_trace",
             "MetricsRegistry",
             "RequestSpan",
             "SpanLog",

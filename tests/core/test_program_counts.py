@@ -21,7 +21,7 @@ from repro.core.compiler import compile_dag
 from repro.core.compiler.program import InstructionKind
 from repro.core.dag import default_leaf_inputs
 from repro.core.dag.graph import OpType
-from repro.trace import EventKind, TraceWriter, cross_validate, read_trace
+from repro.trace import EventKind, TraceReader, TraceWriter, cross_validate
 
 from tests import corpus
 
@@ -97,7 +97,7 @@ def test_untraced_run_is_what_the_walked_stream_resums_to(source, kernel, config
         extras = {"instructions": run.instructions, "stalls": run.stalls}
 
     assert cross_validate(data, _Report()).ok
-    records = read_trace(data)
+    records = list(TraceReader(data))
     kinds = [record.kind for record in records]
     ops = sum(record.value for record in records if record.kind is EventKind.PE_BLOCK)
     assert ops == counters["logic_op"] + counters["alu_op"]

@@ -164,10 +164,9 @@ def _hand_dag() -> Dag:
 # ------------------------------------------------------------- search
 
 
-def _search(formula: CNF, solver=None, assumptions=()):
-    """A search entry: the formula, its ``CDCLSolver`` kwargs and the
-    assumptions ``solve`` is given."""
-    return formula, {"solver": solver or {}, "assumptions": assumptions}
+def _search(formula: CNF, solver=None):
+    """A search entry: the formula and its ``CDCLSolver`` kwargs."""
+    return formula, {"solver": solver or {}}
 
 
 def _graph_php(index: int) -> CNF:
@@ -179,12 +178,10 @@ def _graph_php(index: int) -> CNF:
     return graph_pigeonhole(*shapes[index], rng)
 
 
-_ASSUMED = (3, -7, 60, 11)  # one beyond ``num_vars``
-
 #: family -> name -> builder of a fresh ``(kernel, options)``.  For the
 #: ``tiny``, ``full`` and ``small`` families the options are
 #: ``ReasonSession.run`` keywords; a ``search`` entry's are its solver
-#: kwargs and assumptions; a ``verifier`` or ``dag`` entry is a raw DAG.
+#: kwargs; a ``verifier`` or ``dag`` entry is a raw DAG.
 FAMILIES = {
     # The mixed cold trace the report, program and trace pins record.
     "tiny": {
@@ -212,7 +209,7 @@ FAMILIES = {
             {"hmm_observations": [i % 6 for i in range(12)]},
         ),
     },
-    # The CDCL search pins: deletion, restarts and assumptions on top of
+    # The CDCL search pins: deletion and restarts on top of
     # the trace's formulas and the refutation family ``cold-logic`` runs.
     "search": {
         "ksat-120": lambda: _search(build("cnf/ksat-120")[0]),
@@ -225,8 +222,6 @@ FAMILIES = {
         "planted-80": lambda: _search(planted_sat(80, 344, seed=11)[0]),
         "redundant-100": lambda: _search(redundant_sat(100, 420, seed=3)[0]),
         "colouring-20": lambda: _search(graph_coloring_cnf(random_graph(20, 40, seed=9), 20, 3)),
-        "ksat-50/assumed-sat": lambda: _search(random_ksat(50, 200, seed=0), assumptions=_ASSUMED),
-        "ksat-50/assumed-unsat": lambda: _search(random_ksat(50, 212, seed=2), assumptions=_ASSUMED),
         "php-5/reduce-db": lambda: _search(
             pigeonhole(5), {"clause_db_limit": 10, "restart_base": 10_000}
         ),

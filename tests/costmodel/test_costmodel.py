@@ -169,8 +169,7 @@ class TestCompiledKernelPrices:
             # An analytic device backend charges exactly its roofline time.
             assert predicted.source == "features"
             assert predicted.seconds == pytest.approx(charged.seconds, rel=1e-12)
-            if isinstance(get_backend(backend), DeviceBackend):
-                assert predicted.energy_j == pytest.approx(charged.energy_j, rel=1e-12)
+            assert predicted.energy_j == pytest.approx(charged.energy_j, rel=1e-12)
 
 
 class TestBoundedMemos:

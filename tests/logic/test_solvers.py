@@ -190,18 +190,6 @@ class TestCDCL:
         assert result2 is SolveResult.UNSAT
         assert result3 is SolveResult.SAT
 
-    def test_assumptions_sat_and_unsat(self):
-        formula = CNF([Clause([1, 2])])
-        result, model = CDCLSolver().solve(formula, assumptions=[-1])
-        assert result is SolveResult.SAT and model[2] is True
-        result, _ = CDCLSolver().solve(CNF([Clause([1])]), assumptions=[-1])
-        assert result is SolveResult.UNSAT
-
-    def test_conflict_budget_returns_unknown(self):
-        solver = CDCLSolver(max_conflicts=1)
-        result, _ = solver.solve(pigeonhole(5))
-        assert result is SolveResult.UNKNOWN
-
     def test_trace_records_decisions_and_conflicts(self):
         solver = CDCLSolver(record_trace=True)
         solver.solve(pigeonhole(3))
@@ -247,29 +235,42 @@ class TestCDCL:
             ({"var_decay": 1.5}, r"var_decay must be in \(0, 1\], got 1.5"),
             ({"var_decay": float("nan")}, r"var_decay must be in \(0, 1\], got nan"),
             ({"clause_db_limit": -1}, "clause_db_limit must be >= 0, got -1"),
-            ({"max_conflicts": -1}, "max_conflicts must be None or >= 0, got -1"),
         ],
-        ids=["decay-0", "decay-1.5", "decay-nan", "db-limit--1", "budget--1"],
+        ids=["decay-0", "decay-1.5", "decay-nan", "db-limit--1"],
     )
     def test_bad_parameters_are_rejected_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             CDCLSolver(**kwargs)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CDCLSolver().solve(pigeonhole(2), assumptions=[1]),
+            lambda: CDCLSolver(max_conflicts=10),
+        ],
+        ids=["assumptions", "max_conflicts"],
+    )
+    def test_no_assumptions_or_conflict_budget(self, call):
+        # Every verdict is SAT or UNSAT of the formula itself.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
+        assert {result.name for result in SolveResult} == {"SAT", "UNSAT"}
+
     def test_boundary_parameters_are_accepted(self):
-        solver = CDCLSolver(var_decay=1, restart_base=1, clause_db_limit=0, max_conflicts=0)
+        solver = CDCLSolver(var_decay=1, restart_base=1, clause_db_limit=0)
         result, _ = solver.solve(pigeonhole(3))
-        assert result is SolveResult.UNKNOWN  # the one conflict is over the budget
-        assert solve_cnf(random_ksat(20, 60, seed=1), restart_base=1)[0] is SolveResult.SAT
+        assert result is SolveResult.UNSAT  # three pigeons do not fit two holes
+        result, model = CDCLSolver(restart_base=1).solve(random_ksat(20, 60, seed=1))
+        assert result is SolveResult.SAT and random_ksat(20, 60, seed=1).is_satisfied_by(model)
 
     def test_zero_restart_base_fails_fast_instead_of_hanging(self):
         """Before the check, this solve restarted before every decision
-        and never returned, whatever the conflict budget.  It runs in a
-        child process with a timeout, so a regression fails the suite
-        instead of hanging it."""
+        and never returned.  It runs in a child process with a timeout,
+        so a regression fails the suite instead of hanging it."""
         script = (
             "from repro.logic.cdcl import CDCLSolver\n"
             "from repro.logic.generators import random_ksat\n"
-            "CDCLSolver(restart_base=0, max_conflicts=1000).solve(random_ksat(20, 60, seed=1))\n"
+            "CDCLSolver(restart_base=0).solve(random_ksat(20, 60, seed=1))\n"
         )
         child = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60

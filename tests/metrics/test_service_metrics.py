@@ -20,13 +20,7 @@ from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition
 from repro.faults import FaultPlan
 from repro.logic.generators import random_ksat
-from repro.metrics import (
-    LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    RequestSpan,
-    SpanLog,
-)
+from repro.metrics import Histogram, MetricsRegistry, RequestSpan, SpanLog
 from repro.pc.learn import random_circuit
 
 
@@ -277,7 +271,7 @@ class TestOneMode:
             mine = [span for span in spans if span.backend == backend]
             assert mine
             for leg, name in self.LEGS:
-                reference = Histogram(LATENCY_BUCKETS)
+                reference = Histogram()
                 for span in mine:
                     reference.observe(getattr(span, leg))
                 expected = reference.snapshot_value()
@@ -368,8 +362,7 @@ class TestOneMode:
 class TestSpanLog:
     def test_last_is_a_count(self):
         log = SpanLog(maxlen=8)
-        for index in range(5):
-            log.append(RequestSpan("ok", fingerprint=str(index)))
+        log.extend(RequestSpan("ok", fingerprint=str(index)) for index in range(5))
         assert log.snapshot(0) == []
         assert [span.fingerprint for span in log.snapshot(7)] == ["0", "1", "2", "3", "4"]
         for last in (-2, False, 2.0):
@@ -378,8 +371,7 @@ class TestSpanLog:
 
     def test_bounded_ring(self):
         log = SpanLog(maxlen=3)
-        for index in range(5):
-            log.append(RequestSpan("ok", fingerprint=str(index)))
+        log.extend(RequestSpan("ok", fingerprint=str(index)) for index in range(5))
         assert len(log) == 3
         assert [span.fingerprint for span in log.snapshot()] == ["2", "3", "4"]
         assert [span.fingerprint for span in log.snapshot(last=2)] == ["3", "4"]

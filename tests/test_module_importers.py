@@ -64,15 +64,18 @@ README_SECTION = "Public API outside the front doors"
 ALLOWLIST = {
     "verify_execution": "the verifier's check of a ProgramRun against its program",
     "expected_energy_events": "the energy deltas verify_execution holds a run to",
-    "read_trace": "decodes a whole trace into records for a caller",
     "wait_all": "resolves the futures submit() returned, in submission order",
     "list_backends": "the registered names run(..., backend=...) accepts",
     "HMM.validate_stochastic": "input checking for a hand-built HMM",
     "ReasonSession.executions": "how many times the accelerator model ran",
     "RequestSpan.e2e_s": "a span's latency; the service reads it by name",
     "ServiceStats.expired": "requests failed by their deadline; README and drills read it",
-    # The pinned CDCL runs of test_search_identity.py set it.
-    "CDCLSolver.solve(assumptions)": "solves under assumed literals",
+    # The pinned CDCL searches of test_search_identity.py reach restarts,
+    # clause-DB reduction and activity rescaling on small formulas only
+    # through these.
+    "CDCLSolver(var_decay)": "the VSIDS activity decay a pinned search sets",
+    "CDCLSolver(restart_base)": "the Luby restart unit a pinned search sets",
+    "CDCLSolver(clause_db_limit)": "the learned-clause cap a pinned search sets",
     # Collaborators tests substitute with fakes, and deployment settings.
     "ReasonService(faults)": "the chaos schedule a drill injects",
     "ReasonService(retry)": "the retry policy a deployment chooses",

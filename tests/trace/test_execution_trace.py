@@ -25,7 +25,6 @@ from repro.trace import (
     cross_validate,
     cycle_histogram,
     phase_breakdown,
-    read_trace,
 )
 
 
@@ -140,7 +139,7 @@ class TestTraceContents:
     def test_learn_events_follow_conflicts(self):
         formula = pigeonhole(4)  # UNSAT: plenty of conflicts and learns
         report = ReasonSession().run(formula, trace=True)
-        records = read_trace(report.extras["trace_data"])
+        records = list(TraceReader(report.extras["trace_data"]))
         conflicts = [r for r in records if r.kind is EventKind.CONFLICT]
         learns = [r for r in records if r.kind is EventKind.LEARN]
         assert conflicts
@@ -213,7 +212,7 @@ class TestTraceContents:
     def test_pe_block_events_for_programs(self):
         circuit = random_circuit(8, depth=3, sum_children=3, seed=3)
         report = ReasonSession().run(circuit, trace=True)
-        records = read_trace(report.extras["trace_data"])
+        records = list(TraceReader(report.extras["trace_data"]))
         computes = sum(1 for r in records if r.kind is EventKind.COMPUTE)
         pe_blocks = sum(1 for r in records if r.kind is EventKind.PE_BLOCK)
         assert computes == pe_blocks > 0

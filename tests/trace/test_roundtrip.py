@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.trace.format import EVENT_SCHEMA, EventKind, TraceRecord
-from repro.trace.reader import TraceReader, read_trace
+from repro.trace.reader import TraceReader
 from repro.trace.writer import TraceWriter
 
 
@@ -44,7 +44,7 @@ def test_randomized_encode_decode_identity(seed):
     for record in records:
         writer.emit(record.kind, record.cycle, record.value, record.extra)
     summary = writer.close()
-    decoded = read_trace(writer.getvalue())
+    decoded = list(TraceReader(writer.getvalue()))
     assert decoded == records
     assert summary.events == len(records)
     assert summary.last_cycle == records[-1].cycle
@@ -56,7 +56,7 @@ def test_empty_stream_round_trips():
     writer = TraceWriter()
     summary = writer.close()
     assert summary.events == 0
-    assert read_trace(writer.getvalue()) == []
+    assert list(TraceReader(writer.getvalue())) == []
     assert TraceReader(writer.getvalue()).validate().events == 0
 
 
@@ -70,7 +70,7 @@ def test_file_and_memory_sinks_produce_identical_bytes(tmp_path):
     mem.close()
     disk.close()
     assert (tmp_path / "t.trace").read_bytes() == mem.getvalue()
-    assert read_trace(tmp_path / "t.trace") == records
+    assert list(TraceReader(tmp_path / "t.trace")) == records
 
 
 def test_cycle_none_repeats_previous_cycle():
@@ -79,7 +79,7 @@ def test_cycle_none_repeats_previous_cycle():
     writer.emit(EventKind.LEARN, None, 3)  # annotate at cycle 42
     writer.emit(EventKind.RESTART, 50)
     writer.close()
-    cycles = [r.cycle for r in read_trace(writer.getvalue())]
+    cycles = [r.cycle for r in TraceReader(writer.getvalue())]
     assert cycles == [42, 42, 50]
 
 
@@ -117,7 +117,7 @@ class TestQueries:
     def test_kind_filter_matches_full_decode(self, trace):
         reader = TraceReader(trace)
         fast = list(reader.events(kinds=(EventKind.CONFLICT,)))
-        slow = [r for r in read_trace(trace) if r.kind is EventKind.CONFLICT]
+        slow = [r for r in TraceReader(trace) if r.kind is EventKind.CONFLICT]
         assert fast == slow
         assert len(fast) == 10
 
@@ -130,7 +130,7 @@ class TestQueries:
         window = list(TraceReader(trace).events(start_cycle=100, end_cycle=200))
         assert window
         assert all(100 <= r.cycle <= 200 for r in window)
-        full = [r for r in read_trace(trace) if 100 <= r.cycle <= 200]
+        full = [r for r in TraceReader(trace) if 100 <= r.cycle <= 200]
         assert window == full
 
     def test_filters_compose(self, trace):
@@ -139,7 +139,7 @@ class TestQueries:
         )
         expected = [
             r
-            for r in read_trace(trace)
+            for r in TraceReader(trace)
             if r.kind is EventKind.BANK_READ and 500 <= r.cycle <= 700
         ]
         assert out
@@ -153,9 +153,9 @@ class TestQueries:
 
     def test_summary_reads_footer_only(self, trace):
         summary = TraceReader(trace).summary()
-        assert summary.events == len(read_trace(trace))
+        assert summary.events == len(list(TraceReader(trace)))
         assert summary.counts["PROPAGATE"] == 100
-        assert summary.last_cycle == max(r.cycle for r in read_trace(trace))
+        assert summary.last_cycle == max(r.cycle for r in TraceReader(trace))
 
 
 def test_solver_trace_encoding_round_trips():
@@ -165,7 +165,7 @@ def test_solver_trace_encoding_round_trips():
 
     formula = random_ksat(30, 120, seed=5)
     report = ReasonSession().run(formula, trace=True)
-    records = read_trace(report.extras["trace_data"])
+    records = list(TraceReader(report.extras["trace_data"]))
     assert len(records) == report.extras["trace"]["events"]
     solver = CDCLSolver(record_trace=True)
     solver.solve(formula)
