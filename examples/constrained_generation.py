@@ -12,6 +12,7 @@ import random
 
 from repro import ReasonSession
 from repro.hmm.constrained import DFAConstraint, constrained_decode
+from repro.hmm.inference import posteriors, transition_posteriors
 from repro.workloads.gelato import GeLaToWorkload, bleu2
 
 
@@ -34,6 +35,16 @@ def main() -> None:
             f"sample {attempt}: {result.sequence}  "
             f"logP={result.log_probability:.2f}  BLEU-2={score:.1f}"
         )
+
+    # Smoothing on the last sample: each step's most probable hidden
+    # state, and the transition the sample most expects to use.
+    gamma = posteriors(hmm, result.sequence)
+    usage = transition_posteriors(hmm, result.sequence).sum(axis=0)
+    source, target = divmod(int(usage.argmax()), hmm.num_states)
+    print(
+        f"smoothed states: {gamma.argmax(axis=1).tolist()}  "
+        f"busiest transition: {source}->{target}"
+    )
 
     # Time the HMM kernel on REASON (unroll → prune → compile → run).
     session = ReasonSession()

@@ -64,7 +64,7 @@ def _int_record(tag: bytes, values: Tuple[object, ...]) -> bytes:
         return struct.pack("<ccq", b"R", tag, len(text)) + text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RunOptions:
     """Per-request knobs that affect compilation (and thus the cache key).
 
@@ -101,6 +101,12 @@ class RunOptions:
     rejected artifact is never cached or published.  Like
     ``trace`` it is excluded from the fingerprint: a verified
     and an unverified compile of the same kernel are the same artifact.
+
+    The class is a frozen dataclass (``==``, ``hash``, ``repr``,
+    :func:`dataclasses.replace` and pickling as generated) with a
+    hand-written ``__init__``: it checks the options and fills
+    ``__dict__`` in one update, where the generated one calls
+    ``object.__setattr__`` once per field and then ``__post_init__``.
     """
 
     optimize: bool = True
@@ -110,15 +116,21 @@ class RunOptions:
     trace: Union[None, bool, str, os.PathLike] = None
     verify: Optional[bool] = None
 
-    def __post_init__(self) -> None:
-        trace = self.trace
+    def __init__(
+        self,
+        optimize: bool = True,
+        keep_fraction: float = 0.8,
+        calibration: Optional[Sequence] = None,
+        hmm_observations: Optional[Sequence[int]] = None,
+        trace: Union[None, bool, str, os.PathLike] = None,
+        verify: Optional[bool] = None,
+    ) -> None:
         if not (trace is None or isinstance(trace, (bool, str, os.PathLike))):
             raise TypeError(
                 f"trace must be None, a bool or a path (str or os.PathLike), not {trace!r}"
             )
         if trace == "":
             raise ValueError("trace must be None, a bool or a non-empty path, not ''")
-        calibration = self.calibration
         if calibration is not None and isinstance(
             calibration, (str, bytes, bytearray, Mapping)
         ):
@@ -126,8 +138,16 @@ class RunOptions:
                 "calibration must be a sequence of evidence dicts or observation "
                 f"sequences, not a {type(calibration).__name__}"
             )
-        if isinstance(self.hmm_observations, str):
+        if isinstance(hmm_observations, str):
             raise TypeError("hmm_observations must be a sequence of ints, not a str")
+        self.__dict__.update(
+            optimize=optimize,
+            keep_fraction=keep_fraction,
+            calibration=calibration,
+            hmm_observations=hmm_observations,
+            trace=trace,
+            verify=verify,
+        )
 
 
 def _pack_calibration(calibration: Sequence) -> bytes:

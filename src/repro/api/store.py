@@ -67,11 +67,18 @@ class _OnceGuard:
     event and then re-read the published value.  If the owner's factory
     raises, waiters retry from the top (one of them becomes the new
     owner), so a transient failure never wedges the key.
+
+    Each key is looked up once per attempt: an owner looks again only
+    if some owner retired its event between this caller's miss and its
+    claim (``_retired`` moved), since that owner may have published the
+    key.  The count is one for all keys, so a retirement of another key
+    costs a spare lookup, never a second compile.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: Dict[str, threading.Event] = {}
+        self._retired = 0
 
     def run(
         self,
@@ -82,6 +89,7 @@ class _OnceGuard:
     ) -> Tuple[CompiledArtifact, bool]:
         """Returns ``(artifact, computed_here)``."""
         while True:
+            retired = self._retired
             artifact = lookup(key)
             if artifact is not None:
                 return artifact, False
@@ -90,23 +98,25 @@ class _OnceGuard:
                 if event is None:
                     event = self._events[key] = threading.Event()
                     owner = True
+                    recheck = self._retired != retired
                 else:
                     owner = False
             if owner:
                 try:
-                    # Re-check after claiming ownership: a previous
-                    # owner may have published and retired its event
-                    # between our miss above and our claim, in which
-                    # case this is a join, not a second compile.
-                    artifact = lookup(key)
-                    if artifact is not None:
-                        return artifact, False
+                    # A previous owner may have published and retired
+                    # its event between our miss above and our claim,
+                    # in which case this is a join, not a second compile.
+                    if recheck:
+                        artifact = lookup(key)
+                        if artifact is not None:
+                            return artifact, False
                     artifact = factory()
                     publish(key, artifact)
                     return artifact, True
                 finally:
                     with self._lock:
                         del self._events[key]
+                        self._retired += 1
                     event.set()
             event.wait()
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.dag.builders import circuit_columns, cnf_to_dag
 from repro.core.dag.graph import Dag, DagColumns
-from repro.hmm.inference import transition_posteriors
+from repro.hmm.inference import transition_usage
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF
 from repro.logic.implication_graph import PruneReport, prune_hidden_literals
@@ -180,10 +180,7 @@ def prune_hmm_by_posterior(
     if not calibration_sequences:
         raise ValueError("posterior pruning needs calibration sequences")
     S = hmm.num_states
-    usage = np.zeros((S, S))
-    for observations in calibration_sequences:
-        if len(observations) >= 2:
-            usage += transition_posteriors(hmm, observations).sum(axis=0)
+    usage = transition_usage(hmm, calibration_sequences)
 
     nonzero_before = int(np.count_nonzero(hmm.transition))
     positive = usage[hmm.transition > 0]

@@ -118,13 +118,10 @@ def sparsity_of_workload(workload: NeuroSymbolicWorkload) -> float:
         threshold = values.max() * 0.25 if values.max() > 0 else 0.0
         return float((values <= threshold).mean())
     if isinstance(kernel, HMM):
-        from repro.hmm.inference import transition_posteriors
+        from repro.hmm.inference import transition_usage
 
         rng = __import__("random").Random(0)
-        usage = np.zeros_like(kernel.transition)
-        for _ in range(8):
-            observations = kernel.sample(16, rng)[1]
-            usage += transition_posteriors(kernel, observations).sum(axis=0)
+        usage = transition_usage(kernel, [kernel.sample(16, rng)[1] for _ in range(8)])
         threshold = usage.max() * 0.25 if usage.max() > 0 else 0.0
         return float((usage <= threshold).mean())
     raise TypeError(f"unsupported kernel: {type(kernel).__name__}")

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from repro.baselines.device import KernelClass, KernelProfile
 from repro.hmm.constrained import DFAConstraint, constrained_decode
-from repro.hmm.inference import log_likelihood
+from repro.hmm.inference import log_likelihood, log_likelihoods
 from repro.hmm.learn import baum_welch
 from repro.hmm.model import HMM
 from repro.workloads.base import NeuroSymbolicWorkload, TaskInstance, WorkloadResult
@@ -47,7 +47,8 @@ class CtrlGWorkload(NeuroSymbolicWorkload):
             fitted, _ = baum_welch(student, corpus.sequences, iterations=4)
             self._hmm = fitted
             per_token = [
-                log_likelihood(fitted, seq) / len(seq) for seq in corpus.sequences
+                value / len(seq)
+                for value, seq in zip(log_likelihoods(fitted, corpus.sequences), corpus.sequences)
             ]
             self._baseline_ll = sum(per_token) / len(per_token)
         return self._hmm, self._baseline_ll  # type: ignore[return-value]

@@ -34,12 +34,12 @@ MAX_EXTRA_CALLS = 18
 #: The most Python-level calls one warm ``ReasonSession.run`` may make
 #: (the probe's own ``lambda`` included), for a kind's ``small`` corpus
 #: kernel with its options: an HMM with ``hmm_observations``, a circuit
-#: with a calibration.  The same caveat holds: the dataclass
-#: ``__init__`` / ``__post_init__`` of the options and
+#: with a calibration.  The same caveat holds: the options' own
+#: ``__init__`` (which checks them itself, with no ``__post_init__``) and
 #: ``ABCMeta.__instancecheck__`` are Python code in CPython 3.10, 3.11
 #: and 3.12 alike, and neither path runs a comprehension (inlined from
 #: 3.12 on), so the bounds are the same for all three.
-MAX_WARM_RUN_CALLS = {"hmm": 22, "circuit": 26}
+MAX_WARM_RUN_CALLS = {"hmm": 21, "circuit": 25}
 
 
 def python_calls(action) -> list:

@@ -22,9 +22,10 @@ from repro.api import (
     SharedStore,
     make_store,
 )
-from repro.api.store import ArtifactStore
+from repro.api.store import ArtifactStore, _OnceGuard
 from repro.api.types import CompiledArtifact
 from repro.core.dag import Dag
+from repro.faults import corrupt_disk_entry
 from repro.logic.generators import random_ksat
 
 from tests.corpus import build, serve, stub_artifact
@@ -120,6 +121,39 @@ class TestSharedStore:
         assert sum(1 for _, compiled in results if compiled) == 1
         artifacts = {id(artifact) for artifact, _ in results}
         assert len(artifacts) == 1  # everyone got the winner's object
+
+    def test_a_cold_miss_looks_the_key_up_once(self):
+        guard, lookups = _OnceGuard(), []
+        artifact, computed = guard.run(
+            "k", lambda key: lookups.append(key), lambda: stub_artifact("k"), lambda *_: None
+        )
+        assert computed and artifact.key == "k" and lookups == ["k"]
+
+    def test_a_publish_between_the_miss_and_the_claim_is_joined(self):
+        """Another owner compiles, publishes and retires the key after
+        this caller's lookup missed and before it claims the key: the
+        claim looks again and joins instead of compiling twice."""
+        guard, published, lookups = _OnceGuard(), {}, []
+
+        def publish(key, artifact):
+            published[key] = artifact
+
+        def lookup(key):
+            lookups.append(key)
+            missed = published.get(key)
+            if len(lookups) == 1:  # the other owner runs to completion here
+                other = threading.Thread(
+                    target=guard.run,
+                    args=(key, published.get, lambda: stub_artifact(key), publish),
+                )
+                other.start()
+                other.join(timeout=10)
+            return missed
+
+        artifact, computed = guard.run(
+            "k", lookup, lambda: pytest.fail("compiled a published key"), publish
+        )
+        assert not computed and artifact is published["k"] and len(lookups) == 2
 
     def test_factory_failure_releases_the_key(self):
         store = SharedStore()
@@ -373,6 +407,18 @@ class TestServiceSharedStore:
         report = fresh.run(kernel)  # recompiles and rewrites the entry
         assert not report.cache_hit and fresh.prepare_calls == 1
         assert store.get(key) is not None
+
+    def test_one_unreadable_entry_read_by_one_run_is_one_counted_miss(self, tmp_path):
+        kernel = random_ksat(12, 40, seed=9)
+        ReasonSession(store=DiskStore(tmp_path)).run(kernel)
+        store = DiskStore(tmp_path)
+        (key,) = _disk_keys(store)
+        assert corrupt_disk_entry(store, key)
+        fresh = ReasonSession(store=store)
+        report = fresh.run(kernel)
+        assert not report.cache_hit
+        assert store.corrupt_misses == 1 and fresh.prepare_calls == 1
+        assert store.get(key) is not None  # rewritten
 
     def test_an_entry_with_a_dict_of_nodes_dag_is_a_counted_miss(self, tmp_path, monkeypatch):
         # Entries written while a Dag pickled as a dict of node objects
