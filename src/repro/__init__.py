@@ -21,7 +21,10 @@ Package map:
 * :mod:`repro.api` — the public front door: :class:`ReasonSession`
   over pluggable kernel adapters and execution backends, with compile
   caching and pipelined batch execution, and :class:`ReasonService`
-  for async, sharded serving over many sessions;
+  for async, sharded serving over many sessions, which survives its
+  shards (:mod:`repro.api.resilience`: supervised shard workers,
+  bounded retries, per-shard circuit breakers and per-request
+  deadlines);
 * :mod:`repro.costmodel` — the offline static price of a compiled
   kernel per backend class (analytic device rooflines, REASON cycle
   counts); nothing on the serving path calls it;
@@ -43,13 +46,7 @@ Package map:
   gate (``ReasonSession(verify=True)`` or a per-request
   ``verify=True``) runs inside the compile-once factory, so a rejected
   program reaches no cache level or store, and checks a CNF kernel's
-  SAT model against every clause it was given;
-* :mod:`repro.faults` — deterministic seeded fault injection
-  (:class:`FaultPlan`: compile/execute errors, latency, worker
-  crashes, store failures and on-disk corruption) exercising the
-  serving layer's resilience — supervised shard workers, bounded
-  retries, per-shard circuit breakers, and per-request deadlines
-  (:mod:`repro.api.resilience`).
+  SAT model against every clause it was given.
 
 ``python -m repro`` is the one command line over trace, metrics and
 analysis: ``record`` a traced, metered bundle from a service, then
@@ -67,7 +64,7 @@ Quickstart::
         report = future.result()
 """
 
-__version__ = "1.43.0"
+__version__ = "1.44.0"
 
 from repro.api import (  # noqa: E402  (public re-exports)
     ArtifactStore,
@@ -94,8 +91,6 @@ from repro.api import (  # noqa: E402  (public re-exports)
     register_policy,
 )
 
-# After repro.api: the fault plan builds on the resilience taxonomy.
-from repro.faults import FaultInjected, FaultPlan  # noqa: E402
 from repro.costmodel import (  # noqa: E402  (public re-exports)
     CostEstimator,
     CostFeatures,
@@ -142,8 +137,6 @@ __all__ = [
     "DeadlineExceeded",
     "ShardCrashed",
     "RetriesExhausted",
-    "FaultPlan",
-    "FaultInjected",
     "list_backends",
     "list_policies",
     "register_adapter",

@@ -5,15 +5,15 @@ to generic linters, and each has already cost (or would cost) a real
 debugging session when violated:
 
 ``RPR001`` zero-overhead-when-off hooks
-    Optional feature objects (``trace``, ``faults``) are probed
-    *once* before a hot loop (``emit = None if tw is None else
+    Optional feature objects (a ``trace`` writer, an ``emit``
+    callback, a ``verify_hook``) are probed *once* before a hot loop (``emit = None if tw is None else
     tw.emit``), never per iteration.  An ``x.trace is None`` test
     inside a loop body means the hook shape regressed and the "off"
     path pays attribute traffic every iteration.  (Metrics have no off
     mode, so they have no probe to hoist.)
 
 ``RPR002`` deterministic time and randomness
-    Replay, retry and fault-injection paths are deterministic: seeded
+    Replay and retry paths are deterministic: seeded
     ``random.Random(...)`` streams and counter clocks only.  Bare
     ``time.time()`` or module-level ``random.random()`` /
     ``random.randint()`` in the deterministic subtrees silently breaks
@@ -39,17 +39,16 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Feature-hook attribute names whose per-iteration None probes RPR001
 #: flags.  Matches the optional subsystems wired through sessions and
 #: the service (the zero-overhead-when-off surface).
-HOOK_ATTRIBUTES = frozenset({"trace", "faults", "emit", "verify_hook"})
+HOOK_ATTRIBUTES = frozenset({"trace", "emit", "verify_hook"})
 
 #: Subtrees whose code must stay deterministic (seeded streams only).
 DETERMINISTIC_SUBTREES = (
     "repro/api/",
-    "repro/faults/",
     "repro/core/",
     "repro/trace/",
     "repro/metrics/",

@@ -5,7 +5,7 @@ flaky compiles/executions, hung requests, and a misbehaving shared
 store.  The policy objects that decide *how* live here:
 
 * :class:`RetryPolicy` — a bound on attempts; only *transient* errors
-  (injected faults, worker crashes) are retried — a request's own
+  (:class:`TransientError`, crashes) are retried — a request's own
   exception (bad kernel, unknown backend) passes through untouched.
   Replays are idempotent because execution is deterministic, so a
   retried success is bit-identical to a first-try success, and a
@@ -28,12 +28,14 @@ The exception taxonomy callers see:
 
 * :class:`DeadlineExceeded` (a :class:`TimeoutError`) — the request's
   deadline expired; deliberately *not* retryable (the budget is gone).
-* :class:`ShardCrashed` — a shard worker died mid-request; transient,
-  retried when a :class:`RetryPolicy` is active.
+* :class:`ShardCrashed` — the thread running a request (its shard's
+  worker, or the submitting thread of an inline warm hit) took a
+  :class:`WorkerCrash`; transient, retried when a :class:`RetryPolicy`
+  is active.
 * :class:`RetriesExhausted` — every allowed attempt failed; the last
   underlying error is chained as ``__cause__``.
 * :class:`TransientError` — marker base for errors that are safe to
-  retry (:class:`repro.faults.FaultInjected` subclasses it).
+  retry (the chaos drills' injected faults subclass it).
 """
 
 from __future__ import annotations
@@ -65,28 +67,26 @@ class TransientError(Exception):
 
 
 class WorkerCrash(BaseException):
-    """Injected worker death (raised by a fault plan *inside* a shard
-    worker, on purpose escaping the per-request error handling).
+    """The death of the thread running a request — a bug, a
+    segfaulting native extension, an OOM kill — not the request failing.
 
-    Deliberately a :class:`BaseException` subclass: it models the whole
-    worker thread dying — a bug, a segfaulting native extension, an OOM
-    kill — not the request failing, so the per-request ``except`` path
-    must not absorb it.  Only the shard supervisor catches it.
+    Deliberately a :class:`BaseException` subclass, so the per-request
+    ``except`` path does not absorb it: on a shard worker it kills the
+    thread, and the shard supervisor restarts it and retries or fails
+    the request as :class:`ShardCrashed`.  On the submitting thread of
+    an inline warm hit nothing is restarted: the attempt fails as
+    :class:`ShardCrashed` at once.
     """
-
-    def __init__(self, shard_index: int = -1):
-        super().__init__(f"injected crash of shard {shard_index} worker")
-        self.shard_index = shard_index
 
 
 class ShardCrashed(RuntimeError):
-    """A shard worker died while this request was in flight.
+    """The thread running this request crashed (a shard worker, or
+    the submitting thread of an inline warm hit).
 
     What the *stranded request's* future receives (possibly wrapped in
     :class:`RetriesExhausted`) when retries are off or exhausted; the
-    crash that killed the worker is chained as ``__cause__``.
-    Transient by nature — the supervisor restarts the worker, and a
-    replay is safe.
+    :class:`WorkerCrash` is chained as ``__cause__``.  Transient by
+    nature — a dead worker is restarted, and a replay is safe.
     """
 
     def __init__(self, message: str, shard_index: int = -1):
@@ -163,11 +163,10 @@ class RetryPolicy:
     def retryable(self, error: BaseException) -> bool:
         """Is this error worth a replay?
 
-        Only transient faults qualify: injected faults
-        (:class:`TransientError`) and worker deaths
-        (:class:`ShardCrashed`).  :class:`DeadlineExceeded` is checked
-        first and always final — a spent budget cannot be retried into
-        existence.  Everything else (user errors, real bugs) passes
+        Only transient faults qualify: :class:`TransientError` and
+        crashes (:class:`ShardCrashed`).  :class:`DeadlineExceeded` is
+        checked first and always final — a spent budget cannot be
+        retried into existence.  Everything else (user errors, real bugs) passes
         through on the first failure, unwrapped.
         """
         if isinstance(error, DeadlineExceeded):

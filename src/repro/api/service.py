@@ -46,9 +46,9 @@ transient failures replay under a bounded :class:`RetryPolicy`
 shards, store trouble degrades to shard-local caching, and a
 per-request deadline (``submit(..., deadline_s=...)``) is one
 wall-clock budget from admission, enforced in queue and around
-execution.  All of it is exercisable deterministically through
-``faults=`` (:class:`repro.faults.FaultPlan`) and gated by
-``tests/api/test_faults.py``.
+execution.  The seeded chaos drills of ``tests/api/test_faults.py``
+exercise all of it by wrapping the backend, adapter and store they
+break, so they run the lifecycle real requests take.
 """
 
 from __future__ import annotations
@@ -185,6 +185,19 @@ class _WorkItem:
     # lock does the bookkeeping; everyone else backs off.  Lock order
     # is item.lock -> shard.lock, never the reverse.
     lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+def _shard_crashed(item: _WorkItem, crash: BaseException, runner: str) -> ShardCrashed:
+    """The transient error a request's attempt fails with when the
+    thread running it (its shard's ``worker`` or an inline ``caller``)
+    takes ``crash``; the crash is chained as its cause."""
+    error = ShardCrashed(
+        f"shard {item.shard.index} {runner} crashed while executing request "
+        f"{item.request.fingerprint[:12]} (attempt {item.attempts})",
+        shard_index=item.shard.index,
+    )
+    error.__cause__ = crash
+    return error
 
 
 def _counter(help_text: str):
@@ -495,7 +508,7 @@ class ReasonService:
         recent :data:`SPAN_LOG_SIZE` span records.
     retry:
         :class:`~repro.api.resilience.RetryPolicy` for transient
-        failures (injected faults, worker crashes): bounded replays,
+        failures (transient errors, worker crashes): bounded replays,
         each requeued at once to the least-loaded other admitting
         shard when there is one.  Retried successes are bit-identical
         to first-try successes (execution is deterministic).  ``None``
@@ -510,13 +523,6 @@ class ReasonService:
         Tripped shards are routed around at admission and by retry
         placement; when *every* breaker is open the service fails open
         (serves anyway) rather than rejecting all traffic.
-    faults:
-        Optional :class:`repro.faults.FaultPlan` — the deterministic
-        chaos schedule the resilience machinery is tested against.
-        Injects compile/execute errors, latency, worker crashes, and
-        (with ``store=``) store faults and on-disk corruption.  Zero
-        overhead when None (the default): one attribute check per
-        hook.
     """
 
     def __init__(
@@ -532,7 +538,6 @@ class ReasonService:
         metrics: Union[None, bool, MetricsRegistry] = None,
         retry: Optional[RetryPolicy] = RetryPolicy(),
         breaker: Callable[[], CircuitBreaker] = CircuitBreaker,
-        faults: Optional["FaultPlan"] = None,  # noqa: F821
     ):
         if isinstance(shards, bool) or not isinstance(shards, Integral) or shards < 1:
             raise ValueError(f"shards must be a shard count (an integer >= 1), not {shards!r}")
@@ -553,17 +558,11 @@ class ReasonService:
                 "every shard has a circuit breaker: breaker must be a zero-argument "
                 f"factory returning a CircuitBreaker, not {breaker!r}"
             )
-        self._faults = faults
         # One store instance resolved here and handed to every shard:
         # the shard-local LRUs stay private, the shared level is common.
-        # Layering: ResilientStore(ChaosStore(real store)) — injected
-        # faults strike the real store, the resilient wrapper absorbs
-        # them (and real-world store errors) into local-only caching.
+        # The resilient wrapper absorbs store errors into local-only
+        # caching.
         inner_store = make_store(store)
-        if inner_store is not None and hasattr(faults, "store_fault"):
-            from repro.faults.store import ChaosStore
-
-            inner_store = ChaosStore(inner_store, faults)
         self.store = (
             ResilientStore(inner_store) if inner_store is not None else None
         )
@@ -589,7 +588,6 @@ class ReasonService:
                     store=self.store,
                     metrics=self._metrics,
                     metrics_labels={"shard": str(index)},
-                    faults=faults,
                 ),
                 breaker(),
                 max_queue,
@@ -703,15 +701,6 @@ class ReasonService:
                 )
         if self.store is not None:
             self.store.attach_metrics(registry)
-        if self._faults is not None and hasattr(self._faults, "counts"):
-            for site in self._faults.counts():
-                registry.register_callback(
-                    "reason_faults_injected_total",
-                    lambda p=self._faults, s=site: p.injected(s),
-                    kind="counter",
-                    help="Faults injected by the active plan, by site.",
-                    site=site,
-                )
         registry.register_fold(self._fold)
 
     def _fold(self) -> None:
@@ -761,10 +750,10 @@ class ReasonService:
         state changes.
 
         A warm hit on an idle shard — the kernel in that shard's local
-        cache, its queue empty, its worker waiting and no fault plan
-        armed — runs on the calling thread instead, and settles before
-        ``submit`` returns: the future is already done, and its
-        done-callbacks run on the caller's thread.
+        cache, its queue empty and its worker waiting — runs on the
+        calling thread instead, and settles before ``submit`` returns:
+        the future is already done, and its done-callbacks run on the
+        caller's thread.
 
         ``deadline_s`` gives the request a wall-clock budget in seconds
         (text is a :class:`TypeError`, raised before admission),
@@ -861,11 +850,10 @@ class ReasonService:
             # pick the same "idle" shard.  A rejection below takes the
             # charge back.  The same section takes the inline claim (see
             # _run_inline) on an admitting, accepting shard with nothing
-            # queued or running and no fault plan armed.
+            # queued or running.
             with shard.lock:
                 shard.counters.submitted += 1
-                claimed = admitted and shard.accepting and self._faults is None
-                claimed = claimed and not (shard.running or shard.items)
+                claimed = admitted and shard.accepting and not (shard.running or shard.items)
                 shard.running = shard.running or claimed
             # A queued request's future builds its Condition now; a
             # claimed one, only if a thread ever needs it.
@@ -910,23 +898,30 @@ class ReasonService:
         """Serve a warm hit on an idle shard on the submitting thread,
         through the worker's own execute -> settle path; False leaves
         the item to be queued.  The caller holds the shard's ``running``
-        flag, which admission's charge section took with no fault plan
-        armed, the shard's breaker admitting, the shard accepting, its
-        queue empty and nobody running on it — so it never overtakes a
-        queued request.  It runs only on a hit in the shard's local LRU,
-        checked now that the flag is held, when no other run can evict.
+        flag, which admission's charge section took with the shard's
+        breaker admitting, the shard accepting, its queue empty and
+        nobody running on it — so it never overtakes a queued request.
+        It runs only on a hit in the shard's local LRU, checked now
+        that the flag is held, when no other run can evict.
         A hit is claimed here without the future's own transition: the
         future has not left this thread, so nobody can cancel it, and it
         goes from pending straight to done — born resolved, written in
         place with no lock or notify, when this attempt succeeds.  The
         future is handed on when this returns; an attempt that fails and
         is requeued leaves it to the worker, which resolves it as it
-        resolves any queued request's."""
+        resolves any queued request's.  A crash here
+        (:class:`~repro.api.resilience.WorkerCrash`) kills no worker:
+        it fails the attempt as a :class:`ShardCrashed`, retried or
+        failed like any transient error, and restarts nothing."""
         hit = item.request.fingerprint in shard.session._cache
         try:
             if hit:
                 item.state, item.started_at = _RUNNING, time.perf_counter()
-                self._execute(shard, item)
+                try:
+                    self._execute(shard, item)
+                except WorkerCrash as crash:
+                    shard.breaker.record_failure()
+                    self._retry_or_fail(item, _shard_crashed(item, crash, "caller"))
         except BaseException as exc:
             self._settle(item, "error", exc)  # never strand the future
             raise
@@ -1094,8 +1089,8 @@ class ReasonService:
 
         The worker is *supervised*: any exception that escapes
         per-request handling (a
-        :class:`~repro.api.resilience.WorkerCrash` from a fault plan, or
-        a genuine bug) is treated as the thread dying — its last act is
+        :class:`~repro.api.resilience.WorkerCrash`, or a genuine bug) is
+        treated as the thread dying — its last act is
         :meth:`_worker_died`, which respawns the worker and retries or
         fails the stranded request, so an admitted future resolves even
         when its worker does not survive.
@@ -1143,8 +1138,6 @@ class ReasonService:
             return
         if not self._claim(item):
             return
-        if self._faults is not None:
-            self._faults.crash_fault(shard.index)  # may raise WorkerCrash
         try:
             report = shard.session.run_prepared(
                 item.request.kernel,
@@ -1173,12 +1166,7 @@ class ReasonService:
         same-shard requeue has someone to serve it), then retry or fail
         the request it died holding.  Requests still queued behind it
         are untouched — the replacement thread drains the same queue."""
-        error = ShardCrashed(
-            f"shard {shard.index} worker crashed while executing request "
-            f"{item.request.fingerprint[:12]} (attempt {item.attempts})",
-            shard_index=shard.index,
-        )
-        error.__cause__ = crash
+        error = _shard_crashed(item, crash, "worker")
         try:
             with shard.lock:
                 shard.counters.crashes += 1
@@ -1201,8 +1189,8 @@ class ReasonService:
         policy, or resolve the future with the (possibly wrapped) error.
 
         A replay is requeued at once, on the thread whose attempt
-        failed — a worker, or a dying worker in :meth:`_worker_died` —
-        to the other admitting shard with the fewest pending requests,
+        failed — a worker, a dying worker in :meth:`_worker_died`, or
+        the caller of an inline attempt — to the other admitting shard with the fewest pending requests,
         else the same one.
         That thread may never block on admission: a worker waiting on
         its own shard's full queue is a self-deadlock.  So a retry that
@@ -1232,6 +1220,11 @@ class ReasonService:
                         target.counters.submitted += 1
                     item.shard = target
                     item.future.shard_index = target.index
+                if not item.future.running():
+                    # An inline attempt skipped the future's transition;
+                    # a replay is a running request, which its caller
+                    # can no longer cancel.
+                    item.future.set_running_or_notify_cancel()
                 item.attempts += 1
                 refused = target.offer(item)
             if not refused:

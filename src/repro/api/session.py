@@ -69,11 +69,6 @@ class ReasonSession:
         (``{"shard": "0"}`` from the service).  Two sessions sharing a
         registry must be distinguished by labels, or registration of
         the second one's callbacks raises.
-    faults:
-        Optional :class:`repro.faults.FaultPlan` injecting compile and
-        execution faults (and latency) into this session's run path —
-        how the serving layer's resilience is exercised.  Zero overhead
-        when None (the default): one attribute check per request.
     verify:
         Statically verify (:mod:`repro.analysis`) every cold compile
         and raise :class:`~repro.analysis.ProgramVerificationError` on
@@ -93,7 +88,6 @@ class ReasonSession:
         store: Union[None, str, ArtifactStore] = None,
         metrics: Union[None, bool, MetricsRegistry] = None,
         metrics_labels: Optional[Dict[str, str]] = None,
-        faults: Optional["FaultPlan"] = None,  # noqa: F821
         verify: bool = False,
     ):
         if not isinstance(config, ArchConfig):
@@ -109,7 +103,6 @@ class ReasonSession:
         self._lock = threading.Lock()
         self.metrics = ensure_registry(metrics)
         self._metrics_labels: Dict[str, str] = dict(metrics_labels or {})
-        self._faults = faults
         self._verify = verify
         # Per-backend run-seconds histograms, created lazily on first
         # use so only exercised backends appear in the snapshot.
@@ -249,8 +242,6 @@ class ReasonSession:
         verify = options.verify if options.verify is not None else self._verify
 
         def compile_cold() -> CompiledArtifact:
-            if self._faults is not None:
-                self._faults.compile_fault(key)
             start = time.perf_counter()
             artifact = adapter_for(kernel).prepare(kernel, options, self.config)
             artifact.compile_s = time.perf_counter() - start
@@ -323,8 +314,6 @@ class ReasonSession:
         if fingerprint is None:
             check_count("queries", queries)
         artifact, cache_hit = self._compile(kernel, options, key=fingerprint)
-        if self._faults is not None:
-            self._faults.execute_fault(fingerprint or artifact.key)
         # Two clock reads per request whether or not anyone is looking:
         # ~0.1 us against a request of milliseconds, cheaper than keeping
         # an uninstrumented copy of this body in step.

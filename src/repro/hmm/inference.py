@@ -75,7 +75,7 @@ def _backward(hmm: HMM, emissions: np.ndarray, scales: np.ndarray) -> np.ndarray
     """The backward recurrence matching :func:`_forward`'s scaling."""
     N, T, S = emissions.shape
     beta = np.zeros((N, T, S))
-    beta[:, T - 1] = 1.0
+    beta[:, -1:] = 1.0  # the last step, if there is one
     for t in range(T - 2, -1, -1):
         raw = (hmm.transition @ (emissions[:, t + 1] * beta[:, t + 1])[:, :, None])[:, :, 0]
         scale = scales[:, t + 1, None]

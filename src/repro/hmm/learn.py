@@ -33,15 +33,15 @@ def baum_welch(
     Each model runs one batched forward pass per sequence length: it
     serves the mean log-likelihood recorded for that model and, with
     one backward pass, the next iteration's E-step.  Empty sequences
-    are skipped.
+    are skipped, and a corpus of nothing else is no corpus.
     """
-    if not sequences:
-        raise ValueError("baum_welch needs at least one sequence")
     model = hmm.normalized()
     for observations in sequences:
         model.check_observations(observations)
     symbols, order = _by_length(sequences)
-    flat_symbols = np.concatenate([symbols[T][row] for T, row in order]) if order else None
+    if not order:
+        raise ValueError("baum_welch needs at least one sequence")
+    flat_symbols = np.concatenate([symbols[T][row] for T, row in order])
     history: List[float] = []
     S, V = model.num_states, model.num_observations
 
@@ -61,11 +61,10 @@ def baum_welch(
         for T, row in order:
             initial_acc += gammas[T][row, 0]
             transition_acc += transition_totals[T][row]
-        if order:
-            # Column o of the emission counts gains each step's posterior
-            # in turn, sequence by sequence, as a loop over the steps would.
-            steps = np.concatenate([gammas[T][row] for T, row in order])
-            np.add.at(emission_acc.T, flat_symbols, steps)
+        # Column o of the emission counts gains each step's posterior
+        # in turn, sequence by sequence, as a loop over the steps would.
+        steps = np.concatenate([gammas[T][row] for T, row in order])
+        np.add.at(emission_acc.T, flat_symbols, steps)
 
         model = HMM(
             initial_acc / initial_acc.sum(),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,12 +68,15 @@ class HMM:
 
     def check_observations(self, observations: Sequence[int]) -> None:
         """Raise a ValueError naming the first observation that is not
-        one of this HMM's symbols ``0 .. num_observations - 1``: every
-        path that reads ``emission`` by symbol checks here first, so an
-        out-of-range symbol is never wrapped or read from the wrong end."""
+        one of this HMM's symbols ``0 .. num_observations - 1`` (an
+        integer, Python's or numpy's, never a bool or a float): every
+        path that reads ``emission`` by symbol checks here first, so a
+        symbol is never wrapped, read from the wrong end or taken for
+        a mask."""
         count = self.num_observations
         for position, symbol in enumerate(observations):
-            if not 0 <= symbol < count:
+            integral = isinstance(symbol, Integral) and not isinstance(symbol, bool)
+            if not (integral and 0 <= symbol < count):
                 raise ValueError(
                     f"observation {position} is symbol {symbol!r}, outside this "
                     f"HMM's symbols 0..{count - 1}"

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.baselines.device import DeviceModel
 from repro.workloads.base import NeuroSymbolicWorkload
 

@@ -104,7 +104,7 @@ def test_module_level_random_in_deterministic_subtree_is_flagged():
         def jitter():
             return random.random()
         """,
-        path="src/repro/faults/plan.py",
+        path="src/repro/api/resilience.py",
     )
     assert [f.rule for f in findings] == ["RPR002"]
 
@@ -117,7 +117,7 @@ def test_seeded_random_instance_is_the_approved_idiom():
         def stream(seed):
             return random.Random(seed).random()
         """,
-        path="src/repro/faults/plan.py",
+        path="src/repro/api/resilience.py",
     )
     assert findings == []
 

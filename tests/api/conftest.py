@@ -33,6 +33,15 @@ def wait_until_running(future, timeout_s: float = 10.0) -> None:
         time.sleep(0.001)
 
 
+def wait_idle(service, timeout_s: float = 10.0) -> None:
+    """Until every shard's queue is empty and its worker is waiting: a
+    settled future does not say its worker has left the request yet."""
+    deadline = time.monotonic() + timeout_s
+    while any(shard.running or shard.items for shard in service._shards):
+        assert time.monotonic() < deadline, "a shard never went idle"
+        time.sleep(0.001)
+
+
 @pytest.fixture
 def gate(monkeypatch):
     """A shut gate behind ``backend="test-gate"``, registered for this

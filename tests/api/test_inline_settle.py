@@ -8,14 +8,15 @@ import time
 
 import pytest
 
-from repro import CircuitBreaker, DeadlineExceeded, ReasonService
+from repro import CircuitBreaker, DeadlineExceeded, ReasonService, RetryPolicy, ShardCrashed
 from repro.api import ServiceClosed, backends
+from repro.api.resilience import WorkerCrash
 from repro.api.scheduler import SchedulingPolicy
 from repro.api.types import ExecutionReport
-from repro.faults import FaultPlan
 from repro.logic.generators import random_ksat
 
-from tests.api.conftest import wait_until_running
+from tests.api.conftest import wait_idle, wait_until_running
+from tests.chaos import FaultPlan
 
 
 class RecordingBackend(backends.Backend):
@@ -40,15 +41,6 @@ def recorder(monkeypatch):
     backend = RecordingBackend()
     monkeypatch.setitem(backends._BACKENDS, backend.name, backend)
     return backend
-
-
-def wait_idle(service, timeout_s: float = 10.0) -> None:
-    """Until every shard's queue is empty and its worker is waiting: a
-    settled future does not say its worker has left the request yet."""
-    deadline = time.monotonic() + timeout_s
-    while any(shard.running or shard.items for shard in service._shards):
-        assert time.monotonic() < deadline, "a shard never went idle"
-        time.sleep(0.001)
 
 
 def warm(service, kernel) -> None:
@@ -97,15 +89,97 @@ def test_a_local_miss_is_never_run_inline(gate, store):
     assert len(settled_on) == 1 and is_worker(settled_on[0])
 
 
-def test_an_armed_fault_plan_never_settles_inline(recorder):
+def test_an_armed_fault_plan_settles_warm_hits_inline(recorder, chaos):
+    """A plan wraps the backend it breaks, so a drill's warm hit on an
+    idle shard takes the claim real traffic takes."""
     kernel = random_ksat(8, 24, seed=42)
-    with ReasonService(shards=1, faults=FaultPlan(seed=0)) as service:
+    plan = chaos(FaultPlan(seed=0))
+    with ReasonService(shards=1) as service:
         warm(service, kernel)
         for _ in range(5):
-            service.submit(kernel, backend="test-record").result(timeout=30)
+            assert service.submit(kernel, backend="test-record").done()
             wait_idle(service)
-    assert len(recorder.runs) == 5
-    assert all(is_worker(thread) for _, thread in recorder.runs)
+    assert plan.counts()["execute"]["decisions"] == service.num_shards + 5
+    assert recorder.runs == [(1, threading.current_thread().name)] * 5
+
+
+def test_an_inline_execute_fault_is_requeued_to_a_bit_identical_result(chaos, monkeypatch):
+    """The fault strikes the caller's attempt; the retry a worker runs
+    returns the report a fault-free hit returns."""
+    kernel = random_ksat(8, 24, seed=50)
+    with ReasonService(shards=1) as service:
+        warm(service, kernel)
+        expected = service.submit(kernel).result(timeout=0)
+        wait_idle(service)
+        plan = chaos(FaultPlan(seed=0, execute_error_rate=1.0, max_injections=1))
+        inject, struck = plan.execute_fault, []
+
+        def recorded(key=""):
+            struck.append(threading.current_thread().name)
+            inject(key)
+
+        monkeypatch.setattr(plan, "execute_fault", recorded)
+        report = service.submit(kernel).result(timeout=30)
+        service.drain(timeout=10)
+        stats = service.stats()
+    assert plan.injected("execute") == 1
+    assert struck[0] == threading.current_thread().name and is_worker(struck[1])
+    assert report.identity() == expected.identity()
+    assert report.extras["attempts"] == 2
+    assert (stats.retries, stats.failed, stats.crashes, stats.restarts) == (1, 0, 0, 0)
+
+
+def test_a_requeued_inline_attempt_can_no_longer_be_cancelled(chaos, monkeypatch):
+    """A replay is a running request: once the caller's own attempt has
+    failed and been requeued, cancel() refuses, and the request that
+    the books count as completed resolves with its report."""
+    kernel = random_ksat(8, 24, seed=52)
+    with ReasonService(shards=1) as service:
+        warm(service, kernel)
+        plan = chaos(FaultPlan(seed=0, execute_error_rate=1.0, max_injections=1))
+        inject, replaying, release = plan.execute_fault, threading.Event(), threading.Event()
+
+        def held_replay(key=""):
+            if plan.injected("execute"):  # the replay, on the worker
+                replaying.set()
+                release.wait(timeout=10.0)
+            inject(key)
+
+        monkeypatch.setattr(plan, "execute_fault", held_replay)
+        future = service.submit(kernel)
+        assert replaying.wait(timeout=10.0)
+        cancelled = future.cancel()
+        release.set()
+        report = future.result(timeout=30)
+        service.drain(timeout=10)
+        stats = service.stats()
+    assert not cancelled and report.extras["attempts"] == 2
+    assert (stats.completed, stats.cancelled, stats.retries) == (2, 0, 1)
+
+
+@pytest.mark.parametrize("retry", [RetryPolicy(), None], ids=["retried", "no-retry"])
+def test_an_inline_crash_never_escapes_submit(chaos, retry):
+    """A crash on the caller's thread kills no worker: the attempt
+    fails as a ShardCrashed, which a retry requeues, or which settles
+    the future before submit returns."""
+    kernel = random_ksat(8, 24, seed=51)
+    with ReasonService(shards=1, retry=retry) as service:
+        warm(service, kernel)
+        plan = chaos(FaultPlan(seed=0, crash_rate=1.0, max_injections=1))
+        future = service.submit(kernel)  # raises nothing
+        assert future.done() is (retry is None)
+        error = future.exception(timeout=30)
+        service.drain(timeout=10)
+        stats = service.stats()
+    assert plan.injected("crash") == 1
+    assert (stats.crashes, stats.restarts) == (0, 0)
+    if retry is None:
+        assert isinstance(error, ShardCrashed) and error.shard_index == 0
+        assert isinstance(error.__cause__, WorkerCrash)
+        assert (stats.failed, stats.retries) == (1, 0)
+    else:
+        assert error is None and future.result().extras["attempts"] == 2
+        assert (stats.failed, stats.retries) == (0, 1)
 
 
 def test_a_tripped_breaker_never_settles_inline(recorder):

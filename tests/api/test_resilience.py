@@ -22,8 +22,9 @@ from repro.api.resilience import (
 )
 from repro.api.store import SharedStore
 from repro.api.types import CompiledArtifact
-from repro.faults import FaultPlan
 from repro.hmm.model import HMM
+
+from tests.chaos import FaultPlan
 
 
 class TestResolveDeadline:
@@ -80,11 +81,11 @@ class TestRetryPolicy:
         with pytest.raises(TypeError, match=field):
             RetryPolicy(max_attempts=2, **{field: 1.0})
 
-    def test_a_retry_on_the_only_shard_replays_there(self):
+    def test_a_retry_on_the_only_shard_replays_there(self, chaos):
         """With no other shard to take it, a replay is requeued on the
         shard whose attempt failed, and resolves."""
-        plan = FaultPlan(seed=0, execute_error_rate=1.0, max_injections=1)
-        with ReasonService(shards=1, retry=RetryPolicy(max_attempts=3), faults=plan) as service:
+        chaos(FaultPlan(seed=0, execute_error_rate=1.0, max_injections=1))
+        with ReasonService(shards=1, retry=RetryPolicy(max_attempts=3)) as service:
             future = service.submit(HMM.random(4, 3, seed=1))
             report = future.result(timeout=30)
             service.drain(timeout=30)

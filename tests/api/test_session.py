@@ -131,7 +131,7 @@ class TestBackends:
 
 class TestPublicSurface:
     def test_top_level_imports(self):
-        assert repro.__version__ == "1.43.0"
+        assert repro.__version__ == "1.44.0"
         for name in (
             "ReasonSession",
             "ReasonService",
@@ -157,9 +157,18 @@ class TestPublicSurface:
         session = inspect.signature(ReasonSession).parameters
         service = inspect.signature(ReasonService).parameters
         assert "cache" not in session and "cache" not in service
-        assert "cost_model" not in service and len(service) == 12
+        assert "cost_model" not in service and len(service) == 11
         with pytest.raises(TypeError):
             ReasonSession().run(random_ksat(6, 18, seed=1), span=object())
         assert ReasonSession(store="shared")._cache.store is not None
         with ReasonService(shards=1, store="shared") as built:
             assert built.store is not None
+
+    def test_a_fault_plan_is_no_argument(self):
+        """A chaos drill wraps the backend, adapter and store it breaks:
+        neither constructor takes a plan, and the package exports none."""
+        with pytest.raises(TypeError, match="faults"):
+            ReasonSession(faults=None)
+        with pytest.raises(TypeError, match="faults"):
+            ReasonService(faults=None)
+        assert not hasattr(repro, "FaultPlan") and not hasattr(repro, "FaultInjected")

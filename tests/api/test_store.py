@@ -25,9 +25,9 @@ from repro.api import (
 from repro.api.store import ArtifactStore, _OnceGuard
 from repro.api.types import CompiledArtifact
 from repro.core.dag import Dag
-from repro.faults import corrupt_disk_entry
 from repro.logic.generators import random_ksat
 
+from tests.chaos import corrupt_disk_entry
 from tests.corpus import build, serve, stub_artifact
 
 

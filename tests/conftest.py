@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.compiler import compile_dag
 
-from tests import corpus
+from tests import chaos as chaos_drill, corpus
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,13 @@ def overflow_schedule():
     against :data:`~tests.corpus.TINY_REGFILE` (the scheduler suite
     pins spills=99, reloads=63, loads=182 on this pair)."""
     return compile_dag(corpus.build("overflow")[0], corpus.TINY_REGFILE)
+
+
+@pytest.fixture
+def chaos(monkeypatch):
+    """Arms a :class:`~tests.chaos.FaultPlan` for this test only:
+    ``chaos(plan)`` wraps every registered backend and adapter in it
+    (``monkeypatch.setitem``, as the ``gate`` fixture registers its
+    backend) and returns the plan.  A store fault needs the plan's
+    :class:`~tests.chaos.ChaosStore` passed as ``store=``."""
+    return lambda plan: chaos_drill.arm(monkeypatch, plan)

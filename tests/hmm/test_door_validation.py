@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.dag.pruning import prune_hmm_by_posterior
-from repro.hmm.inference import log_likelihood, log_likelihoods, posteriors
+from repro.hmm.inference import backward, forward, log_likelihood, log_likelihoods, posteriors
 from repro.hmm.learn import baum_welch
 from repro.hmm.model import HMM
 
@@ -59,6 +59,30 @@ class TestBadSymbols:
             prune_hmm_by_posterior(hmm, [[0, 1], [1, 2, 6]])
         assert str(raised.value) == outside(2, 6)
 
+    @pytest.mark.parametrize(
+        "observations, position, symbol",
+        [
+            ([1.5, 2], 0, 1.5),
+            ([0, 2.0], 1, 2.0),
+            ([True, False], 0, True),
+            ([1, np.bool_(False)], 1, np.bool_(False)),
+            ([2, np.float64(1.0)], 1, np.float64(1.0)),
+        ],
+        ids=["float", "integral-float", "bool", "numpy-bool", "numpy-float"],
+    )
+    def test_a_symbol_is_an_integer(self, hmm, observations, position, symbol):
+        with pytest.raises(ValueError) as raised:
+            log_likelihood(hmm, observations)
+        assert str(raised.value) == outside(position, symbol)
+        with pytest.raises(ValueError) as raised:
+            baum_welch(hmm, [[0, 1], observations], iterations=2)
+        assert str(raised.value) == outside(position, symbol)
+
+    def test_numpy_integers_are_symbols(self, hmm):
+        expected = log_likelihood(hmm, [0, 3, 1])
+        assert log_likelihood(hmm, np.array([0, 3, 1])) == expected
+        assert log_likelihood(hmm, [np.int64(0), np.uint8(3), np.int32(1)]) == expected
+
 
 class TestEmptySequences:
     def test_baum_welch_skips_them_between_lengths(self, hmm):
@@ -73,9 +97,16 @@ class TestEmptySequences:
         for table in ("initial", "transition", "emission"):
             np.testing.assert_array_equal(getattr(padded, table), getattr(clean, table))
 
-    def test_baum_welch_needs_a_sequence(self, hmm):
+    @pytest.mark.parametrize("sequences", [[], [[]], [[], []]])
+    def test_baum_welch_needs_a_sequence(self, hmm, sequences):
         with pytest.raises(ValueError, match="baum_welch needs at least one sequence"):
-            baum_welch(hmm, [])
+            baum_welch(hmm, sequences)
+
+    def test_the_passes_over_an_empty_sequence_are_empty(self, hmm):
+        alpha, scales = forward(hmm, [])
+        assert alpha.shape == (0, hmm.num_states) and scales.shape == (0,)
+        for empty in (backward(hmm, [], scales), posteriors(hmm, [])):
+            assert empty.shape == alpha.shape and empty.dtype == alpha.dtype
 
 
 def test_log_likelihoods_is_log_likelihood_of_each(hmm):

@@ -18,10 +18,11 @@ from repro.api.session import ReasonSession
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.system.pipeline import PipelineResult
 from repro.core.system.sharding import ShardComposition
-from repro.faults import FaultPlan
 from repro.logic.generators import random_ksat
 from repro.metrics import Histogram, MetricsRegistry, RequestSpan, SpanLog
 from repro.pc.learn import random_circuit
+
+from tests.chaos import FaultPlan
 
 
 def _kernels():
@@ -166,9 +167,9 @@ class TestServiceMetrics:
         assert span.error == "DeadlineExceeded: the user's own"
         assert (stats.failed, stats.expired) == (1, 0)
 
-    def test_missed_deadline_span(self):
-        slow = FaultPlan(latency_rate=1.0, latency_s=0.5)  # outlasts the budget
-        with ReasonService(shards=1, metrics=True, faults=slow) as service:
+    def test_missed_deadline_span(self, chaos):
+        chaos(FaultPlan(latency_rate=1.0, latency_s=0.5))  # outlasts the budget
+        with ReasonService(shards=1, metrics=True) as service:
             future = service.submit(random_ksat(10, 30, seed=0), deadline_s=0.05)
             with pytest.raises(resilience.DeadlineExceeded):
                 future.result(timeout=30)
@@ -180,14 +181,12 @@ class TestServiceMetrics:
         assert (stats.failed, stats.expired) == (1, 1)
         assert span.started_at > 0.0 and span.execute_s == 0.0
 
-    def test_rerouted_retry_span_carries_the_final_shard(self):
+    def test_rerouted_retry_span_carries_the_final_shard(self, chaos):
         # Round-robin opens on shard 0; its one injected fault sends the
         # retry to the only other shard.
+        chaos(FaultPlan(seed=1, execute_error_rate=1.0, max_injections=1))
         with ReasonService(
-            shards=2,
-            metrics=True,
-            retry=resilience.RetryPolicy(max_attempts=3),
-            faults=FaultPlan(seed=1, execute_error_rate=1.0, max_injections=1),
+            shards=2, metrics=True, retry=resilience.RetryPolicy(max_attempts=3)
         ) as service:
             future = service.submit(random_ksat(12, 40, seed=1))
             report = future.result(timeout=30)

@@ -77,21 +77,11 @@ ALLOWLIST = {
     "CDCLSolver(restart_base)": "the Luby restart unit a pinned search sets",
     "CDCLSolver(clause_db_limit)": "the learned-clause cap a pinned search sets",
     # Collaborators tests substitute with fakes, and deployment settings.
-    "ReasonService(faults)": "the chaos schedule a drill injects",
     "ReasonService(retry)": "the retry policy a deployment chooses",
     "ReasonService(breaker)": "the per-shard circuit breaker factory a deployment tunes",
     "ReasonService(config)": "the accelerator configuration served",
     "ReasonService(stats_window)": "how many settled requests stats() summarizes",
     "ResilientStore(breaker)": "the circuit breaker guarding a store",
-    "FaultPlan(seed)": "the chaos schedule's root seed",
-    "FaultPlan(compile_error_rate)": "a chaos drill's compile fault rate",
-    "FaultPlan(execute_error_rate)": "a chaos drill's execution fault rate",
-    "FaultPlan(latency_rate)": "a chaos drill's slow-execution rate",
-    "FaultPlan(latency_s)": "how long a slow execution sleeps",
-    "FaultPlan(crash_rate)": "a chaos drill's worker crash rate",
-    "FaultPlan(store_error_rate)": "a chaos drill's store fault rate",
-    "FaultPlan(store_corrupt_rate)": "a chaos drill's disk corruption rate",
-    "FaultPlan(max_injections)": "caps each site's injected faults",
     # Waits: synchronisation code bounds them.
     "ReasonService.drain(timeout)": "bounds a wait for admitted work",
     "ReasonService.close(wait)": "whether close waits for the workers",

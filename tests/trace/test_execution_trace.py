@@ -13,7 +13,6 @@ from repro.api.service import ReasonService
 from repro.core.arch.accelerator import ReasonAccelerator
 from repro.core.compiler.program import InstructionKind
 from repro.core.dag import default_leaf_inputs
-from repro.faults import FaultPlan
 from repro.logic.generators import pigeonhole, random_ksat
 from repro.pc.learn import random_circuit
 from repro.trace import (
@@ -26,6 +25,8 @@ from repro.trace import (
     cycle_histogram,
     phase_breakdown,
 )
+
+from tests.chaos import FaultPlan
 
 
 class TestTracingIsObservationOnly:
@@ -311,15 +312,12 @@ class TestApiPlumbing:
         assert [entry.name for entry in tmp_path.iterdir()] == ["run.trace"]
         assert cross_validate(path, report).ok
 
-    def test_retried_execute_fault_leaves_only_whole_traces(self, tmp_path):
+    def test_retried_execute_fault_leaves_only_whole_traces(self, tmp_path, chaos):
         # An injected execute fault fires before the backend opens its
         # writer; after the retry the directory holds whole traces only.
-        plan = FaultPlan(seed=1, execute_error_rate=1.0, max_injections=1)
+        plan = chaos(FaultPlan(seed=1, execute_error_rate=1.0, max_injections=1))
         with ReasonService(
-            shards=1,
-            trace_dir=tmp_path / "traces",
-            faults=plan,
-            retry=RetryPolicy(max_attempts=3),
+            shards=1, trace_dir=tmp_path / "traces", retry=RetryPolicy(max_attempts=3)
         ) as service:
             future = service.submit(random_ksat(20, 80, seed=9), trace=True)
             report = future.result(timeout=30)
