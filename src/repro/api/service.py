@@ -1058,8 +1058,8 @@ class ReasonService:
 
     def _expire(self, item: _WorkItem) -> None:
         """The request's budget ran out — while queued or executing.
-        Called by its armed timer, and by a worker that dequeues it
-        late."""
+        Called by its armed timer, and by a run that starts or ends
+        past it (an inline run has no timer)."""
         self._settle(
             item,
             "deadline",
@@ -1131,7 +1131,8 @@ class ReasonService:
 
     def _execute(self, shard: _Shard, item: _WorkItem) -> None:
         deadline_s = item.request.deadline_s
-        if deadline_s is not None and time.perf_counter() - item.admitted_at >= deadline_s:
+        due = None if deadline_s is None else item.admitted_at + deadline_s
+        if due is not None and time.perf_counter() >= due:
             # Expired while queued: shed before spending execution on a
             # request whose caller has already timed out.
             self._expire(item)
@@ -1157,7 +1158,12 @@ class ReasonService:
             self._retry_or_fail(item, exc)
         else:
             shard.breaker.record_success()
-            self._settle(item, "ok", report)
+            if due is not None and time.perf_counter() >= due:
+                # Ran past its budget.  A queued run's timer settles it
+                # so; an inline run has no timer yet, and settles alike.
+                self._expire(item)
+            else:
+                self._settle(item, "ok", report)
 
     def _worker_died(
         self, shard: _Shard, item: _WorkItem, crash: BaseException

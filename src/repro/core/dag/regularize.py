@@ -1,13 +1,13 @@
 """Stage 3: two-input DAG regularization (paper Sec. IV-C).
 
 Nodes with fan-in > 2 are recursively decomposed into balanced binary
-trees of two-input intermediate nodes of the same op.  A SUM node of
-fan-in > 2 gives each child whose weight differs from 1 a unary
-weighted SUM of its own, then adds the scaled children with a balanced
-tree of unweighted two-input SUMs, preserving the computed function
-exactly.  A SUM of fan-in ≤ 2 is copied with its weights.  The
-canonical form gives every kernel the same shape as REASON's binary
-tree PEs.
+trees of two-input intermediate nodes of the same op, n - 1 of them
+for fan-in n.  A SUM's tree carries its child weights, as a tree PE's
+SUM takes one weight per child: a child of the input SUM enters its
+slot with its own weight, and an intermediate SUM enters its parent's
+with weight 1, so the weights cost no node of their own.  A node of
+fan-in ≤ 2 is copied, a SUM with its weights.  The canonical form
+gives every kernel the same shape as REASON's binary tree PEs.
 
 The rewrite walks the input's node order — its
 :meth:`~repro.core.dag.graph.Dag.plan`'s, or the same depth-first
@@ -19,13 +19,13 @@ order.  ``optimize`` rewrites a circuit's or HMM's columns
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from itertools import repeat
+from typing import Sequence, Tuple
 
 from repro.core.dag.graph import Dag, DagColumns, OpType
 
 # Ops where an n-ary node equals a balanced tree of 2-ary nodes.
 _ASSOCIATIVE = frozenset({OpType.OR, OpType.AND, OpType.SUM, OpType.PRODUCT})
-_ONES = (1.0, 1.0)  # the weights of an unweighted two-input SUM
 
 
 def is_two_input(dag: Dag) -> bool:
@@ -36,11 +36,11 @@ def is_two_input(dag: Dag) -> bool:
 def regularize_two_input(dag: Dag) -> Dag:
     """Return an equivalent DAG whose every node has fan-in ≤ 2.
 
-    The rewrite is semantics-preserving for associative ops; a SUM node
-    first multiplies each child by its weight (expressed as a unary
-    weighted SUM when the weight differs from 1), then reduces with a
-    balanced tree of unweighted two-input SUMs, keeping depth at
-    ``ceil(log2 fan_in)`` extra levels.
+    The rewrite is semantics-preserving for associative ops: a node of
+    fan-in n > 2 becomes a balanced tree of n - 1 two-input nodes,
+    ``ceil(log2 n)`` levels deep.  A SUM's tree weights each input
+    child in the slot that reads it and each intermediate SUM by 1, so
+    it adds no one-child node.
     """
     plan = dag.plan()
     columns = DagColumns(plan.ops, plan.children, plan.payloads, plan.weights, dag.root)
@@ -55,34 +55,31 @@ def two_input(columns: DagColumns, order: Sequence[int]) -> Dag:
     add_op = out.add_op
     sum_op = OpType.SUM
 
-    def balanced_reduce(op: OpType, children: List[int]) -> int:
-        if len(children) == 1:
-            return children[0]
-        if len(children) > 2:
-            mid = (len(children) + 1) // 2
-            children = [
-                balanced_reduce(op, children[:mid]),
-                balanced_reduce(op, children[mid:]),
-            ]
-        return add_op(op, children, weights=_ONES if op is sum_op else None)
+    def balanced_reduce(op: OpType, pairs: Sequence[Tuple[int, float]]) -> Tuple[int, float]:
+        # A lone (child, weight) pair gives its weight to its parent's
+        # slot; a two-input node built here takes its two slots' weights
+        # and enters its own parent's slot with weight 1.
+        if len(pairs) == 1:
+            return pairs[0]
+        if len(pairs) > 2:
+            mid = (len(pairs) + 1) // 2
+            pairs = (balanced_reduce(op, pairs[:mid]), balanced_reduce(op, pairs[mid:]))
+        (left, left_weight), (right, right_weight) = pairs
+        weights = (left_weight, right_weight) if op is sum_op else None
+        return add_op(op, (left, right), weights=weights), 1.0
 
     ops, children_of, payloads, weights_of, root = columns
     mapped = [-1] * len(ops)  # input id -> output id
     remap = mapped.__getitem__
     for node_id in order:
         op, kids = ops[node_id], children_of[node_id]
+        weights = weights_of[node_id] if op is sum_op else None
         if len(kids) <= 2 or op not in _ASSOCIATIVE:
             # A copy of the node over the new ids.
-            weights = weights_of[node_id] if op is sum_op else None
             mapped[node_id] = add_op(op, map(remap, kids), payloads[node_id], weights)
-        elif op is sum_op:
-            scaled = [
-                child if weight == 1.0 else add_op(sum_op, (child,), weights=(weight,))
-                for child, weight in zip(map(remap, kids), weights_of[node_id])
-            ]
-            mapped[node_id] = balanced_reduce(sum_op, scaled)
         else:
-            mapped[node_id] = balanced_reduce(op, list(map(remap, kids)))
+            pairs = list(zip(map(remap, kids), weights or repeat(1.0)))
+            mapped[node_id] = balanced_reduce(op, pairs)[0]
 
     out.set_root(mapped[root])
     return out

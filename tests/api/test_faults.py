@@ -385,6 +385,26 @@ class TestDeadlines:
         assert span.status == "deadline"
         assert span.e2e_s >= 0.05
 
+    def test_an_inline_hit_that_overruns_its_deadline_expires(self, chaos):
+        """A warm hit on an idle shard settles on the submitting thread,
+        before any timer is armed: the run checks the budget when it
+        ends, so it resolves as the same request queued would."""
+        kernel = random_ksat(10, 30, seed=0)
+        chaos(FaultPlan(seed=0, latency_rate=1.0, latency_s=0.3))
+        with ReasonService(shards=1) as service:
+            service.submit(kernel).result(timeout=30)  # warms the shard
+            wait_idle(service)
+            future = service.submit(kernel, deadline_s=0.05)
+            assert future.done()  # settled inline
+            with pytest.raises(DeadlineExceeded):
+                future.result(timeout=0)
+            service.drain(timeout=15)
+            span = service.spans()[-1]
+            stats = service.stats()
+        assert span.status == "deadline"
+        assert span.e2e_s >= 0.3
+        assert (stats.completed, stats.expired, stats.failed) == (1, 1, 1)
+
     def test_batch_deadline_plumbing(self):
         with ReasonService(shards=2) as service:
             futures = service.submit_batch(

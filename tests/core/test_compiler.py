@@ -329,7 +329,7 @@ class TestTreePlacement:
         # one block at a time: both go through ``place_blocks``.
         config = ArchConfig(tree_depth=tree_depth)
         placed = 0
-        for name in corpus.probabilistic():
+        for name in [*corpus.probabilistic(), *corpus.FAMILIES["compiler"]]:
             kernel, options = corpus.build(name)
             program = ReasonSession(config=config).compile(kernel, **options).program
             by_id = {b.block_id: b for b in decompose_blocks(program.dag, tree_depth)}

@@ -44,6 +44,8 @@ from repro.pc.flows import dataset_edge_flows, flow_pruning_bound
 from repro.pc.inference import likelihood
 from repro.pc.learn import random_circuit, sample_dataset
 
+from tests import corpus
+
 
 class TestDagCore:
     def test_add_rejects_unknown_children(self):
@@ -287,46 +289,6 @@ class TestDagPlan:
             dag.plan()
 
 
-#: The associative ops: the ones regularization splits into binary trees.
-_WIDE_OPS = [OpType.SUM, OpType.PRODUCT, OpType.AND, OpType.OR]
-
-
-@st.composite
-def built_graphs(draw):
-    """``(op, children, payload or weights)`` per node of a random DAG:
-    leaves of each kind, then ops of fan-in 0-6 over any earlier nodes
-    (so children are shared and repeated).  A SUM's weights mix 1.0,
-    which regularization keeps as a plain edge, with other values, ints
-    among them, or are left to the default."""
-    specs = [
-        (OpType.LITERAL, [], 1),
-        (OpType.LEAF, [], (0, (0.5, 0.5))),
-        (OpType.INPUT, [], "x"),
-        (OpType.LEAF, [], None),
-    ]
-    weight = st.sampled_from([1.0, 1, 0.5, 0.25, 2.0])
-    for _ in range(draw(st.integers(min_value=0, max_value=30))):
-        op = draw(st.sampled_from(_WIDE_OPS + [OpType.NOT]))
-        fan_in = 1 if op is OpType.NOT else draw(st.integers(min_value=0, max_value=6))
-        children = [draw(st.integers(min_value=0, max_value=len(specs) - 1)) for _ in range(fan_in)]
-        weights = None
-        if op is OpType.SUM and draw(st.booleans()):
-            weights = [draw(weight) for _ in children]
-        specs.append((op, children, weights))
-    return specs
-
-
-def build_from_specs(specs) -> Dag:
-    dag = Dag()
-    for op, children, extra in specs:
-        if op in LEAF_OPS:
-            dag.add_op(op, payload=extra)
-        else:
-            dag.add_op(op, children, weights=extra)
-    dag.set_root(len(specs) - 1)
-    return dag
-
-
 def records(dag: Dag) -> list:
     """``(op, children, payload, weights)`` per node id, from the plan's
     columns."""
@@ -335,10 +297,15 @@ def records(dag: Dag) -> list:
 
 
 def reference_regularize(dag: Dag):
-    """``regularize_two_input`` as it was when a DAG was a dict of node
-    objects, over the columns: the output's :func:`records`, and its
-    root."""
+    """``regularize_two_input``'s rule, derived over the columns from the
+    rule it replaced: the old rewrite gave each SUM child whose weight is
+    not 1 a one-child weighted SUM of its own, then reduced with
+    unweighted two-input SUMs.  Folding each such one-child SUM into the
+    slot that reads it (its child and its weight take the slot) and
+    dropping it from the id order gives the output's :func:`records`,
+    and its root."""
     out = []
+    scaling = set()  # the one-child SUMs the old rule added
 
     def add(op, children, payload=None, weights=()):
         out.append((op, tuple(children), payload, tuple(weights)))
@@ -356,24 +323,36 @@ def reference_regularize(dag: Dag):
     for node_id in reference_topological_order(dag):
         op, weights = dag._ops[node_id], dag._weights[node_id]
         children = [mapped[c] for c in dag._children[node_id]]
-        if len(children) <= 2 or op not in _WIDE_OPS:
+        if len(children) <= 2 or op not in corpus.WIDE_OPS:
             mapped[node_id] = add(op, children, dag._payloads[node_id], weights)
         elif op is OpType.SUM:
-            scaled = [
-                child if weight == 1.0 else add(OpType.SUM, [child], weights=[weight])
-                for child, weight in zip(children, weights)
-            ]
+            scaled = []
+            for child, weight in zip(children, weights):
+                if weight != 1.0:
+                    child = add(OpType.SUM, [child], weights=[weight])
+                    scaling.add(child)
+                scaled.append(child)
             mapped[node_id] = balanced_reduce(OpType.SUM, scaled)
         else:
             mapped[node_id] = balanced_reduce(op, children)
-    return out, mapped[dag.root]
+
+    kept = [node for node in range(len(out)) if node not in scaling]
+    renumber = {node: index for index, node in enumerate(kept)}
+    folded = []
+    for node in kept:
+        op, children, payload, weights = out[node]
+        if scaling.intersection(children):
+            weights = tuple(out[c][3][0] if c in scaling else w for c, w in zip(children, weights))
+            children = tuple(out[c][1][0] if c in scaling else c for c in children)
+        folded.append((op, tuple(renumber[c] for c in children), payload, weights))
+    return folded, renumber[mapped[dag.root]]
 
 
 class TestDagColumns:
     @settings(max_examples=200, deadline=None)
-    @given(built_graphs())
+    @given(corpus.built_graphs())
     def test_property_columns_equal_the_graph_as_built(self, specs):
-        dag = build_from_specs(specs)
+        dag = corpus.build_from_specs(specs)
         expected = []
         for op, children, extra in specs:
             if op in LEAF_OPS:
@@ -389,9 +368,9 @@ class TestDagColumns:
         assert dag.plan().order == reference_topological_order(dag)
 
     @settings(max_examples=200, deadline=None)
-    @given(built_graphs())
+    @given(corpus.built_graphs())
     def test_property_regularize_equals_the_node_object_rewrite(self, specs):
-        dag = build_from_specs(specs)
+        dag = corpus.build_from_specs(specs)
         regular = regularize_two_input(dag)
         nodes, root = reference_regularize(dag)
         assert records(regular) == nodes

@@ -9,7 +9,11 @@ Their sizes are pinned beside them, and so are ``optimize``'s
 footprints and flow-pruning reports for the six probabilistic trace
 kernels.  The keys, sizes and footprints were recorded at 5701673,
 while a DAG was still a dict of node objects; a change to how a DAG is
-stored must pass them unedited.
+stored must pass them unedited.  The two regularized DAGs' keys and
+sizes were re-recorded when a SUM's balanced reduction began carrying
+its children's weights, so that regularization no longer adds a
+one-child SUM per weighted child; the footprints and reports did not
+move.
 
 ``optimize`` counts a pruned circuit's ``nodes_after`` and
 ``edges_after`` on the columns it lowers from, not on the pruned
@@ -47,12 +51,12 @@ PINNED = {
         (241, 640, 881, 160, 2),
     ),
     "circuit/rand-10": (
-        "fee5e028f0dcc84e61bbf23585292793cc0a11d09336d06227cfdcc758d15a88",
-        (403, 402, 933, 2, 14),
+        "b58a4027f54fce4fc311970510e2686e7b5e4e5b1b061e5da1b01ff7db13dd67",
+        (358, 357, 798, 2, 11),
     ),
     "hmm/rand-12": (
-        "7d252445758c6413cd047e2569c363031c13f9e135a1d1abdf5999b78b50ba62",
-        (3335, 4786, 12643, 2, 71),
+        "34819e1779df242562b4d3a4890690c227ed710bfe1af2adc61ffc9deaf3b95f",
+        (1751, 3202, 7891, 2, 60),
     ),
     "hand": (
         "c3dea371bf6bd89cd3c713e2bf2192d1640106fae2a22be80969c936df11671a",

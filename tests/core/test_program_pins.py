@@ -9,7 +9,10 @@ placement), a register file small enough to spill, reload and conflict
 (bank mapping and the spill path), and unpipelined issue (the drain
 gate).  They were recorded at b437139, before the compiler read its DAG
 through ``Dag.plan()``; a front-end change that keeps the compiler's
-output must pass them unedited.
+output must pass them unedited.  They were re-recorded when a SUM's
+balanced reduction began carrying its children's weights (no one-child
+SUM per weighted child): the programs shrank, and every answer stayed
+bit-identical.
 """
 
 import pytest
@@ -20,14 +23,14 @@ from tests import corpus
 
 #: (corpus entry, corpus config) -> ``corpus.program_digest``.
 PINNED = {
-    ("circuit/rand-10", "tree-depth-2"): "cd050204caab8e530bb9e3024142420b4921432c50370d27e28f1f26bf0cfde2",
-    ("hmm/rand-12", "tree-depth-2"): "b39aa6cf63663b7217e2ffb1f5611c56dabd56a45ce88adbb49a0d1bd3db4c0a",
-    ("circuit/rand-10", "tree-depth-4"): "fe28800eca6a2471f87246e9bb018b84c2310922ad68e2aad307157ca191c6a3",
-    ("hmm/rand-12", "tree-depth-4"): "68143067dff61b05eddc1b88603889bfd79086a2138ba233ab3240ad248dd483",
-    ("circuit/rand-10", "4-banks-x-4-regs"): "87ab5f7a2c8336c0a1e394f2b333792f29b3715464545e250d17fcd1e3a855eb",
-    ("hmm/rand-12", "4-banks-x-4-regs"): "1b9bd59d570098c7ecec988ee2c10b47481c7a894c80f9213d1c9fdddc9a0446",
-    ("circuit/rand-10", "unpipelined"): "07581cc74d23de126953733f5b3fe390e817a9a5c81bcc4a7fb9f4fd288377c5",
-    ("hmm/rand-12", "unpipelined"): "e69e9dd8340bf681b0f2042eed7a312c49ff1fcb852bb407294b38f2efe8a38d",
+    ("circuit/rand-10", "tree-depth-2"): "6c5f780a811b4da88c46c3ffd9f533183b942fa749ae7e57928a93e25b5f488e",
+    ("hmm/rand-12", "tree-depth-2"): "50b2c461881f3521198fe8e8b94a6f2fd7c4fec5a11ab699cf7f4c83dc6e8874",
+    ("circuit/rand-10", "tree-depth-4"): "521b9588b4280cf9e66bf31f615972197b636c5cc2ea2e2ab55f708192b5b2a7",
+    ("hmm/rand-12", "tree-depth-4"): "706019a36bb4216ca922615a4bb8a0e2d86422537cf0fb1dac3615af6c77ec10",
+    ("circuit/rand-10", "4-banks-x-4-regs"): "cff7bdcecb2e7fd9b007009a1b842fcc67248dce856d84beb154014856b0a696",
+    ("hmm/rand-12", "4-banks-x-4-regs"): "491648c3ffbf760853675095c95698d1c139c16fb3eb189432eec848b63e8700",
+    ("circuit/rand-10", "unpipelined"): "8a285426ed6eb1a5e35331af7da2062b90c343f85d142ddea8398b9c381877dc",
+    ("hmm/rand-12", "unpipelined"): "960bdc8f65ffa3858ea679146e9a362106591af0dd76d692658ccbed20bc4704",
 }
 
 

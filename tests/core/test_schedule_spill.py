@@ -40,6 +40,8 @@ from repro.core.dag import circuit_to_dag, default_leaf_inputs
 from repro.hmm.model import HMM
 from repro.pc.learn import random_circuit
 
+from tests import corpus
+
 # The spill-heavy kernel/config pair and its compiled schedule come
 # from the shared session fixtures in tests/conftest.py
 # (``overflow_schedule`` / ``tiny_regfile``), which the trace suite's
@@ -64,9 +66,12 @@ class TestSpillReloadStability:
         # loads=182).  Reloading evicted intermediates adds RELOADs;
         # pinning a block's own inputs against sibling eviction
         # removes the evict-then-immediately-reload churn, so spills
-        # land *below* the pre-fix count.
-        assert stats.schedule.spills == 99
-        assert stats.schedule.reloads == 63
+        # land *below* the pre-fix count.  Re-recorded (from 99, 63,
+        # 182) when a SUM's reduction began carrying its children's
+        # weights: the kernel lost its one-child SUMs, and every
+        # register-file rule below still runs on its spills.
+        assert stats.schedule.spills == 71
+        assert stats.schedule.reloads == 47
         assert stats.schedule.loads == 182
 
     def test_scheduled_cycles_and_nops_stable(self, overflow_schedule):
@@ -74,8 +79,8 @@ class TestSpillReloadStability:
         # Issue timing is untouched by the fix: RELOADs are data
         # movement, not compute issue, so the COMPUTE schedule (and
         # its NOP padding) matches the pre-fix scheduler exactly.
-        assert stats.schedule.cycles == 63
-        assert stats.schedule.nops == 21
+        assert stats.schedule.cycles == 51
+        assert stats.schedule.nops == 18
 
     def test_emitted_instruction_mix_stable(self, overflow_schedule):
         program, _ = overflow_schedule
@@ -84,10 +89,10 @@ class TestSpillReloadStability:
             kinds[instruction.kind] = kinds.get(instruction.kind, 0) + 1
         assert kinds == {
             InstructionKind.LOAD: 182,
-            InstructionKind.SPILL: 99,
-            InstructionKind.RELOAD: 63,
-            InstructionKind.COMPUTE: 72,
-            InstructionKind.NOP: 21,
+            InstructionKind.SPILL: 71,
+            InstructionKind.RELOAD: 47,
+            InstructionKind.COMPUTE: 53,
+            InstructionKind.NOP: 18,
         }
 
     def test_reloads_charge_cycles_and_energy(self, overflow_schedule, tiny_regfile):
@@ -304,15 +309,17 @@ def register_file_mismatches(program, config):
 
 
 class TestRegisterFile:
-    """The register rules, checked on every instruction of the spill
-    kernel and of the calibrated-HMM sweep by replaying each program on
-    a model register file (the scheduler keeps its register file in
-    locals, so the stream is where its rules show)."""
+    """The register rules, checked on every instruction of the two
+    spill kernels (the corpus's ``overflow`` circuit and ``hmm``, on the
+    2x3 register file) and of the calibrated-HMM sweep by replaying
+    each program on a model register file (the scheduler keeps its
+    register file in locals, so the stream is where its rules show)."""
 
     @pytest.fixture
     def programs(self, overflow_schedule, tiny_regfile, calibrated_hmm_sweep):
         config, compiled = calibrated_hmm_sweep
-        return [(overflow_schedule[0], tiny_regfile)] + [
+        hmm_program, _ = compile_dag(corpus.build("hmm")[0], tiny_regfile)
+        return [(overflow_schedule[0], tiny_regfile), (hmm_program, tiny_regfile)] + [
             (artifact.program, config) for _, artifact, _ in compiled
         ]
 
@@ -323,4 +330,4 @@ class TestRegisterFile:
             mismatches = register_file_mismatches(program, config)
             assert [site for kind, site in mismatches if kind == rule] == []
             spills += sum(i.kind is InstructionKind.SPILL for i in program.instructions)
-        assert spills >= 99  # the spill kernel's alone
+        assert spills >= 99  # the two spill kernels' alone

@@ -10,7 +10,8 @@ The pin tables of ``tests/`` (recorded reports, programs and traces,
 DAG keys and sizes, prune reports, search pins, verifier findings) key
 into :data:`FAMILIES` by name, so changing a builder here means
 re-recording every pin of that name.  ``tests/test_corpus.py`` holds the
-corpus to that contract.
+corpus to that contract.  The Hypothesis strategy of random DAGs the DAG
+suites share (:func:`built_graphs`) lives here too.
 """
 
 import copy
@@ -20,12 +21,14 @@ import itertools
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.api.adapters import RunOptions, adapter_for
 from repro.api.types import CompiledArtifact
 from repro.core.arch.config import DEFAULT_CONFIG
 from repro.core.compiler.program import InstructionKind, VLIWInstruction
 from repro.core.dag import Dag, OpType, circuit_to_dag, hmm_to_dag
+from repro.core.dag.graph import LEAF_OPS
 from repro.hmm.model import HMM
 from repro.logic.cnf import CNF, Clause
 from repro.logic.generators import (
@@ -161,6 +164,47 @@ def _hand_dag() -> Dag:
     return dag
 
 
+#: The associative ops: the ones regularization splits into binary trees.
+WIDE_OPS = (OpType.SUM, OpType.PRODUCT, OpType.AND, OpType.OR)
+
+
+@st.composite
+def built_graphs(draw, min_fan_in: int = 0):
+    """``(op, children, payload or weights)`` per node of a random DAG
+    (Hypothesis): leaves of each kind, then ops of fan-in
+    ``min_fan_in``-6 over any earlier nodes (so children are shared and
+    repeated).  A SUM's weights mix 1.0 with other values, ints among
+    them, or are left to the default."""
+    specs = [
+        (OpType.LITERAL, [], 1),
+        (OpType.LEAF, [], (0, (0.5, 0.5))),
+        (OpType.INPUT, [], "x"),
+        (OpType.LEAF, [], None),
+    ]
+    weight = st.sampled_from([1.0, 1, 0.5, 0.25, 2.0])
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        op = draw(st.sampled_from([*WIDE_OPS, OpType.NOT]))
+        fan_in = 1 if op is OpType.NOT else draw(st.integers(min_value=min_fan_in, max_value=6))
+        children = [draw(st.integers(min_value=0, max_value=len(specs) - 1)) for _ in range(fan_in)]
+        weights = None
+        if op is OpType.SUM and draw(st.booleans()):
+            weights = [draw(weight) for _ in children]
+        specs.append((op, children, weights))
+    return specs
+
+
+def build_from_specs(specs) -> Dag:
+    """The DAG :func:`built_graphs` drew, rooted at its last node."""
+    dag = Dag()
+    for op, children, extra in specs:
+        if op in LEAF_OPS:
+            dag.add_op(op, payload=extra)
+        else:
+            dag.add_op(op, children, weights=extra)
+    dag.set_root(len(specs) - 1)
+    return dag
+
+
 # ------------------------------------------------------------- search
 
 
@@ -181,7 +225,8 @@ def _graph_php(index: int) -> CNF:
 #: family -> name -> builder of a fresh ``(kernel, options)``.  For the
 #: ``tiny``, ``full`` and ``small`` families the options are
 #: ``ReasonSession.run`` keywords; a ``search`` entry's are its solver
-#: kwargs; a ``verifier`` or ``dag`` entry is a raw DAG.
+#: kwargs; a ``verifier`` or ``dag`` entry is a raw DAG.  The
+#: ``compiler`` family's options are ``run`` keywords too.
 FAMILIES = {
     # The mixed cold trace the report, program and trace pins record.
     "tiny": {
@@ -254,6 +299,8 @@ FAMILIES = {
     },
     # Every op a raw DAG request can carry.
     "dag": {"hand": lambda: (_hand_dag(), {})},
+    # A larger calibrated HMM, for walks that count compiled blocks.
+    "compiler": {"hmm/rand-16": lambda: _hmm_calibrated(HMM.random(16, 8, seed=3))},
 }
 
 ENTRIES = {name: builder for family in FAMILIES.values() for name, builder in family.items()}
