@@ -544,6 +544,11 @@ class HmmAdapter(KernelAdapter):
         return math.exp(hmm_log_likelihood(artifact.model, artifact.extras["observations"]))
 
 
+#: The ops that combine their children: one with none has no value
+#: the accelerator can compute.
+_OP_NODES = frozenset((OpType.SUM, OpType.PRODUCT, OpType.AND, OpType.OR, OpType.NOT))
+
+
 class DagAdapter(KernelAdapter):
     """Raw unified DAGs: compile directly (regularizing when needed)."""
 
@@ -571,13 +576,19 @@ class DagAdapter(KernelAdapter):
         return b"".join(parts)
 
     def prepare(self, kernel: Dag, options: RunOptions, config: ArchConfig) -> CompiledArtifact:
-        """Reject a NaN or infinite SUM weight or LEAF probability of a
-        reachable node (a built Circuit or HMM is checked when constructed;
-        a raw DAG first here), then compile."""
+        """Reject a reachable node that holds a NaN or infinite SUM
+        weight or LEAF probability, or an op node (SUM, PRODUCT, AND,
+        OR, NOT) with no children (a built Circuit or HMM is checked
+        when constructed; a raw DAG first here), then compile."""
         plan = kernel.plan()
         for node_id in plan.order:
-            payload = plan.payloads[node_id]
-            table = payload[1] if plan.ops[node_id] is OpType.LEAF and payload is not None else ()
+            op, payload = plan.ops[node_id], plan.payloads[node_id]
+            if op in _OP_NODES and not plan.children[node_id]:
+                raise ValueError(
+                    f"DAG node {node_id} is a {op.name} with no children: an op node "
+                    "needs at least one input"
+                )
+            table = payload[1] if op is OpType.LEAF and payload is not None else ()
             if not all(map(math.isfinite, chain(plan.weights[node_id], table))):
                 raise ValueError(
                     f"DAG node {node_id} holds a NaN or infinite weight or leaf probability"

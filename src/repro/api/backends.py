@@ -56,11 +56,9 @@ class Backend(abc.ABC):
 
 
 def _trace_writer_for(spec):
-    """The run's own writer for ``RunOptions.trace``: None when tracing
-    is off (``None``/``False``), an in-memory writer for ``True``, a
-    file writer for a path."""
-    if spec is None or spec is False:
-        return None
+    """The run's own writer for a ``RunOptions.trace`` that turns
+    tracing on: an in-memory writer for ``True``, a file writer for a
+    path.  The caller reads ``None`` / ``False`` (off) itself."""
     from repro.trace.writer import TraceWriter
 
     return TraceWriter(None if spec is True else spec)
@@ -96,8 +94,8 @@ class ReasonBackend(Backend):
     name = "reason"
 
     def run(self, artifact, config=DEFAULT_CONFIG, queries=1, options=None):
-        options = options or DEFAULT_OPTIONS
-        writer = _trace_writer_for(options.trace)
+        spec = (options or DEFAULT_OPTIONS).trace
+        writer = None if spec is None or spec is False else _trace_writer_for(spec)
         summary = artifact.execution
         # Identity first: the dataclass __eq__ builds two tuples of
         # every field, and a warm request passes the very config its

@@ -17,9 +17,10 @@ same sharing across processes.  :class:`CacheStats` accounts per level:
 ``local_hits`` / ``shared_hits`` / ``misses`` / ``promotions``.
 
 The cache is thread-safe: every operation (lookup, insert, eviction,
-stats accounting) happens under one reentrant lock, so a session — or a
-:class:`~repro.api.service.ReasonService` shard — can be shared across
-threads without corrupting the LRU order or the hit/miss counters.
+stats accounting) happens under one lock, never taken twice by one
+thread, so a session — or a :class:`~repro.api.service.ReasonService`
+shard — can be shared across threads without corrupting the LRU order
+or the hit/miss counters.
 Compiles run *outside* that lock under a per-key in-flight guard, so
 concurrent requests for the same missing kernel compile it exactly
 once while unrelated keys proceed in parallel.
@@ -143,7 +144,7 @@ class CompileCache:
             check_count("capacity", capacity)
         self.capacity = capacity
         self.store = make_store(store)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._stats = CacheStats()
         self._entries: "OrderedDict[str, CompiledArtifact]" = OrderedDict()
         # In-flight compile guard for the store-less configuration

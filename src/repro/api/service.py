@@ -61,6 +61,7 @@ from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import InvalidStateError
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from numbers import Integral
 from types import MappingProxyType
 from typing import Callable, Deque, List, Optional, Union
@@ -117,6 +118,11 @@ _SPAN_HISTOGRAMS = (
 # ShardView's ``backend`` / ``busy_s`` are "reason" (every shard is a
 # REASON session) and 0.0.
 _NO_PREDICTION = MappingProxyType({})
+#: ``submit``'s default ``neural_s``: the one value it need not check.
+_NO_NEURAL_S = 0.0
+#: ``Request(*fields)`` in one C call: the named tuple's generated
+#: ``__new__`` is a Python function that builds this same tuple.
+_new_request = partial(tuple.__new__, Request)
 _SHARD_BACKEND = "reason"
 _NO_BUSY_S = 0.0
 
@@ -162,7 +168,7 @@ _OUTCOME_COUNTERS = {
 }
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)  # hashed by identity: the drain set holds it
 class _WorkItem:
     # What admission routed on: kernel, queries, neural_s, the deadline
     # budget (read only by the timer and the shed) and the fingerprint
@@ -599,16 +605,15 @@ class ReasonService:
         self._register_metrics()
         self._closed = False
         self._admission_lock = threading.Lock()  # serializes policy.select
-        # Admitted-but-unresolved futures, service-wide.  drain() waits
-        # on this condition instead of queue.join(): joins hang when a
-        # worker dies mid-item (task_done never comes) and don't cover
-        # deadline timers or requeued retries — the counter, decremented
-        # exactly once per item by whichever actor finishes it, does.
-        # The hot path enters the plain lock the condition wraps, which
-        # costs no Python-level __enter__ / __exit__.
-        self._outstanding_lock = threading.Lock()
-        self._drain_cond = threading.Condition(self._outstanding_lock)
-        self._outstanding = 0
+        # Admitted-but-unsettled requests, service-wide: what drain()
+        # waits out instead of a queue join, which would hang when a
+        # worker dies mid-item and would not cover deadline timers or
+        # requeued retries.  Admission adds the item and _settle, which
+        # every actor that finishes one goes through, discards it: each
+        # a single set operation the GIL makes atomic, so the request
+        # path takes no lock for it.  Only drain() takes the condition.
+        self._in_flight: set = set()
+        self._drain_cond = threading.Condition()
         self._drainers = 0  # drain() calls waiting: whom a settle wakes
         for shard in self._shards:
             self._start_worker(shard)
@@ -733,7 +738,7 @@ class ReasonService:
         kernel: object,
         backend: Optional[str] = None,
         queries: int = 1,
-        neural_s: float = 0.0,
+        neural_s: float = _NO_NEURAL_S,
         timeout: Optional[float] = None,
         deadline_s: Optional[float] = None,
         **option_kwargs,
@@ -763,9 +768,9 @@ class ReasonService:
         :class:`~repro.api.resilience.DeadlineExceeded`.
         """
         options = RunOptions(**option_kwargs) if option_kwargs else DEFAULT_OPTIONS
-        return self._submit(
-            kernel, options, backend, queries, neural_time(neural_s), timeout, deadline_s
-        )
+        if neural_s is not _NO_NEURAL_S:
+            neural_s = neural_time(neural_s)
+        return self._submit(kernel, options, backend, queries, neural_s, timeout, deadline_s)
 
     def submit_batch(
         self,
@@ -815,7 +820,8 @@ class ReasonService:
         if self._closed:
             self._reject("closed")
         check_count("queries", queries)
-        deadline_s = resolve_deadline(deadline_s)
+        if deadline_s is not None:
+            deadline_s = resolve_deadline(deadline_s)
         adapter = adapter_for(kernel)
         fingerprint = adapter.fingerprint(kernel, options, self.config)
         # trace=True on a service with a trace_dir resolves to a
@@ -825,10 +831,10 @@ class ReasonService:
         # untouched.
         if options.trace is True and self.trace_dir is not None:
             options = replace(options, trace=str(self.trace_path_for(fingerprint)))
-        request = Request(
+        request = _new_request((
             kernel, options, adapter.kind, fingerprint, backend, queries, neural_s,
             _NO_PREDICTION, deadline_s,
-        )  # fmt: skip
+        ))  # fmt: skip
         with self._admission_lock:
             index = self.policy.select(request, self._views)
             if not 0 <= index < len(self._shards):
@@ -864,8 +870,7 @@ class ReasonService:
             item = _WorkItem(request, "reason" if backend is None else backend, future, shard)
         # From here the item counts for drain(); _settle is the only
         # code that takes it off again, served or rejected.
-        with self._outstanding_lock:
-            self._outstanding += 1
+        self._in_flight.add(item)
         # A warm hit on an idle shard settles here; the rest queue, and
         # backpressure may block.
         refused = "" if claimed and self._run_inline(shard, item) else shard.offer(item, timeout)
@@ -902,7 +907,9 @@ class ReasonService:
         breaker admitting, the shard accepting, its queue empty and
         nobody running on it — so it never overtakes a queued request.
         It runs only on a hit in the shard's local LRU, checked now
-        that the flag is held, when no other run can evict.
+        that the flag is held: only a run on the shard inserts or
+        evicts, so the entry read here without the cache's lock is
+        still there when the run looks it up.
         A hit is claimed here without the future's own transition: the
         future has not left this thread, so nobody can cancel it, and it
         goes from pending straight to done — born resolved, written in
@@ -913,7 +920,7 @@ class ReasonService:
         (:class:`~repro.api.resilience.WorkerCrash`) kills no worker:
         it fails the attempt as a :class:`ShardCrashed`, retried or
         failed like any transient error, and restarts nothing."""
-        hit = item.request.fingerprint in shard.session._cache
+        hit = item.request.fingerprint in shard.session._cache._entries
         try:
             if hit:
                 item.state, item.started_at = _RUNNING, time.perf_counter()
@@ -991,11 +998,13 @@ class ReasonService:
         ``rejected`` (admission gave up before the item reached a
         queue; the caller gets the exception raised, not a future).
         Whoever flips the item SETTLED under its lock cancels its
-        timer, moves the shard counters, queues the span, resolves the
-        future and takes the item off the drain() count; every later
-        caller finds it settled and backs off.  The span is queued before the future resolves, so a
-        caller woken by the result finds it in :meth:`spans`, and
-        when drain() returns every counter is final.
+        timer, moves the shard counters, queues the span and resolves
+        the future; every later caller finds it settled and backs off.
+        Then it takes the item out of the in-flight set, without a lock,
+        and wakes a waiting drain() when the set is left empty.  The
+        span is queued before the future resolves, so a caller woken by
+        the result finds it in :meth:`spans`, and when drain() returns
+        every counter is final.
         """
         with item.lock:
             if item.state is _SETTLED:
@@ -1028,9 +1037,12 @@ class ReasonService:
                     item.future.set_exception(payload)
             except InvalidStateError:
                 pass  # cancelled by the caller in the same instant; counters stand
-        with self._outstanding_lock:
-            self._outstanding -= 1
-            if self._outstanding <= 0 and self._drainers:
+        # A drain() counts itself before it reads the set, and this
+        # reads the count after the discard: it sees the set empty or
+        # is woken.
+        self._in_flight.discard(item)
+        if self._drainers and not self._in_flight:
+            with self._drain_cond:
                 self._drain_cond.notify_all()
         if len(self._settled) >= SPAN_LOG_SIZE:
             self._fold()
@@ -1116,10 +1128,11 @@ class ReasonService:
 
     def _claim(self, item: _WorkItem) -> bool:
         """Move a dequeued item QUEUED -> RUNNING; False = nothing left
-        to do.  A retried item made that transition (and took its
+        to do: the caller cancelled it or its deadline timer settled it
+        while it was queued.  :meth:`_execute` claims only an item not
+        yet RUNNING: a retried one made that transition (and took its
         ``started_at`` stamp) on its first attempt, and an inline hit
-        in :meth:`_run_inline`; a queued one may have been cancelled by
-        the caller or settled by its deadline timer."""
+        in :meth:`_run_inline`."""
         with item.lock:
             if item.state is _QUEUED and item.future.set_running_or_notify_cancel():
                 item.state = _RUNNING
@@ -1130,23 +1143,21 @@ class ReasonService:
         return state is _RUNNING
 
     def _execute(self, shard: _Shard, item: _WorkItem) -> None:
-        deadline_s = item.request.deadline_s
-        due = None if deadline_s is None else item.admitted_at + deadline_s
+        request = item.request
+        due = None if request.deadline_s is None else item.admitted_at + request.deadline_s
         if due is not None and time.perf_counter() >= due:
             # Expired while queued: shed before spending execution on a
             # request whose caller has already timed out.
             self._expire(item)
             return
-        if not self._claim(item):
+        if item.state is not _RUNNING and not self._claim(item):
             return
         try:
+            # Positional: backend, queries, fingerprint.
             report = shard.session.run_prepared(
-                item.request.kernel,
-                item.request.options,
-                backend=item.backend,
-                queries=item.request.queries,
-                fingerprint=item.request.fingerprint,
-            )
+                request.kernel, request.options, item.backend, request.queries,
+                request.fingerprint,
+            )  # fmt: skip
         except WorkerCrash:
             raise  # worker death, not request failure — see _work
         except BaseException as exc:
@@ -1294,23 +1305,27 @@ class ReasonService:
         """Block until every admitted request has resolved.
 
         Covers queued work, in-flight executions, requeued retries and
-        armed deadline timers: the outstanding counter reaches zero
-        only when every admitted future is terminal, so after drain()
-        the stats identity closes with ``pending == 0``.  Unlike a
-        queue join, this survives worker crashes — the supervisor's
-        terminal bookkeeping decrements the same counter the happy
-        path does.  Raises :class:`TimeoutError` if requests are still
-        unresolved after ``timeout`` seconds (None waits forever).
+        armed deadline timers: admission adds every request to an
+        in-flight set and :meth:`_settle` discards it, so the set is
+        empty only when every admitted future is terminal, and after
+        drain() the stats identity closes with ``pending == 0``.
+        Unlike a queue join, this survives worker crashes — the
+        supervisor settles a stranded request through the same
+        :meth:`_settle` the happy path does.  Neither side takes a lock
+        for the set; this call alone waits on a condition, which the
+        settle that empties the set notifies.  Raises
+        :class:`TimeoutError` if requests are still unresolved after
+        ``timeout`` seconds (None waits forever).
         """
         with self._drain_cond:
             self._drainers += 1
             try:
-                drained = self._drain_cond.wait_for(lambda: self._outstanding == 0, timeout)
+                drained = self._drain_cond.wait_for(lambda: not self._in_flight, timeout)
             finally:
                 self._drainers -= 1
             if not drained:
                 raise TimeoutError(
-                    f"{self._outstanding} admitted request(s) still "
+                    f"{len(self._in_flight)} admitted request(s) still "
                     f"unresolved after {timeout}s"
                 )
 

@@ -33,7 +33,7 @@ from repro.api.adapters import (
     adapter_for,
     per_kernel_neural_s,
 )
-from repro.api.backends import get_backend
+from repro.api.backends import _BACKENDS, get_backend
 from repro.api.cache import CacheStats, CompileCache
 from repro.api.store import ArtifactStore
 from repro.api.types import BatchResult, CompiledArtifact, ExecutionReport, check_count
@@ -318,7 +318,8 @@ class ReasonSession:
         # ~0.1 us against a request of milliseconds, cheaper than keeping
         # an uninstrumented copy of this body in step.
         execute_start = time.perf_counter()
-        report = get_backend(backend).run(
+        # The registry read inline; get_backend only to name a missing one.
+        report = (_BACKENDS.get(backend) or get_backend(backend)).run(
             artifact, config=self.config, queries=queries, options=options
         )
         report.execute_s = time.perf_counter() - execute_start

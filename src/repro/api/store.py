@@ -181,6 +181,17 @@ class SharedStore(ArtifactStore):
             return len(self._entries)
 
 
+#: The version of what a :class:`DiskStore` entry holds.  A cache key
+#: names the kernel, its options and the config, not the compiler that
+#: built the artifact, so an entry written before a change to the
+#: compiler's output would keep serving the old program.  Every such
+#: change bumps this number; it is part of each entry's file name, so a
+#: store reads and counts only the entries of its own version and an
+#: older entry is a plain miss.  ``tests/api/test_store_version.py``
+#: pins it to a digest of the corpus kernels' compiled output.
+STORE_VERSION = 2
+
+
 class DiskStore(ArtifactStore):
     """File-backed store: one pickled artifact per content key.
 
@@ -202,7 +213,7 @@ class DiskStore(ArtifactStore):
     at a world-writable path.
     """
 
-    _SUFFIX = ".artifact.pkl"
+    _SUFFIX = f".v{STORE_VERSION}.artifact.pkl"
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         super().__init__()

@@ -101,8 +101,10 @@ class ArchConfig:
     def registers_total(self) -> int:
         return self.num_banks * self.regs_per_bank
 
-    @property
+    @cached_property
     def cycle_time_s(self) -> float:
+        """Seconds per cycle; read by every report, so computed once
+        per (frozen) instance, like :attr:`key_bytes`."""
         return 1.0 / self.frequency_hz
 
     @cached_property

@@ -1,5 +1,6 @@
 """What a warm hit costs, in Python calls: a session hit of each kernel
-kind that carries options, and a service hit beyond a session hit.
+kind that carries options, and a service hit beyond a session hit, in
+calls and in lock sections.
 
 A warm hit on an idle shard runs on the submitting thread
 (``tests/api/test_inline_settle.py``), so one ``sys.setprofile`` hook
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from repro import ReasonService, ReasonSession
+from repro.api.scheduler import Request, SchedulingPolicy
 from repro.logic.generators import random_ksat
 
 from tests.corpus import small
@@ -25,11 +27,26 @@ from tests.corpus import small
 #: or ``threading`` function runs on it: its own ``__init__``, its
 #: ``set_result`` (a write in place) and the lock-free ``result`` are
 #: all.  Admission predicts nothing and the settle prices nothing, so
-#: no cost-model call runs either.  Every function left on either path is this package's
+#: no cost-model call runs either; it checks neither a default deadline
+#: nor a default ``neural_s``, builds its ``Request`` in C, and claims
+#: the inline item once, not again in ``_execute``.  Every function left
+#: on either path is this package's
 #: (generated dataclass ``__init__`` methods included), and neither
 #: path runs a comprehension (inlined from 3.12 on), so the bound is
 #: the same for CPython 3.10, 3.11 and 3.12.
-MAX_EXTRA_CALLS = 18
+MAX_EXTRA_CALLS = 13
+
+#: The lock sections (``with`` a lock, counted by the lock's
+#: ``__exit__``) one warm inline ``submit(...).result()`` takes beyond
+#: one ``ReasonSession.run``'s (the cache's lookup): admission's lock
+#: and the shard lock its charge takes inside it, then the item lock the
+#: settle takes and the shard lock inside that.  The claim takes none
+#: (the inline item is claimed by the section that charges it), the
+#: cache is probed once (the session's lookup), and the drain count is
+#: a set whose ``add`` and ``discard`` take no lock.  Exact: a section
+#: more is a cost, and a section fewer drops a guard the lifecycle
+#: needs.
+EXTRA_LOCK_SECTIONS = 4
 
 #: The most Python-level calls one warm ``ReasonSession.run`` may make
 #: (the probe's own ``lambda`` included), for a kind's ``small`` corpus
@@ -39,7 +56,7 @@ MAX_EXTRA_CALLS = 18
 #: ``ABCMeta.__instancecheck__`` are Python code in CPython 3.10, 3.11
 #: and 3.12 alike, and neither path runs a comprehension (inlined from
 #: 3.12 on), so the bounds are the same for all three.
-MAX_WARM_RUN_CALLS = {"hmm": 21, "circuit": 25}
+MAX_WARM_RUN_CALLS = {"hmm": 18, "circuit": 22}
 
 
 def python_calls(action) -> list:
@@ -63,6 +80,29 @@ def python_calls(action) -> list:
         sys.setprofile(previous)
         gc.enable()
     return calls
+
+
+def lock_sections(action) -> int:
+    """How many ``with`` blocks over a lock ``action()`` leaves on this
+    thread: a lock's ``__exit__`` is a C call the profile hook sees (its
+    ``__enter__`` is not), and no path probed here takes a lock any
+    other way."""
+    sections = 0
+
+    def record(frame, event, arg):
+        nonlocal sections
+        if event == "c_call" and arg.__name__ == "__exit__":
+            sections += type(arg.__self__).__name__ in ("lock", "RLock")
+
+    previous = sys.getprofile()
+    gc.disable()
+    sys.setprofile(record)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return sections
 
 
 def wait_idle(service, timeout_s: float = 10.0) -> None:
@@ -117,4 +157,49 @@ def test_a_warm_inline_hit_stays_within_its_calls_of_a_session_hit():
         f"a warm service hit made {len(service_calls)} Python calls against a "
         f"session hit's {len(session_calls)}: {extra} beyond it, more than "
         f"{MAX_EXTRA_CALLS}"
+    )
+
+
+def test_a_warm_inline_hit_takes_its_lock_sections_beyond_a_session_hit():
+    kernel = random_ksat(20, 80, seed=51)
+    with ReasonService(shards=2, policy="cache-affinity") as service:
+        service.submit(kernel).result(timeout=30)
+        wait_idle(service)
+        assert service.submit(kernel).done()
+        service_sections = lock_sections(lambda: service.submit(kernel).result())
+    session = ReasonSession()
+    for _ in range(2):
+        session.run(kernel)
+    session_sections = lock_sections(lambda: session.run(kernel))
+    assert session_sections == 1, "a session hit takes the cache's lock once"
+    assert service_sections - session_sections == EXTRA_LOCK_SECTIONS, (
+        f"a warm service hit took {service_sections} lock sections against a "
+        f"session hit's {session_sections}, not {EXTRA_LOCK_SECTIONS} more"
+    )
+
+
+class _Recording(SchedulingPolicy):
+    name = "recording"
+
+    def __init__(self):
+        self.requests = []
+
+    def select(self, request, shards):
+        self.requests.append(request)
+        return 0
+
+
+def test_admission_builds_a_whole_request():
+    """Admission builds its ``Request`` from the field tuple, not through
+    the named tuple's constructor: what a policy sees must still be one,
+    every field in place."""
+    policy = _Recording()
+    kernel = random_ksat(12, 40, seed=3)
+    with ReasonService(shards=1, policy=policy) as service:
+        service.submit(kernel, queries=2, neural_s=0.5, deadline_s=30).result(timeout=30)
+    (request,) = policy.requests
+    assert type(request) is Request and request == Request(*request)
+    assert len(request) == len(Request._fields)
+    assert (request.kernel, request.queries, request.neural_s, request.deadline_s) == (
+        kernel, 2, 0.5, 30.0,
     )
