@@ -59,17 +59,20 @@ EXTRA_LOCK_SECTIONS = 4
 MAX_WARM_RUN_CALLS = {"hmm": 18, "circuit": 22}
 
 
-def python_calls(action) -> list:
-    """The name of every Python function ``action()`` calls on this
-    thread, in call order.  The cyclic collector is off meanwhile: a
-    collection that frees an earlier test's service runs its weakref
-    callbacks (a ``WeakSet._remove``) on this thread, which are not
-    calls of the path probed."""
-    calls = []
+def profile(action) -> list:
+    """``(event, what)`` for every call ``action()`` makes on this
+    thread, in order: ``("call", name)`` for a Python function,
+    ``("c_call", callable)`` for a C one.  The cyclic collector is off
+    meanwhile: a collection that frees an earlier test's service runs
+    its weakref callbacks (a ``WeakSet._remove``) on this thread, which
+    are not calls of the path probed."""
+    events = []
 
     def record(frame, event, arg):
         if event == "call":
-            calls.append(frame.f_code.co_name)
+            events.append((event, frame.f_code.co_name))
+        elif event == "c_call":
+            events.append((event, arg))
 
     previous = sys.getprofile()
     gc.disable()
@@ -79,7 +82,13 @@ def python_calls(action) -> list:
     finally:
         sys.setprofile(previous)
         gc.enable()
-    return calls
+    return events
+
+
+def python_calls(action) -> list:
+    """The name of every Python function ``action()`` calls on this
+    thread, in call order."""
+    return [name for event, name in profile(action) if event == "call"]
 
 
 def lock_sections(action) -> int:
@@ -87,22 +96,12 @@ def lock_sections(action) -> int:
     thread: a lock's ``__exit__`` is a C call the profile hook sees (its
     ``__enter__`` is not), and no path probed here takes a lock any
     other way."""
-    sections = 0
-
-    def record(frame, event, arg):
-        nonlocal sections
-        if event == "c_call" and arg.__name__ == "__exit__":
-            sections += type(arg.__self__).__name__ in ("lock", "RLock")
-
-    previous = sys.getprofile()
-    gc.disable()
-    sys.setprofile(record)
-    try:
-        action()
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
-    return sections
+    return sum(
+        event == "c_call"
+        and what.__name__ == "__exit__"
+        and type(what.__self__).__name__ in ("lock", "RLock")
+        for event, what in profile(action)
+    )
 
 
 def wait_idle(service, timeout_s: float = 10.0) -> None:
