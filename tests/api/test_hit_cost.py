@@ -98,8 +98,8 @@ def lock_sections(action) -> int:
     other way."""
     return sum(
         event == "c_call"
-        and what.__name__ == "__exit__"
-        and type(what.__self__).__name__ in ("lock", "RLock")
+        and getattr(what, "__name__", "") == "__exit__"
+        and type(getattr(what, "__self__", None)).__name__ in ("lock", "RLock")
         for event, what in profile(action)
     )
 
