@@ -64,6 +64,11 @@ def _int_record(tag: bytes, values: Tuple[object, ...]) -> bytes:
         return struct.pack("<ccq", b"R", tag, len(text)) + text
 
 
+#: Calibration types ``RunOptions`` accepts without the ``Mapping``
+#: ABC's Python-level ``__instancecheck__``: none, a list, a tuple.
+_PLAIN_CALIBRATIONS = frozenset((type(None), list, tuple))
+
+
 @dataclass(frozen=True, init=False)
 class RunOptions:
     """Per-request knobs that affect compilation (and thus the cache key).
@@ -131,7 +136,7 @@ class RunOptions:
             )
         if trace == "":
             raise ValueError("trace must be None, a bool or a non-empty path, not ''")
-        if calibration is not None and isinstance(
+        if type(calibration) not in _PLAIN_CALIBRATIONS and isinstance(
             calibration, (str, bytes, bytearray, Mapping)
         ):
             raise TypeError(

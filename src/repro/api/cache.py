@@ -132,7 +132,11 @@ class CompileCache:
     :meth:`get_or_compile` is the one way in: an artifact enters either
     level only as the return value of a compile factory, so a factory
     that raises (a failed compile, or the session's verify gate
-    rejecting its result) leaves both levels untouched.
+    rejecting its result) leaves both levels untouched.  :meth:`holds`
+    answers, counting nothing, whether a lookup would be served without
+    a compile: from the LRU, or from a store that promises its ``get``
+    (:meth:`~repro.api.store.ArtifactStore.holds`) — where a service
+    shard decides to run a request on the submitting thread.
     """
 
     def __init__(
@@ -172,6 +176,15 @@ class CompileCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
+
+    def holds(self, key: str) -> bool:
+        """Whether a lookup of ``key`` is sure to be served without a
+        compile: the local LRU has it, or the store promises it
+        (:meth:`~repro.api.store.ArtifactStore.holds`).  Counts nothing
+        and takes no lock, so the answer about the LRU holds only for
+        a caller no other thread can insert or evict behind, such as a
+        service shard's runner."""
+        return key in self._entries or (self.store is not None and self.store.holds(key))
 
     def get_local(self, key: str) -> Optional[CompiledArtifact]:
         """Local-level probe: bumps LRU + local_hits on a hit, never

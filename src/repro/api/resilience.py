@@ -320,6 +320,17 @@ class ResilientStore(ArtifactStore):
     def __len__(self) -> int:
         return int(self._guarded(lambda: len(self.inner), 0))
 
+    def holds(self, key) -> bool:
+        """The inner store's answer while the breaker admits, else
+        False, as on an error.  A query, not an operation: it counts no
+        error or degraded operation and moves no breaker."""
+        if not self.breaker.admits():
+            return False
+        try:
+            return self.inner.holds(key)
+        except Exception:
+            return False
+
     def attach_metrics(self, registry) -> None:
         """Mirror this store into a live-metrics registry
         (:mod:`repro.metrics`) through snapshot-time callbacks — the

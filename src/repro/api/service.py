@@ -120,11 +120,11 @@ _SPAN_HISTOGRAMS = (
 _NO_PREDICTION = MappingProxyType({})
 #: ``submit``'s default ``neural_s``: the one value it need not check.
 _NO_NEURAL_S = 0.0
+#: ``submit``'s default ``queries``, likewise (``True`` is another object).
+_ONE_QUERY = 1
 #: ``Request(*fields)`` in one C call: the named tuple's generated
 #: ``__new__`` is a Python function that builds this same tuple.
 _new_request = partial(tuple.__new__, Request)
-_SHARD_BACKEND = "reason"
-_NO_BUSY_S = 0.0
 
 
 class ServiceClosed(RuntimeError):
@@ -301,9 +301,9 @@ class _Shard:
         route on and what a rejection reports."""
         with self.lock:
             counters = self.counters
-            return ShardView(
-                self.index, counters.pending, counters.completed, _SHARD_BACKEND, _NO_BUSY_S
-            )
+            # The backend and busy time are the neutral constants (see
+            # _NO_PREDICTION).
+            return ShardView(self.index, counters.pending, counters.completed, "reason", 0.0)
 
 
 @dataclass
@@ -754,11 +754,15 @@ class ReasonService:
         request is rejected with :class:`ServiceOverloaded` and no
         state changes.
 
-        A warm hit on an idle shard — the kernel in that shard's local
-        cache, its queue empty and its worker waiting — runs on the
-        calling thread instead, and settles before ``submit`` returns:
-        the future is already done, and its done-callbacks run on the
-        caller's thread.
+        A warm hit on an idle shard — the kernel held in memory, in
+        that shard's local cache or in a shared store that promises it
+        (:meth:`~repro.api.store.ArtifactStore.holds`: an in-process
+        ``"shared"`` store does, a ``DiskStore`` does not), the shard's
+        queue empty and its worker waiting — runs on the calling thread
+        instead, and settles before ``submit`` returns: the future is
+        already done, and its done-callbacks run on the caller's
+        thread.  A store hit served so is counted (``shared_hits``,
+        ``promotions``) as a worker counts it.
 
         ``deadline_s`` gives the request a wall-clock budget in seconds
         (text is a :class:`TypeError`, raised before admission),
@@ -819,7 +823,8 @@ class ReasonService:
     ) -> ReasonFuture:
         if self._closed:
             self._reject("closed")
-        check_count("queries", queries)
+        if queries is not _ONE_QUERY:
+            check_count("queries", queries)
         if deadline_s is not None:
             deadline_s = resolve_deadline(deadline_s)
         adapter = adapter_for(kernel)
@@ -871,8 +876,8 @@ class ReasonService:
         # From here the item counts for drain(); _settle is the only
         # code that takes it off again, served or rejected.
         self._in_flight.add(item)
-        # A warm hit on an idle shard settles here; the rest queue, and
-        # backpressure may block.
+        # A held kernel on an idle shard settles here; the rest queue,
+        # and backpressure may block.
         refused = "" if claimed and self._run_inline(shard, item) else shard.offer(item, timeout)
         if refused:
             self._reject(
@@ -906,10 +911,14 @@ class ReasonService:
         flag, which admission's charge section took with the shard's
         breaker admitting, the shard accepting, its queue empty and
         nobody running on it — so it never overtakes a queued request.
-        It runs only on a hit in the shard's local LRU, checked now
-        that the flag is held: only a run on the shard inserts or
-        evicts, so the entry read here without the cache's lock is
-        still there when the run looks it up.
+        It runs only when the shard's cache holds the kernel
+        (:meth:`~repro.api.cache.CompileCache.holds`), asked now that
+        the flag is held: in the local LRU, which only a run on the
+        shard inserts into or evicts from, so an entry seen here is
+        still there when the run looks it up; or in a store that
+        promises its ``get`` (a ``"shared"`` store never drops an
+        entry), which the run promotes and counts as a worker would.
+        First sights and ``DiskStore`` hits go to the worker.
         A hit is claimed here without the future's own transition: the
         future has not left this thread, so nobody can cancel it, and it
         goes from pending straight to done — born resolved, written in
@@ -920,7 +929,7 @@ class ReasonService:
         (:class:`~repro.api.resilience.WorkerCrash`) kills no worker:
         it fails the attempt as a :class:`ShardCrashed`, retried or
         failed like any transient error, and restarts nothing."""
-        hit = item.request.fingerprint in shard.session._cache._entries
+        hit = shard.session._cache.holds(item.request.fingerprint)
         try:
             if hit:
                 item.state, item.started_at = _RUNNING, time.perf_counter()

@@ -146,6 +146,17 @@ class ArtifactStore(abc.ABC):
     def __len__(self) -> int:
         """Number of stored artifacts."""
 
+    def holds(self, key: str) -> bool:
+        """True only when a later :meth:`get` of ``key`` is sure to
+        return the artifact: the promise a
+        :class:`~repro.api.service.ReasonService` runs a request on the
+        submitting thread on.  False here, so a store that cannot
+        promise it (a :class:`DiskStore`, whose entry another process
+        may remove or corrupt, or a custom store) sends its hits to a
+        worker.  A store that breaks the promise costs a compile on
+        the submitting thread, slow but correct."""
+        return False
+
     def fetch_or_compile(
         self, key: str, factory: Callable[[], CompiledArtifact]
     ) -> Tuple[CompiledArtifact, bool]:
@@ -179,6 +190,11 @@ class SharedStore(ArtifactStore):
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def holds(self, key: str) -> bool:
+        """Read without the lock: one dict membership test, and an entry
+        once put is never deleted, so ``get`` cannot miss it later."""
+        return key in self._entries
 
 
 #: The version of what a :class:`DiskStore` entry holds.  A cache key

@@ -243,3 +243,26 @@ class TestMutationIsNeverServedStale:
         again = session.run(kernel)
         assert again.cache_hit and session.prepare_calls == 2
         assert again.identity() == first.identity()
+
+
+class TestHeld:
+    """``CompileCache.holds``: a lookup sure to be served without a
+    compile, from the LRU or from a store that promises its ``get``."""
+
+    @pytest.mark.parametrize("store", [None, "shared", "disk"])
+    def test_an_evicted_kernel_is_held_only_by_a_promising_store(self, store, tmp_path):
+        spec = f"disk:{tmp_path}" if store == "disk" else store
+        cache = CompileCache(capacity=1, store=spec)
+        assert not cache.holds("a")
+        serve(cache, "a")
+        assert cache.holds("a")
+        serve(cache, "b")  # evicts a from the LRU
+        assert cache.holds("b") and cache.holds("a") is (store == "shared")
+
+    def test_asking_counts_nothing(self):
+        cache = CompileCache(capacity=1, store="shared")
+        serve(cache, "a")
+        serve(cache, "b")
+        before = cache.stats
+        assert cache.holds("a") and cache.holds("b") and not cache.holds("c")
+        assert cache.stats == before and len(cache) == 1

@@ -1,6 +1,7 @@
 """What a warm hit costs, in Python calls: a session hit of each kernel
 kind that carries options, and a service hit beyond a session hit, in
-calls and in lock sections.
+calls and in lock sections, of a kernel in the shard's LRU and of one
+only in the shared store.
 
 A warm hit on an idle shard runs on the submitting thread
 (``tests/api/test_inline_settle.py``), so one ``sys.setprofile`` hook
@@ -15,7 +16,7 @@ import time
 
 import pytest
 
-from repro import ReasonService, ReasonSession
+from repro import ReasonService, ReasonSession, SharedStore
 from repro.api.scheduler import Request, SchedulingPolicy
 from repro.logic.generators import random_ksat
 
@@ -52,11 +53,24 @@ EXTRA_LOCK_SECTIONS = 4
 #: (the probe's own ``lambda`` included), for a kind's ``small`` corpus
 #: kernel with its options: an HMM with ``hmm_observations``, a circuit
 #: with a calibration.  The same caveat holds: the options' own
-#: ``__init__`` (which checks them itself, with no ``__post_init__``) and
-#: ``ABCMeta.__instancecheck__`` are Python code in CPython 3.10, 3.11
-#: and 3.12 alike, and neither path runs a comprehension (inlined from
-#: 3.12 on), so the bounds are the same for all three.
-MAX_WARM_RUN_CALLS = {"hmm": 18, "circuit": 22}
+#: ``__init__`` (which checks them itself, with no ``__post_init__``) is
+#: Python code in CPython 3.10, 3.11 and 3.12 alike, a list calibration
+#: skips the ``Mapping`` ABC's ``__instancecheck__``, and neither path
+#: runs a comprehension (inlined from 3.12 on), so the bounds are the
+#: same for all three.
+MAX_WARM_RUN_CALLS = {"hmm": 18, "circuit": 21}
+
+#: The most Python-level calls, and the exact lock sections, that a
+#: shared-store hit settled inline (a kernel another shard compiled, a
+#: local miss here) makes beyond a ``ReasonSession.run`` store hit of
+#: the same kernel over a bare ``SharedStore``: the inline hit's 13
+#: calls and 4 sections, the three ``holds`` answers (cache, resilient
+#: wrapper, store) and the wrapper's breaker read, and the wrapper's
+#: ``get`` (its guard, breaker read, closure and success record).  A
+#: closed breaker is read without its lock, and ``holds`` takes none,
+#: so the store lookup's sections are the session's own.
+STORE_HIT_EXTRA_CALLS = 21
+STORE_HIT_EXTRA_LOCK_SECTIONS = 4
 
 
 def profile(action) -> list:
@@ -174,6 +188,41 @@ def test_a_warm_inline_hit_takes_its_lock_sections_beyond_a_session_hit():
     assert service_sections - session_sections == EXTRA_LOCK_SECTIONS, (
         f"a warm service hit took {service_sections} lock sections against a "
         f"session hit's {session_sections}, not {EXTRA_LOCK_SECTIONS} more"
+    )
+
+
+def test_an_inline_store_hit_stays_within_its_cost_of_a_session_store_hit():
+    kernel, other = random_ksat(20, 80, seed=51), random_ksat(20, 80, seed=52)
+
+    def service_hit(measure):
+        with ReasonService(shards=2, store="shared") as service:
+            for _ in range(2):  # each round-robin shard has run once
+                service.submit(other).result(timeout=30)
+            service.submit(kernel).result(timeout=30)  # shard 0 compiles it
+            wait_idle(service)
+            return measure(lambda: service.submit(kernel).result())  # shard 1
+
+    def session_hit(measure):
+        store = SharedStore()
+        ReasonSession(store=store).run(kernel)
+        session = ReasonSession(store=store)
+        session.run(other)
+        return measure(lambda: session.run(kernel))
+
+    service_calls, session_calls = service_hit(python_calls), session_hit(python_calls)
+    # Both ran a store hit here: one lookup fell through to the store.
+    for calls in (service_calls, session_calls):
+        assert calls.count("fetch_or_compile") == 1 and calls.count("prepare") == 0
+    extra = len(service_calls) - len(session_calls)
+    assert extra <= STORE_HIT_EXTRA_CALLS, (
+        f"an inline store hit made {len(service_calls)} Python calls against a "
+        f"session store hit's {len(session_calls)}: {extra} beyond it, more than "
+        f"{STORE_HIT_EXTRA_CALLS}: {service_calls}"
+    )
+    sections = service_hit(lock_sections) - session_hit(lock_sections)
+    assert sections == STORE_HIT_EXTRA_LOCK_SECTIONS, (
+        f"an inline store hit took {sections} lock sections beyond a session "
+        f"store hit, not {STORE_HIT_EXTRA_LOCK_SECTIONS}"
     )
 
 

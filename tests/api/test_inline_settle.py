@@ -8,7 +8,10 @@ import time
 
 import pytest
 
-from repro import CircuitBreaker, DeadlineExceeded, ReasonService, RetryPolicy, ShardCrashed
+from repro import (
+    CircuitBreaker, DeadlineExceeded, ReasonService, ReasonSession, RetryPolicy, ShardCrashed,
+    SharedStore,
+)
 from repro.api import ServiceClosed, backends
 from repro.api.resilience import WorkerCrash
 from repro.api.scheduler import SchedulingPolicy
@@ -16,7 +19,7 @@ from repro.api.types import ExecutionReport
 from repro.logic.generators import random_ksat
 
 from tests.api.conftest import wait_idle, wait_until_running
-from tests.chaos import FaultPlan
+from tests.chaos import ChaosStore, FaultPlan
 
 
 class RecordingBackend(backends.Backend):
@@ -71,12 +74,14 @@ def test_warm_hit_on_idle_shard_settles_before_submit_returns(recorder):
     assert 0.0 <= span.queue_wait_s < 5e-3
 
 
-@pytest.mark.parametrize("store", [None, "shared"])
-def test_a_local_miss_is_never_run_inline(gate, store):
-    """A first sight, and a kernel another shard already put in the
-    shared store (a local miss there), both settle on a worker."""
+@pytest.mark.parametrize("store", [None, "disk"])
+def test_a_local_miss_is_never_run_inline(gate, store, tmp_path):
+    """A first sight, and a kernel another shard already put in a
+    ``DiskStore`` (a local miss there, and a store that promises no
+    ``get``), both settle on a worker."""
     kernel = random_ksat(8, 24, seed=41)
-    with ReasonService(shards=2, store=store) as service:
+    spec = None if store is None else f"disk:{tmp_path}"
+    with ReasonService(shards=2, store=spec) as service:
         if store is not None:
             service.submit(kernel).result(timeout=30)  # shard 0 compiles it
         wait_idle(service)
@@ -87,6 +92,28 @@ def test_a_local_miss_is_never_run_inline(gate, store):
         gate.set()
         assert future.result(timeout=30).result == 1.0
     assert len(settled_on) == 1 and is_worker(settled_on[0])
+
+
+def test_a_shared_store_hit_settles_before_submit_returns(recorder):
+    """A kernel another shard put in the shared store is a local miss
+    here and a store hit: it runs on the caller's thread, and the shard
+    counts it as a worker would, one shared hit promoted."""
+    kernel = random_ksat(8, 24, seed=41)
+    with ReasonService(shards=2, store="shared") as service:
+        service.submit(kernel).result(timeout=30)  # shard 0 compiles it
+        wait_idle(service)
+        before = service.stats().shards[1].cache
+        future = service.submit(kernel, backend="test-record")  # shard 1
+        assert future.done()
+        assert future.result().cache_hit
+        after = service.stats().shards[1].cache
+    assert recorder.runs == [(1, threading.current_thread().name)]
+    assert (
+        after.shared_hits - before.shared_hits,
+        after.promotions - before.promotions,
+        after.local_hits - before.local_hits,
+        after.misses - before.misses,
+    ) == (1, 1, 0, 0)
 
 
 def test_an_armed_fault_plan_settles_warm_hits_inline(recorder, chaos):
@@ -127,6 +154,36 @@ def test_an_inline_execute_fault_is_requeued_to_a_bit_identical_result(chaos, mo
     assert report.identity() == expected.identity()
     assert report.extras["attempts"] == 2
     assert (stats.retries, stats.failed, stats.crashes, stats.restarts) == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("forwarded", [True, False], ids=["inline", "queued"])
+def test_store_faults_strike_an_inline_store_hit_as_they_strike_a_worker(
+    forwarded, monkeypatch
+):
+    """Every store get and put fails: the store-resident kernel is
+    compiled where it runs and served, and the report and counters are
+    the same whether the caller ran it (the chaos store forwards
+    ``holds``) or a worker did (it answers the base class's False)."""
+    kernel = random_ksat(8, 24, seed=53)
+    inner = SharedStore()
+    ReasonSession(store=inner).run(kernel)  # resident before the plan strikes
+    if not forwarded:
+        monkeypatch.setattr(ChaosStore, "holds", lambda self, key: False)
+    plan = FaultPlan(seed=0, store_error_rate=1.0)
+    with ReasonService(shards=1, store=ChaosStore(inner, plan)) as service:
+        future = service.submit(kernel)
+        submitted_done = future.done()
+        report = future.result(timeout=30)
+        service.drain(timeout=10)
+        stats = service.stats()
+    assert submitted_done is forwarded
+    assert report.identity() == ReasonSession().run(kernel).identity()
+    assert not report.cache_hit and report.extras.get("attempts", 1) == 1
+    assert plan.injected("store") == 2  # the get, then the publishing put
+    assert (service.store.errors, service.store.degraded) == (2, 0)
+    cache = stats.shards[0].cache
+    assert (cache.misses, cache.shared_hits, cache.local_hits, cache.promotions) == (1, 0, 0, 0)
+    assert (stats.completed, stats.failed, stats.retries) == (1, 0, 0)
 
 
 def test_a_requeued_inline_attempt_can_no_longer_be_cancelled(chaos, monkeypatch):

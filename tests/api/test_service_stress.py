@@ -36,18 +36,34 @@ def requests():
 
 
 def test_counters_and_reports_hold_under_contention():
-    plans = requests()
+    run_under_contention(requests(), (os.cpu_count() or 1) + 2, policy="cache-affinity")
+
+
+def test_store_hits_hold_under_contention():
+    """Round-robin shards whose 2-entry LRUs send most lookups to a
+    shared store: store hits settle inline on idle shards and on
+    workers behind busy ones, among first sights of fresh kernels."""
+    plans = requests() + [(random_ksat(8, 20, seed=100 + seed), 1, {}) for seed in range(12)]
+    stats = run_under_contention(
+        plans, 4, policy="round-robin", cache_capacity=2, store="shared"
+    )
+    assert sum(shard.cache.shared_hits for shard in stats.shards) > 0
+
+
+def run_under_contention(plans, submitters, **service_kwargs):
+    """Drive ``submitters`` threads over ``plans`` for :data:`RUN_S` and
+    check every report and counter; returns the drained service's
+    stats."""
     reference = [
         ReasonSession().run(kernel, queries=queries, **options).identity()
         for kernel, queries, options in plans
     ]
-    submitters = (os.cpu_count() or 1) + 2
     settled = [[] for _ in range(submitters)]
     errors = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ReasonService(shards=2, policy="cache-affinity", max_queue=8) as service:
+        with ReasonService(shards=2, max_queue=8, **service_kwargs) as service:
             stop = time.monotonic() + RUN_S
 
             def submit(slot):
@@ -92,3 +108,6 @@ def test_counters_and_reports_hold_under_contention():
     assert (stats.failed, stats.cancelled, stats.completed) == (0, len(cancelled), len(served))
     for index, future in served:
         assert future.result(timeout=0).identity() == reference[index]
+    # Every distinct kernel served compiled once, service-wide.
+    assert stats.cache_misses == len({future.fingerprint for _, future in served})
+    return stats

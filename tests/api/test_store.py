@@ -22,6 +22,7 @@ from repro.api import (
     SharedStore,
     make_store,
 )
+from repro.api.resilience import CircuitBreaker, ResilientStore
 from repro.api.store import ArtifactStore, _OnceGuard
 from repro.api.types import CompiledArtifact
 from repro.core.dag import Dag
@@ -454,3 +455,54 @@ class TestServiceSharedStore:
         assert stats.cache_hits + stats.cache_misses == 4
         assert stats.cache_misses == 1
         assert stats.warm_hit_rate == pytest.approx(3 / 4)
+
+
+class _ListedStore(ArtifactStore):
+    """A custom store that answers only the abstract methods."""
+
+    def __init__(self):
+        super().__init__()
+        self.entries = {}
+
+    def get(self, key):
+        return self.entries.get(key)
+
+    def put(self, key, artifact):
+        self.entries[key] = artifact
+
+    def __len__(self):
+        return len(self.entries)
+
+
+class _RaisingHolds(SharedStore):
+    def holds(self, key):
+        raise OSError("backing volume detached")
+
+
+class TestHolds:
+    """``holds`` promises a later ``get``: where a service runs a
+    request depends on it, so only a store that never drops an entry
+    says True."""
+
+    def test_a_shared_store_holds_what_it_was_given(self):
+        store = SharedStore()
+        assert not store.holds("k")
+        store.put("k", stub_artifact("k"))
+        assert store.holds("k") and store.get("k") is not None
+
+    @pytest.mark.parametrize("kind", ["disk", "custom"])
+    def test_a_store_that_cannot_promise_holds_nothing(self, kind, tmp_path):
+        store = DiskStore(tmp_path) if kind == "disk" else _ListedStore()
+        store.put("k", stub_artifact("k"))
+        assert store.get("k") is not None and not store.holds("k")
+
+    def test_the_resilient_wrapper_answers_for_its_store_and_counts_nothing(self):
+        inner = SharedStore()
+        inner.put("k", stub_artifact("k"))
+        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=60.0)
+        store = ResilientStore(inner, breaker=breaker)
+        assert store.holds("k") and not store.holds("other")
+        breaker.record_failure()  # open: the store is not asked
+        assert not store.holds("k")
+        assert not ResilientStore(_RaisingHolds()).holds("k")
+        assert (store.errors, store.degraded, breaker.trips) == (0, 0, 1)

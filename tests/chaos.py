@@ -266,6 +266,11 @@ class ChaosStore(ArtifactStore):
     def __len__(self) -> int:
         return len(self.inner)
 
+    def holds(self, key: str) -> bool:
+        # Forwarded, fault-free: the get an inline store hit then makes
+        # is where the plan strikes, as it strikes a worker's.
+        return self.inner.holds(key)
+
     def __getattr__(self, name):
         # Diagnostics (corrupt_misses, path, ...) are the real store's.
         return getattr(self.inner, name)
