@@ -280,7 +280,8 @@ def per_kernel_neural_s(count: int, neural_s: Union[float, Sequence[float]]) -> 
         or not isinstance(neural_s, Iterable)
         or getattr(neural_s, "ndim", None) == 0
     ):
-        neural_s = [neural_s] * count
+        # One check, then the broadcast; an empty batch checks nothing.
+        return [neural_time(neural_s)] * count if count else []
     neural_times = [neural_time(t, index) for index, t in enumerate(neural_s)]
     if len(neural_times) != count:
         raise ValueError("need one neural_s per kernel")

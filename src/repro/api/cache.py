@@ -129,7 +129,8 @@ class CompileCache:
     (``"shared"`` / ``"disk:<path>"``).  Without a store the cache
     behaves exactly like the original single-level LRU.
 
-    :meth:`get_or_compile` is the one way in: an artifact enters either
+    :meth:`get_or_compile` is the one way in (:meth:`get_missing` its
+    second half, after a :meth:`get_local` miss): an artifact enters either
     level only as the return value of a compile factory, so a factory
     that raises (a failed compile, or the session's verify gate
     rejecting its result) leaves both levels untouched.  :meth:`holds`
@@ -189,7 +190,7 @@ class CompileCache:
     def get_local(self, key: str) -> Optional[CompiledArtifact]:
         """Local-level probe: bumps LRU + local_hits on a hit, never
         the store, and counts nothing on a miss — so a caller may probe
-        here before building a factory for :meth:`get_or_compile`."""
+        here before building a factory for :meth:`get_missing`."""
         with self._lock:
             artifact = self._entries.get(key)
             if artifact is None:
@@ -223,6 +224,16 @@ class CompileCache:
         artifact = self.get_local(key)
         if artifact is not None:
             return artifact, True
+        return self.get_missing(key, factory)
+
+    def get_missing(
+        self, key: str, factory: Callable[[], CompiledArtifact]
+    ) -> Tuple[CompiledArtifact, bool]:
+        """:meth:`get_or_compile` after its local probe: for a caller
+        that has just had None from :meth:`get_local`, so the LRU is
+        not asked (nor its lock taken) twice for one miss.  Shared →
+        compile-once, counted and returned as :meth:`get_or_compile`
+        counts and returns them."""
         if self.store is not None:
             # The store's guard spans every cache sharing it: N shards
             # racing on one cold kernel run one front end between them.

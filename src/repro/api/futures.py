@@ -15,9 +15,12 @@ stdlib future builds in its constructor only when a thread first needs
 one.  When that inline attempt succeeds, the future is *born
 resolved*: the report is written into it before any other thread holds
 it, with no lock or notify, and a finished one's ``done``, ``result``,
-``exception`` and ``add_done_callback`` read it without the lock.  A
-queued request's future is a plain :class:`ReasonFuture`, whose path
-pays for none of this.
+``exception`` and ``add_done_callback`` read it without the lock.  Its
+condition is then :data:`_SETTLED`, which takes nothing, so the stdlib's
+``wait``, ``as_completed``, ``cancel`` and the rest (and
+:func:`wait_all`) build no Condition for it and take no lock.  A queued
+request's future is a plain :class:`ReasonFuture`, whose path pays for
+none of this.
 """
 
 from __future__ import annotations
@@ -76,16 +79,50 @@ class ReasonFuture(concurrent.futures.Future):
         )
 
 
+class _Settled:
+    """The condition of every born-resolved future: its ``acquire``,
+    ``release`` and ``with`` take nothing.  A stand-in is safe there
+    because FINISHED is terminal: under a finished future's condition
+    the stdlib only reads the state, raises ``InvalidStateError``, or
+    appends or removes a waiter (one atomic list operation each), and it
+    never waits or notifies.  Not a real lock shared by all such
+    futures: ``wait`` acquires its futures' conditions in id order, and
+    one lock shared across a batch would deadlock on the batch's second
+    future (a ``Lock``) or between two threads (an ``RLock``)."""
+
+    __slots__ = ()
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        return True
+
+    def release(self) -> None:
+        pass
+
+    def __enter__(self) -> bool:
+        return True
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+_SETTLED = _Settled()
+
+
 class _LazyCondition:
     """A future's ``_condition``, built the first time a thread reads
-    it.  A non-data descriptor: the first read stores the Condition in
-    the future's ``__dict__``, where every later read finds it without
-    calling here.  ``dict.setdefault`` is one atomic step, so threads
-    racing the first read all get the Condition that won."""
+    it.  A non-data descriptor: the first read of a pending future
+    stores the Condition in the future's ``__dict__``, where every later
+    read finds it without calling here.  ``dict.setdefault`` is one
+    atomic step, so threads racing the first read all get the Condition
+    that won.  A future found FINISHED with nothing stored was born
+    resolved (every other way to FINISHED reads the condition first),
+    and gets :data:`_SETTLED`, with nothing stored."""
 
     def __get__(self, future, owner=None):
         if future is None:
             return self
+        if future._state == FINISHED:
+            return _SETTLED
         return future.__dict__.setdefault("_condition", threading.Condition())
 
 

@@ -298,21 +298,36 @@ class ResilientStore(ArtifactStore):
 
     def _guarded(self, operation, fallback):
         if not self.breaker.admits():
-            with self._stats_lock:
-                self.degraded += 1
-            return fallback
+            return self._skipped(fallback)
         try:
             value = operation()
         except Exception:
-            with self._stats_lock:
-                self.errors += 1
-            self.breaker.record_failure()
-            return fallback
+            return self._failed(fallback)
         self.breaker.record_success()
         return value
 
+    def _skipped(self, fallback):
+        with self._stats_lock:
+            self.degraded += 1
+        return fallback
+
+    def _failed(self, fallback):
+        with self._stats_lock:
+            self.errors += 1
+        self.breaker.record_failure()
+        return fallback
+
     def get(self, key):
-        return self._guarded(lambda: self.inner.get(key), None)
+        # _guarded written out: every store hit a service serves comes
+        # through here, and a healthy one pays no closure or guard frame.
+        if not self.breaker.admits():
+            return self._skipped(None)
+        try:
+            artifact = self.inner.get(key)
+        except Exception:
+            return self._failed(None)
+        self.breaker.record_success()
+        return artifact
 
     def put(self, key, artifact) -> None:
         self._guarded(lambda: self.inner.put(key, artifact), None)

@@ -261,7 +261,8 @@ class ReasonSession:
         # The cache runs the factory at most once per in-flight key —
         # concurrent requests for the same cold kernel (across threads,
         # and across shards when a store is attached) join one compile.
-        return self._cache.get_or_compile(key, compile_cold)
+        # The LRU already missed above: it is not probed again.
+        return self._cache.get_missing(key, compile_cold)
 
     # ----------------------------------------------------------------- run
 

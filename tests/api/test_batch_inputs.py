@@ -43,3 +43,41 @@ def test_a_sequence_still_gives_one_value_per_kernel():
             future.result(timeout=60)
     with pytest.raises(ValueError, match="one neural_s per kernel"):
         ReasonSession().run_batch(kernels(), neural_s=[0.1, 0.2])
+
+
+BAD_NEURAL_S = {
+    "text scalar": ("fast", TypeError, "neural_s[0] is 'fast' (str): it must be a real number"),
+    "negative scalar": (-0.5, ValueError, "neural_s[0] is -0.5: it must be finite and >= 0"),
+    "None item": (
+        [0.1, None, 0.3], TypeError, "neural_s[1] is None (NoneType): it must be a real number"
+    ),
+    "NaN item": ([0.1, 0.2, np.nan], ValueError, "neural_s[2] is nan: it must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_NEURAL_S.values(), ids=list(BAD_NEURAL_S))
+def test_a_bad_neural_s_is_named_by_its_index(bad):
+    """A scalar is reported as ``neural_s[0]``, a sequence item by its
+    own index, and both before any kernel runs or is admitted."""
+    neural_s, error, message = bad
+    session = ReasonSession()
+    with pytest.raises(error) as excinfo:
+        session.run_batch(kernels(), neural_s=neural_s)
+    assert str(excinfo.value) == message and session.executions == 0
+    with ReasonService(shards=1) as service:
+        with pytest.raises(error) as excinfo:
+            service.submit_batch(kernels(), neural_s=neural_s)
+        assert str(excinfo.value) == message and service.stats().submitted == 0
+
+
+def test_a_scalar_is_checked_once_per_batch(monkeypatch):
+    from repro.api import adapters
+
+    seen = []
+    check = adapters.neural_time
+    monkeypatch.setattr(adapters, "neural_time", lambda *args: seen.append(args) or check(*args))
+    assert adapters.per_kernel_neural_s(64, 0.0) == [0.0] * 64
+    assert seen == [(0.0,)]
+    seen.clear()
+    assert adapters.per_kernel_neural_s(0, "fast") == []  # an empty batch checks nothing
+    assert seen == []

@@ -64,12 +64,12 @@ MAX_WARM_RUN_CALLS = {"hmm": 18, "circuit": 21}
 #: shared-store hit settled inline (a kernel another shard compiled, a
 #: local miss here) makes beyond a ``ReasonSession.run`` store hit of
 #: the same kernel over a bare ``SharedStore``: the inline hit's 13
-#: calls and 4 sections, the three ``holds`` answers (cache, resilient
-#: wrapper, store) and the wrapper's breaker read, and the wrapper's
-#: ``get`` (its guard, breaker read, closure and success record).  A
-#: closed breaker is read without its lock, and ``holds`` takes none,
-#: so the store lookup's sections are the session's own.
-STORE_HIT_EXTRA_CALLS = 21
+#: calls (the cache's ``holds`` among them) and 4 sections, the
+#: resilient wrapper's and the store's ``holds`` answers and the
+#: wrapper's breaker read, and the wrapper's ``get`` (its breaker read
+#: and success record, no guard frame or closure).  A closed breaker is read without its lock, and ``holds``
+#: takes none, so the store lookup's sections are the session's own.
+STORE_HIT_EXTRA_CALLS = 19
 STORE_HIT_EXTRA_LOCK_SECTIONS = 4
 
 
